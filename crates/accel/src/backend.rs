@@ -11,9 +11,9 @@
 //! * [`Functional`] — the same timing model *plus* the bit-exact packed
 //!   int8 datapath ([`crate::functional::forward_batch_cached`]): every
 //!   dispatched batch executes for real and records per-query predictions.
-//!   Weights are sliced and panel-packed once per SubNet (the
-//!   subgraph-stationary pack-once state, shared across workers behind
-//!   `Arc` — panels are immutable after the build) while kernel scratch
+//!   Each SubNet is installed once — weights sliced, IR lowered to a plan,
+//!   panels packed (the subgraph-stationary state, shared across workers
+//!   behind `Arc`; it is immutable after the install) — while kernel scratch
 //!   stays private: one reused [`Arena`] per worker. Intended for the toy
 //!   zoo; full-size nets take seconds per forward.
 //!
@@ -104,6 +104,13 @@ pub struct MemoryStats {
     /// Workers that have materialized a private scratch arena (grown
     /// lazily on first dispatch to that worker index).
     pub arena_workers: usize,
+    /// Layers holding install-time weight panels, summed over the packed
+    /// SubNets: each was packed exactly once, in one layout, at its
+    /// SubNet's install — whatever the worker count.
+    pub packed_layers: usize,
+    /// Conv calls that packed weights per call instead of reading the
+    /// install-time panels ([`Arena::weight_packs`]), summed over workers.
+    pub per_call_weight_packs: usize,
 }
 
 /// One worker's slice of a concurrent dispatch group: a same-SubNet batch
@@ -230,17 +237,16 @@ impl ExecutionBackend for Analytical {
 /// number of workers read one pack-once copy concurrently
 /// ([`ExecutionBackend::execute_concurrent`]) while each worker owns a
 /// private scratch [`Arena`] reused across its queries — the steady state
-/// allocates nothing per query, and
-/// [`sushi_tensor::ops::pack::pack_invocations`] is independent of worker
-/// count.
+/// allocates nothing per query, and [`MemoryStats::packed_layers`] is
+/// independent of worker count.
 #[derive(Debug)]
 pub struct Functional {
     dpe: DpeArray,
     store: WeightStore,
     input_seed: u64,
-    /// Whether cache installs lower the SubNet IR and fuse conv epilogues
-    /// onto the k-pair datapath (on by default; logits are bit-identical
-    /// either way).
+    /// Whether cache installs lower the SubNet IR under the full rewrite
+    /// catalog, fusing conv epilogues onto the k-pair datapath (on by
+    /// default; logits are bit-identical either way).
     fusion: bool,
     caches: HashMap<String, Arc<SubgraphCache>>,
     /// Per-worker scratch, grown lazily to the highest worker index seen
@@ -268,8 +274,9 @@ impl Functional {
     }
 
     /// Enables or disables install-time IR fusion. With fusion off, cache
-    /// installs use [`SubgraphCache::build`] and queries run the per-layer
-    /// interpreter — the pre-IR datapath, bit for bit.
+    /// installs lower the plan without the layout annotation
+    /// ([`SubgraphCache::build`]), so every conv runs conv, bias,
+    /// requantize, activation — the pre-IR arithmetic, bit for bit.
     #[must_use]
     pub fn with_fusion(mut self, fusion: bool) -> Self {
         self.fusion = fusion;
@@ -288,13 +295,8 @@ impl Functional {
     ) -> Result<Arc<SubgraphCache>, BackendError> {
         if !self.caches.get(&subnet.name).is_some_and(|c| c.matches(&subnet.graph)) {
             // First dispatch under this SubNet (or same name, different
-            // SubGraph — defensive): slice + pack once (plus the IR
-            // lowering and k-pair pack when fusion is on).
-            let cache = if self.fusion {
-                SubgraphCache::build_fused(net, &self.store, subnet)?
-            } else {
-                SubgraphCache::build(net, &self.store, &subnet.graph)?
-            };
+            // SubGraph — defensive): slice, lower and pack once.
+            let cache = SubgraphCache::install(net, &self.store, subnet, self.fusion)?;
             if self.caches.insert(subnet.name.clone(), Arc::new(cache)).is_some() {
                 self.repacks += 1;
             }
@@ -439,6 +441,8 @@ impl ExecutionBackend for Functional {
             arena_reserved_bytes: self.arenas.iter().map(Arena::reserved_bytes).sum(),
             packed_subnets: self.caches.len(),
             arena_workers: self.arenas.len(),
+            packed_layers: self.caches.values().map(|c| c.packed_layers() + c.fused_layers()).sum(),
+            per_call_weight_packs: self.arenas.iter().map(Arena::weight_packs).sum(),
         })
     }
 }

@@ -9,11 +9,10 @@
 use serde::{Deserialize, Serialize};
 
 use sushi_wsnet::layer::LayerSlice;
-use sushi_wsnet::{SubGraph, SubNet, SuperNet, WeightStore};
+use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
 use crate::config::AccelConfig;
 use crate::energy::{EnergyModel, EnergyReport};
-use crate::functional::SubgraphCache;
 use crate::timing::{layer_timing, CycleBreakdown, LayerTiming, TrafficBytes};
 
 /// Result of serving one query.
@@ -94,7 +93,6 @@ pub struct Accelerator {
     config: AccelConfig,
     energy_model: EnergyModel,
     cached: Option<SubGraph>,
-    packed: Option<SubgraphCache>,
     pending_reload_cycles: u64,
 }
 
@@ -106,7 +104,6 @@ impl Accelerator {
             config,
             energy_model: EnergyModel::default(),
             cached: None,
-            packed: None,
             pending_reload_cycles: 0,
         }
     }
@@ -148,54 +145,12 @@ impl Accelerator {
         }
         self.pending_reload_cycles += self.config.offchip_cycles(bytes);
         self.cached = Some(fitted);
-        // Any packed weights belong to the previous SubGraph now.
-        self.packed = None;
         self.cached.as_ref()
-    }
-
-    /// [`Accelerator::install_cache`] plus eager host-side weight packing:
-    /// slices `store` to the fitted SubGraph and builds the per-layer
-    /// [`SubgraphCache`] panels **once**, at install time — the cold-pack
-    /// cost rides with the PB reload it models, and every subsequent
-    /// functional serve under this SubGraph reads the panels in place via
-    /// [`Accelerator::packed_weights`]. Re-installing the SubGraph already
-    /// resident keeps the existing panels (no reload, no re-pack), exactly
-    /// as the PB itself behaves — the property `tests/pack_once.rs` pins by
-    /// counting pack invocations across repeated `serve`/`serve_batch`
-    /// rounds.
-    ///
-    /// # Panics
-    /// Panics if the fitted SubGraph's weights cannot be packed (zoo
-    /// definitions are programmer-controlled).
-    pub fn install_cache_with_weights(
-        &mut self,
-        net: &SuperNet,
-        graph: SubGraph,
-        store: &WeightStore,
-    ) -> Option<&SubGraph> {
-        // `install_cache` keeps `packed` when the SubGraph is already
-        // resident and drops it when the PB contents change.
-        if self.install_cache(net, graph).is_none() {
-            return None;
-        }
-        let fitted = self.cached.clone().expect("install_cache set the PB");
-        if self.packed.as_ref().is_none_or(|p| !p.matches(&fitted)) {
-            self.packed = Some(SubgraphCache::build(net, store, &fitted).expect("packable zoo"));
-        }
-        self.cached.as_ref()
-    }
-
-    /// The pack-once weight state for the installed SubGraph, when the
-    /// cache was installed via [`Accelerator::install_cache_with_weights`].
-    #[must_use]
-    pub fn packed_weights(&self) -> Option<&SubgraphCache> {
-        self.packed.as_ref()
     }
 
     /// Clears the Persistent Buffer without charging a reload.
     pub fn clear_cache(&mut self) {
         self.cached = None;
-        self.packed = None;
         self.pending_reload_cycles = 0;
     }
 
@@ -313,7 +268,6 @@ impl Accelerator {
             config: self.config.clone(),
             energy_model: self.energy_model,
             cached: cached.cloned(),
-            packed: None,
             pending_reload_cycles: 0,
         };
         scratch.serve(net, subnet)

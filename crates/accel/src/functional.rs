@@ -1,12 +1,15 @@
 //! End-to-end functional forward pass over a materialized SubNet.
 //!
-//! Chains the DPE-array datapath ([`crate::dpe::DpeArray`]) across the
-//! SubNet's active layers — including residual connections, squeeze-excite
-//! gating and the pooled classifier head — on real int8 data. Used by the
-//! `functional_inference` example and the cross-crate validation tests;
+//! One datapath: installing a SubNet ([`SubgraphCache`]) slices its weights,
+//! lowers its IR to a [`Plan`] and packs each layer in the one layout its
+//! plan step reads; every forward then executes that plan step by step
+//! through the DPE-array datapath ([`crate::dpe::DpeArray`]) — residual
+//! connections, squeeze-excite gating and the pooled classifier head
+//! included — on real int8 data. Used by the functional serving backend,
+//! the `functional_inference` example and the cross-crate validation tests;
 //! full-size experiments use timing-only mode instead.
 
-use sushi_ir::{Plan, Step};
+use sushi_ir::{BnFold, Plan, Step};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::{conv2d_i8_fused, Conv2dParams};
 use sushi_tensor::ops::pool::{global_avg_pool, max_pool, PoolParams};
@@ -14,27 +17,13 @@ use sushi_tensor::quant::{dequantize_tensor, quantize_tensor};
 use sushi_tensor::{
     Arena, Epilogue, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor, TensorError,
 };
-use sushi_wsnet::arch::NO_STAGE;
-use sushi_wsnet::layer::{ConvKind, ConvLayerDesc, LayerRole, LayerSlice};
-use sushi_wsnet::{Family, SubGraph, SubNet, SuperNet, WeightStore};
+use sushi_wsnet::ir_build::{build_plan, layer_conv_params};
+use sushi_wsnet::{SubGraph, SubNet, SuperNet, WeightStore};
 
 use crate::dpe::DpeArray;
 
 /// Activation quantization shared across the network (symmetric ±8 range).
 const ACT_Q: QuantParams = QuantParams { scale: 8.0 / 127.0, zero_point: 0 };
-
-/// Conv hyper-parameters for one layer under one SubNet slice — the single
-/// source shared by the per-query runtime and the pack-once cache builder.
-fn layer_conv_params(layer: &ConvLayerDesc, slice: &LayerSlice) -> Conv2dParams {
-    let groups = match layer.kind {
-        ConvKind::Dense => 1,
-        ConvKind::Depthwise => slice.kernels,
-    };
-    Conv2dParams::new(slice.kernel_size, slice.kernel_size)
-        .with_stride(layer.stride)
-        .with_padding(slice.kernel_size / 2)
-        .with_groups(groups)
-}
 
 /// Install-time state for one conv the IR lowered onto the fused k-pair
 /// datapath: pair-interleaved weight panels plus the baked
@@ -50,8 +39,9 @@ pub struct FusedLayer {
 }
 
 /// One layer's install-time state: the sliced weights/bias (so queries
-/// never re-slice the shared SuperNet store) plus, for dense layers, the
-/// panel-packed weight matrix the GEMM fast path reads in place.
+/// never re-slice the shared SuperNet store) plus the weight panels in the
+/// one layout the layer's plan step reads — at most one of `packed` and
+/// `fused` is set.
 #[derive(Debug, Clone)]
 pub struct CachedLayer {
     /// Weights sliced to the SubNet (`(K, C/g, R, S)`).
@@ -60,50 +50,78 @@ pub struct CachedLayer {
     pub bias: Vec<i32>,
     /// Weight quantization.
     pub w_q: QuantParams,
-    /// Pre-packed GEMM panels (dense layers only; depthwise stays on the
+    /// Panel-layout GEMM weights, for a dense layer read by a
+    /// [`Step::Conv`] or [`Step::SqueezeExcite`] (depthwise stays on the
     /// direct schedule, which reads `weights` directly).
     pub packed: Option<PackedConv2d>,
-    /// Fused-datapath state when the IR plan routed this layer through the
-    /// k-pair kernel ([`SubgraphCache::build_fused`] installs only).
+    /// Fused-datapath state, for a layer read by a [`Step::FusedConv`].
     pub fused: Option<FusedLayer>,
     /// The conv hyper-parameters the slice resolves to.
     pub params: Conv2dParams,
 }
 
-/// Install-time weight state for one SubGraph: what the paper's Persistent
-/// Buffer holds, in host-software form.
+/// Install-time state for one SubGraph: what the paper's Persistent Buffer
+/// holds, in host-software form.
 ///
-/// Built **once** per cache install ([`SubgraphCache::build`], or
-/// [`crate::exec::Accelerator::install_cache_with_weights`]); every
-/// subsequent [`forward_cached`] / [`forward_batch_cached`] under the same
-/// SubGraph reads the sliced weights and packed panels in place. Weight
-/// slicing and packing are thereby *subgraph-stationary*: their cost is
-/// charged once per install and amortized across all queries served under
-/// the cached SubGraph, never paid per query (pinned by
-/// `tests/pack_once.rs` via [`sushi_tensor::ops::pack::pack_invocations`]).
+/// Built **once** per cache install; every subsequent forward under the
+/// same SubGraph executes the lowered plan against the sliced weights and
+/// packed panels in place. Weight slicing, IR lowering and packing are
+/// thereby *subgraph-stationary*: their cost is charged once per install
+/// and amortized across all queries served under the cached SubGraph, never
+/// paid per query (pinned by `tests/pack_once.rs` via
+/// [`Arena::weight_packs`]).
 #[derive(Debug, Clone)]
 pub struct SubgraphCache {
     layers: Vec<Option<CachedLayer>>,
     graph: SubGraph,
-    /// The lowered IR plan ([`SubgraphCache::build_fused`] installs only);
-    /// its presence routes [`forward_cached`] through the fused executor.
-    plan: Option<Plan>,
+    plan: Plan,
 }
 
 impl SubgraphCache {
-    /// Slices and packs every active layer of `graph` out of `store`.
+    /// Installs `subnet` with fusion off: every conv lowers to the plain
+    /// [`Step::Conv`] (see [`build_plan`]), so dense layers hold
+    /// panel-layout weights. Logits are bit-identical to
+    /// [`SubgraphCache::build_fused`] installs (pinned by
+    /// `tests/proptest_fusion.rs`).
     ///
     /// # Errors
-    /// Returns an error when a layer's weights cannot be packed
-    /// (inconsistent zoo definitions — a programming error).
+    /// As [`SubgraphCache::build_fused`].
     pub fn build(
         net: &SuperNet,
         store: &WeightStore,
-        graph: &SubGraph,
+        subnet: &SubNet,
+    ) -> Result<Self, TensorError> {
+        Self::install(net, store, subnet, false)
+    }
+
+    /// Installs `subnet` with the standard rewrite catalog: convs the IR
+    /// routed onto the k-pair datapath hold pair-interleaved panels and a
+    /// baked bias/requant/activation [`Epilogue`].
+    ///
+    /// # Errors
+    /// Returns an error when weights cannot be sliced or packed, or the
+    /// SubNet's IR fails to build, normalize or lower (inconsistent zoo
+    /// definitions — a programming error).
+    pub fn build_fused(
+        net: &SuperNet,
+        store: &WeightStore,
+        subnet: &SubNet,
+    ) -> Result<Self, TensorError> {
+        Self::install(net, store, subnet, true)
+    }
+
+    /// The one install body: slice every active layer, lower the SubNet's
+    /// IR under the catalog `fusion` selects, then pack each layer in
+    /// exactly the layout its plan step reads.
+    pub(crate) fn install(
+        net: &SuperNet,
+        store: &WeightStore,
+        subnet: &SubNet,
+        fusion: bool,
     ) -> Result<Self, TensorError> {
         let mut layers = Vec::with_capacity(net.num_layers());
         for (idx, layer) in net.layers.iter().enumerate() {
-            let slice = graph.slice(idx);
+            let slice = subnet.graph.slice(idx);
             if slice.is_empty() {
                 layers.push(None);
                 continue;
@@ -111,80 +129,40 @@ impl SubgraphCache {
             let weights = store
                 .slice_tensor(idx, &slice)
                 .ok_or(TensorError::InvalidParam { what: "active slice without weights" })?;
-            let bias = store.bias_slice(idx, &slice).to_vec();
-            let w_q = store.layer(idx).w_q;
-            let params = layer_conv_params(layer, &slice);
-            let packed = match layer.kind {
-                ConvKind::Dense => Some(PackedConv2d::pack(&weights, w_q, &params)?),
-                ConvKind::Depthwise => None,
-            };
-            layers.push(Some(CachedLayer { weights, bias, w_q, packed, fused: None, params }));
+            layers.push(Some(CachedLayer {
+                weights,
+                bias: store.bias_slice(idx, &slice).to_vec(),
+                w_q: store.layer(idx).w_q,
+                packed: None,
+                fused: None,
+                params: layer_conv_params(layer, &slice),
+            }));
         }
-        Ok(Self { layers, graph: graph.clone(), plan: None })
-    }
-
-    /// [`SubgraphCache::build`] plus the IR lowering: translates `subnet` to
-    /// the typed op-graph, runs the fusion rewrites, lowers the plan, and
-    /// for every conv the plan routed onto the k-pair datapath packs
-    /// pair-interleaved panels and bakes the bias/requant/activation
-    /// [`Epilogue`]. [`forward_cached`] under this cache executes the plan;
-    /// logits stay bit-identical to [`SubgraphCache::build`] installs
-    /// (pinned by `tests/proptest_fusion.rs`).
-    ///
-    /// # Errors
-    /// Returns an error when weights cannot be packed or the SubNet's IR
-    /// fails to build, normalize or lower (inconsistent zoo definitions —
-    /// a programming error).
-    pub fn build_fused(
-        net: &SuperNet,
-        store: &WeightStore,
-        subnet: &SubNet,
-    ) -> Result<Self, TensorError> {
-        let mut cache = Self::build(net, store, &subnet.graph)?;
-        let plan = sushi_wsnet::ir_build::build_plan(net, subnet)
+        let plan = build_plan(net, subnet, fusion)
             .map_err(|_| TensorError::InvalidParam { what: "SubNet IR failed to lower" })?;
         for step in &plan.steps {
-            let Step::FusedConv { layer, bias, act, bn, .. } = step else {
-                continue;
-            };
-            let cl = cache.layers[*layer]
-                .as_mut()
-                .ok_or(TensorError::InvalidParam { what: "fused step on an inactive layer" })?;
-            let packed =
-                PackedConv2d::pack_with_layout(&cl.weights, cl.w_q, &cl.params, PackLayout::KPair)?;
-            let kernels = cl.weights.shape().n;
-            let bias_vec = if *bias { cl.bias.clone() } else { vec![0i32; kernels] };
-            // Same accumulator→output rescale expression as the unfused
-            // datapath (`conv2d_i8_in`), so the no-batch-norm epilogue is
-            // bit-identical to requantize-then-activate.
-            let acc_scale = ACT_Q.scale * cl.w_q.scale / ACT_Q.scale;
-            let epilogue = match bn {
-                None => Epilogue::uniform(bias_vec, acc_scale, ACT_Q, *act)?,
-                Some(fold) => {
-                    let scales = fold.scale.iter().map(|s| acc_scale * s).collect();
-                    // IR batch-norm offsets are in real units; the epilogue
-                    // wants output quanta.
-                    let offsets = fold.offset.iter().map(|o| o / ACT_Q.scale).collect();
-                    Epilogue::per_channel(bias_vec, scales, offsets, ACT_Q, *act)?
+            match step {
+                Step::Conv { layer, .. } => pack_panel(&mut layers, *layer)?,
+                Step::SqueezeExcite { reduce, expand, .. } => {
+                    pack_panel(&mut layers, *reduce)?;
+                    pack_panel(&mut layers, *expand)?;
                 }
-            };
-            cl.fused = Some(FusedLayer { packed, epilogue });
+                Step::FusedConv { layer, bias, act, bn, .. } => {
+                    let cl = active_mut(&mut layers, *layer)?;
+                    cl.fused = Some(fuse(cl, *bias, *act, bn.as_ref())?);
+                }
+                _ => {}
+            }
         }
-        cache.plan = Some(plan);
-        Ok(cache)
+        Ok(Self { layers, graph: subnet.graph.clone(), plan })
     }
 
-    /// The lowered IR plan, when this cache was built with
-    /// [`SubgraphCache::build_fused`].
+    /// The lowered IR plan every forward under this cache executes (always
+    /// present; the `Option` is kept for callers that predate the single
+    /// executor).
     #[must_use]
     pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
-    }
-
-    /// Number of layers holding fused k-pair state.
-    #[must_use]
-    pub fn fused_layers(&self) -> usize {
-        self.layers.iter().flatten().filter(|l| l.fused.is_some()).count()
+        Some(&self.plan)
     }
 
     /// Whether this cache was built for exactly `graph`.
@@ -199,22 +177,83 @@ impl SubgraphCache {
         self.layers.get(idx).and_then(Option::as_ref)
     }
 
-    /// Number of layers holding pre-packed GEMM panels.
+    /// [`SubgraphCache::layer`] for a plan step, which may only name active
+    /// layers.
+    fn active(&self, idx: usize) -> Result<&CachedLayer, TensorError> {
+        self.layer(idx)
+            .ok_or(TensorError::InvalidParam { what: "plan step names a layer the cache lacks" })
+    }
+
+    /// Number of layers holding panel-layout GEMM weights.
     #[must_use]
     pub fn packed_layers(&self) -> usize {
         self.layers.iter().flatten().filter(|l| l.packed.is_some()).count()
     }
 
-    /// Bytes held by the packed panels (excluding the sliced weight copies).
+    /// Number of layers holding fused k-pair state.
+    #[must_use]
+    pub fn fused_layers(&self) -> usize {
+        self.layers.iter().flatten().filter(|l| l.fused.is_some()).count()
+    }
+
+    /// Bytes held by the packed panels, in either layout (excluding the
+    /// sliced weight copies).
     #[must_use]
     pub fn packed_bytes(&self) -> usize {
         self.layers
             .iter()
             .flatten()
-            .filter_map(|l| l.packed.as_ref())
-            .map(|p| p.packed_bytes())
+            .filter_map(|l| l.packed.as_ref().or(l.fused.as_ref().map(|f| &f.packed)))
+            .map(PackedConv2d::packed_bytes)
             .sum()
     }
+}
+
+fn active_mut(
+    layers: &mut [Option<CachedLayer>],
+    idx: usize,
+) -> Result<&mut CachedLayer, TensorError> {
+    layers
+        .get_mut(idx)
+        .and_then(Option::as_mut)
+        .ok_or(TensorError::InvalidParam { what: "plan step on an inactive layer" })
+}
+
+/// Panel-packs dense layer `idx` for the GEMM path of
+/// [`DpeArray::conv2d_i8_in`]; depthwise layers stay unpacked.
+fn pack_panel(layers: &mut [Option<CachedLayer>], idx: usize) -> Result<(), TensorError> {
+    let cl = active_mut(layers, idx)?;
+    if cl.params.groups == 1 {
+        cl.packed = Some(PackedConv2d::pack(&cl.weights, cl.w_q, &cl.params)?);
+    }
+    Ok(())
+}
+
+/// K-pair-packs a layer and bakes the epilogue of the fused step reading it.
+fn fuse(
+    cl: &CachedLayer,
+    bias: bool,
+    act: Activation,
+    bn: Option<&BnFold>,
+) -> Result<FusedLayer, TensorError> {
+    let packed =
+        PackedConv2d::pack_with_layout(&cl.weights, cl.w_q, &cl.params, PackLayout::KPair)?;
+    let bias_vec = if bias { cl.bias.clone() } else { vec![0i32; cl.weights.shape().n] };
+    // Same accumulator→output rescale expression as the unfused datapath
+    // (`conv2d_i8_in`), so the no-batch-norm epilogue is bit-identical to
+    // requantize-then-activate.
+    let acc_scale = ACT_Q.scale * cl.w_q.scale / ACT_Q.scale;
+    let epilogue = match bn {
+        None => Epilogue::uniform(bias_vec, acc_scale, ACT_Q, act)?,
+        Some(fold) => {
+            let scales = fold.scale.iter().map(|s| acc_scale * s).collect();
+            // IR batch-norm offsets are in real units; the epilogue wants
+            // output quanta.
+            let offsets = fold.offset.iter().map(|o| o / ACT_Q.scale).collect();
+            Epilogue::per_channel(bias_vec, scales, offsets, ACT_Q, act)?
+        }
+    };
+    Ok(FusedLayer { packed, epilogue })
 }
 
 /// Output of a functional forward pass.
@@ -226,13 +265,15 @@ pub struct FunctionalOutput {
     pub prediction: usize,
 }
 
-/// Runs a full int8 forward pass of `subnet` on `input`.
+/// Runs a full int8 forward pass of `subnet` on `input`: installs an
+/// unfused [`SubgraphCache`] for this one call and runs
+/// [`forward_cached`] under it.
 ///
 /// `input` must be an NCHW `(1, 3, H, W)` tensor quantized with the
 /// activation parameters returned by [`act_quant`], at the SuperNet's input
 /// resolution.
 ///
-/// Every convolution executes through `dpe`, so the array's
+/// Every unfused convolution executes through `dpe`, so the array's
 /// [`sushi_tensor::KernelPolicy`] (see [`DpeArray::with_policy`]) governs
 /// host-simulation speed: `Naive` pins the cycle-faithful tiled schedule,
 /// `Auto`/`Im2colGemm` route large dense layers through the bit-identical
@@ -251,15 +292,10 @@ pub fn forward(
     forward_cached(dpe, net, store, subnet, None, &mut Arena::new(), input)
 }
 
-/// [`forward`] with install-time state: an optional [`SubgraphCache`] whose
-/// sliced weights and packed panels are read in place, and a caller-owned
-/// [`Arena`] reused across queries so the steady state performs no
-/// per-query scratch allocation. Logits are bit-identical to the uncached
-/// path under every [`sushi_tensor::KernelPolicy`].
+/// The one-input case of [`forward_batch_cached`].
 ///
 /// # Errors
-/// Returns an error when the input shape does not match the SuperNet, the
-/// cache was built for a different SubGraph, or a layer fails to execute.
+/// As [`forward_batch_cached`].
 pub fn forward_cached(
     dpe: &DpeArray,
     net: &SuperNet,
@@ -269,37 +305,16 @@ pub fn forward_cached(
     arena: &mut Arena,
     input: &Tensor<i8>,
 ) -> Result<FunctionalOutput, TensorError> {
-    let expect = Shape4::new(1, 3, net.input_hw, net.input_hw);
-    if input.shape() != expect {
-        return Err(TensorError::ShapeMismatch {
-            what: "network input",
-            lhs: input.shape(),
-            rhs: expect,
-        });
-    }
-    let mut rt = Runtime::new(dpe, net, store, subnet, cache, arena)?;
-    let logits_t = rt.run(input)?;
-    Ok(split_outputs(&logits_t).remove(0))
+    let inputs = std::slice::from_ref(input);
+    Ok(forward_batch_cached(dpe, net, store, subnet, cache, arena, inputs)?.remove(0))
 }
 
-/// Runs one int8 forward pass over a whole batch of inputs at once.
-///
-/// Each input must be a `(1, 3, H, W)` tensor quantized with [`act_quant`]
-/// at the SuperNet's input resolution. The inputs are stacked along the
-/// batch dimension and flow through the datapath as a single `(B, 3, H, W)`
-/// pass — every convolution touches each weight once per *batch* instead of
-/// once per *query*, the within-batch analogue of SubGraph-Stationary
-/// reuse. Outputs are returned in input order.
-///
-/// Batching is a speed knob, never semantics: int8 accumulation per output
-/// element is independent of the batch dimension, so
-/// `forward_batch(&[a, b])` returns bit-identical logits to
-/// `[forward(a), forward(b)]` under every [`sushi_tensor::KernelPolicy`]
-/// (pinned by `tests/proptest_batch.rs`).
+/// Runs one int8 forward pass over a whole batch of inputs at once:
+/// installs an unfused [`SubgraphCache`] for this one call and runs
+/// [`forward_batch_cached`] under it.
 ///
 /// # Errors
-/// Returns an error when the batch is empty, an input shape does not match
-/// the SuperNet, or a layer fails to execute.
+/// As [`forward_batch_cached`].
 pub fn forward_batch(
     dpe: &DpeArray,
     net: &SuperNet,
@@ -310,12 +325,30 @@ pub fn forward_batch(
     forward_batch_cached(dpe, net, store, subnet, None, &mut Arena::new(), inputs)
 }
 
-/// [`forward_batch`] with install-time state; see [`forward_cached`].
+/// Executes the installed plan of `cache` on a batch of inputs.
+///
+/// Each input must be a `(1, 3, H, W)` tensor quantized with [`act_quant`]
+/// at the SuperNet's input resolution. The inputs are stacked along the
+/// batch dimension and flow through the datapath as a single `(B, 3, H, W)`
+/// pass — every convolution touches each weight once per *batch* instead of
+/// once per *query*, the within-batch analogue of SubGraph-Stationary
+/// reuse. Outputs are returned in input order.
+///
+/// The cache's sliced weights and packed panels are read in place, and the
+/// caller-owned [`Arena`] is reused across queries, so the steady state
+/// performs no per-query weight packing or scratch allocation. Without a
+/// cache (`None`) an unfused one is installed for this call alone.
+///
+/// Batching, the rewrite catalog the cache was installed under and the
+/// [`sushi_tensor::KernelPolicy`] are speed knobs, never semantics: int8
+/// accumulation per output element is independent of all three, so logits
+/// are bit-identical across them (pinned by `tests/proptest_batch.rs` and
+/// `tests/proptest_fusion.rs`).
 ///
 /// # Errors
 /// Returns an error when the batch is empty, an input shape does not match
-/// the SuperNet, the cache was built for a different SubGraph, or a layer
-/// fails to execute.
+/// the SuperNet, the cache was built for a different SubGraph, or a plan
+/// step fails to execute.
 pub fn forward_batch_cached(
     dpe: &DpeArray,
     net: &SuperNet,
@@ -325,6 +358,19 @@ pub fn forward_batch_cached(
     arena: &mut Arena,
     inputs: &[Tensor<i8>],
 ) -> Result<Vec<FunctionalOutput>, TensorError> {
+    let installed;
+    let cache = match cache {
+        Some(c) => c,
+        None => {
+            installed = SubgraphCache::build(net, store, subnet)?;
+            &installed
+        }
+    };
+    if !cache.matches(&subnet.graph) {
+        return Err(TensorError::InvalidParam {
+            what: "weight cache built for a different SubGraph",
+        });
+    }
     if inputs.is_empty() {
         return Err(TensorError::InvalidParam { what: "forward_batch on empty batch" });
     }
@@ -341,8 +387,7 @@ pub fn forward_batch_cached(
         data.extend_from_slice(input.as_slice());
     }
     let stacked = Tensor::from_vec(Shape4::new(inputs.len(), 3, net.input_hw, net.input_hw), data)?;
-    let mut rt = Runtime::new(dpe, net, store, subnet, cache, arena)?;
-    let logits_t = rt.run(&stacked)?;
+    let logits_t = Executor { dpe, cache, arena }.run(&stacked)?;
     Ok(split_outputs(&logits_t))
 }
 
@@ -366,161 +411,63 @@ pub fn act_quant() -> QuantParams {
     ACT_Q
 }
 
-struct Runtime<'a> {
+/// Executes the plan of one installed cache.
+struct Executor<'a> {
     dpe: &'a DpeArray,
-    net: &'a SuperNet,
-    store: &'a WeightStore,
-    subnet: &'a SubNet,
-    cache: Option<&'a SubgraphCache>,
+    cache: &'a SubgraphCache,
     arena: &'a mut Arena,
 }
 
-impl<'a> Runtime<'a> {
-    fn new(
-        dpe: &'a DpeArray,
-        net: &'a SuperNet,
-        store: &'a WeightStore,
-        subnet: &'a SubNet,
-        cache: Option<&'a SubgraphCache>,
-        arena: &'a mut Arena,
-    ) -> Result<Self, TensorError> {
-        if let Some(c) = cache {
-            if !c.matches(&subnet.graph) {
-                return Err(TensorError::InvalidParam {
-                    what: "weight cache built for a different SubGraph",
-                });
-            }
-        }
-        Ok(Self { dpe, net, store, subnet, cache, arena })
-    }
-
-    fn slice(&self, idx: usize) -> LayerSlice {
-        self.subnet.graph.slice(idx)
-    }
-
-    fn layer_active(&self, idx: usize) -> bool {
-        !self.slice(idx).is_empty()
-    }
-
+impl Executor<'_> {
     /// Applies conv layer `idx` to `x` (which must have the slice's input
-    /// channels), returning int8 activations (no nonlinearity).
-    ///
-    /// With an installed [`SubgraphCache`] the per-query work touches only
-    /// install-time state: sliced weights, bias and packed panels are read
+    /// channels): conv, cached bias, requantize, then `act`. Touches only
+    /// install-time state — sliced weights, bias and packed panels are read
     /// in place, and all scratch comes from the reused arena.
-    fn conv(&mut self, idx: usize, x: &Tensor<i8>) -> Result<Tensor<i8>, TensorError> {
-        if let Some(cl) = self.cache.and_then(|c| c.layer(idx)) {
-            return self.dpe.conv2d_i8_in(
-                self.arena,
-                x,
-                ACT_Q,
-                &cl.weights,
-                cl.w_q,
-                cl.packed.as_ref(),
-                Some(&cl.bias),
-                ACT_Q,
-                &cl.params,
-            );
-        }
-        let layer = &self.net.layers[idx];
-        let slice = self.slice(idx);
-        let weights = self
-            .store
-            .slice_tensor(idx, &slice)
-            .ok_or(TensorError::InvalidParam { what: "conv on inactive layer" })?;
-        let bias = self.store.bias_slice(idx, &slice);
-        let params = layer_conv_params(layer, &slice);
-        self.dpe.conv2d_i8_in(
-            self.arena,
-            x,
-            ACT_Q,
-            &weights,
-            self.store.layer(idx).w_q,
-            None,
-            Some(bias),
-            ACT_Q,
-            &params,
-        )
-    }
-
     fn conv_act(
         &mut self,
         idx: usize,
         x: &Tensor<i8>,
         act: Activation,
     ) -> Result<Tensor<i8>, TensorError> {
-        let y = self.conv(idx, x)?;
-        Ok(apply_activation(&y, act))
+        let cl = self.cache.active(idx)?;
+        let y = self.dpe.conv2d_i8_in(
+            self.arena,
+            x,
+            ACT_Q,
+            &cl.weights,
+            cl.w_q,
+            cl.packed.as_ref(),
+            Some(&cl.bias),
+            ACT_Q,
+            &cl.params,
+        )?;
+        Ok(apply_activation(y, act))
     }
 
-    /// Runs the datapath on a (possibly batched) input, returning the
-    /// dequantized `(B, classes, 1, 1)` logits tensor.
-    ///
-    /// A cache installed with [`SubgraphCache::build_fused`] carries a
-    /// lowered IR plan; execution then goes through the slot machine in
-    /// [`Runtime::run_plan`] (fused convs on the k-pair kernel). Otherwise
-    /// this is the per-layer interpreter.
+    /// Executes the cache's plan on a (possibly batched) input, returning
+    /// the dequantized `(B, classes, 1, 1)` logits tensor: steps in order
+    /// over a dense slot table, freeing each slot after its last read
+    /// (`drop_after`). Fused conv steps run the k-pair `pmaddwd` kernel
+    /// with the baked epilogue; plain conv steps run conv, bias,
+    /// requantize, activation through the DPE array.
     fn run(&mut self, input: &Tensor<i8>) -> Result<Tensor<f32>, TensorError> {
-        if let Some(plan) = self.cache.and_then(SubgraphCache::plan) {
-            return self.run_plan(plan, input);
-        }
-        let layers = &self.net.layers;
-        let mut idx = 0usize;
-        // Stem.
-        debug_assert_eq!(layers[idx].role, LayerRole::Stem);
-        let mut x = self.conv_act(idx, input, Activation::Relu)?;
-        idx += 1;
-        if self.net.family == Family::OfaResNet50 {
-            // Stem max-pool (3x3, stride 2) on the real datapath.
-            x = i8_max_pool(&x, &PoolParams { window: 3, stride: 2, padding: 1 })?;
-        }
-        // Stages.
-        while idx < layers.len() && layers[idx].stage != NO_STAGE {
-            let (next_idx, y) = self.run_block(idx, &x)?;
-            if let Some(y) = y {
-                x = y;
-            }
-            idx = next_idx;
-        }
-        // Head: global pool then 1x1 convs on pooled features.
-        let pooled_f = global_avg_pool(&dequantize_tensor(&x, ACT_Q));
-        let mut h = quantize_tensor(&pooled_f, ACT_Q);
-        let mut last = h.clone();
-        while idx < layers.len() {
-            debug_assert_eq!(layers[idx].role, LayerRole::Head);
-            let act = if idx + 1 < layers.len() { Activation::Relu } else { Activation::None };
-            h = self.conv_act(idx, &h, act)?;
-            last = h.clone();
-            idx += 1;
-        }
-        Ok(dequantize_tensor(&last, ACT_Q))
-    }
-
-    /// Executes a lowered IR plan: steps in order over a dense slot table,
-    /// freeing each slot after its last read (`drop_after`), so peak memory
-    /// matches the sequential interpreter. Fused conv steps run the k-pair
-    /// `pmaddwd` kernel with the baked epilogue; everything else reuses the
-    /// interpreter's primitives, so logits are bit-identical either way.
-    fn run_plan(&mut self, plan: &Plan, input: &Tensor<i8>) -> Result<Tensor<f32>, TensorError> {
         fn fetch(slots: &[Option<Tensor<i8>>], s: usize) -> Result<&Tensor<i8>, TensorError> {
             slots
                 .get(s)
                 .and_then(Option::as_ref)
                 .ok_or(TensorError::InvalidParam { what: "plan read an empty slot" })
         }
+        let cache = self.cache;
+        let plan = &cache.plan;
         let mut slots: Vec<Option<Tensor<i8>>> = vec![None; plan.slots];
         slots[plan.input_slot] = Some(input.clone());
         for (i, step) in plan.steps.iter().enumerate() {
             let (dst, out) = match *step {
                 Step::Conv { layer, act, src, dst, .. } => {
-                    let x = fetch(&slots, src)?;
-                    (dst, self.conv_act(layer, x, act)?)
+                    (dst, self.conv_act(layer, fetch(&slots, src)?, act)?)
                 }
                 Step::FusedConv { layer, src, dst, .. } => {
-                    let cl = self
-                        .cache
-                        .and_then(|c| c.layer(layer))
-                        .ok_or(TensorError::InvalidParam { what: "fused step without cache" })?;
+                    let cl = cache.active(layer)?;
                     let fl = cl.fused.as_ref().ok_or(TensorError::InvalidParam {
                         what: "fused step without k-pair panels",
                     })?;
@@ -535,10 +482,12 @@ impl<'a> Runtime<'a> {
                     )?;
                     (dst, y)
                 }
-                Step::Act { act, src, dst } => (dst, apply_activation(fetch(&slots, src)?, act)),
+                Step::Act { act, src, dst } => {
+                    (dst, apply_activation(fetch(&slots, src)?.clone(), act))
+                }
                 Step::Add { a, b, act, dst } => {
                     let sum = saturating_add_i8(fetch(&slots, a)?, fetch(&slots, b)?)?;
-                    (dst, apply_activation(&sum, act))
+                    (dst, apply_activation(sum, act))
                 }
                 Step::SqueezeExcite { reduce, expand, src, dst } => {
                     let x = fetch(&slots, src)?;
@@ -564,64 +513,6 @@ impl<'a> Runtime<'a> {
         Ok(dequantize_tensor(&last, ACT_Q))
     }
 
-    /// Executes one block starting at layer `idx`; returns the index after
-    /// the block and the block output (`None` when the block is inactive).
-    fn run_block(
-        &mut self,
-        idx: usize,
-        x: &Tensor<i8>,
-    ) -> Result<(usize, Option<Tensor<i8>>), TensorError> {
-        let layers = &self.net.layers;
-        let stage = layers[idx].stage;
-        let block = layers[idx].block;
-        let mut end = idx;
-        while end < layers.len() && layers[end].stage == stage && layers[end].block == block {
-            end += 1;
-        }
-        if !self.layer_active(idx) {
-            return Ok((end, None));
-        }
-        let find =
-            |role: LayerRole| -> Option<usize> { (idx..end).find(|&i| layers[i].role == role) };
-        match self.net.family {
-            Family::OfaResNet50 => {
-                let c1 = find(LayerRole::Expand).expect("bottleneck conv1");
-                let c2 = find(LayerRole::Spatial).expect("bottleneck conv2");
-                let c3 = find(LayerRole::Project).expect("bottleneck conv3");
-                let y = self.conv_act(c1, x, Activation::Relu)?;
-                let y = self.conv_act(c2, &y, Activation::Relu)?;
-                let y = self.conv(c3, &y)?;
-                let identity = if let Some(ds) = find(LayerRole::Downsample) {
-                    Some(self.conv(ds, x)?)
-                } else if x.shape() == y.shape() {
-                    Some(x.clone())
-                } else {
-                    None
-                };
-                let summed = match identity {
-                    Some(id) => saturating_add_i8(&y, &id)?,
-                    None => y,
-                };
-                Ok((end, Some(apply_activation(&summed, Activation::Relu))))
-            }
-            Family::OfaMobileNetV3 => {
-                let ex = find(LayerRole::Expand).expect("mbconv expand");
-                let dw = find(LayerRole::Spatial).expect("mbconv depthwise");
-                let pj = find(LayerRole::Project).expect("mbconv project");
-                let y = self.conv_act(ex, x, Activation::HSwish)?;
-                let mut y = self.conv_act(dw, &y, Activation::HSwish)?;
-                if let (Some(se_r), Some(se_e)) =
-                    (find(LayerRole::SeReduce), find(LayerRole::SeExpand))
-                {
-                    y = self.squeeze_excite(se_r, se_e, &y)?;
-                }
-                let y = self.conv(pj, &y)?;
-                let out = if x.shape() == y.shape() { saturating_add_i8(&y, x)? } else { y };
-                Ok((end, Some(out)))
-            }
-        }
-    }
-
     /// SE module: pooled 1×1 reduce (ReLU) → 1×1 expand (h-sigmoid) →
     /// channel-wise rescale of `y`.
     fn squeeze_excite(
@@ -632,7 +523,7 @@ impl<'a> Runtime<'a> {
     ) -> Result<Tensor<i8>, TensorError> {
         let pooled = quantize_tensor(&global_avg_pool(&dequantize_tensor(y, ACT_Q)), ACT_Q);
         let g = self.conv_act(se_r, &pooled, Activation::Relu)?;
-        let g = self.conv(se_e, &g)?;
+        let g = self.conv_act(se_e, &g, Activation::None)?;
         let gate_f = Activation::HSigmoid.apply_tensor(&dequantize_tensor(&g, ACT_Q));
         // Channel-wise multiply in the dequantized domain, then requantize.
         // Gates are per (batch item, channel): pooling and the SE convs all
@@ -651,20 +542,18 @@ impl<'a> Runtime<'a> {
         }
         Ok(quantize_tensor(&yf, ACT_Q))
     }
-
-    #[allow(dead_code)]
-    fn layer_desc(&self, idx: usize) -> &ConvLayerDesc {
-        &self.net.layers[idx]
-    }
 }
 
 /// Int8 activation: ReLU is exact on zero-point-0 data; the h-family applies
 /// in the dequantized domain and requantizes.
-fn apply_activation(x: &Tensor<i8>, act: Activation) -> Tensor<i8> {
+fn apply_activation(mut x: Tensor<i8>, act: Activation) -> Tensor<i8> {
     match act {
-        Activation::None => x.clone(),
-        Activation::Relu => x.map(|v| v.max(0)),
-        _ => quantize_tensor(&act.apply_tensor(&dequantize_tensor(x, ACT_Q)), ACT_Q),
+        Activation::None => x,
+        Activation::Relu => {
+            x.as_mut_slice().iter_mut().for_each(|v| *v = (*v).max(0));
+            x
+        }
+        _ => quantize_tensor(&act.apply_tensor(&dequantize_tensor(&x, ACT_Q)), ACT_Q),
     }
 }
 
@@ -864,10 +753,35 @@ mod tests {
 
     /// Test helper: mutable access to a stored kernel tensor.
     fn store_b_layer_mut(store: &mut WeightStore, layer: usize) -> &mut Tensor<i8> {
-        // WeightStore has no public mutator (callers shouldn't mutate), so
-        // tests go through a serde round-trip free clone instead: rebuild
-        // via transmute-free approach — expose through bincode? Simplest:
-        // use the fact that WeightStore is Clone + the test-only accessor.
         store.layer_mut_for_tests(layer)
+    }
+
+    /// A plan step naming a layer the cache does not hold is an error from
+    /// the executor, under either catalog — never a panic.
+    #[test]
+    fn plan_step_on_a_missing_layer_is_an_error() {
+        let net = zoo::toy_supernet();
+        let store = WeightStore::synthesize(&net, 19);
+        let sn = net.materialize("max", &net.max_config()).unwrap();
+        let x = rand_input(&net, 9);
+        for fusion in [false, true] {
+            let mut cache = SubgraphCache::install(&net, &store, &sn, fusion).unwrap();
+            let named = cache.plan.steps.iter().find_map(|s| match *s {
+                Step::Conv { layer, .. } | Step::FusedConv { layer, .. } => Some(layer),
+                _ => None,
+            });
+            cache.layers[named.expect("plan has a conv step")] = None;
+            let err = forward_cached(
+                &DpeArray::new(2, 2),
+                &net,
+                &store,
+                &sn,
+                Some(&cache),
+                &mut Arena::new(),
+                &x,
+            )
+            .unwrap_err();
+            assert!(format!("{err:?}").contains("layer the cache lacks"), "{err:?}");
+        }
     }
 }

@@ -3,17 +3,15 @@
 //! concurrent dispatch groups produce logits bit-identical to sequential
 //! execution, at every worker count.
 //!
-//! Like `pack_once.rs`, this lives in its own integration binary because
-//! [`sushi_tensor::ops::pack::pack_invocations`] is a process-global
-//! counter: unit tests in the same process would make exact-count
-//! assertions racy.
+//! Like `pack_once.rs`, this counts packs on their owners: the backend's
+//! [`sushi_accel::MemoryStats`] sums the panels its caches hold and the
+//! per-call packs its workers' arenas saw.
 
 use sushi_accel::backend::{ExecutionBackend, ExecutionJob, Functional};
 use sushi_accel::config::zcu104;
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::exec::Accelerator;
 use sushi_accel::functional::FunctionalOutput;
-use sushi_tensor::ops::pack::pack_invocations;
 use sushi_wsnet::{zoo, SubNet, SuperNet};
 
 /// A fixed dispatch schedule: batches (subnet row, query ids) replayed
@@ -33,7 +31,7 @@ fn schedule() -> Vec<(usize, Vec<u64>)> {
 
 /// Replays the schedule through `execute_concurrent` in groups of up to
 /// `workers` batches (batch `j` of a group on worker `j`), returning the
-/// flattened per-query outputs in schedule order plus the pack delta.
+/// flattened per-query outputs in schedule order plus the layers packed.
 fn run_with_workers(
     net: &SuperNet,
     picks: &[SubNet],
@@ -41,7 +39,6 @@ fn run_with_workers(
 ) -> (Vec<FunctionalOutput>, usize) {
     let mut backend = Functional::new(DpeArray::new(4, 4), net, 99);
     let mut accels: Vec<Accelerator> = (0..workers).map(|_| Accelerator::new(zcu104())).collect();
-    let before = pack_invocations();
     let mut outputs = Vec::new();
     for group in schedule().chunks(workers) {
         let mut slots: Vec<Option<&mut Accelerator>> = accels.iter_mut().map(Some).collect();
@@ -63,7 +60,8 @@ fn run_with_workers(
     let stats = backend.memory_stats().expect("functional backend reports memory");
     assert_eq!(stats.packed_subnets, picks.len(), "every served SubNet packed exactly once");
     assert_eq!(stats.arena_workers, workers.min(schedule().len()));
-    (outputs, pack_invocations() - before)
+    assert_eq!(stats.per_call_weight_packs, 0, "workers read the shared panels, never repack");
+    (outputs, stats.packed_layers)
 }
 
 #[test]

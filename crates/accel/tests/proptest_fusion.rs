@@ -1,15 +1,18 @@
-//! Bit-exactness contracts of the IR-lowered fused datapath.
+//! Bit-exactness contracts of the IR-lowered datapath.
 //!
 //! Two layers of defense, per the fusion design rule ("rewrites change
 //! *where* bias/requant/activation run, never their arithmetic"):
 //!
 //! * a property test drives arbitrary zoo SubNets (random elastic configs,
-//!   random inputs) through [`SubgraphCache::build_fused`] and the plain
-//!   [`SubgraphCache::build`] oracle and requires identical logits, and
-//! * pinned FNV-1a digests of the *fusion-off* path guard the pre-IR
-//!   datapath itself: the digests below were captured before the IR
-//!   subsystem existed, so any drift in the unfused interpreter — however
-//!   it is routed — is caught bit-for-bit.
+//!   random inputs) three ways — the tests-side per-layer interpreter
+//!   ([`oracle`]), the plan of a fusion-off install
+//!   ([`SubgraphCache::build`]) and the plan of a fused install
+//!   ([`SubgraphCache::build_fused`]) — and requires identical logits, and
+//! * pinned FNV-1a digests guard the arithmetic itself: the digests below
+//!   were captured before the IR subsystem existed, so any drift — under
+//!   either rewrite catalog — is caught bit-for-bit.
+
+mod oracle;
 
 use proptest::prelude::*;
 
@@ -66,7 +69,8 @@ fn toy_net(name: &str) -> (SuperNet, u64) {
     }
 }
 
-/// Fusion off: the packed interpreter path is bit-identical to the
+/// Fusion off: the plan lowered without the layout annotation — no fused
+/// step, otherwise the fused plan's steps — is bit-identical to the
 /// datapath that existed before the IR subsystem (pinned digests).
 #[test]
 fn fusion_off_digests_match_the_pre_ir_datapath() {
@@ -76,8 +80,11 @@ fn fusion_off_digests_match_the_pre_ir_datapath() {
         let cfg = if cfg_name == "max" { net.max_config() } else { net.min_config() };
         let sn = net.materialize(cfg_name, &cfg).expect("pinned config");
         let input = rand_input(&net, wseed ^ 0xABCD);
-        let cache = SubgraphCache::build(&net, &store, &sn.graph).expect("unfused cache");
-        assert!(cache.plan().is_none(), "plain build must not carry a plan");
+        let cache = SubgraphCache::build(&net, &store, &sn).expect("unfused cache");
+        let plan = cache.plan().expect("every install carries a plan");
+        let fused = SubgraphCache::build_fused(&net, &store, &sn).expect("fused cache");
+        assert_eq!(plan.fused_conv_count(), 0, "fusion off must lower no fused step");
+        assert_eq!(plan.steps.len(), fused.plan().expect("plan").steps.len());
         let mut arena = Arena::new();
         for policy in [KernelPolicy::Auto, KernelPolicy::Im2colGemm] {
             let dpe = DpeArray::new(4, 4).with_policy(policy);
@@ -120,9 +127,10 @@ fn fused_digests_match_the_same_pins() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary zoo SubNets: the fused cache's forward is bit-identical
-    /// to the unfused oracle for random elastic configs and inputs, on
-    /// both toy families (dense/residual and depthwise/SE coverage).
+    /// Arbitrary zoo SubNets: the interpreter oracle, the unfused plan and
+    /// the fused plan agree bit for bit for random elastic configs and
+    /// inputs, on both toy families (dense/residual and depthwise/SE
+    /// coverage).
     #[test]
     fn fused_forward_matches_unfused_oracle(
         mobile in prop_oneof![Just(false), Just(true)],
@@ -136,7 +144,8 @@ proptest! {
         let cfg = sampler.sample_config();
         let sn = net.materialize("prop", &cfg).expect("sampled config must be valid");
         let input = rand_input(&net, input_seed);
-        let plain = SubgraphCache::build(&net, &store, &sn.graph).expect("unfused cache");
+        let want = oracle::logits(&net, &store, &sn, &input);
+        let plain = SubgraphCache::build(&net, &store, &sn).expect("unfused cache");
         let fused = SubgraphCache::build_fused(&net, &store, &sn).expect("fused cache");
         let dpe = DpeArray::new(4, 4);
         let mut arena = Arena::new();
@@ -144,6 +153,7 @@ proptest! {
             .expect("unfused forward");
         let b = forward_cached(&dpe, &net, &store, &sn, Some(&fused), &mut arena, &input)
             .expect("fused forward");
-        prop_assert_eq!(a.logits, b.logits);
+        prop_assert_eq!(&a.logits, &want);
+        prop_assert_eq!(&b.logits, &want);
     }
 }

@@ -7,10 +7,12 @@
 //! logits. Reports five columns (BENCH_kernels.json schema v3):
 //!
 //! * `naive`  — [`KernelPolicy::Naive`], the cycle-faithful tiled schedule;
-//! * `gemm`   — [`KernelPolicy::Im2colGemm`], packing both operands per call;
-//! * `packed` — pre-packed [`SubgraphCache`] + reused [`Arena`], steady state
-//!              (pack-amortized: what every query after the install pays);
-//! * `fused`  — IR-lowered [`SubgraphCache::build_fused`] steady state:
+//! * `gemm`   — [`KernelPolicy::Im2colGemm`], installing (slice, lower,
+//!              pack) per call;
+//! * `packed` — fusion-off [`SubgraphCache::build`] + reused [`Arena`],
+//!              steady state (pack-amortized: what every query after the
+//!              install pays);
+//! * `fused`  — [`SubgraphCache::build_fused`] steady state:
 //!              bias/requant/activation run inside the conv epilogue of the
 //!              k-pair microkernel instead of as separate passes;
 //! * `cold`   — cache build + first packed forward (what the install-bearing
@@ -20,16 +22,11 @@
 //! kernel_bench                        # paper zoo (ResNet50 + MobileNetV3)
 //! kernel_bench --quick                # toy zoo (CI-sized, seconds)
 //! kernel_bench --runs 3               # best-of-3 timing
-//! kernel_bench --no-fusion            # time the unfused datapath only
 //! kernel_bench --out BENCH_kernels.json
 //! kernel_bench --check BENCH_kernels.json   # fail if gemm/packed/fused regressed >20%
 //! kernel_bench --check-schema BENCH_kernels.json  # machine-independent v3 gate
 //! kernel_bench --min-speedup 8.0      # gate the largest workload's fused speedup
 //! ```
-//!
-//! `--no-fusion` skips the IR lowering pass: the fused column then re-times
-//! the plain packed path (a bisection aid); such a run refuses `--out` so
-//! the committed baseline always carries a real fused measurement.
 //!
 //! `scripts/bench_baseline.sh` combines `--check` (against the committed
 //! baseline) and `--out` (regenerating it) in one measured run; CI's
@@ -65,7 +62,7 @@ fn parse_flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option
     }
 }
 
-fn bench_net(net: &SuperNet, runs: usize, seed: u64, fusion: bool) -> KernelBenchEntry {
+fn bench_net(net: &SuperNet, runs: usize, seed: u64) -> KernelBenchEntry {
     let store = WeightStore::synthesize(net, seed);
     let sn = net.materialize("max", &net.max_config()).expect("max config");
     let shape = Shape4::new(1, 3, net.input_hw, net.input_hw);
@@ -82,20 +79,16 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64, fusion: bool) -> KernelBenc
     // forward — the cost the install-bearing query pays, exactly once.
     let mut arena = Arena::new();
     let t = Instant::now();
-    let cache = SubgraphCache::build(net, &store, &sn.graph).expect("packable zoo weights");
+    let cache = SubgraphCache::build(net, &store, &sn).expect("SubNet installs");
     let packed_out = forward_cached(&gemm_dpe, net, &store, &sn, Some(&cache), &mut arena, &input)
         .expect("packed forward");
     let cold_pack_ms = t.elapsed().as_secs_f64() * 1e3;
     let mut packed_out = Some(packed_out);
 
-    // The IR-lowered serving path: same weights, bias/requant/activation
-    // fused into the conv epilogue at install. `--no-fusion` re-times the
-    // plain packed cache instead (the IR-bypass bisection aid).
-    let fused_cache = if fusion {
-        SubgraphCache::build_fused(net, &store, &sn).expect("SubNet lowers to a fused plan")
-    } else {
-        SubgraphCache::build(net, &store, &sn.graph).expect("packable zoo weights")
-    };
+    // The serving path: same weights, bias/requant/activation fused into
+    // the conv epilogue at install.
+    let fused_cache =
+        SubgraphCache::build_fused(net, &store, &sn).expect("SubNet lowers to a fused plan");
 
     let mut naive_ms = f64::INFINITY;
     let mut gemm_ms = f64::INFINITY;
@@ -216,7 +209,6 @@ fn check_schema(path: &str) -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let fusion = !args.iter().any(|a| a == "--no-fusion");
     let runs: usize = parse_flag_value(&args, "--runs").unwrap_or(1);
     let out_path: Option<String> = parse_flag_value(&args, "--out");
     let check_path: Option<String> = parse_flag_value(&args, "--check");
@@ -239,14 +231,10 @@ fn main() {
         vec![zoo::resnet50_supernet(), zoo::mobilenet_v3_supernet()]
     };
 
-    println!("timing largest SubNet forward pass, best of {runs} run(s) per backend");
-    if !fusion {
-        println!("fusion disabled: the fused column re-times the plain packed cache");
-    }
-    println!();
+    println!("timing largest SubNet forward pass, best of {runs} run(s) per backend\n");
     let mut entries = Vec::new();
     for net in &nets {
-        let entry = bench_net(net, runs, 2024, fusion);
+        let entry = bench_net(net, runs, 2024);
         println!(
             "{:<24} naive {:>10.2} ms   gemm {:>9.2} ms   packed {:>9.2} ms   fused {:>9.2} ms   \
              cold {:>9.2} ms   speedup {:>6.2}x (packed {:>6.2}x, fused {:>6.2}x)",
@@ -300,9 +288,7 @@ fn main() {
         }
     }
     if let Some(path) = &out_path {
-        if !fusion {
-            eprintln!("not writing {path}: a --no-fusion run has no fused measurement to commit");
-        } else if failed {
+        if failed {
             eprintln!("not writing {path}: a failing run must not become the baseline");
         } else {
             if let Err(e) = std::fs::write(path, kernel_bench_to_json(&entries)) {

@@ -42,10 +42,11 @@
 //! outputs are identical across policies (the backends compute the same
 //! function); only wall time changes.
 //!
-//! `--no-fusion` makes functional cache installs skip the IR lowering
-//! pass, so queries run the per-layer interpreter against plain packed
-//! weights instead of fused conv epilogues. Logits are bit-identical with
-//! fusion on or off; the flag exists to time and bisect the fused path.
+//! `--no-fusion` makes functional cache installs lower their plan without
+//! the layout annotation, so every conv step runs conv, bias, requantize,
+//! activation against panel-packed weights instead of a fused conv
+//! epilogue. Logits are bit-identical with fusion on or off; the flag
+//! exists to time and bisect the fused path.
 
 use std::io::Write as _;
 
@@ -151,8 +152,8 @@ fn main() {
     // but drops the multi_tenant preset back to the global controller.
     opts.adaptive = !args.iter().any(|a| a == "--no-adaptive");
     opts.tenants = !args.iter().any(|a| a == "--no-tenants");
-    // `--no-fusion` pins functional installs to the unfused packed cache
-    // (bit-identical logits; the IR-bypass debugging/bisection path).
+    // `--no-fusion` lowers functional installs under the rewrite catalog
+    // without `annotate-layout` (bit-identical logits; a bisection aid).
     opts.fusion = !args.iter().any(|a| a == "--no-fusion");
 
     let selected: Vec<&str> = if ids.is_empty() || ids.iter().any(|i| i == "all") {

@@ -37,6 +37,7 @@ pub struct Arena {
     pa_f32: Vec<f32>,
     pb_f32: Vec<f32>,
     acc_f32: Vec<f32>,
+    weight_packs: usize,
 }
 
 fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
@@ -55,7 +56,9 @@ impl Arena {
 
     /// Scratch for one quantized conv call: `(patches, packed_a, packed_b,
     /// acc)` of exactly the requested lengths. Contents are unspecified;
-    /// callers overwrite them fully.
+    /// callers overwrite them fully. A nonzero `pa` means the caller packs
+    /// its weight operand per call and is counted in
+    /// [`Arena::weight_packs`].
     pub(crate) fn i8_conv(
         &mut self,
         patches: usize,
@@ -63,6 +66,7 @@ impl Arena {
         pb: usize,
         acc: usize,
     ) -> (&mut [i8], &mut [i16], &mut [i16], &mut [i32]) {
+        self.weight_packs += usize::from(pa > 0);
         (
             grow(&mut self.patches_i8, patches),
             grow(&mut self.pa_i16, pa),
@@ -79,6 +83,7 @@ impl Arena {
         pb: usize,
         acc: usize,
     ) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
+        self.weight_packs += usize::from(pa > 0);
         (
             grow(&mut self.patches_f32, patches),
             grow(&mut self.pa_f32, pa),
@@ -98,7 +103,17 @@ impl Arena {
             + 4 * self.acc_f32.len()
     }
 
-    /// Releases all reserved memory (buffers re-grow on next use).
+    /// Conv calls that packed their weight operand into this arena's
+    /// scratch instead of reading install-time panels. Serving under a
+    /// [`crate::PackedConv2d`]-carrying cache keeps this at zero: weight
+    /// packing is paid per install, never per query.
+    #[must_use]
+    pub fn weight_packs(&self) -> usize {
+        self.weight_packs
+    }
+
+    /// Releases all reserved memory (buffers re-grow on next use) and
+    /// zeroes the [`Arena::weight_packs`] count.
     pub fn reset(&mut self) {
         *self = Self::default();
     }

@@ -33,13 +33,11 @@
 //! it, so [`PackedConv2d`] panels built **once per cache install** are
 //! reused by every subsequent forward pass. The activation-side operand
 //! (`B`, the im2col patch matrix) is query-dependent and is packed per call
-//! into reusable [`crate::arena::Arena`] scratch instead.
-//!
-//! [`pack_invocations`] counts every A-side (weight) pack; tests pin the
-//! pack-once-per-install property by asserting the counter is flat across
-//! repeated serves.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! into reusable [`crate::arena::Arena`] scratch instead. A conv that has
+//! no install-time panels packs its weights into the same scratch per call;
+//! the arena counts those ([`crate::arena::Arena::weight_packs`]), so tests
+//! pin pack-once-per-install by asserting the count stays zero under a
+//! cache.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dParams;
@@ -51,17 +49,6 @@ use crate::tensor::Tensor;
 pub const MR: usize = 4;
 /// Register-tile width: columns of `C` produced per microkernel call.
 pub const NR: usize = 8;
-
-/// Global count of weight-side (A-operand) pack invocations.
-static PACK_A_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of A-side (weight) pack operations performed by this process so
-/// far. Serving tests use the difference across calls to pin that weight
-/// packing happens exactly once per SubGraph install, never per query.
-#[must_use]
-pub fn pack_invocations() -> usize {
-    PACK_A_CALLS.load(Ordering::Relaxed)
-}
 
 /// Length of the packed-A buffer for an `m × k` operand: `ceil(m/MR)`
 /// panels of `k·MR` elements (tail rows zero-padded).
@@ -107,7 +94,6 @@ fn check_len(actual: usize, expected: usize) -> Result<(), TensorError> {
 pub fn pack_a_f32_into(dst: &mut [f32], a: &[f32], m: usize, k: usize) -> Result<(), TensorError> {
     check_len(a.len(), m * k)?;
     check_len(dst.len(), packed_a_len(m, k))?;
-    PACK_A_CALLS.fetch_add(1, Ordering::Relaxed);
     for (p, panel) in dst.chunks_exact_mut(MR * k).enumerate() {
         let i0 = p * MR;
         let rows = MR.min(m - i0);
@@ -136,7 +122,6 @@ pub fn pack_a_i8_into(
 ) -> Result<(), TensorError> {
     check_len(a.len(), m * k)?;
     check_len(dst.len(), packed_a_len(m, k))?;
-    PACK_A_CALLS.fetch_add(1, Ordering::Relaxed);
     let zp = i16::from(zp);
     for (p, panel) in dst.chunks_exact_mut(MR * k).enumerate() {
         let i0 = p * MR;
@@ -170,7 +155,6 @@ pub fn pack_a_i8_pairs_into(
 ) -> Result<(), TensorError> {
     check_len(a.len(), m * k)?;
     check_len(dst.len(), packed_a_pairs_len(m, k))?;
-    PACK_A_CALLS.fetch_add(1, Ordering::Relaxed);
     let zp = i16::from(zp);
     let kpairs = k.div_ceil(2);
     for (p, panel) in dst.chunks_exact_mut(MR * kpairs * 2).enumerate() {
@@ -421,8 +405,7 @@ pub struct PackedConv2d {
 
 impl PackedConv2d {
     /// Packs conv weights shaped `(K, C/groups, R, S)` for reuse across
-    /// queries, in the classic [`PackLayout::Panel`] layout. Counts as
-    /// `groups` weight-pack invocations.
+    /// queries, in the classic [`PackLayout::Panel`] layout.
     ///
     /// # Errors
     /// Returns an error when `weights`/`params` are inconsistent (groups
@@ -559,13 +542,31 @@ mod tests {
         assert_eq!(p.data()[2 * MR + 1], 0);
     }
 
+    /// Only a conv that packs its weight operand per call is counted by the
+    /// arena it packs into: install-time panels, the activation-side pack
+    /// and the direct loops leave [`Arena::weight_packs`] alone.
     #[test]
-    fn pack_counter_counts_a_side_packs_only() {
-        let before = pack_invocations();
-        let _ = PackedA::from_i8(&[1, 2, 3, 4], 0, 2, 2).unwrap();
-        let _ = PackedB::from_i8(&[1, 2, 3, 4], 0, 2, 2).unwrap();
-        let _ = PackedB::from_f32(&[1.0; 4], 2, 2).unwrap();
-        assert_eq!(pack_invocations() - before, 1, "only A-side packs count");
+    fn arena_counts_per_call_weight_packs_only() {
+        use crate::arena::Arena;
+        use crate::ops::conv::{conv2d_i8_in, conv2d_i8_prepacked};
+        use crate::ops::gemm::KernelPolicy;
+        let q = QuantParams::new(1.0, 0);
+        let x = Tensor::from_vec(Shape4::new(1, 2, 2, 2), (1..=8).collect()).unwrap();
+        let w = Tensor::from_vec(Shape4::new(3, 2, 1, 1), vec![1i8, 2, 3, 4, 5, 6]).unwrap();
+        let params = Conv2dParams::new(1, 1);
+        let mut arena = Arena::new();
+        let conv = |arena: &mut Arena, policy| {
+            conv2d_i8_in(&x, q, &w, q, None, q, &params, policy, arena).unwrap()
+        };
+        let naive = conv(&mut arena, KernelPolicy::Naive);
+        assert_eq!(arena.weight_packs(), 0, "direct loops pack nothing");
+        let panels = PackedConv2d::pack(&w, q, &params).unwrap();
+        let prepacked = conv2d_i8_prepacked(&x, q, &panels, None, q, &params, &mut arena).unwrap();
+        assert_eq!(arena.weight_packs(), 0, "install-time panels are read in place");
+        let gemm = conv(&mut arena, KernelPolicy::Im2colGemm);
+        assert_eq!(arena.weight_packs(), 1, "raw weights pack once per call");
+        assert_eq!(naive, prepacked);
+        assert_eq!(naive, gemm);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! SubNet → IR translation: builds the typed `sushi-ir` op-graph whose
 //! lowered plan drives the fused serving datapath.
 //!
-//! [`build_ir`] mirrors the accelerator's sequential runtime layer by layer
-//! — same stem/block/head structure, same activation placement, same
-//! residual-shape rule — so a plan lowered from the *unrewritten* graph
-//! computes exactly what the per-layer interpreter computes. The fusion
-//! rewrites then only change *where* bias/requant/activation run (inside
-//! the conv epilogue), never their arithmetic, which is what keeps fused
-//! logits bit-identical to the unfused oracle.
+//! [`build_ir`] writes the network out layer by layer — stem, blocks, head,
+//! with each activation and residual add where the per-layer oracle in
+//! `crates/accel/tests/oracle` applies it. The rewrites only change *where*
+//! bias/requant/activation run (inside the conv epilogue), never their
+//! arithmetic, which is what keeps every plan's logits bit-identical to
+//! that oracle.
 //!
 //! Translation runs once per cache install; queries never see the graph.
 
-use sushi_ir::{Graph, IrError, NodeId, Op, Plan};
+use sushi_ir::rewrites::AnnotateLayout;
+use sushi_ir::{Graph, IrError, NodeId, Op, Plan, Rewrite};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::Conv2dParams;
 use sushi_tensor::Shape4;
@@ -20,8 +20,8 @@ use crate::arch::{Family, SuperNet, NO_STAGE};
 use crate::layer::{ConvKind, ConvLayerDesc, LayerRole, LayerSlice};
 use crate::subnet::SubNet;
 
-/// Conv hyper-parameters for one layer under one SubNet slice — the same
-/// resolution rule the accelerator's runtime and cache builder use.
+/// Conv hyper-parameters for one layer under one SubNet slice — the single
+/// resolution rule, shared with the accelerator's cache install.
 #[must_use]
 pub fn layer_conv_params(layer: &ConvLayerDesc, slice: &LayerSlice) -> Conv2dParams {
     let groups = match layer.kind {
@@ -37,9 +37,8 @@ pub fn layer_conv_params(layer: &ConvLayerDesc, slice: &LayerSlice) -> Conv2dPar
 /// Builds the op-graph for one forward pass of `subnet` (batch 1).
 ///
 /// The graph comes back *unnormalized*: every conv is followed by explicit
-/// `Bias`/`Requant`/`Act` nodes, exactly matching the per-layer runtime.
-/// Run [`sushi_ir::normalize`] and [`Plan::lower`] (or just [`build_plan`])
-/// to reach the fused executable form.
+/// `Bias`/`Requant`/`Act` nodes. Run [`sushi_ir::normalize`] and
+/// [`Plan::lower`] (or just [`build_plan`]) to reach the executable form.
 ///
 /// # Errors
 /// Returns an error when the built graph fails validation — inconsistent
@@ -76,14 +75,25 @@ pub fn build_ir(net: &SuperNet, subnet: &SubNet) -> Result<Graph, IrError> {
     Ok(b.g)
 }
 
-/// [`build_ir`], normalized with the standard rewrites and lowered to an
-/// executable [`Plan`] — the one-call install-time entry point.
+/// [`build_ir`], rewritten to fixpoint and lowered to an executable
+/// [`Plan`] — the one-call install-time entry point.
+///
+/// `fusion` picks the rewrite catalog, and the catalog alone picks the
+/// datapath: the standard one annotates GEMM-bound convs with the k-pair
+/// layout, which lowers them to [`sushi_ir::Step::FusedConv`]; with fusion
+/// off [`AnnotateLayout`] is left out, so every conv lowers to the plain
+/// [`sushi_ir::Step::Conv`] (conv, bias, requantize, activation). Both
+/// plans have the same steps in the same slots and produce the same logits.
 ///
 /// # Errors
 /// Returns an error when graph construction, a rewrite, or lowering fails.
-pub fn build_plan(net: &SuperNet, subnet: &SubNet) -> Result<Plan, IrError> {
+pub fn build_plan(net: &SuperNet, subnet: &SubNet, fusion: bool) -> Result<Plan, IrError> {
     let mut g = build_ir(net, subnet)?;
-    sushi_ir::normalize(&mut g)?;
+    let mut catalog = sushi_ir::standard_rewrites();
+    if !fusion {
+        catalog.retain(|rw| rw.name() != AnnotateLayout.name());
+    }
+    sushi_ir::run_to_fixpoint(&mut g, &catalog)?;
     Plan::lower(&g)
 }
 
@@ -211,7 +221,7 @@ mod tests {
                 let sn = net.materialize(label, &cfg).unwrap();
                 let g = build_ir(&net, &sn)
                     .unwrap_or_else(|e| panic!("{}/{label}: build failed: {e}", net.name));
-                let plan = build_plan(&net, &sn)
+                let plan = build_plan(&net, &sn, true)
                     .unwrap_or_else(|e| panic!("{}/{label}: lower failed: {e}", net.name));
                 assert!(!plan.steps.is_empty(), "{}/{label}: empty plan", net.name);
                 assert!(g.live_count() > plan.steps.len());
@@ -223,7 +233,7 @@ mod tests {
     fn full_resnet_max_lowers_mostly_fused() {
         let net = zoo::resnet50_supernet();
         let sn = net.materialize("max", &net.max_config()).unwrap();
-        let plan = build_plan(&net, &sn).unwrap();
+        let plan = build_plan(&net, &sn, true).unwrap();
         let convs = plan
             .steps
             .iter()
@@ -240,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn depthwise_and_se_stay_on_the_interpreter_path() {
+    fn depthwise_and_se_stay_on_the_direct_path() {
         let net = zoo::mobilenet_v3_supernet();
         let sn = net.materialize("max", &net.max_config()).unwrap();
         let g = build_ir(&net, &sn).unwrap();
@@ -253,14 +263,39 @@ mod tests {
         assert!(plan.fused_conv_count() > 0);
     }
 
+    /// Fusion off is the same plan minus the layout annotation: no fused
+    /// step, and every other step identical slot for slot.
+    #[test]
+    fn fusion_off_lowers_every_conv_to_the_plain_step() {
+        for net in nets() {
+            let sn = net.materialize("max", &net.max_config()).unwrap();
+            let fused = build_plan(&net, &sn, true).unwrap();
+            let plain = build_plan(&net, &sn, false).unwrap();
+            assert_eq!(plain.fused_conv_count(), 0, "{}", net.name);
+            assert_eq!(plain.steps.len(), fused.steps.len(), "{}", net.name);
+            assert_eq!(plain.drop_after, fused.drop_after, "{}", net.name);
+            for (p, f) in plain.steps.iter().zip(&fused.steps) {
+                match (p, f) {
+                    (
+                        Step::Conv { layer, bias, act, src, dst },
+                        Step::FusedConv {
+                            layer: l, bias: b, act: a, bn: None, src: s, dst: d, ..
+                        },
+                    ) => assert_eq!((layer, bias, act, src, dst), (l, b, a, s, d)),
+                    _ => assert_eq!(p, f, "{}", net.name),
+                }
+            }
+        }
+    }
+
     /// Install-time determinism: building + normalizing + lowering the same
     /// SubNet twice yields identical plans (the CI `ir-smoke` contract).
     #[test]
     fn lowering_is_deterministic() {
         for net in nets() {
             let sn = net.materialize("max", &net.max_config()).unwrap();
-            let a = build_plan(&net, &sn).unwrap();
-            let b = build_plan(&net, &sn).unwrap();
+            let a = build_plan(&net, &sn, true).unwrap();
+            let b = build_plan(&net, &sn, true).unwrap();
             assert_eq!(a, b, "{}: nondeterministic lowering", net.name);
         }
     }

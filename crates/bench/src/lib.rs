@@ -1,7 +1,7 @@
 //! Shared helpers for the SUSHI criterion benches.
 //!
-//! Each bench target corresponds to one table or figure of the paper
-//! (see `DESIGN.md`'s experiment index). On startup a bench prints the
+//! The `experiments` target walks every table and figure of the paper
+//! (the root README's experiment map). For each id it prints the
 //! regenerated rows once — the same series the paper reports — and then
 //! times the regeneration itself so performance regressions in the
 //! simulator/scheduler surface in CI.

@@ -375,22 +375,23 @@ impl EngineBuilder {
 
     /// Enables load-adaptive degradation for [`Engine::serve_timed`]: the
     /// serving loop walks SubNet selection down the latency ladder under
-    /// pressure and back up when idle (see
-    /// [`sushi_sched::AdaptivePolicy`]). Without this knob the loop is
-    /// static and bit-identical to the pre-adaptive runtime.
+    /// pressure and back up when idle — one global ladder for all traffic
+    /// (the untiered [`sushi_sched::TenantPolicy`], see
+    /// [`TenantOptions::global`]). Without a controller the loop is static
+    /// and bit-identical to the pre-adaptive runtime.
     pub fn adaptive(mut self, opts: AdaptiveOptions) -> Self {
-        self.sim.adaptive = Some(opts);
+        self.sim.control = Some(TenantOptions::global(opts));
         self
     }
 
-    /// Enables (`Some`) or disables (`None`) tenant-tiered adaptation for
-    /// [`Engine::serve_timed`]: one degradation ladder per priority tier
+    /// Sets (`Some`) or clears (`None`) the serving loop's controller.
+    /// Tiered options run one degradation ladder per priority tier
     /// ([`sushi_sched::TenantPolicy`]), best-effort-first shedding, and an
-    /// optional feed-forward arrival predictor. Mutually exclusive with
-    /// [`Self::adaptive`] — `build` rejects setting both. With `None`
-    /// (the default) the loop is bit-identical to the tierless runtime.
+    /// optional feed-forward arrival predictor. This and
+    /// [`Self::adaptive`] write the same knob, so the later call wins;
+    /// with `None` (the default) the loop is static.
     pub fn tenants(mut self, opts: Option<TenantOptions>) -> Self {
-        self.sim.tenants = opts;
+        self.sim.control = opts;
         self
     }
 
@@ -432,21 +433,9 @@ impl EngineBuilder {
         if self.sim.queue_capacity == 0 {
             return Err(SushiError::Config("queue capacity must be at least 1".into()));
         }
-        if let Some(opts) = &self.sim.adaptive {
+        if let Some(opts) = &self.sim.control {
             if let Err(e) = opts.validate() {
                 return Err(SushiError::Config(e));
-            }
-        }
-        if let Some(opts) = &self.sim.tenants {
-            if let Err(e) = opts.validate() {
-                return Err(SushiError::Config(e));
-            }
-            if self.sim.adaptive.is_some() {
-                return Err(SushiError::Config(
-                    "adaptive and tenants are mutually exclusive: the tenant controller \
-                     already runs one adaptive ladder per tier"
-                        .into(),
-                ));
             }
         }
         if let Some(opts) = &self.sim.faults {

@@ -135,46 +135,119 @@ impl KernelBenchEntry {
 /// The schema marker written into (and required from) `BENCH_kernels.json`.
 pub const KERNEL_BENCH_SCHEMA: &str = "sushi-kernel-bench-v3";
 
+/// The schema marker written into (and required from) `BENCH_serve.json`.
+const SERVE_BENCH_SCHEMA: &str = "sushi-serve-bench-v5";
+
+/// Quotes a label for a flat bench record.
+///
+/// # Panics
+/// Panics if the label contains `"`, `,`, `{` or `}` — the minimal reader
+/// does not unescape, so such a label would silently round-trip wrong.
+fn quoted(label: &str) -> String {
+    assert!(
+        !label.contains(['"', ',', '{', '}']),
+        "bench label '{label}' contains characters the minimal JSON format cannot carry"
+    );
+    format!("\"{label}\"")
+}
+
+/// Writes `{schema, entries: [flat objects]}`, one object per line, each
+/// row a list of `(key, already-formatted value)` pairs — the one format
+/// behind both committed baselines.
+///
+/// Hand-rolled: the vendored `serde` stub does not serialize, and the
+/// format is a stable schema consumed by [`flat_records_from_json`] and
+/// `scripts/bench_baseline.sh`.
+fn flat_records_to_json(schema: &str, rows: &[Vec<(&str, String)>]) -> String {
+    let mut out = format!("{{\n  \"schema\": \"{schema}\",\n  \"entries\": [\n");
+    for (i, row) in rows.iter().enumerate() {
+        let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        out.push_str(&format!("    {{{}}}", fields.join(", ")));
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// One flat object of a bench baseline, as text between its braces.
+struct FlatRecord<'a>(&'a str);
+
+impl FlatRecord<'_> {
+    fn raw(&self, key: &str) -> Result<&str, String> {
+        let pat = format!("\"{key}\":");
+        let start = self.0.find(&pat).ok_or_else(|| format!("missing field '{key}'"))? + pat.len();
+        let rest = self.0[start..].trim_start();
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        Ok(rest[..end].trim())
+    }
+
+    fn label(&self, key: &str) -> Result<String, String> {
+        Ok(self.raw(key)?.trim_matches('"').to_string())
+    }
+
+    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.raw(key)?.parse().map_err(|e| format!("bad {key}: {e}"))
+    }
+}
+
+/// Splits a baseline written by [`flat_records_to_json`] into its entry
+/// objects, refusing a file without the `schema` marker (an older or
+/// foreign baseline), with an unclosed object, or with no entries.
+fn flat_records_from_json<'a>(text: &'a str, schema: &str) -> Result<Vec<FlatRecord<'a>>, String> {
+    if !text.contains(schema) {
+        return Err(format!(
+            "missing {schema} schema marker — regenerate the baseline with \
+             scripts/bench_baseline.sh --update"
+        ));
+    }
+    // Each entry object lives on its own line; skip the top-level braces.
+    let records: Vec<FlatRecord<'a>> = text
+        .split('{')
+        .skip(2)
+        .map(|obj| match obj.find('}') {
+            Some(end) => Ok(FlatRecord(&obj[..end + 1])),
+            // An opened-but-never-closed object means the file was
+            // truncated; dropping it would silently weaken the regression
+            // gate, so refuse the whole baseline.
+            None => Err(format!("truncated {schema} entry (missing '}}')")),
+        })
+        .collect::<Result<_, _>>()?;
+    if records.is_empty() {
+        return Err(format!("no {schema} entries found"));
+    }
+    Ok(records)
+}
+
 /// Serializes kernel bench entries as the `BENCH_kernels.json` baseline
 /// (schema v3: adds the IR-lowered `fused_ms` column next to the v2
 /// naive/gemm/packed/cold columns).
 ///
-/// Hand-rolled writer: the vendored `serde` stub does not serialize, and
-/// the format is a stable schema consumed by [`kernel_bench_from_json`]
-/// and `scripts/bench_baseline.sh`.
-///
 /// # Panics
-/// Panics if a label contains `"`, `,`, `{` or `}` — the minimal parser
-/// does not escape, so such a label would silently round-trip wrong.
+/// Panics if a label contains `"`, `,`, `{` or `}`.
 #[must_use]
 pub fn kernel_bench_to_json(entries: &[KernelBenchEntry]) -> String {
-    let mut out = format!("{{\n  \"schema\": \"{KERNEL_BENCH_SCHEMA}\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        use std::fmt::Write as _;
-        assert!(
-            !e.label.contains(['"', ',', '{', '}']),
-            "kernel bench label '{}' contains characters the minimal JSON format cannot carry",
-            e.label
-        );
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"naive_ms\": {:.3}, \"gemm_ms\": {:.3}, \
-             \"packed_ms\": {:.3}, \"fused_ms\": {:.3}, \"cold_pack_ms\": {:.3}, \
-             \"speedup\": {:.2}, \"packed_speedup\": {:.2}, \"fused_speedup\": {:.2}}}",
-            e.label,
-            e.naive_ms,
-            e.gemm_ms,
-            e.packed_ms,
-            e.fused_ms,
-            e.cold_pack_ms,
-            e.speedup(),
-            e.packed_speedup(),
-            e.fused_speedup()
-        );
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let ms = |v: f64| format!("{v:.3}");
+    let ratio = |v: f64| format!("{v:.2}");
+    let rows: Vec<_> = entries
+        .iter()
+        .map(|e| {
+            vec![
+                ("label", quoted(&e.label)),
+                ("naive_ms", ms(e.naive_ms)),
+                ("gemm_ms", ms(e.gemm_ms)),
+                ("packed_ms", ms(e.packed_ms)),
+                ("fused_ms", ms(e.fused_ms)),
+                ("cold_pack_ms", ms(e.cold_pack_ms)),
+                ("speedup", ratio(e.speedup())),
+                ("packed_speedup", ratio(e.packed_speedup())),
+                ("fused_speedup", ratio(e.fused_speedup())),
+            ]
+        })
+        .collect();
+    flat_records_to_json(KERNEL_BENCH_SCHEMA, &rows)
 }
 
 /// Parses the `BENCH_kernels.json` format written by
@@ -185,45 +258,19 @@ pub fn kernel_bench_to_json(entries: &[KernelBenchEntry]) -> String {
 /// for pre-v3 baselines (which lack the fused column the regression gate
 /// now protects — regenerate with `scripts/bench_baseline.sh --update`).
 pub fn kernel_bench_from_json(text: &str) -> Result<Vec<KernelBenchEntry>, String> {
-    fn field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\":");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing field '{key}'"))? + pat.len();
-        let rest = obj[start..].trim_start();
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok(rest[..end].trim())
-    }
-    fn num(obj: &str, key: &str) -> Result<f64, String> {
-        field(obj, key)?.parse().map_err(|e| format!("bad {key}: {e}"))
-    }
-    if !text.contains(KERNEL_BENCH_SCHEMA) {
-        return Err(format!(
-            "missing {KERNEL_BENCH_SCHEMA} schema marker (pre-v3 baseline? re-run \
-             scripts/bench_baseline.sh --update)"
-        ));
-    }
-    let mut entries = Vec::new();
-    // Each entry object lives on its own line; skip the top-level braces.
-    for obj in text.split('{').skip(2) {
-        let obj = match obj.find('}') {
-            Some(end) => &obj[..end + 1],
-            // An opened-but-never-closed object means the file was
-            // truncated; dropping it would silently weaken the regression
-            // gate, so refuse the whole baseline.
-            None => return Err("truncated kernel bench entry (missing '}')".to_string()),
-        };
-        entries.push(KernelBenchEntry {
-            label: field(obj, "label")?.trim_matches('"').to_string(),
-            naive_ms: num(obj, "naive_ms")?,
-            gemm_ms: num(obj, "gemm_ms")?,
-            packed_ms: num(obj, "packed_ms")?,
-            fused_ms: num(obj, "fused_ms")?,
-            cold_pack_ms: num(obj, "cold_pack_ms")?,
-        });
-    }
-    if entries.is_empty() {
-        return Err("no kernel bench entries found".to_string());
-    }
-    Ok(entries)
+    flat_records_from_json(text, KERNEL_BENCH_SCHEMA)?
+        .iter()
+        .map(|r| {
+            Ok(KernelBenchEntry {
+                label: r.label("label")?,
+                naive_ms: r.parse("naive_ms")?,
+                gemm_ms: r.parse("gemm_ms")?,
+                packed_ms: r.parse("packed_ms")?,
+                fused_ms: r.parse("fused_ms")?,
+                cold_pack_ms: r.parse("cold_pack_ms")?,
+            })
+        })
+        .collect()
 }
 
 /// Compares a fresh measurement against a committed baseline, failing when
@@ -525,112 +572,65 @@ impl ServeBenchEntry {
     }
 }
 
-/// Serializes serve bench entries as the `BENCH_serve.json` baseline
-/// (hand-rolled for the same reason as [`kernel_bench_to_json`]).
+/// Serializes serve bench entries as the `BENCH_serve.json` baseline.
 ///
 /// # Panics
 /// Panics if a scenario, routing, tier, or faults label contains `"`,
 /// `,`, `{` or `}`.
 #[must_use]
 pub fn serve_bench_to_json(entries: &[ServeBenchEntry]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sushi-serve-bench-v5\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        use std::fmt::Write as _;
-        for (what, label) in [
-            ("scenario", &e.scenario),
-            ("routing", &e.routing),
-            ("tier", &e.tier),
-            ("faults", &e.faults),
-        ] {
-            assert!(
-                !label.contains(['"', ',', '{', '}']),
-                "serve bench {what} '{label}' contains characters the minimal JSON format \
-                 cannot carry"
-            );
-        }
-        let _ = write!(
-            out,
-            "    {{\"scenario\": \"{}\", \"adaptive\": {}, \"workers\": {}, \"routing\": \"{}\", \
-             \"tier\": \"{}\", \"faults\": \"{}\", \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \
-             \"p99_ms\": {:.6}, \"goodput_qps\": {:.6}, \"slo_violation_rate\": {:.6}, \
-             \"dropped\": {}, \"degrades\": {}, \"upgrades\": {}}}",
-            e.scenario,
-            e.adaptive,
-            e.workers,
-            e.routing,
-            e.tier,
-            e.faults,
-            e.p50_ms,
-            e.p95_ms,
-            e.p99_ms,
-            e.goodput_qps,
-            e.slo_violation_rate,
-            e.dropped,
-            e.degrades,
-            e.upgrades
-        );
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let sim = |v: f64| format!("{v:.6}");
+    let rows: Vec<_> = entries
+        .iter()
+        .map(|e| {
+            vec![
+                ("scenario", quoted(&e.scenario)),
+                ("adaptive", e.adaptive.to_string()),
+                ("workers", e.workers.to_string()),
+                ("routing", quoted(&e.routing)),
+                ("tier", quoted(&e.tier)),
+                ("faults", quoted(&e.faults)),
+                ("p50_ms", sim(e.p50_ms)),
+                ("p95_ms", sim(e.p95_ms)),
+                ("p99_ms", sim(e.p99_ms)),
+                ("goodput_qps", sim(e.goodput_qps)),
+                ("slo_violation_rate", sim(e.slo_violation_rate)),
+                ("dropped", e.dropped.to_string()),
+                ("degrades", e.degrades.to_string()),
+                ("upgrades", e.upgrades.to_string()),
+            ]
+        })
+        .collect();
+    flat_records_to_json(SERVE_BENCH_SCHEMA, &rows)
 }
 
 /// Parses the `BENCH_serve.json` format written by [`serve_bench_to_json`].
 ///
 /// # Errors
-/// Returns a description of the first malformed entry.
+/// Returns a description of the first malformed entry, or a schema error
+/// for a baseline written under an older schema.
 pub fn serve_bench_from_json(text: &str) -> Result<Vec<ServeBenchEntry>, String> {
-    fn field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\":");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing field '{key}'"))? + pat.len();
-        let rest = obj[start..].trim_start();
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok(rest[..end].trim())
-    }
-    fn num(obj: &str, key: &str) -> Result<f64, String> {
-        field(obj, key)?.parse().map_err(|e| format!("bad {key}: {e}"))
-    }
-    if !text.contains("sushi-serve-bench-v5") {
-        return Err(
-            if ["v1", "v2", "v3", "v4"]
-                .iter()
-                .any(|v| text.contains(&format!("sushi-serve-bench-{v}")))
-            {
-                "baseline uses a pre-fault serve-bench schema (v1/v2/v3/v4) — regenerate it \
-                 with scripts/bench_baseline.sh --update"
-                    .to_string()
-            } else {
-                "missing sushi-serve-bench-v5 schema marker".to_string()
-            },
-        );
-    }
-    let mut entries = Vec::new();
-    for obj in text.split('{').skip(2) {
-        let obj = match obj.find('}') {
-            Some(end) => &obj[..end + 1],
-            None => return Err("truncated serve bench entry (missing '}')".to_string()),
-        };
-        entries.push(ServeBenchEntry {
-            scenario: field(obj, "scenario")?.trim_matches('"').to_string(),
-            adaptive: field(obj, "adaptive")?.parse().map_err(|e| format!("bad adaptive: {e}"))?,
-            workers: field(obj, "workers")?.parse().map_err(|e| format!("bad workers: {e}"))?,
-            routing: field(obj, "routing")?.trim_matches('"').to_string(),
-            tier: field(obj, "tier")?.trim_matches('"').to_string(),
-            faults: field(obj, "faults")?.trim_matches('"').to_string(),
-            p50_ms: num(obj, "p50_ms")?,
-            p95_ms: num(obj, "p95_ms")?,
-            p99_ms: num(obj, "p99_ms")?,
-            goodput_qps: num(obj, "goodput_qps")?,
-            slo_violation_rate: num(obj, "slo_violation_rate")?,
-            dropped: field(obj, "dropped")?.parse().map_err(|e| format!("bad dropped: {e}"))?,
-            degrades: field(obj, "degrades")?.parse().map_err(|e| format!("bad degrades: {e}"))?,
-            upgrades: field(obj, "upgrades")?.parse().map_err(|e| format!("bad upgrades: {e}"))?,
-        });
-    }
-    if entries.is_empty() {
-        return Err("no serve bench entries found".to_string());
-    }
-    Ok(entries)
+    flat_records_from_json(text, SERVE_BENCH_SCHEMA)?
+        .iter()
+        .map(|r| {
+            Ok(ServeBenchEntry {
+                scenario: r.label("scenario")?,
+                adaptive: r.parse("adaptive")?,
+                workers: r.parse("workers")?,
+                routing: r.label("routing")?,
+                tier: r.label("tier")?,
+                faults: r.label("faults")?,
+                p50_ms: r.parse("p50_ms")?,
+                p95_ms: r.parse("p95_ms")?,
+                p99_ms: r.parse("p99_ms")?,
+                goodput_qps: r.parse("goodput_qps")?,
+                slo_violation_rate: r.parse("slo_violation_rate")?,
+                dropped: r.parse("dropped")?,
+                degrades: r.parse("degrades")?,
+                upgrades: r.parse("upgrades")?,
+            })
+        })
+        .collect()
 }
 
 /// Compares a fresh deterministic serve run against the committed baseline.

@@ -198,24 +198,17 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
     let n = opts.queries;
     let seed = opts.seed ^ 0x5E87;
     let batch = BatchPolicy::new(4, 0.25 * mean_cold_ms);
-    let adaptive = if opts.adaptive { Some(AdaptiveOptions::default()) } else { None };
+    // Every preset runs the global ladder and no fault plan unless its arm
+    // says otherwise; an arm states only what differs.
+    let mut control = opts.adaptive.then(|| TenantOptions::global(AdaptiveOptions::default()));
+    let mut faults = None;
 
-    let (stream, sim) = match preset {
+    let (stream, queue_capacity, drop_policy) = match preset {
         ServePreset::Steady => {
             let qs = uniform_stream(&space, n, seed);
             let arrivals = ArrivalProcess::Poisson { rate_qps: 0.50 * capacity_qps }
                 .timestamps(n, seed ^ 0x01);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 64,
-                drop_policy: DropPolicy::DropNewest,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 64, DropPolicy::DropNewest)
         }
         ServePreset::Burst => {
             let qs: Vec<_> =
@@ -227,17 +220,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 mean_burst_ms: 10.0 * mean_cold_ms,
             }
             .timestamps(n, seed ^ 0x02);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 32,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 32, DropPolicy::DeadlineAware)
         }
         ServePreset::Diurnal => {
             let qs = uniform_stream(&space, n, seed);
@@ -250,17 +233,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 period_ms,
             }
             .timestamps(n, seed ^ 0x03);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 48,
-                drop_policy: DropPolicy::DropOldest,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DropOldest)
         }
         ServePreset::MultiTenant => {
             let n_av = n / 2;
@@ -290,34 +263,23 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             // and the bursty ICU tenant runs best-effort with the arrival
             // predictor watching its MMPP inter-arrival statistics; the
             // tierless fallback (opts.tenants = false) keeps the single
-            // global controller for A/B comparison.
+            // global ladder for A/B comparison.
             // Shield 4.0 pins the latency-critical ladder above reachable
             // pressure (it simply never degrades) while the best-effort
             // ladder sheds accuracy at the first sign of load — the
             // empirically best point of a shield sweep: beyond ~5 the
             // curves saturate, below ~2.5 the LC ladder starts thrashing
             // with the shared signal and aggregate goodput drops.
-            let (adaptive, tenants) = if opts.adaptive && opts.tenants {
-                let tiers = TenantOptions::default()
-                    .with_tier(0, TenantTier::LatencyCritical)
-                    .with_tier(1, TenantTier::BestEffort)
-                    .with_shield(4.0)
-                    .with_predictor(Some(PredictorOptions::default()));
-                (None, Some(tiers))
-            } else {
-                (adaptive, None)
-            };
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 48,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants,
-                faults: None,
-            };
-            (merged, sim)
+            if opts.adaptive && opts.tenants {
+                control = Some(
+                    TenantOptions::default()
+                        .with_tier(0, TenantTier::LatencyCritical)
+                        .with_tier(1, TenantTier::BestEffort)
+                        .with_shield(4.0)
+                        .with_predictor(Some(PredictorOptions::default())),
+                );
+            }
+            (merged, 48, DropPolicy::DeadlineAware)
         }
         ServePreset::Overload => {
             // Sustained 1.6× capacity: there is no calm phase to recover
@@ -326,17 +288,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             let qs = uniform_stream(&space, n, seed);
             let arrivals =
                 ArrivalProcess::Poisson { rate_qps: 1.6 * capacity_qps }.timestamps(n, seed ^ 0x07);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 32,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 32, DropPolicy::DeadlineAware)
         }
         ServePreset::DeadlineMix => {
             // Alternate tight deadlines (just above the fastest SubNet's
@@ -355,17 +307,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 .collect();
             let arrivals = ArrivalProcess::Poisson { rate_qps: 0.90 * capacity_qps }
                 .timestamps(n, seed ^ 0x0A);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 48,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DeadlineAware)
         }
         ServePreset::Failover => {
             // Calm Poisson traffic with an upstream outage one third in:
@@ -381,17 +323,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                     *t = outage_end;
                 }
             }
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 48,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DeadlineAware)
         }
         ServePreset::Scale => {
             // Scale-out: eight replicas offered 10× the steady preset's
@@ -416,17 +348,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 .collect();
             let arrivals =
                 ArrivalProcess::Poisson { rate_qps: 5.0 * capacity_qps }.timestamps(n, seed ^ 0x0E);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 256,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: None,
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            (attach_arrivals(&qs, &arrivals), 256, DropPolicy::DeadlineAware)
         }
         ServePreset::Chaos => {
             // Moderate load on a four-replica pool (1.4× the two-worker
@@ -443,26 +365,27 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             let qs = uniform_stream(&space, n, seed ^ 0x0F);
             let arrivals =
                 ArrivalProcess::Poisson { rate_qps: 1.4 * capacity_qps }.timestamps(n, seed ^ 0x10);
-            let faults = FaultOptions::default()
-                .with_seed(seed ^ 0x11)
-                .with_crash_mtbf_ms(200.0 * mean_cold_ms)
-                .with_crash_outage_ms(20.0 * mean_cold_ms)
-                .with_straggler_mtbf_ms(40.0 * mean_cold_ms)
-                .with_straggler_duration_ms(12.0 * mean_cold_ms)
-                .with_straggler_factor(4.0)
-                .with_transient_rate(0.08);
-            let sim = SimConfig {
-                workers: preset.default_workers(),
-                routing: preset.default_routing(),
-                queue_capacity: 48,
-                drop_policy: DropPolicy::DeadlineAware,
-                batch,
-                adaptive,
-                tenants: None,
-                faults: Some(faults),
-            };
-            (attach_arrivals(&qs, &arrivals), sim)
+            faults = Some(
+                FaultOptions::default()
+                    .with_seed(seed ^ 0x11)
+                    .with_crash_mtbf_ms(200.0 * mean_cold_ms)
+                    .with_crash_outage_ms(20.0 * mean_cold_ms)
+                    .with_straggler_mtbf_ms(40.0 * mean_cold_ms)
+                    .with_straggler_duration_ms(12.0 * mean_cold_ms)
+                    .with_straggler_factor(4.0)
+                    .with_transient_rate(0.08),
+            );
+            (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DeadlineAware)
         }
+    };
+    let sim = SimConfig {
+        workers: preset.default_workers(),
+        routing: preset.default_routing(),
+        queue_capacity,
+        drop_policy,
+        batch,
+        control,
+        faults,
     };
     Scenario { name: preset.name(), stream, sim, q_window: workload.q_window }
 }

@@ -32,8 +32,8 @@ use std::sync::Arc;
 use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::AccelConfig;
 use sushi_sched::{
-    AdaptiveEvent, AdaptiveOptions, AdaptivePolicy, CacheSelection, LatencyTable, LoadSignal,
-    Policy, Query, Scheduler, TenantOptions, TenantPolicy, TenantTier, TierSignals, TIER_COUNT,
+    AdaptiveEvent, CacheSelection, LatencyTable, LoadSignal, Policy, Query, Scheduler,
+    TenantOptions, TenantPolicy, TenantTier, TierSignals, TIER_COUNT,
 };
 use sushi_wsnet::encoding::overlap_ratio;
 use sushi_wsnet::{SubNet, SuperNet};
@@ -67,15 +67,13 @@ pub struct SimConfig {
     /// Which free replica a ready batch is dispatched to (irrelevant with
     /// one worker — every policy picks worker 0).
     pub routing: RoutingPolicy,
-    /// Load-adaptive degradation knobs (`None` = static scheduling; the
-    /// loop then behaves bit-identically to the pre-adaptive runtime).
-    pub adaptive: Option<AdaptiveOptions>,
-    /// Tenant-tiered adaptation (`None` = tierless; mutually exclusive
-    /// with `adaptive` — the engine builder rejects setting both). With
-    /// `None` the loop is bit-identical to the tierless runtime: every
-    /// query is tagged [`TenantTier::Standard`] and no tier machinery
-    /// runs.
-    pub tenants: Option<TenantOptions>,
+    /// The load-adaptive degradation controller (`None` = static
+    /// scheduling; the loop then behaves bit-identically to the
+    /// pre-adaptive runtime). Untiered options
+    /// ([`TenantOptions::global`]) run one global ladder with every query
+    /// tagged [`TenantTier::Standard`] and no tier machinery; options
+    /// with a tier map run one ladder per tier.
+    pub control: Option<TenantOptions>,
     /// Deterministic fault injection and supervision (`None` = the
     /// fault-free runtime; the loop is then bit-identical to a build
     /// without this field — no fault RNG is drawn and no event order
@@ -91,8 +89,7 @@ impl Default for SimConfig {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::no_batching(),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         }
     }
@@ -134,18 +131,11 @@ impl SimConfig {
         self
     }
 
-    /// Enables (`Some`) or disables (`None`) load-adaptive degradation.
+    /// Enables (`Some`) or disables (`None`) load-adaptive degradation,
+    /// global or tenant-tiered as the options say.
     #[must_use]
-    pub fn with_adaptive(mut self, adaptive: Option<AdaptiveOptions>) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Enables (`Some`) or disables (`None`) tenant-tiered adaptation.
-    /// Mutually exclusive with [`Self::with_adaptive`].
-    #[must_use]
-    pub fn with_tenants(mut self, tenants: Option<TenantOptions>) -> Self {
-        self.tenants = tenants;
+    pub fn with_control(mut self, control: Option<TenantOptions>) -> Self {
+        self.control = control;
         self
     }
 
@@ -331,71 +321,63 @@ impl SimResult {
         }
     }
 
+    /// Summary of the queries (drops included) whose `(tenant, tier)`
+    /// tag `keep` selects. Per-query fields cover only the slice and
+    /// `mean_batch` is the batch size its served queries actually rode in
+    /// — `summary()` would divide by the run-global dispatch count, which
+    /// means nothing for a slice. Shared-infrastructure fields (queue
+    /// depths, cache installs, swap time, makespan) pass through by value:
+    /// tenants share one queue and one worker pool, so those have no
+    /// per-slice decomposition.
+    fn slice_summary(&self, keep: impl Fn(u32, TenantTier) -> bool) -> ServeSummary {
+        let slice = SimResult {
+            served: self.served.iter().copied().filter(|s| keep(s.tenant, s.tier)).collect(),
+            dropped: self
+                .dropped
+                .iter()
+                .copied()
+                .filter(|d| keep(d.timed.tenant, d.tier))
+                .collect(),
+            mean_queue_depth: self.mean_queue_depth,
+            max_queue_depth: self.max_queue_depth,
+            batches: self.batches,
+            cache_installs: self.cache_installs,
+            swap_ms: self.swap_ms,
+            makespan_ms: self.makespan_ms,
+            adaptation: self.adaptation.clone(),
+            faults: self.faults.clone(),
+        };
+        let mut summary = slice.summary();
+        summary.mean_batch = if slice.served.is_empty() {
+            0.0
+        } else {
+            slice.served.iter().map(|s| s.batch_size as f64).sum::<f64>()
+                / slice.served.len() as f64
+        };
+        summary
+    }
+
     /// Summary restricted to one tenant's queries (drops included).
     ///
     /// Per-query fields (offered/completed/dropped, percentiles, goodput,
     /// SLO violations) cover only this tenant; `mean_batch` is the mean
     /// batch size the tenant's served queries actually rode in (≥ 1 when
     /// any completed). Shared-infrastructure fields — queue depths, cache
-    /// installs, swap time, makespan — describe the whole run: tenants
-    /// share one queue and one worker pool, so they have no per-tenant
-    /// decomposition.
+    /// installs, swap time, makespan — describe the whole run.
     #[must_use]
     pub fn tenant_summary(&self, tenant: u32) -> ServeSummary {
-        let filtered = SimResult {
-            served: self.served.iter().copied().filter(|s| s.tenant == tenant).collect(),
-            dropped: self.dropped.iter().copied().filter(|d| d.timed.tenant == tenant).collect(),
-            // Shared-infrastructure fields pass through by value; only the
-            // per-query vectors are filtered.
-            mean_queue_depth: self.mean_queue_depth,
-            max_queue_depth: self.max_queue_depth,
-            batches: self.batches,
-            cache_installs: self.cache_installs,
-            swap_ms: self.swap_ms,
-            makespan_ms: self.makespan_ms,
-            adaptation: self.adaptation.clone(),
-            faults: self.faults.clone(),
-        };
-        let mut summary = filtered.summary();
-        // `summary()` derives mean_batch from the run-global dispatch
-        // count, which is meaningless for a tenant slice; replace it with
-        // the batch size experienced by this tenant's queries.
-        summary.mean_batch = if filtered.served.is_empty() {
-            0.0
-        } else {
-            filtered.served.iter().map(|s| s.batch_size as f64).sum::<f64>()
-                / filtered.served.len() as f64
-        };
-        summary
+        self.slice_summary(|t, _| t == tenant)
     }
 
     /// Summary restricted to one priority tier's queries (drops
     /// included), with the same shared-field semantics as
     /// [`Self::tenant_summary`]. `degrades`/`upgrades` come from the
-    /// tier's own ladder trace (zero for a run without tenant
-    /// configuration, where every query is [`TenantTier::Standard`] and
-    /// only the global controller — if any — moved).
+    /// tier's own ladder trace (zero for an untiered run, where every
+    /// query is [`TenantTier::Standard`] and only the global ladder — if
+    /// any — moved).
     #[must_use]
     pub fn tier_summary(&self, tier: TenantTier) -> ServeSummary {
-        let filtered = SimResult {
-            served: self.served.iter().copied().filter(|s| s.tier == tier).collect(),
-            dropped: self.dropped.iter().copied().filter(|d| d.tier == tier).collect(),
-            mean_queue_depth: self.mean_queue_depth,
-            max_queue_depth: self.max_queue_depth,
-            batches: self.batches,
-            cache_installs: self.cache_installs,
-            swap_ms: self.swap_ms,
-            makespan_ms: self.makespan_ms,
-            adaptation: self.adaptation.clone(),
-            faults: self.faults.clone(),
-        };
-        let mut summary = filtered.summary();
-        summary.mean_batch = if filtered.served.is_empty() {
-            0.0
-        } else {
-            filtered.served.iter().map(|s| s.batch_size as f64).sum::<f64>()
-                / filtered.served.len() as f64
-        };
+        let mut summary = self.slice_summary(|_, t| t == tier);
         let ladder =
             self.adaptation.as_ref().and_then(|a| a.tiers.iter().find(|t| t.tier == tier).copied());
         summary.degrades = ladder.map_or(0, |t| t.degrades);
@@ -404,39 +386,28 @@ impl SimResult {
     }
 }
 
-/// p99 end-to-end latency over a `(completion_ms, latency_ms)` window
-/// (`0.0` while the window is empty). Exact order statistic — the window
-/// only ever spans a couple of dwell periods' worth of completions.
+/// Exact p99 order statistic of `samples` (`0.0` when there are none) —
+/// the windows it serves only ever hold a couple of dwell periods' worth
+/// of completions, or [`HEDGE_WINDOW`] service times.
 ///
-/// The controller's tail signal must be a *sliding time window*, not the
-/// run-long histogram the summary uses: a cumulative p99 never decays, so
-/// one burst would pin tail pressure above the degrade threshold for the
-/// rest of the run and permanently block recovery. A count-based window
-/// has the same failure in miniature (at CI sizing, 64 completions can be
-/// half the run), so entries age out by simulated time instead — the
-/// window is `2 x` the controller's reference scale (two dwell periods by
-/// default): within a couple of permitted level changes, stale-level
-/// latencies have fully aged out.
-fn recent_p99(recent: &VecDeque<(f64, f64)>) -> f64 {
-    if recent.is_empty() {
+/// The controller's tail signal feeds it a *sliding time window* of
+/// end-to-end latencies, not the run-long histogram the summary uses: a
+/// cumulative p99 never decays, so one burst would pin tail pressure above
+/// the degrade threshold for the rest of the run and permanently block
+/// recovery. A count-based window has the same failure in miniature (at CI
+/// sizing, 64 completions can be half the run), so entries age out by
+/// simulated time instead — the window is `2 x` the controller's reference
+/// scale (two dwell periods by default): within a couple of permitted
+/// level changes, stale-level latencies have fully aged out. The hedge
+/// threshold feeds it recent batch *service* times (dispatch →
+/// completion), which is what a straggling replica inflates.
+fn p99(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = samples.collect();
+    if v.is_empty() {
         return 0.0;
     }
-    let mut v: Vec<f64> = recent.iter().map(|&(_, lat)| lat).collect();
     // total_cmp: a NaN smuggled in by a hostile backend must not panic the
     // dispatch path — it sorts to the end and at worst skews the signal.
-    v.sort_by(f64::total_cmp);
-    v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
-}
-
-/// Hedge threshold signal: p99 service time over a count-bounded window of
-/// recent batch service times (`0.0` while empty). Unlike the SLO tail
-/// window this tracks *service* time (dispatch → completion), which is what
-/// a straggling replica inflates.
-fn service_p99(window: &VecDeque<f64>) -> f64 {
-    if window.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = window.iter().copied().collect();
     v.sort_by(f64::total_cmp);
     v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
 }
@@ -457,8 +428,7 @@ pub struct ServingSim {
     sched: Scheduler,
     pool: ExecutorPool,
     config: SimConfig,
-    adaptive: Option<AdaptivePolicy>,
-    tenant: Option<TenantPolicy>,
+    control: Option<TenantPolicy>,
     /// Round-robin routing cursor (persists across dispatch groups).
     rr_cursor: usize,
 }
@@ -480,34 +450,16 @@ impl ServingSim {
         config: SimConfig,
     ) -> Self {
         debug_assert_eq!(subnets.len(), table.num_rows(), "serving set / table mismatch");
-        debug_assert!(
-            config.adaptive.is_none() || config.tenants.is_none(),
-            "adaptive and tenants are mutually exclusive (builder-enforced)"
-        );
-        let adaptive = config.adaptive.map(|opts| AdaptivePolicy::new(&table, policy, opts));
-        let tenant = config.tenants.map(|opts| TenantPolicy::new(&table, policy, opts));
+        let control = config.control.map(|opts| TenantPolicy::new(&table, policy, opts));
         Self {
             net,
             subnets,
             sched: Scheduler::new(table, policy, cache_selection, q_window),
             pool: ExecutorPool::new(accel_config, config.workers),
             config,
-            adaptive,
-            tenant,
+            control,
             rr_cursor: 0,
         }
-    }
-
-    /// The adaptive controller, when adaptation is enabled.
-    #[must_use]
-    pub fn adaptive(&self) -> Option<&AdaptivePolicy> {
-        self.adaptive.as_ref()
-    }
-
-    /// The tenant-tiered controller, when tenancy is enabled.
-    #[must_use]
-    pub fn tenant(&self) -> Option<&TenantPolicy> {
-        self.tenant.as_ref()
     }
 
     /// The scheduler (for inspection).
@@ -539,36 +491,34 @@ impl ServingSim {
         if !stream.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms) {
             return Err(SushiError::Stream("stream must be sorted by arrival time".into()));
         }
-        let mut queue = AdmissionQueue::new(self.config.queue_capacity, self.config.drop_policy);
-        if let Some(pol) = &self.adaptive {
-            // Smooth the depth signal on the controller's own time scale so
-            // a single momentary spike cannot trigger a degrade.
-            queue = queue.with_depth_tau(pol.scale_ms());
-        } else if let Some(pol) = &self.tenant {
-            queue = queue.with_depth_tau(pol.scale_ms());
-        }
+        let queue_capacity = self.config.queue_capacity;
+        let mut queue = AdmissionQueue::new(queue_capacity, self.config.drop_policy);
         let base_batch = self.config.batch;
+        // The dynamic batch shrinks (and re-grows) with the degradation
+        // level: smaller batches dispatch sooner under pressure.
+        let batch_at = |pol: &TenantPolicy| {
+            BatchPolicy::new(pol.batch_cap(base_batch.max_batch), base_batch.max_wait_ms)
+        };
         let mut batch_policy = base_batch;
-        if let Some(pol) = &self.adaptive {
-            batch_policy =
-                BatchPolicy::new(pol.batch_cap(base_batch.max_batch), base_batch.max_wait_ms);
-        } else if let Some(pol) = &self.tenant {
-            batch_policy =
-                BatchPolicy::new(pol.batch_cap(base_batch.max_batch), base_batch.max_wait_ms);
-        }
-        // Tail-signal window (see `recent_p99`): two SLO time scales of
+        // Tail-signal window (see `p99`): two SLO time scales of
         // completions, tagged with their completion time for aging — a
         // couple of dwell periods, so latencies observed at a stale level
         // age out within a few permitted level changes.
-        let tail_window_ms = match (&self.adaptive, &self.tenant) {
-            (Some(p), _) => 2.0 * p.scale_ms(),
-            (None, Some(p)) => 2.0 * p.scale_ms(),
-            (None, None) => 0.0,
-        };
+        let mut tail_window_ms = 0.0;
+        if let Some(pol) = &self.control {
+            // Smooth the depth signal on the controller's own time scale so
+            // a single momentary spike cannot trigger a degrade.
+            queue = queue.with_depth_tau(pol.scale_ms());
+            batch_policy = batch_at(pol);
+            tail_window_ms = 2.0 * pol.scale_ms();
+        }
+        // Tiered runs refine the shared signal per tier; an untiered
+        // controller does no per-tier work at all.
+        let tiered = self.control.as_ref().is_some_and(TenantPolicy::is_tiered);
         let mut recent: VecDeque<(f64, f64)> = VecDeque::new();
-        // Per-tier completion windows (tenant-tiered runs only): each
-        // tier's ladder reacts to its *own* tail, so one tenant's burst
-        // cannot read as tail pressure on another tier's signal.
+        // Per-tier completion windows (tiered runs only): each tier's
+        // ladder reacts to its *own* tail, so one tenant's burst cannot
+        // read as tail pressure on another tier's signal.
         let mut recent_tier: [VecDeque<(f64, f64)>; TIER_COUNT] = Default::default();
         // Fault injection: a fresh runtime per run — the fault plan is a
         // pure function of the options' seed, so a rerun replays the same
@@ -625,86 +575,46 @@ impl ServingSim {
             // once per event — before admissions — so the controller sees
             // the queue as the arriving queries will find it, and recovery
             // happens while the queue drains, not only on new arrivals.
-            if let Some(pol) = self.adaptive.as_mut() {
-                let (head_slack_ms, head_budget_ms) =
-                    queue.head().map_or((f64::INFINITY, 0.0), |h| {
-                        (h.timed.deadline_ms() - now, h.timed.query.latency_constraint_ms)
-                    });
-                let signal = LoadSignal {
-                    now_ms: now,
-                    queue_depth: queue.smoothed_depth(now),
-                    queue_capacity: self.config.queue_capacity,
-                    p99_ms: {
-                        while recent.front().is_some_and(|&(t, _)| t < now - tail_window_ms) {
-                            recent.pop_front();
-                        }
-                        recent_p99(&recent)
-                    },
-                    head_slack_ms,
-                    head_budget_ms,
-                    quarantined_frac: fault.as_ref().map_or(0.0, FaultRuntime::unavailable_frac),
-                };
-                if let Some(ev) = pol.observe(&signal) {
-                    // Shrink (or re-grow) the dynamic batch with the level:
-                    // smaller batches dispatch sooner under pressure.
-                    batch_policy = BatchPolicy::new(
-                        pol.batch_cap(base_batch.max_batch),
-                        base_batch.max_wait_ms,
-                    );
-                    events.push(ev);
-                }
-            } else if let Some(pol) = self.tenant.as_mut() {
-                // Tenant-tiered runs observe the same shared signal the
-                // global controller would, plus one per-tier signal: raw
-                // tier occupancy of the shared queue, the tier's own
-                // head-of-line slack, and the tier's own completion tail.
-                let (head_slack_ms, head_budget_ms) =
-                    queue.head().map_or((f64::INFINITY, 0.0), |h| {
-                        (h.timed.deadline_ms() - now, h.timed.query.latency_constraint_ms)
-                    });
-                while recent.front().is_some_and(|&(t, _)| t < now - tail_window_ms) {
-                    recent.pop_front();
-                }
-                let shared = LoadSignal {
-                    now_ms: now,
-                    queue_depth: queue.smoothed_depth(now),
-                    queue_capacity: self.config.queue_capacity,
-                    p99_ms: recent_p99(&recent),
-                    head_slack_ms,
-                    head_budget_ms,
-                    quarantined_frac: fault.as_ref().map_or(0.0, FaultRuntime::unavailable_frac),
-                };
-                let mut signals = TierSignals::uniform(shared);
-                for tier in TenantTier::ALL {
-                    let window = &mut recent_tier[tier.index()];
+            if let Some(pol) = self.control.as_mut() {
+                let quarantined_frac = fault.as_ref().map_or(0.0, FaultRuntime::unavailable_frac);
+                // One signal shape for the whole queue and for each tier's
+                // slice of it: a depth, the head-of-line query's slack, and
+                // the tail of a completion window aged to the last
+                // `tail_window_ms`.
+                let signal = |queue_depth: f64,
+                              head: Option<&QueuedQuery>,
+                              window: &mut VecDeque<(f64, f64)>| {
                     while window.front().is_some_and(|&(t, _)| t < now - tail_window_ms) {
                         window.pop_front();
                     }
-                    let (slack_ms, budget_ms) =
-                        queue.head_tier(tier).map_or((f64::INFINITY, 0.0), |h| {
-                            (h.timed.deadline_ms() - now, h.timed.query.latency_constraint_ms)
-                        });
-                    signals = signals.with_tier(
-                        tier,
-                        LoadSignal {
-                            now_ms: now,
-                            queue_depth: queue.count_tier(tier) as f64,
-                            queue_capacity: self.config.queue_capacity,
-                            p99_ms: recent_p99(window),
-                            head_slack_ms: slack_ms,
-                            head_budget_ms: budget_ms,
-                            quarantined_frac: fault
-                                .as_ref()
-                                .map_or(0.0, FaultRuntime::unavailable_frac),
-                        },
-                    );
+                    let (head_slack_ms, head_budget_ms) = head.map_or((f64::INFINITY, 0.0), |h| {
+                        (h.timed.deadline_ms() - now, h.timed.query.latency_constraint_ms)
+                    });
+                    LoadSignal {
+                        now_ms: now,
+                        queue_depth,
+                        queue_capacity,
+                        p99_ms: p99(window.iter().map(|&(_, lat)| lat)),
+                        head_slack_ms,
+                        head_budget_ms,
+                        quarantined_frac,
+                    }
+                };
+                let shared = signal(queue.smoothed_depth(now), queue.head(), &mut recent);
+                let mut signals = TierSignals::uniform(shared);
+                if tiered {
+                    // Raw tier occupancy of the shared queue, the tier's
+                    // own head-of-line slack, and its own completion tail.
+                    for tier in TenantTier::ALL {
+                        let window = &mut recent_tier[tier.index()];
+                        let depth = queue.count_tier(tier) as f64;
+                        signals =
+                            signals.with_tier(tier, signal(depth, queue.head_tier(tier), window));
+                    }
                 }
                 let stepped = pol.observe(&signals);
                 if !stepped.is_empty() {
-                    batch_policy = BatchPolicy::new(
-                        pol.batch_cap(base_batch.max_batch),
-                        base_batch.max_wait_ms,
-                    );
+                    batch_policy = batch_at(pol);
                     events.extend(stepped.iter().map(|te| te.event));
                 }
             }
@@ -713,40 +623,26 @@ impl ServingSim {
             while next < stream.len() && stream[next].arrival_ms <= now {
                 let timed = stream[next];
                 next += 1;
-                let tier =
-                    self.tenant.as_ref().map_or(TenantTier::Standard, |p| p.tier_of(timed.tenant));
-                if let Some(pol) = self.tenant.as_mut() {
+                let mut tier = TenantTier::Standard;
+                let mut scheduled = timed.query;
+                if let Some(pol) = self.control.as_mut() {
+                    tier = pol.tier_of(timed.tenant);
                     // Feed the arrival predictor at the query's true
                     // arrival instant (≤ now when several arrivals are
                     // admitted in one event step).
                     pol.observe_arrival(tier, timed.arrival_ms);
+                    // Shape the query for its ladder's current level before
+                    // the scheduler sees it; the queued copy keeps the
+                    // original constraints, so SLO accounting never moves
+                    // the goalposts.
+                    scheduled = pol.shape(
+                        tier,
+                        &timed.query,
+                        self.sched.table(),
+                        self.sched.current_cache(),
+                    );
+                    shaped_count += usize::from(scheduled != timed.query);
                 }
-                // Shape the query for the current degradation level before
-                // the scheduler sees it; the queued copy keeps the original
-                // constraints, so SLO accounting never moves the goalposts.
-                let scheduled = match (&self.adaptive, &self.tenant) {
-                    (Some(pol), _) => {
-                        let shaped =
-                            pol.shape(&timed.query, self.sched.table(), self.sched.current_cache());
-                        if shaped != timed.query {
-                            shaped_count += 1;
-                        }
-                        shaped
-                    }
-                    (None, Some(pol)) => {
-                        let shaped = pol.shape(
-                            tier,
-                            &timed.query,
-                            self.sched.table(),
-                            self.sched.current_cache(),
-                        );
-                        if shaped != timed.query {
-                            shaped_count += 1;
-                        }
-                        shaped
-                    }
-                    (None, None) => timed.query,
-                };
                 let decision = self.sched.decide(&scheduled);
                 if let Some(col) = decision.cache_update {
                     let graph = self.sched.table().column(col).graph.clone();
@@ -888,10 +784,10 @@ impl ServingSim {
                         let service_ms = report.completion_ms - report.start_ms;
                         let hedge = f.supervise().and_then(|s| s.hedge);
                         if let Some(hp) = hedge {
-                            let p99 = service_p99(&hedge_window);
+                            let service_p99 = p99(hedge_window.iter().copied());
                             if hedge_window.len() >= HEDGE_WARMUP
                                 && service_ms > hp.min_threshold_ms
-                                && service_ms > hp.p99_factor * p99
+                                && service_ms > hp.p99_factor * service_p99
                             {
                                 let mut backup: Option<(usize, f64)> = None;
                                 for w in 0..self.pool.num_workers() {
@@ -975,10 +871,10 @@ impl ServingSim {
                             worker: report.worker,
                             prediction: outputs.as_ref().map(|o| o[i].prediction),
                         };
-                        if self.adaptive.is_some() || self.tenant.is_some() {
+                        if self.control.is_some() {
                             recent.push_back((done.completion_ms, done.latency_ms()));
                         }
-                        if self.tenant.is_some() {
+                        if tiered {
                             recent_tier[done.tier.index()]
                                 .push_back((done.completion_ms, done.latency_ms()));
                         }
@@ -1070,36 +966,28 @@ impl ServingSim {
             cache_installs: self.pool.cache_installs(),
             swap_ms: self.pool.total_swap_ms(),
             makespan_ms,
-            adaptation: match (&self.adaptive, &self.tenant) {
-                (Some(pol), _) => Some(AdaptationTrace {
-                    events,
-                    final_level: pol.level(),
-                    degrades: pol.degrades(),
-                    upgrades: pol.upgrades(),
-                    shaped: shaped_count,
-                    tiers: Vec::new(),
-                }),
-                (None, Some(pol)) => {
-                    let tiers: Vec<TierAdaptation> = TenantTier::ALL
-                        .iter()
-                        .map(|&tier| TierAdaptation {
-                            tier,
-                            final_level: pol.level(tier),
-                            degrades: pol.degrades(tier),
-                            upgrades: pol.upgrades(tier),
-                        })
-                        .collect();
-                    Some(AdaptationTrace {
-                        events,
-                        final_level: tiers.iter().map(|t| t.final_level).max().unwrap_or(0),
-                        degrades: tiers.iter().map(|t| t.degrades).sum(),
-                        upgrades: tiers.iter().map(|t| t.upgrades).sum(),
-                        shaped: shaped_count,
-                        tiers,
+            // One trace shape: totals over the policy's ladders, with the
+            // per-tier breakdown only when there is more than one.
+            adaptation: self.control.as_ref().map(|pol| {
+                let ladders: Vec<TierAdaptation> = pol
+                    .ladder_tiers()
+                    .iter()
+                    .map(|&tier| TierAdaptation {
+                        tier,
+                        final_level: pol.level(tier),
+                        degrades: pol.degrades(tier),
+                        upgrades: pol.upgrades(tier),
                     })
+                    .collect();
+                AdaptationTrace {
+                    events,
+                    final_level: ladders.iter().map(|t| t.final_level).max().unwrap_or(0),
+                    degrades: ladders.iter().map(|t| t.degrades).sum(),
+                    upgrades: ladders.iter().map(|t| t.upgrades).sum(),
+                    shaped: shaped_count,
+                    tiers: if tiered { ladders } else { Vec::new() },
                 }
-                (None, None) => None,
-            },
+            }),
             faults: fault_summary,
         })
     }
@@ -1138,8 +1026,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut a, space) = sim(cfg);
@@ -1156,8 +1043,7 @@ mod tests {
             drop_policy: DropPolicy::DropOldest,
             batch: BatchPolicy::new(4, 1.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut s, space) = sim(cfg);
@@ -1183,8 +1069,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut s, space) = sim(cfg);
@@ -1204,8 +1089,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 1.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut light, space) = sim(light_cfg);
@@ -1225,8 +1109,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::no_batching(),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let batched = SimConfig { batch: BatchPolicy::new(8, 4.0), ..no_batch };
@@ -1249,8 +1132,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(2, 1.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut s, space) = sim(cfg);
@@ -1267,8 +1149,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let (mut s, space) = sim(cfg);
@@ -1321,8 +1202,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::CacheAffinity,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: None,
         };
         let injected = SimConfig { faults: Some(FaultOptions::default()), ..cfg };
@@ -1349,8 +1229,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 1.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: Some(FaultOptions::default().with_crash_mtbf_ms(0.5).without_supervision()),
         };
         let (mut s, space) = sim(cfg);
@@ -1374,8 +1253,7 @@ mod tests {
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::LeastLoaded,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: Some(FaultOptions::default().with_transient_rate(0.2)),
         };
         let (mut sup, space) = sim(base);
@@ -1413,8 +1291,7 @@ mod tests {
             drop_policy: DropPolicy::DeadlineAware,
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::CacheAffinity,
-            adaptive: None,
-            tenants: None,
+            control: None,
             faults: Some(
                 FaultOptions::default()
                     .with_crash_mtbf_ms(400.0)

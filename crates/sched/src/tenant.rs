@@ -20,10 +20,13 @@
 //!   into a feed-forward pressure boost, pre-degrading best-effort
 //!   traffic *before* the queue builds.
 //!
-//! With no tenant configuration the serving runtime never constructs a
-//! [`TenantPolicy`], so the pre-tenant behavior is preserved bit for bit;
-//! with one, zero pressure and no predictor leave every ladder at level 0
-//! and shaping is the identity — exactly the global controller at rest.
+//! [`TenantPolicy`] is the one controller the serving runtime talks to.
+//! The global controller is its untiered case
+//! ([`TenantOptions::global`]): a single ladder on the base thresholds
+//! serves every tenant — no shield, no predictor, no per-tier signals —
+//! and steps exactly as a bare [`AdaptivePolicy`] fed the shared signal
+//! would. Tiered or not, zero pressure leaves every ladder at level 0 and
+//! shaping is the identity.
 
 use crate::adaptive::{AdaptiveEvent, AdaptiveOptions, AdaptivePolicy, LoadSignal};
 use crate::query::{Policy, Query};
@@ -407,7 +410,10 @@ pub struct TenantOptions {
     pub base: AdaptiveOptions,
     /// Tier assignment per tenant id (index = tenant id). Ids at or
     /// beyond [`MAX_TENANT_SLOTS`] default to [`TenantTier::Standard`].
-    pub tiers: [TenantTier; MAX_TENANT_SLOTS],
+    /// `None` is the untiered (global) controller: one ladder on the
+    /// `base` thresholds serves every tenant, and `predictor` and
+    /// `shield` — which only differentiate tiers — are not consulted.
+    pub tiers: Option<[TenantTier; MAX_TENANT_SLOTS]>,
     /// Feed-forward arrival predictor over the best-effort tier's
     /// arrivals; `None` disables prediction (purely reactive tiers).
     pub predictor: Option<PredictorOptions>,
@@ -424,7 +430,7 @@ impl Default for TenantOptions {
     fn default() -> Self {
         TenantOptions {
             base: AdaptiveOptions::default(),
-            tiers: [TenantTier::Standard; MAX_TENANT_SLOTS],
+            tiers: Some([TenantTier::Standard; MAX_TENANT_SLOTS]),
             predictor: None,
             shield: 1.5,
         }
@@ -432,12 +438,20 @@ impl Default for TenantOptions {
 }
 
 impl TenantOptions {
-    /// Assigns `tier` to `tenant`. Panics if `tenant >= MAX_TENANT_SLOTS`.
+    /// The global controller as a tenant configuration: no tier map, so
+    /// one ladder on `base` serves all traffic.
+    #[must_use]
+    pub fn global(base: AdaptiveOptions) -> Self {
+        TenantOptions { base, tiers: None, predictor: None, shield: 1.0 }
+    }
+
+    /// Assigns `tier` to `tenant` (starting a tier map if the options
+    /// were untiered). Panics if `tenant >= MAX_TENANT_SLOTS`.
     #[must_use]
     pub fn with_tier(mut self, tenant: u32, tier: TenantTier) -> Self {
         let slot = tenant as usize;
         assert!(slot < MAX_TENANT_SLOTS, "tenant id {tenant} exceeds MAX_TENANT_SLOTS");
-        self.tiers[slot] = tier;
+        self.tiers.get_or_insert([TenantTier::Standard; MAX_TENANT_SLOTS])[slot] = tier;
         self
     }
 
@@ -464,7 +478,7 @@ impl TenantOptions {
 
     /// Threshold multiplier for a tier: `shield` for latency-critical,
     /// 1 for standard, `1 / shield` for best-effort.
-    pub fn tier_factor(&self, tier: TenantTier) -> f64 {
+    fn tier_factor(&self, tier: TenantTier) -> f64 {
         match tier {
             TenantTier::LatencyCritical => self.shield,
             TenantTier::Standard => 1.0,
@@ -472,9 +486,11 @@ impl TenantOptions {
         }
     }
 
-    /// Tier of a tenant id (out-of-range ids are `Standard`).
+    /// Tier of a tenant id (`Standard` for out-of-range ids and for
+    /// every id of an untiered configuration).
     pub fn tier_of(&self, tenant: u32) -> TenantTier {
-        self.tiers.get(tenant as usize).copied().unwrap_or(TenantTier::Standard)
+        let assigned = self.tiers.as_ref().and_then(|t| t.get(tenant as usize));
+        assigned.copied().unwrap_or(TenantTier::Standard)
     }
 
     /// Checks internal consistency; returns a human-readable complaint.
@@ -525,26 +541,40 @@ pub struct TenantEvent {
     pub event: AdaptiveEvent,
 }
 
-/// The tenant-aware controller: one [`AdaptivePolicy`] ladder per tier,
+/// See [`TenantPolicy::ladder_tiers`].
+fn ladder_tiers(tiered: bool) -> &'static [TenantTier] {
+    if tiered {
+        &TenantTier::ALL
+    } else {
+        &[TenantTier::Standard]
+    }
+}
+
+/// The serving loop's controller: one [`AdaptivePolicy`] ladder per tier,
 /// coupled so degradation depth is always ordered
-/// `LatencyCritical ≤ Standard ≤ BestEffort`.
+/// `LatencyCritical ≤ Standard ≤ BestEffort` — or, built from untiered
+/// options ([`TenantOptions::global`]), a single ladder serving every
+/// tier, which is the global controller.
 ///
-/// Per [`observe`](Self::observe) each tier still obeys the global
-/// controller's contract — at most a ±1 step, one step per dwell — but a
-/// step is additionally *vetoed* unless the ordering invariant survives
-/// it: a tier may only degrade once every lower-priority tier is at
-/// least as deep as the level it would land on, and may only upgrade
+/// Per [`observe`](Self::observe) each ladder obeys the
+/// [`AdaptivePolicy`] contract — at most a ±1 step, one step per dwell —
+/// but a step is additionally *vetoed* unless the ordering invariant
+/// survives it: a tier may only degrade once every lower-priority tier is
+/// at least as deep as the level it would land on, and may only upgrade
 /// once every higher-priority tier is at least as shallow. Vetoed steps
-/// do not consume the tier's dwell.
+/// do not consume the tier's dwell. A lone ladder has no neighbours to
+/// veto it, so it steps exactly as [`AdaptivePolicy::observe`] would.
 #[derive(Debug)]
 pub struct TenantPolicy {
     opts: TenantOptions,
-    tiers: [AdaptivePolicy; TIER_COUNT],
+    /// Indexed like [`ladder_tiers`](Self::ladder_tiers): one per tier in
+    /// priority order, or the single shared ladder.
+    ladders: Vec<AdaptivePolicy>,
     predictor: Option<ArrivalPredictor>,
 }
 
 impl TenantPolicy {
-    /// Builds the per-tier ladders from `table`. Panics if `opts` fails
+    /// Builds the ladders from `table`. Panics if `opts` fails
     /// [`TenantOptions::validate`] or the table is empty (mirroring
     /// [`AdaptivePolicy::new`]); the engine builder validates first and
     /// reports errors gracefully.
@@ -552,7 +582,7 @@ impl TenantPolicy {
         if let Err(e) = opts.validate() {
             panic!("invalid TenantOptions: {e}");
         }
-        let ladder = |tier: TenantTier| {
+        let ladder = |&tier: &TenantTier| {
             let f = opts.tier_factor(tier);
             let biased = opts
                 .base
@@ -561,18 +591,33 @@ impl TenantPolicy {
         };
         TenantPolicy {
             opts,
-            tiers: [
-                ladder(TenantTier::LatencyCritical),
-                ladder(TenantTier::Standard),
-                ladder(TenantTier::BestEffort),
-            ],
+            ladders: ladder_tiers(opts.tiers.is_some()).iter().map(ladder).collect(),
             predictor: opts.predictor.map(ArrivalPredictor::new),
         }
     }
 
-    /// Effective pressure of a tier under `signals` at its own scale.
-    fn effective_pressure(&self, tier: TenantTier, signals: &TierSignals) -> f64 {
-        let scale = self.tiers[tier.index()].scale_ms();
+    /// Whether each tier walks its own ladder (`false`: one ladder serves
+    /// every tier, and per-tier signals are never read).
+    pub fn is_tiered(&self) -> bool {
+        self.ladders.len() > 1
+    }
+
+    /// The tiers that own a ladder, in priority order: all three when
+    /// tiered, otherwise just `Standard` — the tier every tenant of an
+    /// untiered run maps to, and the one whose thresholds are unbiased.
+    pub fn ladder_tiers(&self) -> &'static [TenantTier] {
+        ladder_tiers(self.is_tiered())
+    }
+
+    /// The ladder serving `tier`: its own when tiered, else the shared one.
+    fn ladder(&self, tier: TenantTier) -> &AdaptivePolicy {
+        &self.ladders[if self.is_tiered() { tier.index() } else { 0 }]
+    }
+
+    /// Effective pressure on ladder `i` (serving `tier`) under `signals`,
+    /// at the ladder's own scale.
+    fn effective_pressure(&self, i: usize, tier: TenantTier, signals: &TierSignals) -> f64 {
+        let scale = self.ladders[i].scale_ms();
         let mut p = signals.shared.pressure(scale);
         if let Some(sig) = &signals.tiers[tier.index()] {
             p = p.max(sig.pressure(scale));
@@ -585,49 +630,42 @@ impl TenantPolicy {
         p
     }
 
-    /// Degrade/upgrade thresholds of a tier.
-    fn thresholds(&self, tier: TenantTier) -> (f64, f64) {
-        let f = self.opts.tier_factor(tier);
-        (self.opts.base.degrade_threshold * f, self.opts.base.upgrade_threshold * f)
-    }
-
-    /// Folds one observation into every tier's ladder and returns the
-    /// enacted changes (possibly several, one per tier), in a fixed
-    /// deterministic order: upgrades in priority order (latency-critical
-    /// first — recovery flows top-down), then degrades in reverse
-    /// priority order (best-effort first — pain flows bottom-up).
+    /// Folds one observation into every ladder and returns the enacted
+    /// changes (possibly several, one per tier), in a fixed deterministic
+    /// order: upgrades in priority order (latency-critical first —
+    /// recovery flows top-down), then degrades in reverse priority order
+    /// (best-effort first — pain flows bottom-up).
     pub fn observe(&mut self, signals: &TierSignals) -> Vec<TenantEvent> {
         let now = signals.shared.now_ms;
+        let tiers = self.ladder_tiers();
         let mut events = Vec::new();
-        // Upgrade pass: a tier rises only if every higher-priority tier
-        // already sits at or above (shallower than) the target level.
-        for tier in TenantTier::ALL {
-            let p = self.effective_pressure(tier, signals);
-            let (_, upgrade) = self.thresholds(tier);
-            let i = tier.index();
-            if p <= upgrade && self.tiers[i].level() > 0 {
-                let target = self.tiers[i].level() - 1;
-                let ok = (0..i).all(|h| self.tiers[h].level() <= target);
-                if ok {
-                    if let Some(event) = self.tiers[i].observe_pressure(now, p) {
-                        events.push(TenantEvent { tier, event });
-                    }
-                }
-            }
+        // Pressure depends on the signals alone, never on a level, so one
+        // fold per ladder serves both passes.
+        let mut pressure = [0.0; TIER_COUNT];
+        for (i, &tier) in tiers.iter().enumerate() {
+            pressure[i] = self.effective_pressure(i, tier, signals);
         }
-        // Degrade pass: a tier sinks only if every lower-priority tier
-        // is already at least as deep as the target level.
-        for tier in TenantTier::ALL.into_iter().rev() {
-            let p = self.effective_pressure(tier, signals);
-            let (degrade, _) = self.thresholds(tier);
-            let i = tier.index();
-            if p >= degrade && self.tiers[i].level() < self.tiers[i].max_level() {
-                let target = self.tiers[i].level() + 1;
-                let ok = (i + 1..TIER_COUNT).all(|l| self.tiers[l].level() >= target);
-                if ok {
-                    if let Some(event) = self.tiers[i].observe_pressure(now, p) {
-                        events.push(TenantEvent { tier, event });
-                    }
+        let upgrades = (0..tiers.len()).map(|i| (i, true));
+        let degrades = (0..tiers.len()).rev().map(|i| (i, false));
+        for (i, upgrading) in upgrades.chain(degrades) {
+            let (tier, p) = (tiers[i], pressure[i]);
+            let f = self.opts.tier_factor(tier);
+            let level = self.ladders[i].level();
+            // A tier rises only if every higher-priority tier already sits
+            // at or above the target level, and sinks only if every
+            // lower-priority tier is already at least as deep as it.
+            let permitted = if upgrading {
+                p <= self.opts.base.upgrade_threshold * f
+                    && level > 0
+                    && self.ladders[..i].iter().all(|h| h.level() < level)
+            } else {
+                p >= self.opts.base.degrade_threshold * f
+                    && level < self.ladders[i].max_level()
+                    && self.ladders[i + 1..].iter().all(|l| l.level() > level)
+            };
+            if permitted {
+                if let Some(event) = self.ladders[i].observe_pressure(now, p) {
+                    events.push(TenantEvent { tier, event });
                 }
             }
         }
@@ -654,13 +692,13 @@ impl TenantPolicy {
         table: &LatencyTable,
         cached: usize,
     ) -> Query {
-        self.tiers[tier.index()].shape(query, table, cached)
+        self.ladder(tier).shape(query, table, cached)
     }
 
-    /// Dynamic batch cap: the *deepest* tier's cap, so batch sizing
+    /// Dynamic batch cap: the *deepest* ladder's cap, so batch sizing
     /// follows the most degraded traffic class.
     pub fn batch_cap(&self, base: usize) -> usize {
-        let deepest = self.tiers.iter().max_by_key(|t| t.level()).expect("TIER_COUNT > 0 ladders");
+        let deepest = self.ladders.iter().max_by_key(|t| t.level()).expect("at least one ladder");
         deepest.batch_cap(base)
     }
 
@@ -671,37 +709,27 @@ impl TenantPolicy {
 
     /// Current degradation level of a tier.
     pub fn level(&self, tier: TenantTier) -> usize {
-        self.tiers[tier.index()].level()
+        self.ladder(tier).level()
     }
 
-    /// Degrade steps taken by a tier so far.
+    /// Degrade steps taken by a tier's ladder so far.
     pub fn degrades(&self, tier: TenantTier) -> usize {
-        self.tiers[tier.index()].degrades()
+        self.ladder(tier).degrades()
     }
 
-    /// Upgrade steps taken by a tier so far.
+    /// Upgrade steps taken by a tier's ladder so far.
     pub fn upgrades(&self, tier: TenantTier) -> usize {
-        self.tiers[tier.index()].upgrades()
+        self.ladder(tier).upgrades()
     }
 
-    /// Pressure scale (shared by all tiers — derived from the table).
+    /// Pressure scale (shared by all ladders — derived from the table).
     pub fn scale_ms(&self) -> f64 {
-        self.tiers[TenantTier::Standard.index()].scale_ms()
+        self.ladders[0].scale_ms()
     }
 
-    /// Dwell (shared by all tiers — derived from the base options).
+    /// Dwell (shared by all ladders — derived from the base options).
     pub fn dwell_ms(&self) -> f64 {
-        self.tiers[TenantTier::Standard.index()].dwell_ms()
-    }
-
-    /// The configuration this policy was built from.
-    pub fn options(&self) -> &TenantOptions {
-        &self.opts
-    }
-
-    /// The arrival predictor, when enabled.
-    pub fn predictor(&self) -> Option<&ArrivalPredictor> {
-        self.predictor.as_ref()
+        self.ladders[0].dwell_ms()
     }
 }
 
@@ -997,6 +1025,13 @@ mod tests {
         assert_eq!(opts.tier_of(0), TenantTier::LatencyCritical);
         assert_eq!(opts.tier_of(7), TenantTier::Standard);
         assert_eq!(opts.tier_of(999), TenantTier::Standard);
+        // Untiered options map everyone to Standard until a tier is named.
+        let global = TenantOptions::global(AdaptiveOptions::default());
+        assert_eq!(global.tier_of(0), TenantTier::Standard);
+        assert!(!policy(global).is_tiered());
+        let named = global.with_tier(1, TenantTier::BestEffort);
+        assert_eq!(named.tier_of(1), TenantTier::BestEffort);
+        assert!(policy(named).is_tiered());
     }
 
     #[test]

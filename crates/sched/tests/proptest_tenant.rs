@@ -173,7 +173,9 @@ proptest! {
     /// predictor, and no per-tier signals, the standard tier's level
     /// trajectory is step-for-step identical to the global controller fed
     /// the same signals — the tenant layer is the global layer, three
-    /// times over.
+    /// times over. The untiered policy (`TenantOptions::global`) *is* the
+    /// global controller: same events at the same instants, same batch
+    /// cap, and the same shaped query for every tier at every level.
     #[test]
     fn uniform_tenancy_tracks_the_global_controller(
         n in 2usize..8,
@@ -182,30 +184,65 @@ proptest! {
             (0.01f64..30.0, 0.0f64..64.0, 0.0f64..200.0),
             1..60,
         ),
+        constraint in (0.70f64..0.90, 0.5f64..9.0),
     ) {
-        let t = make_table(n, 3);
-        let base = AdaptiveOptions::default().with_dwell_ms(dwell);
-        let mut tenant = TenantPolicy::new(
-            &t,
-            Policy::StrictAccuracy,
-            TenantOptions::default().with_base(base).with_shield(1.0),
-        );
-        let mut global = AdaptivePolicy::new(&t, Policy::StrictAccuracy, base);
-        let mut now = 0.0;
-        for (dt, depth, p99) in steps {
-            now += dt;
-            let signal = signal_at(now, depth, p99, -1.0, 20.0);
-            let _ = global.observe(&signal);
-            let _ = tenant.observe(&TierSignals::uniform(signal));
-            for tier in TenantTier::ALL {
+        for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
+            let t = make_table(n, 3);
+            let base = AdaptiveOptions::default().with_dwell_ms(dwell);
+            let mut tenant = TenantPolicy::new(
+                &t,
+                policy,
+                TenantOptions::default().with_base(base).with_shield(1.0),
+            );
+            let mut one_ladder = TenantPolicy::new(&t, policy, TenantOptions::global(base));
+            prop_assert!(tenant.is_tiered() && !one_ladder.is_tiered());
+            prop_assert_eq!(one_ladder.ladder_tiers(), &[TenantTier::Standard][..]);
+            let mut global = AdaptivePolicy::new(&t, policy, base);
+            prop_assert_eq!(one_ladder.scale_ms(), global.scale_ms());
+            prop_assert_eq!(one_ladder.dwell_ms(), global.dwell_ms());
+            let q = Query::new(0, constraint.0, constraint.1);
+            let mut now = 0.0;
+            // The random walk, then a saturated climb and an idle descent
+            // one dwell apart so every level of the ladder is compared.
+            let climb = (0..n).map(|_| (dwell + 1.0, 64.0, 1e6));
+            let descent = (0..n).map(|_| (dwell + 1.0, 0.0, 0.0));
+            for (dt, depth, p99) in steps.iter().copied().chain(climb).chain(descent) {
+                now += dt;
+                // An empty-queue head (infinite slack) leaves depth and
+                // tail in charge, so pressure moves both ways.
+                let signal = signal_at(now, depth, p99, f64::INFINITY, 0.0);
+                let expected = global.observe(&signal);
+                let _ = tenant.observe(&TierSignals::uniform(signal));
+                let stepped = one_ladder.observe(&TierSignals::uniform(signal));
                 prop_assert_eq!(
-                    tenant.level(tier), global.level(),
-                    "tier {} diverged from the global controller", tier.name()
+                    stepped.iter().map(|te| te.event).collect::<Vec<_>>(),
+                    expected.into_iter().collect::<Vec<_>>(),
+                    "the one-ladder policy enacted a different change"
                 );
+                prop_assert_eq!(one_ladder.batch_cap(8), global.batch_cap(8));
+                for tier in TenantTier::ALL {
+                    prop_assert_eq!(
+                        tenant.level(tier), global.level(),
+                        "tier {} diverged from the global controller", tier.name()
+                    );
+                    prop_assert_eq!(one_ladder.level(tier), global.level());
+                    prop_assert_eq!(one_ladder.tier_of(tier.index() as u32), TenantTier::Standard);
+                    for cached in 0..t.num_columns() {
+                        prop_assert_eq!(
+                            one_ladder.shape(tier, &q, &t, cached),
+                            global.shape(&q, &t, cached),
+                            "shape differs at level {} under column {}", global.level(), cached
+                        );
+                    }
+                }
             }
+            prop_assert_eq!(global.level(), 0, "the descent must walk back to level 0");
+            prop_assert!(global.degrades() >= n - 1, "the climb must reach the deepest level");
+            prop_assert_eq!(tenant.degrades(TenantTier::Standard), global.degrades());
+            prop_assert_eq!(tenant.upgrades(TenantTier::Standard), global.upgrades());
+            prop_assert_eq!(one_ladder.degrades(TenantTier::Standard), global.degrades());
+            prop_assert_eq!(one_ladder.upgrades(TenantTier::Standard), global.upgrades());
         }
-        prop_assert_eq!(tenant.degrades(TenantTier::Standard), global.degrades());
-        prop_assert_eq!(tenant.upgrades(TenantTier::Standard), global.upgrades());
     }
 
     /// Zero pressure and no predictor mean zero interference, for every

@@ -17,7 +17,7 @@ OUT=docs/api_surface.txt
 dump() {
   echo "# Public API surface — generated by scripts/api_surface.sh (CI diff-gates this file)."
   echo "# Regenerate after any intentional API change: scripts/api_surface.sh"
-  for crate in tensor wsnet sched accel core; do
+  for crate in tensor ir wsnet sched accel core; do
     echo
     echo "## sushi-$crate"
     # Source-level grep (not rustdoc) so the dump works offline; test

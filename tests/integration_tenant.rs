@@ -241,15 +241,45 @@ fn tenants_none_is_bit_identical_functional() {
     );
 }
 
+/// `.adaptive(..)` and `.tenants(..)` write the one controller knob, so —
+/// like every other builder setter — the later call wins, and
+/// `.tenants(None)` after `.adaptive(..)` is a static run.
 #[test]
-fn adaptive_and_tenants_together_are_rejected() {
-    let err = EngineBuilder::new()
-        .q_window(8)
-        .candidates(8)
-        .seed(42)
-        .adaptive(sushi::sched::AdaptiveOptions::default())
-        .tenants(Some(sushi::sched::TenantOptions::default()))
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("mutually exclusive"), "{err}");
+fn later_of_adaptive_and_tenants_wins() {
+    use sushi::sched::{AdaptiveOptions, TenantOptions};
+    let run = |configure: fn(EngineBuilder) -> EngineBuilder| {
+        let builder = EngineBuilder::new()
+            .q_window(8)
+            .candidates(8)
+            .seed(42)
+            .queue_capacity(16)
+            .drop_policy(DropPolicy::DeadlineAware)
+            .batch_policy(BatchPolicy::new(4, 2.0));
+        let mut engine = configure(builder).build().expect("engine");
+        let mut space = engine.constraint_space();
+        space.lat_lo *= 2.0;
+        space.lat_hi *= 2.5;
+        let qs = uniform_stream(&space, 200, 9);
+        // Well past one worker's capacity, so any controller must move.
+        let ts = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(200, 9 ^ 0xD15);
+        engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap()
+    };
+    let global = run(|b| b.adaptive(AdaptiveOptions::default()));
+    let tiered = run(|b| b.tenants(Some(TenantOptions::default())));
+    let fixed = run(|b| b);
+    let global_trace = global.adaptation.as_ref().expect("global run carries a trace");
+    let tiered_trace = tiered.adaptation.as_ref().expect("tiered run carries a trace");
+    assert!(global_trace.degrades > 0 && tiered_trace.degrades > 0, "overload must degrade");
+    assert!(global_trace.tiers.is_empty(), "a global run has no per-tier breakdown");
+    assert_eq!(tiered_trace.tiers.len(), 3);
+    assert!(fixed.adaptation.is_none());
+
+    let tenants_last =
+        run(|b| b.adaptive(AdaptiveOptions::default()).tenants(Some(TenantOptions::default())));
+    assert_eq!(tenants_last, tiered, "tenants(..) after adaptive(..) runs the tiers");
+    let adaptive_last =
+        run(|b| b.tenants(Some(TenantOptions::default())).adaptive(AdaptiveOptions::default()));
+    assert_eq!(adaptive_last, global, "adaptive(..) after tenants(..) runs the global ladder");
+    let cleared = run(|b| b.adaptive(AdaptiveOptions::default()).tenants(None));
+    assert_eq!(cleared, fixed, "tenants(None) after adaptive(..) is a static run");
 }

@@ -451,7 +451,7 @@ impl ExecutionBackend for Functional {
 mod tests {
     use super::*;
     use crate::config::zcu104;
-    use crate::functional::forward;
+    use crate::functional::forward_cached;
     use sushi_wsnet::zoo;
 
     fn toy_setup() -> (SuperNet, Vec<SubNet>) {
@@ -509,11 +509,13 @@ mod tests {
         assert_eq!(again.outputs.as_deref(), Some(&outs[..]));
         assert_eq!(backend.packed_subnets(), 1);
         for (&id, out) in [0u64, 1, 2].iter().zip(&outs) {
-            let single = forward(
+            let single = forward_cached(
                 &DpeArray::new(4, 4),
                 &net,
                 backend.store(),
                 &picks[0],
+                None,
+                &mut Arena::new(),
                 &backend.input_for(&net, id),
             )
             .unwrap();

@@ -10,7 +10,7 @@
 //!
 //! This module *executes* that schedule on real int8 data. Because integer
 //! accumulation is associative and the output stage requantizes exactly like
-//! the reference, the result equals [`sushi_tensor::ops::conv::conv2d_i8`]
+//! the reference, the result equals [`sushi_tensor::ops::conv::conv2d_i8_in`]
 //! bit-for-bit — the property the tests pin down.
 //!
 //! Host-simulation speed is decoupled from the modeled schedule through a
@@ -20,7 +20,8 @@
 //! The policy can never change the numbers — only how fast the host
 //! computes them.
 
-use sushi_tensor::ops::conv::{conv2d_i8_in, conv2d_i8_prepacked, Conv2dParams};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+use sushi_tensor::ops::gemm::ConvBackend;
 use sushi_tensor::quant::requantize_accumulator;
 use sushi_tensor::{Arena, KernelPolicy, PackedConv2d, QuantParams, Shape4, Tensor, TensorError};
 
@@ -65,44 +66,22 @@ impl DpeArray {
         self.policy
     }
 
-    /// Quantized convolution executed in the DPE array's tiled schedule.
+    /// Quantized convolution executed in the DPE array's tiled schedule,
+    /// with caller-owned scratch and optional pre-packed weight panels.
     ///
     /// Supports dense convolutions (any odd kernel) and depthwise
-    /// convolutions (`groups == K`, weights shaped `(K, 1, R, S)`).
-    /// Allocates private scratch per call; the serving hot path uses
-    /// [`DpeArray::conv2d_i8_in`] with a reused [`Arena`] and optional
-    /// pre-packed weights instead.
+    /// convolutions (`groups == K`, weights shaped `(K, 1, R, S)`). When the
+    /// resolved backend is the GEMM fast path and `packed` is given, the
+    /// panels are read in place — no weight copy, subtraction or re-pack
+    /// happens per query (the subgraph-stationary contract pinned by
+    /// `tests/pack_once.rs`). The tiled DPE schedule reads `weights`. The
+    /// policy can never change the numbers — only how fast the host computes
+    /// them — so `packed` must stand for `weights` under every policy.
     ///
     /// # Errors
     /// Returns an error on shape/parameter mismatch, mirroring the
-    /// reference implementation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv2d_i8(
-        &self,
-        input: &Tensor<i8>,
-        in_q: QuantParams,
-        weights: &Tensor<i8>,
-        w_q: QuantParams,
-        bias: Option<&[i32]>,
-        out_q: QuantParams,
-        params: &Conv2dParams,
-    ) -> Result<Tensor<i8>, TensorError> {
-        self.conv2d_i8_in(&mut Arena::new(), input, in_q, weights, w_q, None, bias, out_q, params)
-    }
-
-    /// Quantized convolution with caller-owned scratch and optional
-    /// pre-packed weight panels.
-    ///
-    /// When the resolved backend is the GEMM fast path and `packed` is
-    /// given, the panels are read in place — no weight copy, subtraction or
-    /// re-pack happens per query (the subgraph-stationary contract pinned
-    /// by `tests/pack_once.rs`). The tiled DPE schedule and the direct
-    /// fallback ignore `packed`. The policy can never change the numbers —
-    /// only how fast the host computes them.
-    ///
-    /// # Errors
-    /// Returns an error on shape/parameter mismatch, mirroring the
-    /// reference implementation.
+    /// reference implementation, and when `packed` does not stand for
+    /// `weights` (see [`PackedConv2d::check_panels_of`]).
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d_i8_in(
         &self,
@@ -134,6 +113,9 @@ impl DpeArray {
                 rhs: wshape,
             });
         }
+        if let Some(p) = packed {
+            p.check_panels_of(wshape, w_q, params.groups)?;
+        }
         if let Some(b) = bias {
             if b.len() != wshape.n {
                 return Err(TensorError::LengthMismatch { expected: wshape.n, actual: b.len() });
@@ -150,22 +132,10 @@ impl DpeArray {
         // layer through the bit-identical im2col + packed-GEMM lowering —
         // against pre-packed panels when the caller installed them. The
         // tiled schedule below remains the cycle-faithful oracle.
-        if params.backend(ishape, wshape, oh, ow, self.policy)
-            == sushi_tensor::ops::gemm::ConvBackend::Im2colGemm
-        {
-            if let Some(p) = packed {
-                return conv2d_i8_prepacked(input, in_q, p, bias, out_q, params, arena);
-            }
+        if params.backend(ishape, wshape, oh, ow, self.policy) == ConvBackend::Im2colGemm {
+            let gemm = KernelPolicy::Im2colGemm;
             return conv2d_i8_in(
-                input,
-                in_q,
-                weights,
-                w_q,
-                bias,
-                out_q,
-                params,
-                KernelPolicy::Im2colGemm,
-                arena,
+                input, in_q, weights, w_q, packed, bias, out_q, params, gemm, arena,
             );
         }
 
@@ -351,12 +321,26 @@ impl DpeArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sushi_tensor::ops::conv::conv2d_i8_with;
-    use sushi_tensor::DetRng;
+    use sushi_tensor::{DetRng, PackLayout};
 
     fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
         let mut rng = DetRng::new(seed);
         Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect()).unwrap()
+    }
+
+    /// [`DpeArray::conv2d_i8_in`] on raw weights with a private arena.
+    #[allow(clippy::too_many_arguments)]
+    fn dpe_conv(
+        arr: DpeArray,
+        x: &Tensor<i8>,
+        in_q: QuantParams,
+        w: &Tensor<i8>,
+        w_q: QuantParams,
+        bias: Option<&[i32]>,
+        out_q: QuantParams,
+        p: &Conv2dParams,
+    ) -> Result<Tensor<i8>, TensorError> {
+        arr.conv2d_i8_in(&mut Arena::new(), x, in_q, w, w_q, None, bias, out_q, p)
     }
 
     fn check_equal(
@@ -376,20 +360,28 @@ mod tests {
             let mut rng = DetRng::new(seed + 2);
             (0..weights.n).map(|_| (rng.next_u64() % 1000) as i32 - 500).collect()
         });
-        let reference =
-            conv2d_i8_with(&x, in_q, &w, w_q, b.as_deref(), out_q, params, KernelPolicy::Naive)
-                .unwrap();
+        let naive = KernelPolicy::Naive;
+        let reference = conv2d_i8_in(
+            &x,
+            in_q,
+            &w,
+            w_q,
+            None,
+            b.as_deref(),
+            out_q,
+            params,
+            naive,
+            &mut Arena::new(),
+        )
+        .unwrap();
         // The cycle-faithful tiled schedule and the GEMM fast path must both
         // reproduce the naive oracle bit-for-bit.
-        let tiled = arr
-            .with_policy(KernelPolicy::Naive)
-            .conv2d_i8(&x, in_q, &w, w_q, b.as_deref(), out_q, params)
-            .unwrap();
+        let tiled =
+            dpe_conv(arr.with_policy(naive), &x, in_q, &w, w_q, b.as_deref(), out_q, params)
+                .unwrap();
         assert_eq!(reference, tiled, "DPE tiled schedule diverged from reference");
-        let gemm = arr
-            .with_policy(KernelPolicy::Im2colGemm)
-            .conv2d_i8(&x, in_q, &w, w_q, b.as_deref(), out_q, params)
-            .unwrap();
+        let gemm = arr.with_policy(KernelPolicy::Im2colGemm);
+        let gemm = dpe_conv(gemm, &x, in_q, &w, w_q, b.as_deref(), out_q, params).unwrap();
         assert_eq!(reference, gemm, "DPE GEMM fast path diverged from reference");
     }
 
@@ -478,9 +470,9 @@ mod tests {
         let w = rand_i8(Shape4::new(11, 9, 3, 3), 71);
         let q = QuantParams::new(0.04, 0);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let a = DpeArray::new(1, 1).conv2d_i8(&x, q, &w, q, None, q, &p).unwrap();
-        let b = DpeArray::new(16, 18).conv2d_i8(&x, q, &w, q, None, q, &p).unwrap();
-        let c = DpeArray::new(3, 7).conv2d_i8(&x, q, &w, q, None, q, &p).unwrap();
+        let a = dpe_conv(DpeArray::new(1, 1), &x, q, &w, q, None, q, &p).unwrap();
+        let b = dpe_conv(DpeArray::new(16, 18), &x, q, &w, q, None, q, &p).unwrap();
+        let c = dpe_conv(DpeArray::new(3, 7), &x, q, &w, q, None, q, &p).unwrap();
         assert_eq!(a, b);
         assert_eq!(b, c);
     }
@@ -496,7 +488,7 @@ mod tests {
         let w_q = QuantParams::new(0.02, 0);
         let out_q = QuantParams::new(0.1, 0);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let out = arr.conv2d_i8(&x, in_q, &w, w_q, None, out_q, &p).unwrap();
+        let out = dpe_conv(arr, &x, in_q, &w, w_q, None, out_q, &p).unwrap();
         assert!(out.as_slice().iter().all(|&v| v == 0), "all-zero input must give zero output");
     }
 
@@ -514,14 +506,10 @@ mod tests {
             let w = rand_i8(wshape, seed + 1);
             let p = Conv2dParams::new(3, 3).with_padding(1);
             let arr = DpeArray::new(4, 4);
-            let a =
-                arr.with_policy(KernelPolicy::Naive).conv2d_i8(&x, q, &w, q, None, q, &p).unwrap();
-            let b = arr
-                .with_policy(KernelPolicy::Im2colGemm)
-                .conv2d_i8(&x, q, &w, q, None, q, &p)
-                .unwrap();
-            let c =
-                arr.with_policy(KernelPolicy::Auto).conv2d_i8(&x, q, &w, q, None, q, &p).unwrap();
+            let [a, b, c] = [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto]
+                .map(|policy| {
+                    dpe_conv(arr.with_policy(policy), &x, q, &w, q, None, q, &p).unwrap()
+                });
             assert_eq!(a, b);
             assert_eq!(b, c);
         }
@@ -539,8 +527,8 @@ mod tests {
         let out_q = QuantParams::new(0.3, 1);
         let p = Conv2dParams::new(3, 3).with_padding(1);
         let arr = DpeArray::new(4, 4);
-        let plain = arr.conv2d_i8(&x, in_q, &w, w_q, None, out_q, &p).unwrap();
-        let packed = PackedConv2d::pack(&w, w_q, &p).unwrap();
+        let plain = dpe_conv(arr, &x, in_q, &w, w_q, None, out_q, &p).unwrap();
+        let packed = PackedConv2d::pack_with_layout(&w, w_q, &p, PackLayout::Panel).unwrap();
         let mut arena = Arena::new();
         for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
             let out = arr
@@ -558,7 +546,45 @@ mod tests {
         let w = rand_i8(Shape4::new(4, 2, 3, 3), 91);
         let q = QuantParams::default();
         let p = Conv2dParams::new(3, 3).with_groups(4);
-        assert!(arr.conv2d_i8(&x, q, &w, q, None, q, &p).is_err());
+        assert!(dpe_conv(arr, &x, q, &w, q, None, q, &p).is_err());
+    }
+
+    /// Install-time panels must stand for the raw weights they replace: the
+    /// tiled schedule reads `weights` and the GEMM path reads the panels, so
+    /// panels of other weights would let the policy change the numbers.
+    /// Each mismatch is an error under every policy instead.
+    #[test]
+    fn mismatched_panels_are_errors_under_every_policy() {
+        let x = rand_i8(Shape4::new(1, 8, 10, 10), 210);
+        let w = rand_i8(Shape4::new(12, 8, 3, 3), 211);
+        let (w_q, q) = (QuantParams::new(0.02, -6), QuantParams::new(0.05, 4));
+        let p = Conv2dParams::new(3, 3).with_padding(1);
+        let pack = |w: &Tensor<i8>, w_q, p: Conv2dParams, layout| {
+            PackedConv2d::pack_with_layout(w, w_q, &p, layout).unwrap()
+        };
+        let mismatched = [
+            pack(&rand_i8(Shape4::new(12, 4, 3, 3), 212), w_q, p, PackLayout::Panel), // shape
+            pack(&w, QuantParams::new(0.03, -6), p, PackLayout::Panel),               // w_q
+            pack(&w, w_q, p.with_groups(2), PackLayout::Panel),                       // groups
+            pack(&w, w_q, p, PackLayout::KPair),                                      // layout
+        ];
+        let arr = DpeArray::new(4, 4);
+        for packed in &mismatched {
+            for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
+                let out = arr.with_policy(policy).conv2d_i8_in(
+                    &mut Arena::new(),
+                    &x,
+                    q,
+                    &w,
+                    w_q,
+                    Some(packed),
+                    None,
+                    q,
+                    &p,
+                );
+                assert!(out.is_err(), "{policy} accepted panels that are not the weights'");
+            }
+        }
     }
 
     #[test]

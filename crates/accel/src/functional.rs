@@ -224,7 +224,8 @@ fn active_mut(
 fn pack_panel(layers: &mut [Option<CachedLayer>], idx: usize) -> Result<(), TensorError> {
     let cl = active_mut(layers, idx)?;
     if cl.params.groups == 1 {
-        cl.packed = Some(PackedConv2d::pack(&cl.weights, cl.w_q, &cl.params)?);
+        let panel = PackLayout::Panel;
+        cl.packed = Some(PackedConv2d::pack_with_layout(&cl.weights, cl.w_q, &cl.params, panel)?);
     }
     Ok(())
 }
@@ -265,34 +266,9 @@ pub struct FunctionalOutput {
     pub prediction: usize,
 }
 
-/// Runs a full int8 forward pass of `subnet` on `input`: installs an
-/// unfused [`SubgraphCache`] for this one call and runs
-/// [`forward_cached`] under it.
-///
-/// `input` must be an NCHW `(1, 3, H, W)` tensor quantized with the
-/// activation parameters returned by [`act_quant`], at the SuperNet's input
-/// resolution.
-///
-/// Every unfused convolution executes through `dpe`, so the array's
-/// [`sushi_tensor::KernelPolicy`] (see [`DpeArray::with_policy`]) governs
-/// host-simulation speed: `Naive` pins the cycle-faithful tiled schedule,
-/// `Auto`/`Im2colGemm` route large dense layers through the bit-identical
-/// im2col + blocked-GEMM fast path. Logits are unaffected by the policy.
-///
-/// # Errors
-/// Returns an error when the input shape does not match the SuperNet, or a
-/// layer fails to execute (programming error in the zoo definitions).
-pub fn forward(
-    dpe: &DpeArray,
-    net: &SuperNet,
-    store: &WeightStore,
-    subnet: &SubNet,
-    input: &Tensor<i8>,
-) -> Result<FunctionalOutput, TensorError> {
-    forward_cached(dpe, net, store, subnet, None, &mut Arena::new(), input)
-}
-
-/// The one-input case of [`forward_batch_cached`].
+/// The one-input case of [`forward_batch_cached`]: a full int8 forward
+/// pass of `subnet` on `input`, an NCHW `(1, 3, H, W)` tensor quantized with
+/// [`act_quant`] at the SuperNet's input resolution.
 ///
 /// # Errors
 /// As [`forward_batch_cached`].
@@ -309,22 +285,6 @@ pub fn forward_cached(
     Ok(forward_batch_cached(dpe, net, store, subnet, cache, arena, inputs)?.remove(0))
 }
 
-/// Runs one int8 forward pass over a whole batch of inputs at once:
-/// installs an unfused [`SubgraphCache`] for this one call and runs
-/// [`forward_batch_cached`] under it.
-///
-/// # Errors
-/// As [`forward_batch_cached`].
-pub fn forward_batch(
-    dpe: &DpeArray,
-    net: &SuperNet,
-    store: &WeightStore,
-    subnet: &SubNet,
-    inputs: &[Tensor<i8>],
-) -> Result<Vec<FunctionalOutput>, TensorError> {
-    forward_batch_cached(dpe, net, store, subnet, None, &mut Arena::new(), inputs)
-}
-
 /// Executes the installed plan of `cache` on a batch of inputs.
 ///
 /// Each input must be a `(1, 3, H, W)` tensor quantized with [`act_quant`]
@@ -338,6 +298,12 @@ pub fn forward_batch(
 /// caller-owned [`Arena`] is reused across queries, so the steady state
 /// performs no per-query weight packing or scratch allocation. Without a
 /// cache (`None`) an unfused one is installed for this call alone.
+///
+/// Every unfused convolution executes through `dpe`, so the array's
+/// [`sushi_tensor::KernelPolicy`] (see [`DpeArray::with_policy`]) governs
+/// host-simulation speed: `Naive` pins the cycle-faithful tiled schedule,
+/// `Auto`/`Im2colGemm` route large dense layers through the bit-identical
+/// im2col + blocked-GEMM fast path.
 ///
 /// Batching, the rewrite catalog the cache was installed under and the
 /// [`sushi_tensor::KernelPolicy`] are speed knobs, never semantics: int8
@@ -372,7 +338,7 @@ pub fn forward_batch_cached(
         });
     }
     if inputs.is_empty() {
-        return Err(TensorError::InvalidParam { what: "forward_batch on empty batch" });
+        return Err(TensorError::InvalidParam { what: "forward on an empty batch" });
     }
     let expect = Shape4::new(1, 3, net.input_hw, net.input_hw);
     let mut data = Vec::with_capacity(expect.volume() * inputs.len());
@@ -400,12 +366,21 @@ fn split_outputs(logits_t: &Tensor<f32>) -> Vec<FunctionalOutput> {
         .chunks_exact(per_item)
         .map(|logits| FunctionalOutput {
             logits: logits.to_vec(),
-            prediction: sushi_tensor::ops::linear::argmax(logits).unwrap_or(0),
+            prediction: argmax(logits).unwrap_or(0),
         })
         .collect()
 }
 
-/// The activation quantization used by [`forward`]; quantize inputs with it.
+/// Index of the maximum score (the last one on ties).
+fn argmax(scores: &[f32]) -> Option<usize> {
+    scores
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+}
+
+/// The activation quantization every forward uses; quantize inputs with it.
 #[must_use]
 pub fn act_quant() -> QuantParams {
     ACT_Q
@@ -582,6 +557,28 @@ mod tests {
     use sushi_tensor::DetRng;
     use sushi_wsnet::zoo;
 
+    /// [`forward_cached`] without a cache, on a fresh arena.
+    fn uncached(
+        dpe: &DpeArray,
+        net: &SuperNet,
+        store: &WeightStore,
+        subnet: &SubNet,
+        input: &Tensor<i8>,
+    ) -> Result<FunctionalOutput, TensorError> {
+        forward_cached(dpe, net, store, subnet, None, &mut Arena::new(), input)
+    }
+
+    /// [`forward_batch_cached`] without a cache, on a fresh arena.
+    fn uncached_batch(
+        dpe: &DpeArray,
+        net: &SuperNet,
+        store: &WeightStore,
+        subnet: &SubNet,
+        inputs: &[Tensor<i8>],
+    ) -> Result<Vec<FunctionalOutput>, TensorError> {
+        forward_batch_cached(dpe, net, store, subnet, None, &mut Arena::new(), inputs)
+    }
+
     fn rand_input(net: &SuperNet, seed: u64) -> Tensor<i8> {
         let shape = Shape4::new(1, 3, net.input_hw, net.input_hw);
         let mut rng = DetRng::new(seed);
@@ -598,7 +595,7 @@ mod tests {
         let net = zoo::toy_supernet();
         let store = WeightStore::synthesize(&net, 11);
         let sn = net.materialize("max", &net.max_config()).unwrap();
-        let out = forward(&DpeArray::new(4, 4), &net, &store, &sn, &rand_input(&net, 1)).unwrap();
+        let out = uncached(&DpeArray::new(4, 4), &net, &store, &sn, &rand_input(&net, 1)).unwrap();
         assert_eq!(out.logits.len(), net.head_channels[0]);
         assert!(out.prediction < out.logits.len());
     }
@@ -608,7 +605,7 @@ mod tests {
         let net = zoo::toy_mobilenet_supernet();
         let store = WeightStore::synthesize(&net, 12);
         let sn = net.materialize("max", &net.max_config()).unwrap();
-        let out = forward(&DpeArray::new(4, 4), &net, &store, &sn, &rand_input(&net, 2)).unwrap();
+        let out = uncached(&DpeArray::new(4, 4), &net, &store, &sn, &rand_input(&net, 2)).unwrap();
         assert_eq!(out.logits.len(), *net.head_channels.last().unwrap());
     }
 
@@ -618,8 +615,8 @@ mod tests {
         let store = WeightStore::synthesize(&net, 13);
         let sn = net.materialize("min", &net.min_config()).unwrap();
         let x = rand_input(&net, 3);
-        let a = forward(&DpeArray::new(2, 3), &net, &store, &sn, &x).unwrap();
-        let b = forward(&DpeArray::new(2, 3), &net, &store, &sn, &x).unwrap();
+        let a = uncached(&DpeArray::new(2, 3), &net, &store, &sn, &x).unwrap();
+        let b = uncached(&DpeArray::new(2, 3), &net, &store, &sn, &x).unwrap();
         assert_eq!(a, b);
     }
 
@@ -629,8 +626,8 @@ mod tests {
         let store = WeightStore::synthesize(&net, 14);
         let sn = net.materialize("min", &net.min_config()).unwrap();
         let x = rand_input(&net, 4);
-        let a = forward(&DpeArray::new(1, 1), &net, &store, &sn, &x).unwrap();
-        let b = forward(&DpeArray::new(8, 8), &net, &store, &sn, &x).unwrap();
+        let a = uncached(&DpeArray::new(1, 1), &net, &store, &sn, &x).unwrap();
+        let b = uncached(&DpeArray::new(8, 8), &net, &store, &sn, &x).unwrap();
         assert_eq!(a.logits, b.logits);
     }
 
@@ -642,10 +639,11 @@ mod tests {
         let sn = net.materialize("max", &net.max_config()).unwrap();
         let x = rand_input(&net, 8);
         let base = DpeArray::new(4, 4);
-        let naive = forward(&base.with_policy(KernelPolicy::Naive), &net, &store, &sn, &x).unwrap();
+        let naive =
+            uncached(&base.with_policy(KernelPolicy::Naive), &net, &store, &sn, &x).unwrap();
         let gemm =
-            forward(&base.with_policy(KernelPolicy::Im2colGemm), &net, &store, &sn, &x).unwrap();
-        let auto = forward(&base, &net, &store, &sn, &x).unwrap();
+            uncached(&base.with_policy(KernelPolicy::Im2colGemm), &net, &store, &sn, &x).unwrap();
+        let auto = uncached(&base, &net, &store, &sn, &x).unwrap();
         assert_eq!(naive, gemm, "kernel policy must not change logits");
         assert_eq!(naive, auto);
     }
@@ -657,10 +655,10 @@ mod tests {
             let sn = net.materialize("max", &net.max_config()).unwrap();
             let dpe = DpeArray::new(4, 4);
             let inputs: Vec<Tensor<i8>> = (0..3).map(|i| rand_input(&net, 30 + i)).collect();
-            let batched = forward_batch(&dpe, &net, &store, &sn, &inputs).unwrap();
+            let batched = uncached_batch(&dpe, &net, &store, &sn, &inputs).unwrap();
             assert_eq!(batched.len(), 3);
             for (input, out) in inputs.iter().zip(&batched) {
-                let single = forward(&dpe, &net, &store, &sn, input).unwrap();
+                let single = uncached(&dpe, &net, &store, &sn, input).unwrap();
                 assert_eq!(&single, out, "batched logits must equal unbatched ({})", net.name);
             }
         }
@@ -672,9 +670,9 @@ mod tests {
         let store = WeightStore::synthesize(&net, 22);
         let sn = net.materialize("min", &net.min_config()).unwrap();
         let dpe = DpeArray::new(2, 2);
-        assert!(forward_batch(&dpe, &net, &store, &sn, &[]).is_err());
+        assert!(uncached_batch(&dpe, &net, &store, &sn, &[]).is_err());
         let bad = Tensor::<i8>::zeros(Shape4::new(1, 3, 8, 8));
-        assert!(forward_batch(&dpe, &net, &store, &sn, &[rand_input(&net, 1), bad]).is_err());
+        assert!(uncached_batch(&dpe, &net, &store, &sn, &[rand_input(&net, 1), bad]).is_err());
     }
 
     #[test]
@@ -684,8 +682,8 @@ mod tests {
         let small = net.materialize("min", &net.min_config()).unwrap();
         let big = net.materialize("max", &net.max_config()).unwrap();
         let x = rand_input(&net, 5);
-        let a = forward(&DpeArray::new(4, 4), &net, &store, &small, &x).unwrap();
-        let b = forward(&DpeArray::new(4, 4), &net, &store, &big, &x).unwrap();
+        let a = uncached(&DpeArray::new(4, 4), &net, &store, &small, &x).unwrap();
+        let b = uncached(&DpeArray::new(4, 4), &net, &store, &big, &x).unwrap();
         assert_ne!(a.logits, b.logits, "distinct SubNets should compute different functions");
     }
 
@@ -695,7 +693,7 @@ mod tests {
         let store = WeightStore::synthesize(&net, 16);
         let sn = net.materialize("min", &net.min_config()).unwrap();
         let bad = Tensor::<i8>::zeros(Shape4::new(1, 3, 8, 8));
-        assert!(forward(&DpeArray::new(2, 2), &net, &store, &sn, &bad).is_err());
+        assert!(uncached(&DpeArray::new(2, 2), &net, &store, &sn, &bad).is_err());
     }
 
     #[test]
@@ -737,14 +735,14 @@ mod tests {
         }
         let x = rand_input(&net, 6);
         let dpe = DpeArray::new(4, 4);
-        let min_a = forward(&dpe, &net, &store_a, &min_sn, &x).unwrap();
-        let min_b = forward(&dpe, &net, &store_b, &min_sn, &x).unwrap();
+        let min_a = uncached(&dpe, &net, &store_a, &min_sn, &x).unwrap();
+        let min_b = uncached(&dpe, &net, &store_b, &min_sn, &x).unwrap();
         assert_eq!(
             min_a.logits, min_b.logits,
             "perturbation outside min slice must not affect min SubNet"
         );
-        let max_a = forward(&dpe, &net, &store_a, &max_sn, &x).unwrap();
-        let max_b = forward(&dpe, &net, &store_b, &max_sn, &x).unwrap();
+        let max_a = uncached(&dpe, &net, &store_a, &max_sn, &x).unwrap();
+        let max_b = uncached(&dpe, &net, &store_b, &max_sn, &x).unwrap();
         assert_ne!(
             max_a.logits, max_b.logits,
             "perturbation inside max slice must affect max SubNet"
@@ -758,6 +756,18 @@ mod tests {
 
     /// A plan step naming a layer the cache does not hold is an error from
     /// the executor, under either catalog — never a panic.
+    #[test]
+    fn argmax_finds_peak() {
+        assert_eq!(argmax(&[0.1, 0.9, 0.5]), Some(1));
+        assert_eq!(argmax(&[]), None);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_toward_last_max() {
+        // max_by keeps the later element on ties.
+        assert_eq!(argmax(&[1.0, 1.0]), Some(1));
+    }
+
     #[test]
     fn plan_step_on_a_missing_layer_is_an_error() {
         let net = zoo::toy_supernet();

@@ -2,7 +2,7 @@
 //!
 //! **SushiAccel**: a cycle-approximate simulator of the SGS-aware DNN
 //! accelerator from the SUSHI paper (MLSys'23, §4), substituting for the
-//! authors' FPGA implementation per `DESIGN.md`.
+//! authors' FPGA implementation (see `docs/ARCHITECTURE.md`).
 //!
 //! The accelerator is a 2-D array of 9-multiplier Dot-Product Engines with
 //! a split on-chip buffer hierarchy. Its novel component is the
@@ -16,8 +16,9 @@
 //!
 //! * **Timing-only** ([`exec::Accelerator::serve`]) — the analytic
 //!   tile-pipelined latency/energy model behind every §5 experiment.
-//! * **Functional** ([`functional::forward`]) — bit-exact int8 execution of
-//!   the DPE schedule, validated against `sushi-tensor`'s reference ops.
+//! * **Functional** ([`functional::forward_cached`]) — bit-exact int8
+//!   execution of the DPE schedule, validated against `sushi-tensor`'s
+//!   reference ops.
 //!
 //! Supporting tools mirror the paper's evaluation apparatus: a roofline
 //! analyzer with the SGS-roofline ([`roofline`]), a design-space explorer

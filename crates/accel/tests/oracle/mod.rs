@@ -10,10 +10,10 @@
 
 use sushi_accel::functional::act_quant;
 use sushi_tensor::ops::activation::Activation;
-use sushi_tensor::ops::conv::conv2d_i8_with;
+use sushi_tensor::ops::conv::conv2d_i8_in;
 use sushi_tensor::ops::pool::{global_avg_pool, max_pool, PoolParams};
 use sushi_tensor::quant::{dequantize_tensor, quantize_tensor};
-use sushi_tensor::{KernelPolicy, Tensor};
+use sushi_tensor::{Arena, KernelPolicy, Tensor};
 use sushi_wsnet::arch::NO_STAGE;
 use sushi_wsnet::ir_build::layer_conv_params;
 use sushi_wsnet::layer::LayerRole;
@@ -66,15 +66,17 @@ impl Interpreter<'_> {
     fn conv(&self, idx: usize, x: &Tensor<i8>, act: Activation) -> Tensor<i8> {
         let slice = self.subnet.graph.slice(idx);
         let weights = self.store.slice_tensor(idx, &slice).expect("conv on an inactive layer");
-        let y = conv2d_i8_with(
+        let y = conv2d_i8_in(
             x,
             act_quant(),
             &weights,
             self.store.layer(idx).w_q,
+            None,
             Some(self.store.bias_slice(idx, &slice)),
             act_quant(),
             &layer_conv_params(&self.net.layers[idx], &slice),
             KernelPolicy::Naive,
+            &mut Arena::new(),
         )
         .expect("zoo layer executes");
         activate(&y, act)

@@ -9,7 +9,7 @@
 //! process-global state, so tests cannot race.
 
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::functional::{act_quant, forward, forward_cached, SubgraphCache};
+use sushi_accel::functional::{act_quant, forward_cached, SubgraphCache};
 use sushi_tensor::quant::quantize_tensor;
 use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
 use sushi_wsnet::layer::ConvKind;
@@ -37,8 +37,9 @@ fn install_packs_each_dense_layer_once_and_serving_never_repacks() {
             .count();
         let dpe = DpeArray::new(8, 8);
         let x = rand_input(&net, 7);
-        let naive =
-            forward(&dpe.with_policy(KernelPolicy::Naive), &net, &store, &sn, &x).expect("naive");
+        let naive_dpe = dpe.with_policy(KernelPolicy::Naive);
+        let naive = forward_cached(&naive_dpe, &net, &store, &sn, None, &mut Arena::new(), &x)
+            .expect("naive");
 
         for fusion in [false, true] {
             let what = format!("{} (fusion {fusion})", net.name);

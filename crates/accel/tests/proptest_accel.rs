@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use sushi_accel::config::zcu104;
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::timing::layer_timing;
-use sushi_tensor::ops::conv::{conv2d_i8, Conv2dParams};
-use sushi_tensor::{DetRng, QuantParams, Shape4, Tensor};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
 use sushi_wsnet::layer::{ConvKind, ConvLayerDesc, LayerId, LayerRole, LayerSlice};
 
 fn layer_strategy() -> impl Strategy<Value = (ConvLayerDesc, LayerSlice)> {
@@ -143,8 +143,13 @@ proptest! {
         let w_q = QuantParams::new(0.02, zp_w);
         let out_q = QuantParams::new(0.4, 0);
         let params = Conv2dParams::new(ks, ks).with_stride(stride).with_padding(ks / 2);
-        let reference = conv2d_i8(&x, in_q, &w, w_q, None, out_q, &params).unwrap();
-        let dpe = DpeArray::new(kp, cp).conv2d_i8(&x, in_q, &w, w_q, None, out_q, &params).unwrap();
+        let mut arena = Arena::new();
+        let auto = KernelPolicy::Auto;
+        let reference =
+            conv2d_i8_in(&x, in_q, &w, w_q, None, None, out_q, &params, auto, &mut arena).unwrap();
+        let dpe = DpeArray::new(kp, cp)
+            .conv2d_i8_in(&mut arena, &x, in_q, &w, w_q, None, None, out_q, &params)
+            .unwrap();
         prop_assert_eq!(reference, dpe);
     }
 
@@ -164,8 +169,13 @@ proptest! {
         let w = Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect()).unwrap();
         let q = QuantParams::new(0.03, 5);
         let params = Conv2dParams::new(ks, ks).with_padding(ks / 2).with_groups(k);
-        let reference = conv2d_i8(&x, q, &w, q, None, q, &params).unwrap();
-        let dpe = DpeArray::new(kp, 3).conv2d_i8(&x, q, &w, q, None, q, &params).unwrap();
+        let mut arena = Arena::new();
+        let auto = KernelPolicy::Auto;
+        let reference =
+            conv2d_i8_in(&x, q, &w, q, None, None, q, &params, auto, &mut arena).unwrap();
+        let dpe = DpeArray::new(kp, 3)
+            .conv2d_i8_in(&mut arena, &x, q, &w, q, None, None, q, &params)
+            .unwrap();
         prop_assert_eq!(reference, dpe);
     }
 }

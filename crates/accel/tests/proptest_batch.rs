@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::functional::{act_quant, forward, forward_batch};
+use sushi_accel::functional::{act_quant, forward_batch_cached, forward_cached};
 use sushi_tensor::quant::quantize_tensor;
-use sushi_tensor::{DetRng, KernelPolicy, Shape4, Tensor};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
 use sushi_wsnet::sampler::ConfigSampler;
 use sushi_wsnet::zoo;
 use sushi_wsnet::{SuperNet, WeightStore};
@@ -47,10 +47,13 @@ proptest! {
         let dpe = DpeArray::new(4, 4).with_policy(policy);
         let inputs: Vec<Tensor<i8>> =
             (0..batch).map(|i| rand_input(&net, input_seed ^ (i as u64) << 7)).collect();
-        let batched = forward_batch(&dpe, &net, &store, &sn, &inputs).expect("batched forward");
+        let mut arena = Arena::new();
+        let batched = forward_batch_cached(&dpe, &net, &store, &sn, None, &mut arena, &inputs)
+            .expect("batched forward");
         prop_assert_eq!(batched.len(), batch);
         for (input, out) in inputs.iter().zip(&batched) {
-            let single = forward(&dpe, &net, &store, &sn, input).expect("single forward");
+            let single = forward_cached(&dpe, &net, &store, &sn, None, &mut arena, input)
+                .expect("single forward");
             prop_assert_eq!(&single, out);
         }
     }
@@ -70,9 +73,12 @@ proptest! {
         let dpe = DpeArray::new(4, 4).with_policy(policy);
         let inputs: Vec<Tensor<i8>> =
             (0..batch).map(|i| rand_input(&net, input_seed ^ (i as u64) << 9)).collect();
-        let batched = forward_batch(&dpe, &net, &store, &sn, &inputs).expect("batched forward");
+        let mut arena = Arena::new();
+        let batched = forward_batch_cached(&dpe, &net, &store, &sn, None, &mut arena, &inputs)
+            .expect("batched forward");
         for (input, out) in inputs.iter().zip(&batched) {
-            let single = forward(&dpe, &net, &store, &sn, input).expect("single forward");
+            let single = forward_cached(&dpe, &net, &store, &sn, None, &mut arena, input)
+                .expect("single forward");
             prop_assert_eq!(&single, out);
         }
     }
@@ -90,12 +96,11 @@ proptest! {
         let sn = ConfigSampler::new(&net, subnet_seed).sample_subnets(1).remove(0);
         let inputs: Vec<Tensor<i8>> =
             (0..batch).map(|i| rand_input(&net, input_seed ^ (i as u64) << 11)).collect();
-        let naive = forward_batch(
-            &DpeArray::new(4, 4).with_policy(KernelPolicy::Naive), &net, &store, &sn, &inputs,
-        ).expect("naive batch");
-        let gemm = forward_batch(
-            &DpeArray::new(4, 4).with_policy(KernelPolicy::Im2colGemm), &net, &store, &sn, &inputs,
-        ).expect("gemm batch");
+        let [naive, gemm] = [KernelPolicy::Naive, KernelPolicy::Im2colGemm].map(|policy| {
+            let dpe = DpeArray::new(4, 4).with_policy(policy);
+            forward_batch_cached(&dpe, &net, &store, &sn, None, &mut Arena::new(), &inputs)
+                .expect("batch forward")
+        });
         prop_assert_eq!(naive, gemm);
     }
 }

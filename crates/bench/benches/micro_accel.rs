@@ -8,7 +8,7 @@ use sushi_accel::dpe::DpeArray;
 use sushi_accel::exec::Accelerator;
 use sushi_accel::timing::layer_timing;
 use sushi_tensor::ops::conv::Conv2dParams;
-use sushi_tensor::{DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
 use sushi_wsnet::layer::LayerSlice;
 use sushi_wsnet::zoo;
 
@@ -72,8 +72,13 @@ fn bench_dpe_functional_conv(c: &mut Criterion) {
         ("auto", KernelPolicy::Auto),
     ] {
         let arr = DpeArray::new(16, 18).with_policy(policy);
+        let mut arena = Arena::new();
         c.bench_function(&format!("dpe_int8_conv_32x32x14x14_{name}"), |b| {
-            b.iter(|| arr.conv2d_i8(black_box(&x), q, black_box(&w), q, None, q, &params).unwrap())
+            b.iter(|| {
+                let x = black_box(&x);
+                arr.conv2d_i8_in(&mut arena, x, q, black_box(&w), q, None, None, q, &params)
+                    .unwrap()
+            })
         });
     }
 }

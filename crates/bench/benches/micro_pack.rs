@@ -1,19 +1,21 @@
 //! Microbenchmarks of the packed-GEMM building blocks: operand-packing
 //! throughput and microkernel arithmetic rate at representative OFA layer
-//! shapes, plus the prepacked-vs-cold GEMM comparison that motivates
-//! pack-once-per-install.
+//! shapes, the prepacked-vs-cold GEMM comparison that motivates
+//! pack-once-per-install, and the naive-vs-im2col+GEMM int8 convolution
+//! comparison that motivates `KernelPolicy::Auto`.
 //!
 //! Shapes mirror real OFA-ResNet50 conv-as-GEMM problems (`m` = kernels,
 //! `k` = C·R·S, `n` = OH·OW). Set `SUSHI_BENCH_QUICK=1` (CI's bench-smoke
 //! job) to shrink problem sizes so the whole target finishes in seconds.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sushi_tensor::ops::gemm::{gemm_i8_i32, gemm_i8_packed, gemm_i8_packed_pairs};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+use sushi_tensor::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs};
 use sushi_tensor::ops::pack::{
     pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
     packed_a_pairs_len, packed_b_len, packed_b_pairs_len,
 };
-use sushi_tensor::DetRng;
+use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
 
 fn quick() -> bool {
     std::env::var("SUSHI_BENCH_QUICK").is_ok_and(|v| v != "0")
@@ -100,8 +102,10 @@ fn bench_microkernel_rate(c: &mut Criterion) {
         // Cold path: packs both operands per call (the no-cache fallback).
         group.bench_function(&*format!("coldpack_{label}_{m}x{k}x{n}"), |bch| {
             bch.iter(|| {
+                pack_a_i8_into(&mut pa, black_box(&a), 3, m, k).unwrap();
+                pack_b_i8_into(&mut pb, black_box(&b), -7, k, n).unwrap();
                 acc.fill(0);
-                gemm_i8_i32(m, k, n, black_box(&a), 3, black_box(&b), -7, &mut acc).unwrap();
+                gemm_i8_packed(m, k, n, &pa, &pb, &mut acc).unwrap();
                 black_box(acc[0])
             })
         });
@@ -109,5 +113,31 @@ fn bench_microkernel_rate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pack_throughput, bench_microkernel_rate);
+/// The unfused int8 conv under the direct loops and under im2col + GEMM
+/// (packing its weights per call, with a reused arena).
+fn bench_conv_backends(c: &mut Criterion) {
+    let (ch, hw) = if quick() { (16, 14) } else { (64, 28) };
+    let ishape = Shape4::new(1, ch, hw, hw);
+    let wshape = Shape4::new(ch, ch, 3, 3);
+    let mut rng = DetRng::new(3);
+    let x =
+        Tensor::from_vec(ishape, (0..ishape.volume()).map(|_| rng.next_i8()).collect()).unwrap();
+    let w =
+        Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect()).unwrap();
+    let q = QuantParams::new(0.02, 3);
+    let params = Conv2dParams::new(3, 3).with_padding(1);
+    let mut arena = Arena::new();
+    let mut group = c.benchmark_group(&format!("conv2d_{ch}x{ch}x{hw}x{hw}_3x3"));
+    for (name, policy) in [("naive", KernelPolicy::Naive), ("gemm", KernelPolicy::Im2colGemm)] {
+        group.bench_function(BenchmarkId::new("i8", name), |bch| {
+            bch.iter(|| {
+                conv2d_i8_in(black_box(&x), q, &w, q, None, None, q, &params, policy, &mut arena)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pack_throughput, bench_microkernel_rate, bench_conv_backends);
 criterion_main!(benches);

@@ -1,5 +1,4 @@
-//! Ablations beyond the paper's figures, covering the design choices
-//! `DESIGN.md` calls out:
+//! Ablations beyond the paper's figures, covering these design choices:
 //!
 //! * `abl_distance` — Algorithm 1's similarity measure: L2 (the paper's
 //!   choice) vs cosine distance vs state-unaware caching.

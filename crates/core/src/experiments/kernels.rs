@@ -5,12 +5,12 @@
 //! fingerprints the logits. The report is deterministic and identical for
 //! every `repro --kernel-policy` setting — that invariance *is* the
 //! property being demonstrated. Wall-clock comparisons (which do vary run
-//! to run) live in the `kernel_bench` binary and `BENCH_kernels.json`.
+//! to run) live in the `kernel_bench` binary and `BENCHMARK.json`.
 
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::functional::{act_quant, forward, FunctionalOutput};
+use sushi_accel::functional::{act_quant, forward_cached, FunctionalOutput};
 use sushi_tensor::quant::quantize_tensor;
-use sushi_tensor::{DetRng, KernelPolicy, Shape4, Tensor};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
 use sushi_wsnet::zoo;
 use sushi_wsnet::{SuperNet, WeightStore};
 
@@ -45,9 +45,12 @@ pub fn kernels(opts: &ExpOptions) -> ExpReport {
             TextTable::new(vec!["subnet", "policy", "prediction", "logits |Σ|/max", "== naive"]);
         for (cfg_name, cfg) in [("min", net.min_config()), ("max", net.max_config())] {
             let sn = net.materialize(cfg_name, &cfg).expect("zoo config");
-            let base = DpeArray::new(16, 18);
-            let naive = forward(&base.with_policy(KernelPolicy::Naive), &net, &store, &sn, &input)
-                .expect("naive forward");
+            let forward = |policy| {
+                let dpe = DpeArray::new(16, 18).with_policy(policy);
+                forward_cached(&dpe, &net, &store, &sn, None, &mut Arena::new(), &input)
+                    .expect("forward pass")
+            };
+            let naive = forward(KernelPolicy::Naive);
             // `selected` exercises whatever --kernel-policy chose; its row
             // must be byte-identical across policies.
             let runs = [
@@ -65,8 +68,7 @@ pub fn kernels(opts: &ExpOptions) -> ExpReport {
                 let out = match computed.iter().find(|(p, _)| *p == policy) {
                     Some((_, out)) => out.clone(),
                     None => {
-                        let out = forward(&base.with_policy(policy), &net, &store, &sn, &input)
-                            .expect("forward pass");
+                        let out = forward(policy);
                         computed.push((policy, out.clone()));
                         out
                     }
@@ -84,7 +86,7 @@ pub fn kernels(opts: &ExpOptions) -> ExpReport {
     }
     report.add_note(
         "int8 accumulation is associative, so every backend computes identical logits; \
-         wall-clock comparisons live in `kernel_bench` / BENCH_kernels.json."
+         wall-clock comparisons live in `kernel_bench` / BENCHMARK.json."
             .to_string(),
     );
     report

@@ -1,8 +1,8 @@
 //! Experiment registry: one regenerator per paper table and figure.
 //!
 //! Every entry returns an [`crate::report::ExpReport`] whose rows mirror
-//! the series the paper plots; `DESIGN.md` maps each id to its paper
-//! source and `EXPERIMENTS.md` records paper-vs-measured values.
+//! the series the paper plots; `docs/ARCHITECTURE.md` maps each paper
+//! section and figure to the code behind it.
 
 mod ablations;
 pub mod common;

@@ -73,68 +73,6 @@ pub fn reduction_pct(base: f64, ours: f64) -> f64 {
     100.0 * (base - ours) / base
 }
 
-/// Wall-clock timing of one workload's forward pass under the kernel
-/// backends (see `BENCH_kernels.json`, schema v3):
-///
-/// * `naive_ms` — the direct-loop tiled schedule (the oracle);
-/// * `gemm_ms` — im2col + packed GEMM, packing **both** operands per call;
-/// * `packed_ms` — steady-state serving path: weights pre-packed once per
-///   SubGraph install, scratch arena reused (pack-amortized);
-/// * `fused_ms` — steady-state IR-lowered path: pre-packed weights *plus*
-///   bias/requant/activation fused into the conv epilogue at install time;
-/// * `cold_pack_ms` — building the weight cache *plus* the first forward,
-///   i.e. what the install-bearing query pays before amortization begins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchEntry {
-    /// Workload label, e.g. `"ResNet50/max"`.
-    pub label: String,
-    /// Best-of-N wall time of the naive (tiled-schedule) forward pass, ms.
-    pub naive_ms: f64,
-    /// Best-of-N wall time of the per-call-packing GEMM forward pass, ms.
-    pub gemm_ms: f64,
-    /// Best-of-N wall time of the pre-packed (pack-amortized) forward, ms.
-    pub packed_ms: f64,
-    /// Best-of-N wall time of the IR-lowered fused-epilogue forward, ms.
-    pub fused_ms: f64,
-    /// Wall time of cache build + first pre-packed forward (cold pack), ms.
-    pub cold_pack_ms: f64,
-}
-
-impl KernelBenchEntry {
-    /// Naive-over-GEMM speedup (`> 1` means the GEMM path is faster).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.gemm_ms > 0.0 {
-            self.naive_ms / self.gemm_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Naive-over-packed speedup: the pre-IR serving hot path's number.
-    #[must_use]
-    pub fn packed_speedup(&self) -> f64 {
-        if self.packed_ms > 0.0 {
-            self.naive_ms / self.packed_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Naive-over-fused speedup: the serving hot path's headline number.
-    #[must_use]
-    pub fn fused_speedup(&self) -> f64 {
-        if self.fused_ms > 0.0 {
-            self.naive_ms / self.fused_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The schema marker written into (and required from) `BENCH_kernels.json`.
-pub const KERNEL_BENCH_SCHEMA: &str = "sushi-kernel-bench-v3";
-
 /// The schema marker written into (and required from) `BENCH_serve.json`.
 const SERVE_BENCH_SCHEMA: &str = "sushi-serve-bench-v5";
 
@@ -152,8 +90,8 @@ fn quoted(label: &str) -> String {
 }
 
 /// Writes `{schema, entries: [flat objects]}`, one object per line, each
-/// row a list of `(key, already-formatted value)` pairs — the one format
-/// behind both committed baselines.
+/// row a list of `(key, already-formatted value)` pairs — the format of the
+/// committed `BENCH_serve.json` baseline.
 ///
 /// Hand-rolled: the vendored `serde` stub does not serialize, and the
 /// format is a stable schema consumed by [`flat_records_from_json`] and
@@ -219,107 +157,6 @@ fn flat_records_from_json<'a>(text: &'a str, schema: &str) -> Result<Vec<FlatRec
         return Err(format!("no {schema} entries found"));
     }
     Ok(records)
-}
-
-/// Serializes kernel bench entries as the `BENCH_kernels.json` baseline
-/// (schema v3: adds the IR-lowered `fused_ms` column next to the v2
-/// naive/gemm/packed/cold columns).
-///
-/// # Panics
-/// Panics if a label contains `"`, `,`, `{` or `}`.
-#[must_use]
-pub fn kernel_bench_to_json(entries: &[KernelBenchEntry]) -> String {
-    let ms = |v: f64| format!("{v:.3}");
-    let ratio = |v: f64| format!("{v:.2}");
-    let rows: Vec<_> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                ("label", quoted(&e.label)),
-                ("naive_ms", ms(e.naive_ms)),
-                ("gemm_ms", ms(e.gemm_ms)),
-                ("packed_ms", ms(e.packed_ms)),
-                ("fused_ms", ms(e.fused_ms)),
-                ("cold_pack_ms", ms(e.cold_pack_ms)),
-                ("speedup", ratio(e.speedup())),
-                ("packed_speedup", ratio(e.packed_speedup())),
-                ("fused_speedup", ratio(e.fused_speedup())),
-            ]
-        })
-        .collect();
-    flat_records_to_json(KERNEL_BENCH_SCHEMA, &rows)
-}
-
-/// Parses the `BENCH_kernels.json` format written by
-/// [`kernel_bench_to_json`].
-///
-/// # Errors
-/// Returns a description of the first malformed entry, or a schema error
-/// for pre-v3 baselines (which lack the fused column the regression gate
-/// now protects — regenerate with `scripts/bench_baseline.sh --update`).
-pub fn kernel_bench_from_json(text: &str) -> Result<Vec<KernelBenchEntry>, String> {
-    flat_records_from_json(text, KERNEL_BENCH_SCHEMA)?
-        .iter()
-        .map(|r| {
-            Ok(KernelBenchEntry {
-                label: r.label("label")?,
-                naive_ms: r.parse("naive_ms")?,
-                gemm_ms: r.parse("gemm_ms")?,
-                packed_ms: r.parse("packed_ms")?,
-                fused_ms: r.parse("fused_ms")?,
-                cold_pack_ms: r.parse("cold_pack_ms")?,
-            })
-        })
-        .collect()
-}
-
-/// Compares a fresh measurement against a committed baseline, failing when
-/// the GEMM or pack-amortized path regressed by more than `tolerance_pct`
-/// on any workload.
-///
-/// `gemm_ms`, `packed_ms` and `fused_ms` all gate — `fused_ms` is the
-/// serving hot path, `packed_ms` its fusion-off fallback, `gemm_ms` the
-/// no-cache fallback. Baseline labels absent from `current` fail too (a
-/// silently dropped workload is a regression).
-///
-/// # Errors
-/// Returns a human-readable description of every regression found.
-pub fn kernel_regressions(
-    current: &[KernelBenchEntry],
-    baseline: &[KernelBenchEntry],
-    tolerance_pct: f64,
-) -> Result<(), String> {
-    let mut problems = Vec::new();
-    for base in baseline {
-        match current.iter().find(|c| c.label == base.label) {
-            None => problems.push(format!("workload '{}' missing from current run", base.label)),
-            Some(cur) => {
-                for (what, cur_ms, base_ms) in [
-                    ("gemm", cur.gemm_ms, base.gemm_ms),
-                    ("packed", cur.packed_ms, base.packed_ms),
-                    ("fused", cur.fused_ms, base.fused_ms),
-                ] {
-                    let limit = base_ms * (1.0 + tolerance_pct / 100.0);
-                    if cur_ms > limit {
-                        problems.push(format!(
-                            "'{}' {what} path regressed: {:.3} ms vs baseline {:.3} ms \
-                             (+{:.1}% > {:.0}% tolerance)",
-                            base.label,
-                            cur_ms,
-                            base_ms,
-                            100.0 * (cur_ms / base_ms - 1.0),
-                            tolerance_pct
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
 }
 
 /// A streaming log-bucketed latency histogram with percentile queries.
@@ -799,100 +636,6 @@ mod tests {
         assert_eq!(reduction_pct(10.0, 8.0), 20.0);
         assert_eq!(reduction_pct(10.0, 12.0), -20.0);
         assert_eq!(reduction_pct(0.0, 5.0), 0.0);
-    }
-
-    fn kb(
-        label: &str,
-        naive: f64,
-        gemm: f64,
-        packed: f64,
-        fused: f64,
-        cold: f64,
-    ) -> KernelBenchEntry {
-        KernelBenchEntry {
-            label: label.into(),
-            naive_ms: naive,
-            gemm_ms: gemm,
-            packed_ms: packed,
-            fused_ms: fused,
-            cold_pack_ms: cold,
-        }
-    }
-
-    #[test]
-    fn kernel_bench_json_round_trips() {
-        let entries = vec![
-            kb("ResNet50/max", 1234.5, 98.7, 55.5, 48.8, 140.2),
-            kb("MobV3/max", 456.0, 45.6, 30.1, 28.4, 60.9),
-        ];
-        let json = kernel_bench_to_json(&entries);
-        assert!(json.contains(KERNEL_BENCH_SCHEMA));
-        let parsed = kernel_bench_from_json(&json).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "ResNet50/max");
-        assert!((parsed[0].naive_ms - 1234.5).abs() < 1e-9);
-        assert!((parsed[0].packed_ms - 55.5).abs() < 1e-9);
-        assert!((parsed[0].fused_ms - 48.8).abs() < 1e-9);
-        assert!((parsed[1].gemm_ms - 45.6).abs() < 1e-9);
-        assert!((parsed[1].cold_pack_ms - 60.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kernel_bench_rejects_garbage_and_old_schema() {
-        assert!(kernel_bench_from_json("not json").is_err());
-        assert!(kernel_bench_from_json("{\"entries\": []}").is_err());
-        // Pre-v3 baselines (no fused column) must be rejected with a
-        // regeneration hint, not silently half-parsed.
-        let v1 = "{\n  \"schema\": \"sushi-kernel-bench-v1\",\n  \"entries\": [\n    \
-                  {\"label\": \"a\", \"naive_ms\": 1.0, \"gemm_ms\": 0.5, \"speedup\": 2.00}\n  ]\n}\n";
-        let err = kernel_bench_from_json(v1).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
-        let v2 = "{\n  \"schema\": \"sushi-kernel-bench-v2\",\n  \"entries\": [\n    \
-                  {\"label\": \"a\", \"naive_ms\": 1.0, \"gemm_ms\": 0.5, \"packed_ms\": 0.4, \
-                  \"cold_pack_ms\": 0.6, \"speedup\": 2.00, \"packed_speedup\": 2.50}\n  ]\n}\n";
-        let err = kernel_bench_from_json(v2).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
-    }
-
-    #[test]
-    fn kernel_bench_rejects_truncated_baseline() {
-        let entries = vec![kb("a", 10.0, 1.0, 0.5, 0.4, 1.5)];
-        let json = kernel_bench_to_json(&entries);
-        // Chop inside the entry object (before its closing brace): the
-        // parse must fail, not return a shorter entry list.
-        let truncated = &json[..json.find("speedup").unwrap()];
-        assert!(kernel_bench_from_json(truncated).is_err());
-    }
-
-    #[test]
-    fn kernel_speedups_are_naive_over_backend() {
-        let e = kb("x", 100.0, 10.0, 4.0, 2.0, 12.0);
-        assert!((e.speedup() - 10.0).abs() < 1e-12);
-        assert!((e.packed_speedup() - 25.0).abs() < 1e-12);
-        assert!((e.fused_speedup() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kernel_regressions_gate_on_gemm_and_packed_time() {
-        let base = vec![kb("a", 50.0, 10.0, 5.0, 4.0, 12.0)];
-        // 15% slower across the board: within the 20% tolerance.
-        let ok = vec![kb("a", 60.0, 11.5, 5.7, 4.6, 14.0)];
-        assert!(kernel_regressions(&ok, &base, 20.0).is_ok());
-        // gemm 50% slower: regression.
-        let slow_gemm = vec![kb("a", 50.0, 15.0, 5.0, 4.0, 12.0)];
-        let err = kernel_regressions(&slow_gemm, &base, 20.0).unwrap_err();
-        assert!(err.contains("gemm path regressed"));
-        // packed 50% slower (gemm fine): also a regression.
-        let slow_packed = vec![kb("a", 50.0, 10.0, 7.5, 4.0, 12.0)];
-        let err = kernel_regressions(&slow_packed, &base, 20.0).unwrap_err();
-        assert!(err.contains("packed path regressed"));
-        // fused 50% slower (rest fine): also a regression — the fused
-        // column is the serving hot path the perf trajectory rides on.
-        let slow_fused = vec![kb("a", 50.0, 10.0, 5.0, 6.0, 12.0)];
-        let err = kernel_regressions(&slow_fused, &base, 20.0).unwrap_err();
-        assert!(err.contains("fused path regressed"));
-        // Missing workload: regression.
-        assert!(kernel_regressions(&[], &base, 20.0).is_err());
     }
 
     #[test]

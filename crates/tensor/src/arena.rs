@@ -2,8 +2,8 @@
 //!
 //! Every im2col + packed-GEMM convolution needs four transient buffers: the
 //! raw patch matrix, the packed copies of both GEMM operands and the `i32`
-//! (or `f32`) accumulator. Allocating them per call — as PR 2 did with
-//! `vec!` — puts the allocator on the per-query critical path. An [`Arena`]
+//! accumulator. Allocating them per call with `vec!` puts the allocator on
+//! the per-query critical path. An [`Arena`]
 //! instead owns one grow-only buffer per role: the first pass through a
 //! layer shape grows it to the high-water mark, and every subsequent pass
 //! reuses the same memory with **zero heap allocation**.
@@ -12,8 +12,8 @@
 //!
 //! * One arena per executing thread/worker — an `Arena` hands out `&mut`
 //!   slices, so it is inherently single-borrower. Serving workers each own
-//!   one and reuse it across queries; `forward`/`forward_batch` without an
-//!   explicit arena create a private one per call.
+//!   one and reuse it across queries; a one-off caller passes a fresh
+//!   `Arena::new()`.
 //! * Borrows live for one kernel invocation. The conv kernels request all
 //!   the slices they need in a single call (the methods below return
 //!   disjoint fields, so the borrows coexist), use them, and drop them
@@ -33,10 +33,6 @@ pub struct Arena {
     pa_i16: Vec<i16>,
     pb_i16: Vec<i16>,
     acc_i32: Vec<i32>,
-    patches_f32: Vec<f32>,
-    pa_f32: Vec<f32>,
-    pb_f32: Vec<f32>,
-    acc_f32: Vec<f32>,
     weight_packs: usize,
 }
 
@@ -75,32 +71,11 @@ impl Arena {
         )
     }
 
-    /// Scratch for one f32 conv call: `(patches, packed_a, packed_b, acc)`.
-    pub(crate) fn f32_conv(
-        &mut self,
-        patches: usize,
-        pa: usize,
-        pb: usize,
-        acc: usize,
-    ) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
-        self.weight_packs += usize::from(pa > 0);
-        (
-            grow(&mut self.patches_f32, patches),
-            grow(&mut self.pa_f32, pa),
-            grow(&mut self.pb_f32, pb),
-            grow(&mut self.acc_f32, acc),
-        )
-    }
-
     /// Total bytes currently reserved across all scratch buffers (the
     /// high-water mark of every shape served so far).
     #[must_use]
     pub fn reserved_bytes(&self) -> usize {
-        self.patches_i8.len()
-            + 2 * (self.pa_i16.len() + self.pb_i16.len())
-            + 4 * self.acc_i32.len()
-            + 4 * (self.patches_f32.len() + self.pa_f32.len() + self.pb_f32.len())
-            + 4 * self.acc_f32.len()
+        self.patches_i8.len() + 2 * (self.pa_i16.len() + self.pb_i16.len()) + 4 * self.acc_i32.len()
     }
 
     /// Conv calls that packed their weight operand into this arena's
@@ -144,7 +119,7 @@ mod tests {
     #[test]
     fn reset_releases_memory() {
         let mut arena = Arena::new();
-        let _ = arena.f32_conv(64, 64, 64, 64);
+        let _ = arena.i8_conv(64, 64, 64, 64);
         assert!(arena.reserved_bytes() > 0);
         arena.reset();
         assert_eq!(arena.reserved_bytes(), 0);

@@ -13,26 +13,31 @@
 //!   scales, matching the paper's footnote 3 ("weights, input activations,
 //!   and zero points are quantized to int8, and the quantization scale is
 //!   quantized into int32").
-//! * [`ops`] — 2-D convolution (including depthwise and 1×1), pooling,
-//!   fully-connected layers and the activation functions used by
-//!   OFA-ResNet50 / OFA-MobileNetV3. Each op keeps a naive reference loop
-//!   as the correctness oracle and a fast im2col + panel-packed microkernel
-//!   GEMM backend behind [`KernelPolicy`] (see [`ops::pack`] for the
-//!   packed layouts and `docs/KERNELS.md` for the full contract).
+//! * [`ops`] — int8 2-D convolution (including depthwise and 1×1), pooling
+//!   and the activation functions used by OFA-ResNet50 / OFA-MobileNetV3.
+//!   Compute is int8 only; `f32` tensors carry dequantized pooling, gating,
+//!   activations and logits. The conv keeps a naive reference loop as the
+//!   correctness oracle and a fast im2col + panel-packed microkernel GEMM
+//!   backend behind [`KernelPolicy`] (see [`ops::pack`] for the packed
+//!   layouts and `docs/KERNELS.md` for the full contract).
 //! * [`arena`] — reusable scratch memory so steady-state serving performs
 //!   no per-query heap allocation for patch/packing/accumulator buffers.
 //!
 //! # Example
 //!
 //! ```
-//! use sushi_tensor::{Tensor, Shape4};
-//! use sushi_tensor::ops::conv::{conv2d_f32, Conv2dParams};
+//! use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+//! use sushi_tensor::{Arena, KernelPolicy, QuantParams, Shape4, Tensor};
 //!
 //! # fn main() -> Result<(), sushi_tensor::TensorError> {
-//! let input = Tensor::<f32>::filled(Shape4::new(1, 3, 8, 8), 1.0);
-//! let weights = Tensor::<f32>::filled(Shape4::new(4, 3, 3, 3), 0.5);
+//! let q = QuantParams::new(0.05, 0);
+//! let input = Tensor::<i8>::filled(Shape4::new(1, 3, 8, 8), 20);
+//! let weights = Tensor::<i8>::filled(Shape4::new(4, 3, 3, 3), 10);
 //! let params = Conv2dParams::new(3, 3).with_stride(1).with_padding(1);
-//! let out = conv2d_f32(&input, &weights, None, &params)?;
+//! let mut arena = Arena::new();
+//! let out = conv2d_i8_in(
+//!     &input, q, &weights, q, None, None, q, &params, KernelPolicy::Auto, &mut arena,
+//! )?;
 //! assert_eq!(out.shape().c, 4);
 //! # Ok(())
 //! # }

@@ -1,4 +1,11 @@
-//! 2-D convolution: f32 and int8-quantized (zero-point aware).
+//! 2-D int8-quantized convolution (zero-point aware).
+//!
+//! Two entry points, both int8:
+//!
+//! * [`conv2d_i8_in`] — the unfused conv: bias + requantization after the
+//!   accumulation, with the backend picked by a [`KernelPolicy`];
+//! * [`conv2d_i8_fused`] — the IR-lowered conv over k-pair panels with a
+//!   typed [`Epilogue`].
 //!
 //! Two interchangeable backends sit behind [`KernelPolicy`]:
 //!
@@ -8,32 +15,25 @@
 //!   contiguous rows.
 //! * **Im2colGemm** — patch-matrix lowering ([`crate::ops::im2col`]) plus
 //!   the panel-packed microkernel GEMM ([`crate::ops::gemm`]). All scratch
-//!   (patch matrix, packed operands, accumulator) lives in an
-//!   [`Arena`]: the `*_in` entry points reuse a
-//!   caller-owned arena across calls, so steady-state serving performs no
-//!   heap allocation for scratch; the plain entry points create a private
-//!   arena per call. Weights can additionally be pre-packed once via
-//!   [`PackedConv2d`] and reused across every query
-//!   ([`conv2d_i8_prepacked`]) — the software analogue of the paper's
-//!   SubGraph-Stationary weight reuse.
+//!   (patch matrix, packed operands, accumulator) lives in a caller-owned
+//!   [`Arena`] reused across calls, so steady-state serving performs no
+//!   heap allocation for scratch. Weights can additionally be pre-packed
+//!   once via [`PackedConv2d`] and reused across every query — the software
+//!   analogue of the paper's SubGraph-Stationary weight reuse.
 //!
-//! The int8 results are bit-identical across backends (integer accumulation
-//! is associative); the f32 backends agree to within reassociation error.
-//! [`conv2d_f32`] / [`conv2d_i8`] resolve [`KernelPolicy::Auto`]; the
-//! `*_with` variants pin a backend explicitly.
+//! The results are bit-identical across backends: integer accumulation is
+//! associative.
 
 use serde::{Deserialize, Serialize};
 
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
-use crate::ops::gemm::{
-    gemm_f32_packed, gemm_i8_packed, gemm_i8_packed_pairs, ConvBackend, KernelPolicy,
-};
+use crate::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs, ConvBackend, KernelPolicy};
 use crate::ops::im2col::im2col;
 use crate::ops::pack::{
-    pack_a_f32_into, pack_a_i8_into, pack_b_f32_into, pack_b_i8_into, pack_b_i8_pairs_into,
-    packed_a_len, packed_b_len, packed_b_pairs_len, PackLayout, PackedConv2d,
+    pack_a_i8_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len, packed_b_len,
+    packed_b_pairs_len, PackLayout, PackedConv2d,
 };
 use crate::quant::{requantize_accumulator, QuantParams};
 use crate::shape::{conv_out_dim, Shape4};
@@ -169,165 +169,7 @@ pub(crate) fn kernel_ranges(
     (0..o_len).map(|o| kernel_range(o, stride, padding, in_len, k_len)).collect()
 }
 
-/// f32 convolution under [`KernelPolicy::Auto`].
-///
-/// `weights` has shape `(K, C/groups, R, S)`; `bias`, if given, has length `K`.
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
-pub fn conv2d_f32(
-    input: &Tensor<f32>,
-    weights: &Tensor<f32>,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> Result<Tensor<f32>, TensorError> {
-    conv2d_f32_with(input, weights, bias, params, KernelPolicy::Auto)
-}
-
-/// f32 convolution with an explicit kernel backend policy.
-///
-/// [`KernelPolicy::Naive`] runs the reference loop nest; the backends agree
-/// to within floating-point reassociation error (≪ 1e-4 on unit-range data).
-/// Allocates private scratch; hot paths should use [`conv2d_f32_in`].
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
-pub fn conv2d_f32_with(
-    input: &Tensor<f32>,
-    weights: &Tensor<f32>,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    policy: KernelPolicy,
-) -> Result<Tensor<f32>, TensorError> {
-    conv2d_f32_in(input, weights, bias, params, policy, &mut Arena::new())
-}
-
-/// f32 convolution reusing a caller-owned [`Arena`] for all scratch.
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
-pub fn conv2d_f32_in(
-    input: &Tensor<f32>,
-    weights: &Tensor<f32>,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    policy: KernelPolicy,
-    arena: &mut Arena,
-) -> Result<Tensor<f32>, TensorError> {
-    let ishape = input.shape();
-    let wshape = weights.shape();
-    let (oh, ow) = params.validate(ishape, wshape)?;
-    if let Some(b) = bias {
-        if b.len() != wshape.n {
-            return Err(TensorError::LengthMismatch { expected: wshape.n, actual: b.len() });
-        }
-    }
-    match params.backend(ishape, wshape, oh, ow, policy) {
-        ConvBackend::Direct => Ok(conv2d_f32_direct(input, weights, bias, params, oh, ow)),
-        ConvBackend::Im2colGemm => conv2d_f32_gemm(input, weights, bias, params, oh, ow, arena),
-    }
-}
-
-/// Direct-loop oracle: shape checks already done.
-fn conv2d_f32_direct(
-    input: &Tensor<f32>,
-    weights: &Tensor<f32>,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-) -> Tensor<f32> {
-    let ishape = input.shape();
-    let wshape = weights.shape();
-    let (stride, padding) = (params.stride, params.padding);
-    let k_total = wshape.n;
-    let cg = wshape.c; // channels per group
-    let kg = k_total / params.groups; // kernels per group
-    let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
-    let ry_ranges = kernel_ranges(oh, stride, padding, ishape.h, params.kernel_h);
-    let rx_ranges = kernel_ranges(ow, stride, padding, ishape.w, params.kernel_w);
-
-    for n in 0..ishape.n {
-        for k in 0..k_total {
-            let g = k / kg;
-            let bias_v = bias.map_or(0.0, |b| b[k]);
-            for oy in 0..oh {
-                let (ry_lo, ry_hi) = ry_ranges[oy];
-                let orow = out.row_mut(n, k, oy);
-                for (ox, o) in orow.iter_mut().enumerate() {
-                    let (rx_lo, rx_hi) = rx_ranges[ox];
-                    let mut acc = 0.0_f32;
-                    for cc in 0..cg {
-                        let c = g * cg + cc;
-                        for ry in ry_lo..ry_hi {
-                            let irow = input.row(n, c, oy * stride + ry - padding);
-                            let wrow = weights.row(k, cc, ry);
-                            if stride == 1 && rx_lo < rx_hi {
-                                let ix0 = ox + rx_lo - padding;
-                                let iv = &irow[ix0..ix0 + (rx_hi - rx_lo)];
-                                for (x, w) in iv.iter().zip(&wrow[rx_lo..rx_hi]) {
-                                    acc += x * w;
-                                }
-                            } else {
-                                for rx in rx_lo..rx_hi {
-                                    acc += irow[ox * stride + rx - padding] * wrow[rx];
-                                }
-                            }
-                        }
-                    }
-                    *o = acc + bias_v;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// im2col + packed-GEMM backend: shape checks already done. The weight
-/// operand packs once per *group* (hoisted out of the batch loop); patches
-/// pack per `(batch, group)` into arena scratch.
-fn conv2d_f32_gemm(
-    input: &Tensor<f32>,
-    weights: &Tensor<f32>,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-    arena: &mut Arena,
-) -> Result<Tensor<f32>, TensorError> {
-    let ishape = input.shape();
-    let wshape = weights.shape();
-    let k_total = wshape.n;
-    let cg = wshape.c;
-    let kg = k_total / params.groups;
-    let kdim = cg * params.kernel_h * params.kernel_w;
-    let npix = oh * ow;
-    let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
-    let wdata = weights.as_slice();
-    let (patches, pa, pb, acc) =
-        arena.f32_conv(kdim * npix, packed_a_len(kg, kdim), packed_b_len(kdim, npix), kg * npix);
-    for g in 0..params.groups {
-        pack_a_f32_into(pa, &wdata[g * kg * kdim..(g + 1) * kg * kdim], kg, kdim)?;
-        for n in 0..ishape.n {
-            im2col(input, n, g * cg, cg, params, oh, ow, 0.0, patches)?;
-            pack_b_f32_into(pb, patches, kdim, npix)?;
-            acc.fill(0.0);
-            gemm_f32_packed(kg, kdim, npix, pa, pb, acc)?;
-            for kk in 0..kg {
-                let k = g * kg + kk;
-                let bias_v = bias.map_or(0.0, |b| b[k]);
-                let base = out.shape().row_offset(n, k, 0);
-                let dst = &mut out.as_mut_slice()[base..base + npix];
-                for (d, &v) in dst.iter_mut().zip(&acc[kk * npix..(kk + 1) * npix]) {
-                    *d = v + bias_v;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Quantized int8 convolution under [`KernelPolicy::Auto`].
+/// Quantized int8 convolution: the one unfused entry point.
 ///
 /// Implements the accelerator's Zero-Subtraction (ZS) semantics:
 /// `acc = Σ (iAct − zp_in) · (w − zp_w)` accumulated in `i32`, then
@@ -335,54 +177,25 @@ fn conv2d_f32_gemm(
 /// zero point. Padding contributes *zero-valued real* input, i.e. the padded
 /// quantized activation equals `zp_in` and vanishes after subtraction.
 ///
-/// The result is **bit-identical** across kernel backends.
+/// `weights` has shape `(K, C/groups, R, S)`; `bias`, if given, has length
+/// `K`. `policy` picks the backend ([`KernelPolicy::Auto`] resolves per
+/// problem size) and the result is **bit-identical** across backends. The
+/// GEMM backend takes its scratch from `arena`, and reads `packed` — the
+/// weights' install-time [`PackLayout::Panel`] panels — in place when given,
+/// instead of packing `weights` per call. The direct loops read `weights`.
 ///
 /// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_i8(
-    input: &Tensor<i8>,
-    in_q: QuantParams,
-    weights: &Tensor<i8>,
-    w_q: QuantParams,
-    bias: Option<&[i32]>,
-    out_q: QuantParams,
-    params: &Conv2dParams,
-) -> Result<Tensor<i8>, TensorError> {
-    conv2d_i8_with(input, in_q, weights, w_q, bias, out_q, params, KernelPolicy::Auto)
-}
-
-/// Quantized int8 convolution with an explicit kernel backend policy.
-///
-/// See [`conv2d_i8`]; backends produce bit-identical outputs. Allocates
-/// private scratch; hot paths should use [`conv2d_i8_in`].
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_i8_with(
-    input: &Tensor<i8>,
-    in_q: QuantParams,
-    weights: &Tensor<i8>,
-    w_q: QuantParams,
-    bias: Option<&[i32]>,
-    out_q: QuantParams,
-    params: &Conv2dParams,
-    policy: KernelPolicy,
-) -> Result<Tensor<i8>, TensorError> {
-    conv2d_i8_in(input, in_q, weights, w_q, bias, out_q, params, policy, &mut Arena::new())
-}
-
-/// Quantized int8 convolution reusing a caller-owned [`Arena`].
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]).
+/// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]), or
+/// when `packed` does not stand for `weights` under `w_q` and `params` (see
+/// [`PackedConv2d::check_panels_of`]) — under every policy, so the policy
+/// can never change the numbers.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_i8_in(
     input: &Tensor<i8>,
     in_q: QuantParams,
     weights: &Tensor<i8>,
     w_q: QuantParams,
+    packed: Option<&PackedConv2d>,
     bias: Option<&[i32]>,
     out_q: QuantParams,
     params: &Conv2dParams,
@@ -392,6 +205,9 @@ pub fn conv2d_i8_in(
     let ishape = input.shape();
     let wshape = weights.shape();
     let (oh, ow) = params.validate(ishape, wshape)?;
+    if let Some(p) = packed {
+        p.check_panels_of(wshape, w_q, params.groups)?;
+    }
     if let Some(b) = bias {
         if b.len() != wshape.n {
             return Err(TensorError::LengthMismatch { expected: wshape.n, actual: b.len() });
@@ -401,71 +217,11 @@ pub fn conv2d_i8_in(
         ConvBackend::Direct => {
             Ok(conv2d_i8_direct(input, in_q, weights, w_q, bias, out_q, params, oh, ow))
         }
-        ConvBackend::Im2colGemm => conv2d_i8_gemm(
-            input,
-            in_q,
-            PackSource::Raw(weights.as_slice()),
-            wshape,
-            w_q,
-            bias,
-            out_q,
-            params,
-            oh,
-            ow,
-            arena,
-        ),
-    }
-}
-
-/// Quantized int8 convolution over weights packed once via
-/// [`PackedConv2d::pack`], always on the GEMM backend.
-///
-/// Per-query work is exactly: im2col + patch packing (arena scratch) + the
-/// microkernel sweep — the weight panels are read in place, never copied or
-/// re-packed. Output is bit-identical to [`conv2d_i8`] on the raw weights.
-///
-/// # Errors
-/// Returns an error on shape/parameter mismatch between `input`, the packed
-/// weight shape and `params`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_i8_prepacked(
-    input: &Tensor<i8>,
-    in_q: QuantParams,
-    packed: &PackedConv2d,
-    bias: Option<&[i32]>,
-    out_q: QuantParams,
-    params: &Conv2dParams,
-    arena: &mut Arena,
-) -> Result<Tensor<i8>, TensorError> {
-    let ishape = input.shape();
-    let wshape = packed.wshape();
-    let (oh, ow) = params.validate(ishape, wshape)?;
-    if params.groups != packed.groups() {
-        return Err(TensorError::InvalidParam { what: "packed weights built for other groups" });
-    }
-    if packed.layout() != PackLayout::Panel {
-        return Err(TensorError::InvalidParam {
-            what: "k-pair packed weights require the fused conv entry point",
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != wshape.n {
-            return Err(TensorError::LengthMismatch { expected: wshape.n, actual: b.len() });
+        ConvBackend::Im2colGemm => {
+            let src = packed.map_or(PackSource::Raw(weights.as_slice()), PackSource::Prepacked);
+            conv2d_i8_gemm(input, in_q, src, wshape, w_q, bias, out_q, params, oh, ow, arena)
         }
     }
-    conv2d_i8_gemm(
-        input,
-        in_q,
-        PackSource::Prepacked(packed),
-        wshape,
-        packed.w_q(),
-        bias,
-        out_q,
-        params,
-        oh,
-        ow,
-        arena,
-    )
 }
 
 /// Where the GEMM core finds its packed weight panels.
@@ -551,7 +307,7 @@ fn conv2d_i8_gemm(
 /// weights in [`PackLayout::KPair`]. For 1×1/stride-1/unpadded dense convs the
 /// im2col step is skipped entirely — the patch matrix *is* the input slice.
 ///
-/// Output is bit-identical to [`conv2d_i8`] + reference activation for
+/// Output is bit-identical to [`conv2d_i8_in`] + reference activation for
 /// uniform-scale epilogues (pinned by the cross-crate fusion proptests).
 ///
 /// # Errors
@@ -698,99 +454,171 @@ mod tests {
     use crate::quant::{calibrate_symmetric, dequantize_tensor, quantize_tensor};
     use crate::rng::DetRng;
 
+    /// Scale 1, zero point 0: requantization is the identity on in-range
+    /// accumulators, so the semantic tests below read exact integers.
+    const UNIT: QuantParams = QuantParams { scale: 1.0, zero_point: 0 };
+    const BOTH: [KernelPolicy; 2] = [KernelPolicy::Naive, KernelPolicy::Im2colGemm];
+
     fn rand_tensor(shape: Shape4, seed: u64, range: f32) -> Tensor<f32> {
         let mut rng = DetRng::new(seed);
         let data = (0..shape.volume()).map(|_| rng.uniform_f32(-range, range)).collect();
         Tensor::from_vec(shape, data).unwrap()
     }
 
+    fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
+        let mut rng = DetRng::new(seed);
+        Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect()).unwrap()
+    }
+
+    /// Small integers in `-2..=2`, so small unit-scale convs never saturate.
+    fn small_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
+        let mut rng = DetRng::new(seed);
+        Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.below(5) as i8 - 2).collect())
+            .unwrap()
+    }
+
+    /// [`conv2d_i8_in`] on raw weights with a private arena.
+    #[allow(clippy::too_many_arguments)]
+    fn conv(
+        x: &Tensor<i8>,
+        in_q: QuantParams,
+        w: &Tensor<i8>,
+        w_q: QuantParams,
+        bias: Option<&[i32]>,
+        out_q: QuantParams,
+        p: &Conv2dParams,
+        policy: KernelPolicy,
+    ) -> Result<Tensor<i8>, TensorError> {
+        conv2d_i8_in(x, in_q, w, w_q, None, bias, out_q, p, policy, &mut Arena::new())
+    }
+
+    /// Unit-scale, bias-free [`conv`].
+    fn unit_conv(
+        x: &Tensor<i8>,
+        w: &Tensor<i8>,
+        p: &Conv2dParams,
+        policy: KernelPolicy,
+    ) -> Result<Tensor<i8>, TensorError> {
+        conv(x, UNIT, w, UNIT, None, UNIT, p, policy)
+    }
+
+    /// Test-local f32 direct loop (dense, `groups == 1`): the real-valued
+    /// reference the quantized conv is measured against.
+    fn f32_reference(x: &Tensor<f32>, w: &Tensor<f32>, p: &Conv2dParams) -> Tensor<f32> {
+        let (is, ws) = (x.shape(), w.shape());
+        let dim = |i, k| conv_out_dim(i, k, p.stride, p.padding).unwrap();
+        let os = Shape4::new(is.n, ws.n, dim(is.h, ws.h), dim(is.w, ws.w));
+        let mut out = Tensor::zeros(os);
+        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
+            let (n, k, oy, ox) =
+                (i / (os.c * os.h * os.w), i / (os.h * os.w) % os.c, i / os.w % os.h, i % os.w);
+            for j in 0..ws.c * ws.h * ws.w {
+                let (c, ry, rx) = (j / (ws.h * ws.w), j / ws.w % ws.h, j % ws.w);
+                let iy = (oy * p.stride + ry).checked_sub(p.padding).filter(|&v| v < is.h);
+                let ix = (ox * p.stride + rx).checked_sub(p.padding).filter(|&v| v < is.w);
+                if let (Some(iy), Some(ix)) = (iy, ix) {
+                    *o += x.get(n, c, iy, ix) * w.get(k, c, ry, rx);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn identity_1x1_kernel_passes_input_through() {
-        let input = rand_tensor(Shape4::new(1, 1, 4, 4), 1, 1.0);
-        let weights = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![1.0]).unwrap();
+        let input = rand_i8(Shape4::new(1, 1, 4, 4), 1);
+        let weights = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![1i8]).unwrap();
         for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
-            let out =
-                conv2d_f32_with(&input, &weights, None, &Conv2dParams::new(1, 1), policy).unwrap();
+            let out = unit_conv(&input, &weights, &Conv2dParams::new(1, 1), policy).unwrap();
             assert_eq!(out, input);
         }
     }
 
     #[test]
     fn all_ones_3x3_counts_window_elements() {
-        let input = Tensor::<f32>::filled(Shape4::new(1, 1, 5, 5), 1.0);
-        let weights = Tensor::<f32>::filled(Shape4::new(1, 1, 3, 3), 1.0);
+        let input = Tensor::<i8>::filled(Shape4::new(1, 1, 5, 5), 1);
+        let weights = Tensor::<i8>::filled(Shape4::new(1, 1, 3, 3), 1);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
-            let out = conv2d_f32_with(&input, &weights, None, &p, policy).unwrap();
+        for policy in BOTH {
+            let out = unit_conv(&input, &weights, &p, policy).unwrap();
             // Corner windows see 4 elements, edges 6, interior 9.
-            assert_eq!(out.get(0, 0, 0, 0), 4.0);
-            assert_eq!(out.get(0, 0, 0, 2), 6.0);
-            assert_eq!(out.get(0, 0, 2, 2), 9.0);
+            assert_eq!(out.get(0, 0, 0, 0), 4);
+            assert_eq!(out.get(0, 0, 0, 2), 6);
+            assert_eq!(out.get(0, 0, 2, 2), 9);
         }
     }
 
     #[test]
     fn stride_two_halves_output() {
-        let input = rand_tensor(Shape4::new(1, 3, 8, 8), 2, 1.0);
-        let weights = rand_tensor(Shape4::new(4, 3, 3, 3), 3, 0.5);
+        let input = rand_i8(Shape4::new(1, 3, 8, 8), 2);
+        let weights = rand_i8(Shape4::new(4, 3, 3, 3), 3);
         let p = Conv2dParams::new(3, 3).with_stride(2).with_padding(1);
-        let out = conv2d_f32(&input, &weights, None, &p).unwrap();
-        assert_eq!(out.shape(), Shape4::new(1, 4, 4, 4));
+        for policy in BOTH {
+            let out = unit_conv(&input, &weights, &p, policy).unwrap();
+            assert_eq!(out.shape(), Shape4::new(1, 4, 4, 4));
+        }
     }
 
     #[test]
     fn bias_adds_per_kernel_constant() {
-        let input = Tensor::<f32>::zeros(Shape4::new(1, 2, 3, 3));
-        let weights = rand_tensor(Shape4::new(2, 2, 3, 3), 4, 1.0);
+        let input = Tensor::<i8>::zeros(Shape4::new(1, 2, 3, 3));
+        let weights = rand_i8(Shape4::new(2, 2, 3, 3), 4);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
-            let out = conv2d_f32_with(&input, &weights, Some(&[1.5, -2.0]), &p, policy).unwrap();
-            assert_eq!(out.get(0, 0, 1, 1), 1.5);
-            assert_eq!(out.get(0, 1, 2, 2), -2.0);
+        for policy in BOTH {
+            let out = conv(&input, UNIT, &weights, UNIT, Some(&[15, -20]), UNIT, &p, policy);
+            let out = out.unwrap();
+            assert_eq!(out.get(0, 0, 1, 1), 15);
+            assert_eq!(out.get(0, 1, 2, 2), -20);
         }
     }
 
     #[test]
     fn depthwise_groups_isolate_channels() {
         // Two channels; each depthwise kernel is identity-like on its own channel.
-        let mut input = Tensor::<f32>::zeros(Shape4::new(1, 2, 3, 3));
-        input.set(0, 0, 1, 1, 5.0);
-        input.set(0, 1, 1, 1, 7.0);
-        let mut weights = Tensor::<f32>::zeros(Shape4::new(2, 1, 3, 3));
-        weights.set(0, 0, 1, 1, 1.0);
-        weights.set(1, 0, 1, 1, 2.0);
+        let mut input = Tensor::<i8>::zeros(Shape4::new(1, 2, 3, 3));
+        input.set(0, 0, 1, 1, 5);
+        input.set(0, 1, 1, 1, 7);
+        let mut weights = Tensor::<i8>::zeros(Shape4::new(2, 1, 3, 3));
+        weights.set(0, 0, 1, 1, 1);
+        weights.set(1, 0, 1, 1, 2);
         let p = Conv2dParams::new(3, 3).with_padding(1).with_groups(2);
-        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
-            let out = conv2d_f32_with(&input, &weights, None, &p, policy).unwrap();
-            assert_eq!(out.get(0, 0, 1, 1), 5.0);
-            assert_eq!(out.get(0, 1, 1, 1), 14.0);
+        for policy in BOTH {
+            let out = unit_conv(&input, &weights, &p, policy).unwrap();
+            assert_eq!(out.get(0, 0, 1, 1), 5);
+            assert_eq!(out.get(0, 1, 1, 1), 14);
             // Cross-channel leakage must be zero.
-            assert_eq!(out.get(0, 0, 0, 0), 0.0);
+            assert_eq!(out.get(0, 0, 0, 0), 0);
         }
     }
 
     #[test]
     fn rejects_channel_mismatch() {
-        let input = Tensor::<f32>::zeros(Shape4::new(1, 3, 4, 4));
-        let weights = Tensor::<f32>::zeros(Shape4::new(2, 4, 3, 3));
-        let err = conv2d_f32(&input, &weights, None, &Conv2dParams::new(3, 3)).unwrap_err();
-        assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+        let input = Tensor::<i8>::zeros(Shape4::new(1, 3, 4, 4));
+        let weights = Tensor::<i8>::zeros(Shape4::new(2, 4, 3, 3));
+        for policy in BOTH {
+            let err = unit_conv(&input, &weights, &Conv2dParams::new(3, 3), policy).unwrap_err();
+            assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+        }
     }
 
     #[test]
     fn rejects_kernel_param_mismatch() {
-        let input = Tensor::<f32>::zeros(Shape4::new(1, 3, 4, 4));
-        let weights = Tensor::<f32>::zeros(Shape4::new(2, 3, 5, 5));
-        let err = conv2d_f32(&input, &weights, None, &Conv2dParams::new(3, 3)).unwrap_err();
-        assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+        let input = Tensor::<i8>::zeros(Shape4::new(1, 3, 4, 4));
+        let weights = Tensor::<i8>::zeros(Shape4::new(2, 3, 5, 5));
+        for policy in BOTH {
+            let err = unit_conv(&input, &weights, &Conv2dParams::new(3, 3), policy).unwrap_err();
+            assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+        }
     }
 
     #[test]
     fn rejects_empty_output() {
-        let input = Tensor::<f32>::zeros(Shape4::new(1, 1, 2, 2));
-        let weights = Tensor::<f32>::zeros(Shape4::new(1, 1, 5, 5));
-        let err = conv2d_f32(&input, &weights, None, &Conv2dParams::new(5, 5)).unwrap_err();
-        assert!(matches!(err, TensorError::EmptyOutput { .. }));
+        let input = Tensor::<i8>::zeros(Shape4::new(1, 1, 2, 2));
+        let weights = Tensor::<i8>::zeros(Shape4::new(1, 1, 5, 5));
+        for policy in BOTH {
+            let err = unit_conv(&input, &weights, &Conv2dParams::new(5, 5), policy).unwrap_err();
+            assert!(matches!(err, TensorError::EmptyOutput { .. }));
+        }
     }
 
     #[test]
@@ -798,14 +626,14 @@ mod tests {
         let input = rand_tensor(Shape4::new(1, 4, 6, 6), 10, 1.0);
         let weights = rand_tensor(Shape4::new(8, 4, 3, 3), 11, 0.25);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let ref_out = conv2d_f32(&input, &weights, None, &p).unwrap();
+        let ref_out = f32_reference(&input, &weights, &p);
 
         let in_q = calibrate_symmetric(&input);
         let w_q = calibrate_symmetric(&weights);
         let out_q = calibrate_symmetric(&ref_out);
         let qi = quantize_tensor(&input, in_q);
         let qw = quantize_tensor(&weights, w_q);
-        let qout = conv2d_i8(&qi, in_q, &qw, w_q, None, out_q, &p).unwrap();
+        let qout = conv(&qi, in_q, &qw, w_q, None, out_q, &p, KernelPolicy::Auto).unwrap();
         let deq = dequantize_tensor(&qout, out_q);
 
         // int8 conv should track the reference within a few output quanta.
@@ -819,15 +647,15 @@ mod tests {
         let input = Tensor::<f32>::filled(Shape4::new(1, 1, 3, 3), 2.0);
         let weights = Tensor::<f32>::filled(Shape4::new(1, 1, 3, 3), 1.0);
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let ref_out = conv2d_f32(&input, &weights, None, &p).unwrap();
+        let ref_out = f32_reference(&input, &weights, &p);
 
         let in_q = QuantParams::asymmetric(0.0, 2.0); // large zero point
         let w_q = QuantParams::symmetric(1.0);
         let out_q = QuantParams::symmetric(20.0);
         let qi = quantize_tensor(&input, in_q);
         let qw = quantize_tensor(&weights, w_q);
-        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
-            let qout = conv2d_i8_with(&qi, in_q, &qw, w_q, None, out_q, &p, policy).unwrap();
+        for policy in BOTH {
+            let qout = conv(&qi, in_q, &qw, w_q, None, out_q, &p, policy).unwrap();
             let deq = dequantize_tensor(&qout, out_q);
             assert!(ref_out.max_abs_diff(&deq).unwrap() <= 0.5);
         }
@@ -835,51 +663,40 @@ mod tests {
 
     #[test]
     fn gemm_backend_is_bit_identical_to_naive_on_i8() {
-        let mut rng = DetRng::new(77);
-        let ishape = Shape4::new(2, 6, 9, 9);
-        let wshape = Shape4::new(8, 3, 3, 3);
-        let x = Tensor::from_vec(ishape, (0..ishape.volume()).map(|_| rng.next_i8()).collect())
-            .unwrap();
-        let w = Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect())
-            .unwrap();
+        let x = rand_i8(Shape4::new(2, 6, 9, 9), 77);
+        let w = rand_i8(Shape4::new(8, 3, 3, 3), 78);
         let in_q = QuantParams::new(0.05, 7);
         let w_q = QuantParams::new(0.02, -3);
         let out_q = QuantParams::new(0.3, 5);
-        let bias: Vec<i32> = (0..wshape.n).map(|i| (i as i32) * 17 - 40).collect();
+        let bias: Vec<i32> = (0..8).map(|i| i * 17 - 40).collect();
         let p = Conv2dParams::new(3, 3).with_stride(2).with_padding(1).with_groups(2);
-        let a =
-            conv2d_i8_with(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
-        let b = conv2d_i8_with(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Im2colGemm)
-            .unwrap();
-        assert_eq!(a, b, "i8 backends must agree bit-for-bit");
+        let [a, b] = BOTH.map(|policy| conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, policy));
+        assert_eq!(a.unwrap(), b.unwrap(), "i8 backends must agree bit-for-bit");
     }
 
     #[test]
     fn prepacked_conv_is_bit_identical_and_reuses_arena() {
-        let mut rng = DetRng::new(123);
-        let ishape = Shape4::new(1, 5, 8, 8);
-        let wshape = Shape4::new(6, 5, 3, 3);
-        let x = Tensor::from_vec(ishape, (0..ishape.volume()).map(|_| rng.next_i8()).collect())
-            .unwrap();
-        let w = Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect())
-            .unwrap();
+        let x = rand_i8(Shape4::new(1, 5, 8, 8), 123);
+        let w = rand_i8(Shape4::new(6, 5, 3, 3), 124);
         let in_q = QuantParams::new(0.04, -6);
         let w_q = QuantParams::new(0.03, 2);
         let out_q = QuantParams::new(0.25, 1);
-        let bias: Vec<i32> = (0..wshape.n).map(|i| (i as i32) * 11 - 20).collect();
+        let bias: Vec<i32> = (0..6).map(|i| i * 11 - 20).collect();
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let naive =
-            conv2d_i8_with(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
-        let packed = PackedConv2d::pack(&w, w_q, &p).unwrap();
+        let naive = conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
+        let packed = PackedConv2d::pack_with_layout(&w, w_q, &p, PackLayout::Panel).unwrap();
         let mut arena = Arena::new();
-        let first =
-            conv2d_i8_prepacked(&x, in_q, &packed, Some(&bias), out_q, &p, &mut arena).unwrap();
+        let prepacked = |arena: &mut Arena| {
+            let gemm = KernelPolicy::Im2colGemm;
+            conv2d_i8_in(&x, in_q, &w, w_q, Some(&packed), Some(&bias), out_q, &p, gemm, arena)
+                .unwrap()
+        };
+        let first = prepacked(&mut arena);
         assert_eq!(naive, first, "prepacked path must match the oracle bit-for-bit");
         let reserved = arena.reserved_bytes();
         assert!(reserved > 0);
         // A second query reuses the arena without growing it.
-        let second =
-            conv2d_i8_prepacked(&x, in_q, &packed, Some(&bias), out_q, &p, &mut arena).unwrap();
+        let second = prepacked(&mut arena);
         assert_eq!(first, second);
         assert_eq!(arena.reserved_bytes(), reserved, "steady state must not reallocate");
     }
@@ -888,39 +705,66 @@ mod tests {
     fn prepacked_conv_rejects_mismatched_shapes() {
         let w = Tensor::<i8>::zeros(Shape4::new(4, 3, 3, 3));
         let p = Conv2dParams::new(3, 3).with_padding(1);
-        let packed = PackedConv2d::pack(&w, QuantParams::new(0.1, 0), &p).unwrap();
-        let x = Tensor::<i8>::zeros(Shape4::new(1, 5, 8, 8)); // 5 channels != 3
         let q = QuantParams::new(0.1, 0);
-        let err = conv2d_i8_prepacked(&x, q, &packed, None, q, &p, &mut Arena::new()).unwrap_err();
+        let packed = PackedConv2d::pack_with_layout(&w, q, &p, PackLayout::Panel).unwrap();
+        let x = Tensor::<i8>::zeros(Shape4::new(1, 5, 8, 8)); // 5 channels != 3
+        let gemm = KernelPolicy::Im2colGemm;
+        let err = conv2d_i8_in(&x, q, &w, q, Some(&packed), None, q, &p, gemm, &mut Arena::new())
+            .unwrap_err();
         assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+    }
+
+    /// Panels that do not stand for the raw weights are an error under
+    /// every policy: the direct loops would read one set of weights and the
+    /// GEMM another.
+    #[test]
+    fn mismatched_panels_are_rejected_under_every_policy() {
+        let x = rand_i8(Shape4::new(1, 4, 8, 8), 300);
+        let w = rand_i8(Shape4::new(6, 4, 3, 3), 301);
+        let (w_q, q) = (QuantParams::new(0.02, -1), QuantParams::new(0.1, 2));
+        let p = Conv2dParams::new(3, 3).with_padding(1);
+        let pack = |w: &Tensor<i8>, w_q, p: Conv2dParams, layout| {
+            PackedConv2d::pack_with_layout(w, w_q, &p, layout).unwrap()
+        };
+        let mismatched = [
+            pack(&rand_i8(Shape4::new(6, 2, 3, 3), 302), w_q, p, PackLayout::Panel), // shape
+            pack(&w, QuantParams::new(0.02, 3), p, PackLayout::Panel),               // w_q
+            pack(&w, w_q, p.with_groups(2), PackLayout::Panel),                      // groups
+            pack(&w, w_q, p, PackLayout::KPair),                                     // layout
+        ];
+        for packed in &mismatched {
+            for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
+                let mut arena = Arena::new();
+                let out =
+                    conv2d_i8_in(&x, q, &w, w_q, Some(packed), None, q, &p, policy, &mut arena);
+                assert!(out.is_err(), "{policy} accepted mismatched panels");
+            }
+        }
     }
 
     #[test]
     fn fused_conv_matches_oracle_plus_activation_bitwise() {
         use crate::ops::activation::Activation;
-        let mut rng = DetRng::new(321);
         let in_q = QuantParams::new(0.05, 3);
         let w_q = QuantParams::new(0.02, -1);
         let out_q = QuantParams::new(0.21, 2);
         // One 3×3 padded conv and one 1×1 (exercises the im2col-skip path).
-        for (ishape, wshape, p) in [
+        for (ishape, wshape, p, seed) in [
             (
                 Shape4::new(2, 5, 7, 7),
                 Shape4::new(6, 5, 3, 3),
                 Conv2dParams::new(3, 3).with_padding(1),
+                321,
             ),
-            (Shape4::new(1, 8, 6, 6), Shape4::new(10, 8, 1, 1), Conv2dParams::new(1, 1)),
+            (Shape4::new(1, 8, 6, 6), Shape4::new(10, 8, 1, 1), Conv2dParams::new(1, 1), 322),
         ] {
-            let x = Tensor::from_vec(ishape, (0..ishape.volume()).map(|_| rng.next_i8()).collect())
-                .unwrap();
-            let w = Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect())
-                .unwrap();
+            let x = rand_i8(ishape, seed);
+            let w = rand_i8(wshape, seed + 100);
             let bias: Vec<i32> = (0..wshape.n).map(|i| (i as i32) * 13 - 31).collect();
             let acc_scale = in_q.scale * w_q.scale / out_q.scale;
             for act in [Activation::None, Activation::Relu, Activation::HSwish] {
                 let oracle =
-                    conv2d_i8_with(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive)
-                        .unwrap();
+                    conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
                 let want = oracle.map(|q| match act {
                     Activation::None => q,
                     Activation::Relu => q.max(0),
@@ -944,11 +788,14 @@ mod tests {
         let x = Tensor::<i8>::zeros(Shape4::new(1, 3, 8, 8));
         let ep = Epilogue::uniform(vec![0; 4], 0.1, q, Activation::None).unwrap();
         // Panel layout must be rejected by the fused path...
-        let panel = PackedConv2d::pack(&w, q, &p).unwrap();
+        let panel = PackedConv2d::pack_with_layout(&w, q, &p, PackLayout::Panel).unwrap();
         assert!(conv2d_i8_fused(&x, q, &panel, &ep, &p, &mut Arena::new()).is_err());
-        // ...and KPair layout by the unfused prepacked path.
+        // ...and KPair layout by the unfused path.
         let kpair = PackedConv2d::pack_with_layout(&w, q, &p, PackLayout::KPair).unwrap();
-        assert!(conv2d_i8_prepacked(&x, q, &kpair, None, q, &p, &mut Arena::new()).is_err());
+        let gemm = KernelPolicy::Im2colGemm;
+        assert!(
+            conv2d_i8_in(&x, q, &w, q, Some(&kpair), None, q, &p, gemm, &mut Arena::new()).is_err()
+        );
         // Epilogue channel count must match the packed weights.
         let ep3 = Epilogue::uniform(vec![0; 3], 0.1, q, Activation::None).unwrap();
         assert!(conv2d_i8_fused(&x, q, &kpair, &ep3, &p, &mut Arena::new()).is_err());
@@ -966,10 +813,8 @@ mod tests {
         println!("{:>10}  {:>9}  {:>11}  {:>11}", "macs", "shape", "direct", "gemm");
         for (c, hw, kk) in [(2, 4, 2), (4, 6, 4), (8, 8, 8), (8, 12, 8), (16, 14, 16), (32, 14, 32)]
         {
-            let ishape = Shape4::new(1, c, hw, hw);
-            let wshape = Shape4::new(kk, c, 3, 3);
-            let x = rand_tensor(ishape, 1, 1.0).map(|v| (v * 100.0) as i8);
-            let w = rand_tensor(wshape, 2, 1.0).map(|v| (v * 100.0) as i8);
+            let x = rand_i8(Shape4::new(1, c, hw, hw), 1);
+            let w = rand_i8(Shape4::new(kk, c, 3, 3), 2);
             let p = Conv2dParams::new(3, 3).with_padding(1);
             let macs = kk * c * 9 * hw * hw;
             let mut arena = Arena::new();
@@ -977,7 +822,7 @@ mod tests {
                 let mut best = f64::INFINITY;
                 for _ in 0..50 {
                     let t = Instant::now();
-                    let _ = conv2d_i8_in(&x, q, &w, q, None, q, &p, policy, arena).unwrap();
+                    let _ = conv2d_i8_in(&x, q, &w, q, None, None, q, &p, policy, arena).unwrap();
                     best = best.min(t.elapsed().as_secs_f64() * 1e6);
                 }
                 best
@@ -991,44 +836,27 @@ mod tests {
     #[test]
     fn grouped_conv_matches_manual_group_split() {
         // groups=2 over 4 channels == two independent convs over 2 channels each.
-        let input = rand_tensor(Shape4::new(1, 4, 5, 5), 20, 1.0);
-        let weights = rand_tensor(Shape4::new(6, 2, 3, 3), 21, 0.5);
+        let input = small_i8(Shape4::new(1, 4, 5, 5), 20);
+        let weights = small_i8(Shape4::new(6, 2, 3, 3), 21);
         let p = Conv2dParams::new(3, 3).with_padding(1).with_groups(2);
-        let out = conv2d_f32(&input, &weights, None, &p).unwrap();
 
-        // Manual: first 3 kernels see channels 0..2, last 3 see channels 2..4.
-        let mut in_a = Tensor::<f32>::zeros(Shape4::new(1, 2, 5, 5));
-        let mut in_b = Tensor::<f32>::zeros(Shape4::new(1, 2, 5, 5));
-        for c in 0..2 {
-            for y in 0..5 {
-                for x in 0..5 {
-                    in_a.set(0, c, y, x, input.get(0, c, y, x));
-                    in_b.set(0, c, y, x, input.get(0, c + 2, y, x));
-                }
-            }
-        }
-        let mut w_a = Tensor::<f32>::zeros(Shape4::new(3, 2, 3, 3));
-        let mut w_b = Tensor::<f32>::zeros(Shape4::new(3, 2, 3, 3));
-        for k in 0..3 {
-            for c in 0..2 {
-                for y in 0..3 {
-                    for x in 0..3 {
-                        w_a.set(k, c, y, x, weights.get(k, c, y, x));
-                        w_b.set(k, c, y, x, weights.get(k + 3, c, y, x));
-                    }
-                }
-            }
-        }
+        // Manual: first 3 kernels see channels 0..2, last 3 see channels 2..4;
+        // both halves are contiguous NCHW chunks.
+        let chunk = |t: &Tensor<i8>, shape: Shape4, at: usize| {
+            Tensor::from_vec(shape, t.as_slice()[at..at + shape.volume()].to_vec()).unwrap()
+        };
+        let (xs, ws) = (Shape4::new(1, 2, 5, 5), Shape4::new(3, 2, 3, 3));
         let pa = Conv2dParams::new(3, 3).with_padding(1);
-        let out_a = conv2d_f32(&in_a, &w_a, None, &pa).unwrap();
-        let out_b = conv2d_f32(&in_b, &w_b, None, &pa).unwrap();
-        for y in 0..5 {
-            for x in 0..5 {
-                for k in 0..3 {
-                    assert!((out.get(0, k, y, x) - out_a.get(0, k, y, x)).abs() < 1e-5);
-                    assert!((out.get(0, k + 3, y, x) - out_b.get(0, k, y, x)).abs() < 1e-5);
-                }
-            }
+        for policy in BOTH {
+            let out = unit_conv(&input, &weights, &p, policy).unwrap();
+            let half = |g: usize| {
+                let (x, w) =
+                    (chunk(&input, xs, g * xs.volume()), chunk(&weights, ws, g * ws.volume()));
+                unit_conv(&x, &w, &pa, policy).unwrap()
+            };
+            let (out_a, out_b) = (half(0), half(1));
+            let split: Vec<i8> = [out_a.as_slice(), out_b.as_slice()].concat();
+            assert_eq!(out.as_slice(), split.as_slice());
         }
     }
 }

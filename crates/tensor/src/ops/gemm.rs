@@ -14,20 +14,20 @@
 //!   per-MAC zero-point work.
 //! * **`MR×NR` microkernels** — a 4×8 register tile of `C` accumulates in
 //!   locals across a `KC` panel; each loaded A value is reused `NR` times
-//!   and each B value `MR` times from registers. A `std::arch` AVX2(+FMA)
-//!   path is selected at runtime via `is_x86_feature_detected!`; the
-//!   portable kernel is the always-correct fallback (and the two agree —
-//!   bit-exactly for int8, within reassociation error for f32).
+//!   and each B value `MR` times from registers. A `std::arch` AVX2 path is
+//!   selected at runtime via `is_x86_feature_detected!`; the portable
+//!   kernel is the always-correct fallback, and the two agree bit-exactly.
 //! * **Cache blocking** — `KC`-deep reduction panels keep one `KC×NR` B
 //!   panel L1-resident, and `MC`-row blocks of packed A stay L2-resident
 //!   while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
 //!   row-panel blocks dispatched via `std::thread::scope`.
 //!
-//! Integer GEMM ([`gemm_i8_i32`]) is bit-identical to the scalar reference
-//! loops under every blocking/ISA choice: the packed operands hold exactly
-//! `(a − zp_a)` / `(b − zp_b)` and `i32` addition is associative, so
-//! reassociating the reduction cannot change the sum.
+//! The only operand type is int8, as on SushiAccel (the paper's footnote
+//! 3). [`gemm_i8_packed`] and [`gemm_i8_packed_pairs`] are bit-identical to
+//! the scalar reference loops under every blocking/ISA choice: the packed
+//! operands hold exactly `(a − zp_a)` / `(b − zp_b)` and `i32` addition is
+//! associative, so reassociating the reduction cannot change the sum.
 //!
 //! # Tuned thresholds (measured on the repo's 8-core x86-64 CI box)
 //!
@@ -55,11 +55,10 @@ use std::sync::OnceLock;
 
 use crate::error::TensorError;
 use crate::ops::pack::{
-    pack_a_f32_into, pack_a_i8_into, pack_b_f32_into, pack_b_i8_into, packed_a_len,
-    packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
+    packed_a_len, packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
 };
 
-/// Which kernel implementation `conv2d_*` / `linear_*` should use.
+/// Which kernel implementation the unfused conv should use.
 ///
 /// `Naive` keeps the original scalar loop nests — they stay the correctness
 /// oracle that the fast path is validated against. `Im2colGemm` forces the
@@ -156,8 +155,8 @@ fn worker_count(m: usize, k: usize, n: usize) -> usize {
 }
 
 /// Whether the runtime-dispatched SIMD microkernels are active on this
-/// machine (x86-64 with AVX2 and FMA). When `false`, the portable
-/// microkernels run; results are equivalent either way.
+/// machine (x86-64 with AVX2). When `false`, the portable microkernels
+/// run; results are bit-identical either way.
 #[must_use]
 pub fn simd_kernels_active() -> bool {
     static DETECTED: OnceLock<bool> = OnceLock::new();
@@ -166,7 +165,7 @@ pub fn simd_kernels_active() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 fn detect_simd() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -180,22 +179,8 @@ fn detect_simd() -> bool {
 // Contract: `a` is a k-major MR-row panel slice (`kc·MR` values), `b` a
 // k-major NR-column panel slice (`kc·NR` values); `acc` accumulates the
 // MR×NR product tile in row-major order. Padded panel cells are zero (after
-// zero-point subtraction for int8), so they can never perturb `acc`.
+// zero-point subtraction), so they can never perturb `acc`.
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn mk_f32_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
-    for kk in 0..kc {
-        let av = &a[kk * MR..kk * MR + MR];
-        let bv = &b[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let ar = av[r];
-            for j in 0..NR {
-                acc[r * NR + j] += ar * bv[j];
-            }
-        }
-    }
-}
 
 #[inline(always)]
 fn mk_i16_portable(kc: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
@@ -209,37 +194,6 @@ fn mk_i16_portable(kc: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
             }
         }
     }
-}
-
-/// AVX2+FMA f32 microkernel: each of the four C rows lives in one ymm
-/// register; B rows load as a single 8-lane vector, A values broadcast.
-///
-/// # Safety
-/// Caller must have verified AVX2+FMA support (see [`simd_kernels_active`])
-/// and pass slices satisfying the microkernel contract above.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mk_f32_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
-    use std::arch::x86_64::{
-        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_storeu_ps,
-    };
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut c0 = _mm256_loadu_ps(acc.as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc.as_ptr().add(NR));
-    let mut c2 = _mm256_loadu_ps(acc.as_ptr().add(2 * NR));
-    let mut c3 = _mm256_loadu_ps(acc.as_ptr().add(3 * NR));
-    for kk in 0..kc {
-        let bv = _mm256_loadu_ps(b.as_ptr().add(kk * NR));
-        let ap = a.as_ptr().add(kk * MR);
-        c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap), bv, c0);
-        c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(1)), bv, c1);
-        c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(2)), bv, c2);
-        c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(3)), bv, c3);
-    }
-    _mm256_storeu_ps(acc.as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc.as_mut_ptr().add(NR), c1);
-    _mm256_storeu_ps(acc.as_mut_ptr().add(2 * NR), c2);
-    _mm256_storeu_ps(acc.as_mut_ptr().add(3 * NR), c3);
 }
 
 /// AVX2 int microkernel: B's 8 i16 lanes widen to one i32 ymm; products use
@@ -340,15 +294,7 @@ unsafe fn mk_i16_pairs_avx2(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32;
 }
 
 #[inline(always)]
-fn writeback<T: Copy + std::ops::AddAssign>(
-    c: &mut [T],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    rows: usize,
-    cols: usize,
-    acc: &[T],
-) {
+fn writeback(c: &mut [i32], n: usize, i0: usize, j0: usize, rows: usize, cols: usize, acc: &[i32]) {
     for r in 0..rows {
         let row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
         for (j, cell) in row.iter_mut().enumerate() {
@@ -363,40 +309,6 @@ fn writeback<T: Copy + std::ops::AddAssign>(
 // inner row-panel sweep; the MC×KC block of packed A is L2-resident across
 // the column-panel sweep.
 // ---------------------------------------------------------------------------
-
-fn gemm_block_f32_packed(k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32], simd: bool) {
-    let m = c.len() / n;
-    let n_panels = n.div_ceil(NR);
-    for kb in (0..k).step_by(KC) {
-        let kc = KC.min(k - kb);
-        for i0 in (0..m).step_by(MC) {
-            let rows_block = MC.min(m - i0);
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let cols = NR.min(n - j0);
-                let bp = &pb[jp * k * NR + kb * NR..jp * k * NR + (kb + kc) * NR];
-                for ip in (i0 / MR)..(i0 + rows_block).div_ceil(MR) {
-                    let ap = &pa[ip * k * MR + kb * MR..ip * k * MR + (kb + kc) * MR];
-                    let mut acc = [0.0f32; MR * NR];
-                    #[cfg(target_arch = "x86_64")]
-                    if simd {
-                        // SAFETY: `simd` is only true when AVX2+FMA were
-                        // detected; slices satisfy the kernel contract.
-                        unsafe { mk_f32_avx2(kc, ap, bp, &mut acc) }
-                    } else {
-                        mk_f32_portable(kc, ap, bp, &mut acc);
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    {
-                        let _ = simd;
-                        mk_f32_portable(kc, ap, bp, &mut acc);
-                    }
-                    writeback(c, n, ip * MR, j0, MR.min(m - ip * MR), cols, &acc);
-                }
-            }
-        }
-    }
-}
 
 fn gemm_block_i8_packed(k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32], simd: bool) {
     let m = c.len() / n;
@@ -430,23 +342,6 @@ fn gemm_block_i8_packed(k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32
             }
         }
     }
-}
-
-fn run_packed_f32(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32], simd: bool) {
-    let threads = worker_count(m, k, n);
-    if threads <= 1 {
-        gemm_block_f32_packed(k, n, pa, pb, c, simd);
-        return;
-    }
-    // Split C into row-panel-aligned chunks; each thread owns a disjoint
-    // range of packed-A panels and C rows.
-    let panels_per = m.div_ceil(MR).div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, c_chunk) in c.chunks_mut(panels_per * MR * n).enumerate() {
-            let pa_chunk = &pa[chunk_idx * panels_per * MR * k..];
-            scope.spawn(move || gemm_block_f32_packed(k, n, pa_chunk, pb, c_chunk, simd));
-        }
-    });
 }
 
 fn run_packed_i8(m: usize, k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32], simd: bool) {
@@ -540,50 +435,6 @@ fn check_packed_lens(
             return Err(TensorError::LengthMismatch { expected, actual });
         }
     }
-    Ok(())
-}
-
-/// `C += A·B` over pre-packed operands: `pa` is the MR-row-panel packing of
-/// the `m×k` A matrix ([`crate::ops::pack::pack_a_f32_into`]), `pb` the
-/// NR-column-panel packing of the `k×n` B matrix. `C` is dense row-major
-/// `m×n`, accumulated into.
-///
-/// # Errors
-/// Returns an error if any slice length disagrees with the packed-layout
-/// lengths.
-pub fn gemm_f32_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    pa: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-) -> Result<(), TensorError> {
-    check_packed_lens(pa.len(), packed_a_len(m, k), pb.len(), packed_b_len(k, n), c.len(), m * n)?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
-    }
-    run_packed_f32(m, k, n, pa, pb, c, simd_kernels_active());
-    Ok(())
-}
-
-/// Portable-microkernel variant of [`gemm_f32_packed`], bypassing runtime
-/// SIMD dispatch. Exists so tests can pin AVX2-vs-portable agreement; use
-/// [`gemm_f32_packed`] everywhere else.
-#[doc(hidden)]
-pub fn gemm_f32_packed_portable(
-    m: usize,
-    k: usize,
-    n: usize,
-    pa: &[f32],
-    pb: &[f32],
-    c: &mut [f32],
-) -> Result<(), TensorError> {
-    check_packed_lens(pa.len(), packed_a_len(m, k), pb.len(), packed_b_len(k, n), c.len(), m * n)?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
-    }
-    run_packed_f32(m, k, n, pa, pb, c, false);
     Ok(())
 }
 
@@ -696,146 +547,77 @@ pub fn gemm_i8_packed_pairs_portable(
     Ok(())
 }
 
-/// `C += A · B` over `f32`, where `A` is `m×k`, `B` is `k×n` and `C` is
-/// `m×n`, all dense row-major. `C` is accumulated into (zero it first for a
-/// plain product). Packs both operands into fresh buffers and runs the
-/// panel kernels; hot paths that can reuse scratch or pre-packed weights
-/// should call [`gemm_f32_packed`] directly.
-///
-/// # Errors
-/// Returns an error if any slice length disagrees with its `m`/`k`/`n`
-/// dimensions.
-pub fn gemm_f32(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) -> Result<(), TensorError> {
-    if c.len() != m * n {
-        return Err(TensorError::LengthMismatch { expected: m * n, actual: c.len() });
-    }
-    if m == 0 || k == 0 || n == 0 {
-        if a.len() != m * k {
-            return Err(TensorError::LengthMismatch { expected: m * k, actual: a.len() });
-        }
-        if b.len() != k * n {
-            return Err(TensorError::LengthMismatch { expected: k * n, actual: b.len() });
-        }
-        return Ok(());
-    }
-    let mut pa = vec![0.0f32; packed_a_len(m, k)];
-    let mut pb = vec![0.0f32; packed_b_len(k, n)];
-    pack_a_f32_into(&mut pa, a, m, k)?;
-    pack_b_f32_into(&mut pb, b, k, n)?;
-    run_packed_f32(m, k, n, &pa, &pb, c, simd_kernels_active());
-    Ok(())
-}
-
-/// `C += (A − zp_a) · (B − zp_b)` over `i8` operands widened to `i32`
-/// accumulators, with `A` `m×k`, `B` `k×n`, `C` `m×n`, all row-major.
-///
-/// Implements the accelerator's Zero-Subtraction semantics — applied once
-/// at pack time, so a padded im2col cell holding `zp_b` packs to literal
-/// zero. The result is bit-identical to the scalar reference regardless of
-/// blocking, because `i32` addition is associative.
-///
-/// # Errors
-/// Returns an error if any slice length disagrees with its `m`/`k`/`n`
-/// dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_i32(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    zp_a: i8,
-    b: &[i8],
-    zp_b: i8,
-    c: &mut [i32],
-) -> Result<(), TensorError> {
-    if c.len() != m * n {
-        return Err(TensorError::LengthMismatch { expected: m * n, actual: c.len() });
-    }
-    if m == 0 || k == 0 || n == 0 {
-        if a.len() != m * k {
-            return Err(TensorError::LengthMismatch { expected: m * k, actual: a.len() });
-        }
-        if b.len() != k * n {
-            return Err(TensorError::LengthMismatch { expected: k * n, actual: b.len() });
-        }
-        return Ok(());
-    }
-    let mut pa = vec![0i16; packed_a_len(m, k)];
-    let mut pb = vec![0i16; packed_b_len(k, n)];
-    pack_a_i8_into(&mut pa, a, zp_a, m, k)?;
-    pack_b_i8_into(&mut pb, b, zp_b, k, n)?;
-    run_packed_i8(m, k, n, &pa, &pb, c, simd_kernels_active());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::pack::{pack_a_i8_into, pack_b_i8_into};
     use crate::rng::DetRng;
 
-    fn naive_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut c = vec![0.0; m * n];
+    /// `C += (A − zp_a)·(B − zp_b)` through the packing + dispatched kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn packed_product(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[i8],
+        zp_a: i8,
+        b: &[i8],
+        zp_b: i8,
+        c: &mut [i32],
+    ) -> Result<(), TensorError> {
+        let mut pa = vec![0i16; packed_a_len(m, k)];
+        let mut pb = vec![0i16; packed_b_len(k, n)];
+        pack_a_i8_into(&mut pa, a, zp_a, m, k)?;
+        pack_b_i8_into(&mut pb, b, zp_b, k, n)?;
+        gemm_i8_packed(m, k, n, &pa, &pb, c)
+    }
+
+    /// The scalar triple loop every packed product must reproduce exactly.
+    fn scalar(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b: i8) -> Vec<i32> {
+        let mut c = vec![0i32; m * n];
         for i in 0..m {
             for kk in 0..k {
+                let av = i32::from(a[i * k + kk]) - i32::from(zp_a);
                 for j in 0..n {
-                    c[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                    c[i * n + j] += av * (i32::from(b[kk * n + j]) - i32::from(zp_b));
                 }
             }
         }
         c
     }
 
+    fn rand_i8(len: usize, rng: &mut DetRng) -> Vec<i8> {
+        (0..len).map(|_| rng.next_i8()).collect()
+    }
+
     #[test]
-    fn f32_matches_naive_on_awkward_dims() {
+    fn i8_matches_naive_on_awkward_dims() {
         // Dims chosen to exercise the MR/NR tails, the KC boundary and n=1.
         for (m, k, n) in [(1, 1, 1), (5, 7, 3), (4, 300, 9), (7, 13, 1), (9, 257, 5), (3, 40, 17)] {
             let mut rng = DetRng::new((m * 1000 + k * 10 + n) as u64);
-            let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-            let mut c = vec![0.0; m * n];
-            gemm_f32(m, k, n, &a, &b, &mut c).unwrap();
-            let expect = naive_f32(m, k, n, &a, &b);
-            for (x, y) in c.iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-4, "({m},{k},{n}): {x} vs {y}");
-            }
+            let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
+            let mut c = vec![0i32; m * n];
+            packed_product(m, k, n, &a, 4, &b, -6, &mut c).unwrap();
+            assert_eq!(c, scalar(m, k, n, &a, 4, &b, -6), "({m},{k},{n})");
         }
     }
 
     #[test]
-    fn f32_accumulates_into_c() {
-        let a = [1.0, 2.0];
-        let b = [10.0, 100.0];
-        let mut c = [5.0];
-        gemm_f32(1, 2, 1, &a, &b, &mut c).unwrap();
-        assert_eq!(c[0], 5.0 + 210.0);
+    fn i8_accumulates_into_c() {
+        let mut c = [5i32];
+        packed_product(1, 2, 1, &[1, 2], 0, &[10, 100], 0, &mut c).unwrap();
+        assert_eq!(c[0], 5 + 210);
     }
 
     #[test]
     fn i8_matches_naive_with_zero_points() {
         let (m, k, n) = (6, 20, 11);
         let mut rng = DetRng::new(42);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
-        let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
+        let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
         let (zp_a, zp_b) = (-3i8, 7i8);
         let mut c = vec![0i32; m * n];
-        gemm_i8_i32(m, k, n, &a, zp_a, &b, zp_b, &mut c).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for kk in 0..k {
-                    acc += (i32::from(a[i * k + kk]) - i32::from(zp_a))
-                        * (i32::from(b[kk * n + j]) - i32::from(zp_b));
-                }
-                assert_eq!(c[i * n + j], acc, "mismatch at ({i},{j})");
-            }
-        }
+        packed_product(m, k, n, &a, zp_a, &b, zp_b, &mut c).unwrap();
+        assert_eq!(c, scalar(m, k, n, &a, zp_a, &b, zp_b));
     }
 
     #[test]
@@ -845,7 +627,7 @@ mod tests {
         let a = vec![i8::MIN; m * k];
         let b = vec![i8::MAX; k * n];
         let mut c = vec![0i32; m * n];
-        gemm_i8_i32(m, k, n, &a, i8::MAX, &b, i8::MIN, &mut c).unwrap();
+        packed_product(m, k, n, &a, i8::MAX, &b, i8::MIN, &mut c).unwrap();
         // Every MAC is (−128 − 127)·(127 − (−128)) = −255·255.
         assert!(c.iter().all(|&v| v == (k as i32) * -255 * 255));
     }
@@ -853,27 +635,29 @@ mod tests {
     #[test]
     fn i8_zero_point_cells_contribute_nothing() {
         // A column of B equal to zp_b must vanish after Zero-Subtraction.
-        let a = [5i8, -9, 3];
-        let b = [4i8, 4, 4];
         let mut c = [0i32];
-        gemm_i8_i32(1, 3, 1, &a, 0, &b, 4, &mut c).unwrap();
+        packed_product(1, 3, 1, &[5, -9, 3], 0, &[4, 4, 4], 4, &mut c).unwrap();
         assert_eq!(c[0], 0);
     }
 
     #[test]
     fn degenerate_dims_are_no_ops() {
-        let mut c: [f32; 0] = [];
-        gemm_f32(0, 4, 0, &[], &[0.0; 0], &mut c).unwrap();
-        let mut c2 = [1.0f32, 2.0];
-        gemm_f32(2, 0, 1, &[], &[], &mut c2).unwrap();
-        assert_eq!(c2, [1.0, 2.0]); // k == 0 leaves C untouched
+        let mut c: [i32; 0] = [];
+        gemm_i8_packed(0, 4, 0, &[], &[], &mut c).unwrap();
+        let mut c2 = [1i32, 2];
+        gemm_i8_packed(2, 0, 1, &[], &[], &mut c2).unwrap();
+        assert_eq!(c2, [1, 2]); // k == 0 leaves C untouched
+        gemm_i8_packed_pairs(2, 0, 1, &[], &[], &mut c2).unwrap();
+        assert_eq!(c2, [1, 2]);
     }
 
     #[test]
     fn rejects_wrong_a_len() {
-        let mut c = [0.0f32; 4];
-        assert!(gemm_f32(2, 2, 2, &[0.0; 3], &[0.0; 4], &mut c).is_err());
-        assert!(gemm_i8_i32(2, 2, 2, &[0; 4], 0, &[0; 4], 0, &mut [0i32; 3]).is_err());
+        let mut c = [0i32; 4];
+        let pb = vec![0i16; packed_b_len(2, 2)];
+        assert!(gemm_i8_packed(2, 2, 2, &[0; 3], &pb, &mut c).is_err());
+        assert!(packed_product(2, 2, 2, &[0; 3], 0, &[0; 4], 0, &mut c).is_err());
+        assert!(packed_product(2, 2, 2, &[0; 4], 0, &[0; 4], 0, &mut [0i32; 3]).is_err());
     }
 
     #[test]
@@ -881,13 +665,10 @@ mod tests {
         // m*k*n > PARALLEL_MIN so the scoped-thread path runs.
         let (m, k, n) = (64, 129, 130);
         let mut rng = DetRng::new(7);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
-        let mut c = vec![0.0; m * n];
-        gemm_f32(m, k, n, &a, &b, &mut c).unwrap();
-        let expect = naive_f32(m, k, n, &a, &b);
-        let max_err = c.iter().zip(&expect).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max);
-        assert!(max_err < 1e-3, "max err {max_err}");
+        let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
+        let mut c = vec![0i32; m * n];
+        packed_product(m, k, n, &a, -1, &b, 2, &mut c).unwrap();
+        assert_eq!(c, scalar(m, k, n, &a, -1, &b, 2));
     }
 
     #[test]
@@ -895,14 +676,13 @@ mod tests {
         // Crosses PARALLEL_MIN with awkward row/column tails.
         let (m, k, n) = (66, 130, 131);
         let mut rng = DetRng::new(99);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
-        let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut threaded = vec![0i32; m * n];
-        gemm_i8_i32(m, k, n, &a, 5, &b, -11, &mut threaded).unwrap();
+        let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
         let mut pa = vec![0i16; packed_a_len(m, k)];
         let mut pb = vec![0i16; packed_b_len(k, n)];
         pack_a_i8_into(&mut pa, &a, 5, m, k).unwrap();
         pack_b_i8_into(&mut pb, &b, -11, k, n).unwrap();
+        let mut threaded = vec![0i32; m * n];
+        gemm_i8_packed(m, k, n, &pa, &pb, &mut threaded).unwrap();
         let mut single = vec![0i32; m * n];
         gemm_block_i8_packed(k, n, &pa, &pb, &mut single, simd_kernels_active());
         assert_eq!(threaded, single);
@@ -912,8 +692,7 @@ mod tests {
     fn simd_and_portable_i8_agree_bit_exactly() {
         let (m, k, n) = (13, 70, 21);
         let mut rng = DetRng::new(17);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
-        let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
+        let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
         let mut pa = vec![0i16; packed_a_len(m, k)];
         let mut pb = vec![0i16; packed_b_len(k, n)];
         pack_a_i8_into(&mut pa, &a, -2, m, k).unwrap();
@@ -923,23 +702,6 @@ mod tests {
         let mut portable = vec![0i32; m * n];
         gemm_i8_packed_portable(m, k, n, &pa, &pb, &mut portable).unwrap();
         assert_eq!(dispatched, portable);
-    }
-
-    #[test]
-    fn prepacked_f32_matches_packing_entry_point() {
-        let (m, k, n) = (10, 33, 14);
-        let mut rng = DetRng::new(31);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-        let mut pa = vec![0.0; packed_a_len(m, k)];
-        let mut pb = vec![0.0; packed_b_len(k, n)];
-        pack_a_f32_into(&mut pa, &a, m, k).unwrap();
-        pack_b_f32_into(&mut pb, &b, k, n).unwrap();
-        let mut via_packed = vec![0.0; m * n];
-        gemm_f32_packed(m, k, n, &pa, &pb, &mut via_packed).unwrap();
-        let mut via_raw = vec![0.0; m * n];
-        gemm_f32(m, k, n, &a, &b, &mut via_raw).unwrap();
-        assert_eq!(via_packed, via_raw, "same packing must give the same bits");
     }
 
     #[test]

@@ -6,15 +6,13 @@
 //! hot path is the [`im2col`] + panel-packed microkernel [`gemm`] backend
 //! (operand layouts in [`pack`], reusable scratch in [`crate::arena`]),
 //! which the default [`gemm::KernelPolicy::Auto`] picks for dense
-//! convolutions large enough to amortize the lowering. Quantized results
-//! are bit-identical across backends; f32 results agree to reassociation
-//! error.
+//! convolutions large enough to amortize the lowering. Results are
+//! bit-identical across backends.
 
 pub mod activation;
 pub mod conv;
 pub mod epilogue;
 pub mod gemm;
 pub mod im2col;
-pub mod linear;
 pub mod pack;
 pub mod pool;

@@ -20,11 +20,11 @@
 //!   └───────────────┘             └ last panel zero-padded to NR cols
 //! ```
 //!
-//! For the quantized path the zero points are subtracted **at pack time**
-//! (`i8 → i16` widening, so `a − zp` can never overflow): the microkernel
-//! then runs plain `i32 += i16·i16` multiply-accumulates with no per-MAC
-//! zero-point work, and padded cells become literal `0`, contributing
-//! nothing — exactly the Zero-Subtraction semantics of the reference loops.
+//! The zero points are subtracted **at pack time** (`i8 → i16` widening, so
+//! `a − zp` can never overflow): the microkernel then runs plain
+//! `i32 += i16·i16` multiply-accumulates with no per-MAC zero-point work,
+//! and padded cells become literal `0`, contributing nothing — exactly the
+//! Zero-Subtraction semantics of the reference loops.
 //!
 //! Packing the *weight* operand (`A` in the conv-as-GEMM orientation used
 //! here: `C[kg × npix] = W[kg × kdim] · patches[kdim × npix]`) is the
@@ -82,27 +82,6 @@ pub const fn packed_b_pairs_len(k: usize, n: usize) -> usize {
 fn check_len(actual: usize, expected: usize) -> Result<(), TensorError> {
     if actual != expected {
         return Err(TensorError::LengthMismatch { expected, actual });
-    }
-    Ok(())
-}
-
-/// Packs row-major `a` (`m × k`, f32) into MR-row panels, k-major within
-/// each panel. Tail rows of the last panel are written as `0.0`.
-///
-/// # Errors
-/// Returns an error if `a` or `dst` have the wrong length.
-pub fn pack_a_f32_into(dst: &mut [f32], a: &[f32], m: usize, k: usize) -> Result<(), TensorError> {
-    check_len(a.len(), m * k)?;
-    check_len(dst.len(), packed_a_len(m, k))?;
-    for (p, panel) in dst.chunks_exact_mut(MR * k).enumerate() {
-        let i0 = p * MR;
-        let rows = MR.min(m - i0);
-        for kk in 0..k {
-            let cell = &mut panel[kk * MR..kk * MR + MR];
-            for (r, c) in cell.iter_mut().enumerate() {
-                *c = if r < rows { a[(i0 + r) * k + kk] } else { 0.0 };
-            }
-        }
     }
     Ok(())
 }
@@ -169,27 +148,6 @@ pub fn pack_a_i8_pairs_into(
                         if r < rows && kk < k { i16::from(a[(i0 + r) * k + kk]) - zp } else { 0 };
                 }
             }
-        }
-    }
-    Ok(())
-}
-
-/// Packs row-major `b` (`k × n`, f32) into NR-column panels, k-major within
-/// each panel. Tail columns of the last panel are written as `0.0`.
-///
-/// # Errors
-/// Returns an error if `b` or `dst` have the wrong length.
-pub fn pack_b_f32_into(dst: &mut [f32], b: &[f32], k: usize, n: usize) -> Result<(), TensorError> {
-    check_len(b.len(), k * n)?;
-    check_len(dst.len(), packed_b_len(k, n))?;
-    for (p, panel) in dst.chunks_exact_mut(NR * k).enumerate() {
-        let j0 = p * NR;
-        let cols = NR.min(n - j0);
-        for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + cols];
-            let cell = &mut panel[kk * NR..kk * NR + NR];
-            cell[..cols].copy_from_slice(src);
-            cell[cols..].fill(0.0);
         }
     }
     Ok(())
@@ -262,113 +220,6 @@ pub fn pack_b_i8_pairs_into(
     Ok(())
 }
 
-/// An owned, panel-packed A operand (`m × k`, MR-row panels).
-///
-/// For the quantized path the cells are zero-point-subtracted `i16`; see
-/// the module docs for the exact layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedA<T> {
-    data: Vec<T>,
-    m: usize,
-    k: usize,
-}
-
-impl PackedA<f32> {
-    /// Packs a row-major `m × k` f32 matrix.
-    ///
-    /// # Errors
-    /// Returns an error if `a.len() != m * k`.
-    pub fn from_f32(a: &[f32], m: usize, k: usize) -> Result<Self, TensorError> {
-        let mut data = vec![0.0; packed_a_len(m, k)];
-        pack_a_f32_into(&mut data, a, m, k)?;
-        Ok(Self { data, m, k })
-    }
-}
-
-impl PackedA<i16> {
-    /// Packs a row-major `m × k` i8 matrix with its zero point subtracted.
-    ///
-    /// # Errors
-    /// Returns an error if `a.len() != m * k`.
-    pub fn from_i8(a: &[i8], zp: i8, m: usize, k: usize) -> Result<Self, TensorError> {
-        let mut data = vec![0; packed_a_len(m, k)];
-        pack_a_i8_into(&mut data, a, zp, m, k)?;
-        Ok(Self { data, m, k })
-    }
-}
-
-impl<T> PackedA<T> {
-    /// The packed panel data.
-    #[must_use]
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Logical row count `m`.
-    #[must_use]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Reduction depth `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// An owned, panel-packed B operand (`k × n`, NR-column panels).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedB<T> {
-    data: Vec<T>,
-    k: usize,
-    n: usize,
-}
-
-impl PackedB<f32> {
-    /// Packs a row-major `k × n` f32 matrix.
-    ///
-    /// # Errors
-    /// Returns an error if `b.len() != k * n`.
-    pub fn from_f32(b: &[f32], k: usize, n: usize) -> Result<Self, TensorError> {
-        let mut data = vec![0.0; packed_b_len(k, n)];
-        pack_b_f32_into(&mut data, b, k, n)?;
-        Ok(Self { data, k, n })
-    }
-}
-
-impl PackedB<i16> {
-    /// Packs a row-major `k × n` i8 matrix with its zero point subtracted.
-    ///
-    /// # Errors
-    /// Returns an error if `b.len() != k * n`.
-    pub fn from_i8(b: &[i8], zp: i8, k: usize, n: usize) -> Result<Self, TensorError> {
-        let mut data = vec![0; packed_b_len(k, n)];
-        pack_b_i8_into(&mut data, b, zp, k, n)?;
-        Ok(Self { data, k, n })
-    }
-}
-
-impl<T> PackedB<T> {
-    /// The packed panel data.
-    #[must_use]
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Reduction depth `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Logical column count `n`.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
 /// The panel layout a packed operand was built in.
 ///
 /// `Panel` is the classic k-major layout read by the `mullo`-based
@@ -387,7 +238,7 @@ pub enum PackLayout {
 
 /// Pre-packed int8 convolution weights: one zero-point-subtracted packed-A
 /// block per group, concatenated, ready for
-/// [`crate::ops::conv::conv2d_i8_prepacked`] (layout `Panel`) or
+/// [`crate::ops::conv::conv2d_i8_in`] (layout `Panel`) or
 /// [`crate::ops::conv::conv2d_i8_fused`] (layout `KPair`).
 ///
 /// Packing happens once (per SubGraph install on the serving path); every
@@ -405,20 +256,7 @@ pub struct PackedConv2d {
 
 impl PackedConv2d {
     /// Packs conv weights shaped `(K, C/groups, R, S)` for reuse across
-    /// queries, in the classic [`PackLayout::Panel`] layout.
-    ///
-    /// # Errors
-    /// Returns an error when `weights`/`params` are inconsistent (groups
-    /// not dividing `K`, zero groups).
-    pub fn pack(
-        weights: &Tensor<i8>,
-        w_q: QuantParams,
-        params: &Conv2dParams,
-    ) -> Result<Self, TensorError> {
-        Self::pack_with_layout(weights, w_q, params, PackLayout::Panel)
-    }
-
-    /// [`PackedConv2d::pack`] with an explicit panel layout.
+    /// queries, in `layout`.
     ///
     /// # Errors
     /// Returns an error when `weights`/`params` are inconsistent (groups
@@ -470,6 +308,45 @@ impl PackedConv2d {
         self.layout
     }
 
+    /// Checks that these are [`PackLayout::Panel`] panels of weights shaped
+    /// `wshape`, packed under `w_q` for `groups` groups — i.e. that the
+    /// unfused conv may read them in place of those raw weights. The direct
+    /// loops read the raw weights and the GEMM reads the panels, so a
+    /// mismatch would let the kernel policy change the numbers.
+    ///
+    /// # Errors
+    /// Returns an error naming the first property that disagrees.
+    pub fn check_panels_of(
+        &self,
+        wshape: Shape4,
+        w_q: QuantParams,
+        groups: usize,
+    ) -> Result<(), TensorError> {
+        if self.wshape != wshape {
+            return Err(TensorError::ShapeMismatch {
+                what: "packed weights vs raw weights",
+                lhs: self.wshape,
+                rhs: wshape,
+            });
+        }
+        if self.w_q != w_q {
+            return Err(TensorError::InvalidParam {
+                what: "packed weights built under another w_q",
+            });
+        }
+        if self.groups != groups {
+            return Err(TensorError::InvalidParam {
+                what: "packed weights built for other groups",
+            });
+        }
+        if self.layout != PackLayout::Panel {
+            return Err(TensorError::InvalidParam {
+                what: "k-pair packed weights require the fused conv entry point",
+            });
+        }
+        Ok(())
+    }
+
     /// The packed-A block for group `g` (`kg × kdim` panels).
     ///
     /// # Panics
@@ -511,35 +388,36 @@ mod tests {
     #[test]
     fn packed_a_layout_is_k_major_with_zero_tail() {
         // 5×3 matrix: panel 0 holds rows 0..4, panel 1 holds row 4 + pads.
-        let a: Vec<f32> = (0..15).map(|v| v as f32).collect();
-        let p = PackedA::from_f32(&a, 5, 3).unwrap();
-        assert_eq!(p.data().len(), packed_a_len(5, 3));
+        let a: Vec<i8> = (0..15).collect();
+        let mut p = vec![0i16; packed_a_len(5, 3)];
+        pack_a_i8_into(&mut p, &a, 0, 5, 3).unwrap();
         // Panel 0, k step 1 => rows 0..4 of column 1: a[1], a[4], a[7], a[10].
-        assert_eq!(&p.data()[4..8], &[1.0, 4.0, 7.0, 10.0]);
+        assert_eq!(&p[4..8], &[1, 4, 7, 10]);
         // Panel 1, k step 0 => row 4 col 0, then three pad rows.
-        assert_eq!(&p.data()[12..16], &[12.0, 0.0, 0.0, 0.0]);
+        assert_eq!(&p[12..16], &[12, 0, 0, 0]);
     }
 
     #[test]
     fn packed_b_layout_is_k_major_with_zero_tail() {
         // 2×10 matrix: panel 0 = cols 0..8, panel 1 = cols 8..10 + pads.
-        let b: Vec<f32> = (0..20).map(|v| v as f32).collect();
-        let p = PackedB::from_f32(&b, 2, 10).unwrap();
-        assert_eq!(p.data().len(), packed_b_len(2, 10));
+        let b: Vec<i8> = (0..20).collect();
+        let mut p = vec![0i16; packed_b_len(2, 10)];
+        pack_b_i8_into(&mut p, &b, 0, 2, 10).unwrap();
         // Panel 0, k step 1 => cols 0..8 of row 1.
-        assert_eq!(&p.data()[8..16], &b[10..18]);
+        assert_eq!(&p[8..16], &[10, 11, 12, 13, 14, 15, 16, 17]);
         // Panel 1, k step 0 => cols 8..10 of row 0, then six pads.
-        assert_eq!(&p.data()[16..24], &[8.0, 9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(&p[16..24], &[8, 9, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn i8_pack_subtracts_zero_point_exactly() {
         let a = [i8::MIN, -1, 0, 1, i8::MAX, 7];
-        let p = PackedA::from_i8(&a, 7, 2, 3).unwrap();
+        let mut p = vec![0i16; packed_a_len(2, 3)];
+        pack_a_i8_into(&mut p, &a, 7, 2, 3).unwrap();
         // Row 0 col 0 = -128 - 7 = -135 (unrepresentable in i8, exact in i16).
-        assert_eq!(p.data()[0], -135);
+        assert_eq!(p[0], -135);
         // A cell equal to the zero point (row 1, col 2) packs to exactly 0.
-        assert_eq!(p.data()[2 * MR + 1], 0);
+        assert_eq!(p[2 * MR + 1], 0);
     }
 
     /// Only a conv that packs its weight operand per call is counted by the
@@ -548,22 +426,22 @@ mod tests {
     #[test]
     fn arena_counts_per_call_weight_packs_only() {
         use crate::arena::Arena;
-        use crate::ops::conv::{conv2d_i8_in, conv2d_i8_prepacked};
+        use crate::ops::conv::conv2d_i8_in;
         use crate::ops::gemm::KernelPolicy;
         let q = QuantParams::new(1.0, 0);
         let x = Tensor::from_vec(Shape4::new(1, 2, 2, 2), (1..=8).collect()).unwrap();
         let w = Tensor::from_vec(Shape4::new(3, 2, 1, 1), vec![1i8, 2, 3, 4, 5, 6]).unwrap();
         let params = Conv2dParams::new(1, 1);
+        let panels = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::Panel).unwrap();
         let mut arena = Arena::new();
-        let conv = |arena: &mut Arena, policy| {
-            conv2d_i8_in(&x, q, &w, q, None, q, &params, policy, arena).unwrap()
+        let conv = |arena: &mut Arena, packed, policy| {
+            conv2d_i8_in(&x, q, &w, q, packed, None, q, &params, policy, arena).unwrap()
         };
-        let naive = conv(&mut arena, KernelPolicy::Naive);
+        let naive = conv(&mut arena, None, KernelPolicy::Naive);
         assert_eq!(arena.weight_packs(), 0, "direct loops pack nothing");
-        let panels = PackedConv2d::pack(&w, q, &params).unwrap();
-        let prepacked = conv2d_i8_prepacked(&x, q, &panels, None, q, &params, &mut arena).unwrap();
+        let prepacked = conv(&mut arena, Some(&panels), KernelPolicy::Im2colGemm);
         assert_eq!(arena.weight_packs(), 0, "install-time panels are read in place");
-        let gemm = conv(&mut arena, KernelPolicy::Im2colGemm);
+        let gemm = conv(&mut arena, None, KernelPolicy::Im2colGemm);
         assert_eq!(arena.weight_packs(), 1, "raw weights pack once per call");
         assert_eq!(naive, prepacked);
         assert_eq!(naive, gemm);
@@ -571,8 +449,10 @@ mod tests {
 
     #[test]
     fn wrong_lengths_are_errors_not_panics() {
-        assert!(PackedA::from_f32(&[0.0; 3], 2, 2).is_err());
-        assert!(PackedB::from_i8(&[0; 5], 0, 2, 2).is_err());
+        let mut dst = vec![0i16; packed_a_len(2, 2)];
+        assert!(pack_a_i8_into(&mut dst, &[0; 3], 0, 2, 2).is_err());
+        let mut dst = vec![0i16; packed_b_len(2, 2)];
+        assert!(pack_b_i8_into(&mut dst, &[0; 5], 0, 2, 2).is_err());
         let mut dst = vec![0i16; packed_a_pairs_len(2, 3) + 1];
         assert!(pack_a_i8_pairs_into(&mut dst, &[0; 6], 0, 2, 3).is_err());
     }
@@ -613,18 +493,12 @@ mod tests {
     fn packed_conv_kpair_layout_round_trips() {
         let wshape = Shape4::new(2, 3, 1, 1); // kg=2, kdim=3
         let w = Tensor::from_vec(wshape, vec![1i8, 2, 3, 4, 5, 6]).unwrap();
-        let params = Conv2dParams::new(1, 1);
-        let p = PackedConv2d::pack_with_layout(
-            &w,
-            QuantParams::new(1.0, 0),
-            &params,
-            PackLayout::KPair,
-        )
-        .unwrap();
+        let (q, params) = (QuantParams::new(1.0, 0), Conv2dParams::new(1, 1));
+        let p = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::KPair).unwrap();
         assert_eq!(p.layout(), PackLayout::KPair);
         assert_eq!(p.group(0).len(), packed_a_pairs_len(2, 3));
         assert_eq!(&p.group(0)[..MR * 2], &[1, 2, 4, 5, 0, 0, 0, 0]);
-        let panel = PackedConv2d::pack(&w, QuantParams::new(1.0, 0), &params).unwrap();
+        let panel = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::Panel).unwrap();
         assert_eq!(panel.layout(), PackLayout::Panel);
     }
 
@@ -632,8 +506,8 @@ mod tests {
     fn packed_conv_groups_are_independent_blocks() {
         let wshape = Shape4::new(4, 2, 1, 1); // 2 groups of kg=2, kdim=2
         let w = Tensor::from_vec(wshape, vec![1i8, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let params = Conv2dParams::new(1, 1).with_groups(2);
-        let p = PackedConv2d::pack(&w, QuantParams::new(1.0, 0), &params).unwrap();
+        let (q, params) = (QuantParams::new(1.0, 0), Conv2dParams::new(1, 1).with_groups(2));
+        let p = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::Panel).unwrap();
         assert_eq!(p.groups(), 2);
         // Group 1's first k-step holds rows {5,6..} column 0 => [5, 7, pad, pad].
         assert_eq!(&p.group(1)[..4], &[5, 7, 0, 0]);
@@ -642,7 +516,7 @@ mod tests {
     #[test]
     fn packed_conv_rejects_bad_groups() {
         let w = Tensor::<i8>::zeros(Shape4::new(3, 1, 1, 1));
-        let params = Conv2dParams::new(1, 1).with_groups(2);
-        assert!(PackedConv2d::pack(&w, QuantParams::new(1.0, 0), &params).is_err());
+        let (q, params) = (QuantParams::new(1.0, 0), Conv2dParams::new(1, 1).with_groups(2));
+        assert!(PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::Panel).is_err());
     }
 }

@@ -1,26 +1,25 @@
 //! Property-based equivalence suite for the kernel backends: the im2col +
-//! packed-GEMM path must reproduce the naive oracle across random shapes,
-//! strides, paddings and group structures — bit-identically for int8
-//! (integer accumulation is associative) and within 1e-4 for f32 — and the
-//! packed kernels themselves must match the scalar reference across
-//! `m % MR != 0` / `n % NR != 0` tails, zero-point extremes, pre-packed
-//! weights, and the AVX2-vs-portable microkernel split.
+//! packed-GEMM path must reproduce the naive oracle bit-identically across
+//! random shapes, strides, paddings and group structures (integer
+//! accumulation is associative), and the packed kernels themselves must
+//! match the scalar reference across `m % MR != 0` / `n % NR != 0` tails,
+//! zero-point extremes, pre-packed weights, and the AVX2-vs-portable
+//! microkernel split.
 
 use proptest::prelude::*;
 
-use sushi_tensor::ops::conv::{conv2d_f32_with, conv2d_i8_prepacked, conv2d_i8_with, Conv2dParams};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
 use sushi_tensor::ops::gemm::{
-    gemm_f32_packed, gemm_f32_packed_portable, gemm_i8_packed, gemm_i8_packed_pairs,
-    gemm_i8_packed_pairs_portable, gemm_i8_packed_portable,
+    gemm_i8_packed, gemm_i8_packed_pairs, gemm_i8_packed_pairs_portable, gemm_i8_packed_portable,
 };
-use sushi_tensor::ops::linear::linear_f32_with;
 use sushi_tensor::ops::pack::{
-    pack_a_f32_into, pack_a_i8_into, pack_a_i8_pairs_into, pack_b_f32_into, pack_b_i8_into,
-    pack_b_i8_pairs_into, packed_a_len, packed_a_pairs_len, packed_b_len, packed_b_pairs_len,
-    PackedConv2d, MR, NR,
+    pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
+    packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
 };
 use sushi_tensor::shape::conv_out_dim;
-use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
+use sushi_tensor::{
+    Arena, DetRng, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor, TensorError,
+};
 
 /// A random-but-valid conv problem: `(input, weights, params)` shapes.
 ///
@@ -62,12 +61,6 @@ fn depthwise_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
     )
 }
 
-fn rand_f32(shape: Shape4, seed: u64) -> Tensor<f32> {
-    let mut rng = DetRng::new(seed);
-    Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.uniform_f32(-1.0, 1.0)).collect())
-        .unwrap()
-}
-
 fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
     let mut rng = DetRng::new(seed);
     Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect()).unwrap()
@@ -77,26 +70,38 @@ fn output_nonempty(ishape: Shape4, params: &Conv2dParams) -> bool {
     conv_out_dim(ishape.h, params.kernel_h, params.stride, params.padding).is_some_and(|d| d > 0)
 }
 
+/// The unfused conv on raw weights under `policy`, with a private arena.
+#[allow(clippy::too_many_arguments)]
+fn conv(
+    x: &Tensor<i8>,
+    in_q: QuantParams,
+    w: &Tensor<i8>,
+    w_q: QuantParams,
+    bias: Option<&[i32]>,
+    out_q: QuantParams,
+    params: &Conv2dParams,
+    policy: KernelPolicy,
+) -> Result<Tensor<i8>, TensorError> {
+    conv2d_i8_in(x, in_q, w, w_q, None, bias, out_q, params, policy, &mut Arena::new())
+}
+
+/// The scalar triple loop `(A − zp_a)·(B − zp_b)` every packed kernel must
+/// reproduce exactly.
+fn scalar_gemm(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b: i8) -> Vec<i32> {
+    let mut c = vec![0i32; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let av = i32::from(a[i * k + kk]) - i32::from(zp_a);
+            for j in 0..n {
+                c[i * n + j] += av * (i32::from(b[kk * n + j]) - i32::from(zp_b));
+            }
+        }
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// f32: the GEMM backend tracks the naive oracle within 1e-4.
-    #[test]
-    fn f32_gemm_matches_naive((ishape, wshape, params) in conv_cases(), seed in 0u64..10_000) {
-        prop_assume!(output_nonempty(ishape, &params));
-        let x = rand_f32(ishape, seed);
-        let w = rand_f32(wshape, seed + 1);
-        let bias: Vec<f32> = {
-            let mut rng = DetRng::new(seed + 2);
-            (0..wshape.n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect()
-        };
-        let naive =
-            conv2d_f32_with(&x, &w, Some(&bias), &params, KernelPolicy::Naive).unwrap();
-        let gemm =
-            conv2d_f32_with(&x, &w, Some(&bias), &params, KernelPolicy::Im2colGemm).unwrap();
-        let err = naive.max_abs_diff(&gemm).unwrap();
-        prop_assert!(err <= 1e-4, "f32 backends diverged by {err} on {ishape}*{wshape} {params:?}");
-    }
 
     /// int8: the GEMM backend is bit-identical to the naive oracle,
     /// including nonzero zero points and bias.
@@ -117,10 +122,9 @@ proptest! {
             let mut rng = DetRng::new(seed + 2);
             (0..wshape.n).map(|_| (rng.next_u64() % 600) as i32 - 300).collect()
         });
-        let naive = conv2d_i8_with(
-            &x, in_q, &w, w_q, bias.as_deref(), out_q, &params, KernelPolicy::Naive,
-        ).unwrap();
-        let gemm = conv2d_i8_with(
+        let naive =
+            conv(&x, in_q, &w, w_q, bias.as_deref(), out_q, &params, KernelPolicy::Naive).unwrap();
+        let gemm = conv(
             &x, in_q, &w, w_q, bias.as_deref(), out_q, &params, KernelPolicy::Im2colGemm,
         ).unwrap();
         prop_assert_eq!(naive, gemm);
@@ -137,10 +141,8 @@ proptest! {
         let x = rand_i8(ishape, seed);
         let w = rand_i8(wshape, seed + 1);
         let q = QuantParams::new(0.03, -5);
-        let naive =
-            conv2d_i8_with(&x, q, &w, q, None, q, &params, KernelPolicy::Naive).unwrap();
-        let gemm =
-            conv2d_i8_with(&x, q, &w, q, None, q, &params, KernelPolicy::Im2colGemm).unwrap();
+        let naive = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Naive).unwrap();
+        let gemm = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Im2colGemm).unwrap();
         prop_assert_eq!(naive, gemm);
     }
 
@@ -151,8 +153,8 @@ proptest! {
         let x = rand_i8(ishape, seed);
         let w = rand_i8(wshape, seed + 1);
         let q = QuantParams::new(0.05, 4);
-        let naive = conv2d_i8_with(&x, q, &w, q, None, q, &params, KernelPolicy::Naive).unwrap();
-        let auto = conv2d_i8_with(&x, q, &w, q, None, q, &params, KernelPolicy::Auto).unwrap();
+        let naive = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Naive).unwrap();
+        let auto = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Auto).unwrap();
         prop_assert_eq!(naive, auto);
     }
 
@@ -178,57 +180,12 @@ proptest! {
         pack_b_i8_into(&mut pb, &b, zp_b, k, n).unwrap();
         let mut c = vec![0i32; m * n];
         gemm_i8_packed(m, k, n, &pa, &pb, &mut c).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for kk in 0..k {
-                    acc += (i32::from(a[i * k + kk]) - i32::from(zp_a))
-                        * (i32::from(b[kk * n + j]) - i32::from(zp_b));
-                }
-                prop_assert_eq!(c[i * n + j], acc, "({},{}) of {}x{}x{}", i, j, m, k, n);
-            }
-        }
+        prop_assert_eq!(&c, &scalar_gemm(m, k, n, &a, zp_a, &b, zp_b), "{}x{}x{}", m, k, n);
         // Dispatched (possibly AVX2) and portable microkernels agree
         // bit-for-bit; on machines without AVX2 this is trivially true.
         let mut portable = vec![0i32; m * n];
         gemm_i8_packed_portable(m, k, n, &pa, &pb, &mut portable).unwrap();
         prop_assert_eq!(c, portable);
-    }
-
-    /// The packed f32 kernels track the scalar triple loop within 1e-4,
-    /// and the AVX2 (FMA) and portable microkernels agree within the same
-    /// tolerance when the feature is detected.
-    #[test]
-    fn packed_f32_gemm_matches_scalar_reference(
-        m in 1usize..=11,
-        k in 1usize..=48,
-        n in 1usize..=19,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = DetRng::new(seed ^ 0xF32);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-        let mut pa = vec![0.0f32; packed_a_len(m, k)];
-        let mut pb = vec![0.0f32; packed_b_len(k, n)];
-        pack_a_f32_into(&mut pa, &a, m, k).unwrap();
-        pack_b_f32_into(&mut pb, &b, k, n).unwrap();
-        let mut c = vec![0.0f32; m * n];
-        gemm_f32_packed(m, k, n, &pa, &pb, &mut c).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for kk in 0..k {
-                    acc += f64::from(a[i * k + kk]) * f64::from(b[kk * n + j]);
-                }
-                let got = f64::from(c[i * n + j]);
-                prop_assert!((got - acc).abs() <= 1e-4, "({},{}): {} vs {}", i, j, got, acc);
-            }
-        }
-        let mut portable = vec![0.0f32; m * n];
-        gemm_f32_packed_portable(m, k, n, &pa, &pb, &mut portable).unwrap();
-        for (x, y) in c.iter().zip(&portable) {
-            prop_assert!((x - y).abs() <= 1e-4, "simd {} vs portable {}", x, y);
-        }
     }
 
     /// Weights packed once via `PackedConv2d` serve bit-identical results
@@ -247,16 +204,17 @@ proptest! {
         let in_q = QuantParams::new(0.05, zp_in);
         let w_q = QuantParams::new(0.02, zp_w);
         let out_q = QuantParams::new(0.4, 3);
-        let naive = conv2d_i8_with(
-            &x, in_q, &w, w_q, None, out_q, &params, KernelPolicy::Naive,
-        ).unwrap();
-        let packed = PackedConv2d::pack(&w, w_q, &params).unwrap();
+        let naive = conv(&x, in_q, &w, w_q, None, out_q, &params, KernelPolicy::Naive).unwrap();
+        let packed = PackedConv2d::pack_with_layout(&w, w_q, &params, PackLayout::Panel).unwrap();
         let mut arena = Arena::new();
-        let first =
-            conv2d_i8_prepacked(&x, in_q, &packed, None, out_q, &params, &mut arena).unwrap();
+        let mut prepacked = || {
+            let gemm = KernelPolicy::Im2colGemm;
+            conv2d_i8_in(&x, in_q, &w, w_q, Some(&packed), None, out_q, &params, gemm, &mut arena)
+                .unwrap()
+        };
+        let first = prepacked();
         prop_assert_eq!(&naive, &first);
-        let again =
-            conv2d_i8_prepacked(&x, in_q, &packed, None, out_q, &params, &mut arena).unwrap();
+        let again = prepacked();
         prop_assert_eq!(&first, &again, "arena reuse changed results");
     }
 
@@ -282,9 +240,7 @@ proptest! {
         pack_b_i8_into(&mut pb, &b, -1, k, n).unwrap();
         let mut c = vec![0i32; m * n];
         gemm_i8_packed(m, k, n, &pa, &pb, &mut c).unwrap();
-        let mut reference = vec![0i32; m * n];
-        sushi_tensor::ops::gemm::gemm_i8_i32(m, k, n, &a, 1, &b, -1, &mut reference).unwrap();
-        prop_assert_eq!(c, reference);
+        prop_assert_eq!(c, scalar_gemm(m, k, n, &a, 1, &b, -1));
     }
 
     /// The k-pair (`pmaddwd`) kernel is bit-identical to the panel kernel —
@@ -319,29 +275,5 @@ proptest! {
         let mut portable = vec![0i32; m * n];
         gemm_i8_packed_pairs_portable(m, k, n, &pap, &pbp, &mut portable).unwrap();
         prop_assert_eq!(&pairs, &portable, "pairs avx2 vs portable on {}x{}x{}", m, k, n);
-    }
-
-    /// The fully-connected layer's GEMM path matches its dot-product oracle.
-    #[test]
-    fn linear_gemm_matches_naive(
-        batch in 1usize..=3,
-        feat in 1usize..=32,
-        out_features in 1usize..=8,
-        seed in 0u64..10_000,
-    ) {
-        let shape = Shape4::new(batch, 1, 1, feat);
-        let x = rand_f32(shape, seed);
-        let mut rng = DetRng::new(seed + 9);
-        let weights: Vec<f32> =
-            (0..out_features * feat).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-        let naive =
-            linear_f32_with(&x, &weights, None, out_features, KernelPolicy::Naive).unwrap();
-        let gemm =
-            linear_f32_with(&x, &weights, None, out_features, KernelPolicy::Im2colGemm).unwrap();
-        for (ra, rb) in naive.iter().zip(&gemm) {
-            for (a, b) in ra.iter().zip(rb) {
-                prop_assert!((a - b).abs() <= 1e-4, "{a} vs {b}");
-            }
-        }
     }
 }

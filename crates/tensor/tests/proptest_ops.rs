@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use sushi_tensor::ops::conv::{conv2d_f32, Conv2dParams};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
 use sushi_tensor::ops::pool::{avg_pool, max_pool, PoolParams};
 use sushi_tensor::quant::{calibrate_symmetric, dequantize_tensor, quantize_tensor, QuantParams};
-use sushi_tensor::{Shape4, Tensor};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
 
 #[allow(dead_code)]
 fn tensor_strategy(shape: Shape4, range: f32) -> impl Strategy<Value = Tensor<f32>> {
@@ -24,56 +24,60 @@ fn small_conv_shapes() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> 
         })
 }
 
+/// Integers in `-1..=1`: with at most 4 channels and a 3×3 kernel, every
+/// unit-scale conv below stays inside `i8`, so the linear laws hold exactly.
+fn ternary(shape: Shape4, seed: u64) -> Tensor<i8> {
+    let mut rng = DetRng::new(seed);
+    Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.below(3) as i8 - 1).collect()).unwrap()
+}
+
+/// The unfused int8 conv at scale 1 and zero point 0, where requantization
+/// is the identity on in-range accumulators.
+fn unit_conv(x: &Tensor<i8>, w: &Tensor<i8>, p: &Conv2dParams, policy: KernelPolicy) -> Tensor<i8> {
+    let q = QuantParams::new(1.0, 0);
+    conv2d_i8_in(x, q, w, q, None, None, q, p, policy, &mut Arena::new()).unwrap()
+}
+
+fn zip_map(a: &Tensor<i8>, b: &Tensor<i8>, f: impl Fn(i8, i8) -> i8) -> Tensor<i8> {
+    let data = a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| f(x, y)).collect();
+    Tensor::from_vec(a.shape(), data).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Convolution is linear in the input: conv(a + b) == conv(a) + conv(b).
+    /// Convolution is linear in the input: conv(a + b) == conv(a) + conv(b),
+    /// exactly, on either backend.
     #[test]
     fn conv_is_linear_in_input(
         (ishape, wshape, params) in small_conv_shapes(),
         seed in 0u64..1000,
     ) {
-        let mk = |s: u64, shape: Shape4| {
-            let mut rng = sushi_tensor::DetRng::new(s);
-            let v: Vec<f32> = (0..shape.volume()).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-            Tensor::from_vec(shape, v).unwrap()
-        };
-        let a = mk(seed, ishape);
-        let b = mk(seed + 1, ishape);
-        let w = mk(seed + 2, wshape);
-        let sum_in = Tensor::from_vec(
-            ishape,
-            a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| x + y).collect(),
-        ).unwrap();
-        let conv_sum = conv2d_f32(&sum_in, &w, None, &params).unwrap();
-        let ca = conv2d_f32(&a, &w, None, &params).unwrap();
-        let cb = conv2d_f32(&b, &w, None, &params).unwrap();
-        let sum_conv = Tensor::from_vec(
-            ca.shape(),
-            ca.as_slice().iter().zip(cb.as_slice()).map(|(x, y)| x + y).collect(),
-        ).unwrap();
-        prop_assert!(conv_sum.max_abs_diff(&sum_conv).unwrap() < 1e-3);
+        let a = ternary(ishape, seed);
+        let b = ternary(ishape, seed + 1);
+        let w = ternary(wshape, seed + 2);
+        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
+            let conv_sum = unit_conv(&zip_map(&a, &b, |x, y| x + y), &w, &params, policy);
+            let ca = unit_conv(&a, &w, &params, policy);
+            let cb = unit_conv(&b, &w, &params, policy);
+            prop_assert_eq!(conv_sum, zip_map(&ca, &cb, |x, y| x + y));
+        }
     }
 
-    /// Scaling the kernel scales the output.
+    /// Scaling the kernel scales the output, exactly, on either backend.
     #[test]
     fn conv_is_homogeneous_in_weights(
         (ishape, wshape, params) in small_conv_shapes(),
         seed in 0u64..1000,
-        alpha in 0.25f32..4.0,
+        alpha in -2i8..=2,
     ) {
-        let mk = |s: u64, shape: Shape4| {
-            let mut rng = sushi_tensor::DetRng::new(s);
-            let v: Vec<f32> = (0..shape.volume()).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
-            Tensor::from_vec(shape, v).unwrap()
-        };
-        let x = mk(seed, ishape);
-        let w = mk(seed + 1, wshape);
-        let w_scaled = w.map(|v| v * alpha);
-        let base = conv2d_f32(&x, &w, None, &params).unwrap();
-        let scaled = conv2d_f32(&x, &w_scaled, None, &params).unwrap();
-        let expect = base.map(|v| v * alpha);
-        prop_assert!(scaled.max_abs_diff(&expect).unwrap() < 1e-2);
+        let x = ternary(ishape, seed);
+        let w = ternary(wshape, seed + 1);
+        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm] {
+            let scaled = unit_conv(&x, &w.map(|v| v * alpha), &params, policy);
+            let base = unit_conv(&x, &w, &params, policy);
+            prop_assert_eq!(scaled, base.map(|v| v * alpha));
+        }
     }
 
     /// Quantize -> dequantize error is bounded by half a step for in-range
@@ -120,9 +124,9 @@ proptest! {
     /// Strided conv output dims match the closed-form formula.
     #[test]
     fn conv_output_shape_matches_formula((ishape, wshape, params) in small_conv_shapes()) {
-        let x = Tensor::<f32>::zeros(ishape);
-        let w = Tensor::<f32>::zeros(wshape);
-        let out = conv2d_f32(&x, &w, None, &params).unwrap();
+        let x = Tensor::<i8>::zeros(ishape);
+        let w = Tensor::<i8>::zeros(wshape);
+        let out = unit_conv(&x, &w, &params, KernelPolicy::Auto);
         let oh = sushi_tensor::shape::conv_out_dim(ishape.h, wshape.h, params.stride, params.padding).unwrap();
         prop_assert_eq!(out.shape(), Shape4::new(1, wshape.n, oh, oh));
     }

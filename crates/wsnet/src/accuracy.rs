@@ -12,7 +12,6 @@
 //!
 //! which maps the smallest SubNet to `a_min`, the largest to `a_max`, and
 //! exhibits the diminishing returns characteristic of OFA Pareto fronts.
-//! This substitution is documented in `DESIGN.md`.
 
 use serde::{Deserialize, Serialize};
 

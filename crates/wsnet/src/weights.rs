@@ -4,8 +4,8 @@
 //! every SubNet/SubGraph is a view into it (the whole point of weight
 //! sharing: "it obviates the need to store these model variants
 //! separately"). Weights are synthesized deterministically from a seed so
-//! every experiment is reproducible; real OFA checkpoints are substituted
-//! per `DESIGN.md` since serving behaviour does not depend on weight values.
+//! every experiment is reproducible; they substitute for real OFA
+//! checkpoints, since serving behaviour does not depend on weight values.
 
 use serde::{Deserialize, Serialize};
 use sushi_tensor::{DetRng, QuantParams, Shape4, Tensor};

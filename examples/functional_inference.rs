@@ -11,9 +11,9 @@
 //! while physically sharing the smaller SubNet's weights.
 
 use sushi::accel::dpe::DpeArray;
-use sushi::accel::functional::{act_quant, forward};
+use sushi::accel::functional::{act_quant, forward_cached};
 use sushi::tensor::quant::quantize_tensor;
-use sushi::tensor::{DetRng, Shape4, Tensor};
+use sushi::tensor::{Arena, DetRng, Shape4, Tensor};
 use sushi::wsnet::{zoo, WeightStore};
 
 fn main() {
@@ -48,8 +48,12 @@ fn main() {
 
         // ZCU104-geometry DPE array; results are geometry-independent.
         let dpe = DpeArray::new(16, 18);
+        // Scratch reused across every forward below (no cache: each call
+        // installs the SubNet for itself).
+        let mut arena = Arena::new();
         for sn in [&small, &large] {
-            let out = forward(&dpe, &net, &store, sn, &image).expect("forward pass");
+            let out = forward_cached(&dpe, &net, &store, sn, None, &mut arena, &image)
+                .expect("forward pass");
             let top: Vec<String> = {
                 let mut idx: Vec<usize> = (0..out.logits.len()).collect();
                 idx.sort_by(|&a, &b| out.logits[b].partial_cmp(&out.logits[a]).unwrap());
@@ -65,8 +69,10 @@ fn main() {
 
         // Geometry independence: a 1x1 "array" computes the same numbers.
         let tiny = DpeArray::new(1, 1);
-        let a = forward(&dpe, &net, &store, &small, &image).expect("forward");
-        let b = forward(&tiny, &net, &store, &small, &image).expect("forward");
+        let a =
+            forward_cached(&dpe, &net, &store, &small, None, &mut arena, &image).expect("forward");
+        let b =
+            forward_cached(&tiny, &net, &store, &small, None, &mut arena, &image).expect("forward");
         assert_eq!(a.logits, b.logits);
         println!("  DPE-geometry independence verified (16x18 == 1x1 array results)\n");
     }

@@ -1,11 +1,6 @@
 #!/usr/bin/env bash
-# Gates and regenerates the committed benchmark baselines:
+# Gates and regenerates the committed serving baseline:
 #
-#   BENCH_kernels.json  kernel wall-clock, schema v3 (kernel_bench): naive /
-#                       gemm / packed (pack-amortized) / fused (IR-lowered
-#                       epilogue fusion) / cold-pack columns; 20% tolerance
-#                       on gemm_ms, packed_ms AND fused_ms, plus an 8x
-#                       floor on the largest workload's *fused* speedup
 #   BENCH_serve.json    serving-runtime simulated metrics, schema v5
 #                       (serve_bench): rows keyed by (scenario, adaptive,
 #                       workers, routing, tier, faults) — adaptive + static
@@ -16,40 +11,20 @@
 #                       its routing ablation (deterministic, near-zero
 #                       drift tolerance)
 #
-#   scripts/bench_baseline.sh            # measure + gate vs committed baselines
-#   scripts/bench_baseline.sh --update   # measure, then rewrite baselines
+#   scripts/bench_baseline.sh            # measure + gate vs the committed baseline
+#   scripts/bench_baseline.sh --update   # measure, then rewrite the baseline
 #
-# Kernel numbers are wall-clock, so the gate tolerates noise but refuses to
-# ratchet: a failing run never becomes the baseline. Serve numbers are
-# simulated and deterministic, so any drift is a semantic change; --update
-# is the explicit acknowledgment that rewrites the serve baseline without
-# re-checking it.
+# Serve numbers are simulated and deterministic, so any drift is a semantic
+# change; --update is the explicit acknowledgment that rewrites the baseline
+# without re-checking it. Host time is measured by the benchmark package
+# (BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-KERNEL_BASELINE=BENCH_kernels.json
 SERVE_BASELINE=BENCH_serve.json
-# Best-of-N per backend; 3 damps scoped-thread scheduling noise on the
-# full-size nets enough for the 20% gate to be stable run to run.
-RUNS="${RUNS:-3}"
 
-cargo build --release -p sushi-core --bin kernel_bench --bin serve_bench
+cargo build --release -p sushi-core --bin serve_bench
 
-echo "== kernel baseline ($KERNEL_BASELINE) =="
-args=(--runs "$RUNS" --min-speedup 8.0)
-if [ -f "$KERNEL_BASELINE" ]; then
-  args+=(--check "$KERNEL_BASELINE")
-fi
-if [ "${1:-}" = "--update" ]; then
-  args+=(--out "$KERNEL_BASELINE")
-fi
-./target/release/kernel_bench "${args[@]}"
-# A freshly written baseline must also clear CI's machine-independent
-# schema gate, so --update can never commit a file CI will reject.
-./target/release/kernel_bench --check-schema "$KERNEL_BASELINE"
-
-echo
-echo "== serve baseline ($SERVE_BASELINE) =="
 if [ "${1:-}" = "--update" ]; then
   ./target/release/serve_bench --out "$SERVE_BASELINE"
 elif [ -f "$SERVE_BASELINE" ]; then

@@ -1,29 +1,36 @@
 #!/usr/bin/env bash
-# Prints the code-line count ROADMAP aim 2 tracks ("should go down"):
+# Prints the code-line counts ROADMAP aim 2 tracks ("should go down"):
 # non-blank, non-comment lines before the test module (the first
-# `#[cfg(test)]` at column 0) of every file under crates/core/src and
-# crates/sched/src, per file and in total.
+# `#[cfg(test)]` at column 0) of every file under crates/*/src — one
+# subtotal per crate, the core + sched line ROADMAP quotes, and the grand
+# total.
 #
-#   scripts/loc.sh            # per-file table + total
-#   scripts/loc.sh --total    # just the number
+#   scripts/loc.sh            # per-crate table + core + sched + total
+#   scripts/loc.sh --total    # just the core + sched number
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-count() {
-  awk '/^#\[cfg\(test\)\]/ { exit }
-       /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-       { n++ }
-       END { print n + 0 }' "$1"
+crate_lines() {
+  find "crates/$1/src" -name '*.rs' -print0 | LC_ALL=C sort -z | xargs -0 awk '
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    { n++ }
+    END { print n + 0 }'
 }
 
-total=0
-while IFS= read -r f; do
-  n=$(count "$f")
-  total=$((total + n))
-  [ "${1:-}" = "--total" ] || printf '%6d  %s\n' "$n" "$f"
-done < <(find crates/core/src crates/sched/src -name '*.rs' | LC_ALL=C sort)
+core_sched=$(($(crate_lines core) + $(crate_lines sched)))
 if [ "${1:-}" = "--total" ]; then
-  echo "$total"
-else
-  printf '%6d  total (crates/core/src + crates/sched/src, code lines before #[cfg(test)])\n' "$total"
+  echo "$core_sched"
+  exit 0
 fi
+
+total=0
+for dir in crates/*/src; do
+  crate=$(basename "$(dirname "$dir")")
+  n=$(crate_lines "$crate")
+  total=$((total + n))
+  printf '%6d  crates/%s/src\n' "$n" "$crate"
+done
+printf '%6d  core + sched (the number ROADMAP tracks)\n' "$core_sched"
+printf '%6d  total (crates/*/src, code lines before #[cfg(test)])\n' "$total"

@@ -2,9 +2,9 @@
 //! executing whole weight-shared SubNets.
 
 use sushi::accel::dpe::DpeArray;
-use sushi::accel::functional::{act_quant, forward};
+use sushi::accel::functional::{act_quant, forward_cached};
 use sushi::tensor::quant::quantize_tensor;
-use sushi::tensor::{DetRng, Shape4, Tensor};
+use sushi::tensor::{Arena, DetRng, Shape4, Tensor};
 use sushi::wsnet::sampler::ConfigSampler;
 use sushi::wsnet::{zoo, WeightStore};
 
@@ -24,7 +24,7 @@ fn every_sampled_toy_subnet_executes() {
         let image = rand_image(net.input_hw, 1);
         let dpe = DpeArray::new(4, 4);
         for sn in ConfigSampler::new(&net, 9).sample_subnets(6) {
-            let out = forward(&dpe, &net, &store, &sn, &image)
+            let out = forward_cached(&dpe, &net, &store, &sn, None, &mut Arena::new(), &image)
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", net.name, sn.name));
             assert!(!out.logits.is_empty());
             assert!(out.logits.iter().all(|v| v.is_finite()));
@@ -53,8 +53,8 @@ fn shared_prefix_of_weights_drives_both_subnets() {
     let small = net.materialize("min", &net.min_config()).unwrap();
     let large = net.materialize("max", &net.max_config()).unwrap();
     for sn in [&small, &large] {
-        let a = forward(&dpe, &net, &store_a, sn, &image).unwrap();
-        let b = forward(&dpe, &net, &store_b, sn, &image).unwrap();
+        let a = forward_cached(&dpe, &net, &store_a, sn, None, &mut Arena::new(), &image).unwrap();
+        let b = forward_cached(&dpe, &net, &store_b, sn, None, &mut Arena::new(), &image).unwrap();
         assert_ne!(a.logits, b.logits, "{} unaffected by shared-weight change", sn.name);
     }
 }
@@ -81,9 +81,12 @@ fn dpe_geometry_never_changes_results_end_to_end() {
     let store = WeightStore::synthesize(&net, 8);
     let image = rand_image(net.input_hw, 3);
     let sn = net.materialize("max", &net.max_config()).unwrap();
-    let reference = forward(&DpeArray::new(1, 1), &net, &store, &sn, &image).unwrap();
+    let reference =
+        forward_cached(&DpeArray::new(1, 1), &net, &store, &sn, None, &mut Arena::new(), &image)
+            .unwrap();
     for (kp, cp) in [(2, 3), (5, 7), (16, 18), (32, 32)] {
-        let out = forward(&DpeArray::new(kp, cp), &net, &store, &sn, &image).unwrap();
+        let dpe = DpeArray::new(kp, cp);
+        let out = forward_cached(&dpe, &net, &store, &sn, None, &mut Arena::new(), &image).unwrap();
         assert_eq!(out.logits, reference.logits, "geometry {kp}x{cp} diverged");
     }
 }

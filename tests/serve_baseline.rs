@@ -1,4 +1,4 @@
-//! Tier-1 pins against the committed benchmark baselines.
+//! Tier-1 pins against the committed serving baseline.
 //!
 //! `quick_scenario_metrics_are_pinned` pins the *static* serving path; the
 //! controller-on rows of `BENCH_serve.json` — global ladder, per-tier
@@ -12,8 +12,7 @@
 
 use sushi::core::experiments::common::ExpOptions;
 use sushi::core::metrics::{
-    kernel_bench_from_json, kernel_bench_to_json, serve_bench_from_json, serve_bench_to_json,
-    serve_regressions, ServeBenchEntry, ServeSummary,
+    serve_bench_from_json, serve_bench_to_json, serve_regressions, ServeBenchEntry, ServeSummary,
 };
 use sushi::core::serving::{run_scenario, run_scenario_unsupervised, ServePreset};
 
@@ -72,12 +71,10 @@ fn adaptive_rows_match_the_committed_baseline() {
     }
 }
 
-/// Both committed baselines go through one flat-record codec; parsing and
-/// re-serializing either must give back the file byte for byte.
+/// Parsing and re-serializing the committed baseline must give back the
+/// file byte for byte.
 #[test]
 fn committed_baselines_round_trip_byte_for_byte() {
     let serve = committed("BENCH_serve.json");
     assert_eq!(serve_bench_to_json(&serve_bench_from_json(&serve).unwrap()), serve);
-    let kernels = committed("BENCH_kernels.json");
-    assert_eq!(kernel_bench_to_json(&kernel_bench_from_json(&kernels).unwrap()), kernels);
 }

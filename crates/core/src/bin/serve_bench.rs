@@ -43,11 +43,9 @@
 use sushi_core::engine::BackendKind;
 use sushi_core::experiments::ExpOptions;
 use sushi_core::metrics::{
-    serve_bench_from_json, serve_bench_to_json, serve_regressions, ServeBenchEntry, ServeSummary,
+    serve_bench_from_json, serve_bench_to_json, serve_regressions, ServeBenchEntry,
 };
-use sushi_core::serving::{
-    run_functional_scaling, run_scenario, run_scenario_unsupervised, RoutingPolicy, ServePreset,
-};
+use sushi_core::serving::{preset_bench_rows, run_functional_scaling, RoutingPolicy};
 
 /// Relative tolerance for the drift gate: wide enough for the `%.6` JSON
 /// round-trip, far below any semantic change.
@@ -63,7 +61,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     Some(args.get(pos + 1).unwrap_or_else(|| die(&format!("{flag} requires a value"))))
 }
 
-fn print_row(label: &str, s: &ServeSummary) {
+fn print_row(label: &str, s: &ServeBenchEntry) {
     println!(
         "{label:<26} p50 {:>8.3} ms   p95 {:>8.3} ms   p99 {:>8.3} ms   goodput {:>7.1} q/s   SLO viol {:>6.2}%   dropped {:>3}   lvl\u{2193}{} \u{2191}{}",
         s.p50_ms,
@@ -118,79 +116,15 @@ fn main() {
     );
     // Every preset, adaptive (unless --no-adaptive) plus its static
     // companion row — both keyed by the effective (workers, routing).
-    let mut entries: Vec<ServeBenchEntry> = Vec::new();
-    let mut static_opts = opts;
-    static_opts.adaptive = false;
-    for preset in ServePreset::ALL {
-        let w = opts.workers.unwrap_or(preset.default_workers());
-        let r = opts.routing.unwrap_or(preset.default_routing());
-        // Fault-bearing presets record their supervision mode; every
-        // other row stays `faults: "none"`.
-        let faults = if preset == ServePreset::Chaos { "supervised" } else { "none" };
-        if opts.adaptive {
-            let result = run_scenario(preset, &opts).unwrap_or_else(|e| die(&e.to_string()));
-            let summary = result.summary();
-            print_row(preset.name(), &summary);
-            entries.push(ServeBenchEntry::from_summary(
-                preset.name(),
-                true,
-                w,
-                r.name(),
-                "all",
-                faults,
-                &summary,
-            ));
-            // The chaos preset's ablation: same stream, same fault plan,
-            // supervision stripped — the row the supervised pool must
-            // beat on violation rate and goodput.
-            if preset == ServePreset::Chaos {
-                let unsup = run_scenario_unsupervised(preset, &opts)
-                    .unwrap_or_else(|e| die(&e.to_string()))
-                    .summary();
-                print_row(&format!("{} (unsupervised)", preset.name()), &unsup);
-                entries.push(ServeBenchEntry::from_summary(
-                    preset.name(),
-                    true,
-                    w,
-                    r.name(),
-                    "all",
-                    "unsupervised",
-                    &unsup,
-                ));
-            }
-            // A tenant-tiered run also records each occupied tier as its
-            // own baseline row, so per-tier SLO regressions gate too.
-            if let Some(trace) = &result.adaptation {
-                for t in &trace.tiers {
-                    let tier_summary = result.tier_summary(t.tier);
-                    if tier_summary.offered == 0 {
-                        continue;
-                    }
-                    print_row(&format!("{} [{}]", preset.name(), t.tier.name()), &tier_summary);
-                    entries.push(ServeBenchEntry::from_summary(
-                        preset.name(),
-                        true,
-                        w,
-                        r.name(),
-                        t.tier.name(),
-                        faults,
-                        &tier_summary,
-                    ));
-                }
-            }
-        }
-        let summary =
-            run_scenario(preset, &static_opts).unwrap_or_else(|e| die(&e.to_string())).summary();
-        print_row(&format!("{} (static)", preset.name()), &summary);
-        entries.push(ServeBenchEntry::from_summary(
-            preset.name(),
-            false,
-            w,
-            r.name(),
-            "all",
-            faults,
-            &summary,
-        ));
+    let mut entries = preset_bench_rows(&opts).unwrap_or_else(|e| die(&e.to_string()));
+    for e in &entries {
+        let tier = if e.tier == "all" { String::new() } else { format!(" [{}]", e.tier) };
+        let mode = match (e.adaptive, e.faults.as_str()) {
+            (false, _) => " (static)",
+            (true, "unsupervised") => " (unsupervised)",
+            _ => "",
+        };
+        print_row(&format!("{}{tier}{mode}", e.scenario), e);
     }
 
     // The functional worker-scaling sweep. Its sizing is fixed
@@ -206,8 +140,7 @@ fn main() {
             .map(|(_, _, s)| s.goodput_qps)
             .unwrap_or_else(|| die("scaling sweep is missing its 1-worker anchor"));
         for (w, r, summary) in &sweep {
-            print_row(&format!("scale_functional ({w}w, {r})"), summary);
-            entries.push(ServeBenchEntry::from_summary(
+            let e = ServeBenchEntry::from_summary(
                 "scale_functional",
                 false,
                 *w,
@@ -215,7 +148,9 @@ fn main() {
                 "all",
                 "none",
                 summary,
-            ));
+            );
+            print_row(&format!("scale_functional ({w}w, {r})"), &e);
+            entries.push(e);
         }
         println!("\n{:<10} {:>14} {:>10}", "workers", "goodput (q/s)", "speedup");
         for (w, r, summary) in &sweep {

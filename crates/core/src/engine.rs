@@ -399,8 +399,8 @@ impl EngineBuilder {
     /// for [`Engine::serve_timed`]: seeded replica crashes, straggler
     /// episodes, and transient batch errors, supervised by retry/hedge/
     /// quarantine policies unless stripped
-    /// ([`FaultOptions::without_supervision`]). With `None` (the default)
-    /// the serving loop is bit-identical to the fault-free runtime.
+    /// ([`FaultOptions::without_supervision`]). `None` (the default) is
+    /// the empty plan: the same loop, with nothing to inject.
     pub fn faults(mut self, opts: Option<FaultOptions>) -> Self {
         self.sim.faults = opts;
         self

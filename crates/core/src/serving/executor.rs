@@ -115,14 +115,6 @@ impl ExecutorPool {
         self.workers.len()
     }
 
-    /// Whether any worker is free at `now_ms` (the lowest such index —
-    /// this is an availability query, *not* the routing decision, which
-    /// [`crate::serving::routing::RoutingPolicy::choose`] makes).
-    #[must_use]
-    pub fn free_worker_at(&self, now_ms: f64) -> Option<usize> {
-        self.workers.iter().position(|w| w.busy_until_ms <= now_ms)
-    }
-
     /// When worker `worker` last became (or next becomes) idle, ms.
     #[must_use]
     pub fn busy_until_ms(&self, worker: usize) -> f64 {
@@ -134,15 +126,6 @@ impl ExecutorPool {
     #[must_use]
     pub fn resident(&self, worker: usize) -> Option<&SubGraph> {
         self.workers[worker].accel.cached()
-    }
-
-    /// Earliest time any worker becomes free.
-    ///
-    /// # Panics
-    /// Never — the pool always has at least one worker.
-    #[must_use]
-    pub fn next_free_ms(&self) -> f64 {
-        self.workers.iter().map(|w| w.busy_until_ms).fold(f64::INFINITY, f64::min)
     }
 
     /// Time the last worker finishes (the pool's drain point).
@@ -198,31 +181,6 @@ impl ExecutorPool {
     pub fn route_install(&mut self, graph: &SubGraph) {
         self.cache_installs += 1;
         self.pending_install = Some(graph.clone());
-    }
-
-    /// Runs the same-SubNet queries `query_ids` as one batch on `worker`
-    /// through `backend`. Equivalent to a one-batch
-    /// [`ExecutorPool::dispatch_group`].
-    ///
-    /// # Errors
-    /// Returns [`SushiError::Backend`] when the backend fails (empty
-    /// batch, SubNet mismatch, functional datapath failure).
-    ///
-    /// # Panics
-    /// Panics if the worker is still busy at `now_ms` (an event-loop
-    /// programming error, not a configuration one).
-    pub fn dispatch(
-        &mut self,
-        worker: usize,
-        now_ms: f64,
-        net: &SuperNet,
-        subnet: &SubNet,
-        backend: &mut dyn ExecutionBackend,
-        query_ids: &[u64],
-    ) -> Result<(DispatchReport, Option<Vec<FunctionalOutput>>), SushiError> {
-        let plan = [PlannedBatch { worker, subnet, query_ids: query_ids.to_vec() }];
-        let mut results = self.dispatch_group(now_ms, net, backend, &plan)?;
-        Ok(results.pop().expect("one batch in, one result out"))
     }
 
     /// Dispatches a group of batches — one per distinct free worker — at
@@ -325,12 +283,26 @@ mod tests {
     use sushi_accel::config::zcu104;
     use sushi_wsnet::zoo;
 
+    /// Runs `query_ids` as a one-batch dispatch group on `worker`.
+    fn dispatch(
+        pool: &mut ExecutorPool,
+        worker: usize,
+        now_ms: f64,
+        net: &SuperNet,
+        subnet: &SubNet,
+        backend: &mut dyn ExecutionBackend,
+        query_ids: &[u64],
+    ) -> Result<(DispatchReport, Option<Vec<FunctionalOutput>>), SushiError> {
+        let plan = [PlannedBatch { worker, subnet, query_ids: query_ids.to_vec() }];
+        let mut results = pool.dispatch_group(now_ms, net, backend, &plan)?;
+        Ok(results.pop().expect("one batch in, one result out"))
+    }
+
     #[test]
     fn free_worker_query_reports_availability() {
         let pool = ExecutorPool::new(&zcu104(), 3);
-        assert_eq!(pool.free_worker_at(0.0), Some(0));
-        assert_eq!(pool.next_free_ms(), 0.0);
-        assert_eq!(pool.busy_until_ms(2), 0.0);
+        assert!((0..3).all(|w| pool.busy_until_ms(w) == 0.0), "fresh replicas are free at 0");
+        assert_eq!(pool.drain_ms(), 0.0);
         assert!(pool.resident(0).is_none(), "fresh replicas hold no resident SubGraph");
     }
 
@@ -340,12 +312,12 @@ mod tests {
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 2);
         let (d, outputs) =
-            pool.dispatch(0, 5.0, &net, &picks[0], &mut Analytical, &[0, 1, 2, 3]).unwrap();
+            dispatch(&mut pool, 0, 5.0, &net, &picks[0], &mut Analytical, &[0, 1, 2, 3]).unwrap();
         assert!(outputs.is_none(), "analytical backend produces no outputs");
         assert_eq!(d.start_ms, 5.0);
         assert!(d.completion_ms > 5.0);
-        assert_eq!(pool.free_worker_at(5.0), Some(1));
-        assert_eq!(pool.free_worker_at(d.completion_ms), Some(0));
+        assert_eq!(pool.busy_until_ms(0), d.completion_ms);
+        assert_eq!(pool.busy_until_ms(1), 0.0, "the other replica stays free");
         assert_eq!(pool.batches(), 1);
     }
 
@@ -355,15 +327,15 @@ mod tests {
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 1);
         let b = &mut Analytical;
-        let (cold, _) = pool.dispatch(0, 0.0, &net, &picks[0], b, &[0, 1]).unwrap();
+        let (cold, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], b, &[0, 1]).unwrap();
         assert_eq!(cold.report.pb_reload_cycles, 0);
         pool.route_install(&picks[0].graph);
         let t = cold.completion_ms;
-        let (warmup, _) = pool.dispatch(0, t, &net, &picks[0], b, &[2, 3]).unwrap();
+        let (warmup, _) = dispatch(&mut pool, 0, t, &net, &picks[0], b, &[2, 3]).unwrap();
         assert!(warmup.report.pb_reload_cycles > 0, "swap charged to in-flight batch");
         assert!(pool.total_swap_ms() > 0.0);
         let (steady, _) =
-            pool.dispatch(0, warmup.completion_ms, &net, &picks[0], b, &[4, 5]).unwrap();
+            dispatch(&mut pool, 0, warmup.completion_ms, &net, &picks[0], b, &[4, 5]).unwrap();
         assert_eq!(steady.report.pb_reload_cycles, 0);
         assert!(steady.report.total_latency_ms < cold.report.total_latency_ms);
         assert_eq!(pool.cache_installs(), 1);
@@ -399,8 +371,8 @@ mod tests {
         ];
         let group = grouped.dispatch_group(1.0, &net, &mut Analytical, &plan).unwrap();
         let mut seq = ExecutorPool::new(&zcu104(), 2);
-        let (a, _) = seq.dispatch(0, 1.0, &net, &picks[0], &mut Analytical, &[0, 1]).unwrap();
-        let (b, _) = seq.dispatch(1, 1.0, &net, &picks[1], &mut Analytical, &[2]).unwrap();
+        let (a, _) = dispatch(&mut seq, 0, 1.0, &net, &picks[0], &mut Analytical, &[0, 1]).unwrap();
+        let (b, _) = dispatch(&mut seq, 1, 1.0, &net, &picks[1], &mut Analytical, &[2]).unwrap();
         assert_eq!(group[0].0, a, "group timing is identical to lone dispatches");
         assert_eq!(group[1].0, b);
     }
@@ -410,7 +382,7 @@ mod tests {
         let net = zoo::mobilenet_v3_supernet();
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let err = pool.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[]).unwrap_err();
+        let err = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[]).unwrap_err();
         assert!(matches!(err, SushiError::Backend(_)));
     }
 
@@ -420,13 +392,14 @@ mod tests {
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 1);
         pool.route_install(&picks[0].graph);
-        let (d, _) = pool.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
+        let (d, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
         assert!(pool.resident(0).is_some());
         assert_eq!(pool.reinstalls(), 0);
         pool.crash_worker(0);
         assert!(pool.resident(0).is_none(), "a crash loses the PB-resident SubGraph");
         pool.route_install(&picks[0].graph);
-        let _ = pool.dispatch(0, d.completion_ms, &net, &picks[0], &mut Analytical, &[1]).unwrap();
+        let _ = dispatch(&mut pool, 0, d.completion_ms, &net, &picks[0], &mut Analytical, &[1])
+            .unwrap();
         assert_eq!(pool.reinstalls(), 1, "re-packing crash-lost state is accounted separately");
         assert_eq!(pool.cache_installs(), 2);
     }
@@ -436,18 +409,20 @@ mod tests {
         let net = zoo::mobilenet_v3_supernet();
         let picks = zoo::paper_subnets(&net);
         let mut nominal = ExecutorPool::new(&zcu104(), 1);
-        let (base, _) = nominal.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
+        let (base, _) =
+            dispatch(&mut nominal, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
         let mut slow = ExecutorPool::new(&zcu104(), 1);
         slow.set_service_multiplier(0, 3.0);
-        let (stretched, _) = slow.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
+        let (stretched, _) =
+            dispatch(&mut slow, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
         let base_ms = base.completion_ms - base.start_ms;
         let slow_ms = stretched.completion_ms - stretched.start_ms;
         assert!((slow_ms - 3.0 * base_ms).abs() < 1e-9, "{slow_ms} vs 3x{base_ms}");
         assert_eq!(stretched.report, base.report, "the nominal report is unchanged");
         slow.set_service_multiplier(0, 1.0);
-        let (recovered, _) = slow
-            .dispatch(0, stretched.completion_ms, &net, &picks[0], &mut Analytical, &[1])
-            .unwrap();
+        let (recovered, _) =
+            dispatch(&mut slow, 0, stretched.completion_ms, &net, &picks[0], &mut Analytical, &[1])
+                .unwrap();
         assert_eq!(recovered.completion_ms - recovered.start_ms, base_ms);
     }
 
@@ -456,7 +431,7 @@ mod tests {
         let net = zoo::mobilenet_v3_supernet();
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let (d, _) = pool.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
+        let (d, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
         pool.clamp_busy(0, d.completion_ms + 100.0);
         assert_eq!(pool.busy_until_ms(0), d.completion_ms, "clamp never extends");
         pool.clamp_busy(0, d.completion_ms / 2.0);
@@ -469,7 +444,7 @@ mod tests {
         let net = zoo::mobilenet_v3_supernet();
         let picks = zoo::paper_subnets(&net);
         let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let _ = pool.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[0]);
-        let _ = pool.dispatch(0, 0.0, &net, &picks[0], &mut Analytical, &[1]);
+        let _ = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]);
+        let _ = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[1]);
     }
 }

@@ -26,14 +26,29 @@
 //! `Quarantined` (or down) replica, and treats a `Warming` replica's cache
 //! as cold until a re-install completes.
 //!
-//! When [`crate::serving::sim::SimConfig::faults`] is `None`, none of this
-//! machinery runs — not even its RNG draws — so faultless runs stay
-//! bit-identical to the pre-fault runtime.
+//! [`crate::serving::sim::SimConfig::faults`] `None` is not a separate
+//! path: the serving loop runs the *empty plan* — every rate zero, no
+//! supervisor — which draws no RNG by construction (a zero MTBF never
+//! schedules an event and a zero transient rate returns before rolling),
+//! so a fault-free run is the same loop with nothing to enact.
 
+use std::collections::{HashMap, VecDeque};
+
+use sushi_sched::TIER_COUNT;
 use sushi_tensor::DetRng;
 
-use crate::serving::executor::ExecutorPool;
+use crate::serving::executor::{DispatchReport, ExecutorPool};
+use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery, QueuedQuery};
+use crate::serving::sim::p99;
 use crate::serving::supervise::SuperviseOptions;
+
+/// Hedge service-time window: bounded count (not time) — service times are
+/// level-independent, so aging by count is enough and keeps the fault path
+/// allocation-free in steady state.
+const HEDGE_WINDOW: usize = 64;
+/// Completions observed before hedging arms: an empty/noisy p99 estimate
+/// must not fire duplicates at the start of a run.
+const HEDGE_WARMUP: usize = 16;
 
 /// Fault-injection knobs. All processes are off by default; supervision
 /// defaults to on, so enabling a fault process exercises the supervised
@@ -222,8 +237,8 @@ impl ReplicaHealth {
 }
 
 /// What fault injection and supervision did over one run (in
-/// [`crate::serving::sim::SimResult::faults`], `None` for a faultless
-/// run).
+/// [`crate::serving::sim::SimResult::faults`], present exactly when
+/// [`crate::serving::sim::SimConfig::faults`] is set).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSummary {
     /// Crashes enacted.
@@ -293,15 +308,30 @@ struct ReplicaFaults {
     ewma_service_ms: Option<f64>,
 }
 
-/// Run state enacting a [`FaultOptions`] plan over an [`ExecutorPool`].
-/// Built fresh per [`crate::serving::sim::ServingSim::run`] call, so every
-/// run replays the identical plan.
+/// Run state enacting a [`FaultOptions`] plan over an [`ExecutorPool`],
+/// and the supervisor's own run state: retry attempts, per-tier retry
+/// budgets, backoff buffer, hedge window, and the dispatches that
+/// committed nothing. Built fresh per
+/// [`crate::serving::sim::ServingSim::run`] call, so every run replays the
+/// identical plan. Every run has one; a fault-free run holds the empty
+/// plan, whose methods enact nothing and draw nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     opts: FaultOptions,
     replicas: Vec<ReplicaFaults>,
     transient_rng: DetRng,
     pub(crate) summary: FaultSummary,
+    /// Attempts so far per retried query, keyed by `(tenant, id)` because
+    /// ids are only unique per tenant in a merged stream.
+    attempts: HashMap<(u32, u64), u32>,
+    tier_retry_budget: [usize; TIER_COUNT],
+    /// Retried queries waiting out their backoff, with re-admission times.
+    retry_buf: Vec<(QueuedQuery, f64)>,
+    /// Recent committed service times (the hedge trigger's p99).
+    hedge_window: VecDeque<f64>,
+    /// Dispatches that committed no results: transiently-failed batches
+    /// and hedge duplicates (exactly one of a hedged pair commits).
+    pub(crate) wasted_batches: usize,
 }
 
 impl FaultRuntime {
@@ -343,11 +373,14 @@ impl FaultRuntime {
             replicas,
             transient_rng: DetRng::new(opts.seed ^ 0x7417_5EED),
             summary: FaultSummary { downtime_ms: vec![0.0; workers], ..FaultSummary::default() },
+            attempts: HashMap::new(),
+            tier_retry_budget: opts
+                .supervise
+                .map_or([usize::MAX; TIER_COUNT], |s| s.retry.tier_budgets),
+            retry_buf: Vec::new(),
+            hedge_window: VecDeque::new(),
+            wasted_batches: 0,
         }
-    }
-
-    pub(crate) fn supervise(&self) -> Option<&SuperviseOptions> {
-        self.opts.supervise.as_ref()
     }
 
     /// Enacts every fault event due at or before `now_ms`: crashes (at
@@ -523,6 +556,121 @@ impl FaultRuntime {
             if matches!(r.health, ReplicaHealth::Suspect | ReplicaHealth::Warming) {
                 r.health = ReplicaHealth::Healthy;
             }
+        }
+    }
+
+    /// Settles a batch that failed transiently on `worker` at `at_ms`: the
+    /// health machine takes the failure, and each query is re-queued after
+    /// its backoff under its tier's budget — or dropped, as
+    /// `DeadlineLapsed` when a deadline-aware queue could not even restart
+    /// it in time, else as `RetryBudgetExhausted` (always, unsupervised).
+    pub(crate) fn retry_or_drop(
+        &mut self,
+        worker: usize,
+        at_ms: f64,
+        batch: &[QueuedQuery],
+        drop_policy: DropPolicy,
+        dropped: &mut Vec<DroppedQuery>,
+    ) {
+        self.note_failure(worker, at_ms);
+        self.wasted_batches += 1;
+        for q in batch {
+            let key = (q.timed.tenant, q.timed.query.id);
+            let attempt = self.attempts.get(&key).copied().unwrap_or(1);
+            let budget = &mut self.tier_retry_budget[q.tier.index()];
+            let retry_at =
+                self.opts.supervise.filter(|s| attempt < s.retry.max_attempts && *budget > 0);
+            let retry_at = retry_at.map(|s| {
+                let salt = q.timed.query.id
+                    ^ (u64::from(q.timed.tenant) << 32)
+                    ^ (u64::from(attempt) << 48);
+                at_ms + s.retry.backoff_ms(attempt, salt)
+            });
+            let reason = match retry_at {
+                Some(ready_ms)
+                    if drop_policy == DropPolicy::DeadlineAware
+                        && ready_ms > q.timed.deadline_ms() =>
+                {
+                    DropReason::DeadlineLapsed
+                }
+                Some(ready_ms) => {
+                    *budget = budget.saturating_sub(1);
+                    self.attempts.insert(key, attempt + 1);
+                    self.summary.retries += 1;
+                    self.retry_buf.push((*q, ready_ms));
+                    continue;
+                }
+                None => DropReason::RetryBudgetExhausted,
+            };
+            dropped.push(DroppedQuery { timed: q.timed, reason, tier: q.tier });
+        }
+    }
+
+    /// Re-offers every retry whose backoff has elapsed by `now_ms` to the
+    /// shared queue, where it competes for capacity like any arrival (and
+    /// can itself be shed).
+    pub(crate) fn readmit_due(
+        &mut self,
+        now_ms: f64,
+        queue: &mut AdmissionQueue,
+        dropped: &mut Vec<DroppedQuery>,
+    ) {
+        let (due, waiting): (Vec<_>, Vec<_>) =
+            self.retry_buf.drain(..).partition(|&(_, ready_ms)| ready_ms <= now_ms);
+        self.retry_buf = waiting;
+        for (qq, _) in due {
+            dropped.extend(queue.offer(now_ms, qq));
+        }
+    }
+
+    /// When the next waiting retry's backoff elapses (`INFINITY` if none).
+    pub(crate) fn next_retry_ms(&self) -> f64 {
+        self.retry_buf.iter().map(|&(_, ready_ms)| ready_ms).fold(f64::INFINITY, f64::min)
+    }
+
+    /// Empties the backoff buffer (queries a dead pool can never serve).
+    pub(crate) fn take_retries(&mut self) -> impl Iterator<Item = QueuedQuery> + '_ {
+        self.retry_buf.drain(..).map(|(qq, _)| qq)
+    }
+
+    /// Whether a batch that took `service_ms` ran far enough past the
+    /// recent p99 service time to race a duplicate (never without a hedge
+    /// policy, and never before the window has warmed up).
+    pub(crate) fn should_hedge(&self, service_ms: f64) -> bool {
+        self.opts.supervise.and_then(|s| s.hedge).is_some_and(|hp| {
+            self.hedge_window.len() >= HEDGE_WARMUP
+                && service_ms > hp.min_threshold_ms
+                && service_ms > hp.p99_factor * p99(self.hedge_window.iter().copied())
+        })
+    }
+
+    /// Settles a hedged race: first result wins, the loser's slot is
+    /// reclaimed at that instant, and the loser's would-be service time
+    /// still feeds the straggler detector. Returns whether the backup won.
+    pub(crate) fn settle_hedge(
+        &mut self,
+        pool: &mut ExecutorPool,
+        primary: &DispatchReport,
+        backup: &DispatchReport,
+    ) -> bool {
+        let won = backup.completion_ms < primary.completion_ms;
+        let (winner, loser) = if won { (backup, primary) } else { (primary, backup) };
+        pool.clamp_busy(loser.worker, winner.completion_ms);
+        self.note_success(loser.worker, loser.completion_ms - loser.start_ms, winner.completion_ms);
+        self.summary.hedges += 1;
+        self.summary.hedges_won += usize::from(won);
+        self.wasted_batches += 1;
+        won
+    }
+
+    /// Records a committed batch: the health machine takes the success
+    /// and its service time enters the hedge window.
+    pub(crate) fn note_committed(&mut self, report: &DispatchReport) {
+        let service_ms = report.completion_ms - report.start_ms;
+        self.note_success(report.worker, service_ms, report.completion_ms);
+        self.hedge_window.push_back(service_ms);
+        if self.hedge_window.len() > HEDGE_WINDOW {
+            self.hedge_window.pop_front();
         }
     }
 

@@ -86,7 +86,7 @@ pub use fault::{FaultOptions, FaultSummary, ReplicaHealth};
 pub use queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery};
 pub use routing::{ReplicaView, RoutingPolicy};
 pub use scenario::{
-    build_scenario, run_all_presets, run_functional_scaling, run_scenario,
+    build_scenario, preset_bench_rows, run_functional_scaling, run_scenario,
     run_scenario_unsupervised, Scenario, ServePreset, FUNCTIONAL_SCALING_POINTS,
 };
 pub use sim::{AdaptationTrace, ServedQuery, ServingSim, SimConfig, SimResult, TierAdaptation};

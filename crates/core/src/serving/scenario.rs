@@ -48,7 +48,7 @@ use sushi_sched::{AdaptiveOptions, PredictorOptions, Query, TenantOptions, Tenan
 use crate::engine::EngineBuilder;
 use crate::error::SushiError;
 use crate::experiments::common::{mobv3_workload, ExpOptions, Workload};
-use crate::metrics::ServeSummary;
+use crate::metrics::{ServeBenchEntry, ServeSummary};
 use crate::serving::arrivals::ArrivalProcess;
 use crate::serving::batch::BatchPolicy;
 use crate::serving::fault::FaultOptions;
@@ -451,12 +451,52 @@ fn run_scenario_inner(
     engine.serve_timed(&scenario.stream)
 }
 
-/// Runs every preset and returns `(label, summary)` rows in report order.
+/// Runs every preset and returns its `BENCH_serve.json` rows, in file
+/// order: the adaptive run (unless `opts.adaptive` is false) — plus, for
+/// `chaos`, its `"unsupervised"` ablation and, for a tenant-tiered run,
+/// one row per occupied tier — then the static companion. Rows are keyed
+/// by the effective `(workers, routing)`, so `opts.workers`/`opts.routing`
+/// overrides are honored; `chaos` rows carry `faults: "supervised"`, all
+/// others `"none"`.
 ///
 /// # Errors
 /// Propagates the first [`run_scenario`] failure.
-pub fn run_all_presets(opts: &ExpOptions) -> Result<Vec<(&'static str, ServeSummary)>, SushiError> {
-    ServePreset::ALL.into_iter().map(|p| Ok((p.name(), run_scenario(p, opts)?.summary()))).collect()
+pub fn preset_bench_rows(opts: &ExpOptions) -> Result<Vec<ServeBenchEntry>, SushiError> {
+    let mut rows = Vec::new();
+    for preset in ServePreset::ALL {
+        let workers = opts.workers.unwrap_or(preset.default_workers());
+        let routing = opts.routing.unwrap_or(preset.default_routing()).name();
+        let faults = if preset == ServePreset::Chaos { "supervised" } else { "none" };
+        let row = |adaptive, tier: &str, faults: &str, s: &ServeSummary| {
+            ServeBenchEntry::from_summary(
+                preset.name(),
+                adaptive,
+                workers,
+                routing,
+                tier,
+                faults,
+                s,
+            )
+        };
+        if opts.adaptive {
+            let result = run_scenario(preset, opts)?;
+            rows.push(row(true, "all", faults, &result.summary()));
+            if preset == ServePreset::Chaos {
+                let unsup = run_scenario_unsupervised(preset, opts)?.summary();
+                rows.push(row(true, "all", "unsupervised", &unsup));
+            }
+            // `tiers` is empty unless the run was tenant-tiered.
+            for t in result.adaptation.iter().flat_map(|a| &a.tiers) {
+                let slice = result.tier_summary(t.tier);
+                if slice.offered > 0 {
+                    rows.push(row(true, t.tier.name(), faults, &slice));
+                }
+            }
+        }
+        let static_opts = ExpOptions { adaptive: false, ..*opts };
+        rows.push(row(false, "all", faults, &run_scenario(preset, &static_opts)?.summary()));
+    }
+    Ok(rows)
 }
 
 /// The `(workers, routing)` points of the functional worker-scaling sweep,
@@ -693,7 +733,7 @@ mod tests {
     #[test]
     fn presets_are_deterministic() {
         let opts = ExpOptions::quick();
-        assert_eq!(run_all_presets(&opts).unwrap(), run_all_presets(&opts).unwrap());
+        assert_eq!(preset_bench_rows(&opts).unwrap(), preset_bench_rows(&opts).unwrap());
     }
 
     /// Pins the quick-scenario tail metrics to exact values **under static

@@ -26,7 +26,7 @@
 //! `(stream, config, seed)` triple reproduces bit-identical results on any
 //! platform.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sushi_accel::backend::ExecutionBackend;
@@ -36,7 +36,7 @@ use sushi_sched::{
     TenantOptions, TenantPolicy, TenantTier, TierSignals, TIER_COUNT,
 };
 use sushi_wsnet::encoding::overlap_ratio;
-use sushi_wsnet::{SubNet, SuperNet};
+use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
 use crate::metrics::{LatencyHistogram, ServeSummary};
@@ -74,10 +74,10 @@ pub struct SimConfig {
     /// tagged [`TenantTier::Standard`] and no tier machinery; options
     /// with a tier map run one ladder per tier.
     pub control: Option<TenantOptions>,
-    /// Deterministic fault injection and supervision (`None` = the
-    /// fault-free runtime; the loop is then bit-identical to a build
-    /// without this field — no fault RNG is drawn and no event order
-    /// changes).
+    /// Deterministic fault injection and supervision. `None` is the empty
+    /// plan — every rate zero, no supervisor — run by the same loop; it
+    /// draws no fault RNG by construction, so nothing is injected and
+    /// [`SimResult::faults`] stays `None`.
     pub faults: Option<FaultOptions>,
 }
 
@@ -249,7 +249,8 @@ pub struct SimResult {
     pub makespan_ms: f64,
     /// Adaptation trace (`None` when the run was static).
     pub adaptation: Option<AdaptationTrace>,
-    /// Fault-injection accounting (`None` when the run was fault-free).
+    /// Fault-injection accounting (`Some` exactly when
+    /// [`SimConfig::faults`] was set).
     pub faults: Option<FaultSummary>,
 }
 
@@ -388,7 +389,7 @@ impl SimResult {
 
 /// Exact p99 order statistic of `samples` (`0.0` when there are none) —
 /// the windows it serves only ever hold a couple of dwell periods' worth
-/// of completions, or [`HEDGE_WINDOW`] service times.
+/// of completions, or the fault runtime's bounded hedge window.
 ///
 /// The controller's tail signal feeds it a *sliding time window* of
 /// end-to-end latencies, not the run-long histogram the summary uses: a
@@ -401,7 +402,7 @@ impl SimResult {
 /// level changes, stale-level latencies have fully aged out. The hedge
 /// threshold feeds it recent batch *service* times (dispatch →
 /// completion), which is what a straggling replica inflates.
-fn p99(samples: impl Iterator<Item = f64>) -> f64 {
+pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = samples.collect();
     if v.is_empty() {
         return 0.0;
@@ -412,13 +413,17 @@ fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
 }
 
-/// Hedge service-time window: bounded count (not time) — service times are
-/// level-independent, so aging by count is enough and keeps the fault path
-/// allocation-free in steady state.
-const HEDGE_WINDOW: usize = 64;
-/// Completions observed before hedging arms: an empty/noisy p99 estimate
-/// must not fire duplicates at the start of a run.
-const HEDGE_WARMUP: usize = 16;
+/// Warmth of replica `w` for `graph`: how much of its weight state the
+/// replica's resident SubGraph already holds (the same PB-overlap metric
+/// behind `hit_ratio`). A replica whose cache the fault runtime does not
+/// count as warm — down, quarantined, or `Warming` after a crash wiped its
+/// PB — is cold until the next install lands on it.
+fn warmth(pool: &ExecutorPool, fault: &FaultRuntime, w: usize, graph: &SubGraph) -> f64 {
+    match (fault.cache_warm(w), pool.resident(w)) {
+        (true, Some(g)) => overlap_ratio(graph, g),
+        _ => 0.0,
+    }
+}
 
 /// The SLO-aware serving loop: scheduler + executor pool + queue + batcher.
 #[derive(Debug)]
@@ -478,8 +483,9 @@ impl ServingSim {
     /// dispatching every batch through `backend`.
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] if the stream is empty or not sorted
-    /// by arrival time, and [`SushiError::Backend`] when the backend fails.
+    /// Returns [`SushiError::Stream`] if the stream is empty, has a
+    /// non-finite arrival time, or is not sorted by arrival time, and
+    /// [`SushiError::Backend`] when the backend fails.
     pub fn run(
         &mut self,
         backend: &mut dyn ExecutionBackend,
@@ -487,6 +493,12 @@ impl ServingSim {
     ) -> Result<SimResult, SushiError> {
         if stream.is_empty() {
             return Err(SushiError::Stream("cannot simulate an empty stream".into()));
+        }
+        if let Some(tq) = stream.iter().find(|tq| !tq.arrival_ms.is_finite()) {
+            return Err(SushiError::Stream(format!(
+                "arrival times must be finite, got {} (query {})",
+                tq.arrival_ms, tq.query.id
+            )));
         }
         if !stream.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms) {
             return Err(SushiError::Stream("stream must be sorted by arrival time".into()));
@@ -520,26 +532,12 @@ impl ServingSim {
         // ladder reacts to its *own* tail, so one tenant's burst cannot
         // read as tail pressure on another tier's signal.
         let mut recent_tier: [VecDeque<(f64, f64)>; TIER_COUNT] = Default::default();
-        // Fault injection: a fresh runtime per run — the fault plan is a
-        // pure function of the options' seed, so a rerun replays the same
-        // schedule. All of this state is inert when `faults: None`; the
-        // fault-free loop never touches it.
-        let mut fault = self.config.faults.map(|opts| FaultRuntime::new(opts, self.config.workers));
-        let mut tier_retry_budget = [usize::MAX; TIER_COUNT];
-        if let Some(sup) = fault.as_ref().and_then(FaultRuntime::supervise) {
-            tier_retry_budget = sup.retry.tier_budgets;
-        }
-        // Retried queries waiting out their backoff (re-admission times);
-        // attempt counts are keyed by (tenant, id) because ids are only
-        // unique per tenant in a merged stream.
-        let mut retry_buf: Vec<(QueuedQuery, f64)> = Vec::new();
-        let mut attempts: HashMap<(u32, u64), u32> = HashMap::new();
-        let mut hedge_window: VecDeque<f64> = VecDeque::new();
-        // Dispatches that committed no results: transiently-failed batches
-        // and hedge duplicates (exactly one of a hedged pair commits).
-        // Excluded from `SimResult::batches` so `mean_batch` keeps meaning
-        // "served queries per useful batch"; zero when faultless.
-        let mut wasted_batches = 0usize;
+        // A fresh fault runtime per run — the plan is a pure function of
+        // the options' seed, so a rerun replays the same schedule; with
+        // `faults: None` it is the empty plan.
+        let empty_plan = FaultOptions::default().without_supervision();
+        let mut fault =
+            FaultRuntime::new(self.config.faults.unwrap_or(empty_plan), self.config.workers);
         let mut events: Vec<AdaptiveEvent> = Vec::new();
         let mut shaped_count = 0usize;
         let mut served: Vec<ServedQuery> = Vec::with_capacity(stream.len());
@@ -551,32 +549,17 @@ impl ServingSim {
             // Enact fault events due at this instant first: a replica whose
             // crash is due must be gone before this step's admissions or
             // dispatch can see it, and restarts / probation expiries come
-            // back the same way. Retries whose backoff has elapsed re-enter
-            // through the shared queue, competing for capacity like any
-            // arrival (and can themselves be shed).
-            if let Some(f) = fault.as_mut() {
-                f.advance(now, &mut self.pool);
-                if !retry_buf.is_empty() {
-                    let mut still_waiting = Vec::with_capacity(retry_buf.len());
-                    for (qq, ready_ms) in retry_buf.drain(..) {
-                        if ready_ms <= now {
-                            if let Some(victim) = queue.offer(now, qq) {
-                                dropped.push(victim);
-                            }
-                        } else {
-                            still_waiting.push((qq, ready_ms));
-                        }
-                    }
-                    retry_buf = still_waiting;
-                }
-            }
+            // back the same way; then retries whose backoff has elapsed
+            // re-enter through the shared queue.
+            fault.advance(now, &mut self.pool);
+            fault.readmit_due(now, &mut queue, &mut dropped);
 
             // Observe load and (maybe) step the degradation level. Sampled
             // once per event — before admissions — so the controller sees
             // the queue as the arriving queries will find it, and recovery
             // happens while the queue drains, not only on new arrivals.
             if let Some(pol) = self.control.as_mut() {
-                let quarantined_frac = fault.as_ref().map_or(0.0, FaultRuntime::unavailable_frac);
+                let quarantined_frac = fault.unavailable_frac();
                 // One signal shape for the whole queue and for each tier's
                 // slice of it: a depth, the head-of-line query's slack, and
                 // the tail of a completion window aged to the last
@@ -666,11 +649,9 @@ impl ServingSim {
                 let mut pending: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
                 loop {
                     // A replica is routable only while up and not
-                    // quarantined; the fault-free closure is unchanged.
+                    // quarantined.
                     let free = |w: usize| {
-                        !claimed[w]
-                            && self.pool.busy_until_ms(w) <= now
-                            && fault.as_ref().map_or(true, |f| f.dispatchable(w))
+                        !claimed[w] && self.pool.busy_until_ms(w) <= now && fault.dispatchable(w)
                     };
                     if !(0..claimed.len()).any(free) || !batch_policy.ready(&queue, now) {
                         break;
@@ -678,30 +659,20 @@ impl ServingSim {
                     let batch = batch_policy.form(&mut queue, now);
                     debug_assert!(!batch.is_empty());
                     let row = batch[0].subnet_row;
-                    // Warmth per free replica: how much of this SubNet's
-                    // weight state its resident SubGraph already holds
-                    // (the same PB-overlap metric behind `hit_ratio`).
                     // `covers` marks the warmest free replica(s) — routed
                     // installs make residency heterogeneous, so under
                     // cache-affinity routing a swap-heavy mix keeps each
                     // band on the replica already holding its weights.
-                    // A Warming replica's cache counts as cold until the
-                    // next install lands on it: the crash wiped its PB.
-                    let warmth: Vec<f64> = (0..claimed.len())
-                        .map(|w| {
-                            let warm = fault.as_ref().map_or(true, |f| f.cache_warm(w));
-                            match (free(w) && warm, self.pool.resident(w)) {
-                                (true, Some(g)) => overlap_ratio(&self.subnets[row].graph, g),
-                                _ => 0.0,
-                            }
-                        })
+                    let graph = &self.subnets[row].graph;
+                    let warm: Vec<f64> = (0..claimed.len())
+                        .map(|w| if free(w) { warmth(&self.pool, &fault, w, graph) } else { 0.0 })
                         .collect();
-                    let warmest = warmth.iter().copied().fold(0.0, f64::max);
+                    let warmest = warm.iter().copied().fold(0.0, f64::max);
                     let views: Vec<ReplicaView> = (0..claimed.len())
                         .map(|w| ReplicaView {
                             free: free(w),
                             busy_until_ms: self.pool.busy_until_ms(w),
-                            covers: warmest > 0.0 && warmth[w] == warmest,
+                            covers: warmest > 0.0 && warm[w] == warmest,
                         })
                         .collect();
                     let worker =
@@ -725,139 +696,53 @@ impl ServingSim {
                 }
                 let results = self.pool.dispatch_group(now, &self.net, backend, &plan)?;
                 for ((row, batch), (mut report, mut outputs)) in pending.into_iter().zip(results) {
-                    if let Some(f) = fault.as_mut() {
-                        if f.roll_transient() {
-                            // The batch burned its service slot and failed
-                            // retryably at completion. Supervision retries
-                            // each query under its tier budget; an
-                            // unsupervised pool just loses them.
-                            f.note_failure(report.worker, report.completion_ms);
-                            let sup = f.supervise().copied();
-                            for q in &batch {
-                                let key = (q.timed.tenant, q.timed.query.id);
-                                let attempt = attempts.get(&key).copied().unwrap_or(1);
-                                let retry_at = sup.and_then(|sup| {
-                                    if attempt >= sup.retry.max_attempts
-                                        || tier_retry_budget[q.tier.index()] == 0
-                                    {
-                                        return None;
-                                    }
-                                    let salt = q.timed.query.id
-                                        ^ (u64::from(q.timed.tenant) << 32)
-                                        ^ (u64::from(attempt) << 48);
-                                    Some(report.completion_ms + sup.retry.backoff_ms(attempt, salt))
-                                });
-                                match retry_at {
-                                    Some(ready_ms)
-                                        if self.config.drop_policy == DropPolicy::DeadlineAware
-                                            && ready_ms > q.timed.deadline_ms() =>
-                                    {
-                                        // Deadline-aware give-up: the retry
-                                        // could not even restart in time.
-                                        dropped.push(DroppedQuery {
-                                            timed: q.timed,
-                                            reason: DropReason::DeadlineLapsed,
-                                            tier: q.tier,
-                                        });
-                                    }
-                                    Some(ready_ms) => {
-                                        tier_retry_budget[q.tier.index()] =
-                                            tier_retry_budget[q.tier.index()].saturating_sub(1);
-                                        attempts.insert(key, attempt + 1);
-                                        f.summary.retries += 1;
-                                        retry_buf.push((*q, ready_ms));
-                                    }
-                                    None => dropped.push(DroppedQuery {
-                                        timed: q.timed,
-                                        reason: DropReason::RetryBudgetExhausted,
-                                        tier: q.tier,
-                                    }),
-                                }
-                            }
-                            wasted_batches += 1;
-                            continue;
-                        }
-                        // Tail hedge: when this batch ran far past the
-                        // recent p99 service time, race a duplicate on the
-                        // warmest free healthy replica — first result wins,
-                        // the loser's slot is reclaimed at that instant.
-                        let service_ms = report.completion_ms - report.start_ms;
-                        let hedge = f.supervise().and_then(|s| s.hedge);
-                        if let Some(hp) = hedge {
-                            let service_p99 = p99(hedge_window.iter().copied());
-                            if hedge_window.len() >= HEDGE_WARMUP
-                                && service_ms > hp.min_threshold_ms
-                                && service_ms > hp.p99_factor * service_p99
+                    if fault.roll_transient() {
+                        // The batch burned its service slot and failed
+                        // retryably at completion.
+                        fault.retry_or_drop(
+                            report.worker,
+                            report.completion_ms,
+                            &batch,
+                            self.config.drop_policy,
+                            &mut dropped,
+                        );
+                        continue;
+                    }
+                    // Tail hedge: race a straggling batch's duplicate on the
+                    // warmest free healthy replica.
+                    if fault.should_hedge(report.completion_ms - report.start_ms) {
+                        let graph = &self.subnets[row].graph;
+                        let mut backup: Option<(usize, f64)> = None;
+                        for w in 0..self.pool.num_workers() {
+                            if w == report.worker
+                                || self.pool.busy_until_ms(w) > now
+                                || !fault.dispatchable(w)
                             {
-                                let mut backup: Option<(usize, f64)> = None;
-                                for w in 0..self.pool.num_workers() {
-                                    if w == report.worker
-                                        || self.pool.busy_until_ms(w) > now
-                                        || !f.dispatchable(w)
-                                    {
-                                        continue;
-                                    }
-                                    let warm = if f.cache_warm(w) {
-                                        self.pool.resident(w).map_or(0.0, |g| {
-                                            overlap_ratio(&self.subnets[row].graph, g)
-                                        })
-                                    } else {
-                                        0.0
-                                    };
-                                    if backup.map_or(true, |(_, best)| warm > best) {
-                                        backup = Some((w, warm));
-                                    }
-                                }
-                                if let Some((bw, _)) = backup {
-                                    let hedge_plan = [PlannedBatch {
-                                        worker: bw,
-                                        subnet: &self.subnets[row],
-                                        query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
-                                    }];
-                                    let mut hres = self.pool.dispatch_group(
-                                        now,
-                                        &self.net,
-                                        backend,
-                                        &hedge_plan,
-                                    )?;
-                                    let (hreport, houts) =
-                                        hres.pop().expect("one planned batch, one result");
-                                    f.summary.hedges += 1;
-                                    wasted_batches += 1;
-                                    if hreport.completion_ms < report.completion_ms {
-                                        // Backup won: cancel the primary at
-                                        // the winner's completion, but keep
-                                        // feeding its would-be service time
-                                        // to the straggler detector.
-                                        f.summary.hedges_won += 1;
-                                        self.pool.clamp_busy(report.worker, hreport.completion_ms);
-                                        f.note_success(
-                                            report.worker,
-                                            service_ms,
-                                            hreport.completion_ms,
-                                        );
-                                        report = hreport;
-                                        outputs = houts;
-                                    } else {
-                                        self.pool.clamp_busy(bw, report.completion_ms);
-                                        f.note_success(
-                                            bw,
-                                            hreport.completion_ms - hreport.start_ms,
-                                            report.completion_ms,
-                                        );
-                                    }
-                                }
+                                continue;
+                            }
+                            let warm = warmth(&self.pool, &fault, w, graph);
+                            if backup.map_or(true, |(_, best)| warm > best) {
+                                backup = Some((w, warm));
                             }
                         }
-                        let final_service = report.completion_ms - report.start_ms;
-                        f.note_success(report.worker, final_service, report.completion_ms);
-                        if hedge.is_some() {
-                            hedge_window.push_back(final_service);
-                            if hedge_window.len() > HEDGE_WINDOW {
-                                hedge_window.pop_front();
+                        if let Some((bw, _)) = backup {
+                            let hedge_plan = [PlannedBatch {
+                                worker: bw,
+                                subnet: &self.subnets[row],
+                                query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
+                            }];
+                            let (hreport, houts) = self
+                                .pool
+                                .dispatch_group(now, &self.net, backend, &hedge_plan)?
+                                .pop()
+                                .expect("one planned batch, one result");
+                            if fault.settle_hedge(&mut self.pool, &report, &hreport) {
+                                report = hreport;
+                                outputs = houts;
                             }
                         }
                     }
+                    fault.note_committed(&report);
                     for (i, q) in batch.iter().enumerate() {
                         let done = ServedQuery {
                             query: q.timed.query,
@@ -888,34 +773,23 @@ impl ServingSim {
             // released from probation, not merely past its busy clock), a
             // retry's backoff elapsing, or the head-of-line batch timing
             // out.
-            let mut next_event = f64::INFINITY;
+            let mut next_event = fault.next_retry_ms();
             if next < stream.len() {
                 next_event = next_event.min(stream[next].arrival_ms);
             }
-            for &(_, ready_ms) in &retry_buf {
-                next_event = next_event.min(ready_ms);
-            }
             if !queue.is_empty() {
-                match fault.as_ref() {
-                    None => {
-                        if self.pool.free_worker_at(now).is_none() {
-                            next_event = next_event.min(self.pool.next_free_ms());
-                        } else if let Some(t) = batch_policy.ready_at(&queue) {
-                            next_event = next_event.min(t);
-                        }
+                let workers = 0..self.pool.num_workers();
+                if workers
+                    .clone()
+                    .any(|w| fault.dispatchable(w) && self.pool.busy_until_ms(w) <= now)
+                {
+                    if let Some(t) = batch_policy.ready_at(&queue) {
+                        next_event = next_event.min(t);
                     }
-                    Some(f) => {
-                        let dispatchable_free = (0..self.pool.num_workers())
-                            .any(|w| f.dispatchable(w) && self.pool.busy_until_ms(w) <= now);
-                        if !dispatchable_free {
-                            let release = (0..self.pool.num_workers())
-                                .map(|w| f.release_ms(w, self.pool.busy_until_ms(w)))
-                                .fold(f64::INFINITY, f64::min);
-                            next_event = next_event.min(release);
-                        } else if let Some(t) = batch_policy.ready_at(&queue) {
-                            next_event = next_event.min(t);
-                        }
-                    }
+                } else {
+                    next_event = workers
+                        .map(|w| fault.release_ms(w, self.pool.busy_until_ms(w)))
+                        .fold(next_event, f64::min);
                 }
             }
             if !next_event.is_finite() {
@@ -927,25 +801,13 @@ impl ServingSim {
 
         // With the pool permanently lost, whatever is still queued (or
         // waiting out a retry backoff) can never be served: account every
-        // survivor as dropped so conservation holds. The fault-free loop
-        // always drains its queue, so this is gated to keep its
-        // accounting (and depth integral) bit-identical.
-        if fault.is_some() {
-            for q in queue.drain(now) {
-                dropped.push(DroppedQuery {
-                    timed: q.timed,
-                    reason: DropReason::ReplicaLost,
-                    tier: q.tier,
-                });
-            }
-            for (q, _) in retry_buf.drain(..) {
-                dropped.push(DroppedQuery {
-                    timed: q.timed,
-                    reason: DropReason::ReplicaLost,
-                    tier: q.tier,
-                });
-            }
-        }
+        // survivor as dropped so conservation holds.
+        let stranded = queue.drain(now).into_iter().chain(fault.take_retries());
+        dropped.extend(stranded.map(|q| DroppedQuery {
+            timed: q.timed,
+            reason: DropReason::ReplicaLost,
+            tier: q.tier,
+        }));
         assert_eq!(
             served.len() + dropped.len(),
             stream.len(),
@@ -953,16 +815,17 @@ impl ServingSim {
         );
         let makespan_ms =
             self.pool.drain_ms().max(stream.last().map_or(0.0, |tq| tq.arrival_ms)).max(now);
-        let fault_summary = fault.map(|mut f| {
-            f.summary.cache_reinstalls = self.pool.reinstalls();
-            f.finish(makespan_ms)
-        });
+        fault.summary.cache_reinstalls = self.pool.reinstalls();
+        // Hedge duplicates and failed batches are excluded so `mean_batch`
+        // keeps meaning "served queries per useful batch".
+        let batches = self.pool.batches() - fault.wasted_batches;
+        let fault_summary = fault.finish(makespan_ms);
         Ok(SimResult {
             served,
             dropped,
             mean_queue_depth: queue.mean_depth(makespan_ms.max(f64::MIN_POSITIVE)),
             max_queue_depth: queue.max_depth(),
-            batches: self.pool.batches() - wasted_batches,
+            batches,
             cache_installs: self.pool.cache_installs(),
             swap_ms: self.pool.total_swap_ms(),
             makespan_ms,
@@ -988,7 +851,7 @@ impl ServingSim {
                     tiers: if tiered { ladders } else { Vec::new() },
                 }
             }),
-            faults: fault_summary,
+            faults: self.config.faults.map(|_| fault_summary),
         })
     }
 }
@@ -1192,30 +1055,17 @@ mod tests {
     }
 
     #[test]
-    fn faultless_some_zero_rates_matches_none() {
-        // `faults: Some(..)` with every rate zeroed injects nothing: the
-        // run must produce the same served/dropped trace as `faults: None`
-        // (the summaries differ only in the `faults` accounting field).
-        let cfg = SimConfig {
-            workers: 2,
-            queue_capacity: 16,
-            drop_policy: DropPolicy::DropNewest,
-            batch: BatchPolicy::new(4, 2.0),
-            routing: RoutingPolicy::CacheAffinity,
-            control: None,
-            faults: None,
-        };
-        let injected = SimConfig { faults: Some(FaultOptions::default()), ..cfg };
-        let (mut a, space) = sim(cfg);
-        let (mut b, _) = sim(injected);
-        let st = stream(&space, 150, 120.0, 9);
-        let ra = a.serve_timed(&st).unwrap();
-        let rb = b.serve_timed(&st).unwrap();
-        assert_eq!(ra.served, rb.served);
-        assert_eq!(ra.dropped, rb.dropped);
-        assert_eq!(ra.faults, None);
-        let fs = rb.faults.expect("fault accounting present when faults are configured");
-        assert_eq!((fs.crashes, fs.transient_failures, fs.retries, fs.hedges), (0, 0, 0, 0));
+    fn non_finite_arrival_is_a_stream_error() {
+        // A query whose arrival is never reached can never be admitted:
+        // the loop must refuse the stream, not trip conservation.
+        let (mut s, space) = sim(SimConfig::default());
+        let qs = uniform_stream(&space, 2, 1);
+        for arrivals in [vec![f64::INFINITY], vec![f64::NAN], vec![0.0, f64::INFINITY]] {
+            let st: Vec<TimedQuery> =
+                arrivals.iter().zip(&qs).map(|(&t, &q)| TimedQuery::new(t, q)).collect();
+            let err = s.serve_timed(&st).unwrap_err();
+            assert!(matches!(err, SushiError::Stream(_)), "{arrivals:?}: {err}");
+        }
     }
 
     #[test]

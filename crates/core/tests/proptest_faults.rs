@@ -3,7 +3,9 @@
 //! exactly once — globally, per tenant tier, and per drop reason) and
 //! bit-identical determinism of `(stream, config, seed, fault plan)`,
 //! under arbitrary crash/straggler/transient schedules, supervised and
-//! unsupervised, across every drop policy and pool size.
+//! unsupervised, across every drop policy and pool size — and that the
+//! zero-rate fault plan is the fault-free run: `faults: None` is the empty
+//! plan, so switching the knob on with every rate at zero moves nothing.
 
 use std::collections::HashSet;
 
@@ -14,7 +16,7 @@ use sushi_core::serving::{
     ArrivalProcess, BatchPolicy, DropPolicy, DropReason, FaultOptions, RoutingPolicy, SimResult,
 };
 use sushi_core::stream::{attach_arrivals, uniform_stream, TimedQuery};
-use sushi_sched::{TenantOptions, TenantTier};
+use sushi_sched::{AdaptiveOptions, TenantOptions, TenantTier};
 
 /// Every randomized fault-run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -279,5 +281,77 @@ proptest! {
         let (b, stream_b) = run_case(&c);
         prop_assert_eq!(stream_a, stream_b, "stream generation must be deterministic");
         prop_assert_eq!(a, b, "fault-injected serving must replay bit-identically");
+    }
+
+    /// A zero-rate plan is the fault-free run, supervised or not: every
+    /// [`SimResult`] field but `faults` matches `faults: None` across pool
+    /// sizes, routing, batching, drop policies and controllers, and the
+    /// summary reports nothing enacted.
+    #[test]
+    fn zero_rate_plan_matches_no_faults(
+        (workers, routing, policy, batch) in (1usize..5, 0usize..3, 0usize..3, 0usize..3),
+        (control, supervised, seed) in (0usize..3, 0usize..2, 0u64..u64::MAX),
+    ) {
+        let case = format!(
+            "seed {seed:#x}: {workers} workers, routing {routing}, drop {policy}, \
+             batch {batch}, control {control}, supervised {supervised}"
+        );
+        let net = std::sync::Arc::new(sushi_wsnet::zoo::toy_mobilenet_supernet());
+        let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(4);
+        let run = |faults: Option<FaultOptions>| {
+            let mut engine = EngineBuilder::new()
+                .workload(std::sync::Arc::clone(&net), picks.clone())
+                .q_window(4)
+                .candidates(5)
+                .seed(seed)
+                .workers(workers)
+                .routing(
+                    [RoutingPolicy::LeastLoaded, RoutingPolicy::RoundRobin, RoutingPolicy::CacheAffinity]
+                        [routing],
+                )
+                .queue_capacity(8)
+                .drop_policy(
+                    [DropPolicy::DropNewest, DropPolicy::DropOldest, DropPolicy::DeadlineAware][policy],
+                )
+                .batch_policy(
+                    [BatchPolicy::no_batching(), BatchPolicy::new(4, 0.05), BatchPolicy::new(2, 0.5)]
+                        [batch],
+                )
+                .tenants(match control {
+                    0 => None,
+                    1 => Some(TenantOptions::global(AdaptiveOptions::default())),
+                    _ => Some(
+                        TenantOptions::default()
+                            .with_tier(0, TenantTier::LatencyCritical)
+                            .with_tier(1, TenantTier::BestEffort),
+                    ),
+                })
+                .faults(faults)
+                .build()
+                .expect("toy engine builds");
+            let mut space = engine.constraint_space();
+            space.lat_lo *= 2.0;
+            space.lat_hi *= 4.0;
+            let qs = uniform_stream(&space, 40, seed ^ 0x51);
+            let rate_qps = workers as f64 * 1e3 / space.lat_lo;
+            let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(40, seed ^ 0x52);
+            let mut stream = attach_arrivals(&qs, &arrivals);
+            for (i, tq) in stream.iter_mut().enumerate() {
+                tq.tenant = (i % 2) as u32;
+            }
+            engine.serve_timed(&stream).expect("run completes")
+        };
+        let plan = FaultOptions::default().with_seed(seed);
+        let none = run(None);
+        let mut zero = run(Some(if supervised == 1 { plan } else { plan.without_supervision() }));
+        let f = zero.faults.take().expect("a configured plan carries a summary");
+        prop_assert_eq!(none.faults.clone(), None, "{}", case);
+        prop_assert_eq!(&zero, &none, "{}", case);
+        prop_assert_eq!(
+            (f.crashes, f.transient_failures, f.retries, f.hedges, f.quarantines),
+            (0, 0, 0, 0, 0),
+            "{}",
+            case
+        );
     }
 }

@@ -108,13 +108,6 @@ impl Accelerator {
         }
     }
 
-    /// Overrides the energy model.
-    #[must_use]
-    pub fn with_energy_model(mut self, m: EnergyModel) -> Self {
-        self.energy_model = m;
-        self
-    }
-
     /// The accelerator configuration.
     #[must_use]
     pub fn config(&self) -> &AccelConfig {

@@ -413,7 +413,9 @@ impl EngineBuilder {
     ///
     /// # Errors
     /// Returns [`SushiError::Config`] on an empty serving set, a zero
-    /// `Q`/worker/queue/batch knob, or a latency-table/serving-set
+    /// `Q`/worker/queue/batch knob, a non-physical [`AccelConfig`] (zero
+    /// `kp`/`cp`, a zero or non-finite clock or bandwidth, an effective
+    /// bandwidth fraction outside `(0, 1]`), or a latency-table/serving-set
     /// mismatch.
     pub fn build(self) -> Result<Engine, SushiError> {
         let (net, subnets, default_q) = match self.workload {
@@ -448,6 +450,31 @@ impl EngineBuilder {
         }
         if !(self.sim.batch.max_wait_ms.is_finite() && self.sim.batch.max_wait_ms >= 0.0) {
             return Err(SushiError::Config("batch wait must be finite and non-negative".into()));
+        }
+        // The timing model divides by every one of these, so a zero or
+        // non-finite value yields a panic or an absurd latency downstream.
+        let accel = &self.accel;
+        if accel.kp == 0 || accel.cp == 0 {
+            return Err(SushiError::Config(
+                "DPE array parallelism kp, cp must be at least 1".into(),
+            ));
+        }
+        for (name, v) in [
+            ("clock freq_mhz", accel.freq_mhz),
+            ("offchip_gbps", accel.offchip_gbps),
+            ("onchip_bw_ratio", accel.onchip_bw_ratio),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(SushiError::Config(format!(
+                    "accelerator {name} must be finite and positive, got {v}"
+                )));
+            }
+        }
+        if !(accel.effective_bw_fraction > 0.0 && accel.effective_bw_fraction <= 1.0) {
+            return Err(SushiError::Config(format!(
+                "accelerator effective_bw_fraction must be in (0, 1], got {}",
+                accel.effective_bw_fraction
+            )));
         }
         let (config, derived_selection) = match self.variant {
             Variant::NoSushi => (self.accel.without_pb(), CacheSelection::Disabled),
@@ -663,6 +690,34 @@ mod tests {
         assert!(EngineBuilder::new().queue_capacity(0).build().is_err());
         let bad_faults = FaultOptions::default().with_transient_rate(2.0);
         assert!(EngineBuilder::new().faults(Some(bad_faults)).build().is_err());
+    }
+
+    #[test]
+    fn non_physical_accel_configs_are_config_errors() {
+        use sushi_accel::config::{alveo_u50, roofline_system, zcu104};
+        type Breaker = fn(&mut AccelConfig);
+        let cases: [(&str, Breaker); 11] = [
+            ("kp = 0", |c| c.kp = 0),
+            ("cp = 0", |c| c.cp = 0),
+            ("freq_mhz = 0", |c| c.freq_mhz = 0.0),
+            ("freq_mhz = NaN", |c| c.freq_mhz = f64::NAN),
+            ("offchip_gbps = 0", |c| c.offchip_gbps = 0.0),
+            ("offchip_gbps = inf", |c| c.offchip_gbps = f64::INFINITY),
+            ("onchip_bw_ratio = 0", |c| c.onchip_bw_ratio = 0.0),
+            ("onchip_bw_ratio = -1", |c| c.onchip_bw_ratio = -1.0),
+            ("effective_bw_fraction = 0", |c| c.effective_bw_fraction = 0.0),
+            ("effective_bw_fraction = 1.5", |c| c.effective_bw_fraction = 1.5),
+            ("effective_bw_fraction = NaN", |c| c.effective_bw_fraction = f64::NAN),
+        ];
+        for (what, break_it) in cases {
+            let mut config = zcu104();
+            break_it(&mut config);
+            let built = EngineBuilder::new().candidates(4).accel_config(config).build();
+            assert!(matches!(built, Err(SushiError::Config(_))), "{what} was accepted");
+        }
+        for config in [zcu104(), alveo_u50(), roofline_system()] {
+            assert!(EngineBuilder::new().candidates(0).accel_config(config).build().is_ok());
+        }
     }
 
     #[test]

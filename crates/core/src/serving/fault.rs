@@ -15,9 +15,8 @@
 //! * **Straggler** — a replica's service time is multiplied by
 //!   [`FaultOptions::straggler_factor`] over a drawn episode window.
 //! * **Transient** — a dispatched batch fails with a retryable error after
-//!   burning its service time; supervision
-//!   ([`crate::serving::supervise::SuperviseOptions`]) re-admits the
-//!   batch's queries with backoff, an unsupervised pool drops them.
+//!   burning its service time; supervision re-admits the batch's queries
+//!   with backoff, an unsupervised pool drops them.
 //!
 //! Replica health ([`ReplicaHealth`]) is a supervised-only state machine
 //! `Healthy → Suspect → Quarantined → Warming → Healthy`, driven by
@@ -25,6 +24,10 @@
 //! time vs. the pool median). The serving loop never routes to a
 //! `Quarantined` (or down) replica, and treats a `Warming` replica's cache
 //! as cold until a re-install completes.
+//!
+//! Supervision ([`FaultOptions::supervised`]) is one switch. Its retry,
+//! hedge and quarantine thresholds are this module's private constants,
+//! so every supervised run enacts the same policy.
 //!
 //! [`crate::serving::sim::SimConfig::faults`] `None` is not a separate
 //! path: the serving loop runs the *empty plan* — every rate zero, no
@@ -40,7 +43,6 @@ use sushi_tensor::DetRng;
 use crate::serving::executor::{DispatchReport, ExecutorPool};
 use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery, QueuedQuery};
 use crate::serving::sim::p99;
-use crate::serving::supervise::SuperviseOptions;
 
 /// Hedge service-time window: bounded count (not time) — service times are
 /// level-independent, so aging by count is enough and keeps the fault path
@@ -49,6 +51,49 @@ const HEDGE_WINDOW: usize = 64;
 /// Completions observed before hedging arms: an empty/noisy p99 estimate
 /// must not fire duplicates at the start of a run.
 const HEDGE_WARMUP: usize = 16;
+/// Hedge a batch whose service time exceeds this multiple of the recent
+/// p99 service time.
+const HEDGE_P99_FACTOR: f64 = 2.0;
+/// Never hedge a batch faster than this, ms (keeps hedging off the fast
+/// path even when the p99 window is tiny).
+const HEDGE_MIN_MS: f64 = 1.0;
+
+/// Total attempts per query, the initial dispatch included.
+const RETRY_MAX_ATTEMPTS: u32 = 3;
+/// Backoff before attempt `n + 1` is `RETRY_BASE_BACKOFF_MS * 2^(n-1)`,
+/// scaled by a seeded jitter factor in `[1 - RETRY_JITTER, 1 + RETRY_JITTER]`.
+const RETRY_BASE_BACKOFF_MS: f64 = 1.0;
+/// Jitter fraction of each backoff (see [`RETRY_BASE_BACKOFF_MS`]).
+const RETRY_JITTER: f64 = 0.25;
+/// Run-long retry budget per tenant tier, indexed by
+/// [`sushi_sched::TenantTier::index`]. A tier whose budget is spent drops
+/// further failed queries instead of retrying, so best-effort retries
+/// never starve latency-critical capacity.
+const RETRY_TIER_BUDGETS: [usize; TIER_COUNT] = [usize::MAX, 256, 64];
+
+/// Consecutive batch failures that quarantine a replica.
+const QUARANTINE_FAILURES: u32 = 2;
+/// A completion is a straggler strike when the replica's EWMA service
+/// time exceeds this multiple of the pool median.
+const STRAGGLER_RATIO: f64 = 2.5;
+/// Straggler strikes that quarantine a replica.
+const STRAGGLER_STRIKES: u32 = 3;
+/// How long a quarantined replica sits out before re-entering as
+/// `Warming`, ms.
+const PROBATION_MS: f64 = 50.0;
+/// Smoothing factor of the per-replica service-time EWMA.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// Backoff before attempt `attempt + 1` (so `attempt >= 1`), ms:
+/// exponential in the attempt number with deterministic jitter keyed by
+/// `salt` (the serving loop salts with the query identity, so every query
+/// jitters differently but reproducibly).
+fn backoff_ms(attempt: u32, salt: u64) -> f64 {
+    debug_assert!(attempt >= 1, "backoff follows a completed attempt");
+    let exp = 2.0f64.powi(attempt.saturating_sub(1).min(30) as i32);
+    let unit = DetRng::new(salt).next_f64();
+    RETRY_BASE_BACKOFF_MS * exp * (1.0 - RETRY_JITTER + 2.0 * RETRY_JITTER * unit)
+}
 
 /// Fault-injection knobs. All processes are off by default; supervision
 /// defaults to on, so enabling a fault process exercises the supervised
@@ -80,10 +125,11 @@ pub struct FaultOptions {
     /// Probability that a dispatched batch fails with a retryable error,
     /// in `[0, 1)`. Default `0.0`.
     pub transient_rate: f64,
-    /// Supervision (retry / hedge / quarantine) enacted by the serving
-    /// loop; `None` leaves faults injected but unsupervised. Default
-    /// `Some(SuperviseOptions::default())`.
-    pub supervise: Option<SuperviseOptions>,
+    /// Whether the serving loop supervises the pool: retries transient
+    /// failures with backoff under per-tier budgets, hedges slow batches,
+    /// and quarantines failing or straggling replicas. `false` leaves
+    /// faults injected but unsupervised. Default `true`.
+    pub supervised: bool,
 }
 
 impl Default for FaultOptions {
@@ -96,7 +142,7 @@ impl Default for FaultOptions {
             straggler_duration_ms: 0.0,
             straggler_factor: 1.0,
             transient_rate: 0.0,
-            supervise: Some(SuperviseOptions::default()),
+            supervised: true,
         }
     }
 }
@@ -151,18 +197,11 @@ impl FaultOptions {
         self
     }
 
-    /// Sets (or disables, with `None`) supervision.
-    #[must_use]
-    pub fn with_supervise(mut self, supervise: Option<SuperviseOptions>) -> Self {
-        self.supervise = supervise;
-        self
-    }
-
     /// The same fault plan with supervision stripped — the ablation
     /// baseline the supervised pool is measured against.
     #[must_use]
     pub fn without_supervision(mut self) -> Self {
-        self.supervise = None;
+        self.supervised = false;
         self
     }
 
@@ -192,9 +231,6 @@ impl FaultOptions {
         }
         if !self.transient_rate.is_finite() || !(0.0..1.0).contains(&self.transient_rate) {
             return Err(format!("transient rate must be in [0, 1), got {}", self.transient_rate));
-        }
-        if let Some(s) = &self.supervise {
-            s.validate()?;
         }
         Ok(())
     }
@@ -374,9 +410,7 @@ impl FaultRuntime {
             transient_rng: DetRng::new(opts.seed ^ 0x7417_5EED),
             summary: FaultSummary { downtime_ms: vec![0.0; workers], ..FaultSummary::default() },
             attempts: HashMap::new(),
-            tier_retry_budget: opts
-                .supervise
-                .map_or([usize::MAX; TIER_COUNT], |s| s.retry.tier_budgets),
+            tier_retry_budget: RETRY_TIER_BUDGETS,
             retry_buf: Vec::new(),
             hedge_window: VecDeque::new(),
             wasted_batches: 0,
@@ -399,7 +433,7 @@ impl FaultRuntime {
                     // Restart: account the outage, come back cold.
                     self.summary.downtime_ms[w] += r.down_until_ms - r.down_since_ms;
                     r.up = true;
-                    if self.opts.supervise.is_some() {
+                    if self.opts.supervised {
                         r.health = ReplicaHealth::Warming;
                         r.consecutive_failures = 0;
                         r.straggler_strikes = 0;
@@ -510,13 +544,13 @@ impl FaultRuntime {
     /// Records a failed completion on replica `w` at `at_ms` and steps the
     /// health machine (supervised runs only).
     pub(crate) fn note_failure(&mut self, w: usize, at_ms: f64) {
-        let Some(sup) = self.opts.supervise else { return };
+        if !self.opts.supervised {
+            return;
+        }
         let r = &mut self.replicas[w];
         r.consecutive_failures += 1;
-        if r.health == ReplicaHealth::Warming
-            || r.consecutive_failures >= sup.quarantine.consecutive_failures
-        {
-            Self::quarantine_replica(r, at_ms, sup.quarantine.probation_ms, &mut self.summary);
+        if r.health == ReplicaHealth::Warming || r.consecutive_failures >= QUARANTINE_FAILURES {
+            Self::quarantine_replica(r, at_ms, &mut self.summary);
         } else {
             r.health = ReplicaHealth::Suspect;
         }
@@ -526,25 +560,25 @@ impl FaultRuntime {
     /// `at_ms`: feeds the straggler detector (EWMA vs. pool median) and
     /// steps the health machine (supervised runs only).
     pub(crate) fn note_success(&mut self, w: usize, service_ms: f64, at_ms: f64) {
-        let Some(sup) = self.opts.supervise else { return };
-        let alpha = sup.quarantine.ewma_alpha;
+        if !self.opts.supervised {
+            return;
+        }
         {
             let r = &mut self.replicas[w];
             r.consecutive_failures = 0;
             r.ewma_service_ms = Some(match r.ewma_service_ms {
                 None => service_ms,
-                Some(prev) => alpha * service_ms + (1.0 - alpha) * prev,
+                Some(prev) => EWMA_ALPHA * service_ms + (1.0 - EWMA_ALPHA) * prev,
             });
         }
         let median = self.pool_median_service_ms();
         let r = &mut self.replicas[w];
-        let straggling = median.is_some_and(|m| {
-            m > 0.0 && r.ewma_service_ms.unwrap_or(0.0) > sup.quarantine.straggler_ratio * m
-        });
+        let straggling = median
+            .is_some_and(|m| m > 0.0 && r.ewma_service_ms.unwrap_or(0.0) > STRAGGLER_RATIO * m);
         if straggling {
             r.straggler_strikes += 1;
-            if r.straggler_strikes >= sup.quarantine.straggler_strikes {
-                Self::quarantine_replica(r, at_ms, sup.quarantine.probation_ms, &mut self.summary);
+            if r.straggler_strikes >= STRAGGLER_STRIKES {
+                Self::quarantine_replica(r, at_ms, &mut self.summary);
                 // A quarantined straggler re-enters with a clean slate:
                 // its stale EWMA would instantly re-strike it otherwise.
                 r.ewma_service_ms = None;
@@ -578,14 +612,13 @@ impl FaultRuntime {
             let key = (q.timed.tenant, q.timed.query.id);
             let attempt = self.attempts.get(&key).copied().unwrap_or(1);
             let budget = &mut self.tier_retry_budget[q.tier.index()];
-            let retry_at =
-                self.opts.supervise.filter(|s| attempt < s.retry.max_attempts && *budget > 0);
-            let retry_at = retry_at.map(|s| {
-                let salt = q.timed.query.id
-                    ^ (u64::from(q.timed.tenant) << 32)
-                    ^ (u64::from(attempt) << 48);
-                at_ms + s.retry.backoff_ms(attempt, salt)
-            });
+            let retry_at = (self.opts.supervised && attempt < RETRY_MAX_ATTEMPTS && *budget > 0)
+                .then(|| {
+                    let salt = q.timed.query.id
+                        ^ (u64::from(q.timed.tenant) << 32)
+                        ^ (u64::from(attempt) << 48);
+                    at_ms + backoff_ms(attempt, salt)
+                });
             let reason = match retry_at {
                 Some(ready_ms)
                     if drop_policy == DropPolicy::DeadlineAware
@@ -634,14 +667,13 @@ impl FaultRuntime {
     }
 
     /// Whether a batch that took `service_ms` ran far enough past the
-    /// recent p99 service time to race a duplicate (never without a hedge
-    /// policy, and never before the window has warmed up).
+    /// recent p99 service time to race a duplicate (never unsupervised,
+    /// and never before the window has warmed up).
     pub(crate) fn should_hedge(&self, service_ms: f64) -> bool {
-        self.opts.supervise.and_then(|s| s.hedge).is_some_and(|hp| {
-            self.hedge_window.len() >= HEDGE_WARMUP
-                && service_ms > hp.min_threshold_ms
-                && service_ms > hp.p99_factor * p99(self.hedge_window.iter().copied())
-        })
+        self.opts.supervised
+            && self.hedge_window.len() >= HEDGE_WARMUP
+            && service_ms > HEDGE_MIN_MS
+            && service_ms > HEDGE_P99_FACTOR * p99(self.hedge_window.iter().copied())
     }
 
     /// Settles a hedged race: first result wins, the loser's slot is
@@ -674,14 +706,9 @@ impl FaultRuntime {
         }
     }
 
-    fn quarantine_replica(
-        r: &mut ReplicaFaults,
-        at_ms: f64,
-        probation_ms: f64,
-        summary: &mut FaultSummary,
-    ) {
+    fn quarantine_replica(r: &mut ReplicaFaults, at_ms: f64, summary: &mut FaultSummary) {
         r.health = ReplicaHealth::Quarantined;
-        r.quarantine_until_ms = at_ms + probation_ms;
+        r.quarantine_until_ms = at_ms + PROBATION_MS;
         r.straggler_strikes = 0;
         summary.quarantines += 1;
     }
@@ -715,7 +742,9 @@ impl FaultRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::TimedQuery;
     use sushi_accel::config::zcu104;
+    use sushi_sched::{Query, TenantTier};
 
     fn chaosy() -> FaultOptions {
         FaultOptions::default()
@@ -750,11 +779,45 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("duration"));
-        let bad_sup = chaosy()
-            .with_supervise(Some(SuperviseOptions::default().with_retry(
-                crate::serving::supervise::RetryPolicy::default().with_max_attempts(0),
-            )));
-        assert!(bad_sup.validate().is_err());
+    }
+
+    #[test]
+    fn backoff_grows_exponentially_and_jitter_is_deterministic_and_bounded() {
+        for salt in 0..64u64 {
+            let b = backoff_ms(1, salt);
+            assert!((0.75..=1.25).contains(&b), "jittered backoff {b} escaped its band");
+            assert_eq!(b, backoff_ms(1, salt), "jitter must be pure in its salt");
+            // The jitter factor is keyed by the salt alone, so each further
+            // attempt doubles the backoff exactly.
+            assert_eq!(backoff_ms(2, salt), 2.0 * b);
+            assert_eq!(backoff_ms(3, salt), 4.0 * b);
+        }
+        // Distinct salts actually spread (not a constant function).
+        assert_ne!(backoff_ms(1, 1), backoff_ms(1, 2));
+    }
+
+    #[test]
+    fn tier_budgets_shield_latency_critical() {
+        // One first-attempt failure per query, so only the tier budgets
+        // stop retries: best-effort runs dry first, then standard, and
+        // latency-critical never does.
+        let mut rt = FaultRuntime::new(chaosy(), 1);
+        let mut dropped = Vec::new();
+        let mut retried = [0usize; TIER_COUNT];
+        for (i, tier) in (0..300u64).flat_map(|i| TenantTier::ALL.map(|t| (i, t))) {
+            let id = 3 * i + tier.index() as u64;
+            let q = QueuedQuery {
+                timed: TimedQuery::new(0.0, Query::new(id, 0.7, 1e9)),
+                subnet_row: 0,
+                tier,
+            };
+            let before = rt.summary.retries;
+            rt.retry_or_drop(0, 0.0, &[q], DropPolicy::DropNewest, &mut dropped);
+            retried[tier.index()] += rt.summary.retries - before;
+        }
+        assert_eq!(retried, [300, 256, 64]);
+        assert!(dropped.iter().all(|d| d.reason == DropReason::RetryBudgetExhausted));
+        assert_eq!(dropped.len(), (300 - 256) + (300 - 64));
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //!   dispatched to (least-loaded, round-robin, or cache-affinity over
 //!   per-replica resident SubGraphs).
 //! * [`fault::FaultOptions`] — deterministic, replayable fault injection
-//!   (replica crashes, straggler episodes, transient batch errors) with a
-//!   supervised [`fault::ReplicaHealth`] quarantine/recovery machine.
-//! * [`supervise::SuperviseOptions`] — the supervision knobs: retry with
-//!   exponential backoff and per-tier budgets, optional tail hedging, and
-//!   quarantine thresholds.
+//!   (replica crashes, straggler episodes, transient batch errors) and
+//!   the one supervision switch: retry with exponential backoff and
+//!   per-tier budgets, tail hedging, and a [`fault::ReplicaHealth`]
+//!   quarantine/recovery machine, all on fixed thresholds.
 //! * [`executor::ExecutorPool`] — accelerator-replica workers with
 //!   per-replica cache state and routed (not broadcast) installs,
 //!   dispatching batch groups through the engine's
@@ -77,7 +76,6 @@ pub mod queue;
 pub mod routing;
 pub mod scenario;
 pub mod sim;
-pub mod supervise;
 
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchPolicy;
@@ -90,4 +88,3 @@ pub use scenario::{
     run_scenario_unsupervised, Scenario, ServePreset, FUNCTIONAL_SCALING_POINTS,
 };
 pub use sim::{AdaptationTrace, ServedQuery, ServingSim, SimConfig, SimResult, TierAdaptation};
-pub use supervise::{HedgePolicy, QuarantinePolicy, RetryPolicy, SuperviseOptions};

@@ -148,12 +148,6 @@ impl AdmissionQueue {
         self.items.front()
     }
 
-    /// Number of queued queries that resolved to `subnet_row`.
-    #[must_use]
-    pub fn count_row(&self, subnet_row: usize) -> usize {
-        self.items.iter().filter(|q| q.subnet_row == subnet_row).count()
-    }
-
     /// Number of queued queries with `subnet_row` *and* `tier` — the
     /// tier-affine batching key.
     #[must_use]
@@ -303,26 +297,10 @@ impl AdmissionQueue {
         lapsed
     }
 
-    /// Removes up to `max` queued queries with the given `subnet_row`, in
-    /// FIFO order — the dynamic batcher's extraction step.
-    pub fn take_row(&mut self, now_ms: f64, subnet_row: usize, max: usize) -> Vec<QueuedQuery> {
-        self.advance(now_ms);
-        let mut taken = Vec::new();
-        self.items.retain(|q| {
-            if taken.len() < max && q.subnet_row == subnet_row {
-                taken.push(*q);
-                false
-            } else {
-                true
-            }
-        });
-        taken
-    }
-
-    /// [`take_row`](Self::take_row) restricted to one tier: removes up to
-    /// `max` queued queries matching both `subnet_row` and `tier`, in
-    /// FIFO order. Keeps batches tier-affine so a latency-critical query
-    /// never rides (and waits for) a best-effort batch.
+    /// Removes up to `max` queued queries matching both `subnet_row` and
+    /// `tier`, in FIFO order — the dynamic batcher's extraction step. Keeps
+    /// batches tier-affine so a latency-critical query never rides (and
+    /// waits for) a best-effort batch.
     pub fn take_row_tier(
         &mut self,
         now_ms: f64,
@@ -447,11 +425,12 @@ mod tests {
         for id in 0..6 {
             let _ = q.offer(id as f64, qq(id, id as f64, 100.0)); // rows 0,1,2,0,1,2
         }
-        let taken = q.take_row(6.0, 0, 1);
+        let std = TenantTier::Standard;
+        let taken = q.take_row_tier(6.0, 0, std, 1);
         assert_eq!(taken.len(), 1);
         assert_eq!(taken[0].timed.query.id, 0);
-        assert_eq!(q.count_row(0), 1);
-        let taken = q.take_row(6.0, 1, 8);
+        assert_eq!(q.count_row_tier(0, std), 1);
+        let taken = q.take_row_tier(6.0, 1, std, 8);
         assert_eq!(taken.iter().map(|t| t.timed.query.id).collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(q.depth(), 3);
     }
@@ -526,8 +505,8 @@ mod tests {
         let mut q = AdmissionQueue::new(4, DropPolicy::DropNewest);
         let _ = q.offer(0.0, qq(0, 0.0, 100.0)); // depth 1 from t=0
         let _ = q.offer(5.0, qq(1, 5.0, 100.0)); // depth 2 from t=5
-        let _ = q.take_row(10.0, 0, 4); // depth 1 from t=10
-                                        // Integral: 1*5 + 2*5 + 1*10 = 25 over [0, 20].
+                                                 // Depth 1 from t=10. Integral: 1*5 + 2*5 + 1*10 = 25 over [0, 20].
+        let _ = q.take_row_tier(10.0, 0, TenantTier::Standard, 4);
         assert!((q.mean_depth(20.0) - 1.25).abs() < 1e-12);
     }
 

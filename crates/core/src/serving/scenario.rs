@@ -30,7 +30,7 @@
 //! supervised executor pool; [`run_scenario_unsupervised`] is its
 //! ablation baseline. With `opts.adaptive` (the default)
 //! the serving loop degrades SubNet selection under pressure
-//! ([`sushi_sched::AdaptivePolicy`]); `overload`, `deadline_mix` and
+//! ([`sushi_sched::TenantPolicy`]); `overload`, `deadline_mix` and
 //! `failover` exist to exercise exactly that loop — sustained overload, a
 //! deadline mix where only the loose half has slack to give, and a
 //! recovery burst after an upstream outage.
@@ -43,7 +43,7 @@
 use std::sync::Arc;
 
 use sushi_accel::config::zcu104;
-use sushi_sched::{AdaptiveOptions, PredictorOptions, Query, TenantOptions, TenantTier};
+use sushi_sched::{AdaptiveOptions, Query, TenantOptions, TenantTier};
 
 use crate::engine::EngineBuilder;
 use crate::error::SushiError;
@@ -276,7 +276,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                         .with_tier(0, TenantTier::LatencyCritical)
                         .with_tier(1, TenantTier::BestEffort)
                         .with_shield(4.0)
-                        .with_predictor(Some(PredictorOptions::default())),
+                        .with_predictor(true),
                 );
             }
             (merged, 48, DropPolicy::DeadlineAware)

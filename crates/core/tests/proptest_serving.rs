@@ -28,7 +28,7 @@ fn tier_strategy() -> impl Strategy<Value = TenantTier> {
 enum Op {
     Offer { lat_ms: f64, row: usize, tier: TenantTier },
     Sweep,
-    TakeRow { row: usize, max: usize },
+    TakeRow { row: usize, tier: TenantTier, max: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -39,7 +39,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             tier
         }),
         Just(Op::Sweep),
-        (0usize..3, 1usize..6).prop_map(|(row, max)| Op::TakeRow { row, max }),
+        (0usize..3, tier_strategy(), 1usize..6).prop_map(|(row, tier, max)| Op::TakeRow {
+            row,
+            tier,
+            max
+        }),
     ]
 }
 
@@ -86,8 +90,9 @@ proptest! {
                         dropped_t[victim.tier.index()] += 1;
                     }
                 }
-                Op::TakeRow { row, max } => {
-                    for popped in q.take_row(now, row, max) {
+                Op::TakeRow { row, tier, max } => {
+                    for popped in q.take_row_tier(now, row, tier, max) {
+                        prop_assert!(popped.subnet_row == row && popped.tier == tier);
                         taken += 1;
                         taken_t[popped.tier.index()] += 1;
                     }
@@ -97,9 +102,11 @@ proptest! {
             prop_assert_eq!(offered, q.depth() + dropped + taken);
             prop_assert!(q.depth() <= capacity);
             prop_assert!(q.depth() <= q.max_depth());
-            // Per-row counts partition the queue.
-            let by_row: usize = (0..3).map(|r| q.count_row(r)).sum();
-            prop_assert_eq!(by_row, q.depth());
+            // Per-(row, tier) counts partition the queue.
+            let by_row_tier: usize = (0..3)
+                .flat_map(|r| TenantTier::ALL.map(|t| q.count_row_tier(r, t)))
+                .sum();
+            prop_assert_eq!(by_row_tier, q.depth());
             // Per-tier counts partition it too, and each tier's own
             // accounting closes: admitted = queued + shed + taken.
             let by_tier: usize = TenantTier::ALL.iter().map(|&t| q.count_tier(t)).sum();

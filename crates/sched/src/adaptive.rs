@@ -108,9 +108,10 @@ impl LoadSignal {
 /// Knobs of the adaptive loop.
 ///
 /// `#[non_exhaustive]`: construct via [`Default`] and adjust with the
-/// `with_*` setters so future knobs are non-breaking. The two `*_ms`
-/// knobs accept `0.0` as "derive from the latency table" (the mean cold
-/// latency sets the natural time scale of the workload).
+/// `with_*` setters so future knobs are non-breaking. The tail-pressure
+/// reference scale (`2 ×` the mean cold latency), the deepest level
+/// (every rung of the ladder) and the batch-cap floor (1) are not knobs:
+/// [`AdaptivePolicy::new`] derives the first two from the latency table.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct AdaptiveOptions {
@@ -125,27 +126,11 @@ pub struct AdaptiveOptions {
     /// the controller reacts at the cadence it receives completion
     /// evidence and a burst one dwell long can only move one level).
     pub dwell_ms: f64,
-    /// Reference latency scale for the tail-pressure component, ms
-    /// (`0.0` ⇒ derive `2 ×` mean cold latency, the scenario presets'
-    /// deadline floor).
-    pub slo_scale_ms: f64,
-    /// Deepest degradation level (`0` ⇒ one less than the table's row
-    /// count: every rung of the ladder reachable).
-    pub max_level: usize,
-    /// Floor for the shrunken dynamic-batch size under pressure.
-    pub min_batch: usize,
 }
 
 impl Default for AdaptiveOptions {
     fn default() -> Self {
-        Self {
-            degrade_threshold: 0.4,
-            upgrade_threshold: 0.15,
-            dwell_ms: 0.0,
-            slo_scale_ms: 0.0,
-            max_level: 0,
-            min_batch: 1,
-        }
+        Self { degrade_threshold: 0.4, upgrade_threshold: 0.15, dwell_ms: 0.0 }
     }
 }
 
@@ -165,27 +150,6 @@ impl AdaptiveOptions {
         self
     }
 
-    /// Sets the reference latency scale for tail pressure, ms.
-    #[must_use]
-    pub fn with_slo_scale_ms(mut self, scale_ms: f64) -> Self {
-        self.slo_scale_ms = scale_ms;
-        self
-    }
-
-    /// Sets the deepest degradation level.
-    #[must_use]
-    pub fn with_max_level(mut self, max_level: usize) -> Self {
-        self.max_level = max_level;
-        self
-    }
-
-    /// Sets the dynamic-batch shrink floor.
-    #[must_use]
-    pub fn with_min_batch(mut self, min_batch: usize) -> Self {
-        self.min_batch = min_batch;
-        self
-    }
-
     /// Whether the knob combination is coherent (builder validation).
     ///
     /// # Errors
@@ -202,11 +166,8 @@ impl AdaptiveOptions {
                 self.upgrade_threshold, self.degrade_threshold
             ));
         }
-        if !finite_nonneg(self.dwell_ms) || !finite_nonneg(self.slo_scale_ms) {
-            return Err("adaptive dwell/scale must be finite and non-negative".into());
-        }
-        if self.min_batch == 0 {
-            return Err("adaptive min_batch must be at least 1".into());
+        if !finite_nonneg(self.dwell_ms) {
+            return Err("adaptive dwell must be finite and non-negative".into());
         }
         Ok(())
     }
@@ -269,9 +230,10 @@ impl AdaptivePolicy {
         let mean_cold =
             (0..table.num_rows()).map(|i| table.latency_ms(i, EMPTY_COLUMN)).sum::<f64>()
                 / table.num_rows() as f64;
-        let hard_max = ladder.len().saturating_sub(1);
-        let max_level = if opts.max_level == 0 { hard_max } else { opts.max_level.min(hard_max) };
-        let scale_ms = if opts.slo_scale_ms > 0.0 { opts.slo_scale_ms } else { 2.0 * mean_cold };
+        // Every rung is reachable, and the tail scale is the scenario
+        // presets' deadline floor.
+        let max_level = ladder.len().saturating_sub(1);
+        let scale_ms = 2.0 * mean_cold;
         let dwell_ms = if opts.dwell_ms > 0.0 { opts.dwell_ms } else { mean_cold };
         Self {
             policy,
@@ -405,11 +367,11 @@ impl AdaptivePolicy {
     }
 
     /// The dynamic-batch size cap at the current level: halves per level,
-    /// floored at the configured `min_batch` (smaller batches dispatch
-    /// sooner, trading amortization for head-of-line latency).
+    /// floored at one query (smaller batches dispatch sooner, trading
+    /// amortization for head-of-line latency).
     #[must_use]
     pub fn batch_cap(&self, base_max_batch: usize) -> usize {
-        (base_max_batch >> self.level.min(usize::BITS as usize - 1)).max(self.opts.min_batch)
+        (base_max_batch >> self.level.min(usize::BITS as usize - 1)).max(1)
     }
 }
 
@@ -590,20 +552,12 @@ mod tests {
         assert_eq!(p.batch_cap(4), 2);
         assert!(p.observe(&pressured(p.dwell_ms())).is_some());
         assert_eq!(p.batch_cap(4), 1);
-        let mut floored = AdaptivePolicy::new(
-            &table(),
-            Policy::StrictAccuracy,
-            AdaptiveOptions::default().with_min_batch(2),
-        );
-        assert!(floored.observe(&pressured(0.0)).is_some());
-        assert!(floored.observe(&pressured(floored.dwell_ms())).is_some());
-        assert_eq!(floored.batch_cap(4), 2);
+        assert_eq!(p.batch_cap(2), 1, "the cap never halves below one query");
     }
 
     #[test]
     fn invalid_options_are_rejected() {
         assert!(AdaptiveOptions::default().with_thresholds(0.2, 0.5).validate().is_err());
-        assert!(AdaptiveOptions::default().with_min_batch(0).validate().is_err());
         assert!(AdaptiveOptions::default().with_dwell_ms(f64::NAN).validate().is_err());
         assert!(AdaptiveOptions::default().validate().is_ok());
     }

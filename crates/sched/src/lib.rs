@@ -62,6 +62,6 @@ pub use query::{Policy, Query};
 pub use scheduler::{CacheSelection, Decision, Scheduler};
 pub use table::{LatencyTable, EMPTY_COLUMN};
 pub use tenant::{
-    ArrivalPredictor, ArrivalState, PredictorOptions, TenantEvent, TenantOptions, TenantPolicy,
-    TenantTier, TierSignals, MAX_TENANT_SLOTS, TIER_COUNT,
+    ArrivalPredictor, ArrivalState, TenantEvent, TenantOptions, TenantPolicy, TenantTier,
+    TierSignals, MAX_TENANT_SLOTS, TIER_COUNT,
 };

@@ -92,81 +92,33 @@ impl TenantTier {
     }
 }
 
-/// Knobs of the [`ArrivalPredictor`]. The two detectors compare arrival
-/// rates at different horizons: the *burst* ratio divides the trend
-/// window's mean gap by the burst window's (a sharp rate jump relative
-/// to the recent past — an MMPP sojourn flip), while the *trend* ratio
-/// divides the long-run baseline gap by the trend window's (a slow drift
-/// above the long-run rate — a diurnal crest). `2.0` means "twice the
-/// reference rate".
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub struct PredictorOptions {
-    /// Sliding window (in arrivals) for burst detection. Short, so an
-    /// MMPP burst onset is seen within roughly one window.
-    pub burst_window: usize,
-    /// Sliding window (in arrivals) for trend detection — diurnal ramps
-    /// move slowly, so this is several times `burst_window`.
-    pub trend_window: usize,
-    /// Arrivals observed before any state transition is allowed; keeps
-    /// the long-run baseline from being a handful of samples.
-    pub warmup: usize,
-    /// Rate ratio at or above which the predictor enters [`ArrivalState::Burst`].
-    pub burst_enter: f64,
-    /// Rate ratio below which it leaves `Burst` (hysteresis: < `burst_enter`).
-    pub burst_exit: f64,
-    /// Trend-window rate ratio at or above which it enters
-    /// [`ArrivalState::Elevated`] (a diurnal crest).
-    pub trend_enter: f64,
-    /// Trend-window rate ratio below which it leaves `Elevated`.
-    pub trend_exit: f64,
-}
+// The `ArrivalPredictor`'s two detectors compare arrival rates at
+// different horizons: the *burst* ratio divides the trend window's mean
+// gap by the burst window's (a sharp rate jump relative to the recent
+// past — an MMPP sojourn flip), while the *trend* ratio divides the
+// long-run baseline gap by the trend window's (a slow drift above the
+// long-run rate — a diurnal crest). `2.0` means "twice the reference
+// rate". Each `*_EXIT` sits below its `*_ENTER`: the gap is the
+// hysteresis band.
 
-impl Default for PredictorOptions {
-    fn default() -> Self {
-        PredictorOptions {
-            burst_window: 16,
-            trend_window: 64,
-            warmup: 32,
-            burst_enter: 3.0,
-            burst_exit: 2.0,
-            trend_enter: 1.8,
-            trend_exit: 1.4,
-        }
-    }
-}
-
-impl PredictorOptions {
-    /// Checks internal consistency; returns a human-readable complaint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.burst_window < 2 || self.trend_window < 2 {
-            return Err("predictor windows must hold at least 2 gaps".into());
-        }
-        if self.trend_window < self.burst_window {
-            return Err("trend_window must be at least burst_window".into());
-        }
-        if self.warmup < self.burst_window {
-            return Err("warmup must cover at least one burst_window".into());
-        }
-        for (name, v) in [
-            ("burst_enter", self.burst_enter),
-            ("burst_exit", self.burst_exit),
-            ("trend_enter", self.trend_enter),
-            ("trend_exit", self.trend_exit),
-        ] {
-            if !v.is_finite() || v <= 1.0 {
-                return Err(format!("predictor {name} must be a finite ratio > 1"));
-            }
-        }
-        if self.burst_exit >= self.burst_enter {
-            return Err("burst_exit must be below burst_enter (hysteresis)".into());
-        }
-        if self.trend_exit >= self.trend_enter {
-            return Err("trend_exit must be below trend_enter (hysteresis)".into());
-        }
-        Ok(())
-    }
-}
+/// Sliding window (in arrivals) for burst detection. Short, so an MMPP
+/// burst onset is seen within roughly one window.
+const BURST_WINDOW: usize = 16;
+/// Sliding window (in arrivals) for trend detection — diurnal ramps move
+/// slowly, so this is several times `BURST_WINDOW`.
+const TREND_WINDOW: usize = 64;
+/// Arrivals observed before any state transition is allowed; keeps the
+/// long-run baseline from being a handful of samples.
+const WARMUP: usize = 32;
+/// Rate ratio at or above which the predictor enters [`ArrivalState::Burst`].
+const BURST_ENTER: f64 = 3.0;
+/// Rate ratio below which it leaves `Burst`.
+const BURST_EXIT: f64 = 2.0;
+/// Trend-window rate ratio at or above which it enters
+/// [`ArrivalState::Elevated`] (a diurnal crest).
+const TREND_ENTER: f64 = 1.8;
+/// Trend-window rate ratio below which it leaves `Elevated`.
+const TREND_EXIT: f64 = 1.4;
 
 /// Arrival-process state detected by the [`ArrivalPredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -218,9 +170,8 @@ impl ArrivalState {
 /// baseline still lags), and one that becomes the cumulative baseline
 /// decays to `Calm` — a sustained new normal is capacity planning's
 /// problem, not admission control's.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ArrivalPredictor {
-    opts: PredictorOptions,
     last_arrival_ms: Option<f64>,
     gap_sum: f64,
     gap_count: usize,
@@ -235,26 +186,9 @@ pub struct ArrivalPredictor {
 }
 
 impl ArrivalPredictor {
-    /// Builds a predictor. Panics if `opts` fails
-    /// [`PredictorOptions::validate`].
-    pub fn new(opts: PredictorOptions) -> Self {
-        if let Err(e) = opts.validate() {
-            panic!("invalid PredictorOptions: {e}");
-        }
-        ArrivalPredictor {
-            opts,
-            last_arrival_ms: None,
-            gap_sum: 0.0,
-            gap_count: 0,
-            burst_ring: Vec::with_capacity(opts.burst_window),
-            trend_ring: Vec::with_capacity(opts.trend_window),
-            burst_sum: 0.0,
-            trend_sum: 0.0,
-            next_burst: 0,
-            next_trend: 0,
-            state: ArrivalState::Calm,
-            transitions: 0,
-        }
+    /// Builds a predictor that has seen no arrivals.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Folds one arrival timestamp (milliseconds, non-decreasing) into
@@ -274,33 +208,31 @@ impl ArrivalPredictor {
             &mut self.burst_ring,
             &mut self.burst_sum,
             &mut self.next_burst,
-            self.opts.burst_window,
+            BURST_WINDOW,
             gap,
         );
         push_ring(
             &mut self.trend_ring,
             &mut self.trend_sum,
             &mut self.next_trend,
-            self.opts.trend_window,
+            TREND_WINDOW,
             gap,
         );
-        if self.gap_count < self.opts.warmup {
+        if self.gap_count < WARMUP {
             return self.state;
         }
         let baseline = self.gap_sum / self.gap_count as f64;
-        let trend_full = self.trend_ring.len() == self.opts.trend_window;
-        let trend_mean =
-            if trend_full { Some(self.trend_sum / self.opts.trend_window as f64) } else { None };
-        let r_burst = trend_mean
-            .and_then(|t| rate_ratio(t, &self.burst_ring, self.burst_sum, self.opts.burst_window));
-        let r_trend =
-            rate_ratio(baseline, &self.trend_ring, self.trend_sum, self.opts.trend_window);
+        let trend_full = self.trend_ring.len() == TREND_WINDOW;
+        let trend_mean = if trend_full { Some(self.trend_sum / TREND_WINDOW as f64) } else { None };
+        let r_burst =
+            trend_mean.and_then(|t| rate_ratio(t, &self.burst_ring, self.burst_sum, BURST_WINDOW));
+        let r_trend = rate_ratio(baseline, &self.trend_ring, self.trend_sum, TREND_WINDOW);
         let next = match self.state {
             ArrivalState::Burst => {
                 if let Some(r) = r_burst {
-                    if r < self.opts.burst_exit {
+                    if r < BURST_EXIT {
                         match r_trend {
-                            Some(rt) if rt >= self.opts.trend_enter => ArrivalState::Elevated,
+                            Some(rt) if rt >= TREND_ENTER => ArrivalState::Elevated,
                             _ => ArrivalState::Calm,
                         }
                     } else {
@@ -311,18 +243,18 @@ impl ArrivalPredictor {
                 }
             }
             ArrivalState::Elevated => {
-                if matches!(r_burst, Some(r) if r >= self.opts.burst_enter) {
+                if matches!(r_burst, Some(r) if r >= BURST_ENTER) {
                     ArrivalState::Burst
-                } else if matches!(r_trend, Some(r) if r < self.opts.trend_exit) {
+                } else if matches!(r_trend, Some(r) if r < TREND_EXIT) {
                     ArrivalState::Calm
                 } else {
                     ArrivalState::Elevated
                 }
             }
             ArrivalState::Calm => {
-                if matches!(r_burst, Some(r) if r >= self.opts.burst_enter) {
+                if matches!(r_burst, Some(r) if r >= BURST_ENTER) {
                     ArrivalState::Burst
-                } else if matches!(r_trend, Some(r) if r >= self.opts.trend_enter) {
+                } else if matches!(r_trend, Some(r) if r >= TREND_ENTER) {
                     ArrivalState::Elevated
                 } else {
                     ArrivalState::Calm
@@ -414,9 +346,9 @@ pub struct TenantOptions {
     /// `base` thresholds serves every tenant, and `predictor` and
     /// `shield` — which only differentiate tiers — are not consulted.
     pub tiers: Option<[TenantTier; MAX_TENANT_SLOTS]>,
-    /// Feed-forward arrival predictor over the best-effort tier's
-    /// arrivals; `None` disables prediction (purely reactive tiers).
-    pub predictor: Option<PredictorOptions>,
+    /// Runs the feed-forward [`ArrivalPredictor`] over the best-effort
+    /// tier's arrivals; `false` leaves the tiers purely reactive.
+    pub predictor: bool,
     /// Threshold bias between tiers (≥ 1). Latency-critical thresholds
     /// are the base thresholds × `shield` (degrades late, upgrades
     /// early); best-effort divides by it (degrades early, upgrades
@@ -431,7 +363,7 @@ impl Default for TenantOptions {
         TenantOptions {
             base: AdaptiveOptions::default(),
             tiers: Some([TenantTier::Standard; MAX_TENANT_SLOTS]),
-            predictor: None,
+            predictor: false,
             shield: 1.5,
         }
     }
@@ -442,7 +374,7 @@ impl TenantOptions {
     /// one ladder on `base` serves all traffic.
     #[must_use]
     pub fn global(base: AdaptiveOptions) -> Self {
-        TenantOptions { base, tiers: None, predictor: None, shield: 1.0 }
+        TenantOptions { base, tiers: None, predictor: false, shield: 1.0 }
     }
 
     /// Assigns `tier` to `tenant` (starting a tier map if the options
@@ -462,9 +394,9 @@ impl TenantOptions {
         self
     }
 
-    /// Enables (Some) or disables (None) the arrival predictor.
+    /// Enables or disables the arrival predictor.
     #[must_use]
-    pub fn with_predictor(mut self, predictor: Option<PredictorOptions>) -> Self {
+    pub fn with_predictor(mut self, predictor: bool) -> Self {
         self.predictor = predictor;
         self
     }
@@ -498,9 +430,6 @@ impl TenantOptions {
         self.base.validate()?;
         if !self.shield.is_finite() || self.shield < 1.0 {
             return Err("tenant shield must be a finite factor >= 1".into());
-        }
-        if let Some(p) = &self.predictor {
-            p.validate()?;
         }
         Ok(())
     }
@@ -592,7 +521,7 @@ impl TenantPolicy {
         TenantPolicy {
             opts,
             ladders: ladder_tiers(opts.tiers.is_some()).iter().map(ladder).collect(),
-            predictor: opts.predictor.map(ArrivalPredictor::new),
+            predictor: opts.predictor.then(ArrivalPredictor::new),
         }
     }
 
@@ -796,7 +725,7 @@ mod tests {
         // trip a state transition, across several seeds.
         for seed in 1u64..=8 {
             let mut rng = SplitMix(seed);
-            let mut pred = ArrivalPredictor::new(PredictorOptions::default());
+            let mut pred = ArrivalPredictor::new();
             let mut now = 0.0;
             for _ in 0..1500 {
                 now += rng.exp_gap(10.0);
@@ -809,10 +738,9 @@ mod tests {
 
     #[test]
     fn predictor_detects_mmpp_burst_within_bounded_lag() {
-        let opts = PredictorOptions::default();
         for seed in 1u64..=4 {
             let mut rng = SplitMix(0xB00 + seed);
-            let mut pred = ArrivalPredictor::new(opts);
+            let mut pred = ArrivalPredictor::new();
             let mut now = 0.0;
             // Calm sojourn: 200 arrivals at mean gap 10 ms.
             for _ in 0..200 {
@@ -831,7 +759,7 @@ mod tests {
                 }
             }
             let lag = lag.expect("burst never detected");
-            assert!(lag <= 2 * opts.burst_window, "lag {lag} too large, seed {seed}");
+            assert!(lag <= 2 * BURST_WINDOW, "lag {lag} too large, seed {seed}");
             // Back to calm: once the windows flush the sojourn, the
             // state must fully decay (the baseline is still near 10).
             for _ in 0..200 {
@@ -849,8 +777,7 @@ mod tests {
         // must read the crest as Elevated; the burst detector — which
         // compares the short window against the *trend* window, both of
         // which ride the ramp together — must stay quiet throughout.
-        let opts = PredictorOptions::default();
-        let mut pred = ArrivalPredictor::new(opts);
+        let mut pred = ArrivalPredictor::new();
         let mut rng = SplitMix(0xD1);
         let mut now = 0.0;
         let period = 600;
@@ -874,7 +801,7 @@ mod tests {
     fn predictor_is_deterministic_and_boost_is_monotone() {
         let run = || {
             let mut rng = SplitMix(7);
-            let mut pred = ArrivalPredictor::new(PredictorOptions::default());
+            let mut pred = ArrivalPredictor::new();
             let mut now = 0.0;
             let mut states = Vec::new();
             for i in 0..400 {
@@ -891,7 +818,7 @@ mod tests {
 
     #[test]
     fn predictor_boost_decays_on_silence() {
-        let mut pred = ArrivalPredictor::new(PredictorOptions::default());
+        let mut pred = ArrivalPredictor::new();
         let mut now = 0.0;
         for _ in 0..64 {
             now += 10.0;
@@ -977,9 +904,8 @@ mod tests {
 
     #[test]
     fn predictor_pre_degrades_best_effort_before_queue_builds() {
-        let opts = TenantOptions::default()
-            .with_predictor(Some(PredictorOptions::default()))
-            .with_tier(1, TenantTier::BestEffort);
+        let opts =
+            TenantOptions::default().with_predictor(true).with_tier(1, TenantTier::BestEffort);
         let mut pol = policy(opts);
         let dwell = pol.dwell_ms().max(1.0);
         // Calm arrivals establish the baseline.
@@ -1039,14 +965,5 @@ mod tests {
         assert!(TenantOptions::default().validate().is_ok());
         assert!(TenantOptions::default().with_shield(0.5).validate().is_err());
         assert!(TenantOptions::default().with_shield(f64::NAN).validate().is_err());
-        let mut p = PredictorOptions::default();
-        p.burst_exit = 3.5; // above burst_enter: no hysteresis band
-        assert!(TenantOptions::default().with_predictor(Some(p)).validate().is_err());
-        let mut p = PredictorOptions::default();
-        p.trend_enter = 0.9; // a ratio <= 1 can never mean "load is up"
-        assert!(p.validate().is_err());
-        let mut p = PredictorOptions::default();
-        p.warmup = 4; // shorter than the burst window
-        assert!(p.validate().is_err());
     }
 }

@@ -202,27 +202,22 @@ proptest! {
         }
     }
 
-    /// The batch cap is monotone in the level and never sinks below the
-    /// configured floor.
+    /// The batch cap is monotone in the level and never sinks below one
+    /// query.
     #[test]
     fn batch_cap_is_monotone_and_floored(
         base in 1usize..64,
-        min_batch in 1usize..8,
         degrades in 0usize..12,
     ) {
         let t = make_table(4, 2);
-        let mut p = AdaptivePolicy::new(
-            &t,
-            Policy::StrictAccuracy,
-            AdaptiveOptions::default().with_min_batch(min_batch),
-        );
+        let mut p = AdaptivePolicy::new(&t, Policy::StrictAccuracy, AdaptiveOptions::default());
         let mut prev = p.batch_cap(base);
-        prop_assert_eq!(prev, base.max(min_batch));
+        prop_assert_eq!(prev, base);
         for i in 0..degrades {
             let _ = p.observe(&signal_at(i as f64 * p.dwell_ms(), 64.0, 1e6, -1.0, 1.0));
             let cap = p.batch_cap(base);
             prop_assert!(cap <= prev, "cap must shrink (or hold) as the level rises");
-            prop_assert!(cap >= min_batch);
+            prop_assert!(cap >= 1);
             prev = cap;
         }
     }

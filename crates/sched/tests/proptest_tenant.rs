@@ -9,8 +9,8 @@ use sushi_sched::query::{Policy, Query};
 use sushi_sched::scheduler::{CacheSelection, Scheduler};
 use sushi_sched::table::LatencyTable;
 use sushi_sched::{
-    AdaptiveOptions, AdaptivePolicy, LoadSignal, PredictorOptions, TenantOptions, TenantPolicy,
-    TenantTier, TierSignals,
+    AdaptiveOptions, AdaptivePolicy, LoadSignal, TenantOptions, TenantPolicy, TenantTier,
+    TierSignals,
 };
 use sushi_wsnet::layer::LayerSlice;
 use sushi_wsnet::subnet::SubNetConfig;
@@ -94,7 +94,7 @@ proptest! {
         let t = make_table(n, 3);
         let opts = TenantOptions::default()
             .with_shield(shield)
-            .with_predictor(with_predictor.then(PredictorOptions::default));
+            .with_predictor(with_predictor);
         let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, opts);
         let mut now = 0.0;
         for (dt, depth, p99, be_override, arrival) in steps {
@@ -260,7 +260,7 @@ proptest! {
             let mut p = TenantPolicy::new(
                 &t,
                 policy,
-                TenantOptions::default().with_shield(shield).with_predictor(None),
+                TenantOptions::default().with_shield(shield).with_predictor(false),
             );
             let mk = || Scheduler::new(
                 make_table(5, 4), policy, CacheSelection::MinDistanceToAvg, q_window,

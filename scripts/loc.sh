@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Prints the code-line counts ROADMAP aim 2 tracks ("should go down"):
-# non-blank, non-comment lines before the test module (the first
-# `#[cfg(test)]` at column 0) of every file under crates/*/src — one
-# subtotal per crate, the core + sched line ROADMAP quotes, and the grand
-# total.
+# Prints the two sizes ROADMAP aim 2 tracks ("should go down"):
+#  * code lines: non-blank, non-comment lines before the test module (the
+#    first `#[cfg(test)]` at column 0) of every file under crates/*/src —
+#    one subtotal per crate, the core + sched line ROADMAP quotes, and the
+#    grand total;
+#  * the line count of docs/api_surface.txt (the public API dump that
+#    scripts/api_surface.sh writes).
 #
-#   scripts/loc.sh            # per-crate table + core + sched + total
+#   scripts/loc.sh            # per-crate table, core + sched, total, API lines
 #   scripts/loc.sh --total    # just the core + sched number
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,3 +36,4 @@ for dir in crates/*/src; do
 done
 printf '%6d  core + sched (the number ROADMAP tracks)\n' "$core_sched"
 printf '%6d  total (crates/*/src, code lines before #[cfg(test)])\n' "$total"
+printf '%6d  docs/api_surface.txt lines\n' "$(wc -l < docs/api_surface.txt)"

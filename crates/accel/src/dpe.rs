@@ -14,11 +14,14 @@
 //! bit-for-bit — the property the tests pin down.
 //!
 //! Host-simulation speed is decoupled from the modeled schedule through a
-//! [`KernelPolicy`]: under `Auto` (the default) large dense convolutions are
-//! executed via the bit-identical im2col + blocked-GEMM fast path from
-//! `sushi-tensor`, while `Naive` forces the cycle-faithful tiled schedule.
-//! The policy can never change the numbers — only how fast the host
-//! computes them.
+//! [`KernelPolicy`]: under `Auto` (the default) large dense convolutions run
+//! the bit-identical im2col + blocked-GEMM fast path from `sushi-tensor`,
+//! depthwise convolutions its vectorised depthwise kernel, and only
+//! tiny dense convolutions the tiled schedule; `Naive` forces the
+//! cycle-faithful tiled schedule everywhere. Shapes are validated by
+//! [`Conv2dParams::output_dims`] before the policy is consulted, so the
+//! policy can never change the numbers, or decide between an error and a
+//! result — only how fast the host computes them.
 
 use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
 use sushi_tensor::ops::gemm::ConvBackend;
@@ -53,7 +56,8 @@ impl DpeArray {
     /// Returns the same array with a different host-simulation policy.
     ///
     /// `Naive` pins the cycle-faithful tiled DPE schedule (the oracle);
-    /// `Im2colGemm` forces the fast path; `Auto` picks per problem size.
+    /// `Im2colGemm` forces the GEMM fast path; `Auto` picks per problem
+    /// (see [`KernelPolicy::resolve`]).
     #[must_use]
     pub fn with_policy(mut self, policy: KernelPolicy) -> Self {
         self.policy = policy;
@@ -74,14 +78,17 @@ impl DpeArray {
     /// resolved backend is the GEMM fast path and `packed` is given, the
     /// panels are read in place — no weight copy, subtraction or re-pack
     /// happens per query (the subgraph-stationary contract pinned by
-    /// `tests/pack_once.rs`). The tiled DPE schedule reads `weights`. The
-    /// policy can never change the numbers — only how fast the host computes
-    /// them — so `packed` must stand for `weights` under every policy.
+    /// `tests/pack_once.rs`). The tiled DPE schedule and the depthwise
+    /// kernel read `weights`. The policy can never change the numbers — only
+    /// how fast the host computes them — so `packed` must stand for
+    /// `weights` under every policy.
     ///
     /// # Errors
-    /// Returns an error on shape/parameter mismatch, mirroring the
-    /// reference implementation, and when `packed` does not stand for
-    /// `weights` (see [`PackedConv2d::check_panels_of`]).
+    /// Under every policy alike: shape/parameter errors from
+    /// [`Conv2dParams::output_dims`]; [`TensorError::InvalidParam`] when
+    /// `groups` is neither 1 nor `K` with one channel per group (the tiled
+    /// schedule's restriction); a bias of the wrong length; and `packed`
+    /// not standing for `weights` (see [`PackedConv2d::check_panels_of`]).
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d_i8_in(
         &self,
@@ -97,20 +104,11 @@ impl DpeArray {
     ) -> Result<Tensor<i8>, TensorError> {
         let ishape = input.shape();
         let wshape = weights.shape();
-        if params.stride == 0 {
-            return Err(TensorError::InvalidParam { what: "stride must be nonzero" });
-        }
+        let (oh, ow) = params.output_dims(ishape, wshape)?;
         let depthwise = params.groups > 1;
         if depthwise && (params.groups != wshape.n || wshape.c != 1) {
             return Err(TensorError::InvalidParam {
                 what: "depthwise requires groups == K and C == 1",
-            });
-        }
-        if !depthwise && wshape.c != ishape.c {
-            return Err(TensorError::ShapeMismatch {
-                what: "input channels",
-                lhs: ishape,
-                rhs: wshape,
             });
         }
         if let Some(p) = packed {
@@ -121,21 +119,24 @@ impl DpeArray {
                 return Err(TensorError::LengthMismatch { expected: wshape.n, actual: b.len() });
             }
         }
-        let oh =
-            sushi_tensor::shape::conv_out_dim(ishape.h, wshape.h, params.stride, params.padding)
-                .ok_or(TensorError::EmptyOutput { input: ishape })?;
-        let ow =
-            sushi_tensor::shape::conv_out_dim(ishape.w, wshape.w, params.stride, params.padding)
-                .ok_or(TensorError::EmptyOutput { input: ishape })?;
 
-        // Fast host path: when the policy resolves to GEMM, execute the
-        // layer through the bit-identical im2col + packed-GEMM lowering —
-        // against pre-packed panels when the caller installed them. The
-        // tiled schedule below remains the cycle-faithful oracle.
-        if params.backend(ishape, wshape, oh, ow, self.policy) == ConvBackend::Im2colGemm {
-            let gemm = KernelPolicy::Im2colGemm;
+        // Fast host paths: unless the policy resolves to the direct loops,
+        // execute the layer through the bit-identical `sushi-tensor` kernel
+        // it picks — GEMM against pre-packed panels when the caller
+        // installed them, or the vectorised depthwise kernel. The tiled
+        // schedule below remains the cycle-faithful oracle.
+        if params.backend(ishape, wshape, oh, ow, self.policy) != ConvBackend::Direct {
             return conv2d_i8_in(
-                input, in_q, weights, w_q, packed, bias, out_q, params, gemm, arena,
+                input,
+                in_q,
+                weights,
+                w_q,
+                packed,
+                bias,
+                out_q,
+                params,
+                self.policy,
+                arena,
             );
         }
 
@@ -374,15 +375,13 @@ mod tests {
             &mut Arena::new(),
         )
         .unwrap();
-        // The cycle-faithful tiled schedule and the GEMM fast path must both
-        // reproduce the naive oracle bit-for-bit.
-        let tiled =
-            dpe_conv(arr.with_policy(naive), &x, in_q, &w, w_q, b.as_deref(), out_q, params)
-                .unwrap();
-        assert_eq!(reference, tiled, "DPE tiled schedule diverged from reference");
-        let gemm = arr.with_policy(KernelPolicy::Im2colGemm);
-        let gemm = dpe_conv(gemm, &x, in_q, &w, w_q, b.as_deref(), out_q, params).unwrap();
-        assert_eq!(reference, gemm, "DPE GEMM fast path diverged from reference");
+        // The cycle-faithful tiled schedule, the GEMM fast path and whatever
+        // `Auto` picks must all reproduce the naive oracle bit-for-bit.
+        for policy in [naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
+            let arr = arr.with_policy(policy);
+            let out = dpe_conv(arr, &x, in_q, &w, w_q, b.as_deref(), out_q, params).unwrap();
+            assert_eq!(reference, out, "DPE under {policy} diverged from reference");
+        }
     }
 
     #[test]
@@ -547,6 +546,35 @@ mod tests {
         let q = QuantParams::default();
         let p = Conv2dParams::new(3, 3).with_groups(4);
         assert!(dpe_conv(arr, &x, q, &w, q, None, q, &p).is_err());
+    }
+
+    /// Invalid shapes are errors under every policy: the policy picks how
+    /// the host computes a result, never whether there is one.
+    #[test]
+    fn invalid_shapes_are_errors_under_every_policy() {
+        let p3 = Conv2dParams::new(3, 3).with_padding(1);
+        let s = Shape4::new;
+        // (what, input, weights, params)
+        let cases = [
+            // A depthwise conv whose input has more channels than groups.
+            ("input channels > groups", s(1, 4, 5, 5), s(2, 1, 3, 3), p3.with_groups(2)),
+            // Weights whose spatial dims differ from the params' kernel.
+            ("kernel dims", s(1, 3, 6, 6), s(4, 3, 5, 5), p3),
+            ("depthwise kernel dims", s(1, 4, 6, 6), s(4, 1, 5, 5), p3.with_groups(4)),
+            ("zero stride", s(1, 3, 6, 6), s(4, 3, 3, 3), p3.with_stride(0)),
+            ("input channels", s(1, 3, 6, 6), s(4, 2, 3, 3), p3),
+            ("empty output", s(1, 2, 2, 2), s(2, 2, 5, 5), Conv2dParams::new(5, 5)),
+            ("grouped, not depthwise", s(1, 8, 6, 6), s(4, 2, 3, 3), p3.with_groups(4)),
+        ];
+        let q = QuantParams::new(0.05, 1);
+        for (what, ishape, wshape, p) in cases {
+            let (x, w) = (rand_i8(ishape, 95), rand_i8(wshape, 96));
+            for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
+                let out =
+                    dpe_conv(DpeArray::new(2, 2).with_policy(policy), &x, q, &w, q, None, q, &p);
+                assert!(out.is_err(), "{what}: {policy} returned Ok");
+            }
+        }
     }
 
     /// Install-time panels must stand for the raw weights they replace: the

@@ -51,8 +51,8 @@ pub struct CachedLayer {
     /// Weight quantization.
     pub w_q: QuantParams,
     /// Panel-layout GEMM weights, for a dense layer read by a
-    /// [`Step::Conv`] or [`Step::SqueezeExcite`] (depthwise stays on the
-    /// direct schedule, which reads `weights` directly).
+    /// [`Step::Conv`] or [`Step::SqueezeExcite`] (a depthwise layer runs
+    /// the depthwise kernel, which reads `weights` directly).
     pub packed: Option<PackedConv2d>,
     /// Fused-datapath state, for a layer read by a [`Step::FusedConv`].
     pub fused: Option<FusedLayer>,
@@ -499,37 +499,41 @@ impl Executor<'_> {
         let pooled = quantize_tensor(&global_avg_pool(&dequantize_tensor(y, ACT_Q)), ACT_Q);
         let g = self.conv_act(se_r, &pooled, Activation::Relu)?;
         let g = self.conv_act(se_e, &g, Activation::None)?;
-        let gate_f = Activation::HSigmoid.apply_tensor(&dequantize_tensor(&g, ACT_Q));
-        // Channel-wise multiply in the dequantized domain, then requantize.
-        // Gates are per (batch item, channel): pooling and the SE convs all
-        // preserve the batch dimension.
-        let mut yf = dequantize_tensor(y, ACT_Q);
-        let shape = yf.shape();
+        // Channel-wise multiply in the dequantized domain, then requantize,
+        // one element at a time and in place. Gates are per (batch item,
+        // channel): pooling and the SE convs all preserve the batch
+        // dimension.
+        let mut out = y.clone();
+        let shape = out.shape();
         for n in 0..shape.n {
             for c in 0..shape.c {
-                let gv = gate_f.get(n, c, 0, 0);
+                let gv = Activation::HSigmoid.apply(ACT_Q.dequantize(g.get(n, c, 0, 0)));
                 for h in 0..shape.h {
-                    for v in yf.row_mut(n, c, h) {
-                        *v *= gv;
+                    for v in out.row_mut(n, c, h) {
+                        *v = ACT_Q.quantize(ACT_Q.dequantize(*v) * gv);
                     }
                 }
             }
         }
-        Ok(quantize_tensor(&yf, ACT_Q))
+        Ok(out)
     }
 }
 
 /// Int8 activation: ReLU is exact on zero-point-0 data; the h-family applies
-/// in the dequantized domain and requantizes.
+/// in the dequantized domain and requantizes. Its output depends only on the
+/// `i8` input, so it maps the tensor in place through a 256-entry table of
+/// exactly that dequantize → apply → quantize.
 fn apply_activation(mut x: Tensor<i8>, act: Activation) -> Tensor<i8> {
     match act {
-        Activation::None => x,
-        Activation::Relu => {
-            x.as_mut_slice().iter_mut().for_each(|v| *v = (*v).max(0));
-            x
+        Activation::None => {}
+        Activation::Relu => x.as_mut_slice().iter_mut().for_each(|v| *v = (*v).max(0)),
+        _ => {
+            let lut: [i8; 256] =
+                std::array::from_fn(|i| ACT_Q.quantize(act.apply(ACT_Q.dequantize(i as u8 as i8))));
+            x.as_mut_slice().iter_mut().for_each(|v| *v = lut[usize::from(*v as u8)]);
         }
-        _ => quantize_tensor(&act.apply_tensor(&dequantize_tensor(&x, ACT_Q)), ACT_Q),
     }
+    x
 }
 
 /// Saturating elementwise int8 add of equal-scale activations.

@@ -1,8 +1,9 @@
 //! Microbenchmarks of the packed-GEMM building blocks: operand-packing
 //! throughput and microkernel arithmetic rate at representative OFA layer
 //! shapes, the prepacked-vs-cold GEMM comparison that motivates
-//! pack-once-per-install, and the naive-vs-im2col+GEMM int8 convolution
-//! comparison that motivates `KernelPolicy::Auto`.
+//! pack-once-per-install, and the naive-vs-fast-backend int8 convolution
+//! comparisons (im2col + GEMM for dense, the depthwise kernel for
+//! MobileNetV3-shaped depthwise) that motivate `KernelPolicy::Auto`.
 //!
 //! Shapes mirror real OFA-ResNet50 conv-as-GEMM problems (`m` = kernels,
 //! `k` = C·R·S, `n` = OH·OW). Set `SUSHI_BENCH_QUICK=1` (CI's bench-smoke
@@ -113,30 +114,41 @@ fn bench_microkernel_rate(c: &mut Criterion) {
     group.finish();
 }
 
-/// The unfused int8 conv under the direct loops and under im2col + GEMM
-/// (packing its weights per call, with a reused arena).
+/// The unfused int8 conv: a dense 3×3 under the direct loops and under
+/// im2col + GEMM (packing its weights per call, with a reused arena), and
+/// MobileNetV3-shaped depthwise convs (7×7 stride 1, 5×5 stride 2) under
+/// the direct loops and under `Auto`, which runs the depthwise kernel.
 fn bench_conv_backends(c: &mut Criterion) {
     let (ch, hw) = if quick() { (16, 14) } else { (64, 28) };
-    let ishape = Shape4::new(1, ch, hw, hw);
-    let wshape = Shape4::new(ch, ch, 3, 3);
     let mut rng = DetRng::new(3);
-    let x =
-        Tensor::from_vec(ishape, (0..ishape.volume()).map(|_| rng.next_i8()).collect()).unwrap();
-    let w =
-        Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect()).unwrap();
+    let mut rand = |shape: Shape4| {
+        Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect()).unwrap()
+    };
+    let x = rand(Shape4::new(1, ch, hw, hw));
     let q = QuantParams::new(0.02, 3);
-    let params = Conv2dParams::new(3, 3).with_padding(1);
     let mut arena = Arena::new();
-    let mut group = c.benchmark_group(&format!("conv2d_{ch}x{ch}x{hw}x{hw}_3x3"));
-    for (name, policy) in [("naive", KernelPolicy::Naive), ("gemm", KernelPolicy::Im2colGemm)] {
-        group.bench_function(BenchmarkId::new("i8", name), |bch| {
-            bch.iter(|| {
-                conv2d_i8_in(black_box(&x), q, &w, q, None, None, q, &params, policy, &mut arena)
-                    .unwrap()
-            })
-        });
+    let dense = Conv2dParams::new(3, 3).with_padding(1);
+    let depthwise = |ks: usize, stride| {
+        Conv2dParams::new(ks, ks).with_stride(stride).with_padding(ks / 2).with_groups(ch)
+    };
+    // (label, weights, params, the policy compared against naive)
+    let cases = [
+        ("3x3", rand(Shape4::new(ch, ch, 3, 3)), dense, ("gemm", KernelPolicy::Im2colGemm)),
+        ("dw7x7_s1", rand(Shape4::new(ch, 1, 7, 7)), depthwise(7, 1), ("auto", KernelPolicy::Auto)),
+        ("dw5x5_s2", rand(Shape4::new(ch, 1, 5, 5)), depthwise(5, 2), ("auto", KernelPolicy::Auto)),
+    ];
+    for (label, w, params, fast) in &cases {
+        let mut group = c.benchmark_group(&format!("conv2d_{ch}x{ch}x{hw}x{hw}_{label}"));
+        for (name, policy) in [("naive", KernelPolicy::Naive), *fast] {
+            group.bench_function(BenchmarkId::new("i8", name), |bch| {
+                bch.iter(|| {
+                    conv2d_i8_in(black_box(&x), q, w, q, None, None, q, params, policy, &mut arena)
+                        .unwrap()
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 criterion_group!(benches, bench_pack_throughput, bench_microkernel_rate, bench_conv_backends);

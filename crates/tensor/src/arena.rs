@@ -2,8 +2,9 @@
 //!
 //! Every im2col + packed-GEMM convolution needs four transient buffers: the
 //! raw patch matrix, the packed copies of both GEMM operands and the `i32`
-//! accumulator. Allocating them per call with `vec!` puts the allocator on
-//! the per-query critical path. An [`Arena`]
+//! accumulator; the depthwise kernel needs one `f32` buffer for its input
+//! planes, taps and accumulator. Allocating them per call with `vec!` puts
+//! the allocator on the per-query critical path. An [`Arena`]
 //! instead owns one grow-only buffer per role: the first pass through a
 //! layer shape grows it to the high-water mark, and every subsequent pass
 //! reuses the same memory with **zero heap allocation**.
@@ -21,10 +22,10 @@
 //!   that asked for it.
 //! * Contents are unspecified between calls. Every kernel fully overwrites
 //!   the slices it requests (packing writes padding explicitly, the
-//!   accumulator is zero-filled), so stale data can never leak into
-//!   results.
+//!   accumulators and the depthwise planes are zero-filled), so stale data
+//!   can never leak into results.
 
-/// Grow-only scratch buffers shared by the im2col/packing/GEMM kernels.
+/// Grow-only scratch buffers shared by the conv kernels.
 ///
 /// See the module docs for the ownership and lifetime rules.
 #[derive(Debug, Default)]
@@ -33,6 +34,7 @@ pub struct Arena {
     pa_i16: Vec<i16>,
     pb_i16: Vec<i16>,
     acc_i32: Vec<i32>,
+    depthwise_f32: Vec<f32>,
     weight_packs: usize,
 }
 
@@ -71,11 +73,19 @@ impl Arena {
         )
     }
 
+    /// Scratch for one depthwise conv call: exactly `len` `f32`s. Contents
+    /// are unspecified; the kernel writes every element before reading it.
+    pub(crate) fn f32_depthwise(&mut self, len: usize) -> &mut [f32] {
+        grow(&mut self.depthwise_f32, len)
+    }
+
     /// Total bytes currently reserved across all scratch buffers (the
     /// high-water mark of every shape served so far).
     #[must_use]
     pub fn reserved_bytes(&self) -> usize {
-        self.patches_i8.len() + 2 * (self.pa_i16.len() + self.pb_i16.len()) + 4 * self.acc_i32.len()
+        self.patches_i8.len()
+            + 2 * (self.pa_i16.len() + self.pb_i16.len())
+            + 4 * (self.acc_i32.len() + self.depthwise_f32.len())
     }
 
     /// Conv calls that packed their weight operand into this arena's

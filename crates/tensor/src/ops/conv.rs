@@ -7,7 +7,7 @@
 //! * [`conv2d_i8_fused`] — the IR-lowered conv over k-pair panels with a
 //!   typed [`Epilogue`].
 //!
-//! Two interchangeable backends sit behind [`KernelPolicy`]:
+//! Three interchangeable backends sit behind [`KernelPolicy`]:
 //!
 //! * **Direct** — the original loop nests, kept as the correctness oracle.
 //!   Their padding clamp is hoisted: valid kernel ranges are precomputed per
@@ -20,9 +20,14 @@
 //!   heap allocation for scratch. Weights can additionally be pre-packed
 //!   once via [`PackedConv2d`] and reused across every query — the software
 //!   analogue of the paper's SubGraph-Stationary weight reuse.
+//! * **Depthwise** — what `Auto` runs for depthwise convs. Each input
+//!   channel is copied once, zero-point-subtracted, into a zero-bordered
+//!   polyphase plane in the arena; every kernel tap is then one contiguous
+//!   multiply-add over all output pixels, which the compiler vectorises.
 //!
-//! The results are bit-identical across backends: integer accumulation is
-//! associative.
+//! The results are bit-identical across backends: every backend sums the
+//! same integer products exactly (`docs/KERNELS.md` says why the depthwise
+//! kernel's `f32` lanes are exact), and integer addition is associative.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +96,22 @@ impl Conv2dParams {
         kernel / 2
     }
 
-    fn validate(&self, input: Shape4, weights: Shape4) -> Result<(usize, usize), TensorError> {
+    /// Checks that `input` and `weights` (`(K, C/groups, R, S)`) form a
+    /// valid convolution under these parameters and returns the output
+    /// spatial dims `(oh, ow)`. Every conv entry point, including
+    /// `sushi-accel`'s `DpeArray`, validates through this one function, so
+    /// a policy can never decide between an error and a result.
+    ///
+    /// # Errors
+    /// [`TensorError::InvalidParam`] for a zero stride or group count, or
+    /// channels not divisible by `groups`; [`TensorError::ShapeMismatch`]
+    /// when the weights' channels per group or spatial dims disagree;
+    /// [`TensorError::EmptyOutput`] when no output pixel remains.
+    pub fn output_dims(
+        &self,
+        input: Shape4,
+        weights: Shape4,
+    ) -> Result<(usize, usize), TensorError> {
         if self.stride == 0 {
             return Err(TensorError::InvalidParam { what: "stride must be nonzero" });
         }
@@ -127,7 +147,9 @@ impl Conv2dParams {
     /// the validated output dims). The single source of the `Auto`
     /// heuristic — every conv entry point, including `sushi-accel`'s
     /// `DpeArray`, must route through it so policies resolve identically
-    /// across the stack.
+    /// across the stack. A depthwise conv with more than 256 taps (`R·S`)
+    /// resolves like a dense one: the depthwise kernel's sums are exact only
+    /// up to that many products.
     #[must_use]
     pub fn backend(
         &self,
@@ -138,7 +160,8 @@ impl Conv2dParams {
         policy: KernelPolicy,
     ) -> ConvBackend {
         let macs = input.n * weights.n * weights.c * weights.h * weights.w * oh * ow;
-        let depthwise = weights.c == 1 && self.groups > 1;
+        let depthwise =
+            weights.c == 1 && self.groups > 1 && weights.h * weights.w <= DEPTHWISE_MAX_TAPS;
         policy.resolve(macs, depthwise)
     }
 }
@@ -179,10 +202,12 @@ pub(crate) fn kernel_ranges(
 ///
 /// `weights` has shape `(K, C/groups, R, S)`; `bias`, if given, has length
 /// `K`. `policy` picks the backend ([`KernelPolicy::Auto`] resolves per
-/// problem size) and the result is **bit-identical** across backends. The
-/// GEMM backend takes its scratch from `arena`, and reads `packed` — the
+/// problem) and the result is **bit-identical** across backends. The GEMM
+/// backend takes its scratch from `arena`, and reads `packed` — the
 /// weights' install-time [`PackLayout::Panel`] panels — in place when given,
-/// instead of packing `weights` per call. The direct loops read `weights`.
+/// instead of packing `weights` per call. The direct loops and the
+/// depthwise kernel read `weights`; the depthwise kernel also takes its
+/// input planes and accumulator from `arena`.
 ///
 /// # Errors
 /// Returns an error on shape/parameter mismatch (see [`Conv2dParams`]), or
@@ -204,7 +229,7 @@ pub fn conv2d_i8_in(
 ) -> Result<Tensor<i8>, TensorError> {
     let ishape = input.shape();
     let wshape = weights.shape();
-    let (oh, ow) = params.validate(ishape, wshape)?;
+    let (oh, ow) = params.output_dims(ishape, wshape)?;
     if let Some(p) = packed {
         p.check_panels_of(wshape, w_q, params.groups)?;
     }
@@ -220,6 +245,9 @@ pub fn conv2d_i8_in(
         ConvBackend::Im2colGemm => {
             let src = packed.map_or(PackSource::Raw(weights.as_slice()), PackSource::Prepacked);
             conv2d_i8_gemm(input, in_q, src, wshape, w_q, bias, out_q, params, oh, ow, arena)
+        }
+        ConvBackend::Depthwise => {
+            Ok(conv2d_i8_depthwise(input, in_q, weights, w_q, bias, out_q, params, oh, ow, arena))
         }
     }
 }
@@ -324,7 +352,7 @@ pub fn conv2d_i8_fused(
 ) -> Result<Tensor<i8>, TensorError> {
     let ishape = input.shape();
     let wshape = packed.wshape();
-    let (oh, ow) = params.validate(ishape, wshape)?;
+    let (oh, ow) = params.output_dims(ishape, wshape)?;
     if params.groups != packed.groups() {
         return Err(TensorError::InvalidParam { what: "packed weights built for other groups" });
     }
@@ -441,6 +469,101 @@ fn conv2d_i8_direct(
                         }
                     }
                     *o = requantize_accumulator(acc, acc_scale, out_q.zero_point);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Depthwise convs with more taps than this do not run the depthwise
+/// kernel: its `f32` sums are exact only up to this many products (see
+/// [`conv2d_i8_depthwise`]). Their reduction is deep enough for GEMM.
+const DEPTHWISE_MAX_TAPS: usize = 256;
+
+/// Depthwise backend (`C/groups == 1`, any channel multiplier `K/groups`,
+/// at most [`DEPTHWISE_MAX_TAPS`] taps): shape checks already done.
+///
+/// Per `(batch, input channel)` the padded input is written once, minus its
+/// zero point, into scratch whose padding cells stay zero, so no tap ever
+/// clamps. The layout is polyphase: phase `(y % stride, x % stride)` holds
+/// padded pixel `(y, x)` at `(y / stride, x / stride)`, in rows of pitch
+/// `pw`. Tap `(ry, rx)` of output `(oy, ox)` then reads its phase at
+/// `(oy + ry / stride, ox + rx / stride)`, so at any stride one tap is one
+/// contiguous multiply-add over every output pixel at once. The accumulator
+/// uses the same pitch; its columns `ow..pw` are computed and discarded.
+///
+/// The arithmetic runs in `f32` lanes, which vectorise on every x86-64
+/// (the baseline has no packed 32-bit integer multiply), and is exact:
+/// `x − zp_a` and `w − zp_w` are integers in `[−255, 255]`, each product an
+/// integer of magnitude ≤ 255², and a sum of at most `DEPTHWISE_MAX_TAPS`
+/// of them stays below 2²⁴, where every integer is an `f32`. The finished
+/// sum converts back to `i32` exactly; the bias is added there, and the
+/// row is requantized as in the other backends.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_i8_depthwise(
+    input: &Tensor<i8>,
+    in_q: QuantParams,
+    weights: &Tensor<i8>,
+    w_q: QuantParams,
+    bias: Option<&[i32]>,
+    out_q: QuantParams,
+    params: &Conv2dParams,
+    oh: usize,
+    ow: usize,
+    arena: &mut Arena,
+) -> Tensor<i8> {
+    let ishape = input.shape();
+    let k_total = weights.shape().n;
+    let kg = k_total / params.groups;
+    let (r, s, st, pad) = (params.kernel_h, params.kernel_w, params.stride, params.padding);
+    let ph = (ishape.h + 2 * pad).div_ceil(st);
+    let pw = (ishape.w + 2 * pad).div_ceil(st);
+    let phase = ph * pw;
+    let span = (oh - 1) * pw + ow;
+    let acc_scale = in_q.scale * w_q.scale / out_q.scale;
+    let zp_a = f32::from(in_q.zero_point);
+    let zp_w = f32::from(w_q.zero_point);
+    let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
+    let scratch = arena.f32_depthwise(r * s + st * st * phase + span);
+    let (taps, rest) = scratch.split_at_mut(r * s);
+    let (planes, acc) = rest.split_at_mut(st * st * phase);
+    // Arena contents are unspecified: zero the padding on every call. The
+    // input cells are rewritten for every input channel below.
+    planes.fill(0.0);
+    for n in 0..ishape.n {
+        for c in 0..params.groups {
+            for iy in 0..ishape.h {
+                let y = iy + pad;
+                for px in 0..st {
+                    // The first input column whose padded column is in phase `px`.
+                    let ix0 = (px + st - pad % st) % st;
+                    let at = ((y % st) * st + px) * phase + (y / st) * pw + (ix0 + pad) / st;
+                    let xs = input.row(n, c, iy).iter().skip(ix0).step_by(st);
+                    for (d, &x) in planes[at..].iter_mut().zip(xs) {
+                        *d = f32::from(x) - zp_a;
+                    }
+                }
+            }
+            for k in c * kg..(c + 1) * kg {
+                let wk = &weights.as_slice()[k * r * s..(k + 1) * r * s];
+                for (t, &w) in taps.iter_mut().zip(wk) {
+                    *t = f32::from(w) - zp_w;
+                }
+                acc.fill(0.0);
+                for (i, &t) in taps.iter().enumerate() {
+                    let (ry, rx) = (i / s, i % s);
+                    let at = ((ry % st) * st + rx % st) * phase + (ry / st) * pw + rx / st;
+                    for (a, &x) in acc.iter_mut().zip(&planes[at..at + span]) {
+                        *a += t * x;
+                    }
+                }
+                let bias_v = bias.map_or(0, |b| b[k]);
+                for oy in 0..oh {
+                    let row = &acc[oy * pw..oy * pw + ow];
+                    for (o, &a) in out.row_mut(n, k, oy).iter_mut().zip(row) {
+                        *o = requantize_accumulator(a as i32 + bias_v, acc_scale, out_q.zero_point);
+                    }
                 }
             }
         }
@@ -582,7 +705,7 @@ mod tests {
         weights.set(0, 0, 1, 1, 1);
         weights.set(1, 0, 1, 1, 2);
         let p = Conv2dParams::new(3, 3).with_padding(1).with_groups(2);
-        for policy in BOTH {
+        for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
             let out = unit_conv(&input, &weights, &p, policy).unwrap();
             assert_eq!(out.get(0, 0, 1, 1), 5);
             assert_eq!(out.get(0, 1, 1, 1), 14);
@@ -699,6 +822,54 @@ mod tests {
         let second = prepacked(&mut arena);
         assert_eq!(first, second);
         assert_eq!(arena.reserved_bytes(), reserved, "steady state must not reallocate");
+    }
+
+    /// The depthwise kernel's input plane lives in arena scratch whose
+    /// contents are unspecified: a large-padding call leaves interior
+    /// values where a smaller call's border sits, so the second call must
+    /// re-zero its border — and must fit in the scratch the first reserved.
+    #[test]
+    fn depthwise_kernel_rezeroes_a_reused_arena() {
+        let mut arena = Arena::new();
+        let mut run = |ishape: Shape4, p: Conv2dParams, in_q, w_q, seed| {
+            let x = rand_i8(ishape, seed);
+            let w = rand_i8(Shape4::new(ishape.c, 1, 3, 3), seed + 1);
+            let bias: Vec<i32> = (0..ishape.c as i32).map(|i| i * 37 - 50).collect();
+            let out_q = QuantParams::new(0.3, -2);
+            let auto = KernelPolicy::Auto;
+            let got =
+                conv2d_i8_in(&x, in_q, &w, w_q, None, Some(&bias), out_q, &p, auto, &mut arena);
+            let naive = conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive);
+            assert_eq!(got.unwrap(), naive.unwrap(), "depthwise kernel diverged from naive");
+            arena.reserved_bytes()
+        };
+        let dw = |c, pad| Conv2dParams::new(3, 3).with_padding(pad).with_groups(c);
+        let (q0, q1) = (QuantParams::new(0.05, 0), QuantParams::new(0.02, 0));
+        let reserved = run(Shape4::new(1, 2, 6, 6), dw(2, 3), q0, q1, 400);
+        let zp = (QuantParams::new(0.05, 5), QuantParams::new(0.02, -2));
+        assert_eq!(run(Shape4::new(1, 3, 9, 9), dw(3, 1), zp.0, zp.1, 402), reserved);
+    }
+
+    /// The depthwise kernel sums in `f32`, exact below 2²⁴. At its 256-tap
+    /// bound the extreme sum 256·255² is still exact; 17×17 taps would not
+    /// be, so `Auto` must run them elsewhere. The bias cancels the sum, so a
+    /// unit-scale output shows an error in its last unit.
+    #[test]
+    fn depthwise_sums_are_exact_at_the_tap_bound() {
+        let q = QuantParams::new(1.0, 127); // -128 - 127 = -255
+        for ks in [16, 17] {
+            let x = Tensor::<i8>::filled(Shape4::new(1, 2, ks, ks), -128);
+            let w = Tensor::<i8>::filled(Shape4::new(2, 1, ks, ks), -128);
+            let sum = (ks * ks) as i32 * 255 * 255;
+            let bias = [5 - sum, -3 - sum];
+            let p = Conv2dParams::new(ks, ks).with_groups(2);
+            let auto = p.backend(x.shape(), w.shape(), 1, 1, KernelPolicy::Auto);
+            assert_eq!(auto == ConvBackend::Depthwise, ks * ks <= DEPTHWISE_MAX_TAPS);
+            for policy in [KernelPolicy::Naive, KernelPolicy::Im2colGemm, KernelPolicy::Auto] {
+                let out = conv(&x, q, &w, q, Some(&bias), UNIT, &p, policy).unwrap();
+                assert_eq!(out.as_slice(), &[5, -3], "{ks}x{ks} under {policy}");
+            }
+        }
     }
 
     #[test]

@@ -45,9 +45,11 @@
 //!   the packed rewrite and lowered to 2k; below that only degenerate
 //!   shapes remain (SE-module 1×1 convs on pooled 1×1 pixels), where the
 //!   NR-padded patch panel would waste most of its lanes.
-//! * Depthwise stays on the direct loops under `Auto` regardless of size:
-//!   its GEMM reduction depth is just `R·S`, too shallow to amortize even
-//!   the cheaper packed im2col.
+//! * Depthwise never goes GEMM under `Auto`: its reduction depth is just
+//!   `R·S`, too shallow to amortize even the cheaper packed im2col. It runs
+//!   the vectorised depthwise kernel ([`ConvBackend::Depthwise`]) at
+//!   every problem size instead (kernels beyond 256 taps, whose reduction
+//!   is deep, are not marked depthwise by `Conv2dParams::backend`).
 
 use std::fmt;
 use std::str::FromStr;
@@ -61,9 +63,10 @@ use crate::ops::pack::{
 /// Which kernel implementation the unfused conv should use.
 ///
 /// `Naive` keeps the original scalar loop nests — they stay the correctness
-/// oracle that the fast path is validated against. `Im2colGemm` forces the
-/// im2col + packed-GEMM lowering. `Auto` (the default) resolves per problem
-/// size: depthwise and tiny convolutions stay on the direct loops, dense
+/// oracle that the fast paths are validated against. `Im2colGemm` forces the
+/// im2col + packed-GEMM lowering, depthwise included. `Auto` (the default)
+/// resolves per problem: depthwise convolutions run the vectorised
+/// depthwise kernel, tiny dense ones stay on the direct loops, and dense
 /// `1×1`/`3×3`-style layers go through GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelPolicy {
@@ -71,7 +74,8 @@ pub enum KernelPolicy {
     Naive,
     /// Always use the im2col + packed-GEMM lowering.
     Im2colGemm,
-    /// Pick per problem size (depthwise/tiny → direct, dense → GEMM).
+    /// Pick per problem (depthwise → depthwise kernel, tiny → direct,
+    /// dense → GEMM).
     #[default]
     Auto,
 }
@@ -83,6 +87,9 @@ pub enum ConvBackend {
     Direct,
     /// im2col lowering followed by packed GEMM.
     Im2colGemm,
+    /// The depthwise kernel: one vectorised multiply-add per tap over a
+    /// zero-bordered, zero-point-subtracted copy of the input channel.
+    Depthwise,
 }
 
 /// Below this many multiply-accumulates, `Auto` keeps the direct loops: the
@@ -93,15 +100,18 @@ pub const AUTO_DIRECT_MAC_THRESHOLD: usize = 2 * 1024;
 impl KernelPolicy {
     /// Resolves the policy for a convolution with `macs` multiply-accumulates
     /// total. `depthwise` marks single-input-channel-per-group convolutions,
-    /// which `Auto` always keeps on the direct loops (their GEMM reduction
-    /// depth is just `R·S`, too shallow to amortize the im2col copy).
+    /// which `Auto` sends to [`ConvBackend::Depthwise`] at any size (their
+    /// GEMM reduction depth is just `R·S`, too shallow to amortize the
+    /// im2col copy).
     #[must_use]
     pub fn resolve(self, macs: usize, depthwise: bool) -> ConvBackend {
         match self {
             KernelPolicy::Naive => ConvBackend::Direct,
             KernelPolicy::Im2colGemm => ConvBackend::Im2colGemm,
             KernelPolicy::Auto => {
-                if depthwise || macs < AUTO_DIRECT_MAC_THRESHOLD {
+                if depthwise {
+                    ConvBackend::Depthwise
+                } else if macs < AUTO_DIRECT_MAC_THRESHOLD {
                     ConvBackend::Direct
                 } else {
                     ConvBackend::Im2colGemm
@@ -707,8 +717,10 @@ mod tests {
     #[test]
     fn policy_resolution_follows_heuristics() {
         assert_eq!(KernelPolicy::Naive.resolve(usize::MAX, false), ConvBackend::Direct);
+        assert_eq!(KernelPolicy::Naive.resolve(1 << 30, true), ConvBackend::Direct);
         assert_eq!(KernelPolicy::Im2colGemm.resolve(1, true), ConvBackend::Im2colGemm);
-        assert_eq!(KernelPolicy::Auto.resolve(1 << 30, true), ConvBackend::Direct);
+        assert_eq!(KernelPolicy::Auto.resolve(1 << 30, true), ConvBackend::Depthwise);
+        assert_eq!(KernelPolicy::Auto.resolve(1, true), ConvBackend::Depthwise);
         assert_eq!(KernelPolicy::Auto.resolve(1 << 30, false), ConvBackend::Im2colGemm);
         assert_eq!(KernelPolicy::Auto.resolve(16, false), ConvBackend::Direct);
     }

@@ -1,7 +1,7 @@
 //! Property-based equivalence suite for the kernel backends: the im2col +
-//! packed-GEMM path must reproduce the naive oracle bit-identically across
-//! random shapes, strides, paddings and group structures (integer
-//! accumulation is associative), and the packed kernels themselves must
+//! packed-GEMM path and the depthwise kernel must reproduce the naive
+//! oracle bit-identically across random shapes, strides, paddings and group
+//! structures (their accumulation is exact), and the packed kernels must
 //! match the scalar reference across `m % MR != 0` / `n % NR != 0` tails,
 //! zero-point extremes, pre-packed weights, and the AVX2-vs-portable
 //! microkernel split.
@@ -49,16 +49,30 @@ fn conv_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
         })
 }
 
+/// A random-but-valid depthwise problem (`groups == C`, one input channel
+/// per group): batch 1–2, channel multiplier 1–2, kernels 1/3/5/7, strides
+/// 1–2, paddings up to `kernel/2 + 1`, and heights and widths drawn
+/// independently from 1–20, so inputs narrower than the kernel occur.
 fn depthwise_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
-    (1usize..=8, 4usize..=9, prop_oneof![Just(3usize), Just(5usize)], 1usize..=2).prop_map(
-        |(c, hw, ks, stride)| {
-            let input = Shape4::new(1, c, hw, hw);
-            let weights = Shape4::new(c, 1, ks, ks);
-            let params =
-                Conv2dParams::new(ks, ks).with_stride(stride).with_padding(ks / 2).with_groups(c);
-            (input, weights, params)
-        },
+    (
+        1usize..=2, // batch
+        1usize..=8, // channels (= groups)
+        1usize..=2, // channel multiplier
+        1usize..=20,
+        1usize..=20,
+        prop_oneof![Just(1usize), Just(3usize), Just(5usize), Just(7usize)], // kernel
+        1usize..=2,                                                          // stride
+        0usize..=4,                                                          // padding
     )
+        .prop_map(|(n, c, mult, h, w, ks, stride, padding)| {
+            let input = Shape4::new(n, c, h, w);
+            let weights = Shape4::new(c * mult, 1, ks, ks);
+            let params = Conv2dParams::new(ks, ks)
+                .with_stride(stride)
+                .with_padding(padding.min(ks / 2 + 1))
+                .with_groups(c);
+            (input, weights, params)
+        })
 }
 
 fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
@@ -67,7 +81,8 @@ fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
 }
 
 fn output_nonempty(ishape: Shape4, params: &Conv2dParams) -> bool {
-    conv_out_dim(ishape.h, params.kernel_h, params.stride, params.padding).is_some_and(|d| d > 0)
+    let dim = |len, k| conv_out_dim(len, k, params.stride, params.padding).is_some_and(|d| d > 0);
+    dim(ishape.h, params.kernel_h) && dim(ishape.w, params.kernel_w)
 }
 
 /// The unfused conv on raw weights under `policy`, with a private arena.
@@ -130,20 +145,37 @@ proptest! {
         prop_assert_eq!(naive, gemm);
     }
 
-    /// Depthwise edge case (the shape `Auto` keeps on the direct loops):
-    /// forcing the GEMM backend must still be bit-identical.
+    /// Depthwise: `Auto` runs the depthwise kernel and `Im2colGemm` the
+    /// GEMM lowering; both must be bit-identical to the naive oracle, across
+    /// zero points and biases large enough to saturate the requantize.
     #[test]
     fn depthwise_i8_gemm_is_bit_identical(
         (ishape, wshape, params) in depthwise_cases(),
         seed in 0u64..10_000,
+        zp_in in i8::MIN..=i8::MAX,
+        zp_w in i8::MIN..=i8::MAX,
     ) {
         prop_assume!(output_nonempty(ishape, &params));
         let x = rand_i8(ishape, seed);
         let w = rand_i8(wshape, seed + 1);
-        let q = QuantParams::new(0.03, -5);
-        let naive = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Naive).unwrap();
-        let gemm = conv(&x, q, &w, q, None, q, &params, KernelPolicy::Im2colGemm).unwrap();
-        prop_assert_eq!(naive, gemm);
+        let in_q = QuantParams::new(0.05, zp_in);
+        let w_q = QuantParams::new(0.02, zp_w);
+        let out_q = QuantParams::new(2.0, -3);
+        // Mostly in-range accumulators (acc_scale is 1/2000), one bias in
+        // four far past either clamp.
+        let mut rng = DetRng::new(seed + 2);
+        let bias: Vec<i32> = (0..wshape.n)
+            .map(|_| {
+                let mag = if rng.below(4) == 0 { 2_000_000 } else { 100_000 };
+                (rng.next_u64() % (2 * mag + 1)) as i32 - mag as i32
+            })
+            .collect();
+        let [naive, auto, gemm] =
+            [KernelPolicy::Naive, KernelPolicy::Auto, KernelPolicy::Im2colGemm].map(|policy| {
+                conv(&x, in_q, &w, w_q, Some(&bias), out_q, &params, policy).unwrap()
+            });
+        prop_assert_eq!(&naive, &auto);
+        prop_assert_eq!(&naive, &gemm);
     }
 
     /// `Auto` must agree with whichever backend it picks — i.e. with both.

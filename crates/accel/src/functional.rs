@@ -500,17 +500,23 @@ impl Executor<'_> {
         let g = self.conv_act(se_r, &pooled, Activation::Relu)?;
         let g = self.conv_act(se_e, &g, Activation::None)?;
         // Channel-wise multiply in the dequantized domain, then requantize,
-        // one element at a time and in place. Gates are per (batch item,
+        // in place, a row at a time: `quantize_slice` is `quantize` per
+        // element, bit for bit, in lanes. Gates are per (batch item,
         // channel): pooling and the SE convs all preserve the batch
         // dimension.
         let mut out = y.clone();
         let shape = out.shape();
+        let mut scaled = [0f32; 128];
         for n in 0..shape.n {
             for c in 0..shape.c {
                 let gv = Activation::HSigmoid.apply(ACT_Q.dequantize(g.get(n, c, 0, 0)));
                 for h in 0..shape.h {
-                    for v in out.row_mut(n, c, h) {
-                        *v = ACT_Q.quantize(ACT_Q.dequantize(*v) * gv);
+                    for part in out.row_mut(n, c, h).chunks_mut(scaled.len()) {
+                        let scaled = &mut scaled[..part.len()];
+                        for (s, &q) in scaled.iter_mut().zip(part.iter()) {
+                            *s = ACT_Q.dequantize(q) * gv;
+                        }
+                        ACT_Q.quantize_slice(scaled, part)?;
                     }
                 }
             }

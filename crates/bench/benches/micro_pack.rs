@@ -3,20 +3,25 @@
 //! shapes, the prepacked-vs-cold GEMM comparison that motivates
 //! pack-once-per-install, and the naive-vs-fast-backend int8 convolution
 //! comparisons (im2col + GEMM for dense, the depthwise kernel for
-//! MobileNetV3-shaped depthwise) that motivate `KernelPolicy::Auto`.
+//! MobileNetV3-shaped depthwise) that motivate `KernelPolicy::Auto`, and
+//! MobileNetV3's fused 1×1 convs (epilogue on the register tile) against
+//! the direct loops.
 //!
 //! Shapes mirror real OFA-ResNet50 conv-as-GEMM problems (`m` = kernels,
 //! `k` = C·R·S, `n` = OH·OW). Set `SUSHI_BENCH_QUICK=1` (CI's bench-smoke
 //! job) to shrink problem sizes so the whole target finishes in seconds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+use sushi_tensor::ops::activation::Activation;
+use sushi_tensor::ops::conv::{conv2d_i8_fused, conv2d_i8_in, Conv2dParams};
 use sushi_tensor::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs};
 use sushi_tensor::ops::pack::{
     pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
     packed_a_pairs_len, packed_b_len, packed_b_pairs_len,
 };
-use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
+use sushi_tensor::{
+    Arena, DetRng, Epilogue, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor,
+};
 
 fn quick() -> bool {
     std::env::var("SUSHI_BENCH_QUICK").is_ok_and(|v| v != "0")
@@ -151,5 +156,55 @@ fn bench_conv_backends(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_pack_throughput, bench_microkernel_rate, bench_conv_backends);
+/// MobileNetV3's fused 1×1 convs as the serving path runs them
+/// (`conv2d_i8_fused`: install-packed k-pair panels, the epilogue applied to
+/// each register tile) against the direct loops on the same problem: two
+/// h-swish MBConv expands and a linear project. Quick mode divides the
+/// spatial size by four.
+fn bench_fused_mbconv(c: &mut Criterion) {
+    let shrink = if quick() { 4 } else { 1 };
+    let mut rng = DetRng::new(5);
+    let q = QuantParams::new(0.02, 3);
+    let params = Conv2dParams::new(1, 1);
+    let mut arena = Arena::new();
+    // (label, input channels, output channels, spatial size, activation)
+    let cases = [
+        ("expand_16x48", 16, 48, 112, Activation::HSwish),
+        ("expand_40x120", 40, 120, 28, Activation::HSwish),
+        ("project_72x24", 72, 24, 56, Activation::None),
+    ];
+    for (label, cin, cout, hw, act) in cases {
+        let hw = hw / shrink;
+        let mut rand = |shape: Shape4| {
+            Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect()).unwrap()
+        };
+        let x = rand(Shape4::new(1, cin, hw, hw));
+        let w = rand(Shape4::new(cout, cin, 1, 1));
+        let bias: Vec<i32> = (0..cout as i32).map(|i| i * 97 - 1500).collect();
+        let packed = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::KPair).unwrap();
+        let ep = Epilogue::uniform(bias.clone(), q.scale, q, act).unwrap();
+        let mut group = c.benchmark_group(&format!("conv2d_{label}_{hw}x{hw}_{act:?}"));
+        let naive = KernelPolicy::Naive;
+        group.bench_function(BenchmarkId::new("i8", "naive"), |bch| {
+            bch.iter(|| {
+                let x = black_box(&x);
+                conv2d_i8_in(x, q, &w, q, None, Some(&bias), q, &params, naive, &mut arena).unwrap()
+            })
+        });
+        group.bench_function(BenchmarkId::new("i8", "fused"), |bch| {
+            bch.iter(|| {
+                conv2d_i8_fused(black_box(&x), q, &packed, &ep, &params, &mut arena).unwrap()
+            })
+        });
+        group.finish();
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_pack_throughput,
+    bench_microkernel_rate,
+    bench_conv_backends,
+    bench_fused_mbconv
+);
 criterion_main!(benches);

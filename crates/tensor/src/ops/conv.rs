@@ -34,13 +34,13 @@ use serde::{Deserialize, Serialize};
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
-use crate::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs, ConvBackend, KernelPolicy};
+use crate::ops::gemm::{gemm_i8_packed, gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
 use crate::ops::im2col::im2col;
 use crate::ops::pack::{
     pack_a_i8_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len, packed_b_len,
-    packed_b_pairs_len, PackLayout, PackedConv2d,
+    packed_b_pairs_len, PackLayout, PackedConv2d, NR,
 };
-use crate::quant::{requantize_accumulator, QuantParams};
+use crate::quant::{requantize_accumulator, requantize_row, QuantParams};
 use crate::shape::{conv_out_dim, Shape4};
 use crate::tensor::Tensor;
 
@@ -317,9 +317,8 @@ fn conv2d_i8_gemm(
                 let bias_v = bias.map_or(0, |b| b[k]);
                 let base = out.shape().row_offset(n, k, 0);
                 let dst = &mut out.as_mut_slice()[base..base + npix];
-                for (d, &v) in dst.iter_mut().zip(&acc[kk * npix..(kk + 1) * npix]) {
-                    *d = requantize_accumulator(v + bias_v, acc_scale, out_q.zero_point);
-                }
+                let row = &acc[kk * npix..(kk + 1) * npix];
+                requantize_row(row, bias_v, acc_scale, 0.0, out_q.zero_point, i8::MIN, dst);
             }
         }
     }
@@ -328,7 +327,9 @@ fn conv2d_i8_gemm(
 
 /// Fused quantized convolution: k-pair packed weights, the `pmaddwd` pair
 /// microkernel, and a typed [`Epilogue`] (bias + requantization + activation)
-/// applied to each accumulator row while it is cache-hot.
+/// applied to each register tile as the last K block finishes it, inside
+/// the GEMM's worker threads. The tile goes straight out as `i8`; when the
+/// reduction fits one K block no `i32` accumulator is requested at all.
 ///
 /// This is the IR-lowered datapath: `sushi-ir` rewrites fold batch-norm and
 /// activations into the epilogue at cache-install time, and the install packs
@@ -381,14 +382,20 @@ pub fn conv2d_i8_fused(
         && params.padding == 0
         && params.groups == 1;
     let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
-    let (patches, _pa_buf, pb, acc) = arena.i8_conv(
+    // A reduction that fits one K block (every MobileNetV3 1×1) needs no
+    // `i32` scratch: each register tile is final when its block ends.
+    let partial = if kdim > KC { kg * npix } else { 0 };
+    let (patches, _pa_buf, pb, partial) = arena.i8_conv(
         if direct_b { 0 } else { kdim * npix },
         0,
         packed_b_pairs_len(kdim, npix),
-        kg * npix,
+        partial,
     );
     for g in 0..params.groups {
         let pa = packed.group(g);
+        let tail = |kk, sums: &[i32; NR], dst: &mut [i8]| {
+            epilogue.finish_tile_row(g * kg + kk, sums, dst);
+        };
         for n in 0..ishape.n {
             let bsrc: &[i8] = if direct_b {
                 &input.as_slice()[n * chw..(n + 1) * chw]
@@ -397,17 +404,11 @@ pub fn conv2d_i8_fused(
                 patches
             };
             pack_b_i8_pairs_into(pb, bsrc, in_q.zero_point, kdim, npix)?;
-            acc.fill(0);
-            gemm_i8_packed_pairs(kg, kdim, npix, pa, pb, acc)?;
-            for kk in 0..kg {
-                let k = g * kg + kk;
-                let base = out.shape().row_offset(n, k, 0);
-                epilogue.apply_row(
-                    k,
-                    &acc[kk * npix..(kk + 1) * npix],
-                    &mut out.as_mut_slice()[base..base + npix],
-                )?;
-            }
+            // Group `g`'s channels of batch item `n` are `kg` contiguous
+            // output rows: the GEMM's `kg × npix` result, in place.
+            let base = (n * k_total + g * kg) * npix;
+            let rows = &mut out.as_mut_slice()[base..base + kg * npix];
+            gemm_i8_pairs_fused(kg, kdim, npix, pa, pb, partial, rows, &tail);
         }
     }
     Ok(out)
@@ -558,12 +559,10 @@ fn conv2d_i8_depthwise(
                         *a += t * x;
                     }
                 }
-                let bias_v = bias.map_or(0, |b| b[k]);
+                let (bias_v, zp) = (bias.map_or(0, |b| b[k]), out_q.zero_point);
                 for oy in 0..oh {
                     let row = &acc[oy * pw..oy * pw + ow];
-                    for (o, &a) in out.row_mut(n, k, oy).iter_mut().zip(row) {
-                        *o = requantize_accumulator(a as i32 + bias_v, acc_scale, out_q.zero_point);
-                    }
+                    requantize_row(row, bias_v, acc_scale, 0.0, zp, i8::MIN, out.row_mut(n, k, oy));
                 }
             }
         }

@@ -6,8 +6,17 @@
 //! (adding bias), then (for layers that carry one) a batch-norm affine,
 //! then the activation. An [`Epilogue`] is the install-time record of that
 //! whole tail — built once per SubGraph install by the IR lowering
-//! (`sushi-ir`), applied per output *row* while the accumulator tile is
-//! still cache-hot.
+//! (`sushi-ir`) and applied by [`crate::ops::conv::conv2d_i8_fused`] to
+//! each `MR×NR` register tile as the GEMM's last K block finishes it, so
+//! the tile's sums go out as `i8` without a second pass over an `i32`
+//! accumulator (`docs/KERNELS.md`, "Fused tail").
+//!
+//! The tail runs in two passes over each finished row: a lane-wise
+//! requantization (`quant::requantize_row`, with ReLU folded into its
+//! lower clamp), then, for ReLU6 and the h-family, a 256-entry `i8` table
+//! built at construction. Those activations' reference output depends only
+//! on the requantized `i8`, so the table holds exactly the reference's
+//! dequantize → activate → quantize.
 //!
 //! Exactness contract (pinned by the unit tests below and the cross-crate
 //! fusion proptests): with a uniform scale and no offset, [`Epilogue::
@@ -20,7 +29,8 @@
 
 use crate::error::TensorError;
 use crate::ops::activation::Activation;
-use crate::quant::QuantParams;
+use crate::ops::pack::NR;
+use crate::quant::{requantize_row, QuantParams};
 
 /// The accumulator→output rescale of an [`Epilogue`].
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +44,10 @@ pub enum EpilogueScale {
 }
 
 /// A fused conv tail: `i32` accumulator → bias add → per-channel rescale
-/// (+ offset) → round/clamp to `i8` → activation, in one pass.
+/// (+ offset) → round/clamp to `i8` → activation.
 ///
-/// Built once per cache install; [`Epilogue::apply_row`] runs per output
-/// row inside [`crate::ops::conv::conv2d_i8_fused`].
+/// Built once per cache install; [`crate::ops::conv::conv2d_i8_fused`]
+/// applies it to each register tile the GEMM finishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Epilogue {
     bias: Vec<i32>,
@@ -48,6 +58,11 @@ pub struct Epilogue {
     offset: Vec<f32>,
     out_q: QuantParams,
     act: Activation,
+    /// The activation on every requantized `i8`, for the activations
+    /// applied in the dequantized domain (ReLU6 and the h-family). `None`
+    /// for no activation and for ReLU, which the requantization's clamp
+    /// absorbs.
+    table: Option<Box<[i8; 256]>>,
 }
 
 impl Epilogue {
@@ -55,18 +70,17 @@ impl Epilogue {
     /// accumulator scale, optional fused activation.
     ///
     /// # Errors
-    /// Returns an error when `bias` is empty (every conv layer in the
-    /// datapath carries a bias vector sized to its output channels).
+    /// [`TensorError::InvalidParam`] when `bias` is empty (every conv layer
+    /// in the datapath carries a bias vector sized to its output channels),
+    /// when `acc_scale` is not finite and positive, or when `out_q`'s scale
+    /// is not.
     pub fn uniform(
         bias: Vec<i32>,
         acc_scale: f32,
         out_q: QuantParams,
         act: Activation,
     ) -> Result<Self, TensorError> {
-        if bias.is_empty() {
-            return Err(TensorError::InvalidParam { what: "epilogue needs per-channel bias" });
-        }
-        Ok(Self { bias, scale: EpilogueScale::Uniform(acc_scale), offset: Vec::new(), out_q, act })
+        Self::new(bias, EpilogueScale::Uniform(acc_scale), Vec::new(), out_q, act)
     }
 
     /// Epilogue with per-channel scales and offsets — the folded-batch-norm
@@ -74,7 +88,10 @@ impl Epilogue {
     /// `round((acc + bias[c]) · scales[c] + offsets[c]) + zp`, clamped.
     ///
     /// # Errors
-    /// Returns an error when the vector lengths disagree.
+    /// [`TensorError::LengthMismatch`] when the vector lengths disagree;
+    /// [`TensorError::InvalidParam`] when `bias` is empty, a scale is not
+    /// finite and positive, an offset is not finite, or `out_q`'s scale is
+    /// not finite and positive.
     pub fn per_channel(
         bias: Vec<i32>,
         scales: Vec<f32>,
@@ -82,19 +99,52 @@ impl Epilogue {
         out_q: QuantParams,
         act: Activation,
     ) -> Result<Self, TensorError> {
+        for len in [scales.len(), offsets.len()] {
+            if !bias.is_empty() && len != bias.len() {
+                return Err(TensorError::LengthMismatch { expected: bias.len(), actual: len });
+            }
+        }
+        Self::new(bias, EpilogueScale::PerChannel(scales), offsets, out_q, act)
+    }
+
+    /// Validates the parameters and builds the activation table. A NaN,
+    /// infinite, zero or negative scale would write all zeros or saturate
+    /// every output.
+    fn new(
+        bias: Vec<i32>,
+        scale: EpilogueScale,
+        offset: Vec<f32>,
+        out_q: QuantParams,
+        act: Activation,
+    ) -> Result<Self, TensorError> {
+        let positive = |s: f32| s.is_finite() && s > 0.0;
         if bias.is_empty() {
             return Err(TensorError::InvalidParam { what: "epilogue needs per-channel bias" });
         }
-        if scales.len() != bias.len() {
-            return Err(TensorError::LengthMismatch { expected: bias.len(), actual: scales.len() });
-        }
-        if offsets.len() != bias.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: bias.len(),
-                actual: offsets.len(),
+        let scales = match &scale {
+            EpilogueScale::Uniform(s) => std::slice::from_ref(s),
+            EpilogueScale::PerChannel(v) => v.as_slice(),
+        };
+        if !scales.iter().all(|&s| positive(s)) {
+            return Err(TensorError::InvalidParam {
+                what: "epilogue scale must be finite and positive",
             });
         }
-        Ok(Self { bias, scale: EpilogueScale::PerChannel(scales), offset: offsets, out_q, act })
+        if !offset.iter().all(|o| o.is_finite()) {
+            return Err(TensorError::InvalidParam { what: "epilogue offset must be finite" });
+        }
+        if !positive(out_q.scale) {
+            return Err(TensorError::InvalidParam {
+                what: "epilogue output scale must be finite and positive",
+            });
+        }
+        let table = match act {
+            Activation::None | Activation::Relu => None,
+            act => Some(Box::new(std::array::from_fn(|i| {
+                out_q.quantize(act.apply(out_q.dequantize(i as u8 as i8)))
+            }))),
+        };
+        Ok(Self { bias, scale, offset, out_q, act, table })
     }
 
     /// Number of output channels this epilogue covers.
@@ -147,41 +197,45 @@ impl Epilogue {
         if ch >= self.bias.len() {
             return Err(TensorError::InvalidParam { what: "epilogue channel out of range" });
         }
-        let bias = self.bias[ch];
-        let scale = self.scale_for(ch);
-        let offset = self.offset.get(ch).copied().unwrap_or(0.0);
-        let zp = f32::from(self.out_q.zero_point);
+        self.requantize(ch, acc, dst);
+        self.activate(dst);
+        Ok(())
+    }
+
+    /// The tail on one register-tile row of channel `ch`: the fused GEMM's
+    /// writeback. The first `dst.len()` sums are real; the rest pad a
+    /// ragged tile and are requantized but never written.
+    #[inline]
+    pub(crate) fn finish_tile_row(&self, ch: usize, sums: &[i32; NR], dst: &mut [i8]) {
+        let mut q = [0i8; NR];
+        self.requantize(ch, sums, &mut q);
+        dst.copy_from_slice(&q[..dst.len()]);
+        self.activate(dst);
+    }
+
+    /// The requantization pass: bias, rescale, offset, round and clamp,
+    /// with ReLU folded into the clamp.
+    #[inline]
+    fn requantize(&self, ch: usize, acc: &[i32], dst: &mut [i8]) {
         // `x + 0.0` is exact for every f32 `x` (only -0.0 is canonicalized,
-        // and the subsequent round/add/clamp/cast agree on ±0.0), so the
-        // no-offset case below stays bit-identical to
+        // and the round/add/clamp/cast that follow agree on ±0.0), so the
+        // no-offset case stays bit-identical to
         // `requantize_accumulator(acc + bias, scale, zp)`.
-        let requant = |v: i32| -> i8 {
-            let y = ((v + bias) as f32 * scale + offset).round() + zp;
-            y.clamp(-128.0, 127.0) as i8
-        };
-        match self.act {
-            Activation::None => {
-                for (d, &v) in dst.iter_mut().zip(acc) {
-                    *d = requant(v);
-                }
-            }
-            Activation::Relu => {
-                // Exact on data whose zero point is representable: matches
-                // requantize-then-`max(0)` (the reference int8 ReLU).
-                for (d, &v) in dst.iter_mut().zip(acc) {
-                    *d = requant(v).max(0);
-                }
-            }
-            act => {
-                // h-family: the reference applies the activation in the
-                // dequantized domain and requantizes; replicate exactly.
-                for (d, &v) in dst.iter_mut().zip(acc) {
-                    let q = requant(v);
-                    *d = self.out_q.quantize(act.apply(self.out_q.dequantize(q)));
-                }
+        let offset = self.offset.get(ch).copied().unwrap_or(0.0);
+        // ReLU is `max(0)` on the requantized value: a floor of 0.
+        let floor = if self.act == Activation::Relu { 0 } else { i8::MIN };
+        let (bias, scale, zp) = (self.bias[ch], self.scale_for(ch), self.out_q.zero_point);
+        requantize_row(acc, bias, scale, offset, zp, floor, dst);
+    }
+
+    /// The table pass of the activations that need one.
+    #[inline]
+    fn activate(&self, dst: &mut [i8]) {
+        if let Some(table) = &self.table {
+            for d in dst {
+                *d = table[usize::from(*d as u8)];
             }
         }
-        Ok(())
     }
 }
 
@@ -202,24 +256,30 @@ mod tests {
         }
     }
 
+    /// Across zero points (the ReLU floor and the table both depend on
+    /// them) and row lengths that leave a ragged lane tail.
     #[test]
     fn uniform_matches_requantize_then_activation_bitwise() {
         let mut rng = DetRng::new(404);
-        for act in [
-            Activation::None,
-            Activation::Relu,
-            Activation::Relu6,
-            Activation::HSwish,
-            Activation::HSigmoid,
-        ] {
-            let bias: Vec<i32> = (0..5).map(|_| i32::from(rng.next_i8()) * 100).collect();
-            let ep = Epilogue::uniform(bias.clone(), 0.0037, OUT_Q, act).unwrap();
-            for ch in 0..5 {
-                let acc: Vec<i32> = (0..64).map(|_| i32::from(rng.next_i8()) * 977).collect();
-                let mut fused = vec![0i8; acc.len()];
-                ep.apply_row(ch, &acc, &mut fused).unwrap();
-                for (f, &v) in fused.iter().zip(&acc) {
-                    assert_eq!(*f, reference_tail(v, bias[ch], 0.0037, OUT_Q, act), "{act:?}");
+        for out_q in [OUT_Q, QuantParams::new(0.05, -9), QuantParams::new(0.11, 17)] {
+            for act in [
+                Activation::None,
+                Activation::Relu,
+                Activation::Relu6,
+                Activation::HSwish,
+                Activation::HSigmoid,
+            ] {
+                let bias: Vec<i32> = (0..5).map(|_| i32::from(rng.next_i8()) * 100).collect();
+                let ep = Epilogue::uniform(bias.clone(), 0.0037, out_q, act).unwrap();
+                for (ch, &b) in bias.iter().enumerate() {
+                    let acc: Vec<i32> =
+                        (0..61 + ch).map(|_| i32::from(rng.next_i8()) * 977).collect();
+                    let mut fused = vec![0i8; acc.len()];
+                    ep.apply_row(ch, &acc, &mut fused).unwrap();
+                    for (f, &v) in fused.iter().zip(&acc) {
+                        let want = reference_tail(v, b, 0.0037, out_q, act);
+                        assert_eq!(*f, want, "{act:?}, {out_q:?}");
+                    }
                 }
             }
         }
@@ -274,6 +334,71 @@ mod tests {
             Activation::None
         )
         .is_err());
+    }
+
+    /// Both constructors with one bad scale (uniform: the only scale;
+    /// per-channel: the second of two) must return `InvalidParam`.
+    fn assert_scale_rejected(bad: f32) {
+        let invalid =
+            |r: Result<Epilogue, TensorError>| matches!(r, Err(TensorError::InvalidParam { .. }));
+        assert!(invalid(Epilogue::uniform(vec![0], bad, OUT_Q, Activation::None)), "{bad}");
+        let per_channel = Epilogue::per_channel(
+            vec![0, 0],
+            vec![0.5, bad],
+            vec![0.0; 2],
+            OUT_Q,
+            Activation::None,
+        );
+        assert!(invalid(per_channel), "per-channel {bad}");
+    }
+
+    #[test]
+    fn rejects_nan_scale() {
+        assert_scale_rejected(f32::NAN);
+    }
+
+    #[test]
+    fn rejects_infinite_scale() {
+        assert_scale_rejected(f32::INFINITY);
+        assert_scale_rejected(f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn rejects_zero_scale() {
+        assert_scale_rejected(0.0);
+        assert_scale_rejected(-0.0);
+    }
+
+    #[test]
+    fn rejects_negative_scale() {
+        assert_scale_rejected(-0.01);
+    }
+
+    #[test]
+    fn rejects_non_finite_offset() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let ep = Epilogue::per_channel(
+                vec![0, 0],
+                vec![0.5, 0.5],
+                vec![0.0, bad],
+                OUT_Q,
+                Activation::None,
+            );
+            assert!(matches!(ep, Err(TensorError::InvalidParam { .. })), "offset {bad}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_positive_output_scale() {
+        for bad in [0.0, -0.5, f32::NAN, f32::INFINITY] {
+            // `QuantParams::new` would panic; the fields are public.
+            let out_q = QuantParams { scale: bad, zero_point: 0 };
+            let uniform = Epilogue::uniform(vec![0], 0.5, out_q, Activation::HSwish);
+            assert!(matches!(uniform, Err(TensorError::InvalidParam { .. })), "{bad}");
+            let per_channel =
+                Epilogue::per_channel(vec![0], vec![0.5], vec![0.0], out_q, Activation::None);
+            assert!(matches!(per_channel, Err(TensorError::InvalidParam { .. })), "{bad}");
+        }
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!   while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
 //!   row-panel blocks dispatched via `std::thread::scope`.
+//! * **Fused tail** — for the fused conv, the k-pair driver finishes each
+//!   register tile of the last K block with the layer's epilogue
+//!   ([`crate::ops::epilogue`]) inside the worker threads and writes `i8`
+//!   rows; earlier K blocks, when there are any, keep partial sums in `i32`
+//!   scratch.
 //!
 //! The only operand type is int8, as on SushiAccel (the paper's footnote
 //! 3). [`gemm_i8_packed`] and [`gemm_i8_packed_pairs`] are bit-identical to
@@ -303,14 +308,81 @@ unsafe fn mk_i16_pairs_avx2(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32;
     _mm256_storeu_si256(acc.as_mut_ptr().add(3 * NR).cast(), c3);
 }
 
+/// Adds the tile's valid `rows × cols` corner into `C` at `(i0, j0)`, or
+/// stores it there when `overwrite` (the first K block into scratch whose
+/// contents are unspecified).
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn writeback(c: &mut [i32], n: usize, i0: usize, j0: usize, rows: usize, cols: usize, acc: &[i32]) {
+fn writeback(
+    c: &mut [i32],
+    n: usize,
+    i0: usize,
+    j0: usize,
+    rows: usize,
+    cols: usize,
+    acc: &[i32],
+    overwrite: bool,
+) {
     for r in 0..rows {
         let row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell += acc[r * NR + j];
+        let tile = &acc[r * NR..r * NR + cols];
+        if overwrite {
+            row.copy_from_slice(tile);
+        } else {
+            for (cell, &v) in row.iter_mut().zip(tile) {
+                *cell += v;
+            }
         }
     }
+}
+
+/// The fused tail of a k-pair GEMM. In the last K block every finished
+/// tile row goes to `f(row, sums, dst)`, which writes that row's `i8`
+/// outputs into `dst`; sums past `dst.len()` pad a ragged tile. `out` is
+/// this worker's `rows × n` slice of the output, and `row0` is the index
+/// of its first row in the whole product.
+pub(crate) struct Tail<'a, F> {
+    pub(crate) out: &'a mut [i8],
+    pub(crate) f: &'a F,
+    pub(crate) row0: usize,
+}
+
+impl<F: Fn(usize, &[i32; NR], &mut [i8])> Tail<'_, F> {
+    /// The last K block's writeback for the tile at `(i0, j0)`: earlier
+    /// blocks' partial sums from `partial` (when `has_partial`) plus the
+    /// register tile, handed to `f` one row at a time.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn finish(
+        &mut self,
+        partial: &[i32],
+        has_partial: bool,
+        n: usize,
+        i0: usize,
+        j0: usize,
+        rows: usize,
+        cols: usize,
+        acc: &mut [i32; MR * NR],
+    ) {
+        for (r, sums) in acc.chunks_exact_mut(NR).take(rows).enumerate() {
+            let sums: &mut [i32; NR] = sums.try_into().expect("one tile row");
+            let at = (i0 + r) * n + j0;
+            if has_partial {
+                for (s, &p) in sums.iter_mut().zip(&partial[at..at + cols]) {
+                    *s += p;
+                }
+            }
+            (self.f)(self.row0 + i0 + r, sums, &mut self.out[at..at + cols]);
+        }
+    }
+}
+
+/// Splits the first `len` elements (or all, if fewer) off `s`.
+fn take_front<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let len = len.min(s.len());
+    let (head, rest) = std::mem::take(s).split_at_mut(len);
+    *s = rest;
+    head
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +419,7 @@ fn gemm_block_i8_packed(k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32
                         let _ = simd;
                         mk_i16_portable(kc, ap, bp, &mut acc);
                     }
-                    writeback(c, n, ip * MR, j0, MR.min(m - ip * MR), cols, &acc);
+                    writeback(c, n, ip * MR, j0, MR.min(m - ip * MR), cols, &acc, false);
                 }
             }
         }
@@ -372,12 +444,28 @@ fn run_packed_i8(m: usize, k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [
 /// Pair-interleaved block driver: identical KC/MC blocking to
 /// [`gemm_block_i8_packed`], with every k index counted in pairs (the panel
 /// stride per k-pair is `2·MR` / `2·NR` elements).
-fn gemm_block_i8_pairs(kpairs: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32], simd: bool) {
+///
+/// Without a `tail` it accumulates into the `m×n` `c`. With one, the last
+/// K block hands its tiles to the tail, and `c` is scratch for the partial
+/// sums of the earlier blocks: empty when the reduction fits one block.
+/// A zero-depth reduction still runs one (empty) block, so the tail sees
+/// every tile.
+#[allow(clippy::too_many_arguments)]
+fn gemm_block_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8])>(
+    m: usize,
+    kpairs: usize,
+    n: usize,
+    pa: &[i16],
+    pb: &[i16],
+    c: &mut [i32],
+    mut tail: Option<Tail<'_, F>>,
+    simd: bool,
+) {
     const KCP: usize = KC / 2;
-    let m = c.len() / n;
     let n_panels = n.div_ceil(NR);
-    for kb in (0..kpairs).step_by(KCP) {
+    for kb in (0..kpairs.max(1)).step_by(KCP) {
         let kc = KCP.min(kpairs - kb);
+        let last = kb + kc == kpairs;
         for i0 in (0..m).step_by(MC) {
             let rows_block = MC.min(m - i0);
             for jp in 0..n_panels {
@@ -402,35 +490,58 @@ fn gemm_block_i8_pairs(kpairs: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut 
                         let _ = simd;
                         mk_i16_pairs_portable(kc, ap, bp, &mut acc);
                     }
-                    writeback(c, n, ip * MR, j0, MR.min(m - ip * MR), cols, &acc);
+                    let (i, rows) = (ip * MR, MR.min(m - ip * MR));
+                    match tail.as_mut() {
+                        Some(t) if last => t.finish(c, kb > 0, n, i, j0, rows, cols, &mut acc),
+                        Some(_) => writeback(c, n, i, j0, rows, cols, &acc, kb == 0),
+                        None => writeback(c, n, i, j0, rows, cols, &acc, false),
+                    }
                 }
             }
         }
     }
 }
 
-fn run_packed_i8_pairs(
+/// Runs [`gemm_block_i8_pairs`], split at row-panel boundaries across
+/// threads when the product is large enough: each worker gets its rows of
+/// `c`, of the tail's output and of packed A.
+#[allow(clippy::too_many_arguments)]
+fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     m: usize,
     kpairs: usize,
     n: usize,
     pa: &[i16],
     pb: &[i16],
     c: &mut [i32],
+    tail: Option<Tail<'_, F>>,
     simd: bool,
 ) {
     let threads = worker_count(m, kpairs * 2, n);
     if threads <= 1 {
-        gemm_block_i8_pairs(kpairs, n, pa, pb, c, simd);
+        gemm_block_i8_pairs(m, kpairs, n, pa, pb, c, tail, simd);
         return;
     }
-    let panels_per = m.div_ceil(MR).div_ceil(threads);
+    let rows_per = m.div_ceil(MR).div_ceil(threads) * MR;
     std::thread::scope(|scope| {
-        for (chunk_idx, c_chunk) in c.chunks_mut(panels_per * MR * n).enumerate() {
-            let pa_chunk = &pa[chunk_idx * panels_per * MR * kpairs * 2..];
-            scope.spawn(move || gemm_block_i8_pairs(kpairs, n, pa_chunk, pb, c_chunk, simd));
+        let (mut c, mut tail) = (c, tail);
+        for row0 in (0..m).step_by(rows_per) {
+            let rows = rows_per.min(m - row0);
+            let c_rows = take_front(&mut c, rows * n);
+            let tail_rows = tail.as_mut().map(|t| Tail {
+                out: take_front(&mut t.out, rows * n),
+                f: t.f,
+                row0: t.row0 + row0,
+            });
+            let pa_rows = &pa[row0 * kpairs * 2..];
+            scope.spawn(move || {
+                gemm_block_i8_pairs(rows, kpairs, n, pa_rows, pb, c_rows, tail_rows, simd);
+            });
         }
     });
 }
+
+/// No tail: the plain `C +=` product.
+type NoTail = fn(usize, &[i32; NR], &mut [i8]);
 
 fn check_packed_lens(
     pa_len: usize,
@@ -474,26 +585,6 @@ pub fn gemm_i8_packed(
     Ok(())
 }
 
-/// Portable-microkernel variant of [`gemm_i8_packed`], bypassing runtime
-/// SIMD dispatch. Exists so tests can pin AVX2-vs-portable bit-identity;
-/// use [`gemm_i8_packed`] everywhere else.
-#[doc(hidden)]
-pub fn gemm_i8_packed_portable(
-    m: usize,
-    k: usize,
-    n: usize,
-    pa: &[i16],
-    pb: &[i16],
-    c: &mut [i32],
-) -> Result<(), TensorError> {
-    check_packed_lens(pa.len(), packed_a_len(m, k), pb.len(), packed_b_len(k, n), c.len(), m * n)?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
-    }
-    run_packed_i8(m, k, n, pa, pb, c, false);
-    Ok(())
-}
-
 /// `C += (A − zp_a)·(B − zp_b)` over **pair-interleaved** pre-packed `i16`
 /// operands (see [`crate::ops::pack::pack_a_i8_pairs_into`] /
 /// [`crate::ops::pack::pack_b_i8_pairs_into`]); `C` is a dense row-major
@@ -526,35 +617,38 @@ pub fn gemm_i8_packed_pairs(
     if m == 0 || k == 0 || n == 0 {
         return Ok(());
     }
-    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, c, simd_kernels_active());
+    let none = None::<Tail<'_, NoTail>>;
+    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, c, none, simd_kernels_active());
     Ok(())
 }
 
-/// Portable-microkernel variant of [`gemm_i8_packed_pairs`], bypassing
-/// runtime SIMD dispatch. Exists so tests can pin `pmaddwd`-vs-portable
-/// bit-identity; use [`gemm_i8_packed_pairs`] everywhere else.
-#[doc(hidden)]
-pub fn gemm_i8_packed_pairs_portable(
+/// The fused conv's product: `(A − zp_a)·(B − zp_b)` over pair-interleaved
+/// operands, finished by `tail(row, sums, dst)` on every row of every
+/// register tile as the last K block completes it (see [`Tail`]), writing
+/// the `m×n` `i8` matrix `out`. `partial` holds the earlier K blocks'
+/// sums: `m·n` `i32`s of scratch when `k > KC`, empty otherwise, since a
+/// single block's tile is final in registers. Threaded like
+/// [`gemm_i8_packed_pairs`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_i8_pairs_fused<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     m: usize,
     k: usize,
     n: usize,
     pa: &[i16],
     pb: &[i16],
-    c: &mut [i32],
-) -> Result<(), TensorError> {
-    check_packed_lens(
-        pa.len(),
-        packed_a_pairs_len(m, k),
-        pb.len(),
-        packed_b_pairs_len(k, n),
-        c.len(),
-        m * n,
-    )?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
+    partial: &mut [i32],
+    out: &mut [i8],
+    tail: &F,
+) {
+    debug_assert_eq!(pa.len(), packed_a_pairs_len(m, k));
+    debug_assert_eq!(pb.len(), packed_b_pairs_len(k, n));
+    debug_assert_eq!(partial.len(), if k > KC { m * n } else { 0 });
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 {
+        return;
     }
-    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, c, false);
-    Ok(())
+    let tail = Tail { out, f: tail, row0: 0 };
+    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, partial, Some(tail), simd_kernels_active());
 }
 
 #[cfg(test)]
@@ -698,20 +792,42 @@ mod tests {
         assert_eq!(threaded, single);
     }
 
+    /// The dispatched (AVX2 where detected) and portable microkernels
+    /// agree bit for bit in both layouts, across random shapes with
+    /// `m % MR` / `n % NR` tails, odd `k` (the k-pair kernel's zero pad
+    /// pair) and the full zero-point range. Without AVX2 this is trivially
+    /// true.
     #[test]
     fn simd_and_portable_i8_agree_bit_exactly() {
-        let (m, k, n) = (13, 70, 21);
+        use crate::ops::pack::{pack_a_i8_pairs_into, pack_b_i8_pairs_into};
         let mut rng = DetRng::new(17);
-        let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, -2, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, 9, k, n).unwrap();
-        let mut dispatched = vec![0i32; m * n];
-        gemm_i8_packed(m, k, n, &pa, &pb, &mut dispatched).unwrap();
-        let mut portable = vec![0i32; m * n];
-        gemm_i8_packed_portable(m, k, n, &pa, &pb, &mut portable).unwrap();
-        assert_eq!(dispatched, portable);
+        let simd = simd_kernels_active();
+        for case in 0..48 {
+            let (m, k, n) = (1 + rng.below(13), 1 + rng.below(40), 1 + rng.below(21));
+            let (zp_a, zp_b) = (rng.next_i8(), rng.next_i8());
+            let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
+            let mut pa = vec![0i16; packed_a_len(m, k)];
+            let mut pb = vec![0i16; packed_b_len(k, n)];
+            pack_a_i8_into(&mut pa, &a, zp_a, m, k).unwrap();
+            pack_b_i8_into(&mut pb, &b, zp_b, k, n).unwrap();
+            let [dispatched, portable] = [simd, false].map(|simd| {
+                let mut c = vec![0i32; m * n];
+                run_packed_i8(m, k, n, &pa, &pb, &mut c, simd);
+                c
+            });
+            assert_eq!(dispatched, portable, "panel kernel, case {case}: {m}x{k}x{n}");
+            let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
+            let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
+            pack_a_i8_pairs_into(&mut pa, &a, zp_a, m, k).unwrap();
+            pack_b_i8_pairs_into(&mut pb, &b, zp_b, k, n).unwrap();
+            let [dispatched, portable] = [simd, false].map(|simd| {
+                let mut c = vec![0i32; m * n];
+                let none = None::<Tail<'_, NoTail>>;
+                run_packed_i8_pairs(m, k.div_ceil(2), n, &pa, &pb, &mut c, none, simd);
+                c
+            });
+            assert_eq!(dispatched, portable, "k-pair kernel, case {case}: {m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Property-based equivalence suite for the kernel backends: the im2col +
 //! packed-GEMM path and the depthwise kernel must reproduce the naive
 //! oracle bit-identically across random shapes, strides, paddings and group
-//! structures (their accumulation is exact), and the packed kernels must
-//! match the scalar reference across `m % MR != 0` / `n % NR != 0` tails,
-//! zero-point extremes, pre-packed weights, and the AVX2-vs-portable
-//! microkernel split.
+//! structures (their accumulation is exact), the packed kernels must match
+//! the scalar reference across `m % MR != 0` / `n % NR != 0` tails,
+//! zero-point extremes and pre-packed weights, and the fused conv, whose
+//! epilogue runs on the GEMM's register tiles, must match the naive conv
+//! plus the reference activation. (The AVX2-vs-portable microkernel pins
+//! are unit tests in `ops::gemm`.)
 
 use proptest::prelude::*;
 
-use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
-use sushi_tensor::ops::gemm::{
-    gemm_i8_packed, gemm_i8_packed_pairs, gemm_i8_packed_pairs_portable, gemm_i8_packed_portable,
-};
+use sushi_tensor::ops::activation::Activation;
+use sushi_tensor::ops::conv::{conv2d_i8_fused, conv2d_i8_in, Conv2dParams};
+use sushi_tensor::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs, KC, PARALLEL_MIN};
 use sushi_tensor::ops::pack::{
     pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
     packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
 };
 use sushi_tensor::shape::conv_out_dim;
 use sushi_tensor::{
-    Arena, DetRng, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor, TensorError,
+    Arena, DetRng, Epilogue, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor,
+    TensorError,
 };
 
 /// A random-but-valid conv problem: `(input, weights, params)` shapes.
@@ -73,6 +75,98 @@ fn depthwise_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
                 .with_groups(c);
             (input, weights, params)
         })
+}
+
+/// `(input, weights, params)` for `batch` items of `groups · cg` channels at
+/// `hw × hw`, `groups · kg` kernels of `ks × ks`.
+#[allow(clippy::too_many_arguments)]
+fn conv_problem(
+    batch: usize,
+    groups: usize,
+    cg: usize,
+    kg: usize,
+    hw: usize,
+    ks: usize,
+    stride: usize,
+    padding: usize,
+) -> (Shape4, Shape4, Conv2dParams) {
+    let params =
+        Conv2dParams::new(ks, ks).with_stride(stride).with_padding(padding).with_groups(groups);
+    (Shape4::new(batch, cg * groups, hw, hw), Shape4::new(kg * groups, cg, ks, ks), params)
+}
+
+/// A fused-conv problem from one of three regimes: small shapes whose
+/// `kg` and pixel counts leave ragged `MR`/`NR` tiles (1×1 or 3×3, strides
+/// 1–2, padding 0–1, 1–2 groups, batch 1–2); reductions deeper than one K
+/// block (`kdim > KC`, 3×3 and 1×1); and 1×1 products of at least
+/// `PARALLEL_MIN` MACs, which the GEMM splits across threads.
+fn fused_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
+    let ks = || prop_oneof![Just(1usize), Just(3usize)];
+    let small = (1usize..=2, 1usize..=2, 1usize..=6, 1usize..=13, 1usize..=12, ks(), 1usize..=2)
+        .prop_map(|(n, groups, cg, kg, hw, ks, stride)| {
+            conv_problem(n, groups, cg, kg, hw.max(ks), ks, stride, ks / 2)
+        });
+    let deep = (1usize..=2, 1usize..=44, 1usize..=9, 3usize..=8, ks()).prop_map(
+        |(n, extra, kg, hw, ks)| conv_problem(n, 1, KC / (ks * ks) + extra, kg, hw, ks, 1, ks / 2),
+    );
+    let threaded =
+        (1usize..=2, 32usize..=48, 37usize..=64, 30usize..=36).prop_map(|(n, cg, kg, hw)| {
+            assert!(kg * cg * hw * hw >= PARALLEL_MIN, "below the threading threshold");
+            conv_problem(n, 1, cg, kg, hw, 1, 1, 0)
+        });
+    prop_oneof![small, deep, threaded]
+}
+
+/// The exact conv accumulators `Σ (x − zp_in)·(w − zp_w)` in NCHW order,
+/// straight from the definition (padding contributes nothing).
+fn accumulators(
+    x: &Tensor<i8>,
+    in_q: QuantParams,
+    w: &Tensor<i8>,
+    w_q: QuantParams,
+    p: &Conv2dParams,
+) -> Vec<i32> {
+    let (is, ws) = (x.shape(), w.shape());
+    let (oh, ow) = p.output_dims(is, ws).unwrap();
+    let kg = ws.n / p.groups;
+    let tap = |o: usize, r: usize, len: usize| {
+        (o * p.stride + r).checked_sub(p.padding).filter(|&i| i < len)
+    };
+    let mut out = Vec::with_capacity(is.n * ws.n * oh * ow);
+    for n in 0..is.n {
+        for k in 0..ws.n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0i32;
+                    for cc in 0..ws.c {
+                        for ry in 0..ws.h {
+                            for rx in 0..ws.w {
+                                if let (Some(iy), Some(ix)) = (tap(oy, ry, is.h), tap(ox, rx, is.w))
+                                {
+                                    let xv = x.get(n, k / kg * ws.c + cc, iy, ix);
+                                    let wv = w.get(k, cc, ry, rx);
+                                    acc += (i32::from(xv) - i32::from(in_q.zero_point))
+                                        * (i32::from(wv) - i32::from(w_q.zero_point));
+                                }
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The reference int8 activation of a requantized value: `max(0)` for
+/// ReLU, dequantize → activate → quantize otherwise.
+fn reference_act(act: Activation, q: i8, out_q: QuantParams) -> i8 {
+    match act {
+        Activation::None => q,
+        Activation::Relu => q.max(0),
+        other => out_q.quantize(other.apply(out_q.dequantize(q))),
+    }
 }
 
 fn rand_i8(shape: Shape4, seed: u64) -> Tensor<i8> {
@@ -213,11 +307,6 @@ proptest! {
         let mut c = vec![0i32; m * n];
         gemm_i8_packed(m, k, n, &pa, &pb, &mut c).unwrap();
         prop_assert_eq!(&c, &scalar_gemm(m, k, n, &a, zp_a, &b, zp_b), "{}x{}x{}", m, k, n);
-        // Dispatched (possibly AVX2) and portable microkernels agree
-        // bit-for-bit; on machines without AVX2 this is trivially true.
-        let mut portable = vec![0i32; m * n];
-        gemm_i8_packed_portable(m, k, n, &pa, &pb, &mut portable).unwrap();
-        prop_assert_eq!(c, portable);
     }
 
     /// Weights packed once via `PackedConv2d` serve bit-identical results
@@ -277,8 +366,7 @@ proptest! {
 
     /// The k-pair (`pmaddwd`) kernel is bit-identical to the panel kernel —
     /// and hence to the scalar reference — across shapes (odd `k` exercises
-    /// the zero-padded final pair), full zero-point range, and the
-    /// AVX2-vs-portable split.
+    /// the zero-padded final pair) and the full zero-point range.
     #[test]
     fn pairs_i8_gemm_is_bit_identical_to_panel(
         m in 1usize..=13,
@@ -304,8 +392,80 @@ proptest! {
         let mut pairs = vec![0i32; m * n];
         gemm_i8_packed_pairs(m, k, n, &pap, &pbp, &mut pairs).unwrap();
         prop_assert_eq!(&panel, &pairs, "pairs kernel diverged on {}x{}x{}", m, k, n);
-        let mut portable = vec![0i32; m * n];
-        gemm_i8_packed_pairs_portable(m, k, n, &pap, &pbp, &mut portable).unwrap();
-        prop_assert_eq!(&pairs, &portable, "pairs avx2 vs portable on {}x{}x{}", m, k, n);
+    }
+
+    /// The fused conv, whose epilogue runs on the GEMM's register tiles,
+    /// equals the naive conv plus the reference activation bit for bit, for
+    /// all five activations and with biases that saturate. A per-channel
+    /// epilogue with offsets equals the scalar tail formula on the exact
+    /// accumulators. Both hold on a fresh arena and on a reused one. The
+    /// vendored proptest does not shrink, so a failure prints the whole case
+    /// and the first differing element.
+    #[test]
+    fn fused_conv_matches_naive_plus_activation(
+        (ishape, wshape, params) in fused_cases(),
+        seed in 0u64..10_000,
+        zps in (-20i8..20, -20i8..20, -20i8..20),
+        act in prop_oneof![
+            Just(Activation::None),
+            Just(Activation::Relu),
+            Just(Activation::Relu6),
+            Just(Activation::HSwish),
+            Just(Activation::HSigmoid),
+        ],
+        per_channel in prop_oneof![Just(false), Just(true)],
+    ) {
+        let case = format!(
+            "{ishape} * {wshape}, {params:?}, zps {zps:?}, {act:?}, per_channel {per_channel}, \
+             seed {seed}"
+        );
+        let x = rand_i8(ishape, seed);
+        let w = rand_i8(wshape, seed + 1);
+        let kdim = wshape.c * wshape.h * wshape.w;
+        let (in_q, w_q) = (QuantParams::new(0.05, zps.0), QuantParams::new(0.02, zps.1));
+        // Accumulators are ~5500·√kdim: this output scale spreads them over
+        // the i8 range, and the biases push some past either clamp.
+        let out_q = QuantParams::new(0.14 * (kdim as f32).sqrt(), zps.2);
+        let acc_scale = in_q.scale * w_q.scale / out_q.scale;
+        let mut rng = DetRng::new(seed + 2);
+        let bias: Vec<i32> =
+            (0..wshape.n).map(|_| (rng.next_u64() % 400_001) as i32 - 200_000).collect();
+        let (ep, want) = if per_channel {
+            let scales: Vec<f32> =
+                (0..wshape.n).map(|_| acc_scale * rng.uniform_f32(0.5, 1.5)).collect();
+            let offsets: Vec<f32> = (0..wshape.n).map(|_| rng.uniform_f32(-20.0, 20.0)).collect();
+            let zp = f32::from(out_q.zero_point);
+            let acc = accumulators(&x, in_q, &w, w_q, &params);
+            let npix = acc.len() / (ishape.n * wshape.n);
+            let want: Vec<i8> = acc
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| {
+                    let k = i / npix % wshape.n;
+                    let y = ((a + bias[k]) as f32 * scales[k] + offsets[k]).round() + zp;
+                    reference_act(act, y.clamp(-128.0, 127.0) as i8, out_q)
+                })
+                .collect();
+            (Epilogue::per_channel(bias, scales, offsets, out_q, act).unwrap(), want)
+        } else {
+            let naive =
+                conv(&x, in_q, &w, w_q, Some(&bias), out_q, &params, KernelPolicy::Naive).unwrap();
+            let want = naive.as_slice().iter().map(|&q| reference_act(act, q, out_q)).collect();
+            (Epilogue::uniform(bias, acc_scale, out_q, act).unwrap(), want)
+        };
+        let packed = PackedConv2d::pack_with_layout(&w, w_q, &params, PackLayout::KPair).unwrap();
+        // The second call reuses the first's arena, whose scratch is stale.
+        let mut arena = Arena::new();
+        let mut fused = || conv2d_i8_fused(&x, in_q, &packed, &ep, &params, &mut arena).unwrap();
+        let (fresh, reused) = (fused(), fused());
+        let got = reused.as_slice();
+        prop_assert!(got.len() == want.len(), "{case}: {} outputs, want {}", got.len(), want.len());
+        let first = want.iter().zip(got).position(|(w, g)| w != g);
+        prop_assert!(
+            first.is_none(),
+            "{case}: first mismatch at {:?} (want, got)",
+            first.map(|i| (i, want[i], got[i]))
+        );
+        prop_assert!(fresh == reused, "{case}: a reused arena changed the result");
     }
 }

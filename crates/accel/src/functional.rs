@@ -764,8 +764,6 @@ mod tests {
         store.layer_mut_for_tests(layer)
     }
 
-    /// A plan step naming a layer the cache does not hold is an error from
-    /// the executor, under either catalog — never a panic.
     #[test]
     fn argmax_finds_peak() {
         assert_eq!(argmax(&[0.1, 0.9, 0.5]), Some(1));
@@ -778,6 +776,8 @@ mod tests {
         assert_eq!(argmax(&[1.0, 1.0]), Some(1));
     }
 
+    /// A plan step naming a layer the cache does not hold is an error from
+    /// the executor, under either catalog — never a panic.
     #[test]
     fn plan_step_on_a_missing_layer_is_an_error() {
         let net = zoo::toy_supernet();

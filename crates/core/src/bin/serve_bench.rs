@@ -1,10 +1,9 @@
 //! Deterministic serving-runtime baseline: measures the traffic presets
-//! and gates/regenerates `BENCH_serve.json`.
+//! and regenerates `BENCH_serve.json`.
 //!
 //! ```text
 //! serve_bench                          # run presets, print summaries
 //! serve_bench --quick                  # CI-sized streams
-//! serve_bench --check BENCH_serve.json # fail on any metric drift
 //! serve_bench --out BENCH_serve.json   # (re)write the baseline
 //! serve_bench --workers 4              # override the preset worker pools
 //! serve_bench --routing round_robin    # override the routing policy
@@ -29,27 +28,20 @@
 //! `--backend` / `--workers` / `--routing` / `--no-adaptive` /
 //! `--no-tenants` map onto the engine knobs; the committed baseline
 //! records the default configuration, so overridden runs cannot be
-//! combined with `--check`/`--out`.
+//! combined with `--out`.
 //!
 //! Every recorded figure (p50/p95/p99, goodput, SLO-violation rate, drop
 //! and degrade/upgrade counts) is *simulated* — no wall clock — so the
-//! committed baseline is exact: the gate tolerance only absorbs the JSON
-//! decimal round-trip. Any real drift means serving semantics changed and
-//! must be acknowledged by rerunning with `--out` (via
-//! `scripts/bench_baseline.sh --update`). Wall-clock throughput of the
-//! simulator itself is tracked separately by the `serve_sim` criterion
-//! bench.
+//! committed baseline is a golden file: `--out` rewrites it byte for byte
+//! unless serving semantics changed, and the gate is a plain text diff
+//! (`serve_bench --out BENCH_serve.json && git diff --exit-code --
+//! BENCH_serve.json`). Wall-clock throughput of the simulator itself is
+//! tracked separately by the `serve_sim` criterion bench.
 
 use sushi_core::engine::BackendKind;
 use sushi_core::experiments::ExpOptions;
-use sushi_core::metrics::{
-    serve_bench_from_json, serve_bench_to_json, serve_regressions, ServeBenchEntry,
-};
+use sushi_core::metrics::{serve_bench_to_json, ServeBenchEntry};
 use sushi_core::serving::{preset_bench_rows, run_functional_scaling, RoutingPolicy};
-
-/// Relative tolerance for the drift gate: wide enough for the `%.6` JSON
-/// round-trip, far below any semantic change.
-const DRIFT_TOLERANCE: f64 = 1e-6;
 
 fn die(msg: &str) -> ! {
     eprintln!("serve_bench: {msg}");
@@ -81,7 +73,6 @@ fn main() {
     let no_adaptive = args.iter().any(|a| a == "--no-adaptive");
     let no_tenants = args.iter().any(|a| a == "--no-tenants");
     let out_path = flag_value(&args, "--out").cloned();
-    let check_path = flag_value(&args, "--check").cloned();
     let backend = match flag_value(&args, "--backend") {
         None => BackendKind::Analytical,
         Some(v) => v.parse::<BackendKind>().unwrap_or_else(|e| die(&e)),
@@ -91,15 +82,15 @@ fn main() {
     let routing = flag_value(&args, "--routing")
         .map(|v| v.parse::<RoutingPolicy>().unwrap_or_else(|e| die(&e)));
     // The committed baseline records the default configuration; an
-    // overridden run must never gate against or rewrite it.
+    // overridden run must never rewrite it.
     let overridden = backend != BackendKind::Analytical
         || workers.is_some()
         || routing.is_some()
         || no_adaptive
         || no_tenants;
-    if overridden && (out_path.is_some() || check_path.is_some()) {
+    if overridden && out_path.is_some() {
         die("--backend/--workers/--routing/--no-adaptive/--no-tenants overrides cannot be \
-             combined with --check/--out");
+             combined with --out");
     }
 
     let mut opts = if quick { ExpOptions::quick() } else { ExpOptions::default() };
@@ -129,8 +120,8 @@ fn main() {
 
     // The functional worker-scaling sweep. Its sizing is fixed
     // (quick-independent) and it ignores the overrides above, so it only
-    // runs in default configurations — exactly the ones that may gate or
-    // rewrite the baseline.
+    // runs in default configurations — exactly the ones that may rewrite
+    // the baseline.
     if !overridden {
         println!("\nfunctional worker scaling (toy zoo, cache-swap-heavy stream):");
         let sweep = run_functional_scaling(&opts).unwrap_or_else(|e| die(&e.to_string()));
@@ -165,33 +156,10 @@ fn main() {
         }
     }
 
-    let mut failed = false;
-    if let Some(path) = &check_path {
-        match std::fs::read_to_string(path) {
-            Err(e) => die(&format!("cannot read baseline {path}: {e}")),
-            Ok(text) => match serve_bench_from_json(&text) {
-                Err(e) => die(&format!("malformed baseline {path}: {e}")),
-                Ok(baseline) => match serve_regressions(&entries, &baseline, DRIFT_TOLERANCE) {
-                    Ok(()) => println!("\nno drift vs {path}"),
-                    Err(msg) => {
-                        eprintln!("\nDRIFT vs {path} (serving semantics changed?):\n{msg}");
-                        failed = true;
-                    }
-                },
-            },
-        }
-    }
     if let Some(path) = &out_path {
-        if failed {
-            eprintln!("not writing {path}: acknowledge the drift explicitly with --update");
-        } else {
-            if let Err(e) = std::fs::write(path, serve_bench_to_json(&entries)) {
-                die(&format!("cannot write {path}: {e}"));
-            }
-            println!("wrote {path}");
+        if let Err(e) = std::fs::write(path, serve_bench_to_json(&entries)) {
+            die(&format!("cannot write {path}: {e}"));
         }
-    }
-    if failed {
-        std::process::exit(1);
+        println!("wrote {path}");
     }
 }

@@ -119,63 +119,12 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Knobs for the functional backend (ignored under
-/// [`BackendKind::Analytical`]).
-///
-/// `#[non_exhaustive]`: construct via [`Default`] and adjust through the
-/// `with_*` setters so future knobs are non-breaking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct FunctionalOptions {
-    /// DPE-array rows (kernel parallelism) of the functional datapath.
-    pub dpe_rows: usize,
-    /// DPE-array columns (channel parallelism).
-    pub dpe_cols: usize,
-    /// Host-simulation kernel policy (never affects logits).
-    pub kernel_policy: KernelPolicy,
-    /// Seed for synthesized weights and per-query inputs.
-    pub seed: u64,
-    /// Lower each installed SubNet through the typed IR and run fused
-    /// conv+bias+requant+activation steps (never affects logits).
-    pub fusion: bool,
-}
-
-impl Default for FunctionalOptions {
-    fn default() -> Self {
-        Self { dpe_rows: 4, dpe_cols: 4, kernel_policy: KernelPolicy::Auto, seed: 42, fusion: true }
-    }
-}
-
-impl FunctionalOptions {
-    /// Sets the DPE-array geometry.
-    #[must_use]
-    pub fn with_dpe(mut self, rows: usize, cols: usize) -> Self {
-        self.dpe_rows = rows;
-        self.dpe_cols = cols;
-        self
-    }
-
-    /// Sets the host-simulation kernel policy.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
-    }
-
-    /// Sets the weight/input synthesis seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables or disables IR-lowered epilogue fusion at cache install.
-    #[must_use]
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-}
+/// DPE-array geometry `(rows, cols)` of the functional datapath. Simulated
+/// time comes from the [`AccelConfig`], never from this array.
+const FUNCTIONAL_DPE: (usize, usize) = (4, 4);
+/// Seed for the functional backend's synthesized weights and per-query
+/// inputs.
+const FUNCTIONAL_SEED: u64 = 42;
 
 #[derive(Debug, Clone)]
 enum WorkloadSpec {
@@ -216,7 +165,8 @@ pub struct EngineBuilder {
     accel: AccelConfig,
     seed: u64,
     backend: BackendKind,
-    functional: FunctionalOptions,
+    kernel_policy: KernelPolicy,
+    fusion: bool,
     table_override: Option<LatencyTable>,
     sim: SimConfig,
 }
@@ -240,7 +190,8 @@ impl EngineBuilder {
             accel: sushi_accel::config::zcu104(),
             seed: 0xC0FFEE,
             backend: BackendKind::Analytical,
-            functional: FunctionalOptions::default(),
+            kernel_policy: KernelPolicy::Auto,
+            fusion: true,
             table_override: None,
             sim: SimConfig::default(),
         }
@@ -309,22 +260,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets every functional-backend knob at once.
-    pub fn functional_options(mut self, options: FunctionalOptions) -> Self {
-        self.functional = options;
-        self
-    }
-
-    /// Sets the functional backend's host-simulation kernel policy.
+    /// Sets the functional backend's host-simulation kernel policy
+    /// (default [`KernelPolicy::Auto`]; logits are bit-identical under
+    /// every policy).
     pub fn kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.functional.kernel_policy = policy;
+        self.kernel_policy = policy;
         self
     }
 
     /// Enables or disables the functional backend's IR-lowered epilogue
     /// fusion (default on; logits are bit-identical either way).
     pub fn fusion(mut self, fusion: bool) -> Self {
-        self.functional.fusion = fusion;
+        self.fusion = fusion;
         self
     }
 
@@ -496,12 +443,9 @@ impl EngineBuilder {
         let backend: Box<dyn ExecutionBackend> = match self.backend {
             BackendKind::Analytical => Box::new(Analytical),
             BackendKind::Functional => {
-                let f = self.functional;
-                if f.dpe_rows == 0 || f.dpe_cols == 0 {
-                    return Err(SushiError::Config("DPE array dims must be positive".into()));
-                }
-                let dpe = DpeArray::new(f.dpe_rows, f.dpe_cols).with_policy(f.kernel_policy);
-                Box::new(Functional::new(dpe, &net, f.seed).with_fusion(f.fusion))
+                let (rows, cols) = FUNCTIONAL_DPE;
+                let dpe = DpeArray::new(rows, cols).with_policy(self.kernel_policy);
+                Box::new(Functional::new(dpe, &net, FUNCTIONAL_SEED).with_fusion(self.fusion))
             }
         };
         Ok(Engine {

@@ -100,7 +100,8 @@ pub fn serve(opts: &ExpOptions) -> ExpReport {
             .to_string(),
     );
     report.add_note(
-        "Baseline gate: `serve_bench --check BENCH_serve.json` (see docs/SERVING.md).".to_string(),
+        "Baseline gate: `serve_bench --out BENCH_serve.json` + `git diff` (see docs/SERVING.md)."
+            .to_string(),
     );
     report
 }

@@ -73,90 +73,20 @@ pub fn reduction_pct(base: f64, ours: f64) -> f64 {
     100.0 * (base - ours) / base
 }
 
-/// The schema marker written into (and required from) `BENCH_serve.json`.
+/// The schema marker written into `BENCH_serve.json`.
 const SERVE_BENCH_SCHEMA: &str = "sushi-serve-bench-v5";
 
-/// Quotes a label for a flat bench record.
+/// Quotes a label for a bench row.
 ///
 /// # Panics
-/// Panics if the label contains `"`, `,`, `{` or `}` — the minimal reader
-/// does not unescape, so such a label would silently round-trip wrong.
+/// Panics if the label contains `"`, `,`, `{` or `}` — the writer does not
+/// escape, so such a label would corrupt the one-row-per-line file.
 fn quoted(label: &str) -> String {
     assert!(
         !label.contains(['"', ',', '{', '}']),
-        "bench label '{label}' contains characters the minimal JSON format cannot carry"
+        "bench label '{label}' contains characters the flat JSON format cannot carry"
     );
     format!("\"{label}\"")
-}
-
-/// Writes `{schema, entries: [flat objects]}`, one object per line, each
-/// row a list of `(key, already-formatted value)` pairs — the format of the
-/// committed `BENCH_serve.json` baseline.
-///
-/// Hand-rolled: the vendored `serde` stub does not serialize, and the
-/// format is a stable schema consumed by [`flat_records_from_json`] and
-/// `scripts/bench_baseline.sh`.
-fn flat_records_to_json(schema: &str, rows: &[Vec<(&str, String)>]) -> String {
-    let mut out = format!("{{\n  \"schema\": \"{schema}\",\n  \"entries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        out.push_str(&format!("    {{{}}}", fields.join(", ")));
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One flat object of a bench baseline, as text between its braces.
-struct FlatRecord<'a>(&'a str);
-
-impl FlatRecord<'_> {
-    fn raw(&self, key: &str) -> Result<&str, String> {
-        let pat = format!("\"{key}\":");
-        let start = self.0.find(&pat).ok_or_else(|| format!("missing field '{key}'"))? + pat.len();
-        let rest = self.0[start..].trim_start();
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok(rest[..end].trim())
-    }
-
-    fn label(&self, key: &str) -> Result<String, String> {
-        Ok(self.raw(key)?.trim_matches('"').to_string())
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.raw(key)?.parse().map_err(|e| format!("bad {key}: {e}"))
-    }
-}
-
-/// Splits a baseline written by [`flat_records_to_json`] into its entry
-/// objects, refusing a file without the `schema` marker (an older or
-/// foreign baseline), with an unclosed object, or with no entries.
-fn flat_records_from_json<'a>(text: &'a str, schema: &str) -> Result<Vec<FlatRecord<'a>>, String> {
-    if !text.contains(schema) {
-        return Err(format!(
-            "missing {schema} schema marker — regenerate the baseline with \
-             scripts/bench_baseline.sh --update"
-        ));
-    }
-    // Each entry object lives on its own line; skip the top-level braces.
-    let records: Vec<FlatRecord<'a>> = text
-        .split('{')
-        .skip(2)
-        .map(|obj| match obj.find('}') {
-            Some(end) => Ok(FlatRecord(&obj[..end + 1])),
-            // An opened-but-never-closed object means the file was
-            // truncated; dropping it would silently weaken the regression
-            // gate, so refuse the whole baseline.
-            None => Err(format!("truncated {schema} entry (missing '}}')")),
-        })
-        .collect::<Result<_, _>>()?;
-    if records.is_empty() {
-        return Err(format!("no {schema} entries found"));
-    }
-    Ok(records)
 }
 
 /// A streaming log-bucketed latency histogram with percentile queries.
@@ -331,9 +261,9 @@ pub struct ServeSummary {
 ///
 /// Every field is *simulated* (not wall-clock), so the committed baseline
 /// is deterministic: same seed, same binary → identical values on any
-/// platform. The regression gate therefore runs with a near-zero
-/// tolerance; a drift means the serving semantics changed, not that the
-/// machine was noisy.
+/// platform. The committed file is therefore gated as plain text: any
+/// changed line means the serving semantics changed, not that the machine
+/// was noisy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchEntry {
     /// Scenario label, e.g. `"steady"`.
@@ -409,7 +339,11 @@ impl ServeBenchEntry {
     }
 }
 
-/// Serializes serve bench entries as the `BENCH_serve.json` baseline.
+/// Serializes serve bench entries as the `BENCH_serve.json` baseline:
+/// `{schema, entries: [...]}` with one flat object per line, so the
+/// committed file diffs (and is gated) line by line as plain text.
+///
+/// Hand-rolled: the vendored `serde` stub does not serialize.
 ///
 /// # Panics
 /// Panics if a scenario, routing, tier, or faults label contains `"`,
@@ -417,169 +351,29 @@ impl ServeBenchEntry {
 #[must_use]
 pub fn serve_bench_to_json(entries: &[ServeBenchEntry]) -> String {
     let sim = |v: f64| format!("{v:.6}");
-    let rows: Vec<_> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                ("scenario", quoted(&e.scenario)),
-                ("adaptive", e.adaptive.to_string()),
-                ("workers", e.workers.to_string()),
-                ("routing", quoted(&e.routing)),
-                ("tier", quoted(&e.tier)),
-                ("faults", quoted(&e.faults)),
-                ("p50_ms", sim(e.p50_ms)),
-                ("p95_ms", sim(e.p95_ms)),
-                ("p99_ms", sim(e.p99_ms)),
-                ("goodput_qps", sim(e.goodput_qps)),
-                ("slo_violation_rate", sim(e.slo_violation_rate)),
-                ("dropped", e.dropped.to_string()),
-                ("degrades", e.degrades.to_string()),
-                ("upgrades", e.upgrades.to_string()),
-            ]
-        })
-        .collect();
-    flat_records_to_json(SERVE_BENCH_SCHEMA, &rows)
-}
-
-/// Parses the `BENCH_serve.json` format written by [`serve_bench_to_json`].
-///
-/// # Errors
-/// Returns a description of the first malformed entry, or a schema error
-/// for a baseline written under an older schema.
-pub fn serve_bench_from_json(text: &str) -> Result<Vec<ServeBenchEntry>, String> {
-    flat_records_from_json(text, SERVE_BENCH_SCHEMA)?
-        .iter()
-        .map(|r| {
-            Ok(ServeBenchEntry {
-                scenario: r.label("scenario")?,
-                adaptive: r.parse("adaptive")?,
-                workers: r.parse("workers")?,
-                routing: r.label("routing")?,
-                tier: r.label("tier")?,
-                faults: r.label("faults")?,
-                p50_ms: r.parse("p50_ms")?,
-                p95_ms: r.parse("p95_ms")?,
-                p99_ms: r.parse("p99_ms")?,
-                goodput_qps: r.parse("goodput_qps")?,
-                slo_violation_rate: r.parse("slo_violation_rate")?,
-                dropped: r.parse("dropped")?,
-                degrades: r.parse("degrades")?,
-                upgrades: r.parse("upgrades")?,
-            })
-        })
-        .collect()
-}
-
-/// Compares a fresh deterministic serve run against the committed baseline.
-///
-/// Rows are matched by `(scenario, adaptive, workers, routing, tier,
-/// faults)`. All
-/// percentile/goodput/violation fields must agree within `rel_tol`
-/// (relative) and the dropped/degrades/upgrades counts exactly; a row
-/// missing from `current` fails, and so does a row present in `current`
-/// but absent from the baseline (a newly added preset must enter the
-/// baseline via `--update`, not ship ungated). Because the simulation is deterministic, any
-/// non-zero difference means serving *semantics* drifted — the gate's
-/// tolerance exists only to absorb decimal formatting in the JSON
-/// round-trip.
-///
-/// # Errors
-/// Returns a human-readable description of every mismatch found.
-pub fn serve_regressions(
-    current: &[ServeBenchEntry],
-    baseline: &[ServeBenchEntry],
-    rel_tol: f64,
-) -> Result<(), String> {
-    let close = |a: f64, b: f64| (a - b).abs() <= rel_tol * a.abs().max(b.abs()).max(1.0);
-    let label = |e: &ServeBenchEntry| {
-        format!(
-            "{} ({}, {}w, {}, {}, faults={})",
-            e.scenario,
-            if e.adaptive { "adaptive" } else { "static" },
-            e.workers,
-            e.routing,
-            e.tier,
-            e.faults
-        )
-    };
-    let same_key = |a: &ServeBenchEntry, b: &ServeBenchEntry| {
-        a.scenario == b.scenario
-            && a.adaptive == b.adaptive
-            && a.workers == b.workers
-            && a.routing == b.routing
-            && a.tier == b.tier
-            && a.faults == b.faults
-    };
-    let mut problems = Vec::new();
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| same_key(c, base)) else {
-            problems.push(format!("scenario '{}' missing from current run", label(base)));
-            continue;
-        };
-        let checks = [
-            ("p50_ms", cur.p50_ms, base.p50_ms),
-            ("p95_ms", cur.p95_ms, base.p95_ms),
-            ("p99_ms", cur.p99_ms, base.p99_ms),
-            ("goodput_qps", cur.goodput_qps, base.goodput_qps),
-            ("slo_violation_rate", cur.slo_violation_rate, base.slo_violation_rate),
+    let mut out = format!("{{\n  \"schema\": \"{SERVE_BENCH_SCHEMA}\",\n  \"entries\": [\n");
+    for (i, e) in entries.iter().enumerate() {
+        let fields = [
+            ("scenario", quoted(&e.scenario)),
+            ("adaptive", e.adaptive.to_string()),
+            ("workers", e.workers.to_string()),
+            ("routing", quoted(&e.routing)),
+            ("tier", quoted(&e.tier)),
+            ("faults", quoted(&e.faults)),
+            ("p50_ms", sim(e.p50_ms)),
+            ("p95_ms", sim(e.p95_ms)),
+            ("p99_ms", sim(e.p99_ms)),
+            ("goodput_qps", sim(e.goodput_qps)),
+            ("slo_violation_rate", sim(e.slo_violation_rate)),
+            ("dropped", e.dropped.to_string()),
+            ("degrades", e.degrades.to_string()),
+            ("upgrades", e.upgrades.to_string()),
         ];
-        for (name, c, b) in checks {
-            if !close(c, b) {
-                problems
-                    .push(format!("'{}' {name} drifted: {c:.6} vs baseline {b:.6}", label(base)));
-            }
-        }
-        let counts = [
-            ("dropped", cur.dropped, base.dropped),
-            ("degrades", cur.degrades, base.degrades),
-            ("upgrades", cur.upgrades, base.upgrades),
-        ];
-        for (name, c, b) in counts {
-            if c != b {
-                problems
-                    .push(format!("'{}' {name} count drifted: {c} vs baseline {b}", label(base)));
-            }
-        }
+        let fields: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        out.push_str(&format!("    {{{}}}", fields.join(", ")));
+        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
-    for cur in current {
-        if !baseline.iter().any(|b| same_key(b, cur)) {
-            problems.push(format!(
-                "scenario '{}' is not in the baseline — regenerate it with --update",
-                label(cur)
-            ));
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
-}
-
-/// Serializes served records as CSV (header + one row per query), the raw
-/// data behind the paper's scatter plots (Figs. 15–16). Plot-friendly:
-/// constraints and served values side by side.
-#[must_use]
-pub fn records_to_csv(records: &[ServedRecord]) -> String {
-    let mut out = String::from(
-        "query_id,acc_constraint,lat_constraint_ms,subnet,served_accuracy,served_latency_ms,hit_ratio,offchip_mj,cache_updated\n",
-    );
-    for r in records {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "{},{:.6},{:.6},{},{:.6},{:.6},{:.6},{:.6},{}",
-            r.query.id,
-            r.query.accuracy_constraint,
-            r.query.latency_constraint_ms,
-            r.subnet,
-            r.served_accuracy,
-            r.served_latency_ms,
-            r.hit_ratio,
-            r.offchip_mj,
-            r.cache_updated
-        );
-    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -669,129 +463,5 @@ mod tests {
     #[should_panic(expected = "empty histogram")]
     fn histogram_quantile_rejects_empty() {
         let _ = LatencyHistogram::new().quantile(0.5);
-    }
-
-    fn serve_entry(scenario: &str, p99: f64, dropped: usize) -> ServeBenchEntry {
-        ServeBenchEntry {
-            scenario: scenario.into(),
-            adaptive: false,
-            workers: 2,
-            routing: "least_loaded".into(),
-            tier: "all".into(),
-            faults: "none".into(),
-            p50_ms: 2.0,
-            p95_ms: 5.0,
-            p99_ms: p99,
-            goodput_qps: 140.0,
-            slo_violation_rate: 0.0125,
-            dropped,
-            degrades: 0,
-            upgrades: 0,
-        }
-    }
-
-    #[test]
-    fn serve_bench_json_round_trips() {
-        let mut entries = vec![serve_entry("steady", 8.5, 0), serve_entry("burst", 21.25, 17)];
-        entries[1].adaptive = true;
-        entries[1].degrades = 5;
-        entries[1].upgrades = 4;
-        entries[1].workers = 8;
-        entries[1].routing = "cache_affinity".into();
-        entries[1].tier = "latency_critical".into();
-        entries[1].faults = "supervised".into();
-        let json = serve_bench_to_json(&entries);
-        assert!(json.contains("sushi-serve-bench-v5"));
-        let parsed = serve_bench_from_json(&json).unwrap();
-        assert_eq!(parsed, entries);
-    }
-
-    #[test]
-    fn serve_bench_rejects_stale_baselines() {
-        for old in ["v1", "v2", "v3", "v4"] {
-            let stale = format!(
-                "{{\n \"schema\": \"sushi-serve-bench-{old}\",\n \"entries\": [\n \
-                 {{\"scenario\": \"steady\", \"p50_ms\": 1.0}}\n ]\n}}\n"
-            );
-            let err = serve_bench_from_json(&stale).unwrap_err();
-            assert!(err.contains("--update"), "{err}");
-        }
-    }
-
-    #[test]
-    fn serve_bench_rejects_garbage_and_truncation() {
-        assert!(serve_bench_from_json("not json").is_err());
-        let json = serve_bench_to_json(&[serve_entry("steady", 8.5, 0)]);
-        let truncated = &json[..json.find("dropped").unwrap()];
-        assert!(serve_bench_from_json(truncated).is_err());
-    }
-
-    #[test]
-    fn serve_regressions_gate_on_drift() {
-        let base = vec![serve_entry("steady", 8.5, 3)];
-        assert!(serve_regressions(&base.clone(), &base, 1e-9).is_ok());
-        let mut drifted = base.clone();
-        drifted[0].p99_ms = 9.0;
-        assert!(serve_regressions(&drifted, &base, 1e-9).unwrap_err().contains("p99_ms"));
-        let mut dropped = base.clone();
-        dropped[0].dropped = 4;
-        assert!(serve_regressions(&dropped, &base, 1e-9).unwrap_err().contains("dropped"));
-        let mut stepped = base.clone();
-        stepped[0].degrades = 2;
-        assert!(serve_regressions(&stepped, &base, 1e-9).unwrap_err().contains("degrades"));
-        assert!(serve_regressions(&[], &base, 1e-9).unwrap_err().contains("missing"));
-        // Same scenario under the other adaptation mode is a different row:
-        // it is both missing from the baseline and missing from the run.
-        let mut flipped = base.clone();
-        flipped[0].adaptive = true;
-        let err = serve_regressions(&flipped, &base, 1e-9).unwrap_err();
-        assert!(err.contains("missing from current run") && err.contains("not in the baseline"));
-        // Same scenario at another pool size or routing policy is a
-        // different row too.
-        let mut resized = base.clone();
-        resized[0].workers = 4;
-        assert!(serve_regressions(&resized, &base, 1e-9).is_err());
-        let mut rerouted = base.clone();
-        rerouted[0].routing = "round_robin".into();
-        assert!(serve_regressions(&rerouted, &base, 1e-9).is_err());
-        // ... and so is a per-tier slice of the same scenario.
-        let mut sliced = base.clone();
-        sliced[0].tier = "best_effort".into();
-        assert!(serve_regressions(&sliced, &base, 1e-9).is_err());
-        // ... and the same scenario under a different fault mode.
-        let mut refaulted = base.clone();
-        refaulted[0].faults = "supervised".into();
-        assert!(serve_regressions(&refaulted, &base, 1e-9).is_err());
-        // A scenario the baseline has never seen fails too: new presets
-        // must enter the baseline explicitly via --update.
-        let extra = vec![base[0].clone(), serve_entry("brand_new", 1.0, 0)];
-        assert!(serve_regressions(&extra, &base, 1e-9)
-            .unwrap_err()
-            .contains("not in the baseline"));
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_record() {
-        let rs = vec![record(2.0, 0.76, 3.0, 0.75, 0.5), record(4.0, 0.78, 3.0, 0.80, 1.0)];
-        let csv = records_to_csv(&rs);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("query_id,"));
-        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
-    }
-
-    #[test]
-    fn csv_of_empty_stream_is_just_header() {
-        let csv = records_to_csv(&[]);
-        assert_eq!(csv.lines().count(), 1);
-    }
-
-    #[test]
-    fn csv_round_numbers_are_parseable() {
-        let rs = vec![record(2.5, 0.76, 3.0, 0.75, 0.5)];
-        let csv = records_to_csv(&rs);
-        let row = csv.lines().nth(1).unwrap();
-        let lat: f64 = row.split(',').nth(5).unwrap().parse().unwrap();
-        assert!((lat - 2.5).abs() < 1e-9);
     }
 }

@@ -61,8 +61,8 @@ impl ArrivalProcess {
     /// start), deterministically from `seed`.
     ///
     /// # Panics
-    /// Panics if any rate or duration parameter is non-positive, or if a
-    /// diurnal ramp has `peak_qps < base_qps`.
+    /// Panics if any rate or duration parameter is non-positive or
+    /// non-finite, or if a diurnal ramp has `peak_qps < base_qps`.
     #[must_use]
     pub fn timestamps(&self, n: usize, seed: u64) -> Vec<f64> {
         self.validate();
@@ -127,18 +127,22 @@ impl ArrivalProcess {
     }
 
     fn validate(&self) {
+        let ok = |v: f64| v.is_finite() && v > 0.0;
         match *self {
             ArrivalProcess::Poisson { rate_qps } => {
-                assert!(rate_qps > 0.0, "Poisson rate must be positive");
+                assert!(ok(rate_qps), "Poisson rate must be finite and positive");
             }
             ArrivalProcess::Mmpp { calm_qps, burst_qps, mean_calm_ms, mean_burst_ms } => {
                 assert!(
-                    calm_qps > 0.0 && burst_qps > 0.0 && mean_calm_ms > 0.0 && mean_burst_ms > 0.0,
-                    "MMPP parameters must be positive"
+                    ok(calm_qps) && ok(burst_qps) && ok(mean_calm_ms) && ok(mean_burst_ms),
+                    "MMPP parameters must be finite and positive"
                 );
             }
             ArrivalProcess::DiurnalRamp { base_qps, peak_qps, period_ms } => {
-                assert!(base_qps > 0.0 && period_ms > 0.0, "diurnal parameters must be positive");
+                assert!(
+                    ok(base_qps) && ok(peak_qps) && ok(period_ms),
+                    "diurnal parameters must be finite and positive"
+                );
                 assert!(peak_qps >= base_qps, "diurnal peak must be >= base");
             }
         }
@@ -218,5 +222,50 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = ArrivalProcess::Poisson { rate_qps: 0.0 }.timestamps(1, 0);
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        // An infinite diurnal peak once passed validation and then hung the
+        // thinning loop: every gap was 0 and every λ(0) NaN.
+        use ArrivalProcess::{DiurnalRamp, Mmpp, Poisson};
+        type Make = fn(f64) -> ArrivalProcess;
+        let cases: [(&str, Make); 8] = [
+            ("base_qps", |v| DiurnalRamp { base_qps: v, peak_qps: 10.0, period_ms: 100.0 }),
+            ("peak_qps", |v| DiurnalRamp { base_qps: 1.0, peak_qps: v, period_ms: 100.0 }),
+            ("period_ms", |v| DiurnalRamp { base_qps: 1.0, peak_qps: 10.0, period_ms: v }),
+            ("rate_qps", |v| Poisson { rate_qps: v }),
+            ("calm_qps", |v| Mmpp {
+                calm_qps: v,
+                burst_qps: 50.0,
+                mean_calm_ms: 40.0,
+                mean_burst_ms: 10.0,
+            }),
+            ("burst_qps", |v| Mmpp {
+                calm_qps: 1.0,
+                burst_qps: v,
+                mean_calm_ms: 40.0,
+                mean_burst_ms: 10.0,
+            }),
+            ("mean_calm_ms", |v| Mmpp {
+                calm_qps: 1.0,
+                burst_qps: 50.0,
+                mean_calm_ms: v,
+                mean_burst_ms: 10.0,
+            }),
+            ("mean_burst_ms", |v| Mmpp {
+                calm_qps: 1.0,
+                burst_qps: 50.0,
+                mean_calm_ms: 40.0,
+                mean_burst_ms: v,
+            }),
+        ];
+        for (field, process) in cases {
+            assert_eq!(process(5.0).timestamps(3, 1).len(), 3, "{field} = 5 runs");
+            for v in [f64::INFINITY, f64::NAN] {
+                let run = std::panic::catch_unwind(|| process(v).timestamps(3, 1));
+                assert!(run.is_err(), "{field} = {v} was accepted");
+            }
+        }
     }
 }

@@ -546,13 +546,8 @@ pub fn run_functional_scaling(
             .candidates(6)
             .seed(0xF00D)
             .backend(crate::engine::BackendKind::Functional)
-            .functional_options(
-                crate::engine::FunctionalOptions::default()
-                    .with_dpe(8, 8)
-                    .with_seed(99)
-                    .with_kernel_policy(opts.kernel_policy)
-                    .with_fusion(opts.fusion),
-            )
+            .kernel_policy(opts.kernel_policy)
+            .fusion(opts.fusion)
             .workers(workers)
             .routing(routing)
             .queue_capacity(64)
@@ -742,7 +737,7 @@ mod tests {
     /// simulation runs on simulated time with seeded randomness, so these
     /// figures are reproducible to the last bit on any platform; a change
     /// here means serving *semantics* changed and `BENCH_serve.json` needs
-    /// regenerating too (`scripts/bench_baseline.sh --update`).
+    /// regenerating too (`serve_bench --out BENCH_serve.json`).
     #[test]
     fn quick_scenario_metrics_are_pinned() {
         let opts = static_quick();

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
 use sushi::core::serving::{
     run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, ServePreset,
@@ -71,7 +71,6 @@ fn main() {
         .candidates(4)
         .seed(42)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(8, 8).with_seed(99))
         // The pack-once weight caches are Arc-shared across replicas, so a
         // multi-worker pool serves real parallel int8 forwards; affinity
         // routing keeps batches on the replica whose PB is already warm.

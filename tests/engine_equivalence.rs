@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimResult};
 use sushi::core::stream::attach_arrivals;
 use sushi::core::stream::uniform_stream;
@@ -147,7 +147,6 @@ fn serve_timed_reproduces_pre_redesign_functional_run() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(1)
         .queue_capacity(16)
         .drop_policy(DropPolicy::DropNewest)

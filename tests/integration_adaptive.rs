@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
 use sushi::core::serving::{run_scenario, BatchPolicy, DropPolicy, ServePreset};
 use sushi::core::stream::{attach_arrivals, uniform_stream, TimedQuery};
@@ -229,7 +229,6 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(1)
         .queue_capacity(16)
         .drop_policy(DropPolicy::DeadlineAware)

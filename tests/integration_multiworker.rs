@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimResult};
 use sushi::core::stream::{attach_arrivals, uniform_stream};
 use sushi::sched::AdaptiveOptions;
@@ -31,7 +31,6 @@ fn serve_with_workers(
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(workers)
         .routing(routing)
         .queue_capacity(32)
@@ -101,7 +100,6 @@ fn serve_adaptive_with_workers(workers: usize, routing: RoutingPolicy) -> SimRes
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(workers)
         .routing(routing)
         .queue_capacity(120)
@@ -210,7 +208,6 @@ fn multi_worker_pools_actually_parallelize_the_schedule() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(4)
         .routing(RoutingPolicy::RoundRobin)
         .queue_capacity(32)

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::{run, ExpOptions};
 use sushi::core::serving::{run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset};
 use sushi::core::stream::{attach_arrivals, uniform_stream};
@@ -82,7 +82,6 @@ fn functional_backend_builds_with_a_multi_worker_pool() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(4)
         .build()
         .expect("functional engine with 4 workers");
@@ -106,12 +105,7 @@ fn functional_serving_runs_real_forwards_through_the_facade() {
             .candidates(3)
             .seed(11)
             .backend(BackendKind::Functional)
-            .functional_options(
-                FunctionalOptions::default()
-                    .with_dpe(4, 4)
-                    .with_kernel_policy(policy)
-                    .with_seed(42),
-            )
+            .kernel_policy(policy)
             .workers(1)
             .queue_capacity(16)
             .drop_policy(DropPolicy::DropNewest)

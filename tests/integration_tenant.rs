@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder, FunctionalOptions};
+use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::common::ExpOptions;
 use sushi::core::serving::{
     run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset, SimResult,
@@ -209,7 +209,6 @@ fn tenants_none_is_bit_identical_functional() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .functional_options(FunctionalOptions::default().with_dpe(4, 4).with_seed(42))
         .workers(1)
         .queue_capacity(16)
         .drop_policy(DropPolicy::DropNewest)

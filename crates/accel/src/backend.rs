@@ -2,14 +2,14 @@
 //! decides and *how* a dispatched batch is executed.
 //!
 //! The SUSHI stack makes one kind of decision (which SubNet serves which
-//! query, and which SubGraph the Persistent Buffer holds) but has two ways
-//! of executing it:
+//! query, and which SubGraph the Persistent Buffer holds) and prices it in
+//! one place, the engine's [`ServiceTable`](crate::exec::ServiceTable). A
+//! backend decides only whether the batch also runs for real:
 //!
-//! * [`Analytical`] — the cycle-approximate timing/energy model
-//!   ([`Accelerator::serve_batch`]) behind every §5 experiment. Nothing
-//!   numeric runs; full-size SuperNets simulate in microseconds.
-//! * [`Functional`] — the same timing model *plus* the bit-exact packed
-//!   int8 datapath ([`crate::functional::forward_batch_cached`]): every
+//! * [`Analytical`] — nothing numeric runs: the batch is validated and
+//!   produces no outputs, so full-size SuperNets simulate in microseconds.
+//! * [`Functional`] — the bit-exact packed int8 datapath
+//!   ([`crate::functional::forward_batch_cached`]): every
 //!   dispatched batch executes for real and records per-query predictions.
 //!   Each SubNet is installed once — weights sliced, IR lowered to a plan,
 //!   panels packed (the subgraph-stationary state, shared across workers
@@ -18,10 +18,9 @@
 //!   zoo; full-size nets take seconds per forward.
 //!
 //! Both implement [`ExecutionBackend`], which the `sushi-core` engine
-//! dispatches through — per serving-stack worker, against that worker's own
-//! [`Accelerator`] replica (its Persistent-Buffer state), so the timing
-//! semantics are identical across backends and only the presence of real
-//! outputs differs. Batches dispatched to *different* workers at the same
+//! dispatches through. No timing flows through a backend, so swapping
+//! backends never changes *when* things complete — only whether real
+//! outputs exist. Batches dispatched to *different* workers at the same
 //! simulated instant go through [`ExecutionBackend::execute_concurrent`];
 //! the functional backend runs them as real parallel int8 forwards under
 //! [`std::thread::scope`], all reading the same pack-once caches.
@@ -35,7 +34,6 @@ use sushi_tensor::{Arena, DetRng, Shape4, Tensor, TensorError};
 use sushi_wsnet::{SubNet, SuperNet, WeightStore};
 
 use crate::dpe::DpeArray;
-use crate::exec::{Accelerator, BatchReport};
 use crate::functional::{act_quant, forward_batch_cached, FunctionalOutput, SubgraphCache};
 
 /// Failures raised by an [`ExecutionBackend`].
@@ -75,18 +73,6 @@ impl From<TensorError> for BackendError {
     }
 }
 
-/// What executing one batch produced: the accelerator's timing/energy
-/// report, plus real per-query outputs when the backend runs the datapath.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct Execution {
-    /// Batched timing/energy report (identical across backends).
-    pub report: BatchReport,
-    /// Per-query functional outputs, in query order (`None` for the
-    /// analytical backend).
-    pub outputs: Option<Vec<FunctionalOutput>>,
-}
-
 /// Execution-state memory footprint of a backend: the pack-once weight
 /// caches plus reusable kernel scratch. The serving soak tests assert this
 /// stays bounded over long runs (steady state allocates nothing per query).
@@ -113,8 +99,7 @@ pub struct MemoryStats {
     pub per_call_weight_packs: usize,
 }
 
-/// One worker's slice of a concurrent dispatch group: a same-SubNet batch
-/// bound to the worker's own [`Accelerator`] replica.
+/// One worker's slice of a concurrent dispatch group: a same-SubNet batch.
 ///
 /// Worker indices within one group must be distinct — each names the
 /// private scratch arena the batch executes with.
@@ -122,8 +107,6 @@ pub struct MemoryStats {
 pub struct ExecutionJob<'a> {
     /// Worker (replica) index executing this batch.
     pub worker: usize,
-    /// That worker's accelerator (Persistent-Buffer + timing state).
-    pub accel: &'a mut Accelerator,
     /// The SubNet every query in the batch resolved to.
     pub subnet: &'a SubNet,
     /// The batched query ids.
@@ -132,38 +115,33 @@ pub struct ExecutionJob<'a> {
 
 /// How a dispatched batch of same-SubNet queries is executed.
 ///
-/// The caller owns the [`Accelerator`] (one replica per serving worker, so
-/// Persistent-Buffer state stays per-worker); the backend owns whatever
-/// execution state it needs across batches (e.g. the functional backend's
-/// pack-once weight caches). Timing flows through the accelerator either
-/// way, so swapping backends never changes *when* things complete — only
-/// whether real outputs exist.
+/// The backend owns whatever execution state it needs across batches (e.g.
+/// the functional backend's pack-once weight caches) and returns the
+/// batch's per-query outputs in query order, or `None` when it runs no
+/// datapath. Pricing the batch is the caller's: the serving stack reads it
+/// from its service table, whichever backend executes.
 pub trait ExecutionBackend: fmt::Debug {
     /// Stable backend label (used in reports and CLI flags).
     fn name(&self) -> &'static str;
 
-    /// Executes `query_ids` (one batch, all resolved to `subnet`) on
-    /// `accel`, advancing its timing state.
+    /// Executes `query_ids` (one batch, all resolved to `subnet`).
     ///
     /// # Errors
     /// Returns an error on an empty batch, a SubNet/SuperNet mismatch, or
     /// a functional datapath failure.
     fn execute_batch(
         &mut self,
-        accel: &mut Accelerator,
         net: &SuperNet,
         subnet: &SubNet,
         query_ids: &[u64],
-    ) -> Result<Execution, BackendError>;
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError>;
 
     /// Executes a group of batches dispatched to distinct workers at the
-    /// same simulated instant, returning one [`Execution`] per job in job
-    /// order.
+    /// same simulated instant, returning each job's outputs in job order.
     ///
     /// The default runs the jobs sequentially through
     /// [`ExecutionBackend::execute_batch`] — correct for any backend, and
-    /// all the timing-only [`Analytical`] backend needs (simulated time is
-    /// advanced per-worker either way). [`Functional`] overrides it to run
+    /// all the [`Analytical`] backend needs. [`Functional`] overrides it to run
     /// the real int8 forwards concurrently. Results are independent of the
     /// execution interleaving by construction, so both paths produce
     /// bit-identical outputs.
@@ -174,11 +152,9 @@ pub trait ExecutionBackend: fmt::Debug {
     fn execute_concurrent(
         &mut self,
         net: &SuperNet,
-        jobs: &mut [ExecutionJob<'_>],
-    ) -> Result<Vec<Execution>, BackendError> {
-        jobs.iter_mut()
-            .map(|job| self.execute_batch(job.accel, net, job.subnet, job.query_ids))
-            .collect()
+        jobs: &[ExecutionJob<'_>],
+    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
+        jobs.iter().map(|job| self.execute_batch(net, job.subnet, job.query_ids)).collect()
     }
 
     /// Memory held as execution state across batches (`None` for stateless
@@ -188,8 +164,7 @@ pub trait ExecutionBackend: fmt::Debug {
     }
 }
 
-/// Checks the invariants shared by every backend before touching the
-/// accelerator (whose own entry points panic on programmer error).
+/// Checks the invariants shared by every backend before executing.
 fn validate_batch(net: &SuperNet, subnet: &SubNet, query_ids: &[u64]) -> Result<(), BackendError> {
     if query_ids.is_empty() {
         return Err(BackendError::EmptyBatch);
@@ -203,7 +178,7 @@ fn validate_batch(net: &SuperNet, subnet: &SubNet, query_ids: &[u64]) -> Result<
     Ok(())
 }
 
-/// Timing-only execution through the analytic latency/energy model.
+/// Executes nothing: validates the batch and returns no outputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Analytical;
 
@@ -214,18 +189,20 @@ impl ExecutionBackend for Analytical {
 
     fn execute_batch(
         &mut self,
-        accel: &mut Accelerator,
         net: &SuperNet,
         subnet: &SubNet,
         query_ids: &[u64],
-    ) -> Result<Execution, BackendError> {
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
         validate_batch(net, subnet, query_ids)?;
-        Ok(Execution { report: accel.serve_batch(net, subnet, query_ids.len()), outputs: None })
+        Ok(None)
     }
 }
 
-/// Real-datapath execution: the analytic timing model *plus* bit-exact
-/// packed int8 forwards for every dispatched batch.
+/// One job's pack-once cache and synthesized inputs, ready to forward.
+type Prepared = (Arc<SubgraphCache>, Vec<Tensor<i8>>);
+
+/// Real-datapath execution: bit-exact packed int8 forwards for every
+/// dispatched batch.
 ///
 /// Synthesizes a deterministic input per query id and executes whole
 /// batches through [`forward_batch_cached`] under the backend's `DpeArray`
@@ -304,15 +281,6 @@ impl Functional {
         Ok(Arc::clone(&self.caches[&subnet.name]))
     }
 
-    /// The private scratch arena for worker `worker`, growing the
-    /// per-worker set if this index has not executed before.
-    fn arena_for(&mut self, worker: usize) -> &mut Arena {
-        if self.arenas.len() <= worker {
-            self.arenas.resize_with(worker + 1, Arena::new);
-        }
-        &mut self.arenas[worker]
-    }
-
     /// The synthesized weight store (shared across all SubNets).
     #[must_use]
     pub fn store(&self) -> &WeightStore {
@@ -356,84 +324,65 @@ impl ExecutionBackend for Functional {
 
     fn execute_batch(
         &mut self,
-        accel: &mut Accelerator,
         net: &SuperNet,
         subnet: &SubNet,
         query_ids: &[u64],
-    ) -> Result<Execution, BackendError> {
-        validate_batch(net, subnet, query_ids)?;
-        let inputs: Vec<Tensor<i8>> = query_ids.iter().map(|&id| self.input_for(net, id)).collect();
-        let cache = self.ensure_cache(net, subnet)?;
-        // A lone batch executes on the dispatching thread with worker 0's
-        // scratch; only concurrent groups fan out to per-worker arenas.
-        let _ = self.arena_for(0);
-        let Self { dpe, store, arenas, .. } = self;
-        let outputs =
-            forward_batch_cached(dpe, net, store, subnet, Some(&cache), &mut arenas[0], &inputs)?;
-        Ok(Execution {
-            report: accel.serve_batch(net, subnet, query_ids.len()),
-            outputs: Some(outputs),
-        })
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+        // A lone batch is a group of one on worker 0.
+        let job = ExecutionJob { worker: 0, subnet, query_ids };
+        Ok(self.execute_concurrent(net, &[job])?.pop().flatten())
     }
 
     fn execute_concurrent(
         &mut self,
         net: &SuperNet,
-        jobs: &mut [ExecutionJob<'_>],
-    ) -> Result<Vec<Execution>, BackendError> {
+        jobs: &[ExecutionJob<'_>],
+    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
         // Validate, synthesize inputs, and build any missing caches
         // *serially* before fanning out: packing stays deterministic and
         // provably worker-count-independent, and every error surfaces in
         // job order.
-        let mut prepared: Vec<(Arc<SubgraphCache>, Vec<Tensor<i8>>)> = Vec::new();
+        let mut prepared: Vec<Prepared> = Vec::new();
         for job in jobs.iter() {
             validate_batch(net, job.subnet, job.query_ids)?;
             let cache = self.ensure_cache(net, job.subnet)?;
             let inputs = job.query_ids.iter().map(|&id| self.input_for(net, id)).collect();
             prepared.push((cache, inputs));
         }
-        let max_worker = jobs.iter().map(|j| j.worker).max().unwrap_or(0);
-        let _ = self.arena_for(max_worker); // grow the per-worker set
+        // Grow the per-worker scratch set to the highest worker index.
+        let workers = jobs.iter().map(|j| j.worker + 1).max().unwrap_or(0);
+        self.arenas.resize_with(workers.max(self.arenas.len()), Arena::new);
         let mut arenas: Vec<Option<&mut Arena>> = self.arenas.iter_mut().map(Some).collect();
         let dpe = self.dpe;
         let store = &self.store;
-        // One thread per job, each forwarding with its worker's private
-        // arena; the shared caches are read-only behind Arc. Outputs are
-        // per-query deterministic, so thread scheduling cannot change them.
-        let forwards: Vec<Result<Vec<FunctionalOutput>, TensorError>> =
+        let mut arena_of = |job: &ExecutionJob<'_>| {
+            arenas[job.worker].take().expect("dispatch group reuses a worker index")
+        };
+        let forward = |job: &ExecutionJob<'_>, (cache, inputs): &Prepared, arena| {
+            forward_batch_cached(&dpe, net, store, job.subnet, Some(cache.as_ref()), arena, inputs)
+        };
+        // A lone batch runs on the dispatching thread. A group runs one
+        // thread per job, each forwarding with its worker's private arena;
+        // the shared caches are read-only behind Arc. Outputs are per-query
+        // deterministic, so thread scheduling cannot change them.
+        let forwards: Vec<Result<Vec<FunctionalOutput>, TensorError>> = if let ([job], [lone]) =
+            (jobs, &prepared[..])
+        {
+            vec![forward(job, lone, arena_of(job))]
+        } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .iter()
                     .zip(&prepared)
-                    .map(|(job, (cache, inputs))| {
-                        let arena = arenas[job.worker]
-                            .take()
-                            .expect("dispatch group reuses a worker index");
-                        let subnet = job.subnet;
-                        scope.spawn(move || {
-                            forward_batch_cached(
-                                &dpe,
-                                net,
-                                store,
-                                subnet,
-                                Some(cache.as_ref()),
-                                arena,
-                                inputs,
-                            )
-                        })
+                    .map(|(job, p)| {
+                        let arena = arena_of(job);
+                        scope.spawn(move || forward(job, p, arena))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("forward thread panicked")).collect()
-            });
-        jobs.iter_mut()
-            .zip(forwards)
-            .map(|(job, outputs)| {
-                Ok(Execution {
-                    report: job.accel.serve_batch(net, job.subnet, job.query_ids.len()),
-                    outputs: Some(outputs?),
-                })
             })
-            .collect()
+        };
+        forwards.into_iter().map(|outputs| Ok(Some(outputs?))).collect()
     }
 
     fn memory_stats(&self) -> Option<MemoryStats> {
@@ -450,7 +399,6 @@ impl ExecutionBackend for Functional {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::zcu104;
     use crate::functional::forward_cached;
     use sushi_wsnet::zoo;
 
@@ -464,25 +412,19 @@ mod tests {
     }
 
     #[test]
-    fn analytical_matches_serve_batch_and_has_no_outputs() {
+    fn analytical_validates_and_has_no_outputs() {
         let (net, picks) = toy_setup();
-        let mut a = Accelerator::new(zcu104());
-        let mut b = Accelerator::new(zcu104());
-        let expect = a.serve_batch(&net, &picks[0], 3);
-        let exec = Analytical.execute_batch(&mut b, &net, &picks[0], &[0, 1, 2]).unwrap();
-        assert_eq!(exec.report, expect);
-        assert!(exec.outputs.is_none());
+        assert_eq!(Analytical.execute_batch(&net, &picks[0], &[0, 1, 2]), Ok(None));
         assert_eq!(Analytical.name(), "analytical");
     }
 
     #[test]
     fn empty_batch_is_an_error_not_a_panic() {
         let (net, picks) = toy_setup();
-        let mut accel = Accelerator::new(zcu104());
-        let err = Analytical.execute_batch(&mut accel, &net, &picks[0], &[]).unwrap_err();
+        let err = Analytical.execute_batch(&net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
         let mut func = Functional::new(DpeArray::new(2, 2), &net, 7);
-        let err = func.execute_batch(&mut accel, &net, &picks[0], &[]).unwrap_err();
+        let err = func.execute_batch(&net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
     }
 
@@ -491,22 +433,20 @@ mod tests {
         let (net, _) = toy_setup();
         let other = zoo::toy_mobilenet_supernet();
         let foreign = other.materialize("max", &other.max_config()).unwrap();
-        let mut accel = Accelerator::new(zcu104());
-        let err = Analytical.execute_batch(&mut accel, &net, &foreign, &[0]).unwrap_err();
+        let err = Analytical.execute_batch(&net, &foreign, &[0]).unwrap_err();
         assert!(matches!(err, BackendError::SubnetMismatch { .. }));
     }
 
     #[test]
     fn functional_outputs_match_single_query_forwards_and_pack_once() {
         let (net, picks) = toy_setup();
-        let mut accel = Accelerator::new(zcu104());
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let exec = backend.execute_batch(&mut accel, &net, &picks[0], &[0, 1, 2]).unwrap();
-        let outs = exec.outputs.expect("functional outputs");
+        let outs = backend.execute_batch(&net, &picks[0], &[0, 1, 2]).unwrap();
+        let outs = outs.expect("functional outputs");
         assert_eq!(outs.len(), 3);
         assert_eq!(backend.packed_subnets(), 1, "first dispatch packs the SubNet once");
-        let again = backend.execute_batch(&mut accel, &net, &picks[0], &[0, 1, 2]).unwrap();
-        assert_eq!(again.outputs.as_deref(), Some(&outs[..]));
+        let again = backend.execute_batch(&net, &picks[0], &[0, 1, 2]).unwrap();
+        assert_eq!(again.as_deref(), Some(&outs[..]));
         assert_eq!(backend.packed_subnets(), 1);
         for (&id, out) in [0u64, 1, 2].iter().zip(&outs) {
             let single = forward_cached(
@@ -526,15 +466,14 @@ mod tests {
     #[test]
     fn same_name_different_graph_counts_a_repack() {
         let (net, picks) = toy_setup();
-        let mut accel = Accelerator::new(zcu104());
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let _ = backend.execute_batch(&mut accel, &net, &picks[0], &[0]).unwrap();
-        let _ = backend.execute_batch(&mut accel, &net, &picks[0], &[1]).unwrap();
+        let _ = backend.execute_batch(&net, &picks[0], &[0]).unwrap();
+        let _ = backend.execute_batch(&net, &picks[0], &[1]).unwrap();
         assert_eq!(backend.repacks(), 0, "stable identity never repacks");
         // Same name, a different SubGraph: the defensive rebuild path.
         let mut churned = picks[1].clone();
         churned.name = picks[0].name.clone();
-        let _ = backend.execute_batch(&mut accel, &net, &churned, &[2]).unwrap();
+        let _ = backend.execute_batch(&net, &churned, &[2]).unwrap();
         assert_eq!(backend.repacks(), 1, "identity churn pays a repack");
         assert_eq!(backend.packed_subnets(), 1, "the churned entry replaces, not adds");
     }
@@ -543,16 +482,15 @@ mod tests {
     fn memory_stats_are_bounded_and_absent_for_analytical() {
         let (net, picks) = toy_setup();
         assert_eq!(Analytical.memory_stats(), None);
-        let mut accel = Accelerator::new(zcu104());
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 3);
         assert_eq!(backend.memory_stats(), Some(MemoryStats::default()));
-        let _ = backend.execute_batch(&mut accel, &net, &picks[0], &[0, 1]).unwrap();
+        let _ = backend.execute_batch(&net, &picks[0], &[0, 1]).unwrap();
         let after_first = backend.memory_stats().unwrap();
         assert!(after_first.arena_reserved_bytes > 0);
         assert_eq!(after_first.packed_subnets, 1);
         // Steady state: re-dispatching the same SubNet grows nothing.
         for _ in 0..4 {
-            let _ = backend.execute_batch(&mut accel, &net, &picks[0], &[2, 3]).unwrap();
+            let _ = backend.execute_batch(&net, &picks[0], &[2, 3]).unwrap();
         }
         assert_eq!(backend.memory_stats(), Some(after_first));
     }
@@ -562,39 +500,24 @@ mod tests {
         let (net, picks) = toy_setup();
         // Sequential oracle: the same batches, one at a time.
         let mut seq = Functional::new(DpeArray::new(4, 4), &net, 21);
-        let mut oracle_accel = Accelerator::new(zcu104());
-        let s0 = seq.execute_batch(&mut oracle_accel, &net, &picks[0], &[0, 1]).unwrap();
-        let s1 = seq.execute_batch(&mut oracle_accel, &net, &picks[1], &[2, 3, 4]).unwrap();
+        let s0 = seq.execute_batch(&net, &picks[0], &[0, 1]).unwrap();
+        let s1 = seq.execute_batch(&net, &picks[1], &[2, 3, 4]).unwrap();
 
         let mut par = Functional::new(DpeArray::new(4, 4), &net, 21);
-        let mut accels = vec![Accelerator::new(zcu104()); 3];
-        let mut it = accels.iter_mut();
-        let (a0, a1, a2) = (it.next().unwrap(), it.next().unwrap(), it.next().unwrap());
-        let mut jobs = vec![
-            ExecutionJob { worker: 0, accel: a0, subnet: &picks[0], query_ids: &[0, 1] },
-            ExecutionJob { worker: 1, accel: a1, subnet: &picks[1], query_ids: &[2, 3, 4] },
-            ExecutionJob { worker: 2, accel: a2, subnet: &picks[0], query_ids: &[0, 1] },
+        let jobs = [
+            ExecutionJob { worker: 0, subnet: &picks[0], query_ids: &[0, 1] },
+            ExecutionJob { worker: 1, subnet: &picks[1], query_ids: &[2, 3, 4] },
+            ExecutionJob { worker: 2, subnet: &picks[0], query_ids: &[0, 1] },
         ];
-        let execs = par.execute_concurrent(&net, &mut jobs).unwrap();
+        let execs = par.execute_concurrent(&net, &jobs).unwrap();
         assert_eq!(execs.len(), 3);
-        assert_eq!(execs[0].outputs, s0.outputs, "worker 0 logits match sequential");
-        assert_eq!(execs[1].outputs, s1.outputs, "worker 1 logits match sequential");
-        assert_eq!(execs[2].outputs, s0.outputs, "two workers on one SubNet agree");
+        assert_eq!(execs[0], s0, "worker 0 logits match sequential");
+        assert_eq!(execs[1], s1, "worker 1 logits match sequential");
+        assert_eq!(execs[2], s0, "two workers on one SubNet agree");
         assert_eq!(par.packed_subnets(), 2, "one shared pack per SubNet, not per worker");
         let stats = par.memory_stats().unwrap();
         assert_eq!(stats.arena_workers, 3, "each worker owns a private arena");
         assert_eq!(stats.packed_subnets, 2);
         assert!(stats.arena_reserved_bytes > 0);
-    }
-
-    #[test]
-    fn backends_agree_on_timing() {
-        let (net, picks) = toy_setup();
-        let mut a = Accelerator::new(zcu104());
-        let mut f = Accelerator::new(zcu104());
-        let ana = Analytical.execute_batch(&mut a, &net, &picks[1], &[4, 5]).unwrap();
-        let mut backend = Functional::new(DpeArray::new(2, 2), &net, 9);
-        let fun = backend.execute_batch(&mut f, &net, &picks[1], &[4, 5]).unwrap();
-        assert_eq!(ana.report, fun.report, "backends must agree on simulated timing");
     }
 }

@@ -5,9 +5,15 @@
 //! in *timing-only* mode (the common case — all §5 experiments) via
 //! [`Accelerator::serve`]; the bit-exact functional datapath for small nets
 //! lives in [`crate::dpe`].
+//!
+//! [`ServiceTable`] is the same model tabulated over a serving set: one
+//! layer walk per `(SubNet, cacheable column)` cell at engine build, after
+//! which pricing a batch or an install is a lookup. The serving runtime
+//! prices every batch from it; [`Accelerator`] is its oracle.
 
 use serde::{Deserialize, Serialize};
 
+use sushi_wsnet::encoding::overlap_ratio;
 use sushi_wsnet::layer::LayerSlice;
 use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
@@ -56,8 +62,6 @@ impl QueryReport {
 /// per item, so the marginal item pays only compute + activation traffic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchReport {
-    /// Name of the served SubNet.
-    pub subnet: String,
     /// Number of queries in the batch.
     pub batch: usize,
     /// Cycles spent (re)loading the PB before this batch, if a cache update
@@ -74,24 +78,183 @@ pub struct BatchReport {
     pub first_item_ms: f64,
 }
 
-impl BatchReport {
-    /// Mean per-item latency (`total / batch`) — the throughput view.
+/// One `(SubNet, resident column)` cell of a [`ServiceTable`]: the sums
+/// [`Accelerator::serve_batch`] walks every layer for.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ServiceCell {
+    /// Critical-path cycles of the first item: weight fetch plus one item.
+    first_cycles: u64,
+    /// Cycles of every further item: compute and activation movement.
+    marginal_cycles: u64,
+    /// One item's traffic. A batch pays the weight bytes once and the
+    /// activation bytes per item.
+    traffic: TrafficBytes,
+    /// `overlap_ratio(SubNet, column)`: the cache-hit ratio of Appendix A.4.
+    overlap: f64,
+}
+
+impl ServiceCell {
+    /// `batch` items of this cell after `reload` cycles of pending PB
+    /// install, whose `bytes` are off-chip traffic: weights are fetched once
+    /// per batch and activations move per item, so the first item pays the
+    /// full critical path and every further item only its compute and
+    /// activation cycles.
     ///
     /// # Panics
-    /// Panics if the batch is empty (constructed only via
-    /// [`Accelerator::serve_batch`], which rejects `batch == 0`).
-    #[must_use]
-    pub fn per_item_ms(&self) -> f64 {
-        assert!(self.batch > 0);
-        self.total_latency_ms / self.batch as f64
+    /// Panics if `batch == 0`.
+    fn price(&self, config: &AccelConfig, batch: usize, reload: u64, bytes: u64) -> BatchReport {
+        assert!(batch > 0, "cannot serve an empty batch");
+        let items = batch as u64;
+        let mut traffic = self.traffic;
+        traffic.offchip_iact *= items;
+        traffic.offchip_oact *= items;
+        // The PB reload itself is off-chip traffic (energy-wise).
+        let mut energy_traffic = traffic;
+        if reload > 0 {
+            energy_traffic.offchip_weights += bytes;
+        }
+        let first_cycles = reload + self.first_cycles;
+        BatchReport {
+            batch,
+            pb_reload_cycles: reload,
+            traffic,
+            energy: EnergyModel::default().energy(&energy_traffic),
+            total_latency_ms: config
+                .cycles_to_ms(first_cycles + (items - 1) * self.marginal_cycles),
+            first_item_ms: config.cycles_to_ms(first_cycles),
+        }
     }
+}
+
+/// SushiAbs for the serving runtime: [`Accelerator::serve_batch`] and
+/// [`Accelerator::install_cache`] tabulated over a serving set and its
+/// cacheable SubGraphs (§2.4/§3.2).
+///
+/// Rows are the serving SubNets; column 0 is the empty SubGraph and the
+/// candidates follow, as in the scheduler's latency table. A Persistent
+/// Buffer's state is its resident column (`None` = empty). Each cell is
+/// filled by one layer walk at build, and pricing a batch afterwards is a
+/// lookup plus integer arithmetic, so [`ServiceTable::price`] returns bit
+/// for bit what `serve_batch` returns on an accelerator holding the same
+/// column.
+#[derive(Debug, Clone)]
+pub struct ServiceTable {
+    config: AccelConfig,
+    /// Per column: the SubGraph an install makes resident, and its weight
+    /// bytes (the reload's off-chip traffic).
+    columns: Vec<(SubGraph, u64)>,
+    /// Row-major: `cells[row * columns.len() + column]`.
+    cells: Vec<ServiceCell>,
+}
+
+impl ServiceTable {
+    /// Walks every `(SubNet, column)` cell once. Each column holds what
+    /// [`Accelerator::install_cache`] makes resident: the empty SubGraph,
+    /// then each candidate fitted to the PB budget.
+    ///
+    /// # Panics
+    /// Panics if a SubNet or candidate does not belong to `net`.
+    #[must_use]
+    pub fn build(
+        config: &AccelConfig,
+        net: &SuperNet,
+        subnets: &[SubNet],
+        candidates: &[SubGraph],
+    ) -> Self {
+        let empty = SubGraph::empty(net.num_layers());
+        let columns: Vec<(SubGraph, u64)> = std::iter::once(&empty)
+            .chain(candidates)
+            .map(|graph| {
+                assert_eq!(
+                    graph.num_layers(),
+                    net.num_layers(),
+                    "SubGraph does not match SuperNet"
+                );
+                let fitted = if config.buffers.has_pb() {
+                    net.subgraph_to_budget(graph, config.buffers.pb_bytes)
+                } else {
+                    graph.clone()
+                };
+                let bytes = net.subgraph_weight_bytes(&fitted);
+                (fitted, bytes)
+            })
+            .collect();
+        let cells = subnets
+            .iter()
+            .flat_map(|sn| {
+                columns.iter().map(move |(g, _)| ServiceCell {
+                    overlap: overlap_ratio(&sn.graph, g),
+                    ..walk(config, net, sn, Some(g))
+                })
+            })
+            .collect();
+        Self { config: config.clone(), columns, cells }
+    }
+
+    /// The accelerator configuration the table prices.
+    #[must_use]
+    pub fn config(&self) -> &AccelConfig {
+        &self.config
+    }
+
+    /// `overlap_ratio` of SubNet `row` with the resident column (`0` when
+    /// the PB is empty).
+    #[must_use]
+    pub fn overlap(&self, row: usize, resident: Option<usize>) -> f64 {
+        self.cell(row, resident).overlap
+    }
+
+    /// Installs column `col` over `resident` by
+    /// [`Accelerator::install_cache`]'s rule. Returns the new resident
+    /// column and the reload cycles the next batch pays: none on a PB-less
+    /// configuration (nothing becomes resident) or when an equal SubGraph
+    /// is already resident.
+    #[must_use]
+    pub fn install(&self, resident: Option<usize>, col: usize) -> (Option<usize>, u64) {
+        let (graph, bytes) = &self.columns[col];
+        if !self.config.buffers.has_pb() || resident.is_some_and(|r| self.columns[r].0 == *graph) {
+            return (resident, 0);
+        }
+        (Some(col), self.config.offchip_cycles(*bytes))
+    }
+
+    /// Prices `batch` queries of SubNet `row` on a PB holding `pb`, with
+    /// `reload` cycles of pending install charged to the batch — what
+    /// [`Accelerator::serve_batch`] reports in the same state.
+    ///
+    /// # Panics
+    /// Panics if `batch == 0` or an index is out of range.
+    #[must_use]
+    pub fn price(&self, row: usize, pb: Option<usize>, batch: usize, reload: u64) -> BatchReport {
+        let bytes = pb.map_or(0, |c| self.columns[c].1);
+        self.cell(row, pb).price(&self.config, batch, reload, bytes)
+    }
+
+    fn cell(&self, row: usize, resident: Option<usize>) -> &ServiceCell {
+        // Nothing resident prices as column 0, the empty SubGraph.
+        &self.cells[row * self.columns.len() + resident.unwrap_or(0)]
+    }
+}
+
+/// One layer walk: the cycles and traffic of SubNet `sn` on an accelerator
+/// whose PB holds `pb` (the overlap is left to the caller).
+fn walk(cfg: &AccelConfig, net: &SuperNet, sn: &SubNet, pb: Option<&SubGraph>) -> ServiceCell {
+    assert_eq!(sn.graph.num_layers(), net.num_layers(), "SubNet does not match SuperNet");
+    let mut cell = ServiceCell::default();
+    let empty = LayerSlice::empty();
+    for (idx, (layer, slice)) in net.layers.iter().zip(sn.graph.slices()).enumerate() {
+        let t = layer_timing(cfg, layer, slice, pb.map_or(&empty, |g| &g.slices()[idx]));
+        cell.first_cycles += t.cycles.total();
+        cell.marginal_cycles += t.cycles.compute + t.cycles.offchip_iact + t.cycles.offchip_oact;
+        cell.traffic.add(&t.traffic);
+    }
+    cell
 }
 
 /// The SushiAccel timing/energy simulator.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     config: AccelConfig,
-    energy_model: EnergyModel,
     cached: Option<SubGraph>,
     pending_reload_cycles: u64,
 }
@@ -100,12 +263,7 @@ impl Accelerator {
     /// Creates an accelerator with an empty Persistent Buffer.
     #[must_use]
     pub fn new(config: AccelConfig) -> Self {
-        Self {
-            config,
-            energy_model: EnergyModel::default(),
-            cached: None,
-            pending_reload_cycles: 0,
-        }
+        Self { config, cached: None, pending_reload_cycles: 0 }
     }
 
     /// The accelerator configuration.
@@ -141,12 +299,6 @@ impl Accelerator {
         self.cached.as_ref()
     }
 
-    /// Clears the Persistent Buffer without charging a reload.
-    pub fn clear_cache(&mut self) {
-        self.cached = None;
-        self.pending_reload_cycles = 0;
-    }
-
     /// Serves one query with the given SubNet (timing-only mode).
     ///
     /// # Panics
@@ -178,7 +330,7 @@ impl Accelerator {
                 energy_traffic.offchip_weights += net.subgraph_weight_bytes(g);
             }
         }
-        let energy = self.energy_model.energy(&energy_traffic);
+        let energy = EnergyModel::default().energy(&energy_traffic);
         let total_cycles = cycles.total() + pb_reload_cycles;
         QueryReport {
             subnet: subnet.name.clone(),
@@ -208,61 +360,19 @@ impl Accelerator {
     /// # Panics
     /// Panics if `batch == 0` or the SubNet does not belong to `net`.
     pub fn serve_batch(&mut self, net: &SuperNet, subnet: &SubNet, batch: usize) -> BatchReport {
-        assert!(batch > 0, "cannot serve an empty batch");
-        assert_eq!(subnet.graph.num_layers(), net.num_layers(), "SubNet does not match SuperNet");
-        let empty = LayerSlice::empty();
-        let mut cycles_first = 0u64;
-        let mut cycles_marginal = 0u64;
-        let mut traffic = TrafficBytes::default();
-        for (idx, (layer, slice)) in net.layers.iter().zip(subnet.graph.slices()).enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let cached_slice = self.cached.as_ref().map_or(&empty, |g| {
-                debug_assert_eq!(g.num_layers(), net.num_layers());
-                &g.slices()[idx]
-            });
-            let t = layer_timing(&self.config, layer, slice, cached_slice);
-            cycles_first += t.cycles.total();
-            // Weights resident after item 1: the marginal item's critical
-            // path keeps the compute and activation buckets and drops both
-            // weight buckets.
-            cycles_marginal += t.cycles.compute + t.cycles.offchip_iact + t.cycles.offchip_oact;
-            let mut batch_traffic = t.traffic;
-            batch_traffic.offchip_iact *= batch as u64;
-            batch_traffic.offchip_oact *= batch as u64;
-            traffic.add(&batch_traffic);
-        }
-        let pb_reload_cycles = std::mem::take(&mut self.pending_reload_cycles);
-        let mut energy_traffic = traffic;
-        if pb_reload_cycles > 0 {
-            if let Some(g) = &self.cached {
-                energy_traffic.offchip_weights += net.subgraph_weight_bytes(g);
-            }
-        }
-        let energy = self.energy_model.energy(&energy_traffic);
-        let total_cycles = pb_reload_cycles + cycles_first + (batch as u64 - 1) * cycles_marginal;
-        BatchReport {
-            subnet: subnet.name.clone(),
-            batch,
-            pb_reload_cycles,
-            traffic,
-            energy,
-            total_latency_ms: self.config.cycles_to_ms(total_cycles),
-            first_item_ms: self.config.cycles_to_ms(pb_reload_cycles + cycles_first),
-        }
+        let cell = walk(&self.config, net, subnet, self.cached.as_ref());
+        let reload_cycles = std::mem::take(&mut self.pending_reload_cycles);
+        let reload = self.cached.as_ref().filter(|_| reload_cycles > 0);
+        let reload_bytes = reload.map_or(0, |g| net.subgraph_weight_bytes(g));
+        cell.price(&self.config, batch, reload_cycles, reload_bytes)
     }
 
     /// Serves a query *as if* the given SubGraph were cached, without
     /// changing accelerator state. Used to build latency tables offline.
     #[must_use]
     pub fn probe(&self, net: &SuperNet, subnet: &SubNet, cached: Option<&SubGraph>) -> QueryReport {
-        let mut scratch = Self {
-            config: self.config.clone(),
-            energy_model: self.energy_model,
-            cached: cached.cloned(),
-            pending_reload_cycles: 0,
-        };
+        let mut scratch =
+            Self { cached: cached.cloned(), pending_reload_cycles: 0, ..self.clone() };
         scratch.serve(net, subnet)
     }
 }
@@ -412,7 +522,7 @@ mod tests {
         assert!(batch.total_latency_ms < single.latency_ms * b as f64);
         // ...but still at least the first item plus b-1 compute-bound items.
         assert!(batch.total_latency_ms >= single.latency_ms);
-        assert!(batch.per_item_ms() < single.latency_ms);
+        assert!(batch.total_latency_ms / (b as f64) < single.latency_ms);
         // Weight bytes unchanged, activation bytes scaled by b.
         assert_eq!(batch.traffic.offchip_weights, single.traffic.offchip_weights);
         assert_eq!(batch.traffic.offchip_iact, single.traffic.offchip_iact * b as u64);
@@ -434,6 +544,72 @@ mod tests {
     fn empty_batch_rejected() {
         let (net, picks, mut acc) = setup();
         let _ = acc.serve_batch(&net, &picks[0], 0);
+    }
+
+    /// The service table is the walk tabulated: on MobV3, ResNet50 and the
+    /// toy zoo, with and without a PB, every (row, column, batch size,
+    /// reload pending or not) prices bit for bit what `install_cache` +
+    /// `serve_batch` report, the overlap cells are `overlap_ratio` of the
+    /// resident SubGraph, and an install reloads exactly when the walk does.
+    #[test]
+    fn service_table_prices_exactly_what_the_walk_reports() {
+        let (toy, toy_picks, _) = setup();
+        let mobv3 = zoo::mobilenet_v3_supernet();
+        let resnet = zoo::resnet50_supernet();
+        let workloads = [
+            (zoo::paper_subnets(&mobv3), mobv3),
+            (zoo::paper_subnets(&resnet), resnet),
+            (toy_picks, toy),
+        ];
+        for (picks, net) in &workloads {
+            // Whole SubNets, which an install fits to the PB, and a repeat
+            // of column 1, whose install over column 1 must be free.
+            let mut candidates: Vec<SubGraph> = picks.iter().map(|p| p.graph.clone()).collect();
+            candidates.push(picks[0].graph.clone());
+            let empty = SubGraph::empty(net.num_layers());
+            let columns: Vec<&SubGraph> = std::iter::once(&empty).chain(&candidates).collect();
+            for config in [zcu104(), zcu104().without_pb()] {
+                let table = ServiceTable::build(&config, net, picks, &candidates);
+                for (col, &graph) in columns.iter().enumerate() {
+                    let mut installed = Accelerator::new(config.clone());
+                    installed.install_cache(net, graph.clone());
+                    let (resident, reload) = table.install(None, col);
+                    for (row, sn) in picks.iter().enumerate() {
+                        let hit = overlap_ratio(&sn.graph, installed.cached().unwrap_or(&empty));
+                        assert_eq!(table.overlap(row, resident).to_bits(), hit.to_bits());
+                        for b in 1..=8 {
+                            let mut walk = installed.clone();
+                            for pending in [reload, 0] {
+                                let want = walk.serve_batch(net, sn, b);
+                                let got = table.price(row, resident, b, pending);
+                                let case = format!(
+                                    "{} on {}: col {col} row {row} b {b}",
+                                    net.name, config.name
+                                );
+                                assert_eq!(
+                                    got.total_latency_ms.to_bits(),
+                                    want.total_latency_ms.to_bits(),
+                                    "{case}"
+                                );
+                                assert_eq!(
+                                    got.first_item_ms.to_bits(),
+                                    want.first_item_ms.to_bits(),
+                                    "{case}"
+                                );
+                                assert_eq!(got, want, "{case}");
+                            }
+                        }
+                    }
+                    for (next, &next_graph) in columns.iter().enumerate() {
+                        let mut walk = installed.clone();
+                        let _ = walk.serve_batch(net, &picks[0], 1);
+                        walk.install_cache(net, next_graph.clone());
+                        let want = walk.serve_batch(net, &picks[0], 1).pb_reload_cycles;
+                        assert_eq!(table.install(resident, next).1, want, "col {col} then {next}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

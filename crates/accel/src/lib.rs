@@ -63,7 +63,7 @@ pub mod reuse;
 pub mod roofline;
 pub mod timing;
 
-pub use backend::{Analytical, BackendError, Execution, ExecutionBackend, Functional, MemoryStats};
+pub use backend::{Analytical, BackendError, ExecutionBackend, Functional, MemoryStats};
 pub use config::{AccelConfig, BufferConfig};
-pub use exec::{Accelerator, QueryReport};
+pub use exec::{Accelerator, QueryReport, ServiceTable};
 pub use timing::{CycleBreakdown, LayerTiming, TrafficBytes};

@@ -8,9 +8,7 @@
 //! per-call packs its workers' arenas saw.
 
 use sushi_accel::backend::{ExecutionBackend, ExecutionJob, Functional};
-use sushi_accel::config::zcu104;
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::exec::Accelerator;
 use sushi_accel::functional::FunctionalOutput;
 use sushi_wsnet::{zoo, SubNet, SuperNet};
 
@@ -38,23 +36,15 @@ fn run_with_workers(
     workers: usize,
 ) -> (Vec<FunctionalOutput>, usize) {
     let mut backend = Functional::new(DpeArray::new(4, 4), net, 99);
-    let mut accels: Vec<Accelerator> = (0..workers).map(|_| Accelerator::new(zcu104())).collect();
     let mut outputs = Vec::new();
     for group in schedule().chunks(workers) {
-        let mut slots: Vec<Option<&mut Accelerator>> = accels.iter_mut().map(Some).collect();
-        let mut jobs: Vec<ExecutionJob<'_>> = group
+        let jobs: Vec<ExecutionJob<'_>> = group
             .iter()
             .enumerate()
-            .map(|(j, (row, ids))| ExecutionJob {
-                worker: j,
-                accel: slots[j].take().expect("distinct workers"),
-                subnet: &picks[*row],
-                query_ids: ids,
-            })
+            .map(|(j, (row, ids))| ExecutionJob { worker: j, subnet: &picks[*row], query_ids: ids })
             .collect();
-        let execs = backend.execute_concurrent(net, &mut jobs).expect("group executes");
-        for exec in execs {
-            outputs.extend(exec.outputs.expect("functional outputs"));
+        for outs in backend.execute_concurrent(net, &jobs).expect("group executes") {
+            outputs.extend(outs.expect("functional outputs"));
         }
     }
     let stats = backend.memory_stats().expect("functional backend reports memory");

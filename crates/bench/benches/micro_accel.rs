@@ -1,11 +1,12 @@
 //! Microbenchmarks of the SushiAccel simulator's hot paths: per-layer
-//! timing, whole-query serving, cache installation, and the functional
-//! int8 DPE convolution.
+//! timing, whole-query serving, cache installation, pricing a batch from
+//! the service table against walking its layers, and the functional int8
+//! DPE convolution.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sushi_accel::config::zcu104;
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::exec::Accelerator;
+use sushi_accel::exec::{Accelerator, ServiceTable};
 use sushi_accel::timing::layer_timing;
 use sushi_tensor::ops::conv::Conv2dParams;
 use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
@@ -54,6 +55,25 @@ fn bench_install_cache(c: &mut Criterion) {
     });
 }
 
+/// One served batch (ResNet50 pick 3, b = 4, warm PB) priced two ways: a
+/// service-table lookup, and the per-layer walk it tabulates.
+fn bench_price_batch(c: &mut Criterion) {
+    let net = zoo::resnet50_supernet();
+    let picks = zoo::paper_subnets(&net);
+    let shared = net.shared_subgraph(&picks);
+    let table = ServiceTable::build(&zcu104(), &net, &picks, &[shared.clone()]);
+    let (resident, _) = table.install(None, 1);
+    let mut accel = Accelerator::new(zcu104());
+    accel.install_cache(&net, shared);
+    let _ = accel.serve_batch(&net, &picks[3], 4); // absorb reload
+    c.bench_function("price_batch_table_vs_walk/table", |b| {
+        b.iter(|| table.price(black_box(3), resident, black_box(4), 0))
+    });
+    c.bench_function("price_batch_table_vs_walk/walk", |b| {
+        b.iter(|| accel.serve_batch(black_box(&net), black_box(&picks[3]), black_box(4)))
+    });
+}
+
 fn bench_dpe_functional_conv(c: &mut Criterion) {
     let mut rng = DetRng::new(1);
     let ishape = Shape4::new(1, 32, 14, 14);
@@ -88,6 +108,7 @@ criterion_group!(
     bench_layer_timing,
     bench_serve_query,
     bench_install_cache,
+    bench_price_batch,
     bench_dpe_functional_conv
 );
 criterion_main!(benches);

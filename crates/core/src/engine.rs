@@ -37,10 +37,11 @@ use std::sync::Arc;
 
 use sushi_accel::backend::{Analytical, ExecutionBackend, Functional};
 use sushi_accel::dpe::DpeArray;
+use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
 use sushi_sched::{AdaptiveOptions, CacheSelection, LatencyTable, Policy, Query, TenantOptions};
 use sushi_tensor::KernelPolicy;
-use sushi_wsnet::{zoo, SubNet, SuperNet};
+use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
 use crate::serving::batch::BatchPolicy;
@@ -50,7 +51,7 @@ use crate::serving::routing::RoutingPolicy;
 use crate::serving::sim::{ServingSim, SimConfig, SimResult};
 use crate::stack::{ServedRecord, SushiStack};
 use crate::stream::{ConstraintSpace, TimedQuery};
-use crate::variants::{build_table, Variant};
+use crate::variants::{build_tables, Variant};
 
 /// The built-in model-zoo workloads (SuperNet + the paper's Pareto picks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,8 +356,9 @@ impl EngineBuilder {
 
     /// Assembles the engine: loads the workload, derives the
     /// variant-adjusted accelerator configuration and cache-selection
-    /// rule, builds (or adopts) the SushiAbs latency table, and
-    /// instantiates the execution backend.
+    /// rule, builds (or adopts) the SushiAbs latency table, builds the
+    /// service table over the same columns, and instantiates the execution
+    /// backend.
     ///
     /// # Errors
     /// Returns [`SushiError::Config`] on an empty serving set, a zero
@@ -429,17 +431,23 @@ impl EngineBuilder {
             Variant::Sushi => (self.accel.clone(), CacheSelection::MinDistanceToAvg),
         };
         let selection = self.selection_override.unwrap_or(derived_selection);
-        let table = match self.table_override {
-            Some(t) => t,
-            None => build_table(&net, &subnets, &config, self.candidates, self.seed),
+        let (table, service) = match self.table_override {
+            Some(table) => {
+                let mut layers =
+                    (0..table.num_columns()).map(|j| table.column(j).graph.num_layers());
+                if table.num_rows() != subnets.len() || layers.any(|n| n != net.num_layers()) {
+                    return Err(SushiError::Config(format!(
+                        "latency table has {} rows but the serving set has {} SubNets",
+                        table.num_rows(),
+                        subnets.len()
+                    )));
+                }
+                let candidates: Vec<SubGraph> =
+                    (1..table.num_columns()).map(|j| table.column(j).graph.clone()).collect();
+                (table, ServiceTable::build(&config, &net, &subnets, &candidates))
+            }
+            None => build_tables(&net, &subnets, &config, self.candidates, self.seed),
         };
-        if table.num_rows() != subnets.len() {
-            return Err(SushiError::Config(format!(
-                "latency table has {} rows but the serving set has {} SubNets",
-                table.num_rows(),
-                subnets.len()
-            )));
-        }
         let backend: Box<dyn ExecutionBackend> = match self.backend {
             BackendKind::Analytical => Box::new(Analytical),
             BackendKind::Functional => {
@@ -452,7 +460,7 @@ impl EngineBuilder {
             net,
             subnets,
             table,
-            config,
+            service: Arc::new(service),
             policy: self.policy,
             selection,
             q_window,
@@ -464,8 +472,8 @@ impl EngineBuilder {
     }
 }
 
-/// The assembled serving stack: scheduler, latency table, accelerator
-/// configuration and execution backend behind two run modes.
+/// The assembled serving stack: scheduler, latency table, service table
+/// and execution backend behind two run modes.
 ///
 /// Each run mode keeps its own state (scheduler history, Persistent-Buffer
 /// contents, worker clocks) across calls, exactly like the pre-builder
@@ -477,7 +485,7 @@ pub struct Engine {
     net: Arc<SuperNet>,
     subnets: Vec<SubNet>,
     table: LatencyTable,
-    config: AccelConfig,
+    service: Arc<ServiceTable>,
     policy: Policy,
     selection: CacheSelection,
     q_window: usize,
@@ -544,14 +552,14 @@ impl Engine {
     /// Returns [`SushiError::Backend`] when the execution backend fails.
     pub fn serve(&mut self, query: &Query) -> Result<ServedRecord, SushiError> {
         let Self {
-            net, subnets, table, config, policy, selection, q_window, backend, stack, ..
+            net, subnets, table, service, policy, selection, q_window, backend, stack, ..
         } = self;
         let stack = stack.get_or_insert_with(|| {
             SushiStack::from_parts(
                 Arc::clone(net),
                 subnets.clone(),
                 table.clone(),
-                config.clone(),
+                Arc::clone(service),
                 *policy,
                 *selection,
                 *q_window,
@@ -581,7 +589,7 @@ impl Engine {
             net,
             subnets,
             table,
-            config,
+            service,
             policy,
             selection,
             q_window,
@@ -595,7 +603,7 @@ impl Engine {
                 Arc::clone(net),
                 subnets.clone(),
                 table.clone(),
-                config,
+                Arc::clone(service),
                 *policy,
                 *selection,
                 *q_window,

@@ -3,7 +3,7 @@
 //! Queries that the scheduler resolved to the *same SubNet* can share one
 //! accelerator pass — weights are fetched once per batch (the within-batch
 //! analogue of SubGraph-Stationary reuse; see
-//! [`sushi_accel::exec::Accelerator::serve_batch`]). The batcher is
+//! [`sushi_accel::exec::ServiceTable::price`]). The batcher is
 //! head-of-line fair: a batch always forms around the oldest queued query's
 //! (SubNet row, tenant tier) key, and closes when either `max_batch`
 //! same-key queries are waiting or the head query has waited `max_wait_ms`.

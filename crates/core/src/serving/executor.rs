@@ -1,9 +1,10 @@
 //! Multi-worker executor pool.
 //!
-//! Each worker owns an [`Accelerator`] replica (its own Persistent-Buffer
-//! state) and a monotone `busy_until` clock; batches run to completion
-//! without preemption. Scheduler cache decisions are *routed*, not
-//! broadcast: a decision becomes one pool-level pending install
+//! Each worker is an accelerator replica: the column of the engine's
+//! [`ServiceTable`] resident in its Persistent Buffer, plus a monotone
+//! `busy_until` clock; batches run to completion without preemption.
+//! Scheduler cache decisions are *routed*, not broadcast: a decision
+//! becomes one pool-level pending install
 //! ([`ExecutorPool::route_install`], newest overwrites an unapplied one)
 //! that the next dispatched batch's worker applies lazily — so the PB swap
 //! cost lands on the replica and batch that first benefit from the new
@@ -11,32 +12,34 @@
 //! actually in flight (stage B of Fig. 9a, now under load). Replicas
 //! therefore hold *different* resident SubGraphs over time, which is what
 //! cache-affinity routing ([`crate::serving::routing::RoutingPolicy`])
-//! exploits: the serving loop inspects [`ExecutorPool::resident`] and
-//! steers each batch to a warm replica when one is free.
+//! exploits: the serving loop reads each replica's resident column
+//! ([`ExecutorPool::resident`]) and steers each batch to a warm replica
+//! when one is free.
 //!
-//! Execution is delegated to the engine's [`ExecutionBackend`]: the
-//! analytical backend advances simulated time only, while the functional
-//! backend additionally runs the real packed int8 datapath per dispatched
-//! batch and returns per-query predictions. Batches bound for distinct
-//! workers at the same simulated instant go down as one *dispatch group*
-//! ([`ExecutorPool::dispatch_group`] →
-//! [`ExecutionBackend::execute_concurrent`]), which the functional backend
-//! executes as genuinely parallel int8 forwards. Timing is identical
-//! across backends, so the serving layer never changes *what* is computed
-//! — only *when*.
+//! Every batch is priced from the [`ServiceTable`]: service time, traffic
+//! and energy are lookups, whichever backend runs the batch. The engine's
+//! [`ExecutionBackend`] only produces outputs — none from the analytical
+//! backend, per-query predictions from the functional backend's packed
+//! int8 datapath. Batches bound for distinct workers at the same simulated
+//! instant go down as one *dispatch group* ([`ExecutorPool::dispatch_group`]
+//! → [`ExecutionBackend::execute_concurrent`]), which the functional
+//! backend executes as genuinely parallel int8 forwards. The serving layer
+//! never changes *what* is computed — only *when*.
 
-use sushi_accel::backend::{Execution, ExecutionBackend, ExecutionJob};
-use sushi_accel::exec::{Accelerator, BatchReport};
+use std::sync::Arc;
+
+use sushi_accel::backend::{ExecutionBackend, ExecutionJob};
+use sushi_accel::exec::{BatchReport, ServiceTable};
 use sushi_accel::functional::FunctionalOutput;
-use sushi_accel::AccelConfig;
-use sushi_wsnet::{SubGraph, SubNet, SuperNet};
+use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 
 /// One simulated worker.
 #[derive(Debug, Clone)]
 struct Worker {
-    accel: Accelerator,
+    /// Service-table column resident in the replica's Persistent Buffer.
+    resident: Option<usize>,
     busy_until_ms: f64,
     /// Service-time multiplier applied to dispatched batches (fault
     /// injection's straggler episodes; `1.0` = nominal, and the nominal
@@ -49,11 +52,11 @@ struct Worker {
 
 /// One batch of a dispatch group: which worker runs which SubNet's queries.
 #[derive(Debug, Clone)]
-pub struct PlannedBatch<'a> {
+pub struct PlannedBatch {
     /// Worker (replica) index chosen by the routing policy.
     pub worker: usize,
-    /// The SubNet every query in the batch resolved to.
-    pub subnet: &'a SubNet,
+    /// Serving-set row every query in the batch resolved to.
+    pub row: usize,
     /// The batched query ids.
     pub query_ids: Vec<u64>,
 }
@@ -68,17 +71,18 @@ pub struct DispatchReport {
     pub start_ms: f64,
     /// Completion time of every query in the batch, ms.
     pub completion_ms: f64,
-    /// The accelerator's batched timing/energy report.
+    /// The batch's timing/energy report, priced from the service table.
     pub report: BatchReport,
 }
 
 /// A pool of accelerator workers with simulated availability clocks.
 #[derive(Debug, Clone)]
 pub struct ExecutorPool {
+    service: Arc<ServiceTable>,
     workers: Vec<Worker>,
-    /// The newest unapplied cache decision; applied by (and charged to)
-    /// the next dispatched batch's worker.
-    pending_install: Option<SubGraph>,
+    /// The newest unapplied cache decision (a service-table column);
+    /// applied by (and charged to) the next dispatched batch's worker.
+    pending_install: Option<usize>,
     cache_installs: usize,
     swap_ms: f64,
     batches: usize,
@@ -86,20 +90,21 @@ pub struct ExecutorPool {
 }
 
 impl ExecutorPool {
-    /// Creates `workers` accelerator replicas of `config`.
+    /// Creates `workers` accelerator replicas priced by `service`.
     ///
     /// # Panics
     /// Panics if `workers == 0` (the engine builder rejects this earlier).
     #[must_use]
-    pub fn new(config: &AccelConfig, workers: usize) -> Self {
+    pub(crate) fn new(service: Arc<ServiceTable>, workers: usize) -> Self {
         assert!(workers > 0, "executor pool needs at least one worker");
         let worker = Worker {
-            accel: Accelerator::new(config.clone()),
+            resident: None,
             busy_until_ms: 0.0,
             service_multiplier: 1.0,
             lost_cache: false,
         };
         Self {
+            service,
             workers: vec![worker; workers],
             pending_install: None,
             cache_installs: 0,
@@ -121,11 +126,18 @@ impl ExecutorPool {
         self.workers[worker].busy_until_ms
     }
 
-    /// The SubGraph resident in worker `worker`'s Persistent Buffer
-    /// (`None` before its first applied install, or on PB-less configs).
+    /// The service-table column resident in worker `worker`'s Persistent
+    /// Buffer (`None` before its first applied install, after a crash, or
+    /// on PB-less configs).
     #[must_use]
-    pub fn resident(&self, worker: usize) -> Option<&SubGraph> {
-        self.workers[worker].accel.cached()
+    pub fn resident(&self, worker: usize) -> Option<usize> {
+        self.workers[worker].resident
+    }
+
+    /// How much of serving-set row `row`'s weights worker `worker`'s
+    /// resident SubGraph holds (`overlap_ratio`; `0` with an empty PB).
+    pub(crate) fn overlap(&self, worker: usize, row: usize) -> f64 {
+        self.service.overlap(row, self.workers[worker].resident)
     }
 
     /// Time the last worker finishes (the pool's drain point).
@@ -140,10 +152,9 @@ impl ExecutorPool {
     /// availability clock is left alone; the serving loop's fault runtime
     /// gates dispatchability while the replica is down.
     pub fn crash_worker(&mut self, worker: usize) {
-        self.workers[worker].accel.clear_cache();
+        self.workers[worker].resident = None;
         self.workers[worker].lost_cache = true;
     }
-
     /// Sets worker `worker`'s service-time multiplier (straggler
     /// episodes; `1.0` restores nominal service).
     ///
@@ -175,35 +186,57 @@ impl ExecutorPool {
     }
 
     /// Routes a cache decision: the *next dispatched batch's* worker
-    /// installs `graph` before executing (the newest decision overwrites
-    /// an unapplied one). Other replicas keep their resident SubGraphs —
-    /// installs accrete across the pool instead of thrashing every PB.
-    pub fn route_install(&mut self, graph: &SubGraph) {
+    /// installs service-table column `col` before executing (the newest
+    /// decision overwrites an unapplied one). Other replicas keep their
+    /// resident SubGraphs — installs accrete across the pool instead of
+    /// thrashing every PB.
+    pub fn route_install(&mut self, col: usize) {
         self.cache_installs += 1;
-        self.pending_install = Some(graph.clone());
+        self.pending_install = Some(col);
     }
 
     /// Dispatches a group of batches — one per distinct free worker — at
-    /// the same simulated instant, executing them through
-    /// [`ExecutionBackend::execute_concurrent`]. Any pending cache install
-    /// is applied by the first batch's worker (its PB reload time is
-    /// charged to that batch by the accelerator). Results come back in
-    /// plan order.
+    /// the same simulated instant. The plan is checked first and the
+    /// backend executes it ([`ExecutionBackend::execute_concurrent`]); only
+    /// then does the first batch's worker apply any pending cache install
+    /// and every batch get priced from the service table, the install's PB
+    /// reload charged to the first batch. A failed dispatch leaves the pool
+    /// as it found it. Results come back in plan order.
     ///
     /// # Errors
-    /// Returns [`SushiError::Backend`] when the backend fails.
-    ///
-    /// # Panics
-    /// Panics if a planned worker is still busy at `now_ms` or the plan
-    /// names the same worker twice (event-loop programming errors).
+    /// Returns [`SushiError::Internal`] when the plan names a worker twice
+    /// or a worker still busy at `now_ms`, and [`SushiError::Backend`] when
+    /// the backend fails.
     pub fn dispatch_group(
         &mut self,
         now_ms: f64,
         net: &SuperNet,
+        subnets: &[SubNet],
         backend: &mut dyn ExecutionBackend,
-        plan: &[PlannedBatch<'_>],
+        plan: &[PlannedBatch],
     ) -> Result<Vec<(DispatchReport, Option<Vec<FunctionalOutput>>)>, SushiError> {
-        if let (Some(graph), Some(first)) = (self.pending_install.take(), plan.first()) {
+        for (i, b) in plan.iter().enumerate() {
+            if self.workers[b.worker].busy_until_ms > now_ms
+                || plan[..i].iter().any(|o| o.worker == b.worker)
+            {
+                return Err(SushiError::Internal(format!(
+                    "dispatch to busy or repeated worker {}",
+                    b.worker
+                )));
+            }
+        }
+        let jobs: Vec<ExecutionJob<'_>> = plan
+            .iter()
+            .map(|b| ExecutionJob {
+                worker: b.worker,
+                subnet: &subnets[b.row],
+                query_ids: &b.query_ids,
+            })
+            .collect();
+        let outputs = backend.execute_concurrent(net, &jobs)?;
+        let mut reload_cycles = 0;
+        if let (Some(first), Some(col)) = (plan.first(), self.pending_install) {
+            self.pending_install = None;
             let w = &mut self.workers[first.worker];
             if w.lost_cache {
                 // The replica lost its PB state to a crash: this install
@@ -211,27 +244,16 @@ impl ExecutorPool {
                 self.reinstalls += 1;
                 w.lost_cache = false;
             }
-            let _ = w.accel.install_cache(net, graph);
+            (w.resident, reload_cycles) = self.service.install(w.resident, col);
         }
-        let mut accels: Vec<Option<&mut Accelerator>> =
-            self.workers.iter_mut().map(|w| Some(&mut w.accel)).collect();
-        let mut jobs: Vec<ExecutionJob<'_>> = plan
+        let results = plan
             .iter()
-            .map(|b| ExecutionJob {
-                worker: b.worker,
-                accel: accels[b.worker].take().expect("dispatch group reuses a worker"),
-                subnet: b.subnet,
-                query_ids: &b.query_ids,
-            })
-            .collect();
-        drop(accels);
-        let executions = backend.execute_concurrent(net, &mut jobs)?;
-        plan.iter()
-            .zip(executions)
-            .map(|(b, Execution { report, outputs })| {
+            .zip(outputs)
+            .map(|(b, outputs)| {
                 let w = &mut self.workers[b.worker];
-                assert!(w.busy_until_ms <= now_ms, "dispatch to a busy worker");
-                self.swap_ms += w.accel.config().cycles_to_ms(report.pb_reload_cycles);
+                let reload = std::mem::take(&mut reload_cycles);
+                let report = self.service.price(b.row, w.resident, b.query_ids.len(), reload);
+                self.swap_ms += self.service.config().cycles_to_ms(report.pb_reload_cycles);
                 self.batches += 1;
                 // The straggler multiplier stretches simulated service
                 // time; the nominal path keeps the exact original value.
@@ -242,14 +264,14 @@ impl ExecutorPool {
                 };
                 let completion_ms = now_ms + service_ms;
                 w.busy_until_ms = completion_ms;
-                Ok((
+                (
                     DispatchReport { worker: b.worker, start_ms: now_ms, completion_ms, report },
                     outputs,
-                ))
+                )
             })
-            .collect()
+            .collect();
+        Ok(results)
     }
-
     /// Number of cache decisions routed so far.
     #[must_use]
     pub fn cache_installs(&self) -> usize {
@@ -277,30 +299,84 @@ impl ExecutorPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sushi_accel::backend::Analytical;
+    use sushi_accel::backend::{Analytical, BackendError, Functional};
     use sushi_accel::config::zcu104;
+    use sushi_accel::dpe::DpeArray;
     use sushi_wsnet::zoo;
 
-    /// Runs `query_ids` as a one-batch dispatch group on `worker`.
-    fn dispatch(
-        pool: &mut ExecutorPool,
-        worker: usize,
-        now_ms: f64,
-        net: &SuperNet,
-        subnet: &SubNet,
-        backend: &mut dyn ExecutionBackend,
-        query_ids: &[u64],
-    ) -> Result<(DispatchReport, Option<Vec<FunctionalOutput>>), SushiError> {
-        let plan = [PlannedBatch { worker, subnet, query_ids: query_ids.to_vec() }];
-        let mut results = pool.dispatch_group(now_ms, net, backend, &plan)?;
-        Ok(results.pop().expect("one batch in, one result out"))
+    /// A pool over the toy SuperNet's largest SubNet, for tests that drive
+    /// clocks, crashes and stragglers rather than pricing.
+    pub(crate) fn toy_pool(workers: usize) -> ExecutorPool {
+        let net = zoo::toy_supernet();
+        let max = net.materialize("max", &net.max_config()).expect("the max config is valid");
+        ExecutorPool::new(Arc::new(ServiceTable::build(&zcu104(), &net, &[max], &[])), workers)
+    }
+
+    type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
+
+    /// MobileNetV3's paper picks on a ZCU104 pool whose service table's
+    /// column 1 is pick 0's SubGraph.
+    struct Fixture {
+        net: SuperNet,
+        picks: Vec<SubNet>,
+        pool: ExecutorPool,
+    }
+
+    impl Fixture {
+        fn new(workers: usize) -> Self {
+            let net = zoo::mobilenet_v3_supernet();
+            let picks = zoo::paper_subnets(&net);
+            let service = ServiceTable::build(&zcu104(), &net, &picks, &[picks[0].graph.clone()]);
+            Self { net, picks, pool: ExecutorPool::new(Arc::new(service), workers) }
+        }
+
+        fn group(
+            &mut self,
+            now_ms: f64,
+            backend: &mut dyn ExecutionBackend,
+            plan: &[PlannedBatch],
+        ) -> Result<Vec<Dispatched>, SushiError> {
+            self.pool.dispatch_group(now_ms, &self.net, &self.picks, backend, plan)
+        }
+
+        /// Runs `query_ids` of row `row` as a one-batch group on `worker`.
+        fn dispatch(
+            &mut self,
+            worker: usize,
+            now_ms: f64,
+            row: usize,
+            backend: &mut dyn ExecutionBackend,
+            query_ids: &[u64],
+        ) -> Result<Dispatched, SushiError> {
+            let plan = [PlannedBatch { worker, row, query_ids: query_ids.to_vec() }];
+            Ok(self.group(now_ms, backend, &plan)?.pop().expect("one batch in, one result out"))
+        }
+    }
+
+    /// Fails every call, after the checks a real backend makes first.
+    #[derive(Debug)]
+    struct Failing;
+
+    impl ExecutionBackend for Failing {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn execute_batch(
+            &mut self,
+            _: &SuperNet,
+            _: &SubNet,
+            _: &[u64],
+        ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+            Err(BackendError::EmptyBatch)
+        }
     }
 
     #[test]
     fn free_worker_query_reports_availability() {
-        let pool = ExecutorPool::new(&zcu104(), 3);
+        let pool = toy_pool(3);
         assert!((0..3).all(|w| pool.busy_until_ms(w) == 0.0), "fresh replicas are free at 0");
         assert_eq!(pool.drain_ms(), 0.0);
         assert!(pool.resident(0).is_none(), "fresh replicas hold no resident SubGraph");
@@ -308,143 +384,170 @@ mod tests {
 
     #[test]
     fn dispatch_advances_worker_clock() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 2);
-        let (d, outputs) =
-            dispatch(&mut pool, 0, 5.0, &net, &picks[0], &mut Analytical, &[0, 1, 2, 3]).unwrap();
+        let mut f = Fixture::new(2);
+        let (d, outputs) = f.dispatch(0, 5.0, 0, &mut Analytical, &[0, 1, 2, 3]).unwrap();
         assert!(outputs.is_none(), "analytical backend produces no outputs");
         assert_eq!(d.start_ms, 5.0);
         assert!(d.completion_ms > 5.0);
-        assert_eq!(pool.busy_until_ms(0), d.completion_ms);
-        assert_eq!(pool.busy_until_ms(1), 0.0, "the other replica stays free");
-        assert_eq!(pool.batches(), 1);
+        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
+        assert_eq!(f.pool.busy_until_ms(1), 0.0, "the other replica stays free");
+        assert_eq!(f.pool.batches(), 1);
     }
 
     #[test]
     fn pending_install_charges_swap_to_next_batch() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
+        let mut f = Fixture::new(1);
         let b = &mut Analytical;
-        let (cold, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], b, &[0, 1]).unwrap();
+        let (cold, _) = f.dispatch(0, 0.0, 0, b, &[0, 1]).unwrap();
         assert_eq!(cold.report.pb_reload_cycles, 0);
-        pool.route_install(&picks[0].graph);
-        let t = cold.completion_ms;
-        let (warmup, _) = dispatch(&mut pool, 0, t, &net, &picks[0], b, &[2, 3]).unwrap();
+        f.pool.route_install(1);
+        let (warmup, _) = f.dispatch(0, cold.completion_ms, 0, b, &[2, 3]).unwrap();
         assert!(warmup.report.pb_reload_cycles > 0, "swap charged to in-flight batch");
-        assert!(pool.total_swap_ms() > 0.0);
-        let (steady, _) =
-            dispatch(&mut pool, 0, warmup.completion_ms, &net, &picks[0], b, &[4, 5]).unwrap();
+        assert!(f.pool.total_swap_ms() > 0.0);
+        let (steady, _) = f.dispatch(0, warmup.completion_ms, 0, b, &[4, 5]).unwrap();
         assert_eq!(steady.report.pb_reload_cycles, 0);
         assert!(steady.report.total_latency_ms < cold.report.total_latency_ms);
-        assert_eq!(pool.cache_installs(), 1);
+        assert_eq!(f.pool.cache_installs(), 1);
     }
 
     #[test]
     fn installs_are_routed_to_one_replica_not_broadcast() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 2);
-        pool.route_install(&picks[0].graph);
+        let mut f = Fixture::new(2);
+        f.pool.route_install(1);
         let plan = [
-            PlannedBatch { worker: 1, subnet: &picks[0], query_ids: vec![0, 1] },
-            PlannedBatch { worker: 0, subnet: &picks[0], query_ids: vec![2] },
+            PlannedBatch { worker: 1, row: 0, query_ids: vec![0, 1] },
+            PlannedBatch { worker: 0, row: 0, query_ids: vec![2] },
         ];
-        let results = pool.dispatch_group(0.0, &net, &mut Analytical, &plan).unwrap();
+        let results = f.group(0.0, &mut Analytical, &plan).unwrap();
         assert_eq!(results.len(), 2);
-        assert!(pool.resident(1).is_some(), "install applied by the first planned worker");
-        assert!(pool.resident(0).is_none(), "other replicas keep their PB state");
+        assert_eq!(f.pool.resident(1), Some(1), "install applied by the first planned worker");
+        assert!(f.pool.resident(0).is_none(), "other replicas keep their PB state");
         assert!(results[0].0.report.pb_reload_cycles > 0, "swap charged to the installing batch");
         assert_eq!(results[1].0.report.pb_reload_cycles, 0);
-        assert_eq!(pool.batches(), 2);
+        assert_eq!(f.pool.batches(), 2);
     }
 
     #[test]
     fn group_results_match_sequential_dispatches() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut grouped = ExecutorPool::new(&zcu104(), 2);
+        let mut grouped = Fixture::new(2);
         let plan = [
-            PlannedBatch { worker: 0, subnet: &picks[0], query_ids: vec![0, 1] },
-            PlannedBatch { worker: 1, subnet: &picks[1], query_ids: vec![2] },
+            PlannedBatch { worker: 0, row: 0, query_ids: vec![0, 1] },
+            PlannedBatch { worker: 1, row: 1, query_ids: vec![2] },
         ];
-        let group = grouped.dispatch_group(1.0, &net, &mut Analytical, &plan).unwrap();
-        let mut seq = ExecutorPool::new(&zcu104(), 2);
-        let (a, _) = dispatch(&mut seq, 0, 1.0, &net, &picks[0], &mut Analytical, &[0, 1]).unwrap();
-        let (b, _) = dispatch(&mut seq, 1, 1.0, &net, &picks[1], &mut Analytical, &[2]).unwrap();
+        let group = grouped.group(1.0, &mut Analytical, &plan).unwrap();
+        let mut seq = Fixture::new(2);
+        let (a, _) = seq.dispatch(0, 1.0, 0, &mut Analytical, &[0, 1]).unwrap();
+        let (b, _) = seq.dispatch(1, 1.0, 1, &mut Analytical, &[2]).unwrap();
         assert_eq!(group[0].0, a, "group timing is identical to lone dispatches");
         assert_eq!(group[1].0, b);
     }
 
     #[test]
     fn empty_batch_surfaces_as_a_backend_error() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let err = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[]).unwrap_err();
+        let mut f = Fixture::new(1);
+        let err = f.dispatch(0, 0.0, 0, &mut Analytical, &[]).unwrap_err();
         assert!(matches!(err, SushiError::Backend(_)));
     }
 
     #[test]
     fn crash_loses_the_resident_cache_and_next_install_is_a_reinstall() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
-        pool.route_install(&picks[0].graph);
-        let (d, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
-        assert!(pool.resident(0).is_some());
-        assert_eq!(pool.reinstalls(), 0);
-        pool.crash_worker(0);
-        assert!(pool.resident(0).is_none(), "a crash loses the PB-resident SubGraph");
-        pool.route_install(&picks[0].graph);
-        let _ = dispatch(&mut pool, 0, d.completion_ms, &net, &picks[0], &mut Analytical, &[1])
-            .unwrap();
-        assert_eq!(pool.reinstalls(), 1, "re-packing crash-lost state is accounted separately");
-        assert_eq!(pool.cache_installs(), 2);
+        let mut f = Fixture::new(1);
+        f.pool.route_install(1);
+        let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
+        assert!(f.pool.resident(0).is_some());
+        assert_eq!(f.pool.reinstalls(), 0);
+        f.pool.crash_worker(0);
+        assert!(f.pool.resident(0).is_none(), "a crash loses the PB-resident SubGraph");
+        f.pool.route_install(1);
+        let (again, _) = f.dispatch(0, d.completion_ms, 0, &mut Analytical, &[1]).unwrap();
+        assert!(again.report.pb_reload_cycles > 0, "the lost SubGraph is reloaded");
+        assert_eq!(f.pool.reinstalls(), 1, "re-packing crash-lost state is accounted separately");
+        assert_eq!(f.pool.cache_installs(), 2);
     }
 
     #[test]
     fn straggler_multiplier_stretches_service_time() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut nominal = ExecutorPool::new(&zcu104(), 1);
-        let (base, _) =
-            dispatch(&mut nominal, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
-        let mut slow = ExecutorPool::new(&zcu104(), 1);
-        slow.set_service_multiplier(0, 3.0);
-        let (stretched, _) =
-            dispatch(&mut slow, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
+        let mut nominal = Fixture::new(1);
+        let (base, _) = nominal.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
+        let mut slow = Fixture::new(1);
+        slow.pool.set_service_multiplier(0, 3.0);
+        let (stretched, _) = slow.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
         let base_ms = base.completion_ms - base.start_ms;
         let slow_ms = stretched.completion_ms - stretched.start_ms;
         assert!((slow_ms - 3.0 * base_ms).abs() < 1e-9, "{slow_ms} vs 3x{base_ms}");
         assert_eq!(stretched.report, base.report, "the nominal report is unchanged");
-        slow.set_service_multiplier(0, 1.0);
+        slow.pool.set_service_multiplier(0, 1.0);
         let (recovered, _) =
-            dispatch(&mut slow, 0, stretched.completion_ms, &net, &picks[0], &mut Analytical, &[1])
-                .unwrap();
+            slow.dispatch(0, stretched.completion_ms, 0, &mut Analytical, &[1]).unwrap();
         assert_eq!(recovered.completion_ms - recovered.start_ms, base_ms);
     }
 
     #[test]
     fn clamp_busy_only_moves_the_clock_earlier() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let (d, _) = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]).unwrap();
-        pool.clamp_busy(0, d.completion_ms + 100.0);
-        assert_eq!(pool.busy_until_ms(0), d.completion_ms, "clamp never extends");
-        pool.clamp_busy(0, d.completion_ms / 2.0);
-        assert_eq!(pool.busy_until_ms(0), d.completion_ms / 2.0);
+        let mut f = Fixture::new(1);
+        let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
+        f.pool.clamp_busy(0, d.completion_ms + 100.0);
+        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms, "clamp never extends");
+        f.pool.clamp_busy(0, d.completion_ms / 2.0);
+        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms / 2.0);
     }
 
     #[test]
-    #[should_panic(expected = "busy worker")]
-    fn dispatch_to_busy_worker_panics() {
-        let net = zoo::mobilenet_v3_supernet();
-        let picks = zoo::paper_subnets(&net);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
-        let _ = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[0]);
-        let _ = dispatch(&mut pool, 0, 0.0, &net, &picks[0], &mut Analytical, &[1]);
+    fn dispatch_to_a_busy_or_repeated_worker_is_an_error() {
+        let mut f = Fixture::new(2);
+        let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
+        let err = f.dispatch(0, 0.0, 0, &mut Analytical, &[1]).unwrap_err();
+        assert!(matches!(err, SushiError::Internal(_)), "{err}");
+        let twice = [
+            PlannedBatch { worker: 1, row: 0, query_ids: vec![2] },
+            PlannedBatch { worker: 1, row: 1, query_ids: vec![3] },
+        ];
+        let err = f.group(0.0, &mut Analytical, &twice).unwrap_err();
+        assert!(matches!(err, SushiError::Internal(_)), "{err}");
+        assert_eq!(f.pool.batches(), 1, "a rejected plan dispatches nothing");
+        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
+        assert_eq!(f.pool.busy_until_ms(1), 0.0);
+    }
+
+    #[test]
+    fn a_failed_dispatch_leaves_the_pool_as_it_found_it() {
+        let (mut failed, mut clean) = (Fixture::new(2), Fixture::new(2));
+        for f in [&mut failed, &mut clean] {
+            f.pool.crash_worker(0);
+            f.pool.route_install(1);
+        }
+        let plan = [
+            PlannedBatch { worker: 0, row: 0, query_ids: vec![0] },
+            PlannedBatch { worker: 1, row: 1, query_ids: vec![1] },
+        ];
+        let err = failed.group(0.0, &mut Failing, &plan).unwrap_err();
+        assert!(matches!(err, SushiError::Backend(_)), "{err}");
+        for w in 0..2 {
+            assert_eq!(failed.pool.resident(w), clean.pool.resident(w));
+        }
+        assert_eq!(failed.pool.batches(), clean.pool.batches());
+        assert_eq!(failed.pool.total_swap_ms(), clean.pool.total_swap_ms());
+        assert_eq!(failed.pool.reinstalls(), clean.pool.reinstalls());
+        let after_failure = failed.group(0.0, &mut Analytical, &plan).unwrap();
+        let never_failed = clean.group(0.0, &mut Analytical, &plan).unwrap();
+        assert!(never_failed[0].0.report.pb_reload_cycles > 0, "the install is still pending");
+        assert_eq!(after_failure, never_failed);
+        assert_eq!(failed.pool.reinstalls(), 1);
+        assert_eq!(failed.pool.total_swap_ms(), clean.pool.total_swap_ms());
+    }
+
+    #[test]
+    fn backends_agree_on_timing() {
+        let net = zoo::toy_supernet();
+        let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(3);
+        let service = Arc::new(ServiceTable::build(&zcu104(), &net, &picks, &[]));
+        let plan = [PlannedBatch { worker: 0, row: 1, query_ids: vec![4, 5] }];
+        let mut analytical = ExecutorPool::new(Arc::clone(&service), 1);
+        let mut functional = ExecutorPool::new(service, 1);
+        let ana = analytical.dispatch_group(0.0, &net, &picks, &mut Analytical, &plan).unwrap();
+        let mut backend = Functional::new(DpeArray::new(2, 2), &net, 9);
+        let fun = functional.dispatch_group(0.0, &net, &picks, &mut backend, &plan).unwrap();
+        assert_eq!(ana[0].0, fun[0].0, "backends must agree on simulated timing");
+        assert!(ana[0].1.is_none() && fun[0].1.as_ref().is_some_and(|o| o.len() == 2));
     }
 }

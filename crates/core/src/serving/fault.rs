@@ -742,8 +742,8 @@ impl FaultRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::executor::tests::toy_pool;
     use crate::stream::TimedQuery;
-    use sushi_accel::config::zcu104;
     use sushi_sched::{Query, TenantTier};
 
     fn chaosy() -> FaultOptions {
@@ -761,7 +761,7 @@ mod tests {
         let opts = FaultOptions::default();
         assert_eq!(opts.validate(), Ok(()));
         let mut rt = FaultRuntime::new(opts, 2);
-        let mut pool = ExecutorPool::new(&zcu104(), 2);
+        let mut pool = toy_pool(2);
         rt.advance(1e6, &mut pool);
         assert!(rt.dispatchable(0) && rt.dispatchable(1));
         assert!(!rt.roll_transient());
@@ -825,8 +825,8 @@ mod tests {
         let opts = chaosy();
         let mut a = FaultRuntime::new(opts, 3);
         let mut b = FaultRuntime::new(opts, 3);
-        let mut pa = ExecutorPool::new(&zcu104(), 3);
-        let mut pb = ExecutorPool::new(&zcu104(), 3);
+        let mut pa = toy_pool(3);
+        let mut pb = toy_pool(3);
         for step in 0..200 {
             let now = step as f64 * 7.0;
             a.advance(now, &mut pa);
@@ -840,10 +840,10 @@ mod tests {
         assert_eq!(a.finish(1400.0), b.finish(1400.0));
         // A different seed yields a different plan.
         let mut c = FaultRuntime::new(opts.with_seed(0xDEAD), 3);
-        let mut pc = ExecutorPool::new(&zcu104(), 3);
+        let mut pc = toy_pool(3);
         let mut diverged = false;
         let mut a2 = FaultRuntime::new(opts, 3);
-        let mut pa2 = ExecutorPool::new(&zcu104(), 3);
+        let mut pa2 = toy_pool(3);
         for step in 0..200 {
             let now = step as f64 * 7.0;
             c.advance(now, &mut pc);
@@ -857,7 +857,7 @@ mod tests {
     fn crashes_enact_downtime_and_permanent_without_outage() {
         let opts = FaultOptions::default().with_crash_mtbf_ms(20.0).with_crash_outage_ms(30.0);
         let mut rt = FaultRuntime::new(opts, 1);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
+        let mut pool = toy_pool(1);
         let mut saw_down = false;
         let mut saw_restart = false;
         for step in 0..500 {
@@ -875,7 +875,7 @@ mod tests {
 
         // Zero outage mean: the first crash is forever.
         let mut perm = FaultRuntime::new(FaultOptions::default().with_crash_mtbf_ms(20.0), 1);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
+        let mut pool = toy_pool(1);
         for step in 0..500 {
             perm.advance(step as f64, &mut pool);
         }
@@ -890,10 +890,10 @@ mod tests {
     fn crash_waits_for_the_inflight_batch() {
         let opts = FaultOptions::default().with_crash_mtbf_ms(10.0);
         let mut rt = FaultRuntime::new(opts, 1);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
+        let mut pool = toy_pool(1);
         // Find the drawn crash instant by probing a parallel runtime.
         let mut probe = FaultRuntime::new(opts, 1);
-        let mut probe_pool = ExecutorPool::new(&zcu104(), 1);
+        let mut probe_pool = toy_pool(1);
         let mut crash_t = 0.0;
         for step in 0..10_000 {
             let now = step as f64 * 0.01;
@@ -921,7 +921,7 @@ mod tests {
             .with_straggler_duration_ms(20.0)
             .with_straggler_factor(4.0);
         let mut rt = FaultRuntime::new(opts, 1);
-        let mut pool = ExecutorPool::new(&zcu104(), 1);
+        let mut pool = toy_pool(1);
         let (mut saw_slow, mut saw_recover) = (false, false);
         for step in 0..1000 {
             rt.advance(step as f64, &mut pool);
@@ -942,7 +942,7 @@ mod tests {
         // up replica).
         let opts = FaultOptions::default().with_transient_rate(0.1);
         let mut rt = FaultRuntime::new(opts, 2);
-        let mut pool = ExecutorPool::new(&zcu104(), 2);
+        let mut pool = toy_pool(2);
         assert_eq!(rt.health(0), ReplicaHealth::Healthy);
         rt.note_failure(0, 10.0);
         assert_eq!(rt.health(0), ReplicaHealth::Suspect);

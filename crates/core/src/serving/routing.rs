@@ -1,7 +1,7 @@
 //! Replica routing: which worker a ready batch is dispatched to.
 //!
-//! With per-replica cache state (each worker's [`Accelerator`] holds its
-//! own resident SubGraph, and installs are routed — not broadcast), worker
+//! With per-replica cache state (each replica holds its own resident
+//! SubGraph, and installs are routed — not broadcast), worker
 //! choice becomes a placement decision: dispatching to a replica whose
 //! resident SubGraph already covers the batch's SubNet serves from a warm
 //! Persistent Buffer, while a mismatched replica pays cold latency. A
@@ -9,8 +9,6 @@
 //! snapshots — a pure function of the views (plus a round-robin cursor),
 //! so routing is deterministic, platform-independent, and directly
 //! property-testable without a pool in hand.
-//!
-//! [`Accelerator`]: sushi_accel::exec::Accelerator
 
 use std::str::FromStr;
 

@@ -30,13 +30,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sushi_accel::backend::ExecutionBackend;
-use sushi_accel::AccelConfig;
+use sushi_accel::exec::ServiceTable;
 use sushi_sched::{
     AdaptiveEvent, CacheSelection, LatencyTable, LoadSignal, Policy, Query, Scheduler,
     TenantOptions, TenantPolicy, TenantTier, TierSignals, TIER_COUNT,
 };
-use sushi_wsnet::encoding::overlap_ratio;
-use sushi_wsnet::{SubGraph, SubNet, SuperNet};
+use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 use crate::metrics::{LatencyHistogram, ServeSummary};
@@ -413,18 +412,6 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
 }
 
-/// Warmth of replica `w` for `graph`: how much of its weight state the
-/// replica's resident SubGraph already holds (the same PB-overlap metric
-/// behind `hit_ratio`). A replica whose cache the fault runtime does not
-/// count as warm — down, quarantined, or `Warming` after a crash wiped its
-/// PB — is cold until the next install lands on it.
-fn warmth(pool: &ExecutorPool, fault: &FaultRuntime, w: usize, graph: &SubGraph) -> f64 {
-    match (fault.cache_warm(w), pool.resident(w)) {
-        (true, Some(g)) => overlap_ratio(graph, g),
-        _ => 0.0,
-    }
-}
-
 /// The SLO-aware serving loop: scheduler + executor pool + queue + batcher.
 #[derive(Debug)]
 pub struct ServingSim {
@@ -448,7 +435,7 @@ impl ServingSim {
         net: Arc<SuperNet>,
         subnets: Vec<SubNet>,
         table: LatencyTable,
-        accel_config: &AccelConfig,
+        service: Arc<ServiceTable>,
         policy: Policy,
         cache_selection: CacheSelection,
         q_window: usize,
@@ -460,7 +447,7 @@ impl ServingSim {
             net,
             subnets,
             sched: Scheduler::new(table, policy, cache_selection, q_window),
-            pool: ExecutorPool::new(accel_config, config.workers),
+            pool: ExecutorPool::new(service, config.workers),
             config,
             control,
             rr_cursor: 0,
@@ -628,8 +615,7 @@ impl ServingSim {
                 }
                 let decision = self.sched.decide(&scheduled);
                 if let Some(col) = decision.cache_update {
-                    let graph = self.sched.table().column(col).graph.clone();
-                    self.pool.route_install(&graph);
+                    self.pool.route_install(col);
                 }
                 if let Some(victim) =
                     queue.offer(now, QueuedQuery { timed, subnet_row: decision.subnet_row, tier })
@@ -645,7 +631,7 @@ impl ServingSim {
             loop {
                 dropped.extend(queue.sweep_lapsed(now));
                 let mut claimed = vec![false; self.pool.num_workers()];
-                let mut plan: Vec<PlannedBatch<'_>> = Vec::new();
+                let mut plan: Vec<PlannedBatch> = Vec::new();
                 let mut pending: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
                 loop {
                     // A replica is routable only while up and not
@@ -663,10 +649,15 @@ impl ServingSim {
                     // installs make residency heterogeneous, so under
                     // cache-affinity routing a swap-heavy mix keeps each
                     // band on the replica already holding its weights.
-                    let graph = &self.subnets[row].graph;
-                    let warm: Vec<f64> = (0..claimed.len())
-                        .map(|w| if free(w) { warmth(&self.pool, &fault, w, graph) } else { 0.0 })
-                        .collect();
+                    // Warmth: how much of the row's weights a replica's
+                    // resident SubGraph holds (the overlap behind
+                    // `hit_ratio`). A replica whose cache the fault runtime
+                    // does not count as warm — down, quarantined, or
+                    // `Warming` after a crash wiped its PB — is cold.
+                    let warmth =
+                        |w| if fault.cache_warm(w) { self.pool.overlap(w, row) } else { 0.0 };
+                    let warm: Vec<f64> =
+                        (0..claimed.len()).map(|w| if free(w) { warmth(w) } else { 0.0 }).collect();
                     let warmest = warm.iter().copied().fold(0.0, f64::max);
                     let views: Vec<ReplicaView> = (0..claimed.len())
                         .map(|w| ReplicaView {
@@ -686,7 +677,7 @@ impl ServingSim {
                     claimed[worker] = true;
                     plan.push(PlannedBatch {
                         worker,
-                        subnet: &self.subnets[row],
+                        row,
                         query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
                     });
                     pending.push((row, batch));
@@ -694,7 +685,8 @@ impl ServingSim {
                 if plan.is_empty() {
                     break;
                 }
-                let results = self.pool.dispatch_group(now, &self.net, backend, &plan)?;
+                let results =
+                    self.pool.dispatch_group(now, &self.net, &self.subnets, backend, &plan)?;
                 for ((row, batch), (mut report, mut outputs)) in pending.into_iter().zip(results) {
                     if fault.roll_transient() {
                         // The batch burned its service slot and failed
@@ -711,7 +703,6 @@ impl ServingSim {
                     // Tail hedge: race a straggling batch's duplicate on the
                     // warmest free healthy replica.
                     if fault.should_hedge(report.completion_ms - report.start_ms) {
-                        let graph = &self.subnets[row].graph;
                         let mut backup: Option<(usize, f64)> = None;
                         for w in 0..self.pool.num_workers() {
                             if w == report.worker
@@ -720,7 +711,8 @@ impl ServingSim {
                             {
                                 continue;
                             }
-                            let warm = warmth(&self.pool, &fault, w, graph);
+                            let warm =
+                                if fault.cache_warm(w) { self.pool.overlap(w, row) } else { 0.0 };
                             if backup.map_or(true, |(_, best)| warm > best) {
                                 backup = Some((w, warm));
                             }
@@ -728,12 +720,18 @@ impl ServingSim {
                         if let Some((bw, _)) = backup {
                             let hedge_plan = [PlannedBatch {
                                 worker: bw,
-                                subnet: &self.subnets[row],
+                                row,
                                 query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
                             }];
                             let (hreport, houts) = self
                                 .pool
-                                .dispatch_group(now, &self.net, backend, &hedge_plan)?
+                                .dispatch_group(
+                                    now,
+                                    &self.net,
+                                    &self.subnets,
+                                    backend,
+                                    &hedge_plan,
+                                )?
                                 .pop()
                                 .expect("one planned batch, one result");
                             if fault.settle_hedge(&mut self.pool, &report, &hreport) {

@@ -1,11 +1,12 @@
 //! The vertically integrated SUSHI serving stack (§3.1, Fig. 4).
 //!
-//! Wires `SushiSched` to `SushiAccel` through the `SushiAbs` latency table:
-//! per query, the scheduler selects the SubNet under the current cache
-//! state; the accelerator serves it through the engine's
-//! [`ExecutionBackend`]; every `Q` queries the scheduler's caching decision
-//! is enacted on the accelerator (reload charged to the following query,
-//! stage B of Fig. 9a).
+//! Wires `SushiSched` to `SushiAccel` through SushiAbs: per query, the
+//! scheduler selects the SubNet from the latency table under the current
+//! cache state; the engine's [`ExecutionBackend`] executes it and the
+//! [`ServiceTable`] prices it under the column resident in the Persistent
+//! Buffer; every `Q` queries the scheduler's caching decision installs a
+//! new column (reload charged to the following query, stage B of
+//! Fig. 9a).
 //!
 //! Constructed exclusively by [`crate::engine::EngineBuilder`]; use
 //! [`crate::engine::Engine::serve_stream`].
@@ -15,11 +16,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use sushi_accel::backend::ExecutionBackend;
-use sushi_accel::exec::Accelerator;
-use sushi_accel::AccelConfig;
+use sushi_accel::exec::ServiceTable;
 use sushi_sched::{CacheSelection, LatencyTable, Policy, Query, Scheduler};
-use sushi_wsnet::encoding::overlap_ratio;
-use sushi_wsnet::{SubGraph, SubNet, SuperNet};
+use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 
@@ -54,7 +53,11 @@ pub struct ServedRecord {
 pub struct SushiStack {
     net: Arc<SuperNet>,
     subnets: Vec<SubNet>,
-    accel: Accelerator,
+    service: Arc<ServiceTable>,
+    /// Service-table column resident in the Persistent Buffer.
+    resident: Option<usize>,
+    /// PB reload cycles charged to the next query.
+    pending_reload_cycles: u64,
     sched: Scheduler,
 }
 
@@ -66,7 +69,7 @@ impl SushiStack {
         net: Arc<SuperNet>,
         subnets: Vec<SubNet>,
         table: LatencyTable,
-        config: AccelConfig,
+        service: Arc<ServiceTable>,
         policy: Policy,
         cache_selection: CacheSelection,
         q_window: usize,
@@ -75,7 +78,9 @@ impl SushiStack {
         Self {
             net,
             subnets,
-            accel: Accelerator::new(config),
+            service,
+            resident: None,
+            pending_reload_cycles: 0,
             sched: Scheduler::new(table, policy, cache_selection, q_window),
         }
     }
@@ -108,31 +113,31 @@ impl SushiStack {
         query: &Query,
     ) -> Result<ServedRecord, SushiError> {
         let decision = self.sched.decide(query);
-        let subnet = &self.subnets[decision.subnet_row];
-        let empty = SubGraph::empty(self.net.num_layers());
-        let cached_now = self.accel.cached().unwrap_or(&empty);
-        let hit_ratio = overlap_ratio(&subnet.graph, cached_now);
-        let exec = backend.execute_batch(&mut self.accel, &self.net, subnet, &[query.id])?;
+        let row = decision.subnet_row;
+        let subnet = &self.subnets[row];
+        let outputs = backend.execute_batch(&self.net, subnet, &[query.id])?;
+        let reload_cycles = std::mem::take(&mut self.pending_reload_cycles);
+        let report = self.service.price(row, self.resident, 1, reload_cycles);
+        let hit_ratio = self.service.overlap(row, self.resident);
         // Enact the caching decision after serving (Algorithm 1: the cache
         // update takes effect for subsequent queries; its reload cost is
-        // charged by the accelerator to the next serve).
-        let mut cache_updated = false;
+        // charged to the next serve).
         if let Some(col) = decision.cache_update {
-            let graph = self.sched.table().column(col).graph.clone();
-            self.accel.install_cache(&self.net, graph);
-            cache_updated = true;
+            let (resident, reload_cycles) = self.service.install(self.resident, col);
+            self.resident = resident;
+            self.pending_reload_cycles += reload_cycles;
         }
         Ok(ServedRecord {
             query: *query,
             subnet: subnet.name.clone(),
-            subnet_row: decision.subnet_row,
+            subnet_row: row,
             served_accuracy: subnet.accuracy,
-            served_latency_ms: exec.report.total_latency_ms,
+            served_latency_ms: report.total_latency_ms,
             hit_ratio,
-            offchip_mj: exec.report.energy.offchip_mj,
-            onchip_mj: exec.report.energy.onchip_mj,
-            cache_updated,
-            prediction: exec.outputs.as_ref().and_then(|o| o.first()).map(|o| o.prediction),
+            offchip_mj: report.energy.offchip_mj,
+            onchip_mj: report.energy.onchip_mj,
+            cache_updated: decision.cache_update.is_some(),
+            prediction: outputs.as_ref().and_then(|o| o.first()).map(|o| o.prediction),
         })
     }
 

@@ -11,7 +11,7 @@
 //! Variants are assembled via [`crate::engine::EngineBuilder::variant`];
 //! this module keeps the variant taxonomy and the latency-table builder.
 
-use sushi_accel::exec::Accelerator;
+use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
 use sushi_sched::candidates::build_candidate_set;
 use sushi_sched::LatencyTable;
@@ -51,21 +51,63 @@ pub fn build_table(
     num_candidates: usize,
     seed: u64,
 ) -> LatencyTable {
+    build_tables(net, subnets, config, num_candidates, seed).0
+}
+
+/// [`build_table`] together with the [`ServiceTable`] over the same
+/// columns, both filled by one layer walk per cell: a latency-table cell is
+/// its service cell's cold single-query price. Every candidate already fits
+/// the PB budget, so the column the scheduler prices is the SubGraph an
+/// install makes resident.
+pub(crate) fn build_tables(
+    net: &SuperNet,
+    subnets: &[SubNet],
+    config: &AccelConfig,
+    num_candidates: usize,
+    seed: u64,
+) -> (LatencyTable, ServiceTable) {
     let budget = if config.buffers.has_pb() { config.buffers.pb_bytes } else { 0 };
     let candidates = if budget > 0 {
         build_candidate_set(net, subnets, budget, num_candidates, seed)
     } else {
         Vec::new()
     };
-    let probe = Accelerator::new(config.clone());
-    LatencyTable::build(subnets, candidates, |sn, cached| probe.probe(net, sn, cached).latency_ms)
+    let service = ServiceTable::build(config, net, subnets, &candidates);
+    let columns = candidates.len() + 1;
+    let mut cells = 0..;
+    let table = LatencyTable::build(subnets, candidates, |_, _| {
+        let i = cells.next().expect("an unbounded range");
+        service.price(i / columns, Some(i % columns), 1, 0).total_latency_ms
+    });
+    (table, service)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sushi_accel::config::zcu104;
+    use sushi_accel::exec::Accelerator;
     use sushi_wsnet::zoo;
+
+    #[test]
+    fn table_cells_equal_probe_built_cells_bit_for_bit() {
+        for net in [zoo::mobilenet_v3_supernet(), zoo::resnet50_supernet()] {
+            let picks = zoo::paper_subnets(&net);
+            for config in [zcu104(), zcu104().without_pb()] {
+                let table = build_table(&net, &picks, &config, 10, 1);
+                let probe = Accelerator::new(config.clone());
+                let candidates =
+                    (1..table.num_columns()).map(|j| table.column(j).graph.clone()).collect();
+                let oracle = LatencyTable::build(&picks, candidates, |sn, cached| {
+                    probe.probe(&net, sn, cached).latency_ms
+                });
+                for (got, want) in table.rows().iter().zip(oracle.rows()) {
+                    let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.latency_ms), bits(&want.latency_ms), "{}", got.name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn labels_match_fig16_legend() {

@@ -50,9 +50,9 @@ pub struct LatencyTable {
 pub const EMPTY_COLUMN: usize = 0;
 
 impl LatencyTable {
-    /// Builds a table by probing `latency_of(subnet, cached)` for every
-    /// cell. `candidates` become columns `1..`; column 0 is the empty
-    /// SubGraph.
+    /// Builds a table by probing `latency_of(subnet, cached)` once for
+    /// every cell, row by row and column by column within a row.
+    /// `candidates` become columns `1..`; column 0 is the empty SubGraph.
     ///
     /// The probe is the *only* place the accelerator appears — it is
     /// typically backed by `sushi_accel` in production and by a synthetic

@@ -7,35 +7,24 @@
 //! repro -- all --save results           # also write results/<id>.txt
 //! repro -- kernels --kernel-policy gemm # pin the functional kernel backend
 //! repro -- --serve                      # the serving runtime presets
-//! repro -- --serve --workers 4          # override the preset worker pools
-//! repro -- --serve --routing round_robin # override the routing policy
-//! repro -- --serve --no-adaptive        # static scheduling (pre-adaptive)
-//! repro -- --serve --no-tenants         # tierless global controller (pre-tenant)
-//! repro -- --serve --backend functional --workers 4
 //! repro -- --serve --backend functional --no-fusion  # unfused cache installs
 //! ```
+//!
+//! Any other `--` flag exits 2 and lists the accepted ones.
 //!
 //! `--serve` is shorthand for the `serve` experiment id: it runs the
 //! traffic presets (steady / burst / diurnal / multi-tenant / overload /
 //! deadline-mix / failover / scale / chaos) through the event-driven
-//! serving runtime (deterministic: same seed, same report). Load-adaptive
-//! degradation is on by default; `--no-adaptive` pins the presets to the
-//! static pre-adaptive scheduling path bit-for-bit. Tenant tiering (the
-//! `multi_tenant` preset's per-tier controllers) is on by default too;
-//! `--no-tenants` falls back to the tierless global controller.
+//! serving runtime (deterministic: same seed, same report), each on its
+//! own pool size and routing policy, with load-adaptive degradation —
+//! tenant-tiered on `multi_tenant`.
 //!
 //! `--backend analytical|functional` selects the serving runtime's
 //! execution backend (`EngineBuilder::backend`): `analytical` (default)
 //! runs the timing model only; `functional` additionally executes the real
-//! int8 datapath per batch — concurrently across however many workers are
-//! configured, reading one shared pack-once weight cache per SubNet
-//! (full-size zoo forwards take seconds each — expect long runs).
-//!
-//! `--workers N` overrides the serving presets' worker-pool size
-//! (`EngineBuilder::workers`); offered load keeps the presets' sizing.
-//!
-//! `--routing least_loaded|round_robin|cache_affinity` overrides the
-//! presets' replica routing policy (`EngineBuilder::routing`).
+//! int8 datapath per batch — concurrently across each preset's workers,
+//! reading one shared pack-once weight cache per SubNet (full-size zoo
+//! forwards take seconds each — expect long runs).
 //!
 //! `--kernel-policy naive|gemm|auto` selects the kernel backend used by
 //! experiments that execute the functional int8 datapath. Experiment
@@ -52,109 +41,51 @@ use std::io::Write as _;
 
 use sushi_core::engine::BackendKind;
 use sushi_core::experiments::{run, ExpOptions, ALL_IDS};
-use sushi_core::serving::RoutingPolicy;
 use sushi_tensor::KernelPolicy;
 
-fn flag_operand<'a>(args: &'a [String], flag: &str) -> (Option<usize>, Option<&'a String>) {
-    let pos = args.iter().position(|a| a == flag);
-    (pos, pos.and_then(|i| args.get(i + 1)))
+const ACCEPTED: &str = "--quick, --serve, --no-fusion, --save <dir>, \
+                        --kernel-policy <naive|gemm|auto>, --backend <analytical|functional>";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("accepted flags: {ACCEPTED}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (save_pos, save_dir) = flag_operand(&args, "--save");
-    let save_dir = save_dir.cloned();
-    let (policy_pos, policy_arg) = flag_operand(&args, "--kernel-policy");
-    let kernel_policy = match (policy_pos, policy_arg) {
-        (None, _) => KernelPolicy::Auto,
-        (Some(_), Some(v)) => match v.parse::<KernelPolicy>() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
+    let (mut quick, mut serve, mut fusion) = (false, false, true);
+    let (mut save_dir, mut kernel_policy, mut backend) =
+        (None, KernelPolicy::Auto, BackendKind::Analytical);
+    let mut ids: Vec<String> = Vec::new();
+    // A flag's operand is consumed with the flag, so an id that happens to
+    // equal an operand (e.g. a directory named "fig10") is still run.
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_error(&format!("{arg} requires a value")));
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--serve" => serve = true,
+            "--no-fusion" => fusion = false,
+            "--save" => save_dir = Some(value()),
+            "--kernel-policy" => {
+                kernel_policy = value().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
-        },
-        (Some(_), None) => {
-            eprintln!("--kernel-policy requires a value (naive|gemm|auto)");
-            std::process::exit(2);
+            "--backend" => backend = value().parse().unwrap_or_else(|e: String| usage_error(&e)),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
+            _ => ids.push(arg.clone()),
         }
-    };
-    let (backend_pos, backend_arg) = flag_operand(&args, "--backend");
-    let backend = match (backend_pos, backend_arg) {
-        (None, _) => BackendKind::Analytical,
-        (Some(_), Some(v)) => match v.parse::<BackendKind>() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-        (Some(_), None) => {
-            eprintln!("--backend requires a value (analytical|functional)");
-            std::process::exit(2);
-        }
-    };
-    let (workers_pos, workers_arg) = flag_operand(&args, "--workers");
-    let workers = match (workers_pos, workers_arg) {
-        (None, _) => None,
-        (Some(_), Some(v)) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("--workers requires a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-        (Some(_), None) => {
-            eprintln!("--workers requires a value");
-            std::process::exit(2);
-        }
-    };
-    let (routing_pos, routing_arg) = flag_operand(&args, "--routing");
-    let routing = match (routing_pos, routing_arg) {
-        (None, _) => None,
-        (Some(_), Some(v)) => match v.parse::<RoutingPolicy>() {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-        (Some(_), None) => {
-            eprintln!("--routing requires a value (least_loaded|round_robin|cache_affinity)");
-            std::process::exit(2);
-        }
-    };
-    // Skip flag *operands by position*, not by value, so an id that happens
-    // to equal an operand (e.g. a directory named "fig10") is still run.
-    let operand_pos: Vec<usize> = [save_pos, policy_pos, backend_pos, workers_pos, routing_pos]
-        .iter()
-        .flatten()
-        .map(|i| i + 1)
-        .collect();
-    let mut ids: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !operand_pos.contains(i))
-        .map(|(_, a)| a.clone())
-        .collect();
+    }
     // `--serve` selects the serving-runtime experiment (alongside any ids).
-    if args.iter().any(|a| a == "--serve") && !ids.iter().any(|i| i == "serve") {
+    if serve && !ids.iter().any(|i| i == "serve") {
         ids.push("serve".to_string());
     }
     let mut opts = if quick { ExpOptions::quick() } else { ExpOptions::default() };
     opts.kernel_policy = kernel_policy;
     opts.backend = backend;
-    opts.workers = workers;
-    opts.routing = routing;
-    // `--no-adaptive` pins the serving presets to static scheduling (the
-    // pre-adaptive runtime, bit-for-bit); `--no-tenants` keeps adaptation
-    // but drops the multi_tenant preset back to the global controller.
-    opts.adaptive = !args.iter().any(|a| a == "--no-adaptive");
-    opts.tenants = !args.iter().any(|a| a == "--no-tenants");
     // `--no-fusion` lowers functional installs under the rewrite catalog
     // without `annotate-layout` (bit-identical logits; a bisection aid).
-    opts.fusion = !args.iter().any(|a| a == "--no-fusion");
+    opts.fusion = fusion;
 
     let selected: Vec<&str> = if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ALL_IDS.to_vec()

@@ -39,15 +39,11 @@ use sushi_accel::backend::{Analytical, ExecutionBackend, Functional};
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
-use sushi_sched::{AdaptiveOptions, CacheSelection, LatencyTable, Policy, Query, TenantOptions};
+use sushi_sched::{CacheSelection, LatencyTable, Policy, Query};
 use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
-use crate::serving::batch::BatchPolicy;
-use crate::serving::fault::FaultOptions;
-use crate::serving::queue::DropPolicy;
-use crate::serving::routing::RoutingPolicy;
 use crate::serving::sim::{ServingSim, SimConfig, SimResult};
 use crate::stack::{ServedRecord, SushiStack};
 use crate::stream::{ConstraintSpace, TimedQuery};
@@ -284,73 +280,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets every serving-loop knob at once.
+    /// Sets the serving loop of [`Engine::serve_timed`]: pool size, queue,
+    /// batching, routing, the load-adaptive controller and the fault plan
+    /// (default: [`SimConfig::default`], one static unbatched worker). The
+    /// one way a serving configuration enters an engine; write it as a
+    /// struct literal, `SimConfig { workers: 2, ..SimConfig::default() }`.
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Sets the number of serving workers (accelerator replicas).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.sim.workers = workers;
-        self
-    }
-
-    /// Sets the admission-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.sim.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the admission-queue overflow/deadline policy.
-    pub fn drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.sim.drop_policy = policy;
-        self
-    }
-
-    /// Sets the dynamic-batching policy.
-    pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
-        self.sim.batch = batch;
-        self
-    }
-
-    /// Sets the replica routing policy for [`Engine::serve_timed`]
-    /// (default: least-loaded).
-    pub fn routing(mut self, routing: RoutingPolicy) -> Self {
-        self.sim.routing = routing;
-        self
-    }
-
-    /// Enables load-adaptive degradation for [`Engine::serve_timed`]: the
-    /// serving loop walks SubNet selection down the latency ladder under
-    /// pressure and back up when idle — one global ladder for all traffic
-    /// (the untiered [`sushi_sched::TenantPolicy`], see
-    /// [`TenantOptions::global`]). Without a controller the loop is static
-    /// and bit-identical to the pre-adaptive runtime.
-    pub fn adaptive(mut self, opts: AdaptiveOptions) -> Self {
-        self.sim.control = Some(TenantOptions::global(opts));
-        self
-    }
-
-    /// Sets (`Some`) or clears (`None`) the serving loop's controller.
-    /// Tiered options run one degradation ladder per priority tier
-    /// ([`sushi_sched::TenantPolicy`]), best-effort-first shedding, and an
-    /// optional feed-forward arrival predictor. This and
-    /// [`Self::adaptive`] write the same knob, so the later call wins;
-    /// with `None` (the default) the loop is static.
-    pub fn tenants(mut self, opts: Option<TenantOptions>) -> Self {
-        self.sim.control = opts;
-        self
-    }
-
-    /// Enables (`Some`) or disables (`None`) deterministic fault injection
-    /// for [`Engine::serve_timed`]: seeded replica crashes, straggler
-    /// episodes, and transient batch errors, supervised by retry/hedge/
-    /// quarantine policies unless stripped
-    /// ([`FaultOptions::without_supervision`]). `None` (the default) is
-    /// the empty plan: the same loop, with nothing to inject.
-    pub fn faults(mut self, opts: Option<FaultOptions>) -> Self {
-        self.sim.faults = opts;
         self
     }
 
@@ -433,13 +369,19 @@ impl EngineBuilder {
         let selection = self.selection_override.unwrap_or(derived_selection);
         let (table, service) = match self.table_override {
             Some(table) => {
-                let mut layers =
-                    (0..table.num_columns()).map(|j| table.column(j).graph.num_layers());
-                if table.num_rows() != subnets.len() || layers.any(|n| n != net.num_layers()) {
+                if table.num_rows() != subnets.len() {
                     return Err(SushiError::Config(format!(
                         "latency table has {} rows but the serving set has {} SubNets",
                         table.num_rows(),
                         subnets.len()
+                    )));
+                }
+                let mut layers =
+                    (0..table.num_columns()).map(|j| table.column(j).graph.num_layers());
+                if let Some(n) = layers.find(|&n| n != net.num_layers()) {
+                    return Err(SushiError::Config(format!(
+                        "latency table columns cover {n} layers but the SuperNet has {} layers",
+                        net.num_layers()
                     )));
                 }
                 let candidates: Vec<SubGraph> =
@@ -617,6 +559,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::fault::FaultOptions;
     use crate::stream::uniform_stream;
 
     #[test]
@@ -629,8 +572,11 @@ mod tests {
 
     #[test]
     fn functional_backend_builds_with_multiple_workers() {
-        let engine =
-            EngineBuilder::new().backend(BackendKind::Functional).workers(4).build().unwrap();
+        let engine = EngineBuilder::new()
+            .backend(BackendKind::Functional)
+            .sim_config(SimConfig { workers: 4, ..SimConfig::default() })
+            .build()
+            .unwrap();
         assert_eq!(engine.backend_name(), "functional");
         assert_eq!(engine.sim_config().workers, 4);
     }
@@ -638,10 +584,11 @@ mod tests {
     #[test]
     fn degenerate_knobs_are_config_errors() {
         assert!(EngineBuilder::new().q_window(0).build().is_err());
-        assert!(EngineBuilder::new().workers(0).build().is_err());
-        assert!(EngineBuilder::new().queue_capacity(0).build().is_err());
-        let bad_faults = FaultOptions::default().with_transient_rate(2.0);
-        assert!(EngineBuilder::new().faults(Some(bad_faults)).build().is_err());
+        let sim = |sim: SimConfig| EngineBuilder::new().sim_config(sim).build();
+        assert!(sim(SimConfig { workers: 0, ..SimConfig::default() }).is_err());
+        assert!(sim(SimConfig { queue_capacity: 0, ..SimConfig::default() }).is_err());
+        let bad_faults = FaultOptions { transient_rate: 2.0, ..FaultOptions::default() };
+        assert!(sim(SimConfig { faults: Some(bad_faults), ..SimConfig::default() }).is_err());
     }
 
     #[test]
@@ -680,7 +627,26 @@ mod tests {
             .table(a.table().clone())
             .build()
             .unwrap_err();
-        assert!(matches!(err, SushiError::Config(_)));
+        assert!(matches!(&err, SushiError::Config(m) if m.contains("rows")), "{err}");
+    }
+
+    #[test]
+    fn table_override_over_a_different_supernet_names_the_layers() {
+        let toy = |net: SuperNet| {
+            let net = Arc::new(net);
+            let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(4);
+            (net, picks)
+        };
+        let (mbv3, mbv3_picks) = toy(zoo::toy_mobilenet_supernet());
+        let (resnet, resnet_picks) = toy(zoo::toy_supernet());
+        assert_ne!(mbv3.num_layers(), resnet.num_layers());
+        let a = EngineBuilder::new().workload(mbv3, mbv3_picks).candidates(2).build().unwrap();
+        let err = EngineBuilder::new()
+            .workload(resnet, resnet_picks)
+            .table(a.table().clone())
+            .build()
+            .unwrap_err();
+        assert!(matches!(&err, SushiError::Config(m) if m.contains("layers")), "{err}");
     }
 
     #[test]

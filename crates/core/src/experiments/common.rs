@@ -9,7 +9,6 @@ use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{zoo, SubNet, SuperNet};
 
 use crate::engine::{BackendKind, Engine, EngineBuilder};
-use crate::serving::routing::RoutingPolicy;
 use crate::stream::ConstraintSpace;
 use crate::variants::{build_table, Variant};
 
@@ -35,25 +34,13 @@ pub struct ExpOptions {
     /// Execution backend for the serving-runtime experiments
     /// (`repro --backend analytical|functional`). The analytical default
     /// keeps full-size workloads fast; functional runs the real int8
-    /// datapath, in parallel across however many workers are configured.
+    /// datapath, in parallel across each preset's workers.
     pub backend: BackendKind,
-    /// Worker-count override for the serving-runtime presets
-    /// (`repro --workers N`; `None` keeps each preset's own sizing).
-    pub workers: Option<usize>,
-    /// Replica-routing override for the serving-runtime presets
-    /// (`repro --routing <policy>`; `None` keeps each preset's own
-    /// policy).
-    pub routing: Option<RoutingPolicy>,
     /// Whether the serving-runtime presets run with load-adaptive
-    /// degradation (`repro --no-adaptive` turns it off; the static path
-    /// stays bit-identical to the pre-adaptive runtime).
+    /// degradation (tenant-tiered on `multi_tenant`). Off, the static path
+    /// stays bit-identical to the pre-adaptive runtime; `preset_bench_rows`
+    /// turns it off for the static companion rows of `BENCH_serve.json`.
     pub adaptive: bool,
-    /// Whether the `multi_tenant` preset runs with tenant-tiered
-    /// adaptation (`repro --no-tenants` falls back to the single global
-    /// controller; no other preset defines tiers, so the knob is inert
-    /// elsewhere). Requires `adaptive` — with adaptation off the preset
-    /// is static either way.
-    pub tenants: bool,
     /// Whether functional-backend cache installs lower SubNets through the
     /// typed IR and fuse bias/requant/activation into the conv epilogue
     /// (`repro --no-fusion` turns it off). Logits are bit-identical either
@@ -69,10 +56,7 @@ impl Default for ExpOptions {
             seed: 0xC0FFEE,
             kernel_policy: KernelPolicy::Auto,
             backend: BackendKind::Analytical,
-            workers: None,
-            routing: None,
             adaptive: true,
-            tenants: true,
             fusion: true,
         }
     }

@@ -83,11 +83,11 @@ pub fn serve(opts: &ExpOptions) -> ExpReport {
             }
         }
     }
-    let workers = opts.workers.map_or("preset workers".to_string(), |w| format!("{w} workers"));
     let sched = if opts.adaptive { "adaptive" } else { "static" };
     report.add_section(
         format!(
-            "Traffic presets (MobileNetV3 on ZCU104, {} backend, {workers}, {sched} scheduling)",
+            "Traffic presets (MobileNetV3 on ZCU104, {} backend, preset workers, {sched} \
+             scheduling)",
             opts.backend
         ),
         table,

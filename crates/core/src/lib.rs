@@ -56,5 +56,5 @@ pub mod variants;
 
 pub use engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
 pub use error::SushiError;
-pub use stack::{ServedRecord, SushiStack};
+pub use stack::ServedRecord;
 pub use variants::Variant;

@@ -12,9 +12,9 @@
 //! actually in flight (stage B of Fig. 9a, now under load). Replicas
 //! therefore hold *different* resident SubGraphs over time, which is what
 //! cache-affinity routing ([`crate::serving::routing::RoutingPolicy`])
-//! exploits: the serving loop reads each replica's resident column
-//! ([`ExecutorPool::resident`]) and steers each batch to a warm replica
-//! when one is free.
+//! exploits: the serving loop reads how much of a batch's SubNet each
+//! replica's resident column holds ([`ExecutorPool::overlap`]) and steers
+//! each batch to a warm replica when one is free.
 //!
 //! Every batch is priced from the [`ServiceTable`]: service time, traffic
 //! and energy are lookups, whichever backend runs the batch. The engine's
@@ -52,7 +52,7 @@ struct Worker {
 
 /// One batch of a dispatch group: which worker runs which SubNet's queries.
 #[derive(Debug, Clone)]
-pub struct PlannedBatch {
+pub(crate) struct PlannedBatch {
     /// Worker (replica) index chosen by the routing policy.
     pub worker: usize,
     /// Serving-set row every query in the batch resolved to.
@@ -64,7 +64,7 @@ pub struct PlannedBatch {
 /// What one dispatch did.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use]
-pub struct DispatchReport {
+pub(crate) struct DispatchReport {
     /// Worker index that executed the batch.
     pub worker: usize,
     /// Dispatch (service start) time, ms.
@@ -77,7 +77,7 @@ pub struct DispatchReport {
 
 /// A pool of accelerator workers with simulated availability clocks.
 #[derive(Debug, Clone)]
-pub struct ExecutorPool {
+pub(crate) struct ExecutorPool {
     service: Arc<ServiceTable>,
     workers: Vec<Worker>,
     /// The newest unapplied cache decision (a service-table column);
@@ -116,21 +116,21 @@ impl ExecutorPool {
 
     /// Number of workers.
     #[must_use]
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.workers.len()
     }
 
     /// When worker `worker` last became (or next becomes) idle, ms.
     #[must_use]
-    pub fn busy_until_ms(&self, worker: usize) -> f64 {
+    pub(crate) fn busy_until_ms(&self, worker: usize) -> f64 {
         self.workers[worker].busy_until_ms
     }
 
     /// The service-table column resident in worker `worker`'s Persistent
     /// Buffer (`None` before its first applied install, after a crash, or
     /// on PB-less configs).
-    #[must_use]
-    pub fn resident(&self, worker: usize) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn resident(&self, worker: usize) -> Option<usize> {
         self.workers[worker].resident
     }
 
@@ -142,7 +142,7 @@ impl ExecutorPool {
 
     /// Time the last worker finishes (the pool's drain point).
     #[must_use]
-    pub fn drain_ms(&self) -> f64 {
+    pub(crate) fn drain_ms(&self) -> f64 {
         self.workers.iter().map(|w| w.busy_until_ms).fold(0.0, f64::max)
     }
 
@@ -151,7 +151,7 @@ impl ExecutorPool {
     /// the next install it applies counts as a re-install. The simulated
     /// availability clock is left alone; the serving loop's fault runtime
     /// gates dispatchability while the replica is down.
-    pub fn crash_worker(&mut self, worker: usize) {
+    pub(crate) fn crash_worker(&mut self, worker: usize) {
         self.workers[worker].resident = None;
         self.workers[worker].lost_cache = true;
     }
@@ -160,21 +160,21 @@ impl ExecutorPool {
     ///
     /// # Panics
     /// Panics unless `multiplier >= 1` and finite.
-    pub fn set_service_multiplier(&mut self, worker: usize, multiplier: f64) {
+    pub(crate) fn set_service_multiplier(&mut self, worker: usize, multiplier: f64) {
         assert!(multiplier.is_finite() && multiplier >= 1.0, "service multiplier must be >= 1");
         self.workers[worker].service_multiplier = multiplier;
     }
 
     /// Worker `worker`'s current service-time multiplier.
-    #[must_use]
-    pub fn service_multiplier(&self, worker: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn service_multiplier(&self, worker: usize) -> f64 {
         self.workers[worker].service_multiplier
     }
 
     /// Clamps worker `worker`'s availability clock to at most `until_ms`
     /// (hedge cancellation: the losing replica abandons its duplicate
     /// batch the instant the winner's result lands).
-    pub fn clamp_busy(&mut self, worker: usize, until_ms: f64) {
+    pub(crate) fn clamp_busy(&mut self, worker: usize, until_ms: f64) {
         let w = &mut self.workers[worker];
         w.busy_until_ms = w.busy_until_ms.min(until_ms);
     }

@@ -8,7 +8,7 @@
 //! * **Crash** — a replica fail-stops at a drawn instant (enacted at the
 //!   next batch boundary: an in-flight batch completes, then the replica
 //!   dies), losing its Persistent-Buffer resident SubGraph
-//!   ([`crate::serving::executor::ExecutorPool::crash_worker`]). With a
+//!   (`ExecutorPool::crash_worker`). With a
 //!   non-zero outage mean it restarts after a drawn outage window and
 //!   re-enters cold (`Warming` under supervision); with a zero mean the
 //!   crash is permanent.
@@ -95,15 +95,12 @@ fn backoff_ms(attempt: u32, salt: u64) -> f64 {
     RETRY_BASE_BACKOFF_MS * exp * (1.0 - RETRY_JITTER + 2.0 * RETRY_JITTER * unit)
 }
 
-/// Fault-injection knobs. All processes are off by default; supervision
-/// defaults to on, so enabling a fault process exercises the supervised
-/// pool unless explicitly stripped with
-/// [`FaultOptions::without_supervision`].
-///
-/// `#[non_exhaustive]`: construct via [`Default`] and adjust with the
-/// `with_*` setters (or [`crate::engine::EngineBuilder::faults`]).
+/// Fault-injection knobs, written as a struct literal over [`Default`]
+/// and set through [`crate::serving::sim::SimConfig::faults`]. All
+/// processes are off by default; supervision defaults to on, so enabling
+/// a fault process exercises the supervised pool unless the plan sets
+/// `supervised: false` (the ablation baseline).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct FaultOptions {
     /// Seed for every fault-plan RNG stream (independent of the arrival
     /// and query seeds). Default `0xFA17`.
@@ -148,63 +145,6 @@ impl Default for FaultOptions {
 }
 
 impl FaultOptions {
-    /// Sets the fault-plan seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the per-replica crash MTBF, ms (`0.0` disables crashes).
-    #[must_use]
-    pub fn with_crash_mtbf_ms(mut self, mtbf_ms: f64) -> Self {
-        self.crash_mtbf_ms = mtbf_ms;
-        self
-    }
-
-    /// Sets the mean restart outage, ms (`0.0` makes crashes permanent).
-    #[must_use]
-    pub fn with_crash_outage_ms(mut self, outage_ms: f64) -> Self {
-        self.crash_outage_ms = outage_ms;
-        self
-    }
-
-    /// Sets the straggler episode MTBF, ms (`0.0` disables).
-    #[must_use]
-    pub fn with_straggler_mtbf_ms(mut self, mtbf_ms: f64) -> Self {
-        self.straggler_mtbf_ms = mtbf_ms;
-        self
-    }
-
-    /// Sets the mean straggler episode duration, ms.
-    #[must_use]
-    pub fn with_straggler_duration_ms(mut self, duration_ms: f64) -> Self {
-        self.straggler_duration_ms = duration_ms;
-        self
-    }
-
-    /// Sets the straggler service-time multiplier (`>= 1`).
-    #[must_use]
-    pub fn with_straggler_factor(mut self, factor: f64) -> Self {
-        self.straggler_factor = factor;
-        self
-    }
-
-    /// Sets the per-batch transient failure probability, in `[0, 1)`.
-    #[must_use]
-    pub fn with_transient_rate(mut self, rate: f64) -> Self {
-        self.transient_rate = rate;
-        self
-    }
-
-    /// The same fault plan with supervision stripped — the ablation
-    /// baseline the supervised pool is measured against.
-    #[must_use]
-    pub fn without_supervision(mut self) -> Self {
-        self.supervised = false;
-        self
-    }
-
     /// Validates the options.
     ///
     /// # Errors
@@ -747,13 +687,15 @@ mod tests {
     use sushi_sched::{Query, TenantTier};
 
     fn chaosy() -> FaultOptions {
-        FaultOptions::default()
-            .with_crash_mtbf_ms(100.0)
-            .with_crash_outage_ms(50.0)
-            .with_straggler_mtbf_ms(80.0)
-            .with_straggler_duration_ms(40.0)
-            .with_straggler_factor(3.0)
-            .with_transient_rate(0.1)
+        FaultOptions {
+            crash_mtbf_ms: 100.0,
+            crash_outage_ms: 50.0,
+            straggler_mtbf_ms: 80.0,
+            straggler_duration_ms: 40.0,
+            straggler_factor: 3.0,
+            transient_rate: 0.1,
+            ..FaultOptions::default()
+        }
     }
 
     #[test]
@@ -771,14 +713,12 @@ mod tests {
 
     #[test]
     fn invalid_knobs_are_rejected_with_context() {
-        assert!(chaosy().with_crash_mtbf_ms(-1.0).validate().unwrap_err().contains("crash mtbf"));
-        assert!(chaosy().with_straggler_factor(0.5).validate().unwrap_err().contains("factor"));
-        assert!(chaosy().with_transient_rate(1.0).validate().unwrap_err().contains("transient"));
-        assert!(FaultOptions::default()
-            .with_straggler_mtbf_ms(10.0)
-            .validate()
-            .unwrap_err()
-            .contains("duration"));
+        let complaint = |opts: FaultOptions| opts.validate().unwrap_err();
+        assert!(complaint(FaultOptions { crash_mtbf_ms: -1.0, ..chaosy() }).contains("crash mtbf"));
+        assert!(complaint(FaultOptions { straggler_factor: 0.5, ..chaosy() }).contains("factor"));
+        assert!(complaint(FaultOptions { transient_rate: 1.0, ..chaosy() }).contains("transient"));
+        let no_duration = FaultOptions { straggler_mtbf_ms: 10.0, ..FaultOptions::default() };
+        assert!(complaint(no_duration).contains("duration"));
     }
 
     #[test]
@@ -839,7 +779,7 @@ mod tests {
         }
         assert_eq!(a.finish(1400.0), b.finish(1400.0));
         // A different seed yields a different plan.
-        let mut c = FaultRuntime::new(opts.with_seed(0xDEAD), 3);
+        let mut c = FaultRuntime::new(FaultOptions { seed: 0xDEAD, ..opts }, 3);
         let mut pc = toy_pool(3);
         let mut diverged = false;
         let mut a2 = FaultRuntime::new(opts, 3);
@@ -855,7 +795,8 @@ mod tests {
 
     #[test]
     fn crashes_enact_downtime_and_permanent_without_outage() {
-        let opts = FaultOptions::default().with_crash_mtbf_ms(20.0).with_crash_outage_ms(30.0);
+        let opts =
+            FaultOptions { crash_mtbf_ms: 20.0, crash_outage_ms: 30.0, ..FaultOptions::default() };
         let mut rt = FaultRuntime::new(opts, 1);
         let mut pool = toy_pool(1);
         let mut saw_down = false;
@@ -874,7 +815,8 @@ mod tests {
         assert!(s.downtime_ms[0] > 0.0);
 
         // Zero outage mean: the first crash is forever.
-        let mut perm = FaultRuntime::new(FaultOptions::default().with_crash_mtbf_ms(20.0), 1);
+        let mut perm =
+            FaultRuntime::new(FaultOptions { crash_mtbf_ms: 20.0, ..FaultOptions::default() }, 1);
         let mut pool = toy_pool(1);
         for step in 0..500 {
             perm.advance(step as f64, &mut pool);
@@ -888,7 +830,7 @@ mod tests {
 
     #[test]
     fn crash_waits_for_the_inflight_batch() {
-        let opts = FaultOptions::default().with_crash_mtbf_ms(10.0);
+        let opts = FaultOptions { crash_mtbf_ms: 10.0, ..FaultOptions::default() };
         let mut rt = FaultRuntime::new(opts, 1);
         let mut pool = toy_pool(1);
         // Find the drawn crash instant by probing a parallel runtime.
@@ -916,10 +858,12 @@ mod tests {
 
     #[test]
     fn straggler_episodes_set_and_clear_the_multiplier() {
-        let opts = FaultOptions::default()
-            .with_straggler_mtbf_ms(30.0)
-            .with_straggler_duration_ms(20.0)
-            .with_straggler_factor(4.0);
+        let opts = FaultOptions {
+            straggler_mtbf_ms: 30.0,
+            straggler_duration_ms: 20.0,
+            straggler_factor: 4.0,
+            ..FaultOptions::default()
+        };
         let mut rt = FaultRuntime::new(opts, 1);
         let mut pool = toy_pool(1);
         let (mut saw_slow, mut saw_recover) = (false, false);
@@ -940,7 +884,7 @@ mod tests {
         // machine purely through note_failure/note_success, and a random
         // crash would pin a replica down (quarantine expiry requires an
         // up replica).
-        let opts = FaultOptions::default().with_transient_rate(0.1);
+        let opts = FaultOptions { transient_rate: 0.1, ..FaultOptions::default() };
         let mut rt = FaultRuntime::new(opts, 2);
         let mut pool = toy_pool(2);
         assert_eq!(rt.health(0), ReplicaHealth::Healthy);
@@ -985,7 +929,7 @@ mod tests {
 
     #[test]
     fn unsupervised_runs_have_no_health_machine() {
-        let mut rt = FaultRuntime::new(chaosy().without_supervision(), 2);
+        let mut rt = FaultRuntime::new(FaultOptions { supervised: false, ..chaosy() }, 2);
         for _ in 0..10 {
             rt.note_failure(0, 1.0);
             rt.note_success(1, 100.0, 1.0);

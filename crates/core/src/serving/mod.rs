@@ -25,14 +25,16 @@
 //!   the one supervision switch: retry with exponential backoff and
 //!   per-tier budgets, tail hedging, and a [`fault::ReplicaHealth`]
 //!   quarantine/recovery machine, all on fixed thresholds.
-//! * [`executor::ExecutorPool`] — accelerator-replica workers with
-//!   per-replica cache state and routed (not broadcast) installs,
-//!   dispatching batch groups through the engine's
+//! * `executor::ExecutorPool` (crate-private) — accelerator-replica
+//!   workers with per-replica cache state and routed (not broadcast)
+//!   installs, dispatching batch groups through the engine's
 //!   [`sushi_accel::backend::ExecutionBackend`] (analytical timing, or
 //!   real parallel int8 forwards with per-query predictions).
-//! * [`sim::ServingSim`] — the SLO-aware event loop tying scheduler,
-//!   queue, batcher, router and pool together (the run state behind
-//!   [`crate::engine::Engine::serve_timed`]).
+//! * [`sim`] — the SLO-aware event loop tying scheduler, queue, batcher,
+//!   router and pool together (the run state behind
+//!   [`crate::engine::Engine::serve_timed`]), configured by one
+//!   [`sim::SimConfig`] handed to
+//!   [`crate::engine::EngineBuilder::sim_config`].
 //! * [`scenario`] — canned presets (`steady`, `burst`, `diurnal`,
 //!   `multi_tenant`, …, `scale`) behind `repro --serve` and the
 //!   `BENCH_serve.json` baseline.
@@ -43,17 +45,20 @@
 //!
 //! ```
 //! use sushi_core::engine::EngineBuilder;
-//! use sushi_core::serving::{ArrivalProcess, BatchPolicy, DropPolicy};
+//! use sushi_core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimConfig};
 //! use sushi_core::stream::{attach_arrivals, uniform_stream, ConstraintSpace};
 //!
 //! let mut engine = EngineBuilder::new()
 //!     .q_window(10)
 //!     .candidates(8)
 //!     .seed(42)
-//!     .workers(2)
-//!     .queue_capacity(32)
-//!     .drop_policy(DropPolicy::DropNewest)
-//!     .batch_policy(BatchPolicy::new(4, 2.0))
+//!     .sim_config(SimConfig {
+//!         workers: 2,
+//!         queue_capacity: 32,
+//!         drop_policy: DropPolicy::DropNewest,
+//!         batch: BatchPolicy::new(4, 2.0),
+//!         ..SimConfig::default()
+//!     })
 //!     .build()?;
 //!
 //! // 50 uniform queries arriving as 120 qps Poisson traffic.
@@ -70,7 +75,7 @@
 
 pub mod arrivals;
 pub mod batch;
-pub mod executor;
+pub(crate) mod executor;
 pub mod fault;
 pub mod queue;
 pub mod routing;
@@ -79,7 +84,6 @@ pub mod sim;
 
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchPolicy;
-pub use executor::ExecutorPool;
 pub use fault::{FaultOptions, FaultSummary, ReplicaHealth};
 pub use queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery};
 pub use routing::{ReplicaView, RoutingPolicy};
@@ -87,4 +91,4 @@ pub use scenario::{
     build_scenario, preset_bench_rows, run_functional_scaling, run_scenario,
     run_scenario_unsupervised, Scenario, ServePreset, FUNCTIONAL_SCALING_POINTS,
 };
-pub use sim::{AdaptationTrace, ServedQuery, ServingSim, SimConfig, SimResult, TierAdaptation};
+pub use sim::{AdaptationTrace, ServedQuery, SimConfig, SimResult, TierAdaptation};

@@ -10,8 +10,6 @@
 //! so routing is deterministic, platform-independent, and directly
 //! property-testable without a pool in hand.
 
-use std::str::FromStr;
-
 /// How a ready batch picks among free workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
@@ -28,7 +26,7 @@ pub enum RoutingPolicy {
 }
 
 impl RoutingPolicy {
-    /// Stable label, matching the `--routing` CLI flag values.
+    /// Stable label (the `routing` key of `BENCH_serve.json` rows).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -70,21 +68,6 @@ impl RoutingPolicy {
             RoutingPolicy::CacheAffinity => {
                 least_loaded(&|v| v.covers).or_else(|| least_loaded(&|_| true))
             }
-        }
-    }
-}
-
-impl FromStr for RoutingPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "least_loaded" => Ok(RoutingPolicy::LeastLoaded),
-            "round_robin" => Ok(RoutingPolicy::RoundRobin),
-            "cache_affinity" => Ok(RoutingPolicy::CacheAffinity),
-            other => Err(format!(
-                "unknown routing policy '{other}' (expected least_loaded|round_robin|cache_affinity)"
-            )),
         }
     }
 }
@@ -163,11 +146,12 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for p in
-            [RoutingPolicy::LeastLoaded, RoutingPolicy::RoundRobin, RoutingPolicy::CacheAffinity]
-        {
-            assert_eq!(p.name().parse::<RoutingPolicy>().unwrap(), p);
+        // Every label names exactly one policy (they key report rows).
+        let all =
+            [RoutingPolicy::LeastLoaded, RoutingPolicy::RoundRobin, RoutingPolicy::CacheAffinity];
+        for p in all {
+            let named = all.into_iter().filter(|q| q.name() == p.name());
+            assert_eq!(named.collect::<Vec<_>>(), vec![p]);
         }
-        assert!("random".parse::<RoutingPolicy>().is_err());
     }
 }

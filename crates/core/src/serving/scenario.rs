@@ -123,14 +123,7 @@ impl ServePreset {
         }
     }
 
-    /// Parses a scenario label.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.name() == name)
-    }
-
-    /// The preset's own pool size (what `BENCH_serve.json` rows record
-    /// when `opts.workers` is `None`).
+    /// The preset's pool size (what its `BENCH_serve.json` rows record).
     #[must_use]
     pub fn default_workers(&self) -> usize {
         match self {
@@ -140,8 +133,8 @@ impl ServePreset {
         }
     }
 
-    /// The preset's own routing policy (what `BENCH_serve.json` rows
-    /// record when `opts.routing` is `None`).
+    /// The preset's routing policy (what its `BENCH_serve.json` rows
+    /// record).
     #[must_use]
     pub fn default_routing(&self) -> RoutingPolicy {
         match self {
@@ -259,24 +252,21 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 attach_arrivals(&av, &av_arrivals),
                 attach_arrivals(&icu, &icu_arrivals),
             ]);
-            // With tiering on, the AV navigation tenant is latency-critical
-            // and the bursty ICU tenant runs best-effort with the arrival
-            // predictor watching its MMPP inter-arrival statistics; the
-            // tierless fallback (opts.tenants = false) keeps the single
-            // global ladder for A/B comparison.
+            // Adaptive runs are tiered: the AV navigation tenant is
+            // latency-critical and the bursty ICU tenant runs best-effort
+            // with the arrival predictor watching its MMPP inter-arrival
+            // statistics.
             // Shield 4.0 pins the latency-critical ladder above reachable
             // pressure (it simply never degrades) while the best-effort
             // ladder sheds accuracy at the first sign of load — the
             // empirically best point of a shield sweep: beyond ~5 the
             // curves saturate, below ~2.5 the LC ladder starts thrashing
             // with the shared signal and aggregate goodput drops.
-            if opts.adaptive && opts.tenants {
+            if opts.adaptive {
                 control = Some(
-                    TenantOptions::default()
+                    TenantOptions { shield: 4.0, predictor: true, ..TenantOptions::default() }
                         .with_tier(0, TenantTier::LatencyCritical)
-                        .with_tier(1, TenantTier::BestEffort)
-                        .with_shield(4.0)
-                        .with_predictor(true),
+                        .with_tier(1, TenantTier::BestEffort),
                 );
             }
             (merged, 48, DropPolicy::DeadlineAware)
@@ -365,16 +355,16 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             let qs = uniform_stream(&space, n, seed ^ 0x0F);
             let arrivals =
                 ArrivalProcess::Poisson { rate_qps: 1.4 * capacity_qps }.timestamps(n, seed ^ 0x10);
-            faults = Some(
-                FaultOptions::default()
-                    .with_seed(seed ^ 0x11)
-                    .with_crash_mtbf_ms(200.0 * mean_cold_ms)
-                    .with_crash_outage_ms(20.0 * mean_cold_ms)
-                    .with_straggler_mtbf_ms(40.0 * mean_cold_ms)
-                    .with_straggler_duration_ms(12.0 * mean_cold_ms)
-                    .with_straggler_factor(4.0)
-                    .with_transient_rate(0.08),
-            );
+            faults = Some(FaultOptions {
+                seed: seed ^ 0x11,
+                crash_mtbf_ms: 200.0 * mean_cold_ms,
+                crash_outage_ms: 20.0 * mean_cold_ms,
+                straggler_mtbf_ms: 40.0 * mean_cold_ms,
+                straggler_duration_ms: 12.0 * mean_cold_ms,
+                straggler_factor: 4.0,
+                transient_rate: 0.08,
+                supervised: true,
+            });
             (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DeadlineAware)
         }
     };
@@ -390,18 +380,13 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
     Scenario { name: preset.name(), stream, sim, q_window: workload.q_window }
 }
 
-/// Builds the serving engine for a scenario and runs it to completion.
-///
-/// The engine honors `opts.backend`, `opts.workers` and `opts.routing`:
-/// the overrides replace the preset's pool size and routing policy
-/// (arrival streams stay sized to the preset's nominal capacity, so
-/// overriding workers changes service capacity, not the offered load).
-/// Any backend runs at any worker count — functional replicas share one
-/// pack-once weight cache per SubNet and execute in parallel.
+/// Builds the serving engine for a scenario and runs it to completion on
+/// the preset's own pool size and routing policy, through
+/// `opts.backend` — functional replicas share one pack-once weight cache
+/// per SubNet and execute in parallel.
 ///
 /// # Errors
-/// Returns [`SushiError::Config`] for invalid overrides (e.g. zero
-/// workers) and [`SushiError::Backend`] when execution fails.
+/// Returns [`SushiError::Backend`] when execution fails.
 pub fn run_scenario(preset: ServePreset, opts: &ExpOptions) -> Result<SimResult, SushiError> {
     run_scenario_inner(preset, opts, false)
 }
@@ -430,13 +415,7 @@ fn run_scenario_inner(
     let scenario = build_scenario_for(&workload, preset, opts);
     let mut sim = scenario.sim;
     if strip_supervision {
-        sim.faults = sim.faults.map(FaultOptions::without_supervision);
-    }
-    if let Some(workers) = opts.workers {
-        sim.workers = workers;
-    }
-    if let Some(routing) = opts.routing {
-        sim.routing = routing;
+        sim.faults = sim.faults.map(|f| FaultOptions { supervised: false, ..f });
     }
     let mut engine = EngineBuilder::new()
         .workload(Arc::clone(&workload.net), workload.picks)
@@ -455,17 +434,16 @@ fn run_scenario_inner(
 /// order: the adaptive run (unless `opts.adaptive` is false) — plus, for
 /// `chaos`, its `"unsupervised"` ablation and, for a tenant-tiered run,
 /// one row per occupied tier — then the static companion. Rows are keyed
-/// by the effective `(workers, routing)`, so `opts.workers`/`opts.routing`
-/// overrides are honored; `chaos` rows carry `faults: "supervised"`, all
-/// others `"none"`.
+/// by the preset's `(workers, routing)`; `chaos` rows carry
+/// `faults: "supervised"`, all others `"none"`.
 ///
 /// # Errors
 /// Propagates the first [`run_scenario`] failure.
 pub fn preset_bench_rows(opts: &ExpOptions) -> Result<Vec<ServeBenchEntry>, SushiError> {
     let mut rows = Vec::new();
     for preset in ServePreset::ALL {
-        let workers = opts.workers.unwrap_or(preset.default_workers());
-        let routing = opts.routing.unwrap_or(preset.default_routing()).name();
+        let workers = preset.default_workers();
+        let routing = preset.default_routing().name();
         let faults = if preset == ServePreset::Chaos { "supervised" } else { "none" };
         let row = |adaptive, tier: &str, faults: &str, s: &ServeSummary| {
             ServeBenchEntry::from_summary(
@@ -548,11 +526,14 @@ pub fn run_functional_scaling(
             .backend(crate::engine::BackendKind::Functional)
             .kernel_policy(opts.kernel_policy)
             .fusion(opts.fusion)
-            .workers(workers)
-            .routing(routing)
-            .queue_capacity(64)
-            .drop_policy(DropPolicy::DeadlineAware)
-            .batch_policy(BatchPolicy::new(4, 0.05))
+            .sim_config(SimConfig {
+                workers,
+                routing,
+                queue_capacity: 64,
+                drop_policy: DropPolicy::DeadlineAware,
+                batch: BatchPolicy::new(4, 0.05),
+                ..SimConfig::default()
+            })
             .build()?;
         // Deadlines cover queueing + batching on top of bare service time
         // (cf. the preset band widening above) but stay tight enough that
@@ -608,10 +589,11 @@ mod tests {
 
     #[test]
     fn preset_names_round_trip() {
+        // Every label names exactly one preset (they key report rows).
         for p in ServePreset::ALL {
-            assert_eq!(ServePreset::from_name(p.name()), Some(p));
+            let named = ServePreset::ALL.into_iter().filter(|q| q.name() == p.name());
+            assert_eq!(named.collect::<Vec<_>>(), vec![p]);
         }
-        assert_eq!(ServePreset::from_name("nope"), None);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The deterministic discrete-event serving simulator.
 //!
-//! [`ServingSim`] wraps the SUSHI stack — `SushiSched` decisions enacted on
-//! an [`ExecutorPool`] of accelerator replicas — in an open-loop event
-//! loop over a [`TimedQuery`] stream. It is the run state behind
-//! [`crate::engine::Engine::serve_timed`]:
+//! The crate-private `ServingSim` wraps the SUSHI stack — `SushiSched`
+//! decisions enacted on a pool of accelerator replicas — in an open-loop
+//! event loop over a [`TimedQuery`] stream. It is the run state behind
+//! [`crate::engine::Engine::serve_timed`], configured by one
+//! [`SimConfig`]:
 //!
 //! 1. **Admission.** Each arrival is scheduled immediately
 //!    (`Scheduler::decide`, in arrival order, so the AvgNet state stream is
@@ -46,14 +47,10 @@ use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery
 use crate::serving::routing::{ReplicaView, RoutingPolicy};
 use crate::stream::TimedQuery;
 
-/// Serving-loop knobs (everything except the stack itself).
-///
-/// `#[non_exhaustive]`: construct via [`Default`] and adjust with the
-/// `with_*` setters (or the corresponding
-/// [`crate::engine::EngineBuilder`] knobs) so future fields are
-/// non-breaking.
+/// Serving-loop knobs (everything except the stack itself), written as a
+/// struct literal over [`Default`] and handed to
+/// [`crate::engine::EngineBuilder::sim_config`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct SimConfig {
     /// Number of accelerator workers.
     pub workers: usize,
@@ -91,59 +88,6 @@ impl Default for SimConfig {
             control: None,
             faults: None,
         }
-    }
-}
-
-impl SimConfig {
-    /// Sets the number of accelerator workers.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the admission-queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the overflow/deadline policy.
-    #[must_use]
-    pub fn with_drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.drop_policy = policy;
-        self
-    }
-
-    /// Sets the dynamic-batching policy.
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the replica routing policy.
-    #[must_use]
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Enables (`Some`) or disables (`None`) load-adaptive degradation,
-    /// global or tenant-tiered as the options say.
-    #[must_use]
-    pub fn with_control(mut self, control: Option<TenantOptions>) -> Self {
-        self.control = control;
-        self
-    }
-
-    /// Enables (`Some`) or disables (`None`) deterministic fault
-    /// injection and the supervised executor pool.
-    #[must_use]
-    pub fn with_faults(mut self, faults: Option<FaultOptions>) -> Self {
-        self.faults = faults;
-        self
     }
 }
 
@@ -414,7 +358,7 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
 
 /// The SLO-aware serving loop: scheduler + executor pool + queue + batcher.
 #[derive(Debug)]
-pub struct ServingSim {
+pub(crate) struct ServingSim {
     net: Arc<SuperNet>,
     subnets: Vec<SubNet>,
     sched: Scheduler,
@@ -454,18 +398,6 @@ impl ServingSim {
         }
     }
 
-    /// The scheduler (for inspection).
-    #[must_use]
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
-    }
-
-    /// The serving SubNets (row order).
-    #[must_use]
-    pub fn subnets(&self) -> &[SubNet] {
-        &self.subnets
-    }
-
     /// Runs the event loop over an arrival-ordered stream to completion,
     /// dispatching every batch through `backend`.
     ///
@@ -473,7 +405,7 @@ impl ServingSim {
     /// Returns [`SushiError::Stream`] if the stream is empty, has a
     /// non-finite arrival time, or is not sorted by arrival time, and
     /// [`SushiError::Backend`] when the backend fails.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         backend: &mut dyn ExecutionBackend,
         stream: &[TimedQuery],
@@ -522,7 +454,7 @@ impl ServingSim {
         // A fresh fault runtime per run — the plan is a pure function of
         // the options' seed, so a rerun replays the same schedule; with
         // `faults: None` it is the empty plan.
-        let empty_plan = FaultOptions::default().without_supervision();
+        let empty_plan = FaultOptions { supervised: false, ..FaultOptions::default() };
         let mut fault =
             FaultRuntime::new(self.config.faults.unwrap_or(empty_plan), self.config.workers);
         let mut events: Vec<AdaptiveEvent> = Vec::new();
@@ -1078,7 +1010,11 @@ mod tests {
             batch: BatchPolicy::new(4, 1.0),
             routing: RoutingPolicy::LeastLoaded,
             control: None,
-            faults: Some(FaultOptions::default().with_crash_mtbf_ms(0.5).without_supervision()),
+            faults: Some(FaultOptions {
+                crash_mtbf_ms: 0.5,
+                supervised: false,
+                ..FaultOptions::default()
+            }),
         };
         let (mut s, space) = sim(cfg);
         let st = stream(&space, 100, 200.0, 11);
@@ -1102,7 +1038,7 @@ mod tests {
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::LeastLoaded,
             control: None,
-            faults: Some(FaultOptions::default().with_transient_rate(0.2)),
+            faults: Some(FaultOptions { transient_rate: 0.2, ..FaultOptions::default() }),
         };
         let (mut sup, space) = sim(base);
         let st = stream(&space, 200, 100.0, 13);
@@ -1117,7 +1053,7 @@ mod tests {
         );
 
         let unsup = SimConfig {
-            faults: Some(FaultOptions::default().with_transient_rate(0.2).without_supervision()),
+            faults: base.faults.map(|f| FaultOptions { supervised: false, ..f }),
             ..base
         };
         let (mut u, _) = sim(unsup);
@@ -1140,15 +1076,15 @@ mod tests {
             batch: BatchPolicy::new(4, 2.0),
             routing: RoutingPolicy::CacheAffinity,
             control: None,
-            faults: Some(
-                FaultOptions::default()
-                    .with_crash_mtbf_ms(400.0)
-                    .with_crash_outage_ms(60.0)
-                    .with_straggler_mtbf_ms(300.0)
-                    .with_straggler_duration_ms(50.0)
-                    .with_straggler_factor(3.0)
-                    .with_transient_rate(0.05),
-            ),
+            faults: Some(FaultOptions {
+                crash_mtbf_ms: 400.0,
+                crash_outage_ms: 60.0,
+                straggler_mtbf_ms: 300.0,
+                straggler_duration_ms: 50.0,
+                straggler_factor: 3.0,
+                transient_rate: 0.05,
+                ..FaultOptions::default()
+            }),
         };
         let (mut a, space) = sim(cfg);
         let (mut b, _) = sim(cfg);

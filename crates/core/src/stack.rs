@@ -50,7 +50,7 @@ pub struct ServedRecord {
 
 /// The integrated serving stack (the engine's batch-replay run state).
 #[derive(Debug)]
-pub struct SushiStack {
+pub(crate) struct SushiStack {
     net: Arc<SuperNet>,
     subnets: Vec<SubNet>,
     service: Arc<ServiceTable>,
@@ -85,29 +85,11 @@ impl SushiStack {
         }
     }
 
-    /// The SuperNet being served.
-    #[must_use]
-    pub fn net(&self) -> &SuperNet {
-        &self.net
-    }
-
-    /// The serving SubNets (row order).
-    #[must_use]
-    pub fn subnets(&self) -> &[SubNet] {
-        &self.subnets
-    }
-
-    /// The scheduler (for inspection).
-    #[must_use]
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
-    }
-
     /// Serves one query end-to-end through `backend`.
     ///
     /// # Errors
     /// Returns [`SushiError::Backend`] when the backend fails.
-    pub fn serve(
+    pub(crate) fn serve(
         &mut self,
         backend: &mut dyn ExecutionBackend,
         query: &Query,
@@ -139,18 +121,6 @@ impl SushiStack {
             cache_updated: decision.cache_update.is_some(),
             prediction: outputs.as_ref().and_then(|o| o.first()).map(|o| o.prediction),
         })
-    }
-
-    /// Serves a whole stream.
-    ///
-    /// # Errors
-    /// Returns [`SushiError::Backend`] when the backend fails.
-    pub fn serve_stream(
-        &mut self,
-        backend: &mut dyn ExecutionBackend,
-        queries: &[Query],
-    ) -> Result<Vec<ServedRecord>, SushiError> {
-        queries.iter().map(|q| self.serve(backend, q)).collect()
     }
 }
 

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 
 use sushi_core::engine::EngineBuilder;
 use sushi_core::serving::{
-    ArrivalProcess, BatchPolicy, DropPolicy, DropReason, FaultOptions, RoutingPolicy, SimResult,
+    ArrivalProcess, BatchPolicy, DropPolicy, DropReason, FaultOptions, RoutingPolicy, SimConfig,
+    SimResult,
 };
 use sushi_core::stream::{attach_arrivals, uniform_stream, TimedQuery};
 use sushi_sched::{AdaptiveOptions, TenantOptions, TenantTier};
@@ -108,69 +109,66 @@ fn run_case(c: &FaultCase) -> (SimResult, Vec<TimedQuery>) {
     let net = std::sync::Arc::new(sushi_wsnet::zoo::toy_mobilenet_supernet());
     let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(4);
 
-    let mut fo =
-        FaultOptions::default().with_seed(c.seed ^ 0xF417).with_transient_rate(c.transient_rate);
-    let mut builder = EngineBuilder::new()
+    let control = c.tenants.then(|| {
+        TenantOptions::default()
+            .with_tier(0, TenantTier::LatencyCritical)
+            .with_tier(1, TenantTier::Standard)
+            .with_tier(2, TenantTier::BestEffort)
+    });
+    let sim = SimConfig {
+        workers: c.workers,
+        routing: c.routing,
+        queue_capacity: c.queue_capacity,
+        drop_policy: c.drop_policy,
+        control,
+        ..SimConfig::default()
+    };
+    let engine = EngineBuilder::new()
         .workload(std::sync::Arc::clone(&net), picks)
         .q_window(4)
         .candidates(5)
         .seed(c.seed)
-        .workers(c.workers)
-        .routing(c.routing)
-        .queue_capacity(c.queue_capacity)
-        .drop_policy(c.drop_policy);
-    if c.tenants {
-        builder = builder.tenants(Some(
-            TenantOptions::default()
-                .with_tier(0, TenantTier::LatencyCritical)
-                .with_tier(1, TenantTier::Standard)
-                .with_tier(2, TenantTier::BestEffort),
-        ));
-    }
-    let engine = builder.build().expect("toy engine builds");
+        .sim_config(sim)
+        .build()
+        .expect("toy engine builds");
 
     // Scale the fault plan and the arrival rate to the toy workload's own
     // mean cold service time, exactly like the scenario presets do.
     let table = engine.table();
     let cold: Vec<f64> = (0..table.num_rows()).map(|i| table.latency_ms(i, 0)).collect();
     let mean_cold = cold.iter().sum::<f64>() / cold.len() as f64;
+    let mut fo = FaultOptions {
+        seed: c.seed ^ 0xF417,
+        transient_rate: c.transient_rate,
+        supervised: c.supervised,
+        ..FaultOptions::default()
+    };
     if let Some((mtbf, outage)) = c.crash {
-        fo = fo.with_crash_mtbf_ms(mtbf * mean_cold).with_crash_outage_ms(outage * mean_cold);
+        fo.crash_mtbf_ms = mtbf * mean_cold;
+        fo.crash_outage_ms = outage * mean_cold;
     }
     if let Some(factor) = c.straggle {
-        fo = fo
-            .with_straggler_mtbf_ms(10.0 * mean_cold)
-            .with_straggler_duration_ms(4.0 * mean_cold)
-            .with_straggler_factor(factor);
-    }
-    if !c.supervised {
-        fo = fo.without_supervision();
+        fo.straggler_mtbf_ms = 10.0 * mean_cold;
+        fo.straggler_duration_ms = 4.0 * mean_cold;
+        fo.straggler_factor = factor;
     }
     drop(engine);
 
     let mut engine = {
         let net2 = std::sync::Arc::new(sushi_wsnet::zoo::toy_mobilenet_supernet());
         let picks2 = sushi_wsnet::sampler::ConfigSampler::new(&net2, 5).sample_subnets(4);
-        let mut b = EngineBuilder::new()
+        EngineBuilder::new()
             .workload(std::sync::Arc::clone(&net2), picks2)
             .q_window(4)
             .candidates(5)
             .seed(c.seed)
-            .workers(c.workers)
-            .routing(c.routing)
-            .queue_capacity(c.queue_capacity)
-            .drop_policy(c.drop_policy)
-            .batch_policy(BatchPolicy::new(4, 0.25 * mean_cold))
-            .faults(Some(fo));
-        if c.tenants {
-            b = b.tenants(Some(
-                TenantOptions::default()
-                    .with_tier(0, TenantTier::LatencyCritical)
-                    .with_tier(1, TenantTier::Standard)
-                    .with_tier(2, TenantTier::BestEffort),
-            ));
-        }
-        b.build().expect("toy engine builds")
+            .sim_config(SimConfig {
+                batch: BatchPolicy::new(4, 0.25 * mean_cold),
+                faults: Some(fo),
+                ..sim
+            })
+            .build()
+            .expect("toy engine builds")
     };
 
     // Deadlines span queueing + batching headroom over bare service time.
@@ -304,29 +302,35 @@ proptest! {
                 .q_window(4)
                 .candidates(5)
                 .seed(seed)
-                .workers(workers)
-                .routing(
-                    [RoutingPolicy::LeastLoaded, RoutingPolicy::RoundRobin, RoutingPolicy::CacheAffinity]
-                        [routing],
-                )
-                .queue_capacity(8)
-                .drop_policy(
-                    [DropPolicy::DropNewest, DropPolicy::DropOldest, DropPolicy::DeadlineAware][policy],
-                )
-                .batch_policy(
-                    [BatchPolicy::no_batching(), BatchPolicy::new(4, 0.05), BatchPolicy::new(2, 0.5)]
-                        [batch],
-                )
-                .tenants(match control {
-                    0 => None,
-                    1 => Some(TenantOptions::global(AdaptiveOptions::default())),
-                    _ => Some(
-                        TenantOptions::default()
-                            .with_tier(0, TenantTier::LatencyCritical)
-                            .with_tier(1, TenantTier::BestEffort),
-                    ),
+                .sim_config(SimConfig {
+                    workers,
+                    routing: [
+                        RoutingPolicy::LeastLoaded,
+                        RoutingPolicy::RoundRobin,
+                        RoutingPolicy::CacheAffinity,
+                    ][routing],
+                    queue_capacity: 8,
+                    drop_policy: [
+                        DropPolicy::DropNewest,
+                        DropPolicy::DropOldest,
+                        DropPolicy::DeadlineAware,
+                    ][policy],
+                    batch: [
+                        BatchPolicy::no_batching(),
+                        BatchPolicy::new(4, 0.05),
+                        BatchPolicy::new(2, 0.5),
+                    ][batch],
+                    control: match control {
+                        0 => None,
+                        1 => Some(TenantOptions::global(AdaptiveOptions::default())),
+                        _ => Some(
+                            TenantOptions::default()
+                                .with_tier(0, TenantTier::LatencyCritical)
+                                .with_tier(1, TenantTier::BestEffort),
+                        ),
+                    },
+                    faults,
                 })
-                .faults(faults)
                 .build()
                 .expect("toy engine builds");
             let mut space = engine.constraint_space();
@@ -341,9 +345,9 @@ proptest! {
             }
             engine.serve_timed(&stream).expect("run completes")
         };
-        let plan = FaultOptions::default().with_seed(seed);
+        let plan = FaultOptions { seed, supervised: supervised == 1, ..FaultOptions::default() };
         let none = run(None);
-        let mut zero = run(Some(if supervised == 1 { plan } else { plan.without_supervision() }));
+        let mut zero = run(Some(plan));
         let f = zero.faults.take().expect("a configured plan carries a summary");
         prop_assert_eq!(none.faults.clone(), None, "{}", case);
         prop_assert_eq!(&zero, &none, "{}", case);

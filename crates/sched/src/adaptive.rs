@@ -105,15 +105,12 @@ impl LoadSignal {
     }
 }
 
-/// Knobs of the adaptive loop.
-///
-/// `#[non_exhaustive]`: construct via [`Default`] and adjust with the
-/// `with_*` setters so future knobs are non-breaking. The tail-pressure
-/// reference scale (`2 ×` the mean cold latency), the deepest level
-/// (every rung of the ladder) and the batch-cap floor (1) are not knobs:
-/// [`AdaptivePolicy::new`] derives the first two from the latency table.
+/// Knobs of the adaptive loop, written as a struct literal over
+/// [`Default`]. The tail-pressure reference scale (`2 ×` the mean cold
+/// latency), the deepest level (every rung of the ladder) and the
+/// batch-cap floor (1) are not knobs: [`AdaptivePolicy::new`] derives the
+/// first two from the latency table.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct AdaptiveOptions {
     /// Degrade one level when pressure reaches this threshold.
     pub degrade_threshold: f64,
@@ -135,21 +132,6 @@ impl Default for AdaptiveOptions {
 }
 
 impl AdaptiveOptions {
-    /// Sets the hysteresis band (degrade high, upgrade low).
-    #[must_use]
-    pub fn with_thresholds(mut self, degrade: f64, upgrade: f64) -> Self {
-        self.degrade_threshold = degrade;
-        self.upgrade_threshold = upgrade;
-        self
-    }
-
-    /// Sets the minimum time between level changes, ms.
-    #[must_use]
-    pub fn with_dwell_ms(mut self, dwell_ms: f64) -> Self {
-        self.dwell_ms = dwell_ms;
-        self
-    }
-
     /// Whether the knob combination is coherent (builder validation).
     ///
     /// # Errors
@@ -557,8 +539,15 @@ mod tests {
 
     #[test]
     fn invalid_options_are_rejected() {
-        assert!(AdaptiveOptions::default().with_thresholds(0.2, 0.5).validate().is_err());
-        assert!(AdaptiveOptions::default().with_dwell_ms(f64::NAN).validate().is_err());
+        let inverted = AdaptiveOptions {
+            degrade_threshold: 0.2,
+            upgrade_threshold: 0.5,
+            ..AdaptiveOptions::default()
+        };
+        assert!(inverted.validate().is_err());
+        assert!(AdaptiveOptions { dwell_ms: f64::NAN, ..AdaptiveOptions::default() }
+            .validate()
+            .is_err());
         assert!(AdaptiveOptions::default().validate().is_ok());
     }
 
@@ -568,7 +557,11 @@ mod tests {
         let _ = AdaptivePolicy::new(
             &table(),
             Policy::StrictAccuracy,
-            AdaptiveOptions::default().with_thresholds(0.1, 0.9),
+            AdaptiveOptions {
+                degrade_threshold: 0.1,
+                upgrade_threshold: 0.9,
+                ..AdaptiveOptions::default()
+            },
         );
     }
 }

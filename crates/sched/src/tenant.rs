@@ -85,11 +85,6 @@ impl TenantTier {
             TenantTier::BestEffort => "best_effort",
         }
     }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(name: &str) -> Option<TenantTier> {
-        TenantTier::ALL.into_iter().find(|t| t.name() == name)
-    }
 }
 
 // The `ArrivalPredictor`'s two detectors compare arrival rates at
@@ -332,10 +327,11 @@ fn rate_ratio(baseline: f64, ring: &[f64], sum: f64, cap: usize) -> Option<f64> 
     Some(baseline / mean)
 }
 
-/// Configuration of the tenant layer. `Copy`, so it can live inside the
-/// serving `SimConfig` without breaking by-value plumbing.
+/// Configuration of the tenant layer, written as a struct literal over
+/// [`Default`] (tiered) or [`TenantOptions::global`] (untiered). `Copy`,
+/// so it can live inside the serving `SimConfig` without breaking
+/// by-value plumbing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct TenantOptions {
     /// Base controller knobs. The `Standard` tier uses these verbatim;
     /// the outer tiers scale the thresholds by [`shield`](Self::shield).
@@ -384,27 +380,6 @@ impl TenantOptions {
         let slot = tenant as usize;
         assert!(slot < MAX_TENANT_SLOTS, "tenant id {tenant} exceeds MAX_TENANT_SLOTS");
         self.tiers.get_or_insert([TenantTier::Standard; MAX_TENANT_SLOTS])[slot] = tier;
-        self
-    }
-
-    /// Replaces the base controller knobs.
-    #[must_use]
-    pub fn with_base(mut self, base: AdaptiveOptions) -> Self {
-        self.base = base;
-        self
-    }
-
-    /// Enables or disables the arrival predictor.
-    #[must_use]
-    pub fn with_predictor(mut self, predictor: bool) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
-    /// Sets the inter-tier threshold bias (≥ 1).
-    #[must_use]
-    pub fn with_shield(mut self, shield: f64) -> Self {
-        self.shield = shield;
         self
     }
 
@@ -513,9 +488,11 @@ impl TenantPolicy {
         }
         let ladder = |&tier: &TenantTier| {
             let f = opts.tier_factor(tier);
-            let biased = opts
-                .base
-                .with_thresholds(opts.base.degrade_threshold * f, opts.base.upgrade_threshold * f);
+            let biased = AdaptiveOptions {
+                degrade_threshold: opts.base.degrade_threshold * f,
+                upgrade_threshold: opts.base.upgrade_threshold * f,
+                ..opts.base
+            };
             AdaptivePolicy::new(table, policy, biased)
         };
         TenantPolicy {
@@ -904,8 +881,8 @@ mod tests {
 
     #[test]
     fn predictor_pre_degrades_best_effort_before_queue_builds() {
-        let opts =
-            TenantOptions::default().with_predictor(true).with_tier(1, TenantTier::BestEffort);
+        let opts = TenantOptions { predictor: true, ..TenantOptions::default() }
+            .with_tier(1, TenantTier::BestEffort);
         let mut pol = policy(opts);
         let dwell = pol.dwell_ms().max(1.0);
         // Calm arrivals establish the baseline.
@@ -943,10 +920,11 @@ mod tests {
 
     #[test]
     fn tier_names_round_trip_and_tenancy_defaults_to_standard() {
+        // Every label names exactly one tier (they key report rows).
         for tier in TenantTier::ALL {
-            assert_eq!(TenantTier::from_name(tier.name()), Some(tier));
+            let named = TenantTier::ALL.into_iter().filter(|t| t.name() == tier.name());
+            assert_eq!(named.collect::<Vec<_>>(), vec![tier]);
         }
-        assert_eq!(TenantTier::from_name("premium"), None);
         let opts = TenantOptions::default().with_tier(0, TenantTier::LatencyCritical);
         assert_eq!(opts.tier_of(0), TenantTier::LatencyCritical);
         assert_eq!(opts.tier_of(7), TenantTier::Standard);
@@ -963,7 +941,8 @@ mod tests {
     #[test]
     fn validation_rejects_bad_knobs() {
         assert!(TenantOptions::default().validate().is_ok());
-        assert!(TenantOptions::default().with_shield(0.5).validate().is_err());
-        assert!(TenantOptions::default().with_shield(f64::NAN).validate().is_err());
+        for shield in [0.5, f64::NAN] {
+            assert!(TenantOptions { shield, ..TenantOptions::default() }.validate().is_err());
+        }
     }
 }

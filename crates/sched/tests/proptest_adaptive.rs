@@ -73,7 +73,7 @@ proptest! {
         let mut p = AdaptivePolicy::new(
             &t,
             Policy::StrictAccuracy,
-            AdaptiveOptions::default().with_dwell_ms(dwell),
+            AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() },
         );
         let mut now = 0.0;
         let mut last_change: Option<(f64, usize)> = None;

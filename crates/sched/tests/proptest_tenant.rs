@@ -92,9 +92,7 @@ proptest! {
         steps in proptest::collection::vec(obs_strategy(), 1..60),
     ) {
         let t = make_table(n, 3);
-        let opts = TenantOptions::default()
-            .with_shield(shield)
-            .with_predictor(with_predictor);
+        let opts = TenantOptions { shield, predictor: with_predictor, ..TenantOptions::default() };
         let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, opts);
         let mut now = 0.0;
         for (dt, depth, p99, be_override, arrival) in steps {
@@ -132,9 +130,8 @@ proptest! {
         steps in proptest::collection::vec(obs_strategy(), 1..60),
     ) {
         let t = make_table(n, 3);
-        let opts = TenantOptions::default()
-            .with_base(AdaptiveOptions::default().with_dwell_ms(dwell))
-            .with_shield(shield);
+        let base = AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() };
+        let opts = TenantOptions { base, shield, ..TenantOptions::default() };
         let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, opts);
         let mut now = 0.0;
         let mut last_change: [Option<f64>; 3] = [None; 3];
@@ -188,11 +185,11 @@ proptest! {
     ) {
         for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
             let t = make_table(n, 3);
-            let base = AdaptiveOptions::default().with_dwell_ms(dwell);
+            let base = AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() };
             let mut tenant = TenantPolicy::new(
                 &t,
                 policy,
-                TenantOptions::default().with_base(base).with_shield(1.0),
+                TenantOptions { base, shield: 1.0, ..TenantOptions::default() },
             );
             let mut one_ladder = TenantPolicy::new(&t, policy, TenantOptions::global(base));
             prop_assert!(tenant.is_tiered() && !one_ladder.is_tiered());
@@ -260,7 +257,7 @@ proptest! {
             let mut p = TenantPolicy::new(
                 &t,
                 policy,
-                TenantOptions::default().with_shield(shield).with_predictor(false),
+                TenantOptions { shield, predictor: false, ..TenantOptions::default() },
             );
             let mk = || Scheduler::new(
                 make_table(5, 4), policy, CacheSelection::MinDistanceToAvg, q_window,

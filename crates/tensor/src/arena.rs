@@ -96,12 +96,6 @@ impl Arena {
     pub fn weight_packs(&self) -> usize {
         self.weight_packs
     }
-
-    /// Releases all reserved memory (buffers re-grow on next use) and
-    /// zeroes the [`Arena::weight_packs`] count.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +118,5 @@ mod tests {
         let (p, ..) = arena.i8_conv(5, 1, 1, 1);
         assert_eq!(p.len(), 5);
         assert_eq!(arena.reserved_bytes(), bytes_after_big);
-    }
-
-    #[test]
-    fn reset_releases_memory() {
-        let mut arena = Arena::new();
-        let _ = arena.i8_conv(64, 64, 64, 64);
-        assert!(arena.reserved_bytes() > 0);
-        arena.reset();
-        assert_eq!(arena.reserved_bytes(), 0);
     }
 }

@@ -90,12 +90,6 @@ impl Conv2dParams {
         self
     }
 
-    /// "Same" padding for odd kernels.
-    #[must_use]
-    pub const fn same_padding(kernel: usize) -> usize {
-        kernel / 2
-    }
-
     /// Checks that `input` and `weights` (`(K, C/groups, R, S)`) form a
     /// valid convolution under these parameters and returns the output
     /// spatial dims `(oh, ow)`. Every conv entry point, including

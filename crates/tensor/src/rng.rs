@@ -81,13 +81,6 @@ impl DetRng {
     pub fn choose<'a, T>(&mut self, choices: &'a [T]) -> &'a T {
         &choices[self.below(choices.len())]
     }
-
-    /// Approximately standard-normal sample (sum of 4 uniforms, variance-corrected).
-    pub fn next_gaussian(&mut self) -> f64 {
-        // Irwin–Hall with n=4: mean 2, variance 4/12.
-        let s: f64 = (0..4).map(|_| self.next_f64()).sum();
-        (s - 2.0) / (4.0_f64 / 12.0).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +147,6 @@ mod tests {
             let v = r.uniform_f32(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn gaussian_has_plausible_moments() {
-        let mut r = DetRng::new(8);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.next_gaussian()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

@@ -77,20 +77,6 @@ impl Shape4 {
         );
         ((n * self.c + c) * self.h + h) * self.w
     }
-
-    /// Returns the same shape with a different channel count.
-    #[must_use]
-    pub const fn with_c(mut self, c: usize) -> Self {
-        self.c = c;
-        self
-    }
-
-    /// Returns the same shape with a different batch/kernel count.
-    #[must_use]
-    pub const fn with_n(mut self, n: usize) -> Self {
-        self.n = n;
-        self
-    }
 }
 
 impl fmt::Display for Shape4 {
@@ -177,12 +163,6 @@ mod tests {
     #[test]
     fn conv_out_dim_rejects_too_small_input() {
         assert_eq!(conv_out_dim(2, 7, 1, 1), None);
-    }
-
-    #[test]
-    fn with_c_and_with_n_replace_single_dims() {
-        let s = Shape4::new(1, 2, 3, 4).with_c(9).with_n(7);
-        assert_eq!(s, Shape4::new(7, 9, 3, 4));
     }
 
     #[test]

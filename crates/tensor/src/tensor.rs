@@ -88,12 +88,6 @@ impl<T: Element> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element accessor.
     ///
     /// # Panics
@@ -189,13 +183,6 @@ mod tests {
     fn from_vec_rejects_wrong_length() {
         let err = Tensor::<f32>::from_vec(Shape4::new(1, 1, 2, 2), vec![0.0; 3]).unwrap_err();
         assert_eq!(err, TensorError::LengthMismatch { expected: 4, actual: 3 });
-    }
-
-    #[test]
-    fn from_vec_roundtrips_through_into_vec() {
-        let data = vec![1i8, 2, 3, 4, 5, 6];
-        let t = Tensor::from_vec(Shape4::new(1, 1, 2, 3), data.clone()).unwrap();
-        assert_eq!(t.into_vec(), data);
     }
 
     #[test]

@@ -55,16 +55,6 @@ pub struct ElasticSpace {
     pub width_choices: Vec<f64>,
 }
 
-impl ElasticSpace {
-    /// Number of distinct SubNet configurations this space spans.
-    #[must_use]
-    pub fn cardinality(&self, num_stages: usize) -> u128 {
-        let per_stage = (self.depth_choices.len() * self.expand_choices.len()) as u128
-            * self.kernel_choices.len().max(1) as u128;
-        per_stage.pow(num_stages as u32) * self.width_choices.len().max(1) as u128
-    }
-}
-
 /// A weight-shared SuperNet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuperNet {
@@ -550,18 +540,6 @@ mod tests {
         assert_eq!(round_channels(60.0), 64);
         assert_eq!(round_channels(59.0), 56);
         assert_eq!(round_channels(1.0), 8);
-    }
-
-    #[test]
-    fn elastic_space_cardinality_counts_products() {
-        let e = ElasticSpace {
-            depth_choices: vec![2, 3, 4],
-            expand_choices: vec![0.2, 0.25, 0.35],
-            kernel_choices: vec![],
-            width_choices: vec![1.0],
-        };
-        // (3 depths * 3 expands)^2 stages * 1 width = 81
-        assert_eq!(e.cardinality(2), 81);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod arch;
 pub mod encoding;
 pub mod ir_build;
 pub mod layer;
-pub mod pareto;
 pub mod sampler;
 pub mod subgraph;
 pub mod subnet;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
 use sushi::core::serving::{
-    run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, ServePreset,
+    run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, ServePreset, SimConfig,
 };
 use sushi::core::stream::{attach_arrivals, uniform_stream};
 use sushi::wsnet::zoo;
@@ -74,11 +74,14 @@ fn main() {
         // The pack-once weight caches are Arc-shared across replicas, so a
         // multi-worker pool serves real parallel int8 forwards; affinity
         // routing keeps batches on the replica whose PB is already warm.
-        .workers(2)
-        .routing(RoutingPolicy::CacheAffinity)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DeadlineAware)
-        .batch_policy(BatchPolicy::new(4, 0.05))
+        .sim_config(SimConfig {
+            workers: 2,
+            routing: RoutingPolicy::CacheAffinity,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DeadlineAware,
+            batch: BatchPolicy::new(4, 0.05),
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional toy engine");
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use sushi::core::engine::{BackendKind, EngineBuilder};
-use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimResult};
+use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimConfig, SimResult};
 use sushi::core::stream::attach_arrivals;
 use sushi::core::stream::uniform_stream;
 use sushi::wsnet::zoo;
@@ -113,10 +113,13 @@ fn serve_timed_reproduces_pre_redesign_analytical_run() {
         .q_window(8)
         .candidates(8)
         .seed(42)
-        .workers(2)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(4, 2.0))
+        .sim_config(SimConfig {
+            workers: 2,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(4, 2.0),
+            ..SimConfig::default()
+        })
         .build()
         .expect("engine");
     let qs = uniform_stream(&engine.constraint_space(), 150, 9);
@@ -147,10 +150,13 @@ fn serve_timed_reproduces_pre_redesign_functional_run() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(1)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(3, 0.1))
+        .sim_config(SimConfig {
+            workers: 1,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(3, 0.1),
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional engine");
     let mut space = engine.constraint_space();

@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
-use sushi::core::serving::{run_scenario, BatchPolicy, DropPolicy, ServePreset};
+use sushi::core::serving::{run_scenario, BatchPolicy, DropPolicy, ServePreset, SimConfig};
 use sushi::core::stream::{attach_arrivals, uniform_stream, TimedQuery};
-use sushi::sched::adaptive::AdaptiveOptions;
+use sushi::sched::{AdaptiveOptions, TenantOptions};
 use sushi::wsnet::zoo;
 
 /// Quick sizing with adaptation enabled (the default).
@@ -46,13 +46,19 @@ fn degradation_is_monotone_under_rising_load() {
         .q_window(10)
         .candidates(8)
         .seed(7)
-        .workers(1)
-        .queue_capacity(32)
-        // FIFO so sustained overload pins the queue full (the deadline
-        // sweep would empty it and make occupancy oscillate).
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(4, 1.0))
-        .adaptive(AdaptiveOptions::default().with_dwell_ms(dwell_ms))
+        .sim_config(SimConfig {
+            workers: 1,
+            queue_capacity: 32,
+            // FIFO so sustained overload pins the queue full (the deadline
+            // sweep would empty it and make occupancy oscillate).
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(4, 1.0),
+            control: Some(TenantOptions::global(AdaptiveOptions {
+                dwell_ms,
+                ..AdaptiveOptions::default()
+            })),
+            ..SimConfig::default()
+        })
         .build()
         .expect("adaptive engine");
     let mut space = engine.constraint_space();
@@ -182,11 +188,14 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
         .q_window(10)
         .candidates(8)
         .seed(11)
-        .workers(2)
-        .queue_capacity(queue_capacity)
-        .drop_policy(DropPolicy::DeadlineAware)
-        .batch_policy(BatchPolicy::new(4, 1.0))
-        .adaptive(AdaptiveOptions::default())
+        .sim_config(SimConfig {
+            workers: 2,
+            queue_capacity,
+            drop_policy: DropPolicy::DeadlineAware,
+            batch: BatchPolicy::new(4, 1.0),
+            control: Some(TenantOptions::global(AdaptiveOptions::default())),
+            ..SimConfig::default()
+        })
         .build()
         .expect("soak engine");
     let mean_cold_ms = {
@@ -229,11 +238,14 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(1)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DeadlineAware)
-        .batch_policy(BatchPolicy::new(3, 0.1))
-        .adaptive(AdaptiveOptions::default())
+        .sim_config(SimConfig {
+            workers: 1,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DeadlineAware,
+            batch: BatchPolicy::new(3, 0.1),
+            control: Some(TenantOptions::global(AdaptiveOptions::default())),
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional soak engine");
     let mut fspace = func.constraint_space();

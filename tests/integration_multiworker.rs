@@ -9,9 +9,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sushi::core::engine::{BackendKind, EngineBuilder};
-use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimResult};
+use sushi::core::serving::{
+    ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimConfig, SimResult,
+};
 use sushi::core::stream::{attach_arrivals, uniform_stream};
-use sushi::sched::AdaptiveOptions;
+use sushi::sched::{AdaptiveOptions, TenantOptions};
 use sushi::wsnet::zoo;
 
 /// Serves one fixed toy-zoo stream on `workers` functional replicas and
@@ -31,11 +33,14 @@ fn serve_with_workers(
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(workers)
-        .routing(routing)
-        .queue_capacity(32)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(3, 0.1))
+        .sim_config(SimConfig {
+            workers,
+            routing,
+            queue_capacity: 32,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(3, 0.1),
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional engine");
     let mut space = engine.constraint_space();
@@ -100,12 +105,19 @@ fn serve_adaptive_with_workers(workers: usize, routing: RoutingPolicy) -> SimRes
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(workers)
-        .routing(routing)
-        .queue_capacity(120)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(3, 0.1))
-        .adaptive(AdaptiveOptions::default().with_thresholds(0.05, 0.01).with_dwell_ms(0.02))
+        .sim_config(SimConfig {
+            workers,
+            routing,
+            queue_capacity: 120,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(3, 0.1),
+            control: Some(TenantOptions::global(AdaptiveOptions {
+                degrade_threshold: 0.05,
+                upgrade_threshold: 0.01,
+                dwell_ms: 0.02,
+            })),
+            ..SimConfig::default()
+        })
         .build()
         .expect("adaptive functional engine");
     let mut space = engine.constraint_space();
@@ -208,11 +220,14 @@ fn multi_worker_pools_actually_parallelize_the_schedule() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(4)
-        .routing(RoutingPolicy::RoundRobin)
-        .queue_capacity(32)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(3, 0.1))
+        .sim_config(SimConfig {
+            workers: 4,
+            routing: RoutingPolicy::RoundRobin,
+            queue_capacity: 32,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(3, 0.1),
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional engine");
     let mut space = engine.constraint_space();

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::{run, ExpOptions};
-use sushi::core::serving::{run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset};
+use sushi::core::serving::{
+    build_scenario, run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset, SimConfig,
+};
 use sushi::core::stream::{attach_arrivals, uniform_stream};
 use sushi::tensor::KernelPolicy;
 use sushi::wsnet::zoo;
@@ -55,10 +57,19 @@ fn burst_preset_sheds_load_steady_does_not() {
 
 #[test]
 fn worker_override_changes_service_capacity() {
-    let mut wide = ExpOptions::quick();
-    wide.workers = Some(4);
-    let base = run_scenario(ServePreset::Burst, &ExpOptions::quick()).unwrap().summary();
-    let wider = run_scenario(ServePreset::Burst, &wide).unwrap().summary();
+    // The burst scenario as its preset sizes it, then on a pool twice as wide.
+    let opts = ExpOptions::quick();
+    let base = run_scenario(ServePreset::Burst, &opts).unwrap().summary();
+    let mut scenario = build_scenario(ServePreset::Burst, &opts);
+    scenario.sim.workers = 4;
+    let mut engine = EngineBuilder::new()
+        .q_window(scenario.q_window)
+        .candidates(opts.candidates)
+        .seed(opts.seed)
+        .sim_config(scenario.sim)
+        .build()
+        .unwrap();
+    let wider = engine.serve_timed(&scenario.stream).unwrap().summary();
     assert!(
         wider.p99_ms <= base.p99_ms,
         "doubling workers must not worsen the tail: {} vs {}",
@@ -82,7 +93,7 @@ fn functional_backend_builds_with_a_multi_worker_pool() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(4)
+        .sim_config(SimConfig { workers: 4, ..SimConfig::default() })
         .build()
         .expect("functional engine with 4 workers");
     assert_eq!(engine.backend_name(), "functional");
@@ -106,10 +117,13 @@ fn functional_serving_runs_real_forwards_through_the_facade() {
             .seed(11)
             .backend(BackendKind::Functional)
             .kernel_policy(policy)
-            .workers(1)
-            .queue_capacity(16)
-            .drop_policy(DropPolicy::DropNewest)
-            .batch_policy(BatchPolicy::new(3, 0.1))
+            .sim_config(SimConfig {
+                workers: 1,
+                queue_capacity: 16,
+                drop_policy: DropPolicy::DropNewest,
+                batch: BatchPolicy::new(3, 0.1),
+                ..SimConfig::default()
+            })
             .build()
             .expect("functional toy engine");
         let mut space = engine.constraint_space();

@@ -8,7 +8,7 @@
 //!    global controller on the latency-critical tenant's SLO violation
 //!    rate without giving up aggregate goodput.
 //! 2. **Opting out must be free.** With no tenant configuration
-//!    (`tenants(None)`, the default) the serving loop must reproduce the
+//!    (`control: None`, the default) the serving loop must reproduce the
 //!    tierless runtime's records bit for bit, on both backends — pinned
 //!    with the same FNV digests the API-transition suite uses.
 
@@ -17,10 +17,11 @@ use std::sync::Arc;
 use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::common::ExpOptions;
 use sushi::core::serving::{
-    run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset, SimResult,
+    build_scenario, run_scenario, ArrivalProcess, BatchPolicy, DropPolicy, ServePreset, SimConfig,
+    SimResult,
 };
 use sushi::core::stream::{attach_arrivals, uniform_stream};
-use sushi::sched::TenantTier;
+use sushi::sched::{AdaptiveOptions, TenantOptions, TenantTier};
 use sushi::wsnet::zoo;
 
 /// FNV-1a over the little-endian bytes of each 64-bit word (the same
@@ -84,10 +85,20 @@ const TIERLESS_ADAPTIVE_GOODPUT_QPS: f64 = 79.015_610;
 
 #[test]
 fn tiered_multi_tenant_beats_tierless_adaptive_on_lc_slo() {
-    let tiered = run_scenario(ServePreset::MultiTenant, &ExpOptions::default()).unwrap();
-    let mut tierless_opts = ExpOptions::default();
-    tierless_opts.tenants = false;
-    let tierless = run_scenario(ServePreset::MultiTenant, &tierless_opts).unwrap();
+    let opts = ExpOptions::default();
+    let tiered = run_scenario(ServePreset::MultiTenant, &opts).unwrap();
+    // The same scenario under the one global ladder.
+    let mut scenario = build_scenario(ServePreset::MultiTenant, &opts);
+    scenario.sim.control = Some(TenantOptions::global(AdaptiveOptions::default()));
+    let tierless = EngineBuilder::new()
+        .q_window(scenario.q_window)
+        .candidates(opts.candidates)
+        .seed(opts.seed)
+        .sim_config(scenario.sim)
+        .build()
+        .unwrap()
+        .serve_timed(&scenario.stream)
+        .unwrap();
 
     // Tenant 0 is the AV navigation stream — latency-critical under
     // tiering, just another flow to the tierless global controller.
@@ -164,7 +175,7 @@ fn tiered_run_records_per_tier_trace_and_partitions_load() {
     assert!(final_of(TenantTier::LatencyCritical) <= final_of(TenantTier::BestEffort));
 }
 
-/// `tenants(None)` — explicit or by default — must leave the analytical
+/// `control: None` — explicit or by default — must leave the analytical
 /// timed run bit-identical to the pre-tenancy runtime (same pinned digest
 /// as `engine_equivalence.rs`).
 const EXPECTED_TIMED_DIGEST: u64 = 0x9181_952e_e371_08fd;
@@ -175,11 +186,14 @@ fn tenants_none_is_bit_identical_analytical() {
         .q_window(8)
         .candidates(8)
         .seed(42)
-        .workers(2)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(4, 2.0))
-        .tenants(None)
+        .sim_config(SimConfig {
+            workers: 2,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(4, 2.0),
+            control: None,
+            ..SimConfig::default()
+        })
         .build()
         .expect("engine");
     let qs = uniform_stream(&engine.constraint_space(), 150, 9);
@@ -188,7 +202,7 @@ fn tenants_none_is_bit_identical_analytical() {
     assert_eq!(
         timed_digest(&result),
         EXPECTED_TIMED_DIGEST,
-        "tenants(None) drifted from the tierless fixtures"
+        "control: None drifted from the tierless fixtures"
     );
     assert!(result.served.iter().all(|s| s.tier == TenantTier::Standard));
 }
@@ -209,11 +223,14 @@ fn tenants_none_is_bit_identical_functional() {
         .candidates(3)
         .seed(11)
         .backend(BackendKind::Functional)
-        .workers(1)
-        .queue_capacity(16)
-        .drop_policy(DropPolicy::DropNewest)
-        .batch_policy(BatchPolicy::new(3, 0.1))
-        .tenants(None)
+        .sim_config(SimConfig {
+            workers: 1,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DropNewest,
+            batch: BatchPolicy::new(3, 0.1),
+            control: None,
+            ..SimConfig::default()
+        })
         .build()
         .expect("functional engine");
     let mut space = engine.constraint_space();
@@ -236,25 +253,29 @@ fn tenants_none_is_bit_identical_functional() {
     h.word(result.dropped.len() as u64);
     assert_eq!(
         h.0, EXPECTED_FUNCTIONAL_DIGEST,
-        "tenants(None) functional run drifted from the tierless fixtures"
+        "control: None functional run drifted from the tierless fixtures"
     );
 }
 
-/// `.adaptive(..)` and `.tenants(..)` write the one controller knob, so —
-/// like every other builder setter — the later call wins, and
-/// `.tenants(None)` after `.adaptive(..)` is a static run.
+/// `SimConfig::control` is the one controller knob: untiered options run
+/// the global ladder, tiered options one ladder per tier, `None` a static
+/// loop.
 #[test]
 fn later_of_adaptive_and_tenants_wins() {
-    use sushi::sched::{AdaptiveOptions, TenantOptions};
-    let run = |configure: fn(EngineBuilder) -> EngineBuilder| {
-        let builder = EngineBuilder::new()
+    let run = |control: Option<TenantOptions>| {
+        let mut engine = EngineBuilder::new()
             .q_window(8)
             .candidates(8)
             .seed(42)
-            .queue_capacity(16)
-            .drop_policy(DropPolicy::DeadlineAware)
-            .batch_policy(BatchPolicy::new(4, 2.0));
-        let mut engine = configure(builder).build().expect("engine");
+            .sim_config(SimConfig {
+                queue_capacity: 16,
+                drop_policy: DropPolicy::DeadlineAware,
+                batch: BatchPolicy::new(4, 2.0),
+                control,
+                ..SimConfig::default()
+            })
+            .build()
+            .expect("engine");
         let mut space = engine.constraint_space();
         space.lat_lo *= 2.0;
         space.lat_hi *= 2.5;
@@ -263,22 +284,13 @@ fn later_of_adaptive_and_tenants_wins() {
         let ts = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(200, 9 ^ 0xD15);
         engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap()
     };
-    let global = run(|b| b.adaptive(AdaptiveOptions::default()));
-    let tiered = run(|b| b.tenants(Some(TenantOptions::default())));
-    let fixed = run(|b| b);
+    let global = run(Some(TenantOptions::global(AdaptiveOptions::default())));
+    let tiered = run(Some(TenantOptions::default()));
+    let fixed = run(None);
     let global_trace = global.adaptation.as_ref().expect("global run carries a trace");
     let tiered_trace = tiered.adaptation.as_ref().expect("tiered run carries a trace");
     assert!(global_trace.degrades > 0 && tiered_trace.degrades > 0, "overload must degrade");
     assert!(global_trace.tiers.is_empty(), "a global run has no per-tier breakdown");
     assert_eq!(tiered_trace.tiers.len(), 3);
     assert!(fixed.adaptation.is_none());
-
-    let tenants_last =
-        run(|b| b.adaptive(AdaptiveOptions::default()).tenants(Some(TenantOptions::default())));
-    assert_eq!(tenants_last, tiered, "tenants(..) after adaptive(..) runs the tiers");
-    let adaptive_last =
-        run(|b| b.tenants(Some(TenantOptions::default())).adaptive(AdaptiveOptions::default()));
-    assert_eq!(adaptive_last, global, "adaptive(..) after tenants(..) runs the global ladder");
-    let cleared = run(|b| b.adaptive(AdaptiveOptions::default()).tenants(None));
-    assert_eq!(cleared, fixed, "tenants(None) after adaptive(..) is a static run");
 }

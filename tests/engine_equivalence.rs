@@ -11,10 +11,12 @@
 
 use std::sync::Arc;
 
-use sushi::core::engine::{BackendKind, EngineBuilder};
+use sushi::core::engine::{BackendKind, Engine, EngineBuilder};
 use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimConfig, SimResult};
 use sushi::core::stream::attach_arrivals;
 use sushi::core::stream::uniform_stream;
+use sushi::core::{ServedRecord, Variant};
+use sushi::sched::Query;
 use sushi::wsnet::zoo;
 
 /// FNV-1a over the little-endian bytes of each 64-bit word.
@@ -69,19 +71,12 @@ fn timed_digest(result: &SimResult) -> u64 {
     h.0
 }
 
-/// Pre-redesign `build_stack(Sushi, MobV3, zcu104, StrictAccuracy, Q=10,
-/// candidates=8, seed=42)` + `serve_stream(uniform_stream(space, 40, 7))`.
-const EXPECTED_STREAM_DIGEST: u64 = 0xca23_3b0e_95ef_168c;
-const EXPECTED_STREAM_LAT_SUM_BITS: u64 = 0x4078_5035_49f9_4859; // 389.0130100000002 ms
-
-#[test]
-fn serve_stream_reproduces_pre_redesign_records() {
-    let mut engine =
-        EngineBuilder::new().q_window(10).candidates(8).seed(42).build().expect("engine");
-    let records = engine.serve_stream(&uniform_stream(&engine.constraint_space(), 40, 7)).unwrap();
+/// FNV digest over every numeric field of a replay's records, and the
+/// bits of their latency sum.
+fn stream_digest(records: &[ServedRecord]) -> (u64, u64) {
     let mut h = Fnv::new();
     let mut lat_sum = 0.0;
-    for r in &records {
+    for r in records {
         h.word(r.subnet_row as u64);
         h.f(r.served_accuracy);
         h.f(r.served_latency_ms);
@@ -90,10 +85,81 @@ fn serve_stream_reproduces_pre_redesign_records() {
         h.f(r.onchip_mj);
         h.word(u64::from(r.cache_updated));
         lat_sum += r.served_latency_ms;
-        assert_eq!(r.prediction, None, "analytical backend records no predictions");
     }
-    assert_eq!(h.0, EXPECTED_STREAM_DIGEST, "serve_stream records drifted from fixtures");
-    assert_eq!(lat_sum.to_bits(), EXPECTED_STREAM_LAT_SUM_BITS, "latency sum {lat_sum}");
+    (h.0, lat_sum.to_bits())
+}
+
+/// FNV digest over a replay's predictions (`u64::MAX` for none).
+fn prediction_digest(records: &[ServedRecord]) -> u64 {
+    let mut h = Fnv::new();
+    for r in records {
+        h.word(r.prediction.map_or(u64::MAX, |p| p as u64));
+    }
+    h.0
+}
+
+/// Pre-redesign `build_stack(variant, MobV3, zcu104, StrictAccuracy, Q=10,
+/// candidates=8, seed=42)` + `serve_stream(uniform_stream(space, 40, 7))`,
+/// as `(variant, digest, latency-sum bits)`. The `Sushi` row is the
+/// original fixture; the other two variants, and the functional replay
+/// below, were pinned on the standalone replay loop before `serve_stream`
+/// moved onto the serving simulator's scheduler and executor pool.
+const EXPECTED_STREAM_DIGEST: u64 = 0xca23_3b0e_95ef_168c;
+const EXPECTED_STREAM_LAT_SUM_BITS: u64 = 0x4078_5035_49f9_4859; // 389.0130100000002 ms
+const EXPECTED_VARIANT_STREAMS: [(Variant, u64, u64); 3] = [
+    (Variant::Sushi, EXPECTED_STREAM_DIGEST, EXPECTED_STREAM_LAT_SUM_BITS),
+    (Variant::NoSushi, 0x6d22_c3cc_7aec_c929, 0x4079_4421_4cec_41dd),
+    (Variant::SushiNoSched, 0x58f9_c141_1e33_acda, 0x4078_5d72_b020_c49e),
+];
+
+/// The toy-MobileNet functional engine below, replayed over 24 queries:
+/// record digest, latency-sum bits and prediction digest.
+const EXPECTED_FUNCTIONAL_STREAM: (u64, u64, u64) =
+    (0x6d71_5e2d_a757_95d7, 0x4006_3913_e814_50f0, 0x912c_e374_8a38_f17e);
+
+#[test]
+fn serve_stream_reproduces_pre_redesign_records() {
+    for (variant, digest, lat_sum_bits) in EXPECTED_VARIANT_STREAMS {
+        let mut engine = EngineBuilder::new()
+            .variant(variant)
+            .q_window(10)
+            .candidates(8)
+            .seed(42)
+            .build()
+            .expect("engine");
+        let records =
+            engine.serve_stream(&uniform_stream(&engine.constraint_space(), 40, 7)).unwrap();
+        assert!(records.iter().all(|r| r.prediction.is_none()), "analytical: no predictions");
+        let (got, got_lat) = stream_digest(&records);
+        assert_eq!(got, digest, "{variant:?} serve_stream records drifted from fixtures");
+        assert_eq!(got_lat, lat_sum_bits, "{variant:?} latency sum drifted");
+    }
+
+    let mut engine = toy_functional_engine(SimConfig::default());
+    let records = engine.serve_stream(&toy_functional_queries(&engine)).unwrap();
+    assert!(records.iter().all(|r| r.prediction.is_some()), "functional: every prediction");
+    let (got, got_lat) = stream_digest(&records);
+    let got_pred = prediction_digest(&records);
+    assert_eq!((got, got_lat, got_pred), EXPECTED_FUNCTIONAL_STREAM, "functional replay drifted");
+}
+
+/// A functional engine over three sampled toy-MobileNet SubNets.
+fn toy_functional_engine(sim: SimConfig) -> Engine {
+    let net = Arc::new(zoo::toy_mobilenet_supernet());
+    let picks = sushi::wsnet::sampler::ConfigSampler::new(&net, 3).sample_subnets(3);
+    EngineBuilder::new()
+        .workload(net, picks)
+        .q_window(4)
+        .candidates(3)
+        .seed(11)
+        .backend(BackendKind::Functional)
+        .sim_config(sim)
+        .build()
+        .expect("functional engine")
+}
+
+fn toy_functional_queries(engine: &Engine) -> Vec<Query> {
+    uniform_stream(&engine.constraint_space(), 24, 5)
 }
 
 /// Pre-redesign `ServingSim::new(MobV3 table(candidates=8, seed=42),

@@ -5,10 +5,12 @@
 //! workload, serving [`Variant`], scheduler [`Policy`], caching window `Q`,
 //! SushiAbs candidate count, [`AccelConfig`], seed, execution backend and
 //! the serving-loop `SimConfig` — all defaulted to the paper's MobileNetV3 /
-//! ZCU104 configuration. It produces an [`Engine`] with two run modes:
+//! ZCU104 configuration. It produces an [`Engine`]: one run state (the
+//! scheduler and executor pool of the serving simulator) behind two run
+//! modes that continue each other's scheduler history and PB contents:
 //!
-//! * [`Engine::serve_stream`] — the per-query batch-replay loop of Fig. 4
-//!   (the §5.6–5.7 experiments).
+//! * [`Engine::serve_stream`] — the per-query replay loop of Fig. 4 (the
+//!   §5.6–5.7 experiments), one query at a time on worker 0.
 //! * [`Engine::serve_timed`] — the event-driven open-loop serving
 //!   simulation (arrivals, bounded queue, dynamic batching, worker pool,
 //!   SLO accounting).
@@ -44,8 +46,7 @@ use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
-use crate::serving::sim::{ServingSim, SimConfig, SimResult};
-use crate::stack::{ServedRecord, SushiStack};
+use crate::serving::sim::{ServedRecord, ServingSim, SimConfig, SimResult};
 use crate::stream::{ConstraintSpace, TimedQuery};
 use crate::variants::{build_tables, Variant};
 
@@ -398,68 +399,59 @@ impl EngineBuilder {
                 Box::new(Functional::new(dpe, &net, FUNCTIONAL_SEED).with_fusion(self.fusion))
             }
         };
-        Ok(Engine {
+        let sim = ServingSim::from_parts(
             net,
             subnets,
             table,
-            service: Arc::new(service),
-            policy: self.policy,
+            Arc::new(service),
+            self.policy,
             selection,
             q_window,
-            sim: self.sim,
-            backend,
-            stack: None,
-            timed: None,
-        })
+            self.sim,
+        );
+        Ok(Engine { sim, backend })
     }
 }
 
-/// The assembled serving stack: scheduler, latency table, service table
-/// and execution backend behind two run modes.
+/// The assembled serving stack: one run state — scheduler, latency
+/// table, service table and executor pool — and the execution backend,
+/// behind two run modes.
 ///
-/// Each run mode keeps its own state (scheduler history, Persistent-Buffer
-/// contents, worker clocks) across calls, exactly like the pre-builder
-/// `SushiStack` / `ServingSim` objects did; build a fresh engine for an
-/// independent run.
+/// Both run modes continue one scheduler history and one set of
+/// Persistent-Buffer contents, across calls and across modes:
+/// `serve_timed` after `serve_stream` starts from the AvgNet state,
+/// resident SubGraphs and worker clocks the replay left. Build a fresh
+/// engine for an independent run.
 #[derive(Debug)]
 #[must_use]
 pub struct Engine {
-    net: Arc<SuperNet>,
-    subnets: Vec<SubNet>,
-    table: LatencyTable,
-    service: Arc<ServiceTable>,
-    policy: Policy,
-    selection: CacheSelection,
-    q_window: usize,
-    sim: SimConfig,
+    sim: ServingSim,
     backend: Box<dyn ExecutionBackend>,
-    stack: Option<SushiStack>,
-    timed: Option<ServingSim>,
 }
 
 impl Engine {
     /// The SuperNet being served.
     #[must_use]
     pub fn net(&self) -> &SuperNet {
-        &self.net
+        self.sim.net()
     }
 
     /// The serving SubNets (latency-table row order).
     #[must_use]
     pub fn subnets(&self) -> &[SubNet] {
-        &self.subnets
+        self.sim.subnets()
     }
 
     /// The SushiAbs latency table.
     #[must_use]
     pub fn table(&self) -> &LatencyTable {
-        &self.table
+        self.sim.table()
     }
 
     /// The serving-loop configuration used by [`Engine::serve_timed`].
     #[must_use]
     pub fn sim_config(&self) -> &SimConfig {
-        &self.sim
+        self.sim.config()
     }
 
     /// Stable label of the active execution backend.
@@ -482,35 +474,22 @@ impl Engine {
     /// meaningful streams for this engine.
     #[must_use]
     pub fn constraint_space(&self) -> ConstraintSpace {
-        let accs: Vec<f64> = self.subnets.iter().map(|p| p.accuracy).collect();
-        let lats: Vec<f64> =
-            (0..self.table.num_rows()).map(|i| self.table.latency_ms(i, 0)).collect();
+        let table = self.table();
+        let accs: Vec<f64> = self.subnets().iter().map(|p| p.accuracy).collect();
+        let lats: Vec<f64> = (0..table.num_rows()).map(|i| table.latency_ms(i, 0)).collect();
         ConstraintSpace::from_serving_set(&accs, &lats)
     }
 
-    /// Serves one query through the batch-replay loop (Fig. 4).
+    /// Serves one query through the per-query replay loop (Fig. 4) on
+    /// the run state's first worker.
     ///
     /// # Errors
     /// Returns [`SushiError::Backend`] when the execution backend fails.
     pub fn serve(&mut self, query: &Query) -> Result<ServedRecord, SushiError> {
-        let Self {
-            net, subnets, table, service, policy, selection, q_window, backend, stack, ..
-        } = self;
-        let stack = stack.get_or_insert_with(|| {
-            SushiStack::from_parts(
-                Arc::clone(net),
-                subnets.clone(),
-                table.clone(),
-                Arc::clone(service),
-                *policy,
-                *selection,
-                *q_window,
-            )
-        });
-        stack.serve(backend.as_mut(), query)
+        self.sim.replay(self.backend.as_mut(), query)
     }
 
-    /// Serves a whole constraint stream through the batch-replay loop,
+    /// Serves a whole constraint stream through the per-query replay loop,
     /// continuing from any state earlier calls accumulated.
     ///
     /// # Errors
@@ -527,32 +506,7 @@ impl Engine {
     /// Returns [`SushiError::Stream`] on an empty or unsorted stream and
     /// [`SushiError::Backend`] when the execution backend fails.
     pub fn serve_timed(&mut self, stream: &[TimedQuery]) -> Result<SimResult, SushiError> {
-        let Self {
-            net,
-            subnets,
-            table,
-            service,
-            policy,
-            selection,
-            q_window,
-            sim,
-            backend,
-            timed,
-            ..
-        } = self;
-        let runtime = timed.get_or_insert_with(|| {
-            ServingSim::from_parts(
-                Arc::clone(net),
-                subnets.clone(),
-                table.clone(),
-                Arc::clone(service),
-                *policy,
-                *selection,
-                *q_window,
-                *sim,
-            )
-        });
-        runtime.run(backend.as_mut(), stream)
+        self.sim.run(self.backend.as_mut(), stream)
     }
 }
 
@@ -560,7 +514,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::serving::fault::FaultOptions;
-    use crate::stream::uniform_stream;
+    use crate::serving::{ArrivalProcess, BatchPolicy};
+    use crate::stream::{attach_arrivals, uniform_stream};
 
     #[test]
     fn defaults_build_the_paper_configuration() {
@@ -668,6 +623,34 @@ mod tests {
         let all = whole.serve_stream(&queries).unwrap();
         let joined: Vec<_> = a.into_iter().chain(b).collect();
         assert_eq!(joined, all, "two half-streams must equal one whole stream");
+    }
+
+    #[test]
+    fn serve_timed_continues_the_replay_run_state() {
+        let sim = SimConfig { workers: 2, batch: BatchPolicy::new(4, 2.0), ..SimConfig::default() };
+        let run = || {
+            let mut engine =
+                EngineBuilder::new().candidates(6).seed(3).sim_config(sim).build().unwrap();
+            let space = engine.constraint_space();
+            let records = engine.serve_stream(&uniform_stream(&space, 30, 5)).unwrap();
+            let queries = uniform_stream(&space, 60, 8);
+            let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8);
+            let result = engine.serve_timed(&attach_arrivals(&queries, &arrivals)).unwrap();
+            (records, result)
+        };
+        let (records, result) = run();
+        let mut ids: Vec<u64> = result.served.iter().map(|s| s.query.id).collect();
+        ids.extend(result.dropped.iter().map(|d| d.timed.query.id));
+        ids.sort_unstable();
+        assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "each timed query served or dropped once");
+        let replay_end: f64 = records.iter().map(|r| r.served_latency_ms).sum();
+        let replay_worker: Vec<_> = result.served.iter().filter(|s| s.worker == 0).collect();
+        assert!(!replay_worker.is_empty());
+        assert!(
+            replay_worker.iter().all(|s| s.start_ms >= replay_end),
+            "worker 0 keeps the clock the replay left"
+        );
+        assert_eq!(run(), (records, result), "identical engines, identical runs");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`sushi_wsnet`].
 //!
 //! * [`engine`] — **the** public entry point: [`engine::EngineBuilder`]
-//!   (every knob named and defaulted) builds an [`engine::Engine`] with two
-//!   run modes — `serve_stream` (the per-query replay loop of Fig. 4) and
+//!   (every knob named and defaulted) builds an [`engine::Engine`]: one
+//!   run state (scheduler + executor pool) behind two run modes —
+//!   `serve_stream` (the per-query replay loop of Fig. 4) and
 //!   `serve_timed` (the event-driven serving simulation) — dispatching
 //!   through a pluggable analytical or functional
 //!   [`sushi_accel::backend::ExecutionBackend`].
@@ -50,11 +51,10 @@ pub mod experiments;
 pub mod metrics;
 pub mod report;
 pub mod serving;
-pub mod stack;
 pub mod stream;
 pub mod variants;
 
 pub use engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
 pub use error::SushiError;
-pub use stack::ServedRecord;
+pub use serving::sim::ServedRecord;
 pub use variants::Variant;

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::stack::ServedRecord;
+use crate::serving::sim::ServedRecord;
 
 /// Summary statistics over a served stream.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -31,8 +31,10 @@
 //!   [`sushi_accel::backend::ExecutionBackend`] (analytical timing, or
 //!   real parallel int8 forwards with per-query predictions).
 //! * [`sim`] — the SLO-aware event loop tying scheduler, queue, batcher,
-//!   router and pool together (the run state behind
-//!   [`crate::engine::Engine::serve_timed`]), configured by one
+//!   router and pool together, and the per-query replay on the same
+//!   scheduler and pool (the one run state behind both
+//!   [`crate::engine::Engine::serve_timed`] and
+//!   [`crate::engine::Engine::serve_stream`]), configured by one
 //!   [`sim::SimConfig`] handed to
 //!   [`crate::engine::EngineBuilder::sim_config`].
 //! * [`scenario`] — canned presets (`steady`, `burst`, `diurnal`,

@@ -2,9 +2,10 @@
 //!
 //! The crate-private `ServingSim` wraps the SUSHI stack — `SushiSched`
 //! decisions enacted on a pool of accelerator replicas — in an open-loop
-//! event loop over a [`TimedQuery`] stream. It is the run state behind
-//! [`crate::engine::Engine::serve_timed`], configured by one
-//! [`SimConfig`]:
+//! event loop over a [`TimedQuery`] stream. It is the engine's one run
+//! state, behind [`crate::engine::Engine::serve_timed`] and
+//! [`crate::engine::Engine::serve_stream`], and the event loop is
+//! configured by one [`SimConfig`]:
 //!
 //! 1. **Admission.** Each arrival is scheduled immediately
 //!    (`Scheduler::decide`, in arrival order, so the AvgNet state stream is
@@ -23,6 +24,14 @@
 //!    a streaming [`LatencyHistogram`]; drops and deadline misses both
 //!    count against SLO attainment.
 //!
+//! The per-query replay (`serve_stream`) drives the same scheduler and
+//! pool, one query at a time on worker 0, and differs from the event loop
+//! in one ordering only: it routes a query's cache decision *after*
+//! dispatching that query, so the next query's dispatch applies the
+//! install and pays its PB reload (stage B of Fig. 9a, as the §5.6–5.7
+//! replays charge it). The event loop routes at admission, so the
+//! triggering query's own batch may pay.
+//!
 //! Time is simulated milliseconds; nothing here reads a wall clock, so a
 //! `(stream, config, seed)` triple reproduces bit-identical results on any
 //! platform.
@@ -30,6 +39,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
 use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::exec::ServiceTable;
 use sushi_sched::{
@@ -47,7 +57,8 @@ use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery
 use crate::serving::routing::{ReplicaView, RoutingPolicy};
 use crate::stream::TimedQuery;
 
-/// Serving-loop knobs (everything except the stack itself), written as a
+/// Serving-loop knobs (everything except the stack itself; the per-query
+/// replay ignores them), written as a
 /// struct literal over [`Default`] and handed to
 /// [`crate::engine::EngineBuilder::sim_config`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,6 +141,33 @@ impl ServedQuery {
     pub fn met_slo(&self) -> bool {
         self.latency_ms() <= self.query.latency_constraint_ms
     }
+}
+
+/// Everything recorded about one query served by the per-query replay
+/// ([`crate::engine::Engine::serve`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[must_use]
+pub struct ServedRecord {
+    /// The query as issued.
+    pub query: Query,
+    /// Name of the SubNet served.
+    pub subnet: String,
+    /// Row index of the SubNet in the latency table.
+    pub subnet_row: usize,
+    /// Accuracy delivered (fixed per SubNet).
+    pub served_accuracy: f64,
+    /// End-to-end latency delivered, in ms (includes any PB reload).
+    pub served_latency_ms: f64,
+    /// Cache-hit ratio ‖SNₜ ∩ Gₜ‖₂ / ‖SNₜ‖₂ at serve time (Appendix A.4).
+    pub hit_ratio: f64,
+    /// Off-chip energy for this query, mJ.
+    pub offchip_mj: f64,
+    /// On-chip energy for this query, mJ.
+    pub onchip_mj: f64,
+    /// Whether a cache update was enacted after this query.
+    pub cache_updated: bool,
+    /// Functional-backend prediction (`None` under the analytical backend).
+    pub prediction: Option<usize>,
 }
 
 /// What one tenant tier's degradation ladder did over a tenant-tiered
@@ -356,7 +394,9 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
 }
 
-/// The SLO-aware serving loop: scheduler + executor pool + queue + batcher.
+/// The engine's one run state: scheduler + executor pool, driven by the
+/// SLO-aware serving loop ([`Self::run`]) or the per-query replay
+/// ([`Self::replay`]).
 #[derive(Debug)]
 pub(crate) struct ServingSim {
     net: Arc<SuperNet>,
@@ -396,6 +436,68 @@ impl ServingSim {
             control,
             rr_cursor: 0,
         }
+    }
+
+    /// The SuperNet being served.
+    pub(crate) fn net(&self) -> &SuperNet {
+        &self.net
+    }
+
+    /// The serving SubNets, in latency-table row order.
+    pub(crate) fn subnets(&self) -> &[SubNet] {
+        &self.subnets
+    }
+
+    /// The scheduler's SushiAbs latency table.
+    pub(crate) fn table(&self) -> &LatencyTable {
+        self.sched.table()
+    }
+
+    /// The serving-loop configuration.
+    pub(crate) fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Serves one query through the replay loop of Fig. 4 on worker 0:
+    /// schedule it, dispatch it alone at the worker's clock (applying and
+    /// paying for any install an earlier query routed), read the hit
+    /// ratio, and only then route this query's own cache decision. The
+    /// serving config's batching, routing, control and faults play no part.
+    ///
+    /// # Errors
+    /// Returns [`SushiError::Backend`] when the backend fails; no install
+    /// is routed then.
+    pub(crate) fn replay(
+        &mut self,
+        backend: &mut dyn ExecutionBackend,
+        query: &Query,
+    ) -> Result<ServedRecord, SushiError> {
+        let decision = self.sched.decide(query);
+        let row = decision.subnet_row;
+        let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id] }];
+        let now = self.pool.busy_until_ms(0);
+        let (dispatch, outputs) = self
+            .pool
+            .dispatch_group(now, &self.net, &self.subnets, backend, &plan)?
+            .pop()
+            .expect("one planned batch, one result");
+        let hit_ratio = self.pool.overlap(0, row);
+        if let Some(col) = decision.cache_update {
+            self.pool.route_install(col);
+        }
+        let subnet = &self.subnets[row];
+        Ok(ServedRecord {
+            query: *query,
+            subnet: subnet.name.clone(),
+            subnet_row: row,
+            served_accuracy: subnet.accuracy,
+            served_latency_ms: dispatch.report.total_latency_ms,
+            hit_ratio,
+            offchip_mj: dispatch.report.energy.offchip_mj,
+            onchip_mj: dispatch.report.energy.onchip_mj,
+            cache_updated: decision.cache_update.is_some(),
+            prediction: outputs.as_ref().and_then(|o| o.first()).map(|o| o.prediction),
+        })
     }
 
     /// Runs the event loop over an arrival-ordered stream to completion,
@@ -792,6 +894,7 @@ mod tests {
     use crate::engine::{Engine, EngineBuilder};
     use crate::serving::arrivals::ArrivalProcess;
     use crate::stream::{attach_arrivals, uniform_stream, ConstraintSpace};
+    use crate::variants::Variant;
 
     fn sim(config: SimConfig) -> (Engine, ConstraintSpace) {
         let engine = EngineBuilder::new()
@@ -1090,5 +1193,90 @@ mod tests {
         let (mut b, _) = sim(cfg);
         let st = stream(&space, 250, 180.0, 17);
         assert_eq!(a.serve_timed(&st).unwrap(), b.serve_timed(&st).unwrap());
+    }
+
+    // The per-query replay (`Engine::serve_stream`).
+
+    fn engine(variant: Variant) -> Engine {
+        EngineBuilder::new()
+            .variant(variant)
+            .q_window(8)
+            .candidates(12)
+            .seed(42)
+            .build()
+            .expect("valid test configuration")
+    }
+
+    #[test]
+    fn strict_accuracy_is_always_satisfied() {
+        let mut e = engine(Variant::Sushi);
+        let qs = uniform_stream(&e.constraint_space(), 100, 1);
+        for r in e.serve_stream(&qs).unwrap() {
+            assert!(
+                r.served_accuracy >= r.query.accuracy_constraint - 1e-12,
+                "query {} violated accuracy",
+                r.query.id
+            );
+        }
+    }
+
+    #[test]
+    fn hit_ratio_is_zero_before_first_cache_install() {
+        let mut e = engine(Variant::Sushi);
+        let qs = uniform_stream(&e.constraint_space(), 4, 2);
+        let records = e.serve_stream(&qs).unwrap();
+        assert_eq!(records[0].hit_ratio, 0.0);
+    }
+
+    #[test]
+    fn hit_ratio_becomes_positive_after_warmup() {
+        let mut e = engine(Variant::Sushi);
+        let qs = uniform_stream(&e.constraint_space(), 60, 3);
+        let records = e.serve_stream(&qs).unwrap();
+        let tail_mean: f64 =
+            records[20..].iter().map(|r| r.hit_ratio).sum::<f64>() / (records.len() - 20) as f64;
+        assert!(tail_mean > 0.3, "tail hit ratio {tail_mean}");
+    }
+
+    #[test]
+    fn no_sushi_never_caches() {
+        let mut e = engine(Variant::NoSushi);
+        let qs = uniform_stream(&e.constraint_space(), 40, 4);
+        for r in e.serve_stream(&qs).unwrap() {
+            assert_eq!(r.hit_ratio, 0.0);
+            assert!(!r.cache_updated);
+        }
+    }
+
+    #[test]
+    fn analytical_records_carry_no_predictions() {
+        let mut e = engine(Variant::Sushi);
+        let qs = uniform_stream(&e.constraint_space(), 5, 9);
+        for r in e.serve_stream(&qs).unwrap() {
+            assert_eq!(r.prediction, None);
+        }
+    }
+
+    #[test]
+    fn sushi_beats_no_sushi_on_mean_latency() {
+        let mk = |v| {
+            EngineBuilder::new().variant(v).q_window(10).candidates(12).seed(42).build().unwrap()
+        };
+        let mut no_sushi = mk(Variant::NoSushi);
+        let mut sushi = mk(Variant::Sushi);
+        let qs = uniform_stream(&sushi.constraint_space(), 200, 5);
+        let mean = |rs: &[ServedRecord]| {
+            rs.iter().map(|r| r.served_latency_ms).sum::<f64>() / rs.len() as f64
+        };
+        let base = mean(&no_sushi.serve_stream(&qs).unwrap());
+        let ours = mean(&sushi.serve_stream(&qs).unwrap());
+        assert!(ours < base, "SUSHI {ours} !< No-SUSHI {base}");
+    }
+
+    #[test]
+    fn serve_stream_length_matches_queries() {
+        let mut e = engine(Variant::SushiNoSched);
+        let qs = uniform_stream(&e.constraint_space(), 17, 6);
+        assert_eq!(e.serve_stream(&qs).unwrap().len(), 17);
     }
 }

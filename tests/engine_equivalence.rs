@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use sushi::core::engine::{BackendKind, Engine, EngineBuilder};
-use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, SimConfig, SimResult};
+use sushi::core::serving::{
+    ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimConfig, SimResult,
+};
 use sushi::core::stream::attach_arrivals;
 use sushi::core::stream::uniform_stream;
 use sushi::core::{ServedRecord, Variant};
@@ -141,6 +143,34 @@ fn serve_stream_reproduces_pre_redesign_records() {
     let (got, got_lat) = stream_digest(&records);
     let got_pred = prediction_digest(&records);
     assert_eq!((got, got_lat, got_pred), EXPECTED_FUNCTIONAL_STREAM, "functional replay drifted");
+}
+
+/// The replay runs one query at a time on one worker, so the serving
+/// loop's pool size, batching and routing never reach its records.
+#[test]
+fn serve_stream_ignores_the_serving_config() {
+    let pooled = SimConfig {
+        workers: 4,
+        batch: BatchPolicy::new(4, 1.0),
+        routing: RoutingPolicy::CacheAffinity,
+        ..SimConfig::default()
+    };
+    let analytical = |sim| {
+        let mut engine = EngineBuilder::new()
+            .q_window(10)
+            .candidates(8)
+            .seed(42)
+            .sim_config(sim)
+            .build()
+            .unwrap();
+        engine.serve_stream(&uniform_stream(&engine.constraint_space(), 40, 7)).unwrap()
+    };
+    assert_eq!(analytical(SimConfig::default()), analytical(pooled));
+    let functional = |sim| {
+        let mut engine = toy_functional_engine(sim);
+        engine.serve_stream(&toy_functional_queries(&engine)).unwrap()
+    };
+    assert_eq!(functional(SimConfig::default()), functional(pooled));
 }
 
 /// A functional engine over three sampled toy-MobileNet SubNets.

@@ -121,30 +121,13 @@ pub struct ExecutionJob<'a> {
 /// datapath. Pricing the batch is the caller's: the serving stack reads it
 /// from its service table, whichever backend executes.
 pub trait ExecutionBackend: fmt::Debug {
-    /// Stable backend label (used in reports and CLI flags).
-    fn name(&self) -> &'static str;
-
-    /// Executes `query_ids` (one batch, all resolved to `subnet`).
-    ///
-    /// # Errors
-    /// Returns an error on an empty batch, a SubNet/SuperNet mismatch, or
-    /// a functional datapath failure.
-    fn execute_batch(
-        &mut self,
-        net: &SuperNet,
-        subnet: &SubNet,
-        query_ids: &[u64],
-    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError>;
-
     /// Executes a group of batches dispatched to distinct workers at the
     /// same simulated instant, returning each job's outputs in job order.
+    /// A lone batch is a group of one job.
     ///
-    /// The default runs the jobs sequentially through
-    /// [`ExecutionBackend::execute_batch`] — correct for any backend, and
-    /// all the [`Analytical`] backend needs. [`Functional`] overrides it to run
-    /// the real int8 forwards concurrently. Results are independent of the
-    /// execution interleaving by construction, so both paths produce
-    /// bit-identical outputs.
+    /// [`Functional`] runs the real int8 forwards of a group concurrently.
+    /// Results are independent of the execution interleaving by
+    /// construction, so any group size produces bit-identical outputs.
     ///
     /// # Errors
     /// Returns the first per-batch failure (empty batch, SubNet mismatch,
@@ -153,9 +136,7 @@ pub trait ExecutionBackend: fmt::Debug {
         &mut self,
         net: &SuperNet,
         jobs: &[ExecutionJob<'_>],
-    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
-        jobs.iter().map(|job| self.execute_batch(net, job.subnet, job.query_ids)).collect()
-    }
+    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError>;
 
     /// Memory held as execution state across batches (`None` for stateless
     /// backends like [`Analytical`]).
@@ -183,18 +164,14 @@ fn validate_batch(net: &SuperNet, subnet: &SubNet, query_ids: &[u64]) -> Result<
 pub struct Analytical;
 
 impl ExecutionBackend for Analytical {
-    fn name(&self) -> &'static str {
-        "analytical"
-    }
-
-    fn execute_batch(
+    fn execute_concurrent(
         &mut self,
         net: &SuperNet,
-        subnet: &SubNet,
-        query_ids: &[u64],
-    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
-        validate_batch(net, subnet, query_ids)?;
-        Ok(None)
+        jobs: &[ExecutionJob<'_>],
+    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
+        jobs.iter()
+            .map(|job| validate_batch(net, job.subnet, job.query_ids).map(|()| None))
+            .collect()
     }
 }
 
@@ -318,21 +295,6 @@ impl Functional {
 }
 
 impl ExecutionBackend for Functional {
-    fn name(&self) -> &'static str {
-        "functional"
-    }
-
-    fn execute_batch(
-        &mut self,
-        net: &SuperNet,
-        subnet: &SubNet,
-        query_ids: &[u64],
-    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
-        // A lone batch is a group of one on worker 0.
-        let job = ExecutionJob { worker: 0, subnet, query_ids };
-        Ok(self.execute_concurrent(net, &[job])?.pop().flatten())
-    }
-
     fn execute_concurrent(
         &mut self,
         net: &SuperNet,
@@ -402,6 +364,17 @@ mod tests {
     use crate::functional::forward_cached;
     use sushi_wsnet::zoo;
 
+    /// One batch on worker 0: a dispatch group of one job.
+    fn execute(
+        backend: &mut dyn ExecutionBackend,
+        net: &SuperNet,
+        subnet: &SubNet,
+        query_ids: &[u64],
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+        let job = ExecutionJob { worker: 0, subnet, query_ids };
+        Ok(backend.execute_concurrent(net, &[job])?.pop().flatten())
+    }
+
     fn toy_setup() -> (SuperNet, Vec<SubNet>) {
         let net = zoo::toy_supernet();
         let picks = {
@@ -414,17 +387,16 @@ mod tests {
     #[test]
     fn analytical_validates_and_has_no_outputs() {
         let (net, picks) = toy_setup();
-        assert_eq!(Analytical.execute_batch(&net, &picks[0], &[0, 1, 2]), Ok(None));
-        assert_eq!(Analytical.name(), "analytical");
+        assert_eq!(execute(&mut Analytical, &net, &picks[0], &[0, 1, 2]), Ok(None));
     }
 
     #[test]
     fn empty_batch_is_an_error_not_a_panic() {
         let (net, picks) = toy_setup();
-        let err = Analytical.execute_batch(&net, &picks[0], &[]).unwrap_err();
+        let err = execute(&mut Analytical, &net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
         let mut func = Functional::new(DpeArray::new(2, 2), &net, 7);
-        let err = func.execute_batch(&net, &picks[0], &[]).unwrap_err();
+        let err = execute(&mut func, &net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
     }
 
@@ -433,7 +405,7 @@ mod tests {
         let (net, _) = toy_setup();
         let other = zoo::toy_mobilenet_supernet();
         let foreign = other.materialize("max", &other.max_config()).unwrap();
-        let err = Analytical.execute_batch(&net, &foreign, &[0]).unwrap_err();
+        let err = execute(&mut Analytical, &net, &foreign, &[0]).unwrap_err();
         assert!(matches!(err, BackendError::SubnetMismatch { .. }));
     }
 
@@ -441,11 +413,11 @@ mod tests {
     fn functional_outputs_match_single_query_forwards_and_pack_once() {
         let (net, picks) = toy_setup();
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let outs = backend.execute_batch(&net, &picks[0], &[0, 1, 2]).unwrap();
+        let outs = execute(&mut backend, &net, &picks[0], &[0, 1, 2]).unwrap();
         let outs = outs.expect("functional outputs");
         assert_eq!(outs.len(), 3);
         assert_eq!(backend.packed_subnets(), 1, "first dispatch packs the SubNet once");
-        let again = backend.execute_batch(&net, &picks[0], &[0, 1, 2]).unwrap();
+        let again = execute(&mut backend, &net, &picks[0], &[0, 1, 2]).unwrap();
         assert_eq!(again.as_deref(), Some(&outs[..]));
         assert_eq!(backend.packed_subnets(), 1);
         for (&id, out) in [0u64, 1, 2].iter().zip(&outs) {
@@ -467,13 +439,13 @@ mod tests {
     fn same_name_different_graph_counts_a_repack() {
         let (net, picks) = toy_setup();
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let _ = backend.execute_batch(&net, &picks[0], &[0]).unwrap();
-        let _ = backend.execute_batch(&net, &picks[0], &[1]).unwrap();
+        let _ = execute(&mut backend, &net, &picks[0], &[0]).unwrap();
+        let _ = execute(&mut backend, &net, &picks[0], &[1]).unwrap();
         assert_eq!(backend.repacks(), 0, "stable identity never repacks");
         // Same name, a different SubGraph: the defensive rebuild path.
         let mut churned = picks[1].clone();
         churned.name = picks[0].name.clone();
-        let _ = backend.execute_batch(&net, &churned, &[2]).unwrap();
+        let _ = execute(&mut backend, &net, &churned, &[2]).unwrap();
         assert_eq!(backend.repacks(), 1, "identity churn pays a repack");
         assert_eq!(backend.packed_subnets(), 1, "the churned entry replaces, not adds");
     }
@@ -484,13 +456,13 @@ mod tests {
         assert_eq!(Analytical.memory_stats(), None);
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 3);
         assert_eq!(backend.memory_stats(), Some(MemoryStats::default()));
-        let _ = backend.execute_batch(&net, &picks[0], &[0, 1]).unwrap();
+        let _ = execute(&mut backend, &net, &picks[0], &[0, 1]).unwrap();
         let after_first = backend.memory_stats().unwrap();
         assert!(after_first.arena_reserved_bytes > 0);
         assert_eq!(after_first.packed_subnets, 1);
         // Steady state: re-dispatching the same SubNet grows nothing.
         for _ in 0..4 {
-            let _ = backend.execute_batch(&net, &picks[0], &[2, 3]).unwrap();
+            let _ = execute(&mut backend, &net, &picks[0], &[2, 3]).unwrap();
         }
         assert_eq!(backend.memory_stats(), Some(after_first));
     }
@@ -500,8 +472,8 @@ mod tests {
         let (net, picks) = toy_setup();
         // Sequential oracle: the same batches, one at a time.
         let mut seq = Functional::new(DpeArray::new(4, 4), &net, 21);
-        let s0 = seq.execute_batch(&net, &picks[0], &[0, 1]).unwrap();
-        let s1 = seq.execute_batch(&net, &picks[1], &[2, 3, 4]).unwrap();
+        let s0 = execute(&mut seq, &net, &picks[0], &[0, 1]).unwrap();
+        let s1 = execute(&mut seq, &net, &picks[1], &[2, 3, 4]).unwrap();
 
         let mut par = Functional::new(DpeArray::new(4, 4), &net, 21);
         let jobs = [

@@ -6,12 +6,10 @@
 //! depending on SubNet size, with the CPU comparatively better on small
 //! SubNets (overhead-bound) than large ones (throughput-bound).
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::{SubNet, SuperNet};
 
 /// CPU latency model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Display name.
     pub name: String,

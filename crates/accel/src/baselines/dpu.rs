@@ -9,13 +9,11 @@
 //! Like SushiAccel-w/o-PB it refetches all weights per query (no SubGraph
 //! reuse, Table 4).
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::layer::{ConvKind, ConvLayerDesc, LayerSlice};
 use sushi_wsnet::{SubNet, SuperNet};
 
 /// Xilinx DPU analytic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpuModel {
     /// Display name.
     pub name: String,

@@ -5,12 +5,10 @@
 //! a buffer filled from DRAM and drained by the DPE array needs a width
 //! compatible with both.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{AccelConfig, DPE_SIZE};
 
 /// Buffer identity for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferKind {
     /// Ping-pong dynamic (distinct-weight) buffer.
     Db,
@@ -39,7 +37,7 @@ impl BufferKind {
 }
 
 /// A Table-1 row: buffer and its minimal bandwidth in bytes/cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandwidthRequirement {
     /// Which buffer.
     pub buffer: BufferKind,
@@ -86,13 +84,6 @@ pub fn bandwidth_requirements(
         BandwidthRequirement { buffer: BufferKind::Ob, bytes_per_cycle: ob_demand },
         BandwidthRequirement { buffer: BufferKind::Pb, bytes_per_cycle: lcm(offchip, dpe_demand) },
     ]
-}
-
-/// Checks that the buffer split fits a total on-chip budget, returning the
-/// slack in bytes (negative means over budget).
-#[must_use]
-pub fn budget_slack(config: &AccelConfig, total_budget_bytes: u64) -> i64 {
-    total_budget_bytes as i64 - config.buffers.total_bytes() as i64
 }
 
 #[cfg(test)]
@@ -155,7 +146,7 @@ mod tests {
     #[test]
     fn zcu104_fits_its_board_budget() {
         // ZCU104: 11 Mb BRAM + 27 Mb URAM ≈ 4.75 MB on-chip.
-        let slack = budget_slack(&zcu104(), 4_980_736);
-        assert!(slack >= 0, "over budget by {} bytes", -slack);
+        let total = zcu104().buffers.total_bytes();
+        assert!(total <= 4_980_736, "over budget: {total} bytes");
     }
 }

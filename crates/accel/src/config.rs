@@ -5,8 +5,6 @@
 //! throughput (DPE-array parallelism) and Persistent-Buffer size — all
 //! captured here. Presets reproduce the evaluation platforms of §5.1/§5.4.
 
-use serde::{Deserialize, Serialize};
-
 /// Size of each Dot-Product Engine: SushiAccel uses fixed-size DPEs of 9
 /// multipliers (one 3×3 kernel position per cycle; §4.2.1).
 pub const DPE_SIZE: usize = 9;
@@ -17,7 +15,7 @@ pub const DPE_SIZE: usize = 9;
 /// preset ([`zcu104`], [`alveo_u50`], [`roofline_system`]) and adjust
 /// fields, so future buffers can be added without breaking downstream
 /// crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BufferConfig {
     /// Persistent Buffer: SubGraph Reuse. Zero disables SGS caching
@@ -75,7 +73,7 @@ impl Default for BufferConfig {
 /// `#[non_exhaustive]`: construct via [`Default`] (the ZCU104 preset) or
 /// one of the preset functions and adjust fields, so future knobs can be
 /// added without breaking downstream crates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct AccelConfig {
     /// Human-readable platform name.

@@ -5,15 +5,13 @@
 //! saved by SGS caching ("Time Save %") when serving the paper's Pareto
 //! SubNet sequence with the shared SubGraph cached.
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::config::AccelConfig;
-use crate::exec::Accelerator;
+use crate::exec::price_query;
 
 /// One evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
     /// Persistent-Buffer capacity in MB.
     pub pb_mb: f64,
@@ -39,7 +37,7 @@ impl DsePoint {
 }
 
 /// The swept axes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DseGrid {
     /// PB sizes in bytes.
     pub pb_bytes: Vec<u64>,
@@ -62,23 +60,19 @@ impl DseGrid {
 }
 
 /// Steady-state mean latency of serving `subnets` round-robin on `config`
-/// with the given cache policy: `cache_shared == true` installs the shared
-/// SubGraph (truncated to the PB) before serving; reload cost is excluded —
-/// it amortizes to zero over a long stream.
+/// with the given cache policy: `cache_shared == true` prices every query
+/// with the shared SubGraph (truncated to the PB) resident; reload cost is
+/// excluded — it amortizes to zero over a long stream.
 fn mean_latency_ms(
     config: &AccelConfig,
     net: &SuperNet,
     subnets: &[SubNet],
     cache_shared: bool,
 ) -> f64 {
-    let mut acc = Accelerator::new(config.clone());
-    if cache_shared && config.buffers.has_pb() {
-        let shared = net.shared_subgraph(subnets);
-        acc.install_cache(net, shared);
-        // Absorb the one-time reload outside the measured window.
-        let _ = acc.serve(net, &subnets[0]);
-    }
-    let total: f64 = subnets.iter().map(|sn| acc.serve(net, sn).latency_ms).sum();
+    let cached = (cache_shared && config.buffers.has_pb())
+        .then(|| net.subgraph_to_budget(&net.shared_subgraph(subnets), config.buffers.pb_bytes));
+    let total: f64 =
+        subnets.iter().map(|sn| price_query(config, net, sn, cached.as_ref()).latency_ms).sum();
     total / subnets.len() as f64
 }
 

@@ -1,17 +1,18 @@
-//! The accelerator execution engine: serves SubNets under a cached SubGraph.
+//! The accelerator timing/energy model: prices SubNets under a cached
+//! SubGraph.
 //!
-//! [`Accelerator`] is the timing/energy simulator of SushiAccel. It holds
-//! the Persistent-Buffer state (a [`SubGraph`] or empty) and serves queries
-//! in *timing-only* mode (the common case — all §5 experiments) via
-//! [`Accelerator::serve`]; the bit-exact functional datapath for small nets
-//! lives in [`crate::dpe`].
+//! [`price_query`] is the model's one layer walk: the cycles, traffic and
+//! energy of one query of a SubNet on an accelerator whose Persistent
+//! Buffer holds a given SubGraph (or nothing). Every latency table, figure
+//! and roofline point is priced by it; the bit-exact functional datapath
+//! for small nets lives in [`crate::dpe`].
 //!
 //! [`ServiceTable`] is the same model tabulated over a serving set: one
-//! layer walk per `(SubNet, cacheable column)` cell at engine build, after
-//! which pricing a batch or an install is a lookup. The serving runtime
-//! prices every batch from it; [`Accelerator`] is its oracle.
-
-use serde::{Deserialize, Serialize};
+//! [`price_query`] per `(SubNet, cacheable column)` cell at engine build,
+//! after which pricing a batch or an install is a lookup. The serving
+//! runtime prices every batch from it. [`Accelerator`] is the stateful
+//! form — a PB that installs SubGraphs and charges their reload to the
+//! next batch — kept as the table's oracle.
 
 use sushi_wsnet::encoding::overlap_ratio;
 use sushi_wsnet::layer::LayerSlice;
@@ -19,38 +20,54 @@ use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
 use crate::config::AccelConfig;
 use crate::energy::{EnergyModel, EnergyReport};
-use crate::timing::{layer_timing, CycleBreakdown, LayerTiming, TrafficBytes};
+use crate::timing::{layer_timing, CycleBreakdown, TrafficBytes};
 
-/// Result of serving one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The price of one query: what [`price_query`] reports.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryReport {
-    /// Name of the served SubNet.
-    pub subnet: String,
-    /// Per-layer timings (active layers only).
-    pub layers: Vec<LayerTiming>,
     /// Total critical-path attribution.
     pub cycles: CycleBreakdown,
-    /// Cycles spent (re)loading the PB before this query, if a cache update
-    /// was pending (stage B of Fig. 9a — paid once, then amortized across
-    /// the queries that reuse the cached SubGraph).
-    pub pb_reload_cycles: u64,
     /// Total byte traffic.
     pub traffic: TrafficBytes,
     /// Data-movement energy.
     pub energy: EnergyReport,
-    /// End-to-end latency in milliseconds (including any PB reload).
+    /// End-to-end latency in milliseconds.
     pub latency_ms: f64,
 }
 
-impl QueryReport {
-    /// Fraction of weight bytes served from the Persistent Buffer.
-    #[must_use]
-    pub fn pb_hit_fraction(&self) -> f64 {
-        let total = self.traffic.pb_weights + self.traffic.offchip_weights;
-        if total == 0 {
-            return 0.0;
-        }
-        self.traffic.pb_weights as f64 / total as f64
+/// Prices one query of SubNet `sn` on an accelerator configured by `cfg`
+/// whose Persistent Buffer holds `cached` (`None` = empty), in
+/// timing-only mode. `cached` is taken as resident as given: fit it to the
+/// PB budget first ([`SuperNet::subgraph_to_budget`]) to price what an
+/// install would make resident. A PB-less configuration never hits.
+///
+/// # Panics
+/// Panics if the SubNet or SubGraph does not belong to `net` (layer count
+/// mismatch).
+#[must_use]
+pub fn price_query(
+    cfg: &AccelConfig,
+    net: &SuperNet,
+    sn: &SubNet,
+    cached: Option<&SubGraph>,
+) -> QueryReport {
+    assert_eq!(sn.graph.num_layers(), net.num_layers(), "SubNet does not match SuperNet");
+    if let Some(g) = cached {
+        assert_eq!(g.num_layers(), net.num_layers(), "SubGraph does not match SuperNet");
+    }
+    let empty = LayerSlice::empty();
+    let mut cycles = CycleBreakdown::default();
+    let mut traffic = TrafficBytes::default();
+    for (idx, (layer, slice)) in net.layers.iter().zip(sn.graph.slices()).enumerate() {
+        let t = layer_timing(cfg, layer, slice, cached.map_or(&empty, |g| &g.slices()[idx]));
+        cycles.add(&t.cycles);
+        traffic.add(&t.traffic);
+    }
+    QueryReport {
+        cycles,
+        traffic,
+        energy: EnergyModel::default().energy(&traffic),
+        latency_ms: cfg.cycles_to_ms(cycles.total()),
     }
 }
 
@@ -60,7 +77,7 @@ impl QueryReport {
 /// Weights are fetched once per batch — the within-batch analogue of the
 /// cross-query SubGraph-Stationary reuse of §2.2 — while activations move
 /// per item, so the marginal item pays only compute + activation traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Number of queries in the batch.
     pub batch: usize,
@@ -78,8 +95,8 @@ pub struct BatchReport {
     pub first_item_ms: f64,
 }
 
-/// One `(SubNet, resident column)` cell of a [`ServiceTable`]: the sums
-/// [`Accelerator::serve_batch`] walks every layer for.
+/// One `(SubNet, resident column)` cell of a [`ServiceTable`]: one
+/// [`price_query`] reduced to what pricing a batch needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct ServiceCell {
     /// Critical-path cycles of the first item: weight fetch plus one item.
@@ -94,6 +111,19 @@ struct ServiceCell {
 }
 
 impl ServiceCell {
+    /// The cell of one query's price. Splitting the cycle total into the
+    /// first item and the marginal one is exact: [`CycleBreakdown::total`]
+    /// is a plain sum, so the per-layer sums regroup freely.
+    fn new(q: &QueryReport) -> Self {
+        let c = &q.cycles;
+        Self {
+            first_cycles: c.total(),
+            marginal_cycles: c.compute + c.offchip_iact + c.offchip_oact,
+            traffic: q.traffic,
+            overlap: 0.0,
+        }
+    }
+
     /// `batch` items of this cell after `reload` cycles of pending PB
     /// install, whose `bytes` are off-chip traffic: weights are fetched once
     /// per batch and activations move per item, so the first item pays the
@@ -126,17 +156,17 @@ impl ServiceCell {
     }
 }
 
-/// SushiAbs for the serving runtime: [`Accelerator::serve_batch`] and
-/// [`Accelerator::install_cache`] tabulated over a serving set and its
-/// cacheable SubGraphs (§2.4/§3.2).
+/// SushiAbs for the serving runtime: [`price_query`] tabulated over a
+/// serving set and its cacheable SubGraphs (§2.4/§3.2), with
+/// [`Accelerator::install_cache`]'s install rule.
 ///
 /// Rows are the serving SubNets; column 0 is the empty SubGraph and the
 /// candidates follow, as in the scheduler's latency table. A Persistent
 /// Buffer's state is its resident column (`None` = empty). Each cell is
-/// filled by one layer walk at build, and pricing a batch afterwards is a
-/// lookup plus integer arithmetic, so [`ServiceTable::price`] returns bit
-/// for bit what `serve_batch` returns on an accelerator holding the same
-/// column.
+/// filled by one [`price_query`] at build, and pricing a batch afterwards
+/// is a lookup plus integer arithmetic, so [`ServiceTable::price`] returns
+/// bit for bit what [`Accelerator::serve_batch`] returns on an accelerator
+/// holding the same column.
 #[derive(Debug, Clone)]
 pub struct ServiceTable {
     config: AccelConfig,
@@ -148,7 +178,7 @@ pub struct ServiceTable {
 }
 
 impl ServiceTable {
-    /// Walks every `(SubNet, column)` cell once. Each column holds what
+    /// Prices every `(SubNet, column)` cell once. Each column holds what
     /// [`Accelerator::install_cache`] makes resident: the empty SubGraph,
     /// then each candidate fitted to the PB budget.
     ///
@@ -184,7 +214,7 @@ impl ServiceTable {
             .flat_map(|sn| {
                 columns.iter().map(move |(g, _)| ServiceCell {
                     overlap: overlap_ratio(&sn.graph, g),
-                    ..walk(config, net, sn, Some(g))
+                    ..ServiceCell::new(&price_query(config, net, sn, Some(g)))
                 })
             })
             .collect();
@@ -236,22 +266,8 @@ impl ServiceTable {
     }
 }
 
-/// One layer walk: the cycles and traffic of SubNet `sn` on an accelerator
-/// whose PB holds `pb` (the overlap is left to the caller).
-fn walk(cfg: &AccelConfig, net: &SuperNet, sn: &SubNet, pb: Option<&SubGraph>) -> ServiceCell {
-    assert_eq!(sn.graph.num_layers(), net.num_layers(), "SubNet does not match SuperNet");
-    let mut cell = ServiceCell::default();
-    let empty = LayerSlice::empty();
-    for (idx, (layer, slice)) in net.layers.iter().zip(sn.graph.slices()).enumerate() {
-        let t = layer_timing(cfg, layer, slice, pb.map_or(&empty, |g| &g.slices()[idx]));
-        cell.first_cycles += t.cycles.total();
-        cell.marginal_cycles += t.cycles.compute + t.cycles.offchip_iact + t.cycles.offchip_oact;
-        cell.traffic.add(&t.traffic);
-    }
-    cell
-}
-
-/// The SushiAccel timing/energy simulator.
+/// A SushiAccel with Persistent-Buffer state: [`price_query`] plus the
+/// install rule, charging each install's reload to the next batch.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     config: AccelConfig,
@@ -266,12 +282,6 @@ impl Accelerator {
         Self { config, cached: None, pending_reload_cycles: 0 }
     }
 
-    /// The accelerator configuration.
-    #[must_use]
-    pub fn config(&self) -> &AccelConfig {
-        &self.config
-    }
-
     /// The currently cached SubGraph, if any.
     #[must_use]
     pub fn cached(&self) -> Option<&SubGraph> {
@@ -281,7 +291,7 @@ impl Accelerator {
     /// Installs a new cached SubGraph (the scheduler's `St+Q` decision).
     ///
     /// The SubGraph is truncated to the PB capacity if needed, and the DRAM
-    /// cost of loading it is charged to the next served query. Installing
+    /// cost of loading it is charged to the next served batch. Installing
     /// on a PB-less configuration is a no-op.
     ///
     /// Returns the SubGraph actually installed.
@@ -299,81 +309,24 @@ impl Accelerator {
         self.cached.as_ref()
     }
 
-    /// Serves one query with the given SubNet (timing-only mode).
-    ///
-    /// # Panics
-    /// Panics if the SubNet does not belong to `net` (layer count mismatch).
-    pub fn serve(&mut self, net: &SuperNet, subnet: &SubNet) -> QueryReport {
-        assert_eq!(subnet.graph.num_layers(), net.num_layers(), "SubNet does not match SuperNet");
-        let empty = LayerSlice::empty();
-        let mut layers = Vec::new();
-        let mut cycles = CycleBreakdown::default();
-        let mut traffic = TrafficBytes::default();
-        for (idx, (layer, slice)) in net.layers.iter().zip(subnet.graph.slices()).enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let cached_slice = self.cached.as_ref().map_or(&empty, |g| {
-                debug_assert_eq!(g.num_layers(), net.num_layers());
-                &g.slices()[idx]
-            });
-            let t = layer_timing(&self.config, layer, slice, cached_slice);
-            cycles.add(&t.cycles);
-            traffic.add(&t.traffic);
-            layers.push(t);
-        }
-        let pb_reload_cycles = std::mem::take(&mut self.pending_reload_cycles);
-        // The PB reload itself is off-chip traffic (energy-wise).
-        let mut energy_traffic = traffic;
-        if pb_reload_cycles > 0 {
-            if let Some(g) = &self.cached {
-                energy_traffic.offchip_weights += net.subgraph_weight_bytes(g);
-            }
-        }
-        let energy = EnergyModel::default().energy(&energy_traffic);
-        let total_cycles = cycles.total() + pb_reload_cycles;
-        QueryReport {
-            subnet: subnet.name.clone(),
-            layers,
-            cycles,
-            pb_reload_cycles,
-            traffic,
-            energy,
-            latency_ms: self.config.cycles_to_ms(total_cycles),
-        }
-    }
-
     /// Serves `batch` queries of the same SubNet back-to-back (timing-only
     /// mode), fetching each layer's weights once for the whole batch.
     ///
-    /// Per layer, the first item pays the full critical path (weight fetch
-    /// overlapped with compute, per [`crate::timing::layer_timing`]); every
+    /// The first item pays [`price_query`]'s full critical path; every
     /// additional item re-uses the now-resident weights and pays only its
     /// compute and activation-movement cycles. Weight traffic (off-chip and
     /// PB) is charged once; activation traffic `batch` times. A pending PB
-    /// reload is charged once to the whole batch, exactly as
-    /// [`Accelerator::serve`] charges it to a single query.
-    ///
-    /// `serve_batch(net, sn, 1)` agrees with [`Accelerator::serve`] on
-    /// latency, traffic and energy.
+    /// reload is charged once to the whole batch, and its bytes to the
+    /// batch's off-chip energy.
     ///
     /// # Panics
     /// Panics if `batch == 0` or the SubNet does not belong to `net`.
     pub fn serve_batch(&mut self, net: &SuperNet, subnet: &SubNet, batch: usize) -> BatchReport {
-        let cell = walk(&self.config, net, subnet, self.cached.as_ref());
+        let cell = ServiceCell::new(&price_query(&self.config, net, subnet, self.cached.as_ref()));
         let reload_cycles = std::mem::take(&mut self.pending_reload_cycles);
         let reload = self.cached.as_ref().filter(|_| reload_cycles > 0);
         let reload_bytes = reload.map_or(0, |g| net.subgraph_weight_bytes(g));
         cell.price(&self.config, batch, reload_cycles, reload_bytes)
-    }
-
-    /// Serves a query *as if* the given SubGraph were cached, without
-    /// changing accelerator state. Used to build latency tables offline.
-    #[must_use]
-    pub fn probe(&self, net: &SuperNet, subnet: &SubNet, cached: Option<&SubGraph>) -> QueryReport {
-        let mut scratch =
-            Self { cached: cached.cloned(), pending_reload_cycles: 0, ..self.clone() };
-        scratch.serve(net, subnet)
     }
 }
 
@@ -394,51 +347,43 @@ mod tests {
 
     #[test]
     fn serve_reports_positive_latency() {
-        let (net, picks, mut acc) = setup();
-        let r = acc.serve(&net, &picks[0]);
+        let (net, picks, _) = setup();
+        let r = price_query(&zcu104(), &net, &picks[0], None);
         assert!(r.latency_ms > 0.0);
         assert!(r.cycles.total() > 0);
-        assert_eq!(r.subnet, picks[0].name);
-    }
-
-    #[test]
-    fn active_layer_count_matches_subnet() {
-        let (net, picks, mut acc) = setup();
-        let r = acc.serve(&net, &picks[0]);
-        assert_eq!(r.layers.len(), picks[0].graph.active_layers());
     }
 
     #[test]
     fn install_cache_charges_reload_once() {
         let (net, picks, mut acc) = setup();
         acc.install_cache(&net, picks[0].graph.clone());
-        let r1 = acc.serve(&net, &picks[0]);
+        let r1 = acc.serve_batch(&net, &picks[0], 1);
         assert!(r1.pb_reload_cycles > 0);
-        let r2 = acc.serve(&net, &picks[0]);
+        let r2 = acc.serve_batch(&net, &picks[0], 1);
         assert_eq!(r2.pb_reload_cycles, 0);
-        assert!(r2.latency_ms < r1.latency_ms);
+        assert!(r2.total_latency_ms < r1.total_latency_ms);
     }
 
     #[test]
     fn reinstalling_same_subgraph_is_free() {
         let (net, picks, mut acc) = setup();
         acc.install_cache(&net, picks[0].graph.clone());
-        let _ = acc.serve(&net, &picks[0]);
+        let _ = acc.serve_batch(&net, &picks[0], 1);
         acc.install_cache(&net, picks[0].graph.clone());
-        let r = acc.serve(&net, &picks[0]);
+        let r = acc.serve_batch(&net, &picks[0], 1);
         assert_eq!(r.pb_reload_cycles, 0);
     }
 
     #[test]
     fn cache_hit_reduces_latency_and_offchip_traffic() {
         let (net, picks, mut acc) = setup();
-        let cold = acc.serve(&net, &picks[1]);
+        let cold = price_query(&zcu104(), &net, &picks[1], None);
         acc.install_cache(&net, picks[1].graph.clone());
-        let _warmup = acc.serve(&net, &picks[1]); // pays reload
-        let warm = acc.serve(&net, &picks[1]);
+        let warm = price_query(&zcu104(), &net, &picks[1], acc.cached());
         assert!(warm.cycles.total() <= cold.cycles.total());
         assert!(warm.traffic.offchip_weights < cold.traffic.offchip_weights);
-        assert!(warm.pb_hit_fraction() > 0.5);
+        // Most weight bytes come from the PB.
+        assert!(warm.traffic.pb_weights > warm.traffic.offchip_weights);
     }
 
     #[test]
@@ -446,9 +391,10 @@ mod tests {
         let (net, picks, _) = setup();
         let mut acc = Accelerator::new(zcu104().without_pb());
         assert!(acc.install_cache(&net, picks[0].graph.clone()).is_none());
-        let r = acc.serve(&net, &picks[0]);
+        let r = acc.serve_batch(&net, &picks[0], 1);
         assert_eq!(r.traffic.pb_weights, 0);
-        assert_eq!(r.pb_hit_fraction(), 0.0);
+        let probed = price_query(&zcu104().without_pb(), &net, &picks[0], Some(&picks[0].graph));
+        assert_eq!(probed.traffic.pb_weights, 0);
     }
 
     #[test]
@@ -458,34 +404,16 @@ mod tests {
         let mut acc = Accelerator::new(zcu104());
         // Largest pick (~28 MB) far exceeds the 1.7 MB PB.
         let installed = acc.install_cache(&net, picks[5].graph.clone()).unwrap().clone();
-        assert!(net.subgraph_weight_bytes(&installed) <= acc.config().buffers.pb_bytes);
+        assert!(net.subgraph_weight_bytes(&installed) <= zcu104().buffers.pb_bytes);
         assert!(net.subgraph_weight_bytes(&installed) > 0);
-    }
-
-    #[test]
-    fn probe_does_not_mutate_state() {
-        let (net, picks, acc) = setup();
-        let before = acc.cached().cloned();
-        let _ = acc.probe(&net, &picks[0], Some(&picks[1].graph));
-        assert_eq!(acc.cached().cloned(), before);
-    }
-
-    #[test]
-    fn probe_matches_serve_with_same_cache() {
-        let (net, picks, mut acc) = setup();
-        acc.install_cache(&net, picks[2].graph.clone());
-        let _pay_reload = acc.serve(&net, &picks[0]);
-        let served = acc.serve(&net, &picks[0]);
-        let probed = acc.probe(&net, &picks[0], acc.cached());
-        assert_eq!(served.cycles, probed.cycles);
     }
 
     #[test]
     fn energy_accounts_pb_reload_traffic() {
         let (net, picks, mut acc) = setup();
-        let cold = acc.serve(&net, &picks[0]);
+        let cold = price_query(&zcu104(), &net, &picks[0], None);
         acc.install_cache(&net, picks[0].graph.clone());
-        let with_reload = acc.serve(&net, &picks[0]);
+        let with_reload = acc.serve_batch(&net, &picks[0], 1);
         // Reload adds off-chip energy on the reload query even though
         // steady-state queries save energy.
         assert!(with_reload.energy.offchip_mj > cold.energy.offchip_mj * 0.5);
@@ -495,16 +423,17 @@ mod tests {
     fn bigger_subnet_takes_longer() {
         let net = zoo::resnet50_supernet();
         let picks = zoo::paper_subnets(&net);
-        let mut acc = Accelerator::new(zcu104());
-        let small = acc.serve(&net, &picks[0]);
-        let large = acc.serve(&net, &picks[5]);
+        let small = price_query(&zcu104(), &net, &picks[0], None);
+        let large = price_query(&zcu104(), &net, &picks[5], None);
         assert!(large.latency_ms > small.latency_ms);
     }
 
     #[test]
     fn batch_of_one_matches_single_serve() {
         let (net, picks, mut acc) = setup();
-        let single = acc.serve(&net, &picks[0]);
+        acc.install_cache(&net, picks[2].graph.clone());
+        let _pay_reload = acc.serve_batch(&net, &picks[0], 1);
+        let single = price_query(&zcu104(), &net, &picks[0], acc.cached());
         let batch = acc.serve_batch(&net, &picks[0], 1);
         assert_eq!(batch.total_latency_ms, single.latency_ms);
         assert_eq!(batch.first_item_ms, single.latency_ms);
@@ -515,7 +444,7 @@ mod tests {
     #[test]
     fn batching_amortizes_weight_fetch() {
         let (net, picks, mut acc) = setup();
-        let single = acc.serve(&net, &picks[1]);
+        let single = price_query(&zcu104(), &net, &picks[1], None);
         let b = 8;
         let batch = acc.serve_batch(&net, &picks[1], b);
         // Cheaper than b independent serves...
@@ -546,11 +475,13 @@ mod tests {
         let _ = acc.serve_batch(&net, &picks[0], 0);
     }
 
-    /// The service table is the walk tabulated: on MobV3, ResNet50 and the
-    /// toy zoo, with and without a PB, every (row, column, batch size,
-    /// reload pending or not) prices bit for bit what `install_cache` +
-    /// `serve_batch` report, the overlap cells are `overlap_ratio` of the
-    /// resident SubGraph, and an install reloads exactly when the walk does.
+    /// The service table is `price_query` tabulated: on MobV3, ResNet50 and
+    /// the toy zoo, with and without a PB, every single query with no
+    /// reload pending prices bit for bit what `price_query` reports under
+    /// the resident column; every (row, column, batch size, reload pending
+    /// or not) prices bit for bit what `install_cache` + `serve_batch`
+    /// report; the overlap cells are `overlap_ratio` of the resident
+    /// SubGraph; and an install reloads exactly when the accelerator does.
     #[test]
     fn service_table_prices_exactly_what_the_walk_reports() {
         let (toy, toy_picks, _) = setup();
@@ -575,28 +506,35 @@ mod tests {
                     installed.install_cache(net, graph.clone());
                     let (resident, reload) = table.install(None, col);
                     for (row, sn) in picks.iter().enumerate() {
+                        let case = format!("{} on {}: col {col} row {row}", net.name, config.name);
                         let hit = overlap_ratio(&sn.graph, installed.cached().unwrap_or(&empty));
                         assert_eq!(table.overlap(row, resident).to_bits(), hit.to_bits());
+                        let query = price_query(&config, net, sn, installed.cached());
+                        let single = table.price(row, resident, 1, 0);
+                        assert_eq!(
+                            single.total_latency_ms.to_bits(),
+                            query.latency_ms.to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(single.first_item_ms.to_bits(), query.latency_ms.to_bits());
+                        assert_eq!(single.traffic, query.traffic, "{case}");
+                        assert_eq!(single.energy, query.energy, "{case}");
                         for b in 1..=8 {
                             let mut walk = installed.clone();
                             for pending in [reload, 0] {
                                 let want = walk.serve_batch(net, sn, b);
                                 let got = table.price(row, resident, b, pending);
-                                let case = format!(
-                                    "{} on {}: col {col} row {row} b {b}",
-                                    net.name, config.name
-                                );
                                 assert_eq!(
                                     got.total_latency_ms.to_bits(),
                                     want.total_latency_ms.to_bits(),
-                                    "{case}"
+                                    "{case} b {b}"
                                 );
                                 assert_eq!(
                                     got.first_item_ms.to_bits(),
                                     want.first_item_ms.to_bits(),
-                                    "{case}"
+                                    "{case} b {b}"
                                 );
-                                assert_eq!(got, want, "{case}");
+                                assert_eq!(got, want, "{case} b {b}");
                             }
                         }
                     }
@@ -617,8 +555,7 @@ mod tests {
         // Fig. 13a: ZCU104 serves ResNet50 SubNets in the ~10-50 ms band.
         let net = zoo::resnet50_supernet();
         let picks = zoo::paper_subnets(&net);
-        let mut acc = Accelerator::new(zcu104());
-        let r = acc.serve(&net, &picks[0]);
+        let r = price_query(&zcu104(), &net, &picks[0], None);
         assert!(r.latency_ms > 1.0 && r.latency_ms < 100.0, "{} ms", r.latency_ms);
     }
 }

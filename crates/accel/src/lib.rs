@@ -14,7 +14,7 @@
 //!
 //! Two execution modes:
 //!
-//! * **Timing-only** ([`exec::Accelerator::serve`]) — the analytic
+//! * **Timing-only** ([`exec::price_query`]) — the analytic
 //!   tile-pipelined latency/energy model behind every §5 experiment.
 //! * **Functional** ([`functional::forward_cached`]) — bit-exact int8
 //!   execution of the DPE schedule, validated against `sushi-tensor`'s
@@ -29,20 +29,20 @@
 //!
 //! ```
 //! use sushi_accel::config::zcu104;
-//! use sushi_accel::exec::Accelerator;
+//! use sushi_accel::exec::price_query;
 //! use sushi_wsnet::zoo;
 //!
 //! let net = zoo::resnet50_supernet();
 //! let picks = zoo::paper_subnets(&net);
-//! let mut accel = Accelerator::new(zcu104());
+//! let config = zcu104();
 //!
 //! // Cold query: every weight streams from DRAM.
-//! let cold = accel.serve(&net, &picks[2]);
+//! let cold = price_query(&config, &net, &picks[2], None);
 //!
-//! // Cache the weights shared by the Pareto picks, then serve again.
-//! accel.install_cache(&net, net.shared_subgraph(&picks));
-//! let _pays_reload = accel.serve(&net, &picks[2]);
-//! let warm = accel.serve(&net, &picks[2]);
+//! // Cache the weights shared by the Pareto picks (fitted to the PB).
+//! let shared = net.shared_subgraph(&picks);
+//! let cached = net.subgraph_to_budget(&shared, config.buffers.pb_bytes);
+//! let warm = price_query(&config, &net, &picks[2], Some(&cached));
 //! assert!(warm.latency_ms < cold.latency_ms);
 //! ```
 

@@ -13,12 +13,10 @@
 //! * BRAM: small buffers (LB/OB/ZSB and SB overflow) at 4.5 KB per 36 Kb
 //!   block with double-banking for dual ports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::AccelConfig;
 
 /// Estimated FPGA resource utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceEstimate {
     /// Look-up tables.
     pub lut: u64,

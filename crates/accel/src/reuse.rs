@@ -4,10 +4,8 @@
 //! *cross-query* SubGraph reuse — spatially (the PB) and temporally
 //! (across the query stream).
 
-use serde::{Deserialize, Serialize};
-
 /// Reuse capabilities of one accelerator design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseProfile {
     /// Design name.
     pub name: String,

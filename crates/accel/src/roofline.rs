@@ -5,16 +5,14 @@
 //! from the denominator of arithmetic intensity, pushing points rightward
 //! toward (and past) the ridge into compute-bound territory.
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
 use crate::config::AccelConfig;
-use crate::exec::Accelerator;
+use crate::exec::price_query;
 
 /// Whether a workload point sits left (memory) or right (compute) of the
 /// roofline ridge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundedness {
     /// Attainable throughput limited by off-chip bandwidth.
     MemoryBound,
@@ -23,7 +21,7 @@ pub enum Boundedness {
 }
 
 /// One point on the roofline plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// SubNet (or layer) label.
     pub name: String,
@@ -82,8 +80,7 @@ pub fn subnet_roofline(
     subnet: &SubNet,
     cached: Option<&SubGraph>,
 ) -> RooflinePoint {
-    let acc = Accelerator::new(config.clone());
-    let report = acc.probe(net, subnet, cached);
+    let report = price_query(config, net, subnet, cached);
     let offchip = report.traffic.offchip_total().max(1);
     let ai = subnet.flops as f64 / offchip as f64;
     RooflinePoint {

@@ -11,14 +11,12 @@
 //! The per-layer critical path decomposes into the five buckets of Fig. 10:
 //! compute, off-chip iAct, off-chip weights, on-chip weights, off-chip oAct.
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::layer::{ConvKind, ConvLayerDesc, LayerSlice};
 
 use crate::config::{AccelConfig, DPE_SIZE};
 
 /// Critical-path cycle attribution for one layer (the Fig. 10 buckets).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleBreakdown {
     /// Cycles where the DPE array is the bottleneck.
     pub compute: u64,
@@ -54,7 +52,7 @@ impl CycleBreakdown {
 }
 
 /// Byte-level traffic accounting for one layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficBytes {
     /// Input activations fetched from DRAM.
     pub offchip_iact: u64,
@@ -83,7 +81,7 @@ impl TrafficBytes {
 }
 
 /// Timing result for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerTiming {
     /// Index into the SuperNet layer list.
     pub layer: usize,

@@ -1,12 +1,12 @@
 //! Microbenchmarks of the SushiAccel simulator's hot paths: per-layer
-//! timing, whole-query serving, cache installation, pricing a batch from
+//! timing, whole-query pricing, cache installation, pricing a batch from
 //! the service table against walking its layers, and the functional int8
 //! DPE convolution.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sushi_accel::config::zcu104;
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::exec::{Accelerator, ServiceTable};
+use sushi_accel::exec::{price_query, Accelerator, ServiceTable};
 use sushi_accel::timing::layer_timing;
 use sushi_tensor::ops::conv::Conv2dParams;
 use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
@@ -35,11 +35,10 @@ fn bench_layer_timing(c: &mut Criterion) {
 fn bench_serve_query(c: &mut Criterion) {
     let net = zoo::resnet50_supernet();
     let picks = zoo::paper_subnets(&net);
-    let mut accel = Accelerator::new(zcu104());
-    accel.install_cache(&net, net.shared_subgraph(&picks));
-    let _ = accel.serve(&net, &picks[0]); // absorb reload
+    let config = zcu104();
+    let cached = net.subgraph_to_budget(&net.shared_subgraph(&picks), config.buffers.pb_bytes);
     c.bench_function("serve_resnet50_query_timing_model", |b| {
-        b.iter(|| accel.serve(black_box(&net), black_box(&picks[3])))
+        b.iter(|| price_query(&config, black_box(&net), black_box(&picks[3]), Some(&cached)))
     });
 }
 

@@ -39,7 +39,6 @@ use std::sync::Arc;
 
 use sushi_accel::backend::{Analytical, ExecutionBackend, Functional};
 use sushi_accel::dpe::DpeArray;
-use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
 use sushi_sched::{CacheSelection, LatencyTable, Policy, Query};
 use sushi_tensor::KernelPolicy;
@@ -48,7 +47,7 @@ use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 use crate::error::SushiError;
 use crate::serving::sim::{ServedRecord, ServingSim, SimConfig, SimResult};
 use crate::stream::{ConstraintSpace, TimedQuery};
-use crate::variants::{build_tables, Variant};
+use crate::variants::{build_tables, sample_candidates, Variant};
 
 /// The built-in model-zoo workloads (SuperNet + the paper's Pareto picks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +164,7 @@ pub struct EngineBuilder {
     backend: BackendKind,
     kernel_policy: KernelPolicy,
     fusion: bool,
-    table_override: Option<LatencyTable>,
+    candidate_set: Option<Vec<SubGraph>>,
     sim: SimConfig,
 }
 
@@ -190,7 +189,7 @@ impl EngineBuilder {
             backend: BackendKind::Analytical,
             kernel_policy: KernelPolicy::Auto,
             fusion: true,
-            table_override: None,
+            candidate_set: None,
             sim: SimConfig::default(),
         }
     }
@@ -234,7 +233,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the SushiAbs candidate-set size.
+    /// Sets the SushiAbs candidate-set size (ignored under
+    /// [`EngineBuilder::candidate_set`]).
     pub fn candidates(mut self, n: usize) -> Self {
         self.candidates = n;
         self
@@ -273,11 +273,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Supplies a pre-built latency table instead of building one from the
-    /// accelerator configuration (candidate-set ablations). Its rows must
-    /// match the serving set.
-    pub fn table(mut self, table: LatencyTable) -> Self {
-        self.table_override = Some(table);
+    /// Supplies the SushiAbs candidate SubGraphs instead of sampling
+    /// [`EngineBuilder::candidates`] of them from the seed (candidate-set
+    /// and table-size ablations). The engine prices its latency table and
+    /// its service table over these columns, in this order, each as an
+    /// install makes it resident: fitted to the PB budget.
+    pub fn candidate_set(mut self, candidates: Vec<SubGraph>) -> Self {
+        self.candidate_set = Some(candidates);
         self
     }
 
@@ -293,16 +295,15 @@ impl EngineBuilder {
 
     /// Assembles the engine: loads the workload, derives the
     /// variant-adjusted accelerator configuration and cache-selection
-    /// rule, builds (or adopts) the SushiAbs latency table, builds the
-    /// service table over the same columns, and instantiates the execution
-    /// backend.
+    /// rule, builds the SushiAbs latency table and the service table over
+    /// one candidate list, and instantiates the execution backend.
     ///
     /// # Errors
     /// Returns [`SushiError::Config`] on an empty serving set, a zero
     /// `Q`/worker/queue/batch knob, a non-physical [`AccelConfig`] (zero
     /// `kp`/`cp`, a zero or non-finite clock or bandwidth, an effective
-    /// bandwidth fraction outside `(0, 1]`), or a latency-table/serving-set
-    /// mismatch.
+    /// bandwidth fraction outside `(0, 1]`), or a candidate SubGraph of a
+    /// different SuperNet.
     pub fn build(self) -> Result<Engine, SushiError> {
         let (net, subnets, default_q) = match self.workload {
             WorkloadSpec::Zoo(z) => z.load(),
@@ -368,29 +369,20 @@ impl EngineBuilder {
             Variant::Sushi => (self.accel.clone(), CacheSelection::MinDistanceToAvg),
         };
         let selection = self.selection_override.unwrap_or(derived_selection);
-        let (table, service) = match self.table_override {
-            Some(table) => {
-                if table.num_rows() != subnets.len() {
-                    return Err(SushiError::Config(format!(
-                        "latency table has {} rows but the serving set has {} SubNets",
-                        table.num_rows(),
-                        subnets.len()
-                    )));
-                }
-                let mut layers =
-                    (0..table.num_columns()).map(|j| table.column(j).graph.num_layers());
+        let candidates = match self.candidate_set {
+            Some(candidates) => {
+                let mut layers = candidates.iter().map(SubGraph::num_layers);
                 if let Some(n) = layers.find(|&n| n != net.num_layers()) {
                     return Err(SushiError::Config(format!(
-                        "latency table columns cover {n} layers but the SuperNet has {} layers",
+                        "candidate SubGraph covers {n} layers but the SuperNet has {} layers",
                         net.num_layers()
                     )));
                 }
-                let candidates: Vec<SubGraph> =
-                    (1..table.num_columns()).map(|j| table.column(j).graph.clone()).collect();
-                (table, ServiceTable::build(&config, &net, &subnets, &candidates))
+                candidates
             }
-            None => build_tables(&net, &subnets, &config, self.candidates, self.seed),
+            None => sample_candidates(&net, &subnets, &config, self.candidates, self.seed),
         };
+        let (table, service) = build_tables(&net, &subnets, &config, candidates);
         let backend: Box<dyn ExecutionBackend> = match self.backend {
             BackendKind::Analytical => Box::new(Analytical),
             BackendKind::Functional => {
@@ -454,12 +446,6 @@ impl Engine {
         self.sim.config()
     }
 
-    /// Stable label of the active execution backend.
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Memory the execution backend holds across batches (packed panels +
     /// kernel-scratch arena); `None` for the stateless analytical backend.
     /// Soak tests assert this stays flat once every serving SubNet has
@@ -521,7 +507,7 @@ mod tests {
     fn defaults_build_the_paper_configuration() {
         let engine = EngineBuilder::new().candidates(4).build().unwrap();
         assert_eq!(engine.subnets().len(), 7, "MobileNetV3 paper picks");
-        assert_eq!(engine.backend_name(), "analytical");
+        assert!(engine.memory_stats().is_none(), "analytical backend");
         assert_eq!(engine.table().num_columns(), 5, "4 candidates + empty column");
     }
 
@@ -532,7 +518,7 @@ mod tests {
             .sim_config(SimConfig { workers: 4, ..SimConfig::default() })
             .build()
             .unwrap();
-        assert_eq!(engine.backend_name(), "functional");
+        assert!(engine.memory_stats().is_some(), "functional backend");
         assert_eq!(engine.sim_config().workers, 4);
     }
 
@@ -575,18 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_table_override_is_a_config_error() {
-        let a = EngineBuilder::new().zoo(ModelZoo::ResNet50).candidates(0).build().unwrap();
-        let err = EngineBuilder::new()
-            .zoo(ModelZoo::MobileNetV3)
-            .table(a.table().clone())
-            .build()
-            .unwrap_err();
-        assert!(matches!(&err, SushiError::Config(m) if m.contains("rows")), "{err}");
-    }
-
-    #[test]
-    fn table_override_over_a_different_supernet_names_the_layers() {
+    fn candidate_set_over_a_different_supernet_names_the_layers() {
         let toy = |net: SuperNet| {
             let net = Arc::new(net);
             let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(4);
@@ -596,12 +571,33 @@ mod tests {
         let (resnet, resnet_picks) = toy(zoo::toy_supernet());
         assert_ne!(mbv3.num_layers(), resnet.num_layers());
         let a = EngineBuilder::new().workload(mbv3, mbv3_picks).candidates(2).build().unwrap();
+        let foreign = (1..a.table().num_columns()).map(|j| a.table().column(j).graph.clone());
         let err = EngineBuilder::new()
             .workload(resnet, resnet_picks)
-            .table(a.table().clone())
+            .candidate_set(foreign.collect())
             .build()
             .unwrap_err();
         assert!(matches!(&err, SushiError::Config(m) if m.contains("layers")), "{err}");
+    }
+
+    #[test]
+    fn explicit_default_candidate_set_builds_the_default_engine() {
+        let seed = 0xC0FFEE;
+        let mut default = EngineBuilder::new().build().unwrap();
+        let candidates = sushi_sched::candidates::build_candidate_set(
+            default.net(),
+            default.subnets(),
+            sushi_accel::config::zcu104().buffers.pb_bytes,
+            16,
+            seed,
+        );
+        let mut explicit = EngineBuilder::new().candidate_set(candidates).build().unwrap();
+        assert_eq!(explicit.table(), default.table());
+        let queries = uniform_stream(&default.constraint_space(), 200, 11);
+        assert_eq!(
+            explicit.serve_stream(&queries).unwrap(),
+            default.serve_stream(&queries).unwrap()
+        );
     }
 
     #[test]
@@ -634,7 +630,7 @@ mod tests {
             let space = engine.constraint_space();
             let records = engine.serve_stream(&uniform_stream(&space, 30, 5)).unwrap();
             let queries = uniform_stream(&space, 60, 8);
-            let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8);
+            let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8).unwrap();
             let result = engine.serve_timed(&attach_arrivals(&queries, &arrivals)).unwrap();
             (records, result)
         };

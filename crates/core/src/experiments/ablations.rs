@@ -141,14 +141,10 @@ pub fn abl_candidates(opts: &ExpOptions) -> ExpReport {
             opts.seed,
         );
         for (name, cands) in [("uniform picks", uniform), ("shape-diverse", diverse)] {
-            let probe = sushi_accel::exec::Accelerator::new(zcu.clone());
-            let table = sushi_sched::LatencyTable::build(&wl.picks, cands, |sn, cached| {
-                probe.probe(&wl.net, sn, cached).latency_ms
-            });
-            let cols = table.num_columns() - 1;
+            let cols = cands.len();
             let mut engine = EngineBuilder::new()
                 .workload(Arc::clone(&wl.net), wl.picks.clone())
-                .table(table)
+                .candidate_set(cands)
                 .q_window(wl.q_window)
                 .build()
                 .expect("ablation configuration is valid");

@@ -1,7 +1,7 @@
 //! Fig. 2 (arithmetic intensity per layer) and Fig. 3 (latency of two
 //! SubNet shapes as a function of the cached SubGraph's shape).
 
-use sushi_accel::exec::Accelerator;
+use sushi_accel::exec::price_query;
 use sushi_accel::roofline::{classify, layer_ai_series, Boundedness};
 use sushi_wsnet::SubNetConfig;
 
@@ -64,14 +64,13 @@ pub fn fig3(_opts: &ExpOptions) -> ExpReport {
         ("more-layers cache", net.subgraph_to_budget(&deep_thin.graph, budget)),
         ("more-width cache", net.subgraph_to_budget(&wide_shallow.graph, budget)),
     ];
-    let acc = Accelerator::new(cfg);
     let mut t = TextTable::new(vec!["served SubNet", "cached SubGraph", "latency (ms)"]);
     let mut best: Vec<(String, String)> = Vec::new();
     for sn in [&deep_thin, &wide_shallow] {
         let mut best_name = String::new();
         let mut best_lat = f64::INFINITY;
         for (cname, cache) in &caches {
-            let lat = acc.probe(net, sn, Some(cache)).latency_ms;
+            let lat = price_query(&cfg, net, sn, Some(cache)).latency_ms;
             if lat < best_lat {
                 best_lat = lat;
                 best_name = (*cname).to_string();

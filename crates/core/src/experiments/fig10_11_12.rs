@@ -2,7 +2,7 @@
 //! Fig. 12 (design-space exploration).
 
 use sushi_accel::dse::{sweep, DseGrid};
-use sushi_accel::exec::Accelerator;
+use sushi_accel::exec::price_query;
 use sushi_accel::roofline::{ridge_point, subnet_roofline};
 use sushi_accel::CycleBreakdown;
 
@@ -25,7 +25,6 @@ fn breakdown_ms(cfg: &sushi_accel::AccelConfig, c: &CycleBreakdown) -> [f64; 6] 
 /// shared SubGraph cached), decomposed into the five critical-path buckets.
 fn fig10_for(wl: &Workload, report: &mut ExpReport) -> (f64, f64) {
     let cfg = roofline_board();
-    let acc = Accelerator::new(cfg.clone());
     let shared = wl.net.shared_subgraph(&wl.picks);
     let cached = wl.net.subgraph_to_budget(&shared, cfg.buffers.pb_bytes);
     let mut t = TextTable::new(vec![
@@ -42,8 +41,8 @@ fn fig10_for(wl: &Workload, report: &mut ExpReport) -> (f64, f64) {
     let mut min_red = f64::INFINITY;
     let mut max_red = f64::NEG_INFINITY;
     for sn in &wl.picks {
-        let cold = acc.probe(&wl.net, sn, None);
-        let warm = acc.probe(&wl.net, sn, Some(&cached));
+        let cold = price_query(&cfg, &wl.net, sn, None);
+        let warm = price_query(&cfg, &wl.net, sn, Some(&cached));
         for (tag, rep) in [("w/o", &cold), ("w/", &warm)] {
             let b = breakdown_ms(&cfg, &rep.cycles);
             t.push_row(vec![

@@ -2,7 +2,7 @@
 //! comparison against the Xilinx DPU).
 
 use sushi_accel::baselines::{CpuModel, DpuModel};
-use sushi_accel::exec::Accelerator;
+use sushi_accel::exec::price_query;
 use sushi_accel::timing::layer_timing;
 use sushi_wsnet::layer::LayerSlice;
 
@@ -13,12 +13,11 @@ use crate::report::{fmt_f, ExpReport, TextTable};
 /// Steady-state latency of each pick on a board, with the shared SubGraph
 /// cached when the board has a PB.
 fn board_latencies(cfg: &sushi_accel::AccelConfig, wl: &Workload) -> Vec<f64> {
-    let acc = Accelerator::new(cfg.clone());
     let cached = cfg.buffers.has_pb().then(|| {
         let shared = wl.net.shared_subgraph(&wl.picks);
         wl.net.subgraph_to_budget(&shared, cfg.buffers.pb_bytes)
     });
-    wl.picks.iter().map(|sn| acc.probe(&wl.net, sn, cached.as_ref()).latency_ms).collect()
+    wl.picks.iter().map(|sn| price_query(cfg, &wl.net, sn, cached.as_ref()).latency_ms).collect()
 }
 
 /// Fig. 13a: CPU vs ZCU104 / Alveo U50, each w/o and w/ PB, on ResNet50.
@@ -67,8 +66,7 @@ pub fn fig13b(_opts: &ExpOptions) -> ExpReport {
     for wl in crate::experiments::common::both_workloads() {
         let shared = wl.net.shared_subgraph(&wl.picks);
         let cached = wl.net.subgraph_to_budget(&shared, zcu.buffers.pb_bytes);
-        let acc_pb = Accelerator::new(zcu.clone());
-        let acc_wo = Accelerator::new(zcu.without_pb());
+        let zcu_wo = zcu.without_pb();
         let mut t = TextTable::new(vec![
             "SubNet",
             "off-chip w/o",
@@ -79,8 +77,8 @@ pub fn fig13b(_opts: &ExpOptions) -> ExpReport {
         ]);
         let mut saves = Vec::new();
         for sn in &wl.picks {
-            let wo = acc_wo.probe(&wl.net, sn, None);
-            let w = acc_pb.probe(&wl.net, sn, Some(&cached));
+            let wo = price_query(&zcu_wo, &wl.net, sn, None);
+            let w = price_query(&zcu, &wl.net, sn, Some(&cached));
             let save = reduction_pct(wo.energy.offchip_mj, w.energy.offchip_mj);
             saves.push(save);
             t.push_row(vec![

@@ -4,8 +4,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use sushi_sched::candidates::build_candidate_set;
 use sushi_sched::{CacheSelection, Policy};
-use sushi_wsnet::NetVector;
+use sushi_wsnet::{NetVector, SubGraph};
 
 use crate::engine::EngineBuilder;
 use crate::experiments::common::{ExpOptions, Workload};
@@ -14,21 +15,21 @@ use crate::report::{fmt_f, ExpReport, TextTable};
 use crate::stream::uniform_stream;
 use crate::variants::{build_table, Variant};
 
-/// Serves a stream on an engine built from an explicit table.
-fn run_with_table(
+/// Serves a stream on an engine built over the first `n` candidates.
+fn run_with_candidates(
     wl: &Workload,
-    table: sushi_sched::LatencyTable,
+    candidates: &[SubGraph],
+    n: usize,
     selection: CacheSelection,
-    q: usize,
     opts: &ExpOptions,
 ) -> f64 {
     let zcu = sushi_accel::config::zcu104();
     let space = wl.constraint_space(&zcu, opts);
     let mut engine = EngineBuilder::new()
         .workload(Arc::clone(&wl.net), wl.picks.clone())
-        .table(table)
+        .candidate_set(candidates[..n.min(candidates.len())].to_vec())
         .cache_selection(selection)
-        .q_window(q)
+        .q_window(wl.q_window)
         .build()
         .expect("table-sweep configuration is valid");
     let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0x5);
@@ -51,15 +52,14 @@ pub fn tab5(opts: &ExpOptions) -> ExpReport {
     let zcu = sushi_accel::config::zcu104();
     for wl in crate::experiments::common::both_workloads() {
         let max_cols = *sizes.last().unwrap();
-        let full_table = build_table(&wl.net, &wl.picks, &zcu, max_cols, opts.seed);
+        let candidates =
+            build_candidate_set(&wl.net, &wl.picks, zcu.buffers.pb_bytes, max_cols, opts.seed);
+        let run = |n, selection| run_with_candidates(&wl, &candidates, n, selection, opts);
         // Baseline: state-unaware caching with the small default table.
-        let base_table = full_table.with_columns(opts.candidates);
-        let base = run_with_table(&wl, base_table, CacheSelection::FollowLast, wl.q_window, opts);
+        let base = run(opts.candidates, CacheSelection::FollowLast);
         let mut t = TextTable::new(vec!["columns", "mean latency (ms)", "improvement"]);
         for &n in sizes {
-            let table = full_table.with_columns(n);
-            let lat =
-                run_with_table(&wl, table, CacheSelection::MinDistanceToAvg, wl.q_window, opts);
+            let lat = run(n, CacheSelection::MinDistanceToAvg);
             t.push_row(vec![
                 n.to_string(),
                 fmt_f(lat, 3),

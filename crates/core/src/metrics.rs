@@ -1,11 +1,9 @@
 //! Aggregate serving metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::serving::sim::ServedRecord;
 
 /// Summary statistics over a served stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSummary {
     /// Number of queries.
     pub queries: usize,
@@ -195,7 +193,7 @@ impl LatencyHistogram {
 }
 
 /// Summary of one serving-simulation run (a [`crate::serving`] scenario).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeSummary {
     /// Queries that arrived (offered load).
     pub offered: usize,
@@ -343,7 +341,7 @@ impl ServeBenchEntry {
 /// `{schema, entries: [...]}` with one flat object per line, so the
 /// committed file diffs (and is gated) line by line as plain text.
 ///
-/// Hand-rolled: the vendored `serde` stub does not serialize.
+/// Hand-rolled: the workspace has no serialization dependency.
 ///
 /// # Panics
 /// Panics if a scenario, routing, tier, or faults label contains `"`,

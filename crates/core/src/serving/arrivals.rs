@@ -16,6 +16,8 @@
 
 use sushi_tensor::DetRng;
 
+use crate::error::SushiError;
+
 /// An open-loop arrival process over simulated milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
@@ -60,12 +62,12 @@ impl ArrivalProcess {
     /// Generates `n` non-decreasing arrival timestamps (ms from stream
     /// start), deterministically from `seed`.
     ///
-    /// # Panics
-    /// Panics if any rate or duration parameter is non-positive or
-    /// non-finite, or if a diurnal ramp has `peak_qps < base_qps`.
-    #[must_use]
-    pub fn timestamps(&self, n: usize, seed: u64) -> Vec<f64> {
-        self.validate();
+    /// # Errors
+    /// Returns [`SushiError::Config`] if any rate or duration parameter is
+    /// non-positive or non-finite, or if a diurnal ramp has
+    /// `peak_qps < base_qps`.
+    pub fn timestamps(&self, n: usize, seed: u64) -> Result<Vec<f64>, SushiError> {
+        self.validate().map_err(|what| SushiError::Config(what.into()))?;
         let mut rng = DetRng::new(seed ^ 0xA881_07A1);
         let mut out = Vec::with_capacity(n);
         match *self {
@@ -108,7 +110,7 @@ impl ArrivalProcess {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Long-run mean arrival rate in queries per second.
@@ -126,25 +128,26 @@ impl ArrivalProcess {
         }
     }
 
-    fn validate(&self) {
+    fn validate(&self) -> Result<(), &'static str> {
         let ok = |v: f64| v.is_finite() && v > 0.0;
         match *self {
-            ArrivalProcess::Poisson { rate_qps } => {
-                assert!(ok(rate_qps), "Poisson rate must be finite and positive");
+            ArrivalProcess::Poisson { rate_qps } if !ok(rate_qps) => {
+                Err("Poisson rate must be finite and positive")
             }
-            ArrivalProcess::Mmpp { calm_qps, burst_qps, mean_calm_ms, mean_burst_ms } => {
-                assert!(
-                    ok(calm_qps) && ok(burst_qps) && ok(mean_calm_ms) && ok(mean_burst_ms),
-                    "MMPP parameters must be finite and positive"
-                );
+            ArrivalProcess::Mmpp { calm_qps, burst_qps, mean_calm_ms, mean_burst_ms }
+                if !(ok(calm_qps) && ok(burst_qps) && ok(mean_calm_ms) && ok(mean_burst_ms)) =>
+            {
+                Err("MMPP parameters must be finite and positive")
             }
-            ArrivalProcess::DiurnalRamp { base_qps, peak_qps, period_ms } => {
-                assert!(
-                    ok(base_qps) && ok(peak_qps) && ok(period_ms),
-                    "diurnal parameters must be finite and positive"
-                );
-                assert!(peak_qps >= base_qps, "diurnal peak must be >= base");
+            ArrivalProcess::DiurnalRamp { base_qps, peak_qps, period_ms }
+                if !(ok(base_qps) && ok(peak_qps) && ok(period_ms)) =>
+            {
+                Err("diurnal parameters must be finite and positive")
             }
+            ArrivalProcess::DiurnalRamp { base_qps, peak_qps, .. } if peak_qps < base_qps => {
+                Err("diurnal peak must be >= base")
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -160,17 +163,17 @@ mod tests {
     #[test]
     fn poisson_is_deterministic_and_sorted() {
         let p = ArrivalProcess::Poisson { rate_qps: 200.0 };
-        let a = p.timestamps(500, 7);
-        let b = p.timestamps(500, 7);
+        let a = p.timestamps(500, 7).unwrap();
+        let b = p.timestamps(500, 7).unwrap();
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        assert_ne!(a, p.timestamps(500, 8));
+        assert_ne!(a, p.timestamps(500, 8).unwrap());
     }
 
     #[test]
     fn poisson_mean_rate_is_close() {
         let p = ArrivalProcess::Poisson { rate_qps: 100.0 };
-        let ts = p.timestamps(4000, 1);
+        let ts = p.timestamps(4000, 1).unwrap();
         // 100 qps => 10 ms mean gap; LLN keeps a 4000-sample mean within 10%.
         let gap = mean_gap(&ts);
         assert!((gap - 10.0).abs() < 1.0, "mean gap {gap} ms");
@@ -192,7 +195,10 @@ mod tests {
         };
         let poisson = ArrivalProcess::Poisson { rate_qps: mmpp.mean_rate_qps() };
         // A Poisson process has squared CV 1; rate modulation pushes it up.
-        assert!(cv2(&mmpp.timestamps(3000, 3)) > 1.5 * cv2(&poisson.timestamps(3000, 3)));
+        assert!(
+            cv2(&mmpp.timestamps(3000, 3).unwrap())
+                > 1.5 * cv2(&poisson.timestamps(3000, 3).unwrap())
+        );
     }
 
     #[test]
@@ -209,7 +215,7 @@ mod tests {
     #[test]
     fn diurnal_ramp_modulates_local_rate() {
         let p = ArrivalProcess::DiurnalRamp { base_qps: 20.0, peak_qps: 400.0, period_ms: 4000.0 };
-        let ts = p.timestamps(3000, 5);
+        let ts = p.timestamps(3000, 5).unwrap();
         // Count arrivals near troughs (phase around 0) vs crests (phase
         // around 0.5) of each period.
         let phase = |t: f64| (t / 4000.0).fract();
@@ -219,15 +225,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
-        let _ = ArrivalProcess::Poisson { rate_qps: 0.0 }.timestamps(1, 0);
+        use ArrivalProcess::{DiurnalRamp, Mmpp, Poisson};
+        let rejected = |p: ArrivalProcess, why: &str| {
+            let err = p.timestamps(1, 0).unwrap_err();
+            assert!(matches!(&err, SushiError::Config(m) if m.contains(why)), "{p:?}: {err}");
+        };
+        rejected(Poisson { rate_qps: 0.0 }, "positive");
+        let mmpp = Mmpp { calm_qps: 0.0, burst_qps: 50.0, mean_calm_ms: 40.0, mean_burst_ms: 10.0 };
+        rejected(mmpp, "positive");
+        rejected(DiurnalRamp { base_qps: 0.0, peak_qps: 10.0, period_ms: 100.0 }, "positive");
+        rejected(DiurnalRamp { base_qps: 10.0, peak_qps: 1.0, period_ms: 100.0 }, "peak");
     }
 
     #[test]
     fn non_finite_parameters_are_rejected() {
         // An infinite diurnal peak once passed validation and then hung the
-        // thinning loop: every gap was 0 and every λ(0) NaN.
+        // thinning loop: every gap was 0 and every λ(0) NaN. Every
+        // parameter of every variant rejects ∞, NaN and 0 as a config
+        // error.
         use ArrivalProcess::{DiurnalRamp, Mmpp, Poisson};
         type Make = fn(f64) -> ArrivalProcess;
         let cases: [(&str, Make); 8] = [
@@ -261,10 +277,10 @@ mod tests {
             }),
         ];
         for (field, process) in cases {
-            assert_eq!(process(5.0).timestamps(3, 1).len(), 3, "{field} = 5 runs");
-            for v in [f64::INFINITY, f64::NAN] {
-                let run = std::panic::catch_unwind(|| process(v).timestamps(3, 1));
-                assert!(run.is_err(), "{field} = {v} was accepted");
+            assert_eq!(process(5.0).timestamps(3, 1).unwrap().len(), 3, "{field} = 5 runs");
+            for v in [f64::INFINITY, f64::NAN, 0.0] {
+                let run = process(v).timestamps(3, 1);
+                assert!(matches!(run, Err(SushiError::Config(_))), "{field} = {v} was accepted");
             }
         }
     }

@@ -360,16 +360,11 @@ pub(crate) mod tests {
     struct Failing;
 
     impl ExecutionBackend for Failing {
-        fn name(&self) -> &'static str {
-            "failing"
-        }
-
-        fn execute_batch(
+        fn execute_concurrent(
             &mut self,
             _: &SuperNet,
-            _: &SubNet,
-            _: &[u64],
-        ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+            _: &[ExecutionJob<'_>],
+        ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
             Err(BackendError::EmptyBatch)
         }
     }

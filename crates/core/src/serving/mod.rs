@@ -66,7 +66,7 @@
 //! // 50 uniform queries arriving as 120 qps Poisson traffic.
 //! let space = ConstraintSpace { acc_lo: 0.76, acc_hi: 0.79, lat_lo: 2.0, lat_hi: 30.0 };
 //! let queries = uniform_stream(&space, 50, 7);
-//! let arrivals = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(50, 7);
+//! let arrivals = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(50, 7)?;
 //! let stream = attach_arrivals(&queries, &arrivals);
 //!
 //! let summary = engine.serve_timed(&stream)?.summary();

@@ -166,6 +166,10 @@ pub fn build_scenario(preset: ServePreset, opts: &ExpOptions) -> Scenario {
     build_scenario_for(&mobv3_workload(), preset, opts)
 }
 
+/// Preset arrival rates derive from the serving set's cold latencies, so
+/// they are finite and positive: a rejected process is a programmer error.
+const PRESET_RATES: &str = "preset arrival rates are finite and positive";
+
 /// [`build_scenario`] over an already-loaded workload (lets
 /// [`run_scenario`] share one workload and probe table per run).
 fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOptions) -> Scenario {
@@ -200,7 +204,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
         ServePreset::Steady => {
             let qs = uniform_stream(&space, n, seed);
             let arrivals = ArrivalProcess::Poisson { rate_qps: 0.50 * capacity_qps }
-                .timestamps(n, seed ^ 0x01);
+                .timestamps(n, seed ^ 0x01)
+                .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 64, DropPolicy::DropNewest)
         }
         ServePreset::Burst => {
@@ -212,7 +217,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 mean_calm_ms: 40.0 * mean_cold_ms,
                 mean_burst_ms: 10.0 * mean_cold_ms,
             }
-            .timestamps(n, seed ^ 0x02);
+            .timestamps(n, seed ^ 0x02)
+            .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 32, DropPolicy::DeadlineAware)
         }
         ServePreset::Diurnal => {
@@ -225,7 +231,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 peak_qps: 1.35 * capacity_qps,
                 period_ms,
             }
-            .timestamps(n, seed ^ 0x03);
+            .timestamps(n, seed ^ 0x03)
+            .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DropOldest)
         }
         ServePreset::MultiTenant => {
@@ -236,7 +243,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 .map(|(_, q)| q)
                 .collect();
             let av_arrivals = ArrivalProcess::Poisson { rate_qps: 0.25 * capacity_qps }
-                .timestamps(n_av, seed ^ 0x04);
+                .timestamps(n_av, seed ^ 0x04)
+                .expect(PRESET_RATES);
             let icu: Vec<_> = icu_burst_stream(&space, n_icu, 30, 10, seed ^ 0x05)
                 .into_iter()
                 .map(|(_, q)| q)
@@ -247,7 +255,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 mean_calm_ms: 50.0 * mean_cold_ms,
                 mean_burst_ms: 12.0 * mean_cold_ms,
             }
-            .timestamps(n_icu, seed ^ 0x06);
+            .timestamps(n_icu, seed ^ 0x06)
+            .expect(PRESET_RATES);
             let merged = merge_tenant_streams(&[
                 attach_arrivals(&av, &av_arrivals),
                 attach_arrivals(&icu, &icu_arrivals),
@@ -276,8 +285,9 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             // in, so a static policy pins the queue at its cap and sheds
             // for the whole run. Degradation is the only lever.
             let qs = uniform_stream(&space, n, seed);
-            let arrivals =
-                ArrivalProcess::Poisson { rate_qps: 1.6 * capacity_qps }.timestamps(n, seed ^ 0x07);
+            let arrivals = ArrivalProcess::Poisson { rate_qps: 1.6 * capacity_qps }
+                .timestamps(n, seed ^ 0x07)
+                .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 32, DropPolicy::DeadlineAware)
         }
         ServePreset::DeadlineMix => {
@@ -296,7 +306,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 })
                 .collect();
             let arrivals = ArrivalProcess::Poisson { rate_qps: 0.90 * capacity_qps }
-                .timestamps(n, seed ^ 0x0A);
+                .timestamps(n, seed ^ 0x0A)
+                .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 48, DropPolicy::DeadlineAware)
         }
         ServePreset::Failover => {
@@ -305,7 +316,8 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             // one recovery burst the moment the path heals.
             let qs = uniform_stream(&space, n, seed);
             let mut arrivals = ArrivalProcess::Poisson { rate_qps: 0.55 * capacity_qps }
-                .timestamps(n, seed ^ 0x0B);
+                .timestamps(n, seed ^ 0x0B)
+                .expect(PRESET_RATES);
             let outage_start = arrivals[n / 3];
             let outage_end = outage_start + 25.0 * mean_cold_ms;
             for t in &mut arrivals {
@@ -336,8 +348,9 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                     Query::new(i as u64, q.accuracy_constraint, q.latency_constraint_ms)
                 })
                 .collect();
-            let arrivals =
-                ArrivalProcess::Poisson { rate_qps: 5.0 * capacity_qps }.timestamps(n, seed ^ 0x0E);
+            let arrivals = ArrivalProcess::Poisson { rate_qps: 5.0 * capacity_qps }
+                .timestamps(n, seed ^ 0x0E)
+                .expect(PRESET_RATES);
             (attach_arrivals(&qs, &arrivals), 256, DropPolicy::DeadlineAware)
         }
         ServePreset::Chaos => {
@@ -353,8 +366,9 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             // win back the goodput and tail SLOs the unsupervised
             // ablation loses (see [`run_scenario_unsupervised`]).
             let qs = uniform_stream(&space, n, seed ^ 0x0F);
-            let arrivals =
-                ArrivalProcess::Poisson { rate_qps: 1.4 * capacity_qps }.timestamps(n, seed ^ 0x10);
+            let arrivals = ArrivalProcess::Poisson { rate_qps: 1.4 * capacity_qps }
+                .timestamps(n, seed ^ 0x10)
+                .expect(PRESET_RATES);
             faults = Some(FaultOptions {
                 seed: seed ^ 0x11,
                 crash_mtbf_ms: 200.0 * mean_cold_ms,
@@ -576,7 +590,8 @@ pub fn run_functional_scaling(
             (0..engine.table().num_rows()).map(|i| engine.table().latency_ms(i, 0)).collect();
         let mean_cold_ms = cold_ms.iter().sum::<f64>() / cold_ms.len() as f64;
         let rate_qps = 6.0 * 1e3 / mean_cold_ms;
-        let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(n, 0x53);
+        let arrivals =
+            ArrivalProcess::Poisson { rate_qps }.timestamps(n, 0x53).expect(PRESET_RATES);
         let stream = attach_arrivals(&qs, &arrivals);
         rows.push((workers, routing, engine.serve_timed(&stream)?.summary()));
     }

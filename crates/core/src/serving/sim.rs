@@ -39,7 +39,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::exec::ServiceTable;
 use sushi_sched::{
@@ -145,7 +144,7 @@ impl ServedQuery {
 
 /// Everything recorded about one query served by the per-query replay
 /// ([`crate::engine::Engine::serve`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[must_use]
 pub struct ServedRecord {
     /// The query as issued.
@@ -910,7 +909,7 @@ mod tests {
 
     fn stream(space: &ConstraintSpace, n: usize, rate_qps: f64, seed: u64) -> Vec<TimedQuery> {
         let qs = uniform_stream(space, n, seed);
-        let ts = ArrivalProcess::Poisson { rate_qps }.timestamps(n, seed ^ 0xD15);
+        let ts = ArrivalProcess::Poisson { rate_qps }.timestamps(n, seed ^ 0xD15).unwrap();
         attach_arrivals(&qs, &ts)
     }
 
@@ -1050,7 +1049,7 @@ mod tests {
         };
         let (mut s, space) = sim(cfg);
         let qs = uniform_stream(&space, 100, 8);
-        let ts = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(100, 77);
+        let ts = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(100, 77).unwrap();
         let a = attach_arrivals(&qs[..50], &ts[..50]);
         let b = attach_arrivals(&qs[50..], &ts[..50]);
         let merged = crate::stream::merge_tenant_streams(&[a, b]);

@@ -6,8 +6,6 @@
 //! covering the evaluation's random queries (§5.6–5.7) plus two motivating
 //! scenarios: autonomous-vehicle terrain phases and ICU triage bursts.
 
-use serde::{Deserialize, Serialize};
-
 use sushi_sched::Query;
 use sushi_tensor::DetRng;
 
@@ -70,7 +68,7 @@ impl ConstraintSpace {
 /// query arrives and, for multi-tenant mixes, *who* issued it. One shared
 /// wrapper keeps the two views consistent instead of threading parallel
 /// `Vec<f64>` timestamp arrays next to every stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedQuery {
     /// Simulated arrival time in milliseconds since stream start.
     pub arrival_ms: f64,

@@ -15,7 +15,7 @@ use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
 use sushi_sched::candidates::build_candidate_set;
 use sushi_sched::LatencyTable;
-use sushi_wsnet::{SubNet, SuperNet};
+use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
 /// Serving-stack variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,27 +51,37 @@ pub fn build_table(
     num_candidates: usize,
     seed: u64,
 ) -> LatencyTable {
-    build_tables(net, subnets, config, num_candidates, seed).0
+    let candidates = sample_candidates(net, subnets, config, num_candidates, seed);
+    build_tables(net, subnets, config, candidates).0
 }
 
-/// [`build_table`] together with the [`ServiceTable`] over the same
-/// columns, both filled by one layer walk per cell: a latency-table cell is
-/// its service cell's cold single-query price. Every candidate already fits
-/// the PB budget, so the column the scheduler prices is the SubGraph an
-/// install makes resident.
-pub(crate) fn build_tables(
+/// The SushiAbs candidate set of `num_candidates` SubGraphs fitted to the
+/// PB budget, sampled from `seed` — none on a PB-less configuration.
+pub(crate) fn sample_candidates(
     net: &SuperNet,
     subnets: &[SubNet],
     config: &AccelConfig,
     num_candidates: usize,
     seed: u64,
-) -> (LatencyTable, ServiceTable) {
-    let budget = if config.buffers.has_pb() { config.buffers.pb_bytes } else { 0 };
-    let candidates = if budget > 0 {
-        build_candidate_set(net, subnets, budget, num_candidates, seed)
+) -> Vec<SubGraph> {
+    if config.buffers.has_pb() {
+        build_candidate_set(net, subnets, config.buffers.pb_bytes, num_candidates, seed)
     } else {
         Vec::new()
-    };
+    }
+}
+
+/// The latency table and the [`ServiceTable`] over one candidate list —
+/// the only place either is built, so the two agree by construction: a
+/// latency-table cell is its service cell's cold single-query price, one
+/// [`sushi_accel::exec::price_query`] under the column an install makes
+/// resident.
+pub(crate) fn build_tables(
+    net: &SuperNet,
+    subnets: &[SubNet],
+    config: &AccelConfig,
+    candidates: Vec<SubGraph>,
+) -> (LatencyTable, ServiceTable) {
     let service = ServiceTable::build(config, net, subnets, &candidates);
     let columns = candidates.len() + 1;
     let mut cells = 0..;
@@ -86,7 +96,7 @@ pub(crate) fn build_tables(
 mod tests {
     use super::*;
     use sushi_accel::config::zcu104;
-    use sushi_accel::exec::Accelerator;
+    use sushi_accel::exec::price_query;
     use sushi_wsnet::zoo;
 
     #[test]
@@ -95,11 +105,10 @@ mod tests {
             let picks = zoo::paper_subnets(&net);
             for config in [zcu104(), zcu104().without_pb()] {
                 let table = build_table(&net, &picks, &config, 10, 1);
-                let probe = Accelerator::new(config.clone());
                 let candidates =
                     (1..table.num_columns()).map(|j| table.column(j).graph.clone()).collect();
                 let oracle = LatencyTable::build(&picks, candidates, |sn, cached| {
-                    probe.probe(&net, sn, cached).latency_ms
+                    price_query(&config, &net, sn, cached).latency_ms
                 });
                 for (got, want) in table.rows().iter().zip(oracle.rows()) {
                     let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -177,7 +177,7 @@ fn run_case(c: &FaultCase) -> (SimResult, Vec<TimedQuery>) {
     space.lat_hi *= 4.0;
     let qs = uniform_stream(&space, c.n, c.seed ^ 0x51);
     let rate_qps = c.load * c.workers as f64 * 1e3 / mean_cold;
-    let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(c.n, c.seed ^ 0x52);
+    let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(c.n, c.seed ^ 0x52).unwrap();
     let mut stream = attach_arrivals(&qs, &arrivals);
     if c.tenants {
         for (i, tq) in stream.iter_mut().enumerate() {
@@ -338,7 +338,7 @@ proptest! {
             space.lat_hi *= 4.0;
             let qs = uniform_stream(&space, 40, seed ^ 0x51);
             let rate_qps = workers as f64 * 1e3 / space.lat_lo;
-            let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(40, seed ^ 0x52);
+            let arrivals = ArrivalProcess::Poisson { rate_qps }.timestamps(40, seed ^ 0x52).unwrap();
             let mut stream = attach_arrivals(&qs, &arrivals);
             for (i, tq) in stream.iter_mut().enumerate() {
                 tq.tenant = (i % 2) as u32;

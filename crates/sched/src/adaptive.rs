@@ -29,8 +29,6 @@
 //! sequence always yields the same level trajectory, which is what lets
 //! the serving simulation stay bit-reproducible with adaptation enabled.
 
-use serde::{Deserialize, Serialize};
-
 use crate::query::{Policy, Query};
 use crate::table::{LatencyTable, EMPTY_COLUMN};
 
@@ -110,7 +108,7 @@ impl LoadSignal {
 /// latency), the deepest level (every rung of the ladder) and the
 /// batch-cap floor (1) are not knobs: [`AdaptivePolicy::new`] derives the
 /// first two from the latency table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOptions {
     /// Degrade one level when pressure reaches this threshold.
     pub degrade_threshold: f64,

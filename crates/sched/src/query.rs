@@ -1,10 +1,8 @@
 //! Queries and scheduling policies.
 
-use serde::{Deserialize, Serialize};
-
 /// One inference query annotated with its `(Accuracy, Latency)` constraint
 /// pair `(Aₜ, Lₜ)` (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Query {
     /// Monotone query index `t`.
     pub id: u64,
@@ -29,7 +27,7 @@ impl Query {
 /// * [`Policy::StrictLatency`] — serve the maximum-accuracy SubNet among
 ///   those with latency ≤ `Lₜ` under the current cache state; the accuracy
 ///   constraint may be missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Accuracy is a hard constraint.
     StrictAccuracy,

@@ -18,15 +18,13 @@
 //! Q-window cache keep tracking the SubNets *actually served* while
 //! degraded.
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::RunningAvg;
 
 use crate::query::{Policy, Query};
 use crate::table::{LatencyTable, EMPTY_COLUMN};
 
 /// How the cached SubGraph is chosen every `Q` queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheSelection {
     /// Algorithm 1: argmin L2 distance between candidate columns and
     /// `AvgNet` (state-aware).
@@ -46,7 +44,7 @@ pub enum CacheSelection {
 }
 
 /// One scheduling decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Row index of the SubNet to serve.
     pub subnet_row: usize,

@@ -10,15 +10,13 @@
 //! Column 0 is always the empty SubGraph (cold accelerator), so the table
 //! also answers "what if nothing is cached".
 
-use serde::{Deserialize, Serialize};
-
 use sushi_wsnet::{NetVector, SubGraph, SubNet};
 
 use crate::query::Policy;
 
 /// One row: a servable SubNet with its fixed accuracy, vector encoding and
 /// per-column latency estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableRow {
     /// SubNet name.
     pub name: String,
@@ -31,7 +29,7 @@ pub struct TableRow {
 }
 
 /// One column: a cacheable SubGraph with its vector encoding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableColumn {
     /// The cacheable SubGraph.
     pub graph: SubGraph,
@@ -40,7 +38,7 @@ pub struct TableColumn {
 }
 
 /// The SubNet × SubGraph latency lookup table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyTable {
     rows: Vec<TableRow>,
     columns: Vec<TableColumn>,

@@ -1,11 +1,9 @@
 //! Activation functions used by OFA-ResNet50 and OFA-MobileNetV3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::Tensor;
 
 /// Activation kinds present in the SUSHI workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Identity (no activation).
     #[default]

@@ -29,8 +29,6 @@
 //! same integer products exactly (`docs/KERNELS.md` says why the depthwise
 //! kernel's `f32` lanes are exact), and integer addition is associative.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
@@ -48,7 +46,7 @@ use crate::tensor::Tensor;
 ///
 /// `groups == 1` is a dense convolution; `groups == c_in == c_out` is a
 /// depthwise convolution (MobileNetV3's dominant op).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dParams {
     /// Kernel height `R`.
     pub kernel_h: usize,

@@ -21,13 +21,11 @@ use std::arch::x86_64::{
     __m128i, _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps, _mm_loadu_si128, _mm_set1_ps,
 };
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 
 /// Affine quantization parameters for one tensor: `real = scale * (q - zero_point)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Multiplicative scale (strictly positive).
     pub scale: f32,

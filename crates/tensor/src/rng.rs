@@ -7,8 +7,6 @@
 //! `rand`'s default generators whose stream is not guaranteed across
 //! versions.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic SplitMix64 generator with convenience samplers.
 ///
 /// # Example
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = DetRng::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     state: u64,
 }

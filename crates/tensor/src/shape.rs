@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense NCHW shape: `(batch, channels, height, width)`.
 ///
 /// All SUSHI workloads are convolutional, so a fixed-rank shape keeps
 /// indexing branch-free. Weight tensors reuse the same type with the
 /// convention `(K, C, R, S)` = (kernels, input channels, kernel height,
 /// kernel width), mirroring the paper's Fig. 5 terminology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape4 {
     /// Batch size `N` (or kernel count `K` for weights).
     pub n: usize,

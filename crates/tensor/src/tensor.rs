@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::shape::Shape4;
 
@@ -38,7 +36,7 @@ mod private {
 /// assert_eq!(t.get(0, 1, 1, 1), 42);
 /// assert_eq!(t.as_slice().iter().filter(|&&v| v == 42).count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor<T: Element> {
     shape: Shape4,
     data: Vec<T>,

@@ -13,10 +13,8 @@
 //! which maps the smallest SubNet to `a_min`, the largest to `a_max`, and
 //! exhibits the diminishing returns characteristic of OFA Pareto fronts.
 
-use serde::{Deserialize, Serialize};
-
 /// Monotone accuracy-vs-FLOPs profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyModel {
     /// Accuracy of the smallest SubNet, in `[0, 1]`.
     pub a_min: f64,

@@ -8,8 +8,6 @@
 //! of each layer's kernels/channels, yielding a [`SubNet`] whose weights are
 //! nested inside the SuperNet (and inside every larger SubNet).
 
-use serde::{Deserialize, Serialize};
-
 use crate::accuracy::AccuracyModel;
 use crate::layer::{ConvKind, ConvLayerDesc, LayerRole, LayerSlice};
 use crate::subgraph::SubGraph;
@@ -19,7 +17,7 @@ use crate::subnet::{SubNet, SubNetConfig};
 pub const NO_STAGE: usize = usize::MAX;
 
 /// The two OFA SuperNet families evaluated in the paper (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// OFA-ResNet50: bottleneck blocks, elastic depth/expand/width.
     OfaResNet50,
@@ -28,7 +26,7 @@ pub enum Family {
 }
 
 /// Static description of one stage of repeated blocks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Maximum number of blocks (elastic depth upper bound).
     pub max_blocks: usize,
@@ -43,7 +41,7 @@ pub struct StageSpec {
 }
 
 /// The elastic choice sets of a SuperNet (uniform across stages).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticSpace {
     /// Allowed per-stage depths.
     pub depth_choices: Vec<usize>,
@@ -56,7 +54,7 @@ pub struct ElasticSpace {
 }
 
 /// A weight-shared SuperNet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuperNet {
     /// Display name, e.g. `"OFA-ResNet50"`.
     pub name: String,

@@ -7,12 +7,10 @@
 //! Averaging, unlike pure intersection, preserves information about kernels
 //! and channels that were frequent but not universal.
 
-use serde::{Deserialize, Serialize};
-
 use crate::subgraph::SubGraph;
 
 /// A `2N`-dimensional vectorized network representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetVector(Vec<f64>);
 
 impl NetVector {
@@ -92,7 +90,7 @@ pub fn overlap_ratio(served: &SubGraph, cached: &SubGraph) -> f64 {
 
 /// Windowed running average over the last `Q` served SubNet vectors
 /// (`AvgNet` in Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningAvg {
     window: usize,
     dim: usize,

@@ -5,14 +5,12 @@
 //! kernels × top-C channels × center kernel window, OFA-style ordering), and
 //! all FLOP/byte accounting takes the active slice as a parameter.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a layer within a [`crate::arch::SuperNet`]'s flattened layer list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LayerId(pub usize);
 
 /// Whether a convolution is dense or depthwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvKind {
     /// Dense convolution: every kernel sees every input channel.
     Dense,
@@ -22,7 +20,7 @@ pub enum ConvKind {
 
 /// Functional role of a layer inside its block (used for reporting and for
 /// family-specific materialization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerRole {
     /// Input stem convolution.
     Stem,
@@ -43,7 +41,7 @@ pub enum LayerRole {
 }
 
 /// One convolution layer of the SuperNet at maximal (elastic-upper-bound) size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvLayerDesc {
     /// Position in the SuperNet's flattened layer list.
     pub id: LayerId,
@@ -75,7 +73,7 @@ pub struct ConvLayerDesc {
 
 /// An active slice of one layer: top-`kernels` × top-`channels` ×
 /// center-`kernel_size` window. `(0, 0, _)` means the layer is inactive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerSlice {
     /// Active kernel count (output channels).
     pub kernels: usize,

@@ -11,12 +11,10 @@
 //! kernels × top-C channels × center kernel window, so slices (and therefore
 //! SubGraphs) form a lattice where meet/join are elementwise min/max.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::LayerSlice;
 
 /// A subset of SuperNet weights: one slice per layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SubGraph {
     slices: Vec<LayerSlice>,
 }
@@ -53,14 +51,6 @@ impl SubGraph {
     #[must_use]
     pub fn slice(&self, layer: usize) -> LayerSlice {
         self.slices[layer]
-    }
-
-    /// Mutable slice accessor.
-    ///
-    /// # Panics
-    /// Panics if `layer` is out of range.
-    pub fn slice_mut(&mut self, layer: usize) -> &mut LayerSlice {
-        &mut self.slices[layer]
     }
 
     /// Number of layers with a non-empty slice.
@@ -111,15 +101,6 @@ impl SubGraph {
         self.slices.iter().zip(&other.slices).all(|(a, b)| a.is_subset_of(b))
     }
 
-    /// Uniformly scales active kernel/channel counts by `alpha ∈ [0, 1]`,
-    /// keeping kernel sizes. Used to truncate a SubNet's graph down to a
-    /// cache-sized SubGraph (candidate-set construction, §3.2).
-    #[must_use]
-    pub fn scaled(&self, alpha: f64) -> Self {
-        let alphas = vec![alpha; self.slices.len()];
-        self.scaled_per_layer(&alphas)
-    }
-
     /// Scales each layer's active kernel/channel counts by its own factor
     /// (clamped to `[0, 1]`). Enables *shape-diverse* cache candidates: a
     /// front-heavy and a back-heavy truncation of the same SubNet are
@@ -163,6 +144,11 @@ fn scale_dim(dim: usize, alpha: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every layer scaled by the same `alpha`.
+    fn scaled(g: &SubGraph, alpha: f64) -> SubGraph {
+        g.scaled_per_layer(&vec![alpha; g.num_layers()])
+    }
 
     fn sg(dims: &[(usize, usize, usize)]) -> SubGraph {
         SubGraph::new(dims.iter().map(|&(k, c, ks)| LayerSlice::new(k, c, ks)).collect())
@@ -234,21 +220,21 @@ mod tests {
     #[test]
     fn scaled_one_is_identity() {
         let a = sg(&[(8, 4, 3), (16, 8, 5)]);
-        assert_eq!(a.scaled(1.0), a);
+        assert_eq!(scaled(&a, 1.0), a);
     }
 
     #[test]
     fn scaled_result_is_subset() {
         let a = sg(&[(8, 4, 3), (16, 8, 5), (100, 60, 7)]);
         for alpha in [0.1, 0.3, 0.5, 0.9] {
-            assert!(a.scaled(alpha).is_subset_of(&a), "alpha={alpha}");
+            assert!(scaled(&a, alpha).is_subset_of(&a), "alpha={alpha}");
         }
     }
 
     #[test]
     fn scaled_keeps_at_least_one_unit() {
         let a = sg(&[(8, 4, 3)]);
-        let s = a.scaled(0.01);
+        let s = scaled(&a, 0.01);
         assert_eq!(s.slice(0).kernels, 1);
         assert_eq!(s.slice(0).channels, 1);
     }
@@ -256,13 +242,13 @@ mod tests {
     #[test]
     fn scaled_zero_empties_active_layers() {
         let a = sg(&[(8, 4, 3)]);
-        assert!(a.scaled(0.0).is_empty());
+        assert!(scaled(&a, 0.0).is_empty());
     }
 
     #[test]
     fn scaled_preserves_inactive_layers() {
         let mut a = sg(&[(8, 4, 3), (0, 0, 0)]);
-        a = a.scaled(0.5);
+        a = scaled(&a, 0.5);
         assert!(a.slice(1).is_empty());
     }
 }

@@ -1,7 +1,5 @@
 //! SubNet configurations and materialized SubNets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::subgraph::SubGraph;
 
 /// Elastic-dimension choice for one SubNet of a SuperNet (OFA-style).
@@ -11,7 +9,7 @@ use crate::subgraph::SubGraph;
 /// * `kernels[s]` — spatial kernel size for stage `s` (only used by families
 ///   with elastic kernels; empty means "architecture default").
 /// * `width_mult` — global channel width multiplier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubNetConfig {
     /// Active block count per stage.
     pub depths: Vec<usize>,
@@ -69,7 +67,7 @@ impl SubNetConfig {
 /// Accuracy is a *fixed* property of the SubNet; latency depends on the
 /// accelerator state (the cached SubGraph), which is why it is not stored
 /// here but looked up through `sushi-sched`'s latency table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubNet {
     /// Short name, e.g. `"A"`.. `"G"` for the paper's Pareto picks.
     pub name: String,

@@ -7,15 +7,13 @@
 //! every experiment is reproducible; they substitute for real OFA
 //! checkpoints, since serving behaviour does not depend on weight values.
 
-use serde::{Deserialize, Serialize};
 use sushi_tensor::{DetRng, QuantParams, Shape4, Tensor};
 
 use crate::arch::SuperNet;
 use crate::layer::{ConvKind, LayerSlice};
-use crate::subgraph::SubGraph;
 
 /// Weights, quantization parameters and biases of one SuperNet layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// Int8 kernel tensor `(K_max, C_max, R_max, S_max)` (depthwise: `C = 1`).
     pub kernels: Tensor<i8>,
@@ -26,7 +24,7 @@ pub struct LayerWeights {
 }
 
 /// All layer weights of a SuperNet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightStore {
     layers: Vec<LayerWeights>,
 }
@@ -130,16 +128,6 @@ impl WeightStore {
     pub fn layer_mut_for_tests(&mut self, layer: usize) -> &mut Tensor<i8> {
         &mut self.layers[layer].kernels
     }
-
-    /// Checks that a SubGraph fits within the stored maxima.
-    #[must_use]
-    pub fn admits(&self, graph: &SubGraph) -> bool {
-        graph.num_layers() == self.layers.len()
-            && graph.slices().iter().zip(&self.layers).all(|(s, lw)| {
-                s.is_empty()
-                    || (s.kernels <= lw.kernels.shape().n && s.kernel_size <= lw.kernels.shape().h)
-            })
-    }
 }
 
 #[cfg(test)]
@@ -217,16 +205,6 @@ mod tests {
         let net = zoo::toy_supernet();
         let ws = WeightStore::synthesize(&net, 7);
         assert!(ws.slice_tensor(0, &LayerSlice::empty()).is_none());
-    }
-
-    #[test]
-    fn admits_full_graph_and_rejects_oversized() {
-        let net = zoo::toy_supernet();
-        let ws = WeightStore::synthesize(&net, 7);
-        assert!(ws.admits(&net.full_graph()));
-        let mut big = net.full_graph();
-        big.slice_mut(0).kernels += 1;
-        assert!(!ws.admits(&big));
     }
 
     #[test]

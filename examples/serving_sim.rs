@@ -99,7 +99,8 @@ fn main() {
         mean_calm_ms: 0.8,
         mean_burst_ms: 0.3,
     }
-    .timestamps(n, 7);
+    .timestamps(n, 7)
+    .expect("valid MMPP parameters");
     let stream = attach_arrivals(&queries, &arrivals);
     let run = engine.serve_timed(&stream).expect("functional serve");
 

@@ -219,7 +219,7 @@ fn serve_timed_reproduces_pre_redesign_analytical_run() {
         .build()
         .expect("engine");
     let qs = uniform_stream(&engine.constraint_space(), 150, 9);
-    let ts = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(150, 9 ^ 0xD15);
+    let ts = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(150, 9 ^ 0xD15).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap();
     assert_eq!(timed_digest(&result), EXPECTED_TIMED_DIGEST, "timed run drifted from fixtures");
     assert_eq!(result.summary().p99_ms.to_bits(), EXPECTED_TIMED_P99_BITS);
@@ -259,7 +259,7 @@ fn serve_timed_reproduces_pre_redesign_functional_run() {
     space.lat_lo *= 4.0;
     space.lat_hi *= 10.0;
     let qs = uniform_stream(&space, 12, 5);
-    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(12, 5);
+    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(12, 5).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap();
 
     let mut h = Fnv::new();

@@ -210,7 +210,8 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
     let n = 100_000;
     let queries = uniform_stream(&space, n, 13);
     let arrivals = sushi::core::serving::ArrivalProcess::Poisson { rate_qps: 18.0 * capacity_qps }
-        .timestamps(n, 17);
+        .timestamps(n, 17)
+        .unwrap();
     let stream: Vec<TimedQuery> = attach_arrivals(&queries, &arrivals);
     let result = engine.serve_timed(&stream).expect("soak run");
 
@@ -253,7 +254,9 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
     fspace.lat_hi *= 10.0;
     let m = 300;
     let fq = uniform_stream(&fspace, m, 5);
-    let fa = sushi::core::serving::ArrivalProcess::Poisson { rate_qps: 40_000.0 }.timestamps(m, 5);
+    let fa = sushi::core::serving::ArrivalProcess::Poisson { rate_qps: 40_000.0 }
+        .timestamps(m, 5)
+        .unwrap();
     let first = func.serve_timed(&attach_arrivals(&fq, &fa)).expect("functional warmup");
     assert_eq!(first.served.len() + first.dropped.len(), m);
     let warm = func.memory_stats().expect("functional backend reports memory");

@@ -68,9 +68,9 @@ fn functional_and_timing_modes_agree_on_workload_ordering() {
     let net = zoo::toy_supernet();
     let small = net.materialize("min", &net.min_config()).unwrap();
     let large = net.materialize("max", &net.max_config()).unwrap();
-    let mut accel = sushi::accel::exec::Accelerator::new(sushi::accel::config::zcu104());
-    let t_small = accel.serve(&net, &small).cycles.total();
-    let t_large = accel.serve(&net, &large).cycles.total();
+    let config = sushi::accel::config::zcu104();
+    let price = |sn| sushi::accel::exec::price_query(&config, &net, sn, None).cycles.total();
+    let (t_small, t_large) = (price(&small), price(&large));
     assert!(t_small < t_large);
     assert!(small.flops < large.flops);
 }

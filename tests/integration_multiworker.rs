@@ -48,7 +48,7 @@ fn serve_with_workers(
     space.lat_hi *= 10.0;
     let n = 24;
     let qs = uniform_stream(&space, n, 5);
-    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(n, 5);
+    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(n, 5).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).expect("functional serve");
     assert!(result.dropped.is_empty(), "the stream must fit the queue at every pool size");
     let predictions = result
@@ -125,7 +125,7 @@ fn serve_adaptive_with_workers(workers: usize, routing: RoutingPolicy) -> SimRes
     space.lat_hi *= 10.0;
     let n = 96;
     let qs = uniform_stream(&space, n, 5);
-    let ts = ArrivalProcess::Poisson { rate_qps: 200_000.0 }.timestamps(n, 5);
+    let ts = ArrivalProcess::Poisson { rate_qps: 200_000.0 }.timestamps(n, 5).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).expect("adaptive serve");
     assert!(result.dropped.is_empty(), "the overload stream must still fit the queue");
     result
@@ -234,7 +234,7 @@ fn multi_worker_pools_actually_parallelize_the_schedule() {
     space.lat_lo *= 4.0;
     space.lat_hi *= 10.0;
     let qs = uniform_stream(&space, 24, 5);
-    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(24, 5);
+    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(24, 5).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).expect("functional serve");
     let workers_used: std::collections::BTreeSet<usize> =
         result.served.iter().map(|s| s.worker).collect();

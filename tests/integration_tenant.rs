@@ -197,7 +197,7 @@ fn tenants_none_is_bit_identical_analytical() {
         .build()
         .expect("engine");
     let qs = uniform_stream(&engine.constraint_space(), 150, 9);
-    let ts = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(150, 9 ^ 0xD15);
+    let ts = ArrivalProcess::Poisson { rate_qps: 120.0 }.timestamps(150, 9 ^ 0xD15).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap();
     assert_eq!(
         timed_digest(&result),
@@ -237,7 +237,7 @@ fn tenants_none_is_bit_identical_functional() {
     space.lat_lo *= 4.0;
     space.lat_hi *= 10.0;
     let qs = uniform_stream(&space, 12, 5);
-    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(12, 5);
+    let ts = ArrivalProcess::Poisson { rate_qps: 20_000.0 }.timestamps(12, 5).unwrap();
     let result = engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap();
     let mut h = Fnv::new();
     for s in &result.served {
@@ -281,7 +281,7 @@ fn later_of_adaptive_and_tenants_wins() {
         space.lat_hi *= 2.5;
         let qs = uniform_stream(&space, 200, 9);
         // Well past one worker's capacity, so any controller must move.
-        let ts = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(200, 9 ^ 0xD15);
+        let ts = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(200, 9 ^ 0xD15).unwrap();
         engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap()
     };
     let global = run(Some(TenantOptions::global(AdaptiveOptions::default())));

@@ -40,7 +40,7 @@
 use std::io::Write as _;
 
 use sushi_core::engine::BackendKind;
-use sushi_core::experiments::{run, ExpOptions, ALL_IDS};
+use sushi_core::experiments::{run, ExpOptions, EXPERIMENTS};
 use sushi_tensor::KernelPolicy;
 
 const ACCEPTED: &str = "--quick, --serve, --no-fusion, --save <dir>, \
@@ -87,8 +87,9 @@ fn main() {
     // without `annotate-layout` (bit-identical logits; a bisection aid).
     opts.fusion = fusion;
 
+    let all: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
     let selected: Vec<&str> = if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ALL_IDS.to_vec()
+        all.clone()
     } else {
         ids.iter().map(String::as_str).collect()
     };
@@ -113,7 +114,7 @@ fn main() {
     }
     if !failures.is_empty() {
         eprintln!("unknown experiment id(s): {failures:?}");
-        eprintln!("available: {ALL_IDS:?}");
+        eprintln!("available: {all:?}");
         std::process::exit(2);
     }
 }

@@ -33,7 +33,7 @@
 //! tracked separately by the `serve_sim` criterion bench.
 
 use sushi_core::experiments::ExpOptions;
-use sushi_core::metrics::{serve_bench_to_json, ServeBenchEntry};
+use sushi_core::metrics::{serve_bench_to_json, ServeBenchEntry, ServeSummary};
 use sushi_core::serving::{preset_bench_rows, run_functional_scaling, RoutingPolicy};
 
 fn die(msg: &str) -> ! {
@@ -61,7 +61,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> (bool, Option<String>) 
     (quick, out)
 }
 
-fn print_row(label: &str, s: &ServeBenchEntry) {
+fn print_row(label: &str, s: &ServeSummary) {
     println!(
         "{label:<26} p50 {:>8.3} ms   p95 {:>8.3} ms   p99 {:>8.3} ms   goodput {:>7.1} q/s   SLO viol {:>6.2}%   dropped {:>3}   lvl\u{2193}{} \u{2191}{}",
         s.p50_ms,
@@ -93,7 +93,7 @@ fn main() {
             (true, "unsupervised") => " (unsupervised)",
             _ => "",
         };
-        print_row(&format!("{}{tier}{mode}", e.scenario), e);
+        print_row(&format!("{}{tier}{mode}", e.scenario), &e.summary);
     }
 
     // The functional worker-scaling sweep. Its sizing is fixed
@@ -106,17 +106,16 @@ fn main() {
         .map(|(_, _, s)| s.goodput_qps)
         .unwrap_or_else(|| die("scaling sweep is missing its 1-worker anchor"));
     for (w, r, summary) in &sweep {
-        let e = ServeBenchEntry::from_summary(
+        print_row(&format!("scale_functional ({w}w, {r})"), summary);
+        entries.push(ServeBenchEntry::from_summary(
             "scale_functional",
             false,
             *w,
             r.name(),
             "all",
             "none",
-            summary,
-        );
-        print_row(&format!("scale_functional ({w}w, {r})"), &e);
-        entries.push(e);
+            summary.clone(),
+        ));
     }
     println!("\n{:<10} {:>14} {:>10}", "workers", "goodput (q/s)", "speedup");
     for (w, r, summary) in &sweep {

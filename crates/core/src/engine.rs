@@ -59,7 +59,10 @@ pub enum ModelZoo {
 }
 
 impl ModelZoo {
-    fn load(self) -> (Arc<SuperNet>, Vec<SubNet>, usize) {
+    /// The SuperNet, its paper picks and the paper's best caching window
+    /// `Q` (Appendix A.1, Figs. 17–18) — the one definition of the paper
+    /// zoo, which the experiments' workloads load too.
+    pub(crate) fn load(self) -> (Arc<SuperNet>, Vec<SubNet>, usize) {
         match self {
             ModelZoo::MobileNetV3 => {
                 let net = Arc::new(zoo::mobilenet_v3_supernet());
@@ -460,10 +463,7 @@ impl Engine {
     /// meaningful streams for this engine.
     #[must_use]
     pub fn constraint_space(&self) -> ConstraintSpace {
-        let table = self.table();
-        let accs: Vec<f64> = self.subnets().iter().map(|p| p.accuracy).collect();
-        let lats: Vec<f64> = (0..table.num_rows()).map(|i| table.latency_ms(i, 0)).collect();
-        ConstraintSpace::from_serving_set(&accs, &lats)
+        ConstraintSpace::from_table(self.table())
     }
 
     /// Serves one query through the per-query replay loop (Fig. 4) on
@@ -498,6 +498,8 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use sushi_sched::TenantOptions;
+
     use super::*;
     use crate::serving::fault::FaultOptions;
     use crate::serving::{ArrivalProcess, BatchPolicy};
@@ -530,6 +532,17 @@ mod tests {
         assert!(sim(SimConfig { queue_capacity: 0, ..SimConfig::default() }).is_err());
         let bad_faults = FaultOptions { transient_rate: 2.0, ..FaultOptions::default() };
         assert!(sim(SimConfig { faults: Some(bad_faults), ..SimConfig::default() }).is_err());
+        // An incoherent controller is a config error, never a panic in
+        // `TenantPolicy::new`.
+        let bad_controls = [
+            ("empty band", TenantOptions { upgrade_threshold: 0.4, ..TenantOptions::global() }),
+            ("NaN dwell", TenantOptions { dwell_ms: f64::NAN, ..TenantOptions::default() }),
+            ("shield < 1", TenantOptions { shield: 0.5, ..TenantOptions::default() }),
+        ];
+        for (what, control) in bad_controls {
+            let built = sim(SimConfig { control: Some(control), ..SimConfig::default() });
+            assert!(matches!(built, Err(SushiError::Config(_))), "{what} was accepted");
+        }
     }
 
     #[test]

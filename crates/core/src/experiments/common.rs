@@ -6,9 +6,9 @@ use sushi_accel::config::{alveo_u50, roofline_system, zcu104};
 use sushi_accel::AccelConfig;
 use sushi_sched::Policy;
 use sushi_tensor::KernelPolicy;
-use sushi_wsnet::{zoo, SubNet, SuperNet};
+use sushi_wsnet::{SubNet, SuperNet};
 
-use crate::engine::{BackendKind, Engine, EngineBuilder};
+use crate::engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
 use crate::stream::ConstraintSpace;
 use crate::variants::{build_table, Variant};
 
@@ -83,20 +83,17 @@ pub struct Workload {
     pub q_window: usize,
 }
 
-/// Loads the ResNet50 workload (Q = 8 per Fig. 17).
+/// Loads the ResNet50 workload ([`ModelZoo::ResNet50`]: Q = 8 per Fig. 17).
 #[must_use]
 pub fn resnet50_workload() -> Workload {
-    let net = Arc::new(zoo::resnet50_supernet());
-    let picks = zoo::paper_subnets(&net);
-    Workload { net, picks, label: "ResNet50", q_window: 8 }
+    Workload::zoo(ModelZoo::ResNet50, "ResNet50")
 }
 
-/// Loads the MobileNetV3 workload (Q = 10 per Fig. 18 / Appendix A.1).
+/// Loads the MobileNetV3 workload ([`ModelZoo::MobileNetV3`]: Q = 10 per
+/// Fig. 18 / Appendix A.1).
 #[must_use]
 pub fn mobv3_workload() -> Workload {
-    let net = Arc::new(zoo::mobilenet_v3_supernet());
-    let picks = zoo::paper_subnets(&net);
-    Workload { net, picks, label: "MobV3", q_window: 10 }
+    Workload::zoo(ModelZoo::MobileNetV3, "MobV3")
 }
 
 /// Both paper workloads.
@@ -118,13 +115,15 @@ pub fn roofline_board() -> AccelConfig {
 }
 
 impl Workload {
+    fn zoo(zoo: ModelZoo, label: &'static str) -> Self {
+        let (net, picks, q_window) = zoo.load();
+        Workload { net, picks, label, q_window }
+    }
+
     /// Derives the constraint space from cold latencies on `config`.
     #[must_use]
     pub fn constraint_space(&self, config: &AccelConfig, opts: &ExpOptions) -> ConstraintSpace {
-        let table = build_table(&self.net, &self.picks, config, 0, opts.seed);
-        let accs: Vec<f64> = self.picks.iter().map(|p| p.accuracy).collect();
-        let lats: Vec<f64> = (0..table.num_rows()).map(|i| table.latency_ms(i, 0)).collect();
-        ConstraintSpace::from_serving_set(&accs, &lats)
+        ConstraintSpace::from_table(&build_table(&self.net, &self.picks, config, 0, opts.seed))
     }
 
     /// Builds an analytical serving [`Engine`] for this workload.

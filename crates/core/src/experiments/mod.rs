@@ -30,65 +30,42 @@ pub use tables::{tab1, tab2, tab3, tab4};
 
 use crate::report::ExpReport;
 
-/// All experiment ids, in paper order.
-pub const ALL_IDS: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13a",
-    "fig13b",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "tab1",
-    "tab2",
-    "tab3",
-    "tab4",
-    "tab5",
-    "tab6",
-    "hit_ratio",
-    "kernels",
-    "serve",
-    "abl_distance",
-    "abl_pb_split",
-    "abl_candidates",
+/// One experiment: its id and its regenerator.
+pub type Experiment = (&'static str, fn(&ExpOptions) -> ExpReport);
+
+/// Every experiment, in paper order: the one list of ids `repro all`,
+/// the benches and the tests walk.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13a", fig13a),
+    ("fig13b", fig13b),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("tab1", tab1),
+    ("tab2", tab2),
+    ("tab3", tab3),
+    ("tab4", tab4),
+    ("tab5", tab5),
+    ("tab6", tab6),
+    ("hit_ratio", hit_ratio),
+    ("kernels", kernels),
+    ("serve", serve),
+    ("abl_distance", abl_distance),
+    ("abl_pb_split", abl_pb_split),
+    ("abl_candidates", abl_candidates),
 ];
 
 /// Runs one experiment by id. Returns `None` for an unknown id.
 #[must_use]
 pub fn run(id: &str, opts: &ExpOptions) -> Option<ExpReport> {
-    let report = match id {
-        "fig2" => fig2(opts),
-        "fig3" => fig3(opts),
-        "fig10" => fig10(opts),
-        "fig11" => fig11(opts),
-        "fig12" => fig12(opts),
-        "fig13a" => fig13a(opts),
-        "fig13b" => fig13b(opts),
-        "fig14" => fig14(opts),
-        "fig15" => fig15(opts),
-        "fig16" => fig16(opts),
-        "fig17" => fig17(opts),
-        "fig18" => fig18(opts),
-        "tab1" => tab1(opts),
-        "tab2" => tab2(opts),
-        "tab3" => tab3(opts),
-        "tab4" => tab4(opts),
-        "tab5" => tab5(opts),
-        "tab6" => tab6(opts),
-        "hit_ratio" => hit_ratio(opts),
-        "kernels" => kernels(opts),
-        "serve" => serve(opts),
-        "abl_distance" => abl_distance(opts),
-        "abl_pb_split" => abl_pb_split(opts),
-        "abl_candidates" => abl_candidates(opts),
-        _ => return None,
-    };
-    Some(report)
+    EXPERIMENTS.iter().find(|&&(name, _)| name == id).map(|(_, regenerate)| regenerate(opts))
 }
 
 #[cfg(test)]
@@ -109,6 +86,9 @@ mod tests {
             let r = run(id, &ExpOptions::quick()).unwrap();
             assert_eq!(r.id, id);
         }
-        assert_eq!(ALL_IDS.len(), 24);
+        assert_eq!(EXPERIMENTS.len(), 24);
+        for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(EXPERIMENTS[..i].iter().all(|(other, _)| other != id), "{id} listed twice");
+        }
     }
 }

@@ -288,26 +288,13 @@ pub struct ServeBenchEntry {
     /// `"unsupervised"` for the ablation (same fault plan, no
     /// supervision). Part of the row key.
     pub faults: String,
-    /// p50 end-to-end latency, ms.
-    pub p50_ms: f64,
-    /// p95 end-to-end latency, ms.
-    pub p95_ms: f64,
-    /// p99 end-to-end latency, ms.
-    pub p99_ms: f64,
-    /// Goodput, queries/s.
-    pub goodput_qps: f64,
-    /// SLO violation rate over offered queries.
-    pub slo_violation_rate: f64,
-    /// Dropped-query count.
-    pub dropped: usize,
-    /// Adaptive degrade steps (0 on static rows).
-    pub degrades: usize,
-    /// Adaptive upgrade steps (0 on static rows).
-    pub upgrades: usize,
+    /// The run's summary; the baseline records its latency percentiles,
+    /// goodput, SLO violation rate, drops and ladder steps.
+    pub summary: ServeSummary,
 }
 
 impl ServeBenchEntry {
-    /// Builds a baseline row from a scenario summary.
+    /// Builds a baseline row from its key and a scenario summary.
     #[must_use]
     pub fn from_summary(
         scenario: impl Into<String>,
@@ -316,7 +303,7 @@ impl ServeBenchEntry {
         routing: impl Into<String>,
         tier: impl Into<String>,
         faults: impl Into<String>,
-        s: &ServeSummary,
+        summary: ServeSummary,
     ) -> Self {
         Self {
             scenario: scenario.into(),
@@ -325,14 +312,7 @@ impl ServeBenchEntry {
             routing: routing.into(),
             tier: tier.into(),
             faults: faults.into(),
-            p50_ms: s.p50_ms,
-            p95_ms: s.p95_ms,
-            p99_ms: s.p99_ms,
-            goodput_qps: s.goodput_qps,
-            slo_violation_rate: s.slo_violation_rate,
-            dropped: s.dropped,
-            degrades: s.degrades,
-            upgrades: s.upgrades,
+            summary,
         }
     }
 }
@@ -358,14 +338,14 @@ pub fn serve_bench_to_json(entries: &[ServeBenchEntry]) -> String {
             ("routing", quoted(&e.routing)),
             ("tier", quoted(&e.tier)),
             ("faults", quoted(&e.faults)),
-            ("p50_ms", sim(e.p50_ms)),
-            ("p95_ms", sim(e.p95_ms)),
-            ("p99_ms", sim(e.p99_ms)),
-            ("goodput_qps", sim(e.goodput_qps)),
-            ("slo_violation_rate", sim(e.slo_violation_rate)),
-            ("dropped", e.dropped.to_string()),
-            ("degrades", e.degrades.to_string()),
-            ("upgrades", e.upgrades.to_string()),
+            ("p50_ms", sim(e.summary.p50_ms)),
+            ("p95_ms", sim(e.summary.p95_ms)),
+            ("p99_ms", sim(e.summary.p99_ms)),
+            ("goodput_qps", sim(e.summary.goodput_qps)),
+            ("slo_violation_rate", sim(e.summary.slo_violation_rate)),
+            ("dropped", e.summary.dropped.to_string()),
+            ("degrades", e.summary.degrades.to_string()),
+            ("upgrades", e.summary.upgrades.to_string()),
         ];
         let fields: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
         out.push_str(&format!("    {{{}}}", fields.join(", ")));

@@ -93,4 +93,4 @@ pub use scenario::{
     build_scenario, preset_bench_rows, run_functional_scaling, run_scenario,
     run_scenario_unsupervised, Scenario, ServePreset, FUNCTIONAL_SCALING_POINTS,
 };
-pub use sim::{AdaptationTrace, ServedQuery, SimConfig, SimResult, TierAdaptation};
+pub use sim::{AdaptationTrace, ServedQuery, SimConfig, SimResult};

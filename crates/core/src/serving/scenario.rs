@@ -43,7 +43,7 @@
 use std::sync::Arc;
 
 use sushi_accel::config::zcu104;
-use sushi_sched::{AdaptiveOptions, Query, TenantOptions, TenantTier};
+use sushi_sched::{Query, TenantOptions, TenantTier, EMPTY_COLUMN};
 
 use crate::engine::EngineBuilder;
 use crate::error::SushiError;
@@ -177,17 +177,16 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
     // One candidate-free probe table yields both the constraint space and
     // the capacity anchor (mean cold latency of the serving set).
     let probe = build_table(&workload.net, &workload.picks, &board, 0, opts.seed);
-    let accs: Vec<f64> = workload.picks.iter().map(|p| p.accuracy).collect();
-    let colds: Vec<f64> = (0..probe.num_rows()).map(|i| probe.latency_ms(i, 0)).collect();
     // The replay experiments' constraint band spans bare *service* latency
     // (0.8×min cold … 1.1×max cold). An open-loop deadline must also cover
     // queueing, batching delay and cache swaps, so serving scenarios widen
     // the band: deadlines from 2× the fastest to 2.5× the slowest cold
     // latency. Accuracy constraints are taken as-is.
-    let mut space = ConstraintSpace::from_serving_set(&accs, &colds);
+    let mut space = ConstraintSpace::from_table(&probe);
     space.lat_lo *= 2.0;
     space.lat_hi *= 2.5;
-    let mean_cold_ms = colds.iter().sum::<f64>() / colds.len() as f64;
+    let mean_cold_ms = probe.rows().iter().map(|r| r.latency_ms[EMPTY_COLUMN]).sum::<f64>()
+        / probe.num_rows() as f64;
     // Capacity is anchored to the historical two-worker pool for *every*
     // preset (including the 8-replica `scale`), so the arrival-rate
     // multipliers below stay comparable across presets.
@@ -197,7 +196,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
     let batch = BatchPolicy::new(4, 0.25 * mean_cold_ms);
     // Every preset runs the global ladder and no fault plan unless its arm
     // says otherwise; an arm states only what differs.
-    let mut control = opts.adaptive.then(|| TenantOptions::global(AdaptiveOptions::default()));
+    let mut control = opts.adaptive.then(TenantOptions::global);
     let mut faults = None;
 
     let (stream, queue_capacity, drop_policy) = match preset {
@@ -459,7 +458,7 @@ pub fn preset_bench_rows(opts: &ExpOptions) -> Result<Vec<ServeBenchEntry>, Sush
         let workers = preset.default_workers();
         let routing = preset.default_routing().name();
         let faults = if preset == ServePreset::Chaos { "supervised" } else { "none" };
-        let row = |adaptive, tier: &str, faults: &str, s: &ServeSummary| {
+        let row = |adaptive, tier: &str, faults: &str, s: ServeSummary| {
             ServeBenchEntry::from_summary(
                 preset.name(),
                 adaptive,
@@ -472,21 +471,21 @@ pub fn preset_bench_rows(opts: &ExpOptions) -> Result<Vec<ServeBenchEntry>, Sush
         };
         if opts.adaptive {
             let result = run_scenario(preset, opts)?;
-            rows.push(row(true, "all", faults, &result.summary()));
+            rows.push(row(true, "all", faults, result.summary()));
             if preset == ServePreset::Chaos {
                 let unsup = run_scenario_unsupervised(preset, opts)?.summary();
-                rows.push(row(true, "all", "unsupervised", &unsup));
+                rows.push(row(true, "all", "unsupervised", unsup));
             }
             // `tiers` is empty unless the run was tenant-tiered.
             for t in result.adaptation.iter().flat_map(|a| &a.tiers) {
                 let slice = result.tier_summary(t.tier);
                 if slice.offered > 0 {
-                    rows.push(row(true, t.tier.name(), faults, &slice));
+                    rows.push(row(true, t.tier.name(), faults, slice));
                 }
             }
         }
         let static_opts = ExpOptions { adaptive: false, ..*opts };
-        rows.push(row(false, "all", faults, &run_scenario(preset, &static_opts)?.summary()));
+        rows.push(row(false, "all", faults, run_scenario(preset, &static_opts)?.summary()));
     }
     Ok(rows)
 }

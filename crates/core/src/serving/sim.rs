@@ -42,8 +42,8 @@ use std::sync::Arc;
 use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::exec::ServiceTable;
 use sushi_sched::{
-    AdaptiveEvent, CacheSelection, LatencyTable, LoadSignal, Policy, Query, Scheduler,
-    TenantOptions, TenantPolicy, TenantTier, TierSignals, TIER_COUNT,
+    CacheSelection, LatencyTable, LoadSignal, Policy, Query, Scheduler, TenantEvent, TenantOptions,
+    TenantPolicy, TenantTier, TierSignals, TierState, TIER_COUNT,
 };
 use sushi_wsnet::{SubNet, SuperNet};
 
@@ -169,27 +169,14 @@ pub struct ServedRecord {
     pub prediction: Option<usize>,
 }
 
-/// What one tenant tier's degradation ladder did over a tenant-tiered
-/// run (one entry per tier in [`AdaptationTrace::tiers`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierAdaptation {
-    /// Which tier this ladder serves.
-    pub tier: TenantTier,
-    /// The tier's degradation level when the run ended.
-    pub final_level: usize,
-    /// Level changes that degraded this tier.
-    pub degrades: usize,
-    /// Level changes that upgraded this tier.
-    pub upgrades: usize,
-}
-
 /// What the adaptive controller did over one run (`None` in
 /// [`SimResult::adaptation`] when adaptation was disabled).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdaptationTrace {
     /// Every enacted level change, in simulated-time order (for a
-    /// tenant-tiered run, the merged event stream across all tiers).
-    pub events: Vec<AdaptiveEvent>,
+    /// tenant-tiered run, the merged event stream across all tiers; the
+    /// untiered ladder reports as [`TenantTier::Standard`]).
+    pub events: Vec<TenantEvent>,
     /// Degradation level when the run ended (for a tenant-tiered run,
     /// the deepest tier's level).
     pub final_level: usize,
@@ -199,8 +186,9 @@ pub struct AdaptationTrace {
     pub upgrades: usize,
     /// Queries whose constraints were shaped before scheduling.
     pub shaped: usize,
-    /// Per-tier ladder traces (empty unless the run was tenant-tiered).
-    pub tiers: Vec<TierAdaptation>,
+    /// Each tier's ladder as the run left it (empty unless the run was
+    /// tenant-tiered).
+    pub tiers: Vec<TierState>,
 }
 
 /// Everything a simulation run produced.
@@ -558,7 +546,7 @@ impl ServingSim {
         let empty_plan = FaultOptions { supervised: false, ..FaultOptions::default() };
         let mut fault =
             FaultRuntime::new(self.config.faults.unwrap_or(empty_plan), self.config.workers);
-        let mut events: Vec<AdaptiveEvent> = Vec::new();
+        let mut events: Vec<TenantEvent> = Vec::new();
         let mut shaped_count = 0usize;
         let mut served: Vec<ServedQuery> = Vec::with_capacity(stream.len());
         let mut dropped: Vec<DroppedQuery> = Vec::new();
@@ -618,7 +606,7 @@ impl ServingSim {
                 let stepped = pol.observe(&signals);
                 if !stepped.is_empty() {
                     batch_policy = batch_at(pol);
-                    events.extend(stepped.iter().map(|te| te.event));
+                    events.extend(stepped);
                 }
             }
 
@@ -863,19 +851,10 @@ impl ServingSim {
             // One trace shape: totals over the policy's ladders, with the
             // per-tier breakdown only when there is more than one.
             adaptation: self.control.as_ref().map(|pol| {
-                let ladders: Vec<TierAdaptation> = pol
-                    .ladder_tiers()
-                    .iter()
-                    .map(|&tier| TierAdaptation {
-                        tier,
-                        final_level: pol.level(tier),
-                        degrades: pol.degrades(tier),
-                        upgrades: pol.upgrades(tier),
-                    })
-                    .collect();
+                let ladders: Vec<TierState> = pol.states().collect();
                 AdaptationTrace {
                     events,
-                    final_level: ladders.iter().map(|t| t.final_level).max().unwrap_or(0),
+                    final_level: ladders.iter().map(|t| t.level).max().unwrap_or(0),
                     degrades: ladders.iter().map(|t| t.degrades).sum(),
                     upgrades: ladders.iter().map(|t| t.upgrades).sum(),
                     shaped: shaped_count,

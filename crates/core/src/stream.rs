@@ -6,7 +6,7 @@
 //! covering the evaluation's random queries (§5.6–5.7) plus two motivating
 //! scenarios: autonomous-vehicle terrain phases and ICU triage bursts.
 
-use sushi_sched::Query;
+use sushi_sched::{LatencyTable, Query, EMPTY_COLUMN};
 use sushi_tensor::DetRng;
 
 /// Constraint bounds derived from a serving set, used to sample meaningful
@@ -49,6 +49,18 @@ impl ConstraintSpace {
         let (acc_lo, acc_hi) = Self::widen_if_degenerate(acc_lo, acc_hi);
         let (lat_lo, lat_hi) = Self::widen_if_degenerate(lat_min * 0.8, lat_max * 1.1);
         Self { acc_lo, acc_hi, lat_lo, lat_hi }
+    }
+
+    /// [`Self::from_serving_set`] over a latency table's rows: their
+    /// accuracies and their cold (empty-column) latencies.
+    ///
+    /// # Panics
+    /// Panics if the table has no rows.
+    #[must_use]
+    pub fn from_table(table: &LatencyTable) -> Self {
+        let accs: Vec<f64> = table.rows().iter().map(|r| r.accuracy).collect();
+        let colds: Vec<f64> = table.rows().iter().map(|r| r.latency_ms[EMPTY_COLUMN]).collect();
+        Self::from_serving_set(&accs, &colds)
     }
 
     fn widen_if_degenerate(lo: f64, hi: f64) -> (f64, f64) {
@@ -229,6 +241,23 @@ mod tests {
 
     fn space() -> ConstraintSpace {
         ConstraintSpace { acc_lo: 0.75, acc_hi: 0.80, lat_lo: 4.0, lat_hi: 20.0 }
+    }
+
+    #[test]
+    fn from_table_reads_row_accuracies_and_the_cold_column() {
+        let net = sushi_wsnet::zoo::toy_supernet();
+        let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(3);
+        let cold = |sn: &sushi_wsnet::SubNet| sn.gflops() + 1.0;
+        // Cached columns are cheaper and must not leak into the band.
+        let table = LatencyTable::build(&picks, vec![picks[0].graph.clone()], |sn, cached| {
+            cold(sn) * if cached.is_some() { 0.5 } else { 1.0 }
+        });
+        let accs: Vec<f64> = picks.iter().map(|p| p.accuracy).collect();
+        let colds: Vec<f64> = picks.iter().map(cold).collect();
+        assert_eq!(
+            ConstraintSpace::from_table(&table),
+            ConstraintSpace::from_serving_set(&accs, &colds)
+        );
     }
 
     #[test]

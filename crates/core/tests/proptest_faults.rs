@@ -17,7 +17,7 @@ use sushi_core::serving::{
     SimResult,
 };
 use sushi_core::stream::{attach_arrivals, uniform_stream, TimedQuery};
-use sushi_sched::{AdaptiveOptions, TenantOptions, TenantTier};
+use sushi_sched::{TenantOptions, TenantTier};
 
 /// Every randomized fault-run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -322,7 +322,7 @@ proptest! {
                     ][batch],
                     control: match control {
                         0 => None,
-                        1 => Some(TenantOptions::global(AdaptiveOptions::default())),
+                        1 => Some(TenantOptions::global()),
                         _ => Some(
                             TenantOptions::default()
                                 .with_tier(0, TenantTier::LatencyCritical)

@@ -1,22 +1,32 @@
-//! Load-adaptive SubNet selection: graceful degradation under pressure.
+//! The load controller: graceful degradation under pressure, one
+//! hysteresis ladder per tenant tier.
 //!
 //! The static scheduler ([`crate::scheduler::Scheduler`]) picks SubNets as
 //! if the queue were always empty, which is exactly why an open serving
 //! loop falls off an SLO cliff under bursts: every query still asks for
-//! its full accuracy budget while the queue grows without bound. The
-//! adaptive layer closes SUSHI's motivating feedback loop — *degrade to a
-//! smaller SubGraph under pressure, upgrade when idle* — without the
+//! its full accuracy budget while the queue grows without bound.
+//! [`TenantPolicy`] closes SUSHI's motivating feedback loop — *degrade to
+//! a smaller SubGraph under pressure, upgrade when idle* — without the
 //! scheduler ever seeing an accelerator type:
 //!
 //! * [`LoadSignal`] is plain data sampled from the serving loop each
 //!   event: a time-weighted queue depth, the streaming p99 of completed
 //!   queries, and the deadline slack of the head-of-line query.
-//! * [`AdaptivePolicy`] folds the signal into a scalar *pressure* and
+//!   [`TierSignals`] carries one shared signal plus optional per-tier
+//!   refinements.
+//! * Each tier's ladder folds its signal into a scalar *pressure* and
 //!   walks a degradation **level** up and down with hysteresis: two
 //!   thresholds (enter/exit) separated by a dead band, plus a minimum
-//!   dwell time between level changes so the policy never oscillates
+//!   dwell time between level changes so a ladder never oscillates
 //!   between adjacent SubNets within one window.
-//! * At level `d` the policy *shapes* queries before they reach the
+//! * Thresholds are biased by [`TenantTier`] — best-effort degrades
+//!   *early* and upgrades *late*, latency-critical the reverse — and a
+//!   coupling rule keeps the ladders ordered (`LatencyCritical ≤ Standard
+//!   ≤ BestEffort` degradation level at all times), so shedding accuracy
+//!   always starts at the bottom of the priority order. An optional
+//!   [`ArrivalPredictor`] turns detected bursts in the best-effort tier's
+//!   arrivals into a feed-forward pressure boost.
+//! * At level `d` a ladder *shapes* queries before they reach the
 //!   scheduler: it walks the constraint down the table's latency ladder
 //!   (relaxing the accuracy constraint under [`Policy::StrictAccuracy`],
 //!   tightening the latency constraint under [`Policy::StrictLatency`]),
@@ -25,12 +35,16 @@
 //!   is cheaper under the current column and therefore survives more
 //!   degradation levels than an uncovered SubNet of equal cold latency.
 //!
-//! Everything here is deterministic and side-effect free: the same signal
-//! sequence always yields the same level trajectory, which is what lets
-//! the serving simulation stay bit-reproducible with adaptation enabled.
+//! The global controller is the untiered case ([`TenantOptions::global`]):
+//! one ladder on the base thresholds serves every tenant — no shield, no
+//! predictor, no per-tier signals. Everything here is deterministic and
+//! side-effect free: the same signal sequence always yields the same level
+//! trajectory, and zero pressure leaves every ladder at level 0, where
+//! shaping is the identity.
 
 use crate::query::{Policy, Query};
 use crate::table::{LatencyTable, EMPTY_COLUMN};
+use crate::tenant::{ArrivalPredictor, TenantTier, MAX_TENANT_SLOTS, TIER_COUNT};
 
 /// A point-in-time load observation fed from the serving loop.
 ///
@@ -103,33 +117,121 @@ impl LoadSignal {
     }
 }
 
-/// Knobs of the adaptive loop, written as a struct literal over
-/// [`Default`]. The tail-pressure reference scale (`2 ×` the mean cold
-/// latency), the deepest level (every rung of the ladder) and the
-/// batch-cap floor (1) are not knobs: [`AdaptivePolicy::new`] derives the
-/// first two from the latency table.
+/// Load observation handed to [`TenantPolicy::observe`]: the shared
+/// (whole-queue) signal plus optional per-tier refinements. A tier's
+/// effective pressure is the max of the shared pressure, its own
+/// signal's pressure, and (best-effort only) the predictor boost.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Degrade one level when pressure reaches this threshold.
-    pub degrade_threshold: f64,
-    /// Upgrade one level when pressure falls to this threshold. Must be
-    /// strictly below `degrade_threshold`; the gap is the hysteresis dead
-    /// band.
-    pub upgrade_threshold: f64,
-    /// Minimum simulated time between level changes, ms (`0.0` ⇒ derive
-    /// the serving set's mean cold latency: one step per service time, so
-    /// the controller reacts at the cadence it receives completion
-    /// evidence and a burst one dwell long can only move one level).
-    pub dwell_ms: f64,
+pub struct TierSignals {
+    /// Whole-system signal (total queue depth, aggregate tail, head slack).
+    pub shared: LoadSignal,
+    /// Optional per-tier signals, indexed by [`TenantTier::index`].
+    pub tiers: [Option<LoadSignal>; TIER_COUNT],
 }
 
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        Self { degrade_threshold: 0.4, upgrade_threshold: 0.15, dwell_ms: 0.0 }
+impl TierSignals {
+    /// A shared-only observation (no per-tier refinement).
+    pub fn uniform(shared: LoadSignal) -> Self {
+        TierSignals { shared, tiers: [None; TIER_COUNT] }
+    }
+
+    /// Attaches a per-tier signal.
+    #[must_use]
+    pub fn with_tier(mut self, tier: TenantTier, signal: LoadSignal) -> Self {
+        self.tiers[tier.index()] = Some(signal);
+        self
     }
 }
 
-impl AdaptiveOptions {
+/// Knobs of the load controller, written as a struct literal over
+/// [`Default`] (tiered) or [`TenantOptions::global`] (untiered). `Copy`,
+/// so it can live inside the serving `SimConfig` without breaking
+/// by-value plumbing. The tail-pressure reference scale (`2 ×` the mean
+/// cold latency), the deepest level (every rung of the ladder) and the
+/// batch-cap floor (1) are not knobs: [`TenantPolicy::new`] derives the
+/// first two from the latency table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TenantOptions {
+    /// Degrade one level when pressure reaches this threshold. The
+    /// `Standard` tier uses it verbatim; the outer tiers scale it by
+    /// [`shield`](Self::shield).
+    pub degrade_threshold: f64,
+    /// Upgrade one level when pressure falls to this threshold. Must be
+    /// strictly below `degrade_threshold`; the gap is the hysteresis dead
+    /// band. Biased per tier like `degrade_threshold`.
+    pub upgrade_threshold: f64,
+    /// Minimum simulated time between level changes of one ladder, ms
+    /// (`0.0` ⇒ derive the serving set's mean cold latency: one step per
+    /// service time, so the controller reacts at the cadence it receives
+    /// completion evidence and a burst one dwell long can only move one
+    /// level).
+    pub dwell_ms: f64,
+    /// Tier assignment per tenant id (index = tenant id). Ids at or
+    /// beyond [`MAX_TENANT_SLOTS`] default to [`TenantTier::Standard`].
+    /// `None` is the untiered (global) controller: one ladder on the base
+    /// thresholds serves every tenant, and `predictor` and `shield` —
+    /// which only differentiate tiers — are not consulted.
+    pub tiers: Option<[TenantTier; MAX_TENANT_SLOTS]>,
+    /// Runs the feed-forward [`ArrivalPredictor`] over the best-effort
+    /// tier's arrivals; `false` leaves the tiers purely reactive.
+    pub predictor: bool,
+    /// Threshold bias between tiers (≥ 1). Latency-critical thresholds
+    /// are the base thresholds × `shield` (degrades late, upgrades
+    /// early); best-effort divides by it (degrades early, upgrades
+    /// late). `1.0` makes all tiers share the base thresholds — priority
+    /// then only affects shedding order, batch affinity and the ladder
+    /// ordering rule.
+    pub shield: f64,
+}
+
+impl Default for TenantOptions {
+    fn default() -> Self {
+        TenantOptions {
+            degrade_threshold: 0.4,
+            upgrade_threshold: 0.15,
+            dwell_ms: 0.0,
+            tiers: Some([TenantTier::Standard; MAX_TENANT_SLOTS]),
+            predictor: false,
+            shield: 1.5,
+        }
+    }
+}
+
+impl TenantOptions {
+    /// The global controller: no tier map, so one ladder on the default
+    /// base thresholds serves all traffic.
+    #[must_use]
+    pub fn global() -> Self {
+        TenantOptions { tiers: None, predictor: false, shield: 1.0, ..TenantOptions::default() }
+    }
+
+    /// Assigns `tier` to `tenant` (starting a tier map if the options
+    /// were untiered). Panics if `tenant >= MAX_TENANT_SLOTS`.
+    #[must_use]
+    pub fn with_tier(mut self, tenant: u32, tier: TenantTier) -> Self {
+        let slot = tenant as usize;
+        assert!(slot < MAX_TENANT_SLOTS, "tenant id {tenant} exceeds MAX_TENANT_SLOTS");
+        self.tiers.get_or_insert([TenantTier::Standard; MAX_TENANT_SLOTS])[slot] = tier;
+        self
+    }
+
+    /// Threshold multiplier for a tier: `shield` for latency-critical,
+    /// 1 for standard, `1 / shield` for best-effort.
+    fn tier_factor(&self, tier: TenantTier) -> f64 {
+        match tier {
+            TenantTier::LatencyCritical => self.shield,
+            TenantTier::Standard => 1.0,
+            TenantTier::BestEffort => 1.0 / self.shield,
+        }
+    }
+
+    /// Tier of a tenant id (`Standard` for out-of-range ids and for
+    /// every id of an untiered configuration).
+    pub fn tier_of(&self, tenant: u32) -> TenantTier {
+        let assigned = self.tiers.as_ref().and_then(|t| t.get(tenant as usize));
+        assigned.copied().unwrap_or(TenantTier::Standard)
+    }
+
     /// Whether the knob combination is coherent (builder validation).
     ///
     /// # Errors
@@ -139,69 +241,102 @@ impl AdaptiveOptions {
         if !finite_nonneg(self.degrade_threshold) || !finite_nonneg(self.upgrade_threshold) {
             return Err("adaptive thresholds must be finite and non-negative".into());
         }
-        if self.upgrade_threshold >= self.degrade_threshold {
-            return Err(format!(
-                "adaptive hysteresis band is empty: upgrade threshold {} must be below \
-                 degrade threshold {}",
-                self.upgrade_threshold, self.degrade_threshold
-            ));
-        }
         if !finite_nonneg(self.dwell_ms) {
             return Err("adaptive dwell must be finite and non-negative".into());
+        }
+        if !self.shield.is_finite() || self.shield < 1.0 {
+            return Err("tenant shield must be a finite factor >= 1".into());
+        }
+        // Every tier's biased band must stay non-empty (the standard
+        // tier's factor is exactly 1, so this includes the base band).
+        let (deg, up) = (self.degrade_threshold, self.upgrade_threshold);
+        if TenantTier::ALL.iter().any(|&t| up * self.tier_factor(t) >= deg * self.tier_factor(t)) {
+            return Err(format!(
+                "adaptive hysteresis band is empty: upgrade threshold {up} must be below \
+                 degrade threshold {deg} for every tier"
+            ));
         }
         Ok(())
     }
 }
 
-/// One enacted level change (for the serving runtime's adaptation trace).
+/// A level change enacted by one tier's ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveEvent {
+pub struct TenantEvent {
+    /// The tier that stepped ([`TenantTier::Standard`] for the lone
+    /// ladder of an untiered policy).
+    pub tier: TenantTier,
     /// Simulated time of the change, ms.
     pub at_ms: f64,
     /// Pressure that triggered it.
     pub pressure: f64,
-    /// Degradation level *after* the change.
+    /// The tier's degradation level *after* the change.
     pub level: usize,
 }
 
-/// The hysteresis controller: walks a degradation level over the table's
-/// latency ladder and shapes queries accordingly.
-///
-/// Construct one per serving run from the same [`LatencyTable`] the
-/// scheduler uses, [`observe`](Self::observe) a [`LoadSignal`] at every
-/// event, and [`shape`](Self::shape) each query before handing it to
-/// [`crate::scheduler::Scheduler::decide`]. At level 0 shaping is the
-/// identity, so a run whose pressure never crosses the degrade threshold
-/// is bit-identical to the static policy.
-#[derive(Debug, Clone)]
-pub struct AdaptivePolicy {
-    policy: Policy,
-    opts: AdaptiveOptions,
-    /// Row indices sorted by cold latency ascending (the ladder: rung 0
-    /// is the fastest SubNet, the last rung the slowest).
-    ladder: Vec<usize>,
-    max_level: usize,
-    dwell_ms: f64,
-    scale_ms: f64,
-    level: usize,
-    last_change_ms: f64,
-    degrades: usize,
-    upgrades: usize,
+/// Where one tier's ladder stands: its level and the steps it took.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierState {
+    /// The tier this ladder serves ([`TenantTier::Standard`] for the lone
+    /// ladder of an untiered policy).
+    pub tier: TenantTier,
+    /// Current degradation level (0 = no degradation).
+    pub level: usize,
+    /// Level changes that degraded so far.
+    pub degrades: usize,
+    /// Level changes that upgraded so far.
+    pub upgrades: usize,
 }
 
-impl AdaptivePolicy {
-    /// Builds a controller for `table` under `policy`.
+/// One tier's hysteresis ladder: its walk and its biased thresholds.
+#[derive(Debug, Clone, Copy)]
+struct Ladder {
+    state: TierState,
+    last_change_ms: f64,
+    /// `degrade_threshold × tier factor`.
+    degrade_at: f64,
+    /// `upgrade_threshold × tier factor`.
+    upgrade_at: f64,
+}
+
+/// The serving loop's controller: one hysteresis ladder per tier, coupled
+/// so degradation depth is always ordered `LatencyCritical ≤ Standard ≤
+/// BestEffort` — or, built from untiered options
+/// ([`TenantOptions::global`]), a single ladder serving every tier, which
+/// is the global controller.
+///
+/// Construct one per serving run from the same [`LatencyTable`] the
+/// scheduler uses, [`observe`](Self::observe) the load at every event, and
+/// [`shape`](Self::shape) each query before handing it to
+/// [`crate::scheduler::Scheduler::decide`]. At level 0 shaping is the
+/// identity, so a run whose pressure never crosses a degrade threshold is
+/// bit-identical to the static policy.
+#[derive(Debug)]
+pub struct TenantPolicy {
+    policy: Policy,
+    opts: TenantOptions,
+    /// Row indices sorted by cold latency ascending (rung 0 is the
+    /// fastest SubNet, the last rung the slowest).
+    rungs: Vec<usize>,
+    dwell_ms: f64,
+    scale_ms: f64,
+    /// One per tier in priority order, or the single shared ladder.
+    ladders: Vec<Ladder>,
+    predictor: Option<ArrivalPredictor>,
+}
+
+impl TenantPolicy {
+    /// Builds the ladders from `table` under `policy`.
     ///
     /// # Panics
-    /// Panics when `opts` fail [`AdaptiveOptions::validate`] — the engine
+    /// Panics when `opts` fail [`TenantOptions::validate`] — the engine
     /// builder surfaces the same condition as a config error first.
-    #[must_use]
-    pub fn new(table: &LatencyTable, policy: Policy, opts: AdaptiveOptions) -> Self {
+    pub fn new(table: &LatencyTable, policy: Policy, opts: TenantOptions) -> Self {
         if let Err(e) = opts.validate() {
-            panic!("invalid adaptive options: {e}");
+            panic!("invalid TenantOptions: {e}");
         }
-        let mut ladder: Vec<usize> = (0..table.num_rows()).collect();
-        ladder.sort_by(|&a, &b| {
+        let mut rungs: Vec<usize> = (0..table.num_rows()).collect();
+        rungs.sort_by(|&a, &b| {
             table
                 .latency_ms(a, EMPTY_COLUMN)
                 .partial_cmp(&table.latency_ms(b, EMPTY_COLUMN))
@@ -210,116 +345,183 @@ impl AdaptivePolicy {
         let mean_cold =
             (0..table.num_rows()).map(|i| table.latency_ms(i, EMPTY_COLUMN)).sum::<f64>()
                 / table.num_rows() as f64;
-        // Every rung is reachable, and the tail scale is the scenario
-        // presets' deadline floor.
-        let max_level = ladder.len().saturating_sub(1);
-        let scale_ms = 2.0 * mean_cold;
-        let dwell_ms = if opts.dwell_ms > 0.0 { opts.dwell_ms } else { mean_cold };
-        Self {
+        let tiers: &[TenantTier] =
+            if opts.tiers.is_some() { &TenantTier::ALL } else { &[TenantTier::Standard] };
+        let ladder = |&tier: &TenantTier| {
+            let f = opts.tier_factor(tier);
+            Ladder {
+                state: TierState { tier, level: 0, degrades: 0, upgrades: 0 },
+                last_change_ms: f64::NEG_INFINITY,
+                degrade_at: opts.degrade_threshold * f,
+                upgrade_at: opts.upgrade_threshold * f,
+            }
+        };
+        TenantPolicy {
             policy,
             opts,
-            ladder,
-            max_level,
-            dwell_ms,
-            scale_ms,
-            level: 0,
-            last_change_ms: f64::NEG_INFINITY,
-            degrades: 0,
-            upgrades: 0,
+            rungs,
+            dwell_ms: if opts.dwell_ms > 0.0 { opts.dwell_ms } else { mean_cold },
+            // The tail scale is the scenario presets' deadline floor.
+            scale_ms: 2.0 * mean_cold,
+            ladders: tiers.iter().map(ladder).collect(),
+            predictor: opts.predictor.then(ArrivalPredictor::new),
         }
     }
 
-    /// Current degradation level (0 = no degradation).
-    #[must_use]
-    pub fn level(&self) -> usize {
-        self.level
+    /// Whether each tier walks its own ladder (`false`: one ladder serves
+    /// every tier, and per-tier signals are never read).
+    pub fn is_tiered(&self) -> bool {
+        self.ladders.len() > 1
     }
 
-    /// Deepest reachable level.
-    #[must_use]
+    /// Every ladder's state, in priority order: all three tiers when
+    /// tiered, otherwise the lone ladder, reported as `Standard` — the
+    /// tier every tenant of an untiered run maps to.
+    pub fn states(&self) -> impl Iterator<Item = TierState> + '_ {
+        self.ladders.iter().map(|l| l.state)
+    }
+
+    /// The state of the ladder serving `tier`: its own when tiered, else
+    /// the shared one.
+    pub fn state(&self, tier: TenantTier) -> TierState {
+        self.ladders[if self.is_tiered() { tier.index() } else { 0 }].state
+    }
+
+    /// Current degradation level of `tier` (0 = no degradation).
+    pub fn level(&self, tier: TenantTier) -> usize {
+        self.state(tier).level
+    }
+
+    /// Deepest reachable level: every rung but the fastest can be shed.
     pub fn max_level(&self) -> usize {
-        self.max_level
+        self.rungs.len().saturating_sub(1)
     }
 
-    /// Level changes that degraded so far.
-    #[must_use]
-    pub fn degrades(&self) -> usize {
-        self.degrades
-    }
-
-    /// Level changes that upgraded so far.
-    #[must_use]
-    pub fn upgrades(&self) -> usize {
-        self.upgrades
-    }
-
-    /// The resolved minimum time between level changes, ms.
-    #[must_use]
+    /// The resolved minimum time between level changes of one ladder, ms.
     pub fn dwell_ms(&self) -> f64 {
         self.dwell_ms
     }
 
     /// The resolved tail-pressure reference scale, ms. Doubles as the
     /// natural smoothing constant for the queue-depth signal.
-    #[must_use]
     pub fn scale_ms(&self) -> f64 {
         self.scale_ms
     }
 
-    /// Folds one observation into the controller: at most one level step,
-    /// and only if at least [`dwell_ms`](Self::dwell_ms) has passed since
-    /// the previous step (the oscillation guard). Returns the enacted
-    /// change, if any.
-    pub fn observe(&mut self, signal: &LoadSignal) -> Option<AdaptiveEvent> {
-        let pressure = signal.pressure(self.scale_ms);
-        self.observe_pressure(signal.now_ms, pressure)
-    }
-
-    /// [`observe`](Self::observe) with an externally computed pressure:
-    /// the same one-step-per-dwell hysteresis walk, but the caller owns
-    /// the signal-to-pressure fold. This is the entry point of the tenant
-    /// layer ([`crate::tenant::TenantPolicy`]), which mixes per-tier
-    /// signals and a feed-forward arrival-prediction boost into the
-    /// pressure before stepping each tier's ladder.
-    pub fn observe_pressure(&mut self, now_ms: f64, pressure: f64) -> Option<AdaptiveEvent> {
-        if now_ms - self.last_change_ms < self.dwell_ms {
-            return None;
+    /// Effective pressure on `tier`'s ladder under `signals`.
+    fn effective_pressure(&self, tier: TenantTier, signals: &TierSignals) -> f64 {
+        let mut p = signals.shared.pressure(self.scale_ms);
+        if let Some(sig) = &signals.tiers[tier.index()] {
+            p = p.max(sig.pressure(self.scale_ms));
         }
-        if pressure >= self.opts.degrade_threshold && self.level < self.max_level {
-            self.level += 1;
-            self.degrades += 1;
-        } else if pressure <= self.opts.upgrade_threshold && self.level > 0 {
-            self.level -= 1;
-            self.upgrades += 1;
-        } else {
-            return None;
+        if tier == TenantTier::BestEffort {
+            if let Some(pred) = &self.predictor {
+                p = p.max(pred.boost_at(signals.shared.now_ms));
+            }
         }
-        self.last_change_ms = now_ms;
-        Some(AdaptiveEvent { at_ms: now_ms, pressure, level: self.level })
+        p
     }
 
-    /// The ladder rung the current level caps the walk at: with `R` rows
-    /// and level `d`, the `d` slowest rungs become unreachable.
-    fn cap_rung(&self) -> usize {
-        self.ladder[self.ladder.len() - 1 - self.level]
+    /// Folds one observation into every ladder and returns the enacted
+    /// changes (possibly several, one per tier), in a fixed deterministic
+    /// order: upgrades in priority order (latency-critical first —
+    /// recovery flows top-down), then degrades in reverse priority order
+    /// (best-effort first — pain flows bottom-up).
+    ///
+    /// Each ladder moves at most one level, and only if at least
+    /// [`dwell_ms`](Self::dwell_ms) has passed since its previous step
+    /// (the oscillation guard). A step is additionally *vetoed* unless the
+    /// ordering invariant survives it: a tier may only degrade once every
+    /// lower-priority tier is at least as deep as the level it would land
+    /// on, and may only upgrade once every higher-priority tier is at
+    /// least as shallow. Vetoed steps do not consume the tier's dwell; a
+    /// lone ladder has no neighbours to veto it.
+    pub fn observe(&mut self, signals: &TierSignals) -> Vec<TenantEvent> {
+        let now = signals.shared.now_ms;
+        let n = self.ladders.len();
+        let max_level = self.max_level();
+        let mut events = Vec::new();
+        // Pressure depends on the signals alone, never on a level, so one
+        // fold per ladder serves both passes.
+        let mut pressure = [0.0; TIER_COUNT];
+        for (p, l) in pressure.iter_mut().zip(&self.ladders) {
+            *p = self.effective_pressure(l.state.tier, signals);
+        }
+        let upgrades = (0..n).map(|i| (i, true));
+        let degrades = (0..n).rev().map(|i| (i, false));
+        for (i, upgrading) in upgrades.chain(degrades) {
+            let (l, p) = (&self.ladders[i], pressure[i]);
+            let level = l.state.level;
+            // The dwell guard, then the threshold, then the ordering veto:
+            // a tier rises only if every higher-priority tier already sits
+            // above its current level, and sinks only if every
+            // lower-priority tier is already deeper than it.
+            let permitted = now - l.last_change_ms >= self.dwell_ms
+                && if upgrading {
+                    p <= l.upgrade_at
+                        && level > 0
+                        && self.ladders[..i].iter().all(|h| h.state.level < level)
+                } else {
+                    p >= l.degrade_at
+                        && level < max_level
+                        && self.ladders[i + 1..].iter().all(|lo| lo.state.level > level)
+                };
+            if !permitted {
+                continue;
+            }
+            let l = &mut self.ladders[i];
+            if upgrading {
+                l.state.level -= 1;
+                l.state.upgrades += 1;
+            } else {
+                l.state.level += 1;
+                l.state.degrades += 1;
+            }
+            l.last_change_ms = now;
+            events.push(TenantEvent {
+                tier: l.state.tier,
+                at_ms: now,
+                pressure: p,
+                level: l.state.level,
+            });
+        }
+        events
     }
 
-    /// Shapes a query for the current level: walks its constraint down
-    /// the ConstraintSpace so the scheduler's `select` lands within the
-    /// allowed ladder prefix. At level 0 this is the identity.
+    /// Feeds one arrival of `tier` to the predictor (best-effort
+    /// arrivals only; other tiers are ignored).
+    pub fn observe_arrival(&mut self, tier: TenantTier, now_ms: f64) {
+        if tier == TenantTier::BestEffort {
+            if let Some(pred) = &mut self.predictor {
+                pred.observe_arrival(now_ms);
+            }
+        }
+    }
+
+    /// Shapes `query` for its tier's current level: walks its constraint
+    /// down the ConstraintSpace so the scheduler's `select` lands within
+    /// the allowed ladder prefix. With `R` rows and level `d`, the `d`
+    /// slowest rungs become unreachable; at level 0 this is the identity.
     ///
     /// The walk is biased toward SubNets covered by the resident SubGraph
-    /// (`cached`): the latency budget implied by the cap rung is its
-    /// *cold* latency, but feasibility is measured under the current
-    /// column, so a row whose panels are resident — and therefore cheaper
-    /// — stays reachable at levels where an uncovered row of equal cold
-    /// latency would already have been shed.
-    #[must_use]
-    pub fn shape(&self, query: &Query, table: &LatencyTable, cached: usize) -> Query {
-        if self.level == 0 {
+    /// (`cached`, the resident column index): the latency budget implied
+    /// by the cap rung is its *cold* latency, but feasibility is measured
+    /// under the current column, so a row whose panels are resident — and
+    /// therefore cheaper — stays reachable at levels where an uncovered
+    /// row of equal cold latency would already have been shed.
+    pub fn shape(
+        &self,
+        tier: TenantTier,
+        query: &Query,
+        table: &LatencyTable,
+        cached: usize,
+    ) -> Query {
+        let level = self.level(tier);
+        if level == 0 {
             return *query;
         }
-        let budget_ms = table.latency_ms(self.cap_rung(), EMPTY_COLUMN);
+        let cap_rung = self.rungs[self.rungs.len() - 1 - level];
+        let budget_ms = table.latency_ms(cap_rung, EMPTY_COLUMN);
         match self.policy {
             Policy::StrictAccuracy => {
                 // Highest accuracy still affordable within the cap rung's
@@ -346,12 +548,18 @@ impl AdaptivePolicy {
         }
     }
 
-    /// The dynamic-batch size cap at the current level: halves per level,
+    /// The dynamic-batch size cap: halves per level of the *deepest*
+    /// ladder — batch sizing follows the most degraded traffic class —
     /// floored at one query (smaller batches dispatch sooner, trading
     /// amortization for head-of-line latency).
-    #[must_use]
     pub fn batch_cap(&self, base_max_batch: usize) -> usize {
-        (base_max_batch >> self.level.min(usize::BITS as usize - 1)).max(1)
+        let deepest = self.states().map(|s| s.level).max().unwrap_or(0);
+        (base_max_batch >> deepest.min(usize::BITS as usize - 1)).max(1)
+    }
+
+    /// Tier of a tenant id.
+    pub fn tier_of(&self, tenant: u32) -> TenantTier {
+        self.opts.tier_of(tenant)
     }
 }
 
@@ -359,6 +567,9 @@ impl AdaptivePolicy {
 mod tests {
     use super::*;
     use crate::table::test_support::{subnet, synthetic_latency};
+
+    /// The lone ladder of an untiered policy serves every tier as `Standard`.
+    const TIER: TenantTier = TenantTier::Standard;
 
     fn table() -> LatencyTable {
         let subnets = vec![subnet("A", 1, 0.75), subnet("B", 2, 0.77), subnet("C", 3, 0.79)];
@@ -370,8 +581,19 @@ mod tests {
         LatencyTable::build(&subnets, candidates, synthetic_latency)
     }
 
-    fn policy() -> AdaptivePolicy {
-        AdaptivePolicy::new(&table(), Policy::StrictAccuracy, AdaptiveOptions::default())
+    fn policy_for(t: &LatencyTable, policy: Policy) -> TenantPolicy {
+        TenantPolicy::new(t, policy, TenantOptions::global())
+    }
+
+    fn policy() -> TenantPolicy {
+        policy_for(&table(), Policy::StrictAccuracy)
+    }
+
+    /// Feeds one shared signal; a lone ladder enacts at most one change.
+    fn observe(p: &mut TenantPolicy, signal: LoadSignal) -> Option<TenantEvent> {
+        let mut events = p.observe(&TierSignals::uniform(signal));
+        assert!(events.len() <= 1, "one ladder, one step at most: {events:?}");
+        events.pop()
     }
 
     fn pressured(now_ms: f64) -> LoadSignal {
@@ -420,61 +642,64 @@ mod tests {
     fn degrades_under_pressure_and_upgrades_when_idle() {
         let mut p = policy();
         let dwell = p.dwell_ms();
-        assert_eq!(p.level(), 0);
-        let ev = p.observe(&pressured(0.0)).expect("first degrade");
-        assert_eq!(ev.level, 1);
-        let ev = p.observe(&pressured(dwell)).expect("second degrade");
+        assert_eq!(p.level(TIER), 0);
+        let ev = observe(&mut p, pressured(0.0)).expect("first degrade");
+        assert_eq!((ev.tier, ev.level), (TIER, 1));
+        let ev = observe(&mut p, pressured(dwell)).expect("second degrade");
         assert_eq!(ev.level, 2);
-        assert_eq!(p.level(), p.max_level(), "3-row ladder caps at level 2");
-        assert!(p.observe(&pressured(2.0 * dwell)).is_none(), "already at max level");
-        let ev = p.observe(&LoadSignal::idle(3.0 * dwell)).expect("upgrade");
+        assert_eq!(p.level(TIER), p.max_level(), "3-row ladder caps at level 2");
+        assert!(observe(&mut p, pressured(2.0 * dwell)).is_none(), "already at max level");
+        let ev = observe(&mut p, LoadSignal::idle(3.0 * dwell)).expect("upgrade");
         assert_eq!(ev.level, 1);
-        assert_eq!(p.degrades(), 2);
-        assert_eq!(p.upgrades(), 1);
+        assert_eq!(p.state(TIER), TierState { tier: TIER, level: 1, degrades: 2, upgrades: 1 });
     }
 
     #[test]
     fn dwell_blocks_immediate_reversal() {
         let mut p = policy();
-        assert!(p.observe(&pressured(0.0)).is_some());
+        let dwell = p.dwell_ms();
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         // An idle signal right after the degrade must NOT flap back.
-        assert!(p.observe(&LoadSignal::idle(0.1)).is_none());
-        assert!(p.observe(&LoadSignal::idle(p.dwell_ms() * 0.99)).is_none());
-        assert!(p.observe(&LoadSignal::idle(p.dwell_ms() * 1.01)).is_some());
+        assert!(observe(&mut p, LoadSignal::idle(0.1)).is_none());
+        assert!(observe(&mut p, LoadSignal::idle(dwell * 0.99)).is_none());
+        assert!(observe(&mut p, LoadSignal::idle(dwell * 1.01)).is_some());
     }
 
     #[test]
     fn dead_band_holds_level() {
         let mut p = policy();
-        assert!(p.observe(&pressured(0.0)).is_some());
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         // Pressure between the thresholds: hold, forever.
         let mid = LoadSignal { queue_depth: 10.0, queue_capacity: 32, ..LoadSignal::idle(1e6) };
         let pr = mid.pressure(p.scale_ms());
         assert!(pr > 0.15 && pr < 0.5, "mid pressure {pr}");
-        assert!(p.observe(&mid).is_none());
-        assert_eq!(p.level(), 1);
+        assert!(observe(&mut p, mid).is_none());
+        assert_eq!(p.level(TIER), 1);
     }
 
     #[test]
     fn shape_is_identity_at_level_zero() {
         let p = policy();
         let q = Query::new(7, 0.785, 12.0);
-        assert_eq!(p.shape(&q, &table(), EMPTY_COLUMN), q);
+        for tier in TenantTier::ALL {
+            assert_eq!(p.shape(tier, &q, &table(), EMPTY_COLUMN), q);
+        }
     }
 
     #[test]
     fn shape_relaxes_accuracy_down_the_ladder() {
         let t = table();
         let mut p = policy();
+        let dwell = p.dwell_ms();
         let q = Query::new(0, 0.79, 100.0); // wants C (row 2)
-        assert!(p.observe(&pressured(0.0)).is_some());
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         // Level 1: C (slowest rung) shed; cap accuracy is B's.
-        let shaped = p.shape(&q, &t, EMPTY_COLUMN);
+        let shaped = p.shape(TIER, &q, &t, EMPTY_COLUMN);
         assert!((shaped.accuracy_constraint - 0.77).abs() < 1e-12);
         assert_eq!(t.select(Policy::StrictAccuracy, shaped.accuracy_constraint, 100.0, 0), 1);
         // Level 2: only A remains.
-        assert!(p.observe(&pressured(p.dwell_ms())).is_some());
-        let shaped = p.shape(&q, &t, EMPTY_COLUMN);
+        assert!(observe(&mut p, pressured(dwell)).is_some());
+        let shaped = p.shape(TIER, &q, &t, EMPTY_COLUMN);
         assert!((shaped.accuracy_constraint - 0.75).abs() < 1e-12);
     }
 
@@ -482,31 +707,27 @@ mod tests {
     fn shape_never_raises_a_constraint() {
         let t = table();
         let mut p = policy();
-        assert!(p.observe(&pressured(0.0)).is_some());
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         let q = Query::new(0, 0.74, 100.0); // already below every rung
-        let shaped = p.shape(&q, &t, EMPTY_COLUMN);
+        let shaped = p.shape(TIER, &q, &t, EMPTY_COLUMN);
         assert!(shaped.accuracy_constraint <= q.accuracy_constraint);
         assert_eq!(shaped.accuracy_constraint, 0.74, "modest queries are untouched");
     }
 
     #[test]
     fn cache_residency_keeps_covered_rows_reachable() {
-        // With gC resident, C's warm latency (2.1) fits inside B's cold
-        // budget (2.0)? No — but it fits at level 1 only if ≤ budget.
-        // Construct the comparison explicitly: under the cold column C is
-        // shed at level 1; under column gC (index 3) C's latency drops by
-        // 30% (to 2.1), still above B's cold 2.0 — but at level 0 nothing
-        // is shed. Use a wider table where residency flips the outcome.
+        // Cold: A=1, B=3, C=4, so level 1 caps the walk at B's cold 3 ms
+        // and C is shed. Under column gC, C's warm latency is
+        // 4·(1−0.3)=2.8 ≤ 3: residency keeps C affordable at level 1.
         let subnets = vec![subnet("A", 1, 0.75), subnet("B", 3, 0.77), subnet("C", 4, 0.79)];
         let candidates = vec![subnet("gC", 4, 0.0).graph];
         let t = LatencyTable::build(&subnets, candidates, synthetic_latency);
-        // Cold: A=1, B=3, C=4. Warm C under gC: 4·(1−0.3)=2.8 ≤ B's cold 3.
-        let mut p = AdaptivePolicy::new(&t, Policy::StrictAccuracy, AdaptiveOptions::default());
-        assert!(p.observe(&pressured(0.0)).is_some());
+        let mut p = policy_for(&t, Policy::StrictAccuracy);
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         let q = Query::new(0, 0.79, 100.0);
-        let cold = p.shape(&q, &t, EMPTY_COLUMN);
+        let cold = p.shape(TIER, &q, &t, EMPTY_COLUMN);
         assert!((cold.accuracy_constraint - 0.77).abs() < 1e-12, "C shed when cold");
-        let warm = p.shape(&q, &t, 1);
+        let warm = p.shape(TIER, &q, &t, 1);
         assert!(
             (warm.accuracy_constraint - 0.79).abs() < 1e-12,
             "resident panels keep C affordable at level 1 (got {})",
@@ -517,48 +738,44 @@ mod tests {
     #[test]
     fn strict_latency_tightens_budget() {
         let t = table();
-        let mut p = AdaptivePolicy::new(&t, Policy::StrictLatency, AdaptiveOptions::default());
-        assert!(p.observe(&pressured(0.0)).is_some());
+        let mut p = policy_for(&t, Policy::StrictLatency);
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         let q = Query::new(0, 0.0, 100.0);
-        let shaped = p.shape(&q, &t, EMPTY_COLUMN);
+        let shaped = p.shape(TIER, &q, &t, EMPTY_COLUMN);
         assert!((shaped.latency_constraint_ms - 2.0).abs() < 1e-12, "capped at B's cold latency");
     }
 
     #[test]
     fn batch_cap_halves_per_level_with_floor() {
         let mut p = policy();
+        let dwell = p.dwell_ms();
         assert_eq!(p.batch_cap(4), 4);
-        assert!(p.observe(&pressured(0.0)).is_some());
+        assert!(observe(&mut p, pressured(0.0)).is_some());
         assert_eq!(p.batch_cap(4), 2);
-        assert!(p.observe(&pressured(p.dwell_ms())).is_some());
+        assert!(observe(&mut p, pressured(dwell)).is_some());
         assert_eq!(p.batch_cap(4), 1);
         assert_eq!(p.batch_cap(2), 1, "the cap never halves below one query");
     }
 
     #[test]
     fn invalid_options_are_rejected() {
-        let inverted = AdaptiveOptions {
-            degrade_threshold: 0.2,
-            upgrade_threshold: 0.5,
-            ..AdaptiveOptions::default()
-        };
+        let global = TenantOptions::global();
+        let inverted = TenantOptions { degrade_threshold: 0.2, upgrade_threshold: 0.5, ..global };
         assert!(inverted.validate().is_err());
-        assert!(AdaptiveOptions { dwell_ms: f64::NAN, ..AdaptiveOptions::default() }
-            .validate()
-            .is_err());
-        assert!(AdaptiveOptions::default().validate().is_ok());
+        assert!(TenantOptions { dwell_ms: f64::NAN, ..global }.validate().is_err());
+        assert!(global.validate().is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "invalid adaptive options")]
+    #[should_panic(expected = "invalid TenantOptions")]
     fn policy_construction_checks_options() {
-        let _ = AdaptivePolicy::new(
+        let _ = TenantPolicy::new(
             &table(),
             Policy::StrictAccuracy,
-            AdaptiveOptions {
+            TenantOptions {
                 degrade_threshold: 0.1,
                 upgrade_threshold: 0.9,
-                ..AdaptiveOptions::default()
+                ..TenantOptions::global()
             },
         );
     }

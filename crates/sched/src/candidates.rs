@@ -18,7 +18,7 @@ use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 /// with `seed`. Duplicates are removed while preserving order.
 ///
 /// The serving-set-first ordering is load-bearing for the adaptive layer
-/// ([`crate::adaptive::AdaptivePolicy`]): whenever `count ≥
+/// ([`crate::TenantPolicy`]): whenever `count ≥
 /// serving_set.len()`, every serving SubNet's budget truncation is present
 /// as a column, so each rung of the degradation ladder has a resident
 /// SubGraph that covers it — the cache-affinity bias can always find a

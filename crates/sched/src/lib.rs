@@ -14,6 +14,11 @@
 //!   cache decision every `Q` queries via the `AvgNet` running average.
 //! * [`candidates`] — construction of the bounded SubGraph candidate set
 //!   `S` (§3.2's requirement R1).
+//! * [`TenantPolicy`] — the one load controller: per-tier hysteresis
+//!   ladders that shape queries toward smaller SubNets under pressure
+//!   ([`TenantOptions`] configures it, [`TenantEvent`] records each level
+//!   change, and [`TenantOptions::global`] is the untiered, one-ladder
+//!   case). The tiers and the arrival predictor live in [`tenant`].
 //!
 //! Everything that needs a scheduler *and* an accelerator — the serving
 //! stack, the event-driven serving runtime, experiment regenerators —
@@ -50,18 +55,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
+mod adaptive;
 pub mod candidates;
 pub mod query;
 pub mod scheduler;
 pub mod table;
 pub mod tenant;
 
-pub use adaptive::{AdaptiveEvent, AdaptiveOptions, AdaptivePolicy, LoadSignal};
+pub use adaptive::{LoadSignal, TenantEvent, TenantOptions, TenantPolicy, TierSignals, TierState};
 pub use query::{Policy, Query};
 pub use scheduler::{CacheSelection, Decision, Scheduler};
 pub use table::{LatencyTable, EMPTY_COLUMN};
-pub use tenant::{
-    ArrivalPredictor, ArrivalState, TenantEvent, TenantOptions, TenantPolicy, TenantTier,
-    TierSignals, MAX_TENANT_SLOTS, TIER_COUNT,
-};
+pub use tenant::{ArrivalPredictor, ArrivalState, TenantTier, MAX_TENANT_SLOTS, TIER_COUNT};

@@ -11,7 +11,7 @@
 //!
 //! The scheduler itself is load-oblivious: it prices queries as if the
 //! queue were empty. Under pressure the serving loop narrows the
-//! constraints it forwards here via [`crate::adaptive::AdaptivePolicy`]
+//! constraints it forwards here via [`crate::TenantPolicy`]
 //! (query *shaping*), so `decide` keeps full authority over row selection
 //! and cache placement — the adaptive layer never overrides a decision,
 //! it only changes the question. That split is what lets `AvgNet` and the

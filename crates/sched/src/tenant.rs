@@ -1,39 +1,18 @@
-//! Tenant-aware adaptation: per-tier degradation ladders plus a
-//! feed-forward arrival predictor.
-//!
-//! The global controller in [`crate::adaptive`] applies one degradation
-//! level to *all* traffic: when the queue hurts, a latency-critical
-//! navigation query is shaped exactly as hard as a best-effort batch
-//! analytics query. This module differentiates traffic classes:
+//! Tenancy: the priority tiers the load controller differentiates, and
+//! the feed-forward arrival predictor it can run over best-effort traffic.
 //!
 //! * every tenant is assigned a [`TenantTier`]
-//!   (`LatencyCritical | Standard | BestEffort`);
-//! * each tier owns an independent [`AdaptivePolicy`] ladder whose
-//!   thresholds are biased by the tier — best-effort degrades *early*
-//!   and upgrades *late*, latency-critical the reverse;
-//! * a structural coupling rule keeps the ladders ordered
-//!   (`LatencyCritical ≤ Standard ≤ BestEffort` degradation level at all
-//!   times), so shedding accuracy always starts at the bottom of the
-//!   priority order;
+//!   (`LatencyCritical | Standard | BestEffort`); the controller
+//!   ([`crate::TenantPolicy`]) biases each tier's ladder thresholds by it
+//!   and keeps the ladders ordered, so shedding accuracy always starts at
+//!   the bottom of the priority order;
 //! * an [`ArrivalPredictor`] watches the best-effort tier's inter-arrival
 //!   statistics and converts detected MMPP burst states / diurnal crests
 //!   into a feed-forward pressure boost, pre-degrading best-effort
 //!   traffic *before* the queue builds.
-//!
-//! [`TenantPolicy`] is the one controller the serving runtime talks to.
-//! The global controller is its untiered case
-//! ([`TenantOptions::global`]): a single ladder on the base thresholds
-//! serves every tenant — no shield, no predictor, no per-tier signals —
-//! and steps exactly as a bare [`AdaptivePolicy`] fed the shared signal
-//! would. Tiered or not, zero pressure leaves every ladder at level 0 and
-//! shaping is the identity.
-
-use crate::adaptive::{AdaptiveEvent, AdaptiveOptions, AdaptivePolicy, LoadSignal};
-use crate::query::{Policy, Query};
-use crate::table::LatencyTable;
 
 /// Number of tenant slots with an explicit tier assignment in
-/// [`TenantOptions`]. Tenant ids at or beyond this fall back to
+/// [`crate::TenantOptions`]. Tenant ids at or beyond this fall back to
 /// [`TenantTier::Standard`]. A fixed-size array keeps the options (and
 /// everything embedding them, e.g. the serving `SimConfig`) `Copy`.
 pub const MAX_TENANT_SLOTS: usize = 8;
@@ -46,7 +25,7 @@ pub enum TenantTier {
     /// first, and is never shed while lower-priority work is droppable.
     LatencyCritical,
     /// The neutral tier — thresholds exactly match the configured base
-    /// [`AdaptiveOptions`]. Tenants without an assignment land here.
+    /// thresholds. Tenants without an assignment land here.
     #[default]
     Standard,
     /// Deferrable traffic: degrades first (including pre-emptively, via
@@ -327,323 +306,12 @@ fn rate_ratio(baseline: f64, ring: &[f64], sum: f64, cap: usize) -> Option<f64> 
     Some(baseline / mean)
 }
 
-/// Configuration of the tenant layer, written as a struct literal over
-/// [`Default`] (tiered) or [`TenantOptions::global`] (untiered). `Copy`,
-/// so it can live inside the serving `SimConfig` without breaking
-/// by-value plumbing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantOptions {
-    /// Base controller knobs. The `Standard` tier uses these verbatim;
-    /// the outer tiers scale the thresholds by [`shield`](Self::shield).
-    pub base: AdaptiveOptions,
-    /// Tier assignment per tenant id (index = tenant id). Ids at or
-    /// beyond [`MAX_TENANT_SLOTS`] default to [`TenantTier::Standard`].
-    /// `None` is the untiered (global) controller: one ladder on the
-    /// `base` thresholds serves every tenant, and `predictor` and
-    /// `shield` — which only differentiate tiers — are not consulted.
-    pub tiers: Option<[TenantTier; MAX_TENANT_SLOTS]>,
-    /// Runs the feed-forward [`ArrivalPredictor`] over the best-effort
-    /// tier's arrivals; `false` leaves the tiers purely reactive.
-    pub predictor: bool,
-    /// Threshold bias between tiers (≥ 1). Latency-critical thresholds
-    /// are the base thresholds × `shield` (degrades late, upgrades
-    /// early); best-effort divides by it (degrades early, upgrades
-    /// late). `1.0` makes all tiers share the base thresholds — priority
-    /// then only affects shedding order, batch affinity and the ladder
-    /// ordering rule.
-    pub shield: f64,
-}
-
-impl Default for TenantOptions {
-    fn default() -> Self {
-        TenantOptions {
-            base: AdaptiveOptions::default(),
-            tiers: Some([TenantTier::Standard; MAX_TENANT_SLOTS]),
-            predictor: false,
-            shield: 1.5,
-        }
-    }
-}
-
-impl TenantOptions {
-    /// The global controller as a tenant configuration: no tier map, so
-    /// one ladder on `base` serves all traffic.
-    #[must_use]
-    pub fn global(base: AdaptiveOptions) -> Self {
-        TenantOptions { base, tiers: None, predictor: false, shield: 1.0 }
-    }
-
-    /// Assigns `tier` to `tenant` (starting a tier map if the options
-    /// were untiered). Panics if `tenant >= MAX_TENANT_SLOTS`.
-    #[must_use]
-    pub fn with_tier(mut self, tenant: u32, tier: TenantTier) -> Self {
-        let slot = tenant as usize;
-        assert!(slot < MAX_TENANT_SLOTS, "tenant id {tenant} exceeds MAX_TENANT_SLOTS");
-        self.tiers.get_or_insert([TenantTier::Standard; MAX_TENANT_SLOTS])[slot] = tier;
-        self
-    }
-
-    /// Threshold multiplier for a tier: `shield` for latency-critical,
-    /// 1 for standard, `1 / shield` for best-effort.
-    fn tier_factor(&self, tier: TenantTier) -> f64 {
-        match tier {
-            TenantTier::LatencyCritical => self.shield,
-            TenantTier::Standard => 1.0,
-            TenantTier::BestEffort => 1.0 / self.shield,
-        }
-    }
-
-    /// Tier of a tenant id (`Standard` for out-of-range ids and for
-    /// every id of an untiered configuration).
-    pub fn tier_of(&self, tenant: u32) -> TenantTier {
-        let assigned = self.tiers.as_ref().and_then(|t| t.get(tenant as usize));
-        assigned.copied().unwrap_or(TenantTier::Standard)
-    }
-
-    /// Checks internal consistency; returns a human-readable complaint.
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate()?;
-        if !self.shield.is_finite() || self.shield < 1.0 {
-            return Err("tenant shield must be a finite factor >= 1".into());
-        }
-        Ok(())
-    }
-}
-
-/// Load observation handed to [`TenantPolicy::observe`]: the shared
-/// (whole-queue) signal plus optional per-tier refinements. A tier's
-/// effective pressure is the max of the shared pressure, its own
-/// signal's pressure, and (best-effort only) the predictor boost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierSignals {
-    /// Whole-system signal (total queue depth, aggregate tail, head slack).
-    pub shared: LoadSignal,
-    /// Optional per-tier signals, indexed by [`TenantTier::index`].
-    pub tiers: [Option<LoadSignal>; TIER_COUNT],
-}
-
-impl TierSignals {
-    /// A shared-only observation (no per-tier refinement).
-    pub fn uniform(shared: LoadSignal) -> Self {
-        TierSignals { shared, tiers: [None; TIER_COUNT] }
-    }
-
-    /// Attaches a per-tier signal.
-    #[must_use]
-    pub fn with_tier(mut self, tier: TenantTier, signal: LoadSignal) -> Self {
-        self.tiers[tier.index()] = Some(signal);
-        self
-    }
-}
-
-/// A level change enacted by one tier's ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantEvent {
-    /// The tier that stepped.
-    pub tier: TenantTier,
-    /// The underlying controller event (time, pressure, new level).
-    pub event: AdaptiveEvent,
-}
-
-/// See [`TenantPolicy::ladder_tiers`].
-fn ladder_tiers(tiered: bool) -> &'static [TenantTier] {
-    if tiered {
-        &TenantTier::ALL
-    } else {
-        &[TenantTier::Standard]
-    }
-}
-
-/// The serving loop's controller: one [`AdaptivePolicy`] ladder per tier,
-/// coupled so degradation depth is always ordered
-/// `LatencyCritical ≤ Standard ≤ BestEffort` — or, built from untiered
-/// options ([`TenantOptions::global`]), a single ladder serving every
-/// tier, which is the global controller.
-///
-/// Per [`observe`](Self::observe) each ladder obeys the
-/// [`AdaptivePolicy`] contract — at most a ±1 step, one step per dwell —
-/// but a step is additionally *vetoed* unless the ordering invariant
-/// survives it: a tier may only degrade once every lower-priority tier is
-/// at least as deep as the level it would land on, and may only upgrade
-/// once every higher-priority tier is at least as shallow. Vetoed steps
-/// do not consume the tier's dwell. A lone ladder has no neighbours to
-/// veto it, so it steps exactly as [`AdaptivePolicy::observe`] would.
-#[derive(Debug)]
-pub struct TenantPolicy {
-    opts: TenantOptions,
-    /// Indexed like [`ladder_tiers`](Self::ladder_tiers): one per tier in
-    /// priority order, or the single shared ladder.
-    ladders: Vec<AdaptivePolicy>,
-    predictor: Option<ArrivalPredictor>,
-}
-
-impl TenantPolicy {
-    /// Builds the ladders from `table`. Panics if `opts` fails
-    /// [`TenantOptions::validate`] or the table is empty (mirroring
-    /// [`AdaptivePolicy::new`]); the engine builder validates first and
-    /// reports errors gracefully.
-    pub fn new(table: &LatencyTable, policy: Policy, opts: TenantOptions) -> Self {
-        if let Err(e) = opts.validate() {
-            panic!("invalid TenantOptions: {e}");
-        }
-        let ladder = |&tier: &TenantTier| {
-            let f = opts.tier_factor(tier);
-            let biased = AdaptiveOptions {
-                degrade_threshold: opts.base.degrade_threshold * f,
-                upgrade_threshold: opts.base.upgrade_threshold * f,
-                ..opts.base
-            };
-            AdaptivePolicy::new(table, policy, biased)
-        };
-        TenantPolicy {
-            opts,
-            ladders: ladder_tiers(opts.tiers.is_some()).iter().map(ladder).collect(),
-            predictor: opts.predictor.then(ArrivalPredictor::new),
-        }
-    }
-
-    /// Whether each tier walks its own ladder (`false`: one ladder serves
-    /// every tier, and per-tier signals are never read).
-    pub fn is_tiered(&self) -> bool {
-        self.ladders.len() > 1
-    }
-
-    /// The tiers that own a ladder, in priority order: all three when
-    /// tiered, otherwise just `Standard` — the tier every tenant of an
-    /// untiered run maps to, and the one whose thresholds are unbiased.
-    pub fn ladder_tiers(&self) -> &'static [TenantTier] {
-        ladder_tiers(self.is_tiered())
-    }
-
-    /// The ladder serving `tier`: its own when tiered, else the shared one.
-    fn ladder(&self, tier: TenantTier) -> &AdaptivePolicy {
-        &self.ladders[if self.is_tiered() { tier.index() } else { 0 }]
-    }
-
-    /// Effective pressure on ladder `i` (serving `tier`) under `signals`,
-    /// at the ladder's own scale.
-    fn effective_pressure(&self, i: usize, tier: TenantTier, signals: &TierSignals) -> f64 {
-        let scale = self.ladders[i].scale_ms();
-        let mut p = signals.shared.pressure(scale);
-        if let Some(sig) = &signals.tiers[tier.index()] {
-            p = p.max(sig.pressure(scale));
-        }
-        if tier == TenantTier::BestEffort {
-            if let Some(pred) = &self.predictor {
-                p = p.max(pred.boost_at(signals.shared.now_ms));
-            }
-        }
-        p
-    }
-
-    /// Folds one observation into every ladder and returns the enacted
-    /// changes (possibly several, one per tier), in a fixed deterministic
-    /// order: upgrades in priority order (latency-critical first —
-    /// recovery flows top-down), then degrades in reverse priority order
-    /// (best-effort first — pain flows bottom-up).
-    pub fn observe(&mut self, signals: &TierSignals) -> Vec<TenantEvent> {
-        let now = signals.shared.now_ms;
-        let tiers = self.ladder_tiers();
-        let mut events = Vec::new();
-        // Pressure depends on the signals alone, never on a level, so one
-        // fold per ladder serves both passes.
-        let mut pressure = [0.0; TIER_COUNT];
-        for (i, &tier) in tiers.iter().enumerate() {
-            pressure[i] = self.effective_pressure(i, tier, signals);
-        }
-        let upgrades = (0..tiers.len()).map(|i| (i, true));
-        let degrades = (0..tiers.len()).rev().map(|i| (i, false));
-        for (i, upgrading) in upgrades.chain(degrades) {
-            let (tier, p) = (tiers[i], pressure[i]);
-            let f = self.opts.tier_factor(tier);
-            let level = self.ladders[i].level();
-            // A tier rises only if every higher-priority tier already sits
-            // at or above the target level, and sinks only if every
-            // lower-priority tier is already at least as deep as it.
-            let permitted = if upgrading {
-                p <= self.opts.base.upgrade_threshold * f
-                    && level > 0
-                    && self.ladders[..i].iter().all(|h| h.level() < level)
-            } else {
-                p >= self.opts.base.degrade_threshold * f
-                    && level < self.ladders[i].max_level()
-                    && self.ladders[i + 1..].iter().all(|l| l.level() > level)
-            };
-            if permitted {
-                if let Some(event) = self.ladders[i].observe_pressure(now, p) {
-                    events.push(TenantEvent { tier, event });
-                }
-            }
-        }
-        events
-    }
-
-    /// Feeds one arrival of `tier` to the predictor (best-effort
-    /// arrivals only; other tiers are ignored).
-    pub fn observe_arrival(&mut self, tier: TenantTier, now_ms: f64) {
-        if tier == TenantTier::BestEffort {
-            if let Some(pred) = &mut self.predictor {
-                pred.observe_arrival(now_ms);
-            }
-        }
-    }
-
-    /// Shapes `query` through its tier's ladder (identity at level 0).
-    /// `cached` is the resident cache column index, as in
-    /// [`AdaptivePolicy::shape`].
-    pub fn shape(
-        &self,
-        tier: TenantTier,
-        query: &Query,
-        table: &LatencyTable,
-        cached: usize,
-    ) -> Query {
-        self.ladder(tier).shape(query, table, cached)
-    }
-
-    /// Dynamic batch cap: the *deepest* ladder's cap, so batch sizing
-    /// follows the most degraded traffic class.
-    pub fn batch_cap(&self, base: usize) -> usize {
-        let deepest = self.ladders.iter().max_by_key(|t| t.level()).expect("at least one ladder");
-        deepest.batch_cap(base)
-    }
-
-    /// Tier of a tenant id.
-    pub fn tier_of(&self, tenant: u32) -> TenantTier {
-        self.opts.tier_of(tenant)
-    }
-
-    /// Current degradation level of a tier.
-    pub fn level(&self, tier: TenantTier) -> usize {
-        self.ladder(tier).level()
-    }
-
-    /// Degrade steps taken by a tier's ladder so far.
-    pub fn degrades(&self, tier: TenantTier) -> usize {
-        self.ladder(tier).degrades()
-    }
-
-    /// Upgrade steps taken by a tier's ladder so far.
-    pub fn upgrades(&self, tier: TenantTier) -> usize {
-        self.ladder(tier).upgrades()
-    }
-
-    /// Pressure scale (shared by all ladders — derived from the table).
-    pub fn scale_ms(&self) -> f64 {
-        self.ladders[0].scale_ms()
-    }
-
-    /// Dwell (shared by all ladders — derived from the base options).
-    pub fn dwell_ms(&self) -> f64 {
-        self.ladders[0].dwell_ms()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::test_support::{subnet, synthetic_latency};
-    use crate::table::EMPTY_COLUMN;
+    use crate::table::{LatencyTable, EMPTY_COLUMN};
+    use crate::{LoadSignal, Policy, Query, TenantOptions, TenantPolicy, TierSignals};
 
     fn make_table(n: usize) -> LatencyTable {
         let subnets: Vec<_> =
@@ -930,7 +598,7 @@ mod tests {
         assert_eq!(opts.tier_of(7), TenantTier::Standard);
         assert_eq!(opts.tier_of(999), TenantTier::Standard);
         // Untiered options map everyone to Standard until a tier is named.
-        let global = TenantOptions::global(AdaptiveOptions::default());
+        let global = TenantOptions::global();
         assert_eq!(global.tier_of(0), TenantTier::Standard);
         assert!(!policy(global).is_tiered());
         let named = global.with_tier(1, TenantTier::BestEffort);

@@ -1,13 +1,15 @@
-//! Property-based tests for the load-adaptive layer: hysteresis stability,
-//! feasibility of shaped selections, and static-equivalence at zero
-//! pressure, under arbitrary tables and signal sequences.
+//! Property-based tests for the load controller's ladder, run on the
+//! untiered policy (`TenantOptions::global`, one ladder serving every
+//! tier): hysteresis stability, feasibility of shaped selections, and
+//! static-equivalence at zero pressure, under arbitrary tables and signal
+//! sequences.
 
 use proptest::prelude::*;
 
 use sushi_sched::query::{Policy, Query};
 use sushi_sched::scheduler::{CacheSelection, Scheduler};
 use sushi_sched::table::{LatencyTable, EMPTY_COLUMN};
-use sushi_sched::{AdaptiveOptions, AdaptivePolicy, LoadSignal};
+use sushi_sched::{LoadSignal, TenantEvent, TenantOptions, TenantPolicy, TenantTier, TierSignals};
 use sushi_wsnet::layer::LayerSlice;
 use sushi_wsnet::subnet::SubNetConfig;
 use sushi_wsnet::{SubGraph, SubNet};
@@ -54,6 +56,17 @@ fn signal_at(now_ms: f64, depth: f64, p99_ms: f64, slack_ms: f64, budget_ms: f64
     }
 }
 
+/// The tier every query of an untiered run maps to.
+const TIER: TenantTier = TenantTier::Standard;
+
+/// Feeds one shared signal to a lone-ladder policy, which enacts at most
+/// one change per observation.
+fn observe(p: &mut TenantPolicy, signal: LoadSignal) -> Option<TenantEvent> {
+    let mut events = p.observe(&TierSignals::uniform(signal));
+    assert!(events.len() <= 1, "one ladder, one step at most: {events:?}");
+    events.pop()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -70,19 +83,20 @@ proptest! {
         ),
     ) {
         let t = make_table(n, 3);
-        let mut p = AdaptivePolicy::new(
+        let mut p = TenantPolicy::new(
             &t,
             Policy::StrictAccuracy,
-            AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() },
+            TenantOptions { dwell_ms: dwell, ..TenantOptions::global() },
         );
         let mut now = 0.0;
         let mut last_change: Option<(f64, usize)> = None;
         for (dt, depth, p99, slack) in steps {
             now += dt;
-            let before = p.level();
-            let ev = p.observe(&signal_at(now, depth, p99, slack, 20.0));
+            let before = p.level(TIER);
+            let ev = observe(&mut p, signal_at(now, depth, p99, slack, 20.0));
             if let Some(ev) = ev {
-                prop_assert_eq!(ev.level, p.level());
+                prop_assert_eq!(ev.tier, TIER);
+                prop_assert_eq!(ev.level, p.level(TIER));
                 prop_assert_eq!(
                     ev.level.abs_diff(before), 1,
                     "every enacted change is a single-level step"
@@ -98,9 +112,9 @@ proptest! {
                 }
                 last_change = Some((ev.at_ms, ev.level));
             } else {
-                prop_assert_eq!(p.level(), before, "no event means the level held");
+                prop_assert_eq!(p.level(TIER), before, "no event means the level held");
             }
-            prop_assert!(p.level() <= p.max_level());
+            prop_assert!(p.level(TIER) <= p.max_level());
         }
     }
 
@@ -120,24 +134,25 @@ proptest! {
         for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
             let t = make_table(n, m);
             let col = col_pick % t.num_columns();
-            let mut p = AdaptivePolicy::new(&t, policy, AdaptiveOptions::default());
-            let red = signal_at(0.0, 64.0, 1e6, -1.0, 1.0);
+            let mut p = TenantPolicy::new(&t, policy, TenantOptions::global());
+            let dwell = p.dwell_ms();
             for i in 0..degrades {
-                let _ = p.observe(&signal_at(i as f64 * p.dwell_ms(), 64.0, red.p99_ms, -1.0, 1.0));
+                let _ = observe(&mut p, signal_at(i as f64 * dwell, 64.0, 1e6, -1.0, 1.0));
             }
             let q = Query::new(1, acc, lat);
-            let shaped = p.shape(&q, &t, col);
+            let shaped = p.shape(TIER, &q, &t, col);
             // Shaping only ever tightens the query's own ConstraintSpace.
             prop_assert!(shaped.accuracy_constraint <= q.accuracy_constraint);
             prop_assert!(shaped.latency_constraint_ms <= q.latency_constraint_ms);
-            if p.level() > 0 {
+            let level = p.level(TIER);
+            if level > 0 {
                 // The cap rung's cold latency is the degradation budget; the
                 // row `select` lands on must fit it under the current column.
                 let ladder_budget = {
                     let mut colds: Vec<f64> =
                         (0..t.num_rows()).map(|i| t.latency_ms(i, EMPTY_COLUMN)).collect();
                     colds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    colds[t.num_rows() - 1 - p.level()]
+                    colds[t.num_rows() - 1 - level]
                 };
                 match policy {
                     Policy::StrictAccuracy => {
@@ -145,7 +160,7 @@ proptest! {
                         prop_assert!(
                             t.latency_ms(row, col) <= ladder_budget + 1e-12,
                             "row {row} at {} ms exceeds level-{} budget {} ms",
-                            t.latency_ms(row, col), p.level(), ladder_budget
+                            t.latency_ms(row, col), level, ladder_budget
                         );
                     }
                     Policy::StrictLatency => {
@@ -185,20 +200,21 @@ proptest! {
     ) {
         for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
             let t = make_table(5, 4);
-            let mut p = AdaptivePolicy::new(&t, policy, AdaptiveOptions::default());
+            let mut p = TenantPolicy::new(&t, policy, TenantOptions::global());
             let mk = || Scheduler::new(
                 make_table(5, 4), policy, CacheSelection::MinDistanceToAvg, q_window,
             );
             let (mut adaptive, mut fixed) = (mk(), mk());
             for (i, (a, l)) in constraints.iter().enumerate() {
-                let ev = p.observe(&LoadSignal::idle(i as f64 * 100.0));
+                let ev = observe(&mut p, LoadSignal::idle(i as f64 * 100.0));
                 prop_assert!(ev.is_none(), "idle signals must never move the level");
                 let q = Query::new(i as u64, *a, *l);
-                let shaped = p.shape(&q, &t, adaptive.current_cache());
+                let shaped = p.shape(TIER, &q, &t, adaptive.current_cache());
                 prop_assert_eq!(shaped, q, "level 0 shaping is the identity");
                 prop_assert_eq!(adaptive.decide(&shaped), fixed.decide(&q));
             }
-            prop_assert_eq!(p.degrades() + p.upgrades(), 0);
+            let state = p.state(TIER);
+            prop_assert_eq!(state.degrades + state.upgrades, 0);
         }
     }
 
@@ -210,11 +226,12 @@ proptest! {
         degrades in 0usize..12,
     ) {
         let t = make_table(4, 2);
-        let mut p = AdaptivePolicy::new(&t, Policy::StrictAccuracy, AdaptiveOptions::default());
+        let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, TenantOptions::global());
+        let dwell = p.dwell_ms();
         let mut prev = p.batch_cap(base);
         prop_assert_eq!(prev, base);
         for i in 0..degrades {
-            let _ = p.observe(&signal_at(i as f64 * p.dwell_ms(), 64.0, 1e6, -1.0, 1.0));
+            let _ = observe(&mut p, signal_at(i as f64 * dwell, 64.0, 1e6, -1.0, 1.0));
             let cap = p.batch_cap(base);
             prop_assert!(cap <= prev, "cap must shrink (or hold) as the level rises");
             prop_assert!(cap >= 1);

@@ -1,6 +1,6 @@
 //! Property-based tests for the tenant-tiered layer: cross-tier depth
 //! ordering, per-tier hysteresis (dwell + single steps), equivalence with
-//! the global controller, and zero-pressure identity — under arbitrary
+//! the untiered (global) policy, and zero-pressure identity — under arbitrary
 //! tables, shields, and signal sequences.
 
 use proptest::prelude::*;
@@ -8,10 +8,7 @@ use proptest::prelude::*;
 use sushi_sched::query::{Policy, Query};
 use sushi_sched::scheduler::{CacheSelection, Scheduler};
 use sushi_sched::table::LatencyTable;
-use sushi_sched::{
-    AdaptiveOptions, AdaptivePolicy, LoadSignal, TenantOptions, TenantPolicy, TenantTier,
-    TierSignals,
-};
+use sushi_sched::{LoadSignal, TenantOptions, TenantPolicy, TenantTier, TierSignals};
 use sushi_wsnet::layer::LayerSlice;
 use sushi_wsnet::subnet::SubNetConfig;
 use sushi_wsnet::{SubGraph, SubNet};
@@ -130,8 +127,7 @@ proptest! {
         steps in proptest::collection::vec(obs_strategy(), 1..60),
     ) {
         let t = make_table(n, 3);
-        let base = AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() };
-        let opts = TenantOptions { base, shield, ..TenantOptions::default() };
+        let opts = TenantOptions { dwell_ms: dwell, shield, ..TenantOptions::default() };
         let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, opts);
         let mut now = 0.0;
         let mut last_change: [Option<f64>; 3] = [None; 3];
@@ -145,20 +141,20 @@ proptest! {
             }
             for te in p.observe(&signals) {
                 let i = te.tier.index();
-                prop_assert_eq!(te.event.level, p.level(te.tier));
+                prop_assert_eq!(te.level, p.level(te.tier));
                 prop_assert_eq!(
-                    te.event.level.abs_diff(levels[i]), 1,
+                    te.level.abs_diff(levels[i]), 1,
                     "tier {} stepped more than one level", te.tier.name()
                 );
                 if let Some(at) = last_change[i] {
                     prop_assert!(
-                        te.event.at_ms - at >= dwell,
+                        te.at_ms - at >= dwell,
                         "tier {} changed at {at} and {} inside the {dwell} ms dwell",
-                        te.tier.name(), te.event.at_ms
+                        te.tier.name(), te.at_ms
                     );
                 }
-                last_change[i] = Some(te.event.at_ms);
-                levels[i] = te.event.level;
+                last_change[i] = Some(te.at_ms);
+                levels[i] = te.level;
             }
             for tier in TenantTier::ALL {
                 prop_assert_eq!(levels[tier.index()], p.level(tier), "event stream lost a change");
@@ -166,13 +162,13 @@ proptest! {
         }
     }
 
-    /// With shield 1 (every tier shares the global thresholds), no
-    /// predictor, and no per-tier signals, the standard tier's level
-    /// trajectory is step-for-step identical to the global controller fed
-    /// the same signals — the tenant layer is the global layer, three
-    /// times over. The untiered policy (`TenantOptions::global`) *is* the
-    /// global controller: same events at the same instants, same batch
-    /// cap, and the same shaped query for every tier at every level.
+    /// With shield 1 (every tier shares the base thresholds), no
+    /// predictor, and no per-tier signals, every tier's level trajectory
+    /// is step-for-step identical to the untiered policy
+    /// (`TenantOptions::global`, one ladder) fed the same signals — the
+    /// tiered controller is the global one, three times over. Both shape
+    /// every tier's query identically at every level, under every cache
+    /// column, and agree on the batch cap.
     #[test]
     fn uniform_tenancy_tracks_the_global_controller(
         n in 2usize..8,
@@ -185,18 +181,20 @@ proptest! {
     ) {
         for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
             let t = make_table(n, 3);
-            let base = AdaptiveOptions { dwell_ms: dwell, ..AdaptiveOptions::default() };
+            let global = TenantOptions { dwell_ms: dwell, ..TenantOptions::global() };
             let mut tenant = TenantPolicy::new(
                 &t,
                 policy,
-                TenantOptions { base, shield: 1.0, ..TenantOptions::default() },
+                TenantOptions { tiers: TenantOptions::default().tiers, ..global },
             );
-            let mut one_ladder = TenantPolicy::new(&t, policy, TenantOptions::global(base));
+            let mut one_ladder = TenantPolicy::new(&t, policy, global);
             prop_assert!(tenant.is_tiered() && !one_ladder.is_tiered());
-            prop_assert_eq!(one_ladder.ladder_tiers(), &[TenantTier::Standard][..]);
-            let mut global = AdaptivePolicy::new(&t, policy, base);
-            prop_assert_eq!(one_ladder.scale_ms(), global.scale_ms());
-            prop_assert_eq!(one_ladder.dwell_ms(), global.dwell_ms());
+            prop_assert_eq!(
+                one_ladder.states().map(|s| s.tier).collect::<Vec<_>>(),
+                vec![TenantTier::Standard]
+            );
+            prop_assert_eq!(tenant.scale_ms(), one_ladder.scale_ms());
+            prop_assert_eq!(tenant.dwell_ms(), one_ladder.dwell_ms());
             let q = Query::new(0, constraint.0, constraint.1);
             let mut now = 0.0;
             // The random walk, then a saturated climb and an idle descent
@@ -207,38 +205,35 @@ proptest! {
                 now += dt;
                 // An empty-queue head (infinite slack) leaves depth and
                 // tail in charge, so pressure moves both ways.
-                let signal = signal_at(now, depth, p99, f64::INFINITY, 0.0);
-                let expected = global.observe(&signal);
-                let _ = tenant.observe(&TierSignals::uniform(signal));
-                let stepped = one_ladder.observe(&TierSignals::uniform(signal));
-                prop_assert_eq!(
-                    stepped.iter().map(|te| te.event).collect::<Vec<_>>(),
-                    expected.into_iter().collect::<Vec<_>>(),
-                    "the one-ladder policy enacted a different change"
-                );
-                prop_assert_eq!(one_ladder.batch_cap(8), global.batch_cap(8));
+                let signal = TierSignals::uniform(signal_at(now, depth, p99, f64::INFINITY, 0.0));
+                let _ = tenant.observe(&signal);
+                let stepped = one_ladder.observe(&signal);
+                prop_assert!(stepped.len() <= 1, "one ladder, one step at most");
+                prop_assert_eq!(one_ladder.batch_cap(8), tenant.batch_cap(8));
+                let level = one_ladder.level(TenantTier::Standard);
                 for tier in TenantTier::ALL {
                     prop_assert_eq!(
-                        tenant.level(tier), global.level(),
+                        tenant.level(tier), level,
                         "tier {} diverged from the global controller", tier.name()
                     );
-                    prop_assert_eq!(one_ladder.level(tier), global.level());
+                    prop_assert_eq!(one_ladder.level(tier), level);
                     prop_assert_eq!(one_ladder.tier_of(tier.index() as u32), TenantTier::Standard);
                     for cached in 0..t.num_columns() {
                         prop_assert_eq!(
+                            tenant.shape(tier, &q, &t, cached),
                             one_ladder.shape(tier, &q, &t, cached),
-                            global.shape(&q, &t, cached),
-                            "shape differs at level {} under column {}", global.level(), cached
+                            "shape differs at level {} under column {}", level, cached
                         );
                     }
                 }
             }
-            prop_assert_eq!(global.level(), 0, "the descent must walk back to level 0");
-            prop_assert!(global.degrades() >= n - 1, "the climb must reach the deepest level");
-            prop_assert_eq!(tenant.degrades(TenantTier::Standard), global.degrades());
-            prop_assert_eq!(tenant.upgrades(TenantTier::Standard), global.upgrades());
-            prop_assert_eq!(one_ladder.degrades(TenantTier::Standard), global.degrades());
-            prop_assert_eq!(one_ladder.upgrades(TenantTier::Standard), global.upgrades());
+            let global_state = one_ladder.state(TenantTier::Standard);
+            prop_assert_eq!(global_state.level, 0, "the descent must walk back to level 0");
+            prop_assert!(global_state.degrades >= n - 1, "the climb must reach the deepest level");
+            for tier in TenantTier::ALL {
+                let s = tenant.state(tier);
+                prop_assert_eq!((s.degrades, s.upgrades), (global_state.degrades, global_state.upgrades));
+            }
         }
     }
 
@@ -272,8 +267,8 @@ proptest! {
                 prop_assert_eq!(shaped, q, "level-0 shaping is the identity for every tier");
                 prop_assert_eq!(tiered.decide(&shaped), fixed.decide(&q));
             }
-            for tier in TenantTier::ALL {
-                prop_assert_eq!(p.degrades(tier) + p.upgrades(tier), 0);
+            for s in p.states() {
+                prop_assert_eq!(s.degrades + s.upgrades, 0);
             }
         }
     }

@@ -9,7 +9,7 @@ use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
 use sushi::core::serving::{run_scenario, BatchPolicy, DropPolicy, ServePreset, SimConfig};
 use sushi::core::stream::{attach_arrivals, uniform_stream, TimedQuery};
-use sushi::sched::{AdaptiveOptions, TenantOptions};
+use sushi::sched::TenantOptions;
 use sushi::wsnet::zoo;
 
 /// Quick sizing with adaptation enabled (the default).
@@ -53,10 +53,7 @@ fn degradation_is_monotone_under_rising_load() {
             // sweep would empty it and make occupancy oscillate).
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 1.0),
-            control: Some(TenantOptions::global(AdaptiveOptions {
-                dwell_ms,
-                ..AdaptiveOptions::default()
-            })),
+            control: Some(TenantOptions { dwell_ms, ..TenantOptions::global() }),
             ..SimConfig::default()
         })
         .build()
@@ -193,7 +190,7 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
             queue_capacity,
             drop_policy: DropPolicy::DeadlineAware,
             batch: BatchPolicy::new(4, 1.0),
-            control: Some(TenantOptions::global(AdaptiveOptions::default())),
+            control: Some(TenantOptions::global()),
             ..SimConfig::default()
         })
         .build()
@@ -244,7 +241,7 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
             queue_capacity: 16,
             drop_policy: DropPolicy::DeadlineAware,
             batch: BatchPolicy::new(3, 0.1),
-            control: Some(TenantOptions::global(AdaptiveOptions::default())),
+            control: Some(TenantOptions::global()),
             ..SimConfig::default()
         })
         .build()

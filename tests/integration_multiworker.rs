@@ -13,7 +13,7 @@ use sushi::core::serving::{
     ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimConfig, SimResult,
 };
 use sushi::core::stream::{attach_arrivals, uniform_stream};
-use sushi::sched::{AdaptiveOptions, TenantOptions};
+use sushi::sched::TenantOptions;
 use sushi::wsnet::zoo;
 
 /// Serves one fixed toy-zoo stream on `workers` functional replicas and
@@ -111,11 +111,12 @@ fn serve_adaptive_with_workers(workers: usize, routing: RoutingPolicy) -> SimRes
             queue_capacity: 120,
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(3, 0.1),
-            control: Some(TenantOptions::global(AdaptiveOptions {
+            control: Some(TenantOptions {
                 degrade_threshold: 0.05,
                 upgrade_threshold: 0.01,
                 dwell_ms: 0.02,
-            })),
+                ..TenantOptions::global()
+            }),
             ..SimConfig::default()
         })
         .build()

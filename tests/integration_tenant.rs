@@ -21,7 +21,7 @@ use sushi::core::serving::{
     SimResult,
 };
 use sushi::core::stream::{attach_arrivals, uniform_stream};
-use sushi::sched::{AdaptiveOptions, TenantOptions, TenantTier};
+use sushi::sched::{TenantOptions, TenantTier};
 use sushi::wsnet::zoo;
 
 /// FNV-1a over the little-endian bytes of each 64-bit word (the same
@@ -89,7 +89,7 @@ fn tiered_multi_tenant_beats_tierless_adaptive_on_lc_slo() {
     let tiered = run_scenario(ServePreset::MultiTenant, &opts).unwrap();
     // The same scenario under the one global ladder.
     let mut scenario = build_scenario(ServePreset::MultiTenant, &opts);
-    scenario.sim.control = Some(TenantOptions::global(AdaptiveOptions::default()));
+    scenario.sim.control = Some(TenantOptions::global());
     let tierless = EngineBuilder::new()
         .q_window(scenario.q_window)
         .candidates(opts.candidates)
@@ -131,7 +131,7 @@ fn tiered_multi_tenant_beats_tierless_adaptive_on_lc_slo() {
         for t in &trace.tiers {
             eprintln!(
                 "tier {:?}: final {} degrades {} upgrades {}",
-                t.tier, t.final_level, t.degrades, t.upgrades
+                t.tier, t.level, t.degrades, t.upgrades
             );
         }
     }
@@ -169,9 +169,8 @@ fn tiered_run_records_per_tier_trace_and_partitions_load() {
     assert_eq!(lc.offered + std.offered + be.offered, ExpOptions::quick().queries);
     assert_eq!(std.offered, 0, "no tenant maps to Standard in this preset");
     // Depth ordering carries to the trace: BE never shallower than LC.
-    let final_of = |tier| {
-        trace.tiers.iter().find(|t| t.tier == tier).map(|t| t.final_level).expect("tier trace")
-    };
+    let final_of =
+        |tier| trace.tiers.iter().find(|t| t.tier == tier).map(|t| t.level).expect("tier trace");
     assert!(final_of(TenantTier::LatencyCritical) <= final_of(TenantTier::BestEffort));
 }
 
@@ -284,7 +283,7 @@ fn later_of_adaptive_and_tenants_wins() {
         let ts = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(200, 9 ^ 0xD15).unwrap();
         engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap()
     };
-    let global = run(Some(TenantOptions::global(AdaptiveOptions::default())));
+    let global = run(Some(TenantOptions::global()));
     let tiered = run(Some(TenantOptions::default()));
     let fixed = run(None);
     let global_trace = global.adaptation.as_ref().expect("global run carries a trace");

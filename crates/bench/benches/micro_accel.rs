@@ -60,7 +60,7 @@ fn bench_price_batch(c: &mut Criterion) {
     let net = zoo::resnet50_supernet();
     let picks = zoo::paper_subnets(&net);
     let shared = net.shared_subgraph(&picks);
-    let table = ServiceTable::build(&zcu104(), &net, &picks, &[shared.clone()]);
+    let table = ServiceTable::build(&zcu104(), &net, &picks, std::slice::from_ref(&shared));
     let (resident, _) = table.install(None, 1);
     let mut accel = Accelerator::new(zcu104());
     accel.install_cache(&net, shared);

@@ -14,10 +14,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::{conv2d_i8_fused, conv2d_i8_in, Conv2dParams};
-use sushi_tensor::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs};
+use sushi_tensor::ops::gemm::gemm_i8_packed_pairs;
 use sushi_tensor::ops::pack::{
-    pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
-    packed_a_pairs_len, packed_b_len, packed_b_pairs_len,
+    pack_a_i8_pairs_into, pack_b_i8_pairs_into, packed_a_pairs_len, packed_b_pairs_len,
 };
 use sushi_tensor::{
     Arena, DetRng, Epilogue, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor,
@@ -49,12 +48,12 @@ fn bench_pack_throughput(c: &mut Criterion) {
     for (label, m, k, n) in shapes() {
         let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
+        let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
+        let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
         // Weight-side pack: paid once per SubGraph install.
         group.bench_function(&*format!("a_{label}_{m}x{k}"), |bch| {
             bch.iter(|| {
-                pack_a_i8_into(&mut pa, black_box(&a), 3, m, k).unwrap();
+                pack_a_i8_pairs_into(&mut pa, black_box(&a), 3, m, k).unwrap();
                 black_box(pa[0])
             })
         });
@@ -62,7 +61,7 @@ fn bench_pack_throughput(c: &mut Criterion) {
         // packed path's fixed per-call cost.
         group.bench_function(&*format!("b_{label}_{k}x{n}"), |bch| {
             bch.iter(|| {
-                pack_b_i8_into(&mut pb, black_box(&b), -7, k, n).unwrap();
+                pack_b_i8_pairs_into(&mut pb, black_box(&b), -7, k, n).unwrap();
                 black_box(pb[0])
             })
         });
@@ -76,10 +75,10 @@ fn bench_microkernel_rate(c: &mut Criterion) {
     for (label, m, k, n) in shapes() {
         let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, 3, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, -7, k, n).unwrap();
+        let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
+        let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
+        pack_a_i8_pairs_into(&mut pa, &a, 3, m, k).unwrap();
+        pack_b_i8_pairs_into(&mut pb, &b, -7, k, n).unwrap();
         let mut acc = vec![0i32; m * n];
         let gflop = 2.0 * (m * k * n) as f64 / 1e9;
         // Pre-packed sweep: pure microkernel arithmetic (the per-query
@@ -89,29 +88,17 @@ fn bench_microkernel_rate(c: &mut Criterion) {
         group.bench_function(&*format!("prepacked_{label}_{m}x{k}x{n}"), |bch| {
             bch.iter(|| {
                 acc.fill(0);
-                gemm_i8_packed(m, k, n, black_box(&pa), black_box(&pb), &mut acc).unwrap();
-                black_box(acc[0])
-            })
-        });
-        // K-pair (`pmaddwd`) sweep: the fused datapath's microkernel.
-        let mut pap = vec![0i16; packed_a_pairs_len(m, k)];
-        let mut pbp = vec![0i16; packed_b_pairs_len(k, n)];
-        pack_a_i8_pairs_into(&mut pap, &a, 3, m, k).unwrap();
-        pack_b_i8_pairs_into(&mut pbp, &b, -7, k, n).unwrap();
-        group.bench_function(&*format!("pairs_{label}_{m}x{k}x{n}"), |bch| {
-            bch.iter(|| {
-                acc.fill(0);
-                gemm_i8_packed_pairs(m, k, n, black_box(&pap), black_box(&pbp), &mut acc).unwrap();
+                gemm_i8_packed_pairs(m, k, n, black_box(&pa), black_box(&pb), &mut acc).unwrap();
                 black_box(acc[0])
             })
         });
         // Cold path: packs both operands per call (the no-cache fallback).
         group.bench_function(&*format!("coldpack_{label}_{m}x{k}x{n}"), |bch| {
             bch.iter(|| {
-                pack_a_i8_into(&mut pa, black_box(&a), 3, m, k).unwrap();
-                pack_b_i8_into(&mut pb, black_box(&b), -7, k, n).unwrap();
+                pack_a_i8_pairs_into(&mut pa, black_box(&a), 3, m, k).unwrap();
+                pack_b_i8_pairs_into(&mut pb, black_box(&b), -7, k, n).unwrap();
                 acc.fill(0);
-                gemm_i8_packed(m, k, n, &pa, &pb, &mut acc).unwrap();
+                gemm_i8_packed_pairs(m, k, n, &pa, &pb, &mut acc).unwrap();
                 black_box(acc[0])
             })
         });

@@ -45,7 +45,7 @@ use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
-use crate::serving::sim::{ServedRecord, ServingSim, SimConfig, SimResult};
+use crate::serving::sim::{check_constraints, ServedRecord, ServingSim, SimConfig, SimResult};
 use crate::stream::{ConstraintSpace, TimedQuery};
 use crate::variants::{build_tables, sample_candidates, Variant};
 
@@ -470,7 +470,9 @@ impl Engine {
     /// the run state's first worker.
     ///
     /// # Errors
-    /// Returns [`SushiError::Backend`] when the execution backend fails.
+    /// Returns [`SushiError::Stream`] when the query's accuracy constraint
+    /// is NaN or its latency constraint is NaN or negative, and
+    /// [`SushiError::Backend`] when the execution backend fails.
     pub fn serve(&mut self, query: &Query) -> Result<ServedRecord, SushiError> {
         self.sim.replay(self.backend.as_mut(), query)
     }
@@ -479,8 +481,11 @@ impl Engine {
     /// continuing from any state earlier calls accumulated.
     ///
     /// # Errors
-    /// Returns [`SushiError::Backend`] when the execution backend fails.
+    /// Returns [`SushiError::Stream`] before serving anything when any
+    /// query's constraints are refused as by [`Engine::serve`], and
+    /// [`SushiError::Backend`] when the execution backend fails.
     pub fn serve_stream(&mut self, queries: &[Query]) -> Result<Vec<ServedRecord>, SushiError> {
+        queries.iter().try_for_each(check_constraints)?;
         queries.iter().map(|q| self.serve(q)).collect()
     }
 
@@ -489,8 +494,10 @@ impl Engine {
     /// admission queue, dynamic batching, worker pool, SLO accounting).
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] on an empty or unsorted stream and
-    /// [`SushiError::Backend`] when the execution backend fails.
+    /// Returns [`SushiError::Stream`] on an empty or unsorted stream, a
+    /// non-finite arrival, or a query [`Engine::serve`] would refuse —
+    /// checked before anything is served — and [`SushiError::Backend`] when
+    /// the execution backend fails.
     pub fn serve_timed(&mut self, stream: &[TimedQuery]) -> Result<SimResult, SushiError> {
         self.sim.run(self.backend.as_mut(), stream)
     }

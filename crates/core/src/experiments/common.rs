@@ -131,7 +131,6 @@ impl Workload {
     /// # Panics
     /// Panics only on programmer error: the experiment knobs passed here
     /// are always a valid engine configuration.
-    #[must_use]
     pub fn engine(
         &self,
         variant: Variant,

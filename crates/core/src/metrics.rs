@@ -230,29 +230,6 @@ pub struct ServeSummary {
     pub degrades: usize,
     /// Adaptive level changes that upgraded (0 on static runs).
     pub upgrades: usize,
-    /// Drops shed by the admission queue for capacity
-    /// ([`crate::serving::DropReason::QueueFull`]).
-    pub dropped_queue_full: usize,
-    /// Drops whose deadline lapsed before dispatch
-    /// ([`crate::serving::DropReason::DeadlineLapsed`]).
-    pub dropped_deadline: usize,
-    /// Drops that exhausted their retry budget after transient failures
-    /// ([`crate::serving::DropReason::RetryBudgetExhausted`]; 0 on
-    /// fault-free runs).
-    pub dropped_retry_budget: usize,
-    /// Drops stranded by a permanently lost pool
-    /// ([`crate::serving::DropReason::ReplicaLost`]; 0 on fault-free runs).
-    pub dropped_replica_lost: usize,
-    /// Replica crashes enacted (0 on fault-free runs).
-    pub crashes: usize,
-    /// Queries re-admitted by the retry policy (0 on fault-free runs).
-    pub retries: usize,
-    /// Batches duplicated onto a backup replica (0 on fault-free runs).
-    pub hedges: usize,
-    /// Hedged batches the backup won (0 on fault-free runs).
-    pub hedges_won: usize,
-    /// Replica quarantines enacted (0 on fault-free runs).
-    pub quarantines: usize,
 }
 
 /// One scenario row of the `BENCH_serve.json` baseline.

@@ -75,6 +75,10 @@ pub(crate) struct DispatchReport {
     pub report: BatchReport,
 }
 
+/// One dispatched batch: its report, and the backend's outputs when it
+/// computes any.
+pub(crate) type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
+
 /// A pool of accelerator workers with simulated availability clocks.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorPool {
@@ -190,7 +194,7 @@ impl ExecutorPool {
     /// decision overwrites an unapplied one). Other replicas keep their
     /// resident SubGraphs — installs accrete across the pool instead of
     /// thrashing every PB.
-    pub fn route_install(&mut self, col: usize) {
+    pub(crate) fn route_install(&mut self, col: usize) {
         self.cache_installs += 1;
         self.pending_install = Some(col);
     }
@@ -207,14 +211,14 @@ impl ExecutorPool {
     /// Returns [`SushiError::Internal`] when the plan names a worker twice
     /// or a worker still busy at `now_ms`, and [`SushiError::Backend`] when
     /// the backend fails.
-    pub fn dispatch_group(
+    pub(crate) fn dispatch_group(
         &mut self,
         now_ms: f64,
         net: &SuperNet,
         subnets: &[SubNet],
         backend: &mut dyn ExecutionBackend,
         plan: &[PlannedBatch],
-    ) -> Result<Vec<(DispatchReport, Option<Vec<FunctionalOutput>>)>, SushiError> {
+    ) -> Result<Vec<Dispatched>, SushiError> {
         for (i, b) in plan.iter().enumerate() {
             if self.workers[b.worker].busy_until_ms > now_ms
                 || plan[..i].iter().any(|o| o.worker == b.worker)
@@ -274,26 +278,26 @@ impl ExecutorPool {
     }
     /// Number of cache decisions routed so far.
     #[must_use]
-    pub fn cache_installs(&self) -> usize {
+    pub(crate) fn cache_installs(&self) -> usize {
         self.cache_installs
     }
 
     /// Total PB swap (reload) time actually charged to batches, ms.
     #[must_use]
-    pub fn total_swap_ms(&self) -> f64 {
+    pub(crate) fn total_swap_ms(&self) -> f64 {
         self.swap_ms
     }
 
     /// Number of batches dispatched.
     #[must_use]
-    pub fn batches(&self) -> usize {
+    pub(crate) fn batches(&self) -> usize {
         self.batches
     }
 
     /// Number of applied installs that re-packed a crash-lost PB (a
     /// subset of [`Self::cache_installs`]'s applied decisions).
     #[must_use]
-    pub fn reinstalls(&self) -> usize {
+    pub(crate) fn reinstalls(&self) -> usize {
         self.reinstalls
     }
 }
@@ -313,8 +317,6 @@ pub(crate) mod tests {
         let max = net.materialize("max", &net.max_config()).expect("the max config is valid");
         ExecutorPool::new(Arc::new(ServiceTable::build(&zcu104(), &net, &[max], &[])), workers)
     }
-
-    type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
 
     /// MobileNetV3's paper picks on a ZCU104 pool whose service table's
     /// column 1 is pick 0's SubGraph.

@@ -343,7 +343,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
             let block = 2 * workload.q_window;
             let qs: Vec<Query> = (0..n)
                 .map(|i| {
-                    let q = if (i / block) % 2 == 0 { qs_lo[i] } else { qs_hi[i] };
+                    let q = if (i / block).is_multiple_of(2) { qs_lo[i] } else { qs_hi[i] };
                     Query::new(i as u64, q.accuracy_constraint, q.latency_constraint_ms)
                 })
                 .collect();
@@ -577,7 +577,7 @@ pub fn run_functional_scaling(
         let block = 8usize;
         let qs: Vec<Query> = (0..n)
             .map(|i| {
-                let q = if (i / block) % 2 == 0 { qs_lo[i] } else { qs_hi[i] };
+                let q = if (i / block).is_multiple_of(2) { qs_lo[i] } else { qs_hi[i] };
                 Query::new(i as u64, q.accuracy_constraint, q.latency_constraint_ms)
             })
             .collect();
@@ -696,7 +696,9 @@ mod tests {
         // pool on *both* the SLO-violation rate and goodput.
         let opts = ExpOptions::quick();
         let sup = run_scenario(ServePreset::Chaos, &opts).unwrap().summary();
-        let unsup = run_scenario_unsupervised(ServePreset::Chaos, &opts).unwrap().summary();
+        let unsup = run_scenario_unsupervised(ServePreset::Chaos, &opts).unwrap();
+        let faults = unsup.faults.clone().expect("a chaos run carries a fault summary");
+        let unsup = unsup.summary();
         assert!(
             sup.slo_violation_rate < unsup.slo_violation_rate,
             "supervised violations {} !< unsupervised {}",
@@ -709,8 +711,8 @@ mod tests {
             sup.goodput_qps,
             unsup.goodput_qps
         );
-        assert_eq!(unsup.retries, 0, "unsupervised pool must not retry");
-        assert_eq!(unsup.hedges, 0, "unsupervised pool must not hedge");
+        assert_eq!(faults.retries, 0, "unsupervised pool must not retry");
+        assert_eq!(faults.hedges, 0, "unsupervised pool must not hedge");
     }
 
     #[test]

@@ -242,16 +242,6 @@ impl SimResult {
             (0.0, 0.0, 0.0, 0.0)
         };
         let violations = (self.served.len() - met) + self.dropped.len();
-        let mut by_reason = [0usize; 4];
-        for d in &self.dropped {
-            by_reason[match d.reason {
-                DropReason::QueueFull => 0,
-                DropReason::DeadlineLapsed => 1,
-                DropReason::RetryBudgetExhausted => 2,
-                DropReason::ReplicaLost => 3,
-            }] += 1;
-        }
-        let f = self.faults.as_ref();
         ServeSummary {
             offered,
             completed: self.served.len(),
@@ -278,15 +268,6 @@ impl SimResult {
             makespan_ms: self.makespan_ms,
             degrades: self.adaptation.as_ref().map_or(0, |a| a.degrades),
             upgrades: self.adaptation.as_ref().map_or(0, |a| a.upgrades),
-            dropped_queue_full: by_reason[0],
-            dropped_deadline: by_reason[1],
-            dropped_retry_budget: by_reason[2],
-            dropped_replica_lost: by_reason[3],
-            crashes: f.map_or(0, |s| s.crashes),
-            retries: f.map_or(0, |s| s.retries),
-            hedges: f.map_or(0, |s| s.hedges),
-            hedges_won: f.map_or(0, |s| s.hedges_won),
-            quarantines: f.map_or(0, |s| s.quarantines),
         }
     }
 
@@ -353,6 +334,26 @@ impl SimResult {
         summary.upgrades = ladder.map_or(0, |t| t.upgrades);
         summary
     }
+}
+
+/// Refuses a query whose constraints no comparison can order: a NaN
+/// accuracy constraint, or a NaN or negative latency constraint. Every
+/// comparison with NaN is false, so such a query would get the best-effort
+/// row and could never meet its deadline or lapse it. An infinite latency
+/// constraint (or `f64::MAX`) means "no deadline" and passes.
+///
+/// # Errors
+/// Returns [`SushiError::Stream`] naming the query and its constraints.
+pub(crate) fn check_constraints(q: &Query) -> Result<(), SushiError> {
+    let lat = q.latency_constraint_ms;
+    if q.accuracy_constraint.is_nan() || lat.is_nan() || lat < 0.0 {
+        return Err(SushiError::Stream(format!(
+            "query {} has accuracy constraint {} and latency constraint {lat} ms; \
+             want a number and a non-negative number",
+            q.id, q.accuracy_constraint
+        )));
+    }
+    Ok(())
 }
 
 /// Exact p99 order statistic of `samples` (`0.0` when there are none) —
@@ -452,13 +453,15 @@ impl ServingSim {
     /// serving config's batching, routing, control and faults play no part.
     ///
     /// # Errors
-    /// Returns [`SushiError::Backend`] when the backend fails; no install
-    /// is routed then.
+    /// Returns [`SushiError::Stream`] for a query [`check_constraints`]
+    /// refuses, and [`SushiError::Backend`] when the backend fails; no
+    /// install is routed then.
     pub(crate) fn replay(
         &mut self,
         backend: &mut dyn ExecutionBackend,
         query: &Query,
     ) -> Result<ServedRecord, SushiError> {
+        check_constraints(query)?;
         let decision = self.sched.decide(query);
         let row = decision.subnet_row;
         let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id] }];
@@ -492,8 +495,10 @@ impl ServingSim {
     ///
     /// # Errors
     /// Returns [`SushiError::Stream`] if the stream is empty, has a
-    /// non-finite arrival time, or is not sorted by arrival time, and
-    /// [`SushiError::Backend`] when the backend fails.
+    /// non-finite arrival time or a query [`check_constraints`] refuses,
+    /// or is not sorted by arrival time, and [`SushiError::Backend`] when
+    /// the backend fails. The whole stream is checked before anything is
+    /// served.
     pub(crate) fn run(
         &mut self,
         backend: &mut dyn ExecutionBackend,
@@ -508,6 +513,7 @@ impl ServingSim {
                 tq.arrival_ms, tq.query.id
             )));
         }
+        stream.iter().try_for_each(|tq| check_constraints(&tq.query))?;
         if !stream.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms) {
             return Err(SushiError::Stream("stream must be sorted by arrival time".into()));
         }
@@ -734,7 +740,7 @@ impl ServingSim {
                             }
                             let warm =
                                 if fault.cache_warm(w) { self.pool.overlap(w, row) } else { 0.0 };
-                            if backup.map_or(true, |(_, best)| warm > best) {
+                            if backup.is_none_or(|(_, best)| warm > best) {
                                 backup = Some((w, warm));
                             }
                         }
@@ -1076,6 +1082,39 @@ mod tests {
                 arrivals.iter().zip(&qs).map(|(&t, &q)| TimedQuery::new(t, q)).collect();
             let err = s.serve_timed(&st).unwrap_err();
             assert!(matches!(err, SushiError::Stream(_)), "{arrivals:?}: {err}");
+        }
+    }
+
+    /// A NaN accuracy constraint, or a NaN or negative latency one, is a
+    /// stream error on every serving entry point, and a stream holding one
+    /// serves nothing. Unbounded latency constraints stay valid.
+    #[test]
+    fn hostile_constraints_are_stream_errors() {
+        let (mut s, space) = sim(SimConfig::default());
+        let good = uniform_stream(&space, 1, 1)[0];
+        let hostile = [
+            Query { accuracy_constraint: f64::NAN, ..good },
+            Query { latency_constraint_ms: f64::NAN, ..good },
+            Query { latency_constraint_ms: -1.0, ..good },
+            Query { latency_constraint_ms: f64::NEG_INFINITY, ..good },
+        ];
+        for bad in hostile {
+            let timed = [TimedQuery::new(0.0, good), TimedQuery::new(1.0, bad)];
+            for err in [
+                s.serve(&bad).unwrap_err(),
+                s.serve_stream(&[good, bad]).unwrap_err(),
+                s.serve_timed(&timed).unwrap_err(),
+            ] {
+                assert!(matches!(err, SushiError::Stream(_)), "{bad:?}: {err}");
+            }
+        }
+        let (mut fresh, _) = sim(SimConfig::default());
+        assert_eq!(s.serve(&good).unwrap(), fresh.serve(&good).unwrap(), "nothing was served");
+        for ms in [f64::MAX, f64::INFINITY] {
+            let q = Query { latency_constraint_ms: ms, ..good };
+            assert!(s.serve(&q).unwrap().served_latency_ms <= ms, "{ms}");
+            let result = s.serve_timed(&[TimedQuery::new(0.0, q)]).unwrap();
+            assert!(result.served.iter().all(ServedQuery::met_slo), "{ms}");
         }
     }
 

@@ -243,7 +243,7 @@ proptest! {
             );
         }
 
-        // Per-reason partition, cross-checked against the summary.
+        // Per-reason partition: every drop has exactly one reason.
         let mut by_reason = [0usize; 4];
         for d in &result.dropped {
             by_reason[match d.reason {
@@ -253,12 +253,7 @@ proptest! {
                 DropReason::ReplicaLost => 3,
             }] += 1;
         }
-        let s = result.summary();
-        prop_assert_eq!(s.dropped, result.dropped.len());
-        prop_assert_eq!(s.dropped_queue_full, by_reason[0]);
-        prop_assert_eq!(s.dropped_deadline, by_reason[1]);
-        prop_assert_eq!(s.dropped_retry_budget, by_reason[2]);
-        prop_assert_eq!(s.dropped_replica_lost, by_reason[3]);
+        prop_assert_eq!(result.summary().dropped, result.dropped.len());
         prop_assert_eq!(by_reason.iter().sum::<usize>(), result.dropped.len());
 
         // An unsupervised pool never retries, hedges, or quarantines.

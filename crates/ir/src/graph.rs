@@ -72,8 +72,9 @@ pub struct EpilogueSpec {
     pub bn: Option<BnFold>,
     /// Activation applied to the requantized output.
     pub act: Activation,
-    /// Weight pack layout the lowered step will use. [`PackLayout::KPair`]
-    /// selects the fused `pmaddwd` datapath.
+    /// The conv entry point the lowered step's weight pack is for:
+    /// [`PackLayout::KPair`] selects the fused conv (`Step::FusedConv`),
+    /// [`PackLayout::Panel`] the unfused one.
     pub layout: PackLayout,
     /// The patch matrix equals the input slice (1×1/stride-1/unpadded dense
     /// conv), so the fused step skips im2col entirely.

@@ -16,8 +16,8 @@
 //! 5. [`Dce`] — tombstones live non-output nodes nothing consumes.
 //! 6. [`AnnotateLayout`] — marks dense convs whose `Auto` kernel policy
 //!    resolves to the GEMM backend with [`PackLayout::KPair`], selecting the
-//!    fused `pmaddwd` datapath at lowering, and flags 1×1/stride-1/unpadded
-//!    convs to skip im2col.
+//!    fused conv at lowering, and flags 1×1/stride-1/unpadded convs to skip
+//!    im2col.
 //!
 //! [`run_to_fixpoint`] applies them in deterministic order; the confluence
 //! test below pins that any *presentation order* of this catalog reaches the

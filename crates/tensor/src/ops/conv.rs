@@ -14,7 +14,8 @@
 //!   output coordinate, so the innermost loops run branch-free over
 //!   contiguous rows.
 //! * **Im2colGemm** — patch-matrix lowering ([`crate::ops::im2col`]) plus
-//!   the panel-packed microkernel GEMM ([`crate::ops::gemm`]). All scratch
+//!   the k-pair packed GEMM ([`crate::ops::gemm`]) that the fused conv
+//!   also runs, here with requantization after the product. All scratch
 //!   (patch matrix, packed operands, accumulator) lives in a caller-owned
 //!   [`Arena`] reused across calls, so steady-state serving performs no
 //!   heap allocation for scratch. Weights can additionally be pre-packed
@@ -32,11 +33,11 @@
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
-use crate::ops::gemm::{gemm_i8_packed, gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
+use crate::ops::gemm::{gemm_i8_packed_pairs, gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
 use crate::ops::im2col::im2col;
 use crate::ops::pack::{
-    pack_a_i8_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len, packed_b_len,
-    packed_b_pairs_len, PackLayout, PackedConv2d, NR,
+    pack_a_i8_pairs_into, pack_b_i8_pairs_into, packed_a_pairs_len, packed_b_pairs_len, PackLayout,
+    PackedConv2d, NR,
 };
 use crate::quant::{requantize_accumulator, requantize_row, QuantParams};
 use crate::shape::{conv_out_dim, Shape4};
@@ -196,9 +197,9 @@ pub(crate) fn kernel_ranges(
 /// `K`. `policy` picks the backend ([`KernelPolicy::Auto`] resolves per
 /// problem) and the result is **bit-identical** across backends. The GEMM
 /// backend takes its scratch from `arena`, and reads `packed` — the
-/// weights' install-time [`PackLayout::Panel`] panels — in place when given,
-/// instead of packing `weights` per call. The direct loops and the
-/// depthwise kernel read `weights`; the depthwise kernel also takes its
+/// weights' install-time panels, tagged [`PackLayout::Panel`] — in place
+/// when given, instead of packing `weights` per call. The direct loops and
+/// the depthwise kernel read `weights`; the depthwise kernel also takes its
 /// input planes and accumulator from `arena`.
 ///
 /// # Errors
@@ -278,15 +279,15 @@ fn conv2d_i8_gemm(
     let acc_scale = in_q.scale * w_q.scale / out_q.scale;
     let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
     let pa_scratch = match src {
-        PackSource::Raw(_) => packed_a_len(kg, kdim),
+        PackSource::Raw(_) => packed_a_pairs_len(kg, kdim),
         PackSource::Prepacked(_) => 0,
     };
     let (patches, pa_buf, pb, acc) =
-        arena.i8_conv(kdim * npix, pa_scratch, packed_b_len(kdim, npix), kg * npix);
+        arena.i8_conv(kdim * npix, pa_scratch, packed_b_pairs_len(kdim, npix), kg * npix);
     for g in 0..params.groups {
         let pa: &[i16] = match src {
             PackSource::Raw(wdata) => {
-                pack_a_i8_into(
+                pack_a_i8_pairs_into(
                     pa_buf,
                     &wdata[g * kg * kdim..(g + 1) * kg * kdim],
                     w_q.zero_point,
@@ -301,9 +302,9 @@ fn conv2d_i8_gemm(
             // Padding cells are written as the input zero point so the
             // pack-time Zero-Subtraction turns them into literal zeros.
             im2col(input, n, g * cg, cg, params, oh, ow, in_q.zero_point, patches)?;
-            pack_b_i8_into(pb, patches, in_q.zero_point, kdim, npix)?;
+            pack_b_i8_pairs_into(pb, patches, in_q.zero_point, kdim, npix)?;
             acc.fill(0);
-            gemm_i8_packed(kg, kdim, npix, pa, pb, acc)?;
+            gemm_i8_packed_pairs(kg, kdim, npix, pa, pb, acc)?;
             for kk in 0..kg {
                 let k = g * kg + kk;
                 let bias_v = bias.map_or(0, |b| b[k]);
@@ -436,8 +437,7 @@ fn conv2d_i8_direct(
         for k in 0..k_total {
             let g = k / kg;
             let bias_v = bias.map_or(0, |b| b[k]);
-            for oy in 0..oh {
-                let (ry_lo, ry_hi) = ry_ranges[oy];
+            for (oy, &(ry_lo, ry_hi)) in ry_ranges.iter().enumerate() {
                 let orow = out.row_mut(n, k, oy);
                 for (ox, o) in orow.iter_mut().enumerate() {
                     let (rx_lo, rx_hi) = rx_ranges[ox];

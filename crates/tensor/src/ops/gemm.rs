@@ -1,38 +1,40 @@
-//! Panel-packed GEMM with register microkernels, and the kernel-backend
-//! policy.
+//! The int8 GEMM: one packed, register-blocked kernel, and the
+//! kernel-backend policy.
 //!
 //! The SUSHI datapath lowers dense convolutions to matrix multiplication
 //! (see [`crate::ops::im2col`]): weights become an `M×K` row-major matrix,
 //! the im2col patch matrix is `K×N`, and the output activations fall out as
-//! `M×N` rows that map one-to-one onto contiguous NCHW output rows. The
-//! kernels here are the repo's hot path, structured BLIS-style:
+//! `M×N` rows that map one-to-one onto contiguous NCHW output rows. Both
+//! conv entry points run the one kernel here, structured BLIS-style:
 //!
 //! * **Packing** ([`crate::ops::pack`]) — both operands are repacked into
-//!   panel layouts whose inner stride equals the register tile, so the
-//!   microkernel only ever loads contiguous `MR`/`NR` runs. The quantized
-//!   path subtracts zero points *at pack time* (`i8 → i16`), removing all
-//!   per-MAC zero-point work.
-//! * **`MR×NR` microkernels** — a 4×8 register tile of `C` accumulates in
-//!   locals across a `KC` panel; each loaded A value is reused `NR` times
-//!   and each B value `MR` times from registers. A `std::arch` AVX2 path is
-//!   selected at runtime via `is_x86_feature_detected!`; the portable
-//!   kernel is the always-correct fallback, and the two agree bit-exactly.
+//!   panels whose inner stride equals the register tile, with adjacent k
+//!   steps interleaved in pairs, so the microkernel only ever loads
+//!   contiguous `MR`/`NR` runs of pairs. Zero points are subtracted *at
+//!   pack time* (`i8 → i16`), removing all per-MAC zero-point work.
+//! * **`MR×NR` microkernel** — a 4×8 register tile of `C` accumulates in
+//!   locals across a `KC` panel; each loaded A pair is reused `NR` times
+//!   and each B pair `MR` times from registers. The AVX2 path
+//!   (`pmaddwd`, 16 multiply-accumulates per instruction) is selected at
+//!   runtime via `is_x86_feature_detected!`; the portable kernel is the
+//!   always-correct fallback, and the two agree bit-exactly.
 //! * **Cache blocking** — `KC`-deep reduction panels keep one `KC×NR` B
 //!   panel L1-resident, and `MC`-row blocks of packed A stay L2-resident
 //!   while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
 //!   row-panel blocks dispatched via `std::thread::scope`.
-//! * **Fused tail** — for the fused conv, the k-pair driver finishes each
+//! * **Fused tail** — for the fused conv, the driver finishes each
 //!   register tile of the last K block with the layer's epilogue
 //!   ([`crate::ops::epilogue`]) inside the worker threads and writes `i8`
 //!   rows; earlier K blocks, when there are any, keep partial sums in `i32`
-//!   scratch.
+//!   scratch. The unfused conv takes the plain `i32` product
+//!   ([`gemm_i8_packed_pairs`]) and requantizes it afterwards.
 //!
 //! The only operand type is int8, as on SushiAccel (the paper's footnote
-//! 3). [`gemm_i8_packed`] and [`gemm_i8_packed_pairs`] are bit-identical to
-//! the scalar reference loops under every blocking/ISA choice: the packed
-//! operands hold exactly `(a − zp_a)` / `(b − zp_b)` and `i32` addition is
-//! associative, so reassociating the reduction cannot change the sum.
+//! 3). [`gemm_i8_packed_pairs`] is bit-identical to the scalar reference
+//! loops under every blocking/ISA choice: the packed operands hold exactly
+//! `(a − zp_a)` / `(b − zp_b)` and `i32` addition is associative, so
+//! reassociating the reduction cannot change the sum.
 //!
 //! # Tuned thresholds (measured on the repo's 8-core x86-64 CI box)
 //!
@@ -61,9 +63,7 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use crate::error::TensorError;
-use crate::ops::pack::{
-    packed_a_len, packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
-};
+use crate::ops::pack::{packed_a_pairs_len, packed_b_pairs_len, MR, NR};
 
 /// Which kernel implementation the unfused conv should use.
 ///
@@ -189,60 +189,14 @@ fn detect_simd() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Microkernels: MR×NR register tiles over packed panels.
+// Microkernels: MR×NR register tiles over pair-interleaved packed panels.
 //
-// Contract: `a` is a k-major MR-row panel slice (`kc·MR` values), `b` a
-// k-major NR-column panel slice (`kc·NR` values); `acc` accumulates the
-// MR×NR product tile in row-major order. Padded panel cells are zero (after
-// zero-point subtraction), so they can never perturb `acc`.
+// Contract: `a` is an MR-row panel slice of `kpairs·MR·2` values and `b` an
+// NR-column panel slice of `kpairs·NR·2` values, both k-pair-major (see
+// `crate::ops::pack`); `acc` accumulates the MR×NR product tile in
+// row-major order. Padded panel cells are zero (after zero-point
+// subtraction), so they can never perturb `acc`.
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn mk_i16_portable(kc: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
-    for kk in 0..kc {
-        let av = &a[kk * MR..kk * MR + MR];
-        let bv = &b[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let ar = i32::from(av[r]);
-            for j in 0..NR {
-                acc[r * NR + j] += ar * i32::from(bv[j]);
-            }
-        }
-    }
-}
-
-/// AVX2 int microkernel: B's 8 i16 lanes widen to one i32 ymm; products use
-/// `mullo_epi32` + `add_epi32`, the exact portable arithmetic — so this
-/// path is bit-identical to [`mk_i16_portable`], not just close.
-///
-/// # Safety
-/// Caller must have verified AVX2 support and pass slices satisfying the
-/// microkernel contract above.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mk_i16_avx2(kc: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
-    use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_cvtepi16_epi32, _mm256_loadu_si256, _mm256_mullo_epi32,
-        _mm256_set1_epi32, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut c0 = _mm256_loadu_si256(acc.as_ptr().cast());
-    let mut c1 = _mm256_loadu_si256(acc.as_ptr().add(NR).cast());
-    let mut c2 = _mm256_loadu_si256(acc.as_ptr().add(2 * NR).cast());
-    let mut c3 = _mm256_loadu_si256(acc.as_ptr().add(3 * NR).cast());
-    for kk in 0..kc {
-        let bv = _mm256_cvtepi16_epi32(_mm_loadu_si128(b.as_ptr().add(kk * NR).cast()));
-        let ap = a.as_ptr().add(kk * MR);
-        c0 = _mm256_add_epi32(c0, _mm256_mullo_epi32(_mm256_set1_epi32(i32::from(*ap)), bv));
-        c1 = _mm256_add_epi32(c1, _mm256_mullo_epi32(_mm256_set1_epi32(i32::from(*ap.add(1))), bv));
-        c2 = _mm256_add_epi32(c2, _mm256_mullo_epi32(_mm256_set1_epi32(i32::from(*ap.add(2))), bv));
-        c3 = _mm256_add_epi32(c3, _mm256_mullo_epi32(_mm256_set1_epi32(i32::from(*ap.add(3))), bv));
-    }
-    _mm256_storeu_si256(acc.as_mut_ptr().cast(), c0);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(NR).cast(), c1);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(2 * NR).cast(), c2);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(3 * NR).cast(), c3);
-}
 
 #[inline(always)]
 fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
@@ -262,10 +216,10 @@ fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR
 /// AVX2 `pmaddwd` microkernel over pair-interleaved panels: one 256-bit B
 /// load per k-pair carries `[b(k₀,j), b(k₁,j)]` for 8 columns; each A row's
 /// pair broadcasts as a 32-bit value and `_mm256_madd_epi16` retires 16
-/// multiply-accumulates per instruction (vs 8 for the `mullo` kernel).
+/// multiply-accumulates per instruction.
 ///
-/// Bit-identical to [`mk_i16_pairs_portable`] (and therefore to the `mullo`
-/// and scalar paths): the `i16` products are exact in `i32` — operands are
+/// Bit-identical to [`mk_i16_pairs_portable`] (and therefore to the scalar
+/// reference loops): the `i16` products are exact in `i32` — operands are
 /// zero-point-subtracted `i8` values, so `|a·b| ≤ 255² = 65 025` and a pair
 /// sum stays below `2¹⁸` — and `i32` addition is associative, so
 /// reassociating the reduction into pairs cannot change the sum. With the
@@ -385,65 +339,11 @@ fn take_front<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-// ---------------------------------------------------------------------------
-// Packed-operand drivers: kb (KC) → row block (MC) → column panel (NR) →
-// row panel (MR) → microkernel. The B panel slice is L1-resident across the
-// inner row-panel sweep; the MC×KC block of packed A is L2-resident across
-// the column-panel sweep.
-// ---------------------------------------------------------------------------
-
-fn gemm_block_i8_packed(k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32], simd: bool) {
-    let m = c.len() / n;
-    let n_panels = n.div_ceil(NR);
-    for kb in (0..k).step_by(KC) {
-        let kc = KC.min(k - kb);
-        for i0 in (0..m).step_by(MC) {
-            let rows_block = MC.min(m - i0);
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let cols = NR.min(n - j0);
-                let bp = &pb[jp * k * NR + kb * NR..jp * k * NR + (kb + kc) * NR];
-                for ip in (i0 / MR)..(i0 + rows_block).div_ceil(MR) {
-                    let ap = &pa[ip * k * MR + kb * MR..ip * k * MR + (kb + kc) * MR];
-                    let mut acc = [0i32; MR * NR];
-                    #[cfg(target_arch = "x86_64")]
-                    if simd {
-                        // SAFETY: `simd` is only true when AVX2 was
-                        // detected; slices satisfy the kernel contract.
-                        unsafe { mk_i16_avx2(kc, ap, bp, &mut acc) }
-                    } else {
-                        mk_i16_portable(kc, ap, bp, &mut acc);
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    {
-                        let _ = simd;
-                        mk_i16_portable(kc, ap, bp, &mut acc);
-                    }
-                    writeback(c, n, ip * MR, j0, MR.min(m - ip * MR), cols, &acc, false);
-                }
-            }
-        }
-    }
-}
-
-fn run_packed_i8(m: usize, k: usize, n: usize, pa: &[i16], pb: &[i16], c: &mut [i32], simd: bool) {
-    let threads = worker_count(m, k, n);
-    if threads <= 1 {
-        gemm_block_i8_packed(k, n, pa, pb, c, simd);
-        return;
-    }
-    let panels_per = m.div_ceil(MR).div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, c_chunk) in c.chunks_mut(panels_per * MR * n).enumerate() {
-            let pa_chunk = &pa[chunk_idx * panels_per * MR * k..];
-            scope.spawn(move || gemm_block_i8_packed(k, n, pa_chunk, pb, c_chunk, simd));
-        }
-    });
-}
-
-/// Pair-interleaved block driver: identical KC/MC blocking to
-/// [`gemm_block_i8_packed`], with every k index counted in pairs (the panel
-/// stride per k-pair is `2·MR` / `2·NR` elements).
+/// Block driver: kb (KC) → row block (MC) → column panel (NR) → row panel
+/// (MR) → microkernel, with every k index counted in pairs (the panel
+/// stride per k-pair is `2·MR` / `2·NR` elements). The B panel slice stays
+/// L1-resident across the inner row-panel sweep; the MC×KC block of packed
+/// A stays L2-resident across the column-panel sweep.
 ///
 /// Without a `tail` it accumulates into the `m×n` `c`. With one, the last
 /// K block hands its tiles to the tail, and `c` is scratch for the partial
@@ -559,40 +459,14 @@ fn check_packed_lens(
     Ok(())
 }
 
-/// `C += (A − zp_a)·(B − zp_b)` over pre-packed, zero-point-subtracted
-/// `i16` operands (see [`crate::ops::pack::pack_a_i8_into`] /
-/// [`crate::ops::pack::pack_b_i8_into`]); `C` is a dense row-major `m×n`
-/// `i32` accumulator.
-///
-/// Bit-identical to the scalar reference for every blocking and ISA choice.
-///
-/// # Errors
-/// Returns an error if any slice length disagrees with the packed-layout
-/// lengths.
-pub fn gemm_i8_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    pa: &[i16],
-    pb: &[i16],
-    c: &mut [i32],
-) -> Result<(), TensorError> {
-    check_packed_lens(pa.len(), packed_a_len(m, k), pb.len(), packed_b_len(k, n), c.len(), m * n)?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(());
-    }
-    run_packed_i8(m, k, n, pa, pb, c, simd_kernels_active());
-    Ok(())
-}
-
 /// `C += (A − zp_a)·(B − zp_b)` over **pair-interleaved** pre-packed `i16`
 /// operands (see [`crate::ops::pack::pack_a_i8_pairs_into`] /
 /// [`crate::ops::pack::pack_b_i8_pairs_into`]); `C` is a dense row-major
 /// `m×n` `i32` accumulator.
 ///
-/// This is the `pmaddwd` fast path: on AVX2 it retires twice the
-/// multiply-accumulates per instruction of [`gemm_i8_packed`], and its
-/// result is **bit-identical** to it (exact `i16·i16` products, associative
+/// On AVX2 this runs the `pmaddwd` microkernel, 16 multiply-accumulates per
+/// instruction. The result is **bit-identical** to the scalar reference for
+/// every blocking and ISA choice (exact `i16·i16` products, associative
 /// `i32` reduction — see `mk_i16_pairs_avx2` for the overflow budget).
 ///
 /// # Errors
@@ -654,7 +528,7 @@ pub(crate) fn gemm_i8_pairs_fused<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::pack::{pack_a_i8_into, pack_b_i8_into};
+    use crate::ops::pack::{pack_a_i8_pairs_into, pack_b_i8_pairs_into};
     use crate::rng::DetRng;
 
     /// `C += (A − zp_a)·(B − zp_b)` through the packing + dispatched kernel.
@@ -669,11 +543,25 @@ mod tests {
         zp_b: i8,
         c: &mut [i32],
     ) -> Result<(), TensorError> {
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, a, zp_a, m, k)?;
-        pack_b_i8_into(&mut pb, b, zp_b, k, n)?;
-        gemm_i8_packed(m, k, n, &pa, &pb, c)
+        let (pa, pb) = pack(m, k, n, a, zp_a, b, zp_b)?;
+        gemm_i8_packed_pairs(m, k, n, &pa, &pb, c)
+    }
+
+    /// Both operands of an `m×k` by `k×n` product, packed.
+    fn pack(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[i8],
+        zp_a: i8,
+        b: &[i8],
+        zp_b: i8,
+    ) -> Result<(Vec<i16>, Vec<i16>), TensorError> {
+        let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
+        let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
+        pack_a_i8_pairs_into(&mut pa, a, zp_a, m, k)?;
+        pack_b_i8_pairs_into(&mut pb, b, zp_b, k, n)?;
+        Ok((pa, pb))
     }
 
     /// The scalar triple loop every packed product must reproduce exactly.
@@ -747,19 +635,17 @@ mod tests {
     #[test]
     fn degenerate_dims_are_no_ops() {
         let mut c: [i32; 0] = [];
-        gemm_i8_packed(0, 4, 0, &[], &[], &mut c).unwrap();
+        gemm_i8_packed_pairs(0, 4, 0, &[], &[], &mut c).unwrap();
         let mut c2 = [1i32, 2];
-        gemm_i8_packed(2, 0, 1, &[], &[], &mut c2).unwrap();
-        assert_eq!(c2, [1, 2]); // k == 0 leaves C untouched
         gemm_i8_packed_pairs(2, 0, 1, &[], &[], &mut c2).unwrap();
-        assert_eq!(c2, [1, 2]);
+        assert_eq!(c2, [1, 2]); // k == 0 leaves C untouched
     }
 
     #[test]
     fn rejects_wrong_a_len() {
         let mut c = [0i32; 4];
-        let pb = vec![0i16; packed_b_len(2, 2)];
-        assert!(gemm_i8_packed(2, 2, 2, &[0; 3], &pb, &mut c).is_err());
+        let pb = vec![0i16; packed_b_pairs_len(2, 2)];
+        assert!(gemm_i8_packed_pairs(2, 2, 2, &[0; 3], &pb, &mut c).is_err());
         assert!(packed_product(2, 2, 2, &[0; 3], 0, &[0; 4], 0, &mut c).is_err());
         assert!(packed_product(2, 2, 2, &[0; 4], 0, &[0; 4], 0, &mut [0i32; 3]).is_err());
     }
@@ -781,52 +667,35 @@ mod tests {
         let (m, k, n) = (66, 130, 131);
         let mut rng = DetRng::new(99);
         let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, 5, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, -11, k, n).unwrap();
+        let (pa, pb) = pack(m, k, n, &a, 5, &b, -11).unwrap();
         let mut threaded = vec![0i32; m * n];
-        gemm_i8_packed(m, k, n, &pa, &pb, &mut threaded).unwrap();
+        gemm_i8_packed_pairs(m, k, n, &pa, &pb, &mut threaded).unwrap();
         let mut single = vec![0i32; m * n];
-        gemm_block_i8_packed(k, n, &pa, &pb, &mut single, simd_kernels_active());
+        let (none, simd) = (None::<Tail<'_, NoTail>>, simd_kernels_active());
+        gemm_block_i8_pairs(m, k.div_ceil(2), n, &pa, &pb, &mut single, none, simd);
         assert_eq!(threaded, single);
     }
 
     /// The dispatched (AVX2 where detected) and portable microkernels
-    /// agree bit for bit in both layouts, across random shapes with
-    /// `m % MR` / `n % NR` tails, odd `k` (the k-pair kernel's zero pad
-    /// pair) and the full zero-point range. Without AVX2 this is trivially
-    /// true.
+    /// agree bit for bit across random shapes with `m % MR` / `n % NR`
+    /// tails, odd `k` (the zero pad pair) and the full zero-point range.
+    /// Without AVX2 this is trivially true.
     #[test]
     fn simd_and_portable_i8_agree_bit_exactly() {
-        use crate::ops::pack::{pack_a_i8_pairs_into, pack_b_i8_pairs_into};
         let mut rng = DetRng::new(17);
         let simd = simd_kernels_active();
         for case in 0..48 {
             let (m, k, n) = (1 + rng.below(13), 1 + rng.below(40), 1 + rng.below(21));
             let (zp_a, zp_b) = (rng.next_i8(), rng.next_i8());
             let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
-            let mut pa = vec![0i16; packed_a_len(m, k)];
-            let mut pb = vec![0i16; packed_b_len(k, n)];
-            pack_a_i8_into(&mut pa, &a, zp_a, m, k).unwrap();
-            pack_b_i8_into(&mut pb, &b, zp_b, k, n).unwrap();
-            let [dispatched, portable] = [simd, false].map(|simd| {
-                let mut c = vec![0i32; m * n];
-                run_packed_i8(m, k, n, &pa, &pb, &mut c, simd);
-                c
-            });
-            assert_eq!(dispatched, portable, "panel kernel, case {case}: {m}x{k}x{n}");
-            let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
-            let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
-            pack_a_i8_pairs_into(&mut pa, &a, zp_a, m, k).unwrap();
-            pack_b_i8_pairs_into(&mut pb, &b, zp_b, k, n).unwrap();
+            let (pa, pb) = pack(m, k, n, &a, zp_a, &b, zp_b).unwrap();
             let [dispatched, portable] = [simd, false].map(|simd| {
                 let mut c = vec![0i32; m * n];
                 let none = None::<Tail<'_, NoTail>>;
                 run_packed_i8_pairs(m, k.div_ceil(2), n, &pa, &pb, &mut c, none, simd);
                 c
             });
-            assert_eq!(dispatched, portable, "k-pair kernel, case {case}: {m}x{k}x{n}");
+            assert_eq!(dispatched, portable, "case {case}: {m}x{k}x{n}");
         }
     }
 

@@ -114,14 +114,14 @@ mod tests {
     use super::*;
     use crate::shape::{conv_out_dim, Shape4};
 
+    /// Input cell that kernel tap `(ry, rx)` of output pixel `(oy, ox)`
+    /// reads, or `pad` outside the input.
     fn reference_cell<T: Element>(
         input: &Tensor<T>,
         n: usize,
         c: usize,
-        ry: usize,
-        rx: usize,
-        oy: usize,
-        ox: usize,
+        (ry, rx): (usize, usize),
+        (oy, ox): (usize, usize),
         params: &Conv2dParams,
         pad: T,
     ) -> T {
@@ -150,7 +150,8 @@ mod tests {
                     for oy in 0..oh {
                         for ox in 0..ow {
                             let got = patches[kd * oh * ow + oy * ow + ox];
-                            let want = reference_cell(&input, 0, cc, ry, rx, oy, ox, params, pad);
+                            let want =
+                                reference_cell(&input, 0, cc, (ry, rx), (oy, ox), params, pad);
                             assert_eq!(got, want, "cell c={cc} ry={ry} rx={rx} oy={oy} ox={ox}");
                         }
                     }

@@ -1,23 +1,24 @@
-//! Operand packing for the panel-blocked GEMM kernels (`crate::ops::gemm`).
+//! Operand packing for the k-pair GEMM kernel (`crate::ops::gemm`).
 //!
-//! The microkernels in [`crate::ops::gemm`] never touch row-major operands:
-//! both inputs are first repacked into panel layouts whose inner stride
-//! matches the register tile, so every microkernel iteration loads exactly
-//! `MR` contiguous A values and `NR` contiguous B values:
+//! The microkernel in [`crate::ops::gemm`] never touches row-major
+//! operands: both inputs are first repacked into panels whose inner stride
+//! matches the register tile, with adjacent reduction steps interleaved in
+//! pairs, so every microkernel iteration loads `MR` contiguous A pairs and
+//! `NR` contiguous B pairs — the operands of one `pmaddwd` per A row:
 //!
 //! ```text
-//!   A (m × k, row-major)          packed A: row panels, k-major
-//!   ┌───────────────┐             ┌ panel 0: a[0..MR) of col 0,
-//!   │ r0 ──────────▶│             │          a[0..MR) of col 1, … (k steps)
-//!   │ r1 ──────────▶│   pack_a    ├ panel 1: rows MR..2·MR, k-major
+//!   A (m × k, row-major)          packed A: MR-row panels, one cell per k-pair
+//!   ┌───────────────┐             ┌ panel 0: [a(0,0) a(0,1)] [a(1,0) a(1,1)] …
+//!   │ r0 ──────────▶│             │          (MR pairs), then k-pair 1, …
+//!   │ r1 ──────────▶│   pack_a    ├ panel 1: rows MR..2·MR, same order
 //!   │ …             │  ────────▶  ├ …
-//!   └───────────────┘             └ last panel zero-padded to MR rows
+//!   └───────────────┘             └ tail rows and an odd k's last half are 0
 //!
-//!   B (k × n, row-major)          packed B: column panels, k-major
-//!   ┌───────────────┐             ┌ panel 0: b[0..NR) of row 0,
-//!   │ c0 c1 c2 …    │   pack_b    │          b[0..NR) of row 1, … (k steps)
-//!   │ ▼  ▼  ▼       │  ────────▶  ├ panel 1: cols NR..2·NR, k-major
-//!   └───────────────┘             └ last panel zero-padded to NR cols
+//!   B (k × n, row-major)          packed B: NR-column panels, one cell per k-pair
+//!   ┌───────────────┐             ┌ panel 0: [b(0,0) b(1,0)] [b(0,1) b(1,1)] …
+//!   │ c0 c1 c2 …    │   pack_b    │          (NR pairs), then k-pair 1, …
+//!   │ ▼  ▼  ▼       │  ────────▶  ├ panel 1: cols NR..2·NR, same order
+//!   └───────────────┘             └ tail cols and an odd k's last half are 0
 //! ```
 //!
 //! The zero points are subtracted **at pack time** (`i8 → i16` widening, so
@@ -50,20 +51,6 @@ pub const MR: usize = 4;
 /// Register-tile width: columns of `C` produced per microkernel call.
 pub const NR: usize = 8;
 
-/// Length of the packed-A buffer for an `m × k` operand: `ceil(m/MR)`
-/// panels of `k·MR` elements (tail rows zero-padded).
-#[must_use]
-pub const fn packed_a_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * MR * k
-}
-
-/// Length of the packed-B buffer for a `k × n` operand: `ceil(n/NR)`
-/// panels of `k·NR` elements (tail columns zero-padded).
-#[must_use]
-pub const fn packed_b_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * NR * k
-}
-
 /// Length of the pair-interleaved packed-A buffer for an `m × k` operand:
 /// `ceil(m/MR)` panels of `ceil(k/2)·MR·2` elements (odd reduction depths
 /// pad the final k-pair with a zero).
@@ -82,35 +69,6 @@ pub const fn packed_b_pairs_len(k: usize, n: usize) -> usize {
 fn check_len(actual: usize, expected: usize) -> Result<(), TensorError> {
     if actual != expected {
         return Err(TensorError::LengthMismatch { expected, actual });
-    }
-    Ok(())
-}
-
-/// Packs row-major `a` (`m × k`, i8) into MR-row panels with the zero point
-/// subtracted into widened `i16` cells. Tail rows become `0` (a value that
-/// cannot perturb any accumulator).
-///
-/// # Errors
-/// Returns an error if `a` or `dst` have the wrong length.
-pub fn pack_a_i8_into(
-    dst: &mut [i16],
-    a: &[i8],
-    zp: i8,
-    m: usize,
-    k: usize,
-) -> Result<(), TensorError> {
-    check_len(a.len(), m * k)?;
-    check_len(dst.len(), packed_a_len(m, k))?;
-    let zp = i16::from(zp);
-    for (p, panel) in dst.chunks_exact_mut(MR * k).enumerate() {
-        let i0 = p * MR;
-        let rows = MR.min(m - i0);
-        for kk in 0..k {
-            let cell = &mut panel[kk * MR..kk * MR + MR];
-            for (r, c) in cell.iter_mut().enumerate() {
-                *c = if r < rows { i16::from(a[(i0 + r) * k + kk]) - zp } else { 0 };
-            }
-        }
     }
     Ok(())
 }
@@ -153,36 +111,6 @@ pub fn pack_a_i8_pairs_into(
     Ok(())
 }
 
-/// Packs row-major `b` (`k × n`, i8) into NR-column panels with the zero
-/// point subtracted into widened `i16` cells; tail columns become `0`.
-///
-/// # Errors
-/// Returns an error if `b` or `dst` have the wrong length.
-pub fn pack_b_i8_into(
-    dst: &mut [i16],
-    b: &[i8],
-    zp: i8,
-    k: usize,
-    n: usize,
-) -> Result<(), TensorError> {
-    check_len(b.len(), k * n)?;
-    check_len(dst.len(), packed_b_len(k, n))?;
-    let zp = i16::from(zp);
-    for (p, panel) in dst.chunks_exact_mut(NR * k).enumerate() {
-        let j0 = p * NR;
-        let cols = NR.min(n - j0);
-        for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + cols];
-            let cell = &mut panel[kk * NR..kk * NR + NR];
-            for (c, &v) in cell[..cols].iter_mut().zip(src) {
-                *c = i16::from(v) - zp;
-            }
-            cell[cols..].fill(0);
-        }
-    }
-    Ok(())
-}
-
 /// Packs row-major `b` (`k × n`, i8) into **pair-interleaved** NR-column
 /// panels: each panel stores, per k-pair, `NR` adjacent
 /// `[b(2t,j), b(2t+1,j)]` pairs — one 256-bit load per k-pair for the
@@ -220,26 +148,28 @@ pub fn pack_b_i8_pairs_into(
     Ok(())
 }
 
-/// The panel layout a packed operand was built in.
+/// The conv entry point a [`PackedConv2d`] is for.
 ///
-/// `Panel` is the classic k-major layout read by the `mullo`-based
-/// microkernel; `KPair` interleaves adjacent k steps so the `pmaddwd`
-/// microkernel ([`crate::ops::gemm::gemm_i8_packed_pairs`]) retires 16
-/// multiply-accumulates per instruction. The IR lowering (`sushi-ir`)
-/// selects the layout per conv at cache-install time.
+/// Both variants hold the same pair-interleaved panels, built by
+/// [`pack_a_i8_pairs_into`]; the tag only says who may read them.
+/// [`crate::ops::conv::conv2d_i8_in`] accepts `Panel` panels and
+/// [`crate::ops::conv::conv2d_i8_fused`] accepts `KPair` ones, and each
+/// rejects the other. The IR lowering (`sushi-ir`) picks the tag per conv
+/// at cache-install time, and with it the `Step::Conv` or `Step::FusedConv`
+/// that reads the pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PackLayout {
-    /// k-major MR/NR panels (one value per k step).
+    /// Panels for the unfused conv, [`crate::ops::conv::conv2d_i8_in`].
     #[default]
     Panel,
-    /// Pair-interleaved panels (two adjacent k steps per cell).
+    /// Panels for the fused conv, [`crate::ops::conv::conv2d_i8_fused`].
     KPair,
 }
 
-/// Pre-packed int8 convolution weights: one zero-point-subtracted packed-A
-/// block per group, concatenated, ready for
-/// [`crate::ops::conv::conv2d_i8_in`] (layout `Panel`) or
-/// [`crate::ops::conv::conv2d_i8_fused`] (layout `KPair`).
+/// Pre-packed int8 convolution weights: one zero-point-subtracted,
+/// pair-interleaved packed-A block per group, concatenated, ready for
+/// [`crate::ops::conv::conv2d_i8_in`] (tag `Panel`) or
+/// [`crate::ops::conv::conv2d_i8_fused`] (tag `KPair`).
 ///
 /// Packing happens once (per SubGraph install on the serving path); every
 /// subsequent query's GEMM reads the panels directly. The group `g` block
@@ -256,7 +186,7 @@ pub struct PackedConv2d {
 
 impl PackedConv2d {
     /// Packs conv weights shaped `(K, C/groups, R, S)` for reuse across
-    /// queries, in `layout`.
+    /// queries by the entry point `layout` names.
     ///
     /// # Errors
     /// Returns an error when `weights`/`params` are inconsistent (groups
@@ -285,34 +215,28 @@ impl PackedConv2d {
         }
         let kg = wshape.n / params.groups;
         let kdim = wshape.c * wshape.h * wshape.w;
-        let group_stride = match layout {
-            PackLayout::Panel => packed_a_len(kg, kdim),
-            PackLayout::KPair => packed_a_pairs_len(kg, kdim),
-        };
+        let group_stride = packed_a_pairs_len(kg, kdim);
         let mut data = vec![0i16; group_stride * params.groups];
         let wdata = weights.as_slice();
         for g in 0..params.groups {
             let dst = &mut data[g * group_stride..(g + 1) * group_stride];
             let src = &wdata[g * kg * kdim..(g + 1) * kg * kdim];
-            match layout {
-                PackLayout::Panel => pack_a_i8_into(dst, src, w_q.zero_point, kg, kdim)?,
-                PackLayout::KPair => pack_a_i8_pairs_into(dst, src, w_q.zero_point, kg, kdim)?,
-            }
+            pack_a_i8_pairs_into(dst, src, w_q.zero_point, kg, kdim)?;
         }
         Ok(Self { data, wshape, w_q, groups: params.groups, group_stride, layout })
     }
 
-    /// The panel layout the weights were packed in.
+    /// The conv entry point the weights were packed for.
     #[must_use]
     pub fn layout(&self) -> PackLayout {
         self.layout
     }
 
-    /// Checks that these are [`PackLayout::Panel`] panels of weights shaped
-    /// `wshape`, packed under `w_q` for `groups` groups — i.e. that the
-    /// unfused conv may read them in place of those raw weights. The direct
-    /// loops read the raw weights and the GEMM reads the panels, so a
-    /// mismatch would let the kernel policy change the numbers.
+    /// Checks that these panels are tagged [`PackLayout::Panel`] and stand
+    /// for weights shaped `wshape`, packed under `w_q` for `groups` groups —
+    /// i.e. that the unfused conv may read them in place of those raw
+    /// weights. The direct loops read the raw weights and the GEMM reads the
+    /// panels, so a mismatch would let the kernel policy change the numbers.
     ///
     /// # Errors
     /// Returns an error naming the first property that disagrees.
@@ -347,7 +271,8 @@ impl PackedConv2d {
         Ok(())
     }
 
-    /// The packed-A block for group `g` (`kg × kdim` panels).
+    /// The packed-A block for group `g` (`kg × kdim` pair-interleaved
+    /// panels).
     ///
     /// # Panics
     /// Panics if `g >= groups`.
@@ -389,35 +314,37 @@ mod tests {
     fn packed_a_layout_is_k_major_with_zero_tail() {
         // 5×3 matrix: panel 0 holds rows 0..4, panel 1 holds row 4 + pads.
         let a: Vec<i8> = (0..15).collect();
-        let mut p = vec![0i16; packed_a_len(5, 3)];
-        pack_a_i8_into(&mut p, &a, 0, 5, 3).unwrap();
-        // Panel 0, k step 1 => rows 0..4 of column 1: a[1], a[4], a[7], a[10].
-        assert_eq!(&p[4..8], &[1, 4, 7, 10]);
-        // Panel 1, k step 0 => row 4 col 0, then three pad rows.
-        assert_eq!(&p[12..16], &[12, 0, 0, 0]);
+        let mut p = vec![0i16; packed_a_pairs_len(5, 3)];
+        pack_a_i8_pairs_into(&mut p, &a, 0, 5, 3).unwrap();
+        // Panel 0, k-pair 1 => column 2 of rows 0..4, each paired with the
+        // odd k's zero pad.
+        assert_eq!(&p[8..16], &[2, 0, 5, 0, 8, 0, 11, 0]);
+        // Panel 1, k-pair 0 => row 4's columns 0..2, then three pad rows.
+        assert_eq!(&p[16..24], &[12, 13, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn packed_b_layout_is_k_major_with_zero_tail() {
         // 2×10 matrix: panel 0 = cols 0..8, panel 1 = cols 8..10 + pads.
         let b: Vec<i8> = (0..20).collect();
-        let mut p = vec![0i16; packed_b_len(2, 10)];
-        pack_b_i8_into(&mut p, &b, 0, 2, 10).unwrap();
-        // Panel 0, k step 1 => cols 0..8 of row 1.
-        assert_eq!(&p[8..16], &[10, 11, 12, 13, 14, 15, 16, 17]);
-        // Panel 1, k step 0 => cols 8..10 of row 0, then six pads.
-        assert_eq!(&p[16..24], &[8, 9, 0, 0, 0, 0, 0, 0]);
+        let mut p = vec![0i16; packed_b_pairs_len(2, 10)];
+        pack_b_i8_pairs_into(&mut p, &b, 0, 2, 10).unwrap();
+        // Panel 0, k-pair 0 => rows 0 and 1 of cols 0..8, paired per column.
+        assert_eq!(&p[..16], &[0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5, 15, 6, 16, 7, 17]);
+        // Panel 1, k-pair 0 => cols 8..10, then six pad columns.
+        assert_eq!(&p[16..20], &[8, 18, 9, 19]);
+        assert!(p[20..32].iter().all(|&v| v == 0));
     }
 
     #[test]
     fn i8_pack_subtracts_zero_point_exactly() {
         let a = [i8::MIN, -1, 0, 1, i8::MAX, 7];
-        let mut p = vec![0i16; packed_a_len(2, 3)];
-        pack_a_i8_into(&mut p, &a, 7, 2, 3).unwrap();
+        let mut p = vec![0i16; packed_a_pairs_len(2, 3)];
+        pack_a_i8_pairs_into(&mut p, &a, 7, 2, 3).unwrap();
         // Row 0 col 0 = -128 - 7 = -135 (unrepresentable in i8, exact in i16).
         assert_eq!(p[0], -135);
         // A cell equal to the zero point (row 1, col 2) packs to exactly 0.
-        assert_eq!(p[2 * MR + 1], 0);
+        assert_eq!(p[MR * 2 + 2], 0);
     }
 
     /// Only a conv that packs its weight operand per call is counted by the
@@ -449,10 +376,10 @@ mod tests {
 
     #[test]
     fn wrong_lengths_are_errors_not_panics() {
-        let mut dst = vec![0i16; packed_a_len(2, 2)];
-        assert!(pack_a_i8_into(&mut dst, &[0; 3], 0, 2, 2).is_err());
-        let mut dst = vec![0i16; packed_b_len(2, 2)];
-        assert!(pack_b_i8_into(&mut dst, &[0; 5], 0, 2, 2).is_err());
+        let mut dst = vec![0i16; packed_a_pairs_len(2, 2)];
+        assert!(pack_a_i8_pairs_into(&mut dst, &[0; 3], 0, 2, 2).is_err());
+        let mut dst = vec![0i16; packed_b_pairs_len(2, 2)];
+        assert!(pack_b_i8_pairs_into(&mut dst, &[0; 5], 0, 2, 2).is_err());
         let mut dst = vec![0i16; packed_a_pairs_len(2, 3) + 1];
         assert!(pack_a_i8_pairs_into(&mut dst, &[0; 6], 0, 2, 3).is_err());
     }
@@ -509,8 +436,38 @@ mod tests {
         let (q, params) = (QuantParams::new(1.0, 0), Conv2dParams::new(1, 1).with_groups(2));
         let p = PackedConv2d::pack_with_layout(&w, q, &params, PackLayout::Panel).unwrap();
         assert_eq!(p.groups(), 2);
-        // Group 1's first k-step holds rows {5,6..} column 0 => [5, 7, pad, pad].
-        assert_eq!(&p.group(1)[..4], &[5, 7, 0, 0]);
+        // Group 1's first k-pair holds rows [5,6] and [7,8], then pad rows.
+        assert_eq!(&p.group(1)[..MR * 2], &[5, 6, 7, 8, 0, 0, 0, 0]);
+    }
+
+    /// The tag names the entry point, not a layout: both tags hold the same
+    /// pair-interleaved panels, byte for byte, for odd reduction depths and
+    /// grouped convs alike.
+    #[test]
+    fn panel_and_kpair_tags_pack_identical_panels() {
+        use crate::rng::DetRng;
+        let mut rng = DetRng::new(5);
+        // (K, C/groups, R, S, groups): kdim 3, 9, 5 and 16.
+        for (k, cg, r, s, groups) in
+            [(6, 3, 1, 1, 2), (5, 1, 3, 3, 1), (9, 5, 1, 1, 3), (4, 4, 2, 2, 2)]
+        {
+            let wshape = Shape4::new(k, cg, r, s);
+            let w = Tensor::from_vec(wshape, (0..wshape.volume()).map(|_| rng.next_i8()).collect())
+                .unwrap();
+            let (q, params) =
+                (QuantParams::new(0.5, -3), Conv2dParams::new(r, s).with_groups(groups));
+            let [panel, kpair] = [PackLayout::Panel, PackLayout::KPair]
+                .map(|layout| PackedConv2d::pack_with_layout(&w, q, &params, layout).unwrap());
+            assert_eq!(panel.packed_bytes(), kpair.packed_bytes(), "{wshape}");
+            let (kg, kdim) = (k / groups, cg * r * s);
+            for g in 0..groups {
+                let mut want = vec![0i16; packed_a_pairs_len(kg, kdim)];
+                let src = &w.as_slice()[g * kg * kdim..(g + 1) * kg * kdim];
+                pack_a_i8_pairs_into(&mut want, src, q.zero_point, kg, kdim).unwrap();
+                assert_eq!(panel.group(g), want.as_slice(), "{wshape} group {g}");
+                assert_eq!(kpair.group(g), want.as_slice(), "{wshape} group {g}");
+            }
+        }
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub fn max_pool(input: &Tensor<f32>, params: &PoolParams) -> Result<Tensor<f32>,
     let rx_ranges = kernel_ranges(ow, stride, padding, ishape.w, params.window);
     for n in 0..ishape.n {
         for c in 0..ishape.c {
-            for oy in 0..oh {
-                let (ry_lo, ry_hi) = ry_ranges[oy];
+            for (oy, &(ry_lo, ry_hi)) in ry_ranges.iter().enumerate() {
                 let orow = out.row_mut(n, c, oy);
                 for (ox, o) in orow.iter_mut().enumerate() {
                     let (rx_lo, rx_hi) = rx_ranges[ox];
@@ -106,8 +105,7 @@ pub fn avg_pool(input: &Tensor<f32>, params: &PoolParams) -> Result<Tensor<f32>,
     let rx_ranges = kernel_ranges(ow, stride, padding, ishape.w, params.window);
     for n in 0..ishape.n {
         for c in 0..ishape.c {
-            for oy in 0..oh {
-                let (ry_lo, ry_hi) = ry_ranges[oy];
+            for (oy, &(ry_lo, ry_hi)) in ry_ranges.iter().enumerate() {
                 let orow = out.row_mut(n, c, oy);
                 for (ox, o) in orow.iter_mut().enumerate() {
                     let (rx_lo, rx_hi) = rx_ranges[ox];

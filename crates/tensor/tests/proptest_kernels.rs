@@ -1,9 +1,10 @@
 //! Property-based equivalence suite for the kernel backends: the im2col +
 //! packed-GEMM path and the depthwise kernel must reproduce the naive
 //! oracle bit-identically across random shapes, strides, paddings and group
-//! structures (their accumulation is exact), the packed kernels must match
-//! the scalar reference across `m % MR != 0` / `n % NR != 0` tails,
-//! zero-point extremes and pre-packed weights, and the fused conv, whose
+//! structures (their accumulation is exact), the packed kernel must match
+//! the scalar reference across `m % MR != 0` / `n % NR != 0` tails, odd
+//! reduction depths, zero-point extremes and pre-packed weights, and the
+//! fused conv, whose
 //! epilogue runs on the GEMM's register tiles, must match the naive conv
 //! plus the reference activation. (The AVX2-vs-portable microkernel pins
 //! are unit tests in `ops::gemm`.)
@@ -12,10 +13,9 @@ use proptest::prelude::*;
 
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::{conv2d_i8_fused, conv2d_i8_in, Conv2dParams};
-use sushi_tensor::ops::gemm::{gemm_i8_packed, gemm_i8_packed_pairs, KC, PARALLEL_MIN};
+use sushi_tensor::ops::gemm::{gemm_i8_packed_pairs, KC, PARALLEL_MIN};
 use sushi_tensor::ops::pack::{
-    pack_a_i8_into, pack_a_i8_pairs_into, pack_b_i8_into, pack_b_i8_pairs_into, packed_a_len,
-    packed_a_pairs_len, packed_b_len, packed_b_pairs_len, MR, NR,
+    pack_a_i8_pairs_into, pack_b_i8_pairs_into, packed_a_pairs_len, packed_b_pairs_len, MR, NR,
 };
 use sushi_tensor::shape::conv_out_dim;
 use sushi_tensor::{
@@ -194,6 +194,17 @@ fn conv(
     conv2d_i8_in(x, in_q, w, w_q, None, bias, out_q, params, policy, &mut Arena::new())
 }
 
+/// `(A − zp_a)·(B − zp_b)` through the packing and the dispatched kernel.
+fn packed_gemm(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b: i8) -> Vec<i32> {
+    let mut pa = vec![0i16; packed_a_pairs_len(m, k)];
+    let mut pb = vec![0i16; packed_b_pairs_len(k, n)];
+    pack_a_i8_pairs_into(&mut pa, a, zp_a, m, k).unwrap();
+    pack_b_i8_pairs_into(&mut pb, b, zp_b, k, n).unwrap();
+    let mut c = vec![0i32; m * n];
+    gemm_i8_packed_pairs(m, k, n, &pa, &pb, &mut c).unwrap();
+    c
+}
+
 /// The scalar triple loop `(A − zp_a)·(B − zp_b)` every packed kernel must
 /// reproduce exactly.
 fn scalar_gemm(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b: i8) -> Vec<i32> {
@@ -284,10 +295,11 @@ proptest! {
         prop_assert_eq!(naive, auto);
     }
 
-    /// The packed i8 kernels are bit-identical to the scalar triple loop
+    /// The packed i8 kernel is bit-identical to the scalar triple loop
     /// across random shapes (the `1..=13` / `1..=21` ranges hit `m % MR !=
-    /// 0` and `n % NR != 0` tails constantly) and the *full* zero-point
-    /// range, including the ±extremes where `a − zp` escapes `i8`.
+    /// 0` and `n % NR != 0` tails constantly, odd `k` the zero-padded final
+    /// pair) and the *full* zero-point range, including the ±extremes where
+    /// `a − zp` escapes `i8`.
     #[test]
     fn packed_i8_gemm_matches_scalar_reference(
         m in 1usize..=13,
@@ -300,12 +312,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, zp_a, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, zp_b, k, n).unwrap();
-        let mut c = vec![0i32; m * n];
-        gemm_i8_packed(m, k, n, &pa, &pb, &mut c).unwrap();
+        let c = packed_gemm(m, k, n, &a, zp_a, &b, zp_b);
         prop_assert_eq!(&c, &scalar_gemm(m, k, n, &a, zp_a, &b, zp_b), "{}x{}x{}", m, k, n);
     }
 
@@ -355,43 +362,7 @@ proptest! {
         let mut rng = DetRng::new(seed ^ 0x7E57);
         let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, 1, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, -1, k, n).unwrap();
-        let mut c = vec![0i32; m * n];
-        gemm_i8_packed(m, k, n, &pa, &pb, &mut c).unwrap();
-        prop_assert_eq!(c, scalar_gemm(m, k, n, &a, 1, &b, -1));
-    }
-
-    /// The k-pair (`pmaddwd`) kernel is bit-identical to the panel kernel —
-    /// and hence to the scalar reference — across shapes (odd `k` exercises
-    /// the zero-padded final pair) and the full zero-point range.
-    #[test]
-    fn pairs_i8_gemm_is_bit_identical_to_panel(
-        m in 1usize..=13,
-        k in 1usize..=40,
-        n in 1usize..=21,
-        zp_a in i8::MIN..=i8::MAX,
-        zp_b in i8::MIN..=i8::MAX,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = DetRng::new(seed ^ 0x5041);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
-        let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        let mut pa = vec![0i16; packed_a_len(m, k)];
-        let mut pb = vec![0i16; packed_b_len(k, n)];
-        pack_a_i8_into(&mut pa, &a, zp_a, m, k).unwrap();
-        pack_b_i8_into(&mut pb, &b, zp_b, k, n).unwrap();
-        let mut panel = vec![0i32; m * n];
-        gemm_i8_packed(m, k, n, &pa, &pb, &mut panel).unwrap();
-        let mut pap = vec![0i16; packed_a_pairs_len(m, k)];
-        let mut pbp = vec![0i16; packed_b_pairs_len(k, n)];
-        pack_a_i8_pairs_into(&mut pap, &a, zp_a, m, k).unwrap();
-        pack_b_i8_pairs_into(&mut pbp, &b, zp_b, k, n).unwrap();
-        let mut pairs = vec![0i32; m * n];
-        gemm_i8_packed_pairs(m, k, n, &pap, &pbp, &mut pairs).unwrap();
-        prop_assert_eq!(&panel, &pairs, "pairs kernel diverged on {}x{}x{}", m, k, n);
+        prop_assert_eq!(packed_gemm(m, k, n, &a, 1, &b, -1), scalar_gemm(m, k, n, &a, 1, &b, -1));
     }
 
     /// The fused conv, whose epilogue runs on the GEMM's register tiles,

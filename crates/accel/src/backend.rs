@@ -198,9 +198,9 @@ pub struct Functional {
     dpe: DpeArray,
     store: WeightStore,
     input_seed: u64,
-    /// Whether cache installs lower the SubNet IR under the full rewrite
-    /// catalog, fusing conv epilogues onto the k-pair datapath (on by
-    /// default; logits are bit-identical either way).
+    /// Whether cache installs lower the SubNet IR with fusion on, routing
+    /// GEMM-bound convs onto the fused k-pair datapath (on by default;
+    /// logits are bit-identical either way).
     fusion: bool,
     caches: HashMap<String, Arc<SubgraphCache>>,
     /// Per-worker scratch, grown lazily to the highest worker index seen

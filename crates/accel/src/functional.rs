@@ -9,7 +9,7 @@
 //! the `functional_inference` example and the cross-crate validation tests;
 //! full-size experiments use timing-only mode instead.
 
-use sushi_ir::{BnFold, Plan, Step};
+use sushi_ir::{Plan, Step};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::{conv2d_i8_fused, Conv2dParams};
 use sushi_tensor::ops::pool::{global_avg_pool, max_pool, PoolParams};
@@ -33,8 +33,7 @@ const ACT_Q: QuantParams = QuantParams { scale: 8.0 / 127.0, zero_point: 0 };
 pub struct FusedLayer {
     /// K-pair packed weight panels for the `pmaddwd` microkernel.
     pub packed: PackedConv2d,
-    /// The fused writeback: bias + (per-channel) requantization +
-    /// activation.
+    /// The fused writeback: bias + requantization + activation.
     pub epilogue: Epilogue,
 }
 
@@ -94,9 +93,9 @@ impl SubgraphCache {
         Self::install(net, store, subnet, false)
     }
 
-    /// Installs `subnet` with the standard rewrite catalog: convs the IR
-    /// routed onto the k-pair datapath hold pair-interleaved panels and a
-    /// baked bias/requant/activation [`Epilogue`].
+    /// Installs `subnet` with fusion on: convs the IR routed onto the
+    /// k-pair datapath hold pair-interleaved panels and a baked
+    /// bias/requant/activation [`Epilogue`].
     ///
     /// # Errors
     /// Returns an error when weights cannot be sliced or packed, or the
@@ -111,7 +110,7 @@ impl SubgraphCache {
     }
 
     /// The one install body: slice every active layer, lower the SubNet's
-    /// IR under the catalog `fusion` selects, then pack each layer in
+    /// IR with `fusion` on or off, then pack each layer in
     /// exactly the layout its plan step reads.
     pub(crate) fn install(
         net: &SuperNet,
@@ -147,9 +146,9 @@ impl SubgraphCache {
                     pack_panel(&mut layers, *reduce)?;
                     pack_panel(&mut layers, *expand)?;
                 }
-                Step::FusedConv { layer, bias, act, bn, .. } => {
+                Step::FusedConv { layer, bias, act, .. } => {
                     let cl = active_mut(&mut layers, *layer)?;
-                    cl.fused = Some(fuse(cl, *bias, *act, bn.as_ref())?);
+                    cl.fused = Some(fuse(cl, *bias, *act)?);
                 }
                 _ => {}
             }
@@ -231,29 +230,15 @@ fn pack_panel(layers: &mut [Option<CachedLayer>], idx: usize) -> Result<(), Tens
 }
 
 /// K-pair-packs a layer and bakes the epilogue of the fused step reading it.
-fn fuse(
-    cl: &CachedLayer,
-    bias: bool,
-    act: Activation,
-    bn: Option<&BnFold>,
-) -> Result<FusedLayer, TensorError> {
+fn fuse(cl: &CachedLayer, bias: bool, act: Activation) -> Result<FusedLayer, TensorError> {
     let packed =
         PackedConv2d::pack_with_layout(&cl.weights, cl.w_q, &cl.params, PackLayout::KPair)?;
     let bias_vec = if bias { cl.bias.clone() } else { vec![0i32; cl.weights.shape().n] };
     // Same accumulator→output rescale expression as the unfused datapath
-    // (`conv2d_i8_in`), so the no-batch-norm epilogue is bit-identical to
+    // (`conv2d_i8_in`), so the epilogue is bit-identical to
     // requantize-then-activate.
     let acc_scale = ACT_Q.scale * cl.w_q.scale / ACT_Q.scale;
-    let epilogue = match bn {
-        None => Epilogue::uniform(bias_vec, acc_scale, ACT_Q, act)?,
-        Some(fold) => {
-            let scales = fold.scale.iter().map(|s| acc_scale * s).collect();
-            // IR batch-norm offsets are in real units; the epilogue wants
-            // output quanta.
-            let offsets = fold.offset.iter().map(|o| o / ACT_Q.scale).collect();
-            Epilogue::per_channel(bias_vec, scales, offsets, ACT_Q, act)?
-        }
-    };
+    let epilogue = Epilogue::uniform(bias_vec, acc_scale, ACT_Q, act)?;
     Ok(FusedLayer { packed, epilogue })
 }
 
@@ -305,7 +290,7 @@ pub fn forward_cached(
 /// `Auto`/`Im2colGemm` route large dense layers through the bit-identical
 /// im2col + blocked-GEMM fast path.
 ///
-/// Batching, the rewrite catalog the cache was installed under and the
+/// Batching, whether the cache was installed with fusion on and the
 /// [`sushi_tensor::KernelPolicy`] are speed knobs, never semantics: int8
 /// accumulation per output element is independent of all three, so logits
 /// are bit-identical across them (pinned by `tests/proptest_batch.rs` and
@@ -777,7 +762,7 @@ mod tests {
     }
 
     /// A plan step naming a layer the cache does not hold is an error from
-    /// the executor, under either catalog — never a panic.
+    /// the executor, with fusion on or off — never a panic.
     #[test]
     fn plan_step_on_a_missing_layer_is_an_error() {
         let net = zoo::toy_supernet();

@@ -5,8 +5,8 @@
 //! IR, no plan, no packed panels, no arena. Weights are sliced out of the
 //! store per layer and every convolution runs the naive direct loops
 //! ([`KernelPolicy::Naive`]). This was the library's datapath before the IR
-//! existed; `proptest_fusion.rs` requires every lowered plan, under either
-//! rewrite catalog, to reproduce its logits bit for bit.
+//! existed; `proptest_fusion.rs` requires every lowered plan, with fusion
+//! on or off, to reproduce its logits bit for bit.
 
 use sushi_accel::functional::act_quant;
 use sushi_tensor::ops::activation::Activation;

@@ -1,7 +1,7 @@
 //! Bit-exactness contracts of the IR-lowered datapath.
 //!
-//! Two layers of defense, per the fusion design rule ("rewrites change
-//! *where* bias/requant/activation run, never their arithmetic"):
+//! Two layers of defense, per the fusion design rule ("the fold pass
+//! changes *where* bias/requant/activation run, never their arithmetic"):
 //!
 //! * a property test drives arbitrary zoo SubNets (random elastic configs,
 //!   random inputs) three ways — the tests-side per-layer interpreter
@@ -9,8 +9,8 @@
 //!   ([`SubgraphCache::build`]) and the plan of a fused install
 //!   ([`SubgraphCache::build_fused`]) — and requires identical logits, and
 //! * pinned FNV-1a digests guard the arithmetic itself: the digests below
-//!   were captured before the IR subsystem existed, so any drift — under
-//!   either rewrite catalog — is caught bit-for-bit.
+//!   were captured before the IR subsystem existed, so any drift — with
+//!   fusion on or off — is caught bit-for-bit.
 
 mod oracle;
 
@@ -101,7 +101,7 @@ fn fusion_off_digests_match_the_pre_ir_datapath() {
 }
 
 /// Fusion on: the IR-lowered plan produces the *same* pinned bits — the
-/// rewrite pipeline relocates arithmetic without changing it.
+/// fold pass relocates arithmetic without changing it.
 #[test]
 fn fused_digests_match_the_same_pins() {
     for (net_name, cfg_name, want) in PRE_IR_DIGESTS {

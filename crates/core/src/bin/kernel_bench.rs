@@ -24,6 +24,8 @@
 //! kernel_bench --runs 3               # best-of-3 timing
 //! ```
 //!
+//! Any other argument, or `--runs 0`, exits 2 and lists the accepted flags.
+//!
 //! The output is a report, not a gate: host-time regressions are judged by
 //! the benchmark package (`BENCHMARK.json`), which runs the same datapath
 //! with repeated, paired measurements.
@@ -36,18 +38,28 @@ use sushi_tensor::quant::quantize_tensor;
 use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
 use sushi_wsnet::{zoo, SuperNet, WeightStore};
 
-fn die(msg: &str) -> ! {
-    eprintln!("kernel_bench: {msg}");
-    std::process::exit(1);
+fn usage_error(msg: &str) -> ! {
+    eprintln!("kernel_bench: {msg} (accepted: --quick, --runs <n>)");
+    std::process::exit(2);
 }
 
-fn parse_flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let pos = args.iter().position(|a| a == flag)?;
-    let raw = args.get(pos + 1).unwrap_or_else(|| die(&format!("{flag} requires a value")));
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => die(&format!("invalid value '{raw}' for {flag}")),
+/// Parses `--quick` and `--runs <n>` (`n ≥ 1`); anything else exits 2.
+fn parse_args(mut args: impl Iterator<Item = String>) -> (bool, usize) {
+    let (mut quick, mut runs) = (false, 1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--runs" => {
+                let raw = args.next().unwrap_or_else(|| usage_error("--runs requires a value"));
+                runs = match raw.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage_error(&format!("invalid value '{raw}' for --runs")),
+                };
+            }
+            other => usage_error(&format!("unknown argument '{other}'")),
+        }
     }
+    (quick, runs)
 }
 
 /// Times every backend on `net`'s largest SubNet and prints one row.
@@ -139,9 +151,7 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let runs: usize = parse_flag_value(&args, "--runs").unwrap_or(1);
+    let (quick, runs) = parse_args(std::env::args().skip(1));
     let nets: Vec<SuperNet> = if quick {
         vec![zoo::toy_supernet(), zoo::toy_mobilenet_supernet()]
     } else {

@@ -83,8 +83,8 @@ fn main() {
     let mut opts = if quick { ExpOptions::quick() } else { ExpOptions::default() };
     opts.kernel_policy = kernel_policy;
     opts.backend = backend;
-    // `--no-fusion` lowers functional installs under the rewrite catalog
-    // without `annotate-layout` (bit-identical logits; a bisection aid).
+    // `--no-fusion` lowers functional installs without the fold pass's
+    // `annotate-layout` step (bit-identical logits; a bisection aid).
     opts.fusion = fusion;
 
     let all: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();

@@ -305,8 +305,8 @@ impl EngineBuilder {
     /// Returns [`SushiError::Config`] on an empty serving set, a zero
     /// `Q`/worker/queue/batch knob, a non-physical [`AccelConfig`] (zero
     /// `kp`/`cp`, a zero or non-finite clock or bandwidth, an effective
-    /// bandwidth fraction outside `(0, 1]`), or a candidate SubGraph of a
-    /// different SuperNet.
+    /// bandwidth fraction outside `(0, 1]`), or a serving SubNet or
+    /// candidate SubGraph of a different SuperNet.
     pub fn build(self) -> Result<Engine, SushiError> {
         let (net, subnets, default_q) = match self.workload {
             WorkloadSpec::Zoo(z) => z.load(),
@@ -315,6 +315,7 @@ impl EngineBuilder {
         if subnets.is_empty() {
             return Err(SushiError::Config("serving set is empty".into()));
         }
+        check_layers(&net, "serving", subnets.iter().map(|s| &s.graph))?;
         let q_window = self.q_window.unwrap_or(default_q);
         if q_window == 0 {
             return Err(SushiError::Config("cache window Q must be at least 1".into()));
@@ -374,13 +375,7 @@ impl EngineBuilder {
         let selection = self.selection_override.unwrap_or(derived_selection);
         let candidates = match self.candidate_set {
             Some(candidates) => {
-                let mut layers = candidates.iter().map(SubGraph::num_layers);
-                if let Some(n) = layers.find(|&n| n != net.num_layers()) {
-                    return Err(SushiError::Config(format!(
-                        "candidate SubGraph covers {n} layers but the SuperNet has {} layers",
-                        net.num_layers()
-                    )));
-                }
+                check_layers(&net, "candidate", &candidates)?;
                 candidates
             }
             None => sample_candidates(&net, &subnets, &config, self.candidates, self.seed),
@@ -405,6 +400,22 @@ impl EngineBuilder {
             self.sim,
         );
         Ok(Engine { sim, backend })
+    }
+}
+
+/// Rejects a `what` SubGraph whose layer count is not `net`'s: it belongs
+/// to a different SuperNet.
+fn check_layers<'a>(
+    net: &SuperNet,
+    what: &str,
+    graphs: impl IntoIterator<Item = &'a SubGraph>,
+) -> Result<(), SushiError> {
+    match graphs.into_iter().map(SubGraph::num_layers).find(|&n| n != net.num_layers()) {
+        Some(n) => Err(SushiError::Config(format!(
+            "{what} SubGraph covers {n} layers but the SuperNet has {} layers",
+            net.num_layers()
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -598,6 +609,15 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(&err, SushiError::Config(m) if m.contains("layers")), "{err}");
+    }
+
+    #[test]
+    fn serving_subnets_of_a_different_supernet_are_a_config_error() {
+        let resnet = Arc::new(zoo::toy_supernet());
+        let mbv3 = zoo::toy_mobilenet_supernet();
+        let foreign = sushi_wsnet::sampler::ConfigSampler::new(&mbv3, 5).sample_subnets(1);
+        let err = EngineBuilder::new().workload(resnet, foreign).build().unwrap_err();
+        assert!(matches!(&err, SushiError::Config(m) if m.contains("serving")), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Both binaries refuse a flag they do not accept: exit status 2, the
-//! accepted flags on stderr, and no preset run on stdout.
+//! Every binary refuses a flag it does not accept: exit status 2, the
+//! accepted flags on stderr, and nothing run on stdout.
 
 use std::process::Command;
 
@@ -10,6 +10,7 @@ fn assert_rejected(bin: &str, args: &[&str]) {
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(stderr.contains("--quick"), "{bin} {args:?} must list the accepted flags: {stderr}");
     assert!(!stdout.contains("steady"), "{bin} {args:?} ran a preset: {stdout}");
+    assert!(!stdout.contains("timing"), "{bin} {args:?} ran a benchmark: {stdout}");
 }
 
 #[test]
@@ -20,4 +21,11 @@ fn serve_bench_rejects_an_unknown_flag() {
 #[test]
 fn repro_rejects_an_unknown_flag() {
     assert_rejected(env!("CARGO_BIN_EXE_repro"), &["--no-tenants", "serve"]);
+}
+
+#[test]
+fn kernel_bench_rejects_an_unknown_flag_and_zero_runs() {
+    let bin = env!("CARGO_BIN_EXE_kernel_bench");
+    assert_rejected(bin, &["--quik", "--runs", "1"]);
+    assert_rejected(bin, &["--quick", "--runs", "0"]);
 }

@@ -1,4 +1,4 @@
-//! Errors raised by graph validation, rewriting and lowering.
+//! Errors raised by graph validation, the fold pass and lowering.
 
 use std::fmt;
 
@@ -14,18 +14,12 @@ pub enum IrError {
     },
     /// The graph has no declared output node.
     NoOutput,
-    /// Lowering met a node the rewrite passes should have eliminated.
+    /// Lowering met a node the fold pass should have eliminated.
     NotNormalized {
         /// Offending node index.
         node: usize,
         /// What remained unfused.
         what: &'static str,
-    },
-    /// The rewrite engine exceeded its iteration budget without reaching a
-    /// fixpoint (a rewrite keeps producing new matches — a rewrite bug).
-    NoFixpoint {
-        /// The rewrite that was still firing.
-        rewrite: &'static str,
     },
 }
 
@@ -36,9 +30,6 @@ impl fmt::Display for IrError {
             Self::NoOutput => write!(f, "ir validation: graph has no output node"),
             Self::NotNormalized { node, what } => {
                 write!(f, "ir lowering: node {node} not normalized: {what}")
-            }
-            Self::NoFixpoint { rewrite } => {
-                write!(f, "ir rewriting: no fixpoint (rewrite `{rewrite}` kept firing)")
             }
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! A [`Graph`] is a small DAG describing one SubNet's forward pass in the
 //! quantized serving domain. Node inputs always point at *earlier* nodes
-//! (append order is topological order — rewrites only splice consumers onto
-//! earlier producers), so inference and lowering are single forward sweeps.
+//! (append order is topological order — the fold pass only splices
+//! consumers onto earlier producers), so inference, folding and lowering
+//! are single forward sweeps.
 //!
 //! Every node has an inferred [`Fact`] — a [`Shape4`] plus a [`DType`] —
 //! computed by [`Graph::infer`], which doubles as structural validation:
@@ -29,7 +30,7 @@ pub enum DType {
     I8,
     /// Raw convolution accumulators (pre-requantization).
     I32,
-    /// Dequantized values (logits, or pre-quantization inputs).
+    /// Dequantized values (the output logits).
     F32,
 }
 
@@ -42,34 +43,19 @@ pub struct Fact {
     pub dtype: DType,
 }
 
-/// Folded batch-norm parameters riding on a conv's epilogue: channel `c`
-/// rescales the requantization by `scale[c]` and shifts by `offset[c]` in
-/// *real (dequantized) units*. Lowering converts the shift to output-quantum
-/// units (divide by the output scale) when it builds the per-channel
-/// `sushi_tensor::Epilogue`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BnFold {
-    /// Per-channel multiplier on the accumulator scale.
-    pub scale: Vec<f32>,
-    /// Per-channel additive shift in real (dequantized) units.
-    pub offset: Vec<f32>,
-}
-
 /// What has been fused into a [`Op::Conv`] node's writeback so far.
 ///
 /// A freshly built conv has everything unfused (`Default`): bias add,
-/// requantization and activation are separate downstream nodes. The rewrite
-/// passes fold them in one by one; lowering then bakes the final spec into a
-/// `sushi_tensor::Epilogue` per cache install.
-#[derive(Debug, Clone, PartialEq)]
+/// requantization and activation are separate downstream nodes. The fold
+/// pass ([`crate::normalize`]) moves them in; lowering then bakes the final
+/// spec into a `sushi_tensor::Epilogue` per cache install.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpilogueSpec {
     /// The layer's i32 bias is added to the accumulator.
     pub bias: bool,
     /// The accumulator is requantized to the activation quantization at
     /// writeback (the conv's output dtype becomes [`DType::I8`]).
     pub requant: bool,
-    /// Folded batch-norm rescale/shift (per-channel requantization).
-    pub bn: Option<BnFold>,
     /// Activation applied to the requantized output.
     pub act: Activation,
     /// The conv entry point the lowered step's weight pack is for:
@@ -81,21 +67,8 @@ pub struct EpilogueSpec {
     pub im2col_skip: bool,
 }
 
-impl Default for EpilogueSpec {
-    fn default() -> Self {
-        Self {
-            bias: false,
-            requant: false,
-            bn: None,
-            act: Activation::None,
-            layout: PackLayout::Panel,
-            im2col_skip: false,
-        }
-    }
-}
-
 /// One operation of the serving graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// The network input: quantized i8 activations.
     Input,
@@ -119,14 +92,6 @@ pub enum Op {
         /// Bias length (must match the producing conv's output channels).
         channels: usize,
     },
-    /// Per-channel affine in the dequantized domain:
-    /// `y = scale[c]·x + offset[c]` (batch-norm at inference time).
-    BatchNorm {
-        /// Per-channel multiplier.
-        scale: Vec<f32>,
-        /// Per-channel shift, in real (dequantized) units.
-        offset: Vec<f32>,
-    },
     /// Requantizes i32 accumulators to i8 under the network's activation
     /// quantization.
     Requant,
@@ -136,7 +101,7 @@ pub enum Op {
     /// optionally fused post-activation.
     Add {
         /// Activation applied to the sum ([`Activation::None`] until the
-        /// fuse-activation rewrite runs).
+        /// fold pass moves a following `Act` in).
         act: Activation,
     },
     /// Squeeze-excite gating (pooled 1×1 reduce → 1×1 expand → channel
@@ -158,22 +123,13 @@ pub enum Op {
     },
     /// Global average pool to `(N, C, 1, 1)` (dequant → mean → requant).
     GlobalAvgPool,
-    /// Fully-connected classifier (unused by the conv-headed zoo families;
-    /// part of the node model for completeness).
-    Linear {
-        /// Output feature count.
-        out_features: usize,
-    },
-    /// f32 → i8 under the network's activation quantization.
-    Quantize,
-    /// i8 → f32 under the network's activation quantization.
-    Dequantize,
     /// The graph result: dequantized logits.
     Output,
 }
 
-/// A node: an [`Op`] plus its input edges. Dead nodes (removed by a rewrite
-/// or DCE) stay in place as tombstones so [`NodeId`]s remain stable.
+/// A node: an [`Op`] plus its input edges. Dead nodes (folded away by
+/// [`crate::normalize`]) stay in place as tombstones so [`NodeId`]s remain
+/// stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operation.
@@ -278,10 +234,6 @@ impl Graph {
         &mut self.nodes[id.0]
     }
 
-    pub(crate) fn set_output_raw(&mut self, id: Option<NodeId>) {
-        self.output = id;
-    }
-
     /// Infers the output [`Fact`] of every live node, validating the graph
     /// in the process. Dead slots get `None`.
     ///
@@ -320,11 +272,6 @@ impl Graph {
                     if !out_channels.is_multiple_of(params.groups) {
                         return Err(err("conv kernels not divisible by groups"));
                     }
-                    if let Some(bn) = &epilogue.bn {
-                        if bn.scale.len() != *out_channels || bn.offset.len() != *out_channels {
-                            return Err(err("folded bn length must match out channels"));
-                        }
-                    }
                     let oh =
                         conv_out_dim(x.shape.h, params.kernel_h, params.stride, params.padding)
                             .filter(|&d| d > 0)
@@ -346,17 +293,6 @@ impl Graph {
                     }
                     if x.shape.c != *channels {
                         return Err(err("bias length must match channels"));
-                    }
-                    x
-                }
-                Op::BatchNorm { scale, offset } => {
-                    arity(1)?;
-                    let x = ins[0];
-                    if x.dtype != DType::I8 {
-                        return Err(err("batch-norm applies to requantized i8"));
-                    }
-                    if scale.len() != x.shape.c || offset.len() != x.shape.c {
-                        return Err(err("batch-norm length must match channels"));
                     }
                     x
                 }
@@ -413,31 +349,6 @@ impl Graph {
                         return Err(err("global-avg-pool applies to i8"));
                     }
                     Fact { shape: Shape4::new(x.shape.n, x.shape.c, 1, 1), dtype: DType::I8 }
-                }
-                Op::Linear { out_features } => {
-                    arity(1)?;
-                    let x = ins[0];
-                    if x.dtype != DType::I8 {
-                        return Err(err("linear applies to i8"));
-                    }
-                    if *out_features == 0 {
-                        return Err(err("linear needs nonzero out features"));
-                    }
-                    Fact { shape: Shape4::new(x.shape.n, *out_features, 1, 1), dtype: DType::I8 }
-                }
-                Op::Quantize => {
-                    arity(1)?;
-                    if ins[0].dtype != DType::F32 {
-                        return Err(err("quantize applies to f32"));
-                    }
-                    Fact { dtype: DType::I8, ..ins[0] }
-                }
-                Op::Dequantize => {
-                    arity(1)?;
-                    if ins[0].dtype != DType::I8 {
-                        return Err(err("dequantize applies to i8"));
-                    }
-                    Fact { dtype: DType::F32, ..ins[0] }
                 }
                 Op::Output => {
                     arity(1)?;

@@ -1,5 +1,5 @@
-//! `sushi-ir`: a typed op-graph IR with patch-based rewrites, lowering
-//! SubNets onto the fused serving datapath at cache-install time.
+//! `sushi-ir`: a typed op-graph IR with one fold pass, lowering SubNets
+//! onto the fused serving datapath at cache-install time.
 //!
 //! SUSHI's core bet is that SubGraph-stationary serving lets install-time
 //! work amortize across every query that hits the cached SubGraph. This
@@ -10,27 +10,25 @@
 //!    node per op (`Conv`, `Bias`, `Requant`, `Act`, `Add`, …), every edge
 //!    carrying an inferred [`Fact`] (NCHW shape + dtype). Validation runs
 //!    once here, not per query.
-//! 2. **Rewrite** — the standard catalog ([`standard_rewrites`]) runs to
-//!    fixpoint under the patch engine ([`run_to_fixpoint`]): bias, requant,
-//!    batch-norm and activation fold into conv epilogues, dead nodes are
-//!    swept, and dense GEMM-bound convs are annotated with the k-pair pack
-//!    layout that selects the fused `pmaddwd` microkernel.
+//! 2. **Fold** — [`normalize`] sweeps the graph once, front to back: bias,
+//!    requant and activation fold into the epilogue of the conv (or the
+//!    activation into the residual add) they follow, and dense GEMM-bound
+//!    convs are annotated with the k-pair pack layout that selects the
+//!    fused `pmaddwd` microkernel. [`normalize_unfused`] is the same sweep
+//!    without that annotation (fusion off).
 //! 3. **Lower** — [`Plan::lower`] flattens the normal form into a slot
 //!    machine ([`Step`] list + lifetime table) that the accelerator executes
 //!    per query with zero graph interpretation overhead.
 //!
-//! Rewrites are deterministic (declaration order, node order, first match
-//! wins) and confluent (any catalog order reaches the same normal form) —
-//! both pinned by tests, so a cached plan is a pure function of the SubNet.
+//! The pass is deterministic and idempotent — both pinned by tests, so a
+//! cached plan is a pure function of the SubNet.
 
 pub mod error;
 pub mod graph;
 pub mod plan;
-pub mod rewrite;
-pub mod rewrites;
+mod rewrites;
 
 pub use error::IrError;
-pub use graph::{BnFold, DType, EpilogueSpec, Fact, Graph, Node, NodeId, Op};
+pub use graph::{DType, EpilogueSpec, Fact, Graph, Node, NodeId, Op};
 pub use plan::{Plan, Step};
-pub use rewrite::{apply, run_to_fixpoint, Patch, Rewrite, RewriteLog};
-pub use rewrites::{normalize, standard_rewrites};
+pub use rewrites::{normalize, normalize_unfused, RewriteLog};

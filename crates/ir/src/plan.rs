@@ -7,17 +7,17 @@
 //! cache install; serving never touches the graph again.
 //!
 //! Lowering is intentionally dumb: every fusion decision was already made by
-//! the rewrite passes, recorded in each conv's
-//! [`EpilogueSpec`](crate::graph::EpilogueSpec). A node the rewrites should
-//! have eliminated (`Bias`, `Requant`, `BatchNorm`, …) is a hard
-//! [`IrError::NotNormalized`] — a rewrite bug surfaces at install time, not
-//! as a silently slow or wrong datapath.
+//! the fold pass ([`crate::normalize`]), recorded in each conv's
+//! [`EpilogueSpec`](crate::graph::EpilogueSpec). A node the pass should have
+//! eliminated (`Bias`, `Requant`) is a hard [`IrError::NotNormalized`] — a
+//! fold bug surfaces at install time, not as a silently slow or wrong
+//! datapath.
 
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::PackLayout;
 
 use crate::error::IrError;
-use crate::graph::{BnFold, Graph, NodeId, Op};
+use crate::graph::{Graph, NodeId, Op};
 
 /// One executable step of a lowered plan. `src`/`dst` (and `a`/`b`) are
 /// slot indices into the executor's value table.
@@ -37,8 +37,8 @@ pub enum Step {
         /// Output slot.
         dst: usize,
     },
-    /// Fused conv on the k-pair `pmaddwd` path: bias + (per-channel)
-    /// requantization + activation applied in the microkernel epilogue.
+    /// Fused conv on the k-pair `pmaddwd` path: bias + requantization +
+    /// activation applied in the microkernel epilogue.
     FusedConv {
         /// SuperNet layer index (resolves cached weights and conv params).
         layer: usize,
@@ -46,8 +46,6 @@ pub enum Step {
         bias: bool,
         /// Activation folded into the epilogue.
         act: Activation,
-        /// Folded batch-norm (per-channel requantization), if any.
-        bn: Option<BnFold>,
         /// The patch matrix is the input slice itself (1×1/s1/p0 dense).
         im2col_skip: bool,
         /// Input slot.
@@ -146,10 +144,8 @@ impl Plan {
     ///
     /// # Errors
     /// Returns [`IrError::NoOutput`]/[`IrError::Validation`] for an invalid
-    /// graph and [`IrError::NotNormalized`] when a node the standard
-    /// rewrites fold away is still present (including a batch-norm folded
-    /// into a conv the layout pass kept on the direct path, which cannot
-    /// apply per-channel requantization).
+    /// graph and [`IrError::NotNormalized`] when a node the fold pass
+    /// eliminates is still present.
     pub fn lower(g: &Graph) -> Result<Self, IrError> {
         let output = g.output().ok_or(IrError::NoOutput)?;
         g.infer()?;
@@ -187,15 +183,11 @@ impl Plan {
                             layer: *layer,
                             bias: epilogue.bias,
                             act: epilogue.act,
-                            bn: epilogue.bn.clone(),
                             im2col_skip: epilogue.im2col_skip,
                             src,
                             dst,
                         });
                     } else {
-                        if epilogue.bn.is_some() {
-                            return Err(nn("batch-norm folded into a direct-path conv"));
-                        }
                         steps.push(Step::Conv {
                             layer: *layer,
                             bias: epilogue.bias,
@@ -245,10 +237,7 @@ impl Plan {
                         Some(slot(&slot_of, node.inputs[0], "output reads a slotless node")?);
                 }
                 Op::Bias { .. } => return Err(nn("unfused bias")),
-                Op::BatchNorm { .. } => return Err(nn("unfolded batch-norm")),
                 Op::Requant => return Err(nn("unfused requantization")),
-                Op::Quantize | Op::Dequantize => return Err(nn("explicit (de)quantize node")),
-                Op::Linear { .. } => return Err(nn("linear head is not lowerable yet")),
             }
         }
         let logits_slot = logits_slot.ok_or(IrError::NoOutput)?;
@@ -284,7 +273,7 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::graph::EpilogueSpec;
-    use crate::rewrites::normalize;
+    use crate::normalize;
     use sushi_tensor::ops::conv::Conv2dParams;
     use sushi_tensor::Shape4;
 

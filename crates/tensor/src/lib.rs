@@ -56,7 +56,7 @@ pub mod tensor;
 
 pub use arena::Arena;
 pub use error::TensorError;
-pub use ops::epilogue::{Epilogue, EpilogueScale};
+pub use ops::epilogue::Epilogue;
 pub use ops::gemm::KernelPolicy;
 pub use ops::pack::{PackLayout, PackedConv2d};
 pub use quant::QuantParams;

@@ -311,7 +311,7 @@ fn conv2d_i8_gemm(
                 let base = out.shape().row_offset(n, k, 0);
                 let dst = &mut out.as_mut_slice()[base..base + npix];
                 let row = &acc[kk * npix..(kk + 1) * npix];
-                requantize_row(row, bias_v, acc_scale, 0.0, out_q.zero_point, i8::MIN, dst);
+                requantize_row(row, bias_v, acc_scale, out_q.zero_point, i8::MIN, dst);
             }
         }
     }
@@ -324,13 +324,14 @@ fn conv2d_i8_gemm(
 /// the GEMM's worker threads. The tile goes straight out as `i8`; when the
 /// reduction fits one K block no `i32` accumulator is requested at all.
 ///
-/// This is the IR-lowered datapath: `sushi-ir` rewrites fold batch-norm and
-/// activations into the epilogue at cache-install time, and the install packs
-/// weights in [`PackLayout::KPair`]. For 1×1/stride-1/unpadded dense convs the
-/// im2col step is skipped entirely — the patch matrix *is* the input slice.
+/// This is the IR-lowered datapath: `sushi-ir`'s fold pass moves bias,
+/// requantization and activation into the epilogue at cache-install time,
+/// and the install packs weights in [`PackLayout::KPair`]. For
+/// 1×1/stride-1/unpadded dense convs the im2col step is skipped entirely —
+/// the patch matrix *is* the input slice.
 ///
-/// Output is bit-identical to [`conv2d_i8_in`] + reference activation for
-/// uniform-scale epilogues (pinned by the cross-crate fusion proptests).
+/// Output is bit-identical to [`conv2d_i8_in`] + reference activation
+/// (pinned by the cross-crate fusion proptests).
 ///
 /// # Errors
 /// Returns an error on shape/parameter mismatch, when `packed` is not in
@@ -554,7 +555,7 @@ fn conv2d_i8_depthwise(
                 let (bias_v, zp) = (bias.map_or(0, |b| b[k]), out_q.zero_point);
                 for oy in 0..oh {
                     let row = &acc[oy * pw..oy * pw + ow];
-                    requantize_row(row, bias_v, acc_scale, 0.0, zp, i8::MIN, out.row_mut(n, k, oy));
+                    requantize_row(row, bias_v, acc_scale, zp, i8::MIN, out.row_mut(n, k, oy));
                 }
             }
         }

@@ -1,15 +1,15 @@
 //! Typed GEMM epilogues: bias + requantization + activation fused into the
 //! accumulator writeback.
 //!
-//! The unfused datapath finishes a quantized convolution in three separate
+//! The unfused datapath finishes a quantized convolution in two separate
 //! passes over the output tensor: requantize the `i32` accumulators
-//! (adding bias), then (for layers that carry one) a batch-norm affine,
-//! then the activation. An [`Epilogue`] is the install-time record of that
-//! whole tail — built once per SubGraph install by the IR lowering
-//! (`sushi-ir`) and applied by [`crate::ops::conv::conv2d_i8_fused`] to
-//! each `MR×NR` register tile as the GEMM's last K block finishes it, so
-//! the tile's sums go out as `i8` without a second pass over an `i32`
-//! accumulator (`docs/KERNELS.md`, "Fused tail").
+//! (adding bias), then the activation. An [`Epilogue`] is the install-time
+//! record of that whole tail — built once per SubGraph install by the IR
+//! lowering (`sushi-ir`) and applied by
+//! [`crate::ops::conv::conv2d_i8_fused`] to each `MR×NR` register tile as
+//! the GEMM's last K block finishes it, so the tile's sums go out as `i8`
+//! without a second pass over an `i32` accumulator (`docs/KERNELS.md`,
+//! "Fused tail").
 //!
 //! The tail runs in two passes over each finished row: a lane-wise
 //! requantization (`quant::requantize_row`, with ReLU folded into its
@@ -19,43 +19,26 @@
 //! dequantize → activate → quantize.
 //!
 //! Exactness contract (pinned by the unit tests below and the cross-crate
-//! fusion proptests): with a uniform scale and no offset, [`Epilogue::
-//! apply_row`] is **bit-identical** to
+//! fusion proptests): [`Epilogue::apply_row`] is **bit-identical** to
 //! [`requantize_accumulator`](crate::quant::requantize_accumulator)
 //! followed by the reference int8 activation (`max(0)` for ReLU;
-//! quantize∘act∘dequantize for the h-family). Batch-norm folding uses the
-//! per-channel scale/offset form and matches the two-pass reference within
-//! one output quantum (one extra rounding step is folded away).
+//! quantize∘act∘dequantize for the h-family).
 
 use crate::error::TensorError;
 use crate::ops::activation::Activation;
 use crate::ops::pack::NR;
 use crate::quant::{requantize_row, QuantParams};
 
-/// The accumulator→output rescale of an [`Epilogue`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum EpilogueScale {
-    /// One scale for every output channel (`in.scale · w.scale / out.scale`
-    /// — the plain conv requantization).
-    Uniform(f32),
-    /// Per-output-channel scales (conv requantization with a folded
-    /// batch-norm multiplier).
-    PerChannel(Vec<f32>),
-}
-
-/// A fused conv tail: `i32` accumulator → bias add → per-channel rescale
-/// (+ offset) → round/clamp to `i8` → activation.
+/// A fused conv tail: `i32` accumulator → bias add → rescale → round/clamp
+/// to `i8` → activation.
 ///
 /// Built once per cache install; [`crate::ops::conv::conv2d_i8_fused`]
 /// applies it to each register tile the GEMM finishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Epilogue {
     bias: Vec<i32>,
-    scale: EpilogueScale,
-    /// Per-channel additive offset in output-quantum units, applied after
-    /// the rescale and before rounding (folded batch-norm shift). Empty
-    /// means zero for every channel.
-    offset: Vec<f32>,
+    /// The accumulator→output rescale, `in.scale · w.scale / out.scale`.
+    scale: f32,
     out_q: QuantParams,
     act: Activation,
     /// The activation on every requantized `i8`, for the activations
@@ -73,47 +56,11 @@ impl Epilogue {
     /// [`TensorError::InvalidParam`] when `bias` is empty (every conv layer
     /// in the datapath carries a bias vector sized to its output channels),
     /// when `acc_scale` is not finite and positive, or when `out_q`'s scale
-    /// is not.
+    /// is not. A NaN, infinite, zero or negative scale would write all
+    /// zeros or saturate every output.
     pub fn uniform(
         bias: Vec<i32>,
         acc_scale: f32,
-        out_q: QuantParams,
-        act: Activation,
-    ) -> Result<Self, TensorError> {
-        Self::new(bias, EpilogueScale::Uniform(acc_scale), Vec::new(), out_q, act)
-    }
-
-    /// Epilogue with per-channel scales and offsets — the folded-batch-norm
-    /// form: channel `c` computes
-    /// `round((acc + bias[c]) · scales[c] + offsets[c]) + zp`, clamped.
-    ///
-    /// # Errors
-    /// [`TensorError::LengthMismatch`] when the vector lengths disagree;
-    /// [`TensorError::InvalidParam`] when `bias` is empty, a scale is not
-    /// finite and positive, an offset is not finite, or `out_q`'s scale is
-    /// not finite and positive.
-    pub fn per_channel(
-        bias: Vec<i32>,
-        scales: Vec<f32>,
-        offsets: Vec<f32>,
-        out_q: QuantParams,
-        act: Activation,
-    ) -> Result<Self, TensorError> {
-        for len in [scales.len(), offsets.len()] {
-            if !bias.is_empty() && len != bias.len() {
-                return Err(TensorError::LengthMismatch { expected: bias.len(), actual: len });
-            }
-        }
-        Self::new(bias, EpilogueScale::PerChannel(scales), offsets, out_q, act)
-    }
-
-    /// Validates the parameters and builds the activation table. A NaN,
-    /// infinite, zero or negative scale would write all zeros or saturate
-    /// every output.
-    fn new(
-        bias: Vec<i32>,
-        scale: EpilogueScale,
-        offset: Vec<f32>,
         out_q: QuantParams,
         act: Activation,
     ) -> Result<Self, TensorError> {
@@ -121,17 +68,10 @@ impl Epilogue {
         if bias.is_empty() {
             return Err(TensorError::InvalidParam { what: "epilogue needs per-channel bias" });
         }
-        let scales = match &scale {
-            EpilogueScale::Uniform(s) => std::slice::from_ref(s),
-            EpilogueScale::PerChannel(v) => v.as_slice(),
-        };
-        if !scales.iter().all(|&s| positive(s)) {
+        if !positive(acc_scale) {
             return Err(TensorError::InvalidParam {
                 what: "epilogue scale must be finite and positive",
             });
-        }
-        if !offset.iter().all(|o| o.is_finite()) {
-            return Err(TensorError::InvalidParam { what: "epilogue offset must be finite" });
         }
         if !positive(out_q.scale) {
             return Err(TensorError::InvalidParam {
@@ -144,7 +84,7 @@ impl Epilogue {
                 out_q.quantize(act.apply(out_q.dequantize(i as u8 as i8)))
             }))),
         };
-        Ok(Self { bias, scale, offset, out_q, act, table })
+        Ok(Self { bias, scale: acc_scale, out_q, act, table })
     }
 
     /// Number of output channels this epilogue covers.
@@ -163,15 +103,6 @@ impl Epilogue {
     #[must_use]
     pub fn out_q(&self) -> QuantParams {
         self.out_q
-    }
-
-    /// The rescale applied to channel `ch`.
-    #[must_use]
-    pub fn scale_for(&self, ch: usize) -> f32 {
-        match &self.scale {
-            EpilogueScale::Uniform(s) => *s,
-            EpilogueScale::PerChannel(v) => v[ch],
-        }
     }
 
     /// Applies the full tail to one accumulator value of channel `ch`.
@@ -213,19 +144,13 @@ impl Epilogue {
         self.activate(dst);
     }
 
-    /// The requantization pass: bias, rescale, offset, round and clamp,
-    /// with ReLU folded into the clamp.
+    /// The requantization pass: bias, rescale, round and clamp, with ReLU
+    /// folded into the clamp.
     #[inline]
     fn requantize(&self, ch: usize, acc: &[i32], dst: &mut [i8]) {
-        // `x + 0.0` is exact for every f32 `x` (only -0.0 is canonicalized,
-        // and the round/add/clamp/cast that follow agree on ±0.0), so the
-        // no-offset case stays bit-identical to
-        // `requantize_accumulator(acc + bias, scale, zp)`.
-        let offset = self.offset.get(ch).copied().unwrap_or(0.0);
         // ReLU is `max(0)` on the requantized value: a floor of 0.
         let floor = if self.act == Activation::Relu { 0 } else { i8::MIN };
-        let (bias, scale, zp) = (self.bias[ch], self.scale_for(ch), self.out_q.zero_point);
-        requantize_row(acc, bias, scale, offset, zp, floor, dst);
+        requantize_row(acc, self.bias[ch], self.scale, self.out_q.zero_point, floor, dst);
     }
 
     /// The table pass of the activations that need one.
@@ -293,22 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_scales_and_offsets_apply() {
-        let ep = Epilogue::per_channel(
-            vec![0, 0],
-            vec![0.01, 0.02],
-            vec![0.0, 10.0],
-            OUT_Q,
-            Activation::None,
-        )
-        .unwrap();
-        // ch 0: round(100·0.01) = 1; ch 1: round(100·0.02 + 10) = 12.
-        assert_eq!(ep.apply(0, 100), 1);
-        assert_eq!(ep.apply(1, 100), 12);
-        assert_eq!(ep.scale_for(1), 0.02);
-    }
-
-    #[test]
     fn saturates_at_i8_limits() {
         let ep = Epilogue::uniform(vec![0], 1.0, OUT_Q, Activation::None).unwrap();
         assert_eq!(ep.apply(0, 1 << 20), 127);
@@ -318,38 +227,12 @@ mod tests {
     #[test]
     fn rejects_inconsistent_construction() {
         assert!(Epilogue::uniform(vec![], 1.0, OUT_Q, Activation::None).is_err());
-        assert!(Epilogue::per_channel(
-            vec![1, 2],
-            vec![1.0],
-            vec![0.0, 0.0],
-            OUT_Q,
-            Activation::None
-        )
-        .is_err());
-        assert!(Epilogue::per_channel(
-            vec![1, 2],
-            vec![1.0, 1.0],
-            vec![0.0],
-            OUT_Q,
-            Activation::None
-        )
-        .is_err());
     }
 
-    /// Both constructors with one bad scale (uniform: the only scale;
-    /// per-channel: the second of two) must return `InvalidParam`.
+    /// A bad scale must return `InvalidParam`.
     fn assert_scale_rejected(bad: f32) {
-        let invalid =
-            |r: Result<Epilogue, TensorError>| matches!(r, Err(TensorError::InvalidParam { .. }));
-        assert!(invalid(Epilogue::uniform(vec![0], bad, OUT_Q, Activation::None)), "{bad}");
-        let per_channel = Epilogue::per_channel(
-            vec![0, 0],
-            vec![0.5, bad],
-            vec![0.0; 2],
-            OUT_Q,
-            Activation::None,
-        );
-        assert!(invalid(per_channel), "per-channel {bad}");
+        let ep = Epilogue::uniform(vec![0], bad, OUT_Q, Activation::None);
+        assert!(matches!(ep, Err(TensorError::InvalidParam { .. })), "{bad}");
     }
 
     #[test]
@@ -375,29 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_finite_offset() {
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let ep = Epilogue::per_channel(
-                vec![0, 0],
-                vec![0.5, 0.5],
-                vec![0.0, bad],
-                OUT_Q,
-                Activation::None,
-            );
-            assert!(matches!(ep, Err(TensorError::InvalidParam { .. })), "offset {bad}");
-        }
-    }
-
-    #[test]
     fn rejects_non_positive_output_scale() {
         for bad in [0.0, -0.5, f32::NAN, f32::INFINITY] {
             // `QuantParams::new` would panic; the fields are public.
             let out_q = QuantParams { scale: bad, zero_point: 0 };
             let uniform = Epilogue::uniform(vec![0], 0.5, out_q, Activation::HSwish);
             assert!(matches!(uniform, Err(TensorError::InvalidParam { .. })), "{bad}");
-            let per_channel =
-                Epilogue::per_channel(vec![0], vec![0.5], vec![0.0], out_q, Activation::None);
-            assert!(matches!(per_channel, Err(TensorError::InvalidParam { .. })), "{bad}");
         }
     }
 

@@ -200,8 +200,8 @@ impl Accumulator for f32 {
 }
 
 /// Requantizes one row a lane at a time:
-/// `dst[i] = clamp(round((acc[i] + bias) as f32 · scale + offset) + zp,
-/// floor, 127)`. With `offset == 0.0` and `floor == i8::MIN` that is
+/// `dst[i] = clamp(round((acc[i] + bias) as f32 · scale) + zp, floor, 127)`.
+/// With `floor == i8::MIN` that is
 /// [`requantize_accumulator`]`(acc[i] + bias, scale, zp)`, bit for bit.
 /// A `floor` of 0 folds a ReLU in: `round` is monotone, so clamping at 0
 /// equals `max(0)` after the clamp.
@@ -210,7 +210,6 @@ pub(crate) fn requantize_row<T: Accumulator>(
     acc: &[T],
     bias: i32,
     scale: f32,
-    offset: f32,
     zp: i8,
     floor: i8,
     dst: &mut [i8],
@@ -222,13 +221,11 @@ pub(crate) fn requantize_row<T: Accumulator>(
             let [a, b] = T::load8(v);
             // SAFETY: SSE2 is in the x86-64 baseline.
             unsafe {
-                let (a, b) =
-                    (sse2::affine(a, bias, scale, offset), sse2::affine(b, bias, scale, offset));
-                sse2::stage8(a, b, zp, floor)
+                sse2::stage8(sse2::affine(a, bias, scale), sse2::affine(b, bias, scale), zp, floor)
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        v.map(|a| stage(a.to_i32().wrapping_add(bias) as f32 * scale + offset, zp, floor))
+        v.map(|a| stage(a.to_i32().wrapping_add(bias) as f32 * scale, zp, floor))
     });
 }
 
@@ -296,15 +293,15 @@ mod sse2 {
         _mm_or_ps(r, _mm_and_ps(x, sign))
     }
 
-    /// `(v + bias) as f32 · scale + offset` on four lanes: the scalar
-    /// formula's operations, each rounded once (Rust never fuses them).
+    /// `(v + bias) as f32 · scale` on four lanes: the scalar formula's
+    /// operations, each rounded once.
     ///
     /// # Safety
     /// Needs SSE2, which every x86-64 CPU has.
     #[inline(always)]
-    pub(super) unsafe fn affine(v: __m128i, bias: i32, scale: f32, offset: f32) -> __m128 {
+    pub(super) unsafe fn affine(v: __m128i, bias: i32, scale: f32) -> __m128 {
         let x = _mm_cvtepi32_ps(_mm_add_epi32(v, _mm_set1_epi32(bias)));
-        _mm_add_ps(_mm_mul_ps(x, _mm_set1_ps(scale)), _mm_set1_ps(offset))
+        _mm_mul_ps(x, _mm_set1_ps(scale))
     }
 
     /// `clamp(round(x) + zp, floor, 127)` on eight lanes. Clamping `x` to
@@ -553,29 +550,19 @@ mod tests {
                     (0..len).map(|_| (rng.next_u64() % 2001) as i32 - 1000).collect();
                 let oracle: Vec<i8> =
                     acc.iter().map(|&a| requantize_accumulator(a + bias, scale, zp)).collect();
-                let row = |acc: &[i32], offset, floor| {
+                let row = |acc: &[i32], floor| {
                     let mut dst = vec![0i8; len];
-                    requantize_row(acc, bias, scale, offset, zp, floor, &mut dst);
+                    requantize_row(acc, bias, scale, zp, floor, &mut dst);
                     dst
                 };
-                assert_eq!(row(&acc, 0.0, i8::MIN), oracle, "scale {scale}, zp {zp}");
+                assert_eq!(row(&acc, i8::MIN), oracle, "scale {scale}, zp {zp}");
                 // A floor of 0 is the reference int8 ReLU.
                 let relu: Vec<i8> = oracle.iter().map(|&q| q.max(0)).collect();
-                assert_eq!(row(&acc, 0.0, 0), relu, "ReLU floor, scale {scale}, zp {zp}");
-                // An offset lands before the round.
-                let offset = rng.uniform_f32(-20.0, 20.0);
-                let with_offset: Vec<i8> = acc
-                    .iter()
-                    .map(|&a| {
-                        let y = ((a + bias) as f32 * scale + offset).round() + f32::from(zp);
-                        y.clamp(-128.0, 127.0) as i8
-                    })
-                    .collect();
-                assert_eq!(row(&acc, offset, i8::MIN), with_offset, "offset {offset}");
+                assert_eq!(row(&acc, 0), relu, "ReLU floor, scale {scale}, zp {zp}");
                 // The depthwise kernel's integer-valued `f32` sums agree.
                 let acc_f32: Vec<f32> = acc.iter().map(|&a| a as f32).collect();
                 let mut dst = vec![0i8; len];
-                requantize_row(&acc_f32, bias, scale, 0.0, zp, i8::MIN, &mut dst);
+                requantize_row(&acc_f32, bias, scale, zp, i8::MIN, &mut dst);
                 assert_eq!(dst, oracle, "f32 accumulators, scale {scale}");
             }
         }

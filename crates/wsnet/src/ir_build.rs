@@ -3,15 +3,14 @@
 //!
 //! [`build_ir`] writes the network out layer by layer — stem, blocks, head,
 //! with each activation and residual add where the per-layer oracle in
-//! `crates/accel/tests/oracle` applies it. The rewrites only change *where*
-//! bias/requant/activation run (inside the conv epilogue), never their
-//! arithmetic, which is what keeps every plan's logits bit-identical to
-//! that oracle.
+//! `crates/accel/tests/oracle` applies it. The fold pass only changes
+//! *where* bias/requant/activation run (inside the conv epilogue), never
+//! their arithmetic, which is what keeps every plan's logits bit-identical
+//! to that oracle.
 //!
 //! Translation runs once per cache install; queries never see the graph.
 
-use sushi_ir::rewrites::AnnotateLayout;
-use sushi_ir::{Graph, IrError, NodeId, Op, Plan, Rewrite};
+use sushi_ir::{Graph, IrError, NodeId, Op, Plan};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::Conv2dParams;
 use sushi_tensor::Shape4;
@@ -75,25 +74,27 @@ pub fn build_ir(net: &SuperNet, subnet: &SubNet) -> Result<Graph, IrError> {
     Ok(b.g)
 }
 
-/// [`build_ir`], rewritten to fixpoint and lowered to an executable
-/// [`Plan`] — the one-call install-time entry point.
+/// [`build_ir`], normalized and lowered to an executable [`Plan`] — the
+/// one-call install-time entry point.
 ///
-/// `fusion` picks the rewrite catalog, and the catalog alone picks the
-/// datapath: the standard one annotates GEMM-bound convs with the k-pair
-/// layout, which lowers them to [`sushi_ir::Step::FusedConv`]; with fusion
-/// off [`AnnotateLayout`] is left out, so every conv lowers to the plain
-/// [`sushi_ir::Step::Conv`] (conv, bias, requantize, activation). Both
-/// plans have the same steps in the same slots and produce the same logits.
+/// `fusion` alone picks the datapath: [`sushi_ir::normalize`] annotates
+/// GEMM-bound convs with the k-pair layout, which lowers them to
+/// [`sushi_ir::Step::FusedConv`]; with fusion off
+/// [`sushi_ir::normalize_unfused`] skips that annotation, so every conv
+/// lowers to the plain [`sushi_ir::Step::Conv`] (conv, bias, requantize,
+/// activation). Both plans have the same steps in the same slots and
+/// produce the same logits.
 ///
 /// # Errors
-/// Returns an error when graph construction, a rewrite, or lowering fails.
+/// Returns an error when graph construction, the fold pass, or lowering
+/// fails.
 pub fn build_plan(net: &SuperNet, subnet: &SubNet, fusion: bool) -> Result<Plan, IrError> {
     let mut g = build_ir(net, subnet)?;
-    let mut catalog = sushi_ir::standard_rewrites();
-    if !fusion {
-        catalog.retain(|rw| rw.name() != AnnotateLayout.name());
+    if fusion {
+        sushi_ir::normalize(&mut g)?;
+    } else {
+        sushi_ir::normalize_unfused(&mut g)?;
     }
-    sushi_ir::run_to_fixpoint(&mut g, &catalog)?;
     Plan::lower(&g)
 }
 
@@ -278,11 +279,28 @@ mod tests {
                 match (p, f) {
                     (
                         Step::Conv { layer, bias, act, src, dst },
-                        Step::FusedConv {
-                            layer: l, bias: b, act: a, bn: None, src: s, dst: d, ..
-                        },
+                        Step::FusedConv { layer: l, bias: b, act: a, src: s, dst: d, .. },
                     ) => assert_eq!((layer, bias, act, src, dst), (l, b, a, s, d)),
                     _ => assert_eq!(p, f, "{}", net.name),
+                }
+            }
+        }
+    }
+
+    /// One sweep reaches the normal form: normalizing an already-normalized
+    /// graph applies nothing and leaves it equal, with fusion on or off.
+    #[test]
+    fn normalizing_twice_applies_nothing() {
+        for net in nets() {
+            for (label, cfg) in [("max", net.max_config()), ("min", net.min_config())] {
+                let sn = net.materialize(label, &cfg).unwrap();
+                for pass in [sushi_ir::normalize, sushi_ir::normalize_unfused] {
+                    let mut g = build_ir(&net, &sn).unwrap();
+                    assert!(!pass(&mut g).unwrap().applied.is_empty());
+                    let once = g.clone();
+                    let log = pass(&mut g).unwrap();
+                    assert!(log.applied.is_empty(), "{}/{label}: {:?}", net.name, log.applied);
+                    assert_eq!(g, once, "{}/{label}", net.name);
                 }
             }
         }

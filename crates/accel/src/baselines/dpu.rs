@@ -84,7 +84,7 @@ impl DpuModel {
     /// once per layer (not hidden behind compute of the *same* layer's
     /// first tile), then compute proceeds with activations streaming.
     #[must_use]
-    pub fn layer_cycles(&self, layer: &ConvLayerDesc, slice: &LayerSlice) -> u64 {
+    fn layer_cycles(&self, layer: &ConvLayerDesc, slice: &LayerSlice) -> u64 {
         if slice.is_empty() {
             return 0;
         }

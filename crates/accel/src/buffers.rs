@@ -47,7 +47,7 @@ pub struct BandwidthRequirement {
 
 /// Least common multiple.
 #[must_use]
-pub fn lcm(a: u64, b: u64) -> u64 {
+fn lcm(a: u64, b: u64) -> u64 {
     if a == 0 || b == 0 {
         return 0;
     }
@@ -56,7 +56,7 @@ pub fn lcm(a: u64, b: u64) -> u64 {
 
 /// Greatest common divisor (Euclid).
 #[must_use]
-pub fn gcd(a: u64, b: u64) -> u64 {
+fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a
     } else {

@@ -127,7 +127,7 @@ impl AccelConfig {
 
     /// On-chip bytes readable per cycle (PB/DB to the DPE array).
     #[must_use]
-    pub fn onchip_bytes_per_cycle(&self) -> f64 {
+    fn onchip_bytes_per_cycle(&self) -> f64 {
         self.offchip_bytes_per_cycle() * self.onchip_bw_ratio
     }
 

@@ -10,7 +10,9 @@
 //! repro -- --serve --backend functional --no-fusion  # unfused cache installs
 //! ```
 //!
-//! Any other `--` flag exits 2 and lists the accepted ones.
+//! Any other `--` flag, or an unknown id, exits 2 before anything runs
+//! and lists the accepted ones. A failed `--save` write exits 1 after
+//! every selected experiment has run, naming the ids it could not save.
 //!
 //! `--serve` is shorthand for the `serve` experiment id: it runs the
 //! traffic presets (steady / burst / diurnal / multi-tenant / overload /
@@ -93,28 +95,30 @@ fn main() {
     } else {
         ids.iter().map(String::as_str).collect()
     };
-
-    let mut failures = Vec::new();
-    for id in selected {
-        match run(id, &opts) {
-            Some(report) => {
-                let text = report.render();
-                println!("{text}");
-                if let Some(dir) = &save_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                        let mut f = std::fs::File::create(format!("{dir}/{id}.txt"))?;
-                        f.write_all(text.as_bytes())
-                    }) {
-                        eprintln!("warning: could not save {id}: {e}");
-                    }
-                }
-            }
-            None => failures.push(id),
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!("unknown experiment id(s): {failures:?}");
+    // Reject unknown ids before running anything, so stdout stays empty.
+    let unknown: Vec<&str> = selected.iter().copied().filter(|id| !all.contains(id)).collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s): {unknown:?}");
         eprintln!("available: {all:?}");
         std::process::exit(2);
+    }
+
+    let mut unsaved = Vec::new();
+    for id in selected {
+        let text = run(id, &opts).expect("id is in the registry").render();
+        println!("{text}");
+        if let Some(dir) = &save_dir {
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
+                let mut f = std::fs::File::create(format!("{dir}/{id}.txt"))?;
+                f.write_all(text.as_bytes())
+            }) {
+                eprintln!("could not save {id}: {e}");
+                unsaved.push(id);
+            }
+        }
+    }
+    if !unsaved.is_empty() {
+        eprintln!("not saved to {}: {unsaved:?}", save_dir.unwrap_or_default());
+        std::process::exit(1);
     }
 }

@@ -30,7 +30,7 @@
 //! unless serving semantics changed, and the gate is a plain text diff
 //! (`serve_bench --out BENCH_serve.json && git diff --exit-code --
 //! BENCH_serve.json`). Wall-clock throughput of the simulator itself is
-//! tracked separately by the `serve_sim` criterion bench.
+//! measured separately by the `pool_sim` workload of `BENCHMARK.json`.
 
 use sushi_core::experiments::ExpOptions;
 use sushi_core::metrics::{serve_bench_to_json, ServeBenchEntry, ServeSummary};

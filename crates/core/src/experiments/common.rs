@@ -12,8 +12,8 @@ use crate::engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
 use crate::stream::ConstraintSpace;
 use crate::variants::{build_table, Variant};
 
-/// Experiment sizing knobs. Defaults regenerate the paper-scale runs; the
-/// benches shrink `queries` for quick iterations.
+/// Experiment sizing knobs. Defaults regenerate the paper-scale runs;
+/// [`ExpOptions::quick`] shrinks `queries` for CI-sized runs.
 ///
 /// `#[non_exhaustive]`: construct via [`Default`] / [`ExpOptions::quick`]
 /// and adjust fields, so future knobs are non-breaking.
@@ -63,7 +63,7 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// A reduced configuration for quick smoke runs and benches.
+    /// A reduced configuration for quick smoke runs (`repro --quick`).
     #[must_use]
     pub fn quick() -> Self {
         Self { queries: 120, candidates: 8, ..Self::default() }

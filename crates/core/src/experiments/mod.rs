@@ -33,8 +33,8 @@ use crate::report::ExpReport;
 /// One experiment: its id and its regenerator.
 pub type Experiment = (&'static str, fn(&ExpOptions) -> ExpReport);
 
-/// Every experiment, in paper order: the one list of ids `repro all`,
-/// the benches and the tests walk.
+/// Every experiment, in paper order: the one list of ids `repro all` and
+/// the tests walk.
 pub const EXPERIMENTS: &[Experiment] = &[
     ("fig2", fig2),
     ("fig3", fig3),

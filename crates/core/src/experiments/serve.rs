@@ -1,6 +1,6 @@
 //! `serve`: the event-driven serving runtime under the traffic presets
 //! (steady / burst / diurnal / multi-tenant / overload / deadline-mix /
-//! failover).
+//! failover / scale / chaos).
 //!
 //! Unlike the §5 replays, this experiment measures *systems* behavior —
 //! queueing, batching, drops, tail latency, and (by default) the
@@ -47,13 +47,8 @@ pub fn serve(opts: &ExpOptions) -> ExpReport {
         "tenant", "tier", "offered", "done", "drop", "p50ms", "p99ms", "goodput", "SLO viol",
     ]);
     for preset in ServePreset::ALL {
-        let result = match run_scenario(preset, opts) {
-            Ok(result) => result,
-            Err(e) => {
-                report.add_note(format!("preset {} failed: {e}", preset.name()));
-                continue;
-            }
-        };
+        let result = run_scenario(preset, opts)
+            .unwrap_or_else(|e| panic!("serving preset {} failed: {e}", preset.name()));
         push_summary_row(&mut table, preset.name(), &result.summary());
         if preset == ServePreset::MultiTenant {
             for (tenant, label) in [(0u32, "AV"), (1u32, "ICU")] {

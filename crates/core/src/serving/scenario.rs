@@ -125,7 +125,7 @@ impl ServePreset {
 
     /// The preset's pool size (what its `BENCH_serve.json` rows record).
     #[must_use]
-    pub fn default_workers(&self) -> usize {
+    fn default_workers(&self) -> usize {
         match self {
             ServePreset::Scale => 8,
             ServePreset::Chaos => 4,
@@ -136,7 +136,7 @@ impl ServePreset {
     /// The preset's routing policy (what its `BENCH_serve.json` rows
     /// record).
     #[must_use]
-    pub fn default_routing(&self) -> RoutingPolicy {
+    fn default_routing(&self) -> RoutingPolicy {
         match self {
             ServePreset::Scale | ServePreset::Chaos => RoutingPolicy::CacheAffinity,
             _ => RoutingPolicy::LeastLoaded,

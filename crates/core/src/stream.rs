@@ -31,16 +31,8 @@ impl ConstraintSpace {
     pub const DEGENERATE_BAND_EPS: f64 = 1e-3;
 
     /// Derives a constraint space from the serving SubNets' accuracy band
-    /// and their cold latencies.
-    ///
-    /// Degenerate bands (all accuracies equal, or all latencies equal with
-    /// a zero-width `[0.8x, 1.1x]` window when `x == 0`) are widened by
-    /// [`Self::DEGENERATE_BAND_EPS`] so the space always has positive area.
-    ///
-    /// # Panics
-    /// Panics if `accuracies` or `cold_latencies_ms` is empty.
-    #[must_use]
-    pub fn from_serving_set(accuracies: &[f64], cold_latencies_ms: &[f64]) -> Self {
+    /// and their cold latencies (see [`Self::from_table`]).
+    fn from_serving_set(accuracies: &[f64], cold_latencies_ms: &[f64]) -> Self {
         assert!(!accuracies.is_empty() && !cold_latencies_ms.is_empty());
         let acc_lo = accuracies.iter().copied().fold(f64::INFINITY, f64::min);
         let acc_hi = accuracies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -51,8 +43,13 @@ impl ConstraintSpace {
         Self { acc_lo, acc_hi, lat_lo, lat_hi }
     }
 
-    /// [`Self::from_serving_set`] over a latency table's rows: their
-    /// accuracies and their cold (empty-column) latencies.
+    /// The constraint space of a latency table's rows: their accuracy band,
+    /// and their cold (empty-column) latencies widened to
+    /// `[0.8·min, 1.1·max]`.
+    ///
+    /// Degenerate bands (all accuracies equal, or all latencies equal with
+    /// a zero-width `[0.8x, 1.1x]` window when `x == 0`) are widened by
+    /// [`Self::DEGENERATE_BAND_EPS`] so the space always has positive area.
     ///
     /// # Panics
     /// Panics if the table has no rows.
@@ -99,7 +96,7 @@ impl TimedQuery {
 
     /// Tags the query with a tenant index.
     #[must_use]
-    pub fn with_tenant(mut self, tenant: u32) -> Self {
+    fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
         self
     }

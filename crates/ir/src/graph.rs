@@ -165,12 +165,6 @@ impl Graph {
         NodeId(0)
     }
 
-    /// The declared input shape.
-    #[must_use]
-    pub fn input_shape(&self) -> Shape4 {
-        self.input_shape
-    }
-
     /// Appends a node and returns its id. Inputs must refer to existing
     /// earlier nodes (append order is topological order).
     pub fn push(&mut self, op: Op, inputs: &[NodeId]) -> NodeId {

@@ -37,7 +37,7 @@ impl Activation {
     /// The hot-loop form: callers stream a tensor's backing buffer (or one
     /// [`Tensor::row`]) without allocating an output tensor.
     #[inline]
-    pub fn apply_slice(self, xs: &mut [f32]) {
+    fn apply_slice(self, xs: &mut [f32]) {
         if self == Activation::None {
             return;
         }

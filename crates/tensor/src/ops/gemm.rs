@@ -173,7 +173,7 @@ fn worker_count(m: usize, k: usize, n: usize) -> usize {
 /// machine (x86-64 with AVX2). When `false`, the portable microkernels
 /// run; results are bit-identical either way.
 #[must_use]
-pub fn simd_kernels_active() -> bool {
+fn simd_kernels_active() -> bool {
     static DETECTED: OnceLock<bool> = OnceLock::new();
     *DETECTED.get_or_init(detect_simd)
 }
@@ -227,7 +227,7 @@ fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR
 /// accumulator stays below `2³¹`.
 ///
 /// # Safety
-/// Caller must have verified AVX2 support (see [`simd_kernels_active`]) and
+/// Caller must have verified AVX2 support (see `simd_kernels_active`) and
 /// pass pair-interleaved slices of at least `kpairs·MR·2` / `kpairs·NR·2`
 /// elements.
 #[cfg(target_arch = "x86_64")]

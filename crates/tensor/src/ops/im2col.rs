@@ -10,7 +10,7 @@
 //! and the input *zero point* for the quantized path, so the GEMM's
 //! Zero-Subtraction stage `(a − zp)` makes padding contribute exactly zero —
 //! the same semantics as the reference loops. Valid output ranges per weight
-//! position are precomputed once ([`out_range`]), so the inner copies are
+//! position are precomputed once (`out_range`), so the inner copies are
 //! branch-free and `stride == 1` rows degrade to `copy_from_slice`.
 //!
 //! `im2col` writes into a caller-provided buffer; on the serving hot path
@@ -28,7 +28,7 @@ use crate::tensor::{Element, Tensor};
 /// Hoisting this per weight position kills the per-pixel signed clamp that
 /// the naive loops paid on every multiply-accumulate.
 #[must_use]
-pub fn out_range(
+fn out_range(
     r: usize,
     stride: usize,
     padding: usize,

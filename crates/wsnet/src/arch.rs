@@ -80,7 +80,7 @@ pub struct SuperNet {
 /// Rounds channels to the hardware-friendly multiple of 8 used by OFA's
 /// `make_divisible`, never below 8.
 #[must_use]
-pub fn round_channels(x: f64) -> usize {
+fn round_channels(x: f64) -> usize {
     let r = ((x / 8.0).round() as usize) * 8;
     r.max(8)
 }

@@ -27,7 +27,7 @@ impl NetVector {
 
     /// Creates a vector directly from components.
     #[must_use]
-    pub fn from_components(v: Vec<f64>) -> Self {
+    fn from_components(v: Vec<f64>) -> Self {
         Self(v)
     }
 
@@ -55,7 +55,7 @@ impl NetVector {
 
     /// L2 norm.
     #[must_use]
-    pub fn norm_l2(&self) -> f64 {
+    fn norm_l2(&self) -> f64 {
         self.0.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 

@@ -6,20 +6,19 @@
 //! repro -- all --quick                  # reduced streams (CI-sized)
 //! repro -- all --save results           # also write results/<id>.txt
 //! repro -- kernels --kernel-policy gemm # pin the functional kernel backend
-//! repro -- --serve                      # the serving runtime presets
-//! repro -- --serve --backend functional --no-fusion  # unfused cache installs
+//! repro -- serve                        # the serving runtime presets
+//! repro -- serve --backend functional --no-fusion  # unfused cache installs
 //! ```
 //!
 //! Any other `--` flag, or an unknown id, exits 2 before anything runs
 //! and lists the accepted ones. A failed `--save` write exits 1 after
 //! every selected experiment has run, naming the ids it could not save.
 //!
-//! `--serve` is shorthand for the `serve` experiment id: it runs the
-//! traffic presets (steady / burst / diurnal / multi-tenant / overload /
-//! deadline-mix / failover / scale / chaos) through the event-driven
-//! serving runtime (deterministic: same seed, same report), each on its
-//! own pool size and routing policy, with load-adaptive degradation —
-//! tenant-tiered on `multi_tenant`.
+//! The `serve` experiment runs the traffic presets (steady / burst /
+//! diurnal / multi-tenant / overload / deadline-mix / failover / scale /
+//! chaos) through the event-driven serving runtime (deterministic: same
+//! seed, same report), each on its own pool size and routing policy, with
+//! load-adaptive degradation — tenant-tiered on `multi_tenant`.
 //!
 //! `--backend analytical|functional` selects the serving runtime's
 //! execution backend (`EngineBuilder::backend`): `analytical` (default)
@@ -45,7 +44,7 @@ use sushi_core::engine::BackendKind;
 use sushi_core::experiments::{run, ExpOptions, EXPERIMENTS};
 use sushi_tensor::KernelPolicy;
 
-const ACCEPTED: &str = "--quick, --serve, --no-fusion, --save <dir>, \
+const ACCEPTED: &str = "--quick, --no-fusion, --save <dir>, \
                         --kernel-policy <naive|gemm|auto>, --backend <analytical|functional>";
 
 fn usage_error(msg: &str) -> ! {
@@ -55,7 +54,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let (mut quick, mut serve, mut fusion) = (false, false, true);
+    let (mut quick, mut fusion) = (false, true);
     let (mut save_dir, mut kernel_policy, mut backend) =
         (None, KernelPolicy::Auto, BackendKind::Analytical);
     let mut ids: Vec<String> = Vec::new();
@@ -67,7 +66,6 @@ fn main() {
             || args.next().unwrap_or_else(|| usage_error(&format!("{arg} requires a value")));
         match arg.as_str() {
             "--quick" => quick = true,
-            "--serve" => serve = true,
             "--no-fusion" => fusion = false,
             "--save" => save_dir = Some(value()),
             "--kernel-policy" => {
@@ -77,10 +75,6 @@ fn main() {
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
             _ => ids.push(arg.clone()),
         }
-    }
-    // `--serve` selects the serving-runtime experiment (alongside any ids).
-    if serve && !ids.iter().any(|i| i == "serve") {
-        ids.push("serve".to_string());
     }
     let mut opts = if quick { ExpOptions::quick() } else { ExpOptions::default() };
     opts.kernel_policy = kernel_policy;

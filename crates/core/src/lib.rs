@@ -20,7 +20,7 @@
 //!   ratio, streaming latency percentiles.
 //! * [`serving`] — the event-driven serving runtime: open-loop arrivals,
 //!   bounded admission queue, dynamic batching, a multi-worker executor
-//!   pool, and SLO accounting (`repro --serve`).
+//!   pool, and SLO accounting (`repro serve`).
 //! * [`experiments`] — a regenerator for **every** table and figure in the
 //!   paper's evaluation (run them all via the `repro` binary:
 //!   `cargo run -p sushi-core --release --bin repro -- all`).

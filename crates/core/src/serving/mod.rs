@@ -38,7 +38,7 @@
 //!   [`sim::SimConfig`] handed to
 //!   [`crate::engine::EngineBuilder::sim_config`].
 //! * [`scenario`] — canned presets (`steady`, `burst`, `diurnal`,
-//!   `multi_tenant`, …, `scale`) behind `repro --serve` and the
+//!   `multi_tenant`, …, `scale`) behind `repro serve` and the
 //!   `BENCH_serve.json` baseline.
 //!
 //! See `docs/SERVING.md` for the queueing model and SLO semantics.

@@ -177,9 +177,6 @@ pub struct AdaptationTrace {
     /// tenant-tiered run, the merged event stream across all tiers; the
     /// untiered ladder reports as [`TenantTier::Standard`]).
     pub events: Vec<TenantEvent>,
-    /// Degradation level when the run ended (for a tenant-tiered run,
-    /// the deepest tier's level).
-    pub final_level: usize,
     /// Level changes that degraded.
     pub degrades: usize,
     /// Level changes that upgraded.
@@ -860,7 +857,6 @@ impl ServingSim {
                 let ladders: Vec<TierState> = pol.states().collect();
                 AdaptationTrace {
                     events,
-                    final_level: ladders.iter().map(|t| t.level).max().unwrap_or(0),
                     degrades: ladders.iter().map(|t| t.degrades).sum(),
                     upgrades: ladders.iter().map(|t| t.upgrades).sum(),
                     shaped: shaped_count,

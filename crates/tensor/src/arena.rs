@@ -1,13 +1,14 @@
 //! Reusable scratch memory for the serving hot path.
 //!
-//! Every im2col + packed-GEMM convolution needs four transient buffers: the
-//! raw patch matrix, the packed copies of both GEMM operands and the `i32`
-//! accumulator; the depthwise kernel needs one `f32` buffer for its input
-//! planes, taps and accumulator. Allocating them per call with `vec!` puts
-//! the allocator on the per-query critical path. An [`Arena`]
-//! instead owns one grow-only buffer per role: the first pass through a
-//! layer shape grows it to the high-water mark, and every subsequent pass
-//! reuses the same memory with **zero heap allocation**.
+//! Every im2col + packed-GEMM convolution needs three transient buffers: the
+//! raw patch matrix, its packed copy and the `i32` partial sums (the
+//! weights come packed in a [`crate::PackedConv2d`]); the depthwise kernel
+//! needs one `f32` buffer for its input planes, taps and accumulator.
+//! Allocating them per call with `vec!` puts the allocator on the
+//! per-query critical path. An [`Arena`] instead owns one grow-only buffer
+//! per role: the first pass through a layer shape grows it to the
+//! high-water mark, and every subsequent pass reuses the same memory with
+//! **zero heap allocation**.
 //!
 //! Lifetime rules:
 //!
@@ -21,9 +22,9 @@
 //!   before returning — nothing in an arena outlives the operator call
 //!   that asked for it.
 //! * Contents are unspecified between calls. Every kernel fully overwrites
-//!   the slices it requests (packing writes padding explicitly, the
-//!   accumulators and the depthwise planes are zero-filled), so stale data
-//!   can never leak into results.
+//!   the slices it requests (packing writes padding explicitly, the GEMM's
+//!   first K block stores its partial sums, the depthwise accumulator and
+//!   planes are zero-filled), so stale data can never leak into results.
 
 /// Grow-only scratch buffers shared by the conv kernels.
 ///
@@ -31,7 +32,6 @@
 #[derive(Debug, Default)]
 pub struct Arena {
     patches_i8: Vec<i8>,
-    pa_i16: Vec<i16>,
     pb_i16: Vec<i16>,
     acc_i32: Vec<i32>,
     depthwise_f32: Vec<f32>,
@@ -52,25 +52,26 @@ impl Arena {
         Self::default()
     }
 
-    /// Scratch for one quantized conv call: `(patches, packed_a, packed_b,
-    /// acc)` of exactly the requested lengths. Contents are unspecified;
-    /// callers overwrite them fully. A nonzero `pa` means the caller packs
-    /// its weight operand per call and is counted in
-    /// [`Arena::weight_packs`].
+    /// Scratch for one quantized conv call: `(patches, packed_b, acc)` of
+    /// exactly the requested lengths. Contents are unspecified; callers
+    /// overwrite them fully.
     pub(crate) fn i8_conv(
         &mut self,
         patches: usize,
-        pa: usize,
         pb: usize,
         acc: usize,
-    ) -> (&mut [i8], &mut [i16], &mut [i16], &mut [i32]) {
-        self.weight_packs += usize::from(pa > 0);
+    ) -> (&mut [i8], &mut [i16], &mut [i32]) {
         (
             grow(&mut self.patches_i8, patches),
-            grow(&mut self.pa_i16, pa),
             grow(&mut self.pb_i16, pb),
             grow(&mut self.acc_i32, acc),
         )
+    }
+
+    /// Counts one conv call that packed its weights per call; see
+    /// [`Arena::weight_packs`].
+    pub(crate) fn count_weight_pack(&mut self) {
+        self.weight_packs += 1;
     }
 
     /// Scratch for one depthwise conv call: exactly `len` `f32`s. Contents
@@ -84,12 +85,12 @@ impl Arena {
     #[must_use]
     pub fn reserved_bytes(&self) -> usize {
         self.patches_i8.len()
-            + 2 * (self.pa_i16.len() + self.pb_i16.len())
+            + 2 * self.pb_i16.len()
             + 4 * (self.acc_i32.len() + self.depthwise_f32.len())
     }
 
-    /// Conv calls that packed their weight operand into this arena's
-    /// scratch instead of reading install-time panels. Serving under a
+    /// Conv calls that packed their weight operand per call instead of
+    /// reading install-time panels. Serving under a
     /// [`crate::PackedConv2d`]-carrying cache keeps this at zero: weight
     /// packing is paid per install, never per query.
     #[must_use]
@@ -106,16 +107,16 @@ mod tests {
     fn buffers_grow_to_high_water_mark_and_are_reused() {
         let mut arena = Arena::new();
         {
-            let (p, a, b, c) = arena.i8_conv(10, 20, 30, 40);
-            assert_eq!((p.len(), a.len(), b.len(), c.len()), (10, 20, 30, 40));
+            let (p, b, c) = arena.i8_conv(10, 30, 40);
+            assert_eq!((p.len(), b.len(), c.len()), (10, 30, 40));
         }
         let bytes_after_big = {
-            let _ = arena.i8_conv(100, 1, 1, 1);
+            let _ = arena.i8_conv(100, 1, 1);
             arena.reserved_bytes()
         };
         // A smaller request must not shrink the reservation (reuse, not
         // realloc) and must return exactly the requested view.
-        let (p, ..) = arena.i8_conv(5, 1, 1, 1);
+        let (p, ..) = arena.i8_conv(5, 1, 1);
         assert_eq!(p.len(), 5);
         assert_eq!(arena.reserved_bytes(), bytes_after_big);
     }

@@ -2,10 +2,17 @@
 //!
 //! Two entry points, both int8:
 //!
-//! * [`conv2d_i8_in`] — the unfused conv: bias + requantization after the
-//!   accumulation, with the backend picked by a [`KernelPolicy`];
+//! * [`conv2d_i8_in`] — the unfused conv: bias + requantization, with the
+//!   backend picked by a [`KernelPolicy`];
 //! * [`conv2d_i8_fused`] — the IR-lowered conv over k-pair panels with a
 //!   typed [`Epilogue`].
+//!
+//! Both run one GEMM conv body: patch-matrix lowering
+//! ([`crate::ops::im2col`], skipped for 1×1/stride-1/unpadded dense convs,
+//! whose patch matrix is the input) plus the k-pair packed GEMM
+//! ([`crate::ops::gemm`]), whose last K block hands each finished tile row
+//! to the entry point's output stage: the epilogue for the fused conv, a
+//! bias + requantize tail for the unfused one.
 //!
 //! Three interchangeable backends sit behind [`KernelPolicy`]:
 //!
@@ -13,14 +20,12 @@
 //!   Their padding clamp is hoisted: valid kernel ranges are precomputed per
 //!   output coordinate, so the innermost loops run branch-free over
 //!   contiguous rows.
-//! * **Im2colGemm** — patch-matrix lowering ([`crate::ops::im2col`]) plus
-//!   the k-pair packed GEMM ([`crate::ops::gemm`]) that the fused conv
-//!   also runs, here with requantization after the product. All scratch
-//!   (patch matrix, packed operands, accumulator) lives in a caller-owned
-//!   [`Arena`] reused across calls, so steady-state serving performs no
-//!   heap allocation for scratch. Weights can additionally be pre-packed
-//!   once via [`PackedConv2d`] and reused across every query — the software
-//!   analogue of the paper's SubGraph-Stationary weight reuse.
+//! * **Im2colGemm** — the GEMM conv body. All scratch (patch matrix, packed
+//!   patches, partial sums) lives in a caller-owned [`Arena`] reused across
+//!   calls, so steady-state serving performs no heap allocation for
+//!   scratch. Weights are packed once into a [`PackedConv2d`] and reused
+//!   across every query — the software analogue of the paper's
+//!   SubGraph-Stationary weight reuse; a call given none packs its own.
 //! * **Depthwise** — what `Auto` runs for depthwise convs. Each input
 //!   channel is copied once, zero-point-subtracted, into a zero-bordered
 //!   polyphase plane in the arena; every kernel tap is then one contiguous
@@ -33,12 +38,9 @@
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
-use crate::ops::gemm::{gemm_i8_packed_pairs, gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
+use crate::ops::gemm::{gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
 use crate::ops::im2col::im2col;
-use crate::ops::pack::{
-    pack_a_i8_pairs_into, pack_b_i8_pairs_into, packed_a_pairs_len, packed_b_pairs_len, PackLayout,
-    PackedConv2d, NR,
-};
+use crate::ops::pack::{pack_b_i8_pairs_into, packed_b_pairs_len, PackLayout, PackedConv2d, NR};
 use crate::quant::{requantize_accumulator, requantize_row, QuantParams};
 use crate::shape::{conv_out_dim, Shape4};
 use crate::tensor::Tensor;
@@ -198,7 +200,8 @@ pub(crate) fn kernel_ranges(
 /// problem) and the result is **bit-identical** across backends. The GEMM
 /// backend takes its scratch from `arena`, and reads `packed` — the
 /// weights' install-time panels, tagged [`PackLayout::Panel`] — in place
-/// when given, instead of packing `weights` per call. The direct loops and
+/// when given; otherwise it packs `weights` into a [`PackedConv2d`] per
+/// call, counted in [`Arena::weight_packs`]. The direct loops and
 /// the depthwise kernel read `weights`; the depthwise kernel also takes its
 /// input planes and accumulator from `arena`.
 ///
@@ -236,86 +239,27 @@ pub fn conv2d_i8_in(
             Ok(conv2d_i8_direct(input, in_q, weights, w_q, bias, out_q, params, oh, ow))
         }
         ConvBackend::Im2colGemm => {
-            let src = packed.map_or(PackSource::Raw(weights.as_slice()), PackSource::Prepacked);
-            conv2d_i8_gemm(input, in_q, src, wshape, w_q, bias, out_q, params, oh, ow, arena)
+            let per_call;
+            let packed = match packed {
+                Some(p) => p,
+                None => {
+                    per_call =
+                        PackedConv2d::pack_with_layout(weights, w_q, params, PackLayout::Panel)?;
+                    arena.count_weight_pack();
+                    &per_call
+                }
+            };
+            let acc_scale = in_q.scale * w_q.scale / out_q.scale;
+            gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
+                let bias_v = bias.map_or(0, |b| b[k]);
+                let sums = &sums[..dst.len()];
+                requantize_row(sums, bias_v, acc_scale, out_q.zero_point, i8::MIN, dst);
+            })
         }
         ConvBackend::Depthwise => {
             Ok(conv2d_i8_depthwise(input, in_q, weights, w_q, bias, out_q, params, oh, ow, arena))
         }
     }
-}
-
-/// Where the GEMM core finds its packed weight panels.
-enum PackSource<'a> {
-    /// Raw row-major weights: pack each group into arena scratch per call.
-    Raw(&'a [i8]),
-    /// Panels packed once ahead of time (subgraph-stationary reuse).
-    Prepacked(&'a PackedConv2d),
-}
-
-/// im2col + packed-GEMM backend for the quantized path: shape checks
-/// already done. Weight panels come from `src` (arena-packed per call, or
-/// pre-packed once per cache install); patches pack per `(batch, group)`.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_i8_gemm(
-    input: &Tensor<i8>,
-    in_q: QuantParams,
-    src: PackSource<'_>,
-    wshape: Shape4,
-    w_q: QuantParams,
-    bias: Option<&[i32]>,
-    out_q: QuantParams,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-    arena: &mut Arena,
-) -> Result<Tensor<i8>, TensorError> {
-    let ishape = input.shape();
-    let k_total = wshape.n;
-    let cg = wshape.c;
-    let kg = k_total / params.groups;
-    let kdim = cg * params.kernel_h * params.kernel_w;
-    let npix = oh * ow;
-    let acc_scale = in_q.scale * w_q.scale / out_q.scale;
-    let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
-    let pa_scratch = match src {
-        PackSource::Raw(_) => packed_a_pairs_len(kg, kdim),
-        PackSource::Prepacked(_) => 0,
-    };
-    let (patches, pa_buf, pb, acc) =
-        arena.i8_conv(kdim * npix, pa_scratch, packed_b_pairs_len(kdim, npix), kg * npix);
-    for g in 0..params.groups {
-        let pa: &[i16] = match src {
-            PackSource::Raw(wdata) => {
-                pack_a_i8_pairs_into(
-                    pa_buf,
-                    &wdata[g * kg * kdim..(g + 1) * kg * kdim],
-                    w_q.zero_point,
-                    kg,
-                    kdim,
-                )?;
-                pa_buf
-            }
-            PackSource::Prepacked(p) => p.group(g),
-        };
-        for n in 0..ishape.n {
-            // Padding cells are written as the input zero point so the
-            // pack-time Zero-Subtraction turns them into literal zeros.
-            im2col(input, n, g * cg, cg, params, oh, ow, in_q.zero_point, patches)?;
-            pack_b_i8_pairs_into(pb, patches, in_q.zero_point, kdim, npix)?;
-            acc.fill(0);
-            gemm_i8_packed_pairs(kg, kdim, npix, pa, pb, acc)?;
-            for kk in 0..kg {
-                let k = g * kg + kk;
-                let bias_v = bias.map_or(0, |b| b[k]);
-                let base = out.shape().row_offset(n, k, 0);
-                let dst = &mut out.as_mut_slice()[base..base + npix];
-                let row = &acc[kk * npix..(kk + 1) * npix];
-                requantize_row(row, bias_v, acc_scale, out_q.zero_point, i8::MIN, dst);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Fused quantized convolution: k-pair packed weights, the `pmaddwd` pair
@@ -326,9 +270,9 @@ fn conv2d_i8_gemm(
 ///
 /// This is the IR-lowered datapath: `sushi-ir`'s fold pass moves bias,
 /// requantization and activation into the epilogue at cache-install time,
-/// and the install packs weights in [`PackLayout::KPair`]. For
-/// 1×1/stride-1/unpadded dense convs the im2col step is skipped entirely —
-/// the patch matrix *is* the input slice.
+/// and the install packs weights in [`PackLayout::KPair`]. It runs the same
+/// GEMM conv body as [`conv2d_i8_in`]'s GEMM backend, 1×1 im2col skip
+/// included; only the tail differs.
 ///
 /// Output is bit-identical to [`conv2d_i8_in`] + reference activation
 /// (pinned by the cross-crate fusion proptests).
@@ -362,6 +306,27 @@ pub fn conv2d_i8_fused(
             actual: epilogue.channels(),
         });
     }
+    gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
+        epilogue.finish_tile_row(k, sums, dst);
+    })
+}
+
+/// The one GEMM conv body behind both entry points, shape checks already
+/// done: per `(group, batch item)` the patch matrix is packed as B and
+/// multiplied by the group's weight panels, and every finished register
+/// tile row of output channel `k` goes to `finish(k, sums, dst)`, which
+/// writes its `i8` outputs (see [`gemm_i8_pairs_fused`]).
+fn gemm_conv<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
+    input: &Tensor<i8>,
+    in_q: QuantParams,
+    packed: &PackedConv2d,
+    params: &Conv2dParams,
+    (oh, ow): (usize, usize),
+    arena: &mut Arena,
+    finish: &F,
+) -> Result<Tensor<i8>, TensorError> {
+    let ishape = input.shape();
+    let wshape = packed.wshape();
     let k_total = wshape.n;
     let cg = wshape.c;
     let kg = k_total / params.groups;
@@ -379,21 +344,20 @@ pub fn conv2d_i8_fused(
     // A reduction that fits one K block (every MobileNetV3 1×1) needs no
     // `i32` scratch: each register tile is final when its block ends.
     let partial = if kdim > KC { kg * npix } else { 0 };
-    let (patches, _pa_buf, pb, partial) = arena.i8_conv(
+    let (patches, pb, partial) = arena.i8_conv(
         if direct_b { 0 } else { kdim * npix },
-        0,
         packed_b_pairs_len(kdim, npix),
         partial,
     );
     for g in 0..params.groups {
         let pa = packed.group(g);
-        let tail = |kk, sums: &[i32; NR], dst: &mut [i8]| {
-            epilogue.finish_tile_row(g * kg + kk, sums, dst);
-        };
+        let tail = |kk, sums: &[i32; NR], dst: &mut [i8]| finish(g * kg + kk, sums, dst);
         for n in 0..ishape.n {
             let bsrc: &[i8] = if direct_b {
                 &input.as_slice()[n * chw..(n + 1) * chw]
             } else {
+                // Padding cells are written as the input zero point so the
+                // pack-time Zero-Subtraction turns them into literal zeros.
                 im2col(input, n, g * cg, cg, params, oh, ow, in_q.zero_point, patches)?;
                 patches
             };

@@ -23,12 +23,14 @@
 //!   while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
 //!   row-panel blocks dispatched via `std::thread::scope`.
-//! * **Fused tail** — for the fused conv, the driver finishes each
-//!   register tile of the last K block with the layer's epilogue
-//!   ([`crate::ops::epilogue`]) inside the worker threads and writes `i8`
-//!   rows; earlier K blocks, when there are any, keep partial sums in `i32`
-//!   scratch. The unfused conv takes the plain `i32` product
-//!   ([`gemm_i8_packed_pairs`]) and requantizes it afterwards.
+//! * **Fused tail** — for both conv entry points, the driver finishes each
+//!   register tile of the last K block with the conv's output stage (the
+//!   layer's [`crate::ops::epilogue`], or the unfused conv's bias +
+//!   requantize) inside the worker threads and writes `i8` rows; earlier K
+//!   blocks, when there are any, keep partial sums in `i32` scratch. The
+//!   tail-less [`gemm_i8_packed_pairs`] returns the plain `i32` product;
+//!   only tests call it, as their exact check of the driver and
+//!   microkernels.
 //!
 //! The only operand type is int8, as on SushiAccel (the paper's footnote
 //! 3). [`gemm_i8_packed_pairs`] is bit-identical to the scalar reference
@@ -496,7 +498,7 @@ pub fn gemm_i8_packed_pairs(
     Ok(())
 }
 
-/// The fused conv's product: `(A − zp_a)·(B − zp_b)` over pair-interleaved
+/// The conv body's product: `(A − zp_a)·(B − zp_b)` over pair-interleaved
 /// operands, finished by `tail(row, sums, dst)` on every row of every
 /// register tile as the last K block completes it (see [`Tail`]), writing
 /// the `m×n` `i8` matrix `out`. `partial` holds the earlier K blocks'

@@ -34,11 +34,10 @@
 //! it, so [`PackedConv2d`] panels built **once per cache install** are
 //! reused by every subsequent forward pass. The activation-side operand
 //! (`B`, the im2col patch matrix) is query-dependent and is packed per call
-//! into reusable [`crate::arena::Arena`] scratch instead. A conv that has
-//! no install-time panels packs its weights into the same scratch per call;
-//! the arena counts those ([`crate::arena::Arena::weight_packs`]), so tests
-//! pin pack-once-per-install by asserting the count stays zero under a
-//! cache.
+//! into reusable [`crate::arena::Arena`] scratch instead. An unfused conv
+//! given no install-time panels packs a [`PackedConv2d`] per call; the
+//! arena counts those ([`crate::arena::Arena::weight_packs`]), so tests pin
+//! pack-once-per-install by asserting the count stays zero under a cache.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dParams;
@@ -347,9 +346,9 @@ mod tests {
         assert_eq!(p[MR * 2 + 2], 0);
     }
 
-    /// Only a conv that packs its weight operand per call is counted by the
-    /// arena it packs into: install-time panels, the activation-side pack
-    /// and the direct loops leave [`Arena::weight_packs`] alone.
+    /// Only a conv that packs its weight operand per call is counted, by
+    /// the arena of that call: install-time panels, the activation-side
+    /// pack and the direct loops leave [`Arena::weight_packs`] alone.
     #[test]
     fn arena_counts_per_call_weight_packs_only() {
         use crate::arena::Arena;

@@ -1,4 +1,4 @@
-//! Pooling operators: max, average and global-average.
+//! Pooling operators: max and global-average.
 //!
 //! Inner loops stream contiguous [`Tensor::row`] slices with the padding
 //! clamp hoisted out of the window scan (see `conv::kernel_ranges`).
@@ -92,44 +92,6 @@ pub fn max_pool(input: &Tensor<f32>, params: &PoolParams) -> Result<Tensor<f32>,
     Ok(out)
 }
 
-/// Average pooling. The divisor is the number of *valid* (non-padded) cells.
-///
-/// # Errors
-/// Returns an error for a zero-size window or an empty output.
-pub fn avg_pool(input: &Tensor<f32>, params: &PoolParams) -> Result<Tensor<f32>, TensorError> {
-    let ishape = input.shape();
-    let (oh, ow) = params.out_dims(ishape)?;
-    let (stride, padding) = (params.stride, params.padding);
-    let mut out = Tensor::zeros(Shape4::new(ishape.n, ishape.c, oh, ow));
-    let ry_ranges = kernel_ranges(oh, stride, padding, ishape.h, params.window);
-    let rx_ranges = kernel_ranges(ow, stride, padding, ishape.w, params.window);
-    for n in 0..ishape.n {
-        for c in 0..ishape.c {
-            for (oy, &(ry_lo, ry_hi)) in ry_ranges.iter().enumerate() {
-                let orow = out.row_mut(n, c, oy);
-                for (ox, o) in orow.iter_mut().enumerate() {
-                    let (rx_lo, rx_hi) = rx_ranges[ox];
-                    let mut sum = 0.0;
-                    for ry in ry_lo..ry_hi {
-                        let irow = input.row(n, c, oy * stride + ry - padding);
-                        if stride == 1 && rx_lo < rx_hi {
-                            let ix0 = ox + rx_lo - padding;
-                            sum += irow[ix0..ix0 + (rx_hi - rx_lo)].iter().sum::<f32>();
-                        } else {
-                            for rx in rx_lo..rx_hi {
-                                sum += irow[ox * stride + rx - padding];
-                            }
-                        }
-                    }
-                    let count = (ry_hi - ry_lo) * (rx_hi - rx_lo);
-                    *o = if count > 0 { sum / count as f32 } else { 0.0 };
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Global average pooling: collapses H×W to 1×1 per channel.
 #[must_use]
 pub fn global_avg_pool(input: &Tensor<f32>) -> Tensor<f32> {
@@ -164,22 +126,6 @@ mod tests {
         assert_eq!(out.shape(), Shape4::new(1, 1, 2, 2));
         assert_eq!(out.get(0, 0, 0, 0), 5.0);
         assert_eq!(out.get(0, 0, 1, 1), 15.0);
-    }
-
-    #[test]
-    fn avg_pool_2x2_averages_window() {
-        let input = ramp(Shape4::new(1, 1, 4, 4));
-        let out = avg_pool(&input, &PoolParams::new(2)).unwrap();
-        assert_eq!(out.get(0, 0, 0, 0), (0.0 + 1.0 + 4.0 + 5.0) / 4.0);
-    }
-
-    #[test]
-    fn avg_pool_padding_divides_by_valid_count_only() {
-        let input = Tensor::<f32>::filled(Shape4::new(1, 1, 2, 2), 8.0);
-        let p = PoolParams::new(3).with_stride(1).with_padding(1);
-        let out = avg_pool(&input, &p).unwrap();
-        // Top-left window covers 4 valid cells of value 8 -> average 8.
-        assert_eq!(out.get(0, 0, 0, 0), 8.0);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! structures (their accumulation is exact), the packed kernel must match
 //! the scalar reference across `m % MR != 0` / `n % NR != 0` tails, odd
 //! reduction depths, zero-point extremes and pre-packed weights, and the
-//! fused conv, whose
-//! epilogue runs on the GEMM's register tiles, must match the naive conv
-//! plus the reference activation. (The AVX2-vs-portable microkernel pins
-//! are unit tests in `ops::gemm`.)
+//! fused conv, whose epilogue runs on the GEMM's register tiles, must match
+//! the naive conv plus the reference activation. Both conv entry points run
+//! one GEMM conv body, so the unfused GEMM is also checked on the fused
+//! conv's cases. (The AVX2-vs-portable microkernel pins are unit tests in
+//! `ops::gemm`.)
 
 use proptest::prelude::*;
 
@@ -181,11 +182,13 @@ fn scalar_gemm(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// int8: the GEMM backend is bit-identical to the naive oracle,
-    /// including nonzero zero points and bias.
+    /// int8: the GEMM backend, packing its weights per call, is
+    /// bit-identical to the naive oracle, including nonzero zero points and
+    /// bias, on the general conv cases and on the fused conv's (partial sums
+    /// across K blocks, threaded products, the 1×1 im2col skip).
     #[test]
     fn i8_gemm_is_bit_identical(
-        (ishape, wshape, params) in conv_cases(),
+        (ishape, wshape, params) in prop_oneof![conv_cases(), fused_cases()],
         seed in 0u64..10_000,
         zp_in in -9i8..9,
         zp_w in -9i8..9,
@@ -275,11 +278,11 @@ proptest! {
     }
 
     /// Weights packed once via `PackedConv2d` serve bit-identical results
-    /// to the naive conv oracle across random conv problems, with the
-    /// arena reused across queries.
+    /// to the naive conv oracle across random conv problems, the fused
+    /// conv's included, with the arena reused across queries.
     #[test]
     fn prepacked_conv_i8_is_bit_identical(
-        (ishape, wshape, params) in conv_cases(),
+        (ishape, wshape, params) in prop_oneof![conv_cases(), fused_cases()],
         seed in 0u64..10_000,
         zp_in in i8::MIN..=i8::MAX,
         zp_w in i8::MIN..=i8::MAX,

@@ -1,15 +1,17 @@
-//! SuperNet architecture: stages, elastic dimensions, and SubNet
-//! materialization.
+//! SuperNet architecture: stages, elastic dimensions, the block layout of
+//! both families, and SubNet materialization.
 //!
 //! A [`SuperNet`] is the weight-shared construct of §2.1: a collection of
 //! stages of repeated blocks whose depth, width (expand ratio), kernel size
-//! and global channel width are *elastic*. Materializing a
-//! [`SubNetConfig`] selects the top-`d` blocks per stage and the top slice
-//! of each layer's kernels/channels, yielding a [`SubNet`] whose weights are
-//! nested inside the SuperNet (and inside every larger SubNet).
+//! and global channel width are *elastic*. The layer list is laid out here,
+//! once per family — the OFA-ResNet50 bottleneck and the OFA-MobileNetV3
+//! MBConv — from a zoo entry's stages. Materializing a [`SubNetConfig`]
+//! selects the top-`d` blocks per stage and the top slice of each layer's
+//! kernels/channels, yielding a [`SubNet`] whose weights are nested inside
+//! the SuperNet (and inside every larger SubNet).
 
 use crate::accuracy::AccuracyModel;
-use crate::layer::{ConvKind, ConvLayerDesc, LayerRole, LayerSlice};
+use crate::layer::{spatial_out, ConvKind, ConvLayerDesc, LayerId, LayerRole, LayerSlice};
 use crate::subgraph::SubGraph;
 use crate::subnet::{SubNet, SubNetConfig};
 
@@ -58,7 +60,7 @@ pub struct ElasticSpace {
 pub struct SuperNet {
     /// Display name, e.g. `"OFA-ResNet50"`.
     pub name: String,
-    /// Architecture family (drives materialization rules).
+    /// Architecture family (drives block layout and materialization rules).
     pub family: Family,
     /// Input image height/width.
     pub input_hw: usize,
@@ -77,12 +79,20 @@ pub struct SuperNet {
     pub accuracy: AccuracyModel,
 }
 
+/// The stem of a zoo SuperNet: its conv's kernel and stride, and the stride
+/// of the weightless max-pool after it (1 for none).
+pub(crate) struct Stem {
+    pub kernel: usize,
+    pub stride: usize,
+    pub pool: usize,
+}
+
 /// Rounds channels to the hardware-friendly multiple of 8 used by OFA's
-/// `make_divisible`, never below 8.
+/// `make_divisible`, never below 8. Saturates, so a huge width clamps to
+/// each layer's maximal slice.
 #[must_use]
 fn round_channels(x: f64) -> usize {
-    let r = ((x / 8.0).round() as usize) * 8;
-    r.max(8)
+    ((x / 8.0).round() as usize).saturating_mul(8).max(8)
 }
 
 impl SuperNet {
@@ -140,15 +150,23 @@ impl SuperNet {
                 return Err(format!("stage {s} depth {d} outside [1, {}]", spec.max_blocks));
             }
         }
-        if config.width_mult <= 0.0 {
-            return Err("width multiplier must be positive".into());
+        let w = config.width_mult;
+        if !(w.is_finite() && w > 0.0) {
+            return Err(format!("width_mult {w} must be finite and positive"));
         }
         for (s, &e) in config.expands.iter().enumerate() {
-            if e <= 0.0 {
-                return Err(format!("stage {s} expand ratio must be positive"));
+            if !(e.is_finite() && e > 0.0) {
+                return Err(format!("expands[{s}] = {e} must be finite and positive"));
             }
         }
         if !config.kernels.is_empty() {
+            if config.kernels.len() != self.stages.len() {
+                return Err(format!(
+                    "config has {} kernels, SuperNet has {} stages",
+                    config.kernels.len(),
+                    self.stages.len()
+                ));
+            }
             for (s, &k) in config.kernels.iter().enumerate() {
                 let maxk = self.stages[s].default_kernel;
                 if k == 0 || k > maxk || k % 2 == 0 {
@@ -157,6 +175,91 @@ impl SuperNet {
             }
         }
         Ok(())
+    }
+
+    /// Lays out the flattened layer list of a zoo skeleton from `family`,
+    /// `input_hw` and `stages`, back-fills each layer's maximal dimensions
+    /// from the max config, and calibrates the accuracy profile to the
+    /// `[a_min, a_max]` band over the achievable FLOP range.
+    ///
+    /// The list is the stem conv, every stage's blocks at maximal depth,
+    /// then the family's head on pooled features. A bottleneck block is
+    /// `conv1 [downsample] conv2 conv3`: the downsample (block 0 only) is a
+    /// parallel branch, so it reads the block's input resolution and the
+    /// strided `conv2` advances it. An MBConv block is
+    /// `expand dw [se_reduce se_expand] project`, the SE pair on pooled
+    /// features. The spatial kernel is the stage's `default_kernel`, elastic
+    /// only when the net has `kernel_choices`.
+    ///
+    /// # Panics
+    /// Panics if the max/min configs fail to materialize — a zoo
+    /// construction bug.
+    pub(crate) fn finish(mut self, stem: Stem, a_min: f64, a_max: f64, curvature: f64) -> Self {
+        let mobilenet = self.family == Family::OfaMobileNetV3;
+        let elastic_kernel = !self.elastic.kernel_choices.is_empty();
+        let mut layers = Vec::new();
+        let mut push = |name: String, stage, block, role, kernel, stride, hw| {
+            let spatial = role == LayerRole::Spatial;
+            layers.push(ConvLayerDesc {
+                id: LayerId(layers.len()),
+                name,
+                stage,
+                block,
+                role,
+                kind: if mobilenet && spatial { ConvKind::Depthwise } else { ConvKind::Dense },
+                max_kernels: usize::MAX,  // back-filled from the max config
+                max_channels: usize::MAX, // back-filled from the max config
+                max_kernel_size: kernel,
+                elastic_kernel: elastic_kernel && spatial,
+                stride,
+                in_h: hw,
+                in_w: hw,
+            });
+        };
+        let mut hw = self.input_hw;
+        push("stem".into(), NO_STAGE, 0, LayerRole::Stem, stem.kernel, stem.stride, hw);
+        hw = spatial_out(spatial_out(hw, stem.stride), stem.pool);
+        for (s, spec) in self.stages.iter().enumerate() {
+            let k = spec.default_kernel;
+            for b in 0..spec.max_blocks {
+                let stride = if b == 0 { spec.stride } else { 1 };
+                let p = format!("s{s}.b{b}");
+                if mobilenet {
+                    push(format!("{p}.expand"), s, b, LayerRole::Expand, 1, 1, hw);
+                    push(format!("{p}.dw"), s, b, LayerRole::Spatial, k, stride, hw);
+                    if spec.se {
+                        push(format!("{p}.se_reduce"), s, b, LayerRole::SeReduce, 1, 1, 1);
+                        push(format!("{p}.se_expand"), s, b, LayerRole::SeExpand, 1, 1, 1);
+                    }
+                } else {
+                    push(format!("{p}.conv1"), s, b, LayerRole::Expand, 1, 1, hw);
+                    if b == 0 {
+                        push(format!("{p}.downsample"), s, b, LayerRole::Downsample, 1, stride, hw);
+                    }
+                    push(format!("{p}.conv2"), s, b, LayerRole::Spatial, k, stride, hw);
+                }
+                hw = spatial_out(hw, stride);
+                let project = if mobilenet { "project" } else { "conv3" };
+                push(format!("{p}.{project}"), s, b, LayerRole::Project, 1, 1, hw);
+            }
+        }
+        let head: &[&str] = if mobilenet { &["final_expand", "fc1", "fc2"] } else { &["fc"] };
+        for (b, h) in head.iter().enumerate() {
+            push(format!("head.{h}"), NO_STAGE, b, LayerRole::Head, 1, 1, 1);
+        }
+        self.layers = layers;
+
+        let max_cfg = self.max_config();
+        let max_sn = self.materialize("max", &max_cfg).expect("max config must materialize");
+        for (layer, slice) in self.layers.iter_mut().zip(max_sn.graph.slices()) {
+            assert!(!slice.is_empty(), "layer {} inactive under max config", layer.name);
+            layer.max_kernels = slice.kernels;
+            layer.max_channels = slice.channels;
+        }
+        let f_max = self.materialize("max", &max_cfg).expect("max config").flops;
+        let f_min = self.materialize("min", &self.min_config()).expect("min config").flops;
+        self.accuracy = AccuracyModel::new(a_min, a_max, f_min, f_max, curvature);
+        self
     }
 
     /// Materializes a configuration into a [`SubNet`].
@@ -373,27 +476,6 @@ impl SuperNet {
     }
 }
 
-/// Finalizes a freshly built SuperNet skeleton: fixes each layer's maximal
-/// dimensions to the slice produced by the max config, then calibrates the
-/// accuracy profile to the `[a_min, a_max]` band over the achievable FLOP
-/// range.
-///
-/// # Panics
-/// Panics if the skeleton's max/min configs fail to materialize — a zoo
-/// construction bug.
-pub fn finalize_supernet(net: &mut SuperNet, a_min: f64, a_max: f64, curvature: f64) {
-    let max_cfg = net.max_config();
-    let max_sn = net.materialize("max", &max_cfg).expect("max config must materialize");
-    for (layer, slice) in net.layers.iter_mut().zip(max_sn.graph.slices()) {
-        assert!(!slice.is_empty(), "layer {} inactive under max config", layer.name);
-        layer.max_kernels = slice.kernels;
-        layer.max_channels = slice.channels;
-    }
-    let f_max = net.materialize("max", &max_cfg).expect("max config").flops;
-    let f_min = net.materialize("min", &net.min_config()).expect("min config").flops;
-    net.accuracy = AccuracyModel::new(a_min, a_max, f_min, f_max, curvature);
-}
-
 fn max_f(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
@@ -402,134 +484,10 @@ fn min_f(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// Builder assembling the flattened layer list for a SuperNet skeleton.
-///
-/// Used by the `zoo` constructors; tracks spatial dimensions as layers are
-/// appended and back-fills each layer's maximal dimensions by materializing
-/// the max config.
-#[derive(Debug)]
-pub struct LayerListBuilder {
-    layers: Vec<ConvLayerDesc>,
-    hw: usize,
-}
-
-impl LayerListBuilder {
-    /// Starts a layer list at the given input resolution.
-    #[must_use]
-    pub fn new(input_hw: usize) -> Self {
-        Self { layers: Vec::new(), hw: input_hw }
-    }
-
-    /// Current spatial resolution.
-    #[must_use]
-    pub fn hw(&self) -> usize {
-        self.hw
-    }
-
-    /// Appends a conv layer at the current resolution and advances the
-    /// resolution by its stride.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
-        &mut self,
-        name: String,
-        stage: usize,
-        block: usize,
-        role: LayerRole,
-        kind: ConvKind,
-        kernel: usize,
-        elastic_kernel: bool,
-        stride: usize,
-    ) {
-        self.push_inner(name, stage, block, role, kind, kernel, elastic_kernel, stride, true);
-    }
-
-    /// Appends a conv layer on a *parallel branch* (e.g. a residual
-    /// downsample): it reads the current resolution but does not advance it —
-    /// the main-path layer carrying the same stride does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_parallel(
-        &mut self,
-        name: String,
-        stage: usize,
-        block: usize,
-        role: LayerRole,
-        kind: ConvKind,
-        kernel: usize,
-        stride: usize,
-    ) {
-        self.push_inner(name, stage, block, role, kind, kernel, false, stride, false);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_inner(
-        &mut self,
-        name: String,
-        stage: usize,
-        block: usize,
-        role: LayerRole,
-        kind: ConvKind,
-        kernel: usize,
-        elastic_kernel: bool,
-        stride: usize,
-        advance: bool,
-    ) {
-        let id = crate::layer::LayerId(self.layers.len());
-        self.layers.push(ConvLayerDesc {
-            id,
-            name,
-            stage,
-            block,
-            role,
-            kind,
-            max_kernels: usize::MAX,  // back-filled from the max config
-            max_channels: usize::MAX, // back-filled from the max config
-            max_kernel_size: kernel,
-            elastic_kernel,
-            stride,
-            in_h: self.hw,
-            in_w: self.hw,
-        });
-        if advance {
-            self.hw = crate::layer::spatial_out(self.hw, stride);
-        }
-    }
-
-    /// Appends a 1×1 layer operating on pooled (1×1 spatial) features.
-    pub fn push_pooled(&mut self, name: String, stage: usize, block: usize, role: LayerRole) {
-        let id = crate::layer::LayerId(self.layers.len());
-        self.layers.push(ConvLayerDesc {
-            id,
-            name,
-            stage,
-            block,
-            role,
-            kind: ConvKind::Dense,
-            max_kernels: usize::MAX,
-            max_channels: usize::MAX,
-            max_kernel_size: 1,
-            elastic_kernel: false,
-            stride: 1,
-            in_h: 1,
-            in_w: 1,
-        });
-    }
-
-    /// Explicitly reduces the tracked resolution (e.g. a stem max-pool,
-    /// which is not a weight layer).
-    pub fn downsample(&mut self, factor: usize) {
-        self.hw = crate::layer::spatial_out(self.hw, factor);
-    }
-
-    /// Finishes the list.
-    #[must_use]
-    pub fn build(self) -> Vec<ConvLayerDesc> {
-        self.layers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo;
 
     #[test]
     fn round_channels_snaps_to_multiple_of_8() {
@@ -538,18 +496,83 @@ mod tests {
         assert_eq!(round_channels(60.0), 64);
         assert_eq!(round_channels(59.0), 56);
         assert_eq!(round_channels(1.0), 8);
+        assert_eq!(round_channels(1e30), usize::MAX);
+    }
+
+    /// Input resolution of the named layer.
+    fn in_hw(net: &SuperNet, name: &str) -> usize {
+        net.layers.iter().find(|l| l.name == name).unwrap_or_else(|| panic!("no {name}")).in_h
     }
 
     #[test]
-    fn layer_list_builder_tracks_resolution() {
-        let mut b = LayerListBuilder::new(224);
-        b.push("stem".into(), NO_STAGE, 0, LayerRole::Stem, ConvKind::Dense, 7, false, 2);
-        assert_eq!(b.hw(), 112);
-        b.downsample(2);
-        assert_eq!(b.hw(), 56);
-        b.push("c1".into(), 0, 0, LayerRole::Spatial, ConvKind::Dense, 3, false, 2);
-        assert_eq!(b.hw(), 28);
-        let layers = b.build();
-        assert_eq!(layers[1].in_h, 56);
+    fn resnet_layout_tracks_strides() {
+        // The stem and its max-pool are pinned by resnet50's
+        // `stem_sees_full_resolution_and_stage0_sees_56`.
+        let net = zoo::resnet50_supernet();
+        // The strided downsample is a parallel branch: it reads the block's
+        // input, and conv2 carries the stride on the main path.
+        for name in ["s1.b0.conv1", "s1.b0.downsample", "s1.b0.conv2"] {
+            assert_eq!(in_hw(&net, name), 56, "{name}");
+        }
+        assert_eq!(in_hw(&net, "s1.b0.conv3"), 28);
+        assert_eq!(in_hw(&net, "head.fc"), 1);
+    }
+
+    #[test]
+    fn mobilenet_layout_tracks_strides_and_pooled_layers() {
+        let net = zoo::mobilenet_v3_supernet();
+        assert_eq!(in_hw(&net, "stem"), 224);
+        assert_eq!(in_hw(&net, "s0.b0.dw"), 112);
+        // Stage 3 has stride 1: it keeps stage 2's 14×14.
+        assert_eq!(in_hw(&net, "s3.b0.dw"), 14);
+        assert_eq!(in_hw(&net, "s3.b0.project"), 14);
+        assert_eq!(in_hw(&net, "s4.b0.project"), 7);
+        let pooled = [LayerRole::SeReduce, LayerRole::SeExpand, LayerRole::Head];
+        for l in net.layers.iter().filter(|l| pooled.contains(&l.role)) {
+            assert_eq!((l.in_h, l.in_w), (1, 1), "{}", l.name);
+        }
+    }
+
+    #[test]
+    fn toy_layouts_track_strides() {
+        let (resnet, mobilenet) = (zoo::toy_supernet(), zoo::toy_mobilenet_supernet());
+        assert_eq!(in_hw(&resnet, "stem"), 16);
+        assert_eq!(in_hw(&mobilenet, "stem"), 16);
+        assert_eq!(in_hw(&resnet, "s1.b0.conv3"), 8);
+        assert_eq!(in_hw(&mobilenet, "s1.b0.project"), 8);
+    }
+
+    #[test]
+    fn non_finite_width_or_expand_is_rejected() {
+        let net = zoo::mobilenet_v3_supernet();
+        for w in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = net.materialize("w", &net.max_config().with_width(w)).unwrap_err();
+            assert!(err.contains("width_mult"), "{w}: {err}");
+        }
+        for e in [f64::NAN, f64::INFINITY, 0.0] {
+            let mut cfg = net.max_config();
+            cfg.expands[2] = e;
+            let err = net.validate_config(&cfg).unwrap_err();
+            assert!(err.contains("expands[2]"), "{e}: {err}");
+        }
+    }
+
+    #[test]
+    fn huge_finite_width_clamps_to_the_max_slice() {
+        let net = zoo::resnet50_supernet();
+        let wide = net.materialize("w", &net.max_config().with_width(1e30)).unwrap();
+        assert_eq!(wide.graph, net.full_graph());
+        let w2 = net.materialize("w2", &net.max_config().with_width(2.0)).unwrap();
+        assert_eq!(wide.graph, w2.graph);
+    }
+
+    #[test]
+    fn kernels_must_name_every_stage() {
+        let net = zoo::mobilenet_v3_supernet();
+        for kernels in [vec![3], vec![3; 6]] {
+            let n = kernels.len();
+            let err = net.validate_config(&net.max_config().with_kernels(kernels)).unwrap_err();
+            assert!(err.contains("kernels"), "{n} kernels: {err}");
+        }
     }
 }

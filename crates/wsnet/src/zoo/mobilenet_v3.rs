@@ -5,10 +5,7 @@
 //! (2.97 MB … 4.74 MB int8, ~2.90 MB shared) and the ~76–80% top-1 band.
 
 use crate::accuracy::AccuracyModel;
-use crate::arch::{
-    finalize_supernet, ElasticSpace, Family, LayerListBuilder, StageSpec, SuperNet, NO_STAGE,
-};
-use crate::layer::{ConvKind, LayerRole};
+use crate::arch::{ElasticSpace, Family, StageSpec, Stem, SuperNet};
 use crate::subnet::{SubNet, SubNetConfig};
 
 /// Stage output channels (MobileNetV3-Large-style widths).
@@ -24,41 +21,11 @@ const MAX_BLOCKS: usize = 4;
 ///
 /// Elastic space: depth ∈ {2, 3, 4}, expand ratio ∈ {3, 4, 6}, kernel size
 /// ∈ {3, 5, 7} — the OFA-MobileNetV3 search space (width fixed at 1.0, as
-/// in OFA).
+/// in OFA). The head is a final 1×1 expand and two classifier layers, all
+/// on pooled features.
 #[must_use]
 pub fn mobilenet_v3_supernet() -> SuperNet {
-    let mut b = LayerListBuilder::new(224);
-    b.push("stem".into(), NO_STAGE, 0, LayerRole::Stem, ConvKind::Dense, 3, false, 2);
-    for (s, ((&_base, &stride), &se)) in
-        BASE_OUT.iter().zip(STRIDES.iter()).zip(SE.iter()).enumerate()
-    {
-        for blk in 0..MAX_BLOCKS {
-            let bs = if blk == 0 { stride } else { 1 };
-            let p = format!("s{s}.b{blk}");
-            b.push(format!("{p}.expand"), s, blk, LayerRole::Expand, ConvKind::Dense, 1, false, 1);
-            b.push(format!("{p}.dw"), s, blk, LayerRole::Spatial, ConvKind::Depthwise, 7, true, bs);
-            if se {
-                b.push_pooled(format!("{p}.se_reduce"), s, blk, LayerRole::SeReduce);
-                b.push_pooled(format!("{p}.se_expand"), s, blk, LayerRole::SeExpand);
-            }
-            b.push(
-                format!("{p}.project"),
-                s,
-                blk,
-                LayerRole::Project,
-                ConvKind::Dense,
-                1,
-                false,
-                1,
-            );
-        }
-    }
-    // Final 1x1 expand + two classifier layers, all on pooled features.
-    b.push_pooled("head.final_expand".into(), NO_STAGE, 0, LayerRole::Head);
-    b.push_pooled("head.fc1".into(), NO_STAGE, 1, LayerRole::Head);
-    b.push_pooled("head.fc2".into(), NO_STAGE, 2, LayerRole::Head);
-
-    let mut net = SuperNet {
+    SuperNet {
         name: "OFA-MobileNetV3".into(),
         family: Family::OfaMobileNetV3,
         input_hw: 224,
@@ -76,7 +43,7 @@ pub fn mobilenet_v3_supernet() -> SuperNet {
                 default_kernel: 7,
             })
             .collect(),
-        layers: b.build(),
+        layers: Vec::new(),
         elastic: ElasticSpace {
             depth_choices: vec![2, 3, 4],
             expand_choices: vec![3.0, 4.0, 6.0],
@@ -84,10 +51,10 @@ pub fn mobilenet_v3_supernet() -> SuperNet {
             width_choices: vec![1.0],
         },
         accuracy: AccuracyModel::uncalibrated(),
-    };
-    // ~75.9%..80.1% top-1 band of the paper's Figs. 10b/15d.
-    finalize_supernet(&mut net, 0.759, 0.801, 3.5);
-    net
+    }
+    // 3×3 stride-2 stem, no max-pool; the ~75.9%..80.1% top-1 band of the
+    // paper's Figs. 10b/15d.
+    .finish(Stem { kernel: 3, stride: 2, pool: 1 }, 0.759, 0.801, 3.5)
 }
 
 /// The seven Pareto SubNets A (smallest) … G (largest) used throughout §5.
@@ -123,7 +90,7 @@ pub fn mobilenet_v3_paper_subnets(net: &SuperNet) -> Vec<SubNet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::LayerSlice;
+    use crate::layer::{ConvKind, LayerRole, LayerSlice};
 
     #[test]
     fn layer_count_matches_structure() {

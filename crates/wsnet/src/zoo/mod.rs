@@ -20,9 +20,10 @@ use crate::subnet::SubNet;
 /// 7 for MobV3), named `"A"` (smallest) onward.
 ///
 /// # Panics
-/// Panics if called on a SuperNet family with no canonical picks (the toy
-/// nets work because they reuse the paper families' materialization rules,
-/// but picks are only defined for the full-size zoo entries).
+/// Panics unless `net` is one of the two full-size zoo entries: picks are
+/// defined only for them. A toy net shares its family but not its stage
+/// count, so `paper_subnets(&toy_supernet())` panics with
+/// `paper pick must be valid: "config has 4 stage depths, SuperNet has 2 stages"`.
 #[must_use]
 pub fn paper_subnets(net: &SuperNet) -> Vec<SubNet> {
     match net.family {

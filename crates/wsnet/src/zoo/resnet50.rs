@@ -4,10 +4,7 @@
 //! (7.58 MB … 27.47 MB int8, ~7.55 MB shared) and the 75–80% top-1 band.
 
 use crate::accuracy::AccuracyModel;
-use crate::arch::{
-    finalize_supernet, ElasticSpace, Family, LayerListBuilder, StageSpec, SuperNet, NO_STAGE,
-};
-use crate::layer::{ConvKind, LayerRole};
+use crate::arch::{ElasticSpace, Family, StageSpec, Stem, SuperNet};
 use crate::subnet::{SubNet, SubNetConfig};
 
 /// Stage output channels at width 1.0 (vanilla ResNet50).
@@ -24,32 +21,7 @@ const MAX_BLOCKS: usize = 4;
 /// ∈ {0.65, 0.8, 1.0} — the OFA-ResNet50 search space.
 #[must_use]
 pub fn resnet50_supernet() -> SuperNet {
-    let mut b = LayerListBuilder::new(224);
-    b.push("stem".into(), NO_STAGE, 0, LayerRole::Stem, ConvKind::Dense, 7, false, 2);
-    b.downsample(2); // 3x3 max-pool, stride 2 (not a weight layer)
-    for (s, (&_base, &stride)) in BASE_OUT.iter().zip(STRIDES.iter()).enumerate() {
-        for blk in 0..MAX_BLOCKS {
-            let bs = if blk == 0 { stride } else { 1 };
-            let p = format!("s{s}.b{blk}");
-            b.push(format!("{p}.conv1"), s, blk, LayerRole::Expand, ConvKind::Dense, 1, false, 1);
-            if blk == 0 {
-                b.push_parallel(
-                    format!("{p}.downsample"),
-                    s,
-                    blk,
-                    LayerRole::Downsample,
-                    ConvKind::Dense,
-                    1,
-                    bs,
-                );
-            }
-            b.push(format!("{p}.conv2"), s, blk, LayerRole::Spatial, ConvKind::Dense, 3, false, bs);
-            b.push(format!("{p}.conv3"), s, blk, LayerRole::Project, ConvKind::Dense, 1, false, 1);
-        }
-    }
-    b.push_pooled("head.fc".into(), NO_STAGE, 0, LayerRole::Head);
-
-    let mut net = SuperNet {
+    SuperNet {
         name: "OFA-ResNet50".into(),
         family: Family::OfaResNet50,
         input_hw: 224,
@@ -66,7 +38,7 @@ pub fn resnet50_supernet() -> SuperNet {
                 default_kernel: 3,
             })
             .collect(),
-        layers: b.build(),
+        layers: Vec::new(),
         elastic: ElasticSpace {
             depth_choices: vec![2, 3, 4],
             expand_choices: vec![0.2, 0.25, 0.35],
@@ -74,10 +46,10 @@ pub fn resnet50_supernet() -> SuperNet {
             width_choices: vec![0.65, 0.8, 1.0],
         },
         accuracy: AccuracyModel::uncalibrated(),
-    };
-    // 75.2%..80.3% top-1 band of the paper's Figs. 10a/15b.
-    finalize_supernet(&mut net, 0.752, 0.803, 3.0);
-    net
+    }
+    // 7×7 stride-2 stem, then a 3×3 stride-2 max-pool; the 75.2%..80.3%
+    // top-1 band of the paper's Figs. 10a/15b.
+    .finish(Stem { kernel: 7, stride: 2, pool: 2 }, 0.752, 0.803, 3.0)
 }
 
 /// The six Pareto SubNets A (smallest) … F (largest) used throughout §5.
@@ -111,6 +83,8 @@ pub fn resnet50_paper_subnets(net: &SuperNet) -> Vec<SubNet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::NO_STAGE;
+    use crate::layer::LayerRole;
 
     #[test]
     fn layer_count_matches_structure() {

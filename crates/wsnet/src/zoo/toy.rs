@@ -1,63 +1,42 @@
 //! Tiny SuperNets for functional (bit-exact) validation of the accelerator.
 //!
 //! Full-size workloads run in timing-only mode; these toys are small enough
-//! to execute numerically in tests, while exercising the same
-//! materialization rules as the full zoo entries.
+//! to execute numerically in tests, while sharing the paper families' block
+//! layout and materialization rules with the full zoo entries.
 
 use crate::accuracy::AccuracyModel;
-use crate::arch::{
-    finalize_supernet, ElasticSpace, Family, LayerListBuilder, StageSpec, SuperNet, NO_STAGE,
-};
-use crate::layer::{ConvKind, LayerRole};
+use crate::arch::{ElasticSpace, Family, StageSpec, Stem, SuperNet};
+
+/// The toys' 3×3 stride-1 stem with no max-pool.
+const STEM: Stem = Stem { kernel: 3, stride: 1, pool: 1 };
+
+/// Two stages of ≤2 blocks: 16 channels at stride 1, then 24 at stride 2.
+fn toy_stages(se: [bool; 2], default_kernel: usize) -> Vec<StageSpec> {
+    [(16, 1), (24, 2)]
+        .iter()
+        .zip(se)
+        .map(|(&(base_out, stride), se)| StageSpec {
+            max_blocks: 2,
+            base_out,
+            stride,
+            se,
+            default_kernel,
+        })
+        .collect()
+}
 
 /// A miniature ResNet-style SuperNet: 16×16 input, two stages of ≤2
 /// bottleneck blocks.
 #[must_use]
 pub fn toy_supernet() -> SuperNet {
-    let bases = [16usize, 24];
-    let strides = [1usize, 2];
-    let mut b = LayerListBuilder::new(16);
-    b.push("stem".into(), NO_STAGE, 0, LayerRole::Stem, ConvKind::Dense, 3, false, 1);
-    for (s, (&_base, &stride)) in bases.iter().zip(strides.iter()).enumerate() {
-        for blk in 0..2 {
-            let bs = if blk == 0 { stride } else { 1 };
-            let p = format!("s{s}.b{blk}");
-            b.push(format!("{p}.conv1"), s, blk, LayerRole::Expand, ConvKind::Dense, 1, false, 1);
-            if blk == 0 {
-                b.push_parallel(
-                    format!("{p}.downsample"),
-                    s,
-                    blk,
-                    LayerRole::Downsample,
-                    ConvKind::Dense,
-                    1,
-                    bs,
-                );
-            }
-            b.push(format!("{p}.conv2"), s, blk, LayerRole::Spatial, ConvKind::Dense, 3, false, bs);
-            b.push(format!("{p}.conv3"), s, blk, LayerRole::Project, ConvKind::Dense, 1, false, 1);
-        }
-    }
-    b.push_pooled("head.fc".into(), NO_STAGE, 0, LayerRole::Head);
-
-    let mut net = SuperNet {
+    SuperNet {
         name: "Toy-ResNet".into(),
         family: Family::OfaResNet50,
         input_hw: 16,
         stem_base: 8,
         head_channels: vec![32],
-        stages: bases
-            .iter()
-            .zip(strides.iter())
-            .map(|(&base_out, &stride)| StageSpec {
-                max_blocks: 2,
-                base_out,
-                stride,
-                se: false,
-                default_kernel: 3,
-            })
-            .collect(),
-        layers: b.build(),
+        stages: toy_stages([false, false], 3),
+        layers: Vec::new(),
         elastic: ElasticSpace {
             depth_choices: vec![1, 2],
             expand_choices: vec![0.25, 0.5],
@@ -65,67 +44,22 @@ pub fn toy_supernet() -> SuperNet {
             width_choices: vec![0.5, 1.0],
         },
         accuracy: AccuracyModel::uncalibrated(),
-    };
-    finalize_supernet(&mut net, 0.70, 0.80, 3.0);
-    net
+    }
+    .finish(STEM, 0.70, 0.80, 3.0)
 }
 
 /// A miniature MobileNetV3-style SuperNet with one SE stage and elastic
 /// 3/5 kernels, for depthwise + SE functional coverage.
 #[must_use]
 pub fn toy_mobilenet_supernet() -> SuperNet {
-    let bases = [16usize, 24];
-    let strides = [1usize, 2];
-    let se = [false, true];
-    let mut b = LayerListBuilder::new(16);
-    b.push("stem".into(), NO_STAGE, 0, LayerRole::Stem, ConvKind::Dense, 3, false, 1);
-    for (s, ((&_base, &stride), &has_se)) in
-        bases.iter().zip(strides.iter()).zip(se.iter()).enumerate()
-    {
-        for blk in 0..2 {
-            let bs = if blk == 0 { stride } else { 1 };
-            let p = format!("s{s}.b{blk}");
-            b.push(format!("{p}.expand"), s, blk, LayerRole::Expand, ConvKind::Dense, 1, false, 1);
-            b.push(format!("{p}.dw"), s, blk, LayerRole::Spatial, ConvKind::Depthwise, 5, true, bs);
-            if has_se {
-                b.push_pooled(format!("{p}.se_reduce"), s, blk, LayerRole::SeReduce);
-                b.push_pooled(format!("{p}.se_expand"), s, blk, LayerRole::SeExpand);
-            }
-            b.push(
-                format!("{p}.project"),
-                s,
-                blk,
-                LayerRole::Project,
-                ConvKind::Dense,
-                1,
-                false,
-                1,
-            );
-        }
-    }
-    b.push_pooled("head.final_expand".into(), NO_STAGE, 0, LayerRole::Head);
-    b.push_pooled("head.fc1".into(), NO_STAGE, 1, LayerRole::Head);
-    b.push_pooled("head.fc2".into(), NO_STAGE, 2, LayerRole::Head);
-
-    let mut net = SuperNet {
+    SuperNet {
         name: "Toy-MobileNet".into(),
         family: Family::OfaMobileNetV3,
         input_hw: 16,
         stem_base: 8,
         head_channels: vec![64, 96, 32],
-        stages: bases
-            .iter()
-            .zip(strides.iter())
-            .zip(se.iter())
-            .map(|((&base_out, &stride), &se)| StageSpec {
-                max_blocks: 2,
-                base_out,
-                stride,
-                se,
-                default_kernel: 5,
-            })
-            .collect(),
-        layers: b.build(),
+        stages: toy_stages([false, true], 5),
+        layers: Vec::new(),
         elastic: ElasticSpace {
             depth_choices: vec![1, 2],
             expand_choices: vec![2.0, 3.0],
@@ -133,9 +67,8 @@ pub fn toy_mobilenet_supernet() -> SuperNet {
             width_choices: vec![1.0],
         },
         accuracy: AccuracyModel::uncalibrated(),
-    };
-    finalize_supernet(&mut net, 0.70, 0.80, 3.0);
-    net
+    }
+    .finish(STEM, 0.70, 0.80, 3.0)
 }
 
 #[cfg(test)]

@@ -20,11 +20,15 @@ dump() {
   for crate in tensor ir wsnet sched accel core; do
     echo
     echo "## sushi-$crate"
-    # Source-level grep (not rustdoc) so the dump works offline; test
-    # modules declare no `pub` items, so src/ is the public surface.
+    # Source-level grep (not rustdoc) so the dump works offline. Each file
+    # is read up to its test module (the first `#[cfg(test)]` at column 0,
+    # as scripts/loc.sh counts), so test helpers declared `pub` stay out.
     # `pub use`/`pub mod` are included so re-export (path-level) breaks
     # show up too, not just item deletions.
-    grep -rhE '^[[:space:]]*pub (fn|struct|trait|enum|type|const|mod|use) ' "crates/$crate/src" \
+    find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
+      FNR == 1 { skip = 0 }
+      /^#\[cfg\(test\)\]/ { skip = 1 }
+      !skip && /^[[:space:]]*pub (fn|struct|trait|enum|type|const|mod|use) /' \
       | sed -E 's/^[[:space:]]+//; s/[[:space:]]*\{[[:space:]]*$//; s/;[[:space:]]*$//; s/[[:space:]]*$//' \
       | LC_ALL=C sort -u
   done

@@ -107,15 +107,15 @@ fn main() {
         .unwrap_or_else(|| die("scaling sweep is missing its 1-worker anchor"));
     for (w, r, summary) in &sweep {
         print_row(&format!("scale_functional ({w}w, {r})"), summary);
-        entries.push(ServeBenchEntry::from_summary(
-            "scale_functional",
-            false,
-            *w,
-            r.name(),
-            "all",
-            "none",
-            summary.clone(),
-        ));
+        entries.push(ServeBenchEntry {
+            scenario: "scale_functional".into(),
+            adaptive: false,
+            workers: *w,
+            routing: r.name().into(),
+            tier: "all".into(),
+            faults: "none".into(),
+            summary: summary.clone(),
+        });
     }
     println!("\n{:<10} {:>14} {:>10}", "workers", "goodput (q/s)", "speedup");
     for (w, r, summary) in &sweep {

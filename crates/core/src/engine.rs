@@ -423,11 +423,14 @@ fn check_layers<'a>(
 /// table, service table and executor pool — and the execution backend,
 /// behind two run modes.
 ///
-/// Both run modes continue one scheduler history and one set of
-/// Persistent-Buffer contents, across calls and across modes:
-/// `serve_timed` after `serve_stream` starts from the AvgNet state,
-/// resident SubGraphs and worker clocks the replay left. Build a fresh
-/// engine for an independent run.
+/// What continues across calls and across modes: the scheduler history,
+/// each replica's resident SubGraph, the worker clocks, the pending
+/// install and the round-robin routing cursor. So `serve_timed` after
+/// `serve_stream` starts from the AvgNet state, resident SubGraphs and
+/// worker clocks the replay left. What restarts with each
+/// [`Engine::serve_timed`]: the fault plan, the load controller, and every
+/// count in [`SimResult`] and its adaptation trace and fault summary.
+/// Build a fresh engine for an independent run.
 #[derive(Debug)]
 #[must_use]
 pub struct Engine {
@@ -520,7 +523,7 @@ mod tests {
 
     use super::*;
     use crate::serving::fault::FaultOptions;
-    use crate::serving::{ArrivalProcess, BatchPolicy};
+    use crate::serving::{ArrivalProcess, BatchPolicy, DropPolicy};
     use crate::stream::{attach_arrivals, uniform_stream};
 
     #[test]
@@ -687,6 +690,60 @@ mod tests {
             "worker 0 keeps the clock the replay left"
         );
         assert_eq!(run(), (records, result), "identical engines, identical runs");
+    }
+
+    /// Each `serve_timed` counts only its own run, also after an earlier
+    /// run or a replay on the same engine: in a fault-free run every
+    /// committed batch is one `(worker, start_ms)` pair of `served`.
+    #[test]
+    fn each_sim_result_counts_only_its_own_run() {
+        let sim = SimConfig { workers: 2, batch: BatchPolicy::new(4, 2.0), ..SimConfig::default() };
+        let build = || EngineBuilder::new().candidates(6).seed(3).sim_config(sim).build().unwrap();
+        let (mut twice, mut replayed) = (build(), build());
+        let space = twice.constraint_space();
+        let queries = uniform_stream(&space, 60, 8);
+        let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8).unwrap();
+        let stream = attach_arrivals(&queries, &arrivals);
+        replayed.serve_stream(&uniform_stream(&space, 30, 5)).unwrap();
+        let runs = [
+            twice.serve_timed(&stream).unwrap(),
+            twice.serve_timed(&stream).unwrap(),
+            replayed.serve_timed(&stream).unwrap(),
+        ];
+        for (i, result) in runs.iter().enumerate() {
+            let mut batches: Vec<(usize, u64)> =
+                result.served.iter().map(|s| (s.worker, s.start_ms.to_bits())).collect();
+            batches.sort_unstable();
+            batches.dedup();
+            assert_eq!(result.batches, batches.len(), "run {i} counts its own batches");
+            assert!(result.summary().mean_batch >= 1.0, "run {i}: {}", result.summary().mean_batch);
+        }
+    }
+
+    /// A second adaptive run on one engine starts a fresh controller: its
+    /// trace totals are its own events, and run 1's dwell clock does not
+    /// block its steps.
+    #[test]
+    fn a_second_adaptive_run_starts_a_fresh_controller() {
+        let sim = SimConfig {
+            workers: 1,
+            queue_capacity: 16,
+            drop_policy: DropPolicy::DeadlineAware,
+            batch: BatchPolicy::new(4, 1.0),
+            control: Some(TenantOptions::global()),
+            ..SimConfig::default()
+        };
+        let mut engine =
+            EngineBuilder::new().candidates(6).seed(3).sim_config(sim).build().unwrap();
+        let space = engine.constraint_space();
+        let queries = uniform_stream(&space, 400, 8);
+        let arrivals = ArrivalProcess::Poisson { rate_qps: 400.0 }.timestamps(400, 8).unwrap();
+        let stream = attach_arrivals(&queries, &arrivals);
+        for run in 0..2 {
+            let trace = engine.serve_timed(&stream).unwrap().adaptation.expect("adaptive run");
+            assert_eq!(trace.degrades + trace.upgrades, trace.events.len(), "run {run}: {trace:?}");
+            assert!(!trace.events.is_empty(), "run {run}: overload steps the ladder");
+        }
     }
 
     #[test]

@@ -270,30 +270,6 @@ pub struct ServeBenchEntry {
     pub summary: ServeSummary,
 }
 
-impl ServeBenchEntry {
-    /// Builds a baseline row from its key and a scenario summary.
-    #[must_use]
-    pub fn from_summary(
-        scenario: impl Into<String>,
-        adaptive: bool,
-        workers: usize,
-        routing: impl Into<String>,
-        tier: impl Into<String>,
-        faults: impl Into<String>,
-        summary: ServeSummary,
-    ) -> Self {
-        Self {
-            scenario: scenario.into(),
-            adaptive,
-            workers,
-            routing: routing.into(),
-            tier: tier.into(),
-            faults: faults.into(),
-            summary,
-        }
-    }
-}
-
 /// Serializes serve bench entries as the `BENCH_serve.json` baseline:
 /// `{schema, entries: [...]}` with one flat object per line, so the
 /// committed file diffs (and is gated) line by line as plain text.

@@ -35,18 +35,15 @@ use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 
-/// One simulated worker.
+/// One simulated worker: exactly the state an engine carries from one
+/// serving run to the next.
 #[derive(Debug, Clone)]
 struct Worker {
     /// Service-table column resident in the replica's Persistent Buffer.
     resident: Option<usize>,
     busy_until_ms: f64,
-    /// Service-time multiplier applied to dispatched batches (fault
-    /// injection's straggler episodes; `1.0` = nominal, and the nominal
-    /// path never multiplies, so faultless timing is bit-identical).
-    service_multiplier: f64,
     /// Set by a crash (the replica lost its PB-resident SubGraph);
-    /// cleared when the next install lands, which counts as a re-install.
+    /// cleared when the next install lands, which is then a re-install.
     lost_cache: bool,
 }
 
@@ -59,6 +56,9 @@ pub(crate) struct PlannedBatch {
     pub row: usize,
     /// The batched query ids.
     pub query_ids: Vec<u64>,
+    /// Service-time multiplier of the worker's straggler episode (`1.0`
+    /// nominal; `x * 1.0 == x`, so nominal timing is exact).
+    pub scale: f64,
 }
 
 /// What one dispatch did.
@@ -73,13 +73,19 @@ pub(crate) struct DispatchReport {
     pub completion_ms: f64,
     /// The batch's timing/energy report, priced from the service table.
     pub report: BatchReport,
+    /// PB swap (reload) time charged to this batch, ms.
+    pub swap_ms: f64,
+    /// Whether this batch's install re-packed a PB a crash had emptied.
+    pub reinstall: bool,
 }
 
 /// One dispatched batch: its report, and the backend's outputs when it
 /// computes any.
 pub(crate) type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
 
-/// A pool of accelerator workers with simulated availability clocks.
+/// A pool of accelerator workers with simulated availability clocks. It
+/// keeps no running totals: each [`DispatchReport`] says what its batch
+/// cost, and a serving run counts what it needs.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorPool {
     service: Arc<ServiceTable>,
@@ -87,10 +93,6 @@ pub(crate) struct ExecutorPool {
     /// The newest unapplied cache decision (a service-table column);
     /// applied by (and charged to) the next dispatched batch's worker.
     pending_install: Option<usize>,
-    cache_installs: usize,
-    swap_ms: f64,
-    batches: usize,
-    reinstalls: usize,
 }
 
 impl ExecutorPool {
@@ -101,21 +103,8 @@ impl ExecutorPool {
     #[must_use]
     pub(crate) fn new(service: Arc<ServiceTable>, workers: usize) -> Self {
         assert!(workers > 0, "executor pool needs at least one worker");
-        let worker = Worker {
-            resident: None,
-            busy_until_ms: 0.0,
-            service_multiplier: 1.0,
-            lost_cache: false,
-        };
-        Self {
-            service,
-            workers: vec![worker; workers],
-            pending_install: None,
-            cache_installs: 0,
-            swap_ms: 0.0,
-            batches: 0,
-            reinstalls: 0,
-        }
+        let worker = Worker { resident: None, busy_until_ms: 0.0, lost_cache: false };
+        Self { service, workers: vec![worker; workers], pending_install: None }
     }
 
     /// Number of workers.
@@ -152,27 +141,12 @@ impl ExecutorPool {
 
     /// Fail-stops worker `worker` (fault injection): its Persistent
     /// Buffer — the resident SubGraph — is lost, so it re-enters cold and
-    /// the next install it applies counts as a re-install. The simulated
+    /// the next install it applies is a re-install. The simulated
     /// availability clock is left alone; the serving loop's fault runtime
     /// gates dispatchability while the replica is down.
     pub(crate) fn crash_worker(&mut self, worker: usize) {
         self.workers[worker].resident = None;
         self.workers[worker].lost_cache = true;
-    }
-    /// Sets worker `worker`'s service-time multiplier (straggler
-    /// episodes; `1.0` restores nominal service).
-    ///
-    /// # Panics
-    /// Panics unless `multiplier >= 1` and finite.
-    pub(crate) fn set_service_multiplier(&mut self, worker: usize, multiplier: f64) {
-        assert!(multiplier.is_finite() && multiplier >= 1.0, "service multiplier must be >= 1");
-        self.workers[worker].service_multiplier = multiplier;
-    }
-
-    /// Worker `worker`'s current service-time multiplier.
-    #[cfg(test)]
-    pub(crate) fn service_multiplier(&self, worker: usize) -> f64 {
-        self.workers[worker].service_multiplier
     }
 
     /// Clamps worker `worker`'s availability clock to at most `until_ms`
@@ -195,7 +169,6 @@ impl ExecutorPool {
     /// resident SubGraphs — installs accrete across the pool instead of
     /// thrashing every PB.
     pub(crate) fn route_install(&mut self, col: usize) {
-        self.cache_installs += 1;
         self.pending_install = Some(col);
     }
 
@@ -238,16 +211,13 @@ impl ExecutorPool {
             })
             .collect();
         let outputs = backend.execute_concurrent(net, &jobs)?;
-        let mut reload_cycles = 0;
+        let (mut reload_cycles, mut reinstall) = (0, false);
         if let (Some(first), Some(col)) = (plan.first(), self.pending_install) {
             self.pending_install = None;
             let w = &mut self.workers[first.worker];
-            if w.lost_cache {
-                // The replica lost its PB state to a crash: this install
-                // is a re-pack of state it already paid for once.
-                self.reinstalls += 1;
-                w.lost_cache = false;
-            }
+            // A replica that lost its PB state to a crash re-packs state it
+            // already paid for once.
+            reinstall = std::mem::take(&mut w.lost_cache);
             (w.resident, reload_cycles) = self.service.install(w.resident, col);
         }
         let results = plan
@@ -257,48 +227,20 @@ impl ExecutorPool {
                 let w = &mut self.workers[b.worker];
                 let reload = std::mem::take(&mut reload_cycles);
                 let report = self.service.price(b.row, w.resident, b.query_ids.len(), reload);
-                self.swap_ms += self.service.config().cycles_to_ms(report.pb_reload_cycles);
-                self.batches += 1;
-                // The straggler multiplier stretches simulated service
-                // time; the nominal path keeps the exact original value.
-                let service_ms = if w.service_multiplier == 1.0 {
-                    report.total_latency_ms
-                } else {
-                    report.total_latency_ms * w.service_multiplier
-                };
-                let completion_ms = now_ms + service_ms;
+                let completion_ms = now_ms + report.total_latency_ms * b.scale;
                 w.busy_until_ms = completion_ms;
-                (
-                    DispatchReport { worker: b.worker, start_ms: now_ms, completion_ms, report },
-                    outputs,
-                )
+                let dispatch = DispatchReport {
+                    worker: b.worker,
+                    start_ms: now_ms,
+                    completion_ms,
+                    swap_ms: self.service.config().cycles_to_ms(report.pb_reload_cycles),
+                    reinstall: std::mem::take(&mut reinstall),
+                    report,
+                };
+                (dispatch, outputs)
             })
             .collect();
         Ok(results)
-    }
-    /// Number of cache decisions routed so far.
-    #[must_use]
-    pub(crate) fn cache_installs(&self) -> usize {
-        self.cache_installs
-    }
-
-    /// Total PB swap (reload) time actually charged to batches, ms.
-    #[must_use]
-    pub(crate) fn total_swap_ms(&self) -> f64 {
-        self.swap_ms
-    }
-
-    /// Number of batches dispatched.
-    #[must_use]
-    pub(crate) fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Number of applied installs that re-packed a crash-lost PB (a
-    /// subset of [`Self::cache_installs`]'s applied decisions).
-    #[must_use]
-    pub(crate) fn reinstalls(&self) -> usize {
-        self.reinstalls
     }
 }
 
@@ -316,6 +258,11 @@ pub(crate) mod tests {
         let net = zoo::toy_supernet();
         let max = net.materialize("max", &net.max_config()).expect("the max config is valid");
         ExecutorPool::new(Arc::new(ServiceTable::build(&zcu104(), &net, &[max], &[])), workers)
+    }
+
+    /// A nominal-speed batch of `query_ids` of row `row` on `worker`.
+    fn planned(worker: usize, row: usize, query_ids: &[u64]) -> PlannedBatch {
+        PlannedBatch { worker, row, query_ids: query_ids.to_vec(), scale: 1.0 }
     }
 
     /// MobileNetV3's paper picks on a ZCU104 pool whose service table's
@@ -352,7 +299,7 @@ pub(crate) mod tests {
             backend: &mut dyn ExecutionBackend,
             query_ids: &[u64],
         ) -> Result<Dispatched, SushiError> {
-            let plan = [PlannedBatch { worker, row, query_ids: query_ids.to_vec() }];
+            let plan = [planned(worker, row, query_ids)];
             Ok(self.group(now_ms, backend, &plan)?.pop().expect("one batch in, one result out"))
         }
     }
@@ -388,7 +335,7 @@ pub(crate) mod tests {
         assert!(d.completion_ms > 5.0);
         assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
         assert_eq!(f.pool.busy_until_ms(1), 0.0, "the other replica stays free");
-        assert_eq!(f.pool.batches(), 1);
+        assert_eq!((d.worker, d.swap_ms, d.reinstall), (0, 0.0, false), "no install, no swap");
     }
 
     #[test]
@@ -396,41 +343,34 @@ pub(crate) mod tests {
         let mut f = Fixture::new(1);
         let b = &mut Analytical;
         let (cold, _) = f.dispatch(0, 0.0, 0, b, &[0, 1]).unwrap();
-        assert_eq!(cold.report.pb_reload_cycles, 0);
+        assert_eq!((cold.report.pb_reload_cycles, cold.swap_ms), (0, 0.0));
         f.pool.route_install(1);
         let (warmup, _) = f.dispatch(0, cold.completion_ms, 0, b, &[2, 3]).unwrap();
         assert!(warmup.report.pb_reload_cycles > 0, "swap charged to in-flight batch");
-        assert!(f.pool.total_swap_ms() > 0.0);
+        let cycles_ms = f.pool.service.config().cycles_to_ms(warmup.report.pb_reload_cycles);
+        assert!(warmup.swap_ms > 0.0 && warmup.swap_ms == cycles_ms);
         let (steady, _) = f.dispatch(0, warmup.completion_ms, 0, b, &[4, 5]).unwrap();
-        assert_eq!(steady.report.pb_reload_cycles, 0);
+        assert_eq!((steady.report.pb_reload_cycles, steady.swap_ms), (0, 0.0), "applied once");
         assert!(steady.report.total_latency_ms < cold.report.total_latency_ms);
-        assert_eq!(f.pool.cache_installs(), 1);
     }
 
     #[test]
     fn installs_are_routed_to_one_replica_not_broadcast() {
         let mut f = Fixture::new(2);
         f.pool.route_install(1);
-        let plan = [
-            PlannedBatch { worker: 1, row: 0, query_ids: vec![0, 1] },
-            PlannedBatch { worker: 0, row: 0, query_ids: vec![2] },
-        ];
+        let plan = [planned(1, 0, &[0, 1]), planned(0, 0, &[2])];
         let results = f.group(0.0, &mut Analytical, &plan).unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(f.pool.resident(1), Some(1), "install applied by the first planned worker");
         assert!(f.pool.resident(0).is_none(), "other replicas keep their PB state");
-        assert!(results[0].0.report.pb_reload_cycles > 0, "swap charged to the installing batch");
-        assert_eq!(results[1].0.report.pb_reload_cycles, 0);
-        assert_eq!(f.pool.batches(), 2);
+        assert!(results[0].0.swap_ms > 0.0, "swap charged to the installing batch");
+        assert_eq!((results[1].0.report.pb_reload_cycles, results[1].0.swap_ms), (0, 0.0));
     }
 
     #[test]
     fn group_results_match_sequential_dispatches() {
         let mut grouped = Fixture::new(2);
-        let plan = [
-            PlannedBatch { worker: 0, row: 0, query_ids: vec![0, 1] },
-            PlannedBatch { worker: 1, row: 1, query_ids: vec![2] },
-        ];
+        let plan = [planned(0, 0, &[0, 1]), planned(1, 1, &[2])];
         let group = grouped.group(1.0, &mut Analytical, &plan).unwrap();
         let mut seq = Fixture::new(2);
         let (a, _) = seq.dispatch(0, 1.0, 0, &mut Analytical, &[0, 1]).unwrap();
@@ -452,14 +392,17 @@ pub(crate) mod tests {
         f.pool.route_install(1);
         let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
         assert!(f.pool.resident(0).is_some());
-        assert_eq!(f.pool.reinstalls(), 0);
+        assert!(d.swap_ms > 0.0 && !d.reinstall, "a first install is not a re-install");
         f.pool.crash_worker(0);
         assert!(f.pool.resident(0).is_none(), "a crash loses the PB-resident SubGraph");
         f.pool.route_install(1);
         let (again, _) = f.dispatch(0, d.completion_ms, 0, &mut Analytical, &[1]).unwrap();
         assert!(again.report.pb_reload_cycles > 0, "the lost SubGraph is reloaded");
-        assert_eq!(f.pool.reinstalls(), 1, "re-packing crash-lost state is accounted separately");
-        assert_eq!(f.pool.cache_installs(), 2);
+        assert_eq!(again.swap_ms, d.swap_ms, "the re-pack costs what the first pack did");
+        assert!(again.reinstall, "re-packing crash-lost state is reported separately");
+        f.pool.route_install(1);
+        let (later, _) = f.dispatch(0, again.completion_ms, 0, &mut Analytical, &[2]).unwrap();
+        assert!(!later.reinstall, "the next install finds the PB intact");
     }
 
     #[test]
@@ -467,13 +410,12 @@ pub(crate) mod tests {
         let mut nominal = Fixture::new(1);
         let (base, _) = nominal.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
         let mut slow = Fixture::new(1);
-        slow.pool.set_service_multiplier(0, 3.0);
-        let (stretched, _) = slow.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
+        let plan = [PlannedBatch { scale: 3.0, ..planned(0, 0, &[0]) }];
+        let (stretched, _) = slow.group(0.0, &mut Analytical, &plan).unwrap().pop().unwrap();
         let base_ms = base.completion_ms - base.start_ms;
         let slow_ms = stretched.completion_ms - stretched.start_ms;
         assert!((slow_ms - 3.0 * base_ms).abs() < 1e-9, "{slow_ms} vs 3x{base_ms}");
         assert_eq!(stretched.report, base.report, "the nominal report is unchanged");
-        slow.pool.set_service_multiplier(0, 1.0);
         let (recovered, _) =
             slow.dispatch(0, stretched.completion_ms, 0, &mut Analytical, &[1]).unwrap();
         assert_eq!(recovered.completion_ms - recovered.start_ms, base_ms);
@@ -495,13 +437,10 @@ pub(crate) mod tests {
         let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
         let err = f.dispatch(0, 0.0, 0, &mut Analytical, &[1]).unwrap_err();
         assert!(matches!(err, SushiError::Internal(_)), "{err}");
-        let twice = [
-            PlannedBatch { worker: 1, row: 0, query_ids: vec![2] },
-            PlannedBatch { worker: 1, row: 1, query_ids: vec![3] },
-        ];
+        let twice = [planned(1, 0, &[2]), planned(1, 1, &[3])];
         let err = f.group(0.0, &mut Analytical, &twice).unwrap_err();
         assert!(matches!(err, SushiError::Internal(_)), "{err}");
-        assert_eq!(f.pool.batches(), 1, "a rejected plan dispatches nothing");
+        // A rejected plan dispatches nothing: no clock moves.
         assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
         assert_eq!(f.pool.busy_until_ms(1), 0.0);
     }
@@ -513,24 +452,18 @@ pub(crate) mod tests {
             f.pool.crash_worker(0);
             f.pool.route_install(1);
         }
-        let plan = [
-            PlannedBatch { worker: 0, row: 0, query_ids: vec![0] },
-            PlannedBatch { worker: 1, row: 1, query_ids: vec![1] },
-        ];
+        let plan = [planned(0, 0, &[0]), planned(1, 1, &[1])];
         let err = failed.group(0.0, &mut Failing, &plan).unwrap_err();
         assert!(matches!(err, SushiError::Backend(_)), "{err}");
         for w in 0..2 {
             assert_eq!(failed.pool.resident(w), clean.pool.resident(w));
+            assert_eq!(failed.pool.busy_until_ms(w), clean.pool.busy_until_ms(w));
         }
-        assert_eq!(failed.pool.batches(), clean.pool.batches());
-        assert_eq!(failed.pool.total_swap_ms(), clean.pool.total_swap_ms());
-        assert_eq!(failed.pool.reinstalls(), clean.pool.reinstalls());
         let after_failure = failed.group(0.0, &mut Analytical, &plan).unwrap();
         let never_failed = clean.group(0.0, &mut Analytical, &plan).unwrap();
-        assert!(never_failed[0].0.report.pb_reload_cycles > 0, "the install is still pending");
-        assert_eq!(after_failure, never_failed);
-        assert_eq!(failed.pool.reinstalls(), 1);
-        assert_eq!(failed.pool.total_swap_ms(), clean.pool.total_swap_ms());
+        assert!(never_failed[0].0.swap_ms > 0.0, "the install is still pending");
+        assert!(after_failure[0].0.reinstall, "and the crash-lost PB still counts as lost");
+        assert_eq!(after_failure, never_failed, "same clocks, swap and re-install flags");
     }
 
     #[test]
@@ -538,7 +471,7 @@ pub(crate) mod tests {
         let net = zoo::toy_supernet();
         let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(3);
         let service = Arc::new(ServiceTable::build(&zcu104(), &net, &picks, &[]));
-        let plan = [PlannedBatch { worker: 0, row: 1, query_ids: vec![4, 5] }];
+        let plan = [planned(0, 1, &[4, 5])];
         let mut analytical = ExecutorPool::new(Arc::clone(&service), 1);
         let mut functional = ExecutorPool::new(service, 1);
         let ana = analytical.dispatch_group(0.0, &net, &picks, &mut Analytical, &plan).unwrap();

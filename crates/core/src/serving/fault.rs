@@ -13,17 +13,20 @@
 //!   re-enters cold (`Warming` under supervision); with a zero mean the
 //!   crash is permanent.
 //! * **Straggler** — a replica's service time is multiplied by
-//!   [`FaultOptions::straggler_factor`] over a drawn episode window.
+//!   [`FaultOptions::straggler_factor`] over a drawn episode window (the
+//!   runtime answers each dispatch's scale; the pool keeps none).
 //! * **Transient** — a dispatched batch fails with a retryable error after
 //!   burning its service time; supervision re-admits the batch's queries
 //!   with backoff, an unsupervised pool drops them.
 //!
-//! Replica health ([`ReplicaHealth`]) is a supervised-only state machine
+//! Replica health is a supervised-only state machine
 //! `Healthy → Suspect → Quarantined → Warming → Healthy`, driven by
 //! consecutive failures and straggler detection (per-replica EWMA service
-//! time vs. the pool median). The serving loop never routes to a
+//! time vs. the pool median). The serving loop asks the runtime whether a
+//! replica is free and how warm its cache is: it never routes to a
 //! `Quarantined` (or down) replica, and treats a `Warming` replica's cache
-//! as cold until a re-install completes.
+//! as cold until a re-install completes (a `Suspect` replica's cache
+//! still counts as warm).
 //!
 //! Supervision ([`FaultOptions::supervised`]) is one switch. Its retry,
 //! hedge and quarantine thresholds are this module's private constants,
@@ -185,7 +188,7 @@ impl FaultOptions {
 /// warming re-quarantines). A crashed replica sits out via its up/down
 /// state; it re-enters as `Warming` (cold cache) when it restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaHealth {
+pub(crate) enum ReplicaHealth {
     /// In rotation, no strikes outstanding.
     #[default]
     Healthy,
@@ -197,19 +200,6 @@ pub enum ReplicaHealth {
     /// treated as cold until a re-install completes, and its first
     /// completion decides whether it returns to `Healthy`.
     Warming,
-}
-
-impl ReplicaHealth {
-    /// Stable snake_case label for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplicaHealth::Healthy => "healthy",
-            ReplicaHealth::Suspect => "suspect",
-            ReplicaHealth::Quarantined => "quarantined",
-            ReplicaHealth::Warming => "warming",
-        }
-    }
 }
 
 /// What fault injection and supervision did over one run (in
@@ -230,8 +220,8 @@ pub struct FaultSummary {
     pub hedges: usize,
     /// Hedged batches where the backup finished first.
     pub hedges_won: usize,
-    /// Transitions into [`ReplicaHealth::Quarantined`] (crash downtime is
-    /// tracked separately in `downtime_ms`).
+    /// Transitions into quarantine (crash downtime is tracked separately
+    /// in `downtime_ms`).
     pub quarantines: usize,
     /// Pending cache installs applied to a replica that had lost its PB
     /// state to a crash (re-packs, accounted separately from the
@@ -286,11 +276,13 @@ struct ReplicaFaults {
 
 /// Run state enacting a [`FaultOptions`] plan over an [`ExecutorPool`],
 /// and the supervisor's own run state: retry attempts, per-tier retry
-/// budgets, backoff buffer, hedge window, and the dispatches that
-/// committed nothing. Built fresh per
+/// budgets, backoff buffer and hedge window. Built fresh per
 /// [`crate::serving::sim::ServingSim::run`] call, so every run replays the
 /// identical plan. Every run has one; a fault-free run holds the empty
-/// plan, whose methods enact nothing and draw nothing.
+/// plan, whose methods enact nothing and draw nothing. It is also where
+/// the serving loop asks a replica the questions that mix the pool's
+/// clocks and caches with up/down and health: [`Self::free`],
+/// [`Self::warmth`], [`Self::release_ms`] and [`Self::straggler_scale`].
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     opts: FaultOptions,
@@ -305,9 +297,6 @@ pub(crate) struct FaultRuntime {
     retry_buf: Vec<(QueuedQuery, f64)>,
     /// Recent committed service times (the hedge trigger's p99).
     hedge_window: VecDeque<f64>,
-    /// Dispatches that committed no results: transiently-failed batches
-    /// and hedge duplicates (exactly one of a hedged pair commits).
-    pub(crate) wasted_batches: usize,
 }
 
 impl FaultRuntime {
@@ -353,7 +342,6 @@ impl FaultRuntime {
             tier_retry_budget: RETRY_TIER_BUDGETS,
             retry_buf: Vec::new(),
             hedge_window: VecDeque::new(),
-            wasted_batches: 0,
         }
     }
 
@@ -403,14 +391,12 @@ impl FaultRuntime {
             loop {
                 let r = &mut self.replicas[w];
                 if r.straggle_until_ms > f64::NEG_INFINITY && now_ms >= r.straggle_until_ms {
-                    pool.set_service_multiplier(w, 1.0);
                     r.straggle_until_ms = f64::NEG_INFINITY;
                 } else if r.straggle_until_ms == f64::NEG_INFINITY && now_ms >= r.next_straggle_ms {
                     let dur = exp_draw(&mut r.straggle_rng, self.opts.straggler_duration_ms);
                     r.straggle_until_ms = r.next_straggle_ms + dur;
                     r.next_straggle_ms = r.straggle_until_ms
                         + exp_draw(&mut r.straggle_rng, self.opts.straggler_mtbf_ms);
-                    pool.set_service_multiplier(w, self.opts.straggler_factor);
                 } else {
                     break;
                 }
@@ -425,17 +411,43 @@ impl FaultRuntime {
         }
     }
 
-    /// Whether the serving loop may route a batch to replica `w`.
-    pub(crate) fn dispatchable(&self, w: usize) -> bool {
+    /// Whether replica `w` is up and not quarantined.
+    fn dispatchable(&self, w: usize) -> bool {
         let r = &self.replicas[w];
         r.up && r.health != ReplicaHealth::Quarantined
     }
 
-    /// Whether replica `w`'s resident cache may count as warm for
-    /// cache-affinity routing (a `Warming` replica is treated cold until
-    /// its re-install completes).
-    pub(crate) fn cache_warm(&self, w: usize) -> bool {
+    /// Whether replica `w`'s resident cache may count as warm (a `Warming`
+    /// replica is treated cold until its re-install completes).
+    fn cache_warm(&self, w: usize) -> bool {
         self.dispatchable(w) && self.replicas[w].health != ReplicaHealth::Warming
+    }
+
+    /// Whether the serving loop may dispatch a batch to replica `w` at
+    /// `now_ms`: up, not quarantined, and past its busy-until clock.
+    pub(crate) fn free(&self, pool: &ExecutorPool, w: usize, now_ms: f64) -> bool {
+        self.dispatchable(w) && pool.busy_until_ms(w) <= now_ms
+    }
+
+    /// How warm replica `w` is for serving-set row `row`: how much of the
+    /// row's weights its resident SubGraph holds, or `0` when its cache
+    /// does not count as warm (down, quarantined, or `Warming`).
+    pub(crate) fn warmth(&self, pool: &ExecutorPool, w: usize, row: usize) -> f64 {
+        if self.cache_warm(w) {
+            pool.overlap(w, row)
+        } else {
+            0.0
+        }
+    }
+
+    /// Service-time multiplier of a batch dispatched to replica `w` now:
+    /// the straggler factor inside an episode, else `1.0`.
+    pub(crate) fn straggler_scale(&self, w: usize) -> f64 {
+        if self.replicas[w].straggle_until_ms > f64::NEG_INFINITY {
+            self.opts.straggler_factor
+        } else {
+            1.0
+        }
     }
 
     /// Replica `w`'s health state.
@@ -453,11 +465,11 @@ impl FaultRuntime {
         out as f64 / n.max(1) as f64
     }
 
-    /// When replica `w` can next accept a batch, given its executor clock:
-    /// its busy-until while dispatchable, its restart (or never, if the
-    /// crash is permanent) while down, and its probation end while
-    /// quarantined.
-    pub(crate) fn release_ms(&self, w: usize, busy_until_ms: f64) -> f64 {
+    /// When replica `w` can next accept a batch: its busy-until clock
+    /// while dispatchable, its restart (or never, if the crash is
+    /// permanent) while down, and its probation end while quarantined.
+    pub(crate) fn release_ms(&self, pool: &ExecutorPool, w: usize) -> f64 {
+        let busy_until_ms = pool.busy_until_ms(w);
         let r = &self.replicas[w];
         if !r.up {
             return r.down_until_ms;
@@ -547,7 +559,6 @@ impl FaultRuntime {
         dropped: &mut Vec<DroppedQuery>,
     ) {
         self.note_failure(worker, at_ms);
-        self.wasted_batches += 1;
         for q in batch {
             let key = (q.timed.tenant, q.timed.query.id);
             let attempt = self.attempts.get(&key).copied().unwrap_or(1);
@@ -631,7 +642,6 @@ impl FaultRuntime {
         self.note_success(loser.worker, loser.completion_ms - loser.start_ms, winner.completion_ms);
         self.summary.hedges += 1;
         self.summary.hedges_won += usize::from(won);
-        self.wasted_batches += 1;
         won
     }
 
@@ -822,7 +832,7 @@ mod tests {
             perm.advance(step as f64, &mut pool);
         }
         assert!(!perm.dispatchable(0));
-        assert_eq!(perm.release_ms(0, 0.0), f64::INFINITY);
+        assert_eq!(perm.release_ms(&pool, 0), f64::INFINITY);
         let s = perm.finish(500.0);
         assert_eq!(s.crashes, 1);
         assert!(s.downtime_ms[0] > 0.0 && s.downtime_ms[0] <= 500.0);
@@ -869,7 +879,8 @@ mod tests {
         let (mut saw_slow, mut saw_recover) = (false, false);
         for step in 0..1000 {
             rt.advance(step as f64, &mut pool);
-            if pool.service_multiplier(0) > 1.0 {
+            if rt.straggler_scale(0) > 1.0 {
+                assert_eq!(rt.straggler_scale(0), 4.0, "the episode applies the plan's factor");
                 saw_slow = true;
             } else if saw_slow {
                 saw_recover = true;

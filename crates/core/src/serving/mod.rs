@@ -23,8 +23,8 @@
 //! * [`fault::FaultOptions`] — deterministic, replayable fault injection
 //!   (replica crashes, straggler episodes, transient batch errors) and
 //!   the one supervision switch: retry with exponential backoff and
-//!   per-tier budgets, tail hedging, and a [`fault::ReplicaHealth`]
-//!   quarantine/recovery machine, all on fixed thresholds.
+//!   per-tier budgets, tail hedging, and a per-replica health
+//!   (quarantine/recovery) machine, all on fixed thresholds.
 //! * `executor::ExecutorPool` (crate-private) — accelerator-replica
 //!   workers with per-replica cache state and routed (not broadcast)
 //!   installs, dispatching batch groups through the engine's
@@ -86,7 +86,7 @@ pub mod sim;
 
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchPolicy;
-pub use fault::{FaultOptions, FaultSummary, ReplicaHealth};
+pub use fault::{FaultOptions, FaultSummary};
 pub use queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery};
 pub use routing::{ReplicaView, RoutingPolicy};
 pub use scenario::{

@@ -458,16 +458,14 @@ pub fn preset_bench_rows(opts: &ExpOptions) -> Result<Vec<ServeBenchEntry>, Sush
         let workers = preset.default_workers();
         let routing = preset.default_routing().name();
         let faults = if preset == ServePreset::Chaos { "supervised" } else { "none" };
-        let row = |adaptive, tier: &str, faults: &str, s: ServeSummary| {
-            ServeBenchEntry::from_summary(
-                preset.name(),
-                adaptive,
-                workers,
-                routing,
-                tier,
-                faults,
-                s,
-            )
+        let row = |adaptive, tier: &str, faults: &str, summary| ServeBenchEntry {
+            scenario: preset.name().into(),
+            adaptive,
+            workers,
+            routing: routing.into(),
+            tier: tier.into(),
+            faults: faults.into(),
+            summary,
         };
         if opts.adaptive {
             let result = run_scenario(preset, opts)?;

@@ -75,7 +75,7 @@ pub struct SimConfig {
     pub routing: RoutingPolicy,
     /// The load-adaptive degradation controller (`None` = static
     /// scheduling; the loop then behaves bit-identically to the
-    /// pre-adaptive runtime). Untiered options
+    /// pre-adaptive runtime), built afresh by every serving run. Untiered options
     /// ([`TenantOptions::global`]) run one global ladder with every query
     /// tagged [`TenantTier::Standard`] and no tier machinery; options
     /// with a tier map run one ladder per tier.
@@ -200,15 +200,15 @@ pub struct SimResult {
     pub mean_queue_depth: f64,
     /// Maximum queue depth observed.
     pub max_queue_depth: usize,
-    /// Batches whose results were committed. Equal to total dispatches on
-    /// a faultless run; under fault injection, transiently-failed batches
-    /// and hedge duplicates burned a service slot without committing, so
-    /// they are excluded (keeping `mean_batch >= 1` whenever anything
-    /// completed).
+    /// Batches of this run whose results were committed. Equal to the
+    /// run's dispatches on a faultless run; under fault injection,
+    /// transiently-failed batches and hedge duplicates burned a service
+    /// slot without committing, so they are excluded (keeping
+    /// `mean_batch >= 1` whenever anything completed).
     pub batches: usize,
-    /// Cache decisions enacted.
+    /// Cache decisions this run routed.
     pub cache_installs: usize,
-    /// Total PB swap time charged to batches, ms.
+    /// Total PB swap time charged to this run's batches, ms.
     pub swap_ms: f64,
     /// Simulation horizon: last completion (or arrival, if later), ms.
     pub makespan_ms: f64,
@@ -224,25 +224,41 @@ impl SimResult {
     /// `0.0` when nothing completed (a fully-shed run).
     #[must_use]
     pub fn summary(&self) -> ServeSummary {
-        let offered = self.served.len() + self.dropped.len();
+        let mut summary = self.fold(|_, _| true);
+        summary.mean_batch =
+            if self.batches > 0 { self.served.len() as f64 / self.batches as f64 } else { 0.0 };
+        summary
+    }
+
+    /// One fold over the served and dropped queries whose `(tenant, tier)`
+    /// tag `keep` selects. Per-query fields cover only the selection, and
+    /// `mean_batch` is the batch size its served queries actually rode in
+    /// ([`Self::summary`] divides by the run's committed batches instead).
+    /// Shared-infrastructure fields (queue depths, cache installs, swap
+    /// time, makespan, ladder totals) pass through by value: tenants share
+    /// one queue and one worker pool, so those have no per-slice
+    /// decomposition.
+    fn fold(&self, keep: impl Fn(u32, TenantTier) -> bool) -> ServeSummary {
+        let dropped = self.dropped.iter().filter(|d| keep(d.timed.tenant, d.tier)).count();
         let mut hist = LatencyHistogram::new();
-        let mut met = 0usize;
-        for s in &self.served {
+        let (mut completed, mut met, mut rode) = (0usize, 0usize, 0.0f64);
+        for s in self.served.iter().filter(|s| keep(s.tenant, s.tier)) {
             hist.push(s.latency_ms());
-            if s.met_slo() {
-                met += 1;
-            }
+            met += usize::from(s.met_slo());
+            rode += s.batch_size as f64;
+            completed += 1;
         }
-        let (p50_ms, p95_ms, p99_ms, mean_latency_ms) = if hist.count() > 0 {
+        let (p50_ms, p95_ms, p99_ms, mean_latency_ms) = if completed > 0 {
             (hist.quantile(0.50), hist.quantile(0.95), hist.quantile(0.99), hist.mean_ms())
         } else {
             (0.0, 0.0, 0.0, 0.0)
         };
-        let violations = (self.served.len() - met) + self.dropped.len();
+        let offered = completed + dropped;
+        let violations = (completed - met) + dropped;
         ServeSummary {
             offered,
-            completed: self.served.len(),
-            dropped: self.dropped.len(),
+            completed,
+            dropped,
             p50_ms,
             p95_ms,
             p99_ms,
@@ -255,53 +271,13 @@ impl SimResult {
             slo_violation_rate: if offered > 0 { violations as f64 / offered as f64 } else { 0.0 },
             mean_queue_depth: self.mean_queue_depth,
             max_queue_depth: self.max_queue_depth,
-            mean_batch: if self.batches > 0 {
-                self.served.len() as f64 / self.batches as f64
-            } else {
-                0.0
-            },
+            mean_batch: if completed > 0 { rode / completed as f64 } else { 0.0 },
             cache_installs: self.cache_installs,
             swap_ms: self.swap_ms,
             makespan_ms: self.makespan_ms,
             degrades: self.adaptation.as_ref().map_or(0, |a| a.degrades),
             upgrades: self.adaptation.as_ref().map_or(0, |a| a.upgrades),
         }
-    }
-
-    /// Summary of the queries (drops included) whose `(tenant, tier)`
-    /// tag `keep` selects. Per-query fields cover only the slice and
-    /// `mean_batch` is the batch size its served queries actually rode in
-    /// — `summary()` would divide by the run-global dispatch count, which
-    /// means nothing for a slice. Shared-infrastructure fields (queue
-    /// depths, cache installs, swap time, makespan) pass through by value:
-    /// tenants share one queue and one worker pool, so those have no
-    /// per-slice decomposition.
-    fn slice_summary(&self, keep: impl Fn(u32, TenantTier) -> bool) -> ServeSummary {
-        let slice = SimResult {
-            served: self.served.iter().copied().filter(|s| keep(s.tenant, s.tier)).collect(),
-            dropped: self
-                .dropped
-                .iter()
-                .copied()
-                .filter(|d| keep(d.timed.tenant, d.tier))
-                .collect(),
-            mean_queue_depth: self.mean_queue_depth,
-            max_queue_depth: self.max_queue_depth,
-            batches: self.batches,
-            cache_installs: self.cache_installs,
-            swap_ms: self.swap_ms,
-            makespan_ms: self.makespan_ms,
-            adaptation: self.adaptation.clone(),
-            faults: self.faults.clone(),
-        };
-        let mut summary = slice.summary();
-        summary.mean_batch = if slice.served.is_empty() {
-            0.0
-        } else {
-            slice.served.iter().map(|s| s.batch_size as f64).sum::<f64>()
-                / slice.served.len() as f64
-        };
-        summary
     }
 
     /// Summary restricted to one tenant's queries (drops included).
@@ -313,7 +289,7 @@ impl SimResult {
     /// installs, swap time, makespan — describe the whole run.
     #[must_use]
     pub fn tenant_summary(&self, tenant: u32) -> ServeSummary {
-        self.slice_summary(|t, _| t == tenant)
+        self.fold(|t, _| t == tenant)
     }
 
     /// Summary restricted to one priority tier's queries (drops
@@ -324,7 +300,7 @@ impl SimResult {
     /// any — moved).
     #[must_use]
     pub fn tier_summary(&self, tier: TenantTier) -> ServeSummary {
-        let mut summary = self.slice_summary(|_, t| t == tier);
+        let mut summary = self.fold(|_, t| t == tier);
         let ladder =
             self.adaptation.as_ref().and_then(|a| a.tiers.iter().find(|t| t.tier == tier).copied());
         summary.degrades = ladder.map_or(0, |t| t.degrades);
@@ -381,7 +357,10 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
 
 /// The engine's one run state: scheduler + executor pool, driven by the
 /// SLO-aware serving loop ([`Self::run`]) or the per-query replay
-/// ([`Self::replay`]).
+/// ([`Self::replay`]). It holds only what continues from one call to the
+/// next — scheduler history, the pool's resident SubGraphs, clocks and
+/// pending install, and the round-robin cursor; each [`Self::run`] builds
+/// its own fault runtime, controller and counts.
 #[derive(Debug)]
 pub(crate) struct ServingSim {
     net: Arc<SuperNet>,
@@ -389,7 +368,6 @@ pub(crate) struct ServingSim {
     sched: Scheduler,
     pool: ExecutorPool,
     config: SimConfig,
-    control: Option<TenantPolicy>,
     /// Round-robin routing cursor (persists across dispatch groups).
     rr_cursor: usize,
 }
@@ -411,14 +389,12 @@ impl ServingSim {
         config: SimConfig,
     ) -> Self {
         debug_assert_eq!(subnets.len(), table.num_rows(), "serving set / table mismatch");
-        let control = config.control.map(|opts| TenantPolicy::new(&table, policy, opts));
         Self {
             net,
             subnets,
             sched: Scheduler::new(table, policy, cache_selection, q_window),
             pool: ExecutorPool::new(service, config.workers),
             config,
-            control,
             rr_cursor: 0,
         }
     }
@@ -461,7 +437,7 @@ impl ServingSim {
         check_constraints(query)?;
         let decision = self.sched.decide(query);
         let row = decision.subnet_row;
-        let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id] }];
+        let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id], scale: 1.0 }];
         let now = self.pool.busy_until_ms(0);
         let (dispatch, outputs) = self
             .pool
@@ -516,6 +492,12 @@ impl ServingSim {
         }
         let queue_capacity = self.config.queue_capacity;
         let mut queue = AdmissionQueue::new(queue_capacity, self.config.drop_policy);
+        // Everything this run injects, controls or counts is built here and
+        // dropped when it returns; only the scheduler and the pool carry on.
+        let mut control = self
+            .config
+            .control
+            .map(|opts| TenantPolicy::new(self.sched.table(), self.sched.policy(), opts));
         let base_batch = self.config.batch;
         // The dynamic batch shrinks (and re-grows) with the degradation
         // level: smaller batches dispatch sooner under pressure.
@@ -528,7 +510,7 @@ impl ServingSim {
         // couple of dwell periods, so latencies observed at a stale level
         // age out within a few permitted level changes.
         let mut tail_window_ms = 0.0;
-        if let Some(pol) = &self.control {
+        if let Some(pol) = &control {
             // Smooth the depth signal on the controller's own time scale so
             // a single momentary spike cannot trigger a degrade.
             queue = queue.with_depth_tau(pol.scale_ms());
@@ -537,7 +519,7 @@ impl ServingSim {
         }
         // Tiered runs refine the shared signal per tier; an untiered
         // controller does no per-tier work at all.
-        let tiered = self.control.as_ref().is_some_and(TenantPolicy::is_tiered);
+        let tiered = control.as_ref().is_some_and(TenantPolicy::is_tiered);
         let mut recent: VecDeque<(f64, f64)> = VecDeque::new();
         // Per-tier completion windows (tiered runs only): each tier's
         // ladder reacts to its *own* tail, so one tenant's burst cannot
@@ -551,6 +533,7 @@ impl ServingSim {
             FaultRuntime::new(self.config.faults.unwrap_or(empty_plan), self.config.workers);
         let mut events: Vec<TenantEvent> = Vec::new();
         let mut shaped_count = 0usize;
+        let (mut batches, mut cache_installs, mut swap_ms) = (0usize, 0usize, 0.0f64);
         let mut served: Vec<ServedQuery> = Vec::with_capacity(stream.len());
         let mut dropped: Vec<DroppedQuery> = Vec::new();
         let mut next = 0usize; // index of the next arrival to admit
@@ -569,7 +552,7 @@ impl ServingSim {
             // once per event — before admissions — so the controller sees
             // the queue as the arriving queries will find it, and recovery
             // happens while the queue drains, not only on new arrivals.
-            if let Some(pol) = self.control.as_mut() {
+            if let Some(pol) = control.as_mut() {
                 let quarantined_frac = fault.unavailable_frac();
                 // One signal shape for the whole queue and for each tier's
                 // slice of it: a depth, the head-of-line query's slack, and
@@ -619,7 +602,7 @@ impl ServingSim {
                 next += 1;
                 let mut tier = TenantTier::Standard;
                 let mut scheduled = timed.query;
-                if let Some(pol) = self.control.as_mut() {
+                if let Some(pol) = control.as_mut() {
                     tier = pol.tier_of(timed.tenant);
                     // Feed the arrival predictor at the query's true
                     // arrival instant (≤ now when several arrivals are
@@ -640,6 +623,7 @@ impl ServingSim {
                 let decision = self.sched.decide(&scheduled);
                 if let Some(col) = decision.cache_update {
                     self.pool.route_install(col);
+                    cache_installs += 1;
                 }
                 if let Some(victim) =
                     queue.offer(now, QueuedQuery { timed, subnet_row: decision.subnet_row, tier })
@@ -658,11 +642,7 @@ impl ServingSim {
                 let mut plan: Vec<PlannedBatch> = Vec::new();
                 let mut pending: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
                 loop {
-                    // A replica is routable only while up and not
-                    // quarantined.
-                    let free = |w: usize| {
-                        !claimed[w] && self.pool.busy_until_ms(w) <= now && fault.dispatchable(w)
-                    };
+                    let free = |w: usize| !claimed[w] && fault.free(&self.pool, w, now);
                     if !(0..claimed.len()).any(free) || !batch_policy.ready(&queue, now) {
                         break;
                     }
@@ -673,15 +653,9 @@ impl ServingSim {
                     // installs make residency heterogeneous, so under
                     // cache-affinity routing a swap-heavy mix keeps each
                     // band on the replica already holding its weights.
-                    // Warmth: how much of the row's weights a replica's
-                    // resident SubGraph holds (the overlap behind
-                    // `hit_ratio`). A replica whose cache the fault runtime
-                    // does not count as warm — down, quarantined, or
-                    // `Warming` after a crash wiped its PB — is cold.
-                    let warmth =
-                        |w| if fault.cache_warm(w) { self.pool.overlap(w, row) } else { 0.0 };
-                    let warm: Vec<f64> =
-                        (0..claimed.len()).map(|w| if free(w) { warmth(w) } else { 0.0 }).collect();
+                    let warm: Vec<f64> = (0..claimed.len())
+                        .map(|w| if free(w) { fault.warmth(&self.pool, w, row) } else { 0.0 })
+                        .collect();
                     let warmest = warm.iter().copied().fold(0.0, f64::max);
                     let views: Vec<ReplicaView> = (0..claimed.len())
                         .map(|w| ReplicaView {
@@ -703,6 +677,7 @@ impl ServingSim {
                         worker,
                         row,
                         query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
+                        scale: fault.straggler_scale(worker),
                     });
                     pending.push((row, batch));
                 }
@@ -711,6 +686,11 @@ impl ServingSim {
                 }
                 let results =
                     self.pool.dispatch_group(now, &self.net, &self.subnets, backend, &plan)?;
+                // Swap is summed in dispatch order: the group, then hedges.
+                for (report, _) in &results {
+                    swap_ms += report.swap_ms;
+                    fault.summary.cache_reinstalls += usize::from(report.reinstall);
+                }
                 for ((row, batch), (mut report, mut outputs)) in pending.into_iter().zip(results) {
                     if fault.roll_transient() {
                         // The batch burned its service slot and failed
@@ -729,14 +709,10 @@ impl ServingSim {
                     if fault.should_hedge(report.completion_ms - report.start_ms) {
                         let mut backup: Option<(usize, f64)> = None;
                         for w in 0..self.pool.num_workers() {
-                            if w == report.worker
-                                || self.pool.busy_until_ms(w) > now
-                                || !fault.dispatchable(w)
-                            {
+                            if w == report.worker || !fault.free(&self.pool, w, now) {
                                 continue;
                             }
-                            let warm =
-                                if fault.cache_warm(w) { self.pool.overlap(w, row) } else { 0.0 };
+                            let warm = fault.warmth(&self.pool, w, row);
                             if backup.is_none_or(|(_, best)| warm > best) {
                                 backup = Some((w, warm));
                             }
@@ -746,6 +722,7 @@ impl ServingSim {
                                 worker: bw,
                                 row,
                                 query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
+                                scale: fault.straggler_scale(bw),
                             }];
                             let (hreport, houts) = self
                                 .pool
@@ -758,13 +735,18 @@ impl ServingSim {
                                 )?
                                 .pop()
                                 .expect("one planned batch, one result");
+                            swap_ms += hreport.swap_ms;
+                            fault.summary.cache_reinstalls += usize::from(hreport.reinstall);
                             if fault.settle_hedge(&mut self.pool, &report, &hreport) {
                                 report = hreport;
                                 outputs = houts;
                             }
                         }
                     }
+                    // Only committed batches count: a failed batch or a
+                    // hedge's loser served nothing.
                     fault.note_committed(&report);
+                    batches += 1;
                     for (i, q) in batch.iter().enumerate() {
                         let done = ServedQuery {
                             query: q.timed.query,
@@ -778,7 +760,7 @@ impl ServingSim {
                             worker: report.worker,
                             prediction: outputs.as_ref().map(|o| o[i].prediction),
                         };
-                        if self.control.is_some() {
+                        if control.is_some() {
                             recent.push_back((done.completion_ms, done.latency_ms()));
                         }
                         if tiered {
@@ -801,17 +783,13 @@ impl ServingSim {
             }
             if !queue.is_empty() {
                 let workers = 0..self.pool.num_workers();
-                if workers
-                    .clone()
-                    .any(|w| fault.dispatchable(w) && self.pool.busy_until_ms(w) <= now)
-                {
+                if workers.clone().any(|w| fault.free(&self.pool, w, now)) {
                     if let Some(t) = batch_policy.ready_at(&queue) {
                         next_event = next_event.min(t);
                     }
                 } else {
-                    next_event = workers
-                        .map(|w| fault.release_ms(w, self.pool.busy_until_ms(w)))
-                        .fold(next_event, f64::min);
+                    next_event =
+                        workers.map(|w| fault.release_ms(&self.pool, w)).fold(next_event, f64::min);
                 }
             }
             if !next_event.is_finite() {
@@ -837,10 +815,6 @@ impl ServingSim {
         );
         let makespan_ms =
             self.pool.drain_ms().max(stream.last().map_or(0.0, |tq| tq.arrival_ms)).max(now);
-        fault.summary.cache_reinstalls = self.pool.reinstalls();
-        // Hedge duplicates and failed batches are excluded so `mean_batch`
-        // keeps meaning "served queries per useful batch".
-        let batches = self.pool.batches() - fault.wasted_batches;
         let fault_summary = fault.finish(makespan_ms);
         Ok(SimResult {
             served,
@@ -848,12 +822,12 @@ impl ServingSim {
             mean_queue_depth: queue.mean_depth(makespan_ms.max(f64::MIN_POSITIVE)),
             max_queue_depth: queue.max_depth(),
             batches,
-            cache_installs: self.pool.cache_installs(),
-            swap_ms: self.pool.total_swap_ms(),
+            cache_installs,
+            swap_ms,
             makespan_ms,
             // One trace shape: totals over the policy's ladders, with the
             // per-tier breakdown only when there is more than one.
-            adaptation: self.control.as_ref().map(|pol| {
+            adaptation: control.map(|pol| {
                 let ladders: Vec<TierState> = pol.states().collect();
                 AdaptationTrace {
                     events,

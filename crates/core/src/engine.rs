@@ -423,14 +423,21 @@ fn check_layers<'a>(
 /// table, service table and executor pool — and the execution backend,
 /// behind two run modes.
 ///
-/// What continues across calls and across modes: the scheduler history,
-/// each replica's resident SubGraph, the worker clocks, the pending
-/// install and the round-robin routing cursor. So `serve_timed` after
-/// `serve_stream` starts from the AvgNet state, resident SubGraphs and
-/// worker clocks the replay left. What restarts with each
-/// [`Engine::serve_timed`]: the fault plan, the load controller, and every
-/// count in [`SimResult`] and its adaptation trace and fault summary.
-/// Build a fresh engine for an independent run.
+/// # What carries across calls
+///
+/// An engine carries only SubGraph-Stationary state from one call
+/// ([`Engine::serve`], [`Engine::serve_stream`], [`Engine::serve_timed`])
+/// to the next, in either mode: the scheduler's AvgNet history and cached
+/// choice, each replica's resident SubGraph and crash-lost flag, and the
+/// pending install. So `serve_timed` after `serve_stream` starts from the
+/// AvgNet state and resident SubGraphs the replay left.
+///
+/// Time does not carry over: every call starts on an idle pool at
+/// `t = 0`. A timed stream's arrivals count from that instant, and so does
+/// every time in its [`SimResult`]. Each [`Engine::serve_timed`] also
+/// builds its own fault plan, load controller and routing cursor, and
+/// every count in its [`SimResult`], adaptation trace and fault summary is
+/// its own. Build a fresh engine for an independent run.
 #[derive(Debug)]
 #[must_use]
 pub struct Engine {
@@ -492,7 +499,7 @@ impl Engine {
     }
 
     /// Serves a whole constraint stream through the per-query replay loop,
-    /// continuing from any state earlier calls accumulated.
+    /// continuing from the state earlier calls left ([`Engine`]).
     ///
     /// # Errors
     /// Returns [`SushiError::Stream`] before serving anything when any
@@ -505,13 +512,14 @@ impl Engine {
 
     /// Runs the event-driven serving simulation over an arrival-ordered
     /// [`TimedQuery`] stream to completion (open-loop arrivals, bounded
-    /// admission queue, dynamic batching, worker pool, SLO accounting).
+    /// admission queue, dynamic batching, worker pool, SLO accounting),
+    /// starting on an idle pool at `t = 0` ([`Engine`]).
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] on an empty or unsorted stream, a
-    /// non-finite arrival, or a query [`Engine::serve`] would refuse —
-    /// checked before anything is served — and [`SushiError::Backend`] when
-    /// the execution backend fails.
+    /// Returns [`SushiError::Stream`] on an empty or unsorted stream, an
+    /// arrival that is negative or not finite, or a query [`Engine::serve`]
+    /// would refuse — checked before anything is served — and
+    /// [`SushiError::Backend`] when the execution backend fails.
     pub fn serve_timed(&mut self, stream: &[TimedQuery]) -> Result<SimResult, SushiError> {
         self.sim.run(self.backend.as_mut(), stream)
     }
@@ -667,15 +675,15 @@ mod tests {
     #[test]
     fn serve_timed_continues_the_replay_run_state() {
         let sim = SimConfig { workers: 2, batch: BatchPolicy::new(4, 2.0), ..SimConfig::default() };
+        let build = || EngineBuilder::new().candidates(6).seed(3).sim_config(sim).build().unwrap();
+        let space = build().constraint_space();
+        let queries = uniform_stream(&space, 60, 8);
+        let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8).unwrap();
+        let stream = attach_arrivals(&queries, &arrivals);
         let run = || {
-            let mut engine =
-                EngineBuilder::new().candidates(6).seed(3).sim_config(sim).build().unwrap();
-            let space = engine.constraint_space();
+            let mut engine = build();
             let records = engine.serve_stream(&uniform_stream(&space, 30, 5)).unwrap();
-            let queries = uniform_stream(&space, 60, 8);
-            let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8).unwrap();
-            let result = engine.serve_timed(&attach_arrivals(&queries, &arrivals)).unwrap();
-            (records, result)
+            (records, engine.serve_timed(&stream).unwrap())
         };
         let (records, result) = run();
         let mut ids: Vec<u64> = result.served.iter().map(|s| s.query.id).collect();
@@ -686,9 +694,11 @@ mod tests {
         let replay_worker: Vec<_> = result.served.iter().filter(|s| s.worker == 0).collect();
         assert!(!replay_worker.is_empty());
         assert!(
-            replay_worker.iter().all(|s| s.start_ms >= replay_end),
-            "worker 0 keeps the clock the replay left"
+            replay_worker.iter().any(|s| s.start_ms < replay_end),
+            "worker 0 keeps the replay's SGS state, not its clock"
         );
+        let fresh = build().serve_timed(&stream).unwrap();
+        assert_ne!(result, fresh, "the replay's AvgNet history and resident SubGraph carry over");
         assert_eq!(run(), (records, result), "identical engines, identical runs");
     }
 

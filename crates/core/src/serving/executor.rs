@@ -1,8 +1,9 @@
 //! Multi-worker executor pool.
 //!
 //! Each worker is an accelerator replica: the column of the engine's
-//! [`ServiceTable`] resident in its Persistent Buffer, plus a monotone
-//! `busy_until` clock; batches run to completion without preemption.
+//! [`ServiceTable`] resident in its Persistent Buffer, plus a `busy_until`
+//! clock that each serving call starts at 0 and only moves forward within
+//! the call; batches run to completion without preemption.
 //! Scheduler cache decisions are *routed*, not broadcast: a decision
 //! becomes one pool-level pending install
 //! ([`ExecutorPool::route_install`], newest overwrites an unapplied one)
@@ -35,8 +36,9 @@ use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 
-/// One simulated worker: exactly the state an engine carries from one
-/// serving run to the next.
+/// One simulated worker: its SubGraph-Stationary state, which an engine
+/// carries from one serving call to the next, and its clock, which each
+/// call restarts at 0 ([`ExecutorPool::idle`]).
 #[derive(Debug, Clone)]
 struct Worker {
     /// Service-table column resident in the replica's Persistent Buffer.
@@ -137,6 +139,14 @@ impl ExecutorPool {
     #[must_use]
     pub(crate) fn drain_ms(&self) -> f64 {
         self.workers.iter().map(|w| w.busy_until_ms).fold(0.0, f64::max)
+    }
+
+    /// Frees every worker at `t = 0`, the start of a serving call. Resident
+    /// SubGraphs, crash-lost flags and the pending install are kept: they
+    /// are the SubGraph-Stationary state that carries across calls; time
+    /// does not.
+    pub(crate) fn idle(&mut self) {
+        self.workers.iter_mut().for_each(|w| w.busy_until_ms = 0.0);
     }
 
     /// Fail-stops worker `worker` (fault injection): its Persistent

@@ -32,9 +32,12 @@
 //! replays charge it). The event loop routes at admission, so the
 //! triggering query's own batch may pay.
 //!
-//! Time is simulated milliseconds; nothing here reads a wall clock, so a
-//! `(stream, config, seed)` triple reproduces bit-identical results on any
-//! platform.
+//! Time is simulated milliseconds, and each call has its own: every call
+//! starts on an idle pool at `t = 0`, the instant a timed stream's arrivals
+//! count from. Only SubGraph-Stationary state carries from one call to the
+//! next ([`crate::engine::Engine`] states the contract). Nothing here reads
+//! a wall clock, so a `(stream, config, seed)` triple reproduces
+//! bit-identical results on any platform.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -357,10 +360,12 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
 
 /// The engine's one run state: scheduler + executor pool, driven by the
 /// SLO-aware serving loop ([`Self::run`]) or the per-query replay
-/// ([`Self::replay`]). It holds only what continues from one call to the
-/// next — scheduler history, the pool's resident SubGraphs, clocks and
-/// pending install, and the round-robin cursor; each [`Self::run`] builds
-/// its own fault runtime, controller and counts.
+/// ([`Self::replay`]). It holds only the SubGraph-Stationary state that
+/// continues from one call to the next — scheduler history, the pool's
+/// resident SubGraphs, crash-lost flags and pending install. Every call
+/// starts on an idle pool at `t = 0` ([`ExecutorPool::idle`]), and each
+/// [`Self::run`] builds its own fault runtime, controller, routing cursor
+/// and counts.
 #[derive(Debug)]
 pub(crate) struct ServingSim {
     net: Arc<SuperNet>,
@@ -368,8 +373,6 @@ pub(crate) struct ServingSim {
     sched: Scheduler,
     pool: ExecutorPool,
     config: SimConfig,
-    /// Round-robin routing cursor (persists across dispatch groups).
-    rr_cursor: usize,
 }
 
 impl ServingSim {
@@ -395,7 +398,6 @@ impl ServingSim {
             sched: Scheduler::new(table, policy, cache_selection, q_window),
             pool: ExecutorPool::new(service, config.workers),
             config,
-            rr_cursor: 0,
         }
     }
 
@@ -420,8 +422,8 @@ impl ServingSim {
     }
 
     /// Serves one query through the replay loop of Fig. 4 on worker 0:
-    /// schedule it, dispatch it alone at the worker's clock (applying and
-    /// paying for any install an earlier query routed), read the hit
+    /// schedule it, dispatch it alone on an idle pool at `t = 0` (applying
+    /// and paying for any install an earlier query routed), read the hit
     /// ratio, and only then route this query's own cache decision. The
     /// serving config's batching, routing, control and faults play no part.
     ///
@@ -438,10 +440,10 @@ impl ServingSim {
         let decision = self.sched.decide(query);
         let row = decision.subnet_row;
         let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id], scale: 1.0 }];
-        let now = self.pool.busy_until_ms(0);
+        self.pool.idle();
         let (dispatch, outputs) = self
             .pool
-            .dispatch_group(now, &self.net, &self.subnets, backend, &plan)?
+            .dispatch_group(0.0, &self.net, &self.subnets, backend, &plan)?
             .pop()
             .expect("one planned batch, one result");
         let hit_ratio = self.pool.overlap(0, row);
@@ -464,14 +466,15 @@ impl ServingSim {
     }
 
     /// Runs the event loop over an arrival-ordered stream to completion,
-    /// dispatching every batch through `backend`.
+    /// dispatching every batch through `backend`. The run starts on an
+    /// idle pool at `t = 0`, the time the stream's arrivals count from.
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] if the stream is empty, has a
-    /// non-finite arrival time or a query [`check_constraints`] refuses,
-    /// or is not sorted by arrival time, and [`SushiError::Backend`] when
-    /// the backend fails. The whole stream is checked before anything is
-    /// served.
+    /// Returns [`SushiError::Stream`] if the stream is empty, has an
+    /// arrival time that is not a finite number `>= 0` or a query
+    /// [`check_constraints`] refuses, or is not sorted by arrival time, and
+    /// [`SushiError::Backend`] when the backend fails. The whole stream is
+    /// checked before anything is served.
     pub(crate) fn run(
         &mut self,
         backend: &mut dyn ExecutionBackend,
@@ -480,9 +483,9 @@ impl ServingSim {
         if stream.is_empty() {
             return Err(SushiError::Stream("cannot simulate an empty stream".into()));
         }
-        if let Some(tq) = stream.iter().find(|tq| !tq.arrival_ms.is_finite()) {
+        if let Some(tq) = stream.iter().find(|tq| !(0.0..f64::INFINITY).contains(&tq.arrival_ms)) {
             return Err(SushiError::Stream(format!(
-                "arrival times must be finite, got {} (query {})",
+                "arrival times must be finite and >= 0 ms, got {} (query {})",
                 tq.arrival_ms, tq.query.id
             )));
         }
@@ -490,10 +493,12 @@ impl ServingSim {
         if !stream.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms) {
             return Err(SushiError::Stream("stream must be sorted by arrival time".into()));
         }
+        self.pool.idle();
         let queue_capacity = self.config.queue_capacity;
         let mut queue = AdmissionQueue::new(queue_capacity, self.config.drop_policy);
         // Everything this run injects, controls or counts is built here and
-        // dropped when it returns; only the scheduler and the pool carry on.
+        // dropped when it returns; only the scheduler and the pool's resident
+        // state carry on.
         let mut control = self
             .config
             .control
@@ -536,6 +541,7 @@ impl ServingSim {
         let (mut batches, mut cache_installs, mut swap_ms) = (0usize, 0usize, 0.0f64);
         let mut served: Vec<ServedQuery> = Vec::with_capacity(stream.len());
         let mut dropped: Vec<DroppedQuery> = Vec::new();
+        let mut rr_cursor = 0usize; // round-robin routing cursor
         let mut next = 0usize; // index of the next arrival to admit
         let mut now = 0.0f64;
 
@@ -665,13 +671,11 @@ impl ServingSim {
                         })
                         .collect();
                     let worker =
-                        self.config.routing.choose(&views, &mut self.rr_cursor).ok_or_else(
-                            || {
-                                SushiError::Internal(
-                                    "routing declined every replica for a ready batch".into(),
-                                )
-                            },
-                        )?;
+                        self.config.routing.choose(&views, &mut rr_cursor).ok_or_else(|| {
+                            SushiError::Internal(
+                                "routing declined every replica for a ready batch".into(),
+                            )
+                        })?;
                     claimed[worker] = true;
                     plan.push(PlannedBatch {
                         worker,
@@ -1044,10 +1048,13 @@ mod tests {
     #[test]
     fn non_finite_arrival_is_a_stream_error() {
         // A query whose arrival is never reached can never be admitted:
-        // the loop must refuse the stream, not trip conservation.
+        // the loop must refuse the stream, not trip conservation. One that
+        // arrives before the call starts at 0 would wait uncounted.
         let (mut s, space) = sim(SimConfig::default());
         let qs = uniform_stream(&space, 2, 1);
-        for arrivals in [vec![f64::INFINITY], vec![f64::NAN], vec![0.0, f64::INFINITY]] {
+        for arrivals in
+            [vec![f64::INFINITY], vec![f64::NAN], vec![0.0, f64::INFINITY], vec![-50.0, 1.0]]
+        {
             let st: Vec<TimedQuery> =
                 arrivals.iter().zip(&qs).map(|(&t, &q)| TimedQuery::new(t, q)).collect();
             let err = s.serve_timed(&st).unwrap_err();
@@ -1157,9 +1164,9 @@ mod tests {
         assert!(rs.served.len() > ru.served.len(), "supervision must out-serve ablation");
     }
 
-    #[test]
-    fn fault_runs_are_deterministic() {
-        let cfg = SimConfig {
+    /// Three replicas under crashes, stragglers and transient failures.
+    fn faulty() -> SimConfig {
+        SimConfig {
             workers: 3,
             queue_capacity: 32,
             drop_policy: DropPolicy::DeadlineAware,
@@ -1175,11 +1182,76 @@ mod tests {
                 transient_rate: 0.05,
                 ..FaultOptions::default()
             }),
-        };
-        let (mut a, space) = sim(cfg);
-        let (mut b, _) = sim(cfg);
+        }
+    }
+
+    #[test]
+    fn fault_runs_are_deterministic() {
+        let (mut a, space) = sim(faulty());
+        let (mut b, _) = sim(faulty());
         let st = stream(&space, 250, 180.0, 17);
         assert_eq!(a.serve_timed(&st).unwrap(), b.serve_timed(&st).unwrap());
+    }
+
+    /// Two batching replicas and a 60-query stream at 150 qps.
+    fn two_workers() -> (Engine, Vec<TimedQuery>) {
+        let cfg = SimConfig { workers: 2, batch: BatchPolicy::new(4, 2.0), ..SimConfig::default() };
+        let engine = EngineBuilder::new().candidates(6).seed(3).sim_config(cfg).build().unwrap();
+        let queries = uniform_stream(&engine.constraint_space(), 60, 8);
+        let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(60, 8).unwrap();
+        (engine, attach_arrivals(&queries, &arrivals))
+    }
+
+    /// [`faulty`] serving 250 queries at 180 qps.
+    fn faulty_workers() -> (Engine, Vec<TimedQuery>) {
+        let (engine, space) = sim(faulty());
+        (engine, stream(&space, 250, 180.0, 17))
+    }
+
+    /// Each of `workers` workers' first dispatch of a run (`INFINITY` if it
+    /// ran none).
+    fn first_starts(r: &SimResult, workers: usize) -> Vec<f64> {
+        let mut first = vec![f64::INFINITY; workers];
+        for q in &r.served {
+            first[q.worker] = first[q.worker].min(q.start_ms);
+        }
+        first
+    }
+
+    /// A call that follows earlier calls on one engine starts on an idle
+    /// pool at `t = 0`, like a fresh engine's first call: every worker takes
+    /// its first batch at the instant a fresh engine's does, so no query
+    /// waits on an earlier call's clock. What carries over is the
+    /// SubGraph-Stationary state — AvgNet history and resident SubGraphs —
+    /// so the result differs from a fresh engine's, and it misses no more
+    /// SLOs than a fresh engine does.
+    #[test]
+    fn a_continuing_call_starts_on_an_idle_pool() {
+        type Setup = fn() -> (Engine, Vec<TimedQuery>);
+        type Prefix = fn(&mut Engine, &[TimedQuery]);
+        let timed: Prefix = |e, st| {
+            let _ = e.serve_timed(st).unwrap();
+        };
+        let replay: Prefix = |e, _| {
+            let _ = e.serve_stream(&uniform_stream(&e.constraint_space(), 30, 5)).unwrap();
+        };
+        let rows: [(&str, Setup, Prefix); 3] = [
+            ("(a) the same stream twice", two_workers, timed),
+            ("(b) a 30-query replay, then the stream", two_workers, replay),
+            ("(c) a fault-injected stream twice", faulty_workers, timed),
+        ];
+        for (row, setup, prefix) in rows {
+            let ((mut engine, stream), (mut fresh, _)) = (setup(), setup());
+            prefix(&mut engine, &stream);
+            let (continued, fresh) =
+                (engine.serve_timed(&stream).unwrap(), fresh.serve_timed(&stream).unwrap());
+            let workers = engine.sim_config().workers;
+            let first = (first_starts(&continued, workers), first_starts(&fresh, workers));
+            assert_eq!(first.0, first.1, "{row}: first dispatches");
+            assert_ne!(continued, fresh, "{row}: the SubGraph-Stationary state carried over");
+            let (c, f) = (continued.summary(), fresh.summary());
+            assert!(c.slo_violation_rate <= f.slo_violation_rate, "{row}: {c:?} vs fresh {f:?}");
+        }
     }
 
     // The per-query replay (`Engine::serve_stream`).

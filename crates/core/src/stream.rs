@@ -79,7 +79,8 @@ impl ConstraintSpace {
 /// `Vec<f64>` timestamp arrays next to every stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedQuery {
-    /// Simulated arrival time in milliseconds since stream start.
+    /// Simulated arrival time in milliseconds since the start of the call
+    /// that serves it (finite and `>= 0`).
     pub arrival_ms: f64,
     /// Tenant index (0 for single-tenant streams).
     pub tenant: u32,

@@ -259,11 +259,9 @@ fn soak_extreme_overload_drains_and_stays_bounded() {
     let warm = func.memory_stats().expect("functional backend reports memory");
     assert!(warm.arena_reserved_bytes > 0);
     assert!(warm.packed_subnets <= serving_set);
-    // Second leg, arrivals strictly after the first makespan.
-    let offset = first.makespan_ms + 1.0;
-    let fa2: Vec<f64> = fa.iter().map(|t| t + offset).collect();
+    // Second leg: a new call, so its arrivals count from 0 again.
     let fq2 = uniform_stream(&fspace, m, 6);
-    let second = func.serve_timed(&attach_arrivals(&fq2, &fa2)).expect("functional steady state");
+    let second = func.serve_timed(&attach_arrivals(&fq2, &fa)).expect("functional steady state");
     assert_eq!(second.served.len() + second.dropped.len(), m);
     let steady = func.memory_stats().expect("stats after steady state");
     assert_eq!(

@@ -18,6 +18,12 @@
 //! * `cold` — cache build + first packed forward (what the install-bearing
 //!   query pays before amortization begins).
 //!
+//! A second table times the depthwise kernel alone, one row per distinct
+//! depthwise layer shape of the MobileNetV3 max SubNet (the toy MobileNet's
+//! under `--quick`): the layer's MACs, the `Auto` kernel's best wall time
+//! and GMAC/s over a reused [`Arena`], and the naive direct loops' time,
+//! asserting that both produce the same bytes.
+//!
 //! ```text
 //! kernel_bench                        # paper zoo (ResNet50 + MobileNetV3)
 //! kernel_bench --quick                # toy zoo (CI-sized, seconds)
@@ -34,8 +40,10 @@ use std::time::Instant;
 
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::functional::{act_quant, forward_cached, SubgraphCache};
+use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
 use sushi_tensor::quant::quantize_tensor;
-use sushi_tensor::{Arena, DetRng, KernelPolicy, Shape4, Tensor};
+use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
+use sushi_wsnet::layer::ConvKind;
 use sushi_wsnet::{zoo, SuperNet, WeightStore};
 
 fn usage_error(msg: &str) -> ! {
@@ -150,6 +158,67 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
     );
 }
 
+/// Calls of each depthwise layer per timed run: one call takes tens of
+/// microseconds, so a best-of over single calls is mostly noise.
+const LAYER_CALLS: usize = 10;
+
+/// Times the depthwise kernel (`Auto`) against the direct loops (`Naive`)
+/// on every distinct depthwise layer shape of `net`'s largest SubNet and
+/// prints one row per shape.
+fn bench_depthwise(net: &SuperNet, runs: usize, seed: u64) {
+    let sn = net.materialize("max", &net.max_config()).expect("max config");
+    let mut shapes = Vec::new();
+    for (desc, slice) in net.layers.iter().zip(sn.graph.slices()) {
+        let shape = (slice.kernels, desc.in_h, desc.in_w, slice.kernel_size, desc.stride);
+        if desc.kind == ConvKind::Depthwise && slice.kernels > 0 && !shapes.contains(&shape) {
+            shapes.push(shape);
+        }
+    }
+    let (in_q, w_q, out_q) =
+        (QuantParams::new(0.05, 3), QuantParams::new(0.02, -2), QuantParams::new(0.1, 1));
+    let mut rng = DetRng::new(seed);
+    let mut rand_i8 = |shape: Shape4| {
+        Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect())
+            .expect("shape matches")
+    };
+    println!("\n{}/max depthwise layers, best of {runs} run(s) of {LAYER_CALLS} calls", net.name);
+    println!(
+        "{:>5} {:>9} {:>6} {:>9} {:>10} {:>8} {:>10}",
+        "C", "in", "k/s", "MACs", "kernel", "GMAC/s", "naive"
+    );
+    let mut arena = Arena::new();
+    for (c, h, w, k, stride) in shapes {
+        let x = rand_i8(Shape4::new(1, c, h, w));
+        let wt = rand_i8(Shape4::new(c, 1, k, k));
+        let bias: Vec<i32> = (0..c as i32).map(|i| i * 37 - 500).collect();
+        let p = Conv2dParams::new(k, k).with_stride(stride).with_padding(k / 2).with_groups(c);
+        let mut time = |policy: KernelPolicy| {
+            let mut best = f64::INFINITY;
+            let mut out = None;
+            for _ in 0..runs {
+                let t = Instant::now();
+                for _ in 0..LAYER_CALLS {
+                    let (b, ar) = (Some(bias.as_slice()), &mut arena);
+                    out = Some(conv2d_i8_in(&x, in_q, &wt, w_q, None, b, out_q, &p, policy, ar));
+                }
+                best = best.min(t.elapsed().as_secs_f64() * 1e3 / LAYER_CALLS as f64);
+            }
+            (best, out.expect("at least one run").expect("valid depthwise layer"))
+        };
+        let (kernel_ms, auto) = time(KernelPolicy::Auto);
+        let (naive_ms, naive) = time(KernelPolicy::Naive);
+        assert_eq!(auto, naive, "{}: depthwise kernel diverged from the naive loops", net.name);
+        let os = auto.shape();
+        let macs = c * k * k * os.h * os.w;
+        println!(
+            "{c:>5} {:>9} {:>6} {macs:>9} {kernel_ms:>7.3} ms {:>8.2} {naive_ms:>7.3} ms",
+            format!("{h}x{w}"),
+            format!("{k}x{k}/{stride}"),
+            macs as f64 / kernel_ms / 1e6,
+        );
+    }
+}
+
 fn main() {
     let (quick, runs) = parse_args(std::env::args().skip(1));
     let nets: Vec<SuperNet> = if quick {
@@ -161,4 +230,6 @@ fn main() {
     for net in &nets {
         bench_net(net, runs, 2024);
     }
+    let mobilenet = nets.last().expect("a MobileNet zoo entry");
+    bench_depthwise(mobilenet, runs, 2024);
 }

@@ -3,7 +3,9 @@
 //! Every im2col + packed-GEMM convolution needs three transient buffers: the
 //! raw patch matrix, its packed copy and the `i32` partial sums (the
 //! weights come packed in a [`crate::PackedConv2d`]); the depthwise kernel
-//! needs one `f32` buffer for its input planes, taps and accumulator.
+//! needs one `f32` region per worker for its input planes and accumulator,
+//! each padded to whole cache lines so its workers never share a written
+//! line.
 //! Allocating them per call with `vec!` puts the allocator on the
 //! per-query critical path. An [`Arena`] instead owns one grow-only buffer
 //! per role: the first pass through a layer shape grows it to the
@@ -23,8 +25,11 @@
 //!   that asked for it.
 //! * Contents are unspecified between calls. Every kernel fully overwrites
 //!   the slices it requests (packing writes padding explicitly, the GEMM's
-//!   first K block stores its partial sums, the depthwise accumulator and
-//!   planes are zero-filled), so stale data can never leak into results.
+//!   first K block stores its partial sums, the depthwise planes are
+//!   zero-filled and its accumulator is stored block by block), so stale
+//!   data can never leak into results.
+
+use std::slice::ChunksMut;
 
 /// Grow-only scratch buffers shared by the conv kernels.
 ///
@@ -37,6 +42,9 @@ pub struct Arena {
     depthwise_f32: Vec<f32>,
     weight_packs: usize,
 }
+
+/// `f32`s in one 64-byte cache line.
+const LINE_F32: usize = 16;
 
 fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
@@ -74,10 +82,15 @@ impl Arena {
         self.weight_packs += 1;
     }
 
-    /// Scratch for one depthwise conv call: exactly `len` `f32`s. Contents
-    /// are unspecified; the kernel writes every element before reading it.
-    pub(crate) fn f32_depthwise(&mut self, len: usize) -> &mut [f32] {
-        grow(&mut self.depthwise_f32, len)
+    /// Scratch for one depthwise conv call: `workers` regions of `len`
+    /// `f32`s, each starting on its own cache line, so concurrent workers
+    /// never write to a shared line. Contents are unspecified; the kernel
+    /// writes every element before reading it.
+    pub(crate) fn f32_depthwise(&mut self, workers: usize, len: usize) -> ChunksMut<'_, f32> {
+        let pitch = len.next_multiple_of(LINE_F32);
+        let buf = grow(&mut self.depthwise_f32, workers * pitch + LINE_F32 - 1);
+        let skip = buf.as_ptr().align_offset(LINE_F32 * 4).min(LINE_F32 - 1);
+        buf[skip..skip + workers * pitch].chunks_mut(pitch)
     }
 
     /// Total bytes currently reserved across all scratch buffers (the

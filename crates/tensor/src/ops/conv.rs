@@ -28,17 +28,26 @@
 //!   SubGraph-Stationary weight reuse; a call given none packs its own.
 //! * **Depthwise** — what `Auto` runs for depthwise convs. Each input
 //!   channel is copied once, zero-point-subtracted, into a zero-bordered
-//!   polyphase plane in the arena; every kernel tap is then one contiguous
-//!   multiply-add over all output pixels, which the compiler vectorises.
+//!   polyphase plane in the arena (a slice copy at stride 1, one
+//!   deinterleaving pass at stride 2); every kernel tap is then one
+//!   contiguous multiply-add over all output pixels, which the compiler
+//!   vectorises (AVX2 when detected at runtime). Large problems split their
+//!   `(batch item, channel)` planes across `available_parallelism`
+//!   workers, each with its own cache-line-aligned arena region.
 //!
 //! The results are bit-identical across backends: every backend sums the
 //! same integer products exactly (`docs/KERNELS.md` says why the depthwise
-//! kernel's `f32` lanes are exact), and integer addition is associative.
+//! kernel's `f32` lanes are exact in any order), and integer addition is
+//! associative.
+
+use std::ops::Range;
 
 use crate::arena::Arena;
 use crate::error::TensorError;
 use crate::ops::epilogue::Epilogue;
-use crate::ops::gemm::{gemm_i8_pairs_fused, ConvBackend, KernelPolicy, KC};
+use crate::ops::gemm::{
+    gemm_i8_pairs_fused, simd_kernels_active, worker_count, ConvBackend, KernelPolicy, KC,
+};
 use crate::ops::im2col::im2col;
 use crate::ops::pack::{pack_b_i8_pairs_into, packed_b_pairs_len, PackLayout, PackedConv2d, NR};
 use crate::quant::{requantize_accumulator, requantize_row, QuantParams};
@@ -257,7 +266,11 @@ pub fn conv2d_i8_in(
             })
         }
         ConvBackend::Depthwise => {
-            Ok(conv2d_i8_depthwise(input, in_q, weights, w_q, bias, out_q, params, oh, ow, arena))
+            let simd = simd_kernels_active();
+            let out = (oh, ow);
+            Ok(conv2d_i8_depthwise(
+                input, in_q, weights, w_q, bias, out_q, params, out, arena, simd,
+            ))
         }
     }
 }
@@ -439,25 +452,50 @@ fn conv2d_i8_direct(
 /// [`conv2d_i8_depthwise`]). Their reduction is deep enough for GEMM.
 const DEPTHWISE_MAX_TAPS: usize = 256;
 
+/// Output pixels one block of the tap loop keeps in registers across every
+/// tap: eight SSE2 registers on the portable path, eight AVX2 registers on
+/// the dispatched one. The accumulator is padded to whole blocks of the
+/// larger size, and a block of zeros after the planes keeps the last
+/// block's reads in bounds.
+const PORTABLE_BLOCK: usize = 32;
+const AVX2_BLOCK: usize = 64;
+
 /// Depthwise backend (`C/groups == 1`, any channel multiplier `K/groups`,
 /// at most [`DEPTHWISE_MAX_TAPS`] taps): shape checks already done.
 ///
-/// Per `(batch, input channel)` the padded input is written once, minus its
-/// zero point, into scratch whose padding cells stay zero, so no tap ever
-/// clamps. The layout is polyphase: phase `(y % stride, x % stride)` holds
-/// padded pixel `(y, x)` at `(y / stride, x / stride)`, in rows of pitch
-/// `pw`. Tap `(ry, rx)` of output `(oy, ox)` then reads its phase at
-/// `(oy + ry / stride, ox + rx / stride)`, so at any stride one tap is one
-/// contiguous multiply-add over every output pixel at once. The accumulator
-/// uses the same pitch; its columns `ow..pw` are computed and discarded.
+/// The work is one independent problem per flattened `(batch item, input
+/// channel)` plane `i = n·groups + c`, whose `kg = K/groups` output channels
+/// are the contiguous `out[i·kg·oh·ow..][..kg·oh·ow]`. Under the GEMM's
+/// worker policy (`worker_count`), problems of at least
+/// [`PARALLEL_MIN`](crate::ops::gemm::PARALLEL_MIN) MACs split the planes
+/// into contiguous runs, one per `available_parallelism` worker under
+/// `std::thread::scope` (the calling thread takes the first run); each
+/// worker owns its run's output and its own cache-line-aligned region of
+/// the arena's `f32` scratch, so workers share no written cache line.
+///
+/// Per plane the padded input is written once, minus its zero point, into
+/// scratch whose padding cells stay zero, so no tap ever clamps. The layout
+/// is polyphase: phase `(y % stride, x % stride)` holds padded pixel
+/// `(y, x)` at `(y / stride, x / stride)`, in rows of pitch `pw`. At stride
+/// 1 each input row is one contiguous copy; at stride 2 one pass
+/// deinterleaves it into its two phases. Tap `(ry, rx)` of output
+/// `(oy, ox)` then reads its phase at `(oy + ry / stride, ox + rx / stride)`,
+/// so at any stride one tap is one contiguous multiply-add over every output
+/// pixel at once. The accumulator uses the same pitch, and the tap loop
+/// keeps one block of it in registers while it runs through every tap; its
+/// columns `ow..pw` are computed and discarded when the plane's rows are
+/// packed to pitch `ow` and requantized in one pass.
 ///
 /// The arithmetic runs in `f32` lanes, which vectorise on every x86-64
-/// (the baseline has no packed 32-bit integer multiply), and is exact:
-/// `x − zp_a` and `w − zp_w` are integers in `[−255, 255]`, each product an
-/// integer of magnitude ≤ 255², and a sum of at most `DEPTHWISE_MAX_TAPS`
-/// of them stays below 2²⁴, where every integer is an `f32`. The finished
-/// sum converts back to `i32` exactly; the bias is added there, and the
-/// row is requantized as in the other backends.
+/// (the baseline has no packed 32-bit integer multiply; AVX2, detected at
+/// runtime, doubles the lane count), and is exact: `x − zp_a` and
+/// `w − zp_w` are integers in `[−255, 255]`, each product an integer of
+/// magnitude ≤ 255², and a sum of at most `DEPTHWISE_MAX_TAPS` of them
+/// stays below 2²⁴, where every integer is an `f32`. So no tap order, lane
+/// width or split changes a sum. The finished sum converts back to `i32`
+/// exactly; the bias is added there, and the plane is requantized as in
+/// the other backends. `simd` picks the AVX2 build of the worker body
+/// (callers pass `simd_kernels_active()`); both builds give the same bytes.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_i8_depthwise(
     input: &Tensor<i8>,
@@ -467,69 +505,227 @@ fn conv2d_i8_depthwise(
     bias: Option<&[i32]>,
     out_q: QuantParams,
     params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
+    (oh, ow): (usize, usize),
     arena: &mut Arena,
+    simd: bool,
 ) -> Tensor<i8> {
     let ishape = input.shape();
     let k_total = weights.shape().n;
-    let kg = k_total / params.groups;
-    let (r, s, st, pad) = (params.kernel_h, params.kernel_w, params.stride, params.padding);
-    let ph = (ishape.h + 2 * pad).div_ceil(st);
+    let (st, pad) = (params.stride, params.padding);
     let pw = (ishape.w + 2 * pad).div_ceil(st);
-    let phase = ph * pw;
-    let span = (oh - 1) * pw + ow;
-    let acc_scale = in_q.scale * w_q.scale / out_q.scale;
-    let zp_a = f32::from(in_q.zero_point);
-    let zp_w = f32::from(w_q.zero_point);
+    let plan = &Depthwise {
+        input: input.as_slice(),
+        weights: weights.as_slice(),
+        bias,
+        groups: params.groups,
+        kg: k_total / params.groups,
+        in_hw: (ishape.h, ishape.w),
+        kernel: (params.kernel_h, params.kernel_w),
+        st,
+        pad,
+        pw,
+        phase: (ishape.h + 2 * pad).div_ceil(st) * pw,
+        out_hw: (oh, ow),
+        acc_len: ((oh - 1) * pw + ow).next_multiple_of(AVX2_BLOCK),
+        zp_a: f32::from(in_q.zero_point),
+        zp_w: f32::from(w_q.zero_point),
+        scale: in_q.scale * w_q.scale / out_q.scale,
+        zp_out: out_q.zero_point,
+    };
+    let planes = ishape.n * params.groups;
+    let macs = ishape.n * k_total * params.kernel_h * params.kernel_w * oh * ow;
+    let workers = worker_count(macs, planes);
+    let per = planes.div_ceil(workers);
     let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
-    let scratch = arena.f32_depthwise(r * s + st * st * phase + span);
-    let (taps, rest) = scratch.split_at_mut(r * s);
-    let (planes, acc) = rest.split_at_mut(st * st * phase);
-    // Arena contents are unspecified: zero the padding on every call. The
-    // input cells are rewritten for every input channel below.
-    planes.fill(0.0);
-    for n in 0..ishape.n {
-        for c in 0..params.groups {
-            for iy in 0..ishape.h {
-                let y = iy + pad;
-                for px in 0..st {
-                    // The first input column whose padded column is in phase `px`.
-                    let ix0 = (px + st - pad % st) % st;
-                    let at = ((y % st) * st + px) * phase + (y / st) * pw + (ix0 + pad) / st;
-                    let xs = input.row(n, c, iy).iter().skip(ix0).step_by(st);
-                    for (d, &x) in planes[at..].iter_mut().zip(xs) {
-                        *d = f32::from(x) - zp_a;
-                    }
-                }
-            }
-            for k in c * kg..(c + 1) * kg {
-                let wk = &weights.as_slice()[k * r * s..(k + 1) * r * s];
+    let outs = out.as_mut_slice().chunks_mut(per * plan.kg * oh * ow);
+    let scratch = arena.f32_depthwise(workers, plan.scratch_len());
+    std::thread::scope(|scope| {
+        let mut runs = outs.zip(scratch).enumerate().map(|(w, (out, scratch))| {
+            let run = w * per..planes.min((w + 1) * per);
+            move || plan.run(simd, run, out, scratch)
+        });
+        let first = runs.next().expect("at least one plane");
+        for run in runs {
+            scope.spawn(run);
+        }
+        first();
+    });
+    out
+}
+
+/// One depthwise call's operands and geometry, shared by its workers.
+struct Depthwise<'a> {
+    input: &'a [i8],
+    weights: &'a [i8],
+    bias: Option<&'a [i32]>,
+    groups: usize,
+    /// Output channels per input channel (the channel multiplier).
+    kg: usize,
+    in_hw: (usize, usize),
+    kernel: (usize, usize),
+    st: usize,
+    pad: usize,
+    /// Row pitch of the polyphase planes and of the accumulator.
+    pw: usize,
+    /// `f32`s in one polyphase plane.
+    phase: usize,
+    out_hw: (usize, usize),
+    /// Accumulator length: `(oh − 1)·pw + ow`, padded to whole blocks.
+    acc_len: usize,
+    zp_a: f32,
+    zp_w: f32,
+    scale: f32,
+    zp_out: i8,
+}
+
+impl Depthwise<'_> {
+    /// `f32`s in the polyphase planes plus the zero block after them.
+    fn planes_len(&self) -> usize {
+        self.st * self.st * self.phase + AVX2_BLOCK
+    }
+
+    /// `f32`s of scratch one worker needs: planes, then accumulator.
+    fn scratch_len(&self) -> usize {
+        self.planes_len() + self.acc_len
+    }
+
+    /// Convolves the planes `run` (flattened `n·groups + c`) into `out`,
+    /// their `kg·oh·ow` outputs, with `scratch` of [`Self::scratch_len`].
+    fn run(&self, simd: bool, run: Range<usize>, out: &mut [i8], scratch: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd` is only true when AVX2 was detected.
+            unsafe { self.run_avx2(run, out, scratch) };
+            return;
+        }
+        let _ = simd;
+        self.run_blocks::<PORTABLE_BLOCK>(run, out, scratch);
+    }
+
+    /// [`Self::run_blocks`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support (see `simd_kernels_active`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2(&self, run: Range<usize>, out: &mut [i8], scratch: &mut [f32]) {
+        self.run_blocks::<AVX2_BLOCK>(run, out, scratch);
+    }
+
+    /// The worker body behind [`Self::run`], with a tap-loop block of `B`
+    /// outputs.
+    #[inline(always)]
+    fn run_blocks<const B: usize>(&self, run: Range<usize>, out: &mut [i8], scratch: &mut [f32]) {
+        let (r, s) = self.kernel;
+        let (st, phase, pw) = (self.st, self.phase, self.pw);
+        let (oh, ow) = self.out_hw;
+        let (npix, ntaps, plane) = (oh * ow, r * s, self.in_hw.0 * self.in_hw.1);
+        let (planes, acc) = scratch.split_at_mut(self.planes_len());
+        let acc = &mut acc[..self.acc_len];
+        // Arena contents are unspecified: zero the padding and the block
+        // after the planes once. The input cells are rewritten per plane.
+        planes.fill(0.0);
+        // Where tap `(ry, rx)` starts reading: its phase, shifted by
+        // `(ry / st, rx / st)`.
+        let mut offsets = [0usize; DEPTHWISE_MAX_TAPS];
+        for (i, at) in offsets[..ntaps].iter_mut().enumerate() {
+            let (ry, rx) = (i / s, i % s);
+            *at = ((ry % st) * st + rx % st) * phase + (ry / st) * pw + rx / st;
+        }
+        let offsets = &offsets[..ntaps];
+        let mut taps = [0.0f32; DEPTHWISE_MAX_TAPS];
+        for (i, out) in run.zip(out.chunks_exact_mut(self.kg * npix)) {
+            self.fill(&self.input[i * plane..(i + 1) * plane], planes);
+            let k0 = (i % self.groups) * self.kg;
+            for (k, out) in (k0..).zip(out.chunks_exact_mut(npix)) {
+                let wk = &self.weights[k * ntaps..(k + 1) * ntaps];
                 for (t, &w) in taps.iter_mut().zip(wk) {
-                    *t = f32::from(w) - zp_w;
+                    *t = f32::from(w) - self.zp_w;
                 }
-                acc.fill(0.0);
-                for (i, &t) in taps.iter().enumerate() {
-                    let (ry, rx) = (i / s, i % s);
-                    let at = ((ry % st) * st + rx % st) * phase + (ry / st) * pw + rx / st;
-                    for (a, &x) in acc.iter_mut().zip(&planes[at..at + span]) {
-                        *a += t * x;
+                tap_loop::<B>(acc, planes, &taps[..ntaps], offsets);
+                if pw != ow {
+                    for oy in 1..oh {
+                        acc.copy_within(oy * pw..oy * pw + ow, oy * ow);
                     }
                 }
-                let (bias_v, zp) = (bias.map_or(0, |b| b[k]), out_q.zero_point);
-                for oy in 0..oh {
-                    let row = &acc[oy * pw..oy * pw + ow];
-                    requantize_row(row, bias_v, acc_scale, zp, i8::MIN, out.row_mut(n, k, oy));
+                let bias = self.bias.map_or(0, |b| b[k]);
+                requantize_row(&acc[..npix], bias, self.scale, self.zp_out, i8::MIN, out);
+            }
+        }
+    }
+
+    /// Writes one input plane, minus `zp_a`, into the polyphase planes'
+    /// input cells (the padding cells stay zero).
+    #[inline(always)]
+    fn fill(&self, src: &[i8], planes: &mut [f32]) {
+        let (st, pad, phase) = (self.st, self.pad, self.phase);
+        let sub = |x: i8| f32::from(x) - self.zp_a;
+        for (iy, row) in src.chunks_exact(self.in_hw.1).enumerate() {
+            let y = iy + pad;
+            // Row `y / st` of phases `(y % st, 0..st)`.
+            let at = (y % st) * st * phase + (y / st) * self.pw;
+            match st {
+                1 => {
+                    for (d, &x) in planes[at + pad..].iter_mut().zip(row) {
+                        *d = sub(x);
+                    }
+                }
+                2 => {
+                    // Padded column `ix + pad` goes to phase `(ix + pad) % 2`
+                    // at column `(ix + pad) / 2`: after an odd padding the
+                    // first input column is odd, and then the row runs in
+                    // (even, odd) pairs.
+                    let (even, odd) = planes[at..].split_at_mut(phase);
+                    let lead = pad % 2;
+                    if lead == 1 {
+                        odd[pad / 2] = sub(row[0]);
+                    }
+                    let col = (pad + lead) / 2;
+                    let pairs = row[lead..].chunks_exact(2);
+                    if let [x] = pairs.remainder() {
+                        even[col + pairs.len()] = sub(*x);
+                    }
+                    for ((p, e), o) in pairs.zip(&mut even[col..]).zip(&mut odd[col..]) {
+                        *e = sub(p[0]);
+                        *o = sub(p[1]);
+                    }
+                }
+                _ => {
+                    for px in 0..st {
+                        // The first input column whose padded column is in phase `px`.
+                        let ix0 = (px + st - pad % st) % st;
+                        let at = at + px * phase + (ix0 + pad) / st;
+                        let xs = row.get(ix0..).unwrap_or_default().chunks(st);
+                        for (d, x) in planes[at..].iter_mut().zip(xs) {
+                            *d = sub(x[0]);
+                        }
+                    }
                 }
             }
         }
     }
-    out
+}
+
+/// `acc = Σ taps[t] · planes[offsets[t]..][..acc.len()]`, one block of `B`
+/// outputs at a time held in registers across every tap.
+#[inline(always)]
+fn tap_loop<const B: usize>(acc: &mut [f32], planes: &[f32], taps: &[f32], offsets: &[usize]) {
+    for (b, dst) in acc.chunks_exact_mut(B).enumerate() {
+        let mut sum = [0.0f32; B];
+        for (&t, &at) in taps.iter().zip(offsets) {
+            let xs: &[f32; B] = planes[at + b * B..][..B].try_into().expect("one block");
+            for (s, &x) in sum.iter_mut().zip(xs) {
+                *s += t * x;
+            }
+        }
+        dst.copy_from_slice(&sum);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::gemm::PARALLEL_MIN;
     use crate::quant::{calibrate_symmetric, dequantize_tensor, quantize_tensor};
     use crate::rng::DetRng;
 
@@ -804,6 +1000,64 @@ mod tests {
         let reserved = run(Shape4::new(1, 2, 6, 6), dw(2, 3), q0, q1, 400);
         let zp = (QuantParams::new(0.05, 5), QuantParams::new(0.02, -2));
         assert_eq!(run(Shape4::new(1, 3, 9, 9), dw(3, 1), zp.0, zp.1, 402), reserved);
+    }
+
+    /// A depthwise problem above `PARALLEL_MIN` whose 7 planes
+    /// no worker count above 1 divides evenly (up to 6 workers), run twice
+    /// on one arena: both calls equal the oracle, and the second reuses the
+    /// per-worker scratch the first reserved.
+    #[test]
+    fn threaded_depthwise_reuses_one_arena() {
+        let (c, mult, ks) = (7, 2, 5);
+        let x = rand_i8(Shape4::new(1, c, 64, 60), 500);
+        let w = rand_i8(Shape4::new(c * mult, 1, ks, ks), 501);
+        let bias: Vec<i32> = (0..(c * mult) as i32).map(|i| i * 53 - 300).collect();
+        let (in_q, w_q) = (QuantParams::new(0.05, -7), QuantParams::new(0.02, 4));
+        let out_q = QuantParams::new(0.4, 2);
+        let p = Conv2dParams::new(ks, ks).with_padding(2).with_groups(c);
+        assert!(c * mult * ks * ks * 64 * 60 >= PARALLEL_MIN, "not threaded");
+        let naive = conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
+        let mut arena = Arena::new();
+        let auto = |arena: &mut Arena| {
+            let auto = KernelPolicy::Auto;
+            conv2d_i8_in(&x, in_q, &w, w_q, None, Some(&bias), out_q, &p, auto, arena).unwrap()
+        };
+        assert_eq!(auto(&mut arena), naive, "first call diverged from naive");
+        let reserved = arena.reserved_bytes();
+        assert_eq!(auto(&mut arena), naive, "second call diverged from naive");
+        assert_eq!(arena.reserved_bytes(), reserved, "steady state must not reallocate");
+    }
+
+    /// The dispatched (AVX2 where detected) and portable builds of the
+    /// depthwise worker body agree with the oracle bit for bit, single and
+    /// threaded, at strides 1–3 (stride 3 takes the general fill) and odd
+    /// and even paddings. Without AVX2 both builds are the portable one.
+    #[test]
+    fn depthwise_simd_and_portable_agree_bit_exactly() {
+        let mut rng = DetRng::new(23);
+        let simd = simd_kernels_active();
+        for case in 0..24 {
+            let (n, c, mult) = (1 + rng.below(2), 1 + rng.below(9), 1 + rng.below(2));
+            let (ks, st) = ([1, 3, 5, 7][rng.below(4)], 1 + rng.below(3));
+            let pad = rng.below(ks / 2 + 2);
+            let side = if case % 4 == 0 { 60 + rng.below(12) } else { 1 + rng.below(24) };
+            let (h, w) = (side.max(ks), side.max(ks) + rng.below(5));
+            let x = rand_i8(Shape4::new(n, c, h, w), 600 + case as u64);
+            let wt = rand_i8(Shape4::new(c * mult, 1, ks, ks), 700 + case as u64);
+            let bias: Vec<i32> = (0..(c * mult) as i32).map(|i| i * 211 - 900).collect();
+            let (in_q, w_q) = (QuantParams::new(0.05, rng.next_i8()), QuantParams::new(0.02, 3));
+            let out_q = QuantParams::new(0.5, -4);
+            let p = Conv2dParams::new(ks, ks).with_stride(st).with_padding(pad).with_groups(c);
+            let dims = p.output_dims(x.shape(), wt.shape()).unwrap();
+            let naive = conv(&x, in_q, &wt, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive);
+            let [dispatched, portable] = [simd, false].map(|simd| {
+                let (b, mut arena) = (Some(bias.as_slice()), Arena::new());
+                conv2d_i8_depthwise(&x, in_q, &wt, w_q, b, out_q, &p, dims, &mut arena, simd)
+            });
+            let shape = format!("case {case}: {n}x{c}x{h}x{w}, {ks}x{ks}/{st} pad {pad} x{mult}");
+            assert_eq!(dispatched, portable, "{shape}");
+            assert_eq!(naive.unwrap(), portable, "{shape}");
+        }
     }
 
     /// The depthwise kernel sums in `f32`, exact below 2²⁴. At its 256-tap

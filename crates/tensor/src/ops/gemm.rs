@@ -43,7 +43,12 @@
 //! * [`PARALLEL_MIN`] = 2²⁰ MACs: below this, `std::thread::scope` spawn
 //!   overhead (~10 µs/thread) exceeds the kernel time itself — a 64×129×130
 //!   product runs in ~0.3 ms single-threaded, so only products at least a
-//!   millisecond deep are worth fanning out.
+//!   millisecond deep are worth fanning out. The depthwise kernel splits
+//!   its planes under the same threshold, re-measured for it on a shared
+//!   2-core box: a spawn and join costs 35–40 µs there, a second worker
+//!   gains 10–25% between 2¹⁹ and 2²⁰ MACs (3×3 layers, 0.1–0.3 ms) and
+//!   1.5–2× above, and with the other core busy every split loses to one
+//!   thread.
 //! * [`AUTO_DIRECT_MAC_THRESHOLD`] = 2048 MACs: with pack-time zero-point
 //!   subtraction and arena-reused scratch, the packed path's fixed cost is
 //!   roughly one extra pass over each operand. The crossover probe
@@ -157,25 +162,26 @@ pub const KC: usize = 256;
 /// Row-block height (multiple of `MR`): an `MC×KC` block of packed A stays
 /// L2-resident while the matching B block streams past it.
 pub const MC: usize = 128;
-/// Products below this many scalar MACs stay single-threaded. See the
-/// module docs for the measurement behind the value.
+/// Products below this many scalar MACs stay single-threaded: the GEMM's
+/// and the depthwise kernel's. See the module docs for the measurements
+/// behind the value.
 pub const PARALLEL_MIN: usize = 1 << 20;
 
-fn worker_count(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PARALLEL_MIN {
+/// Workers for a kernel call of `macs` multiply-accumulates that splits
+/// into at most `parts` independent pieces: one below [`PARALLEL_MIN`],
+/// otherwise one per available core, at most one per piece.
+pub(crate) fn worker_count(macs: usize, parts: usize) -> usize {
+    if macs < PARALLEL_MIN {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(m.div_ceil(MR))
-        .max(1)
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(parts).max(1)
 }
 
 /// Whether the runtime-dispatched SIMD microkernels are active on this
 /// machine (x86-64 with AVX2). When `false`, the portable microkernels
 /// run; results are bit-identical either way.
 #[must_use]
-fn simd_kernels_active() -> bool {
+pub(crate) fn simd_kernels_active() -> bool {
     static DETECTED: OnceLock<bool> = OnceLock::new();
     *DETECTED.get_or_init(detect_simd)
 }
@@ -418,7 +424,7 @@ fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     tail: Option<Tail<'_, F>>,
     simd: bool,
 ) {
-    let threads = worker_count(m, kpairs * 2, n);
+    let threads = worker_count(m.saturating_mul(kpairs * 2).saturating_mul(n), m.div_ceil(MR));
     if threads <= 1 {
         gemm_block_i8_pairs(m, kpairs, n, pa, pb, c, tail, simd);
         return;

@@ -53,11 +53,20 @@ fn conv_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
 }
 
 /// A random-but-valid depthwise problem (`groups == C`, one input channel
-/// per group): batch 1–2, channel multiplier 1–2, kernels 1/3/5/7, strides
-/// 1–2, paddings up to `kernel/2 + 1`, and heights and widths drawn
-/// independently from 1–20, so inputs narrower than the kernel occur.
+/// per group) from one of two regimes, with channel multiplier 1–2 and
+/// strides 1–2 in both:
+///
+/// * small: batch 1–2, 1–8 channels, kernels 1/3/5/7, paddings up to
+///   `kernel/2 + 1`, and heights and widths drawn independently from 1–20,
+///   so inputs narrower than the kernel occur;
+/// * threaded: batch 1–2, 1–13 channels (so the `n·C` planes are often
+///   odd, and one channel gives one or two planes, fewer than the workers
+///   on a machine with more cores), kernels 3/5/7 with `kernel/2` padding,
+///   on the smallest input (plus up to 3 rows and columns) whose conv
+///   reaches [`PARALLEL_MIN`] MACs, so the kernel splits its planes across
+///   workers.
 fn depthwise_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
-    (
+    let small = (
         1usize..=2, // batch
         1usize..=8, // channels (= groups)
         1usize..=2, // channel multiplier
@@ -75,7 +84,29 @@ fn depthwise_cases() -> impl Strategy<Value = (Shape4, Shape4, Conv2dParams)> {
                 .with_padding(padding.min(ks / 2 + 1))
                 .with_groups(c);
             (input, weights, params)
-        })
+        });
+    let threaded = (
+        1usize..=2,                                            // batch
+        1usize..=13,                                           // channels (= groups)
+        1usize..=2,                                            // channel multiplier
+        prop_oneof![Just(3usize), Just(5usize), Just(7usize)], // kernel
+        1usize..=2,                                            // stride
+        0usize..=3,                                            // extra rows
+        0usize..=3,                                            // extra columns
+    )
+        .prop_map(|(n, c, mult, ks, stride, dh, dw)| {
+            // With `kernel/2` padding an odd kernel leaves
+            // `(len − 1)/stride + 1` outputs per side.
+            let per_pixel = n * c * mult * ks * ks;
+            let side = (PARALLEL_MIN.div_ceil(per_pixel) as f64).sqrt().ceil() as usize;
+            let len = (side - 1) * stride + 1;
+            let input = Shape4::new(n, c, len + dh, len + dw);
+            let params =
+                Conv2dParams::new(ks, ks).with_stride(stride).with_padding(ks / 2).with_groups(c);
+            assert!(per_pixel * side * side >= PARALLEL_MIN, "below the threading threshold");
+            (input, Shape4::new(c * mult, 1, ks, ks), params)
+        });
+    prop_oneof![small, threaded]
 }
 
 /// `(input, weights, params)` for `batch` items of `groups · cg` channels at
@@ -211,9 +242,10 @@ proptest! {
         prop_assert_eq!(naive, gemm);
     }
 
-    /// Depthwise: `Auto` runs the depthwise kernel and `Im2colGemm` the
-    /// GEMM lowering; both must be bit-identical to the naive oracle, across
-    /// zero points and biases large enough to saturate the requantize.
+    /// Depthwise: `Auto` runs the depthwise kernel (split across workers in
+    /// the threaded regime) and `Im2colGemm` the GEMM lowering; both must
+    /// be bit-identical to the naive oracle, across zero points and biases
+    /// large enough to saturate the requantize.
     #[test]
     fn depthwise_i8_gemm_is_bit_identical(
         (ishape, wshape, params) in depthwise_cases(),

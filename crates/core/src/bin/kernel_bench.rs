@@ -18,6 +18,10 @@
 //! * `cold` — cache build + first packed forward (what the install-bearing
 //!   query pays before amortization begins).
 //!
+//! `packed`, `fused` and `cold` run under [`KernelPolicy::Auto`], the
+//! policy serving uses, so depthwise convs take the depthwise kernel; only
+//! `gemm` forces every conv through im2col + GEMM.
+//!
 //! A second table times the depthwise kernel alone, one row per distinct
 //! depthwise layer shape of the MobileNetV3 max SubNet (the toy MobileNet's
 //! under `--quick`): the layer's MACs, the `Auto` kernel's best wall time
@@ -80,16 +84,19 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
         Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.uniform_f32(-1.0, 1.0)).collect())
             .expect("shape matches");
     let input = quantize_tensor(&input_f, act_quant());
-    // ZCU104 geometry; the policy/caching is the only variable.
+    // ZCU104 geometry; the policy/caching is the only variable. The
+    // cached columns run the serving policy (`Auto`), so depthwise convs
+    // take the depthwise kernel as they do when serving.
     let naive_dpe = DpeArray::new(16, 18).with_policy(KernelPolicy::Naive);
     let gemm_dpe = DpeArray::new(16, 18).with_policy(KernelPolicy::Im2colGemm);
+    let serve_dpe = DpeArray::new(16, 18);
 
     // Cold pack: build the install-time cache and run the first packed
     // forward — the cost the install-bearing query pays, exactly once.
     let mut arena = Arena::new();
     let t = Instant::now();
     let cache = SubgraphCache::build(net, &store, &sn).expect("SubNet installs");
-    let packed_out = forward_cached(&gemm_dpe, net, &store, &sn, Some(&cache), &mut arena, &input)
+    let packed_out = forward_cached(&serve_dpe, net, &store, &sn, Some(&cache), &mut arena, &input)
         .expect("packed forward");
     let cold_pack_ms = t.elapsed().as_secs_f64() * 1e3;
     let mut packed_out = Some(packed_out);
@@ -108,14 +115,14 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
     let mut fused_out = None;
     for _ in 0..runs.max(1) {
         let t = Instant::now();
-        let out = forward_cached(&gemm_dpe, net, &store, &sn, Some(&cache), &mut arena, &input)
+        let out = forward_cached(&serve_dpe, net, &store, &sn, Some(&cache), &mut arena, &input)
             .expect("packed forward");
         packed_ms = packed_ms.min(t.elapsed().as_secs_f64() * 1e3);
         packed_out = Some(out);
 
         let t = Instant::now();
         let out =
-            forward_cached(&gemm_dpe, net, &store, &sn, Some(&fused_cache), &mut arena, &input)
+            forward_cached(&serve_dpe, net, &store, &sn, Some(&fused_cache), &mut arena, &input)
                 .expect("fused forward");
         fused_ms = fused_ms.min(t.elapsed().as_secs_f64() * 1e3);
         fused_out = Some(out);

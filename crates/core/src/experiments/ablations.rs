@@ -8,32 +8,27 @@
 //! * `abl_candidates` — SushiAbs candidate-set construction: uniform
 //!   truncations only vs the shape-diverse tilted set.
 
-use std::sync::Arc;
-
+use sushi_accel::config::zcu104;
+use sushi_accel::BufferConfig;
 use sushi_sched::CacheSelection;
 
-use crate::engine::EngineBuilder;
 use crate::experiments::common::{ExpOptions, Workload};
-use crate::metrics::summarize;
+use crate::metrics::{summarize, StreamSummary};
 use crate::report::{fmt_f, ExpReport, TextTable};
-use crate::stream::uniform_stream;
-use crate::variants::Variant;
 
-fn run_selection(wl: &Workload, selection: CacheSelection, opts: &ExpOptions) -> (f64, f64) {
-    let zcu = sushi_accel::config::zcu104();
-    let space = wl.constraint_space(&zcu, opts);
-    let mut engine = EngineBuilder::new()
-        .workload(Arc::clone(&wl.net), wl.picks.clone())
-        .cache_selection(selection)
-        .q_window(wl.q_window)
-        .candidates(opts.candidates)
-        .seed(opts.seed)
-        .build()
-        .expect("ablation configuration is valid");
-    let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0xAB1);
-    let records = engine.serve_stream(&queries).expect("analytical serve");
-    let s = summarize(&records);
-    (s.mean_latency_ms, s.mean_hit_ratio)
+/// Per cache-selection measure, full SUSHI's summary on `wl` over ZCU104.
+fn abl_distance_for(wl: &Workload, opts: &ExpOptions) -> Vec<(&'static str, StreamSummary)> {
+    [
+        ("L2 to AvgNet (Alg. 1)", CacheSelection::MinDistanceToAvg),
+        ("cosine to AvgNet", CacheSelection::MinCosineToAvg),
+        ("follow-last (unaware)", CacheSelection::FollowLast),
+        ("frozen first choice", CacheSelection::Frozen),
+    ]
+    .into_iter()
+    .map(|(name, sel)| {
+        (name, summarize(&wl.replay(&zcu104(), 0xAB1, opts, |b| b.cache_selection(sel))))
+    })
+    .collect()
 }
 
 /// Distance-measure ablation for the caching decision.
@@ -45,14 +40,12 @@ pub fn abl_distance(opts: &ExpOptions) -> ExpReport {
     );
     for wl in crate::experiments::common::both_workloads() {
         let mut t = TextTable::new(vec!["selection", "mean latency (ms)", "hit ratio"]);
-        for (name, sel) in [
-            ("L2 to AvgNet (Alg. 1)", CacheSelection::MinDistanceToAvg),
-            ("cosine to AvgNet", CacheSelection::MinCosineToAvg),
-            ("follow-last (unaware)", CacheSelection::FollowLast),
-            ("frozen first choice", CacheSelection::Frozen),
-        ] {
-            let (lat, hit) = run_selection(&wl, sel, opts);
-            t.push_row(vec![name.to_string(), fmt_f(lat, 3), fmt_f(hit, 3)]);
+        for (name, s) in abl_distance_for(&wl, opts) {
+            t.push_row(vec![
+                name.to_string(),
+                fmt_f(s.mean_latency_ms, 3),
+                fmt_f(s.mean_hit_ratio, 3),
+            ]);
         }
         report.add_section(format!("{} selection ablation", wl.label), t);
     }
@@ -63,6 +56,21 @@ pub fn abl_distance(opts: &ExpOptions) -> ExpReport {
     report
 }
 
+/// Per PB share of ZCU104's weight buffers (PB plus both DBs), the
+/// resulting buffer split and full SUSHI's summary on `wl` with it.
+fn pb_split_for(wl: &Workload, opts: &ExpOptions) -> Vec<(f64, BufferConfig, StreamSummary)> {
+    let base = zcu104();
+    let weight_pool = base.buffers.pb_bytes + 2 * base.buffers.db_bytes_each; // what PB and DBs split
+    [0.0, 0.15, 0.30, 0.45, 0.60]
+        .into_iter()
+        .map(|share| {
+            let cfg = base.with_pb_bytes((weight_pool as f64 * share) as u64);
+            let s = summarize(&wl.replay(&cfg, 0xAB2, opts, |b| b));
+            (share, cfg.buffers, s)
+        })
+        .collect()
+}
+
 /// PB-vs-DB partition ablation at a fixed total on-chip budget.
 #[must_use]
 pub fn abl_pb_split(opts: &ExpOptions) -> ExpReport {
@@ -70,8 +78,6 @@ pub fn abl_pb_split(opts: &ExpOptions) -> ExpReport {
         "abl_pb_split",
         "Ablation: PB share of a fixed on-chip budget (PB competes with the ping-pong DBs)",
     );
-    let base = sushi_accel::config::zcu104();
-    let shares: &[f64] = &[0.0, 0.15, 0.30, 0.45, 0.60];
     for wl in crate::experiments::common::both_workloads() {
         let mut t = TextTable::new(vec![
             "PB share",
@@ -80,25 +86,11 @@ pub fn abl_pb_split(opts: &ExpOptions) -> ExpReport {
             "mean latency (ms)",
             "hit ratio",
         ]);
-        let weight_pool = base.buffers.pb_bytes + 2 * base.buffers.db_bytes_each; // what PB and DBs split
-        for &share in shares {
-            let pb = (weight_pool as f64 * share) as u64;
-            let cfg = base.with_pb_bytes(pb);
-            let space = wl.constraint_space(&cfg, opts);
-            let mut engine = wl.engine(
-                Variant::Sushi,
-                &cfg,
-                sushi_sched::Policy::StrictAccuracy,
-                wl.q_window,
-                opts,
-            );
-            let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0xAB2);
-            let records = engine.serve_stream(&queries).expect("analytical serve");
-            let s = summarize(&records);
+        for (share, buffers, s) in pb_split_for(&wl, opts) {
             t.push_row(vec![
                 format!("{:.0}%", share * 100.0),
-                (cfg.buffers.pb_bytes / 1024).to_string(),
-                (cfg.buffers.db_bytes_each / 1024).to_string(),
+                (buffers.pb_bytes / 1024).to_string(),
+                (buffers.db_bytes_each / 1024).to_string(),
                 fmt_f(s.mean_latency_ms, 3),
                 fmt_f(s.mean_hit_ratio, 3),
             ]);
@@ -112,6 +104,33 @@ pub fn abl_pb_split(opts: &ExpOptions) -> ExpReport {
     report
 }
 
+/// Per candidate set, its column count and full SUSHI's summary on `wl`
+/// over ZCU104 with it: each pick truncated to the PB once, then the
+/// shape-diverse set (tilts + samples) serving uses.
+fn abl_candidates_for(
+    wl: &Workload,
+    opts: &ExpOptions,
+) -> Vec<(&'static str, usize, StreamSummary)> {
+    let zcu = zcu104();
+    let pb = zcu.buffers.pb_bytes;
+    let uniform: Vec<_> =
+        wl.picks.iter().map(|sn| wl.net.subgraph_to_budget(&sn.graph, pb)).collect();
+    let diverse = sushi_sched::candidates::build_candidate_set(
+        &wl.net,
+        &wl.picks,
+        pb,
+        opts.candidates.max(12),
+        opts.seed,
+    );
+    [("uniform picks", uniform), ("shape-diverse", diverse)]
+        .into_iter()
+        .map(|(name, cands)| {
+            let cols = cands.len();
+            (name, cols, summarize(&wl.replay(&zcu, 0xAB3, opts, |b| b.candidate_set(cands))))
+        })
+        .collect()
+}
+
 /// Candidate-set construction ablation: uniform truncations vs the
 /// shape-diverse tilted set actually used.
 #[must_use]
@@ -120,36 +139,10 @@ pub fn abl_candidates(opts: &ExpOptions) -> ExpReport {
         "abl_candidates",
         "Ablation: SushiAbs candidate set — uniform truncations vs shape-diverse tilts",
     );
-    let zcu = sushi_accel::config::zcu104();
     for wl in crate::experiments::common::both_workloads() {
-        let space = wl.constraint_space(&zcu, opts);
-        let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0xAB3);
         let mut t =
             TextTable::new(vec!["candidate set", "columns", "mean latency (ms)", "hit ratio"]);
-        // Uniform-only: each pick truncated once (bias 0).
-        let uniform: Vec<_> = wl
-            .picks
-            .iter()
-            .map(|sn| wl.net.subgraph_to_budget(&sn.graph, zcu.buffers.pb_bytes))
-            .collect();
-        // Diverse: the default construction (tilts + samples).
-        let diverse = sushi_sched::candidates::build_candidate_set(
-            &wl.net,
-            &wl.picks,
-            zcu.buffers.pb_bytes,
-            opts.candidates.max(12),
-            opts.seed,
-        );
-        for (name, cands) in [("uniform picks", uniform), ("shape-diverse", diverse)] {
-            let cols = cands.len();
-            let mut engine = EngineBuilder::new()
-                .workload(Arc::clone(&wl.net), wl.picks.clone())
-                .candidate_set(cands)
-                .q_window(wl.q_window)
-                .build()
-                .expect("ablation configuration is valid");
-            let records = engine.serve_stream(&queries).expect("analytical serve");
-            let s = summarize(&records);
+        for (name, cols, s) in abl_candidates_for(&wl, opts) {
             t.push_row(vec![
                 name.to_string(),
                 cols.to_string(),
@@ -165,6 +158,7 @@ pub fn abl_candidates(opts: &ExpOptions) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::both_workloads;
 
     #[test]
     fn abl_distance_covers_four_selections() {
@@ -174,39 +168,41 @@ mod tests {
 
     #[test]
     fn abl_distance_l2_not_worse_than_frozen() {
-        let r = abl_distance(&ExpOptions::quick());
-        for (name, t) in &r.sections {
-            let lat = |row: usize| -> f64 { t.cell(row, 1).unwrap().parse().unwrap() };
-            assert!(lat(0) <= lat(3) * 1.02, "{name}: L2 {} vs frozen {}", lat(0), lat(3));
+        for wl in both_workloads() {
+            let rows = abl_distance_for(&wl, &ExpOptions::quick());
+            let (l2, frozen) = (rows[0].1.mean_latency_ms, rows[3].1.mean_latency_ms);
+            assert!(l2 <= frozen * 1.02, "{}: L2 {l2} vs frozen {frozen}", wl.label);
         }
     }
 
     #[test]
     fn abl_pb_split_zero_share_has_zero_hits() {
-        let r = abl_pb_split(&ExpOptions::quick());
-        for (_, t) in &r.sections {
-            let hit: f64 = t.cell(0, 4).unwrap().parse().unwrap();
-            assert_eq!(hit, 0.0);
+        for wl in both_workloads() {
+            let (share, _, s) = &pb_split_for(&wl, &ExpOptions::quick())[0];
+            assert_eq!((*share, s.mean_hit_ratio), (0.0, 0.0), "{}", wl.label);
         }
     }
 
     #[test]
     fn abl_pb_split_some_pb_beats_none() {
-        let r = abl_pb_split(&ExpOptions::quick());
-        for (name, t) in &r.sections {
-            let lat = |row: usize| -> f64 { t.cell(row, 3).unwrap().parse().unwrap() };
-            let best_with_pb = (1..t.num_rows()).map(lat).fold(f64::INFINITY, f64::min);
-            assert!(best_with_pb < lat(0), "{name}: no PB share helps");
+        for wl in both_workloads() {
+            let rows = pb_split_for(&wl, &ExpOptions::quick());
+            let lat = |i: usize| rows[i].2.mean_latency_ms;
+            let best_with_pb = (1..rows.len()).map(lat).fold(f64::INFINITY, f64::min);
+            assert!(best_with_pb < lat(0), "{}: no PB share helps", wl.label);
         }
     }
 
     #[test]
     fn abl_candidates_diverse_not_worse() {
-        let r = abl_candidates(&ExpOptions::quick());
-        for (name, t) in &r.sections {
-            let uniform: f64 = t.cell(0, 2).unwrap().parse().unwrap();
-            let diverse: f64 = t.cell(1, 2).unwrap().parse().unwrap();
-            assert!(diverse <= uniform * 1.02, "{name}: diverse {diverse} vs uniform {uniform}");
+        for wl in both_workloads() {
+            let rows = abl_candidates_for(&wl, &ExpOptions::quick());
+            let (uniform, diverse) = (rows[0].2.mean_latency_ms, rows[1].2.mean_latency_ms);
+            assert!(
+                diverse <= uniform * 1.02,
+                "{}: diverse {diverse} vs uniform {uniform}",
+                wl.label
+            );
         }
     }
 }

@@ -4,13 +4,14 @@ use std::sync::Arc;
 
 use sushi_accel::config::{alveo_u50, roofline_system, zcu104};
 use sushi_accel::AccelConfig;
-use sushi_sched::Policy;
+use sushi_sched::Query;
 use sushi_tensor::KernelPolicy;
-use sushi_wsnet::{SubNet, SuperNet};
+use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
-use crate::engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
-use crate::stream::ConstraintSpace;
-use crate::variants::{build_table, Variant};
+use crate::engine::{BackendKind, EngineBuilder, ModelZoo};
+use crate::serving::sim::ServedRecord;
+use crate::stream::{uniform_stream, ConstraintSpace};
+use crate::variants::build_table;
 
 /// Experiment sizing knobs. Defaults regenerate the paper-scale runs;
 /// [`ExpOptions::quick`] shrinks `queries` for CI-sized runs.
@@ -121,35 +122,64 @@ impl Workload {
     }
 
     /// Derives the constraint space from cold latencies on `config`.
-    #[must_use]
-    pub fn constraint_space(&self, config: &AccelConfig, opts: &ExpOptions) -> ConstraintSpace {
+    fn constraint_space(&self, config: &AccelConfig, opts: &ExpOptions) -> ConstraintSpace {
         ConstraintSpace::from_table(&build_table(&self.net, &self.picks, config, 0, opts.seed))
     }
 
-    /// Builds an analytical serving [`Engine`] for this workload.
+    /// The shared SubGraph of the picks, cut down to `config`'s PB: what
+    /// the PB holds in steady state.
+    pub(crate) fn shared_in_pb(&self, config: &AccelConfig) -> SubGraph {
+        let shared = self.net.shared_subgraph(&self.picks);
+        self.net.subgraph_to_budget(&shared, config.buffers.pb_bytes)
+    }
+
+    /// The stream [`Workload::replay`] serves: `opts.queries` queries drawn
+    /// uniformly from the constraint space of `board`'s cold latencies,
+    /// seeded `opts.seed ^ salt`.
+    pub(crate) fn stream(&self, board: &AccelConfig, salt: u64, opts: &ExpOptions) -> Vec<Query> {
+        uniform_stream(&self.constraint_space(board, opts), opts.queries, opts.seed ^ salt)
+    }
+
+    /// The uniform-stream replay behind the §5.6–5.7 experiments: serves
+    /// [`Workload::stream`], one query at a time, on an analytical engine
+    /// that `build` finishes. `build` starts from this workload on `board`
+    /// with its own `Q`, `opts.candidates` and `opts.seed`.
     ///
     /// # Panics
-    /// Panics only on programmer error: the experiment knobs passed here
-    /// are always a valid engine configuration.
-    pub fn engine(
+    /// Panics only on programmer error: every experiment's engine
+    /// configuration is valid and its stream well-formed.
+    pub(crate) fn replay(
         &self,
-        variant: Variant,
-        config: &AccelConfig,
-        policy: Policy,
-        q_window: usize,
+        board: &AccelConfig,
+        salt: u64,
         opts: &ExpOptions,
-    ) -> Engine {
-        EngineBuilder::new()
+        build: impl FnOnce(EngineBuilder) -> EngineBuilder,
+    ) -> Vec<ServedRecord> {
+        let builder = EngineBuilder::new()
             .workload(Arc::clone(&self.net), self.picks.clone())
-            .variant(variant)
-            .accel_config(config.clone())
-            .policy(policy)
-            .q_window(q_window)
+            .accel_config(board.clone())
+            .q_window(self.q_window)
             .candidates(opts.candidates)
-            .seed(opts.seed)
-            .build()
-            .expect("experiment workload configuration is valid")
+            .seed(opts.seed);
+        let mut engine = build(builder).build().expect("experiment engine configuration is valid");
+        engine.serve_stream(&self.stream(board, salt, opts)).expect("analytical serve")
     }
+}
+
+/// `quick` for a `--quick`-sized run, `full` otherwise.
+pub(crate) fn by_scale<T>(opts: &ExpOptions, quick: T, full: T) -> T {
+    if opts.queries <= ExpOptions::quick().queries {
+        quick
+    } else {
+        full
+    }
+}
+
+/// The smallest and largest of `values`.
+pub(crate) fn span(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    values
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 #[cfg(test)]

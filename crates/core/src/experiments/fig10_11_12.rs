@@ -3,69 +3,35 @@
 
 use sushi_accel::dse::{sweep, DseGrid};
 use sushi_accel::exec::price_query;
-use sushi_accel::roofline::{ridge_point, subnet_roofline};
+use sushi_accel::roofline::{ridge_point, subnet_roofline, RooflinePoint};
 use sushi_accel::CycleBreakdown;
 
-use crate::experiments::common::{roofline_board, ExpOptions, Workload};
+use crate::experiments::common::{by_scale, roofline_board, span, ExpOptions, Workload};
 use crate::metrics::reduction_pct;
 use crate::report::{fmt_f, ExpReport, TextTable};
 
 fn breakdown_ms(cfg: &sushi_accel::AccelConfig, c: &CycleBreakdown) -> [f64; 6] {
-    [
-        cfg.cycles_to_ms(c.compute),
-        cfg.cycles_to_ms(c.offchip_iact),
-        cfg.cycles_to_ms(c.offchip_weights),
-        cfg.cycles_to_ms(c.onchip_weights),
-        cfg.cycles_to_ms(c.offchip_oact),
-        cfg.cycles_to_ms(c.total()),
-    ]
+    [c.compute, c.offchip_iact, c.offchip_weights, c.onchip_weights, c.offchip_oact, c.total()]
+        .map(|cycles| cfg.cycles_to_ms(cycles))
 }
 
-/// Per-workload Fig. 10 rows: two bars per SubNet (w/o PB, w/ PB with the
-/// shared SubGraph cached), decomposed into the five critical-path buckets.
-fn fig10_for(wl: &Workload, report: &mut ExpReport) -> (f64, f64) {
+/// Fig. 10's numbers for one workload: per pick, its latency breakdown
+/// (ms, in the [`breakdown_ms`] order) without and with the shared
+/// SubGraph in the PB; then the `[lo, hi]` range of the total-latency
+/// reduction (%).
+fn fig10_for(wl: &Workload) -> (Vec<[[f64; 6]; 2]>, (f64, f64)) {
     let cfg = roofline_board();
-    let shared = wl.net.shared_subgraph(&wl.picks);
-    let cached = wl.net.subgraph_to_budget(&shared, cfg.buffers.pb_bytes);
-    let mut t = TextTable::new(vec![
-        "SubNet",
-        "PB",
-        "compute",
-        "iAct",
-        "off-W",
-        "on-W",
-        "oAct",
-        "total(ms)",
-        "acc(%)",
-    ]);
-    let mut min_red = f64::INFINITY;
-    let mut max_red = f64::NEG_INFINITY;
-    for sn in &wl.picks {
-        let cold = price_query(&cfg, &wl.net, sn, None);
-        let warm = price_query(&cfg, &wl.net, sn, Some(&cached));
-        for (tag, rep) in [("w/o", &cold), ("w/", &warm)] {
-            let b = breakdown_ms(&cfg, &rep.cycles);
-            t.push_row(vec![
-                sn.name.clone(),
-                tag.to_string(),
-                fmt_f(b[0], 3),
-                fmt_f(b[1], 3),
-                fmt_f(b[2], 3),
-                fmt_f(b[3], 3),
-                fmt_f(b[4], 3),
-                fmt_f(b[5], 3),
-                fmt_f(sn.accuracy_pct(), 2),
-            ]);
-        }
-        let red = reduction_pct(
-            cfg.cycles_to_ms(cold.cycles.total()),
-            cfg.cycles_to_ms(warm.cycles.total()),
-        );
-        min_red = min_red.min(red);
-        max_red = max_red.max(red);
-    }
-    report.add_section(format!("{} latency breakdown", wl.label), t);
-    (min_red, max_red)
+    let cached = wl.shared_in_pb(&cfg);
+    let bars: Vec<[[f64; 6]; 2]> = wl
+        .picks
+        .iter()
+        .map(|sn| {
+            [None, Some(&cached)]
+                .map(|pb| breakdown_ms(&cfg, &price_query(&cfg, &wl.net, sn, pb).cycles))
+        })
+        .collect();
+    let reduction = span(bars.iter().map(|[cold, warm]| reduction_pct(cold[5], warm[5])));
+    (bars, reduction)
 }
 
 /// Fig. 10: potential latency reduction with SGS.
@@ -76,7 +42,27 @@ pub fn fig10(_opts: &ExpOptions) -> ExpReport {
         "Latency breakdown per SubNet, w/o PB vs w/ PB (shared SubGraph cached)",
     );
     for wl in crate::experiments::common::both_workloads() {
-        let (lo, hi) = fig10_for(&wl, &mut report);
+        let (bars, (lo, hi)) = fig10_for(&wl);
+        let mut t = TextTable::new(vec![
+            "SubNet",
+            "PB",
+            "compute",
+            "iAct",
+            "off-W",
+            "on-W",
+            "oAct",
+            "total(ms)",
+            "acc(%)",
+        ]);
+        for (sn, bars) in wl.picks.iter().zip(&bars) {
+            for (tag, b) in ["w/o", "w/"].iter().zip(bars) {
+                let mut row = vec![sn.name.clone(), (*tag).to_string()];
+                row.extend(b.iter().map(|&ms| fmt_f(ms, 3)));
+                row.push(fmt_f(sn.accuracy_pct(), 2));
+                t.push_row(row);
+            }
+        }
+        report.add_section(format!("{} latency breakdown", wl.label), t);
         report.add_note(format!(
             "{}: SGS reduces per-query latency by [{:.1}%, {:.1}%] across the Pareto picks",
             wl.label, lo, hi
@@ -86,15 +72,23 @@ pub fn fig10(_opts: &ExpOptions) -> ExpReport {
     report
 }
 
+/// Per pick of `wl`, its roofline point without and with the shared
+/// SubGraph in the PB.
+fn fig11_points(wl: &Workload) -> Vec<[RooflinePoint; 2]> {
+    let cfg = roofline_board();
+    let cached = wl.shared_in_pb(&cfg);
+    wl.picks
+        .iter()
+        .map(|sn| [None, Some(&cached)].map(|pb| subnet_roofline(&cfg, &wl.net, sn, pb)))
+        .collect()
+}
+
 /// Fig. 11: roofline points per SubNet without and with SGS.
 #[must_use]
 pub fn fig11(_opts: &ExpOptions) -> ExpReport {
     let mut report = ExpReport::new("fig11", "SGS pushes SubNets toward the compute-bound region");
-    let cfg = roofline_board();
-    report.add_note(format!("ridge point: {:.1} FLOPs/Byte", ridge_point(&cfg)));
+    report.add_note(format!("ridge point: {:.1} FLOPs/Byte", ridge_point(&roofline_board())));
     for wl in crate::experiments::common::both_workloads() {
-        let shared = wl.net.shared_subgraph(&wl.picks);
-        let cached = wl.net.subgraph_to_budget(&shared, cfg.buffers.pb_bytes);
         let mut t = TextTable::new(vec![
             "SubNet",
             "AI base",
@@ -103,9 +97,7 @@ pub fn fig11(_opts: &ExpOptions) -> ExpReport {
             "TFLOPS SGS",
             "bound SGS",
         ]);
-        for sn in &wl.picks {
-            let base = subnet_roofline(&cfg, &wl.net, sn, None);
-            let sgs = subnet_roofline(&cfg, &wl.net, sn, Some(&cached));
+        for (sn, [base, sgs]) in wl.picks.iter().zip(fig11_points(&wl)) {
             t.push_row(vec![
                 sn.name.clone(),
                 fmt_f(base.ai, 1),
@@ -125,15 +117,12 @@ pub fn fig11(_opts: &ExpOptions) -> ExpReport {
 pub fn fig12(opts: &ExpOptions) -> ExpReport {
     let mut report =
         ExpReport::new("fig12", "Design-space exploration: latency saved by SGS (Time Save %)");
-    let grid = if opts.queries <= ExpOptions::quick().queries {
-        DseGrid {
-            pb_bytes: vec![512 << 10, 1728 << 10, 4096 << 10],
-            bw_gbps: vec![9.6, 19.2],
-            geometries: vec![(16, 18), (32, 36)],
-        }
-    } else {
-        DseGrid::paper_grid()
+    let quick = DseGrid {
+        pb_bytes: vec![512 << 10, 1728 << 10, 4096 << 10],
+        bw_gbps: vec![9.6, 19.2],
+        geometries: vec![(16, 18), (32, 36)],
     };
+    let grid = by_scale(opts, quick, DseGrid::paper_grid());
     for wl in crate::experiments::common::both_workloads() {
         let points = sweep(&sushi_accel::config::zcu104(), &wl.net, &wl.picks, &grid);
         let mut t = TextTable::new(vec![
@@ -178,17 +167,9 @@ mod tests {
 
     #[test]
     fn fig10_reduction_bands_are_positive() {
-        let r = fig10(&ExpOptions::quick());
-        for wl in ["ResNet50", "MobV3"] {
-            let note = r.notes.iter().find(|n| n.starts_with(wl)).unwrap();
-            // "...by [lo%, hi%]..." -> lo must be >= 0.
-            let lo: f64 = note
-                .split('[')
-                .nth(1)
-                .and_then(|s| s.split('%').next())
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap();
-            assert!(lo >= 0.0, "{note}");
+        for wl in crate::experiments::common::both_workloads() {
+            let (_, (lo, hi)) = fig10_for(&wl);
+            assert!(lo >= 0.0 && lo <= hi, "{}: [{lo}%, {hi}%]", wl.label);
         }
     }
 
@@ -201,12 +182,10 @@ mod tests {
 
     #[test]
     fn fig11_ai_increases_with_sgs() {
-        let r = fig11(&ExpOptions::quick());
-        let t = &r.sections[0].1;
-        for row in 0..t.num_rows() {
-            let base: f64 = t.cell(row, 1).unwrap().parse().unwrap();
-            let sgs: f64 = t.cell(row, 2).unwrap().parse().unwrap();
-            assert!(sgs > base, "row {row}: {sgs} !> {base}");
+        for wl in crate::experiments::common::both_workloads() {
+            for (sn, [base, sgs]) in wl.picks.iter().zip(fig11_points(&wl)) {
+                assert!(sgs.ai > base.ai, "{} {}: {} !> {}", wl.label, sn.name, sgs.ai, base.ai);
+            }
         }
     }
 

@@ -1,13 +1,35 @@
 //! Fig. 15 (scheduler functional evaluation) and Fig. 16 (end-to-end
 //! latency/accuracy comparison of the three serving variants).
 
+use sushi_accel::config::zcu104;
 use sushi_sched::Policy;
 
 use crate::experiments::common::{ExpOptions, Workload};
 use crate::metrics::{reduction_pct, summarize};
 use crate::report::{fmt_f, fmt_pct, ExpReport, TextTable};
-use crate::stream::uniform_stream;
+use crate::serving::sim::ServedRecord;
 use crate::variants::Variant;
+
+/// Whether `r` met the constraint `policy` holds hard.
+fn met_hard_constraint(policy: Policy, r: &ServedRecord) -> bool {
+    match policy {
+        Policy::StrictLatency => r.served_latency_ms <= r.query.latency_constraint_ms,
+        Policy::StrictAccuracy => r.served_accuracy >= r.query.accuracy_constraint,
+    }
+}
+
+/// One Fig. 15 run of full SUSHI on ZCU104 per hard-constraint policy:
+/// the policy, the served records, and how many met the hard constraint.
+fn fig15_for(wl: &Workload, opts: &ExpOptions) -> Vec<(Policy, Vec<ServedRecord>, usize)> {
+    [Policy::StrictLatency, Policy::StrictAccuracy]
+        .into_iter()
+        .map(|policy| {
+            let records = wl.replay(&zcu104(), 0x15, opts, |b| b.policy(policy));
+            let satisfied = records.iter().filter(|r| met_hard_constraint(policy, r)).count();
+            (policy, records, satisfied)
+        })
+        .collect()
+}
 
 /// Fig. 15: served-vs-constraint scatter under each hard-constraint policy.
 #[must_use]
@@ -16,44 +38,22 @@ pub fn fig15(opts: &ExpOptions) -> ExpReport {
         "fig15",
         "SushiSched serves strictly better accuracy / strictly lesser latency",
     );
-    let zcu = sushi_accel::config::zcu104();
     for wl in crate::experiments::common::both_workloads() {
-        let space = wl.constraint_space(&zcu, opts);
-        for policy in [Policy::StrictLatency, Policy::StrictAccuracy] {
-            let mut engine = wl.engine(Variant::Sushi, &zcu, policy, wl.q_window, opts);
-            let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0x15);
-            let records = engine.serve_stream(&queries).expect("analytical serve");
-            let (label, satisfied) = match policy {
-                Policy::StrictLatency => (
-                    "strict latency",
-                    records
-                        .iter()
-                        .filter(|r| r.served_latency_ms <= r.query.latency_constraint_ms)
-                        .count(),
-                ),
-                Policy::StrictAccuracy => (
-                    "strict accuracy",
-                    records
-                        .iter()
-                        .filter(|r| r.served_accuracy >= r.query.accuracy_constraint)
-                        .count(),
-                ),
+        for (policy, records, satisfied) in fig15_for(&wl, opts) {
+            let label = match policy {
+                Policy::StrictLatency => "strict latency",
+                Policy::StrictAccuracy => "strict accuracy",
             };
             let mut t = TextTable::new(vec!["constraint", "served", "ok"]);
             for r in records.iter().step_by((records.len() / 20).max(1)) {
-                let (c, s, ok) = match policy {
-                    Policy::StrictLatency => (
-                        r.query.latency_constraint_ms,
-                        r.served_latency_ms,
-                        r.served_latency_ms <= r.query.latency_constraint_ms,
-                    ),
-                    Policy::StrictAccuracy => (
-                        r.query.accuracy_constraint * 100.0,
-                        r.served_accuracy * 100.0,
-                        r.served_accuracy >= r.query.accuracy_constraint,
-                    ),
+                let (c, s) = match policy {
+                    Policy::StrictLatency => (r.query.latency_constraint_ms, r.served_latency_ms),
+                    Policy::StrictAccuracy => {
+                        (r.query.accuracy_constraint * 100.0, r.served_accuracy * 100.0)
+                    }
                 };
-                t.push_row(vec![fmt_f(c, 2), fmt_f(s, 2), ok.to_string()]);
+                let ok = met_hard_constraint(policy, r).to_string();
+                t.push_row(vec![fmt_f(c, 2), fmt_f(s, 2), ok]);
             }
             report.add_note(format!(
                 "{} / {label}: {}/{} queries satisfied the hard constraint",
@@ -71,15 +71,39 @@ pub fn fig15(opts: &ExpOptions) -> ExpReport {
     report
 }
 
-/// Runs one variant over a stream and returns `(mean latency, mean acc %)`.
-fn run_variant(wl: &Workload, variant: Variant, policy: Policy, opts: &ExpOptions) -> (f64, f64) {
-    let zcu = sushi_accel::config::zcu104();
-    let space = wl.constraint_space(&zcu, opts);
-    let mut engine = wl.engine(variant, &zcu, policy, wl.q_window, opts);
-    let queries = uniform_stream(&space, opts.queries, opts.seed ^ 0x16);
-    let records = engine.serve_stream(&queries).expect("analytical serve");
-    let s = summarize(&records);
-    (s.mean_latency_ms, s.mean_accuracy * 100.0)
+/// Every run Fig. 16 makes on `wl`, in order: the three variants under
+/// strict accuracy, then No-SUSHI and SUSHI under strict latency. All of
+/// them serve one stream, drawn from ZCU104 with its PB, so the variants
+/// differ only in how they serve it.
+fn fig16_runs(wl: &Workload, opts: &ExpOptions) -> Vec<(Variant, Policy, Vec<ServedRecord>)> {
+    [
+        (Variant::NoSushi, Policy::StrictAccuracy),
+        (Variant::SushiNoSched, Policy::StrictAccuracy),
+        (Variant::Sushi, Policy::StrictAccuracy),
+        (Variant::NoSushi, Policy::StrictLatency),
+        (Variant::Sushi, Policy::StrictLatency),
+    ]
+    .into_iter()
+    .map(|(variant, policy)| {
+        let records = wl.replay(&zcu104(), 0x16, opts, |b| b.variant(variant).policy(policy));
+        (variant, policy, records)
+    })
+    .collect()
+}
+
+/// Fig. 16's numbers for one workload: per variant under strict accuracy,
+/// its mean latency (ms) and mean accuracy (%); then SUSHI's mean-latency
+/// cut over No-SUSHI at equal accuracy (%), and its mean-accuracy gain
+/// over No-SUSHI at equal latency budgets (percentage points).
+fn fig16_for(wl: &Workload, opts: &ExpOptions) -> (Vec<(Variant, f64, f64)>, f64, f64) {
+    let means: Vec<(Variant, f64, f64)> = fig16_runs(wl, opts)
+        .into_iter()
+        .map(|(variant, _, records)| {
+            let s = summarize(&records);
+            (variant, s.mean_latency_ms, s.mean_accuracy * 100.0)
+        })
+        .collect();
+    (means[..3].to_vec(), reduction_pct(means[0].1, means[2].1), means[4].2 - means[3].2)
 }
 
 /// Fig. 16: No-SUSHI vs SUSHI-w/o-Sched vs SUSHI on random queries.
@@ -88,23 +112,17 @@ pub fn fig16(opts: &ExpOptions) -> ExpReport {
     let mut report =
         ExpReport::new("fig16", "End-to-end latency/accuracy tradeoff across serving variants");
     for wl in crate::experiments::common::both_workloads() {
+        let (rows, latency_cut, accuracy_gain) = fig16_for(&wl, opts);
         let mut t = TextTable::new(vec!["variant", "mean latency (ms)", "mean accuracy (%)"]);
-        let mut lat = std::collections::HashMap::new();
-        for variant in [Variant::NoSushi, Variant::SushiNoSched, Variant::Sushi] {
-            let (l, a) = run_variant(&wl, variant, Policy::StrictAccuracy, opts);
-            lat.insert(variant.label(), l);
-            t.push_row(vec![variant.label().to_string(), fmt_f(l, 3), fmt_f(a, 2)]);
+        for (variant, l, a) in &rows {
+            t.push_row(vec![variant.label().to_string(), fmt_f(*l, 3), fmt_f(*a, 2)]);
         }
-        // Accuracy head-to-head at equal latency budgets (strict-latency).
-        let (_, acc_no) = run_variant(&wl, Variant::NoSushi, Policy::StrictLatency, opts);
-        let (_, acc_sushi) = run_variant(&wl, Variant::Sushi, Policy::StrictLatency, opts);
-        let latency_cut = reduction_pct(lat["No-Sushi"], lat["Sushi"]);
         report.add_note(format!(
             "{}: SUSHI cuts mean latency by {} at equal accuracy; at equal latency budgets it \
              serves +{:.2}% accuracy",
             wl.label,
             fmt_pct(latency_cut),
-            acc_sushi - acc_no
+            accuracy_gain
         ));
         report.add_section(format!("{} variants", wl.label), t);
     }
@@ -118,54 +136,65 @@ pub fn fig16(opts: &ExpOptions) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::both_workloads;
 
-    fn satisfied_fraction(report: &ExpReport, model: &str, policy: &str) -> f64 {
-        let note =
-            report.notes.iter().find(|n| n.starts_with(model) && n.contains(policy)).unwrap();
-        let frac = note.split(": ").nth(1).unwrap().split(' ').next().unwrap();
-        let mut parts = frac.split('/');
-        let num: f64 = parts.next().unwrap().parse().unwrap();
-        let den: f64 = parts.next().unwrap().parse().unwrap();
-        num / den
+    fn satisfied_fraction(policy: Policy) -> Vec<(&'static str, f64)> {
+        both_workloads()
+            .iter()
+            .map(|wl| {
+                let runs = fig15_for(wl, &ExpOptions::quick());
+                let (_, records, satisfied) = runs.iter().find(|(p, _, _)| *p == policy).unwrap();
+                (wl.label, *satisfied as f64 / records.len() as f64)
+            })
+            .collect()
     }
 
     #[test]
     fn fig15_strict_accuracy_is_always_met() {
-        let r = fig15(&ExpOptions::quick());
-        for model in ["ResNet50", "MobV3"] {
-            assert_eq!(satisfied_fraction(&r, model, "strict accuracy"), 1.0, "{model}");
+        for (model, f) in satisfied_fraction(Policy::StrictAccuracy) {
+            assert_eq!(f, 1.0, "{model}");
         }
     }
 
     #[test]
     fn fig15_strict_latency_mostly_met() {
-        let r = fig15(&ExpOptions::quick());
-        for model in ["ResNet50", "MobV3"] {
-            let f = satisfied_fraction(&r, model, "strict latency");
+        for (model, f) in satisfied_fraction(Policy::StrictLatency) {
             assert!(f > 0.85, "{model}: only {f} satisfied");
         }
     }
 
     #[test]
     fn fig16_sushi_beats_no_sushi() {
-        let r = fig16(&ExpOptions::quick());
-        for section in &r.sections {
-            let t = &section.1;
-            let lat = |row: usize| -> f64 { t.cell(row, 1).unwrap().parse().unwrap() };
-            let no_sushi = lat(0);
-            let sushi = lat(2);
-            assert!(sushi < no_sushi, "{}: {sushi} !< {no_sushi}", section.0);
+        for wl in both_workloads() {
+            let (rows, _, _) = fig16_for(&wl, &ExpOptions::quick());
+            let (no_sushi, sushi) = (rows[0].1, rows[2].1);
+            assert!(sushi < no_sushi, "{}: {sushi} !< {no_sushi}", wl.label);
         }
     }
 
     #[test]
     fn fig16_full_sushi_at_least_matches_state_unaware() {
-        let r = fig16(&ExpOptions::quick());
-        for section in &r.sections {
-            let t = &section.1;
-            let no_sched: f64 = t.cell(1, 1).unwrap().parse().unwrap();
-            let sushi: f64 = t.cell(2, 1).unwrap().parse().unwrap();
-            assert!(sushi <= no_sched * 1.02, "{}: {sushi} vs {no_sched}", section.0);
+        for wl in both_workloads() {
+            let (rows, _, _) = fig16_for(&wl, &ExpOptions::quick());
+            let (no_sched, sushi) = (rows[1].1, rows[2].1);
+            assert!(sushi <= no_sched * 1.02, "{}: {sushi} vs {no_sched}", wl.label);
+        }
+    }
+
+    /// The latency cut compares variants only if they all serve the same
+    /// queries, drawn from the board with its PB even for No-SUSHI.
+    #[test]
+    fn fig16_every_run_serves_one_stream_from_the_pb_board() {
+        let opts = ExpOptions::quick();
+        for wl in both_workloads() {
+            let expected = wl.stream(&zcu104(), 0x16, &opts);
+            assert_ne!(expected, wl.stream(&zcu104().without_pb(), 0x16, &opts), "{}", wl.label);
+            let runs = fig16_runs(&wl, &opts);
+            assert_eq!(runs.len(), 5);
+            for (variant, policy, records) in runs {
+                let queries: Vec<_> = records.iter().map(|r| r.query).collect();
+                assert_eq!(queries, expected, "{} {variant:?} {policy:?}", wl.label);
+            }
         }
     }
 }

@@ -572,6 +572,21 @@ mod tests {
             let built = sim(SimConfig { control: Some(control), ..SimConfig::default() });
             assert!(matches!(built, Err(SushiError::Config(_))), "{what} was accepted");
         }
+        // A batch policy written as a struct literal skips `BatchPolicy::new`'s
+        // checks; the builder makes them again.
+        let bad_batches = [
+            ("max_batch = 0", BatchPolicy { max_batch: 0, max_wait_ms: 1.0 }),
+            ("max_wait_ms = NaN", BatchPolicy { max_batch: 4, max_wait_ms: f64::NAN }),
+            ("max_wait_ms = -1", BatchPolicy { max_batch: 4, max_wait_ms: -1.0 }),
+            ("max_wait_ms = inf", BatchPolicy { max_batch: 4, max_wait_ms: f64::INFINITY }),
+        ];
+        for (what, batch) in bad_batches {
+            let built = sim(SimConfig { batch, ..SimConfig::default() });
+            assert!(matches!(built, Err(SushiError::Config(_))), "{what} was accepted");
+        }
+        let net = Arc::new(zoo::toy_supernet());
+        let err = EngineBuilder::new().workload(net, vec![]).build().expect_err("no SubNets");
+        assert!(matches!(&err, SushiError::Config(m) if m == "serving set is empty"), "{err}");
     }
 
     #[test]

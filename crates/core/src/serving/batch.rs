@@ -48,28 +48,23 @@ impl BatchPolicy {
     }
 
     /// Whether the head-of-line batch is ready to dispatch at `now_ms`.
-    #[must_use]
-    pub fn ready(&self, queue: &AdmissionQueue, now_ms: f64) -> bool {
-        match queue.head() {
-            None => false,
-            // The timeout test must be written exactly as `ready_at`
-            // computes it (`arrival + max_wait`), not as `now - arrival >=
-            // max_wait`: the two roundings can disagree by one ulp, and the
-            // event loop relies on `ready(queue, ready_at(queue))` being
-            // true to make progress.
-            Some(head) => {
-                queue.count_row_tier(head.subnet_row, head.tier) >= self.max_batch
-                    || now_ms >= head.timed.arrival_ms + self.max_wait_ms
-            }
-        }
+    pub(crate) fn ready(&self, queue: &AdmissionQueue, now_ms: f64) -> bool {
+        // The timeout test must be written exactly as `ready_at` computes
+        // it (`arrival + max_wait`), not as `now - arrival >= max_wait`:
+        // the two roundings can disagree by one ulp, and the event loop
+        // relies on `ready(queue, ready_at(queue))` being true to make
+        // progress.
+        queue.head().is_some_and(|head| {
+            queue.count_row_tier(head.subnet_row, head.tier) >= self.max_batch
+                || now_ms >= head.timed.arrival_ms + self.max_wait_ms
+        })
     }
 
     /// The earliest future time the head-of-line batch becomes ready by
     /// timeout (`None` when the queue is empty). If the size trigger has
     /// already fired, this time is in the past and the caller dispatches
     /// immediately.
-    #[must_use]
-    pub fn ready_at(&self, queue: &AdmissionQueue) -> Option<f64> {
+    pub(crate) fn ready_at(&self, queue: &AdmissionQueue) -> Option<f64> {
         queue.head().map(|head| head.timed.arrival_ms + self.max_wait_ms)
     }
 
@@ -77,14 +72,11 @@ impl BatchPolicy {
     /// the head's SubNet row and tenant tier, FIFO order). Call only when
     /// [`Self::ready`]; returns an empty vec on an empty queue.
     #[must_use]
-    pub fn form(&self, queue: &mut AdmissionQueue, now_ms: f64) -> Vec<QueuedQuery> {
-        match queue.head() {
-            None => Vec::new(),
-            Some(head) => {
-                let (row, tier) = (head.subnet_row, head.tier);
-                queue.take_row_tier(now_ms, row, tier, self.max_batch)
-            }
-        }
+    pub(crate) fn form(&self, queue: &mut AdmissionQueue, now_ms: f64) -> Vec<QueuedQuery> {
+        let Some(&QueuedQuery { subnet_row, tier, .. }) = queue.head() else {
+            return Vec::new();
+        };
+        queue.take_row_tier(now_ms, subnet_row, tier, self.max_batch)
     }
 }
 
@@ -187,5 +179,57 @@ mod tests {
         assert!(!policy.ready(&q, 100.0));
         assert_eq!(policy.ready_at(&q), None);
         assert!(policy.form(&mut q, 100.0).is_empty());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A formed batch never crosses a cache-install boundary: queries
+        /// admitted under different resident SubGraphs resolve to different
+        /// SubNet rows (their admission-time decision), and `form` only ever
+        /// extracts queries sharing the head-of-line row, in FIFO order, at
+        /// most `max_batch` of them.
+        #[test]
+        fn batches_never_cross_a_cache_install_boundary(
+            epoch_sizes in proptest::collection::vec(1usize..6, 1..5),
+            max_batch in 1usize..8,
+        ) {
+            // Each epoch models the queries admitted between two cache
+            // installs; the install changes the scheduler's decision, so each
+            // epoch gets a distinct SubNet row.
+            let mut q = AdmissionQueue::new(64, DropPolicy::DropNewest);
+            let mut id = 0u64;
+            let mut arrival = 0.0;
+            for (epoch, &count) in epoch_sizes.iter().enumerate() {
+                for _ in 0..count {
+                    arrival += 1.0;
+                    id += 1;
+                    let timed = TimedQuery::new(arrival, Query::new(id, 0.7, 1e6));
+                    let item = QueuedQuery { timed, subnet_row: epoch, tier: TenantTier::Standard };
+                    prop_assert!(q.offer(arrival, item).is_none());
+                }
+            }
+            let policy = BatchPolicy::new(max_batch, 0.0);
+            let mut last_id = 0u64;
+            while let Some(head) = q.head().copied() {
+                prop_assert!(policy.ready(&q, arrival + 1.0));
+                let batch = policy.form(&mut q, arrival + 1.0);
+                prop_assert!(!batch.is_empty() && batch.len() <= max_batch);
+                for b in &batch {
+                    prop_assert_eq!(
+                        b.subnet_row, head.subnet_row,
+                        "a batch mixed rows {} and {}: it crossed an install boundary",
+                        head.subnet_row, b.subnet_row
+                    );
+                    // FIFO within the batch (ids were assigned in arrival order).
+                    prop_assert!(b.timed.query.id > last_id);
+                    last_id = b.timed.query.id;
+                }
+            }
+            // Everything admitted was eventually batched.
+            prop_assert_eq!(last_id, id);
+        }
     }
 }

@@ -282,7 +282,7 @@ struct ReplicaFaults {
 /// plan, whose methods enact nothing and draw nothing. It is also where
 /// the serving loop asks a replica the questions that mix the pool's
 /// clocks and caches with up/down and health: [`Self::free`],
-/// [`Self::warmth`], [`Self::release_ms`] and [`Self::straggler_scale`].
+/// [`Self::free_warmth`], [`Self::release_ms`] and [`Self::straggler_scale`].
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     opts: FaultOptions,
@@ -429,15 +429,25 @@ impl FaultRuntime {
         self.dispatchable(w) && pool.busy_until_ms(w) <= now_ms
     }
 
-    /// How warm replica `w` is for serving-set row `row`: how much of the
-    /// row's weights its resident SubGraph holds, or `0` when its cache
-    /// does not count as warm (down, quarantined, or `Warming`).
-    pub(crate) fn warmth(&self, pool: &ExecutorPool, w: usize, row: usize) -> f64 {
-        if self.cache_warm(w) {
-            pool.overlap(w, row)
-        } else {
-            0.0
-        }
+    /// How warm each replica is for serving-set row `row` at `now_ms`:
+    /// `None` for a replica that `skip` excludes or that is not
+    /// [`Self::free`], else how much of the row's weights its resident
+    /// SubGraph holds — `0` when its cache does not count as warm
+    /// (`Warming`). The routing views and the hedge's backup pick both
+    /// rank replicas by it.
+    pub(crate) fn free_warmth(
+        &self,
+        pool: &ExecutorPool,
+        now_ms: f64,
+        row: usize,
+        skip: impl Fn(usize) -> bool,
+    ) -> Vec<Option<f64>> {
+        (0..self.replicas.len())
+            .map(|w| {
+                let free = !skip(w) && self.free(pool, w, now_ms);
+                free.then(|| if self.cache_warm(w) { pool.overlap(w, row) } else { 0.0 })
+            })
+            .collect()
     }
 
     /// Service-time multiplier of a batch dispatched to replica `w` now:
@@ -586,7 +596,7 @@ impl FaultRuntime {
                 }
                 None => DropReason::RetryBudgetExhausted,
             };
-            dropped.push(DroppedQuery { timed: q.timed, reason, tier: q.tier });
+            dropped.push(q.dropped(reason));
         }
     }
 

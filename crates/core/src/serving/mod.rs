@@ -13,8 +13,8 @@
 //! * [`arrivals::ArrivalProcess`] — open-loop Poisson / MMPP / diurnal
 //!   arrival-time generators, attached to constraint streams via
 //!   [`crate::stream::attach_arrivals`] ([`crate::stream::TimedQuery`]).
-//! * [`queue::AdmissionQueue`] — bounded admission with drop/deadline
-//!   policies and time-weighted depth accounting.
+//! * [`queue`] — the bounded admission queue (crate-private), shedding
+//!   per a [`queue::DropPolicy`], with time-weighted depth accounting.
 //! * [`batch::BatchPolicy`] — size/timeout hybrid batching keyed on the
 //!   scheduler's SubNet decision.
 //! * [`routing::RoutingPolicy`] — which free replica a ready batch is
@@ -40,6 +40,11 @@
 //! * [`scenario`] — canned presets (`steady`, `burst`, `diurnal`,
 //!   `multi_tenant`, …, `scale`) behind `repro serve` and the
 //!   `BENCH_serve.json` baseline.
+//!
+//! The queue, the batcher's triggers and the router's views are the
+//! loop's mechanism and stay crate-private: configuration goes in through
+//! [`SimConfig`] and its parts, and results come out as [`SimResult`],
+//! [`ServedQuery`] and [`DroppedQuery`].
 //!
 //! See `docs/SERVING.md` for the queueing model and SLO semantics.
 //!
@@ -87,8 +92,8 @@ pub mod sim;
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchPolicy;
 pub use fault::{FaultOptions, FaultSummary};
-pub use queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery};
-pub use routing::{ReplicaView, RoutingPolicy};
+pub use queue::{DropPolicy, DropReason, DroppedQuery};
+pub use routing::RoutingPolicy;
 pub use scenario::{
     build_scenario, preset_bench_rows, run_functional_scaling, run_scenario,
     run_scenario_unsupervised, Scenario, ServePreset, FUNCTIONAL_SCALING_POINTS,

@@ -3,9 +3,15 @@
 //! Arriving queries are admitted into a single FIFO of bounded capacity.
 //! When the queue is full, the configured [`DropPolicy`] picks a victim;
 //! dropped queries count as SLO violations in the serving report (a shed
-//! query is a broken promise, not a free pass). The queue also integrates
-//! its depth over simulated time so the report can state the *time-weighted*
-//! mean depth, not just a per-event average.
+//! query is a broken promise, not a free pass). Every drop of the serving
+//! loop, here or elsewhere, is built by `QueuedQuery::dropped`.
+//!
+//! The queue integrates its depth over simulated time, so the report can
+//! state the *time-weighted* mean depth, not just a per-event average. It
+//! also adds up the length of each stay as it ends — at dispatch, at
+//! eviction, in the deadline sweep and in the end-of-run drain — so the
+//! serving loop can check Little's law on every debug run: the depth
+//! integral equals the summed stays.
 
 use std::collections::VecDeque;
 
@@ -27,7 +33,7 @@ pub enum DropPolicy {
 
 /// A query waiting for dispatch, with its admission-time SubNet decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueuedQuery {
+pub(crate) struct QueuedQuery {
     /// The query and its arrival time.
     pub timed: TimedQuery,
     /// SubNet row chosen by the scheduler at admission (the batching key).
@@ -35,6 +41,14 @@ pub struct QueuedQuery {
     /// Priority tier of the query's tenant ([`TenantTier::Standard`] when
     /// the run has no tenant configuration).
     pub tier: TenantTier,
+}
+
+impl QueuedQuery {
+    /// This query, shed for `reason` — the one place a [`DroppedQuery`]
+    /// is built.
+    pub(crate) fn dropped(self, reason: DropReason) -> DroppedQuery {
+        DroppedQuery { timed: self.timed, reason, tier: self.tier }
+    }
 }
 
 /// Why a query was dropped.
@@ -80,11 +94,14 @@ pub struct DroppedQuery {
 
 /// Bounded FIFO admission queue with time-weighted depth accounting.
 #[derive(Debug, Clone)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     capacity: usize,
     policy: DropPolicy,
-    items: VecDeque<QueuedQuery>,
+    /// Queued queries in FIFO order, each with the instant its stay began.
+    items: VecDeque<(QueuedQuery, f64)>,
     depth_integral_ms: f64,
+    /// Summed length of every stay that has ended, ms.
+    stay_ms: f64,
     last_event_ms: f64,
     max_depth: usize,
     ewma_depth: f64,
@@ -96,14 +113,14 @@ impl AdmissionQueue {
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize, policy: DropPolicy) -> Self {
+    pub(crate) fn new(capacity: usize, policy: DropPolicy) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             capacity,
             policy,
             items: VecDeque::with_capacity(capacity),
             depth_integral_ms: 0.0,
+            stay_ms: 0.0,
             last_event_ms: 0.0,
             max_depth: 0,
             ewma_depth: 0.0,
@@ -118,54 +135,53 @@ impl AdmissionQueue {
     /// # Panics
     /// Panics if `tau_ms` is negative or not finite.
     #[must_use]
-    pub fn with_depth_tau(mut self, tau_ms: f64) -> Self {
+    pub(crate) fn with_depth_tau(mut self, tau_ms: f64) -> Self {
         assert!(tau_ms.is_finite() && tau_ms >= 0.0, "depth tau must be finite and >= 0");
         self.depth_tau_ms = tau_ms;
         self
     }
 
     /// Current queue depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         self.items.len()
     }
 
     /// Deepest the queue has ever been.
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
+    pub(crate) fn max_depth(&self) -> usize {
         self.max_depth
     }
 
     /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// The oldest queued query, if any.
-    #[must_use]
-    pub fn head(&self) -> Option<&QueuedQuery> {
-        self.items.front()
+    pub(crate) fn head(&self) -> Option<&QueuedQuery> {
+        self.items.front().map(|(q, _)| q)
+    }
+
+    /// Queued queries, oldest first.
+    fn queued(&self) -> impl Iterator<Item = &QueuedQuery> {
+        self.items.iter().map(|(q, _)| q)
     }
 
     /// Number of queued queries with `subnet_row` *and* `tier` — the
     /// tier-affine batching key.
-    #[must_use]
-    pub fn count_row_tier(&self, subnet_row: usize, tier: TenantTier) -> usize {
-        self.items.iter().filter(|q| q.subnet_row == subnet_row && q.tier == tier).count()
+    pub(crate) fn count_row_tier(&self, subnet_row: usize, tier: TenantTier) -> usize {
+        self.queued().filter(|q| q.subnet_row == subnet_row && q.tier == tier).count()
     }
 
     /// Number of queued queries in `tier`.
-    #[must_use]
-    pub fn count_tier(&self, tier: TenantTier) -> usize {
-        self.items.iter().filter(|q| q.tier == tier).count()
+    pub(crate) fn count_tier(&self, tier: TenantTier) -> usize {
+        self.queued().filter(|q| q.tier == tier).count()
     }
 
     /// The oldest queued query in `tier`, if any (per-tier head-of-line
     /// signal).
-    #[must_use]
-    pub fn head_tier(&self, tier: TenantTier) -> Option<&QueuedQuery> {
-        self.items.iter().find(|q| q.tier == tier)
+    pub(crate) fn head_tier(&self, tier: TenantTier) -> Option<&QueuedQuery> {
+        self.queued().find(|q| q.tier == tier)
     }
 
     /// Advances the depth integral (and the EWMA, if enabled) to `now`
@@ -183,11 +199,31 @@ impl AdmissionQueue {
         self.last_event_ms = now_ms;
     }
 
+    /// Removes, in FIFO order, every queued query that `pick` selects,
+    /// ending each one's stay at `now_ms`. The depth integral must already
+    /// be advanced to `now_ms`.
+    fn remove(
+        &mut self,
+        now_ms: f64,
+        mut pick: impl FnMut(&QueuedQuery) -> bool,
+    ) -> Vec<QueuedQuery> {
+        let (mut removed, mut stays) = (Vec::new(), 0.0);
+        self.items.retain(|&(q, since_ms)| {
+            let leaves = pick(&q);
+            if leaves {
+                removed.push(q);
+                stays += now_ms - since_ms;
+            }
+            !leaves
+        });
+        self.stay_ms += stays;
+        removed
+    }
+
     /// Exponentially-smoothed queue depth as of `now_ms`. Read-only: the
     /// stored EWMA state is not advanced. Returns the raw depth when
     /// smoothing is disabled (see [`Self::with_depth_tau`]).
-    #[must_use]
-    pub fn smoothed_depth(&self, now_ms: f64) -> f64 {
+    pub(crate) fn smoothed_depth(&self, now_ms: f64) -> f64 {
         let depth = self.items.len() as f64;
         if self.depth_tau_ms <= 0.0 {
             return depth;
@@ -196,37 +232,25 @@ impl AdmissionQueue {
         depth + (self.ewma_depth - depth) * (-dt / self.depth_tau_ms).exp()
     }
 
-    /// Offers an arriving query. Returns the victim if one was shed.
+    /// Offers an arriving (or re-admitted) query, which starts a stay at
+    /// `now_ms` if admitted. Returns the victim if one was shed.
     ///
     /// Under [`DropPolicy::DeadlineAware`] a query whose deadline has
     /// already lapsed at `now_ms` is refused outright — admitting it would
     /// only burn queue capacity and accelerator time on a guaranteed
     /// violation that the dispatch-time sweep would shed anyway.
-    pub fn offer(&mut self, now_ms: f64, item: QueuedQuery) -> Option<DroppedQuery> {
+    pub(crate) fn offer(&mut self, now_ms: f64, item: QueuedQuery) -> Option<DroppedQuery> {
         self.advance(now_ms);
         if self.policy == DropPolicy::DeadlineAware && item.timed.deadline_ms() < now_ms {
-            return Some(DroppedQuery {
-                timed: item.timed,
-                reason: DropReason::DeadlineLapsed,
-                tier: item.tier,
-            });
+            return Some(item.dropped(DropReason::DeadlineLapsed));
         }
         let victim = if self.items.len() < self.capacity {
             None
         } else {
-            match self.policy {
-                DropPolicy::DropNewest => {
-                    return Some(DroppedQuery {
-                        timed: item.timed,
-                        reason: DropReason::QueueFull,
-                        tier: item.tier,
-                    });
-                }
-                DropPolicy::DropOldest => self.items.pop_front().map(|q| DroppedQuery {
-                    timed: q.timed,
-                    reason: DropReason::QueueFull,
-                    tier: q.tier,
-                }),
+            // The FIFO position to evict; `None` refuses the newcomer.
+            let evict = match self.policy {
+                DropPolicy::DropNewest => None,
+                DropPolicy::DropOldest => Some(0),
                 DropPolicy::DeadlineAware => {
                     // Best-effort first: the victim is drawn from the
                     // most-droppable tier present (highest shed
@@ -235,8 +259,7 @@ impl AdmissionQueue {
                     // goes first). With a single tier this degenerates to
                     // the plain earliest-deadline rule.
                     let (idx, prec, earliest) = self
-                        .items
-                        .iter()
+                        .queued()
                         .enumerate()
                         .map(|(i, q)| (i, q.tier.shed_precedence(), q.timed.deadline_ms()))
                         .reduce(|best, cand| {
@@ -252,22 +275,16 @@ impl AdmissionQueue {
                     let incoming_loses = item.tier.shed_precedence() > prec
                         || (item.tier.shed_precedence() == prec
                             && item.timed.deadline_ms() < earliest);
-                    if incoming_loses {
-                        return Some(DroppedQuery {
-                            timed: item.timed,
-                            reason: DropReason::QueueFull,
-                            tier: item.tier,
-                        });
-                    }
-                    self.items.remove(idx).map(|q| DroppedQuery {
-                        timed: q.timed,
-                        reason: DropReason::QueueFull,
-                        tier: q.tier,
-                    })
+                    (!incoming_loses).then_some(idx)
                 }
-            }
+            };
+            let Some((victim, since_ms)) = evict.and_then(|idx| self.items.remove(idx)) else {
+                return Some(item.dropped(DropReason::QueueFull));
+            };
+            self.stay_ms += now_ms - since_ms;
+            Some(victim.dropped(DropReason::QueueFull))
         };
-        self.items.push_back(item);
+        self.items.push_back((item, now_ms));
         self.max_depth = self.max_depth.max(self.items.len());
         victim
     }
@@ -276,32 +293,20 @@ impl AdmissionQueue {
     /// lapsed at `now_ms`. Only meaningful under
     /// [`DropPolicy::DeadlineAware`]; the FIFO policies let doomed queries
     /// occupy their slot (and later count as served-late violations).
-    pub fn sweep_lapsed(&mut self, now_ms: f64) -> Vec<DroppedQuery> {
+    pub(crate) fn sweep_lapsed(&mut self, now_ms: f64) -> Vec<DroppedQuery> {
         self.advance(now_ms);
         if self.policy != DropPolicy::DeadlineAware {
             return Vec::new();
         }
-        let mut lapsed = Vec::new();
-        self.items.retain(|q| {
-            if q.timed.deadline_ms() < now_ms {
-                lapsed.push(DroppedQuery {
-                    timed: q.timed,
-                    reason: DropReason::DeadlineLapsed,
-                    tier: q.tier,
-                });
-                false
-            } else {
-                true
-            }
-        });
-        lapsed
+        let lapsed = self.remove(now_ms, |q| q.timed.deadline_ms() < now_ms);
+        lapsed.into_iter().map(|q| q.dropped(DropReason::DeadlineLapsed)).collect()
     }
 
     /// Removes up to `max` queued queries matching both `subnet_row` and
     /// `tier`, in FIFO order — the dynamic batcher's extraction step. Keeps
     /// batches tier-affine so a latency-critical query never rides (and
     /// waits for) a best-effort batch.
-    pub fn take_row_tier(
+    pub(crate) fn take_row_tier(
         &mut self,
         now_ms: f64,
         subnet_row: usize,
@@ -309,34 +314,36 @@ impl AdmissionQueue {
         max: usize,
     ) -> Vec<QueuedQuery> {
         self.advance(now_ms);
-        let mut taken = Vec::new();
-        self.items.retain(|q| {
-            if taken.len() < max && q.subnet_row == subnet_row && q.tier == tier {
-                taken.push(*q);
-                false
-            } else {
-                true
-            }
-        });
-        taken
+        let mut taken = 0;
+        self.remove(now_ms, |q| {
+            let take = taken < max && q.subnet_row == subnet_row && q.tier == tier;
+            taken += usize::from(take);
+            take
+        })
     }
 
     /// Removes and returns everything still queued, in FIFO order (the
     /// serving loop's end-of-run drain when no replica is left to serve
     /// them).
-    pub fn drain(&mut self, now_ms: f64) -> Vec<QueuedQuery> {
+    pub(crate) fn drain(&mut self, now_ms: f64) -> Vec<QueuedQuery> {
         self.advance(now_ms);
-        self.items.drain(..).collect()
+        self.remove(now_ms, |_| true)
     }
 
     /// Time-weighted mean depth over `[0, end_ms]`.
     ///
     /// # Panics
     /// Panics if `end_ms` is not positive or precedes the last event.
-    #[must_use]
-    pub fn mean_depth(&self, end_ms: f64) -> f64 {
+    pub(crate) fn mean_depth(&self, end_ms: f64) -> f64 {
         assert!(end_ms > 0.0 && end_ms >= self.last_event_ms, "bad horizon");
         (self.depth_integral_ms + self.items.len() as f64 * (end_ms - self.last_event_ms)) / end_ms
+    }
+
+    /// Summed length of every stay that has ended, ms. Once the queue is
+    /// empty, Little's law says this equals the depth integral,
+    /// `mean_depth(end) × end`.
+    pub(crate) fn stay_ms(&self) -> f64 {
+        self.stay_ms
     }
 }
 
@@ -557,5 +564,241 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = AdmissionQueue::new(0, DropPolicy::DropNewest);
+    }
+
+    #[test]
+    fn stays_end_at_every_exit_and_sum_to_the_depth_integral() {
+        let mut q = AdmissionQueue::new(2, DropPolicy::DeadlineAware);
+        let _ = q.offer(0.0, qq(0, 0.0, 100.0)); // deadline 100
+        let _ = q.offer(1.0, qq(1, 1.0, 3.0)); // deadline 4, evicted at 2
+        let _ = q.offer(2.0, qq(2, 2.0, 50.0)); // deadline 52, swept at 60
+        let _ = q.take_row_tier(5.0, 0, TenantTier::Standard, 1); // query 0 leaves
+        assert_eq!(q.stay_ms(), 1.0 + 5.0);
+        assert!(q.sweep_lapsed(60.0).len() == 1 && q.is_empty());
+        // A re-admission starts a new stay; the drain ends it.
+        let _ = q.offer(70.0, qq(0, 0.0, 100.0));
+        let _ = q.drain(75.0);
+        assert_eq!(q.stay_ms(), 1.0 + 5.0 + 58.0 + 5.0);
+        assert!((q.mean_depth(80.0) * 80.0 - q.stay_ms()).abs() < 1e-12);
+    }
+
+    // Properties over random operation sequences.
+
+    use proptest::prelude::*;
+
+    fn item(
+        id: u64,
+        arrival_ms: f64,
+        lat_ms: f64,
+        subnet_row: usize,
+        tier: TenantTier,
+    ) -> QueuedQuery {
+        QueuedQuery {
+            timed: TimedQuery::new(arrival_ms, Query::new(id, 0.7, lat_ms)),
+            subnet_row,
+            tier,
+        }
+    }
+
+    fn tier_strategy() -> impl Strategy<Value = TenantTier> {
+        (0usize..3).prop_map(|i| TenantTier::ALL[i])
+    }
+
+    /// One randomized queue operation (applied at a strictly advancing clock).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Offer { lat_ms: f64, row: usize, tier: TenantTier },
+        Sweep,
+        TakeRow { row: usize, tier: TenantTier, max: usize },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0.5f64..40.0, 0usize..3, tier_strategy()).prop_map(|(lat_ms, row, tier)| Op::Offer {
+                lat_ms,
+                row,
+                tier
+            }),
+            Just(Op::Sweep),
+            (0usize..3, tier_strategy(), 1usize..6).prop_map(|(row, tier, max)| Op::TakeRow {
+                row,
+                tier,
+                max
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Depth accounting is conserved and non-negative under arbitrary
+        /// admit/drop/pop interleavings, for every drop policy: every offered
+        /// query ends up in exactly one of {queued, dropped, taken} — globally
+        /// *and within its own tenant tier* — the depth never exceeds
+        /// capacity, and both depth aggregates (time-weighted mean, EWMA) stay
+        /// within `[0, max_depth]`.
+        #[test]
+        fn queue_depth_accounting_is_conserved(
+            policy_pick in 0usize..3,
+            capacity in 1usize..12,
+            tau_ms in 0.0f64..20.0,
+            ops in proptest::collection::vec((0.01f64..8.0, op_strategy()), 1..80),
+        ) {
+            let policy = [DropPolicy::DropNewest, DropPolicy::DropOldest, DropPolicy::DeadlineAware]
+                [policy_pick];
+            let mut q = AdmissionQueue::new(capacity, policy).with_depth_tau(tau_ms);
+            let (mut now, mut offered, mut dropped, mut taken) = (0.0f64, 0usize, 0usize, 0usize);
+            // The same accounting, partitioned by tenant tier.
+            let mut offered_t = [0usize; 3];
+            let mut dropped_t = [0usize; 3];
+            let mut taken_t = [0usize; 3];
+            let mut next_id = 0u64;
+            for (dt, op) in ops {
+                now += dt;
+                match op {
+                    Op::Offer { lat_ms, row, tier } => {
+                        offered += 1;
+                        offered_t[tier.index()] += 1;
+                        next_id += 1;
+                        if let Some(victim) = q.offer(now, item(next_id, now, lat_ms, row, tier)) {
+                            dropped += 1;
+                            dropped_t[victim.tier.index()] += 1;
+                        }
+                    }
+                    Op::Sweep => {
+                        for victim in q.sweep_lapsed(now) {
+                            dropped += 1;
+                            dropped_t[victim.tier.index()] += 1;
+                        }
+                    }
+                    Op::TakeRow { row, tier, max } => {
+                        for popped in q.take_row_tier(now, row, tier, max) {
+                            prop_assert!(popped.subnet_row == row && popped.tier == tier);
+                            taken += 1;
+                            taken_t[popped.tier.index()] += 1;
+                        }
+                    }
+                }
+                // Conservation: nothing is ever double-counted or lost.
+                prop_assert_eq!(offered, q.depth() + dropped + taken);
+                prop_assert!(q.depth() <= capacity);
+                prop_assert!(q.depth() <= q.max_depth());
+                // Per-(row, tier) counts partition the queue.
+                let by_row_tier: usize = (0..3)
+                    .flat_map(|r| TenantTier::ALL.map(|t| q.count_row_tier(r, t)))
+                    .sum();
+                prop_assert_eq!(by_row_tier, q.depth());
+                // Per-tier counts partition it too, and each tier's own
+                // accounting closes: admitted = queued + shed + taken.
+                let by_tier: usize = TenantTier::ALL.iter().map(|&t| q.count_tier(t)).sum();
+                prop_assert_eq!(by_tier, q.depth());
+                for tier in TenantTier::ALL {
+                    let i = tier.index();
+                    prop_assert_eq!(
+                        offered_t[i], q.count_tier(tier) + dropped_t[i] + taken_t[i],
+                        "tier {} accounting leaked", tier.name()
+                    );
+                }
+                // Aggregates stay inside the envelope the raw depth traced out.
+                let mean = q.mean_depth(now + 1e-9);
+                prop_assert!(mean >= 0.0 && mean <= q.max_depth() as f64 + 1e-9);
+                let smoothed = q.smoothed_depth(now);
+                prop_assert!(
+                    smoothed >= -1e-9 && smoothed <= q.max_depth() as f64 + 1e-9,
+                    "smoothed depth {smoothed} escaped [0, {}]", q.max_depth()
+                );
+                if tau_ms == 0.0 {
+                    prop_assert_eq!(smoothed, q.depth() as f64);
+                }
+            }
+        }
+
+        /// Little's law on the queue alone: whatever the operations, once
+        /// the queue is drained the depth integral over `[0, end]` equals
+        /// the summed stays, within 1e-9 relative.
+        #[test]
+        fn stays_sum_to_the_depth_integral(
+            policy_pick in 0usize..3,
+            capacity in 1usize..12,
+            ops in proptest::collection::vec((0.01f64..8.0, op_strategy()), 1..80),
+        ) {
+            let policy = [DropPolicy::DropNewest, DropPolicy::DropOldest, DropPolicy::DeadlineAware]
+                [policy_pick];
+            let mut q = AdmissionQueue::new(capacity, policy);
+            let mut now = 0.0f64;
+            for (id, (dt, op)) in (0u64..).zip(ops) {
+                now += dt;
+                match op {
+                    Op::Offer { lat_ms, row, tier } => {
+                        let _ = q.offer(now, item(id, now, lat_ms, row, tier));
+                    }
+                    Op::Sweep => {
+                        let _ = q.sweep_lapsed(now);
+                    }
+                    Op::TakeRow { row, tier, max } => {
+                        let _ = q.take_row_tier(now, row, tier, max);
+                    }
+                }
+            }
+            let _ = q.drain(now + 1.0);
+            let end = now + 2.0;
+            let integral = q.mean_depth(end) * end;
+            prop_assert!(
+                (integral - q.stay_ms()).abs() <= 1e-9 * integral.max(q.stay_ms()),
+                "depth integral {integral} != summed stays {}", q.stay_ms()
+            );
+        }
+
+        /// Deadline-aware shedding is best-effort first: when capacity forces
+        /// a drop, the victim always comes from the most-droppable tier
+        /// present in the contention set (queue plus the arriving query). In
+        /// particular a latency-critical query is never shed while a
+        /// best-effort or standard one was available to shed instead. Lapsed
+        /// arrivals are exempt — refusing an already-dead query is deadline
+        /// semantics, not shedding order.
+        #[test]
+        fn deadline_aware_sheds_best_effort_first(
+            capacity in 1usize..8,
+            offers in proptest::collection::vec(
+                (0.01f64..5.0, 0.5f64..60.0, 0usize..3, tier_strategy()),
+                1..60,
+            ),
+        ) {
+            let mut q = AdmissionQueue::new(capacity, DropPolicy::DeadlineAware);
+            let mut now = 0.0f64;
+            let mut next_id = 0u64;
+            for (dt, lat_ms, row, tier) in offers {
+                now += dt;
+                next_id += 1;
+                let incoming = item(next_id, now, lat_ms, row, tier);
+                let lapsed = incoming.timed.deadline_ms() < now;
+                // Tier census of the contention set before the offer.
+                let mut present = [0usize; 3];
+                for t in TenantTier::ALL {
+                    present[t.index()] = q.count_tier(t);
+                }
+                present[tier.index()] += 1;
+                let at_capacity = q.depth() == capacity;
+                let victim = q.offer(now, incoming);
+                if lapsed {
+                    continue;
+                }
+                if let Some(v) = &victim {
+                    prop_assert_eq!(v.reason, DropReason::QueueFull);
+                    prop_assert!(at_capacity, "a non-full queue shed a query");
+                    let worst_present = TenantTier::ALL
+                        .iter()
+                        .filter(|t| present[t.index()] > 0)
+                        .map(|t| t.shed_precedence())
+                        .max()
+                        .expect("contention set is non-empty");
+                    prop_assert_eq!(
+                        v.tier.shed_precedence(), worst_present,
+                        "shed a {} query while a more droppable tier was present",
+                        v.tier.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! choice becomes a placement decision: dispatching to a replica whose
 //! resident SubGraph already covers the batch's SubNet serves from a warm
 //! Persistent Buffer, while a mismatched replica pays cold latency. A
-//! [`RoutingPolicy`] makes that choice from per-replica [`ReplicaView`]
+//! [`RoutingPolicy`] makes that choice from per-replica `ReplicaView`
 //! snapshots — a pure function of the views (plus a round-robin cursor),
 //! so routing is deterministic, platform-independent, and directly
 //! property-testable without a pool in hand.
@@ -42,7 +42,7 @@ impl RoutingPolicy {
     /// read/advanced by [`RoutingPolicy::RoundRobin`]. Starvation-free by
     /// construction: whenever any view is free, a free one is chosen.
     #[must_use]
-    pub fn choose(self, views: &[ReplicaView], rr_cursor: &mut usize) -> Option<usize> {
+    pub(crate) fn choose(self, views: &[ReplicaView], rr_cursor: &mut usize) -> Option<usize> {
         let least_loaded = |pred: &dyn Fn(&ReplicaView) -> bool| {
             views
                 .iter()
@@ -80,7 +80,7 @@ impl std::fmt::Display for RoutingPolicy {
 
 /// One replica, as the routing decision sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaView {
+pub(crate) struct ReplicaView {
     /// Whether the replica can take a batch right now (idle and not
     /// already claimed by an earlier batch of the same dispatch group).
     pub free: bool,
@@ -152,6 +152,123 @@ mod tests {
         for p in all {
             let named = all.into_iter().filter(|q| q.name() == p.name());
             assert_eq!(named.collect::<Vec<_>>(), vec![p]);
+        }
+    }
+
+    // Properties: `choose` is a pure function over `ReplicaView` snapshots,
+    // so its contract is directly checkable — determinism, free-replica-only
+    // picks, starvation freedom under round-robin, and cache affinity never
+    // skipping a free replica whose resident SubGraph already covers the
+    // query.
+
+    use proptest::prelude::*;
+
+    fn bool_strategy() -> impl Strategy<Value = bool> {
+        (0usize..2).prop_map(|b| b == 1)
+    }
+
+    fn view_strategy() -> impl Strategy<Value = ReplicaView> {
+        (bool_strategy(), 0.0f64..500.0, bool_strategy())
+            .prop_map(|(free, busy_until_ms, covers)| ReplicaView { free, busy_until_ms, covers })
+    }
+
+    fn policy_strategy() -> impl Strategy<Value = RoutingPolicy> {
+        prop_oneof![
+            Just(RoutingPolicy::LeastLoaded),
+            Just(RoutingPolicy::RoundRobin),
+            Just(RoutingPolicy::CacheAffinity),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Same views + same cursor → same pick: routing adds no hidden state
+        /// beyond the round-robin cursor, so replays are bit-identical.
+        #[test]
+        fn routing_is_deterministic(
+            policy in policy_strategy(),
+            views in proptest::collection::vec(view_strategy(), 1..9),
+            cursor in 0usize..32,
+        ) {
+            let mut c1 = cursor;
+            let mut c2 = cursor;
+            let a = policy.choose(&views, &mut c1);
+            let b = policy.choose(&views, &mut c2);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(c1, c2, "cursor evolution must be deterministic too");
+        }
+
+        /// A pick is always a free replica; `None` only when none is free.
+        #[test]
+        fn routing_picks_only_free_replicas(
+            policy in policy_strategy(),
+            views in proptest::collection::vec(view_strategy(), 1..9),
+            cursor in 0usize..32,
+        ) {
+            let mut c = cursor;
+            match policy.choose(&views, &mut c) {
+                Some(w) => prop_assert!(views[w].free, "picked busy replica {}", w),
+                None => prop_assert!(views.iter().all(|v| !v.free)),
+            }
+        }
+
+        /// Round-robin is starvation-free: dispatching repeatedly over an
+        /// all-free pool visits every replica within one full cycle.
+        #[test]
+        fn round_robin_never_starves_a_replica(
+            n in 1usize..9,
+            cursor in 0usize..32,
+            busy in proptest::collection::vec(0.0f64..500.0, 8),
+        ) {
+            let views: Vec<ReplicaView> = (0..n)
+                .map(|w| ReplicaView { free: true, busy_until_ms: busy[w], covers: w % 2 == 0 })
+                .collect();
+            let mut c = cursor;
+            let mut visited = vec![false; n];
+            for _ in 0..n {
+                let w = RoutingPolicy::RoundRobin.choose(&views, &mut c).expect("all free");
+                visited[w] = true;
+            }
+            prop_assert!(visited.iter().all(|&v| v), "cycle skipped a replica: {:?}", visited);
+        }
+
+        /// Cache affinity never skips a free replica whose resident SubGraph
+        /// covers the query: if any free view has `covers`, the pick does too.
+        #[test]
+        fn cache_affinity_never_skips_a_free_affine_replica(
+            views in proptest::collection::vec(view_strategy(), 1..9),
+            cursor in 0usize..32,
+        ) {
+            let mut c = cursor;
+            let affine_free_exists = views.iter().any(|v| v.free && v.covers);
+            if let Some(w) = RoutingPolicy::CacheAffinity.choose(&views, &mut c) {
+                if affine_free_exists {
+                    prop_assert!(
+                        views[w].covers,
+                        "picked a cold replica {} while a warm one was free", w
+                    );
+                }
+            } else {
+                prop_assert!(!affine_free_exists);
+            }
+        }
+
+        /// Every policy falls back to a deterministic free pick when no replica
+        /// covers the query — affinity must not trade starvation for warmth.
+        #[test]
+        fn routing_with_no_coverage_still_dispatches(
+            policy in policy_strategy(),
+            busy in proptest::collection::vec((bool_strategy(), 0.0f64..500.0), 1..9),
+            cursor in 0usize..32,
+        ) {
+            let views: Vec<ReplicaView> = busy
+                .iter()
+                .map(|&(free, b)| ReplicaView { free, busy_until_ms: b, covers: false })
+                .collect();
+            let mut c = cursor;
+            let pick = policy.choose(&views, &mut c);
+            prop_assert_eq!(pick.is_some(), views.iter().any(|v| v.free));
         }
     }
 }

@@ -10,19 +10,27 @@
 //! 1. **Admission.** Each arrival is scheduled immediately
 //!    (`Scheduler::decide`, in arrival order, so the AvgNet state stream is
 //!    reproducible) and enqueued tagged with its SubNet row; the bounded
-//!    [`AdmissionQueue`] sheds load per its [`DropPolicy`]. Cache decisions
-//!    are *routed*: the next dispatched batch's worker installs the new
-//!    SubGraph and its swap time lands on that batch — charged against the
-//!    deadlines then in flight — while other replicas keep their resident
-//!    state (which is what cache-affinity routing exploits).
+//!    admission queue sheds load per its [`DropPolicy`]. Every drop, there
+//!    or in the fault runtime, is built by `QueuedQuery::dropped`. Cache
+//!    decisions are *routed*: the next dispatched batch's worker installs
+//!    the new SubGraph and its swap time lands on that batch — charged
+//!    against the deadlines then in flight — while other replicas keep
+//!    their resident state (which is what cache-affinity routing exploits).
 //! 2. **Dispatch.** At each instant the loop forms one ready head-of-line
 //!    batch ([`BatchPolicy`]) per free worker, routes each batch to a
 //!    replica via the configured [`RoutingPolicy`] (claiming it for this
 //!    group), and executes the whole group concurrently through the
-//!    backend; every query in a batch completes at its batch end.
+//!    backend; every query in a batch completes at its batch end. The
+//!    routing views and a tail hedge's backup rank replicas by one
+//!    warmth (`FaultRuntime::free_warmth`), and the group and each hedge
+//!    go through one helper (`ServingSim::dispatch`) that plans, dispatches
+//!    and charges swap time and crash re-installs.
 //! 3. **Accounting.** End-to-end latency (queueing + swap + service) feeds
 //!    a streaming [`LatencyHistogram`]; drops and deadline misses both
-//!    count against SLO attainment.
+//!    count against SLO attainment. Every debug run checks conservation
+//!    per tier (each admitted query is served or dropped exactly once,
+//!    under its tier) and Little's law: the time-weighted mean depth
+//!    times the makespan equals the queue's summed stays.
 //!
 //! The per-query replay (`serve_stream`) drives the same scheduler and
 //! pool, one query at a time on worker 0, and differs from the event loop
@@ -53,7 +61,7 @@ use sushi_wsnet::{SubNet, SuperNet};
 use crate::error::SushiError;
 use crate::metrics::{LatencyHistogram, ServeSummary};
 use crate::serving::batch::BatchPolicy;
-use crate::serving::executor::{ExecutorPool, PlannedBatch};
+use crate::serving::executor::{Dispatched, ExecutorPool, PlannedBatch};
 use crate::serving::fault::{FaultOptions, FaultRuntime, FaultSummary};
 use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery, QueuedQuery};
 use crate::serving::routing::{ReplicaView, RoutingPolicy};
@@ -631,11 +639,8 @@ impl ServingSim {
                     self.pool.route_install(col);
                     cache_installs += 1;
                 }
-                if let Some(victim) =
-                    queue.offer(now, QueuedQuery { timed, subnet_row: decision.subnet_row, tier })
-                {
-                    dropped.push(victim);
-                }
+                let offered = QueuedQuery { timed, subnet_row: decision.subnet_row, tier };
+                dropped.extend(queue.offer(now, offered));
             }
 
             // Dispatch: form one ready batch per free worker at this
@@ -645,8 +650,7 @@ impl ServingSim {
             loop {
                 dropped.extend(queue.sweep_lapsed(now));
                 let mut claimed = vec![false; self.pool.num_workers()];
-                let mut plan: Vec<PlannedBatch> = Vec::new();
-                let mut pending: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
+                let mut group: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
                 loop {
                     let free = |w: usize| !claimed[w] && fault.free(&self.pool, w, now);
                     if !(0..claimed.len()).any(free) || !batch_policy.ready(&queue, now) {
@@ -659,15 +663,13 @@ impl ServingSim {
                     // installs make residency heterogeneous, so under
                     // cache-affinity routing a swap-heavy mix keeps each
                     // band on the replica already holding its weights.
-                    let warm: Vec<f64> = (0..claimed.len())
-                        .map(|w| if free(w) { fault.warmth(&self.pool, w, row) } else { 0.0 })
-                        .collect();
-                    let warmest = warm.iter().copied().fold(0.0, f64::max);
+                    let warm = fault.free_warmth(&self.pool, now, row, |w| claimed[w]);
+                    let warmest = warm.iter().flatten().copied().fold(0.0, f64::max);
                     let views: Vec<ReplicaView> = (0..claimed.len())
                         .map(|w| ReplicaView {
-                            free: free(w),
+                            free: warm[w].is_some(),
                             busy_until_ms: self.pool.busy_until_ms(w),
-                            covers: warmest > 0.0 && warm[w] == warmest,
+                            covers: warmest > 0.0 && warm[w] == Some(warmest),
                         })
                         .collect();
                     let worker =
@@ -677,25 +679,14 @@ impl ServingSim {
                             )
                         })?;
                     claimed[worker] = true;
-                    plan.push(PlannedBatch {
-                        worker,
-                        row,
-                        query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
-                        scale: fault.straggler_scale(worker),
-                    });
-                    pending.push((row, batch));
+                    group.push((worker, batch));
                 }
-                if plan.is_empty() {
+                if group.is_empty() {
                     break;
                 }
-                let results =
-                    self.pool.dispatch_group(now, &self.net, &self.subnets, backend, &plan)?;
-                // Swap is summed in dispatch order: the group, then hedges.
-                for (report, _) in &results {
-                    swap_ms += report.swap_ms;
-                    fault.summary.cache_reinstalls += usize::from(report.reinstall);
-                }
-                for ((row, batch), (mut report, mut outputs)) in pending.into_iter().zip(results) {
+                let planned = group.iter().map(|(worker, batch)| (*worker, &batch[..]));
+                let results = self.dispatch(backend, now, &mut fault, &mut swap_ms, planned)?;
+                for ((_, batch), (mut report, mut outputs)) in group.into_iter().zip(results) {
                     if fault.roll_transient() {
                         // The batch burned its service slot and failed
                         // retryably at completion.
@@ -709,38 +700,18 @@ impl ServingSim {
                         continue;
                     }
                     // Tail hedge: race a straggling batch's duplicate on the
-                    // warmest free healthy replica.
+                    // warmest free healthy replica, lowest index on ties.
+                    let row = batch[0].subnet_row;
                     if fault.should_hedge(report.completion_ms - report.start_ms) {
-                        let mut backup: Option<(usize, f64)> = None;
-                        for w in 0..self.pool.num_workers() {
-                            if w == report.worker || !fault.free(&self.pool, w, now) {
-                                continue;
-                            }
-                            let warm = fault.warmth(&self.pool, w, row);
-                            if backup.is_none_or(|(_, best)| warm > best) {
-                                backup = Some((w, warm));
-                            }
-                        }
-                        if let Some((bw, _)) = backup {
-                            let hedge_plan = [PlannedBatch {
-                                worker: bw,
-                                row,
-                                query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
-                                scale: fault.straggler_scale(bw),
-                            }];
+                        let warm = fault.free_warmth(&self.pool, now, row, |w| w == report.worker);
+                        let warmest =
+                            warm.iter().flatten().copied().fold(f64::NEG_INFINITY, f64::max);
+                        if let Some(backup) = warm.iter().position(|&x| x == Some(warmest)) {
+                            let hedge = [(backup, &batch[..])];
                             let (hreport, houts) = self
-                                .pool
-                                .dispatch_group(
-                                    now,
-                                    &self.net,
-                                    &self.subnets,
-                                    backend,
-                                    &hedge_plan,
-                                )?
+                                .dispatch(backend, now, &mut fault, &mut swap_ms, hedge)?
                                 .pop()
                                 .expect("one planned batch, one result");
-                            swap_ms += hreport.swap_ms;
-                            fault.summary.cache_reinstalls += usize::from(hreport.reinstall);
                             if fault.settle_hedge(&mut self.pool, &report, &hreport) {
                                 report = hreport;
                                 outputs = houts;
@@ -807,23 +778,31 @@ impl ServingSim {
         // waiting out a retry backoff) can never be served: account every
         // survivor as dropped so conservation holds.
         let stranded = queue.drain(now).into_iter().chain(fault.take_retries());
-        dropped.extend(stranded.map(|q| DroppedQuery {
-            timed: q.timed,
-            reason: DropReason::ReplicaLost,
-            tier: q.tier,
-        }));
+        dropped.extend(stranded.map(|q| q.dropped(DropReason::ReplicaLost)));
         assert_eq!(
             served.len() + dropped.len(),
             stream.len(),
             "conservation: every admitted query must be served or dropped exactly once"
         );
+        debug_assert!(
+            conserved_per_tier(stream, self.config.control, &served, &dropped),
+            "conservation: per tier, the admitted (tenant, id)s must be the served and dropped ones"
+        );
         let makespan_ms =
             self.pool.drain_ms().max(stream.last().map_or(0.0, |tq| tq.arrival_ms)).max(now);
+        let mean_queue_depth = queue.mean_depth(makespan_ms.max(f64::MIN_POSITIVE));
+        // Little's law: the queue is empty now, so the depth integral over
+        // the run equals the summed stays of every admission.
+        let (integral, stays) = (mean_queue_depth * makespan_ms, queue.stay_ms());
+        debug_assert!(
+            (integral - stays).abs() <= 1e-9 * integral.max(stays),
+            "Little's law: mean depth x makespan {integral} != summed queue stays {stays} ms"
+        );
         let fault_summary = fault.finish(makespan_ms);
         Ok(SimResult {
             served,
             dropped,
-            mean_queue_depth: queue.mean_depth(makespan_ms.max(f64::MIN_POSITIVE)),
+            mean_queue_depth,
             max_queue_depth: queue.max_depth(),
             batches,
             cache_installs,
@@ -844,6 +823,60 @@ impl ServingSim {
             faults: self.config.faults.map(|_| fault_summary),
         })
     }
+
+    /// Plans one batch per `(worker, batch)` pair, dispatches them at `now`
+    /// as one group, and charges each its PB swap time and any crash
+    /// re-install, in plan order. Every dispatch of [`Self::run`] — a
+    /// routed group, or one hedge — goes through here; the group goes
+    /// first and its hedges after, and that order of summation keeps
+    /// `swap_ms` bit-identical.
+    fn dispatch<'q>(
+        &mut self,
+        backend: &mut dyn ExecutionBackend,
+        now: f64,
+        fault: &mut FaultRuntime,
+        swap_ms: &mut f64,
+        batches: impl IntoIterator<Item = (usize, &'q [QueuedQuery])>,
+    ) -> Result<Vec<Dispatched>, SushiError> {
+        let plan: Vec<PlannedBatch> = batches
+            .into_iter()
+            .map(|(worker, batch)| PlannedBatch {
+                worker,
+                row: batch[0].subnet_row,
+                query_ids: batch.iter().map(|q| q.timed.query.id).collect(),
+                scale: fault.straggler_scale(worker),
+            })
+            .collect();
+        let results = self.pool.dispatch_group(now, &self.net, &self.subnets, backend, &plan)?;
+        for (report, _) in &results {
+            *swap_ms += report.swap_ms;
+            fault.summary.cache_reinstalls += usize::from(report.reinstall);
+        }
+        Ok(results)
+    }
+}
+
+/// Whether every query of `stream` left the run exactly once — served or
+/// dropped — under the tier its tenant maps to: the admitted and the
+/// departed `(tier, tenant, id)` multisets agree, so per tier, admitted =
+/// served + dropped. A debug-run check of [`ServingSim::run`].
+fn conserved_per_tier(
+    stream: &[TimedQuery],
+    control: Option<TenantOptions>,
+    served: &[ServedQuery],
+    dropped: &[DroppedQuery],
+) -> bool {
+    let tier_of = |tenant| control.map_or(TenantTier::Standard, |opts| opts.tier_of(tenant));
+    let mut admitted: Vec<_> =
+        stream.iter().map(|tq| (tier_of(tq.tenant).index(), tq.tenant, tq.query.id)).collect();
+    let mut departed: Vec<_> = served
+        .iter()
+        .map(|s| (s.tier.index(), s.tenant, s.query.id))
+        .chain(dropped.iter().map(|d| (d.tier.index(), d.timed.tenant, d.timed.query.id)))
+        .collect();
+    admitted.sort_unstable();
+    departed.sort_unstable();
+    admitted == departed
 }
 
 #[cfg(test)]

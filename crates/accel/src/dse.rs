@@ -101,7 +101,8 @@ pub fn evaluate_point(
     }
 }
 
-/// Sweeps the full grid, parallelized across design points.
+/// Sweeps the full grid serially, PB size outermost and geometry
+/// innermost.
 #[must_use]
 pub fn sweep(
     base: &AccelConfig,
@@ -109,28 +110,15 @@ pub fn sweep(
     subnets: &[SubNet],
     grid: &DseGrid,
 ) -> Vec<DsePoint> {
-    let mut jobs = Vec::new();
+    let mut points = Vec::new();
     for &pb in &grid.pb_bytes {
         for &bw in &grid.bw_gbps {
             for &geo in &grid.geometries {
-                jobs.push((pb, bw, geo));
+                points.push(evaluate_point(base, net, subnets, pb, bw, geo));
             }
         }
     }
-    std::thread::scope(|scope| {
-        let workers =
-            std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len().max(1));
-        let chunk = jobs.len().div_ceil(workers);
-        let mut handles = Vec::new();
-        for part in jobs.chunks(chunk.max(1)) {
-            handles.push(scope.spawn(move || {
-                part.iter()
-                    .map(|&(pb, bw, geo)| evaluate_point(base, net, subnets, pb, bw, geo))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles.into_iter().flat_map(|h| h.join().expect("DSE worker panicked")).collect::<Vec<_>>()
-    })
+    points
 }
 
 #[cfg(test)]

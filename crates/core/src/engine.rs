@@ -326,11 +326,6 @@ impl EngineBuilder {
         if self.sim.queue_capacity == 0 {
             return Err(SushiError::Config("queue capacity must be at least 1".into()));
         }
-        if let Some(opts) = &self.sim.control {
-            if let Err(e) = opts.validate() {
-                return Err(SushiError::Config(e));
-            }
-        }
         if let Some(opts) = &self.sim.faults {
             if let Err(e) = opts.validate() {
                 return Err(SushiError::Config(e));
@@ -561,17 +556,6 @@ mod tests {
         assert!(sim(SimConfig { queue_capacity: 0, ..SimConfig::default() }).is_err());
         let bad_faults = FaultOptions { transient_rate: 2.0, ..FaultOptions::default() };
         assert!(sim(SimConfig { faults: Some(bad_faults), ..SimConfig::default() }).is_err());
-        // An incoherent controller is a config error, never a panic in
-        // `TenantPolicy::new`.
-        let bad_controls = [
-            ("empty band", TenantOptions { upgrade_threshold: 0.4, ..TenantOptions::global() }),
-            ("NaN dwell", TenantOptions { dwell_ms: f64::NAN, ..TenantOptions::default() }),
-            ("shield < 1", TenantOptions { shield: 0.5, ..TenantOptions::default() }),
-        ];
-        for (what, control) in bad_controls {
-            let built = sim(SimConfig { control: Some(control), ..SimConfig::default() });
-            assert!(matches!(built, Err(SushiError::Config(_))), "{what} was accepted");
-        }
         // A batch policy written as a struct literal skips `BatchPolicy::new`'s
         // checks; the builder makes them again.
         let bad_batches = [

@@ -261,18 +261,12 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
                 attach_arrivals(&icu, &icu_arrivals),
             ]);
             // Adaptive runs are tiered: the AV navigation tenant is
-            // latency-critical and the bursty ICU tenant runs best-effort
+            // latency-critical and the bursty ICU tenant runs best-effort,
             // with the arrival predictor watching its MMPP inter-arrival
             // statistics.
-            // Shield 4.0 pins the latency-critical ladder above reachable
-            // pressure (it simply never degrades) while the best-effort
-            // ladder sheds accuracy at the first sign of load — the
-            // empirically best point of a shield sweep: beyond ~5 the
-            // curves saturate, below ~2.5 the LC ladder starts thrashing
-            // with the shared signal and aggregate goodput drops.
             if opts.adaptive {
                 control = Some(
-                    TenantOptions { shield: 4.0, predictor: true, ..TenantOptions::default() }
+                    TenantOptions::global()
                         .with_tier(0, TenantTier::LatencyCritical)
                         .with_tier(1, TenantTier::BestEffort),
                 );

@@ -89,7 +89,8 @@ pub struct SimConfig {
     /// pre-adaptive runtime), built afresh by every serving run. Untiered options
     /// ([`TenantOptions::global`]) run one global ladder with every query
     /// tagged [`TenantTier::Standard`] and no tier machinery; options
-    /// with a tier map run one ladder per tier.
+    /// with a tier map run one ladder per tier and the arrival predictor
+    /// over best-effort arrivals.
     pub control: Option<TenantOptions>,
     /// Deterministic fault injection and supervision. `None` is the empty
     /// plan — every rate zero, no supervisor — run by the same loop; it
@@ -351,7 +352,7 @@ pub(crate) fn check_constraints(q: &Query) -> Result<(), SushiError> {
 /// recovery. A count-based window has the same failure in miniature (at CI
 /// sizing, 64 completions can be half the run), so entries age out by
 /// simulated time instead — the window is `2 x` the controller's reference
-/// scale (two dwell periods by default): within a couple of permitted
+/// scale (two dwell periods): within a couple of permitted
 /// level changes, stale-level latencies have fully aged out. The hedge
 /// threshold feeds it recent batch *service* times (dispatch →
 /// completion), which is what a straggling replica inflates.

@@ -110,7 +110,7 @@ fn run_case(c: &FaultCase) -> (SimResult, Vec<TimedQuery>) {
     let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(4);
 
     let control = c.tenants.then(|| {
-        TenantOptions::default()
+        TenantOptions::global()
             .with_tier(0, TenantTier::LatencyCritical)
             .with_tier(1, TenantTier::Standard)
             .with_tier(2, TenantTier::BestEffort)
@@ -319,7 +319,7 @@ proptest! {
                         0 => None,
                         1 => Some(TenantOptions::global()),
                         _ => Some(
-                            TenantOptions::default()
+                            TenantOptions::global()
                                 .with_tier(0, TenantTier::LatencyCritical)
                                 .with_tier(1, TenantTier::BestEffort),
                         ),

@@ -23,7 +23,7 @@
 //!   *early* and upgrades *late*, latency-critical the reverse — and a
 //!   coupling rule keeps the ladders ordered (`LatencyCritical ≤ Standard
 //!   ≤ BestEffort` degradation level at all times), so shedding accuracy
-//!   always starts at the bottom of the priority order. An optional
+//!   always starts at the bottom of the priority order. The
 //!   [`ArrivalPredictor`] turns detected bursts in the best-effort tier's
 //!   arrivals into a feed-forward pressure boost.
 //! * At level `d` a ladder *shapes* queries before they reach the
@@ -35,6 +35,8 @@
 //!   is cheaper under the current column and therefore survives more
 //!   degradation levels than an uncovered SubNet of equal cold latency.
 //!
+//! The one configuration knob is [`TenantOptions`]' tier map; thresholds,
+//! tier bias and dwell are constants or derived from the latency table.
 //! The global controller is the untiered case ([`TenantOptions::global`]):
 //! one ladder on the base thresholds serves every tenant — no shield, no
 //! predictor, no per-tier signals. Everything here is deterministic and
@@ -143,70 +145,66 @@ impl TierSignals {
     }
 }
 
-/// Knobs of the load controller, written as a struct literal over
-/// [`Default`] (tiered) or [`TenantOptions::global`] (untiered). `Copy`,
-/// so it can live inside the serving `SimConfig` without breaking
-/// by-value plumbing. The tail-pressure reference scale (`2 ×` the mean
-/// cold latency), the deepest level (every rung of the ladder) and the
-/// batch-cap floor (1) are not knobs: [`TenantPolicy::new`] derives the
-/// first two from the latency table.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Pressure at which a `Standard` ladder degrades one level. The outer
+/// tiers scale it by their [`tier_factor`].
+const DEGRADE_AT: f64 = 0.4;
+
+/// Pressure at which a `Standard` ladder upgrades one level, biased per
+/// tier like [`DEGRADE_AT`]. The gap between the two is the hysteresis
+/// dead band.
+const UPGRADE_AT: f64 = 0.15;
+
+/// Threshold bias between tiers: latency-critical thresholds are the
+/// base thresholds × `SHIELD` (degrades late, upgrades early), best-effort
+/// ones divide by it (degrades early, upgrades late).
+///
+/// 4.0 pins the latency-critical degrade threshold (1.6) above reachable
+/// pressure, so that ladder never degrades, while the best-effort ladder
+/// sheds accuracy at the first sign of load. It is the best point of a
+/// shield sweep on the `multi_tenant` preset: beyond ~5 the curves
+/// saturate, below ~2.5 the latency-critical ladder starts thrashing with
+/// the shared signal and aggregate goodput drops.
+const SHIELD: f64 = 4.0;
+
+/// Threshold multiplier for a tier: [`SHIELD`] for latency-critical, 1 for
+/// standard, `1 / SHIELD` for best-effort.
+fn tier_factor(tier: TenantTier) -> f64 {
+    match tier {
+        TenantTier::LatencyCritical => SHIELD,
+        TenantTier::Standard => 1.0,
+        TenantTier::BestEffort => 1.0 / SHIELD,
+    }
+}
+
+/// How the load controller partitions traffic: the tenant tier map, or
+/// none. `Copy`, so it can live inside the serving `SimConfig`.
+///
+/// Everything else about the controller is fixed or derived from the
+/// latency table by [`TenantPolicy::new`]: the base thresholds, the tier
+/// bias, the dwell (the serving set's mean cold latency), the
+/// tail-pressure reference scale (twice that), the deepest level (every
+/// rung of the ladder) and the batch-cap floor (1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantOptions {
-    /// Degrade one level when pressure reaches this threshold. The
-    /// `Standard` tier uses it verbatim; the outer tiers scale it by
-    /// [`shield`](Self::shield).
-    pub degrade_threshold: f64,
-    /// Upgrade one level when pressure falls to this threshold. Must be
-    /// strictly below `degrade_threshold`; the gap is the hysteresis dead
-    /// band. Biased per tier like `degrade_threshold`.
-    pub upgrade_threshold: f64,
-    /// Minimum simulated time between level changes of one ladder, ms
-    /// (`0.0` ⇒ derive the serving set's mean cold latency: one step per
-    /// service time, so the controller reacts at the cadence it receives
-    /// completion evidence and a burst one dwell long can only move one
-    /// level).
-    pub dwell_ms: f64,
     /// Tier assignment per tenant id (index = tenant id). Ids at or
     /// beyond [`MAX_TENANT_SLOTS`] default to [`TenantTier::Standard`].
     /// `None` is the untiered (global) controller: one ladder on the base
-    /// thresholds serves every tenant, and `predictor` and `shield` —
-    /// which only differentiate tiers — are not consulted.
+    /// thresholds serves every tenant. A tier map runs one ladder per
+    /// tier and the [`ArrivalPredictor`] over best-effort arrivals.
     pub tiers: Option<[TenantTier; MAX_TENANT_SLOTS]>,
-    /// Runs the feed-forward [`ArrivalPredictor`] over the best-effort
-    /// tier's arrivals; `false` leaves the tiers purely reactive.
-    pub predictor: bool,
-    /// Threshold bias between tiers (≥ 1). Latency-critical thresholds
-    /// are the base thresholds × `shield` (degrades late, upgrades
-    /// early); best-effort divides by it (degrades early, upgrades
-    /// late). `1.0` makes all tiers share the base thresholds — priority
-    /// then only affects shedding order, batch affinity and the ladder
-    /// ordering rule.
-    pub shield: f64,
-}
-
-impl Default for TenantOptions {
-    fn default() -> Self {
-        TenantOptions {
-            degrade_threshold: 0.4,
-            upgrade_threshold: 0.15,
-            dwell_ms: 0.0,
-            tiers: Some([TenantTier::Standard; MAX_TENANT_SLOTS]),
-            predictor: false,
-            shield: 1.5,
-        }
-    }
 }
 
 impl TenantOptions {
-    /// The global controller: no tier map, so one ladder on the default
-    /// base thresholds serves all traffic.
+    /// The global controller: no tier map, so one ladder on the base
+    /// thresholds serves all traffic.
     #[must_use]
     pub fn global() -> Self {
-        TenantOptions { tiers: None, predictor: false, shield: 1.0, ..TenantOptions::default() }
+        TenantOptions { tiers: None }
     }
 
-    /// Assigns `tier` to `tenant` (starting a tier map if the options
-    /// were untiered). Panics if `tenant >= MAX_TENANT_SLOTS`.
+    /// Assigns `tier` to `tenant` (starting a tier map, every other
+    /// tenant `Standard`, if the options were untiered). Panics if
+    /// `tenant >= MAX_TENANT_SLOTS`.
     #[must_use]
     pub fn with_tier(mut self, tenant: u32, tier: TenantTier) -> Self {
         let slot = tenant as usize;
@@ -215,48 +213,11 @@ impl TenantOptions {
         self
     }
 
-    /// Threshold multiplier for a tier: `shield` for latency-critical,
-    /// 1 for standard, `1 / shield` for best-effort.
-    fn tier_factor(&self, tier: TenantTier) -> f64 {
-        match tier {
-            TenantTier::LatencyCritical => self.shield,
-            TenantTier::Standard => 1.0,
-            TenantTier::BestEffort => 1.0 / self.shield,
-        }
-    }
-
     /// Tier of a tenant id (`Standard` for out-of-range ids and for
     /// every id of an untiered configuration).
     pub fn tier_of(&self, tenant: u32) -> TenantTier {
         let assigned = self.tiers.as_ref().and_then(|t| t.get(tenant as usize));
         assigned.copied().unwrap_or(TenantTier::Standard)
-    }
-
-    /// Whether the knob combination is coherent (builder validation).
-    ///
-    /// # Errors
-    /// Returns a description of the first incoherent knob.
-    pub fn validate(&self) -> Result<(), String> {
-        let finite_nonneg = |v: f64| v.is_finite() && v >= 0.0;
-        if !finite_nonneg(self.degrade_threshold) || !finite_nonneg(self.upgrade_threshold) {
-            return Err("adaptive thresholds must be finite and non-negative".into());
-        }
-        if !finite_nonneg(self.dwell_ms) {
-            return Err("adaptive dwell must be finite and non-negative".into());
-        }
-        if !self.shield.is_finite() || self.shield < 1.0 {
-            return Err("tenant shield must be a finite factor >= 1".into());
-        }
-        // Every tier's biased band must stay non-empty (the standard
-        // tier's factor is exactly 1, so this includes the base band).
-        let (deg, up) = (self.degrade_threshold, self.upgrade_threshold);
-        if TenantTier::ALL.iter().any(|&t| up * self.tier_factor(t) >= deg * self.tier_factor(t)) {
-            return Err(format!(
-                "adaptive hysteresis band is empty: upgrade threshold {up} must be below \
-                 degrade threshold {deg} for every tier"
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -293,9 +254,9 @@ pub struct TierState {
 struct Ladder {
     state: TierState,
     last_change_ms: f64,
-    /// `degrade_threshold × tier factor`.
+    /// [`DEGRADE_AT`] × [`tier_factor`].
     degrade_at: f64,
-    /// `upgrade_threshold × tier factor`.
+    /// [`UPGRADE_AT`] × [`tier_factor`].
     upgrade_at: f64,
 }
 
@@ -322,19 +283,13 @@ pub struct TenantPolicy {
     scale_ms: f64,
     /// One per tier in priority order, or the single shared ladder.
     ladders: Vec<Ladder>,
+    /// Runs exactly when the policy is tiered.
     predictor: Option<ArrivalPredictor>,
 }
 
 impl TenantPolicy {
     /// Builds the ladders from `table` under `policy`.
-    ///
-    /// # Panics
-    /// Panics when `opts` fail [`TenantOptions::validate`] — the engine
-    /// builder surfaces the same condition as a config error first.
     pub fn new(table: &LatencyTable, policy: Policy, opts: TenantOptions) -> Self {
-        if let Err(e) = opts.validate() {
-            panic!("invalid TenantOptions: {e}");
-        }
         let mut rungs: Vec<usize> = (0..table.num_rows()).collect();
         rungs.sort_by(|&a, &b| {
             table
@@ -347,24 +302,24 @@ impl TenantPolicy {
                 / table.num_rows() as f64;
         let tiers: &[TenantTier] =
             if opts.tiers.is_some() { &TenantTier::ALL } else { &[TenantTier::Standard] };
-        let ladder = |&tier: &TenantTier| {
-            let f = opts.tier_factor(tier);
-            Ladder {
-                state: TierState { tier, level: 0, degrades: 0, upgrades: 0 },
-                last_change_ms: f64::NEG_INFINITY,
-                degrade_at: opts.degrade_threshold * f,
-                upgrade_at: opts.upgrade_threshold * f,
-            }
+        let ladder = |&tier: &TenantTier| Ladder {
+            state: TierState { tier, level: 0, degrades: 0, upgrades: 0 },
+            last_change_ms: f64::NEG_INFINITY,
+            degrade_at: DEGRADE_AT * tier_factor(tier),
+            upgrade_at: UPGRADE_AT * tier_factor(tier),
         };
         TenantPolicy {
             policy,
             opts,
             rungs,
-            dwell_ms: if opts.dwell_ms > 0.0 { opts.dwell_ms } else { mean_cold },
+            // One step per service time: the controller reacts at the
+            // cadence it receives completion evidence, and a burst one
+            // dwell long can only move one level.
+            dwell_ms: mean_cold,
             // The tail scale is the scenario presets' deadline floor.
             scale_ms: 2.0 * mean_cold,
             ladders: tiers.iter().map(ladder).collect(),
-            predictor: opts.predictor.then(ArrivalPredictor::new),
+            predictor: opts.tiers.is_some().then(ArrivalPredictor::new),
         }
     }
 
@@ -565,6 +520,8 @@ impl TenantPolicy {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::table::test_support::{subnet, synthetic_latency};
 
@@ -758,25 +715,144 @@ mod tests {
     }
 
     #[test]
-    fn invalid_options_are_rejected() {
-        let global = TenantOptions::global();
-        let inverted = TenantOptions { degrade_threshold: 0.2, upgrade_threshold: 0.5, ..global };
-        assert!(inverted.validate().is_err());
-        assert!(TenantOptions { dwell_ms: f64::NAN, ..global }.validate().is_err());
-        assert!(global.validate().is_ok());
+    fn predictor_runs_exactly_when_tiered() {
+        // The same burst of best-effort arrivals — calm 10 ms gaps, then
+        // 1 ms ones — raises best-effort pressure on a tiered policy and
+        // leaves an untiered one at zero.
+        let t = table();
+        let tiered_opts = TenantOptions::global().with_tier(1, TenantTier::BestEffort);
+        let mut tiered = TenantPolicy::new(&t, Policy::StrictAccuracy, tiered_opts);
+        let mut untiered = policy();
+        let mut now = 0.0;
+        for gap in std::iter::repeat_n(10.0, 64).chain(std::iter::repeat_n(1.0, 32)) {
+            now += gap;
+            tiered.observe_arrival(TenantTier::BestEffort, now);
+            untiered.observe_arrival(TenantTier::BestEffort, now);
+        }
+        let idle = TierSignals::uniform(LoadSignal::idle(now));
+        assert_eq!(tiered.effective_pressure(TenantTier::BestEffort, &idle), 1.0);
+        assert_eq!(untiered.effective_pressure(TenantTier::BestEffort, &idle), 0.0);
+        assert_eq!(tiered.effective_pressure(TenantTier::Standard, &idle), 0.0);
+        assert!(untiered.observe(&idle).is_empty(), "no pressure, no step");
+        let events = tiered.observe(&idle);
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].tier, events[0].level), (TenantTier::BestEffort, 1));
     }
 
-    #[test]
-    #[should_panic(expected = "invalid TenantOptions")]
-    fn policy_construction_checks_options() {
-        let _ = TenantPolicy::new(
-            &table(),
-            Policy::StrictAccuracy,
-            TenantOptions {
-                degrade_threshold: 0.1,
-                upgrade_threshold: 0.9,
-                ..TenantOptions::global()
-            },
-        );
+    /// `n` rows of increasing size and accuracy over `m` candidate
+    /// columns, latency falling with vector overlap.
+    fn make_table(n: usize, m: usize) -> LatencyTable {
+        let subnets: Vec<_> =
+            (1..=n).map(|i| subnet(&format!("sn{i}"), i, 0.70 + 0.02 * i as f64)).collect();
+        let candidates = (1..=m).map(|j| subnet(&format!("g{j}"), j, 0.0).graph).collect();
+        LatencyTable::build(&subnets, candidates, synthetic_latency)
+    }
+
+    /// Sets every ladder of `p` to the base thresholds (tier factor
+    /// 1) and its dwell to `dwell_ms`.
+    fn unshielded(mut p: TenantPolicy, dwell_ms: f64) -> TenantPolicy {
+        for l in &mut p.ladders {
+            (l.degrade_at, l.upgrade_at) = (DEGRADE_AT, UPGRADE_AT);
+        }
+        p.dwell_ms = dwell_ms;
+        p
+    }
+
+    fn signal_at(now_ms: f64, depth: f64, p99_ms: f64) -> LoadSignal {
+        // An empty-queue head (infinite slack) leaves depth and tail
+        // in charge, so pressure moves both ways.
+        LoadSignal {
+            now_ms,
+            queue_depth: depth,
+            queue_capacity: 32,
+            p99_ms,
+            head_slack_ms: f64::INFINITY,
+            head_budget_ms: 0.0,
+            quarantined_frac: 0.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// With every tier on the base thresholds (tier factor 1), no
+        /// best-effort arrivals for the predictor, and no per-tier
+        /// signals, every tier's level trajectory is step-for-step
+        /// identical to the untiered policy (`TenantOptions::global`,
+        /// one ladder) fed the same signals — the tiered controller is
+        /// the global one, three times over. Both shape every tier's
+        /// query identically at every level, under every cache column,
+        /// and agree on the batch cap.
+        #[test]
+        fn uniform_tenancy_tracks_the_global_controller(
+            n in 2usize..8,
+            dwell in 1.0f64..50.0,
+            steps in proptest::collection::vec(
+                (0.01f64..30.0, 0.0f64..64.0, 0.0f64..200.0),
+                1..60,
+            ),
+            constraint in (0.70f64..0.90, 0.5f64..9.0),
+        ) {
+            for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
+                let t = make_table(n, 3);
+                let global = TenantOptions::global();
+                let tiered = global.with_tier(0, TenantTier::Standard);
+                let mut tenant = unshielded(TenantPolicy::new(&t, policy, tiered), dwell);
+                let mut one_ladder = unshielded(TenantPolicy::new(&t, policy, global), dwell);
+                prop_assert!(tenant.is_tiered() && !one_ladder.is_tiered());
+                prop_assert_eq!(
+                    one_ladder.states().map(|s| s.tier).collect::<Vec<_>>(),
+                    vec![TenantTier::Standard]
+                );
+                prop_assert_eq!(tenant.scale_ms(), one_ladder.scale_ms());
+                let q = Query::new(0, constraint.0, constraint.1);
+                let mut now = 0.0;
+                // The random walk, then a saturated climb and an idle
+                // descent one dwell apart so every level of the ladder
+                // is compared.
+                let climb = (0..n).map(|_| (dwell + 1.0, 64.0, 1e6));
+                let descent = (0..n).map(|_| (dwell + 1.0, 0.0, 0.0));
+                for (dt, depth, p99) in steps.iter().copied().chain(climb).chain(descent) {
+                    now += dt;
+                    let signal = TierSignals::uniform(signal_at(now, depth, p99));
+                    let _ = tenant.observe(&signal);
+                    let stepped = one_ladder.observe(&signal);
+                    prop_assert!(stepped.len() <= 1, "one ladder, one step at most");
+                    prop_assert_eq!(one_ladder.batch_cap(8), tenant.batch_cap(8));
+                    let level = one_ladder.level(TenantTier::Standard);
+                    for tier in TenantTier::ALL {
+                        prop_assert_eq!(
+                            tenant.level(tier), level,
+                            "tier {} diverged from the global controller", tier.name()
+                        );
+                        prop_assert_eq!(one_ladder.level(tier), level);
+                        prop_assert_eq!(
+                            one_ladder.tier_of(tier.index() as u32),
+                            TenantTier::Standard
+                        );
+                        for cached in 0..t.num_columns() {
+                            prop_assert_eq!(
+                                tenant.shape(tier, &q, &t, cached),
+                                one_ladder.shape(tier, &q, &t, cached),
+                                "shape differs at level {} under column {}", level, cached
+                            );
+                        }
+                    }
+                }
+                let global_state = one_ladder.state(TenantTier::Standard);
+                prop_assert_eq!(global_state.level, 0, "the descent must walk back to level 0");
+                prop_assert!(
+                    global_state.degrades >= n - 1,
+                    "the climb must reach the deepest level"
+                );
+                for tier in TenantTier::ALL {
+                    let s = tenant.state(tier);
+                    prop_assert_eq!(
+                        (s.degrades, s.upgrades),
+                        (global_state.degrades, global_state.upgrades)
+                    );
+                }
+            }
+        }
     }
 }

@@ -72,22 +72,19 @@ proptest! {
 
     /// Hysteresis never oscillates within one dwell window: whatever the
     /// signal sequence, two enacted level changes are separated by at
-    /// least `dwell_ms`, and every step moves by exactly one level.
+    /// least the derived `dwell_ms()`, and every step moves by exactly one
+    /// level.
     #[test]
     fn level_changes_respect_the_dwell_window(
         n in 2usize..8,
-        dwell in 1.0f64..50.0,
         steps in proptest::collection::vec(
             (0.01f64..30.0, 0.0f64..64.0, 0.0f64..200.0, -5.0f64..50.0),
             1..60,
         ),
     ) {
         let t = make_table(n, 3);
-        let mut p = TenantPolicy::new(
-            &t,
-            Policy::StrictAccuracy,
-            TenantOptions { dwell_ms: dwell, ..TenantOptions::global() },
-        );
+        let mut p = TenantPolicy::new(&t, Policy::StrictAccuracy, TenantOptions::global());
+        let dwell = p.dwell_ms();
         let mut now = 0.0;
         let mut last_change: Option<(f64, usize)> = None;
         for (dt, depth, p99, slack) in steps {

@@ -9,7 +9,7 @@ use sushi::core::engine::{BackendKind, EngineBuilder};
 use sushi::core::experiments::ExpOptions;
 use sushi::core::serving::{run_scenario, BatchPolicy, DropPolicy, ServePreset, SimConfig};
 use sushi::core::stream::{attach_arrivals, uniform_stream, TimedQuery};
-use sushi::sched::TenantOptions;
+use sushi::sched::{TenantOptions, EMPTY_COLUMN};
 use sushi::wsnet::zoo;
 
 /// Quick sizing with adaptation enabled (the default).
@@ -32,16 +32,6 @@ fn degradation_is_monotone_under_rising_load() {
     // oscillation on the way down the ladder. (After the peak it may
     // legitimately step back up: degradation raises service capacity, and
     // discovering that the degraded ladder absorbs the load IS the point.)
-    // A probe engine yields the serving set's mean cold latency so the
-    // real engine can pin an explicit 4x dwell: long enough that the
-    // transient pressure spikes of the early (comfortable) ramp phase
-    // never flip the level, keeping the climb itself the only signal.
-    let mean_cold_ms = {
-        let probe = EngineBuilder::new().q_window(10).candidates(8).seed(7).build().unwrap();
-        let t = probe.table();
-        (0..t.num_rows()).map(|i| t.latency_ms(i, 0)).sum::<f64>() / t.num_rows() as f64
-    };
-    let dwell_ms = 4.0 * mean_cold_ms;
     let mut engine = EngineBuilder::new()
         .q_window(10)
         .candidates(8)
@@ -53,11 +43,17 @@ fn degradation_is_monotone_under_rising_load() {
             // sweep would empty it and make occupancy oscillate).
             drop_policy: DropPolicy::DropNewest,
             batch: BatchPolicy::new(4, 1.0),
-            control: Some(TenantOptions { dwell_ms, ..TenantOptions::global() }),
+            control: Some(TenantOptions::global()),
             ..SimConfig::default()
         })
         .build()
         .expect("adaptive engine");
+    // The controller's dwell is the serving set's mean cold latency.
+    let mean_cold_ms = {
+        let t = engine.table();
+        (0..t.num_rows()).map(|i| t.latency_ms(i, EMPTY_COLUMN)).sum::<f64>() / t.num_rows() as f64
+    };
+    let dwell_ms = mean_cold_ms;
     let mut space = engine.constraint_space();
     // Uniformly loose deadlines: the ramp must be read through queue
     // occupancy, not through one tight query's head-of-line slack spike.
@@ -91,7 +87,7 @@ fn degradation_is_monotone_under_rising_load() {
         );
     }
     // The dwell guard holds over the whole trace: no two level changes
-    // within the explicit 4x window.
+    // within one mean cold latency.
     let mut prev_level = 0usize;
     let mut prev_at = f64::NEG_INFINITY;
     for ev in &trace.events {

@@ -284,7 +284,7 @@ fn later_of_adaptive_and_tenants_wins() {
         engine.serve_timed(&attach_arrivals(&qs, &ts)).unwrap()
     };
     let global = run(Some(TenantOptions::global()));
-    let tiered = run(Some(TenantOptions::default()));
+    let tiered = run(Some(TenantOptions::global().with_tier(0, TenantTier::Standard)));
     let fixed = run(None);
     let global_trace = global.adaptation.as_ref().expect("global run carries a trace");
     let tiered_trace = tiered.adaptation.as_ref().expect("tiered run carries a trace");

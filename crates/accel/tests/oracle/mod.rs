@@ -2,21 +2,23 @@
 //! interpreter that walks the SuperNet's stem, stages and head directly.
 //!
 //! It shares nothing with the library's executor — no `SubgraphCache`, no
-//! IR, no plan, no packed panels, no arena. Weights are sliced out of the
-//! store per layer and every convolution runs the naive direct loops
-//! ([`KernelPolicy::Naive`]). This was the library's datapath before the IR
-//! existed; `proptest_fusion.rs` requires every lowered plan, with fusion
-//! on or off, to reproduce its logits bit for bit.
+//! IR, no plan, no packed panels, no arena, not even
+//! `WeightStore::slice_tensor`. Weights are read out of the stored maximal
+//! kernels one element at a time, and every convolution runs the naive
+//! direct loops ([`KernelPolicy::Naive`]). This was the library's datapath
+//! before the IR existed; `proptest_fusion.rs` requires every lowered plan,
+//! with fusion on or off, to reproduce its logits bit for bit, so a slicing
+//! bug in the install fails there too.
 
 use sushi_accel::functional::act_quant;
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::conv2d_i8_in;
 use sushi_tensor::ops::pool::{global_avg_pool, max_pool, PoolParams};
 use sushi_tensor::quant::{dequantize_tensor, quantize_tensor};
-use sushi_tensor::{Arena, KernelPolicy, Tensor};
+use sushi_tensor::{Arena, KernelPolicy, Shape4, Tensor};
 use sushi_wsnet::arch::NO_STAGE;
 use sushi_wsnet::ir_build::layer_conv_params;
-use sushi_wsnet::layer::LayerRole;
+use sushi_wsnet::layer::{LayerRole, LayerSlice};
 use sushi_wsnet::{Family, SubNet, SuperNet, WeightStore};
 
 struct Interpreter<'a> {
@@ -52,6 +54,26 @@ fn saturating_add(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i8> {
     Tensor::from_vec(a.shape(), data).expect("same shape")
 }
 
+/// The active weights of `slice` out of the stored maximal kernels
+/// `(K_max, C_max, R_max, S_max)`: top kernels, top channels, centre
+/// `kernel_size` window, copied element by element.
+fn slice_weights(stored: &Tensor<i8>, slice: &LayerSlice) -> Tensor<i8> {
+    let full = stored.shape();
+    let (c, ks) = (slice.channels.min(full.c), slice.kernel_size);
+    let crop = (full.h - ks) / 2;
+    let mut out = Tensor::zeros(Shape4::new(slice.kernels, c, ks, ks));
+    for k in 0..slice.kernels {
+        for ch in 0..c {
+            for y in 0..ks {
+                for x in 0..ks {
+                    out.set(k, ch, y, x, stored.get(k, ch, y + crop, x + crop));
+                }
+            }
+        }
+    }
+    out
+}
+
 fn pooled(x: &Tensor<i8>) -> Tensor<i8> {
     quantize_tensor(&global_avg_pool(&dequantize_tensor(x, act_quant())), act_quant())
 }
@@ -65,7 +87,8 @@ impl Interpreter<'_> {
     /// then `act`.
     fn conv(&self, idx: usize, x: &Tensor<i8>, act: Activation) -> Tensor<i8> {
         let slice = self.subnet.graph.slice(idx);
-        let weights = self.store.slice_tensor(idx, &slice).expect("conv on an inactive layer");
+        assert!(!slice.is_empty(), "conv on an inactive layer");
+        let weights = slice_weights(&self.store.layer(idx).kernels, &slice);
         let y = conv2d_i8_in(
             x,
             act_quant(),

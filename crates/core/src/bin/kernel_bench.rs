@@ -4,7 +4,7 @@
 //!
 //! Times the largest ("max") SubNet of each zoo SuperNet through the full
 //! DPE datapath, asserting on the way that every backend produces identical
-//! logits, and prints five columns:
+//! logits, and prints six columns:
 //!
 //! * `naive` — [`KernelPolicy::Naive`], the cycle-faithful tiled schedule;
 //! * `gemm` — [`KernelPolicy::Im2colGemm`], installing (slice, lower, pack)
@@ -15,8 +15,11 @@
 //! * `fused` — [`SubgraphCache::build_fused`] steady state:
 //!   bias/requant/activation run inside the conv epilogue of the k-pair
 //!   microkernel instead of as separate passes;
-//! * `cold` — cache build + first packed forward (what the install-bearing
-//!   query pays before amortization begins).
+//! * `install` — [`SubgraphCache::build_fused`] alone: slice, lower and
+//!   pack the fused plan, what a serving SubGraph switch pays before its
+//!   first query;
+//! * `cold` — fusion-off [`SubgraphCache::build`] + first packed forward
+//!   (an install plus the query that bears it, before amortization begins).
 //!
 //! `packed`, `fused` and `cold` run under [`KernelPolicy::Auto`], the
 //! policy serving uses, so depthwise convs take the depthwise kernel; only
@@ -102,9 +105,17 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
     let mut packed_out = Some(packed_out);
 
     // The serving path: same weights, bias/requant/activation fused into
-    // the conv epilogue at install.
-    let fused_cache =
-        SubgraphCache::build_fused(net, &store, &sn).expect("SubNet lowers to a fused plan");
+    // the conv epilogue at install. Its install is timed on its own.
+    let mut install_ms = f64::INFINITY;
+    let mut fused_cache = None;
+    for _ in 0..runs {
+        let t = Instant::now();
+        let cache =
+            SubgraphCache::build_fused(net, &store, &sn).expect("SubNet lowers to a fused plan");
+        install_ms = install_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        fused_cache = Some(cache);
+    }
+    let fused_cache = fused_cache.expect("at least one run");
 
     let mut naive_ms = f64::INFINITY;
     let mut gemm_ms = f64::INFINITY;
@@ -156,7 +167,8 @@ fn bench_net(net: &SuperNet, runs: usize, seed: u64) {
     );
     println!(
         "{:<24} naive {naive_ms:>10.2} ms   gemm {gemm_ms:>9.2} ms   packed {packed_ms:>9.2} ms   \
-         fused {fused_ms:>9.2} ms   cold {cold_pack_ms:>9.2} ms   speedup {:>6.2}x \
+         fused {fused_ms:>9.2} ms   install {install_ms:>8.2} ms   cold {cold_pack_ms:>9.2} ms   \
+         speedup {:>6.2}x \
          (packed {:>6.2}x, fused {:>6.2}x)",
         format!("{}/max", net.name),
         naive_ms / gemm_ms,

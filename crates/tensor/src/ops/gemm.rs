@@ -22,7 +22,8 @@
 //!   panel L1-resident, and `MC`-row blocks of packed A stay L2-resident
 //!   while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
-//!   row-panel blocks dispatched via `std::thread::scope`.
+//!   row-panel blocks dispatched via `std::thread::scope`; the calling
+//!   thread runs the first block, so `w` workers spawn `w − 1` threads.
 //! * **Fused tail** — for both conv entry points, the driver finishes each
 //!   register tile of the last K block with the conv's output stage (the
 //!   layer's [`crate::ops::epilogue`], or the unfused conv's bias +
@@ -412,7 +413,8 @@ fn gemm_block_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8])>(
 
 /// Runs [`gemm_block_i8_pairs`], split at row-panel boundaries across
 /// threads when the product is large enough: each worker gets its rows of
-/// `c`, of the tail's output and of packed A.
+/// `c`, of the tail's output and of packed A. The calling thread runs the
+/// first row block itself rather than idling at the join.
 #[allow(clippy::too_many_arguments)]
 fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     m: usize,
@@ -430,21 +432,24 @@ fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
         return;
     }
     let rows_per = m.div_ceil(MR).div_ceil(threads) * MR;
+    let (mut c, mut tail) = (c, tail);
+    let mut blocks = (0..m).step_by(rows_per).map(|row0| {
+        let rows = rows_per.min(m - row0);
+        let c_rows = take_front(&mut c, rows * n);
+        let tail_rows = tail.as_mut().map(|t| Tail {
+            out: take_front(&mut t.out, rows * n),
+            f: t.f,
+            row0: t.row0 + row0,
+        });
+        let pa_rows = &pa[row0 * kpairs * 2..];
+        move || gemm_block_i8_pairs(rows, kpairs, n, pa_rows, pb, c_rows, tail_rows, simd)
+    });
+    let first = blocks.next().expect("at least one row block");
     std::thread::scope(|scope| {
-        let (mut c, mut tail) = (c, tail);
-        for row0 in (0..m).step_by(rows_per) {
-            let rows = rows_per.min(m - row0);
-            let c_rows = take_front(&mut c, rows * n);
-            let tail_rows = tail.as_mut().map(|t| Tail {
-                out: take_front(&mut t.out, rows * n),
-                f: t.f,
-                row0: t.row0 + row0,
-            });
-            let pa_rows = &pa[row0 * kpairs * 2..];
-            scope.spawn(move || {
-                gemm_block_i8_pairs(rows, kpairs, n, pa_rows, pb, c_rows, tail_rows, simd);
-            });
+        for block in blocks {
+            scope.spawn(block);
         }
+        first();
     });
 }
 

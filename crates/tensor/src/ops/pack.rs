@@ -96,6 +96,23 @@ pub fn pack_a_i8_pairs_into(
     for (p, panel) in dst.chunks_exact_mut(MR * kpairs * 2).enumerate() {
         let i0 = p * MR;
         let rows = MR.min(m - i0);
+        if rows == MR {
+            let src: [&[i8]; MR] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+            for (kp, cell) in panel.chunks_exact_mut(MR * 2).take(k / 2).enumerate() {
+                for (pair, row) in cell.chunks_exact_mut(2).zip(src) {
+                    pair[0] = i16::from(row[kp * 2]) - zp;
+                    pair[1] = i16::from(row[kp * 2 + 1]) - zp;
+                }
+            }
+            if k % 2 == 1 {
+                let cell = &mut panel[(kpairs - 1) * MR * 2..];
+                for (pair, row) in cell.chunks_exact_mut(2).zip(src) {
+                    pair[0] = i16::from(row[k - 1]) - zp;
+                    pair[1] = 0;
+                }
+            }
+            continue;
+        }
         for kp in 0..kpairs {
             let cell = &mut panel[kp * MR * 2..(kp + 1) * MR * 2];
             for r in 0..MR {
@@ -135,6 +152,15 @@ pub fn pack_b_i8_pairs_into(
         for kp in 0..kpairs {
             let k0 = kp * 2;
             let cell = &mut panel[kp * NR * 2..(kp + 1) * NR * 2];
+            if cols == NR && k0 + 1 < k {
+                let r0: &[i8; NR] = b[k0 * n + j0..][..NR].try_into().expect("NR columns");
+                let r1: &[i8; NR] = b[(k0 + 1) * n + j0..][..NR].try_into().expect("NR columns");
+                for ((pair, &x0), &x1) in cell.chunks_exact_mut(2).zip(r0).zip(r1) {
+                    pair[0] = i16::from(x0) - zp;
+                    pair[1] = i16::from(x1) - zp;
+                }
+                continue;
+            }
             let r0 = &b[k0 * n + j0..k0 * n + j0 + cols];
             let r1 = (k0 + 1 < k).then(|| &b[(k0 + 1) * n + j0..(k0 + 1) * n + j0 + cols]);
             for j in 0..cols {

@@ -7,7 +7,8 @@
 //! fused conv, whose epilogue runs on the GEMM's register tiles, must match
 //! the naive conv plus the reference activation. Both conv entry points run
 //! one GEMM conv body, so the unfused GEMM is also checked on the fused
-//! conv's cases. (The AVX2-vs-portable microkernel pins are unit tests in
+//! conv's cases, and both packs must write every cell a per-cell reference
+//! does. (The AVX2-vs-portable microkernel pins are unit tests in
 //! `ops::gemm`.)
 
 use proptest::prelude::*;
@@ -210,8 +211,61 @@ fn scalar_gemm(m: usize, k: usize, n: usize, a: &[i8], zp_a: i8, b: &[i8], zp_b:
     c
 }
 
+/// Per-cell reference of the pair-interleaved pack of an `outer × k`
+/// operand (`at(o, kk)` its value at outer index `o`, reduction step `kk`)
+/// with `tile` outer indices per panel: cell `(panel, t, o, h)` holds
+/// `at(panel·tile + o, 2t + h) − zp`, or `0` past `outer` or `k`.
+fn reference_pairs_pack(
+    outer: usize,
+    k: usize,
+    tile: usize,
+    zp: i8,
+    at: impl Fn(usize, usize) -> i8,
+) -> Vec<i16> {
+    let kpairs = k.div_ceil(2);
+    let mut cells = Vec::new();
+    for panel in 0..outer.div_ceil(tile) {
+        for t in 0..kpairs {
+            for o in panel * tile..(panel + 1) * tile {
+                for kk in [2 * t, 2 * t + 1] {
+                    let inside = o < outer && kk < k;
+                    cells.push(if inside { i16::from(at(o, kk)) - i16::from(zp) } else { 0 });
+                }
+            }
+        }
+    }
+    cells
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `pack_a` and `pack_b` write every cell the per-cell reference does —
+    /// full panels and the ragged last one, odd and even `k` (`k = 1`
+    /// included), any zero point — over a destination full of stale
+    /// values, so a pad the pack fails to write shows too.
+    #[test]
+    fn pair_packs_match_per_cell_reference(
+        (mi, dm) in (0usize..=3, 0usize..MR),
+        (ni, dn) in (0usize..=3, 0usize..NR),
+        k in prop_oneof![Just(1usize), 1usize..=24],
+        zp_a in i8::MIN..=i8::MAX,
+        zp_b in i8::MIN..=i8::MAX,
+        seed in 0u64..10_000,
+    ) {
+        let (m, n) = ((mi * MR + dm).max(1), (ni * NR + dn).max(1));
+        let mut rng = DetRng::new(seed);
+        let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
+        let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
+        let mut pa = vec![0x5A5A; packed_a_pairs_len(m, k)];
+        pack_a_i8_pairs_into(&mut pa, &a, zp_a, m, k).unwrap();
+        let want_a = reference_pairs_pack(m, k, MR, zp_a, |r, kk| a[r * k + kk]);
+        prop_assert_eq!(pa, want_a, "pack_a {}x{} zp {}", m, k, zp_a);
+        let mut pb = vec![0x5A5A; packed_b_pairs_len(k, n)];
+        pack_b_i8_pairs_into(&mut pb, &b, zp_b, k, n).unwrap();
+        let want_b = reference_pairs_pack(n, k, NR, zp_b, |j, kk| b[kk * n + j]);
+        prop_assert_eq!(pb, want_b, "pack_b {}x{} zp {}", k, n, zp_b);
+    }
 
     /// int8: the GEMM backend, packing its weights per call, is
     /// bit-identical to the naive oracle, including nonzero zero points and

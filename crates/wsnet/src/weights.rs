@@ -78,6 +78,10 @@ impl WeightStore {
     /// top-`kernels` × top-`channels` × *center* `kernel_size` window
     /// (OFA center-crop semantics for elastic kernels).
     ///
+    /// The copy runs at memory speed: an uncropped kernel's active channels
+    /// are the leading `c·R·S` bytes of its stored kernel, one slice copy
+    /// each; a center-cropped kernel copies its `kernel_size`-byte rows.
+    ///
     /// Returns `None` for an empty slice.
     ///
     /// # Panics
@@ -90,21 +94,27 @@ impl WeightStore {
         let lw = &self.layers[layer];
         let full = lw.kernels.shape();
         let c = slice.channels.min(full.c); // depthwise slices carry c=1 already
+        let ks = slice.kernel_size;
         assert!(slice.kernels <= full.n, "slice kernels exceed layer maximum");
-        assert!(slice.kernel_size <= full.h, "slice kernel size exceeds layer maximum");
-        let crop = (full.h - slice.kernel_size) / 2;
-        let shape = Shape4::new(slice.kernels, c, slice.kernel_size, slice.kernel_size);
-        let mut out = Tensor::zeros(shape);
-        for k in 0..slice.kernels {
-            for ch in 0..c {
-                for y in 0..slice.kernel_size {
-                    for x in 0..slice.kernel_size {
-                        out.set(k, ch, y, x, lw.kernels.get(k, ch, y + crop, x + crop));
+        assert!(ks <= full.h, "slice kernel size exceeds layer maximum");
+        let crop = (full.h - ks) / 2;
+        let shape = Shape4::new(slice.kernels, c, ks, ks);
+        let mut data = Vec::with_capacity(shape.volume());
+        if ks == full.h && ks == full.w {
+            let stored = full.c * full.h * full.w;
+            for kernel in lw.kernels.as_slice().chunks_exact(stored).take(slice.kernels) {
+                data.extend_from_slice(&kernel[..c * ks * ks]);
+            }
+        } else {
+            for k in 0..slice.kernels {
+                for ch in 0..c {
+                    for y in crop..crop + ks {
+                        data.extend_from_slice(&lw.kernels.row(k, ch, y)[crop..crop + ks]);
                     }
                 }
             }
         }
-        Some(out)
+        Some(Tensor::from_vec(shape, data).expect("one value per cell of the slice"))
     }
 
     /// Bias slice for the active kernels of a layer.

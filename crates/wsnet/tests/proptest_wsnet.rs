@@ -1,11 +1,14 @@
 //! Property-based tests for the WS-DNN substrate: the SubGraph lattice,
-//! size accounting, materialization nesting and encodings.
+//! size accounting, materialization nesting, encodings and weight slicing.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use sushi_wsnet::layer::LayerSlice;
+use sushi_tensor::{Shape4, Tensor};
+use sushi_wsnet::layer::{ConvKind, LayerSlice};
 use sushi_wsnet::sampler::ConfigSampler;
-use sushi_wsnet::{zoo, NetVector, SubGraph};
+use sushi_wsnet::{zoo, NetVector, SubGraph, SuperNet, WeightStore};
 
 fn slice_strategy() -> impl Strategy<Value = LayerSlice> {
     (0usize..32, 0usize..32, prop_oneof![Just(0usize), Just(1usize), Just(3usize), Just(5usize)])
@@ -14,6 +17,69 @@ fn slice_strategy() -> impl Strategy<Value = LayerSlice> {
 
 fn subgraph_strategy(layers: usize) -> impl Strategy<Value = SubGraph> {
     proptest::collection::vec(slice_strategy(), layers).prop_map(SubGraph::new)
+}
+
+/// The toy, ResNet50 and MobileNetV3 SuperNets, built once.
+fn slicing_nets() -> &'static [SuperNet; 3] {
+    static NETS: OnceLock<[SuperNet; 3]> = OnceLock::new();
+    NETS.get_or_init(|| {
+        [zoo::toy_supernet(), zoo::resnet50_supernet(), zoo::mobilenet_v3_supernet()]
+    })
+}
+
+/// The per-element reference of [`WeightStore::slice_tensor`]: top
+/// kernels, top channels and the centre `kernel_size` window of the stored
+/// maximal kernels, one `get`/`set` per weight.
+fn reference_slice(stored: &Tensor<i8>, s: &LayerSlice) -> Tensor<i8> {
+    let full = stored.shape();
+    let (c, ks) = (s.channels.min(full.c), s.kernel_size);
+    let crop = (full.h - ks) / 2;
+    let mut out = Tensor::zeros(Shape4::new(s.kernels, c, ks, ks));
+    for k in 0..s.kernels {
+        for ch in 0..c {
+            for y in 0..ks {
+                for x in 0..ks {
+                    out.set(k, ch, y, x, stored.get(k, ch, y + crop, x + crop));
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `slice_tensor` equals the per-element reference on random layers of
+    /// the three SuperNets — dense and depthwise, uncropped and centre-
+    /// cropped 7→5→3→1, any top kernels and channels. Each case
+    /// synthesizes weights for the drawn layer alone, which keeps it cheap
+    /// on the full-size zoo; slicing reads no other layer.
+    #[test]
+    fn slice_tensor_matches_per_element_reference(
+        family in 0usize..3,
+        depthwise in 0usize..2,
+        pick in 0usize..1000,
+        (kernel_16ths, channel_16ths) in (1usize..=16, 1usize..=16),
+        shrink in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let net = &slicing_nets()[family];
+        let want = if depthwise == 1 { ConvKind::Depthwise } else { ConvKind::Dense };
+        let of_kind: Vec<_> = net.layers.iter().filter(|l| l.kind == want).collect();
+        let pool = if of_kind.is_empty() { net.layers.iter().collect() } else { of_kind };
+        let layer = pool[pick % pool.len()];
+        let one = SuperNet { layers: vec![layer.clone()], ..net.clone() };
+        let store = WeightStore::synthesize(&one, seed);
+        let slice = LayerSlice::new(
+            (layer.max_kernels * kernel_16ths).div_ceil(16),
+            (layer.max_channels * channel_16ths).div_ceil(16),
+            layer.max_kernel_size.saturating_sub(2 * shrink).max(1),
+        );
+        let got = store.slice_tensor(0, &slice).expect("non-empty slice");
+        let case = format!("{} {} {:?}", net.name, layer.name, slice);
+        prop_assert_eq!(got, reference_slice(&store.layer(0).kernels, &slice), "{}", case);
+    }
 }
 
 proptest! {

@@ -2,12 +2,13 @@
 //! serving stack.
 //!
 //! [`EngineBuilder`] names every knob of the vertically integrated stack —
-//! workload, serving [`Variant`], scheduler [`Policy`], caching window `Q`,
-//! SushiAbs candidate count, [`AccelConfig`], seed, execution backend and
-//! the serving-loop `SimConfig` — all defaulted to the paper's MobileNetV3 /
-//! ZCU104 configuration. It produces an [`Engine`]: one run state (the
-//! scheduler and executor pool of the serving simulator) behind two run
-//! modes that continue each other's scheduler history and PB contents:
+//! workload, scheduler [`Policy`], [`CacheSelection`] rule, caching window
+//! `Q`, SushiAbs candidate count, [`AccelConfig`], seed, execution backend
+//! and the serving-loop `SimConfig` — all defaulted to the paper's
+//! MobileNetV3 / ZCU104 configuration. It produces an [`Engine`]: one run
+//! state (the scheduler and executor pool of the serving simulator) behind
+//! two run modes that continue each other's scheduler history and PB
+//! contents:
 //!
 //! * [`Engine::serve_stream`] — the per-query replay loop of Fig. 4 (the
 //!   §5.6–5.7 experiments), one query at a time on worker 0.
@@ -47,7 +48,7 @@ use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 use crate::error::SushiError;
 use crate::serving::sim::{check_constraints, ServedRecord, ServingSim, SimConfig, SimResult};
 use crate::stream::{ConstraintSpace, TimedQuery};
-use crate::variants::{build_tables, sample_candidates, Variant};
+use crate::variants::{build_tables, sample_candidates};
 
 /// The built-in model-zoo workloads (SuperNet + the paper's Pareto picks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +126,10 @@ const FUNCTIONAL_DPE: (usize, usize) = (4, 4);
 /// Seed for the functional backend's synthesized weights and per-query
 /// inputs.
 const FUNCTIONAL_SEED: u64 = 42;
+/// The paper's SushiAbs candidate-set size.
+pub(crate) const PAPER_CANDIDATES: usize = 16;
+/// The paper-default master seed (candidate sampling).
+pub(crate) const PAPER_SEED: u64 = 0xC0FFEE;
 
 #[derive(Debug, Clone)]
 enum WorkloadSpec {
@@ -135,9 +140,15 @@ enum WorkloadSpec {
 /// Builder for [`Engine`]: every knob named, every knob defaulted.
 ///
 /// Defaults reproduce the paper configuration: MobileNetV3 zoo, full
-/// [`Variant::Sushi`], [`Policy::StrictAccuracy`], the workload's caching
-/// window `Q`, 16 SushiAbs candidates, the ZCU104 board, seed `0xC0FFEE`,
-/// the analytical backend, and a single-worker unbatched serving loop.
+/// SUSHI ([`Policy::StrictAccuracy`] under Algorithm 1's
+/// [`CacheSelection::MinDistanceToAvg`]), the workload's caching window
+/// `Q`, 16 SushiAbs candidates, the ZCU104 board, seed `0xC0FFEE`, the
+/// analytical backend, and a single-worker unbatched serving loop.
+///
+/// The §5.7 baselines are configurations of the same stack: No-SUSHI is
+/// `.accel_config(zcu104().without_pb())` (a PB-less board's table holds
+/// only the empty column, so nothing is ever cached), and SUSHI without
+/// the scheduler is `.cache_selection(CacheSelection::FollowLast)`.
 ///
 /// ```
 /// use sushi_core::engine::{BackendKind, EngineBuilder, ModelZoo};
@@ -157,9 +168,8 @@ enum WorkloadSpec {
 #[must_use]
 pub struct EngineBuilder {
     workload: WorkloadSpec,
-    variant: Variant,
     policy: Policy,
-    selection_override: Option<CacheSelection>,
+    cache_selection: CacheSelection,
     q_window: Option<usize>,
     candidates: usize,
     accel: AccelConfig,
@@ -182,13 +192,12 @@ impl EngineBuilder {
     pub fn new() -> Self {
         Self {
             workload: WorkloadSpec::Zoo(ModelZoo::MobileNetV3),
-            variant: Variant::Sushi,
             policy: Policy::StrictAccuracy,
-            selection_override: None,
+            cache_selection: CacheSelection::MinDistanceToAvg,
             q_window: None,
-            candidates: 16,
+            candidates: PAPER_CANDIDATES,
             accel: sushi_accel::config::zcu104(),
-            seed: 0xC0FFEE,
+            seed: PAPER_SEED,
             backend: BackendKind::Analytical,
             kernel_policy: KernelPolicy::Auto,
             fusion: true,
@@ -210,22 +219,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the §5.7 serving variant (default: full SUSHI).
-    pub fn variant(mut self, variant: Variant) -> Self {
-        self.variant = variant;
-        self
-    }
-
     /// Sets the hard-constraint scheduling policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Overrides the cache-selection rule the variant implies (ablations:
-    /// cosine distance, frozen first choice, …).
+    /// Sets the rule that picks the cached SubGraph every `Q` queries
+    /// (default: Algorithm 1's [`CacheSelection::MinDistanceToAvg`];
+    /// [`CacheSelection::FollowLast`] is the §5.7 state-unaware baseline).
     pub fn cache_selection(mut self, selection: CacheSelection) -> Self {
-        self.selection_override = Some(selection);
+        self.cache_selection = selection;
         self
     }
 
@@ -296,10 +300,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Assembles the engine: loads the workload, derives the
-    /// variant-adjusted accelerator configuration and cache-selection
-    /// rule, builds the SushiAbs latency table and the service table over
-    /// one candidate list, and instantiates the execution backend.
+    /// Assembles the engine: loads the workload, builds the SushiAbs
+    /// latency table and the service table over one candidate list, and
+    /// instantiates the execution backend.
     ///
     /// # Errors
     /// Returns [`SushiError::Config`] on an empty serving set, a zero
@@ -362,20 +365,14 @@ impl EngineBuilder {
                 accel.effective_bw_fraction
             )));
         }
-        let (config, derived_selection) = match self.variant {
-            Variant::NoSushi => (self.accel.without_pb(), CacheSelection::Disabled),
-            Variant::SushiNoSched => (self.accel.clone(), CacheSelection::FollowLast),
-            Variant::Sushi => (self.accel.clone(), CacheSelection::MinDistanceToAvg),
-        };
-        let selection = self.selection_override.unwrap_or(derived_selection);
         let candidates = match self.candidate_set {
             Some(candidates) => {
                 check_layers(&net, "candidate", &candidates)?;
                 candidates
             }
-            None => sample_candidates(&net, &subnets, &config, self.candidates, self.seed),
+            None => sample_candidates(&net, &subnets, accel, self.candidates, self.seed),
         };
-        let (table, service) = build_tables(&net, &subnets, &config, candidates);
+        let (table, service) = build_tables(&net, &subnets, accel, candidates);
         let backend: Box<dyn ExecutionBackend> = match self.backend {
             BackendKind::Analytical => Box::new(Analytical),
             BackendKind::Functional => {
@@ -390,7 +387,7 @@ impl EngineBuilder {
             table,
             Arc::new(service),
             self.policy,
-            selection,
+            self.cache_selection,
             q_window,
             self.sim,
         );
@@ -632,14 +629,13 @@ mod tests {
 
     #[test]
     fn explicit_default_candidate_set_builds_the_default_engine() {
-        let seed = 0xC0FFEE;
         let mut default = EngineBuilder::new().build().unwrap();
         let candidates = sushi_sched::candidates::build_candidate_set(
             default.net(),
             default.subnets(),
             sushi_accel::config::zcu104().buffers.pb_bytes,
-            16,
-            seed,
+            PAPER_CANDIDATES,
+            PAPER_SEED,
         );
         let mut explicit = EngineBuilder::new().candidate_set(candidates).build().unwrap();
         assert_eq!(explicit.table(), default.table());
@@ -755,10 +751,35 @@ mod tests {
         }
     }
 
+    /// No-SUSHI is a PB-less board by construction: an explicit candidate
+    /// set prices no cached column on it, so no record or run ever claims
+    /// an install.
     #[test]
-    fn variants_map_to_cache_behavior() {
-        let no_sushi = EngineBuilder::new().variant(Variant::NoSushi).candidates(4).build();
-        let engine = no_sushi.unwrap();
-        assert_eq!(engine.table().num_columns(), 1, "PB-less variant has no cached columns");
+    fn pb_less_board_never_installs() {
+        let net = zoo::mobilenet_v3_supernet();
+        let picks = zoo::paper_subnets(&net);
+        let pb_bytes = sushi_accel::config::zcu104().buffers.pb_bytes;
+        let candidates =
+            sushi_sched::candidates::build_candidate_set(&net, &picks, pb_bytes, 8, 42);
+        assert_eq!(candidates.len(), 8);
+        let sim = SimConfig { workers: 2, batch: BatchPolicy::new(4, 2.0), ..SimConfig::default() };
+        let build = || {
+            EngineBuilder::new()
+                .accel_config(sushi_accel::config::zcu104().without_pb())
+                .candidate_set(candidates.clone())
+                .q_window(10)
+                .sim_config(sim)
+                .build()
+                .unwrap()
+        };
+        let mut engine = build();
+        assert_eq!(engine.table().num_columns(), 1, "a PB-less board has no cached column");
+        let space = engine.constraint_space();
+        let records = engine.serve_stream(&uniform_stream(&space, 300, 42)).unwrap();
+        assert!(records.iter().all(|r| !r.cache_updated && r.hit_ratio == 0.0));
+        let queries = uniform_stream(&space, 300, 7);
+        let arrivals = ArrivalProcess::Poisson { rate_qps: 150.0 }.timestamps(300, 7).unwrap();
+        let result = build().serve_timed(&attach_arrivals(&queries, &arrivals)).unwrap();
+        assert_eq!(result.summary().cache_installs, 0);
     }
 }

@@ -1,14 +1,13 @@
-//! Shared experiment context: workloads, boards, option knobs.
+//! Shared experiment context: workloads and option knobs.
 
 use std::sync::Arc;
 
-use sushi_accel::config::{alveo_u50, roofline_system, zcu104};
 use sushi_accel::AccelConfig;
 use sushi_sched::Query;
 use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{SubGraph, SubNet, SuperNet};
 
-use crate::engine::{BackendKind, EngineBuilder, ModelZoo};
+use crate::engine::{BackendKind, EngineBuilder, ModelZoo, PAPER_CANDIDATES, PAPER_SEED};
 use crate::serving::sim::ServedRecord;
 use crate::stream::{uniform_stream, ConstraintSpace};
 use crate::variants::build_table;
@@ -53,8 +52,8 @@ impl Default for ExpOptions {
     fn default() -> Self {
         Self {
             queries: 600,
-            candidates: 16,
-            seed: 0xC0FFEE,
+            candidates: PAPER_CANDIDATES,
+            seed: PAPER_SEED,
             kernel_policy: KernelPolicy::Auto,
             backend: BackendKind::Analytical,
             adaptive: true,
@@ -101,18 +100,6 @@ pub fn mobv3_workload() -> Workload {
 #[must_use]
 pub fn both_workloads() -> Vec<Workload> {
     vec![resnet50_workload(), mobv3_workload()]
-}
-
-/// The evaluation boards.
-#[must_use]
-pub fn boards() -> Vec<AccelConfig> {
-    vec![zcu104(), alveo_u50()]
-}
-
-/// The §5.2 roofline system.
-#[must_use]
-pub fn roofline_board() -> AccelConfig {
-    roofline_system()
 }
 
 impl Workload {
@@ -185,6 +172,7 @@ pub(crate) fn span(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sushi_accel::config::zcu104;
 
     #[test]
     fn workloads_have_expected_pick_counts() {

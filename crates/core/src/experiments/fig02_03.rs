@@ -1,11 +1,12 @@
 //! Fig. 2 (arithmetic intensity per layer) and Fig. 3 (latency of two
 //! SubNet shapes as a function of the cached SubGraph's shape).
 
+use sushi_accel::config::roofline_system;
 use sushi_accel::exec::price_query;
 use sushi_accel::roofline::{classify, layer_ai_series, Boundedness};
 use sushi_wsnet::SubNetConfig;
 
-use crate::experiments::common::{roofline_board, ExpOptions};
+use crate::experiments::common::ExpOptions;
 use crate::report::{fmt_f, ExpReport, TextTable};
 
 /// Fig. 2: per-layer arithmetic intensity of the two SuperNets' maximal
@@ -13,7 +14,7 @@ use crate::report::{fmt_f, ExpReport, TextTable};
 #[must_use]
 pub fn fig2(_opts: &ExpOptions) -> ExpReport {
     let mut report = ExpReport::new("fig2", "Arithmetic intensity per conv layer (FLOPs/Byte)");
-    let cfg = roofline_board();
+    let cfg = roofline_system();
     for wl in crate::experiments::common::both_workloads() {
         let max = wl.net.materialize("max", &wl.net.max_config()).expect("max config");
         let series = layer_ai_series(&wl.net, &max);

@@ -1,12 +1,13 @@
 //! Fig. 10 (latency breakdown w/ and w/o PB), Fig. 11 (SGS roofline) and
 //! Fig. 12 (design-space exploration).
 
+use sushi_accel::config::roofline_system;
 use sushi_accel::dse::{sweep, DseGrid};
 use sushi_accel::exec::price_query;
 use sushi_accel::roofline::{ridge_point, subnet_roofline, RooflinePoint};
 use sushi_accel::CycleBreakdown;
 
-use crate::experiments::common::{by_scale, roofline_board, span, ExpOptions, Workload};
+use crate::experiments::common::{by_scale, span, ExpOptions, Workload};
 use crate::metrics::reduction_pct;
 use crate::report::{fmt_f, ExpReport, TextTable};
 
@@ -20,7 +21,7 @@ fn breakdown_ms(cfg: &sushi_accel::AccelConfig, c: &CycleBreakdown) -> [f64; 6] 
 /// SubGraph in the PB; then the `[lo, hi]` range of the total-latency
 /// reduction (%).
 fn fig10_for(wl: &Workload) -> (Vec<[[f64; 6]; 2]>, (f64, f64)) {
-    let cfg = roofline_board();
+    let cfg = roofline_system();
     let cached = wl.shared_in_pb(&cfg);
     let bars: Vec<[[f64; 6]; 2]> = wl
         .picks
@@ -75,7 +76,7 @@ pub fn fig10(_opts: &ExpOptions) -> ExpReport {
 /// Per pick of `wl`, its roofline point without and with the shared
 /// SubGraph in the PB.
 fn fig11_points(wl: &Workload) -> Vec<[RooflinePoint; 2]> {
-    let cfg = roofline_board();
+    let cfg = roofline_system();
     let cached = wl.shared_in_pb(&cfg);
     wl.picks
         .iter()
@@ -87,7 +88,7 @@ fn fig11_points(wl: &Workload) -> Vec<[RooflinePoint; 2]> {
 #[must_use]
 pub fn fig11(_opts: &ExpOptions) -> ExpReport {
     let mut report = ExpReport::new("fig11", "SGS pushes SubNets toward the compute-bound region");
-    report.add_note(format!("ridge point: {:.1} FLOPs/Byte", ridge_point(&roofline_board())));
+    report.add_note(format!("ridge point: {:.1} FLOPs/Byte", ridge_point(&roofline_system())));
     for wl in crate::experiments::common::both_workloads() {
         let mut t = TextTable::new(vec![
             "SubNet",

@@ -2,12 +2,13 @@
 //! comparison against the Xilinx DPU).
 
 use sushi_accel::baselines::{CpuModel, DpuModel};
+use sushi_accel::config::{alveo_u50, zcu104};
 use sushi_accel::energy::EnergyReport;
 use sushi_accel::exec::price_query;
 use sushi_accel::timing::layer_timing;
 use sushi_wsnet::layer::LayerSlice;
 
-use crate::experiments::common::{boards, span, ExpOptions, Workload};
+use crate::experiments::common::{span, ExpOptions, Workload};
 use crate::metrics::{geomean, reduction_pct};
 use crate::report::{fmt_f, ExpReport, TextTable};
 
@@ -29,7 +30,7 @@ fn fig13a_columns(wl: &Workload) -> Vec<(String, Vec<f64>, (f64, f64))> {
         (name, latencies, speedup)
     };
     let mut columns = vec![column("CPU".into(), cpu_lat.clone())];
-    for board in boards() {
+    for board in [zcu104(), alveo_u50()] {
         let wo = board.without_pb();
         columns.push(column(format!("{} w/o PB", board.name), board_latencies(&wo, wl)));
         columns.push(column(format!("{} w/ PB", board.name), board_latencies(&board, wl)));
@@ -65,7 +66,7 @@ pub fn fig13a(_opts: &ExpOptions) -> ExpReport {
 /// Per pick of `wl` on ZCU104, the data-access energy without and with the
 /// PB, and the `[lo, hi]` range of the off-chip saving (%).
 fn fig13b_for(wl: &Workload) -> (Vec<[EnergyReport; 2]>, (f64, f64)) {
-    let zcu = sushi_accel::config::zcu104();
+    let zcu = zcu104();
     let cached = wl.shared_in_pb(&zcu);
     let zcu_wo = zcu.without_pb();
     let energy: Vec<[EnergyReport; 2]> = wl
@@ -127,7 +128,7 @@ type LayerLatencies = Vec<(String, f64, f64)>;
 fn fig14_layers() -> (LayerLatencies, f64, (f64, f64)) {
     let wl = crate::experiments::common::resnet50_workload();
     let min_sn = &wl.picks[0];
-    let cfg = sushi_accel::config::zcu104().without_pb();
+    let cfg = zcu104().without_pb();
     let dpu = DpuModel::default();
     let empty = LayerSlice::empty();
     let layers: LayerLatencies = wl

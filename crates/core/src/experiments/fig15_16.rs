@@ -2,13 +2,13 @@
 //! latency/accuracy comparison of the three serving variants).
 
 use sushi_accel::config::zcu104;
-use sushi_sched::Policy;
+use sushi_sched::{CacheSelection, Policy};
 
+use crate::engine::EngineBuilder;
 use crate::experiments::common::{ExpOptions, Workload};
 use crate::metrics::{reduction_pct, summarize};
 use crate::report::{fmt_f, fmt_pct, ExpReport, TextTable};
 use crate::serving::sim::ServedRecord;
-use crate::variants::Variant;
 
 /// Whether `r` met the constraint `policy` holds hard.
 fn met_hard_constraint(policy: Policy, r: &ServedRecord) -> bool {
@@ -71,36 +71,47 @@ pub fn fig15(opts: &ExpOptions) -> ExpReport {
     report
 }
 
-/// Every run Fig. 16 makes on `wl`, in order: the three variants under
-/// strict accuracy, then No-SUSHI and SUSHI under strict latency. All of
-/// them serve one stream, drawn from ZCU104 with its PB, so the variants
-/// differ only in how they serve it.
-fn fig16_runs(wl: &Workload, opts: &ExpOptions) -> Vec<(Variant, Policy, Vec<ServedRecord>)> {
+/// The three §5.7 comparison points, each as its legend label and the
+/// builder setting that makes it: No-SUSHI is the board without its PB,
+/// SUSHI w/o Sched caches state-unaware, SUSHI is the default.
+type Baseline = (&'static str, fn(EngineBuilder) -> EngineBuilder);
+
+const NO_SUSHI: Baseline = ("No-Sushi", |b| b.accel_config(zcu104().without_pb()));
+const SUSHI_NO_SCHED: Baseline =
+    ("Sushi w/o Sch", |b| b.cache_selection(CacheSelection::FollowLast));
+const SUSHI: Baseline = ("Sushi", |b| b);
+
+/// Every run Fig. 16 makes on `wl`, in order: the three baselines under
+/// strict accuracy, then No-SUSHI and SUSHI under strict latency, each
+/// with its label. All of them serve one stream, drawn from ZCU104 with
+/// its PB, so the baselines differ only in how they serve it.
+fn fig16_runs(wl: &Workload, opts: &ExpOptions) -> Vec<(&'static str, Policy, Vec<ServedRecord>)> {
     [
-        (Variant::NoSushi, Policy::StrictAccuracy),
-        (Variant::SushiNoSched, Policy::StrictAccuracy),
-        (Variant::Sushi, Policy::StrictAccuracy),
-        (Variant::NoSushi, Policy::StrictLatency),
-        (Variant::Sushi, Policy::StrictLatency),
+        (NO_SUSHI, Policy::StrictAccuracy),
+        (SUSHI_NO_SCHED, Policy::StrictAccuracy),
+        (SUSHI, Policy::StrictAccuracy),
+        (NO_SUSHI, Policy::StrictLatency),
+        (SUSHI, Policy::StrictLatency),
     ]
     .into_iter()
-    .map(|(variant, policy)| {
-        let records = wl.replay(&zcu104(), 0x16, opts, |b| b.variant(variant).policy(policy));
-        (variant, policy, records)
+    .map(|((label, baseline), policy)| {
+        let records = wl.replay(&zcu104(), 0x16, opts, |b| baseline(b).policy(policy));
+        (label, policy, records)
     })
     .collect()
 }
 
-/// Fig. 16's numbers for one workload: per variant under strict accuracy,
-/// its mean latency (ms) and mean accuracy (%); then SUSHI's mean-latency
-/// cut over No-SUSHI at equal accuracy (%), and its mean-accuracy gain
-/// over No-SUSHI at equal latency budgets (percentage points).
-fn fig16_for(wl: &Workload, opts: &ExpOptions) -> (Vec<(Variant, f64, f64)>, f64, f64) {
-    let means: Vec<(Variant, f64, f64)> = fig16_runs(wl, opts)
+/// Fig. 16's numbers for one workload: per baseline under strict
+/// accuracy, its label, mean latency (ms) and mean accuracy (%); then
+/// SUSHI's mean-latency cut over No-SUSHI at equal accuracy (%), and its
+/// mean-accuracy gain over No-SUSHI at equal latency budgets (percentage
+/// points).
+fn fig16_for(wl: &Workload, opts: &ExpOptions) -> (Vec<(&'static str, f64, f64)>, f64, f64) {
+    let means: Vec<(&'static str, f64, f64)> = fig16_runs(wl, opts)
         .into_iter()
-        .map(|(variant, _, records)| {
+        .map(|(label, _, records)| {
             let s = summarize(&records);
-            (variant, s.mean_latency_ms, s.mean_accuracy * 100.0)
+            (label, s.mean_latency_ms, s.mean_accuracy * 100.0)
         })
         .collect();
     (means[..3].to_vec(), reduction_pct(means[0].1, means[2].1), means[4].2 - means[3].2)
@@ -114,8 +125,8 @@ pub fn fig16(opts: &ExpOptions) -> ExpReport {
     for wl in crate::experiments::common::both_workloads() {
         let (rows, latency_cut, accuracy_gain) = fig16_for(&wl, opts);
         let mut t = TextTable::new(vec!["variant", "mean latency (ms)", "mean accuracy (%)"]);
-        for (variant, l, a) in &rows {
-            t.push_row(vec![variant.label().to_string(), fmt_f(*l, 3), fmt_f(*a, 2)]);
+        for (label, l, a) in &rows {
+            t.push_row(vec![(*label).to_string(), fmt_f(*l, 3), fmt_f(*a, 2)]);
         }
         report.add_note(format!(
             "{}: SUSHI cuts mean latency by {} at equal accuracy; at equal latency budgets it \
@@ -136,7 +147,7 @@ pub fn fig16(opts: &ExpOptions) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::both_workloads;
+    use crate::experiments::common::{both_workloads, mobv3_workload};
 
     fn satisfied_fraction(policy: Policy) -> Vec<(&'static str, f64)> {
         both_workloads()
@@ -191,10 +202,18 @@ mod tests {
             assert_ne!(expected, wl.stream(&zcu104().without_pb(), 0x16, &opts), "{}", wl.label);
             let runs = fig16_runs(&wl, &opts);
             assert_eq!(runs.len(), 5);
-            for (variant, policy, records) in runs {
+            for (label, policy, records) in runs {
                 let queries: Vec<_> = records.iter().map(|r| r.query).collect();
-                assert_eq!(queries, expected, "{} {variant:?} {policy:?}", wl.label);
+                assert_eq!(queries, expected, "{} {label} {policy:?}", wl.label);
             }
         }
+    }
+
+    /// Fig. 16's rows carry the paper's legend labels, in legend order.
+    #[test]
+    fn fig16_rows_carry_the_legend_labels() {
+        let (rows, _, _) = fig16_for(&mobv3_workload(), &ExpOptions::quick());
+        let labels: Vec<_> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(labels, ["No-Sushi", "Sushi w/o Sch", "Sushi"]);
     }
 }

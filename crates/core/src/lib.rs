@@ -12,8 +12,9 @@
 //!   `serve_timed` (the event-driven serving simulation) — dispatching
 //!   through a pluggable analytical or functional
 //!   [`sushi_accel::backend::ExecutionBackend`].
-//! * [`variants`] — the §5.7 comparison points (No-SUSHI, SUSHI w/o Sched,
-//!   SUSHI).
+//! * [`variants`] — the SushiAbs latency table an engine prices queries
+//!   from; its module doc spells the §5.7 comparison points (No-SUSHI,
+//!   SUSHI w/o Sched, SUSHI) as builder settings.
 //! * [`stream`] — deterministic query-constraint generators (random,
 //!   AV-navigation phases, ICU bursts).
 //! * [`metrics`] — served latency/accuracy, SLO attainment, cache-hit
@@ -57,4 +58,3 @@ pub mod variants;
 pub use engine::{BackendKind, Engine, EngineBuilder, ModelZoo};
 pub use error::SushiError;
 pub use serving::sim::ServedRecord;
-pub use variants::Variant;

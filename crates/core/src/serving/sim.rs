@@ -886,7 +886,7 @@ mod tests {
     use crate::engine::{Engine, EngineBuilder};
     use crate::serving::arrivals::ArrivalProcess;
     use crate::stream::{attach_arrivals, uniform_stream, ConstraintSpace};
-    use crate::variants::Variant;
+    use sushi_accel::config::zcu104;
 
     fn sim(config: SimConfig) -> (Engine, ConstraintSpace) {
         let engine = EngineBuilder::new()
@@ -1290,19 +1290,17 @@ mod tests {
 
     // The per-query replay (`Engine::serve_stream`).
 
-    fn engine(variant: Variant) -> Engine {
-        EngineBuilder::new()
-            .variant(variant)
-            .q_window(8)
-            .candidates(12)
-            .seed(42)
-            .build()
-            .expect("valid test configuration")
+    fn builder() -> EngineBuilder {
+        EngineBuilder::new().q_window(8).candidates(12).seed(42)
+    }
+
+    fn engine() -> Engine {
+        builder().build().expect("valid test configuration")
     }
 
     #[test]
     fn strict_accuracy_is_always_satisfied() {
-        let mut e = engine(Variant::Sushi);
+        let mut e = engine();
         let qs = uniform_stream(&e.constraint_space(), 100, 1);
         for r in e.serve_stream(&qs).unwrap() {
             assert!(
@@ -1315,7 +1313,7 @@ mod tests {
 
     #[test]
     fn hit_ratio_is_zero_before_first_cache_install() {
-        let mut e = engine(Variant::Sushi);
+        let mut e = engine();
         let qs = uniform_stream(&e.constraint_space(), 4, 2);
         let records = e.serve_stream(&qs).unwrap();
         assert_eq!(records[0].hit_ratio, 0.0);
@@ -1323,7 +1321,7 @@ mod tests {
 
     #[test]
     fn hit_ratio_becomes_positive_after_warmup() {
-        let mut e = engine(Variant::Sushi);
+        let mut e = engine();
         let qs = uniform_stream(&e.constraint_space(), 60, 3);
         let records = e.serve_stream(&qs).unwrap();
         let tail_mean: f64 =
@@ -1333,7 +1331,7 @@ mod tests {
 
     #[test]
     fn no_sushi_never_caches() {
-        let mut e = engine(Variant::NoSushi);
+        let mut e = builder().accel_config(zcu104().without_pb()).build().unwrap();
         let qs = uniform_stream(&e.constraint_space(), 40, 4);
         for r in e.serve_stream(&qs).unwrap() {
             assert_eq!(r.hit_ratio, 0.0);
@@ -1343,7 +1341,7 @@ mod tests {
 
     #[test]
     fn analytical_records_carry_no_predictions() {
-        let mut e = engine(Variant::Sushi);
+        let mut e = engine();
         let qs = uniform_stream(&e.constraint_space(), 5, 9);
         for r in e.serve_stream(&qs).unwrap() {
             assert_eq!(r.prediction, None);
@@ -1352,11 +1350,9 @@ mod tests {
 
     #[test]
     fn sushi_beats_no_sushi_on_mean_latency() {
-        let mk = |v| {
-            EngineBuilder::new().variant(v).q_window(10).candidates(12).seed(42).build().unwrap()
-        };
-        let mut no_sushi = mk(Variant::NoSushi);
-        let mut sushi = mk(Variant::Sushi);
+        let mk = || EngineBuilder::new().q_window(10).candidates(12).seed(42);
+        let mut no_sushi = mk().accel_config(zcu104().without_pb()).build().unwrap();
+        let mut sushi = mk().build().unwrap();
         let qs = uniform_stream(&sushi.constraint_space(), 200, 5);
         let mean = |rs: &[ServedRecord]| {
             rs.iter().map(|r| r.served_latency_ms).sum::<f64>() / rs.len() as f64
@@ -1368,7 +1364,7 @@ mod tests {
 
     #[test]
     fn serve_stream_length_matches_queries() {
-        let mut e = engine(Variant::SushiNoSched);
+        let mut e = builder().cache_selection(CacheSelection::FollowLast).build().unwrap();
         let qs = uniform_stream(&e.constraint_space(), 17, 6);
         assert_eq!(e.serve_stream(&qs).unwrap().len(), 17);
     }

@@ -1,44 +1,25 @@
-//! The three §5.7 comparison points.
+//! The latency tables every engine prices its queries from.
 //!
-//! * **No-SUSHI** — the same constraint-aware SubNet selection, but the
-//!   accelerator has no Persistent Buffer (its capacity returned to the
-//!   dynamic buffers) and nothing is ever cached.
+//! The three §5.7 comparison points are configurations of one stack, not
+//! code paths:
+//!
+//! * **No-SUSHI** — a board without its Persistent Buffer (its capacity
+//!   returned to the dynamic buffers):
+//!   `.accel_config(zcu104().without_pb())`. Its tables hold only the empty
+//!   column, so no caching rule ever installs anything.
 //! * **SUSHI w/o Sched** — the PB exists but caching is *state-unaware*:
-//!   the cache simply follows the most recently served SubNet instead of
-//!   the AvgNet distance rule.
-//! * **SUSHI** — the full co-design (Algorithm 1).
+//!   `.cache_selection(CacheSelection::FollowLast)`.
+//! * **SUSHI** — the full co-design (Algorithm 1), the
+//!   [`crate::engine::EngineBuilder`] default.
 //!
-//! Variants are assembled via [`crate::engine::EngineBuilder::variant`];
-//! this module keeps the variant taxonomy and the latency-table builder.
+//! The module keeps its name because downstream harnesses bind
+//! [`build_table`] at this path.
 
 use sushi_accel::exec::ServiceTable;
 use sushi_accel::AccelConfig;
 use sushi_sched::candidates::build_candidate_set;
 use sushi_sched::LatencyTable;
 use sushi_wsnet::{SubGraph, SubNet, SuperNet};
-
-/// Serving-stack variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    /// No Persistent Buffer at all.
-    NoSushi,
-    /// PB with state-unaware (follow-last) caching.
-    SushiNoSched,
-    /// Full SUSHI (state-aware caching via AvgNet distance).
-    Sushi,
-}
-
-impl Variant {
-    /// Display label used in reports (matches Fig. 16's legend).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::NoSushi => "No-Sushi",
-            Variant::SushiNoSched => "Sushi w/o Sch",
-            Variant::Sushi => "Sushi",
-        }
-    }
-}
 
 /// Builds the latency table for a serving set on a given accelerator
 /// configuration, with `num_candidates` cacheable SubGraphs truncated to
@@ -75,13 +56,17 @@ pub(crate) fn sample_candidates(
 /// the only place either is built, so the two agree by construction: a
 /// latency-table cell is its service cell's cold single-query price, one
 /// [`sushi_accel::exec::price_query`] under the column an install makes
-/// resident.
+/// resident. A PB-less `config` holds no SubGraph, so its tables keep only
+/// the empty column whatever `candidates` holds.
 pub(crate) fn build_tables(
     net: &SuperNet,
     subnets: &[SubNet],
     config: &AccelConfig,
-    candidates: Vec<SubGraph>,
+    mut candidates: Vec<SubGraph>,
 ) -> (LatencyTable, ServiceTable) {
+    if !config.buffers.has_pb() {
+        candidates.clear();
+    }
     let service = ServiceTable::build(config, net, subnets, &candidates);
     let columns = candidates.len() + 1;
     let mut cells = 0..;
@@ -95,8 +80,10 @@ pub(crate) fn build_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineBuilder;
     use sushi_accel::config::zcu104;
     use sushi_accel::exec::price_query;
+    use sushi_sched::CacheSelection;
     use sushi_wsnet::zoo;
 
     #[test]
@@ -116,13 +103,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn labels_match_fig16_legend() {
-        assert_eq!(Variant::NoSushi.label(), "No-Sushi");
-        assert_eq!(Variant::SushiNoSched.label(), "Sushi w/o Sch");
-        assert_eq!(Variant::Sushi.label(), "Sushi");
     }
 
     #[test]
@@ -158,15 +138,15 @@ mod tests {
     #[test]
     fn builder_produces_all_variants() {
         let picks = zoo::paper_subnets(&zoo::mobilenet_v3_supernet());
-        for v in [Variant::NoSushi, Variant::SushiNoSched, Variant::Sushi] {
-            let e = crate::engine::EngineBuilder::new()
-                .variant(v)
-                .q_window(8)
-                .candidates(6)
-                .seed(3)
-                .build()
-                .unwrap();
+        let baselines = [
+            EngineBuilder::new().accel_config(zcu104().without_pb()),
+            EngineBuilder::new().cache_selection(CacheSelection::FollowLast),
+            EngineBuilder::new(),
+        ];
+        for (i, builder) in baselines.into_iter().enumerate() {
+            let e = builder.q_window(8).candidates(6).seed(3).build().unwrap();
             assert_eq!(e.subnets().len(), picks.len());
+            assert_eq!(e.table().num_columns() == 1, i == 0, "only No-SUSHI is PB-less");
         }
     }
 }

@@ -39,8 +39,6 @@ pub enum CacheSelection {
     FollowLast,
     /// Never update the cache after the first installation.
     Frozen,
-    /// Never cache anything (degenerates to the w/o-PB serving path).
-    Disabled,
 }
 
 /// One scheduling decision.
@@ -153,7 +151,6 @@ impl Scheduler {
 
     fn next_cache(&self, last_row: usize) -> Option<usize> {
         match self.cache_selection {
-            CacheSelection::Disabled => None,
             CacheSelection::Frozen => {
                 (self.current_cache == EMPTY_COLUMN && self.table.num_columns() > 1).then_some(1)
             }
@@ -238,15 +235,6 @@ mod tests {
             let _ = s.decide(&query(a, 100.0));
         }
         assert!(s.current_cache() == 1 || s.current_cache() == 2, "cache {}", s.current_cache());
-    }
-
-    #[test]
-    fn disabled_selection_never_updates() {
-        let mut s = Scheduler::new(table(), Policy::StrictAccuracy, CacheSelection::Disabled, 2);
-        for _ in 0..8 {
-            assert_eq!(s.decide(&query(0.76, 100.0)).cache_update, None);
-        }
-        assert_eq!(s.current_cache(), EMPTY_COLUMN);
     }
 
     #[test]

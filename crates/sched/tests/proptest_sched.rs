@@ -38,6 +38,28 @@ fn make_table(n: usize, m: usize) -> LatencyTable {
     })
 }
 
+/// Every cache-selection rule.
+const RULES: [CacheSelection; 4] = [
+    CacheSelection::MinDistanceToAvg,
+    CacheSelection::MinCosineToAvg,
+    CacheSelection::FollowLast,
+    CacheSelection::Frozen,
+];
+
+/// `len` queries whose constraints span `make_table`'s accuracy and
+/// latency bands, drawn from `seed` by splitmix64.
+fn seeded_stream(seed: u64, len: usize) -> Vec<Query> {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..len as u64).map(|id| Query::new(id, 0.68 + 0.22 * unit(), 0.5 + 8.5 * unit())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -122,6 +144,34 @@ proptest! {
             let d = s.decide(&Query::new(i as u64, *a, *l));
             if d.cache_update.is_some() {
                 prop_assert_eq!((i + 1) % q, 0, "update at non-boundary index {}", i);
+            }
+        }
+    }
+
+    /// A one-column table — a PB-less board's, which holds only the empty
+    /// column — never installs: under every rule and policy, `decide`
+    /// returns no `cache_update` and the cache stays `EMPTY_COLUMN`. "Never
+    /// cache" follows from the board, so no rule has to choose it.
+    #[test]
+    fn one_column_table_never_installs(
+        n in 1usize..8,
+        q in 1usize..=12,
+        len in 1usize..80,
+        seed in 0u64..u64::MAX,
+    ) {
+        let queries = seeded_stream(seed, len);
+        for rule in RULES {
+            for policy in [Policy::StrictAccuracy, Policy::StrictLatency] {
+                let mut s = Scheduler::new(make_table(n, 0), policy, rule, q);
+                for query in &queries {
+                    let d = s.decide(query);
+                    prop_assert_eq!(
+                        d.cache_update, None,
+                        "seed {:#x}: {:?} {:?} Q = {} installed at query {}",
+                        seed, rule, policy, q, query.id
+                    );
+                    prop_assert_eq!(s.current_cache(), EMPTY_COLUMN, "seed {:#x}", seed);
+                }
             }
         }
     }

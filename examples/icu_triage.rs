@@ -9,19 +9,30 @@
 //! constraints keep accuracy demands high at all times; during bursts the
 //! per-patient latency budget collapses. We compare the three §5.7 serving
 //! variants on the same bursty trace and report burst-window SLO
-//! attainment — where the PB + state-aware scheduling matter most.
+//! attainment — where the PB + state-aware scheduling matter most. Each
+//! variant is a setting of the one builder: No-SUSHI is the board without
+//! its PB, SUSHI w/o Sched caches state-unaware, SUSHI is the default.
 
+use sushi::accel::config::zcu104;
 use sushi::core::engine::EngineBuilder;
 use sushi::core::metrics::summarize;
 use sushi::core::stream::icu_burst_stream;
-use sushi::core::Variant;
-use sushi::sched::{Policy, Query};
+use sushi::sched::{CacheSelection, Policy, Query};
+
+/// A §5.7 variant: its legend label and the builder setting that makes it.
+type Baseline = (&'static str, fn(EngineBuilder) -> EngineBuilder);
+
+const VARIANTS: [Baseline; 3] = [
+    ("No-Sushi", |b| b.accel_config(zcu104().without_pb())),
+    ("Sushi w/o Sch", |b| b.cache_selection(CacheSelection::FollowLast)),
+    ("Sushi", |b| b),
+];
 
 fn main() {
     // Constraint space from the serving set (a candidate-free PB-less
     // probe, as the comparison baseline sees it).
     let probe = EngineBuilder::new()
-        .variant(Variant::NoSushi)
+        .accel_config(zcu104().without_pb())
         .q_window(10)
         .candidates(0)
         .seed(42)
@@ -43,9 +54,8 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>14} {:>14}",
         "variant", "latency(ms)", "accuracy(%)", "SLO all", "SLO in-burst"
     );
-    for variant in [Variant::NoSushi, Variant::SushiNoSched, Variant::Sushi] {
-        let mut engine = EngineBuilder::new()
-            .variant(variant)
+    for (label, setting) in VARIANTS {
+        let mut engine = setting(EngineBuilder::new())
             .policy(Policy::StrictLatency)
             .q_window(10)
             .candidates(12)
@@ -59,7 +69,7 @@ fn main() {
         let burst = summarize(&burst_records);
         println!(
             "{:<14} {:>12.3} {:>12.2} {:>13.1}% {:>13.1}%",
-            variant.label(),
+            label,
             all.mean_latency_ms,
             all.mean_accuracy * 100.0,
             all.latency_slo_attainment * 100.0,

@@ -9,69 +9,19 @@
 //! exact on every platform. A change to any constant means the redesign
 //! changed serving *semantics*, not just the API.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{timed_digest, Fnv};
+use sushi::accel::config::zcu104;
 use sushi::core::engine::{BackendKind, Engine, EngineBuilder};
-use sushi::core::serving::{
-    ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimConfig, SimResult,
-};
+use sushi::core::serving::{ArrivalProcess, BatchPolicy, DropPolicy, RoutingPolicy, SimConfig};
 use sushi::core::stream::attach_arrivals;
 use sushi::core::stream::uniform_stream;
-use sushi::core::{ServedRecord, Variant};
-use sushi::sched::Query;
+use sushi::core::ServedRecord;
+use sushi::sched::{CacheSelection, Query};
 use sushi::wsnet::zoo;
-
-/// FNV-1a over the little-endian bytes of each 64-bit word.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    fn f(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-}
-
-fn timed_digest(result: &SimResult) -> u64 {
-    let mut h = Fnv::new();
-    for s in &result.served {
-        h.word(s.query.id);
-        h.f(s.arrival_ms);
-        h.f(s.start_ms);
-        h.f(s.completion_ms);
-        h.word(s.subnet_row as u64);
-        h.word(s.batch_size as u64);
-        h.word(s.worker as u64);
-    }
-    for d in &result.dropped {
-        h.word(d.timed.query.id);
-    }
-    let sum = result.summary();
-    for v in [
-        sum.p50_ms,
-        sum.p95_ms,
-        sum.p99_ms,
-        sum.mean_latency_ms,
-        sum.goodput_qps,
-        sum.slo_violation_rate,
-        sum.mean_queue_depth,
-        sum.swap_ms,
-        sum.makespan_ms,
-    ] {
-        h.f(v);
-    }
-    h.word(sum.completed as u64);
-    h.word(sum.dropped as u64);
-    h.word(sum.cache_installs as u64);
-    h.0
-}
 
 /// FNV digest over every numeric field of a replay's records, and the
 /// bits of their latency sum.
@@ -102,16 +52,29 @@ fn prediction_digest(records: &[ServedRecord]) -> u64 {
 
 /// Pre-redesign `build_stack(variant, MobV3, zcu104, StrictAccuracy, Q=10,
 /// candidates=8, seed=42)` + `serve_stream(uniform_stream(space, 40, 7))`,
-/// as `(variant, digest, latency-sum bits)`. The `Sushi` row is the
-/// original fixture; the other two variants, and the functional replay
-/// below, were pinned on the standalone replay loop before `serve_stream`
-/// moved onto the serving simulator's scheduler and executor pool.
+/// as `(variant, builder setting, digest, latency-sum bits)`. The `Sushi`
+/// row is the original fixture; the other two variants, and the functional
+/// replay below, were pinned on the standalone replay loop before
+/// `serve_stream` moved onto the serving simulator's scheduler and executor
+/// pool. No-SUSHI is the board without its PB; SUSHI w/o Sched caches
+/// state-unaware.
 const EXPECTED_STREAM_DIGEST: u64 = 0xca23_3b0e_95ef_168c;
 const EXPECTED_STREAM_LAT_SUM_BITS: u64 = 0x4078_5035_49f9_4859; // 389.0130100000002 ms
-const EXPECTED_VARIANT_STREAMS: [(Variant, u64, u64); 3] = [
-    (Variant::Sushi, EXPECTED_STREAM_DIGEST, EXPECTED_STREAM_LAT_SUM_BITS),
-    (Variant::NoSushi, 0x6d22_c3cc_7aec_c929, 0x4079_4421_4cec_41dd),
-    (Variant::SushiNoSched, 0x58f9_c141_1e33_acda, 0x4078_5d72_b020_c49e),
+type Setting = fn(EngineBuilder) -> EngineBuilder;
+const EXPECTED_VARIANT_STREAMS: [(&str, Setting, u64, u64); 3] = [
+    ("Sushi", |b| b, EXPECTED_STREAM_DIGEST, EXPECTED_STREAM_LAT_SUM_BITS),
+    (
+        "NoSushi",
+        |b| b.accel_config(zcu104().without_pb()),
+        0x6d22_c3cc_7aec_c929,
+        0x4079_4421_4cec_41dd,
+    ),
+    (
+        "SushiNoSched",
+        |b| b.cache_selection(CacheSelection::FollowLast),
+        0x58f9_c141_1e33_acda,
+        0x4078_5d72_b020_c49e,
+    ),
 ];
 
 /// The toy-MobileNet functional engine below, replayed over 24 queries:
@@ -121,20 +84,16 @@ const EXPECTED_FUNCTIONAL_STREAM: (u64, u64, u64) =
 
 #[test]
 fn serve_stream_reproduces_pre_redesign_records() {
-    for (variant, digest, lat_sum_bits) in EXPECTED_VARIANT_STREAMS {
-        let mut engine = EngineBuilder::new()
-            .variant(variant)
-            .q_window(10)
-            .candidates(8)
-            .seed(42)
+    for (variant, setting, digest, lat_sum_bits) in EXPECTED_VARIANT_STREAMS {
+        let mut engine = setting(EngineBuilder::new().q_window(10).candidates(8).seed(42))
             .build()
             .expect("engine");
         let records =
             engine.serve_stream(&uniform_stream(&engine.constraint_space(), 40, 7)).unwrap();
         assert!(records.iter().all(|r| r.prediction.is_none()), "analytical: no predictions");
         let (got, got_lat) = stream_digest(&records);
-        assert_eq!(got, digest, "{variant:?} serve_stream records drifted from fixtures");
-        assert_eq!(got_lat, lat_sum_bits, "{variant:?} latency sum drifted");
+        assert_eq!(got, digest, "{variant} serve_stream records drifted from fixtures");
+        assert_eq!(got_lat, lat_sum_bits, "{variant} latency sum drifted");
     }
 
     let mut engine = toy_functional_engine(SimConfig::default());

@@ -4,17 +4,18 @@
 
 use sushi::accel::config::zcu104;
 use sushi::accel::exec::price_query;
+use sushi::accel::AccelConfig;
 use sushi::core::engine::{Engine, EngineBuilder, ModelZoo};
 use sushi::core::metrics::summarize;
 use sushi::core::stream::uniform_stream;
-use sushi::core::Variant;
-use sushi::sched::Policy;
+use sushi::sched::{CacheSelection, Policy};
 use sushi::wsnet::zoo;
 
-fn mobv3_engine(variant: Variant, policy: Policy) -> Engine {
+/// The MobileNetV3 engine on `board`, full SUSHI.
+fn mobv3_engine(board: AccelConfig, policy: Policy) -> Engine {
     EngineBuilder::new()
         .zoo(ModelZoo::MobileNetV3)
-        .variant(variant)
+        .accel_config(board)
         .policy(policy)
         .q_window(10)
         .candidates(10)
@@ -25,7 +26,7 @@ fn mobv3_engine(variant: Variant, policy: Policy) -> Engine {
 
 #[test]
 fn end_to_end_strict_accuracy_never_violated() {
-    let mut engine = mobv3_engine(Variant::Sushi, Policy::StrictAccuracy);
+    let mut engine = mobv3_engine(zcu104(), Policy::StrictAccuracy);
     let queries = uniform_stream(&engine.constraint_space(), 250, 9);
     for r in engine.serve_stream(&queries).unwrap() {
         assert!(
@@ -39,7 +40,7 @@ fn end_to_end_strict_accuracy_never_violated() {
 #[test]
 fn end_to_end_pipeline_is_deterministic() {
     let run = || {
-        let mut engine = mobv3_engine(Variant::Sushi, Policy::StrictLatency);
+        let mut engine = mobv3_engine(zcu104(), Policy::StrictLatency);
         let queries = uniform_stream(&engine.constraint_space(), 120, 5);
         engine.serve_stream(&queries).unwrap()
     };
@@ -51,21 +52,15 @@ fn variant_ordering_holds_on_both_workloads() {
     // SUSHI <= SUSHI w/o Sched <= No-SUSHI (small tolerance for the
     // state-unaware comparison, which can tie).
     for (model, q) in [(ModelZoo::ResNet50, 8usize), (ModelZoo::MobileNetV3, 10usize)] {
-        let mean = |variant| {
-            let mut engine = EngineBuilder::new()
-                .zoo(model)
-                .variant(variant)
-                .q_window(q)
-                .candidates(10)
-                .seed(7)
-                .build()
-                .unwrap();
+        let mean = |setting: fn(EngineBuilder) -> EngineBuilder| {
+            let builder = EngineBuilder::new().zoo(model).q_window(q).candidates(10).seed(7);
+            let mut engine = setting(builder).build().unwrap();
             let queries = uniform_stream(&engine.constraint_space(), 300, 11);
             summarize(&engine.serve_stream(&queries).unwrap()).mean_latency_ms
         };
-        let no_sushi = mean(Variant::NoSushi);
-        let no_sched = mean(Variant::SushiNoSched);
-        let full = mean(Variant::Sushi);
+        let no_sushi = mean(|b| b.accel_config(zcu104().without_pb()));
+        let no_sched = mean(|b| b.cache_selection(CacheSelection::FollowLast));
+        let full = mean(|b| b);
         assert!(full < no_sushi, "{model:?}: SUSHI {full} !< No-SUSHI {no_sushi}");
         assert!(full <= no_sched * 1.01, "{model:?}: SUSHI {full} !<= state-unaware {no_sched}");
     }
@@ -135,7 +130,7 @@ fn cache_hit_ratio_reaches_papers_regime() {
 #[test]
 fn accuracy_band_of_serving_matches_paper_figures() {
     // Fig. 15/16 y-axes: served accuracy lives in the 75–80% band.
-    let mut engine = mobv3_engine(Variant::Sushi, Policy::StrictLatency);
+    let mut engine = mobv3_engine(zcu104(), Policy::StrictLatency);
     let queries = uniform_stream(&engine.constraint_space(), 150, 31);
     let records = engine.serve_stream(&queries).unwrap();
     for r in &records {
@@ -149,8 +144,8 @@ fn accuracy_band_of_serving_matches_paper_figures() {
 
 #[test]
 fn energy_decreases_when_caching_is_enabled() {
-    let mut no_pb = mobv3_engine(Variant::NoSushi, Policy::StrictAccuracy);
-    let mut with_pb = mobv3_engine(Variant::Sushi, Policy::StrictAccuracy);
+    let mut no_pb = mobv3_engine(zcu104().without_pb(), Policy::StrictAccuracy);
+    let mut with_pb = mobv3_engine(zcu104(), Policy::StrictAccuracy);
     let queries = uniform_stream(&with_pb.constraint_space(), 200, 37);
     let base = summarize(&no_pb.serve_stream(&queries).unwrap());
     let ours = summarize(&with_pb.serve_stream(&queries).unwrap());

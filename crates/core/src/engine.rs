@@ -5,10 +5,9 @@
 //! workload, scheduler [`Policy`], [`CacheSelection`] rule, caching window
 //! `Q`, SushiAbs candidate count, [`AccelConfig`], seed, execution backend
 //! and the serving-loop `SimConfig` — all defaulted to the paper's
-//! MobileNetV3 / ZCU104 configuration. It produces an [`Engine`]: one run
-//! state (the scheduler and executor pool of the serving simulator) behind
-//! two run modes that continue each other's scheduler history and PB
-//! contents:
+//! MobileNetV3 / ZCU104 configuration. It produces an [`Engine`]: one
+//! scheduler and one executor pool behind two run modes that continue
+//! each other's scheduler history and PB contents:
 //!
 //! * [`Engine::serve_stream`] — the per-query replay loop of Fig. 4 (the
 //!   §5.6–5.7 experiments), one query at a time on worker 0.
@@ -41,13 +40,14 @@ use std::sync::Arc;
 use sushi_accel::backend::{Analytical, ExecutionBackend, Functional};
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::AccelConfig;
-use sushi_sched::{CacheSelection, LatencyTable, Policy, Query};
+use sushi_sched::{CacheSelection, LatencyTable, Policy, Query, Scheduler};
 use sushi_tensor::KernelPolicy;
 use sushi_wsnet::{zoo, SubGraph, SubNet, SuperNet};
 
 use crate::error::SushiError;
-use crate::serving::sim::{check_constraints, ServedRecord, ServingSim, SimConfig, SimResult};
-use crate::stream::{ConstraintSpace, TimedQuery};
+use crate::serving::executor::ExecutorPool;
+use crate::serving::sim::{check_constraints, ServedRecord, SimConfig};
+use crate::stream::ConstraintSpace;
 use crate::variants::{build_tables, sample_candidates};
 
 /// The built-in model-zoo workloads (SuperNet + the paper's Pareto picks).
@@ -381,17 +381,14 @@ impl EngineBuilder {
                 Box::new(Functional::new(dpe, &net, FUNCTIONAL_SEED).with_fusion(self.fusion))
             }
         };
-        let sim = ServingSim::from_parts(
+        Ok(Engine {
             net,
             subnets,
-            table,
-            Arc::new(service),
-            self.policy,
-            self.cache_selection,
-            q_window,
-            self.sim,
-        );
-        Ok(Engine { sim, backend })
+            sched: Scheduler::new(table, self.policy, self.cache_selection, q_window),
+            pool: ExecutorPool::new(Arc::new(service), self.sim.workers),
+            config: self.sim,
+            backend,
+        })
     }
 }
 
@@ -411,9 +408,11 @@ fn check_layers<'a>(
     }
 }
 
-/// The assembled serving stack: one run state — scheduler, latency
-/// table, service table and executor pool — and the execution backend,
-/// behind two run modes.
+/// The assembled serving stack: the workload, the scheduler (which holds
+/// the latency table), the executor pool (which holds the service table),
+/// the serving-loop configuration and the execution backend, behind two
+/// run modes. Their bodies, [`Engine::serve`] and [`Engine::serve_timed`],
+/// live in [`crate::serving::sim`].
 ///
 /// # What carries across calls
 ///
@@ -424,42 +423,48 @@ fn check_layers<'a>(
 /// pending install. So `serve_timed` after `serve_stream` starts from the
 /// AvgNet state and resident SubGraphs the replay left.
 ///
-/// Time does not carry over: every call starts on an idle pool at
-/// `t = 0`. A timed stream's arrivals count from that instant, and so does
-/// every time in its [`SimResult`]. Each [`Engine::serve_timed`] also
-/// builds its own fault plan, load controller and routing cursor, and
-/// every count in its [`SimResult`], adaptation trace and fault summary is
-/// its own. Build a fresh engine for an independent run.
+/// Time does not carry over: no field holds a clock. The replay keeps
+/// none, and each [`Engine::serve_timed`] starts its own replica clocks at
+/// `t = 0`; a timed stream's arrivals count from that instant, and so does
+/// every time in its [`crate::serving::SimResult`]. Each `serve_timed`
+/// also builds its own fault plan, load controller and routing cursor, and
+/// every count in its result, adaptation trace and fault summary is its
+/// own. Build a fresh engine for an independent run.
 #[derive(Debug)]
 #[must_use]
 pub struct Engine {
-    sim: ServingSim,
-    backend: Box<dyn ExecutionBackend>,
+    pub(crate) net: Arc<SuperNet>,
+    /// The serving set, in latency-table row order.
+    pub(crate) subnets: Vec<SubNet>,
+    pub(crate) sched: Scheduler,
+    pub(crate) pool: ExecutorPool,
+    pub(crate) config: SimConfig,
+    pub(crate) backend: Box<dyn ExecutionBackend>,
 }
 
 impl Engine {
     /// The SuperNet being served.
     #[must_use]
     pub fn net(&self) -> &SuperNet {
-        self.sim.net()
+        &self.net
     }
 
     /// The serving SubNets (latency-table row order).
     #[must_use]
     pub fn subnets(&self) -> &[SubNet] {
-        self.sim.subnets()
+        &self.subnets
     }
 
     /// The SushiAbs latency table.
     #[must_use]
     pub fn table(&self) -> &LatencyTable {
-        self.sim.table()
+        self.sched.table()
     }
 
     /// The serving-loop configuration used by [`Engine::serve_timed`].
     #[must_use]
     pub fn sim_config(&self) -> &SimConfig {
-        self.sim.config()
+        &self.config
     }
 
     /// Memory the execution backend holds across batches (packed panels +
@@ -479,17 +484,6 @@ impl Engine {
         ConstraintSpace::from_table(self.table())
     }
 
-    /// Serves one query through the per-query replay loop (Fig. 4) on
-    /// the run state's first worker.
-    ///
-    /// # Errors
-    /// Returns [`SushiError::Stream`] when the query's accuracy constraint
-    /// is NaN or its latency constraint is NaN or negative, and
-    /// [`SushiError::Backend`] when the execution backend fails.
-    pub fn serve(&mut self, query: &Query) -> Result<ServedRecord, SushiError> {
-        self.sim.replay(self.backend.as_mut(), query)
-    }
-
     /// Serves a whole constraint stream through the per-query replay loop,
     /// continuing from the state earlier calls left ([`Engine`]).
     ///
@@ -500,20 +494,6 @@ impl Engine {
     pub fn serve_stream(&mut self, queries: &[Query]) -> Result<Vec<ServedRecord>, SushiError> {
         queries.iter().try_for_each(check_constraints)?;
         queries.iter().map(|q| self.serve(q)).collect()
-    }
-
-    /// Runs the event-driven serving simulation over an arrival-ordered
-    /// [`TimedQuery`] stream to completion (open-loop arrivals, bounded
-    /// admission queue, dynamic batching, worker pool, SLO accounting),
-    /// starting on an idle pool at `t = 0` ([`Engine`]).
-    ///
-    /// # Errors
-    /// Returns [`SushiError::Stream`] on an empty or unsorted stream, an
-    /// arrival that is negative or not finite, or a query [`Engine::serve`]
-    /// would refuse — checked before anything is served — and
-    /// [`SushiError::Backend`] when the execution backend fails.
-    pub fn serve_timed(&mut self, stream: &[TimedQuery]) -> Result<SimResult, SushiError> {
-        self.sim.run(self.backend.as_mut(), stream)
     }
 }
 

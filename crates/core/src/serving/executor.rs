@@ -1,9 +1,12 @@
 //! Multi-worker executor pool.
 //!
 //! Each worker is an accelerator replica: the column of the engine's
-//! [`ServiceTable`] resident in its Persistent Buffer, plus a `busy_until`
-//! clock that each serving call starts at 0 and only moves forward within
-//! the call; batches run to completion without preemption.
+//! [`ServiceTable`] resident in its Persistent Buffer. The pool holds only
+//! what an engine carries from one serving call to the next — the service
+//! table, each replica's resident column and crash-lost flag, and the
+//! pending install. It has no clock: a serving call's replica clocks are
+//! the call's own (`FaultRuntime` in `serving::fault`), and batches run to
+//! completion without preemption.
 //! Scheduler cache decisions are *routed*, not broadcast: a decision
 //! becomes one pool-level pending install
 //! ([`ExecutorPool::route_install`], newest overwrites an unapplied one)
@@ -36,14 +39,12 @@ use sushi_wsnet::{SubNet, SuperNet};
 
 use crate::error::SushiError;
 
-/// One simulated worker: its SubGraph-Stationary state, which an engine
-/// carries from one serving call to the next, and its clock, which each
-/// call restarts at 0 ([`ExecutorPool::idle`]).
+/// One simulated worker's SubGraph-Stationary state, which an engine
+/// carries from one serving call to the next.
 #[derive(Debug, Clone)]
 struct Worker {
     /// Service-table column resident in the replica's Persistent Buffer.
     resident: Option<usize>,
-    busy_until_ms: f64,
     /// Set by a crash (the replica lost its PB-resident SubGraph);
     /// cleared when the next install lands, which is then a re-install.
     lost_cache: bool,
@@ -85,8 +86,8 @@ pub(crate) struct DispatchReport {
 /// computes any.
 pub(crate) type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
 
-/// A pool of accelerator workers with simulated availability clocks. It
-/// keeps no running totals: each [`DispatchReport`] says what its batch
+/// A pool of accelerator workers and their resident SubGraphs. It keeps
+/// no clocks and no running totals: each [`DispatchReport`] says what its batch
 /// cost, and a serving run counts what it needs.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorPool {
@@ -105,7 +106,7 @@ impl ExecutorPool {
     #[must_use]
     pub(crate) fn new(service: Arc<ServiceTable>, workers: usize) -> Self {
         assert!(workers > 0, "executor pool needs at least one worker");
-        let worker = Worker { resident: None, busy_until_ms: 0.0, lost_cache: false };
+        let worker = Worker { resident: None, lost_cache: false };
         Self { service, workers: vec![worker; workers], pending_install: None }
     }
 
@@ -113,12 +114,6 @@ impl ExecutorPool {
     #[must_use]
     pub(crate) fn num_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// When worker `worker` last became (or next becomes) idle, ms.
-    #[must_use]
-    pub(crate) fn busy_until_ms(&self, worker: usize) -> f64 {
-        self.workers[worker].busy_until_ms
     }
 
     /// The service-table column resident in worker `worker`'s Persistent
@@ -135,42 +130,13 @@ impl ExecutorPool {
         self.service.overlap(row, self.workers[worker].resident)
     }
 
-    /// Time the last worker finishes (the pool's drain point).
-    #[must_use]
-    pub(crate) fn drain_ms(&self) -> f64 {
-        self.workers.iter().map(|w| w.busy_until_ms).fold(0.0, f64::max)
-    }
-
-    /// Frees every worker at `t = 0`, the start of a serving call. Resident
-    /// SubGraphs, crash-lost flags and the pending install are kept: they
-    /// are the SubGraph-Stationary state that carries across calls; time
-    /// does not.
-    pub(crate) fn idle(&mut self) {
-        self.workers.iter_mut().for_each(|w| w.busy_until_ms = 0.0);
-    }
-
     /// Fail-stops worker `worker` (fault injection): its Persistent
     /// Buffer — the resident SubGraph — is lost, so it re-enters cold and
-    /// the next install it applies is a re-install. The simulated
-    /// availability clock is left alone; the serving loop's fault runtime
-    /// gates dispatchability while the replica is down.
+    /// the next install it applies is a re-install. The serving loop's
+    /// fault runtime gates dispatchability while the replica is down.
     pub(crate) fn crash_worker(&mut self, worker: usize) {
         self.workers[worker].resident = None;
         self.workers[worker].lost_cache = true;
-    }
-
-    /// Clamps worker `worker`'s availability clock to at most `until_ms`
-    /// (hedge cancellation: the losing replica abandons its duplicate
-    /// batch the instant the winner's result lands).
-    pub(crate) fn clamp_busy(&mut self, worker: usize, until_ms: f64) {
-        let w = &mut self.workers[worker];
-        w.busy_until_ms = w.busy_until_ms.min(until_ms);
-    }
-
-    /// Test hook: pins worker `worker`'s availability clock.
-    #[cfg(test)]
-    pub(crate) fn force_busy_until(&mut self, worker: usize, until_ms: f64) {
-        self.workers[worker].busy_until_ms = until_ms;
     }
 
     /// Routes a cache decision: the *next dispatched batch's* worker
@@ -182,8 +148,9 @@ impl ExecutorPool {
         self.pending_install = Some(col);
     }
 
-    /// Dispatches a group of batches — one per distinct free worker — at
-    /// the same simulated instant. The plan is checked first and the
+    /// Dispatches a group of batches — one per distinct worker — at the
+    /// same simulated instant `now_ms` (whether each worker is free then is
+    /// the caller's clock to keep). The plan is checked first and the
     /// backend executes it ([`ExecutionBackend::execute_concurrent`]); only
     /// then does the first batch's worker apply any pending cache install
     /// and every batch get priced from the service table, the install's PB
@@ -191,9 +158,8 @@ impl ExecutorPool {
     /// as it found it. Results come back in plan order.
     ///
     /// # Errors
-    /// Returns [`SushiError::Internal`] when the plan names a worker twice
-    /// or a worker still busy at `now_ms`, and [`SushiError::Backend`] when
-    /// the backend fails.
+    /// Returns [`SushiError::Internal`] when the plan names a worker twice,
+    /// and [`SushiError::Backend`] when the backend fails.
     pub(crate) fn dispatch_group(
         &mut self,
         now_ms: f64,
@@ -203,11 +169,9 @@ impl ExecutorPool {
         plan: &[PlannedBatch],
     ) -> Result<Vec<Dispatched>, SushiError> {
         for (i, b) in plan.iter().enumerate() {
-            if self.workers[b.worker].busy_until_ms > now_ms
-                || plan[..i].iter().any(|o| o.worker == b.worker)
-            {
+            if plan[..i].iter().any(|o| o.worker == b.worker) {
                 return Err(SushiError::Internal(format!(
-                    "dispatch to busy or repeated worker {}",
+                    "dispatch to repeated worker {}",
                     b.worker
                 )));
             }
@@ -234,15 +198,13 @@ impl ExecutorPool {
             .iter()
             .zip(outputs)
             .map(|(b, outputs)| {
-                let w = &mut self.workers[b.worker];
+                let resident = self.workers[b.worker].resident;
                 let reload = std::mem::take(&mut reload_cycles);
-                let report = self.service.price(b.row, w.resident, b.query_ids.len(), reload);
-                let completion_ms = now_ms + report.total_latency_ms * b.scale;
-                w.busy_until_ms = completion_ms;
+                let report = self.service.price(b.row, resident, b.query_ids.len(), reload);
                 let dispatch = DispatchReport {
                     worker: b.worker,
                     start_ms: now_ms,
-                    completion_ms,
+                    completion_ms: now_ms + report.total_latency_ms * b.scale,
                     swap_ms: self.service.config().cycles_to_ms(report.pb_reload_cycles),
                     reinstall: std::mem::take(&mut reinstall),
                     report,
@@ -263,7 +225,7 @@ pub(crate) mod tests {
     use sushi_wsnet::zoo;
 
     /// A pool over the toy SuperNet's largest SubNet, for tests that drive
-    /// clocks, crashes and stragglers rather than pricing.
+    /// crashes and stragglers rather than pricing.
     pub(crate) fn toy_pool(workers: usize) -> ExecutorPool {
         let net = zoo::toy_supernet();
         let max = net.materialize("max", &net.max_config()).expect("the max config is valid");
@@ -271,27 +233,27 @@ pub(crate) mod tests {
     }
 
     /// A nominal-speed batch of `query_ids` of row `row` on `worker`.
-    fn planned(worker: usize, row: usize, query_ids: &[u64]) -> PlannedBatch {
+    pub(crate) fn planned(worker: usize, row: usize, query_ids: &[u64]) -> PlannedBatch {
         PlannedBatch { worker, row, query_ids: query_ids.to_vec(), scale: 1.0 }
     }
 
     /// MobileNetV3's paper picks on a ZCU104 pool whose service table's
     /// column 1 is pick 0's SubGraph.
-    struct Fixture {
+    pub(crate) struct Fixture {
         net: SuperNet,
         picks: Vec<SubNet>,
         pool: ExecutorPool,
     }
 
     impl Fixture {
-        fn new(workers: usize) -> Self {
+        pub(crate) fn new(workers: usize) -> Self {
             let net = zoo::mobilenet_v3_supernet();
             let picks = zoo::paper_subnets(&net);
             let service = ServiceTable::build(&zcu104(), &net, &picks, &[picks[0].graph.clone()]);
             Self { net, picks, pool: ExecutorPool::new(Arc::new(service), workers) }
         }
 
-        fn group(
+        pub(crate) fn group(
             &mut self,
             now_ms: f64,
             backend: &mut dyn ExecutionBackend,
@@ -316,7 +278,7 @@ pub(crate) mod tests {
 
     /// Fails every call, after the checks a real backend makes first.
     #[derive(Debug)]
-    struct Failing;
+    pub(crate) struct Failing;
 
     impl ExecutionBackend for Failing {
         fn execute_concurrent(
@@ -329,23 +291,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn free_worker_query_reports_availability() {
+    fn fresh_replicas_hold_no_resident_subgraph() {
         let pool = toy_pool(3);
-        assert!((0..3).all(|w| pool.busy_until_ms(w) == 0.0), "fresh replicas are free at 0");
-        assert_eq!(pool.drain_ms(), 0.0);
-        assert!(pool.resident(0).is_none(), "fresh replicas hold no resident SubGraph");
-    }
-
-    #[test]
-    fn dispatch_advances_worker_clock() {
-        let mut f = Fixture::new(2);
-        let (d, outputs) = f.dispatch(0, 5.0, 0, &mut Analytical, &[0, 1, 2, 3]).unwrap();
-        assert!(outputs.is_none(), "analytical backend produces no outputs");
-        assert_eq!(d.start_ms, 5.0);
-        assert!(d.completion_ms > 5.0);
-        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
-        assert_eq!(f.pool.busy_until_ms(1), 0.0, "the other replica stays free");
-        assert_eq!((d.worker, d.swap_ms, d.reinstall), (0, 0.0, false), "no install, no swap");
+        assert!((0..3).all(|w| pool.resident(w).is_none()), "no install has been applied");
     }
 
     #[test]
@@ -432,27 +380,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn clamp_busy_only_moves_the_clock_earlier() {
-        let mut f = Fixture::new(1);
-        let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
-        f.pool.clamp_busy(0, d.completion_ms + 100.0);
-        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms, "clamp never extends");
-        f.pool.clamp_busy(0, d.completion_ms / 2.0);
-        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms / 2.0);
-    }
-
-    #[test]
-    fn dispatch_to_a_busy_or_repeated_worker_is_an_error() {
+    fn dispatch_to_a_repeated_worker_is_an_error() {
         let mut f = Fixture::new(2);
-        let (d, _) = f.dispatch(0, 0.0, 0, &mut Analytical, &[0]).unwrap();
-        let err = f.dispatch(0, 0.0, 0, &mut Analytical, &[1]).unwrap_err();
-        assert!(matches!(err, SushiError::Internal(_)), "{err}");
+        f.pool.route_install(1);
         let twice = [planned(1, 0, &[2]), planned(1, 1, &[3])];
         let err = f.group(0.0, &mut Analytical, &twice).unwrap_err();
         assert!(matches!(err, SushiError::Internal(_)), "{err}");
-        // A rejected plan dispatches nothing: no clock moves.
-        assert_eq!(f.pool.busy_until_ms(0), d.completion_ms);
-        assert_eq!(f.pool.busy_until_ms(1), 0.0);
+        // A rejected plan dispatches nothing: the install is still pending.
+        assert!(f.pool.resident(1).is_none());
+        let (d, _) = f.dispatch(1, 0.0, 0, &mut Analytical, &[2]).unwrap();
+        assert!(d.swap_ms > 0.0 && f.pool.resident(1).is_some());
     }
 
     #[test]
@@ -467,13 +404,12 @@ pub(crate) mod tests {
         assert!(matches!(err, SushiError::Backend(_)), "{err}");
         for w in 0..2 {
             assert_eq!(failed.pool.resident(w), clean.pool.resident(w));
-            assert_eq!(failed.pool.busy_until_ms(w), clean.pool.busy_until_ms(w));
         }
         let after_failure = failed.group(0.0, &mut Analytical, &plan).unwrap();
         let never_failed = clean.group(0.0, &mut Analytical, &plan).unwrap();
         assert!(never_failed[0].0.swap_ms > 0.0, "the install is still pending");
         assert!(after_failure[0].0.reinstall, "and the crash-lost PB still counts as lost");
-        assert_eq!(after_failure, never_failed, "same clocks, swap and re-install flags");
+        assert_eq!(after_failure, never_failed, "same completions, swap and re-install flags");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the serving simulator.
+//! Deterministic fault injection for the serving simulator, and each
+//! serving call's replica clocks.
 //!
 //! [`FaultOptions`] seeds a per-replica fault plan — everything is drawn
 //! from [`sushi_tensor::DetRng`] streams derived from one seed, so a
@@ -37,13 +38,20 @@
 //! supervisor — which draws no RNG by construction (a zero MTBF never
 //! schedules an event and a zero transient rate returns before rolling),
 //! so a fault-free run is the same loop with nothing to enact.
+//!
+//! The runtime is also where a call's time lives. Each replica's busy
+//! clock starts at `0.0` when [`crate::engine::Engine::serve_timed`] builds
+//! the runtime and goes when the call returns, so no call can inherit
+//! another's clock; the executor pool keeps only the SubGraph-Stationary
+//! state an engine carries across calls.
 
 use std::collections::{HashMap, VecDeque};
 
 use sushi_sched::TIER_COUNT;
 use sushi_tensor::DetRng;
 
-use crate::serving::executor::{DispatchReport, ExecutorPool};
+use crate::error::SushiError;
+use crate::serving::executor::{DispatchReport, Dispatched, ExecutorPool, PlannedBatch};
 use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery, QueuedQuery};
 use crate::serving::sim::p99;
 
@@ -244,9 +252,12 @@ fn exp_draw(rng: &mut DetRng, mean_ms: f64) -> f64 {
     (-mean_ms * (1.0 - u).ln()).max(mean_ms * 1e-6)
 }
 
-/// Per-replica fault-plan state.
+/// Per-replica run state: the busy clock and the fault plan.
 #[derive(Debug, Clone)]
 struct ReplicaFaults {
+    /// When the replica's last dispatched batch completes, ms (`0.0`
+    /// until its first dispatch of the run).
+    busy_until_ms: f64,
     crash_rng: DetRng,
     straggle_rng: DetRng,
     /// Whether the replica is up (dispatchable, health permitting).
@@ -274,15 +285,20 @@ struct ReplicaFaults {
     ewma_service_ms: Option<f64>,
 }
 
-/// Run state enacting a [`FaultOptions`] plan over an [`ExecutorPool`],
-/// and the supervisor's own run state: retry attempts, per-tier retry
-/// budgets, backoff buffer and hedge window. Built fresh per
-/// [`crate::serving::sim::ServingSim::run`] call, so every run replays the
-/// identical plan. Every run has one; a fault-free run holds the empty
-/// plan, whose methods enact nothing and draw nothing. It is also where
-/// the serving loop asks a replica the questions that mix the pool's
-/// clocks and caches with up/down and health: [`Self::free`],
-/// [`Self::free_warmth`], [`Self::release_ms`] and [`Self::straggler_scale`].
+/// One serving call's replica clocks, the run state enacting a
+/// [`FaultOptions`] plan over an [`ExecutorPool`], and the supervisor's
+/// own run state: retry attempts, per-tier retry budgets, backoff buffer
+/// and hedge window. Built fresh by every
+/// [`crate::engine::Engine::serve_timed`] call, so every run starts with
+/// each replica free at `0.0` and replays the identical plan. Every run
+/// has one; a fault-free run holds the empty plan, whose methods enact
+/// nothing and draw nothing. Every clock write goes through
+/// [`Self::occupy`] (a dispatch runs the clock to the batch's completion)
+/// or [`Self::settle_hedge`] (a hedge's loser stops at the winner's
+/// completion). It is also where the serving loop asks a replica the
+/// questions that mix clocks and the pool's caches with up/down and
+/// health: [`Self::free`], [`Self::free_warmth`], [`Self::release_ms`] and
+/// [`Self::straggler_scale`].
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     opts: FaultOptions,
@@ -317,6 +333,7 @@ impl FaultRuntime {
                     f64::INFINITY
                 };
                 ReplicaFaults {
+                    busy_until_ms: 0.0,
                     crash_rng,
                     straggle_rng,
                     up: true,
@@ -369,11 +386,11 @@ impl FaultRuntime {
                     r.next_crash_ms =
                         r.down_until_ms + exp_draw(&mut r.crash_rng, self.opts.crash_mtbf_ms);
                     r.down_until_ms = f64::INFINITY;
-                } else if now_ms >= r.next_crash_ms && pool.busy_until_ms(w) <= now_ms {
+                } else if now_ms >= r.next_crash_ms && r.busy_until_ms <= now_ms {
                     // Fail-stop at the batch boundary: the replica dies at
                     // its drawn instant, or when its in-flight batch
                     // completed — whichever is later.
-                    let down_from = r.next_crash_ms.max(pool.busy_until_ms(w));
+                    let down_from = r.next_crash_ms.max(r.busy_until_ms);
                     r.up = false;
                     r.down_since_ms = down_from;
                     r.down_until_ms = if self.opts.crash_outage_ms > 0.0 {
@@ -425,8 +442,51 @@ impl FaultRuntime {
 
     /// Whether the serving loop may dispatch a batch to replica `w` at
     /// `now_ms`: up, not quarantined, and past its busy-until clock.
-    pub(crate) fn free(&self, pool: &ExecutorPool, w: usize, now_ms: f64) -> bool {
-        self.dispatchable(w) && pool.busy_until_ms(w) <= now_ms
+    pub(crate) fn free(&self, w: usize, now_ms: f64) -> bool {
+        self.dispatchable(w) && self.busy_until_ms(w) <= now_ms
+    }
+
+    /// When replica `w` last became (or next becomes) idle, ms.
+    pub(crate) fn busy_until_ms(&self, w: usize) -> f64 {
+        self.replicas[w].busy_until_ms
+    }
+
+    /// Time the last replica finishes (the run's drain point).
+    pub(crate) fn drain_ms(&self) -> f64 {
+        self.replicas.iter().map(|r| r.busy_until_ms).fold(0.0, f64::max)
+    }
+
+    /// Runs `dispatch` on `plan`, a dispatch group starting at `now_ms`,
+    /// then runs each planned replica's clock to its batch's completion,
+    /// in plan order. A plan that names a replica still busy at `now_ms`
+    /// is refused before `dispatch` runs, and a failed `dispatch` moves no
+    /// clock.
+    ///
+    /// # Errors
+    /// Returns [`SushiError::Internal`] for a busy replica, and whatever
+    /// `dispatch` returns.
+    pub(crate) fn occupy(
+        &mut self,
+        now_ms: f64,
+        plan: &[PlannedBatch],
+        dispatch: impl FnOnce(&[PlannedBatch]) -> Result<Vec<Dispatched>, SushiError>,
+    ) -> Result<Vec<Dispatched>, SushiError> {
+        if let Some(b) = plan.iter().find(|b| self.busy_until_ms(b.worker) > now_ms) {
+            return Err(SushiError::Internal(format!("dispatch to busy worker {}", b.worker)));
+        }
+        let results = dispatch(plan)?;
+        for (report, _) in &results {
+            self.replicas[report.worker].busy_until_ms = report.completion_ms;
+        }
+        Ok(results)
+    }
+
+    /// Clamps replica `w`'s busy clock to at most `until_ms` (hedge
+    /// cancellation: the losing replica abandons its duplicate batch the
+    /// instant the winner's result lands).
+    fn clamp_busy(&mut self, w: usize, until_ms: f64) {
+        let r = &mut self.replicas[w];
+        r.busy_until_ms = r.busy_until_ms.min(until_ms);
     }
 
     /// How warm each replica is for serving-set row `row` at `now_ms`:
@@ -444,7 +504,7 @@ impl FaultRuntime {
     ) -> Vec<Option<f64>> {
         (0..self.replicas.len())
             .map(|w| {
-                let free = !skip(w) && self.free(pool, w, now_ms);
+                let free = !skip(w) && self.free(w, now_ms);
                 free.then(|| if self.cache_warm(w) { pool.overlap(w, row) } else { 0.0 })
             })
             .collect()
@@ -478,16 +538,15 @@ impl FaultRuntime {
     /// When replica `w` can next accept a batch: its busy-until clock
     /// while dispatchable, its restart (or never, if the crash is
     /// permanent) while down, and its probation end while quarantined.
-    pub(crate) fn release_ms(&self, pool: &ExecutorPool, w: usize) -> f64 {
-        let busy_until_ms = pool.busy_until_ms(w);
+    pub(crate) fn release_ms(&self, w: usize) -> f64 {
         let r = &self.replicas[w];
         if !r.up {
             return r.down_until_ms;
         }
         if r.health == ReplicaHealth::Quarantined {
-            return r.quarantine_until_ms.max(busy_until_ms);
+            return r.quarantine_until_ms.max(r.busy_until_ms);
         }
-        busy_until_ms
+        r.busy_until_ms
     }
 
     /// Rolls the per-batch transient-failure coin (one draw per primary
@@ -642,13 +701,12 @@ impl FaultRuntime {
     /// still feeds the straggler detector. Returns whether the backup won.
     pub(crate) fn settle_hedge(
         &mut self,
-        pool: &mut ExecutorPool,
         primary: &DispatchReport,
         backup: &DispatchReport,
     ) -> bool {
         let won = backup.completion_ms < primary.completion_ms;
         let (winner, loser) = if won { (backup, primary) } else { (primary, backup) };
-        pool.clamp_busy(loser.worker, winner.completion_ms);
+        self.clamp_busy(loser.worker, winner.completion_ms);
         self.note_success(loser.worker, loser.completion_ms - loser.start_ms, winner.completion_ms);
         self.summary.hedges += 1;
         self.summary.hedges_won += usize::from(won);
@@ -702,8 +760,9 @@ impl FaultRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::executor::tests::toy_pool;
+    use crate::serving::executor::tests::{planned, toy_pool, Failing, Fixture};
     use crate::stream::TimedQuery;
+    use sushi_accel::backend::{Analytical, ExecutionBackend};
     use sushi_sched::{Query, TenantTier};
 
     fn chaosy() -> FaultOptions {
@@ -715,6 +774,90 @@ mod tests {
             straggler_factor: 3.0,
             transient_rate: 0.1,
             ..FaultOptions::default()
+        }
+    }
+
+    /// Dispatches `plan` at `now_ms` on `f`'s pool through `rt`'s clocks,
+    /// as the serving loop does.
+    fn occupy(
+        rt: &mut FaultRuntime,
+        f: &mut Fixture,
+        now_ms: f64,
+        backend: &mut dyn ExecutionBackend,
+        plan: &[PlannedBatch],
+    ) -> Result<Vec<Dispatched>, SushiError> {
+        rt.occupy(now_ms, plan, |plan| f.group(now_ms, backend, plan))
+    }
+
+    /// A fault-free run's runtime over `workers` replicas.
+    fn clocks(workers: usize) -> FaultRuntime {
+        FaultRuntime::new(FaultOptions::default(), workers)
+    }
+
+    #[test]
+    fn free_worker_query_reports_availability() {
+        let rt = clocks(3);
+        assert!((0..3).all(|w| rt.busy_until_ms(w) == 0.0), "fresh replicas are free at 0");
+        assert!((0..3).all(|w| rt.free(w, 0.0)));
+        assert_eq!(rt.drain_ms(), 0.0);
+    }
+
+    #[test]
+    fn dispatch_advances_worker_clock() {
+        let (mut rt, mut f) = (clocks(2), Fixture::new(2));
+        let plan = [planned(0, 0, &[0, 1, 2, 3])];
+        let (d, outputs) = occupy(&mut rt, &mut f, 5.0, &mut Analytical, &plan).unwrap().remove(0);
+        assert!(outputs.is_none(), "analytical backend produces no outputs");
+        assert_eq!(d.start_ms, 5.0);
+        assert!(d.completion_ms > 5.0);
+        assert_eq!(rt.busy_until_ms(0), d.completion_ms);
+        assert_eq!(rt.busy_until_ms(1), 0.0, "the other replica stays free");
+        assert_eq!((d.worker, d.swap_ms, d.reinstall), (0, 0.0, false), "no install, no swap");
+        assert_eq!(rt.drain_ms(), d.completion_ms);
+        assert!(!rt.free(0, 5.0) && rt.free(0, d.completion_ms));
+    }
+
+    #[test]
+    fn clamp_busy_only_moves_the_clock_earlier() {
+        let (mut rt, mut f) = (clocks(1), Fixture::new(1));
+        let plan = [planned(0, 0, &[0])];
+        let (d, _) = occupy(&mut rt, &mut f, 0.0, &mut Analytical, &plan).unwrap().remove(0);
+        rt.clamp_busy(0, d.completion_ms + 100.0);
+        assert_eq!(rt.busy_until_ms(0), d.completion_ms, "clamp never extends");
+        rt.clamp_busy(0, d.completion_ms / 2.0);
+        assert_eq!(rt.busy_until_ms(0), d.completion_ms / 2.0);
+    }
+
+    #[test]
+    fn dispatch_to_a_busy_or_repeated_worker_is_an_error() {
+        let (mut rt, mut f) = (clocks(2), Fixture::new(2));
+        let b = &mut Analytical;
+        let (d, _) = occupy(&mut rt, &mut f, 0.0, b, &[planned(0, 0, &[0])]).unwrap().remove(0);
+        let err = occupy(&mut rt, &mut f, 0.0, b, &[planned(0, 0, &[1])]).unwrap_err();
+        assert!(matches!(err, SushiError::Internal(_)), "{err}");
+        let twice = [planned(1, 0, &[2]), planned(1, 1, &[3])];
+        let err = occupy(&mut rt, &mut f, 0.0, b, &twice).unwrap_err();
+        assert!(matches!(err, SushiError::Internal(_)), "{err}");
+        // A rejected plan dispatches nothing: no clock moves.
+        assert_eq!(rt.busy_until_ms(0), d.completion_ms);
+        assert_eq!(rt.busy_until_ms(1), 0.0);
+    }
+
+    #[test]
+    fn a_failed_dispatch_moves_no_clock() {
+        let (mut failed, mut clean) = (clocks(2), clocks(2));
+        let (mut failed_pool, mut clean_pool) = (Fixture::new(2), Fixture::new(2));
+        let plan = [planned(0, 0, &[0]), planned(1, 1, &[1])];
+        let err = occupy(&mut failed, &mut failed_pool, 0.0, &mut Failing, &plan).unwrap_err();
+        assert!(matches!(err, SushiError::Backend(_)), "{err}");
+        for w in 0..2 {
+            assert_eq!(failed.busy_until_ms(w), clean.busy_until_ms(w));
+        }
+        let after_failure = occupy(&mut failed, &mut failed_pool, 0.0, &mut Analytical, &plan);
+        let never_failed = occupy(&mut clean, &mut clean_pool, 0.0, &mut Analytical, &plan);
+        assert_eq!(after_failure.unwrap(), never_failed.unwrap(), "the plan still dispatches");
+        for w in 0..2 {
+            assert_eq!(failed.busy_until_ms(w), clean.busy_until_ms(w), "same clocks");
         }
     }
 
@@ -842,7 +985,7 @@ mod tests {
             perm.advance(step as f64, &mut pool);
         }
         assert!(!perm.dispatchable(0));
-        assert_eq!(perm.release_ms(&pool, 0), f64::INFINITY);
+        assert_eq!(perm.release_ms(0), f64::INFINITY);
         let s = perm.finish(500.0);
         assert_eq!(s.crashes, 1);
         assert!(s.downtime_ms[0] > 0.0 && s.downtime_ms[0] <= 500.0);
@@ -869,7 +1012,7 @@ mod tests {
         // Simulate a batch in flight across the crash instant: the replica
         // survives until the batch boundary.
         let busy_until = crash_t + 5.0;
-        pool.force_busy_until(0, busy_until);
+        rt.replicas[0].busy_until_ms = busy_until;
         rt.advance(crash_t + 1.0, &mut pool);
         assert!(rt.dispatchable(0), "fail-stop must wait for the batch boundary");
         rt.advance(busy_until, &mut pool);

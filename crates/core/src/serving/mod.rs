@@ -29,11 +29,13 @@
 //!   workers with per-replica cache state and routed (not broadcast)
 //!   installs, dispatching batch groups through the engine's
 //!   [`sushi_accel::backend::ExecutionBackend`] (analytical timing, or
-//!   real parallel int8 forwards with per-query predictions).
-//! * [`sim`] — the SLO-aware event loop tying scheduler, queue, batcher,
-//!   router and pool together, and the per-query replay on the same
-//!   scheduler and pool (the one run state behind both
-//!   [`crate::engine::Engine::serve_timed`] and
+//!   real parallel int8 forwards with per-query predictions). It holds
+//!   only what an engine carries across calls and keeps no clock: each
+//!   serving call's replica clocks live in the fault runtime it builds.
+//! * [`sim`] — the bodies of [`crate::engine::Engine::serve_timed`] (the
+//!   SLO-aware event loop tying scheduler, queue, batcher, router and pool
+//!   together) and [`crate::engine::Engine::serve`] (the per-query replay
+//!   on the same scheduler and pool, behind
 //!   [`crate::engine::Engine::serve_stream`]), configured by one
 //!   [`sim::SimConfig`] handed to
 //!   [`crate::engine::EngineBuilder::sim_config`].

@@ -1,11 +1,11 @@
 //! The deterministic discrete-event serving simulator.
 //!
-//! The crate-private `ServingSim` wraps the SUSHI stack — `SushiSched`
-//! decisions enacted on a pool of accelerator replicas — in an open-loop
-//! event loop over a [`TimedQuery`] stream. It is the engine's one run
-//! state, behind [`crate::engine::Engine::serve_timed`] and
-//! [`crate::engine::Engine::serve_stream`], and the event loop is
-//! configured by one [`SimConfig`]:
+//! This module holds the bodies of [`Engine::serve_timed`] and
+//! [`Engine::serve`] as an `impl Engine` block: the SUSHI stack —
+//! `SushiSched` decisions enacted on the engine's pool of accelerator
+//! replicas — driven by an open-loop event loop over a [`TimedQuery`]
+//! stream, or by the per-query replay. The event loop is configured by one
+//! [`SimConfig`]:
 //!
 //! 1. **Admission.** Each arrival is scheduled immediately
 //!    (`Scheduler::decide`, in arrival order, so the AvgNet state stream is
@@ -23,7 +23,7 @@
 //!    backend; every query in a batch completes at its batch end. The
 //!    routing views and a tail hedge's backup rank replicas by one
 //!    warmth (`FaultRuntime::free_warmth`), and the group and each hedge
-//!    go through one helper (`ServingSim::dispatch`) that plans, dispatches
+//!    go through one helper (`Engine::dispatch`) that plans, dispatches
 //!    and charges swap time and crash re-installs.
 //! 3. **Accounting.** End-to-end latency (queueing + swap + service) feeds
 //!    a streaming [`LatencyHistogram`]; drops and deadline misses both
@@ -32,36 +32,36 @@
 //!    under its tier) and Little's law: the time-weighted mean depth
 //!    times the makespan equals the queue's summed stays.
 //!
-//! The per-query replay (`serve_stream`) drives the same scheduler and
-//! pool, one query at a time on worker 0, and differs from the event loop
-//! in one ordering only: it routes a query's cache decision *after*
-//! dispatching that query, so the next query's dispatch applies the
-//! install and pays its PB reload (stage B of Fig. 9a, as the §5.6–5.7
-//! replays charge it). The event loop routes at admission, so the
-//! triggering query's own batch may pay.
+//! The per-query replay ([`Engine::serve`], behind
+//! [`Engine::serve_stream`]) drives the same scheduler and pool, one query
+//! at a time on worker 0, and differs from the event loop in one ordering
+//! only: it routes a query's cache decision *after* dispatching that
+//! query, so the next query's dispatch applies the install and pays its PB
+//! reload (stage B of Fig. 9a, as the §5.6–5.7 replays charge it). The
+//! event loop routes at admission, so the triggering query's own batch may
+//! pay.
 //!
-//! Time is simulated milliseconds, and each call has its own: every call
-//! starts on an idle pool at `t = 0`, the instant a timed stream's arrivals
-//! count from. Only SubGraph-Stationary state carries from one call to the
-//! next ([`crate::engine::Engine`] states the contract). Nothing here reads
-//! a wall clock, so a `(stream, config, seed)` triple reproduces
+//! Time is simulated milliseconds, and each call has its own. The replay
+//! keeps no clock at all. Each [`Engine::serve_timed`] keeps its replica
+//! clocks in the fault runtime it builds, starting at `t = 0`, the instant
+//! the stream's arrivals count from, and drops them when it returns. Only
+//! the engine's fields carry from one call to the next, and they hold only
+//! SubGraph-Stationary state ([`Engine`] states the contract). Nothing here
+//! reads a wall clock, so a `(stream, config, seed)` triple reproduces
 //! bit-identical results on any platform.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use sushi_accel::backend::ExecutionBackend;
-use sushi_accel::exec::ServiceTable;
 use sushi_sched::{
-    CacheSelection, LatencyTable, LoadSignal, Policy, Query, Scheduler, TenantEvent, TenantOptions,
-    TenantPolicy, TenantTier, TierSignals, TierState, TIER_COUNT,
+    LoadSignal, Query, TenantEvent, TenantOptions, TenantPolicy, TenantTier, TierSignals,
+    TierState, TIER_COUNT,
 };
-use sushi_wsnet::{SubNet, SuperNet};
 
+use crate::engine::Engine;
 use crate::error::SushiError;
 use crate::metrics::{LatencyHistogram, ServeSummary};
 use crate::serving::batch::BatchPolicy;
-use crate::serving::executor::{Dispatched, ExecutorPool, PlannedBatch};
+use crate::serving::executor::{Dispatched, PlannedBatch};
 use crate::serving::fault::{FaultOptions, FaultRuntime, FaultSummary};
 use crate::serving::queue::{AdmissionQueue, DropPolicy, DropReason, DroppedQuery, QueuedQuery};
 use crate::serving::routing::{ReplicaView, RoutingPolicy};
@@ -343,7 +343,7 @@ pub(crate) fn check_constraints(q: &Query) -> Result<(), SushiError> {
 
 /// Exact p99 order statistic of `samples` (`0.0` when there are none) —
 /// the windows it serves only ever hold a couple of dwell periods' worth
-/// of completions, or the fault runtime's bounded hedge window.
+/// of dispatches, or the fault runtime's bounded hedge window.
 ///
 /// The controller's tail signal feeds it a *sliding time window* of
 /// end-to-end latencies, not the run-long histogram the summary uses: a
@@ -352,10 +352,14 @@ pub(crate) fn check_constraints(q: &Query) -> Result<(), SushiError> {
 /// recovery. A count-based window has the same failure in miniature (at CI
 /// sizing, 64 completions can be half the run), so entries age out by
 /// simulated time instead — the window is `2 x` the controller's reference
-/// scale (two dwell periods): within a couple of permitted
-/// level changes, stale-level latencies have fully aged out. The hedge
-/// threshold feeds it recent batch *service* times (dispatch →
-/// completion), which is what a straggling replica inflates.
+/// scale (two dwell periods). What the window holds is not "the recent
+/// completions": each served query enters when its batch is dispatched,
+/// tagged with its future completion time, and aging pops from the front,
+/// which is dispatch order. So the p99 also reads queries still in flight,
+/// and an entry whose completion is older than the window stays while a
+/// fresher one is ahead of it ([`LoadSignal::p99_ms`] gives the measured
+/// shares). The hedge threshold feeds it recent batch *service* times
+/// (dispatch → completion), which is what a straggling replica inflates.
 pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = samples.collect();
     if v.is_empty() {
@@ -367,92 +371,28 @@ pub(crate) fn p99(samples: impl Iterator<Item = f64>) -> f64 {
     v[(0.99 * (v.len() - 1) as f64).ceil() as usize]
 }
 
-/// The engine's one run state: scheduler + executor pool, driven by the
-/// SLO-aware serving loop ([`Self::run`]) or the per-query replay
-/// ([`Self::replay`]). It holds only the SubGraph-Stationary state that
-/// continues from one call to the next — scheduler history, the pool's
-/// resident SubGraphs, crash-lost flags and pending install. Every call
-/// starts on an idle pool at `t = 0` ([`ExecutorPool::idle`]), and each
-/// [`Self::run`] builds its own fault runtime, controller, routing cursor
-/// and counts.
-#[derive(Debug)]
-pub(crate) struct ServingSim {
-    net: Arc<SuperNet>,
-    subnets: Vec<SubNet>,
-    sched: Scheduler,
-    pool: ExecutorPool,
-    config: SimConfig,
-}
-
-impl ServingSim {
-    /// Assembles a serving simulation from engine-validated parts.
-    /// `subnets` must be the serving set (row order) the `table` was built
-    /// from — [`crate::engine::EngineBuilder::build`] enforces this along
-    /// with the sim-config invariants.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        net: Arc<SuperNet>,
-        subnets: Vec<SubNet>,
-        table: LatencyTable,
-        service: Arc<ServiceTable>,
-        policy: Policy,
-        cache_selection: CacheSelection,
-        q_window: usize,
-        config: SimConfig,
-    ) -> Self {
-        debug_assert_eq!(subnets.len(), table.num_rows(), "serving set / table mismatch");
-        Self {
-            net,
-            subnets,
-            sched: Scheduler::new(table, policy, cache_selection, q_window),
-            pool: ExecutorPool::new(service, config.workers),
-            config,
-        }
-    }
-
-    /// The SuperNet being served.
-    pub(crate) fn net(&self) -> &SuperNet {
-        &self.net
-    }
-
-    /// The serving SubNets, in latency-table row order.
-    pub(crate) fn subnets(&self) -> &[SubNet] {
-        &self.subnets
-    }
-
-    /// The scheduler's SushiAbs latency table.
-    pub(crate) fn table(&self) -> &LatencyTable {
-        self.sched.table()
-    }
-
-    /// The serving-loop configuration.
-    pub(crate) fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Serves one query through the replay loop of Fig. 4 on worker 0:
-    /// schedule it, dispatch it alone on an idle pool at `t = 0` (applying
-    /// and paying for any install an earlier query routed), read the hit
-    /// ratio, and only then route this query's own cache decision. The
-    /// serving config's batching, routing, control and faults play no part.
+impl Engine {
+    /// Serves one query through the per-query replay loop (Fig. 4) on
+    /// worker 0: schedule it, dispatch it alone (applying and paying for
+    /// any install an earlier query routed), read the hit ratio, and only
+    /// then route this query's own cache decision. The replay keeps no
+    /// clock: the query starts at `t = 0` and its latency is its service
+    /// time. The serving config's batching, routing, control and faults
+    /// play no part.
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] for a query [`check_constraints`]
-    /// refuses, and [`SushiError::Backend`] when the backend fails; no
+    /// Returns [`SushiError::Stream`] when the query's accuracy constraint
+    /// is NaN or its latency constraint is NaN or negative, and
+    /// [`SushiError::Backend`] when the execution backend fails; no
     /// install is routed then.
-    pub(crate) fn replay(
-        &mut self,
-        backend: &mut dyn ExecutionBackend,
-        query: &Query,
-    ) -> Result<ServedRecord, SushiError> {
+    pub fn serve(&mut self, query: &Query) -> Result<ServedRecord, SushiError> {
         check_constraints(query)?;
         let decision = self.sched.decide(query);
         let row = decision.subnet_row;
         let plan = [PlannedBatch { worker: 0, row, query_ids: vec![query.id], scale: 1.0 }];
-        self.pool.idle();
         let (dispatch, outputs) = self
             .pool
-            .dispatch_group(0.0, &self.net, &self.subnets, backend, &plan)?
+            .dispatch_group(0.0, &self.net, &self.subnets, self.backend.as_mut(), &plan)?
             .pop()
             .expect("one planned batch, one result");
         let hit_ratio = self.pool.overlap(0, row);
@@ -474,21 +414,18 @@ impl ServingSim {
         })
     }
 
-    /// Runs the event loop over an arrival-ordered stream to completion,
-    /// dispatching every batch through `backend`. The run starts on an
-    /// idle pool at `t = 0`, the time the stream's arrivals count from.
+    /// Runs the event-driven serving simulation over an arrival-ordered
+    /// [`TimedQuery`] stream to completion (open-loop arrivals, bounded
+    /// admission queue, dynamic batching, worker pool, SLO accounting).
+    /// The run's replica clocks are its own and start at `t = 0`, the time
+    /// the stream's arrivals count from ([`Engine`]).
     ///
     /// # Errors
-    /// Returns [`SushiError::Stream`] if the stream is empty, has an
-    /// arrival time that is not a finite number `>= 0` or a query
-    /// [`check_constraints`] refuses, or is not sorted by arrival time, and
-    /// [`SushiError::Backend`] when the backend fails. The whole stream is
-    /// checked before anything is served.
-    pub(crate) fn run(
-        &mut self,
-        backend: &mut dyn ExecutionBackend,
-        stream: &[TimedQuery],
-    ) -> Result<SimResult, SushiError> {
+    /// Returns [`SushiError::Stream`] on an empty or unsorted stream, an
+    /// arrival that is negative or not finite, or a query [`Engine::serve`]
+    /// would refuse — checked before anything is served — and
+    /// [`SushiError::Backend`] when the execution backend fails.
+    pub fn serve_timed(&mut self, stream: &[TimedQuery]) -> Result<SimResult, SushiError> {
         if stream.is_empty() {
             return Err(SushiError::Stream("cannot simulate an empty stream".into()));
         }
@@ -502,12 +439,11 @@ impl ServingSim {
         if !stream.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms) {
             return Err(SushiError::Stream("stream must be sorted by arrival time".into()));
         }
-        self.pool.idle();
         let queue_capacity = self.config.queue_capacity;
         let mut queue = AdmissionQueue::new(queue_capacity, self.config.drop_policy);
-        // Everything this run injects, controls or counts is built here and
-        // dropped when it returns; only the scheduler and the pool's resident
-        // state carry on.
+        // Everything this run injects, controls, counts or times is built
+        // here and dropped when it returns; only the scheduler and the
+        // pool's resident state carry on.
         let mut control = self
             .config
             .control
@@ -519,10 +455,10 @@ impl ServingSim {
             BatchPolicy::new(pol.batch_cap(base_batch.max_batch), base_batch.max_wait_ms)
         };
         let mut batch_policy = base_batch;
-        // Tail-signal window (see `p99`): two SLO time scales of
-        // completions, tagged with their completion time for aging — a
-        // couple of dwell periods, so latencies observed at a stale level
-        // age out within a few permitted level changes.
+        // Tail-signal window (see `p99`): two SLO time scales of served
+        // queries, entered at dispatch in dispatch order and tagged with
+        // their future completion time, which the aging below compares
+        // against `now - tail_window_ms` from the front only.
         let mut tail_window_ms = 0.0;
         if let Some(pol) = &control {
             // Smooth the depth signal on the controller's own time scale so
@@ -535,13 +471,14 @@ impl ServingSim {
         // controller does no per-tier work at all.
         let tiered = control.as_ref().is_some_and(TenantPolicy::is_tiered);
         let mut recent: VecDeque<(f64, f64)> = VecDeque::new();
-        // Per-tier completion windows (tiered runs only): each tier's
+        // Per-tier tail windows (tiered runs only): each tier's
         // ladder reacts to its *own* tail, so one tenant's burst cannot
         // read as tail pressure on another tier's signal.
         let mut recent_tier: [VecDeque<(f64, f64)>; TIER_COUNT] = Default::default();
-        // A fresh fault runtime per run — the plan is a pure function of
-        // the options' seed, so a rerun replays the same schedule; with
-        // `faults: None` it is the empty plan.
+        // A fresh fault runtime per run — it holds the run's replica clocks,
+        // all free at 0, and its plan is a pure function of the options'
+        // seed, so a rerun replays the same schedule; with `faults: None` it
+        // is the empty plan.
         let empty_plan = FaultOptions { supervised: false, ..FaultOptions::default() };
         let mut fault =
             FaultRuntime::new(self.config.faults.unwrap_or(empty_plan), self.config.workers);
@@ -571,8 +508,8 @@ impl ServingSim {
                 let quarantined_frac = fault.unavailable_frac();
                 // One signal shape for the whole queue and for each tier's
                 // slice of it: a depth, the head-of-line query's slack, and
-                // the tail of a completion window aged to the last
-                // `tail_window_ms`.
+                // the p99 of a tail window, popped from the front while the
+                // front entry's completion is older than `tail_window_ms`.
                 let signal = |queue_depth: f64,
                               head: Option<&QueuedQuery>,
                               window: &mut VecDeque<(f64, f64)>| {
@@ -653,7 +590,7 @@ impl ServingSim {
                 let mut claimed = vec![false; self.pool.num_workers()];
                 let mut group: Vec<(usize, Vec<QueuedQuery>)> = Vec::new();
                 loop {
-                    let free = |w: usize| !claimed[w] && fault.free(&self.pool, w, now);
+                    let free = |w: usize| !claimed[w] && fault.free(w, now);
                     if !(0..claimed.len()).any(free) || !batch_policy.ready(&queue, now) {
                         break;
                     }
@@ -669,7 +606,7 @@ impl ServingSim {
                     let views: Vec<ReplicaView> = (0..claimed.len())
                         .map(|w| ReplicaView {
                             free: warm[w].is_some(),
-                            busy_until_ms: self.pool.busy_until_ms(w),
+                            busy_until_ms: fault.busy_until_ms(w),
                             covers: warmest > 0.0 && warm[w] == Some(warmest),
                         })
                         .collect();
@@ -686,7 +623,7 @@ impl ServingSim {
                     break;
                 }
                 let planned = group.iter().map(|(worker, batch)| (*worker, &batch[..]));
-                let results = self.dispatch(backend, now, &mut fault, &mut swap_ms, planned)?;
+                let results = self.dispatch(now, &mut fault, &mut swap_ms, planned)?;
                 for ((_, batch), (mut report, mut outputs)) in group.into_iter().zip(results) {
                     if fault.roll_transient() {
                         // The batch burned its service slot and failed
@@ -710,10 +647,10 @@ impl ServingSim {
                         if let Some(backup) = warm.iter().position(|&x| x == Some(warmest)) {
                             let hedge = [(backup, &batch[..])];
                             let (hreport, houts) = self
-                                .dispatch(backend, now, &mut fault, &mut swap_ms, hedge)?
+                                .dispatch(now, &mut fault, &mut swap_ms, hedge)?
                                 .pop()
                                 .expect("one planned batch, one result");
-                            if fault.settle_hedge(&mut self.pool, &report, &hreport) {
+                            if fault.settle_hedge(&report, &hreport) {
                                 report = hreport;
                                 outputs = houts;
                             }
@@ -759,13 +696,12 @@ impl ServingSim {
             }
             if !queue.is_empty() {
                 let workers = 0..self.pool.num_workers();
-                if workers.clone().any(|w| fault.free(&self.pool, w, now)) {
+                if workers.clone().any(|w| fault.free(w, now)) {
                     if let Some(t) = batch_policy.ready_at(&queue) {
                         next_event = next_event.min(t);
                     }
                 } else {
-                    next_event =
-                        workers.map(|w| fault.release_ms(&self.pool, w)).fold(next_event, f64::min);
+                    next_event = workers.map(|w| fault.release_ms(w)).fold(next_event, f64::min);
                 }
             }
             if !next_event.is_finite() {
@@ -790,7 +726,7 @@ impl ServingSim {
             "conservation: per tier, the admitted (tenant, id)s must be the served and dropped ones"
         );
         let makespan_ms =
-            self.pool.drain_ms().max(stream.last().map_or(0.0, |tq| tq.arrival_ms)).max(now);
+            fault.drain_ms().max(stream.last().map_or(0.0, |tq| tq.arrival_ms)).max(now);
         let mean_queue_depth = queue.mean_depth(makespan_ms.max(f64::MIN_POSITIVE));
         // Little's law: the queue is empty now, so the depth integral over
         // the run equals the summed stays of every admission.
@@ -826,14 +762,14 @@ impl ServingSim {
     }
 
     /// Plans one batch per `(worker, batch)` pair, dispatches them at `now`
-    /// as one group, and charges each its PB swap time and any crash
-    /// re-install, in plan order. Every dispatch of [`Self::run`] — a
-    /// routed group, or one hedge — goes through here; the group goes
-    /// first and its hedges after, and that order of summation keeps
-    /// `swap_ms` bit-identical.
+    /// as one group on the run's clocks ([`FaultRuntime::occupy`]), and
+    /// charges each its PB swap time and any crash re-install, in plan
+    /// order. Every dispatch of [`Self::serve_timed`] — a routed group, or
+    /// one hedge — goes through here; the group goes first and its hedges
+    /// after, and that order of summation and of clock writes keeps
+    /// `swap_ms` and every completion time bit-identical.
     fn dispatch<'q>(
         &mut self,
-        backend: &mut dyn ExecutionBackend,
         now: f64,
         fault: &mut FaultRuntime,
         swap_ms: &mut f64,
@@ -848,7 +784,9 @@ impl ServingSim {
                 scale: fault.straggler_scale(worker),
             })
             .collect();
-        let results = self.pool.dispatch_group(now, &self.net, &self.subnets, backend, &plan)?;
+        let results = fault.occupy(now, &plan, |plan| {
+            self.pool.dispatch_group(now, &self.net, &self.subnets, self.backend.as_mut(), plan)
+        })?;
         for (report, _) in &results {
             *swap_ms += report.swap_ms;
             fault.summary.cache_reinstalls += usize::from(report.reinstall);
@@ -860,7 +798,7 @@ impl ServingSim {
 /// Whether every query of `stream` left the run exactly once — served or
 /// dropped — under the tier its tenant maps to: the admitted and the
 /// departed `(tier, tenant, id)` multisets agree, so per tier, admitted =
-/// served + dropped. A debug-run check of [`ServingSim::run`].
+/// served + dropped. A debug-run check of [`Engine::serve_timed`].
 fn conserved_per_tier(
     stream: &[TimedQuery],
     control: Option<TenantOptions>,
@@ -883,10 +821,11 @@ fn conserved_per_tier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineBuilder};
+    use crate::engine::EngineBuilder;
     use crate::serving::arrivals::ArrivalProcess;
     use crate::stream::{attach_arrivals, uniform_stream, ConstraintSpace};
     use sushi_accel::config::zcu104;
+    use sushi_sched::CacheSelection;
 
     fn sim(config: SimConfig) -> (Engine, ConstraintSpace) {
         let engine = EngineBuilder::new()

@@ -9,9 +9,16 @@
 //! constraints keep accuracy demands high at all times; during bursts the
 //! per-patient latency budget collapses. We compare the three §5.7 serving
 //! variants on the same bursty trace and report burst-window SLO
-//! attainment — where the PB + state-aware scheduling matter most. Each
-//! variant is a setting of the one builder: No-SUSHI is the board without
-//! its PB, SUSHI w/o Sched caches state-unaware, SUSHI is the default.
+//! attainment. Each variant is a setting of the one builder: No-SUSHI is
+//! the board without its PB, SUSHI w/o Sched caches state-unaware, SUSHI
+//! is the default.
+//!
+//! The gain the output shows is the Persistent Buffer's: the No-SUSHI row,
+//! the same stack without a PB, meets far fewer in-burst deadlines than
+//! the two PB rows. The example also prints how many queries the two
+//! caching rules served differently; on this trace that count is 0, so
+//! the two PB rows match and the trace shows no gain from state-aware
+//! caching.
 
 use sushi::accel::config::zcu104;
 use sushi::core::engine::EngineBuilder;
@@ -54,6 +61,7 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>14} {:>14}",
         "variant", "latency(ms)", "accuracy(%)", "SLO all", "SLO in-burst"
     );
+    let mut served = Vec::new();
     for (label, setting) in VARIANTS {
         let mut engine = setting(EngineBuilder::new())
             .policy(Policy::StrictLatency)
@@ -75,10 +83,17 @@ fn main() {
             all.latency_slo_attainment * 100.0,
             burst.latency_slo_attainment * 100.0,
         );
+        served.push(records);
     }
 
+    let differing = served[1].iter().zip(&served[2]).filter(|(a, b)| a != b).count();
     println!(
-        "\nDuring bursts every fetched byte counts: SUSHI's cached SubGraph keeps the \
-         fast SubNets' weights resident, so tight per-patient deadlines survive the wave."
+        "\nThe two caching rules served {differing} of {} queries differently.",
+        queries.len()
+    );
+    println!(
+        "During bursts every fetched byte counts: the PB keeps a cached SubGraph's \
+         weights resident, so more tight per-patient deadlines survive the wave than \
+         without it (the No-Sushi row)."
     );
 }

@@ -23,7 +23,10 @@
 //! outputs exist. Batches dispatched to *different* workers at the same
 //! simulated instant go through [`ExecutionBackend::execute_concurrent`];
 //! the functional backend runs them as real parallel int8 forwards under
-//! [`std::thread::scope`], all reading the same pack-once caches.
+//! [`std::thread::scope`], all reading the same pack-once caches. Each
+//! forward splits its large kernels across the worker pool of its own
+//! worker's [`Arena`]; nothing yet budgets the jobs' threads and the pools'
+//! together.
 
 use std::collections::HashMap;
 use std::fmt;

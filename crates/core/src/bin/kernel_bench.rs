@@ -31,6 +31,13 @@
 //! and GMAC/s over a reused [`Arena`], and the naive direct loops' time,
 //! asserting that both produce the same bytes.
 //!
+//! A third table times the fused conv alone, one row per distinct dense
+//! conv shape of the max SubNet of every zoo net: the GEMM's `(m, k, n)` =
+//! (output channels, `C·R·S`, output pixels), the layer's MACs, and the
+//! best wall time and GMAC/s of `conv2d_i8_fused` over a reused [`Arena`]
+//! (im2col, `pack_b` and the k-pair GEMM with its epilogue), asserting the
+//! same bytes as the naive direct loops.
+//!
 //! ```text
 //! kernel_bench                        # paper zoo (ResNet50 + MobileNetV3)
 //! kernel_bench --quick                # toy zoo (CI-sized, seconds)
@@ -47,9 +54,12 @@ use std::time::Instant;
 
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::functional::{act_quant, forward_cached, SubgraphCache};
-use sushi_tensor::ops::conv::{conv2d_i8_in, Conv2dParams};
+use sushi_tensor::ops::activation::Activation;
+use sushi_tensor::ops::conv::{conv2d_i8_fused, conv2d_i8_in, Conv2dParams};
 use sushi_tensor::quant::quantize_tensor;
-use sushi_tensor::{Arena, DetRng, KernelPolicy, QuantParams, Shape4, Tensor};
+use sushi_tensor::{
+    Arena, DetRng, Epilogue, KernelPolicy, PackLayout, PackedConv2d, QuantParams, Shape4, Tensor,
+};
 use sushi_wsnet::layer::ConvKind;
 use sushi_wsnet::{zoo, SuperNet, WeightStore};
 
@@ -238,6 +248,67 @@ fn bench_depthwise(net: &SuperNet, runs: usize, seed: u64) {
     }
 }
 
+/// Times the fused conv on every distinct dense conv shape of `net`'s
+/// largest SubNet and prints one row per shape, asserting that it gives
+/// the naive direct loops' bytes.
+fn bench_dense(net: &SuperNet, runs: usize, seed: u64) {
+    let sn = net.materialize("max", &net.max_config()).expect("max config");
+    let mut shapes = Vec::new();
+    for (desc, slice) in net.layers.iter().zip(sn.graph.slices()) {
+        let (k, c, ks) = (slice.kernels, slice.channels, slice.kernel_size);
+        let shape = (k, c, ks, desc.stride, desc.in_h, desc.in_w);
+        if desc.kind == ConvKind::Dense && !slice.is_empty() && !shapes.contains(&shape) {
+            shapes.push(shape);
+        }
+    }
+    let (in_q, w_q, out_q) =
+        (QuantParams::new(0.05, 3), QuantParams::new(0.02, -2), QuantParams::new(0.5, 1));
+    let acc_scale = in_q.scale * w_q.scale / out_q.scale;
+    let mut rng = DetRng::new(seed);
+    let mut rand_i8 = |shape: Shape4| {
+        Tensor::from_vec(shape, (0..shape.volume()).map(|_| rng.next_i8()).collect())
+            .expect("shape matches")
+    };
+    println!(
+        "\n{}/max dense conv layers, fused conv, best of {runs} run(s) of {LAYER_CALLS} calls",
+        net.name
+    );
+    println!("{:>5} {:>6} {:>6} {:>11} {:>10} {:>8}", "m", "k", "n", "MACs", "fused", "GMAC/s");
+    let mut arena = Arena::new();
+    for (k, c, ks, stride, h, w) in shapes {
+        let x = rand_i8(Shape4::new(1, c, h, w));
+        let wt = rand_i8(Shape4::new(k, c, ks, ks));
+        let bias: Vec<i32> = (0..k as i32).map(|i| i * 37 - 500).collect();
+        let p = Conv2dParams::new(ks, ks).with_stride(stride).with_padding(ks / 2);
+        let packed = PackedConv2d::pack_with_layout(&wt, w_q, &p, PackLayout::KPair)
+            .expect("valid dense layer");
+        let ep = Epilogue::uniform(bias.clone(), acc_scale, out_q, Activation::None)
+            .expect("valid epilogue");
+        let mut best = f64::INFINITY;
+        let mut fused = None;
+        for _ in 0..runs {
+            let t = Instant::now();
+            for _ in 0..LAYER_CALLS {
+                fused = Some(conv2d_i8_fused(&x, in_q, &packed, &ep, &p, &mut arena));
+            }
+            best = best.min(t.elapsed().as_secs_f64() * 1e3 / LAYER_CALLS as f64);
+        }
+        let fused = fused.expect("at least one run").expect("valid dense layer");
+        let b = Some(bias.as_slice());
+        let naive =
+            conv2d_i8_in(&x, in_q, &wt, w_q, None, b, out_q, &p, KernelPolicy::Naive, &mut arena)
+                .expect("valid dense layer");
+        assert_eq!(fused, naive, "{}: fused conv diverged from the naive loops", net.name);
+        let os = fused.shape();
+        let (m, kdim, n) = (k, c * ks * ks, os.h * os.w);
+        let macs = m * kdim * n;
+        println!(
+            "{m:>5} {kdim:>6} {n:>6} {macs:>11} {best:>7.3} ms {:>8.2}",
+            macs as f64 / best / 1e6
+        );
+    }
+}
+
 fn main() {
     let (quick, runs) = parse_args(std::env::args().skip(1));
     let nets: Vec<SuperNet> = if quick {
@@ -251,4 +322,7 @@ fn main() {
     }
     let mobilenet = nets.last().expect("a MobileNet zoo entry");
     bench_depthwise(mobilenet, runs, 2024);
+    for net in &nets {
+        bench_dense(net, runs, 2024);
+    }
 }

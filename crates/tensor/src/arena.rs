@@ -12,12 +12,20 @@
 //! high-water mark, and every subsequent pass reuses the same memory with
 //! **zero heap allocation**.
 //!
+//! An arena also owns the worker pool its kernels split their work across
+//! (the GEMM's row blocks, the depthwise planes, the conv prologue). The
+//! pool's threads start on the first call that splits, park between calls
+//! and are joined when the arena drops, so a split pays a wake-up instead
+//! of a thread spawn, and no pool outlives its owner: there is no
+//! process-global state.
+//!
 //! Lifetime rules:
 //!
 //! * One arena per executing thread/worker — an `Arena` hands out `&mut`
 //!   slices, so it is inherently single-borrower. Serving workers each own
 //!   one and reuse it across queries; a one-off caller passes a fresh
-//!   `Arena::new()`.
+//!   `Arena::new()`. A kernel that splits hands each part of the pool's
+//!   call disjoint slices of the arena's buffers.
 //! * Borrows live for one kernel invocation. The conv kernels request all
 //!   the slices they need in a single call (the methods below return
 //!   disjoint fields, so the borrows coexist), use them, and drop them
@@ -31,7 +39,10 @@
 
 use std::slice::ChunksMut;
 
-/// Grow-only scratch buffers shared by the conv kernels.
+use crate::workers::Pool;
+
+/// Grow-only scratch buffers shared by the conv kernels, and the worker
+/// pool that runs their splits.
 ///
 /// See the module docs for the ownership and lifetime rules.
 #[derive(Debug, Default)]
@@ -41,6 +52,7 @@ pub struct Arena {
     acc_i32: Vec<i32>,
     depthwise_f32: Vec<f32>,
     weight_packs: usize,
+    pool: Pool,
 }
 
 /// `f32`s in one 64-byte cache line.
@@ -60,19 +72,31 @@ impl Arena {
         Self::default()
     }
 
+    /// An arena whose pool has `width` participants (tests only).
+    #[cfg(test)]
+    pub(crate) fn with_width(width: usize) -> Self {
+        Self { pool: Pool::with_width(width), ..Self::default() }
+    }
+
+    /// The worker pool that runs this arena's kernel splits.
+    pub(crate) fn pool(&mut self) -> &mut Pool {
+        &mut self.pool
+    }
+
     /// Scratch for one quantized conv call: `(patches, packed_b, acc)` of
-    /// exactly the requested lengths. Contents are unspecified; callers
-    /// overwrite them fully.
+    /// exactly the requested lengths, and the pool. Contents are
+    /// unspecified; callers overwrite them fully.
     pub(crate) fn i8_conv(
         &mut self,
         patches: usize,
         pb: usize,
         acc: usize,
-    ) -> (&mut [i8], &mut [i16], &mut [i32]) {
+    ) -> (&mut [i8], &mut [i16], &mut [i32], &mut Pool) {
         (
             grow(&mut self.patches_i8, patches),
             grow(&mut self.pb_i16, pb),
             grow(&mut self.acc_i32, acc),
+            &mut self.pool,
         )
     }
 
@@ -84,13 +108,17 @@ impl Arena {
 
     /// Scratch for one depthwise conv call: `workers` regions of `len`
     /// `f32`s, each starting on its own cache line, so concurrent workers
-    /// never write to a shared line. Contents are unspecified; the kernel
-    /// writes every element before reading it.
-    pub(crate) fn f32_depthwise(&mut self, workers: usize, len: usize) -> ChunksMut<'_, f32> {
+    /// never write to a shared line, and the pool. Contents are
+    /// unspecified; the kernel writes every element before reading it.
+    pub(crate) fn f32_depthwise(
+        &mut self,
+        workers: usize,
+        len: usize,
+    ) -> (ChunksMut<'_, f32>, &mut Pool) {
         let pitch = len.next_multiple_of(LINE_F32);
         let buf = grow(&mut self.depthwise_f32, workers * pitch + LINE_F32 - 1);
         let skip = buf.as_ptr().align_offset(LINE_F32 * 4).min(LINE_F32 - 1);
-        buf[skip..skip + workers * pitch].chunks_mut(pitch)
+        (buf[skip..skip + workers * pitch].chunks_mut(pitch), &mut self.pool)
     }
 
     /// Total bytes currently reserved across all scratch buffers (the
@@ -120,7 +148,7 @@ mod tests {
     fn buffers_grow_to_high_water_mark_and_are_reused() {
         let mut arena = Arena::new();
         {
-            let (p, b, c) = arena.i8_conv(10, 30, 40);
+            let (p, b, c, _) = arena.i8_conv(10, 30, 40);
             assert_eq!((p.len(), b.len(), c.len()), (10, 30, 40));
         }
         let bytes_after_big = {

@@ -53,6 +53,7 @@ pub mod quant;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
+mod workers;
 
 pub use arena::Arena;
 pub use error::TensorError;

@@ -23,17 +23,20 @@
 //! * **Im2colGemm** — the GEMM conv body. All scratch (patch matrix, packed
 //!   patches, partial sums) lives in a caller-owned [`Arena`] reused across
 //!   calls, so steady-state serving performs no heap allocation for
-//!   scratch. Weights are packed once into a [`PackedConv2d`] and reused
-//!   across every query — the software analogue of the paper's
-//!   SubGraph-Stationary weight reuse; a call given none packs its own.
+//!   scratch. A large conv runs its prologue (im2col by input-channel
+//!   ranges, `pack_b` by runs of column panels) and then its GEMM row
+//!   blocks on the arena's worker pool. Weights are packed once into a
+//!   [`PackedConv2d`] and reused across every query — the software
+//!   analogue of the paper's SubGraph-Stationary weight reuse; a call
+//!   given none packs its own.
 //! * **Depthwise** — what `Auto` runs for depthwise convs. Each input
 //!   channel is copied once, zero-point-subtracted, into a zero-bordered
 //!   polyphase plane in the arena (a slice copy at stride 1, one
 //!   deinterleaving pass at stride 2); every kernel tap is then one
 //!   contiguous multiply-add over all output pixels, which the compiler
 //!   vectorises (AVX2 when detected at runtime). Large problems split their
-//!   `(batch item, channel)` planes across `available_parallelism`
-//!   workers, each with its own cache-line-aligned arena region.
+//!   `(batch item, channel)` planes across the arena's worker pool, each
+//!   part with its own cache-line-aligned arena region.
 //!
 //! The results are bit-identical across backends: every backend sums the
 //! same integer products exactly (`docs/KERNELS.md` says why the depthwise
@@ -48,8 +51,8 @@ use crate::ops::epilogue::Epilogue;
 use crate::ops::gemm::{
     gemm_i8_pairs_fused, simd_kernels_active, worker_count, ConvBackend, KernelPolicy, KC,
 };
-use crate::ops::im2col::im2col;
-use crate::ops::pack::{pack_b_i8_pairs_into, packed_b_pairs_len, PackLayout, PackedConv2d, NR};
+use crate::ops::im2col::im2col_rows;
+use crate::ops::pack::{pack_b_panels, packed_b_pairs_len, PackLayout, PackedConv2d, NR};
 use crate::quant::{requantize_accumulator, requantize_row, QuantParams};
 use crate::shape::{conv_out_dim, Shape4};
 use crate::tensor::Tensor;
@@ -259,11 +262,11 @@ pub fn conv2d_i8_in(
                 }
             };
             let acc_scale = in_q.scale * w_q.scale / out_q.scale;
-            gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
+            Ok(gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
                 let bias_v = bias.map_or(0, |b| b[k]);
                 let sums = &sums[..dst.len()];
                 requantize_row(sums, bias_v, acc_scale, out_q.zero_point, i8::MIN, dst);
-            })
+            }))
         }
         ConvBackend::Depthwise => {
             let simd = simd_kernels_active();
@@ -319,16 +322,27 @@ pub fn conv2d_i8_fused(
             actual: epilogue.channels(),
         });
     }
-    gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
+    Ok(gemm_conv(input, in_q, packed, params, (oh, ow), arena, &|k, sums, dst| {
         epilogue.finish_tile_row(k, sums, dst);
-    })
+    }))
 }
+
+/// Prologues (im2col and `pack_b`) of a patch matrix of at least this many
+/// cells (`k·n`) split across the arena's pool; smaller ones run on the
+/// calling thread. See `docs/KERNELS.md` for the measurement.
+const PROLOGUE_SPLIT_MIN: usize = 1 << 16;
 
 /// The one GEMM conv body behind both entry points, shape checks already
 /// done: per `(group, batch item)` the patch matrix is packed as B and
 /// multiplied by the group's weight panels, and every finished register
 /// tile row of output channel `k` goes to `finish(k, sums, dst)`, which
 /// writes its `i8` outputs (see [`gemm_i8_pairs_fused`]).
+///
+/// Above [`PROLOGUE_SPLIT_MIN`] the prologue runs on the arena's pool as
+/// two calls, im2col then `pack_b`: im2col's parts are input-channel
+/// ranges, each one contiguous block of patch rows, and `pack_b`'s parts
+/// runs of whole column panels, so every byte is written by exactly one
+/// part.
 fn gemm_conv<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     input: &Tensor<i8>,
     in_q: QuantParams,
@@ -337,7 +351,7 @@ fn gemm_conv<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     (oh, ow): (usize, usize),
     arena: &mut Arena,
     finish: &F,
-) -> Result<Tensor<i8>, TensorError> {
+) -> Tensor<i8> {
     let ishape = input.shape();
     let wshape = packed.wshape();
     let k_total = wshape.n;
@@ -357,11 +371,12 @@ fn gemm_conv<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     // A reduction that fits one K block (every MobileNetV3 1×1) needs no
     // `i32` scratch: each register tile is final when its block ends.
     let partial = if kdim > KC { kg * npix } else { 0 };
-    let (patches, pb, partial) = arena.i8_conv(
+    let (patches, pb, partial, pool) = arena.i8_conv(
         if direct_b { 0 } else { kdim * npix },
         packed_b_pairs_len(kdim, npix),
         partial,
     );
+    let split = if kdim * npix >= PROLOGUE_SPLIT_MIN { pool.width() } else { 1 };
     for g in 0..params.groups {
         let pa = packed.group(g);
         let tail = |kk, sums: &[i32; NR], dst: &mut [i8]| finish(g * kg + kk, sums, dst);
@@ -371,18 +386,30 @@ fn gemm_conv<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
             } else {
                 // Padding cells are written as the input zero point so the
                 // pack-time Zero-Subtraction turns them into literal zeros.
-                im2col(input, n, g * cg, cg, params, oh, ow, in_q.zero_point, patches)?;
+                // Each part writes the patch rows of one channel range.
+                let rows = cg.div_ceil(split) * params.kernel_h * params.kernel_w * npix;
+                let mut parts: Vec<_> = patches.chunks_mut(rows).enumerate().collect();
+                pool.run(&mut parts, |(i, dst)| {
+                    let c0 = g * cg + *i * cg.div_ceil(split);
+                    im2col_rows(input, n, c0, params, oh, ow, in_q.zero_point, dst);
+                });
                 patches
             };
-            pack_b_i8_pairs_into(pb, bsrc, in_q.zero_point, kdim, npix)?;
+            // Each part packs one run of whole column panels.
+            let panels = npix.div_ceil(NR).div_ceil(split);
+            let len = panels * kdim.div_ceil(2) * NR * 2;
+            let mut parts: Vec<_> = pb.chunks_mut(len).enumerate().collect();
+            pool.run(&mut parts, |(i, dst)| {
+                pack_b_panels(dst, bsrc, in_q.zero_point, kdim, npix, *i * panels);
+            });
             // Group `g`'s channels of batch item `n` are `kg` contiguous
             // output rows: the GEMM's `kg × npix` result, in place.
             let base = (n * k_total + g * kg) * npix;
             let rows = &mut out.as_mut_slice()[base..base + kg * npix];
-            gemm_i8_pairs_fused(kg, kdim, npix, pa, pb, partial, rows, &tail);
+            gemm_i8_pairs_fused(pool, kg, kdim, npix, pa, pb, partial, rows, &tail);
         }
     }
-    Ok(out)
+    out
 }
 
 /// Direct-loop oracle for the quantized path: shape checks already done.
@@ -468,10 +495,10 @@ const AVX2_BLOCK: usize = 64;
 /// are the contiguous `out[i·kg·oh·ow..][..kg·oh·ow]`. Under the GEMM's
 /// worker policy (`worker_count`), problems of at least
 /// [`PARALLEL_MIN`](crate::ops::gemm::PARALLEL_MIN) MACs split the planes
-/// into contiguous runs, one per `available_parallelism` worker under
-/// `std::thread::scope` (the calling thread takes the first run); each
-/// worker owns its run's output and its own cache-line-aligned region of
-/// the arena's `f32` scratch, so workers share no written cache line.
+/// into contiguous runs, one per participant of the arena's worker pool
+/// (the caller among them); each run owns its output and its own
+/// cache-line-aligned region of the arena's `f32` scratch, so the runs
+/// share no written cache line.
 ///
 /// Per plane the padded input is written once, minus its zero point, into
 /// scratch whose padding cells stay zero, so no tap ever clamps. The layout
@@ -534,21 +561,15 @@ fn conv2d_i8_depthwise(
     };
     let planes = ishape.n * params.groups;
     let macs = ishape.n * k_total * params.kernel_h * params.kernel_w * oh * ow;
-    let workers = worker_count(macs, planes);
+    let workers = worker_count(macs, planes, arena.pool().width());
     let per = planes.div_ceil(workers);
     let mut out = Tensor::zeros(Shape4::new(ishape.n, k_total, oh, ow));
     let outs = out.as_mut_slice().chunks_mut(per * plan.kg * oh * ow);
-    let scratch = arena.f32_depthwise(workers, plan.scratch_len());
-    std::thread::scope(|scope| {
-        let mut runs = outs.zip(scratch).enumerate().map(|(w, (out, scratch))| {
-            let run = w * per..planes.min((w + 1) * per);
-            move || plan.run(simd, run, out, scratch)
-        });
-        let first = runs.next().expect("at least one plane");
-        for run in runs {
-            scope.spawn(run);
-        }
-        first();
+    let (scratch, pool) = arena.f32_depthwise(workers, plan.scratch_len());
+    let mut runs: Vec<_> = outs.zip(scratch).enumerate().collect();
+    pool.run(&mut runs, |(w, (out, scratch))| {
+        let run = *w * per..planes.min((*w + 1) * per);
+        plan.run(simd, run, out, scratch);
     });
     out
 }
@@ -1002,10 +1023,11 @@ mod tests {
         assert_eq!(run(Shape4::new(1, 3, 9, 9), dw(3, 1), zp.0, zp.1, 402), reserved);
     }
 
-    /// A depthwise problem above `PARALLEL_MIN` whose 7 planes
-    /// no worker count above 1 divides evenly (up to 6 workers), run twice
-    /// on one arena: both calls equal the oracle, and the second reuses the
-    /// per-worker scratch the first reserved.
+    /// A depthwise problem above `PARALLEL_MIN` whose 7 planes no worker
+    /// count above 1 divides evenly, on arenas whose pools are 1–4 wide,
+    /// each run twice: every call equals the oracle, so the split runs
+    /// equal the one-worker run, and the second call on an arena reuses
+    /// the per-worker scratch the first reserved.
     #[test]
     fn threaded_depthwise_reuses_one_arena() {
         let (c, mult, ks) = (7, 2, 5);
@@ -1017,15 +1039,48 @@ mod tests {
         let p = Conv2dParams::new(ks, ks).with_padding(2).with_groups(c);
         assert!(c * mult * ks * ks * 64 * 60 >= PARALLEL_MIN, "not threaded");
         let naive = conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
-        let mut arena = Arena::new();
         let auto = |arena: &mut Arena| {
             let auto = KernelPolicy::Auto;
             conv2d_i8_in(&x, in_q, &w, w_q, None, Some(&bias), out_q, &p, auto, arena).unwrap()
         };
-        assert_eq!(auto(&mut arena), naive, "first call diverged from naive");
-        let reserved = arena.reserved_bytes();
-        assert_eq!(auto(&mut arena), naive, "second call diverged from naive");
-        assert_eq!(arena.reserved_bytes(), reserved, "steady state must not reallocate");
+        for width in 1..=4 {
+            let mut arena = Arena::with_width(width);
+            assert_eq!(auto(&mut arena), naive, "width {width}: first call diverged");
+            let reserved = arena.reserved_bytes();
+            assert_eq!(auto(&mut arena), naive, "width {width}: second call diverged");
+            assert_eq!(arena.reserved_bytes(), reserved, "width {width}: steady state grew");
+        }
+    }
+
+    /// The conv prologue split: a 3×3 conv whose patch matrix reaches
+    /// `PROLOGUE_SPLIT_MIN` cells, with 5 input channels and a ragged last
+    /// column panel, so no width of 2–4 splits the channel ranges or the
+    /// panel runs evenly. Both entry points give the same bytes at every
+    /// width as on one worker, and as the oracle.
+    #[test]
+    fn split_prologue_is_bit_identical_at_every_width() {
+        use crate::ops::activation::Activation;
+        let (c, k, hw) = (5, 6, 153);
+        let p = Conv2dParams::new(3, 3).with_padding(1);
+        assert!(c * 9 * hw * hw >= PROLOGUE_SPLIT_MIN, "prologue not split");
+        let x = rand_i8(Shape4::new(1, c, hw, hw), 800);
+        let w = rand_i8(Shape4::new(k, c, 3, 3), 801);
+        let (in_q, w_q, out_q) =
+            (QuantParams::new(0.05, 3), QuantParams::new(0.02, -1), QuantParams::new(0.3, 2));
+        let bias: Vec<i32> = (0..k as i32).map(|i| i * 29 - 70).collect();
+        let naive = conv(&x, in_q, &w, w_q, Some(&bias), out_q, &p, KernelPolicy::Naive).unwrap();
+        let acc_scale = in_q.scale * w_q.scale / out_q.scale;
+        let ep = Epilogue::uniform(bias.clone(), acc_scale, out_q, Activation::None).unwrap();
+        let kpair = PackedConv2d::pack_with_layout(&w, w_q, &p, PackLayout::KPair).unwrap();
+        for width in 1..=4 {
+            let mut arena = Arena::with_width(width);
+            let gemm = KernelPolicy::Im2colGemm;
+            let unfused =
+                conv2d_i8_in(&x, in_q, &w, w_q, None, Some(&bias), out_q, &p, gemm, &mut arena);
+            assert_eq!(unfused.unwrap(), naive, "width {width}: unfused conv diverged");
+            let fused = conv2d_i8_fused(&x, in_q, &kpair, &ep, &p, &mut arena).unwrap();
+            assert_eq!(fused, naive, "width {width}: fused conv diverged");
+        }
     }
 
     /// The dispatched (AVX2 where detected) and portable builds of the

@@ -12,22 +12,26 @@
 //!   steps interleaved in pairs, so the microkernel only ever loads
 //!   contiguous `MR`/`NR` runs of pairs. Zero points are subtracted *at
 //!   pack time* (`i8 → i16`), removing all per-MAC zero-point work.
-//! * **`MR×NR` microkernel** — a 4×8 register tile of `C` accumulates in
-//!   locals across a `KC` panel; each loaded A pair is reused `NR` times
-//!   and each B pair `MR` times from registers. The AVX2 path
-//!   (`pmaddwd`, 16 multiply-accumulates per instruction) is selected at
-//!   runtime via `is_x86_feature_detected!`; the portable kernel is the
-//!   always-correct fallback, and the two agree bit-exactly.
-//! * **Cache blocking** — `KC`-deep reduction panels keep one `KC×NR` B
-//!   panel L1-resident, and `MC`-row blocks of packed A stay L2-resident
-//!   while the B block streams past.
+//! * **Register tile** — the AVX2 microkernel covers `MR` rows by three
+//!   `NR`-column panels, a 4×24 tile of `C` in twelve accumulators that
+//!   live across a `KC` panel: each A pair is broadcast once and feeds all
+//!   three B panels, so a k-pair issues 12 `pmaddwd`s (16
+//!   multiply-accumulates each) per 7 loads. A row of panels ending in
+//!   one or two panels, or in a ragged panel, runs the same kernel at
+//!   that width. The AVX2 path is selected at runtime via
+//!   `is_x86_feature_detected!`; the portable 4×8 kernel, looped over the
+//!   group, is the always-correct fallback, and the two agree bit-exactly.
+//! * **Cache blocking** — `KC`-deep reduction panels keep a group's three
+//!   `KC×NR` B panels L1-resident, and `MC`-row blocks of packed A stay
+//!   L2-resident while the B block streams past.
 //! * **Threaded row tiling** — large products split `C` into disjoint
-//!   row-panel blocks dispatched via `std::thread::scope`; the calling
-//!   thread runs the first block, so `w` workers spawn `w − 1` threads.
+//!   row-panel blocks, one per participant of the calling arena's
+//!   persistent worker pool (`crate::workers`); the caller takes blocks
+//!   too, so a split costs a wake-up rather than a thread spawn.
 //! * **Fused tail** — for both conv entry points, the driver finishes each
 //!   register tile of the last K block with the conv's output stage (the
 //!   layer's [`crate::ops::epilogue`], or the unfused conv's bias +
-//!   requantize) inside the worker threads and writes `i8` rows; earlier K
+//!   requantize) inside the pool's parts and writes `i8` rows; earlier K
 //!   blocks, when there are any, keep partial sums in `i32` scratch. The
 //!   tail-less [`gemm_i8_packed_pairs`] returns the plain `i32` product;
 //!   only tests call it, as their exact check of the driver and
@@ -39,17 +43,16 @@
 //! `(a − zp_a)` / `(b − zp_b)` and `i32` addition is associative, so
 //! reassociating the reduction cannot change the sum.
 //!
-//! # Tuned thresholds (measured on the repo's 8-core x86-64 CI box)
+//! # Tuned thresholds (measured on a shared 2-core x86-64 box)
 //!
-//! * [`PARALLEL_MIN`] = 2²⁰ MACs: below this, `std::thread::scope` spawn
-//!   overhead (~10 µs/thread) exceeds the kernel time itself — a 64×129×130
-//!   product runs in ~0.3 ms single-threaded, so only products at least a
-//!   millisecond deep are worth fanning out. The depthwise kernel splits
-//!   its planes under the same threshold, re-measured for it on a shared
-//!   2-core box: a spawn and join costs 35–40 µs there, a second worker
-//!   gains 10–25% between 2¹⁹ and 2²⁰ MACs (3×3 layers, 0.1–0.3 ms) and
-//!   1.5–2× above, and with the other core busy every split loses to one
-//!   thread.
+//! * [`PARALLEL_MIN`] = 2¹⁸ MACs: below this the GEMM and the depthwise
+//!   kernel run on the calling thread. It was 2²⁰ while every split
+//!   spawned and joined scoped threads (35–40 µs a call); on the pool a
+//!   split costs a wake-up of well under 10 µs, and a worker that has
+//!   not woken costs nothing. Re-measured on the pool (`op_ms_p50`, 8 s
+//!   runs, three per value): `mbv3_replay` 7.50–7.57 ms at 2¹⁸,
+//!   7.54–7.57 at 2¹⁹, 7.62–7.71 at 2²⁰ and 8.19–8.26 at 2²¹;
+//!   `resnet50_replay` does not move between 2¹⁸ and 2²¹ (37.7–39.4 ms).
 //! * [`AUTO_DIRECT_MAC_THRESHOLD`] = 2048 MACs: with pack-time zero-point
 //!   subtraction and arena-reused scratch, the packed path's fixed cost is
 //!   roughly one extra pass over each operand. The crossover probe
@@ -72,6 +75,7 @@ use std::sync::OnceLock;
 
 use crate::error::TensorError;
 use crate::ops::pack::{packed_a_pairs_len, packed_b_pairs_len, MR, NR};
+use crate::workers::Pool;
 
 /// Which kernel implementation the unfused conv should use.
 ///
@@ -166,16 +170,16 @@ pub const MC: usize = 128;
 /// Products below this many scalar MACs stay single-threaded: the GEMM's
 /// and the depthwise kernel's. See the module docs for the measurements
 /// behind the value.
-pub const PARALLEL_MIN: usize = 1 << 20;
+pub const PARALLEL_MIN: usize = 1 << 18;
 
 /// Workers for a kernel call of `macs` multiply-accumulates that splits
-/// into at most `parts` independent pieces: one below [`PARALLEL_MIN`],
-/// otherwise one per available core, at most one per piece.
-pub(crate) fn worker_count(macs: usize, parts: usize) -> usize {
+/// into at most `parts` independent pieces on a pool of `width`: one below
+/// [`PARALLEL_MIN`], otherwise the whole pool, at most one per piece.
+pub(crate) fn worker_count(macs: usize, parts: usize, width: usize) -> usize {
     if macs < PARALLEL_MIN {
         return 1;
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(parts).max(1)
+    width.min(parts).max(1)
 }
 
 /// Whether the runtime-dispatched SIMD microkernels are active on this
@@ -198,17 +202,60 @@ fn detect_simd() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Microkernels: MR×NR register tiles over pair-interleaved packed panels.
+// Microkernels: register tiles of MR rows by 1–GROUP NR-column panels over
+// pair-interleaved packed panels.
 //
-// Contract: `a` is an MR-row panel slice of `kpairs·MR·2` values and `b` an
-// NR-column panel slice of `kpairs·NR·2` values, both k-pair-major (see
-// `crate::ops::pack`); `acc` accumulates the MR×NR product tile in
-// row-major order. Padded panel cells are zero (after zero-point
-// subtraction), so they can never perturb `acc`.
+// Contract: `a` is an MR-row panel slice of `kpairs·MR·2` values and `b`
+// holds `acc.len()` NR-column panel slices of `kpairs·NR·2` values each,
+// `stride` elements apart, all k-pair-major (see `crate::ops::pack`); each
+// `acc[p]` is overwritten with the MR×NR product tile of panel `p` in
+// row-major order, so the driver never zeroes a tile. Padded panel cells
+// are zero (after zero-point subtraction), so they can never perturb it.
 // ---------------------------------------------------------------------------
 
+/// Column panels one register tile spans: the AVX2 tile is `MR × GROUP·NR`
+/// = 4×24, twelve accumulators, which with three B registers and one A
+/// broadcast fill AVX2's sixteen `ymm` registers (each `pmaddwd` also needs
+/// a temporary, so LLVM parks one accumulator in an L1 stack slot).
+const GROUP: usize = 3;
+
+/// One tile: `acc.len()` (1..=[`GROUP`]) panels of B against one MR-row
+/// panel of A, on the AVX2 kernel when `simd`, else on the portable one.
 #[inline(always)]
-fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
+fn microkernel(kpairs: usize, a: &[i16], b: &[i16], stride: usize, acc: &mut [Tile], simd: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        let panels = acc.len();
+        assert!(a.len() >= kpairs * MR * 2, "A panel shorter than the kernel reads");
+        assert!(b.len() >= (panels - 1) * stride + kpairs * NR * 2, "B panels too short");
+        // SAFETY: `simd` is only true when AVX2 was detected, and the
+        // asserts above are the kernel's slice contract.
+        unsafe {
+            match acc {
+                [t0] => mk_i16_pairs_avx2::<1>(kpairs, a, b, stride, std::array::from_mut(t0)),
+                [_, _] => {
+                    mk_i16_pairs_avx2::<2>(kpairs, a, b, stride, acc.try_into().expect("2 tiles"));
+                }
+                _ => {
+                    let acc = acc.try_into().expect("at most GROUP tiles");
+                    mk_i16_pairs_avx2::<GROUP>(kpairs, a, b, stride, acc);
+                }
+            }
+        }
+        return;
+    }
+    let _ = simd;
+    for (p, tile) in acc.iter_mut().enumerate() {
+        mk_i16_pairs_portable(kpairs, a, &b[p * stride..], tile);
+    }
+}
+
+/// One `MR×NR` accumulator tile, row-major.
+type Tile = [i32; MR * NR];
+
+#[inline(always)]
+fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut Tile) {
+    *acc = [0; MR * NR];
     for kp in 0..kpairs {
         let av = &a[kp * MR * 2..(kp + 1) * MR * 2];
         let bv = &b[kp * NR * 2..(kp + 1) * NR * 2];
@@ -222,10 +269,12 @@ fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR
     }
 }
 
-/// AVX2 `pmaddwd` microkernel over pair-interleaved panels: one 256-bit B
-/// load per k-pair carries `[b(k₀,j), b(k₁,j)]` for 8 columns; each A row's
-/// pair broadcasts as a 32-bit value and `_mm256_madd_epi16` retires 16
-/// multiply-accumulates per instruction.
+/// AVX2 `pmaddwd` microkernel over pair-interleaved panels, `P` panels
+/// wide: per k-pair one 256-bit load per B panel carries `[b(k₀,j),
+/// b(k₁,j)]` for its 8 columns, and each A row's pair, broadcast once as a
+/// 32-bit value, feeds all `P` of them; `_mm256_madd_epi16` retires 16
+/// multiply-accumulates per instruction. At `P = 3` a k-pair issues 12
+/// `pmaddwd`s per 7 loads, where one panel alone issues 4 per 5.
 ///
 /// Bit-identical to [`mk_i16_pairs_portable`] (and therefore to the scalar
 /// reference loops): the `i16` products are exact in `i32` — operands are
@@ -237,38 +286,44 @@ fn mk_i16_pairs_portable(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR
 ///
 /// # Safety
 /// Caller must have verified AVX2 support (see `simd_kernels_active`) and
-/// pass pair-interleaved slices of at least `kpairs·MR·2` / `kpairs·NR·2`
-/// elements.
+/// pass pair-interleaved slices: `a` of at least `kpairs·MR·2` elements,
+/// `b` of at least `(P − 1)·stride + kpairs·NR·2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mk_i16_pairs_avx2(kpairs: usize, a: &[i16], b: &[i16], acc: &mut [i32; MR * NR]) {
+unsafe fn mk_i16_pairs_avx2<const P: usize>(
+    kpairs: usize,
+    a: &[i16],
+    b: &[i16],
+    stride: usize,
+    acc: &mut [Tile; P],
+) {
     use std::arch::x86_64::{
         _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
-        _mm256_storeu_si256,
+        _mm256_setzero_si256, _mm256_storeu_si256,
     };
-    debug_assert!(a.len() >= kpairs * MR * 2 && b.len() >= kpairs * NR * 2);
-    let mut c0 = _mm256_loadu_si256(acc.as_ptr().cast());
-    let mut c1 = _mm256_loadu_si256(acc.as_ptr().add(NR).cast());
-    let mut c2 = _mm256_loadu_si256(acc.as_ptr().add(2 * NR).cast());
-    let mut c3 = _mm256_loadu_si256(acc.as_ptr().add(3 * NR).cast());
+    debug_assert!((1..=GROUP).contains(&P));
+    debug_assert!(a.len() >= kpairs * MR * 2 && b.len() >= (P - 1) * stride + kpairs * NR * 2);
+    let mut c = [[_mm256_setzero_si256(); MR]; P];
+    let mut bv = [_mm256_setzero_si256(); P];
     for kp in 0..kpairs {
-        let bv = _mm256_loadu_si256(b.as_ptr().add(kp * NR * 2).cast());
+        for (p, v) in bv.iter_mut().enumerate() {
+            *v = _mm256_loadu_si256(b.as_ptr().add(p * stride + kp * NR * 2).cast());
+        }
         let ap = a.as_ptr().add(kp * MR * 2);
-        // Each A pair occupies 32 bits; an unaligned i32 read + set1 is the
-        // pair broadcast.
-        let a0 = _mm256_set1_epi32(ap.cast::<i32>().read_unaligned());
-        let a1 = _mm256_set1_epi32(ap.add(2).cast::<i32>().read_unaligned());
-        let a2 = _mm256_set1_epi32(ap.add(4).cast::<i32>().read_unaligned());
-        let a3 = _mm256_set1_epi32(ap.add(6).cast::<i32>().read_unaligned());
-        c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(a0, bv));
-        c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(a1, bv));
-        c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(a2, bv));
-        c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(a3, bv));
+        for r in 0..MR {
+            // Each A pair occupies 32 bits; an unaligned i32 read + set1 is
+            // the pair broadcast.
+            let av = _mm256_set1_epi32(ap.add(r * 2).cast::<i32>().read_unaligned());
+            for (cp, &v) in c.iter_mut().zip(&bv) {
+                cp[r] = _mm256_add_epi32(cp[r], _mm256_madd_epi16(av, v));
+            }
+        }
     }
-    _mm256_storeu_si256(acc.as_mut_ptr().cast(), c0);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(NR).cast(), c1);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(2 * NR).cast(), c2);
-    _mm256_storeu_si256(acc.as_mut_ptr().add(3 * NR).cast(), c3);
+    for (cp, tile) in c.iter().zip(acc.iter_mut()) {
+        for (r, &cr) in cp.iter().enumerate() {
+            _mm256_storeu_si256(tile.as_mut_ptr().add(r * NR).cast(), cr);
+        }
+    }
 }
 
 /// Adds the tile's valid `rows × cols` corner into `C` at `(i0, j0)`, or
@@ -325,7 +380,7 @@ impl<F: Fn(usize, &[i32; NR], &mut [i8])> Tail<'_, F> {
         j0: usize,
         rows: usize,
         cols: usize,
-        acc: &mut [i32; MR * NR],
+        acc: &mut Tile,
     ) {
         for (r, sums) in acc.chunks_exact_mut(NR).take(rows).enumerate() {
             let sums: &mut [i32; NR] = sums.try_into().expect("one tile row");
@@ -348,11 +403,13 @@ fn take_front<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-/// Block driver: kb (KC) → row block (MC) → column panel (NR) → row panel
-/// (MR) → microkernel, with every k index counted in pairs (the panel
-/// stride per k-pair is `2·MR` / `2·NR` elements). The B panel slice stays
-/// L1-resident across the inner row-panel sweep; the MC×KC block of packed
-/// A stays L2-resident across the column-panel sweep.
+/// Block driver: kb (KC) → row block (MC) → column-panel group
+/// (`GROUP·NR`) → row panel (MR) → microkernel, with every k index counted
+/// in pairs (the panel stride per k-pair is `2·MR` / `2·NR` elements). The
+/// group's B panel slices stay L1-resident across the inner row-panel
+/// sweep; the MC×KC block of packed A stays L2-resident across the group
+/// sweep. A group's remainder of one or two panels, and a ragged last
+/// panel, run the same kernel.
 ///
 /// Without a `tail` it accumulates into the `m×n` `c`. With one, the last
 /// K block hands its tiles to the tail, and `c` is scratch for the partial
@@ -372,38 +429,30 @@ fn gemm_block_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8])>(
 ) {
     const KCP: usize = KC / 2;
     let n_panels = n.div_ceil(NR);
+    let panel = kpairs * NR * 2;
+    let mut tiles = [[0i32; MR * NR]; GROUP];
     for kb in (0..kpairs.max(1)).step_by(KCP) {
         let kc = KCP.min(kpairs - kb);
         let last = kb + kc == kpairs;
         for i0 in (0..m).step_by(MC) {
             let rows_block = MC.min(m - i0);
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let cols = NR.min(n - j0);
-                let pb0 = jp * kpairs * NR * 2;
-                let bp = &pb[pb0 + kb * NR * 2..pb0 + (kb + kc) * NR * 2];
+            for jg in (0..n_panels).step_by(GROUP) {
+                let panels = GROUP.min(n_panels - jg);
+                let b0 = jg * panel + kb * NR * 2;
+                let bp = &pb[b0..b0 + (panels - 1) * panel + kc * NR * 2];
                 for ip in (i0 / MR)..(i0 + rows_block).div_ceil(MR) {
                     let pa0 = ip * kpairs * MR * 2;
                     let ap = &pa[pa0 + kb * MR * 2..pa0 + (kb + kc) * MR * 2];
-                    let mut acc = [0i32; MR * NR];
-                    #[cfg(target_arch = "x86_64")]
-                    if simd {
-                        // SAFETY: `simd` is only true when AVX2 was
-                        // detected; slices satisfy the kernel contract.
-                        unsafe { mk_i16_pairs_avx2(kc, ap, bp, &mut acc) }
-                    } else {
-                        mk_i16_pairs_portable(kc, ap, bp, &mut acc);
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    {
-                        let _ = simd;
-                        mk_i16_pairs_portable(kc, ap, bp, &mut acc);
-                    }
+                    let acc = &mut tiles[..panels];
+                    microkernel(kc, ap, bp, panel, acc, simd);
                     let (i, rows) = (ip * MR, MR.min(m - ip * MR));
-                    match tail.as_mut() {
-                        Some(t) if last => t.finish(c, kb > 0, n, i, j0, rows, cols, &mut acc),
-                        Some(_) => writeback(c, n, i, j0, rows, cols, &acc, kb == 0),
-                        None => writeback(c, n, i, j0, rows, cols, &acc, false),
+                    for (j0, acc) in (jg * NR..).step_by(NR).zip(acc) {
+                        let cols = NR.min(n - j0);
+                        match tail.as_mut() {
+                            Some(t) if last => t.finish(c, kb > 0, n, i, j0, rows, cols, acc),
+                            Some(_) => writeback(c, n, i, j0, rows, cols, acc, kb == 0),
+                            None => writeback(c, n, i, j0, rows, cols, acc, false),
+                        }
                     }
                 }
             }
@@ -412,11 +461,11 @@ fn gemm_block_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8])>(
 }
 
 /// Runs [`gemm_block_i8_pairs`], split at row-panel boundaries across
-/// threads when the product is large enough: each worker gets its rows of
-/// `c`, of the tail's output and of packed A. The calling thread runs the
-/// first row block itself rather than idling at the join.
+/// `pool` when the product is large enough: each part gets its rows of
+/// `c`, of the tail's output and of packed A.
 #[allow(clippy::too_many_arguments)]
 fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
+    pool: &mut Pool,
     m: usize,
     kpairs: usize,
     n: usize,
@@ -426,31 +475,29 @@ fn run_packed_i8_pairs<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     tail: Option<Tail<'_, F>>,
     simd: bool,
 ) {
-    let threads = worker_count(m.saturating_mul(kpairs * 2).saturating_mul(n), m.div_ceil(MR));
+    let macs = m.saturating_mul(kpairs * 2).saturating_mul(n);
+    let threads = worker_count(macs, m.div_ceil(MR), pool.width());
     if threads <= 1 {
         gemm_block_i8_pairs(m, kpairs, n, pa, pb, c, tail, simd);
         return;
     }
     let rows_per = m.div_ceil(MR).div_ceil(threads) * MR;
     let (mut c, mut tail) = (c, tail);
-    let mut blocks = (0..m).step_by(rows_per).map(|row0| {
-        let rows = rows_per.min(m - row0);
-        let c_rows = take_front(&mut c, rows * n);
-        let tail_rows = tail.as_mut().map(|t| Tail {
-            out: take_front(&mut t.out, rows * n),
-            f: t.f,
-            row0: t.row0 + row0,
-        });
-        let pa_rows = &pa[row0 * kpairs * 2..];
-        move || gemm_block_i8_pairs(rows, kpairs, n, pa_rows, pb, c_rows, tail_rows, simd)
-    });
-    let first = blocks.next().expect("at least one row block");
-    std::thread::scope(|scope| {
-        for block in blocks {
-            scope.spawn(block);
-        }
-        first();
-    });
+    let mut blocks: Vec<_> = (0..m)
+        .step_by(rows_per)
+        .map(|row0| {
+            let rows = rows_per.min(m - row0);
+            let c_rows = take_front(&mut c, rows * n);
+            let tail_rows = tail.as_mut().map(|t| Tail {
+                out: take_front(&mut t.out, rows * n),
+                f: t.f,
+                row0: t.row0 + row0,
+            });
+            let pa_rows = &pa[row0 * kpairs * 2..];
+            Some(move || gemm_block_i8_pairs(rows, kpairs, n, pa_rows, pb, c_rows, tail_rows, simd))
+        })
+        .collect();
+    pool.run(&mut blocks, |block| block.take().expect("each part runs once")());
 }
 
 /// No tail: the plain `C +=` product.
@@ -505,7 +552,8 @@ pub fn gemm_i8_packed_pairs(
         return Ok(());
     }
     let none = None::<Tail<'_, NoTail>>;
-    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, c, none, simd_kernels_active());
+    let pool = &mut Pool::default();
+    run_packed_i8_pairs(pool, m, k.div_ceil(2), n, pa, pb, c, none, simd_kernels_active());
     Ok(())
 }
 
@@ -514,10 +562,11 @@ pub fn gemm_i8_packed_pairs(
 /// register tile as the last K block completes it (see [`Tail`]), writing
 /// the `m×n` `i8` matrix `out`. `partial` holds the earlier K blocks'
 /// sums: `m·n` `i32`s of scratch when `k > KC`, empty otherwise, since a
-/// single block's tile is final in registers. Threaded like
+/// single block's tile is final in registers. Split across `pool` like
 /// [`gemm_i8_packed_pairs`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_i8_pairs_fused<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
+    pool: &mut Pool,
     m: usize,
     k: usize,
     n: usize,
@@ -534,8 +583,8 @@ pub(crate) fn gemm_i8_pairs_fused<F: Fn(usize, &[i32; NR], &mut [i8]) + Sync>(
     if m == 0 || n == 0 {
         return;
     }
-    let tail = Tail { out, f: tail, row0: 0 };
-    run_packed_i8_pairs(m, k.div_ceil(2), n, pa, pb, partial, Some(tail), simd_kernels_active());
+    let tail = Some(Tail { out, f: tail, row0: 0 });
+    run_packed_i8_pairs(pool, m, k.div_ceil(2), n, pa, pb, partial, tail, simd_kernels_active());
 }
 
 #[cfg(test)]
@@ -674,41 +723,73 @@ mod tests {
         assert_eq!(c, scalar(m, k, n, &a, -1, &b, 2));
     }
 
+    /// The same product on pools of width 1–4 (row blocks split 1–4 ways,
+    /// crossing `PARALLEL_MIN` with awkward row and column tails) is the
+    /// same, bit for bit, and equals the scalar loops.
     #[test]
     fn threaded_i8_is_bit_identical_to_single_threaded() {
-        // Crosses PARALLEL_MIN with awkward row/column tails.
         let (m, k, n) = (66, 130, 131);
+        assert!(m * k * n >= PARALLEL_MIN, "not threaded");
         let mut rng = DetRng::new(99);
         let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
         let (pa, pb) = pack(m, k, n, &a, 5, &b, -11).unwrap();
-        let mut threaded = vec![0i32; m * n];
-        gemm_i8_packed_pairs(m, k, n, &pa, &pb, &mut threaded).unwrap();
-        let mut single = vec![0i32; m * n];
-        let (none, simd) = (None::<Tail<'_, NoTail>>, simd_kernels_active());
-        gemm_block_i8_pairs(m, k.div_ceil(2), n, &pa, &pb, &mut single, none, simd);
-        assert_eq!(threaded, single);
+        let [single, two, three, four] = [1, 2, 3, 4].map(|width| {
+            let mut c = vec![0i32; m * n];
+            let (none, simd) = (None::<Tail<'_, NoTail>>, simd_kernels_active());
+            let pool = &mut Pool::with_width(width);
+            run_packed_i8_pairs(pool, m, k.div_ceil(2), n, &pa, &pb, &mut c, none, simd);
+            c
+        });
+        assert_eq!(single, scalar(m, k, n, &a, 5, &b, -11));
+        for (width, threaded) in [(2, two), (3, three), (4, four)] {
+            assert_eq!(threaded, single, "width {width}");
+        }
+    }
+
+    /// An `i8` digest of a sum that any wrong bit is likely to change.
+    fn digest(row: usize, sum: i32) -> i8 {
+        (sum ^ sum >> 7 ^ sum >> 15 ^ sum >> 23 ^ row as i32) as i8
     }
 
     /// The dispatched (AVX2 where detected) and portable microkernels
-    /// agree bit for bit across random shapes with `m % MR` / `n % NR`
-    /// tails, odd `k` (the zero pad pair) and the full zero-point range.
-    /// Without AVX2 this is trivially true.
+    /// agree bit for bit, and with the scalar loops, across random shapes
+    /// with `m % MR` / `n % NR` tails, several tile groups with every
+    /// remainder, reductions past one or two K blocks, odd `k` (the zero
+    /// pad pair) and the full zero-point range — both on the tail-less
+    /// product and through a fused [`Tail`], whose earlier K blocks park
+    /// their sums in stale scratch. Without AVX2 the two builds are one.
     #[test]
     fn simd_and_portable_i8_agree_bit_exactly() {
         let mut rng = DetRng::new(17);
         let simd = simd_kernels_active();
         for case in 0..48 {
-            let (m, k, n) = (1 + rng.below(13), 1 + rng.below(40), 1 + rng.below(21));
+            let m = 1 + rng.below(13);
+            let k = if case % 2 == 0 { 1 + rng.below(40) } else { KC - 3 + rng.below(2 * KC) };
+            let n = 1 + rng.below(GROUP * NR * 3);
             let (zp_a, zp_b) = (rng.next_i8(), rng.next_i8());
             let (a, b) = (rand_i8(m * k, &mut rng), rand_i8(k * n, &mut rng));
             let (pa, pb) = pack(m, k, n, &a, zp_a, &b, zp_b).unwrap();
-            let [dispatched, portable] = [simd, false].map(|simd| {
+            let want = scalar(m, k, n, &a, zp_a, &b, zp_b);
+            let shape = format!("case {case}: {m}x{k}x{n}");
+            let pool = &mut Pool::with_width(1);
+            for simd in [simd, false] {
                 let mut c = vec![0i32; m * n];
                 let none = None::<Tail<'_, NoTail>>;
-                run_packed_i8_pairs(m, k.div_ceil(2), n, &pa, &pb, &mut c, none, simd);
-                c
-            });
-            assert_eq!(dispatched, portable, "case {case}: {m}x{k}x{n}");
+                run_packed_i8_pairs(pool, m, k.div_ceil(2), n, &pa, &pb, &mut c, none, simd);
+                assert_eq!(c, want, "{shape}, simd {simd}");
+                let mut partial = vec![0x5A5A_5A5A; if k > KC { m * n } else { 0 }];
+                let mut out = vec![0i8; m * n];
+                let f = |row: usize, sums: &[i32; NR], dst: &mut [i8]| {
+                    for (d, &s) in dst.iter_mut().zip(sums) {
+                        *d = digest(row, s);
+                    }
+                };
+                let tail = Some(Tail { out: &mut out, f: &f, row0: 0 });
+                run_packed_i8_pairs(pool, m, k.div_ceil(2), n, &pa, &pb, &mut partial, tail, simd);
+                let digests: Vec<i8> =
+                    want.iter().enumerate().map(|(i, &s)| digest(i / n, s)).collect();
+                assert_eq!(out, digests, "{shape}, simd {simd}, fused tail");
+            }
         }
     }
 

@@ -65,24 +65,47 @@ pub fn im2col<T: Element>(
     pad: T,
     out: &mut [T],
 ) -> Result<(), TensorError> {
+    let npix = oh * ow;
+    if out.len() != cg * params.kernel_h * params.kernel_w * npix {
+        return Err(TensorError::LengthMismatch {
+            expected: cg * params.kernel_h * params.kernel_w * npix,
+            actual: out.len(),
+        });
+    }
+    im2col_rows(input, n, c0, params, oh, ow, pad, out);
+    Ok(())
+}
+
+/// [`im2col`] with the length already right: writes the patch rows of
+/// input channels `c0..`, `R·S` rows of `OH·OW` per channel, until `out` is
+/// full. The conv prologue splits one patch matrix into such contiguous
+/// runs of rows, one channel range per part.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn im2col_rows<T: Element>(
+    input: &Tensor<T>,
+    n: usize,
+    c0: usize,
+    params: &Conv2dParams,
+    oh: usize,
+    ow: usize,
+    pad: T,
+    out: &mut [T],
+) {
     let ishape = input.shape();
     let (kh, kw, stride, padding) =
         (params.kernel_h, params.kernel_w, params.stride, params.padding);
     let npix = oh * ow;
-    if out.len() != cg * kh * kw * npix {
-        return Err(TensorError::LengthMismatch {
-            expected: cg * kh * kw * npix,
-            actual: out.len(),
-        });
-    }
-    for cc in 0..cg {
+    // `max(1)`: an empty window or output leaves `out` empty, and no rows.
+    let rows_len = (kh * kw * npix).max(1);
+    debug_assert_eq!(out.len() % rows_len, 0);
+    for (cc, rows) in out.chunks_exact_mut(rows_len).enumerate() {
         let c = c0 + cc;
         for ry in 0..kh {
             let (oy_lo, oy_hi) = out_range(ry, stride, padding, ishape.h, oh);
             for rx in 0..kw {
                 let (ox_lo, ox_hi) = out_range(rx, stride, padding, ishape.w, ow);
-                let kd = (cc * kh + ry) * kw + rx;
-                let dst = &mut out[kd * npix..(kd + 1) * npix];
+                let kd = ry * kw + rx;
+                let dst = &mut rows[kd * npix..(kd + 1) * npix];
                 dst[..oy_lo * ow].fill(pad);
                 dst[oy_hi * ow..].fill(pad);
                 for oy in oy_lo..oy_hi {
@@ -106,7 +129,6 @@ pub fn im2col<T: Element>(
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

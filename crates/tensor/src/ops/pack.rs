@@ -144,9 +144,18 @@ pub fn pack_b_i8_pairs_into(
 ) -> Result<(), TensorError> {
     check_len(b.len(), k * n)?;
     check_len(dst.len(), packed_b_pairs_len(k, n))?;
+    pack_b_panels(dst, b, zp, k, n, 0);
+    Ok(())
+}
+
+/// [`pack_b_i8_pairs_into`] with the lengths already right, for a run of
+/// whole panels: `dst` holds the packed panels `first..`, as many as fit.
+/// The conv prologue splits one packed B into such runs, one per part.
+pub(crate) fn pack_b_panels(dst: &mut [i16], b: &[i8], zp: i8, k: usize, n: usize, first: usize) {
     let zp = i16::from(zp);
     let kpairs = k.div_ceil(2);
-    for (p, panel) in dst.chunks_exact_mut(NR * kpairs * 2).enumerate() {
+    debug_assert_eq!(dst.len() % (NR * kpairs * 2).max(1), 0);
+    for (p, panel) in (first..).zip(dst.chunks_exact_mut(NR * kpairs * 2)) {
         let j0 = p * NR;
         let cols = NR.min(n - j0);
         for kp in 0..kpairs {
@@ -170,7 +179,6 @@ pub fn pack_b_i8_pairs_into(
             cell[cols * 2..].fill(0);
         }
     }
-    Ok(())
 }
 
 /// The conv entry point a [`PackedConv2d`] is for.

@@ -394,22 +394,29 @@ proptest! {
     }
 
     /// Exact register-tile shapes (m multiple of MR, n multiple of NR) and
-    /// their ±1 neighbours all round-trip the packing bit-exactly.
+    /// their ±1 neighbours all round-trip the packing bit-exactly. The 1–8
+    /// column panels leave the AVX2 kernel's three-panel groups every
+    /// remainder (0, 1 and 2 panels), with and without a ragged last
+    /// panel, and the reduction depths reach one, two and three K blocks.
     #[test]
     fn packed_i8_gemm_handles_tile_boundaries(
         mi in 1usize..=3,
-        ni in 1usize..=3,
+        ni in 1usize..=7,
         dm in 0usize..=2, // 0: m % MR == 0, else tails
         dn in 0usize..=2,
+        k in prop_oneof![Just(17usize), (KC - 1)..=(KC + 2), (2 * KC - 1)..=(2 * KC + 3)],
         seed in 0u64..10_000,
     ) {
         let m = mi * MR + dm;
         let n = ni * NR + dn;
-        let k = 17;
         let mut rng = DetRng::new(seed ^ 0x7E57);
         let a: Vec<i8> = (0..m * k).map(|_| rng.next_i8()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.next_i8()).collect();
-        prop_assert_eq!(packed_gemm(m, k, n, &a, 1, &b, -1), scalar_gemm(m, k, n, &a, 1, &b, -1));
+        prop_assert_eq!(
+            packed_gemm(m, k, n, &a, 1, &b, -1),
+            scalar_gemm(m, k, n, &a, 1, &b, -1),
+            "{}x{}x{}", m, k, n
+        );
     }
 
     /// The fused conv, whose epilogue runs on the GEMM's register tiles,

@@ -12,25 +12,20 @@
 //!   ([`crate::functional::forward_batch_cached`]): every
 //!   dispatched batch executes for real and records per-query predictions.
 //!   Each SubNet is installed once — weights sliced, IR lowered to a plan,
-//!   panels packed (the subgraph-stationary state, shared across workers
-//!   behind `Arc`; it is immutable after the install) — while kernel scratch
-//!   stays private: one reused [`Arena`] per worker. Intended for the toy
-//!   zoo; full-size nets take seconds per forward.
+//!   panels packed (the subgraph-stationary state) — and every batch runs
+//!   on the backend's one reused [`Arena`].
 //!
 //! Both implement [`ExecutionBackend`], which the `sushi-core` engine
-//! dispatches through. No timing flows through a backend, so swapping
-//! backends never changes *when* things complete — only whether real
-//! outputs exist. Batches dispatched to *different* workers at the same
-//! simulated instant go through [`ExecutionBackend::execute_concurrent`];
-//! the functional backend runs them as real parallel int8 forwards under
-//! [`std::thread::scope`], all reading the same pack-once caches. Each
-//! forward splits its large kernels across the worker pool of its own
-//! worker's [`Arena`]; nothing yet budgets the jobs' threads and the pools'
-//! together.
+//! dispatches through one batch per call. No timing flows through a
+//! backend, so swapping backends never changes *when* things complete —
+//! only whether real outputs exist. A replica is a simulated accelerator
+//! priced by the service table, so batches bound for different replicas at
+//! the same simulated instant still run one after another on the host.
+//! Each forward splits its large kernels across the arena's worker pool,
+//! the only threads the backend owns.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use sushi_tensor::quant::quantize_tensor;
 use sushi_tensor::{Arena, DetRng, Shape4, Tensor, TensorError};
@@ -81,39 +76,20 @@ impl From<TensorError> for BackendError {
 /// stays bounded over long runs (steady state allocates nothing per query).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
-    /// Bytes reserved by the per-worker kernel-scratch [`Arena`]s, summed
-    /// over workers (each arena holds the high-water mark of one batch,
-    /// reused by all later batches on that worker).
+    /// Bytes reserved by the kernel-scratch [`Arena`]: the high-water mark
+    /// of one batch, reused by every later batch.
     pub arena_reserved_bytes: usize,
     /// SubNets whose weights have been sliced and panel-packed (each at
-    /// most once, on first dispatch — bounded by the serving-set size).
-    /// Packed panels are shared by every worker, so they are counted once
-    /// here no matter how many replicas read them.
+    /// most once, on first dispatch — bounded by the serving-set size,
+    /// whatever the replica count).
     pub packed_subnets: usize,
-    /// Workers that have materialized a private scratch arena (grown
-    /// lazily on first dispatch to that worker index).
-    pub arena_workers: usize,
     /// Layers holding install-time weight panels, summed over the packed
     /// SubNets: each was packed exactly once, in one layout, at its
-    /// SubNet's install — whatever the worker count.
+    /// SubNet's install.
     pub packed_layers: usize,
     /// Conv calls that packed weights per call instead of reading the
-    /// install-time panels ([`Arena::weight_packs`]), summed over workers.
+    /// install-time panels ([`Arena::weight_packs`]).
     pub per_call_weight_packs: usize,
-}
-
-/// One worker's slice of a concurrent dispatch group: a same-SubNet batch.
-///
-/// Worker indices within one group must be distinct — each names the
-/// private scratch arena the batch executes with.
-#[derive(Debug)]
-pub struct ExecutionJob<'a> {
-    /// Worker (replica) index executing this batch.
-    pub worker: usize,
-    /// The SubNet every query in the batch resolved to.
-    pub subnet: &'a SubNet,
-    /// The batched query ids.
-    pub query_ids: &'a [u64],
 }
 
 /// How a dispatched batch of same-SubNet queries is executed.
@@ -124,22 +100,18 @@ pub struct ExecutionJob<'a> {
 /// datapath. Pricing the batch is the caller's: the serving stack reads it
 /// from its service table, whichever backend executes.
 pub trait ExecutionBackend: fmt::Debug {
-    /// Executes a group of batches dispatched to distinct workers at the
-    /// same simulated instant, returning each job's outputs in job order.
-    /// A lone batch is a group of one job.
-    ///
-    /// [`Functional`] runs the real int8 forwards of a group concurrently.
-    /// Results are independent of the execution interleaving by
-    /// construction, so any group size produces bit-identical outputs.
+    /// Executes one batch: every query in `query_ids` resolved to `subnet`.
     ///
     /// # Errors
-    /// Returns the first per-batch failure (empty batch, SubNet mismatch,
-    /// datapath error), checked in job order.
-    fn execute_concurrent(
+    /// Returns [`BackendError::EmptyBatch`] for an empty batch,
+    /// [`BackendError::SubnetMismatch`] for a SubNet of another SuperNet,
+    /// and [`BackendError::Execution`] when the datapath fails.
+    fn execute(
         &mut self,
         net: &SuperNet,
-        jobs: &[ExecutionJob<'_>],
-    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError>;
+        subnet: &SubNet,
+        query_ids: &[u64],
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError>;
 
     /// Memory held as execution state across batches (`None` for stateless
     /// backends like [`Analytical`]).
@@ -167,19 +139,15 @@ fn validate_batch(net: &SuperNet, subnet: &SubNet, query_ids: &[u64]) -> Result<
 pub struct Analytical;
 
 impl ExecutionBackend for Analytical {
-    fn execute_concurrent(
+    fn execute(
         &mut self,
         net: &SuperNet,
-        jobs: &[ExecutionJob<'_>],
-    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
-        jobs.iter()
-            .map(|job| validate_batch(net, job.subnet, job.query_ids).map(|()| None))
-            .collect()
+        subnet: &SubNet,
+        query_ids: &[u64],
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+        validate_batch(net, subnet, query_ids).map(|()| None)
     }
 }
-
-/// One job's pack-once cache and synthesized inputs, ready to forward.
-type Prepared = (Arc<SubgraphCache>, Vec<Tensor<i8>>);
 
 /// Real-datapath execution: bit-exact packed int8 forwards for every
 /// dispatched batch.
@@ -189,13 +157,11 @@ type Prepared = (Arc<SubgraphCache>, Vec<Tensor<i8>>);
 /// kernel policy. The backend is the serving stack's *subgraph-stationary*
 /// software state: the first batch served under a SubNet builds its
 /// [`SubgraphCache`] (sliced weights + packed GEMM panels) exactly once;
-/// every later batch under that SubNet reads the panels in place. The
-/// caches are `Arc`-shared — panels are immutable after the build, so any
-/// number of workers read one pack-once copy concurrently
-/// ([`ExecutionBackend::execute_concurrent`]) while each worker owns a
-/// private scratch [`Arena`] reused across its queries — the steady state
-/// allocates nothing per query, and [`MemoryStats::packed_layers`] is
-/// independent of worker count.
+/// every later batch under that SubNet reads the panels in place, whichever
+/// replica it was dispatched to. Every batch runs on one scratch [`Arena`]
+/// reused across queries, whose worker pool splits each forward's large
+/// kernels — the steady state allocates nothing per query, and
+/// [`MemoryStats::packed_layers`] is independent of the replica count.
 #[derive(Debug)]
 pub struct Functional {
     dpe: DpeArray,
@@ -205,10 +171,9 @@ pub struct Functional {
     /// GEMM-bound convs onto the fused k-pair datapath (on by default;
     /// logits are bit-identical either way).
     fusion: bool,
-    caches: HashMap<String, Arc<SubgraphCache>>,
-    /// Per-worker scratch, grown lazily to the highest worker index seen
-    /// (`arenas[w]` is worker `w`'s private arena).
-    arenas: Vec<Arena>,
+    caches: HashMap<String, SubgraphCache>,
+    /// Kernel scratch and worker pool for every batch.
+    arena: Arena,
     /// Times an existing cache entry was rebuilt because the same SubNet
     /// name arrived with a different SubGraph (first-time packs excluded).
     repacks: usize,
@@ -225,7 +190,7 @@ impl Functional {
             input_seed: seed ^ 0x1A7E,
             fusion: true,
             caches: HashMap::new(),
-            arenas: Vec::new(),
+            arena: Arena::new(),
             repacks: 0,
         }
     }
@@ -238,27 +203,6 @@ impl Functional {
     pub fn with_fusion(mut self, fusion: bool) -> Self {
         self.fusion = fusion;
         self
-    }
-
-    /// Builds (or reuses) the shared pack-once cache for `subnet`.
-    ///
-    /// Packing happens here, on the dispatching thread, *before* any
-    /// worker fans out — so the pack count depends only on the set of
-    /// SubNets served, never on how many workers serve them.
-    fn ensure_cache(
-        &mut self,
-        net: &SuperNet,
-        subnet: &SubNet,
-    ) -> Result<Arc<SubgraphCache>, BackendError> {
-        if !self.caches.get(&subnet.name).is_some_and(|c| c.matches(&subnet.graph)) {
-            // First dispatch under this SubNet (or same name, different
-            // SubGraph — defensive): slice, lower and pack once.
-            let cache = SubgraphCache::install(net, &self.store, subnet, self.fusion)?;
-            if self.caches.insert(subnet.name.clone(), Arc::new(cache)).is_some() {
-                self.repacks += 1;
-            }
-        }
-        Ok(Arc::clone(&self.caches[&subnet.name]))
     }
 
     /// The synthesized weight store (shared across all SubNets).
@@ -298,65 +242,41 @@ impl Functional {
 }
 
 impl ExecutionBackend for Functional {
-    fn execute_concurrent(
+    fn execute(
         &mut self,
         net: &SuperNet,
-        jobs: &[ExecutionJob<'_>],
-    ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
-        // Validate, synthesize inputs, and build any missing caches
-        // *serially* before fanning out: packing stays deterministic and
-        // provably worker-count-independent, and every error surfaces in
-        // job order.
-        let mut prepared: Vec<Prepared> = Vec::new();
-        for job in jobs.iter() {
-            validate_batch(net, job.subnet, job.query_ids)?;
-            let cache = self.ensure_cache(net, job.subnet)?;
-            let inputs = job.query_ids.iter().map(|&id| self.input_for(net, id)).collect();
-            prepared.push((cache, inputs));
+        subnet: &SubNet,
+        query_ids: &[u64],
+    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
+        validate_batch(net, subnet, query_ids)?;
+        if !self.caches.get(&subnet.name).is_some_and(|c| c.matches(&subnet.graph)) {
+            // First dispatch under this SubNet (or same name, different
+            // SubGraph — defensive): slice, lower and pack once.
+            let cache = SubgraphCache::install(net, &self.store, subnet, self.fusion)?;
+            if self.caches.insert(subnet.name.clone(), cache).is_some() {
+                self.repacks += 1;
+            }
         }
-        // Grow the per-worker scratch set to the highest worker index.
-        let workers = jobs.iter().map(|j| j.worker + 1).max().unwrap_or(0);
-        self.arenas.resize_with(workers.max(self.arenas.len()), Arena::new);
-        let mut arenas: Vec<Option<&mut Arena>> = self.arenas.iter_mut().map(Some).collect();
-        let dpe = self.dpe;
-        let store = &self.store;
-        let mut arena_of = |job: &ExecutionJob<'_>| {
-            arenas[job.worker].take().expect("dispatch group reuses a worker index")
-        };
-        let forward = |job: &ExecutionJob<'_>, (cache, inputs): &Prepared, arena| {
-            forward_batch_cached(&dpe, net, store, job.subnet, Some(cache.as_ref()), arena, inputs)
-        };
-        // A lone batch runs on the dispatching thread. A group runs one
-        // thread per job, each forwarding with its worker's private arena;
-        // the shared caches are read-only behind Arc. Outputs are per-query
-        // deterministic, so thread scheduling cannot change them.
-        let forwards: Vec<Result<Vec<FunctionalOutput>, TensorError>> = if let ([job], [lone]) =
-            (jobs, &prepared[..])
-        {
-            vec![forward(job, lone, arena_of(job))]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .zip(&prepared)
-                    .map(|(job, p)| {
-                        let arena = arena_of(job);
-                        scope.spawn(move || forward(job, p, arena))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("forward thread panicked")).collect()
-            })
-        };
-        forwards.into_iter().map(|outputs| Ok(Some(outputs?))).collect()
+        let inputs: Vec<Tensor<i8>> = query_ids.iter().map(|&id| self.input_for(net, id)).collect();
+        let cache = &self.caches[&subnet.name];
+        let outputs = forward_batch_cached(
+            &self.dpe,
+            net,
+            &self.store,
+            subnet,
+            Some(cache),
+            &mut self.arena,
+            &inputs,
+        )?;
+        Ok(Some(outputs))
     }
 
     fn memory_stats(&self) -> Option<MemoryStats> {
         Some(MemoryStats {
-            arena_reserved_bytes: self.arenas.iter().map(Arena::reserved_bytes).sum(),
+            arena_reserved_bytes: self.arena.reserved_bytes(),
             packed_subnets: self.caches.len(),
-            arena_workers: self.arenas.len(),
             packed_layers: self.caches.values().map(|c| c.packed_layers() + c.fused_layers()).sum(),
-            per_call_weight_packs: self.arenas.iter().map(Arena::weight_packs).sum(),
+            per_call_weight_packs: self.arena.weight_packs(),
         })
     }
 }
@@ -366,17 +286,6 @@ mod tests {
     use super::*;
     use crate::functional::forward_cached;
     use sushi_wsnet::zoo;
-
-    /// One batch on worker 0: a dispatch group of one job.
-    fn execute(
-        backend: &mut dyn ExecutionBackend,
-        net: &SuperNet,
-        subnet: &SubNet,
-        query_ids: &[u64],
-    ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
-        let job = ExecutionJob { worker: 0, subnet, query_ids };
-        Ok(backend.execute_concurrent(net, &[job])?.pop().flatten())
-    }
 
     fn toy_setup() -> (SuperNet, Vec<SubNet>) {
         let net = zoo::toy_supernet();
@@ -390,16 +299,16 @@ mod tests {
     #[test]
     fn analytical_validates_and_has_no_outputs() {
         let (net, picks) = toy_setup();
-        assert_eq!(execute(&mut Analytical, &net, &picks[0], &[0, 1, 2]), Ok(None));
+        assert_eq!(Analytical.execute(&net, &picks[0], &[0, 1, 2]), Ok(None));
     }
 
     #[test]
     fn empty_batch_is_an_error_not_a_panic() {
         let (net, picks) = toy_setup();
-        let err = execute(&mut Analytical, &net, &picks[0], &[]).unwrap_err();
+        let err = Analytical.execute(&net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
         let mut func = Functional::new(DpeArray::new(2, 2), &net, 7);
-        let err = execute(&mut func, &net, &picks[0], &[]).unwrap_err();
+        let err = func.execute(&net, &picks[0], &[]).unwrap_err();
         assert_eq!(err, BackendError::EmptyBatch);
     }
 
@@ -408,7 +317,7 @@ mod tests {
         let (net, _) = toy_setup();
         let other = zoo::toy_mobilenet_supernet();
         let foreign = other.materialize("max", &other.max_config()).unwrap();
-        let err = execute(&mut Analytical, &net, &foreign, &[0]).unwrap_err();
+        let err = Analytical.execute(&net, &foreign, &[0]).unwrap_err();
         assert!(matches!(err, BackendError::SubnetMismatch { .. }));
     }
 
@@ -416,11 +325,11 @@ mod tests {
     fn functional_outputs_match_single_query_forwards_and_pack_once() {
         let (net, picks) = toy_setup();
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let outs = execute(&mut backend, &net, &picks[0], &[0, 1, 2]).unwrap();
+        let outs = backend.execute(&net, &picks[0], &[0, 1, 2]).unwrap();
         let outs = outs.expect("functional outputs");
         assert_eq!(outs.len(), 3);
         assert_eq!(backend.packed_subnets(), 1, "first dispatch packs the SubNet once");
-        let again = execute(&mut backend, &net, &picks[0], &[0, 1, 2]).unwrap();
+        let again = backend.execute(&net, &picks[0], &[0, 1, 2]).unwrap();
         assert_eq!(again.as_deref(), Some(&outs[..]));
         assert_eq!(backend.packed_subnets(), 1);
         for (&id, out) in [0u64, 1, 2].iter().zip(&outs) {
@@ -442,13 +351,13 @@ mod tests {
     fn same_name_different_graph_counts_a_repack() {
         let (net, picks) = toy_setup();
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 77);
-        let _ = execute(&mut backend, &net, &picks[0], &[0]).unwrap();
-        let _ = execute(&mut backend, &net, &picks[0], &[1]).unwrap();
+        let _ = backend.execute(&net, &picks[0], &[0]).unwrap();
+        let _ = backend.execute(&net, &picks[0], &[1]).unwrap();
         assert_eq!(backend.repacks(), 0, "stable identity never repacks");
         // Same name, a different SubGraph: the defensive rebuild path.
         let mut churned = picks[1].clone();
         churned.name = picks[0].name.clone();
-        let _ = execute(&mut backend, &net, &churned, &[2]).unwrap();
+        let _ = backend.execute(&net, &churned, &[2]).unwrap();
         assert_eq!(backend.repacks(), 1, "identity churn pays a repack");
         assert_eq!(backend.packed_subnets(), 1, "the churned entry replaces, not adds");
     }
@@ -459,40 +368,35 @@ mod tests {
         assert_eq!(Analytical.memory_stats(), None);
         let mut backend = Functional::new(DpeArray::new(4, 4), &net, 3);
         assert_eq!(backend.memory_stats(), Some(MemoryStats::default()));
-        let _ = execute(&mut backend, &net, &picks[0], &[0, 1]).unwrap();
+        let _ = backend.execute(&net, &picks[0], &[0, 1]).unwrap();
         let after_first = backend.memory_stats().unwrap();
         assert!(after_first.arena_reserved_bytes > 0);
         assert_eq!(after_first.packed_subnets, 1);
         // Steady state: re-dispatching the same SubNet grows nothing.
         for _ in 0..4 {
-            let _ = execute(&mut backend, &net, &picks[0], &[2, 3]).unwrap();
+            let _ = backend.execute(&net, &picks[0], &[2, 3]).unwrap();
         }
         assert_eq!(backend.memory_stats(), Some(after_first));
     }
 
     #[test]
-    fn concurrent_group_matches_sequential_outputs_and_packs_once() {
+    fn interleaved_subnets_match_fresh_backends_and_pack_once() {
         let (net, picks) = toy_setup();
-        // Sequential oracle: the same batches, one at a time.
-        let mut seq = Functional::new(DpeArray::new(4, 4), &net, 21);
-        let s0 = execute(&mut seq, &net, &picks[0], &[0, 1]).unwrap();
-        let s1 = execute(&mut seq, &net, &picks[1], &[2, 3, 4]).unwrap();
+        // Oracle: each batch on a backend of its own.
+        let fresh = |subnet: &SubNet, ids: &[u64]| {
+            Functional::new(DpeArray::new(4, 4), &net, 21).execute(&net, subnet, ids).unwrap()
+        };
+        let (s0, s1) = (fresh(&picks[0], &[0, 1]), fresh(&picks[1], &[2, 3, 4]));
 
-        let mut par = Functional::new(DpeArray::new(4, 4), &net, 21);
-        let jobs = [
-            ExecutionJob { worker: 0, subnet: &picks[0], query_ids: &[0, 1] },
-            ExecutionJob { worker: 1, subnet: &picks[1], query_ids: &[2, 3, 4] },
-            ExecutionJob { worker: 2, subnet: &picks[0], query_ids: &[0, 1] },
-        ];
-        let execs = par.execute_concurrent(&net, &jobs).unwrap();
-        assert_eq!(execs.len(), 3);
-        assert_eq!(execs[0], s0, "worker 0 logits match sequential");
-        assert_eq!(execs[1], s1, "worker 1 logits match sequential");
-        assert_eq!(execs[2], s0, "two workers on one SubNet agree");
-        assert_eq!(par.packed_subnets(), 2, "one shared pack per SubNet, not per worker");
-        let stats = par.memory_stats().unwrap();
-        assert_eq!(stats.arena_workers, 3, "each worker owns a private arena");
+        // One backend, SubNets interleaved on its one arena and cache set.
+        let mut shared = Functional::new(DpeArray::new(4, 4), &net, 21);
+        assert_eq!(shared.execute(&net, &picks[0], &[0, 1]).unwrap(), s0);
+        assert_eq!(shared.execute(&net, &picks[1], &[2, 3, 4]).unwrap(), s1);
+        assert_eq!(shared.execute(&net, &picks[0], &[0, 1]).unwrap(), s0, "a revisit agrees");
+        assert_eq!(shared.packed_subnets(), 2, "one pack per SubNet, not per batch");
+        let stats = shared.memory_stats().unwrap();
         assert_eq!(stats.packed_subnets, 2);
+        assert_eq!(stats.per_call_weight_packs, 0, "batches read the install-time panels");
         assert!(stats.arena_reserved_bytes > 0);
     }
 }

@@ -1,13 +1,13 @@
-//! Pins the multi-worker packing contract: weight packing is driven by the
-//! set of SubNets served — never by how many workers serve them — and
-//! concurrent dispatch groups produce logits bit-identical to sequential
-//! execution, at every worker count.
+//! Pins the multi-replica packing contract: weight packing is driven by the
+//! set of SubNets served — never by how many replicas serve them or in
+//! which order a dispatch group's batches run — and the logits are
+//! bit-identical to the schedule run in order, at every group size.
 //!
 //! Like `pack_once.rs`, this counts packs on their owners: the backend's
 //! [`sushi_accel::MemoryStats`] sums the panels its caches hold and the
-//! per-call packs its workers' arenas saw.
+//! per-call packs its arena saw.
 
-use sushi_accel::backend::{ExecutionBackend, ExecutionJob, Functional};
+use sushi_accel::backend::{ExecutionBackend, Functional};
 use sushi_accel::dpe::DpeArray;
 use sushi_accel::functional::FunctionalOutput;
 use sushi_wsnet::{zoo, SubNet, SuperNet};
@@ -27,9 +27,10 @@ fn schedule() -> Vec<(usize, Vec<u64>)> {
     ]
 }
 
-/// Replays the schedule through `execute_concurrent` in groups of up to
-/// `workers` batches (batch `j` of a group on worker `j`), returning the
-/// flattened per-query outputs in schedule order plus the layers packed.
+/// Replays the schedule in groups of up to `workers` batches, each group's
+/// batches executed last first (the order a pool's replicas run them in
+/// is not the schedule's), returning the flattened per-query outputs in
+/// schedule order plus the layers packed.
 fn run_with_workers(
     net: &SuperNet,
     picks: &[SubNet],
@@ -38,19 +39,23 @@ fn run_with_workers(
     let mut backend = Functional::new(DpeArray::new(4, 4), net, 99);
     let mut outputs = Vec::new();
     for group in schedule().chunks(workers) {
-        let jobs: Vec<ExecutionJob<'_>> = group
+        let mut group_outputs: Vec<Vec<FunctionalOutput>> = group
             .iter()
-            .enumerate()
-            .map(|(j, (row, ids))| ExecutionJob { worker: j, subnet: &picks[*row], query_ids: ids })
+            .rev()
+            .map(|(row, ids)| {
+                let outs = backend.execute(net, &picks[*row], ids).expect("batch executes");
+                outs.expect("functional outputs")
+            })
             .collect();
-        for outs in backend.execute_concurrent(net, &jobs).expect("group executes") {
-            outputs.extend(outs.expect("functional outputs"));
-        }
+        group_outputs.reverse();
+        outputs.extend(group_outputs.into_iter().flatten());
     }
     let stats = backend.memory_stats().expect("functional backend reports memory");
     assert_eq!(stats.packed_subnets, picks.len(), "every served SubNet packed exactly once");
-    assert_eq!(stats.arena_workers, workers.min(schedule().len()));
-    assert_eq!(stats.per_call_weight_packs, 0, "workers read the shared panels, never repack");
+    assert_eq!(
+        stats.per_call_weight_packs, 0,
+        "batches read the install-time panels, never repack"
+    );
     (outputs, stats.packed_layers)
 }
 
@@ -68,10 +73,10 @@ fn pack_count_is_worker_count_independent_and_logits_are_bit_identical() {
 
     for workers in [2, 4] {
         let (outputs, packs) = run_with_workers(&net, &picks, workers);
-        assert_eq!(packs, base_packs, "{workers}-worker run packed differently than 1 worker");
         assert_eq!(
-            outputs, base_outputs,
-            "{workers}-worker logits drifted from the sequential run"
+            packs, base_packs,
+            "{workers}-batch groups packed differently than one at a time"
         );
+        assert_eq!(outputs, base_outputs, "{workers}-batch groups drifted from the in-order run");
     }
 }

@@ -25,14 +25,15 @@
 //! [`ExecutionBackend`] only produces outputs — none from the analytical
 //! backend, per-query predictions from the functional backend's packed
 //! int8 datapath. Batches bound for distinct workers at the same simulated
-//! instant go down as one *dispatch group* ([`ExecutorPool::dispatch_group`]
-//! → [`ExecutionBackend::execute_concurrent`]), which the functional
-//! backend executes as genuinely parallel int8 forwards. The serving layer
-//! never changes *what* is computed — only *when*.
+//! instant go down as one *dispatch group* ([`ExecutorPool::dispatch_group`]),
+//! whose batches the backend executes one call each
+//! ([`ExecutionBackend::execute`]): replicas are simulated, so running
+//! them one after another on the host changes no simulated value. The
+//! serving layer never changes *what* is computed — only *when*.
 
 use std::sync::Arc;
 
-use sushi_accel::backend::{ExecutionBackend, ExecutionJob};
+use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::exec::{BatchReport, ServiceTable};
 use sushi_accel::functional::FunctionalOutput;
 use sushi_wsnet::{SubNet, SuperNet};
@@ -151,11 +152,12 @@ impl ExecutorPool {
     /// Dispatches a group of batches — one per distinct worker — at the
     /// same simulated instant `now_ms` (whether each worker is free then is
     /// the caller's clock to keep). The plan is checked first and the
-    /// backend executes it ([`ExecutionBackend::execute_concurrent`]); only
-    /// then does the first batch's worker apply any pending cache install
-    /// and every batch get priced from the service table, the install's PB
-    /// reload charged to the first batch. A failed dispatch leaves the pool
-    /// as it found it. Results come back in plan order.
+    /// backend executes its batches in plan order, one
+    /// [`ExecutionBackend::execute`] call each; only after every batch has
+    /// returned does the first batch's worker apply any pending cache
+    /// install and every batch get priced from the service table, the
+    /// install's PB reload charged to the first batch. A failed dispatch
+    /// leaves the pool as it found it. Results come back in plan order.
     ///
     /// # Errors
     /// Returns [`SushiError::Internal`] when the plan names a worker twice,
@@ -176,15 +178,10 @@ impl ExecutorPool {
                 )));
             }
         }
-        let jobs: Vec<ExecutionJob<'_>> = plan
+        let outputs = plan
             .iter()
-            .map(|b| ExecutionJob {
-                worker: b.worker,
-                subnet: &subnets[b.row],
-                query_ids: &b.query_ids,
-            })
-            .collect();
-        let outputs = backend.execute_concurrent(net, &jobs)?;
+            .map(|b| backend.execute(net, &subnets[b.row], &b.query_ids))
+            .collect::<Result<Vec<_>, _>>()?;
         let (mut reload_cycles, mut reinstall) = (0, false);
         if let (Some(first), Some(col)) = (plan.first(), self.pending_install) {
             self.pending_install = None;
@@ -276,16 +273,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// Fails every call, after the checks a real backend makes first.
+    /// Fails every batch.
     #[derive(Debug)]
     pub(crate) struct Failing;
 
     impl ExecutionBackend for Failing {
-        fn execute_concurrent(
+        fn execute(
             &mut self,
             _: &SuperNet,
-            _: &[ExecutionJob<'_>],
-        ) -> Result<Vec<Option<Vec<FunctionalOutput>>>, BackendError> {
+            _: &SubNet,
+            _: &[u64],
+        ) -> Result<Option<Vec<FunctionalOutput>>, BackendError> {
             Err(BackendError::EmptyBatch)
         }
     }
@@ -402,6 +400,10 @@ pub(crate) mod tests {
         let plan = [planned(0, 0, &[0]), planned(1, 1, &[1])];
         let err = failed.group(0.0, &mut Failing, &plan).unwrap_err();
         assert!(matches!(err, SushiError::Backend(_)), "{err}");
+        // The first batch executes before the second one fails.
+        let second_empty = [planned(0, 0, &[0]), planned(1, 1, &[])];
+        let err = failed.group(0.0, &mut Analytical, &second_empty).unwrap_err();
+        assert!(matches!(err, SushiError::Backend(BackendError::EmptyBatch)), "{err}");
         for w in 0..2 {
             assert_eq!(failed.pool.resident(w), clean.pool.resident(w));
         }

@@ -37,8 +37,8 @@
 //!
 //! [`run_functional_scaling`] is the worker-scaling companion: one
 //! cache-swap-heavy toy-zoo stream served by the *functional* backend at
-//! 1/2/4/8 replicas (real parallel int8 forwards), reported as the
-//! `scale_functional` rows of `BENCH_serve.json`.
+//! 1/2/4/8 replicas (real int8 forwards, run one batch at a time on the
+//! host), reported as the `scale_functional` rows of `BENCH_serve.json`.
 
 use std::sync::Arc;
 
@@ -390,7 +390,7 @@ fn build_scenario_for(workload: &Workload, preset: ServePreset, opts: &ExpOption
 /// Builds the serving engine for a scenario and runs it to completion on
 /// the preset's own pool size and routing policy, through
 /// `opts.backend` — functional replicas share one pack-once weight cache
-/// per SubNet and execute in parallel.
+/// per SubNet, and the host runs their batches one at a time.
 ///
 /// # Errors
 /// Returns [`SushiError::Backend`] when execution fails.
@@ -503,7 +503,7 @@ pub const FUNCTIONAL_SCALING_POINTS: [(usize, RoutingPolicy); 7] = [
 
 /// Worker-scaling sweep of the **functional** backend: one cache-swap-heavy
 /// toy-zoo stream (accuracy-band interleave, offered at ~6× a single
-/// replica's capacity) served with real parallel int8 forwards at every
+/// replica's capacity) served with real int8 forwards at every
 /// [`FUNCTIONAL_SCALING_POINTS`] point. Returns
 /// `(workers, routing, summary)` rows — the `scale_functional` rows of
 /// `BENCH_serve.json`.

@@ -10,8 +10,10 @@
 //! scheduler ever seeing an accelerator type:
 //!
 //! * [`LoadSignal`] is plain data sampled from the serving loop each
-//!   event: a time-weighted queue depth, the streaming p99 of completed
-//!   queries, and the deadline slack of the head-of-line query.
+//!   event: a time-weighted queue depth, the p99 of the loop's tail
+//!   window (entered at dispatch, so it holds queries still in flight —
+//!   see [`LoadSignal::p99_ms`]), and the deadline slack of the
+//!   head-of-line query.
 //!   [`TierSignals`] carries one shared signal plus optional per-tier
 //!   refinements.
 //! * Each tier's ladder folds its signal into a scalar *pressure* and

@@ -21,10 +21,10 @@
 //!
 //! Lifetime rules:
 //!
-//! * One arena per executing thread/worker — an `Arena` hands out `&mut`
-//!   slices, so it is inherently single-borrower. Serving workers each own
-//!   one and reuse it across queries; a one-off caller passes a fresh
-//!   `Arena::new()`. A kernel that splits hands each part of the pool's
+//! * One arena per executing thread — an `Arena` hands out `&mut`
+//!   slices, so it is inherently single-borrower. The functional serving
+//!   backend owns one and reuses it across every replica's queries; a
+//!   one-off caller passes a fresh `Arena::new()`. A kernel that splits hands each part of the pool's
 //!   call disjoint slices of the arena's buffers.
 //! * Borrows live for one kernel invocation. The conv kernels request all
 //!   the slices they need in a single call (the methods below return

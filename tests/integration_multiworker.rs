@@ -2,8 +2,8 @@
 //! facade: the packed int8 datapath must produce *bit-identical* per-query
 //! predictions no matter how many replicas serve the stream — workers
 //! change when queries complete, never what they compute — and the
-//! backend's memory accounting must count the Arc-shared packed panels
-//! once while summing the per-worker scratch arenas.
+//! backend's memory accounting must count each SubNet's packed panels once,
+//! whatever the pool size.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -73,10 +73,9 @@ fn predictions_are_bit_identical_across_worker_counts() {
             preds, base,
             "{workers}-worker ({routing}) predictions drifted from the 1-worker run"
         );
-        // The pack-once caches are shared: the packed-SubNet count is
-        // pool-size-invariant; only the scratch-arena accounting grows.
+        // The pack-once caches serve every replica: the packed-SubNet
+        // count is pool-size-invariant.
         assert_eq!(stats.packed_subnets, base_stats.packed_subnets);
-        assert!(stats.arena_workers >= 1 && stats.arena_workers <= workers);
         assert!(stats.arena_reserved_bytes >= base_stats.arena_reserved_bytes / 2);
     }
 }

@@ -99,7 +99,7 @@ impl SubgraphCache {
     ///
     /// # Errors
     /// Returns an error when weights cannot be sliced or packed, or the
-    /// SubNet's IR fails to build, normalize or lower (inconsistent zoo
+    /// SubNet's IR fails to build, annotate or lower (inconsistent zoo
     /// definitions — a programming error).
     pub fn build_fused(
         net: &SuperNet,
@@ -146,9 +146,9 @@ impl SubgraphCache {
                     pack_panel(&mut layers, *reduce)?;
                     pack_panel(&mut layers, *expand)?;
                 }
-                Step::FusedConv { layer, bias, act, .. } => {
+                Step::FusedConv { layer, act, .. } => {
                     let cl = active_mut(&mut layers, *layer)?;
-                    cl.fused = Some(fuse(cl, *bias, *act)?);
+                    cl.fused = Some(fuse(cl, *act)?);
                 }
                 _ => {}
             }
@@ -230,15 +230,14 @@ fn pack_panel(layers: &mut [Option<CachedLayer>], idx: usize) -> Result<(), Tens
 }
 
 /// K-pair-packs a layer and bakes the epilogue of the fused step reading it.
-fn fuse(cl: &CachedLayer, bias: bool, act: Activation) -> Result<FusedLayer, TensorError> {
+fn fuse(cl: &CachedLayer, act: Activation) -> Result<FusedLayer, TensorError> {
     let packed =
         PackedConv2d::pack_with_layout(&cl.weights, cl.w_q, &cl.params, PackLayout::KPair)?;
-    let bias_vec = if bias { cl.bias.clone() } else { vec![0i32; cl.weights.shape().n] };
     // Same accumulator→output rescale expression as the unfused datapath
     // (`conv2d_i8_in`), so the epilogue is bit-identical to
     // requantize-then-activate.
     let acc_scale = ACT_Q.scale * cl.w_q.scale / ACT_Q.scale;
-    let epilogue = Epilogue::uniform(bias_vec, acc_scale, ACT_Q, act)?;
+    let epilogue = Epilogue::uniform(cl.bias.clone(), acc_scale, ACT_Q, act)?;
     Ok(FusedLayer { packed, epilogue })
 }
 

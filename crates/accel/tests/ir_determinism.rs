@@ -1,6 +1,6 @@
 //! Install-time determinism of the IR pipeline — the contract CI's
 //! `ir-smoke` step rides on: lowering the same SubNet twice (graph build →
-//! fold pass → plan) must yield byte-identical plans, and building
+//! layout pass → plan) must yield byte-identical plans, and building
 //! the fused cache twice must fuse the same layers. Nondeterminism here
 //! would make cache installs unreproducible across replicas, breaking the
 //! shared-cache serving model. Also pins what an install holds: one weight
@@ -11,7 +11,7 @@ use sushi_accel::functional::SubgraphCache;
 use sushi_wsnet::ir_build::build_plan;
 use sushi_wsnet::{zoo, WeightStore};
 
-/// The full zoo (paper-scale + toy): graph construction, the fold pass and
+/// The full zoo (paper-scale + toy): graph construction, the layout pass and
 /// slot allocation are all deterministic.
 #[test]
 fn lowering_the_full_zoo_twice_yields_identical_plans() {

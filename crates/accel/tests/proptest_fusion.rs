@@ -1,6 +1,6 @@
 //! Bit-exactness contracts of the IR-lowered datapath.
 //!
-//! Two layers of defense, per the fusion design rule ("the fold pass
+//! Two layers of defense, per the fusion design rule ("the layout pass
 //! changes *where* bias/requant/activation run, never their arithmetic"):
 //!
 //! * a property test drives arbitrary zoo SubNets (random elastic configs,
@@ -101,7 +101,7 @@ fn fusion_off_digests_match_the_pre_ir_datapath() {
 }
 
 /// Fusion on: the IR-lowered plan produces the *same* pinned bits — the
-/// fold pass relocates arithmetic without changing it.
+/// layout pass relocates arithmetic without changing it.
 #[test]
 fn fused_digests_match_the_same_pins() {
     for (net_name, cfg_name, want) in PRE_IR_DIGESTS {

@@ -23,9 +23,9 @@
 //! `--backend analytical|functional` selects the serving runtime's
 //! execution backend (`EngineBuilder::backend`): `analytical` (default)
 //! runs the timing model only; `functional` additionally executes the real
-//! int8 datapath per batch — concurrently across each preset's workers,
-//! reading one shared pack-once weight cache per SubNet (full-size zoo
-//! forwards take seconds each — expect long runs).
+//! int8 datapath per batch — one batch per backend call on one arena,
+//! reading one pack-once weight cache per SubNet (a full-size zoo forward
+//! takes tens of milliseconds, so full presets run for minutes).
 //!
 //! `--kernel-policy naive|gemm|auto` selects the kernel backend used by
 //! experiments that execute the functional int8 datapath. Experiment
@@ -79,8 +79,8 @@ fn main() {
     let mut opts = if quick { ExpOptions::quick() } else { ExpOptions::default() };
     opts.kernel_policy = kernel_policy;
     opts.backend = backend;
-    // `--no-fusion` lowers functional installs without the fold pass's
-    // `annotate-layout` step (bit-identical logits; a bisection aid).
+    // `--no-fusion` lowers functional installs without the layout pass
+    // (bit-identical logits; a bisection aid).
     opts.fusion = fusion;
 
     let all: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();

@@ -385,7 +385,7 @@ impl EngineBuilder {
             net,
             subnets,
             sched: Scheduler::new(table, self.policy, self.cache_selection, q_window),
-            pool: ExecutorPool::new(Arc::new(service), self.sim.workers),
+            pool: ExecutorPool::new(service, self.sim.workers),
             config: self.sim,
             backend,
         })

@@ -34,7 +34,7 @@ pub struct ExpOptions {
     /// Execution backend for the serving-runtime experiments
     /// (`repro --backend analytical|functional`). The analytical default
     /// keeps full-size workloads fast; functional runs the real int8
-    /// datapath, in parallel across each preset's workers.
+    /// datapath, one batch per backend call.
     pub backend: BackendKind,
     /// Whether the serving-runtime presets run with load-adaptive
     /// degradation (tenant-tiered on `multi_tenant`). Off, the static path

@@ -31,8 +31,6 @@
 //! them one after another on the host changes no simulated value. The
 //! serving layer never changes *what* is computed — only *when*.
 
-use std::sync::Arc;
-
 use sushi_accel::backend::ExecutionBackend;
 use sushi_accel::exec::{BatchReport, ServiceTable};
 use sushi_accel::functional::FunctionalOutput;
@@ -92,7 +90,7 @@ pub(crate) type Dispatched = (DispatchReport, Option<Vec<FunctionalOutput>>);
 /// cost, and a serving run counts what it needs.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorPool {
-    service: Arc<ServiceTable>,
+    service: ServiceTable,
     workers: Vec<Worker>,
     /// The newest unapplied cache decision (a service-table column);
     /// applied by (and charged to) the next dispatched batch's worker.
@@ -105,7 +103,7 @@ impl ExecutorPool {
     /// # Panics
     /// Panics if `workers == 0` (the engine builder rejects this earlier).
     #[must_use]
-    pub(crate) fn new(service: Arc<ServiceTable>, workers: usize) -> Self {
+    pub(crate) fn new(service: ServiceTable, workers: usize) -> Self {
         assert!(workers > 0, "executor pool needs at least one worker");
         let worker = Worker { resident: None, lost_cache: false };
         Self { service, workers: vec![worker; workers], pending_install: None }
@@ -226,7 +224,7 @@ pub(crate) mod tests {
     pub(crate) fn toy_pool(workers: usize) -> ExecutorPool {
         let net = zoo::toy_supernet();
         let max = net.materialize("max", &net.max_config()).expect("the max config is valid");
-        ExecutorPool::new(Arc::new(ServiceTable::build(&zcu104(), &net, &[max], &[])), workers)
+        ExecutorPool::new(ServiceTable::build(&zcu104(), &net, &[max], &[]), workers)
     }
 
     /// A nominal-speed batch of `query_ids` of row `row` on `worker`.
@@ -247,7 +245,7 @@ pub(crate) mod tests {
             let net = zoo::mobilenet_v3_supernet();
             let picks = zoo::paper_subnets(&net);
             let service = ServiceTable::build(&zcu104(), &net, &picks, &[picks[0].graph.clone()]);
-            Self { net, picks, pool: ExecutorPool::new(Arc::new(service), workers) }
+            Self { net, picks, pool: ExecutorPool::new(service, workers) }
         }
 
         pub(crate) fn group(
@@ -418,9 +416,9 @@ pub(crate) mod tests {
     fn backends_agree_on_timing() {
         let net = zoo::toy_supernet();
         let picks = sushi_wsnet::sampler::ConfigSampler::new(&net, 5).sample_subnets(3);
-        let service = Arc::new(ServiceTable::build(&zcu104(), &net, &picks, &[]));
+        let service = ServiceTable::build(&zcu104(), &net, &picks, &[]);
         let plan = [planned(0, 1, &[4, 5])];
-        let mut analytical = ExecutorPool::new(Arc::clone(&service), 1);
+        let mut analytical = ExecutorPool::new(service.clone(), 1);
         let mut functional = ExecutorPool::new(service, 1);
         let ana = analytical.dispatch_group(0.0, &net, &picks, &mut Analytical, &plan).unwrap();
         let mut backend = Functional::new(DpeArray::new(2, 2), &net, 9);

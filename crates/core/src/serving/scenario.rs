@@ -592,6 +592,7 @@ pub fn run_functional_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::sim::conserved_per_tier;
 
     #[test]
     fn preset_names_round_trip() {
@@ -679,6 +680,26 @@ mod tests {
         );
         let s = res.summary();
         assert_eq!(s.offered, s.completed + s.dropped, "conservation");
+    }
+
+    /// The one preset run that hedges both ways: at 1200 queries and seed
+    /// 2, the chaos pool duplicates batches onto backup replicas, and one
+    /// backup finishes first while another does not. Hedge settlement
+    /// must keep every query served or dropped exactly once, per tier, and
+    /// rerun to the same result.
+    #[test]
+    fn chaos_hedges_win_and_lose_and_settle_deterministically() {
+        let opts = ExpOptions { queries: 1200, seed: 2, ..ExpOptions::default() };
+        let res = run_scenario(ServePreset::Chaos, &opts).unwrap();
+        let faults = res.faults.clone().expect("chaos runs carry a fault summary");
+        assert!(
+            0 < faults.hedges_won && faults.hedges_won < faults.hedges,
+            "expected hedges both won and lost: {faults:?}"
+        );
+        let scenario = build_scenario(ServePreset::Chaos, &opts);
+        let control = scenario.sim.control;
+        assert!(conserved_per_tier(&scenario.stream, control, &res.served, &res.dropped));
+        assert_eq!(run_scenario(ServePreset::Chaos, &opts).unwrap(), res);
     }
 
     #[test]

@@ -799,7 +799,7 @@ impl Engine {
 /// dropped — under the tier its tenant maps to: the admitted and the
 /// departed `(tier, tenant, id)` multisets agree, so per tier, admitted =
 /// served + dropped. A debug-run check of [`Engine::serve_timed`].
-fn conserved_per_tier(
+pub(crate) fn conserved_per_tier(
     stream: &[TimedQuery],
     control: Option<TenantOptions>,
     served: &[ServedQuery],

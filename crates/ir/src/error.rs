@@ -1,4 +1,4 @@
-//! Errors raised by graph validation, the fold pass and lowering.
+//! Errors raised by graph validation, the layout pass and lowering.
 
 use std::fmt;
 
@@ -14,13 +14,6 @@ pub enum IrError {
     },
     /// The graph has no declared output node.
     NoOutput,
-    /// Lowering met a node the fold pass should have eliminated.
-    NotNormalized {
-        /// Offending node index.
-        node: usize,
-        /// What remained unfused.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for IrError {
@@ -28,9 +21,6 @@ impl fmt::Display for IrError {
         match self {
             Self::Validation { node, what } => write!(f, "ir validation: node {node}: {what}"),
             Self::NoOutput => write!(f, "ir validation: graph has no output node"),
-            Self::NotNormalized { node, what } => {
-                write!(f, "ir lowering: node {node} not normalized: {what}")
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Lowering: a normalized [`Graph`] becomes an executable [`Plan`].
+//! Lowering: a [`Graph`] becomes an executable [`Plan`].
 //!
 //! A plan is a flat step list over dense value *slots* — the executor keeps
 //! a `Vec<Option<Tensor>>` indexed by slot, runs steps in order, and frees
@@ -6,12 +6,10 @@
 //! sequential runtime's peak-memory behaviour. Lowering happens once per
 //! cache install; serving never touches the graph again.
 //!
-//! Lowering is intentionally dumb: every fusion decision was already made by
-//! the fold pass ([`crate::normalize`]), recorded in each conv's
-//! [`EpilogueSpec`](crate::graph::EpilogueSpec). A node the pass should have
-//! eliminated (`Bias`, `Requant`) is a hard [`IrError::NotNormalized`] — a
-//! fold bug surfaces at install time, not as a silently slow or wrong
-//! datapath.
+//! Lowering is intentionally dumb: one step per node, in node order. Every
+//! decision is already recorded in each conv's
+//! [`EpilogueSpec`](crate::graph::EpilogueSpec), its activation by the
+//! builder and its pack layout by [`crate::normalize`].
 
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::PackLayout;
@@ -28,8 +26,6 @@ pub enum Step {
     Conv {
         /// SuperNet layer index (resolves cached weights and conv params).
         layer: usize,
-        /// Whether the layer's bias is applied.
-        bias: bool,
         /// Post-requantization activation.
         act: Activation,
         /// Input slot.
@@ -42,8 +38,6 @@ pub enum Step {
     FusedConv {
         /// SuperNet layer index (resolves cached weights and conv params).
         layer: usize,
-        /// Whether the layer's bias is folded into the epilogue.
-        bias: bool,
         /// Activation folded into the epilogue.
         act: Activation,
         /// The patch matrix is the input slice itself (1×1/s1/p0 dense).
@@ -53,8 +47,10 @@ pub enum Step {
         /// Output slot.
         dst: usize,
     },
-    /// Standalone int8 activation (kept when fusion was blocked, e.g. a
-    /// producer with several consumers).
+    /// Standalone int8 activation. Lowering never emits it: every
+    /// activation belongs to a conv's epilogue or an add. It stays because
+    /// the benchmark package matches `Step` exhaustively; the executor
+    /// still runs it.
     Act {
         /// The activation.
         act: Activation,
@@ -140,107 +136,57 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Lowers a validated, normalized graph.
+    /// Lowers a validated graph.
     ///
     /// # Errors
     /// Returns [`IrError::NoOutput`]/[`IrError::Validation`] for an invalid
-    /// graph and [`IrError::NotNormalized`] when a node the fold pass
-    /// eliminates is still present.
+    /// graph.
     pub fn lower(g: &Graph) -> Result<Self, IrError> {
         let output = g.output().ok_or(IrError::NoOutput)?;
         g.infer()?;
 
+        // Every node but the output writes a fresh slot, in node order: the
+        // input (node 0) gets slot 0. Validation has checked that nothing
+        // reads the output (the one f32 value).
         let mut slot_of: Vec<Option<usize>> = vec![None; g.len()];
-        let mut slots = 0usize;
-        let mut alloc = |slot_of: &mut Vec<Option<usize>>, id: NodeId| {
-            let s = slots;
-            slots += 1;
-            slot_of[id.0] = Some(s);
-            s
-        };
-        let slot = |slot_of: &[Option<usize>], id: NodeId, what: &'static str| {
-            slot_of[id.0].ok_or(IrError::NotNormalized { node: id.0, what })
-        };
-
         let mut steps = Vec::new();
-        let mut input_slot = 0usize;
-        let mut logits_slot = None;
-        for id in g.live_ids() {
-            let node = g.node(id);
-            let nn = |what: &'static str| IrError::NotNormalized { node: id.0, what };
-            match &node.op {
-                Op::Input => {
-                    input_slot = alloc(&mut slot_of, id);
+        let mut slots = 0usize;
+        for idx in 0..g.len() {
+            let node = g.node(NodeId(idx));
+            let src = |i: usize| {
+                slot_of[node.inputs[i].0]
+                    .ok_or(IrError::Validation { node: idx, what: "reads the output node" })
+            };
+            let dst = slots;
+            let step = match node.op {
+                Op::Input => None,
+                Op::Output => continue,
+                Op::Conv { layer, epilogue: e, .. } if e.layout == PackLayout::KPair => {
+                    let im2col_skip = e.im2col_skip;
+                    Some(Step::FusedConv { layer, act: e.act, im2col_skip, src: src(0)?, dst })
                 }
-                Op::Conv { layer, epilogue, .. } => {
-                    if !epilogue.requant {
-                        return Err(nn("conv without fused requantization"));
-                    }
-                    let src = slot(&slot_of, node.inputs[0], "conv reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    if epilogue.layout == PackLayout::KPair {
-                        steps.push(Step::FusedConv {
-                            layer: *layer,
-                            bias: epilogue.bias,
-                            act: epilogue.act,
-                            im2col_skip: epilogue.im2col_skip,
-                            src,
-                            dst,
-                        });
-                    } else {
-                        steps.push(Step::Conv {
-                            layer: *layer,
-                            bias: epilogue.bias,
-                            act: epilogue.act,
-                            src,
-                            dst,
-                        });
-                    }
+                Op::Conv { layer, epilogue: e, .. } => {
+                    Some(Step::Conv { layer, act: e.act, src: src(0)?, dst })
                 }
-                Op::Act(act) => {
-                    let src = slot(&slot_of, node.inputs[0], "act reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    steps.push(Step::Act { act: *act, src, dst });
-                }
-                Op::Add { act } => {
-                    let a = slot(&slot_of, node.inputs[0], "add reads a slotless node")?;
-                    let b = slot(&slot_of, node.inputs[1], "add reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    steps.push(Step::Add { a, b, act: *act, dst });
-                }
+                Op::Add { act } => Some(Step::Add { a: src(0)?, b: src(1)?, act, dst }),
                 Op::SqueezeExcite { reduce, expand } => {
-                    let src = slot(&slot_of, node.inputs[0], "se reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    steps.push(Step::SqueezeExcite { reduce: *reduce, expand: *expand, src, dst });
+                    Some(Step::SqueezeExcite { reduce, expand, src: src(0)?, dst })
                 }
                 Op::MaxPool { window, stride, padding } => {
-                    let src = slot(&slot_of, node.inputs[0], "max-pool reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    steps.push(Step::MaxPool {
-                        window: *window,
-                        stride: *stride,
-                        padding: *padding,
-                        src,
-                        dst,
-                    });
+                    Some(Step::MaxPool { window, stride, padding, src: src(0)?, dst })
                 }
-                Op::GlobalAvgPool => {
-                    let src = slot(&slot_of, node.inputs[0], "pool reads a slotless node")?;
-                    let dst = alloc(&mut slot_of, id);
-                    steps.push(Step::GlobalAvgPool { src, dst });
-                }
-                Op::Output => {
-                    if id != output {
-                        return Err(nn("stray output node"));
-                    }
-                    logits_slot =
-                        Some(slot(&slot_of, node.inputs[0], "output reads a slotless node")?);
-                }
-                Op::Bias { .. } => return Err(nn("unfused bias")),
-                Op::Requant => return Err(nn("unfused requantization")),
-            }
+                Op::GlobalAvgPool => Some(Step::GlobalAvgPool { src: src(0)?, dst }),
+            };
+            steps.extend(step);
+            slot_of[idx] = Some(dst);
+            slots += 1;
         }
-        let logits_slot = logits_slot.ok_or(IrError::NoOutput)?;
+        let out = g.node(output);
+        let logits_slot = match out.op {
+            Op::Output => slot_of[out.inputs[0].0],
+            _ => None,
+        }
+        .ok_or(IrError::NoOutput)?;
 
         // Last-read analysis: free each slot right after the step that
         // reads it last (the logits slot survives to the end).
@@ -259,7 +205,7 @@ impl Plan {
             }
         }
 
-        Ok(Self { steps, drop_after, slots, input_slot, logits_slot })
+        Ok(Self { steps, drop_after, slots, input_slot: 0, logits_slot })
     }
 
     /// Number of convs lowered onto the fused k-pair datapath.
@@ -277,24 +223,22 @@ mod tests {
     use sushi_tensor::ops::conv::Conv2dParams;
     use sushi_tensor::Shape4;
 
-    fn conv(layer: usize, k: usize, out_channels: usize) -> Op {
+    fn conv(layer: usize, k: usize, out_channels: usize, act: Activation) -> Op {
         Op::Conv {
             layer,
             params: Conv2dParams::new(k, k).with_padding(k / 2),
             out_channels,
-            epilogue: EpilogueSpec::default(),
+            epilogue: EpilogueSpec { act, ..EpilogueSpec::default() },
         }
     }
 
     #[test]
     fn normalized_chain_lowers_to_one_fused_step() {
         let mut g = Graph::new(Shape4::new(1, 8, 16, 16));
-        let c = g.push(conv(3, 3, 16), &[g.input()]);
-        let b = g.push(Op::Bias { layer: 3, channels: 16 }, &[c]);
-        let r = g.push(Op::Requant, &[b]);
-        let a = g.push(Op::Act(sushi_tensor::ops::activation::Activation::Relu), &[r]);
-        let o = g.push(Op::Output, &[a]);
+        let c = g.push(conv(3, 3, 16, Activation::Relu), &[g.input()]);
+        let o = g.push(Op::Output, &[c]);
         g.set_output(o);
+        // 16·8·3·3·16·16 = 294912 MACs ≫ threshold → k-pair layout.
         normalize(&mut g).unwrap();
 
         let plan = Plan::lower(&g).unwrap();
@@ -302,7 +246,7 @@ mod tests {
         assert_eq!(plan.fused_conv_count(), 1);
         assert!(matches!(
             plan.steps[0],
-            Step::FusedConv { layer: 3, bias: true, src, dst, .. }
+            Step::FusedConv { layer: 3, act: Activation::Relu, im2col_skip: false, src, dst }
                 if src == plan.input_slot && dst == plan.logits_slot
         ));
         // The input slot dies right after the only step.
@@ -311,33 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn unnormalized_nodes_are_rejected() {
-        let mut g = Graph::new(Shape4::new(1, 8, 16, 16));
-        let c = g.push(conv(0, 3, 16), &[g.input()]);
-        let r = g.push(Op::Requant, &[c]);
-        let o = g.push(Op::Output, &[r]);
-        g.set_output(o);
-        // Not normalized: the conv still produces raw accumulators (hit
-        // first, in topological order) and the requant is standalone.
-        assert!(matches!(Plan::lower(&g), Err(IrError::NotNormalized { .. })));
-        normalize(&mut g).unwrap();
-        assert!(Plan::lower(&g).is_ok());
-    }
-
-    #[test]
     fn tiny_conv_lowers_to_direct_step_and_shared_slots_drop_late() {
-        use sushi_tensor::ops::activation::Activation;
         // Small shapes (2·2·3·3·4·4 = 576 MACs < 2048) keep every conv
         // below the GEMM threshold → `Conv` steps; the residual makes
         // slot 1 live until the add.
         let mut g = Graph::new(Shape4::new(1, 2, 4, 4));
-        let c1 = g.push(conv(0, 3, 2), &[g.input()]);
-        let r1 = g.push(Op::Requant, &[c1]);
-        let c2 = g.push(conv(1, 3, 2), &[r1]);
-        let r2 = g.push(Op::Requant, &[c2]);
-        let s = g.push(Op::Add { act: Activation::None }, &[r2, r1]);
-        let a = g.push(Op::Act(Activation::Relu), &[s]);
-        let o = g.push(Op::Output, &[a]);
+        let c1 = g.push(conv(0, 3, 2, Activation::None), &[g.input()]);
+        let c2 = g.push(conv(1, 3, 2, Activation::None), &[c1]);
+        let s = g.push(Op::Add { act: Activation::Relu }, &[c2, c1]);
+        let o = g.push(Op::Output, &[s]);
         g.set_output(o);
         normalize(&mut g).unwrap();
 
@@ -345,7 +271,7 @@ mod tests {
         assert_eq!(plan.fused_conv_count(), 0);
         let convs = plan.steps.iter().filter(|s| matches!(s, Step::Conv { .. })).count();
         assert_eq!(convs, 2);
-        // Steps: conv(0→1), conv(1→2), add(2,1→3 with fused relu).
+        // Steps: conv(0→1), conv(1→2), add(2,1→3 with relu).
         assert!(matches!(plan.steps[2], Step::Add { act: Activation::Relu, .. }));
         let Step::Add { a: add_a, b: add_b, dst, .. } = plan.steps[2] else {
             panic!("expected add");

@@ -284,9 +284,10 @@ pub fn conv2d_i8_in(
 /// the GEMM's worker threads. The tile goes straight out as `i8`; when the
 /// reduction fits one K block no `i32` accumulator is requested at all.
 ///
-/// This is the IR-lowered datapath: `sushi-ir`'s fold pass moves bias,
-/// requantization and activation into the epilogue at cache-install time,
-/// and the install packs weights in [`PackLayout::KPair`]. It runs the same
+/// This is the IR-lowered datapath: `sushi-ir`'s layout pass sends a
+/// conv here at cache-install time, the install bakes its bias,
+/// requantization and activation into the epilogue and packs weights in
+/// [`PackLayout::KPair`]. It runs the same
 /// GEMM conv body as [`conv2d_i8_in`]'s GEMM backend, 1×1 im2col skip
 /// included; only the tail differs.
 ///

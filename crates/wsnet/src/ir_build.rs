@@ -3,16 +3,17 @@
 //!
 //! [`build_ir`] writes the network out layer by layer — stem, blocks, head,
 //! with each activation and residual add where the per-layer oracle in
-//! `crates/accel/tests/oracle` applies it. The fold pass only changes
-//! *where* bias/requant/activation run (inside the conv epilogue), never
-//! their arithmetic, which is what keeps every plan's logits bit-identical
-//! to that oracle.
+//! `crates/accel/tests/oracle` applies it. Bias, requantization and
+//! activation run in each conv's epilogue (a residual block's activation in
+//! its add), with the oracle's arithmetic, which is what keeps every plan's
+//! logits bit-identical to that oracle.
 //!
 //! Translation runs once per cache install; queries never see the graph.
 
-use sushi_ir::{Graph, IrError, NodeId, Op, Plan};
+use sushi_ir::{EpilogueSpec, Graph, IrError, NodeId, Op, Plan};
 use sushi_tensor::ops::activation::Activation;
 use sushi_tensor::ops::conv::Conv2dParams;
+use sushi_tensor::shape::conv_out_dim;
 use sushi_tensor::Shape4;
 
 use crate::arch::{Family, SuperNet, NO_STAGE};
@@ -35,9 +36,9 @@ pub fn layer_conv_params(layer: &ConvLayerDesc, slice: &LayerSlice) -> Conv2dPar
 
 /// Builds the op-graph for one forward pass of `subnet` (batch 1).
 ///
-/// The graph comes back *unnormalized*: every conv is followed by explicit
-/// `Bias`/`Requant`/`Act` nodes. Run [`sushi_ir::normalize`] and
-/// [`Plan::lower`] (or just [`build_plan`]) to reach the executable form.
+/// The graph comes back in normal form with every conv on the unfused
+/// layout. Run [`sushi_ir::normalize`] (fusion on) and [`Plan::lower`] (or
+/// just [`build_plan`]) to reach the executable form.
 ///
 /// # Errors
 /// Returns an error when the built graph fails validation — inconsistent
@@ -48,7 +49,7 @@ pub fn build_ir(net: &SuperNet, subnet: &SubNet) -> Result<Graph, IrError> {
     let layers = &net.layers;
     let mut idx = 0usize;
     // Stem.
-    let mut x = b.conv_chain(idx, b.g.input(), Activation::Relu);
+    let mut x = b.conv(idx, b.g.input(), Activation::Relu);
     idx += 1;
     if net.family == Family::OfaResNet50 {
         x = b.g.push(Op::MaxPool { window: 3, stride: 2, padding: 1 }, &[x]);
@@ -65,7 +66,7 @@ pub fn build_ir(net: &SuperNet, subnet: &SubNet) -> Result<Graph, IrError> {
     let mut h = b.g.push(Op::GlobalAvgPool, &[x]);
     while idx < layers.len() {
         let act = if idx + 1 < layers.len() { Activation::Relu } else { Activation::None };
-        h = b.conv_chain(idx, h, act);
+        h = b.conv(idx, h, act);
         idx += 1;
     }
     let o = b.g.push(Op::Output, &[h]);
@@ -74,26 +75,23 @@ pub fn build_ir(net: &SuperNet, subnet: &SubNet) -> Result<Graph, IrError> {
     Ok(b.g)
 }
 
-/// [`build_ir`], normalized and lowered to an executable [`Plan`] — the
+/// [`build_ir`], annotated and lowered to an executable [`Plan`] — the
 /// one-call install-time entry point.
 ///
-/// `fusion` alone picks the datapath: [`sushi_ir::normalize`] annotates
+/// `fusion` alone picks the datapath: on, [`sushi_ir::normalize`] annotates
 /// GEMM-bound convs with the k-pair layout, which lowers them to
-/// [`sushi_ir::Step::FusedConv`]; with fusion off
-/// [`sushi_ir::normalize_unfused`] skips that annotation, so every conv
-/// lowers to the plain [`sushi_ir::Step::Conv`] (conv, bias, requantize,
-/// activation). Both plans have the same steps in the same slots and
-/// produce the same logits.
+/// [`sushi_ir::Step::FusedConv`]; off, the graph is lowered as built, so
+/// every conv lowers to the plain [`sushi_ir::Step::Conv`] (conv, bias,
+/// requantize, activation). Both plans have the same steps in the same
+/// slots and produce the same logits.
 ///
 /// # Errors
-/// Returns an error when graph construction, the fold pass, or lowering
+/// Returns an error when graph construction, the layout pass, or lowering
 /// fails.
 pub fn build_plan(net: &SuperNet, subnet: &SubNet, fusion: bool) -> Result<Plan, IrError> {
     let mut g = build_ir(net, subnet)?;
     if fusion {
         sushi_ir::normalize(&mut g)?;
-    } else {
-        sushi_ir::normalize_unfused(&mut g)?;
     }
     Plan::lower(&g)
 }
@@ -109,35 +107,23 @@ impl Builder<'_> {
         self.subnet.graph.slice(idx)
     }
 
-    /// Pushes the per-layer runtime sequence for conv layer `idx`:
-    /// `Conv → Bias → Requant` plus an `Act` when `act` is not `None`.
-    fn conv_chain(&mut self, idx: usize, x: NodeId, act: Activation) -> NodeId {
-        let layer = &self.net.layers[idx];
+    /// Pushes conv layer `idx` reading `x`; its epilogue adds the bias,
+    /// requantizes and applies `act`.
+    fn conv(&mut self, idx: usize, x: NodeId, act: Activation) -> NodeId {
         let slice = self.slice(idx);
-        let c = self.g.push(
-            Op::Conv {
-                layer: idx,
-                params: layer_conv_params(layer, &slice),
-                out_channels: slice.kernels,
-                epilogue: sushi_ir::EpilogueSpec::default(),
-            },
-            &[x],
-        );
-        let bs = self.g.push(Op::Bias { layer: idx, channels: slice.kernels }, &[c]);
-        let r = self.g.push(Op::Requant, &[bs]);
-        if act == Activation::None {
-            r
-        } else {
-            self.g.push(Op::Act(act), &[r])
-        }
+        let op = Op::Conv {
+            layer: idx,
+            params: layer_conv_params(&self.net.layers[idx], &slice),
+            out_channels: slice.kernels,
+            epilogue: EpilogueSpec { act, ..EpilogueSpec::default() },
+        };
+        self.g.push(op, &[x])
     }
 
-    /// Inferred output shape of `id` (install-time only; O(graph)).
-    fn shape_of(&self, id: NodeId) -> Result<Shape4, IrError> {
+    /// Inferred output shapes of `a` and `b` (install-time only; O(graph)).
+    fn shapes_of(&self, a: NodeId, b: NodeId) -> Result<(Shape4, Shape4), IrError> {
         let facts = self.g.infer()?;
-        facts[id.0]
-            .map(|f| f.shape)
-            .ok_or(IrError::Validation { node: id.0, what: "shape of a dead node" })
+        Ok((facts[a.0].shape, facts[b.0].shape))
     }
 
     /// Translates one block starting at layer `idx`; returns the index after
@@ -160,36 +146,43 @@ impl Builder<'_> {
                 let c1 = find(LayerRole::Expand).expect("bottleneck conv1");
                 let c2 = find(LayerRole::Spatial).expect("bottleneck conv2");
                 let c3 = find(LayerRole::Project).expect("bottleneck conv3");
-                let y = self.conv_chain(c1, x, Activation::Relu);
-                let y = self.conv_chain(c2, y, Activation::Relu);
-                let y = self.conv_chain(c3, y, Activation::None);
-                let identity = if let Some(ds) = find(LayerRole::Downsample) {
-                    Some(self.conv_chain(ds, x, Activation::None))
-                } else if self.shape_of(x)? == self.shape_of(y)? {
-                    Some(x)
-                } else {
-                    None
+                let y = self.conv(c1, x, Activation::Relu);
+                let y = self.conv(c2, y, Activation::Relu);
+                // The block's ReLU follows the residual add when there is
+                // one, else conv3. Without a downsample conv, the identity
+                // shortcut needs conv3's output shape to equal the input's.
+                let ds = find(LayerRole::Downsample);
+                let (xs, ys) = self.shapes_of(x, y)?;
+                let slice = self.slice(c3);
+                let p = layer_conv_params(&layers[c3], &slice);
+                let dim = |i, k| conv_out_dim(i, k, p.stride, p.padding);
+                let y3 = dim(ys.h, p.kernel_h).zip(dim(ys.w, p.kernel_w));
+                let residual = ds.is_some()
+                    || y3.map(|(h, w)| Shape4::new(ys.n, slice.kernels, h, w)) == Some(xs);
+                if !residual {
+                    return Ok((end, Some(self.conv(c3, y, Activation::Relu))));
+                }
+                let y = self.conv(c3, y, Activation::None);
+                let shortcut = match ds {
+                    Some(ds) => self.conv(ds, x, Activation::None),
+                    None => x,
                 };
-                let summed = match identity {
-                    Some(id) => self.g.push(Op::Add { act: Activation::None }, &[y, id]),
-                    None => y,
-                };
-                let out = self.g.push(Op::Act(Activation::Relu), &[summed]);
-                Ok((end, Some(out)))
+                Ok((end, Some(self.g.push(Op::Add { act: Activation::Relu }, &[y, shortcut]))))
             }
             Family::OfaMobileNetV3 => {
                 let ex = find(LayerRole::Expand).expect("mbconv expand");
                 let dw = find(LayerRole::Spatial).expect("mbconv depthwise");
                 let pj = find(LayerRole::Project).expect("mbconv project");
-                let y = self.conv_chain(ex, x, Activation::HSwish);
-                let mut y = self.conv_chain(dw, y, Activation::HSwish);
+                let y = self.conv(ex, x, Activation::HSwish);
+                let mut y = self.conv(dw, y, Activation::HSwish);
                 if let (Some(se_r), Some(se_e)) =
                     (find(LayerRole::SeReduce), find(LayerRole::SeExpand))
                 {
                     y = self.g.push(Op::SqueezeExcite { reduce: se_r, expand: se_e }, &[y]);
                 }
-                let y = self.conv_chain(pj, y, Activation::None);
-                let out = if self.shape_of(x)? == self.shape_of(y)? {
+                let y = self.conv(pj, y, Activation::None);
+                let (xs, ys) = self.shapes_of(x, y)?;
+                let out = if xs == ys {
                     self.g.push(Op::Add { act: Activation::None }, &[y, x])
                 } else {
                     y
@@ -225,7 +218,8 @@ mod tests {
                 let plan = build_plan(&net, &sn, true)
                     .unwrap_or_else(|e| panic!("{}/{label}: lower failed: {e}", net.name));
                 assert!(!plan.steps.is_empty(), "{}/{label}: empty plan", net.name);
-                assert!(g.live_count() > plan.steps.len());
+                // Every node but the input and the output is a step.
+                assert_eq!(g.len(), plan.steps.len() + 2, "{}/{label}", net.name);
             }
         }
     }
@@ -278,30 +272,28 @@ mod tests {
             for (p, f) in plain.steps.iter().zip(&fused.steps) {
                 match (p, f) {
                     (
-                        Step::Conv { layer, bias, act, src, dst },
-                        Step::FusedConv { layer: l, bias: b, act: a, src: s, dst: d, .. },
-                    ) => assert_eq!((layer, bias, act, src, dst), (l, b, a, s, d)),
+                        Step::Conv { layer, act, src, dst },
+                        Step::FusedConv { layer: l, act: a, src: s, dst: d, .. },
+                    ) => assert_eq!((layer, act, src, dst), (l, a, s, d)),
                     _ => assert_eq!(p, f, "{}", net.name),
                 }
             }
         }
     }
 
-    /// One sweep reaches the normal form: normalizing an already-normalized
-    /// graph applies nothing and leaves it equal, with fusion on or off.
+    /// One sweep does all the pass does: the first annotates, and
+    /// normalizing again applies nothing and leaves the graph equal.
     #[test]
     fn normalizing_twice_applies_nothing() {
         for net in nets() {
             for (label, cfg) in [("max", net.max_config()), ("min", net.min_config())] {
                 let sn = net.materialize(label, &cfg).unwrap();
-                for pass in [sushi_ir::normalize, sushi_ir::normalize_unfused] {
-                    let mut g = build_ir(&net, &sn).unwrap();
-                    assert!(!pass(&mut g).unwrap().applied.is_empty());
-                    let once = g.clone();
-                    let log = pass(&mut g).unwrap();
-                    assert!(log.applied.is_empty(), "{}/{label}: {:?}", net.name, log.applied);
-                    assert_eq!(g, once, "{}/{label}", net.name);
-                }
+                let mut g = build_ir(&net, &sn).unwrap();
+                assert!(!sushi_ir::normalize(&mut g).unwrap().applied.is_empty());
+                let once = g.clone();
+                let log = sushi_ir::normalize(&mut g).unwrap();
+                assert!(log.applied.is_empty(), "{}/{label}: {:?}", net.name, log.applied);
+                assert_eq!(g, once, "{}/{label}", net.name);
             }
         }
     }
